@@ -55,9 +55,9 @@ func main() {
 // flags are declared, so the help test can assert the complete set.
 type nodeFlags struct {
 	workloadArg, registryPath, role, id, debugAddr, tracePath, solver, checkpointDir *string
-	wireMode                                                                        *string
-	demo, printRegistry, sparse, fleetMode                                          *bool
-	rounds, workers, checkpointEvery, shards, shardWorkers                          *int
+	wireMode                                                                         *string
+	demo, printRegistry, sparse, fleetMode                                           *bool
+	rounds, workers, checkpointEvery, shards, shardWorkers                           *int
 }
 
 // newFlagSet declares the full lla-node flag set.

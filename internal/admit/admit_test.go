@@ -24,7 +24,7 @@ func testCluster(t *testing.T, workers int) *core.Engine {
 		Chain("resident-s0", "resident-s1", "resident-s2").
 		MustBuild()
 	w := &workload.Workload{
-		Name: "admit-test",
+		Name:  "admit-test",
 		Tasks: []*task.Task{resident},
 		Resources: []share.Resource{
 			{ID: "r0", Kind: share.CPU, Availability: 1, LagMs: 1},

@@ -1,0 +1,185 @@
+package core
+
+import (
+	"fmt"
+	"math"
+	"testing"
+
+	"lla/internal/price"
+	"lla/internal/utility"
+	"lla/internal/workload"
+)
+
+// denseCertificate is the reference the short-circuiting pass must agree
+// with: the three dense scans RunUntilKKT and the fleet sweep ran before
+// Certify existed.
+func denseCertificate(e *Engine) Certificate {
+	var c Certificate
+	c.KKTMax, _, _ = e.KKTStats()
+	for ri := range e.agents {
+		if e.PinnedAt(ri) {
+			continue
+		}
+		if over := e.shareSums[ri] - e.p.Resources[ri].Availability; over > c.MaxResourceViolation {
+			c.MaxResourceViolation = over
+		}
+	}
+	c.MaxPathViolationFrac = e.Probe().MaxPathViolationFrac
+	return c
+}
+
+// certifyWorkload is a seeded random DAG workload with every task on one
+// curve family.
+func certifyWorkload(t *testing.T, seed int64, family string) *workload.Workload {
+	t.Helper()
+	cfg := workload.DefaultRandomConfig(seed)
+	cfg.SlackFactor = 10
+	w, err := workload.Random(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tk := range w.Tasks {
+		switch family {
+		case "linear":
+			w.Curves[tk.Name] = utility.Linear{K: cfg.UtilityK, CMs: tk.CriticalMs}
+		case "quadratic":
+			w.Curves[tk.Name] = utility.Quadratic{A: cfg.UtilityK * tk.CriticalMs, B: 0.5 / tk.CriticalMs}
+		case "exp-penalty":
+			w.Curves[tk.Name] = utility.ExpPenalty{A: cfg.UtilityK * tk.CriticalMs, B: 1, Tau: tk.CriticalMs / 3}
+		default:
+			t.Fatalf("unknown curve family %q", family)
+		}
+	}
+	return w
+}
+
+// TestCertifyMatchesDenseRule asserts, at every iteration of every case,
+// that the short-circuiting certificate reaches the dense rule's verdict,
+// from the remembered witness and from a cold cursor alike; that a passing
+// certificate and the infinite-tolerance scan the fleet uses on ungraded
+// sweep exits both carry the dense maxima bit for bit; and that a
+// non-positive KKT tolerance never certifies.
+func TestCertifyMatchesDenseRule(t *testing.T) {
+	const (
+		iters  = 600
+		kktTol = 1e-6
+		tol    = 1e-4
+	)
+	inf := math.Inf(1)
+	for _, family := range []string{"linear", "quadratic", "exp-penalty"} {
+		for _, solver := range []price.Solver{price.SolverGradient, price.SolverNewton} {
+			for _, pins := range []bool{false, true} {
+				passes, fails := 0, 0
+				for seed := int64(0); seed < 4; seed++ {
+					for _, workers := range []int{1, 3} {
+						name := fmt.Sprintf("%s/%s/pins=%v/seed=%d/workers=%d", family, solver, pins, seed, workers)
+						e, err := NewEngine(certifyWorkload(t, seed, family), Config{Workers: workers, PriceSolver: solver})
+						if err != nil {
+							t.Fatal(err)
+						}
+						if pins {
+							// Underpriced, so the pinned resource stays over
+							// capacity: the certificate must not count it.
+							if err := e.PinPrice(0, 0.01, true); err != nil {
+								t.Fatal(err)
+							}
+						}
+						for it := 0; it < iters; it++ {
+							e.Step()
+							ref := denseCertificate(e)
+							want := ref.KKTMax < kktTol && ref.MaxResourceViolation < tol && ref.MaxPathViolationFrac < tol
+
+							warm := e.certCursor
+							e.certCursor = 0
+							_, coldOK := e.Certify(kktTol, tol)
+							e.certCursor = warm
+							got, ok := e.Certify(kktTol, tol)
+							if ok != want || coldOK != want {
+								t.Fatalf("%s iter %d: verdict warm=%v cold=%v, dense rule %v (%+v)", name, it, ok, coldOK, want, ref)
+							}
+							if ok && got != ref {
+								t.Fatalf("%s iter %d: passing certificate %+v, dense %+v", name, it, got, ref)
+							}
+							if full, _ := e.Certify(inf, inf); full != ref {
+								t.Fatalf("%s iter %d: full scan %+v, dense %+v", name, it, full, ref)
+							}
+							for _, bad := range []float64{0, -1, math.NaN()} {
+								if _, ok := e.Certify(bad, tol); ok {
+									t.Fatalf("%s iter %d: certified at kktTol %v", name, it, bad)
+								}
+							}
+							if want {
+								passes++
+							} else {
+								fails++
+							}
+						}
+						if pins && e.Probe().MaxResourceViolation < tol {
+							t.Errorf("%s: pinned resource not over capacity; the pins case tests nothing", name)
+						}
+						e.Close()
+					}
+				}
+				if passes == 0 || fails == 0 {
+					t.Errorf("%s/%s/pins=%v: %d passing and %d failing checks; want both verdicts exercised",
+						family, solver, pins, passes, fails)
+				}
+			}
+		}
+	}
+}
+
+// TestCertifyZeroAllocs locks the certificate off the allocator on both of
+// its paths: the O(1) failing check and the full passing scan.
+func TestCertifyZeroAllocs(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		e, err := NewEngine(workload.Base(), Config{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.Run(50, nil)
+		for _, tols := range [][2]float64{{1e-300, 1e-300}, {math.Inf(1), math.Inf(1)}} {
+			allocs := testing.AllocsPerRun(200, func() { e.Certify(tols[0], tols[1]) })
+			if allocs != 0 {
+				t.Errorf("workers=%d tol=%v: Certify allocated %.1f/op, want 0", workers, tols[0], allocs)
+			}
+		}
+		e.Close()
+	}
+}
+
+// TestRunUntilKKTCertifiesDensePoint checks the loop's exit against the
+// dense scans: the point it returns satisfies the rule it was asked for,
+// and the run stopped at the first window of passing iterations.
+func TestRunUntilKKTCertifiesDensePoint(t *testing.T) {
+	const (
+		kktTol = 1e-6
+		tol    = 1e-4
+		window = 3
+	)
+	ref, err := NewEngine(certifyWorkload(t, 1, "quadratic"), Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Close()
+	wantIter, stable := 0, 0
+	for wantIter < 5000 && stable < window {
+		ref.Step()
+		wantIter++
+		c := denseCertificate(ref)
+		if c.KKTMax < kktTol && c.MaxResourceViolation < tol && c.MaxPathViolationFrac < tol {
+			stable++
+		} else {
+			stable = 0
+		}
+	}
+	e, err := NewEngine(certifyWorkload(t, 1, "quadratic"), Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	snap, ok := e.RunUntilKKT(5000, kktTol, window, tol)
+	if !ok || snap.Iteration != wantIter {
+		t.Fatalf("RunUntilKKT stopped at iteration %d (converged=%v), dense rule stops at %d", snap.Iteration, ok, wantIter)
+	}
+}

@@ -139,8 +139,9 @@ func (c *Controller) UpdatePathPrices(congestedRes []bool) bool {
 //
 // clamped to the subtask's admissible interval. For curves with
 // non-constant slope f'(L) depends on the aggregate L, so the controller
-// fixed-points on L (converges monotonically for concave curves; linear
-// curves exit after one inner round).
+// fixed-points on L until L or the slope stops moving (converges
+// monotonically for concave curves; constant-slope curves exit after one
+// inner round).
 //
 // It reports whether any latency changed bitwise — the trigger for
 // re-evaluating the task's shares and for marking its resources dirty in
@@ -149,8 +150,8 @@ func (c *Controller) AllocateLatencies(mu []float64) bool {
 	copy(c.latPrev, c.LatMs)
 	pt := &c.p.Tasks[c.ti]
 	agg := c.aggregate()
+	slope := pt.Curve.Slope(agg)
 	for inner := 0; inner < c.maxInner; inner++ {
-		slope := pt.Curve.Slope(agg)
 		for si := range c.LatMs {
 			lambdaSum := 0.0
 			for _, pi := range pt.PathsThrough[si] {
@@ -178,7 +179,14 @@ func (c *Controller) AllocateLatencies(mu []float64) bool {
 		if math.Abs(next-agg) < 1e-9*(1+math.Abs(agg)) {
 			break
 		}
-		agg = next
+		// The slope is the only input that varies between rounds: one that
+		// comes back bitwise unchanged (always, for a constant-slope curve)
+		// would make the next round reproduce these latencies and then exit.
+		nextSlope := pt.Curve.Slope(next)
+		if nextSlope == slope {
+			break
+		}
+		agg, slope = next, nextSlope
 	}
 	for si, lat := range c.LatMs {
 		if lat != c.latPrev[si] {

@@ -254,3 +254,112 @@ func TestEngineMixedCurveRandomWorkloads(t *testing.T) {
 		}
 	}
 }
+
+// allocateLatenciesFullLoop is AllocateLatencies without the slope early
+// exit: every inner round re-evaluates the slope and the loop ends only
+// when the aggregate stops moving. It is the reference the early exit must
+// reproduce bit for bit.
+func allocateLatenciesFullLoop(c *Controller, mu []float64) {
+	pt := &c.p.Tasks[c.ti]
+	agg := c.aggregate()
+	for inner := 0; inner < c.maxInner; inner++ {
+		slope := pt.Curve.Slope(agg)
+		for si := range c.LatMs {
+			lambdaSum := 0.0
+			for _, pi := range pt.PathsThrough[si] {
+				lambdaSum += c.Lambda[pi]
+			}
+			denom := lambdaSum - pt.Weights[si]*slope
+			var lat float64
+			switch muR := mu[pt.Res[si]]; {
+			case muR <= 0:
+				lat = pt.LatMinMs[si]
+			case denom <= 1e-12:
+				lat = pt.LatMaxMs[si]
+			default:
+				sf := pt.Share[si]
+				lat = sf.ErrMs + safeSqrt(muR*(sf.ExecMs+sf.LagMs)/denom)
+			}
+			c.LatMs[si] = clamp(lat, pt.LatMinMs[si], pt.LatMaxMs[si])
+		}
+		next := c.aggregate()
+		if math.Abs(next-agg) < 1e-9*(1+math.Abs(agg)) {
+			break
+		}
+		agg = next
+	}
+}
+
+// slopeCounter counts Slope evaluations of the curve it wraps.
+type slopeCounter struct {
+	utility.Curve
+	calls *int
+}
+
+func (s slopeCounter) Slope(x float64) float64 {
+	*s.calls++
+	return s.Curve.Slope(x)
+}
+
+// TestAllocateLatenciesEarlyExitBitwise asserts the slope early exit leaves
+// exactly the latencies the full inner loop would, over a price sweep that
+// covers the free, clamped and interior regimes, with and without path
+// prices, carrying state from one solve into the next.
+func TestAllocateLatenciesEarlyExitBitwise(t *testing.T) {
+	curves := map[string]utility.Curve{
+		"linear":      utility.Linear{K: 2, CMs: 100},
+		"neg-latency": utility.NegLatency{},
+		"quadratic":   utility.Quadratic{A: 1000, B: 0.1},
+		"exp-penalty": utility.ExpPenalty{A: 200, B: 1, Tau: 30},
+	}
+	prices := []float64{0, 1e-6, 0.3, 1, 7, 20, 400, 1e12}
+	for name, curve := range curves {
+		p := newTestProblem(t, curve)
+		got := NewController(p, 0, fixedStep, 1, false, 30)
+		want := NewController(p, 0, fixedStep, 1, false, 30)
+		for _, lambda := range []float64{0, 0.5} {
+			got.Lambda[0], want.Lambda[0] = lambda, lambda
+			for _, m0 := range prices {
+				for _, m1 := range prices {
+					mu := []float64{m0, m1}
+					got.AllocateLatencies(mu)
+					allocateLatenciesFullLoop(want, mu)
+					for si := range got.LatMs {
+						if got.LatMs[si] != want.LatMs[si] {
+							t.Fatalf("%s lambda=%v mu=%v subtask %d: early exit %x, full loop %x",
+								name, lambda, mu, si, got.LatMs[si], want.LatMs[si])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestAllocateLatenciesInnerRounds pins what the early exit keys on: a
+// constant-slope curve takes one inner round however far the latencies
+// move, and a curve whose slope moved keeps iterating.
+func TestAllocateLatenciesInnerRounds(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		curve     utility.Curve
+		wantCalls func(int) bool
+	}{
+		// Initial slope + one re-evaluation that comes back equal.
+		{"linear", utility.Linear{K: 2, CMs: 100}, func(n int) bool { return n == 2 }},
+		// At least two rounds: initial slope and two or more re-evaluations.
+		{"quadratic", utility.Quadratic{A: 1000, B: 0.1}, func(n int) bool { return n >= 3 }},
+	} {
+		calls := 0
+		p := newTestProblem(t, slopeCounter{tc.curve, &calls})
+		c := NewController(p, 0, fixedStep, 1, false, 50)
+		before := append([]float64(nil), c.LatMs...)
+		calls = 0 // Compile samples the curve to validate it
+		if !c.AllocateLatencies([]float64{20, 20}) {
+			t.Fatalf("%s: latencies did not move from %v", tc.name, before)
+		}
+		if !tc.wantCalls(calls) {
+			t.Errorf("%s: %d slope evaluations", tc.name, calls)
+		}
+	}
+}

@@ -197,6 +197,11 @@ type Engine struct {
 	// fleet's shard-level active set rests on it.
 	pinEpoch uint64
 
+	// certCursor is Certify's witness cursor: the resource (< len(agents)) or
+	// task (offset by len(agents)) that failed the last check, where the next
+	// scan starts. Scratch only — it never changes a verdict.
+	certCursor int
+
 	// obsv holds the attached observability channels (nil = disabled); the
 	// hot path pays one nil-check per Step when nothing is attached.
 	obsv *obsHandles
@@ -268,7 +273,11 @@ func (e *Engine) refreshResourceState() {
 	for ri, a := range e.agents {
 		sum := a.ShareSum(e.latOf)
 		e.shareSums[ri] = sum
-		e.congested[ri] = a.Congested(sum)
+		if e.PinnedAt(ri) {
+			e.congested[ri] = e.pinnedCong[ri] // externally owned (pin.go)
+		} else {
+			e.congested[ri] = a.Congested(sum)
+		}
 	}
 	e.invalidateSparse()
 }
@@ -575,6 +584,12 @@ func (e *Engine) RunUntilConverged(maxIters int, relTol float64, window int, tol
 // convergence at a point that is not yet the fixed point. Solver
 // comparisons (the eval solvers sweep, BenchmarkRoundsToConverge) use this
 // criterion so every solver is measured against the same true fixed point.
+//
+// Each iteration is graded by Certify, which stops at the first witness, so
+// the iterations that are not yet stationary — nearly all of them — pay
+// O(1) tasks for the test rather than a dense pass; the capacity check
+// covers the resources whose price the engine owns (all of them, unless
+// prices are pinned).
 func (e *Engine) RunUntilKKT(maxIters int, kktTol float64, window int, tol float64) (Snapshot, bool) {
 	if maxIters <= 0 || window <= 0 {
 		return Snapshot{}, false
@@ -582,13 +597,12 @@ func (e *Engine) RunUntilKKT(maxIters int, kktTol float64, window int, tol float
 	stable := 0
 	for i := 0; i < maxIters; i++ {
 		e.Step()
-		kktMax, _, _ := e.KKTStats()
-		pr := e.Probe()
-		if kktMax < kktTol && pr.MaxResourceViolation < tol && pr.MaxPathViolationFrac < tol {
+		if _, ok := e.Certify(kktTol, tol); ok {
 			stable++
 			if stable >= window {
-				e.emit(obs.Event{Kind: obs.EventConverged, Iteration: pr.Iteration, Value: pr.Utility})
-				return e.Snapshot(), true
+				s := e.Snapshot()
+				e.emit(obs.Event{Kind: obs.EventConverged, Iteration: s.Iteration, Value: s.Utility})
+				return s, true
 			}
 		} else {
 			stable = 0

@@ -84,6 +84,42 @@ func TestPinPriceDemandTracksControllers(t *testing.T) {
 	}
 }
 
+// TestPinnedCongestionSurvivesRefresh asserts an out-of-band resource-state
+// refresh (SetAvailability, on the pinned resource or another) leaves a
+// pinned resource's externally owned congestion flag alone, in both
+// directions of disagreement with the locally computed one.
+func TestPinnedCongestionSurvivesRefresh(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		mu   float64
+		cong bool
+	}{
+		{"flag set, locally uncongested", 1e6, true},
+		{"flag clear, locally congested", 1e-9, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := pinTestEngine(t, SparseOn, price.SolverGradient)
+			if err := e.PinPrice(0, tc.mu, tc.cong); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 50; i++ {
+				e.Step()
+			}
+			if local := e.agents[0].Congested(e.ShareSumAt(0)); local == tc.cong {
+				t.Fatalf("local congestion flag agrees with the pinned one (%v); the case tests nothing", local)
+			}
+			for _, ri := range []int{0, 1} {
+				if err := e.SetAvailability(e.p.Resources[ri].ID, 0.9); err != nil {
+					t.Fatal(err)
+				}
+				if got := e.CongestedAt(0); got != tc.cong {
+					t.Fatalf("after SetAvailability(resource %d): pinned congestion flag = %v, want %v", ri, got, tc.cong)
+				}
+			}
+		})
+	}
+}
+
 // TestUnpinPriceResumesPricing asserts UnpinPrice returns the resource to
 // engine ownership.
 func TestUnpinPriceResumesPricing(t *testing.T) {

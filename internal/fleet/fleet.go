@@ -476,7 +476,7 @@ func (f *Fleet) round() (roundInfo, error) {
 	}
 	feasible := true
 	for _, s := range f.shards {
-		if s.viol >= f.cfg.Tol || s.pathViol >= f.cfg.Tol {
+		if s.cert.MaxResourceViolation >= f.cfg.Tol || s.cert.MaxPathViolationFrac >= f.cfg.Tol {
 			feasible = false
 		}
 	}
@@ -561,8 +561,8 @@ func (f *Fleet) aggregate(round int) error {
 // overload max(0, (D−B)/B) and its last update's relative price movement.
 func (f *Fleet) residuals() (kktMax, boundary float64) {
 	for _, s := range f.shards {
-		if s.kktMax > kktMax {
-			kktMax = s.kktMax
+		if s.cert.KKTMax > kktMax {
+			kktMax = s.cert.KKTMax
 		}
 	}
 	for b := range f.bid {

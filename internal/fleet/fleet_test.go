@@ -278,3 +278,64 @@ func TestFleetParallelWorkers(t *testing.T) {
 		t.Fatal("worker count changed the fleet trajectory")
 	}
 }
+
+// TestSweepCertificateMatchesDenseScans asserts that whichever way a sweep
+// exits — the KKT window (keeping its last in-loop certificate), the
+// iteration cap with a failed check, freeze mode, or the frozen break — the
+// certificate it leaves is bitwise what dense scans of the shard's final
+// state report, so the fleet's certification and Result.KKTMax read the
+// same numbers as before the sweep's checks short-circuited.
+func TestSweepCertificateMatchesDenseScans(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"window", Config{}},
+		{"cap", Config{LocalIters: 3}},
+		{"freeze", Config{LocalFreeze: true, LocalIters: 5000}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tc.cfg
+			cfg.Shards, cfg.Seed, cfg.Engine = 4, 1, core.Config{Workers: 1}
+			f, err := New(clusteredWorkload(t, 23, 0.3), cfg)
+			if err != nil {
+				t.Fatalf("New: %v", err)
+			}
+			defer f.Close()
+			frozen := 0
+			for round := 0; round < 40; round++ {
+				// Sweep by hand so the state is inspected before the round's
+				// boundary update re-pins prices; the Round below then finds
+				// each shard where this sweep left it and moves the pins on.
+				for _, s := range f.shards {
+					f.sweepShard(s)
+					if s.frozen {
+						frozen++
+					}
+					var want core.Certificate
+					want.KKTMax, _, _ = s.eng.KKTStats()
+					p := s.eng.Problem()
+					for ri := range p.Resources {
+						if s.eng.PinnedAt(ri) {
+							continue
+						}
+						if over := s.eng.ShareSumAt(ri) - p.Resources[ri].Availability; over > want.MaxResourceViolation {
+							want.MaxResourceViolation = over
+						}
+					}
+					want.MaxPathViolationFrac = s.eng.Probe().MaxPathViolationFrac
+					if s.cert != want {
+						t.Fatalf("round %d shard %d (iters %d, frozen %v): sweep left %+v, dense scans %+v",
+							round, s.id, s.iters, s.frozen, s.cert, want)
+					}
+				}
+				if _, err := f.Round(); err != nil {
+					t.Fatalf("round %d: %v", round, err)
+				}
+			}
+			if frozen == 0 {
+				t.Error("no sweep ended on the frozen break")
+			}
+		})
+	}
+}

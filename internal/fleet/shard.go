@@ -21,11 +21,12 @@ type shardRuntime struct {
 	localRi []int
 	slot    []int
 
-	// Certification state refreshed by sweep.
-	iters    int     // engine iterations consumed by the last sweep
-	kktMax   float64 // shard-local KKT residual after the last sweep
-	viol     float64 // worst unpinned resource violation (absolute)
-	pathViol float64 // worst path violation fraction
+	// Certification state refreshed by sweep: the engine iterations the last
+	// sweep consumed and the complete certificate of the state it left (KKT
+	// residual, violation over unpinned resources — the aggregator checks
+	// boundary feasibility globally — and path violation fraction).
+	iters int
+	cert  core.Certificate
 
 	// Shard-level active-set state (SHARDING.md): frozen records that the
 	// last sweep exited at a bitwise self-fixed-point (a Step that executed
@@ -95,8 +96,10 @@ func subWorkload(w *workload.Workload, name string, taskIdx []int) *workload.Wor
 // window rule, or — in freeze mode, and as an early exit on the sparse
 // path — until a Step executes zero solves and reprices zero resources,
 // meaning the state is bitwise frozen and further Steps are no-ops.
-// maxIters always caps the sweep. The certification fields are refreshed
-// on exit.
+// maxIters always caps the sweep. Each Step is graded by the engine's
+// short-circuiting certificate; a passing grade is complete, so the window
+// exit keeps it, and only an exit whose last Step went ungraded or failed
+// (frozen break, freeze mode, the cap) pays one full scan for s.cert.
 func (s *shardRuntime) sweep(maxIters int, freeze bool, kktTol float64, window int, tol float64) {
 	if window < 1 {
 		window = 1
@@ -105,6 +108,7 @@ func (s *shardRuntime) sweep(maxIters int, freeze bool, kktTol float64, window i
 	s.iters = 0
 	s.frozen = false
 	sparse := s.eng.SparseEnabled()
+	graded := false // s.cert is the complete certificate of the current state
 	for s.iters < maxIters {
 		var before core.SparseStats
 		if sparse {
@@ -112,6 +116,7 @@ func (s *shardRuntime) sweep(maxIters int, freeze bool, kktTol float64, window i
 		}
 		s.eng.Step()
 		s.iters++
+		graded = false
 		if sparse {
 			after := s.eng.SparseStats()
 			if after.ExecutedSolves == before.ExecutedSolves &&
@@ -123,9 +128,7 @@ func (s *shardRuntime) sweep(maxIters int, freeze bool, kktTol float64, window i
 		if freeze {
 			continue
 		}
-		kktMax, _, _ := s.eng.KKTStats()
-		pr := s.eng.Probe()
-		if kktMax < kktTol && s.unpinnedViolation() < tol && pr.MaxPathViolationFrac < tol {
+		if s.cert, graded = s.eng.Certify(kktTol, tol); graded {
 			stable++
 			if stable >= window {
 				break
@@ -134,29 +137,10 @@ func (s *shardRuntime) sweep(maxIters int, freeze bool, kktTol float64, window i
 			stable = 0
 		}
 	}
-	s.kktMax, _, _ = s.eng.KKTStats()
-	s.viol = s.unpinnedViolation()
-	s.pathViol = s.eng.Probe().MaxPathViolationFrac
-}
-
-// unpinnedViolation is the worst absolute capacity violation over the
-// shard's unpinned resources — the shard-owned half of primal feasibility.
-// Pinned (boundary) resources are excluded: their prices are the
-// aggregator's iterate, and while it is still searching, local demand
-// against an underpriced boundary resource legitimately exceeds capacity.
-// The aggregator checks boundary feasibility globally instead.
-func (s *shardRuntime) unpinnedViolation() float64 {
-	p := s.eng.Problem()
-	v := 0.0
-	for ri := range p.Resources {
-		if s.eng.PinnedAt(ri) {
-			continue
-		}
-		if over := s.eng.ShareSumAt(ri) - p.Resources[ri].Availability; over > v {
-			v = over
-		}
+	if !graded {
+		// Infinite tolerances have no witness: the scan runs to the end.
+		s.cert, _ = s.eng.Certify(math.Inf(1), math.Inf(1))
 	}
-	return v
 }
 
 // stateHash is an FNV-1a 64 hash over the shard's full optimization state —

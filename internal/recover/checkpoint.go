@@ -357,8 +357,8 @@ func (p *payload) bool(v bool) {
 		p.u8(0)
 	}
 }
-func (p *payload) raw(b []byte)  { p.b = append(p.b, b...) }
-func (p *payload) str(s string)  { p.u32(uint32(len(s))); p.b = append(p.b, s...) }
+func (p *payload) raw(b []byte) { p.b = append(p.b, b...) }
+func (p *payload) str(s string) { p.u32(uint32(len(s))); p.b = append(p.b, s...) }
 func (p *payload) bytes(b []byte) {
 	p.u32(uint32(len(b)))
 	p.raw(b)
@@ -430,9 +430,9 @@ func (r *reader) u64() uint64 {
 	return binary.LittleEndian.Uint64(b)
 }
 
-func (r *reader) i64() int64    { return int64(r.u64()) }
-func (r *reader) f64() float64  { return math.Float64frombits(r.u64()) }
-func (r *reader) bool() bool    { return r.u8() != 0 }
+func (r *reader) i64() int64     { return int64(r.u64()) }
+func (r *reader) f64() float64   { return math.Float64frombits(r.u64()) }
+func (r *reader) bool() bool     { return r.u8() != 0 }
 func (r *reader) raw(dst []byte) { copy(dst, r.take(len(dst))) }
 
 // len reads a u32 length prefix and validates it against the bytes left,

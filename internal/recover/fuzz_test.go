@@ -110,10 +110,10 @@ func FuzzDecodePayload(f *testing.F) {
 // size up front.
 func TestDecodeHostileLengthAllocs(t *testing.T) {
 	var p payload
-	p.u64(1)                  // epoch
-	p.i64(2)                  // seed
-	p.bool(false)             // converged
-	p.u32(0xFFFF_FF00)        // hostile solver-string length
+	p.u64(1)           // epoch
+	p.i64(2)           // seed
+	p.bool(false)      // converged
+	p.u32(0xFFFF_FF00) // hostile solver-string length
 	body := p.b
 	allocs := testing.AllocsPerRun(20, func() {
 		if _, err := decodePayload(body); err == nil {

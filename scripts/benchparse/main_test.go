@@ -1,0 +1,227 @@
+package main
+
+import (
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
+	"testing"
+)
+
+func TestParseBenchLine(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		line string
+		want *record // nil = rejected
+	}{
+		{
+			name: "standard metrics with CPU suffix",
+			line: "BenchmarkEngineStep-8   \t  123456\t       987.6 ns/op\t       0 B/op\t       0 allocs/op",
+			want: &record{Name: "BenchmarkEngineStep-8", Iters: 123456,
+				Metrics: map[string]float64{"ns/op": 987.6, "B/op": 0, "allocs/op": 0}},
+		},
+		{
+			name: "custom metrics",
+			line: "BenchmarkFleetConverge/1m-parallel-2 1 24000000000 ns/op 1.000 converged 2.000 cpus 56.00 rounds",
+			want: &record{Name: "BenchmarkFleetConverge/1m-parallel-2", Iters: 1,
+				Metrics: map[string]float64{"ns/op": 24e9, "converged": 1, "cpus": 2, "rounds": 56}},
+		},
+		{
+			name: "no CPU suffix, scientific notation",
+			line: "BenchmarkWireCodec 10 1.5e+03 ns/op 846 binary_bytes 8896 json_bytes",
+			want: &record{Name: "BenchmarkWireCodec", Iters: 10,
+				Metrics: map[string]float64{"ns/op": 1500, "binary_bytes": 846, "json_bytes": 8896}},
+		},
+		{
+			name: "dangling value without a unit is dropped",
+			line: "BenchmarkX-2 5 10 ns/op 7",
+			want: &record{Name: "BenchmarkX-2", Iters: 5, Metrics: map[string]float64{"ns/op": 10}},
+		},
+		{name: "not a benchmark line", line: "ok  \tlla\t3.2s"},
+		{name: "name only (test2json flushes it first)", line: "BenchmarkEngineStep-8"},
+		{name: "too few fields", line: "BenchmarkX-2 5 10"},
+		{name: "non-integer iteration count", line: "BenchmarkX-2 1.5 10 ns/op"},
+		{name: "non-numeric metric value", line: "BenchmarkX-2 5 fast ns/op"},
+		{name: "no ns/op metric", line: "BenchmarkX-2 5 10 B/op"},
+		{name: "benchmark log output", line: "BenchmarkX-2 logged: 3 shards 4 workers"},
+		{name: "empty", line: ""},
+	} {
+		got, ok := parseBenchLine(tc.line)
+		if tc.want == nil {
+			if ok {
+				t.Errorf("%s: accepted %q as %+v", tc.name, tc.line, got)
+			}
+			continue
+		}
+		if !ok {
+			t.Errorf("%s: rejected %q", tc.name, tc.line)
+			continue
+		}
+		if !reflect.DeepEqual(got, *tc.want) {
+			t.Errorf("%s:\n got %+v\nwant %+v", tc.name, got, *tc.want)
+		}
+	}
+}
+
+func TestTrimCPUSuffix(t *testing.T) {
+	for in, want := range map[string]string{
+		"BenchmarkFleetConverge/1m-8":                  "BenchmarkFleetConverge/1m",
+		"BenchmarkFleetConverge/1m-parallel-2":         "BenchmarkFleetConverge/1m-parallel",
+		"BenchmarkFleetConverge/1m-parallel":           "BenchmarkFleetConverge/1m-parallel",
+		"BenchmarkRoundsToConverge/price-discovery-16": "BenchmarkRoundsToConverge/price-discovery",
+		"BenchmarkWireCodec":                           "BenchmarkWireCodec",
+		"BenchmarkOdd-":                                "BenchmarkOdd-",
+	} {
+		if got := trimCPUSuffix(in); got != want {
+			t.Errorf("trimCPUSuffix(%q) = %q, want %q", in, got, want)
+		}
+	}
+}
+
+// rec builds a record from alternating metric names and values.
+func rec(name string, kv ...any) record {
+	r := record{Name: name, Iters: 1, Metrics: map[string]float64{"ns/op": 1}}
+	for i := 0; i+1 < len(kv); i += 2 {
+		r.Metrics[kv[i].(string)] = kv[i+1].(float64)
+	}
+	return r
+}
+
+func TestCheckFleetConverge(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		recs    []record
+		wantErr string // "" = accept
+	}{
+		{name: "no fleet benchmarks: gate skipped", recs: []record{rec("BenchmarkEngineStep-2")}},
+		{
+			name: "1m certified, clustered within 2x",
+			recs: []record{
+				rec("BenchmarkFleetConverge/1m-2", "converged", 1.0, "rounds", 56.0),
+				rec("BenchmarkFleetConverge/clustered-2", "rounds", 35.0, "single_rounds", 40.0),
+			},
+		},
+		{
+			name: "clustered exactly 2x is still inside",
+			recs: []record{rec("BenchmarkFleetConverge/clustered", "rounds", 80.0, "single_rounds", 40.0)},
+		},
+		{
+			name:    "1m did not certify",
+			recs:    []record{rec("BenchmarkFleetConverge/1m-2", "converged", 0.0, "rounds", 300.0)},
+			wantErr: "did not certify",
+		},
+		{
+			name:    "1m without a converged metric",
+			recs:    []record{rec("BenchmarkFleetConverge/1m-2", "rounds", 56.0)},
+			wantErr: "no converged metric",
+		},
+		{
+			name:    "clustered beyond 2x",
+			recs:    []record{rec("BenchmarkFleetConverge/clustered-2", "rounds", 81.0, "single_rounds", 40.0)},
+			wantErr: "exceed 2x",
+		},
+		{
+			name:    "clustered missing its baseline",
+			recs:    []record{rec("BenchmarkFleetConverge/clustered-2", "rounds", 35.0)},
+			wantErr: "did not report rounds and single_rounds",
+		},
+		{
+			name:    "clustered with a degenerate baseline",
+			recs:    []record{rec("BenchmarkFleetConverge/clustered-2", "rounds", 0.0, "single_rounds", 0.0)},
+			wantErr: "degenerate",
+		},
+		{
+			name: "the parallel row is not the serial gate's business",
+			recs: []record{rec("BenchmarkFleetConverge/1m-parallel-2", "converged", 0.0)},
+		},
+	} {
+		err := checkFleetConverge(tc.recs)
+		switch {
+		case tc.wantErr == "" && err != nil:
+			t.Errorf("%s: rejected: %v", tc.name, err)
+		case tc.wantErr != "" && err == nil:
+			t.Errorf("%s: accepted, want error containing %q", tc.name, tc.wantErr)
+		case tc.wantErr != "" && !strings.Contains(err.Error(), tc.wantErr):
+			t.Errorf("%s: error %q does not contain %q", tc.name, err, tc.wantErr)
+		}
+	}
+}
+
+func TestCheckNoGatedLoss(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name, body string) string {
+		p := filepath.Join(dir, name)
+		if err := os.WriteFile(p, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	prevDoc, err := json.Marshal(report{Benchmarks: []record{
+		rec("BenchmarkFleetConverge/1m-8"),
+		rec("BenchmarkFleetConverge/1m-parallel-8"),
+		rec("BenchmarkRoundsToConverge/price-discovery-8"),
+		rec("BenchmarkEngineStepLarge-8"), // ungated: may come and go
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prev := write("prev.json", string(prevDoc))
+
+	for _, tc := range []struct {
+		name    string
+		prev    string
+		recs    []record
+		wantErr []string // nil = accept; otherwise every substring must appear
+	}{
+		{
+			name: "all gated benchmarks present under another CPU width",
+			prev: prev,
+			recs: []record{
+				rec("BenchmarkFleetConverge/1m-2"),
+				rec("BenchmarkFleetConverge/1m-parallel-2"),
+				rec("BenchmarkRoundsToConverge/price-discovery-2"),
+			},
+		},
+		{
+			name: "no previous report: first run",
+			prev: filepath.Join(dir, "absent.json"),
+			recs: []record{rec("BenchmarkEngineStep-2")},
+		},
+		{
+			name: "gated benchmarks vanished, each one named",
+			prev: prev,
+			recs: []record{
+				rec("BenchmarkFleetConverge/1m-2"),
+				rec("BenchmarkEngineStepLarge-2"),
+			},
+			wantErr: []string{"BenchmarkFleetConverge/1m-parallel", "BenchmarkRoundsToConverge/price-discovery"},
+		},
+		{
+			name:    "unparsable previous report",
+			prev:    write("garbage.json", "{not json"),
+			recs:    []record{rec("BenchmarkFleetConverge/1m-2")},
+			wantErr: []string{"parsing previous report"},
+		},
+	} {
+		err := checkNoGatedLoss(tc.prev, tc.recs)
+		if tc.wantErr == nil {
+			if err != nil {
+				t.Errorf("%s: rejected: %v", tc.name, err)
+			}
+			continue
+		}
+		if err == nil {
+			t.Errorf("%s: accepted, want error naming %v", tc.name, tc.wantErr)
+			continue
+		}
+		for _, sub := range tc.wantErr {
+			if !strings.Contains(err.Error(), sub) {
+				t.Errorf("%s: error %q does not mention %q", tc.name, err, sub)
+			}
+		}
+		if strings.Contains(err.Error(), "BenchmarkEngineStepLarge") {
+			t.Errorf("%s: error %q names an ungated benchmark", tc.name, err)
+		}
+	}
+}
