@@ -685,6 +685,75 @@ func BenchmarkFleetConverge(b *testing.B) {
 	b.Run("1m-parallel", bench1m(16))
 }
 
+// fleetBuildWorkload is the 100 000-subtask instance of the fleet set-up
+// benchmarks: the 1m workload's shape (five-subtask chains, 16 clusters) at
+// a tenth of its replication.
+func fleetBuildWorkload(b *testing.B) *workload.Workload {
+	b.Helper()
+	cfg := workload.DefaultClusteredConfig(1)
+	cfg.Clusters, cfg.TasksPerCluster, cfg.ReplicateFactor = 16, 125, 10
+	cfg.ResourcesPerCluster, cfg.MinSubtasks, cfg.MaxSubtasks = 500, 5, 5
+	cfg.ChainOnly, cfg.SlackFactor, cfg.CrossFraction = true, 400, 0.002
+	w, err := workload.Clustered(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return w
+}
+
+// BenchmarkFleetBuild measures fleet.New alone — validate, partition, one
+// compile per shard — on 100k subtasks. Every iteration builds over fresh
+// tasks (cloned off the clock), because a compile caches a task's paths on
+// the task. benchparse gates allocs/op against the previous report.
+func BenchmarkFleetBuild(b *testing.B) {
+	w := fleetBuildWorkload(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		fresh := w.Clone()
+		b.StartTimer()
+		f, err := fleet.New(fresh, fleet.Config{Shards: 16, Seed: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		f.Close()
+		b.StartTimer()
+	}
+}
+
+// BenchmarkFleetReplace measures Fleet.ReplaceWorkload alone for a
+// one-cluster delta — 50 tasks' critical times tightened — on a certified
+// 100k-subtask fleet: what a churn event pays before it can re-run. The
+// edited clone is prepared off the clock. benchparse gates allocs/op.
+func BenchmarkFleetReplace(b *testing.B) {
+	cur := fleetBuildWorkload(b)
+	f, err := fleet.New(cur, fleet.Config{Shards: 16, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer f.Close()
+	if res, err := f.Run(); err != nil || !res.Converged {
+		b.Fatalf("initial run: converged=%v err=%v", res.Converged, err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		next := cur.Clone()
+		for _, t := range next.Tasks[(i%16)*1250:][:50] {
+			t.CriticalMs *= 0.99
+		}
+		b.StartTimer()
+		st, err := f.ReplaceWorkload(next)
+		if err != nil || st.Full {
+			b.Fatalf("ReplaceWorkload: %+v, err %v", st, err)
+		}
+		cur = next
+	}
+}
+
 // BenchmarkDistributedRounds measures distributed rounds per second over
 // the in-process transport.
 func BenchmarkDistributedRounds(b *testing.B) {

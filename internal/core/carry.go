@@ -41,29 +41,21 @@ func (e *Engine) CarryFrom(donors ...*Engine) {
 // carryInto copies d's prices and task state into e where IDs/names match
 // and the slot has not been filled by an earlier donor.
 func (d *Engine) carryInto(e *Engine, muDone, taskDone []bool) {
-	oldMu := make(map[string]float64, len(d.p.Resources))
-	for ri := range d.p.Resources {
-		oldMu[d.p.Resources[ri].ID] = d.agents[ri].Mu
-	}
 	for ri := range e.p.Resources {
 		if muDone[ri] {
 			continue
 		}
-		if mu, ok := oldMu[e.p.Resources[ri].ID]; ok {
-			e.agents[ri].Mu = mu
+		if oi, ok := d.p.resIdx[e.p.Resources[ri].ID]; ok {
+			e.agents[ri].Mu = d.agents[oi].Mu
 			muDone[ri] = true
 		}
 	}
 
-	oldByName := make(map[string]int, len(d.p.Tasks))
-	for ti := range d.p.Tasks {
-		oldByName[d.p.Tasks[ti].Name] = ti
-	}
 	for ti := range e.p.Tasks {
 		if taskDone[ti] {
 			continue
 		}
-		oi, ok := oldByName[e.p.Tasks[ti].Name]
+		oi, ok := d.p.taskIdx[e.p.Tasks[ti].Name]
 		if !ok {
 			continue
 		}

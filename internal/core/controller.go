@@ -41,19 +41,18 @@ type Controller struct {
 // to a fair share split of each subtask's resource (every subtask on a
 // resource starts with an equal fraction of its availability).
 func NewController(p *Problem, ti int, newStep func() price.StepSizer, baseGamma float64, priceScaled bool, maxInner int) *Controller {
+	n, np := len(p.Tasks[ti].Res), len(p.Tasks[ti].Paths)
+	c := &Controller{LatMs: make([]float64, n), latPrev: make([]float64, n),
+		Lambda: make([]float64, np), pathStep: make([]price.StepSizer, np)}
+	return c.init(p, ti, newStep, baseGamma, priceScaled, maxInner)
+}
+
+// init finishes a controller whose state slices are already sized (the
+// engine carves them from flat arrays) and returns it.
+func (c *Controller) init(p *Problem, ti int, newStep func() price.StepSizer, baseGamma float64, priceScaled bool, maxInner int) *Controller {
 	pt := &p.Tasks[ti]
-	n := len(pt.Res)
-	c := &Controller{
-		p:           p,
-		ti:          ti,
-		LatMs:       make([]float64, n),
-		latPrev:     make([]float64, n),
-		Lambda:      make([]float64, len(pt.Paths)),
-		pathStep:    make([]price.StepSizer, len(pt.Paths)),
-		maxInner:    maxInner,
-		baseGamma:   baseGamma,
-		priceScaled: priceScaled,
-	}
+	c.p, c.ti = p, ti
+	c.maxInner, c.baseGamma, c.priceScaled = maxInner, baseGamma, priceScaled
 	if c.maxInner <= 0 {
 		c.maxInner = 30
 	}

@@ -224,19 +224,29 @@ func NewEngine(w *workload.Workload, cfg Config) (*Engine, error) {
 		nshards:   resolveShards(cfg.Workers, len(p.Tasks)),
 		sparse:    cfg.Sparse != SparseOff,
 	}
-	flat := make([]float64, p.NumSubtasks())
-	e.shares = make([][]float64, len(p.Tasks))
+	// The shares scratch is one flat array, and so is the controllers'
+	// per-subtask and per-path state (LatMs, latPrev, Lambda per task).
+	nsub, npaths := p.NumSubtasks(), 0
 	for ti := range p.Tasks {
-		n := len(p.Tasks[ti].Res)
-		e.shares[ti] = flat[:n:n]
-		flat = flat[n:]
+		npaths += len(p.Tasks[ti].Paths)
 	}
+	flat := make([]float64, nsub)
+	state := make([]float64, 2*nsub+npaths)
+	steps := make([]price.StepSizer, npaths)
+	ctls := make([]Controller, len(p.Tasks))
+	e.shares = make([][]float64, len(p.Tasks))
+	e.controllers = make([]*Controller, len(p.Tasks))
 	// Callers that drop an engine without Close must not leak its parked
 	// workers; the pool never references the engine, so finalization fires.
 	runtime.SetFinalizer(e, (*Engine).Close)
 	newStep := cfg.NewStepSizer
 	for ti := range p.Tasks {
-		e.controllers = append(e.controllers, NewController(p, ti, newStep, cfg.Step.Gamma, cfg.Step.Adaptive, cfg.MaxInner))
+		n, np := len(p.Tasks[ti].Res), len(p.Tasks[ti].Paths)
+		e.shares[ti], flat = flat[:n:n], flat[n:]
+		ctls[ti] = Controller{LatMs: state[:n:n], latPrev: state[n : 2*n : 2*n],
+			Lambda: state[2*n : 2*n+np : 2*n+np], pathStep: steps[:np:np]}
+		state, steps = state[2*n+np:], steps[np:]
+		e.controllers[ti] = ctls[ti].init(p, ti, newStep, cfg.Step.Gamma, cfg.Step.Adaptive, cfg.MaxInner)
 	}
 	for ri := range p.Resources {
 		e.agents = append(e.agents, NewResourceAgent(p, ri, newStep(), cfg.Step.Gamma, cfg.Step.Adaptive, cfg.InitialMu))
@@ -623,20 +633,18 @@ func (e *Engine) SetAvailability(resourceID string, availability float64) error 
 	if availability <= 0 || availability > 1 {
 		return fmt.Errorf("core: availability %v outside (0,1]", availability)
 	}
-	for ri := range e.p.Resources {
-		if e.p.Resources[ri].ID != resourceID {
-			continue
-		}
-		e.p.Resources[ri].Availability = availability
-		for _, sub := range e.p.Resources[ri].Subs {
-			e.p.refreshBounds(sub[0], sub[1])
-		}
-		e.refreshResourceState()
-		e.emit(obs.Event{Kind: obs.EventWorkloadChange, Iteration: e.iter,
-			Resource: resourceID, Detail: "availability", Value: availability})
-		return nil
+	ri := e.ResourceIndex(resourceID)
+	if ri < 0 {
+		return fmt.Errorf("core: unknown resource %q", resourceID)
 	}
-	return fmt.Errorf("core: unknown resource %q", resourceID)
+	e.p.Resources[ri].Availability = availability
+	for _, sub := range e.p.Resources[ri].Subs {
+		e.p.refreshBounds(sub[0], sub[1])
+	}
+	e.refreshResourceState()
+	e.emit(obs.Event{Kind: obs.EventWorkloadChange, Iteration: e.iter,
+		Resource: resourceID, Detail: "availability", Value: availability})
+	return nil
 }
 
 // SetErrorMs installs the additive model-error correction for one subtask
@@ -674,18 +682,16 @@ func (e *Engine) SetMinShare(taskName, subtaskName string, minShare float64) err
 
 // findSubtask resolves names to compiled indices.
 func (e *Engine) findSubtask(taskName, subtaskName string) (int, int, error) {
-	for ti := range e.p.Tasks {
-		if e.p.Tasks[ti].Name != taskName {
-			continue
-		}
-		for si, n := range e.p.Tasks[ti].SubtaskNames {
-			if n == subtaskName {
-				return ti, si, nil
-			}
-		}
-		return 0, 0, fmt.Errorf("core: task %s has no subtask %q", taskName, subtaskName)
+	ti, ok := e.p.taskIdx[taskName]
+	if !ok {
+		return 0, 0, fmt.Errorf("core: unknown task %q", taskName)
 	}
-	return 0, 0, fmt.Errorf("core: unknown task %q", taskName)
+	for si, n := range e.p.Tasks[ti].SubtaskNames {
+		if n == subtaskName {
+			return ti, si, nil
+		}
+	}
+	return 0, 0, fmt.Errorf("core: task %s has no subtask %q", taskName, subtaskName)
 }
 
 // KKTResiduals measures how far the current point is from stationarity: for

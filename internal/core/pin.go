@@ -25,10 +25,8 @@ import "fmt"
 // ID, or -1 if the problem has no such resource. Callers doing repeated
 // per-resource access (the fleet aggregator) resolve IDs once at setup.
 func (e *Engine) ResourceIndex(id string) int {
-	for ri := range e.p.Resources {
-		if e.p.Resources[ri].ID == id {
-			return ri
-		}
+	if ri, ok := e.p.resIdx[id]; ok {
+		return ri
 	}
 	return -1
 }

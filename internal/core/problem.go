@@ -28,6 +28,9 @@ type Problem struct {
 	Resources []ProblemResource
 
 	src *workload.Workload
+	// resIdx and taskIdx resolve a resource ID and a task name to their
+	// compiled indices.
+	resIdx, taskIdx map[string]int
 }
 
 // ProblemTask is the compiled per-task view used by its task controller.
@@ -75,45 +78,82 @@ type ProblemResource struct {
 }
 
 // Compile validates the workload and builds the dense problem view.
-// weightMode selects the utility variant of Section 3.2.
+// weightMode selects the utility variant of Section 3.2. It counts first,
+// then carves every task's per-subtask slices and every resource's Subs out
+// of a few flat arrays sized to the workload: set-up allocates per problem,
+// not per task, and a task's data sits next to its neighbours'.
 func Compile(w *workload.Workload, weightMode task.WeightMode) (*Problem, error) {
 	if err := w.Validate(); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	p := &Problem{src: w}
-
-	resIdx := make(map[string]int, len(w.Resources))
+	p := &Problem{
+		Tasks:     make([]ProblemTask, len(w.Tasks)),
+		Resources: make([]ProblemResource, len(w.Resources)),
+		src:       w,
+		resIdx:    make(map[string]int, len(w.Resources)),
+		taskIdx:   make(map[string]int, len(w.Tasks)),
+	}
 	for i, r := range w.Resources {
-		resIdx[r.ID] = i
-		p.Resources = append(p.Resources, ProblemResource{
-			ID:           r.ID,
-			Availability: r.Availability,
-			LagMs:        r.LagMs,
-		})
+		p.resIdx[r.ID] = i
+		p.Resources[i] = ProblemResource{ID: r.ID, Availability: r.Availability, LagMs: r.LagMs}
 	}
 
+	// Count: resolve each subtask's resource once, and total the entries of
+	// PathsThrough and of each resource's Subs.
+	nsub := w.TotalSubtasks()
+	res := make([]int, nsub)
+	subCount := make([]int, len(w.Resources))
+	nthrough, maxSub, off := 0, 0, 0
 	for ti, t := range w.Tasks {
-		weights, err := t.Weights(weightMode)
-		if err != nil {
-			return nil, fmt.Errorf("core: task %s: %w", t.Name, err)
-		}
+		p.taskIdx[t.Name] = ti
 		paths, err := t.Paths()
 		if err != nil {
 			return nil, fmt.Errorf("core: task %s: %w", t.Name, err)
 		}
+		for _, path := range paths {
+			nthrough += len(path)
+		}
+		for si, s := range t.Subtasks {
+			res[off+si] = p.resIdx[s.Resource]
+			subCount[res[off+si]]++
+		}
+		off += len(t.Subtasks)
+		maxSub = max(maxSub, len(t.Subtasks))
+	}
+	subs := make([][2]int, nsub)
+	for ri, n := range subCount {
+		if n > 0 { // a resource nobody uses keeps a nil Subs
+			p.Resources[ri].Subs, subs = subs[:0:n], subs[n:]
+		}
+	}
+
+	floats := make([]float64, 3*nsub) // Weights, LatMinMs, LatMaxMs
+	shares := make([]share.WCETLag, nsub)
+	names := make([]string, nsub)
+	through := make([][]int, nsub)
+	throughIdx := make([]int, nthrough)
+	count := make([]int, maxSub)
+	for ti, t := range w.Tasks {
 		n := len(t.Subtasks)
-		pt := ProblemTask{
-			Name:         t.Name,
-			CriticalMs:   t.CriticalMs,
-			Curve:        w.Curves[t.Name],
-			Weights:      weights,
-			Paths:        paths,
-			PathsThrough: make([][]int, n),
-			Res:          make([]int, n),
-			Share:        make([]share.WCETLag, n),
-			LatMinMs:     make([]float64, n),
-			LatMaxMs:     make([]float64, n),
-			SubtaskNames: make([]string, n),
+		paths, _ := t.Paths() // cached by the counting pass
+		pt := &p.Tasks[ti]
+		*pt = ProblemTask{
+			Name: t.Name, CriticalMs: t.CriticalMs, Curve: w.Curves[t.Name], Paths: paths,
+			Weights: floats[:n:n], LatMinMs: floats[n : 2*n : 2*n], LatMaxMs: floats[2*n : 3*n : 3*n],
+			Res: res[:n:n], Share: shares[:n:n], SubtaskNames: names[:n:n], PathsThrough: through[:n:n],
+		}
+		floats, res, shares, names, through = floats[3*n:], res[n:], shares[n:], names[n:], through[n:]
+		if err := t.WeightsInto(weightMode, pt.Weights); err != nil {
+			return nil, fmt.Errorf("core: task %s: %w", t.Name, err)
+		}
+		clear(count[:n])
+		for _, path := range paths {
+			for _, s := range path {
+				count[s]++
+			}
+		}
+		for s, c := range count[:n] {
+			pt.PathsThrough[s], throughIdx = throughIdx[:0:c], throughIdx[c:]
 		}
 		for pi, path := range paths {
 			for _, s := range path {
@@ -121,28 +161,12 @@ func Compile(w *workload.Workload, weightMode task.WeightMode) (*Problem, error)
 			}
 		}
 		for si, s := range t.Subtasks {
-			ri := resIdx[s.Resource]
-			r := w.Resources[ri]
-			pt.Res[si] = ri
-			pt.Share[si] = share.WCETLag{ExecMs: s.ExecMs, LagMs: r.LagMs}
+			ri := pt.Res[si]
+			pt.Share[si] = share.WCETLag{ExecMs: s.ExecMs, LagMs: p.Resources[ri].LagMs}
 			pt.SubtaskNames[si] = s.Name
-			pt.LatMinMs[si] = pt.Share[si].LatencyFor(r.Availability)
-			maxLat := t.CriticalMs
-			if s.MinShare > 0 {
-				if cap := pt.Share[si].LatencyFor(s.MinShare); cap < maxLat {
-					maxLat = cap
-				}
-			}
-			if maxLat < pt.LatMinMs[si] {
-				// Degenerate bounds (e.g. availability too low for the
-				// deadline): keep a consistent interval; the constraint
-				// violation will surface in the snapshot instead.
-				maxLat = pt.LatMinMs[si]
-			}
-			pt.LatMaxMs[si] = maxLat
+			p.refreshBounds(ti, si)
 			p.Resources[ri].Subs = append(p.Resources[ri].Subs, [2]int{ti, si})
 		}
-		p.Tasks = append(p.Tasks, pt)
 	}
 	return p, nil
 }
@@ -181,8 +205,9 @@ func (p *Problem) ResponseSlope(ti, si int, latMs, mu float64) float64 {
 	return pt.Share[si].Share(latMs) / (2 * mu)
 }
 
-// refreshBounds recomputes a subtask's latency bounds after a change to its
-// share function (error correction) or its resource's availability.
+// refreshBounds computes a subtask's latency bounds, at compile time and
+// after a change to its share function (error correction), its minimum
+// share or its resource's availability.
 func (p *Problem) refreshBounds(ti, si int) {
 	pt := &p.Tasks[ti]
 	r := p.Resources[pt.Res[si]]
@@ -195,6 +220,9 @@ func (p *Problem) refreshBounds(ti, si int) {
 		}
 	}
 	if maxLat < pt.LatMinMs[si] {
+		// Degenerate bounds (e.g. availability too low for the deadline):
+		// keep a consistent interval; the constraint violation will surface
+		// in the snapshot instead.
 		maxLat = pt.LatMinMs[si]
 	}
 	pt.LatMaxMs[si] = maxLat

@@ -1,5 +1,7 @@
 package core
 
+import "lla/internal/workload"
+
 // Incremental sparse iteration (DESIGN.md §11). LLA's gradient-projection
 // loop converges by making ever-smaller price moves; near the fixed point
 // the floating-point updates literally stop changing bits (the step rounds
@@ -91,38 +93,65 @@ func (inc *Incidence) ResourceTasks(ri int) []int32 {
 
 // NewIncidence builds both CSR directions from the compiled problem.
 func NewIncidence(p *Problem) Incidence {
-	var inc Incidence
-	inc.taskResOff = make([]int32, len(p.Tasks)+1)
-	seenRes := make([]int32, len(p.Resources))
-	for i := range seenRes {
-		seenRes[i] = -1
-	}
-	for ti := range p.Tasks {
-		inc.taskResOff[ti] = int32(len(inc.taskRes))
-		for _, ri := range p.Tasks[ti].Res {
-			if seenRes[ri] != int32(ti) {
-				seenRes[ri] = int32(ti)
-				inc.taskRes = append(inc.taskRes, int32(ri))
-			}
-		}
-	}
-	inc.taskResOff[len(p.Tasks)] = int32(len(inc.taskRes))
+	return buildIncidence(len(p.Tasks), len(p.Resources), p.NumSubtasks(),
+		func(ti int, _ []int) []int { return p.Tasks[ti].Res })
+}
 
-	inc.resTaskOff = make([]int32, len(p.Resources)+1)
-	seenTask := make([]int32, len(p.Tasks))
-	for i := range seenTask {
-		seenTask[i] = -1
+// NewWorkloadIncidence builds the index NewIncidence(Compile(w)) would,
+// without compiling: resources are numbered as in w.Resources. The workload
+// must have passed Validate (every subtask's resource is defined).
+func NewWorkloadIncidence(w *workload.Workload) Incidence {
+	resIdx := make(map[string]int, len(w.Resources))
+	for i, r := range w.Resources {
+		resIdx[r.ID] = i
 	}
-	for ri := range p.Resources {
-		inc.resTaskOff[ri] = int32(len(inc.resTask))
-		for _, sub := range p.Resources[ri].Subs {
-			if seenTask[sub[0]] != int32(ri) {
-				seenTask[sub[0]] = int32(ri)
-				inc.resTask = append(inc.resTask, int32(sub[0]))
+	return buildIncidence(len(w.Tasks), len(w.Resources), w.TotalSubtasks(),
+		func(ti int, buf []int) []int {
+			buf = buf[:0]
+			for _, s := range w.Tasks[ti].Subtasks {
+				buf = append(buf, resIdx[s.Resource])
+			}
+			return buf
+		})
+}
+
+// buildIncidence builds both directions from resOf, which returns task ti's
+// per-subtask resource indices (it may fill and return buf).
+func buildIncidence(nt, nr, nsub int, resOf func(ti int, buf []int) []int) Incidence {
+	inc := Incidence{
+		taskResOff: make([]int32, nt+1),
+		taskRes:    make([]int32, 0, nsub),
+		resTaskOff: make([]int32, nr+1),
+	}
+	mark := make([]int32, nr) // 1 + the last task seen on the resource
+	var buf []int
+	for ti := 0; ti < nt; ti++ {
+		inc.taskResOff[ti] = int32(len(inc.taskRes))
+		buf = resOf(ti, buf)
+		for _, ri := range buf {
+			if mark[ri] != int32(ti+1) {
+				mark[ri] = int32(ti + 1)
+				inc.taskRes = append(inc.taskRes, int32(ri))
+				inc.resTaskOff[ri+1]++
 			}
 		}
 	}
-	inc.resTaskOff[len(p.Resources)] = int32(len(inc.resTask))
+	inc.taskResOff[nt] = int32(len(inc.taskRes))
+
+	// The other direction is the transpose: tasks are compiled in order, so a
+	// resource's contributors in first-appearance order are ascending.
+	for ri := 0; ri < nr; ri++ {
+		inc.resTaskOff[ri+1] += inc.resTaskOff[ri]
+	}
+	inc.resTask = make([]int32, len(inc.taskRes))
+	next := mark
+	copy(next, inc.resTaskOff)
+	for ti := 0; ti < nt; ti++ {
+		for _, ri := range inc.TaskResources(ti) {
+			inc.resTask[next[ri]] = int32(ti)
+			next[ri]++
+		}
+	}
 	return inc
 }
 

@@ -1,0 +1,427 @@
+package fleet
+
+import (
+	"fmt"
+	"hash/fnv"
+	"math"
+	"math/rand"
+	"reflect"
+	"strings"
+	"testing"
+
+	"lla/internal/core"
+	"lla/internal/share"
+	"lla/internal/task"
+	"lla/internal/utility"
+	"lla/internal/workload"
+)
+
+// cloningSubWorkload is subWorkload as it was before shards shared their
+// tasks with the fleet's workload: every task deep-copied, resources found
+// through a name set. The oracle the shared-pointer build is held to.
+func cloningSubWorkload(w *workload.Workload, name string, taskIdx []int) *workload.Workload {
+	sub := &workload.Workload{
+		Name:   name,
+		Curves: make(map[string]utility.Curve, len(taskIdx)),
+	}
+	used := make(map[string]bool)
+	for _, ti := range taskIdx {
+		t := w.Tasks[ti].Clone()
+		sub.Tasks = append(sub.Tasks, t)
+		sub.Curves[t.Name] = w.Curves[t.Name]
+		for _, s := range t.Subtasks {
+			used[s.Resource] = true
+		}
+	}
+	for _, r := range w.Resources {
+		if used[r.ID] {
+			sub.Resources = append(sub.Resources, r)
+		}
+	}
+	return sub
+}
+
+// oracleCases are the seeded workloads of the build-equivalence tests.
+var oracleCases = []struct {
+	name  string
+	chain bool
+	cross float64
+	// golden is the FNV-1a digest of a full Run's RecordHashes matrix and
+	// boundary-residual series, recorded at the commit before fleet.New
+	// stopped compiling the whole workload.
+	golden uint64
+}{
+	{"chain/separable", true, 0, 0x8a8ac15d8c5db2fa},
+	{"chain/coupled", true, 0.15, 0x47759e4f8996cae3},
+	{"dag/separable", false, 0, 0x1652a0d28b78c40e},
+	{"dag/coupled", false, 0.15, 0x788bfc0802b6365f},
+}
+
+func oracleWorkload(t *testing.T, chain bool, cross float64) *workload.Workload {
+	t.Helper()
+	cfg := workload.DefaultClusteredConfig(31)
+	cfg.ChainOnly, cfg.CrossFraction, cfg.ReplicateFactor, cfg.SlackFactor = chain, cross, 2, 20
+	w, err := workload.Clustered(cfg)
+	if err != nil {
+		t.Fatalf("Clustered: %v", err)
+	}
+	return w
+}
+
+// runDigest folds a run's determinism certificate into one number.
+func runDigest(res Result) uint64 {
+	h := fnv.New64a()
+	for r, row := range res.ShardHashes {
+		fmt.Fprintf(h, "%d|%x|%x\n", r, row, math.Float64bits(res.BoundaryResiduals[r]))
+	}
+	return h.Sum64()
+}
+
+// TestFleetBuildMatchesCompileOracle: building shards from shared task
+// pointers, with the partition computed from the workload rather than from a
+// compiled problem, yields the partition of the compiled route and, per
+// shard, exactly the problem the old cloning build compiled — and a full run
+// reproduces the state hashes recorded before the change.
+func TestFleetBuildMatchesCompileOracle(t *testing.T) {
+	for _, tc := range oracleCases {
+		t.Run(tc.name, func(t *testing.T) {
+			w := oracleWorkload(t, tc.chain, tc.cross)
+			cfg := Config{Shards: 4, Seed: 3, RecordHashes: true}
+			f, err := New(w, cfg)
+			if err != nil {
+				t.Fatalf("New: %v", err)
+			}
+			defer f.Close()
+
+			mode := cfg.Engine.WithDefaults().WeightMode
+			p, err := core.Compile(w, mode)
+			if err != nil {
+				t.Fatalf("Compile: %v", err)
+			}
+			inc := core.NewIncidence(p)
+			if winc := core.NewWorkloadIncidence(w); !reflect.DeepEqual(inc, winc) {
+				t.Fatal("incidence built from the workload differs from the compiled problem's")
+			}
+			want, err := NewPartition(&inc, PartitionConfig{Shards: cfg.Shards, Seed: cfg.Seed})
+			if err != nil {
+				t.Fatalf("NewPartition: %v", err)
+			}
+			if !reflect.DeepEqual(f.Partition(), want) {
+				t.Fatalf("partition differs from the compiled route:\n got %+v\nwant %+v", f.Partition(), want)
+			}
+			for s := 0; s < f.Shards(); s++ {
+				sub := cloningSubWorkload(w, fmt.Sprintf("%s/shard%d", w.Name, s), want.ShardTasks[s])
+				ref, err := core.Compile(sub, mode)
+				if err != nil {
+					t.Fatalf("shard %d: Compile: %v", s, err)
+				}
+				if !reflect.DeepEqual(f.Engine(s).Problem(), ref) {
+					t.Fatalf("shard %d: compiled problem differs from the cloning build's", s)
+				}
+			}
+
+			res, err := f.Run()
+			if err != nil || !res.Converged {
+				t.Fatalf("Run: converged=%v err=%v", res.Converged, err)
+			}
+			if got := runDigest(res); got != tc.golden {
+				t.Errorf("run digest %#x after %d rounds, want %#x", got, res.Rounds, tc.golden)
+			}
+		})
+	}
+}
+
+// taskChangedReflect is taskChanged as it was: the oracle.
+func taskChangedReflect(a, b *task.Task, ca, cb utility.Curve) bool {
+	return a.CriticalMs != b.CriticalMs ||
+		!reflect.DeepEqual(a.Trigger, b.Trigger) ||
+		!reflect.DeepEqual(a.Subtasks, b.Subtasks) ||
+		!reflect.DeepEqual(a.Edges(), b.Edges()) ||
+		!reflect.DeepEqual(ca, cb)
+}
+
+// sliceCurve is a value-typed curve that == cannot compare.
+type sliceCurve struct{ ks []float64 }
+
+func (c sliceCurve) Value(x float64) float64 { return -c.ks[0] * x }
+func (c sliceCurve) Slope(float64) float64   { return -c.ks[0] }
+
+// TestTaskChangedMatchesReflectOracle: the direct comparison returns the
+// reflective one's verdict for every kind of single mutation and for
+// unchanged pairs.
+func TestTaskChangedMatchesReflectOracle(t *testing.T) {
+	w := oracleWorkload(t, false, 0.15)
+	pw := func(ys ...float64) utility.Curve {
+		c, err := utility.NewPiecewiseLinear([]float64{0, 10, 20}, ys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	lin := utility.Linear{K: 2, CMs: 100}
+	mutations := []struct {
+		name   string
+		mutate func(b *task.Task, cb *utility.Curve)
+		want   bool
+	}{
+		{"none", func(*task.Task, *utility.Curve) {}, false},
+		{"critical time", func(b *task.Task, _ *utility.Curve) { b.CriticalMs *= 0.9 }, true},
+		{"trigger period", func(b *task.Task, _ *utility.Curve) { b.Trigger.PeriodMs++ }, true},
+		{"trigger kind", func(b *task.Task, _ *utility.Curve) { b.Trigger.Kind = task.TriggerPoisson }, true},
+		{"subtask name", func(b *task.Task, _ *utility.Curve) { b.Subtasks[1].Name += "'" }, true},
+		{"subtask resource", func(b *task.Task, _ *utility.Curve) { b.Subtasks[1].Resource += "'" }, true},
+		{"subtask exec", func(b *task.Task, _ *utility.Curve) { b.Subtasks[0].ExecMs *= 2 }, true},
+		{"subtask min share", func(b *task.Task, _ *utility.Curve) { b.Subtasks[0].MinShare = 0.01 }, true},
+		{"subtask added", func(b *task.Task, _ *utility.Curve) {
+			b.AddSubtask(task.Subtask{Name: "extra", Resource: "r", ExecMs: 1})
+		}, true},
+		{"edge added", func(b *task.Task, _ *utility.Curve) { addFreeEdge(t, b) }, true},
+		{"curve value", func(_ *task.Task, cb *utility.Curve) { *cb = utility.Linear{K: 3, CMs: 100} }, true},
+		{"curve type", func(_ *task.Task, cb *utility.Curve) { *cb = utility.NegLatency{} }, true},
+		{"curve to pointer type", func(_ *task.Task, cb *utility.Curve) { *cb = pw(30, 20, 0) }, true},
+	}
+	for _, m := range mutations {
+		for ti, a := range w.Tasks {
+			b := a.Clone()
+			ca, cb := utility.Curve(lin), utility.Curve(lin)
+			m.mutate(b, &cb)
+			got, oracle := taskChanged(a, b, ca, cb), taskChangedReflect(a, b, ca, cb)
+			if got != oracle || got != m.want {
+				t.Fatalf("%s on task %d: taskChanged=%v, reflect oracle=%v, want %v", m.name, ti, got, oracle, m.want)
+			}
+		}
+	}
+
+	// Curves compared by what they hold: pointer types through the pointer,
+	// value types == cannot compare through reflection, NaN never equal.
+	a := w.Tasks[0]
+	shared := pw(30, 20, 0)
+	for _, tc := range []struct {
+		name   string
+		ca, cb utility.Curve
+		want   bool
+	}{
+		{"same pointer", shared, shared, false},
+		{"equal pointees", pw(30, 20, 0), pw(30, 20, 0), false},
+		{"different pointees", pw(30, 20, 0), pw(30, 25, 0), true},
+		{"pointer vs value", shared, lin, true},
+		{"uncomparable equal", sliceCurve{[]float64{1}}, sliceCurve{[]float64{1}}, false},
+		{"uncomparable different", sliceCurve{[]float64{1}}, sliceCurve{[]float64{2}}, true},
+		{"NaN field", utility.Linear{K: math.NaN(), CMs: 1}, utility.Linear{K: math.NaN(), CMs: 1}, true},
+	} {
+		got, oracle := taskChanged(a, a.Clone(), tc.ca, tc.cb), taskChangedReflect(a, a.Clone(), tc.ca, tc.cb)
+		if got != oracle || got != tc.want {
+			t.Errorf("curves %s: taskChanged=%v, reflect oracle=%v, want %v", tc.name, got, oracle, tc.want)
+		}
+	}
+
+	// 1 000 random unchanged pairs from freshly generated workloads.
+	rng := rand.New(rand.NewSource(5))
+	for pairs := 0; pairs < 1000; {
+		cfg := workload.DefaultRandomConfig(rng.Int63())
+		cfg.MixedCurves = true
+		rw, err := workload.Random(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, a := range rw.Tasks {
+			c := rw.Curves[a.Name]
+			if taskChanged(a, a.Clone(), c, c) || taskChangedReflect(a, a.Clone(), c, c) {
+				t.Fatalf("unchanged task %s of seed %d reported changed", a.Name, cfg.Seed)
+			}
+			pairs++
+		}
+	}
+}
+
+// addFreeEdge adds one precedence edge the task does not have yet.
+func addFreeEdge(t *testing.T, b *task.Task) {
+	t.Helper()
+	n := len(b.Subtasks)
+	for from := 0; from < n; from++ {
+		for to := from + 1; to < n; to++ {
+			if b.AddEdge(from, to) == nil {
+				return
+			}
+		}
+	}
+	// A complete DAG: grow it by one subtask so there is an edge to add.
+	b.MustEdge(0, b.AddSubtask(task.Subtask{Name: "extra", Resource: "r", ExecMs: 1}))
+}
+
+// TestFleetReplaceWorkloadRejectsInvalid: a workload that does not validate
+// is refused before any state is touched — the fleet stays certified, every
+// shard keeps its state, and the next valid ReplaceWorkload goes through.
+func TestFleetReplaceWorkloadRejectsInvalid(t *testing.T) {
+	cfg := Config{Shards: 4, Seed: 1, LocalFreeze: true, LocalIters: 5000}
+	w := clusteredWorkload(t, 17, 0.25)
+	f, err := New(w, cfg)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer f.Close()
+	if res, err := f.Run(); err != nil || !res.Converged {
+		t.Fatalf("initial run: converged=%v err=%v", res.Converged, err)
+	}
+	hashes := func() []uint64 {
+		out := make([]uint64, f.Shards())
+		for s := range out {
+			out[s] = f.shards[s].stateHash()
+		}
+		return out
+	}
+	before := hashes()
+	part := f.Partition()
+
+	// Two tasks of different shards, for the duplicate-name case.
+	first := part.ShardTasks[0][0]
+	other := part.ShardTasks[f.Shards()-1][0]
+	for _, tc := range []struct {
+		name   string
+		mutate func(w2 *workload.Workload)
+		want   string
+	}{
+		{"duplicate task name across shards", func(w2 *workload.Workload) {
+			w2.Tasks[other].Name = w2.Tasks[first].Name
+		}, "duplicate task"},
+		{"unknown resource", func(w2 *workload.Workload) {
+			w2.Tasks[first].Subtasks[0].Resource = "nowhere"
+		}, "unknown resource"},
+		{"missing curve", func(w2 *workload.Workload) {
+			delete(w2.Curves, w2.Tasks[first].Name)
+		}, "no utility curve"},
+		{"NaN critical time", func(w2 *workload.Workload) {
+			w2.Tasks[first].CriticalMs = math.NaN()
+		}, "critical time must be positive"},
+		{"zero availability", func(w2 *workload.Workload) {
+			w2.Resources[0] = share.Resource{ID: w2.Resources[0].ID, Kind: w2.Resources[0].Kind}
+		}, "availability"},
+	} {
+		w2 := w.Clone()
+		tc.mutate(w2)
+		if _, err := f.ReplaceWorkload(w2); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: error %v, want one naming %q", tc.name, err, tc.want)
+		}
+		if f.Partition() != part || !reflect.DeepEqual(hashes(), before) {
+			t.Fatalf("%s: rejected workload changed fleet state", tc.name)
+		}
+		if done, err := f.Round(); err != nil || !done {
+			t.Fatalf("%s: fleet no longer certified after the rejection: done=%v err=%v", tc.name, done, err)
+		}
+		if !reflect.DeepEqual(hashes(), before) {
+			t.Fatalf("%s: a round after the rejection moved shard state", tc.name)
+		}
+	}
+
+	w2 := w.Clone()
+	w2.Tasks[first].CriticalMs *= 0.9
+	st, err := f.ReplaceWorkload(w2)
+	if err != nil || st.Full || st.Rebuilt != 1 {
+		t.Fatalf("valid ReplaceWorkload after rejections: %+v, err %v; want one shard rebuilt", st, err)
+	}
+	if res, err := f.Run(); err != nil || !res.Converged {
+		t.Fatalf("re-run: converged=%v err=%v", res.Converged, err)
+	}
+}
+
+// allocWorkload is the alloc-budget tests' 20 000-subtask chain workload:
+// 4 000 five-subtask tasks in 8 clusters.
+func allocWorkload(t *testing.T) *workload.Workload {
+	t.Helper()
+	cfg := workload.DefaultClusteredConfig(1)
+	cfg.Clusters, cfg.TasksPerCluster, cfg.ReplicateFactor = 8, 50, 10
+	cfg.ResourcesPerCluster, cfg.MinSubtasks, cfg.MaxSubtasks = 100, 5, 5
+	cfg.ChainOnly, cfg.SlackFactor, cfg.CrossFraction = true, 100, 0.002
+	w, err := workload.Clustered(cfg)
+	if err != nil {
+		t.Fatalf("Clustered: %v", err)
+	}
+	if w.TotalSubtasks() != 20000 {
+		t.Fatalf("workload has %d subtasks, want 20000", w.TotalSubtasks())
+	}
+	return w
+}
+
+// newAllocsPerTask is the ceiling on heap objects fleet.New allocates per
+// task of allocWorkload. The count repeats to within a few objects (serial
+// build, no pools), so the ceiling sits just above the 5.6 measured: a task
+// costs its path enumeration (four objects), one step sizer per path and a
+// share of the per-shard arrays and name maps — before this budget existed
+// it cost 58.
+const newAllocsPerTask = 6
+
+// TestFleetBuildAllocBudget pins fleet.New's allocation count per task.
+func TestFleetBuildAllocBudget(t *testing.T) {
+	w := allocWorkload(t)
+	cfg := Config{Shards: 8, Seed: 1, ShardWorkers: 1, Engine: core.Config{Workers: 1}}
+	var buildErr error
+	allocs := testing.AllocsPerRun(3, func() {
+		// Fresh tasks each run: the first compile caches a task's paths on
+		// the task itself, which later builds over the same tasks reuse.
+		f, err := New(w.Clone(), cfg)
+		if err != nil {
+			buildErr = err
+			return
+		}
+		f.Close()
+	})
+	if buildErr != nil {
+		t.Fatalf("New: %v", buildErr)
+	}
+	clone := testing.AllocsPerRun(3, func() { w.Clone() })
+	perTask := (allocs - clone) / float64(len(w.Tasks))
+	t.Logf("fleet.New: %.0f objects, %.2f per task (ceiling %d)", allocs-clone, perTask, newAllocsPerTask)
+	if perTask > newAllocsPerTask {
+		t.Fatalf("fleet.New allocates %.2f objects per task, ceiling %d", perTask, newAllocsPerTask)
+	}
+}
+
+// replaceAllocsPerEvent is the ceiling on heap objects one ReplaceWorkload
+// allocates when the delta dirties one of allocWorkload's eight shards
+// (2 878 measured): the rebuilt shard's 500 tasks at the build cost above,
+// plus whole-workload bookkeeping that is a few dozen slices and maps, not
+// objects per task.
+const replaceAllocsPerEvent = 3200
+
+// TestFleetReplaceAllocBudget pins what a one-shard churn event allocates:
+// the delta, not the workload.
+func TestFleetReplaceAllocBudget(t *testing.T) {
+	w := allocWorkload(t)
+	cfg := Config{Shards: 8, Seed: 1, ShardWorkers: 1, Engine: core.Config{Workers: 1}}
+	f, err := New(w, cfg)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer f.Close()
+	if res, err := f.Run(); err != nil || !res.Converged {
+		t.Fatalf("initial run: converged=%v err=%v", res.Converged, err)
+	}
+	// Pre-build the successive workloads (untimed by AllocsPerRun's count):
+	// each tightens one more task of the same shard.
+	shard := f.Partition().ShardTasks[3]
+	const runs = 4
+	next := make([]*workload.Workload, runs+1)
+	cur := w
+	for i := range next {
+		cur = cur.Clone()
+		cur.Tasks[shard[i]].CriticalMs *= 0.9
+		next[i] = cur
+	}
+	i := 0
+	var st ReplaceStats
+	var repErr error
+	allocs := testing.AllocsPerRun(runs, func() {
+		st, repErr = f.ReplaceWorkload(next[i])
+		i++
+	})
+	if repErr != nil {
+		t.Fatalf("ReplaceWorkload: %v", repErr)
+	}
+	if st.Full || st.Rebuilt != 1 {
+		t.Fatalf("event rebuilt %d shards (full=%v), want exactly 1", st.Rebuilt, st.Full)
+	}
+	t.Logf("ReplaceWorkload: %.0f objects per one-shard event (ceiling %d)", allocs, replaceAllocsPerEvent)
+	if allocs > replaceAllocsPerEvent {
+		t.Fatalf("one-shard ReplaceWorkload allocates %.0f objects, ceiling %d", allocs, replaceAllocsPerEvent)
+	}
+}

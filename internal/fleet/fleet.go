@@ -170,6 +170,9 @@ type Fleet struct {
 	w        *workload.Workload
 	part     *Partition
 	shards   []*shardRuntime
+	// taskAt maps a task name to its index in w.Tasks (and so, through part,
+	// to its shard); ReplaceWorkload diffs against it and keeps it current.
+	taskAt map[string]int
 
 	// workers is the resolved sweep concurrency; pool the persistent sweep
 	// workers, created lazily on the first round that can use them (so a
@@ -210,16 +213,21 @@ type Fleet struct {
 	fm    *obs.FleetMetrics
 }
 
-// New partitions the workload, builds one engine per shard, and pins every
-// boundary resource to the initial price.
+// New validates and partitions the workload, builds one engine per shard —
+// the only place a task is compiled — and pins every boundary resource to
+// the initial price. Shard engines share the workload's *task.Task values.
 func New(w *workload.Workload, cfg Config) (*Fleet, error) {
+	if err := w.Validate(); err != nil {
+		return nil, fmt.Errorf("fleet: %w", err)
+	}
+	return build(w, cfg)
+}
+
+// build is New on a workload that has already passed Validate.
+func build(w *workload.Workload, cfg Config) (*Fleet, error) {
 	cfg = cfg.withDefaults()
 	ecfg := cfg.Engine.WithDefaults()
-	p, err := core.Compile(w, ecfg.WeightMode)
-	if err != nil {
-		return nil, err
-	}
-	inc := core.NewIncidence(p)
+	inc := core.NewWorkloadIncidence(w)
 	part, err := NewPartition(&inc, PartitionConfig{
 		Shards: cfg.Shards, Seed: cfg.Seed,
 		BalanceSlack: cfg.BalanceSlack, Passes: cfg.Passes,
@@ -227,7 +235,11 @@ func New(w *workload.Workload, cfg Config) (*Fleet, error) {
 	if err != nil {
 		return nil, err
 	}
-	f := &Fleet{cfg: cfg, ecfg: ecfg, w: w, part: part, obsv: cfg.Observer}
+	f := &Fleet{cfg: cfg, ecfg: ecfg, w: w, part: part, obsv: cfg.Observer,
+		taskAt: make(map[string]int, len(w.Tasks))}
+	for ti, t := range w.Tasks {
+		f.taskAt[t.Name] = ti
+	}
 
 	f.workers = cfg.ShardWorkers
 	if f.workers <= 0 {
@@ -245,7 +257,7 @@ func New(w *workload.Workload, cfg Config) (*Fleet, error) {
 	}
 
 	for s := 0; s < part.Shards; s++ {
-		sw := subWorkload(w, fmt.Sprintf("%s/shard%d", w.Name, s), part.ShardTasks[s])
+		sw := subWorkload(w, &inc, fmt.Sprintf("%s/shard%d", w.Name, s), part.ShardTasks[s])
 		eng, err := core.NewEngine(sw, f.shardCfg)
 		if err != nil {
 			f.Close()
@@ -264,8 +276,8 @@ func New(w *workload.Workload, cfg Config) (*Fleet, error) {
 	f.bmove = make([]float64, nb)
 	f.bprev = make([]float64, nb)
 	for b, ri := range part.Boundary {
-		f.bid[b] = p.Resources[ri].ID
-		f.bavail[b] = p.Resources[ri].Availability
+		f.bid[b] = w.Resources[ri].ID
+		f.bavail[b] = w.Resources[ri].Availability
 		f.bmu[b] = ecfg.InitialMu
 	}
 	for _, s := range f.shards {

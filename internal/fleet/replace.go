@@ -5,6 +5,7 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"slices"
 
 	"lla/internal/core"
 	"lla/internal/obs"
@@ -43,30 +44,29 @@ type ReplaceStats struct {
 // price vector is recomputed for the new cut and warm-started by resource
 // ID. Falls back to a full rebuild (still warm-started) when the delta
 // invalidates the partition shape — fewer tasks than shards, or a shard
-// left empty. On error the fleet must be discarded.
+// left empty. A workload that does not validate is refused before any state
+// is touched; after any later error the fleet must be discarded. Shards
+// share w's *task.Task values, as in New.
 func (f *Fleet) ReplaceWorkload(w *workload.Workload) (ReplaceStats, error) {
-	p2, err := core.Compile(w, f.ecfg.WeightMode)
-	if err != nil {
-		return ReplaceStats{}, err
+	if err := w.Validate(); err != nil {
+		return ReplaceStats{}, fmt.Errorf("fleet: %w", err)
 	}
-	inc2 := core.NewIncidence(p2)
+	inc2 := core.NewWorkloadIncidence(w)
 	K := f.part.Shards
-	n2 := len(p2.Tasks)
+	n2 := len(w.Tasks)
 
-	oldShardOf := make(map[string]int, len(f.w.Tasks))
-	oldTaskIdx := make(map[string]int, len(f.w.Tasks))
-	for ti := range f.w.Tasks {
-		oldShardOf[f.w.Tasks[ti].Name] = f.part.TaskShard[ti]
-		oldTaskIdx[f.w.Tasks[ti].Name] = ti
-	}
-	added, removed := 0, len(f.w.Tasks)
-	for ti := range w.Tasks {
-		if _, ok := oldTaskIdx[w.Tasks[ti].Name]; ok {
-			removed--
+	// prev[ti] is the new task ti's index in the old workload, or -1.
+	prev := make([]int, n2)
+	added := 0
+	for ti, t := range w.Tasks {
+		if oi, ok := f.taskAt[t.Name]; ok {
+			prev[ti] = oi
 		} else {
+			prev[ti] = -1
 			added++
 		}
 	}
+	removed := len(f.w.Tasks) - (n2 - added)
 
 	if n2 < K {
 		return f.replaceFull(w, added, removed)
@@ -79,10 +79,10 @@ func (f *Fleet) ReplaceWorkload(w *workload.Workload) (ReplaceStats, error) {
 	assign := make([]int, n2)
 	count := make([]int, K)
 	var fresh []int
-	for ti := range w.Tasks {
-		if s, ok := oldShardOf[w.Tasks[ti].Name]; ok {
-			assign[ti] = s
-			count[s]++
+	for ti, oi := range prev {
+		if oi >= 0 {
+			assign[ti] = f.part.TaskShard[oi]
+			count[assign[ti]]++
 		} else {
 			assign[ti] = -1
 			fresh = append(fresh, ti)
@@ -142,6 +142,9 @@ func (f *Fleet) ReplaceWorkload(w *workload.Workload) (ReplaceStats, error) {
 	}
 
 	shardTasks2 := make([][]int, K)
+	for s := range shardTasks2 {
+		shardTasks2[s] = make([]int, 0, count[s])
+	}
 	for ti, s := range assign {
 		shardTasks2[s] = append(shardTasks2[s], ti)
 	}
@@ -149,46 +152,32 @@ func (f *Fleet) ReplaceWorkload(w *workload.Workload) (ReplaceStats, error) {
 	// A shard is dirty — needs a rebuilt engine — iff its task-name set
 	// changed, a surviving task's definition changed, or a resource its
 	// tasks use changed. Everything else about a clean shard's sub-problem
-	// is bit-identical, so its engine state remains valid as-is.
+	// is bit-identical, so its engine state remains valid as-is. Survivors
+	// never change shard, so the name set changed iff a task left (the
+	// counts differ) or a new one arrived.
 	oldRes := make(map[string]share.Resource, len(f.w.Resources))
 	for _, r := range f.w.Resources {
 		oldRes[r.ID] = r
 	}
-	newRes := make(map[string]share.Resource, len(w.Resources))
-	for _, r := range w.Resources {
-		newRes[r.ID] = r
+	resChanged := make([]bool, len(w.Resources))
+	for ri, r := range w.Resources {
+		resChanged[ri] = r != oldRes[r.ID]
+	}
+	taskDirty := func(ti int) bool {
+		t := w.Tasks[ti]
+		if prev[ti] < 0 || taskChanged(f.w.Tasks[prev[ti]], t, f.w.Curves[t.Name], w.Curves[t.Name]) {
+			return true
+		}
+		for _, r32 := range inc2.TaskResources(ti) {
+			if resChanged[r32] {
+				return true
+			}
+		}
+		return false
 	}
 	dirty := make([]bool, K)
-	for s := 0; s < K; s++ {
-		oldNames := make(map[string]bool, len(f.part.ShardTasks[s]))
-		for _, ti := range f.part.ShardTasks[s] {
-			oldNames[f.w.Tasks[ti].Name] = true
-		}
-		if len(shardTasks2[s]) != len(oldNames) {
-			dirty[s] = true
-			continue
-		}
-		for _, ti := range shardTasks2[s] {
-			t := w.Tasks[ti]
-			if !oldNames[t.Name] {
-				dirty[s] = true
-				break
-			}
-			old := f.w.Tasks[oldTaskIdx[t.Name]]
-			if taskChanged(old, t, f.w.Curves[t.Name], w.Curves[t.Name]) {
-				dirty[s] = true
-				break
-			}
-			for _, st := range t.Subtasks {
-				if newRes[st.Resource] != oldRes[st.Resource] {
-					dirty[s] = true
-					break
-				}
-			}
-			if dirty[s] {
-				break
-			}
-		}
+	for s := range dirty {
+		dirty[s] = len(shardTasks2[s]) != len(f.part.ShardTasks[s]) || slices.ContainsFunc(shardTasks2[s], taskDirty)
 	}
 
 	// Build the dirty shards' replacement engines, warm-started from the
@@ -201,7 +190,7 @@ func (f *Fleet) ReplaceWorkload(w *workload.Workload) (ReplaceStats, error) {
 		if !dirty[s] {
 			continue
 		}
-		sub := subWorkload(w, fmt.Sprintf("%s/shard%d", w.Name, s), shardTasks2[s])
+		sub := subWorkload(w, &inc2, fmt.Sprintf("%s/shard%d", w.Name, s), shardTasks2[s])
 		eng, err := core.NewEngine(sub, f.shardCfg)
 		if err != nil {
 			return ReplaceStats{}, fmt.Errorf("fleet: rebuilding shard %d: %w", s, err)
@@ -209,8 +198,8 @@ func (f *Fleet) ReplaceWorkload(w *workload.Workload) (ReplaceStats, error) {
 		donorSet := map[int]bool{s: true}
 		donors := []*core.Engine{f.shards[s].eng}
 		for _, ti := range shardTasks2[s] {
-			if os, ok := oldShardOf[w.Tasks[ti].Name]; ok && !donorSet[os] {
-				donorSet[os] = true
+			if prev[ti] >= 0 {
+				donorSet[f.part.TaskShard[prev[ti]]] = true
 			}
 		}
 		for os := 0; os < K; os++ {
@@ -256,9 +245,9 @@ func (f *Fleet) ReplaceWorkload(w *workload.Workload) (ReplaceStats, error) {
 	f.bmove = make([]float64, nb2)
 	f.bprev = make([]float64, nb2)
 	for b, ri := range bRes2 {
-		id := p2.Resources[ri].ID
+		id := w.Resources[ri].ID
 		f.bid[b] = id
-		f.bavail[b] = p2.Resources[ri].Availability
+		f.bavail[b] = w.Resources[ri].Availability
 		if mu, ok := oldBMu[id]; ok {
 			f.bmu[b] = mu
 		} else {
@@ -320,6 +309,25 @@ func (f *Fleet) ReplaceWorkload(w *workload.Workload) (ReplaceStats, error) {
 		sr.refreshBoundary(f.needCurv)
 	}
 
+	// Commit the name index: drop the tasks that left, move the rest.
+	if removed > 0 {
+		alive := make([]bool, len(f.w.Tasks))
+		for _, oi := range prev {
+			if oi >= 0 {
+				alive[oi] = true
+			}
+		}
+		for oi, t := range f.w.Tasks {
+			if !alive[oi] {
+				delete(f.taskAt, t.Name)
+			}
+		}
+	}
+	for ti, oi := range prev {
+		if oi != ti {
+			f.taskAt[w.Tasks[ti].Name] = ti
+		}
+	}
 	f.bdyn.Reset(nb2)
 	f.part = part2
 	f.w = w
@@ -338,19 +346,15 @@ func (f *Fleet) ReplaceWorkload(w *workload.Workload) (ReplaceStats, error) {
 // engines — but still warm-starts every shard from the old engines holding
 // its surviving tasks and the boundary vector from the old iterate by ID.
 func (f *Fleet) replaceFull(w *workload.Workload, added, removed int) (ReplaceStats, error) {
-	nf, err := New(w, f.cfg)
+	nf, err := build(w, f.cfg)
 	if err != nil {
 		return ReplaceStats{}, err
-	}
-	oldShardOf := make(map[string]int, len(f.w.Tasks))
-	for ti := range f.w.Tasks {
-		oldShardOf[f.w.Tasks[ti].Name] = f.part.TaskShard[ti]
 	}
 	for _, s := range nf.shards {
 		donorSet := make(map[int]bool)
 		for _, ti := range nf.part.ShardTasks[s.id] {
-			if os, ok := oldShardOf[w.Tasks[ti].Name]; ok {
-				donorSet[os] = true
+			if oi, ok := f.taskAt[w.Tasks[ti].Name]; ok {
+				donorSet[f.part.TaskShard[oi]] = true
 			}
 		}
 		var donors []*core.Engine
@@ -420,11 +424,21 @@ func (f *Fleet) publishRebuild(st ReplaceStats, detail string) {
 }
 
 // taskChanged reports whether a surviving task's definition differs in any
-// way the compiled sub-problem can see.
+// way the compiled sub-problem can see. Curves are compared as interface
+// values — dynamic type and fields — except pointer-typed ones (such as
+// *utility.PiecewiseLinear), which are compared by what they point to.
 func taskChanged(a, b *task.Task, ca, cb utility.Curve) bool {
-	return a.CriticalMs != b.CriticalMs ||
-		!reflect.DeepEqual(a.Trigger, b.Trigger) ||
-		!reflect.DeepEqual(a.Subtasks, b.Subtasks) ||
-		!reflect.DeepEqual(a.Edges(), b.Edges()) ||
-		!reflect.DeepEqual(ca, cb)
+	if a.CriticalMs != b.CriticalMs || a.Trigger != b.Trigger || len(a.Subtasks) != len(b.Subtasks) {
+		return true
+	}
+	for i := range a.Subtasks {
+		if a.Subtasks[i] != b.Subtasks[i] || !slices.Equal(a.Successors(i), b.Successors(i)) {
+			return true
+		}
+	}
+	// A value type that == cannot compare would panic below.
+	if t := reflect.TypeOf(ca); t.Kind() == reflect.Pointer || !t.Comparable() {
+		return !reflect.DeepEqual(ca, cb)
+	}
+	return ca != cb
 }

@@ -158,7 +158,7 @@ func TestFleetReplaceWorkloadFullFallback(t *testing.T) {
 	}
 	rounds := f.Stats().Rounds
 
-	tiny := subWorkload(w, "tiny", []int{0, 1, 2})
+	tiny := cloningSubWorkload(w, "tiny", []int{0, 1, 2})
 	st, err := f.ReplaceWorkload(tiny)
 	if err != nil {
 		t.Fatalf("ReplaceWorkload: %v", err)

@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"lla/internal/core"
+	"lla/internal/task"
 	"lla/internal/utility"
 	"lla/internal/wire"
 	"lla/internal/workload"
@@ -68,23 +69,25 @@ func (s *shardRuntime) refreshBoundary(needCurv bool) {
 // shard's compiled sub-problem a projection of the full one: every per-task
 // datum is identical and every resource's Subs list is the original list
 // filtered to the shard's tasks — so an overlap-free shard reproduces the
-// single engine's per-component arithmetic bit for bit.
-func subWorkload(w *workload.Workload, name string, taskIdx []int) *workload.Workload {
+// single engine's per-component arithmetic bit for bit. Tasks are shared
+// with w, not copied, as a single engine shares its caller's workload.
+func subWorkload(w *workload.Workload, inc *core.Incidence, name string, taskIdx []int) *workload.Workload {
 	sub := &workload.Workload{
 		Name:   name,
+		Tasks:  make([]*task.Task, len(taskIdx)),
 		Curves: make(map[string]utility.Curve, len(taskIdx)),
 	}
-	used := make(map[string]bool)
-	for _, ti := range taskIdx {
-		t := w.Tasks[ti].Clone()
-		sub.Tasks = append(sub.Tasks, t)
+	used := make([]bool, len(w.Resources))
+	for i, ti := range taskIdx {
+		t := w.Tasks[ti]
+		sub.Tasks[i] = t
 		sub.Curves[t.Name] = w.Curves[t.Name]
-		for _, s := range t.Subtasks {
-			used[s.Resource] = true
+		for _, ri := range inc.TaskResources(ti) {
+			used[ri] = true
 		}
 	}
-	for _, r := range w.Resources {
-		if used[r.ID] {
+	for ri, r := range w.Resources {
+		if used[ri] {
 			sub.Resources = append(sub.Resources, r)
 		}
 	}

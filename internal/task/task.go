@@ -152,60 +152,75 @@ func (t *Task) Leaves() []int {
 // TopoSort returns the subtask indices in a topological order, or an error
 // if the graph has a cycle.
 func (t *Task) TopoSort() ([]int, error) {
-	n := len(t.Subtasks)
-	indeg := make([]int, n)
-	for i := 0; i < n; i++ {
-		indeg[i] = len(t.pred[i])
-	}
-	queue := make([]int, 0, n)
-	for i := 0; i < n; i++ {
-		if indeg[i] == 0 {
-			queue = append(queue, i)
-		}
-	}
-	order := make([]int, 0, n)
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		order = append(order, v)
-		for _, s := range t.succ[v] {
-			indeg[s]--
-			if indeg[s] == 0 {
-				queue = append(queue, s)
-			}
-		}
-	}
-	if len(order) != n {
+	order := t.topo(make([]int, 2*len(t.Subtasks)))
+	if len(order) != len(t.Subtasks) {
 		return nil, fmt.Errorf("task %s: precedence graph has a cycle", t.Name)
 	}
 	return order, nil
 }
 
+// topo runs Kahn's algorithm in buf (len >= 2n): the first half holds the
+// in-degrees, the second the FIFO queue, whose push order is the topological
+// order. The result has n entries iff the graph is acyclic.
+func (t *Task) topo(buf []int) []int {
+	n := len(t.Subtasks)
+	indeg, order := buf[:n], buf[n:n:2*n]
+	for i := range indeg {
+		if indeg[i] = len(t.pred[i]); indeg[i] == 0 {
+			order = append(order, i)
+		}
+	}
+	for head := 0; head < len(order); head++ {
+		for _, s := range t.succ[order[head]] {
+			if indeg[s]--; indeg[s] == 0 {
+				order = append(order, s)
+			}
+		}
+	}
+	return order
+}
+
+// Validator holds Validate's working storage, so validating the tasks of a
+// workload through one Validator allocates per workload, not per task. The
+// zero value is ready to use.
+type Validator struct {
+	ints  []int
+	seen  []bool
+	names map[string]struct{}
+}
+
 // Validate checks the structural invariants required by the model: at least
 // one subtask, acyclicity, a unique root, every subtask reachable from the
 // root, positive execution times and critical time, and MinShare in [0,1].
-func (t *Task) Validate() error {
-	if len(t.Subtasks) == 0 {
+func (t *Task) Validate() error { return new(Validator).Validate(t) }
+
+// Validate is Task.Validate on the validator's reused storage.
+func (v *Validator) Validate(t *Task) error {
+	n := len(t.Subtasks)
+	if n == 0 {
 		return fmt.Errorf("task %s: no subtasks", t.Name)
 	}
-	if t.CriticalMs <= 0 {
+	if !(t.CriticalMs > 0) { // also rejects NaN
 		return fmt.Errorf("task %s: critical time must be positive, got %v", t.Name, t.CriticalMs)
 	}
-	if _, err := t.TopoSort(); err != nil {
-		return err
+	if cap(v.ints) < 2*n {
+		v.ints, v.seen = make([]int, 2*n), make([]bool, n)
+	}
+	if len(t.topo(v.ints[:2*n])) != n {
+		return fmt.Errorf("task %s: precedence graph has a cycle", t.Name)
 	}
 	root, err := t.Root()
 	if err != nil {
 		return err
 	}
 	// Reachability from the root.
-	seen := make([]bool, len(t.Subtasks))
-	stack := []int{root}
+	seen, stack := v.seen[:n], append(v.ints[:0], root)
+	clear(seen)
 	seen[root] = true
 	for len(stack) > 0 {
-		v := stack[len(stack)-1]
+		u := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, s := range t.succ[v] {
+		for _, s := range t.succ[u] {
 			if !seen[s] {
 				seen[s] = true
 				stack = append(stack, s)
@@ -217,15 +232,18 @@ func (t *Task) Validate() error {
 			return fmt.Errorf("task %s: subtask %s (index %d) unreachable from root", t.Name, t.Subtasks[i].Name, i)
 		}
 	}
-	names := make(map[string]bool, len(t.Subtasks))
+	if v.names == nil {
+		v.names = make(map[string]struct{}, n)
+	}
+	clear(v.names)
 	for i, s := range t.Subtasks {
 		if s.Name == "" {
 			return fmt.Errorf("task %s: subtask %d has empty name", t.Name, i)
 		}
-		if names[s.Name] {
+		if _, dup := v.names[s.Name]; dup {
 			return fmt.Errorf("task %s: duplicate subtask name %q", t.Name, s.Name)
 		}
-		names[s.Name] = true
+		v.names[s.Name] = struct{}{}
 		if s.Resource == "" {
 			return fmt.Errorf("task %s: subtask %s has no resource", t.Name, s.Name)
 		}
@@ -263,7 +281,7 @@ func (t *Task) Paths() ([][]int, error) {
 		return nil, err
 	}
 	var paths [][]int
-	var cur []int
+	cur := make([]int, 0, len(t.Subtasks))
 	var walk func(v int)
 	walk = func(v int) {
 		cur = append(cur, v)

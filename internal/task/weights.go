@@ -39,33 +39,42 @@ func (m WeightMode) String() string {
 
 // Weights computes the per-subtask weights for the given mode.
 func (t *Task) Weights(mode WeightMode) ([]float64, error) {
-	n := len(t.Subtasks)
-	w := make([]float64, n)
+	w := make([]float64, len(t.Subtasks))
+	if err := t.WeightsInto(mode, w); err != nil {
+		return nil, err
+	}
+	return w, nil
+}
+
+// WeightsInto is Weights into caller-owned storage (len == len(Subtasks)).
+func (t *Task) WeightsInto(mode WeightMode, w []float64) error {
 	switch mode {
 	case WeightSum:
 		for i := range w {
 			w[i] = 1
 		}
-		return w, nil
+		return nil
 	case WeightPathNormalized, WeightPathRaw:
-		counts, err := t.PathCount()
-		if err != nil {
-			return nil, err
-		}
 		paths, err := t.Paths()
 		if err != nil {
-			return nil, err
+			return err
 		}
-		norm := 1.0
+		// Path counts are small integers, exact in a float64.
+		clear(w)
+		for _, p := range paths {
+			for _, s := range p {
+				w[s]++
+			}
+		}
 		if mode == WeightPathNormalized {
-			norm = float64(len(paths))
+			norm := float64(len(paths))
+			for i := range w {
+				w[i] /= norm
+			}
 		}
-		for i, c := range counts {
-			w[i] = float64(c) / norm
-		}
-		return w, nil
+		return nil
 	default:
-		return nil, fmt.Errorf("task %s: unknown weight mode %d", t.Name, int(mode))
+		return fmt.Errorf("task %s: unknown weight mode %d", t.Name, int(mode))
 	}
 }
 

@@ -138,15 +138,16 @@ func Clustered(cfg ClusteredConfig) (*Workload, error) {
 			out.Resources = append(out.Resources, nr)
 			clusterRes[c] = append(clusterRes[c], nr.ID)
 		}
+		// cw is private to this loop, so its tasks are renamed in place.
 		for _, t := range cw.Tasks {
-			nt := t.Clone()
-			nt.Name = prefix + t.Name
-			for si := range nt.Subtasks {
-				nt.Subtasks[si].Name = prefix + nt.Subtasks[si].Name
-				nt.Subtasks[si].Resource = rename[nt.Subtasks[si].Resource]
+			curve := cw.Curves[t.Name]
+			t.Name = prefix + t.Name
+			for si := range t.Subtasks {
+				t.Subtasks[si].Name = prefix + t.Subtasks[si].Name
+				t.Subtasks[si].Resource = rename[t.Subtasks[si].Resource]
 			}
-			out.Tasks = append(out.Tasks, nt)
-			out.Curves[nt.Name] = cw.Curves[t.Name]
+			out.Tasks = append(out.Tasks, t)
+			out.Curves[t.Name] = curve
 			taskCluster = append(taskCluster, c)
 		}
 	}

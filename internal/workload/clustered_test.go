@@ -2,6 +2,9 @@ package workload
 
 import (
 	"encoding/json"
+	"fmt"
+	"hash/fnv"
+	"math"
 	"strings"
 	"testing"
 )
@@ -147,4 +150,47 @@ func FuzzClusteredSeed(f *testing.F) {
 			t.Fatal("same config produced different workloads")
 		}
 	})
+}
+
+// workloadHash is an FNV-1a digest of everything the optimizer reads from a
+// generated workload: resources, task and subtask names, placements, WCETs,
+// critical times, curves and precedence edges, in order.
+func workloadHash(w *Workload) uint64 {
+	h := fnv.New64a()
+	for _, r := range w.Resources {
+		fmt.Fprintf(h, "r|%s|%d|%x|%x\n", r.ID, r.Kind, math.Float64bits(r.Availability), math.Float64bits(r.LagMs))
+	}
+	for _, t := range w.Tasks {
+		fmt.Fprintf(h, "t|%s|%x|%#v\n", t.Name, math.Float64bits(t.CriticalMs), w.Curves[t.Name])
+		for _, s := range t.Subtasks {
+			fmt.Fprintf(h, "s|%s|%s|%x\n", s.Name, s.Resource, math.Float64bits(s.ExecMs))
+		}
+		fmt.Fprintf(h, "e|%v\n", t.Edges())
+	}
+	return h.Sum64()
+}
+
+// TestClusteredGolden pins the generator's output: the hashes were recorded
+// before Clustered stopped cloning the tasks it renames, so an equal hash
+// proves the in-place rename generates the same workload byte for byte.
+func TestClusteredGolden(t *testing.T) {
+	dag := DefaultClusteredConfig(42)
+	chain := DefaultClusteredConfig(7)
+	chain.ChainOnly, chain.ReplicateFactor, chain.CrossFraction, chain.SlackFactor = true, 3, 0.3, 30
+	for _, tc := range []struct {
+		name string
+		cfg  ClusteredConfig
+		want uint64
+	}{
+		{"dag", dag, 0xf032170a704f5a06},
+		{"chain-replicated", chain, 0xd24277488b0d3ce4},
+	} {
+		w, err := Clustered(tc.cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got := workloadHash(w); got != tc.want {
+			t.Errorf("%s: workload hash %#x, want %#x", tc.name, got, tc.want)
+		}
+	}
 }

@@ -57,34 +57,38 @@ func (w *Workload) Validate() error {
 	if len(w.Resources) == 0 {
 		return fmt.Errorf("workload %s: no resources", w.Name)
 	}
-	resIDs := make(map[string]bool, len(w.Resources))
-	for _, r := range w.Resources {
+	resIdx := make(map[string]int, len(w.Resources))
+	for i, r := range w.Resources {
 		if err := r.Validate(); err != nil {
 			return fmt.Errorf("workload %s: %w", w.Name, err)
 		}
-		if resIDs[r.ID] {
+		if _, dup := resIdx[r.ID]; dup {
 			return fmt.Errorf("workload %s: duplicate resource %q", w.Name, r.ID)
 		}
-		resIDs[r.ID] = true
+		resIdx[r.ID] = i
 	}
-	taskNames := make(map[string]bool, len(w.Tasks))
-	for _, t := range w.Tasks {
-		if err := t.Validate(); err != nil {
+	// One scratch for every task: the task validator's storage, and per
+	// resource the last task seen on it (1-based) with that task's subtask.
+	var tv task.Validator
+	lastTask, lastSub := make([]int, len(w.Resources)), make([]int, len(w.Resources))
+	taskNames := make(map[string]struct{}, len(w.Tasks))
+	for ti, t := range w.Tasks {
+		if err := tv.Validate(t); err != nil {
 			return fmt.Errorf("workload %s: %w", w.Name, err)
 		}
-		if taskNames[t.Name] {
+		if _, dup := taskNames[t.Name]; dup {
 			return fmt.Errorf("workload %s: duplicate task %q", w.Name, t.Name)
 		}
-		taskNames[t.Name] = true
-		perRes := make(map[string]string)
-		for _, s := range t.Subtasks {
-			if !resIDs[s.Resource] {
+		taskNames[t.Name] = struct{}{}
+		for si, s := range t.Subtasks {
+			ri, ok := resIdx[s.Resource]
+			if !ok {
 				return fmt.Errorf("workload %s: task %s subtask %s references unknown resource %q", w.Name, t.Name, s.Name, s.Resource)
 			}
-			if prev, dup := perRes[s.Resource]; dup {
-				return fmt.Errorf("workload %s: task %s has subtasks %s and %s on the same resource %q", w.Name, t.Name, prev, s.Name, s.Resource)
+			if lastTask[ri] == ti+1 {
+				return fmt.Errorf("workload %s: task %s has subtasks %s and %s on the same resource %q", w.Name, t.Name, t.Subtasks[lastSub[ri]].Name, s.Name, s.Resource)
 			}
-			perRes[s.Resource] = s.Name
+			lastTask[ri], lastSub[ri] = ti+1, si
 		}
 		curve, ok := w.Curves[t.Name]
 		if !ok || curve == nil {

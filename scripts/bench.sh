@@ -8,8 +8,9 @@
 # the million-subtask sharded fleet fails to certify convergence, the
 # fleet's boundary rounds exceed twice the single engine's KKT rounds, the
 # parallel 1m fleet run diverges from the serial round count (or, on >= 4
-# CPUs, fails to halve its wall-clock), or a previously gated benchmark
-# disappears from the report.
+# CPUs, fails to halve its wall-clock), fleet.New or a one-cluster
+# ReplaceWorkload allocates over 5 % more objects than the previous report
+# recorded, or a previously gated benchmark disappears from the report.
 #
 #   scripts/bench.sh [output.json]
 #   BENCHTIME=200ms scripts/bench.sh     # quicker smoke run (CI)
@@ -41,12 +42,14 @@ go test -run '^$' \
 # parallel gate compares). The stream is concatenated into the same raw
 # file; benchparse parses both invocations as one report.
 go test -run '^$' \
-  -bench 'BenchmarkFleetConverge' \
+  -bench 'BenchmarkFleetConverge|BenchmarkFleetBuild|BenchmarkFleetReplace' \
   -benchtime "$benchtime" -json . >> "$raw"
 
 # Gate against the committed baseline too: a gated benchmark that vanishes
 # from the report (renamed, regex narrowed) must fail loudly, not turn its
-# gate into a silent no-op. The baseline is the previous $out, if any.
+# gate into a silent no-op, and the metrics in benchparse's prevBounds table
+# may not exceed it by more than their tolerance. The baseline is the
+# previous $out, if any.
 prev_args=()
 if [[ -s "$out" ]]; then
   prev="$(mktemp -t bench-prev.XXXXXX)"

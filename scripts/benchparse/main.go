@@ -96,9 +96,11 @@ func main() {
 		}
 	}
 	if *prev != "" {
-		if err := checkNoGatedLoss(*prev, recs); err != nil {
-			fmt.Fprintln(os.Stderr, "benchparse: CHECK FAILED:", err)
-			os.Exit(1)
+		for _, gate := range []func(string, []record) error{checkNoGatedLoss, checkPrevBounds} {
+			if err := gate(*prev, recs); err != nil {
+				fmt.Fprintln(os.Stderr, "benchparse: CHECK FAILED:", err)
+				os.Exit(1)
+			}
 		}
 	}
 }
@@ -410,6 +412,20 @@ var gatedPrefixes = []string{
 	"BenchmarkRecoveryRounds/",
 	"BenchmarkWireCodec",
 	"BenchmarkFleetConverge/",
+	"BenchmarkFleetBuild",
+	"BenchmarkFleetReplace",
+}
+
+// prevBounds is the table of regression gates against the -prev report: the
+// metric of the named benchmark may exceed the previous report's by at most
+// tol (relative). Allocation counts repeat run to run, so their bound is
+// tight where a wall-clock one could not be.
+var prevBounds = []struct {
+	bench, metric string
+	tol           float64
+}{
+	{"BenchmarkFleetBuild", "allocs/op", 0.05},
+	{"BenchmarkFleetReplace", "allocs/op", 0.05},
 }
 
 // isGated reports whether a (GOMAXPROCS-suffix-stripped) benchmark name
@@ -428,17 +444,9 @@ func isGated(name string) bool {
 // compared with the -GOMAXPROCS suffix stripped so a runner-width change is
 // not a diff. A missing previous report skips the check (first run).
 func checkNoGatedLoss(prevPath string, recs []record) error {
-	raw, err := os.ReadFile(prevPath)
-	if os.IsNotExist(err) {
-		fmt.Fprintf(os.Stderr, "benchparse: no previous report at %s, skipping gated-loss check\n", prevPath)
-		return nil
-	}
-	if err != nil {
-		return fmt.Errorf("reading previous report: %w", err)
-	}
-	var prev report
-	if err := json.Unmarshal(raw, &prev); err != nil {
-		return fmt.Errorf("parsing previous report %s: %w", prevPath, err)
+	prev, err := loadPrev(prevPath)
+	if prev == nil {
+		return err
 	}
 	have := make(map[string]bool, len(recs))
 	for _, r := range recs {
@@ -457,6 +465,63 @@ func checkNoGatedLoss(prevPath string, recs []record) error {
 			prevPath, strings.Join(missing, ", "))
 	}
 	fmt.Fprintf(os.Stderr, "benchparse: check passed: every gated benchmark from %s is present\n", prevPath)
+	return nil
+}
+
+// loadPrev reads the previous report; a missing one is (nil, nil) — a first
+// run has nothing to be compared against.
+func loadPrev(prevPath string) (*report, error) {
+	raw, err := os.ReadFile(prevPath)
+	if os.IsNotExist(err) {
+		fmt.Fprintf(os.Stderr, "benchparse: no previous report at %s, skipping checks against it\n", prevPath)
+		return nil, nil
+	}
+	if err != nil {
+		return nil, fmt.Errorf("reading previous report: %w", err)
+	}
+	var prev report
+	if err := json.Unmarshal(raw, &prev); err != nil {
+		return nil, fmt.Errorf("parsing previous report %s: %w", prevPath, err)
+	}
+	return &prev, nil
+}
+
+// checkPrevBounds enforces prevBounds, naming every breach. A row whose
+// benchmark or metric is absent on either side is skipped: absence from this
+// run is checkNoGatedLoss's finding, absence from the previous report means
+// the row is new.
+func checkPrevBounds(prevPath string, recs []record) error {
+	prev, err := loadPrev(prevPath)
+	if prev == nil {
+		return err
+	}
+	metric := func(recs []record, bench, name string) (float64, bool) {
+		for _, r := range recs {
+			if trimCPUSuffix(r.Name) == bench {
+				v, ok := r.Metrics[name]
+				return v, ok
+			}
+		}
+		return 0, false
+	}
+	var breaches []string
+	checked := 0
+	for _, g := range prevBounds {
+		was, okWas := metric(prev.Benchmarks, g.bench, g.metric)
+		now, okNow := metric(recs, g.bench, g.metric)
+		if !okWas || !okNow {
+			continue
+		}
+		checked++
+		if now > was*(1+g.tol) {
+			breaches = append(breaches, fmt.Sprintf("%s %s %.0f, previous report %.0f (+%.1f%%, bound +%.0f%%)",
+				g.bench, g.metric, now, was, 100*(now/was-1), 100*g.tol))
+		}
+	}
+	if len(breaches) > 0 {
+		return fmt.Errorf("regression against %s: %s", prevPath, strings.Join(breaches, "; "))
+	}
+	fmt.Fprintf(os.Stderr, "benchparse: check passed: %d of %d bounded metrics compared with %s, all within tolerance\n", checked, len(prevBounds), prevPath)
 	return nil
 }
 

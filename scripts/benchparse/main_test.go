@@ -225,3 +225,103 @@ func TestCheckNoGatedLoss(t *testing.T) {
 		}
 	}
 }
+
+func TestCheckPrevBounds(t *testing.T) {
+	dir := t.TempDir()
+	prevDoc, err := json.Marshal(report{Benchmarks: []record{
+		rec("BenchmarkFleetBuild-8", "allocs/op", 100000.0),
+		rec("BenchmarkFleetReplace-8", "allocs/op", 10000.0),
+		rec("BenchmarkEngineStep-8", "allocs/op", 0.0), // unbounded: free to move
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prev := filepath.Join(dir, "prev.json")
+	if err := os.WriteFile(prev, prevDoc, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	garbage := filepath.Join(dir, "garbage.json")
+	if err := os.WriteFile(garbage, []byte("{not json"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, tc := range []struct {
+		name    string
+		prev    string
+		recs    []record
+		wantErr []string // nil = accept; otherwise every substring must appear
+	}{
+		{
+			name: "equal counts under another CPU width",
+			prev: prev,
+			recs: []record{
+				rec("BenchmarkFleetBuild-2", "allocs/op", 100000.0),
+				rec("BenchmarkFleetReplace-2", "allocs/op", 10000.0),
+			},
+		},
+		{
+			name: "exactly +5% is still inside, fewer is always inside",
+			prev: prev,
+			recs: []record{
+				rec("BenchmarkFleetBuild-2", "allocs/op", 105000.0),
+				rec("BenchmarkFleetReplace-2", "allocs/op", 500.0),
+			},
+		},
+		{
+			name: "build over the bound, named with both counts",
+			prev: prev,
+			recs: []record{
+				rec("BenchmarkFleetBuild-2", "allocs/op", 105001.0),
+				rec("BenchmarkFleetReplace-2", "allocs/op", 10000.0),
+			},
+			wantErr: []string{"BenchmarkFleetBuild allocs/op 105001", "100000"},
+		},
+		{
+			name: "both over the bound, both named",
+			prev: prev,
+			recs: []record{
+				rec("BenchmarkFleetBuild-2", "allocs/op", 200000.0),
+				rec("BenchmarkFleetReplace-2", "allocs/op", 10600.0),
+			},
+			wantErr: []string{"BenchmarkFleetBuild", "BenchmarkFleetReplace allocs/op 10600"},
+		},
+		{
+			name: "an unbounded benchmark may regress",
+			prev: prev,
+			recs: []record{rec("BenchmarkEngineStep-2", "allocs/op", 50.0)},
+		},
+		{
+			name: "run without -benchmem columns: row skipped",
+			prev: prev,
+			recs: []record{rec("BenchmarkFleetBuild-2"), rec("BenchmarkFleetReplace-2")},
+		},
+		{
+			name: "no previous report: first run",
+			prev: filepath.Join(dir, "absent.json"),
+			recs: []record{rec("BenchmarkFleetBuild-2", "allocs/op", 1e9)},
+		},
+		{
+			name:    "unparsable previous report",
+			prev:    garbage,
+			recs:    []record{rec("BenchmarkFleetBuild-2", "allocs/op", 1.0)},
+			wantErr: []string{"parsing previous report"},
+		},
+	} {
+		err := checkPrevBounds(tc.prev, tc.recs)
+		if tc.wantErr == nil {
+			if err != nil {
+				t.Errorf("%s: rejected: %v", tc.name, err)
+			}
+			continue
+		}
+		if err == nil {
+			t.Errorf("%s: accepted, want error naming %v", tc.name, tc.wantErr)
+			continue
+		}
+		for _, sub := range tc.wantErr {
+			if !strings.Contains(err.Error(), sub) {
+				t.Errorf("%s: error %q does not mention %q", tc.name, err, sub)
+			}
+		}
+	}
+}
