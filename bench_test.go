@@ -405,46 +405,30 @@ func BenchmarkScaleParallel(b *testing.B) {
 }
 
 // BenchmarkEngineStepConverged measures the steady-state Step cost after the
-// trajectory has frozen, dense vs sparse, on the Fig 6-scale workload (12
-// tasks, 84 subtasks). This is the active-set path's headline number: past
-// convergence the sparse engine only verifies fingerprints, so its ns/op
-// must sit far below the dense sweep while producing identical bits.
-// skipped_pct reports the fraction of controller solves skipped during the
-// timed loop (0 for dense, ~100 for sparse at a frozen fixed point).
+// trajectory has frozen, on the Fig 6-scale workload (12 tasks, 84
+// subtasks). This is the active set's headline number: past convergence Step
+// only verifies fingerprints. skipped_pct reports the fraction of controller
+// solves skipped during the timed loop (~100 at a frozen fixed point).
 func BenchmarkEngineStepConverged(b *testing.B) {
-	for _, variant := range []struct {
-		name   string
-		sparse core.SparseMode
-	}{
-		{"dense", core.SparseOff},
-		{"sparse", core.SparseOn},
-	} {
-		b.Run(variant.name, func(b *testing.B) {
-			w, err := workload.Replicate(workload.Base(), 4, 8)
-			if err != nil {
-				b.Fatal(err)
-			}
-			e, err := core.NewEngine(w, core.Config{Sparse: variant.sparse})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer e.Close()
-			e.Run(600, nil) // well past the bitwise freeze (~iteration 115)
-			e.ResetSparseStats()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				e.Step()
-			}
-			b.StopTimer()
-			st := e.SparseStats()
-			if total := st.SkippedSolves + st.ExecutedSolves; total > 0 {
-				b.ReportMetric(float64(st.SkippedSolves)/float64(total)*100, "skipped_pct")
-			} else {
-				b.ReportMetric(0, "skipped_pct")
-			}
-		})
+	w, err := workload.Replicate(workload.Base(), 4, 8)
+	if err != nil {
+		b.Fatal(err)
 	}
+	e, err := core.NewEngine(w, core.Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer e.Close()
+	e.Run(600, nil) // well past the bitwise freeze (~iteration 115)
+	e.ResetSparseStats()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Step()
+	}
+	b.StopTimer()
+	st := e.SparseStats()
+	b.ReportMetric(float64(st.SkippedSolves)/float64(st.SkippedSolves+st.ExecutedSolves)*100, "skipped_pct")
 }
 
 // BenchmarkFig6ScalabilitySparse models a long-running deployment at Figure
@@ -460,7 +444,7 @@ func BenchmarkFig6ScalabilitySparse(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				e, err := core.NewEngine(w, core.Config{Sparse: core.SparseOn})
+				e, err := core.NewEngine(w, core.Config{})
 				if err != nil {
 					b.Fatal(err)
 				}

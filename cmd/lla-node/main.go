@@ -56,7 +56,7 @@ func main() {
 type nodeFlags struct {
 	workloadArg, registryPath, role, id, debugAddr, tracePath, solver, checkpointDir *string
 	wireMode                                                                         *string
-	demo, printRegistry, sparse, fleetMode                                           *bool
+	demo, printRegistry, fleetMode                                                   *bool
 	rounds, workers, checkpointEvery, shards, shardWorkers                           *int
 }
 
@@ -74,7 +74,6 @@ func newFlagSet() (*flag.FlagSet, *nodeFlags) {
 		debugAddr:     fs.String("debug-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address (e.g. localhost:8080)"),
 		tracePath:     fs.String("trace", "", "append JSONL trace events to this file"),
 		workers:       fs.Int("workers", 0, "optimizer worker shards for engine-backed computation in this process: 0 = GOMAXPROCS, 1 = serial (results are bitwise-identical either way)"),
-		sparse:        fs.Bool("sparse", true, "delta-encode unchanged price broadcasts and share reports (bitwise identical to the dense protocol)"),
 		solver:        fs.String("solver", "", "price dynamics: gradient (default), newton, anderson, price-discovery — every node of a deployment must use the same setting"),
 		checkpointDir: fs.String("checkpoint-dir", "",
 			"demo mode: persist crash-safe checkpoints of the deployment's optimizer state here; the coordinator epoch resumes from the newest one"),
@@ -106,7 +105,6 @@ func run(ctx context.Context, args []string) error {
 	debugAddr := f.debugAddr
 	tracePath := f.tracePath
 	workers := f.workers
-	sparse := f.sparse
 	solver := f.solver
 	sol, err := price.ParseSolver(*solver)
 	if err != nil {
@@ -115,10 +113,7 @@ func run(ctx context.Context, args []string) error {
 	if *f.wireMode != "binary" && *f.wireMode != "json" {
 		return fmt.Errorf("unknown -wire mode %q (have binary, json)", *f.wireMode)
 	}
-	cfg := core.Config{Workers: *workers, Sparse: core.SparseOn, PriceSolver: sol}
-	if !*sparse {
-		cfg.Sparse = core.SparseOff
-	}
+	cfg := core.Config{Workers: *workers, PriceSolver: sol}
 
 	o, obsDone, err := buildObserver(*debugAddr, *tracePath)
 	if err != nil {

@@ -35,11 +35,14 @@ func TestHelpListsEveryFlag(t *testing.T) {
 	want := map[string]bool{
 		"workload": true, "registry": true, "role": true, "id": true,
 		"rounds": true, "demo": true, "print-registry": true,
-		"debug-addr": true, "trace": true, "workers": true, "sparse": true,
+		"debug-addr": true, "trace": true, "workers": true,
 		"solver": true, "checkpoint-dir": true, "checkpoint-every": true,
 		"wire": true, "fleet": true, "shards": true, "shard-workers": true,
 	}
 	fs, _ := newFlagSet()
+	if fs.Lookup("sparse") != nil {
+		t.Error("-sparse is declared: the iteration has one path and no switch")
+	}
 	var buf bytes.Buffer
 	fs.SetOutput(&buf)
 	fs.PrintDefaults()

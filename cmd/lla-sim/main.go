@@ -22,22 +22,12 @@ import (
 	"path/filepath"
 	"strings"
 
-	"lla/internal/core"
 	"lla/internal/eval"
 	"lla/internal/gateway"
 	"lla/internal/obs"
 	"lla/internal/price"
 	"lla/internal/stats"
 )
-
-// sparseMode maps the boolean -sparse flag onto the engine's tri-state
-// toggle (the zero value means "auto", which also resolves to on).
-func sparseMode(on bool) core.SparseMode {
-	if on {
-		return core.SparseOn
-	}
-	return core.SparseOff
-}
 
 // experiments is the single registry of runnable experiments: the -experiment
 // flag's help text, the name lookup, and the "all" execution order are all
@@ -82,7 +72,7 @@ func main() {
 type simFlags struct {
 	experiment, solver, csvDir, tracePath, debugAddr, checkpointDir *string
 	wireMode, gatewayAddr                                           *string
-	quick, sparse                                                   *bool
+	quick                                                           *bool
 	seed                                                            *int64
 	workers, sampleEvery, checkpointEvery, shards, shardWorkers     *int
 }
@@ -96,7 +86,6 @@ func newFlagSet() (*flag.FlagSet, *simFlags) {
 		quick:   fs.Bool("quick", false, "shrink iteration budgets (smoke test)"),
 		seed:    fs.Int64("seed", 1, "simulation seed (fig8, soak)"),
 		workers: fs.Int("workers", 0, "optimizer shards per iteration: 0 = GOMAXPROCS, 1 = serial (results are identical either way)"),
-		sparse:  fs.Bool("sparse", true, "incremental active-set iteration: skip converged controllers and clean resources (bitwise identical to the dense path)"),
 		solver:  fs.String("solver", "", "price dynamics: gradient (default), newton, anderson, price-discovery — accelerated solvers reach the same fixed point in fewer rounds"),
 		csvDir:  fs.String("csv", "", "directory to write full series CSVs into"),
 		tracePath: fs.String("trace", "",
@@ -129,7 +118,6 @@ func run(args []string) error {
 	quick := f.quick
 	seed := f.seed
 	workers := f.workers
-	sparse := f.sparse
 	solver := f.solver
 	csvDir := f.csvDir
 	tracePath := f.tracePath
@@ -197,7 +185,7 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	opts := eval.Options{Quick: *quick, Seed: *seed, Workers: *workers, Observer: o, Sparse: sparseMode(*sparse), Solver: sol,
+	opts := eval.Options{Quick: *quick, Seed: *seed, Workers: *workers, Observer: o, Solver: sol,
 		CheckpointDir: *f.checkpointDir, CheckpointEvery: *f.checkpointEvery, Wire: *f.wireMode,
 		Shards: *f.shards, ShardWorkers: *f.shardWorkers}
 	for _, name := range selected {

@@ -42,12 +42,15 @@ func TestHelpListsEveryExperiment(t *testing.T) {
 func TestHelpListsEveryFlag(t *testing.T) {
 	want := map[string]bool{
 		"experiment": true, "quick": true, "seed": true, "workers": true,
-		"sparse": true, "solver": true, "csv": true, "trace": true,
+		"solver": true, "csv": true, "trace": true,
 		"debug-addr": true, "trace-every": true,
 		"checkpoint-dir": true, "checkpoint-every": true,
 		"wire": true, "gateway-addr": true, "shards": true, "shard-workers": true,
 	}
 	fs, _ := newFlagSet()
+	if fs.Lookup("sparse") != nil {
+		t.Error("-sparse is declared: the iteration has one path and no switch")
+	}
 	var buf bytes.Buffer
 	fs.SetOutput(&buf)
 	fs.PrintDefaults()

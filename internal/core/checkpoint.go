@@ -140,8 +140,8 @@ func restoreSizer(s price.StepSizer, gamma float64, what string) error {
 // freshly built over the same workload structure and config the checkpoint
 // was taken under (the recover package rebuilds it from the checkpoint's
 // embedded workload); any shape or solver mismatch is an error and leaves no
-// guarantee about the engine's state — rebuild before retrying. Workers and
-// Sparse may differ freely: both are bitwise-neutral.
+// guarantee about the engine's state — rebuild before retrying. Workers may
+// differ freely: it is bitwise-neutral.
 func (e *Engine) RestoreState(st EngineState) error {
 	if len(st.LatMs) != len(e.controllers) || len(st.Lambda) != len(e.controllers) ||
 		len(st.PathGamma) != len(e.controllers) || len(st.ErrMs) != len(e.controllers) {

@@ -79,7 +79,7 @@ func (c *Controller) init(p *Problem, ti int, newStep func() price.StepSizer, ba
 // the base step.
 //
 // It reports whether the call moved any controller state: a path price, or
-// a step sizer's size. The sparse engine path skips a re-solve only when a
+// a step sizer's size. Engine.Step skips a re-solve only when a
 // previous identical-input call reported no change, so the comparison is
 // bitwise and the sizer check relies on Gamma() being the sizer's entire
 // observable state (true of both price.Fixed and price.Adaptive — Observe
@@ -144,7 +144,7 @@ func (c *Controller) UpdatePathPrices(congestedRes []bool) bool {
 //
 // It reports whether any latency changed bitwise — the trigger for
 // re-evaluating the task's shares and for marking its resources dirty in
-// the sparse engine path.
+// Engine.Step.
 func (c *Controller) AllocateLatencies(mu []float64) bool {
 	copy(c.latPrev, c.LatMs)
 	pt := &c.p.Tasks[c.ti]

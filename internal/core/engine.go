@@ -6,6 +6,7 @@ import (
 	"runtime"
 
 	"lla/internal/obs"
+	"lla/internal/par"
 	"lla/internal/price"
 	"lla/internal/stats"
 	"lla/internal/task"
@@ -43,11 +44,6 @@ type Config struct {
 	// are reduced serially in a fixed subtask order, so every worker count
 	// produces bitwise-identical results.
 	Workers int
-	// Sparse selects the incremental active-set iteration (sparse.go):
-	// SparseAuto resolves to SparseOn because the sparse path is
-	// bitwise-identical to the dense one at every iteration and worker
-	// count; SparseOff forces the dense path (benchmark baseline).
-	Sparse SparseMode
 	// PriceSolver selects the resource-price dynamics (DESIGN.md §12):
 	// price.SolverGradient (the default) is the paper's gradient projection
 	// with the Section 5.2 doubling heuristic, bit-for-bit the pre-Dynamics
@@ -76,9 +72,6 @@ func (c Config) WithDefaults() Config {
 	}
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
-	}
-	if c.Sparse == SparseAuto {
-		c.Sparse = SparseOn
 	}
 	if c.PriceSolver == "" {
 		c.PriceSolver = price.SolverGradient
@@ -150,17 +143,18 @@ type Engine struct {
 	// nshards is the resolved shard count (Config.Workers clamped to the
 	// task count, at least 1).
 	nshards int
-	// pool holds the parked shard workers; nil until the first parallel
-	// Step and whenever nshards == 1.
-	pool *workerPool
+	// pool holds the parked shard workers and shard is the bound runShard
+	// they call; both nil until the first parallel Step and whenever
+	// nshards == 1. They are bound together: ReplaceWorkload overwrites the
+	// engine with one that has never stepped, so neither can go stale.
+	pool  *par.Pool
+	shard func(int)
 
-	// Incremental-iteration state (sparse.go). sparse selects the
-	// active-set Step path; inc is the once-built CSR incidence index;
-	// fpMu/fpCong hold each controller's input fingerprint (aligned with
-	// inc.taskRes); the bool vectors carry the per-controller and per-agent
-	// fixed-point flags; shardSkipped is the per-shard skip tally folded
-	// into sstats after the join.
-	sparse       bool
+	// Active-set state (sparse.go). inc is the once-built CSR incidence
+	// index; fpMu/fpCong hold each controller's input fingerprint (aligned
+	// with inc.taskRes); the bool vectors carry the per-controller and
+	// per-agent fixed-point flags; shardSkipped is the per-shard skip tally
+	// folded into sstats after the join.
 	inc          Incidence
 	fpMu         []float64
 	fpCong       []bool
@@ -173,9 +167,9 @@ type Engine struct {
 	sstats       SparseStats
 
 	// Accelerated price dynamics (DESIGN.md §12). dyn is nil for the
-	// reference gradient solver — the agents' built-in UpdatePrice path is
-	// kept bit-for-bit untouched; for accelerated solvers the resource phase
-	// runs resourcePhaseDyn instead. dynAvail/dynCurv are the preallocated
+	// reference gradient solver, whose resource phase steps each agent's
+	// built-in UpdatePrice; for accelerated solvers the resource phase hands
+	// the reduced demand vector to dyn. dynAvail/dynCurv are the preallocated
 	// StepInput scratch; dynDelta is the last round's largest |Δμ| (the
 	// residual-trajectory gauge).
 	dyn      price.Dynamics
@@ -222,7 +216,6 @@ func NewEngine(w *workload.Workload, cfg Config) (*Engine, error) {
 		congested: make([]bool, len(p.Resources)),
 		mu:        make([]float64, len(p.Resources)),
 		nshards:   resolveShards(cfg.Workers, len(p.Tasks)),
-		sparse:    cfg.Sparse != SparseOff,
 	}
 	// The shares scratch is one flat array, and so is the controllers'
 	// per-subtask and per-path state (LatMs, latPrev, Lambda per task).
@@ -236,9 +229,6 @@ func NewEngine(w *workload.Workload, cfg Config) (*Engine, error) {
 	ctls := make([]Controller, len(p.Tasks))
 	e.shares = make([][]float64, len(p.Tasks))
 	e.controllers = make([]*Controller, len(p.Tasks))
-	// Callers that drop an engine without Close must not leak its parked
-	// workers; the pool never references the engine, so finalization fires.
-	runtime.SetFinalizer(e, (*Engine).Close)
 	newStep := cfg.NewStepSizer
 	for ti := range p.Tasks {
 		n, np := len(p.Tasks[ti].Res), len(p.Tasks[ti].Paths)
@@ -277,7 +267,7 @@ func (e *Engine) latOf(ti int) []float64 { return e.controllers[ti].LatMs }
 // refreshResourceState recomputes the cached share sums and congestion
 // flags from the controllers' current latencies. Every caller is reacting
 // to an out-of-band state change (construction, availability change, fork
-// warm-start, workload replacement), so it also drops the sparse path's
+// warm-start, workload replacement), so it also drops the active set's
 // cached fixed points.
 func (e *Engine) refreshResourceState() {
 	for ri, a := range e.agents {
@@ -295,7 +285,9 @@ func (e *Engine) refreshResourceState() {
 // Step performs one full LLA iteration: each controller refreshes its path
 // prices (Equation 9) and re-solves its latencies against the current
 // resource prices (Equation 7); then each resource agent re-prices its
-// capacity from the new demand (Equation 8).
+// capacity from the new demand (Equation 8). Work whose inputs and state are
+// bitwise what they were at a proven fixed point is skipped, which changes
+// no bit of the result (sparse.go).
 //
 // The controller phase fans out across nshards contiguous task ranges:
 // controllers are independent given the frozen mu/congested snapshot, so
@@ -310,68 +302,67 @@ func (e *Engine) Step() {
 	}
 	if e.nshards > 1 {
 		if e.pool == nil {
-			e.pool = newWorkerPool(e.nshards - 1)
+			e.pool, e.shard = par.New(e.nshards-1), e.runShard
 		}
-		e.pool.dispatch(e)
+		e.pool.Run(e.nshards, e.shard)
 	} else {
 		e.runShard(0)
 	}
-	switch {
-	case e.dyn != nil:
-		e.resourcePhaseDyn()
-	case e.sparse:
-		e.resourcePhaseSparse()
-	default:
-		for ri, a := range e.agents {
-			sum := a.ShareSumFrom(e.shares)
-			e.shareSums[ri] = sum
-			if e.pinned != nil && e.pinned[ri] {
-				e.congested[ri] = e.pinnedCong[ri]
-				continue
-			}
-			a.UpdatePrice(sum)
-			e.congested[ri] = a.Congested(sum)
-		}
-	}
+	e.resourcePhase()
 	e.iter++
 	if e.obsv != nil {
 		e.publishObs()
 	}
 }
 
-// resourcePhaseSparse is the active-set resource phase: a resource is clean
-// — its cached sum, congestion flag and price are reused verbatim — when a
-// previous reduction populated the cache (sumValid), the last executed
-// gradient step was a bitwise no-op (agentStable: neither Mu nor the step
-// sizer moved), and no contributing task re-solved with changed latencies
-// this Step (resourceDirty). Under those conditions the dense recomputation
-// would reproduce every cached bit: the shares scratch rows of clean tasks
-// still hold exactly what their last executed solve wrote, so ShareSumFrom
-// would return the cached sum, and re-running the fixed-point price update
-// on identical inputs would return the cached price.
-func (e *Engine) resourcePhaseSparse() {
-	var clean, repriced uint64
+// resourcePhase reduces each resource's demand from the shares scratch and
+// re-prices it. Under the reference gradient solver (dyn == nil) each agent
+// steps its own price, and a resource is clean — its cached sum, congestion
+// flag and price are reused verbatim — when a previous reduction populated
+// the cache (sumValid), the last executed gradient step was a bitwise no-op
+// (agentStable: neither Mu nor the step sizer moved), and no contributing
+// task re-solved with changed latencies this Step (resourceDirty). Under
+// those conditions recomputing would reproduce every cached bit: the shares
+// scratch rows of skipped tasks still hold exactly what their last executed
+// solve wrote, so ShareSumFrom would return the cached sum, and re-running
+// the fixed-point price update on identical inputs would return the cached
+// price.
+//
+// The accelerated solvers reduce every resource and hand the whole vector to
+// the Dynamics: their updates move prices in ways the agent-stability test
+// does not model, so no resource is ever clean. Controller skipping works
+// unchanged under them — a repriced resource changes the mu/congested
+// fingerprints of exactly the controllers that observe it.
+//
+// A pinned price (pin.go) is externally owned under either solver: the
+// reduction refreshes its demand, the price stays, the congestion flag is the
+// supplied one — a no-op update, hence a bitwise fixed point, so a pinned
+// resource goes clean as soon as its contributors freeze.
+func (e *Engine) resourcePhase() {
+	grad := e.dyn == nil
+	var clean uint64
 	for ri, a := range e.agents {
-		if e.sumValid[ri] && e.agentStable[ri] && !e.resourceDirty(ri) {
+		if grad && e.sumValid[ri] && e.agentStable[ri] && !e.resourceDirty(ri) {
 			clean++
 			continue
 		}
 		sum := a.ShareSumFrom(e.shares)
 		e.shareSums[ri] = sum
+		moved := false
 		if e.pinned != nil && e.pinned[ri] {
-			// Pinned price: the reduction refreshes the cached demand but the
-			// price and congestion flag are externally owned. agentStable is
-			// trivially true — a no-op "update" is a bitwise fixed point — so
-			// the resource goes clean as soon as its contributors freeze.
 			e.congested[ri] = e.pinnedCong[ri]
-			e.agentStable[ri] = true
 		} else {
-			changed := a.UpdatePrice(sum)
+			if grad {
+				moved = a.UpdatePrice(sum)
+			}
 			e.congested[ri] = a.Congested(sum)
-			e.agentStable[ri] = !changed
 		}
-		e.sumValid[ri] = true
-		repriced++
+		if grad {
+			e.sumValid[ri], e.agentStable[ri] = true, !moved
+		}
+	}
+	if !grad {
+		e.stepDynamics()
 	}
 	var skipped uint64
 	for _, n := range e.shardSkipped {
@@ -381,29 +372,13 @@ func (e *Engine) resourcePhaseSparse() {
 	e.sstats.SkippedSolves += skipped
 	e.sstats.ExecutedSolves += uint64(len(e.controllers)) - skipped
 	e.sstats.CleanResources += clean
-	e.sstats.RepricedResources += repriced
+	e.sstats.RepricedResources += uint64(len(e.agents)) - clean
 }
 
-// resourcePhaseDyn is the resource phase of the accelerated price solvers:
-// reduce every resource's demand (the shares scratch rows of skipped
-// controllers still hold their fixed-point values, so the serial reduction
-// stays valid under the sparse controller path), hand the whole vector to
-// the Dynamics, and write the advanced prices back to the agents. There is
-// no per-resource skipping here — accelerated updates move prices in ways
-// the agent-stability test does not model — but the controller-side sparse
-// skipping keeps working unchanged: a repriced resource changes the
-// mu/congested fingerprints of exactly the controllers that observe it, so
-// an accelerated price change re-activates its dependent controllers on the
-// next Step.
-func (e *Engine) resourcePhaseDyn() {
-	for ri, a := range e.agents {
-		sum := a.ShareSumFrom(e.shares)
-		e.shareSums[ri] = sum
-		if e.pinned != nil && e.pinned[ri] {
-			e.congested[ri] = e.pinnedCong[ri]
-		} else {
-			e.congested[ri] = a.Congested(sum)
-		}
+// stepDynamics advances the unpinned prices by one step of the accelerated
+// solver over the demand vector resourcePhase just reduced.
+func (e *Engine) stepDynamics() {
+	for ri := range e.agents {
 		e.dynAvail[ri] = e.p.Resources[ri].Availability
 	}
 	if e.dyn.NeedsCurvature() {
@@ -433,16 +408,6 @@ func (e *Engine) resourcePhaseDyn() {
 		a.Mu = e.mu[ri]
 	}
 	e.dynDelta = maxd
-	if e.sparse {
-		var skipped uint64
-		for _, n := range e.shardSkipped {
-			skipped += n
-		}
-		e.sstats.Iterations++
-		e.sstats.SkippedSolves += skipped
-		e.sstats.ExecutedSolves += uint64(len(e.controllers)) - skipped
-		e.sstats.RepricedResources += uint64(len(e.agents))
-	}
 }
 
 // curvatureInto fills dst with each resource's demand-response curvature
@@ -477,26 +442,18 @@ func (e *Engine) SolverFallbacks() uint64 {
 // runShard executes the controller phase for shard w's contiguous task
 // range against the frozen e.mu/e.congested snapshot, leaving the resulting
 // share values in e.shares for the serial reduction.
+//
+// A controller's solve is skipped when its previous executed solve changed
+// nothing (ctlStable: latencies, path prices and step sizers all came out
+// bitwise-unchanged) and the prices it observes are bitwise-identical to that
+// solve's fingerprint — re-running the solve would reproduce its state and
+// its shares scratch row verbatim. Shards only touch their own tasks' flags,
+// so the parallel dispatch stays race-free, and the skip decision depends
+// only on frozen per-Step inputs, so it is identical under every worker
+// count.
 func (e *Engine) runShard(w int) {
 	nt := len(e.controllers)
 	lo, hi := w*nt/e.nshards, (w+1)*nt/e.nshards
-	if !e.sparse {
-		for ti := lo; ti < hi; ti++ {
-			c := e.controllers[ti]
-			c.UpdatePathPrices(e.congested)
-			c.AllocateLatencies(e.mu)
-			c.SharesInto(e.shares[ti])
-		}
-		return
-	}
-	// Active-set path: skip a controller's solve when its previous executed
-	// solve changed nothing (ctlStable: latencies, path prices and step
-	// sizers all came out bitwise-unchanged) and the prices it observes are
-	// bitwise-identical to that solve's fingerprint — re-running the solve
-	// would reproduce its state and its shares scratch row verbatim. Shards
-	// only touch their own tasks' flags, so the parallel dispatch stays
-	// race-free, and the skip decision depends only on frozen per-Step
-	// inputs, so it is identical under every worker count.
 	var skipped uint64
 	for ti := lo; ti < hi; ti++ {
 		if e.ctlSolved[ti] && e.ctlStable[ti] && e.fingerprintClean(ti) {
@@ -539,12 +496,12 @@ func (e *Engine) Workers() int { return e.nshards }
 // Close retires the engine's parked shard workers. It is safe to call
 // multiple times, and the engine remains usable afterwards — the next
 // parallel Step simply respawns the pool. Engines abandoned without Close
-// are cleaned up by a finalizer, but long-lived programs that churn through
-// engines should Close them promptly.
+// are cleaned up by the pool's finalizer, but long-lived programs that churn
+// through engines should Close them promptly.
 func (e *Engine) Close() {
 	if e.pool != nil {
-		e.pool.close()
-		e.pool = nil
+		e.pool.Close()
+		e.pool, e.shard = nil, nil
 	}
 }
 

@@ -51,9 +51,7 @@ func (e *Engine) Observe(o *obs.Observer) {
 		for ri := range e.p.Resources {
 			h.res = append(h.res, obs.NewResourceMetrics(o.Metrics, e.p.Resources[ri].ID))
 		}
-		if e.sparse {
-			h.sm = obs.NewSparseMetrics(o.Metrics)
-		}
+		h.sm = obs.NewSparseMetrics(o.Metrics)
 		h.slv = obs.NewSolverMetrics(o.Metrics, string(e.cfg.PriceSolver))
 		h.lastFallbacks = e.SolverFallbacks()
 	}

@@ -12,22 +12,19 @@ import (
 // Alloc regression for the observability hook: with no observer attached,
 // the steady-state Step must stay allocation-free — the hot path pays one
 // nil-check and nothing else. Guards the PR 1 zero-allocation invariant on
-// both the serial and the sharded iteration, for both iteration paths.
+// both the serial and the sharded iteration.
 func TestStepZeroAllocsNilObserver(t *testing.T) {
 	for _, workers := range []int{1, 4} {
-		for _, mode := range []SparseMode{SparseOn, SparseOff} {
-			e, err := NewEngine(workload.Base(), Config{Workers: workers, Sparse: mode})
-			if err != nil {
-				t.Fatal(err)
-			}
-			e.Run(50, nil) // warm up: scratch buffers reach steady state
-			allocs := testing.AllocsPerRun(200, func() { e.Step() })
-			if allocs != 0 {
-				t.Errorf("workers=%d sparse=%v: Step allocated %.1f/op with nil observer, want 0",
-					workers, mode, allocs)
-			}
-			e.Close()
+		e, err := NewEngine(workload.Base(), Config{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
 		}
+		e.Run(50, nil) // warm up: scratch buffers reach steady state
+		allocs := testing.AllocsPerRun(200, func() { e.Step() })
+		if allocs != 0 {
+			t.Errorf("workers=%d: Step allocated %.1f/op with nil observer, want 0", workers, allocs)
+		}
+		e.Close()
 	}
 }
 

@@ -61,8 +61,8 @@ func (e *Engine) CurvatureAt(ri int) float64 {
 
 // PinPrice fixes resource ri's price and congestion flag to externally
 // supplied values. Subsequent Steps keep reducing the resource's demand but
-// never move its price; the pin stays in force until UnpinPrice. The sparse
-// path needs no blanket invalidation: a changed price or congestion bit
+// never move its price; the pin stays in force until UnpinPrice. The active
+// set needs no blanket invalidation: a changed price or congestion bit
 // shows up in the observing controllers' fingerprints on the next Step.
 func (e *Engine) PinPrice(ri int, mu float64, congested bool) error {
 	if ri < 0 || ri >= len(e.agents) {
@@ -109,7 +109,7 @@ func (e *Engine) UnpinPrice(ri int) {
 	e.pinned[ri] = false
 	e.pinEpoch++
 	// The agent's gradient state was frozen while pinned; force a real
-	// reprice on the next sparse phase rather than trusting a stale
+	// reprice on the next resource phase rather than trusting a stale
 	// fixed-point flag.
 	e.agentStable[ri] = false
 	if e.dyn != nil {

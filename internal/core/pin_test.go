@@ -8,10 +8,10 @@ import (
 )
 
 // pinTestEngine builds an engine over the base workload with the given
-// sparse mode and solver.
-func pinTestEngine(t *testing.T, sparse SparseMode, solver price.Solver) *Engine {
+// solver.
+func pinTestEngine(t *testing.T, solver price.Solver) *Engine {
 	t.Helper()
-	e, err := NewEngine(workload.Base(), Config{Workers: 1, Sparse: sparse, PriceSolver: solver})
+	e, err := NewEngine(workload.Base(), Config{Workers: 1, PriceSolver: solver})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -19,21 +19,22 @@ func pinTestEngine(t *testing.T, sparse SparseMode, solver price.Solver) *Engine
 	return e
 }
 
-// TestPinPriceHoldsPrice asserts a pinned price never moves under any
-// resource-phase variant while unpinned prices keep iterating.
+// TestPinPriceHoldsPrice asserts a pinned price never moves under either
+// resource-phase branch, in Step and in the denseStep reference, while
+// unpinned prices keep iterating.
 func TestPinPriceHoldsPrice(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
-		sparse SparseMode
+		step   stepFn
 		solver price.Solver
 	}{
-		{"dense gradient", SparseOff, price.SolverGradient},
-		{"sparse gradient", SparseOn, price.SolverGradient},
-		{"dense newton", SparseOff, price.SolverNewton},
-		{"sparse newton", SparseOn, price.SolverNewton},
+		{"dense gradient", denseStep, price.SolverGradient},
+		{"sparse gradient", (*Engine).Step, price.SolverGradient},
+		{"dense newton", denseStep, price.SolverNewton},
+		{"sparse newton", (*Engine).Step, price.SolverNewton},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			e := pinTestEngine(t, tc.sparse, tc.solver)
+			e := pinTestEngine(t, tc.solver)
 			const pinMu = 3.25
 			if err := e.PinPrice(0, pinMu, true); err != nil {
 				t.Fatal(err)
@@ -42,7 +43,7 @@ func TestPinPriceHoldsPrice(t *testing.T) {
 				t.Fatal("PinnedAt(0) = false after PinPrice")
 			}
 			for i := 0; i < 50; i++ {
-				e.Step()
+				tc.step(e)
 				if got := e.MuAt(0); got != pinMu {
 					t.Fatalf("iter %d: pinned price moved: %v != %v", i, got, pinMu)
 				}
@@ -67,7 +68,7 @@ func TestPinPriceHoldsPrice(t *testing.T) {
 // keeps being reduced: raising the pinned price must shrink the local share
 // sum on that resource.
 func TestPinPriceDemandTracksControllers(t *testing.T) {
-	e := pinTestEngine(t, SparseOn, price.SolverGradient)
+	e := pinTestEngine(t, price.SolverGradient)
 	for i := 0; i < 200; i++ {
 		e.Step()
 	}
@@ -98,7 +99,7 @@ func TestPinnedCongestionSurvivesRefresh(t *testing.T) {
 		{"flag clear, locally congested", 1e-9, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			e := pinTestEngine(t, SparseOn, price.SolverGradient)
+			e := pinTestEngine(t, price.SolverGradient)
 			if err := e.PinPrice(0, tc.mu, tc.cong); err != nil {
 				t.Fatal(err)
 			}
@@ -123,7 +124,7 @@ func TestPinnedCongestionSurvivesRefresh(t *testing.T) {
 // TestUnpinPriceResumesPricing asserts UnpinPrice returns the resource to
 // engine ownership.
 func TestUnpinPriceResumesPricing(t *testing.T) {
-	e := pinTestEngine(t, SparseOn, price.SolverGradient)
+	e := pinTestEngine(t, price.SolverGradient)
 	if err := e.PinPrice(0, 1e-6, false); err != nil {
 		t.Fatal(err)
 	}
@@ -139,32 +140,31 @@ func TestUnpinPriceResumesPricing(t *testing.T) {
 	}
 }
 
-// TestPinPriceSparseMatchesDense asserts the sparse path stays bitwise equal
-// to the dense path under pinning — including pins applied mid-run.
+// TestPinPriceSparseMatchesDense asserts Step stays bitwise equal to the
+// denseStep reference under pinning — including pins applied and lifted
+// mid-run — for every price solver and Workers {1,3}.
 func TestPinPriceSparseMatchesDense(t *testing.T) {
-	dense := pinTestEngine(t, SparseOff, price.SolverGradient)
-	sparse := pinTestEngine(t, SparseOn, price.SolverGradient)
-	for i := 0; i < 300; i++ {
-		if i == 40 {
-			for _, e := range []*Engine{dense, sparse} {
-				if err := e.PinPrice(1, 2.5, true); err != nil {
-					t.Fatal(err)
+	for _, solver := range price.Solvers() {
+		for _, workers := range []int{1, 3} {
+			dense, sparse := newSparsePair(t, workload.Base, workers, solver)
+			var ds, ss Snapshot
+			for i := 0; i < 300; i++ {
+				if i == 40 {
+					for _, e := range []*Engine{dense, sparse} {
+						if err := e.PinPrice(1, 2.5, true); err != nil {
+							t.Fatal(err)
+						}
+					}
 				}
-			}
-		}
-		if i == 150 {
-			dense.UnpinPrice(1)
-			sparse.UnpinPrice(1)
-		}
-		dense.Step()
-		sparse.Step()
-		ds, ss := dense.Snapshot(), sparse.Snapshot()
-		if ds.Utility != ss.Utility {
-			t.Fatalf("iter %d: utility diverged: dense=%v sparse=%v", i, ds.Utility, ss.Utility)
-		}
-		for ri := range ds.Mu {
-			if ds.Mu[ri] != ss.Mu[ri] || ds.ShareSums[ri] != ss.ShareSums[ri] {
-				t.Fatalf("iter %d resource %d: dense/sparse mismatch", i, ri)
+				if i == 150 {
+					dense.UnpinPrice(1)
+					sparse.UnpinPrice(1)
+				}
+				denseStep(dense)
+				sparse.Step()
+				dense.SnapshotInto(&ds)
+				sparse.SnapshotInto(&ss)
+				requireSnapshotsBitwiseEqual(t, i, &ds, &ss)
 			}
 		}
 	}
@@ -172,7 +172,7 @@ func TestPinPriceSparseMatchesDense(t *testing.T) {
 
 // TestPinPriceRejectsBadInputs covers the defensive paths.
 func TestPinPriceRejectsBadInputs(t *testing.T) {
-	e := pinTestEngine(t, SparseOn, price.SolverGradient)
+	e := pinTestEngine(t, price.SolverGradient)
 	if err := e.PinPrice(-1, 1, false); err == nil {
 		t.Fatal("negative index accepted")
 	}

@@ -88,7 +88,7 @@ func (a *ResourceAgent) Congested(shareSum float64) bool {
 // It reports whether the call moved any agent state — the price or the step
 // sizer's size, compared bitwise. A false return means the update was a
 // fixed point: replaying it with the same demand would change nothing,
-// which is what lets the sparse engine path mark the resource clean (the
+// which is what lets Engine.Step mark the resource clean (the
 // sizer check relies on Gamma() being the sizer's entire observable state,
 // true of both price.Fixed and price.Adaptive).
 func (a *ResourceAgent) UpdatePrice(shareSum float64) bool {

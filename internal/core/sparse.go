@@ -2,55 +2,26 @@ package core
 
 import "lla/internal/workload"
 
-// Incremental sparse iteration (DESIGN.md §11). LLA's gradient-projection
-// loop converges by making ever-smaller price moves; near the fixed point
-// the floating-point updates literally stop changing bits (the step rounds
-// to a no-op), yet the dense Step keeps re-solving every task controller
-// and re-summing every resource. The sparse path exploits that: it skips a
-// controller's solve when its observed prices are bitwise identical to its
-// previous solve AND that solve was a self-fixed-point (it left the
-// controller's own state — latencies, path prices, step sizers — bitwise
-// unchanged), and it skips a resource's reprice when no contributing
-// subtask's share changed AND the previous gradient step was likewise a
-// bitwise no-op.
+// The active-set iteration (DESIGN.md §11). LLA's gradient-projection loop
+// converges by making ever-smaller price moves; near the fixed point the
+// floating-point updates literally stop changing bits (the step rounds to a
+// no-op). Step therefore skips a controller's solve when its observed prices
+// are bitwise identical to its previous solve AND that solve was a
+// self-fixed-point (it left the controller's own state — latencies, path
+// prices, step sizers — bitwise unchanged), and it skips a resource's
+// reprice when no contributing subtask's share changed AND the previous
+// gradient step was likewise a bitwise no-op.
 //
 // The skip condition is exact, not approximate: both the controller solve
 // and the resource reprice are deterministic state machines S' = F(S, x).
 // If the last executed transition observed F(S, x) == S and the inputs x
 // are bitwise unchanged, re-running F would reproduce S and the cached
-// outputs verbatim — so sparse mode produces byte-identical snapshots to
-// the dense path at every iteration and under every Workers count. Any
-// out-of-band mutation of S or of the problem data (SetAvailability,
-// SetErrorMs, SetMinShare, ReplaceWorkload) invalidates every cached
-// fingerprint; see Engine.invalidateSparse.
-
-// SparseMode selects the engine's iteration path.
-type SparseMode int
-
-const (
-	// SparseAuto (the zero value) resolves to SparseOn: the incremental
-	// path is the default because it is bitwise-indistinguishable from the
-	// dense path and strictly cheaper at steady state.
-	SparseAuto SparseMode = iota
-	// SparseOn enables the incremental active-set iteration.
-	SparseOn
-	// SparseOff forces the dense path: every controller solves and every
-	// resource reprices on every Step. Useful for benchmarking the sparse
-	// speedup and as an escape hatch.
-	SparseOff
-)
-
-// String renders the mode for flags and telemetry.
-func (m SparseMode) String() string {
-	switch m {
-	case SparseOn:
-		return "on"
-	case SparseOff:
-		return "off"
-	default:
-		return "auto"
-	}
-}
+// outputs verbatim — so Step produces byte-identical snapshots to an
+// iteration that skips nothing (the tests' denseStep reference) at every
+// iteration and under every Workers count. Any out-of-band mutation of S or
+// of the problem data (SetAvailability, SetErrorMs, SetMinShare,
+// ReplaceWorkload) invalidates every cached fingerprint; see
+// Engine.invalidateSparse.
 
 // Incidence is the CSR-style index of the bipartite task/resource structure,
 // built once at engine construction: which distinct resources a task's
@@ -155,12 +126,12 @@ func buildIncidence(nt, nr, nsub int, resOf func(ti int, buf []int) []int) Incid
 	return inc
 }
 
-// SparseStats counts the incremental path's activity since engine
-// construction (or the last ResetSparseStats). All counts are totals across
-// iterations; skipped/(skipped+executed) is the controller skip rate the
-// benchmarks report as skipped_pct.
+// SparseStats counts the active set's activity since engine construction
+// (or the last ResetSparseStats). All counts are totals across iterations;
+// skipped/(skipped+executed) is the controller skip rate the benchmarks
+// report as skipped_pct.
 type SparseStats struct {
-	// Iterations counts Steps taken while the sparse path was enabled.
+	// Iterations counts Steps taken.
 	Iterations uint64
 	// SkippedSolves counts controller solves skipped because the observed
 	// prices were bitwise unchanged and the controller was at a fixed point.
@@ -175,15 +146,11 @@ type SparseStats struct {
 	RepricedResources uint64
 }
 
-// SparseStats returns the engine's cumulative sparse-path counters. With the
-// dense path configured (SparseOff) every field stays zero.
+// SparseStats returns the engine's cumulative active-set counters.
 func (e *Engine) SparseStats() SparseStats { return e.sstats }
 
 // ResetSparseStats zeroes the cumulative counters (benchmark windows).
 func (e *Engine) ResetSparseStats() { e.sstats = SparseStats{} }
-
-// SparseEnabled reports whether the engine runs the incremental path.
-func (e *Engine) SparseEnabled() bool { return e.sparse }
 
 // fingerprintClean reports whether task ti's observed price view — the mu
 // and congested slots of every resource it touches — is bitwise identical
@@ -249,9 +216,7 @@ func (e *Engine) invalidateSparse() {
 	}
 }
 
-// initSparse sizes the incremental-path state for a freshly compiled
-// problem. Called from NewEngine regardless of mode so the toggles can be
-// compared without re-allocating; the dense path never reads these.
+// initSparse sizes the active-set state for a freshly compiled problem.
 func (e *Engine) initSparse() {
 	e.inc = NewIncidence(e.p)
 	e.fpMu = make([]float64, len(e.inc.taskRes))

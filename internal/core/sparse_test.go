@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"lla/internal/price"
 	"lla/internal/workload"
 )
 
@@ -37,15 +38,16 @@ func sparseCases(t *testing.T) []struct {
 	}
 }
 
-// newSparsePair builds a dense and a sparse engine over the same workload
-// and worker count.
-func newSparsePair(t *testing.T, mk func() *workload.Workload, workers int) (dense, sparse *Engine) {
+// newSparsePair builds two engines over the same workload: dense runs
+// single-threaded and is to be advanced by denseStep, sparse runs on the
+// given worker count and is to be advanced by Step.
+func newSparsePair(t *testing.T, mk func() *workload.Workload, workers int, solver price.Solver) (dense, sparse *Engine) {
 	t.Helper()
-	dense, err := NewEngine(mk(), Config{Workers: workers, Sparse: SparseOff})
+	dense, err := NewEngine(mk(), Config{Workers: 1, PriceSolver: solver})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sparse, err = NewEngine(mk(), Config{Workers: workers, Sparse: SparseOn})
+	sparse, err = NewEngine(mk(), Config{Workers: workers, PriceSolver: solver})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,26 +92,28 @@ func requireSnapshotsBitwiseEqual(t *testing.T, iter int, a, b *Snapshot) {
 	}
 }
 
-// TestSparseMatchesDenseBitwise is the tentpole's contract: the active-set
-// path produces byte-identical snapshots to the dense path at every single
-// iteration, for every workload and worker count. Skipping is only legal
-// when re-execution would provably reproduce the same bits, so any
+// TestSparseMatchesDenseBitwise is the active set's contract: Step produces
+// byte-identical snapshots to the denseStep reference at every single
+// iteration, for every workload, price solver and worker count. Skipping is
+// only legal when re-execution would provably reproduce the same bits, so any
 // divergence — even in the last ulp, even transiently — is a bug.
 func TestSparseMatchesDenseBitwise(t *testing.T) {
 	for _, tc := range sparseCases(t) {
-		for _, workers := range []int{1, 4} {
+		for _, workers := range []int{1, 3} {
 			t.Run(tc.name, func(t *testing.T) {
-				dense, sparse := newSparsePair(t, tc.mk, workers)
-				var ds, ss Snapshot
-				for i := 0; i < tc.iters; i++ {
-					dense.Step()
-					sparse.Step()
-					dense.SnapshotInto(&ds)
-					sparse.SnapshotInto(&ss)
-					requireSnapshotsBitwiseEqual(t, i, &ds, &ss)
-				}
-				if st := sparse.SparseStats(); st.Iterations != uint64(tc.iters) {
-					t.Errorf("sparse stats counted %d iterations, want %d", st.Iterations, tc.iters)
+				for _, solver := range price.Solvers() {
+					dense, sparse := newSparsePair(t, tc.mk, workers, solver)
+					var ds, ss Snapshot
+					for i := 0; i < tc.iters; i++ {
+						denseStep(dense)
+						sparse.Step()
+						dense.SnapshotInto(&ds)
+						sparse.SnapshotInto(&ss)
+						requireSnapshotsBitwiseEqual(t, i, &ds, &ss)
+					}
+					if st := sparse.SparseStats(); st.Iterations != uint64(tc.iters) {
+						t.Errorf("%s: stats counted %d iterations, want %d", solver, st.Iterations, tc.iters)
+					}
 				}
 			})
 		}
@@ -124,7 +128,7 @@ func TestSparseSkipsAtSteadyState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := NewEngine(w, Config{Workers: 1, Sparse: SparseOn})
+	e, err := NewEngine(w, Config{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,9 +149,9 @@ func TestSparseSkipsAtSteadyState(t *testing.T) {
 }
 
 // TestSparseMutationsInvalidate interleaves every runtime mutation — and a
-// mid-run workload replacement — with Steps, checking the sparse engine
-// tracks the dense one bitwise throughout. A missing invalidation would show
-// up as the sparse engine coasting on stale cached state after a mutation.
+// mid-run workload replacement — with Steps, checking the engine tracks the
+// denseStep reference bitwise throughout. A missing invalidation would show
+// up as Step coasting on stale cached state after a mutation.
 func TestSparseMutationsInvalidate(t *testing.T) {
 	mk := func() *workload.Workload {
 		w, err := workload.Replicate(workload.Base(), 8, 4)
@@ -156,8 +160,8 @@ func TestSparseMutationsInvalidate(t *testing.T) {
 		}
 		return w
 	}
-	for _, workers := range []int{1, 4} {
-		dense, sparse := newSparsePair(t, mk, workers)
+	for _, workers := range []int{1, 3} {
+		dense, sparse := newSparsePair(t, mk, workers, price.SolverGradient)
 		mutate := func(e *Engine, round int) {
 			var err error
 			switch round % 3 {
@@ -177,13 +181,13 @@ func TestSparseMutationsInvalidate(t *testing.T) {
 			// Let both engines freeze before mutating so the invalidation,
 			// not a still-hot active set, is what forces the re-solve.
 			for i := 0; i < 120; i++ {
-				dense.Step()
+				denseStep(dense)
 				sparse.Step()
 			}
 			mutate(dense, round)
 			mutate(sparse, round)
 			for i := 0; i < 40; i++ {
-				dense.Step()
+				denseStep(dense)
 				sparse.Step()
 				dense.SnapshotInto(&ds)
 				sparse.SnapshotInto(&ss)
@@ -201,7 +205,7 @@ func TestSparseMutationsInvalidate(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < 200; i++ {
-			dense.Step()
+			denseStep(dense)
 			sparse.Step()
 			dense.SnapshotInto(&ds)
 			sparse.SnapshotInto(&ss)
@@ -210,13 +214,13 @@ func TestSparseMutationsInvalidate(t *testing.T) {
 	}
 }
 
-// TestSparseForkStartsInvalidated checks a fork of a frozen sparse engine
-// re-solves from its warm start instead of inheriting the parent's active
-// set, and still matches a dense fork bitwise.
+// TestSparseForkStartsInvalidated checks a fork of a frozen engine re-solves
+// from its warm start instead of inheriting the parent's active set, and
+// still matches a dense-stepped fork of the reference bitwise.
 func TestSparseForkStartsInvalidated(t *testing.T) {
-	dense, sparse := newSparsePair(t, workload.Base, 1)
+	dense, sparse := newSparsePair(t, workload.Base, 1, price.SolverGradient)
 	for i := 0; i < 300; i++ {
-		dense.Step()
+		denseStep(dense)
 		sparse.Step()
 	}
 	df, err := dense.Fork()
@@ -231,47 +235,11 @@ func TestSparseForkStartsInvalidated(t *testing.T) {
 	defer sf.Close()
 	var ds, ss Snapshot
 	for i := 0; i < 100; i++ {
-		df.Step()
+		denseStep(df)
 		sf.Step()
 		df.SnapshotInto(&ds)
 		sf.SnapshotInto(&ss)
 		requireSnapshotsBitwiseEqual(t, i, &ds, &ss)
-	}
-}
-
-// TestSparseConfigDefaults pins the toggle semantics: the zero value
-// resolves to on, explicit off is honored, and WithDefaults is idempotent.
-func TestSparseConfigDefaults(t *testing.T) {
-	if got := (Config{}).WithDefaults().Sparse; got != SparseOn {
-		t.Errorf("zero-value Sparse resolved to %v, want SparseOn", got)
-	}
-	if got := (Config{Sparse: SparseOff}).WithDefaults().Sparse; got != SparseOff {
-		t.Errorf("explicit SparseOff resolved to %v, want SparseOff", got)
-	}
-	on, err := NewEngine(workload.Base(), Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer on.Close()
-	if !on.SparseEnabled() {
-		t.Error("default-config engine should run the sparse path")
-	}
-	off, err := NewEngine(workload.Base(), Config{Sparse: SparseOff})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer off.Close()
-	if off.SparseEnabled() {
-		t.Error("SparseOff engine should run the dense path")
-	}
-	off.Run(50, nil)
-	if st := off.SparseStats(); st != (SparseStats{}) {
-		t.Errorf("dense engine accumulated sparse stats: %+v", st)
-	}
-	for mode, want := range map[SparseMode]string{SparseAuto: "auto", SparseOn: "on", SparseOff: "off"} {
-		if got := mode.String(); got != want {
-			t.Errorf("SparseMode(%d).String() = %q, want %q", mode, got, want)
-		}
 	}
 }
 

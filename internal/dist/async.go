@@ -52,10 +52,9 @@ type AsyncResult struct {
 	// DegradedRounds counts controller compute steps taken while at least
 	// one used resource's lease had expired.
 	DegradedRounds int64
-	// SkippedSteps counts compute steps suppressed by the sparse active-set
-	// path (core.Config.Sparse): the node's inputs were bitwise unchanged and
-	// its previous update was a fixed point, so recomputing would reproduce
-	// the exact state already published. Idle heartbeats still fire while
+	// SkippedSteps counts compute steps suppressed because the node's inputs
+	// were bitwise unchanged and its previous update was a fixed point, so
+	// recomputing would reproduce the exact state already published. Idle heartbeats still fire while
 	// suppressed, keeping leases alive and recovering lost messages.
 	SkippedSteps int64
 	// MaxDegradedPathViolation is the worst relative critical-time violation
@@ -99,7 +98,6 @@ func RunAsyncObserved(w *workload.Workload, cfg core.Config, net transport.Netwo
 		return nil, err
 	}
 	newStep := cfg.NewStepSizer
-	sparseOn := cfg.Sparse != core.SparseOff
 
 	// Nil-safe metric handles: all remain nil (no-op) without a registry.
 	var cRetrans, cStale, cDegraded, cLease *obs.Counter
@@ -312,7 +310,7 @@ func RunAsyncObserved(w *workload.Workload, cfg core.Config, net transport.Netwo
 						break drainRes
 					}
 				}
-				if sparseOn && !dirty && stable {
+				if !dirty && stable {
 					mu.Lock()
 					res.SkippedSteps++
 					mu.Unlock()
@@ -508,7 +506,7 @@ func RunAsyncObserved(w *workload.Workload, cfg core.Config, net transport.Netwo
 						break drainCtl
 					}
 				}
-				if sparseOn && !dirty && stable {
+				if !dirty && stable {
 					mu.Lock()
 					res.SkippedSteps++
 					mu.Unlock()

@@ -46,7 +46,8 @@ func TestAsyncConvergesNearOptimum(t *testing.T) {
 // (the standard asynchronous-gradient staleness/step-size trade-off), so
 // this case runs with a fixed moderate gamma.
 func TestAsyncTolerantOfDelay(t *testing.T) {
-	net := transport.NewInproc(transport.InprocConfig{QueueLen: 8192, DelayMs: 1, Seed: 5})
+	net := transport.NewChaos(transport.NewInproc(transport.InprocConfig{QueueLen: 8192}),
+		transport.ChaosConfig{QueueLen: 8192, DelayMs: 1, Seed: 5})
 	cfg := core.Config{Step: core.StepPolicy{Adaptive: false, Gamma: 2}}
 	res, err := RunAsync(workload.Base(), cfg, net, 4*time.Second, time.Millisecond)
 	if err != nil {

@@ -89,7 +89,7 @@ func assertMatchesEngine(t *testing.T, res *Result, rounds int) {
 // the 1%-of-serial-utility acceptance bound.
 func TestChaosSyncLossDelayDupMatchesEngine(t *testing.T) {
 	const rounds = 80
-	ch, inner := chaosNet(transport.ChaosConfig{
+	ch, _ := chaosNet(transport.ChaosConfig{
 		Seed:          42,
 		LossRate:      0.10,
 		DupRate:       0.10,
@@ -114,7 +114,6 @@ func TestChaosSyncLossDelayDupMatchesEngine(t *testing.T) {
 		t.Errorf("chaos injected no faults: %v", st)
 	}
 	ch.Wait()
-	inner.Wait()
 }
 
 // A resource node crashed at start and restarted mid-run: its traffic is
@@ -124,7 +123,7 @@ func TestChaosSyncLossDelayDupMatchesEngine(t *testing.T) {
 // the stalled controllers.
 func TestChaosSyncResourceCrashRestartMatchesEngine(t *testing.T) {
 	const rounds = 120
-	ch, inner := chaosNet(transport.ChaosConfig{Seed: 7})
+	ch, _ := chaosNet(transport.ChaosConfig{Seed: 7})
 	rt, err := New(workload.Base(), core.Config{}, ch)
 	if err != nil {
 		t.Fatal(err)
@@ -150,7 +149,6 @@ func TestChaosSyncResourceCrashRestartMatchesEngine(t *testing.T) {
 		t.Error("coordinator saw no lease expiration during a 60ms crash with a 20ms lease")
 	}
 	ch.Wait()
-	inner.Wait()
 }
 
 // Shutdown stops a long run gracefully: node goroutines exit at their next
@@ -207,7 +205,7 @@ func TestChaosAsyncLossCrashRestartConverges(t *testing.T) {
 	}
 	want := snap.Utility
 
-	ch, inner := chaosNet(transport.ChaosConfig{
+	ch, _ := chaosNet(transport.ChaosConfig{
 		Seed:          11,
 		LossRate:      0.10,
 		DupRate:       0.10,
@@ -265,7 +263,6 @@ func TestChaosAsyncLossCrashRestartConverges(t *testing.T) {
 		}
 	}
 	ch.Wait()
-	inner.Wait()
 }
 
 // Loss alone (no duplication or delay): the asynchronous heartbeat recovers
@@ -281,7 +278,7 @@ func TestChaosAsyncLossOnlyBoundedGap(t *testing.T) {
 	}
 	want := snap.Utility
 
-	ch, inner := chaosNet(transport.ChaosConfig{Seed: 3, LossRate: 0.15})
+	ch, _ := chaosNet(transport.ChaosConfig{Seed: 3, LossRate: 0.15})
 	fp := FaultPolicy{
 		RetransmitAfter: 3 * time.Millisecond,
 		RetransmitMax:   30 * time.Millisecond,
@@ -301,5 +298,4 @@ func TestChaosAsyncLossOnlyBoundedGap(t *testing.T) {
 		t.Errorf("chaos dropped nothing: %v", st)
 	}
 	ch.Wait()
-	inner.Wait()
 }

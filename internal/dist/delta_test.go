@@ -78,27 +78,6 @@ func TestDeltaLossFreeBitwiseAndSaves(t *testing.T) {
 	}
 }
 
-// The same run with Sparse off must produce the same bits and zero markers:
-// the dense protocol is untouched by the codec machinery.
-func TestDeltaDisabledSendsFullPayloads(t *testing.T) {
-	const rounds = 150
-	w := frozenWorkload(t)
-	rt, err := New(w, core.Config{Sparse: core.SparseOff}, transport.NewInproc(transport.InprocConfig{QueueLen: 16384}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rt.Close()
-	res, err := rt.Run(rounds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertMatchesEngineBitwise(t, frozenWorkload(t), res, rounds)
-	if res.DeltaSuppressed != 0 || res.DeltaBytesSaved != 0 {
-		t.Errorf("SparseOff run still delta-encoded: suppressed=%d bytes=%d",
-			res.DeltaSuppressed, res.DeltaBytesSaved)
-	}
-}
-
 // Chaos-mode delta recovery: under loss, duplication and reordering the
 // reliability layer re-sends cached full payloads (never markers) and
 // keyframes bound marker chains, so the run reconverges to the exact same
@@ -106,7 +85,7 @@ func TestDeltaDisabledSendsFullPayloads(t *testing.T) {
 func TestDeltaChaosReconvergesBitwise(t *testing.T) {
 	const rounds = 160
 	w := frozenWorkload(t)
-	ch, inner := chaosNet(transport.ChaosConfig{
+	ch, _ := chaosNet(transport.ChaosConfig{
 		Seed:          19,
 		LossRate:      0.08,
 		DupRate:       0.08,
@@ -130,7 +109,6 @@ func TestDeltaChaosReconvergesBitwise(t *testing.T) {
 		t.Error("8% loss over 160 rounds recovered without a single retransmit")
 	}
 	ch.Wait()
-	inner.Wait()
 }
 
 // Async suppression: once a node's inputs are bitwise stable and its last
@@ -162,18 +140,4 @@ func TestAsyncSparseSuppression(t *testing.T) {
 	if rel := math.Abs(res.Utility-snap.Utility) / math.Abs(snap.Utility); rel > 0.01 {
 		t.Errorf("async utility %.3f vs serial %.3f (%.2f%% off, want ≤1%%)", res.Utility, snap.Utility, rel*100)
 	}
-	net.Wait()
-}
-
-// With Sparse off the async loop never suppresses.
-func TestAsyncSparseOffNeverSkips(t *testing.T) {
-	net := transport.NewInproc(transport.InprocConfig{QueueLen: 16384})
-	res, err := RunAsync(workload.Base(), core.Config{Sparse: core.SparseOff}, net, 700*time.Millisecond, time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.SkippedSteps != 0 {
-		t.Errorf("SparseOff async run skipped %d steps", res.SkippedSteps)
-	}
-	net.Wait()
 }

@@ -63,7 +63,7 @@ func TestDistTolerantOfDeliveryDelay(t *testing.T) {
 	e.Run(rounds, nil)
 	want := e.Snapshot()
 
-	net := transport.NewInproc(transport.InprocConfig{DelayMs: 1, Seed: 3})
+	net := transport.NewChaos(transport.NewInproc(transport.InprocConfig{}), transport.ChaosConfig{DelayMs: 1, Seed: 3})
 	rt, err := New(workload.Base(), core.Config{}, net)
 	if err != nil {
 		t.Fatal(err)

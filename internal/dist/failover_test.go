@@ -49,7 +49,7 @@ func TestFailoverCoordinatorCrashMatchesEngine(t *testing.T) {
 	// DelayMs paces the rounds so the scheduled crashes land well before the
 	// run drains: at full in-process speed a 120-round run can finish inside
 	// a single coordinator downtime window.
-	ch, inner := chaosNet(transport.ChaosConfig{Seed: 11, DelayMs: 0.3})
+	ch, _ := chaosNet(transport.ChaosConfig{Seed: 11, DelayMs: 0.3})
 	rt, err := New(workload.Base(), core.Config{}, ch)
 	if err != nil {
 		t.Fatal(err)
@@ -79,7 +79,6 @@ func TestFailoverCoordinatorCrashMatchesEngine(t *testing.T) {
 		t.Errorf("rejoins = %d, want at least one full handshake (%d controllers)", res.Rejoins, nTasks)
 	}
 	ch.Wait()
-	inner.Wait()
 }
 
 // The zombie probe: each restarted generation impersonates its dead
@@ -88,7 +87,7 @@ func TestFailoverCoordinatorCrashMatchesEngine(t *testing.T) {
 // would diverge from the engine.
 func TestFailoverZombieCoordinatorFenced(t *testing.T) {
 	const rounds = 100
-	ch, inner := chaosNet(transport.ChaosConfig{Seed: 3})
+	ch, _ := chaosNet(transport.ChaosConfig{Seed: 3})
 	rt, err := New(workload.Base(), core.Config{}, ch)
 	if err != nil {
 		t.Fatal(err)
@@ -107,7 +106,6 @@ func TestFailoverZombieCoordinatorFenced(t *testing.T) {
 		t.Error("zombie probe ran but no stale-epoch frame was fenced")
 	}
 	ch.Wait()
-	inner.Wait()
 }
 
 // Rejoin racing retransmitted pre-crash frames: loss, duplication, delay and
@@ -117,7 +115,7 @@ func TestFailoverZombieCoordinatorFenced(t *testing.T) {
 // the population of pre-crash frames that survive into the new generation.
 func TestFailoverRejoinRacesRetransmits(t *testing.T) {
 	const rounds = 80
-	ch, inner := chaosNet(transport.ChaosConfig{
+	ch, _ := chaosNet(transport.ChaosConfig{
 		Seed:          19,
 		LossRate:      0.08,
 		DupRate:       0.08,
@@ -142,7 +140,6 @@ func TestFailoverRejoinRacesRetransmits(t *testing.T) {
 		t.Errorf("restarts = %d, want 1", res.CoordinatorRestarts)
 	}
 	ch.Wait()
-	inner.Wait()
 }
 
 // Report leases expiring exactly across a coordinator restart: the lease
@@ -151,7 +148,7 @@ func TestFailoverRejoinRacesRetransmits(t *testing.T) {
 // lease clocks on rejoin and the run still recovers the engine bitwise.
 func TestFailoverLeaseExpiresAtRestart(t *testing.T) {
 	const rounds = 100
-	ch, inner := chaosNet(transport.ChaosConfig{Seed: 23})
+	ch, _ := chaosNet(transport.ChaosConfig{Seed: 23})
 	rt, err := New(workload.Base(), core.Config{}, ch)
 	if err != nil {
 		t.Fatal(err)
@@ -170,7 +167,6 @@ func TestFailoverLeaseExpiresAtRestart(t *testing.T) {
 	res := runFailoverWithDeadline(t, rt, rounds, plan)
 	assertMatchesEngine(t, res, rounds)
 	ch.Wait()
-	inner.Wait()
 }
 
 // A restarted coordinator loads its epoch from the newest checkpoint: a
@@ -196,7 +192,7 @@ func TestFailoverEpochLoadedFromCheckpoint(t *testing.T) {
 	}
 	eng.Close()
 
-	ch, inner := chaosNet(transport.ChaosConfig{Seed: 31, DelayMs: 0.3})
+	ch, _ := chaosNet(transport.ChaosConfig{Seed: 31, DelayMs: 0.3})
 	rt, err := New(workload.Base(), core.Config{}, ch)
 	if err != nil {
 		t.Fatal(err)
@@ -215,14 +211,13 @@ func TestFailoverEpochLoadedFromCheckpoint(t *testing.T) {
 		t.Errorf("epoch = %d, want 6 (checkpointed 5 + one bump)", res.Epoch)
 	}
 	ch.Wait()
-	inner.Wait()
 }
 
 // Double restart back to back: two epoch bumps, two full rejoin handshakes,
 // still bitwise engine-equal — the recovery machinery composes with itself.
 func TestFailoverDoubleRestartBitwise(t *testing.T) {
 	const rounds = 140
-	ch, inner := chaosNet(transport.ChaosConfig{Seed: 47})
+	ch, _ := chaosNet(transport.ChaosConfig{Seed: 47})
 	rt, err := New(workload.Base(), core.Config{}, ch)
 	if err != nil {
 		t.Fatal(err)
@@ -247,5 +242,4 @@ func TestFailoverDoubleRestartBitwise(t *testing.T) {
 		t.Error("two zombie generations probed but nothing was fenced")
 	}
 	ch.Wait()
-	inner.Wait()
 }

@@ -25,12 +25,11 @@ import "encoding/json"
 // and every deltaKeyframeInterval rounds a full keyframe goes out anyway as
 // defense-in-depth. Folding a delta (keep the held value) therefore
 // produces the same bits as folding the full message, and the run stays
-// bitwise identical to the dense protocol and to core.Engine.
+// bitwise identical to core.Engine.
 
-// deltaKeyframeInterval is the period of forced full-payload broadcasts
-// when the delta codec is active: rounds divisible by it never use delta
-// markers, bounding how long any recovery path can go without seeing a
-// payload by value.
+// deltaKeyframeInterval is the period of forced full-payload broadcasts:
+// rounds divisible by it never use delta markers, bounding how long any
+// recovery path can go without seeing a payload by value.
 const deltaKeyframeInterval = 16
 
 // encodedBytesSaved reports how many payload bytes a delta marker keeps off

@@ -44,12 +44,9 @@ type resourceNode struct {
 	// lat holds the latest latency of each subtask on this resource.
 	lat map[[2]int]float64
 
-	// fp, stop and delta are installed by the runtime before run.
+	// fp and stop are installed by the runtime before run.
 	fp   FaultPolicy
 	stop <-chan struct{}
-	// delta enables the delta codec (messages.go): broadcasts whose payload
-	// is bitwise unchanged from the previous round go out as markers.
-	delta bool
 	// dyn, when non-nil, replaces the agent's built-in gradient step with
 	// the configured accelerated price dynamics (dynamics.go).
 	dyn *dynStepper
@@ -111,9 +108,9 @@ func newResourceNode(p *core.Problem, ri int, agent *core.ResourceAgent, ep tran
 }
 
 // broadcastPrice sends the current price to every interested controller and
-// caches the full message for retransmission. With the delta codec enabled
-// and the payload bitwise unchanged from the previous round, a delta marker
-// goes on the wire instead (except on keyframe rounds).
+// caches the full message for retransmission. When the payload is bitwise
+// unchanged from the previous round, a delta marker (messages.go) goes on the
+// wire instead, except on keyframe rounds.
 func (n *resourceNode) broadcastPrice(round int, congested bool) error {
 	msg := priceMsg{
 		Round:     round,
@@ -124,7 +121,7 @@ func (n *resourceNode) broadcastPrice(round int, congested bool) error {
 	}
 	n.lastPrice = msg
 	wire := msg
-	if n.delta && n.prevValid && round%deltaKeyframeInterval != 0 &&
+	if n.prevValid && round%deltaKeyframeInterval != 0 &&
 		msg.Mu == n.prevMu && msg.Congested == n.prevCong {
 		wire = priceMsg{Round: round, Epoch: n.epoch, Resource: msg.Resource, Delta: true}
 		saved := encodedBytesSaved(msg, wire) * int64(len(n.controllers))
@@ -323,6 +320,13 @@ func (n *resourceNode) run(maxRounds int) error {
 // when fault tolerance is on (it is the one message with no sender left to
 // retransmit it); a surviving copy short-circuits the controller's quiet
 // timeout, and losing all copies only costs that timeout.
+//
+// Only the first copy's send must succeed. A controller leaves linger and
+// closes its endpoint as soon as one fin from each of its resources is in,
+// so a repeat can find it gone — which is what a fin is for, not a failure.
+// Inproc refuses a closed address at once; over TCP the repeat to an exited
+// controller costs SendRetryWindow before it is given up on, and sendFins
+// still returns nil.
 func (n *resourceNode) sendFins() error {
 	copies := 1
 	if n.fp.RetransmitAfter > 0 {
@@ -331,7 +335,7 @@ func (n *resourceNode) sendFins() error {
 	msg := finMsg{Resource: n.p.Resources[n.ri].ID}
 	for i := 0; i < copies; i++ {
 		for _, tn := range n.controllers {
-			if err := n.ep.Send(controllerAddr(tn), kindFin, msg); err != nil {
+			if err := n.ep.Send(controllerAddr(tn), kindFin, msg); err != nil && i == 0 {
 				return fmt.Errorf("dist: resource %s: %w", n.p.Resources[n.ri].ID, err)
 			}
 		}
@@ -356,13 +360,9 @@ type controllerNode struct {
 	// them.
 	reports bool
 
-	// fp, stop and delta are installed by the runtime before run.
+	// fp and stop are installed by the runtime before run.
 	fp   FaultPolicy
 	stop <-chan struct{}
-	// delta enables coalesced share reports (messages.go): per-resource
-	// latency messages whose payload is bitwise unchanged from the previous
-	// round go out as markers.
-	delta bool
 	// lastLat caches the latest full latency message per resource for
 	// retransmission, stale recovery, and as the delta codec's reference.
 	lastLat map[int]latencyMsg
@@ -417,9 +417,9 @@ func newControllerNode(p *core.Problem, ti int, ctl *core.Controller, ep transpo
 
 // sendLatencies distributes the freshly allocated latencies, grouped per
 // resource, caches the full messages for retransmission, and reports
-// utility to the coordinator. With the delta codec enabled, a resource
-// whose latencies are bitwise unchanged from the previous round gets a
-// coalesced marker instead of the payload (except on keyframe rounds).
+// utility to the coordinator. A resource whose latencies are bitwise
+// unchanged from the previous round gets a coalesced marker (messages.go)
+// instead of the payload, except on keyframe rounds.
 func (n *controllerNode) sendLatencies(round int) error {
 	pt := &n.p.Tasks[n.ti]
 	byRes := make(map[int]map[string]float64, len(n.res))
@@ -434,7 +434,7 @@ func (n *controllerNode) sendLatencies(round int) error {
 	for ri, lats := range byRes {
 		msg := latencyMsg{Round: round, Epoch: n.epoch, Task: n.name, LatMs: lats}
 		wire := msg
-		if n.delta && round%deltaKeyframeInterval != 0 &&
+		if round%deltaKeyframeInterval != 0 &&
 			latMapsEqual(lats, n.lastLat[ri].LatMs) {
 			wire = latencyMsg{Round: round, Epoch: n.epoch, Task: n.name, Delta: true}
 			saved := encodedBytesSaved(msg, wire)

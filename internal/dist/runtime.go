@@ -109,26 +109,19 @@ func (r *Runtime) Observe(o *obs.Observer) {
 		return
 	}
 	r.dm = obs.NewDistMetrics(o.Metrics)
-	var sm *obs.SparseMetrics
-	if r.cfg.Sparse != core.SparseOff {
-		sm = obs.NewSparseMetrics(o.Metrics)
-	}
+	sm := obs.NewSparseMetrics(o.Metrics)
 	for ri, n := range r.resNodes {
 		n.mRetransmits = r.dm.Retransmits
 		n.mRejectedStale = r.dm.RejectedStale
-		if sm != nil {
-			n.mDeltaSuppressed = sm.DeltaBroadcasts
-			n.mDeltaBytesSaved = sm.DeltaBytesSaved
-		}
+		n.mDeltaSuppressed = sm.DeltaBroadcasts
+		n.mDeltaBytesSaved = sm.DeltaBytesSaved
 		n.rm = obs.NewResourceMetrics(o.Metrics, r.p.Resources[ri].ID)
 	}
 	for _, n := range r.ctlNodes {
 		n.mRetransmits = r.dm.Retransmits
 		n.mRejectedStale = r.dm.RejectedStale
-		if sm != nil {
-			n.mDeltaSuppressed = sm.DeltaBroadcasts
-			n.mDeltaBytesSaved = sm.DeltaBytesSaved
-		}
+		n.mDeltaSuppressed = sm.DeltaBroadcasts
+		n.mDeltaBytesSaved = sm.DeltaBytesSaved
 	}
 }
 
@@ -214,7 +207,6 @@ func (r *Runtime) RunUntilConverged(maxRounds int, relTol float64, window int) (
 func (r *Runtime) startNodes(maxRounds int, wg *sync.WaitGroup, errCh chan<- error) {
 	for _, n := range r.resNodes {
 		n.fp, n.stop = r.fp, r.stop
-		n.delta = r.cfg.Sparse != core.SparseOff
 		wg.Add(1)
 		go func(n *resourceNode) {
 			defer wg.Done()
@@ -225,7 +217,6 @@ func (r *Runtime) startNodes(maxRounds int, wg *sync.WaitGroup, errCh chan<- err
 	}
 	for _, n := range r.ctlNodes {
 		n.fp, n.stop = r.fp, r.stop
-		n.delta = r.cfg.Sparse != core.SparseOff
 		wg.Add(1)
 		go func(n *controllerNode) {
 			defer wg.Done()

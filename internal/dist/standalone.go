@@ -57,14 +57,11 @@ func RunResourceObserved(ctx context.Context, w *workload.Workload, cfg core.Con
 	node := newResourceNode(p, ri, agent, ep)
 	node.dyn = newDynStepper(cfg)
 	node.fp, node.stop = DefaultFaultPolicy(), ctx.Done()
-	node.delta = cfg.Sparse != core.SparseOff
 	if o != nil && o.Metrics != nil {
 		dm := obs.NewDistMetrics(o.Metrics)
 		node.mRetransmits, node.mRejectedStale = dm.Retransmits, dm.RejectedStale
-		if node.delta {
-			sm := obs.NewSparseMetrics(o.Metrics)
-			node.mDeltaSuppressed, node.mDeltaBytesSaved = sm.DeltaBroadcasts, sm.DeltaBytesSaved
-		}
+		sm := obs.NewSparseMetrics(o.Metrics)
+		node.mDeltaSuppressed, node.mDeltaBytesSaved = sm.DeltaBroadcasts, sm.DeltaBytesSaved
 		node.rm = obs.NewResourceMetrics(o.Metrics, resourceID)
 	}
 	if err := node.run(rounds); err != nil {
@@ -109,14 +106,11 @@ func RunControllerObserved(ctx context.Context, w *workload.Workload, cfg core.C
 	node := newControllerNode(p, ti, ctl, ep)
 	node.reports = false
 	node.fp, node.stop = DefaultFaultPolicy(), ctx.Done()
-	node.delta = cfg.Sparse != core.SparseOff
 	if o != nil && o.Metrics != nil {
 		dm := obs.NewDistMetrics(o.Metrics)
 		node.mRetransmits, node.mRejectedStale = dm.Retransmits, dm.RejectedStale
-		if node.delta {
-			sm := obs.NewSparseMetrics(o.Metrics)
-			node.mDeltaSuppressed, node.mDeltaBytesSaved = sm.DeltaBroadcasts, sm.DeltaBytesSaved
-		}
+		sm := obs.NewSparseMetrics(o.Metrics)
+		node.mDeltaSuppressed, node.mDeltaBytesSaved = sm.DeltaBroadcasts, sm.DeltaBytesSaved
 	}
 	if err := node.run(rounds); err != nil {
 		return nil, 0, err

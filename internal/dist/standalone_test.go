@@ -124,3 +124,75 @@ func TestAddressesCoverDeployment(t *testing.T) {
 		t.Errorf("missing expected addresses: %v", addrs)
 	}
 }
+
+// leaveOnFin is a resource's endpoint whose peers behave like a controller at
+// the end of linger: the moment a fin is delivered the controller has its
+// complete fin set, leaves, and closes its endpoint.
+type leaveOnFin struct {
+	transport.Endpoint
+	peers map[string]transport.Endpoint
+}
+
+func (e leaveOnFin) Send(to, kind string, payload any) error {
+	err := e.Endpoint.Send(to, kind, payload)
+	if err == nil && kind == kindFin {
+		e.peers[to].Close()
+	}
+	return err
+}
+
+// TestSendFinsToleratesDepartedControllers pins the standalone flake's cause:
+// every controller leaves after fin copy 1 while the resource still owes
+// copies 2 and 3. Those must neither wait out RegistrationWait for an
+// endpoint that is gone rather than late, nor turn the departure into an
+// error. A controller that is gone before copy 1 is still reported.
+func TestSendFinsToleratesDepartedControllers(t *testing.T) {
+	cfg := core.Config{}.WithDefaults()
+	p, err := core.Compile(workload.Prototype(), cfg.WeightMode)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net := transport.NewInproc(transport.InprocConfig{RegistrationWait: 10 * time.Second})
+	ep, err := net.Endpoint(resourceAddr(p.Resources[0].ID))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ep.Close()
+	agent := core.NewResourceAgent(p, 0, cfg.NewStepSizer(), cfg.Step.Gamma, cfg.Step.Adaptive, cfg.InitialMu)
+	peers := make(map[string]transport.Endpoint)
+	n := newResourceNode(p, 0, agent, leaveOnFin{ep, peers})
+	n.fp = DefaultFaultPolicy()
+	if len(n.controllers) < 2 {
+		t.Fatalf("resource 0 serves %d controllers; the case needs several", len(n.controllers))
+	}
+	for _, tn := range n.controllers {
+		if peers[controllerAddr(tn)], err = net.Endpoint(controllerAddr(tn)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	start := time.Now()
+	if err := n.sendFins(); err != nil {
+		t.Fatalf("sendFins after every controller left on copy 1: %v", err)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Errorf("sendFins took %v: it waited for endpoints that had closed", d)
+	}
+	for addr, peer := range peers {
+		fins := 0
+		for range peer.Recv() {
+			fins++
+		}
+		if fins != 1 {
+			t.Errorf("%s received %d fins before leaving, want 1", addr, fins)
+		}
+	}
+
+	start = time.Now()
+	if err := n.sendFins(); err == nil {
+		t.Error("sendFins to controllers gone before the first copy reported no error")
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Errorf("failing sendFins took %v", d)
+	}
+}

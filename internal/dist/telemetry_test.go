@@ -104,7 +104,7 @@ func TestChaosTelemetryJSONLReconstructs(t *testing.T) {
 	e.Observe(nil)
 
 	// Phase 2: async run under a resource crash/restart — event lines.
-	ch, inner := chaosNet(transport.ChaosConfig{Seed: 11, LossRate: 0.05})
+	ch, _ := chaosNet(transport.ChaosConfig{Seed: 11, LossRate: 0.05})
 	// LeaseAfter must clear the crash window comfortably below 500ms but
 	// leave generous absolute slack: sparse suppression means a quiesced
 	// resource advertises at heartbeat cadence (RetransmitAfter), so a
@@ -189,5 +189,4 @@ func TestChaosTelemetryJSONLReconstructs(t *testing.T) {
 		t.Error("no lease expirations counted despite degradation")
 	}
 	ch.Wait()
-	inner.Wait()
 }

@@ -137,7 +137,6 @@ func TestDistBinaryWireChaosMatchesEngine(t *testing.T) {
 		t.Error("chaos run decoded no binary frames")
 	}
 	ch.Wait()
-	inner.Wait()
 }
 
 // TestDistWireMessagesNeverRideRaw: every message kind dist emits has a

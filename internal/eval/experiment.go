@@ -148,13 +148,8 @@ type Options struct {
 	Quick   bool
 	Seed    int64
 	Workers int
-	// Sparse selects the engine iteration path (core.SparseAuto resolves to
-	// the incremental active-set path; core.SparseOff forces the dense
-	// sweep). The two paths are bitwise identical, so the artifacts do not
-	// depend on the setting — only wall-clock time does.
-	Sparse core.SparseMode
 	// Solver selects the resource-price dynamics ("" = the reference
-	// gradient projection). Unlike Workers/Sparse this DOES change the
+	// gradient projection). Unlike Workers this DOES change the
 	// artifacts: accelerated solvers follow a different price trajectory to
 	// the same fixed point, so iteration-indexed series and
 	// rounds-to-converge counts shift. The solvers experiment ignores it (it
@@ -201,7 +196,7 @@ func (o Options) attach(e *core.Engine) { e.Observe(o.Observer) }
 // sweep additional knobs (step sizers, weight modes) amend the returned
 // value before handing it to core.NewEngine.
 func (o Options) engineConfig() core.Config {
-	return core.Config{Workers: o.Workers, Sparse: o.Sparse, PriceSolver: o.Solver}
+	return core.Config{Workers: o.Workers, PriceSolver: o.Solver}
 }
 
 // f1, f2, f3 are numeric cell formatters.

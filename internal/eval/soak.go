@@ -211,7 +211,7 @@ func Soak(opts Options) (*Result, error) {
 		if restores%2 == 1 {
 			workers = 4
 		}
-		restored, err := rec.Restore(cp, core.Config{Workers: workers, Sparse: opts.Sparse})
+		restored, err := rec.Restore(cp, core.Config{Workers: workers})
 		if err != nil {
 			return err
 		}
@@ -368,7 +368,6 @@ func Soak(opts Options) (*Result, error) {
 		return nil, err
 	}
 	ch.Wait()
-	inner.Wait()
 	if rm != nil {
 		rm.FencedFrames.Add(dres.FencedStale)
 	}

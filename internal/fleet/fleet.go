@@ -10,6 +10,7 @@ import (
 
 	"lla/internal/core"
 	"lla/internal/obs"
+	"lla/internal/par"
 	"lla/internal/price"
 	"lla/internal/transport"
 	"lla/internal/wire"
@@ -56,8 +57,9 @@ type Config struct {
 	LocalWindow int
 	// LocalFreeze makes sweeps run to the bitwise frozen fixed point (every
 	// Step a no-op) instead of the KKT window — the mode the bitwise
-	// single-engine equivalence tests use. Requires a sparse, non-dyn
-	// engine config; other configs simply run LocalIters.
+	// single-engine equivalence tests use. Requires the gradient solver;
+	// under the others no Step is ever a no-op and sweeps simply run
+	// LocalIters.
 	LocalFreeze bool
 
 	// MaxRounds caps aggregator rounds (0 = 300).
@@ -175,11 +177,13 @@ type Fleet struct {
 	taskAt map[string]int
 
 	// workers is the resolved sweep concurrency; pool the persistent sweep
-	// workers, created lazily on the first round that can use them (so a
-	// fleet that is built and discarded, or runs serial, spawns nothing).
-	workers int
-	pool    *sweepPool
-	due     []*shardRuntime // reusable per-round list of non-skipped shards
+	// workers and sweepDue the bound function they call, created lazily on
+	// the first round that can use them (so a fleet that is built and
+	// discarded, or runs serial, spawns nothing).
+	workers  int
+	pool     *par.Pool
+	sweepDue func(int)
+	due      []*shardRuntime // reusable per-round list of non-skipped shards
 
 	// Boundary state, indexed by boundary slot (aligned with
 	// part.Boundary): resource ID, capacity, the aggregator's price
@@ -320,10 +324,6 @@ func build(w *workload.Workload, cfg Config) (*Fleet, error) {
 		f.fm.CutCost.Set(float64(part.CutCost))
 		f.fm.ShardWorkers.Set(float64(f.workers))
 	}
-	// The pool's parked goroutines would otherwise leak if the fleet is
-	// dropped without Close; Close is benign on a live fleet (pools respawn
-	// lazily), so the finalizer is safe even after a full-rebuild swap.
-	runtime.SetFinalizer(f, (*Fleet).Close)
 	return f, nil
 }
 
@@ -356,11 +356,13 @@ func (f *Fleet) Stats() Stats { return f.stats }
 func (f *Fleet) Engine(s int) *core.Engine { return f.shards[s].eng }
 
 // Close retires the sweep pool and every shard engine's worker pool. The
-// fleet remains usable: pools respawn lazily on the next parallel round.
+// fleet remains usable: pools respawn lazily on the next parallel round. A
+// fleet dropped without Close leaks nothing either — each pool's finalizer
+// retires its workers.
 func (f *Fleet) Close() {
 	if f.pool != nil {
-		f.pool.close()
-		f.pool = nil
+		f.pool.Close()
+		f.pool, f.sweepDue = nil, nil
 	}
 	for _, s := range f.shards {
 		s.eng.Close()
@@ -456,10 +458,13 @@ func (f *Fleet) round() (roundInfo, error) {
 		}
 	}
 	if f.workers > 1 && len(f.due) > 1 {
+		// Determinism does not depend on the schedule: each sweep reads and
+		// writes only its own shard's engine and buffers.
 		if f.pool == nil {
-			f.pool = newSweepPool(f.workers-1, len(f.shards))
+			f.pool = par.New(f.workers - 1)
+			f.sweepDue = func(i int) { f.sweepShard(f.due[i]) }
 		}
-		f.pool.run(f, f.due)
+		f.pool.Run(len(f.due), f.sweepDue)
 	} else {
 		for _, s := range f.due {
 			f.sweepShard(s)

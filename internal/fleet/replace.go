@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"reflect"
-	"runtime"
 	"slices"
 
 	"lla/internal/core"
@@ -399,7 +398,6 @@ func (f *Fleet) replaceFull(w *workload.Workload, added, removed int) (ReplaceSt
 	nf.stats = f.stats
 	nf.hashLog, nf.residLog = f.hashLog, f.residLog
 	f.Close()
-	runtime.SetFinalizer(nf, nil)
 	*f = *nf
 
 	st := ReplaceStats{

@@ -96,9 +96,9 @@ func subWorkload(w *workload.Workload, inc *core.Incidence, name string, taskIdx
 
 // sweep runs the shard's local price dynamics against the current pinned
 // boundary prices until the shard-local fixed point: the KKT/feasibility
-// window rule, or — in freeze mode, and as an early exit on the sparse
-// path — until a Step executes zero solves and reprices zero resources,
-// meaning the state is bitwise frozen and further Steps are no-ops.
+// window rule, or — in freeze mode, and as an early exit otherwise — until
+// a Step executes zero solves and reprices zero resources, meaning the
+// state is bitwise frozen and further Steps are no-ops.
 // maxIters always caps the sweep. Each Step is graded by the engine's
 // short-circuiting certificate; a passing grade is complete, so the window
 // exit keeps it, and only an exit whose last Step went ungraded or failed
@@ -110,23 +110,17 @@ func (s *shardRuntime) sweep(maxIters int, freeze bool, kktTol float64, window i
 	stable := 0
 	s.iters = 0
 	s.frozen = false
-	sparse := s.eng.SparseEnabled()
 	graded := false // s.cert is the complete certificate of the current state
 	for s.iters < maxIters {
-		var before core.SparseStats
-		if sparse {
-			before = s.eng.SparseStats()
-		}
+		before := s.eng.SparseStats()
 		s.eng.Step()
 		s.iters++
 		graded = false
-		if sparse {
-			after := s.eng.SparseStats()
-			if after.ExecutedSolves == before.ExecutedSolves &&
-				after.RepricedResources == before.RepricedResources {
-				s.frozen = true
-				break // bitwise frozen: replaying the Step changes nothing
-			}
+		after := s.eng.SparseStats()
+		if after.ExecutedSolves == before.ExecutedSolves &&
+			after.RepricedResources == before.RepricedResources {
+			s.frozen = true
+			break // bitwise frozen: replaying the Step changes nothing
 		}
 		if freeze {
 			continue

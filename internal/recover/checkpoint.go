@@ -1,9 +1,9 @@
 // Package recover implements crash-safe checkpointing for the LLA engine
 // (DESIGN.md §13): a versioned, checksummed binary codec over the full
 // optimizer state — dual prices, latencies, step-sizer and solver internals,
-// sparse active-set fingerprints, admission quarantine clocks, and the
-// workload identity — plus an atomic write-rename Writer and a Restore that
-// resumes the run bitwise-identically to the uninterrupted one.
+// active-set fingerprints, admission quarantine clocks, and the workload
+// identity — plus an atomic write-rename Writer and a Restore that resumes
+// the run bitwise-identically to the uninterrupted one.
 //
 // The dual prices are a compact, sufficient summary of optimization
 // progress (the property the paper's online setting leans on), so a
@@ -85,7 +85,7 @@ func Capture(eng *core.Engine, opts CaptureOptions) *Checkpoint {
 
 // Restore builds a fresh engine from the checkpoint's workload and loads the
 // checkpointed state into it, resuming the run bitwise. cfg supplies the
-// bitwise-neutral knobs (Workers, Sparse) and must otherwise match the
+// bitwise-neutral Workers knob and must otherwise match the
 // capturing configuration (step policy, weight mode); the price solver is
 // forced from the checkpoint so a flag mismatch cannot silently load
 // cross-solver state.

@@ -53,9 +53,7 @@ type ChaosStats struct {
 // loss, delay, duplication, reordering, network partitions, and node
 // crash/restart (a crashed node's traffic is blackholed in both directions,
 // which is indistinguishable from a process crash to the rest of the
-// system). It generalizes the legacy drop/delay knobs of InprocConfig — both
-// are backed by the same injector — and works over the in-process and TCP
-// networks alike.
+// system). It works over the in-process and TCP networks alike.
 type Chaos struct {
 	inner Network
 	cfg   ChaosConfig
@@ -264,9 +262,7 @@ func (e *chaosEndpoint) Close() error {
 	return e.closeErr
 }
 
-// injector makes the seeded loss/duplication/reorder/delay decisions. It
-// backs both the Chaos wrapper and Inproc's legacy knobs so the two cannot
-// drift apart.
+// injector makes the seeded loss/duplication/reorder/delay decisions.
 type injector struct {
 	mu                 sync.Mutex
 	rng                *rand.Rand
@@ -287,9 +283,7 @@ func newInjector(seed int64, loss, dup, reorder, delayMs, jitterMs float64) *inj
 
 // plan decides the fate of one message. Draws are consumed in send order
 // from the seeded stream — and only for the fault classes actually
-// configured — so a serial sender replays bit-identically, and an
-// Inproc-style loss-only configuration consumes the same stream it did
-// before the chaos layer existed.
+// configured — so a serial sender replays bit-identically.
 func (j *injector) plan() (drop, dup, reorder bool, delay time.Duration) {
 	j.mu.Lock()
 	defer j.mu.Unlock()

@@ -8,24 +8,18 @@ import (
 	"time"
 )
 
-// InprocConfig tunes the in-process network's fault injection. DelayMs and
-// DropRate are legacy knobs kept for convenience — they are backed by the
-// same seeded injector as the general Chaos wrapper, which additionally
-// offers duplication, reordering, partitions, and node crash/restart.
+// InprocConfig tunes the in-process network. It delivers every message
+// immediately and in order per sender-receiver pair; wrap it in Chaos to
+// inject faults.
 type InprocConfig struct {
-	// DelayMs delivers every message after a fixed delay (0 = immediate,
-	// synchronous ordering per sender-receiver pair).
-	DelayMs float64
-	// DropRate in [0,1) silently drops messages at random (seeded).
-	DropRate float64
-	// Seed drives the drop decisions.
-	Seed int64
 	// QueueLen is the per-endpoint inbox capacity (default 1024).
 	QueueLen int
 	// RegistrationWait makes Send retry for up to this duration when the
-	// destination endpoint is not registered yet, mirroring the TCP
+	// destination endpoint has never been registered, mirroring the TCP
 	// transport's dial-retry so that independently started nodes can come
-	// up in any order. Zero fails unknown destinations immediately.
+	// up in any order. Zero fails unknown destinations immediately. An
+	// address that was registered and has closed is gone, not late: Send to
+	// it fails immediately either way, until the address is registered again.
 	RegistrationWait time.Duration
 }
 
@@ -33,7 +27,6 @@ type InprocConfig struct {
 type Inproc struct {
 	cfg InprocConfig
 
-	inj *injector
 	// codec, when set, round-trips every delivery through an encode/decode
 	// cycle, so in-process runs exercise exactly the bytes a TCP deployment
 	// would ship (the wire-codec chaos tests rely on this).
@@ -41,7 +34,9 @@ type Inproc struct {
 
 	mu        sync.Mutex
 	endpoints map[string]*inprocEndpoint
-	wg        sync.WaitGroup
+	// gone holds the addresses whose endpoint has closed and not been
+	// registered again.
+	gone map[string]bool
 }
 
 var _ Network = (*Inproc)(nil)
@@ -53,8 +48,8 @@ func NewInproc(cfg InprocConfig) *Inproc {
 	}
 	return &Inproc{
 		cfg:       cfg,
-		inj:       newInjector(cfg.Seed, cfg.DropRate, 0, 0, cfg.DelayMs, 0),
 		endpoints: make(map[string]*inprocEndpoint),
+		gone:      make(map[string]bool),
 	}
 }
 
@@ -74,18 +69,24 @@ func (n *Inproc) Endpoint(addr string) (Endpoint, error) {
 		in:   make(chan Message, n.cfg.QueueLen),
 	}
 	n.endpoints[addr] = ep
+	delete(n.gone, addr)
 	return ep, nil
 }
-
-// Wait blocks until all in-flight delayed deliveries have settled.
-func (n *Inproc) Wait() { n.wg.Wait() }
 
 // SetCodec makes every delivery round-trip through the codec's frame
 // encoding. Set before any endpoint sends; the codec must be safe for
 // concurrent use (deliveries run on sender goroutines).
 func (n *Inproc) SetCodec(c Codec) { n.codec = c }
 
-// deliver routes a message, applying the injector's loss and delay plan.
+// lookup resolves a registered endpoint; gone reports that the address was
+// registered once and has closed.
+func (n *Inproc) lookup(addr string) (ep *inprocEndpoint, gone bool) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.endpoints[addr], n.gone[addr]
+}
+
+// deliver routes a message to its destination's inbox.
 func (n *Inproc) deliver(msg Message) error {
 	if n.codec != nil {
 		frame, err := n.codec.Encode(msg)
@@ -96,34 +97,18 @@ func (n *Inproc) deliver(msg Message) error {
 			return fmt.Errorf("transport: inproc codec decode: %w", err)
 		}
 	}
-	n.mu.Lock()
-	dst, ok := n.endpoints[msg.To]
-	n.mu.Unlock()
-	drop, _, _, delay := n.inj.plan()
-	if !ok && n.cfg.RegistrationWait > 0 {
-		// The destination may simply not have started yet.
+	dst, gone := n.lookup(msg.To)
+	if dst == nil && !gone && n.cfg.RegistrationWait > 0 {
+		// A destination never seen may simply not have started yet; one that
+		// has come and gone will not be helped by waiting.
 		deadline := time.Now().Add(n.cfg.RegistrationWait)
-		for !ok && time.Now().Before(deadline) {
+		for dst == nil && !gone && time.Now().Before(deadline) {
 			time.Sleep(time.Millisecond)
-			n.mu.Lock()
-			dst, ok = n.endpoints[msg.To]
-			n.mu.Unlock()
+			dst, gone = n.lookup(msg.To)
 		}
 	}
-	if !ok {
+	if dst == nil {
 		return fmt.Errorf("transport: no endpoint %q", msg.To)
-	}
-	if drop {
-		return nil // injected loss: silently dropped
-	}
-	if delay > 0 {
-		n.wg.Add(1)
-		go func() {
-			defer n.wg.Done()
-			time.Sleep(delay)
-			dst.push(msg)
-		}()
-		return nil
 	}
 	dst.push(msg)
 	return nil
@@ -190,6 +175,7 @@ func (e *inprocEndpoint) Close() error {
 	close(e.in)
 	e.net.mu.Lock()
 	delete(e.net.endpoints, e.addr)
+	e.net.gone[e.addr] = true
 	e.net.mu.Unlock()
 	return nil
 }

@@ -5,9 +5,7 @@
 // JSON frames for genuinely distributed deployments (cmd/lla-node) — plus
 // Chaos, a wrapper that composes over either of them and injects
 // deterministic, seeded faults (loss, delay/jitter, duplication,
-// reordering, partitions, node crash/restart) for robustness testing. The
-// in-process network's own DelayMs/DropRate knobs are a convenience subset
-// backed by the same seeded injector Chaos uses.
+// reordering, partitions, node crash/restart) for robustness testing.
 package transport
 
 import (

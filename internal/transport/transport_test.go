@@ -117,8 +117,68 @@ func TestInprocUnknownDestination(t *testing.T) {
 	}
 }
 
+// A destination that has never registered may be late, so Send waits for it;
+// one that registered and closed is gone, so Send fails at once — until the
+// address registers again.
+func TestInprocClosedAddressFailsFast(t *testing.T) {
+	n := NewInproc(InprocConfig{RegistrationWait: 10 * time.Second})
+	a, _ := n.Endpoint("a")
+	defer a.Close()
+	b, _ := n.Endpoint("b")
+	b.Close()
+	start := time.Now()
+	if err := a.Send("b", "x", ping{}); err == nil {
+		t.Fatal("send to a closed endpoint should fail")
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Errorf("send to a closed endpoint took %v, want immediate failure", d)
+	}
+
+	b2, err := n.Endpoint("b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b2.Close()
+	if err := a.Send("b", "x", ping{N: 7}); err != nil {
+		t.Fatalf("send to a re-registered address: %v", err)
+	}
+	var got ping
+	if err := recvOne(t, b2).Decode(&got); err != nil || got.N != 7 {
+		t.Fatalf("re-registered endpoint received %+v, %v", got, err)
+	}
+
+	// Never registered: still waited for, and found when it arrives late.
+	late := make(chan Endpoint)
+	go func() {
+		time.Sleep(30 * time.Millisecond)
+		c, _ := n.Endpoint("c")
+		late <- c
+	}()
+	start = time.Now()
+	if err := a.Send("c", "x", ping{}); err != nil {
+		t.Fatalf("send to a late endpoint: %v", err)
+	}
+	if d := time.Since(start); d < 20*time.Millisecond {
+		t.Errorf("send to a late endpoint returned after %v, before it registered", d)
+	}
+	c := <-late
+	defer c.Close()
+	recvOne(t, c)
+
+	short := NewInproc(InprocConfig{RegistrationWait: 40 * time.Millisecond})
+	s, _ := short.Endpoint("s")
+	defer s.Close()
+	start = time.Now()
+	if err := s.Send("ghost", "x", ping{}); err == nil {
+		t.Fatal("send to a never-registered endpoint should fail once the wait is over")
+	}
+	if d := time.Since(start); d < 40*time.Millisecond {
+		t.Errorf("send to a never-registered endpoint failed after %v, before the 40ms wait", d)
+	}
+}
+
 func TestInprocDropInjection(t *testing.T) {
-	n := NewInproc(InprocConfig{DropRate: 0.5, Seed: 1})
+	n := NewChaos(NewInproc(InprocConfig{}), ChaosConfig{LossRate: 0.5, Seed: 1})
 	a, _ := n.Endpoint("a")
 	b, _ := n.Endpoint("b")
 	defer a.Close()
@@ -138,7 +198,7 @@ func TestInprocDropInjection(t *testing.T) {
 }
 
 func TestInprocDelayedDelivery(t *testing.T) {
-	n := NewInproc(InprocConfig{DelayMs: 5})
+	n := NewChaos(NewInproc(InprocConfig{}), ChaosConfig{DelayMs: 5})
 	a, _ := n.Endpoint("a")
 	b, _ := n.Endpoint("b")
 	defer a.Close()

@@ -140,23 +140,10 @@ type Config = core.Config
 // congestion-doubling heuristic.
 type StepPolicy = core.StepPolicy
 
-// SparseMode selects the iteration path: the default (SparseAuto, the zero
-// value) resolves to SparseOn — the incremental active-set path that skips
-// controllers whose observed prices are unchanged and resources whose
-// contributing shares are unchanged. SparseOff forces the dense sweep. Both
-// paths produce bitwise-identical trajectories; only wall-clock time
-// differs.
-type SparseMode = core.SparseMode
-
-// Sparse iteration toggles for Config.Sparse.
-const (
-	SparseAuto = core.SparseAuto
-	SparseOn   = core.SparseOn
-	SparseOff  = core.SparseOff
-)
-
-// SparseStats aggregates the active-set path's skip counters, as
-// Engine.SparseStats returns.
+// SparseStats aggregates the iteration's skip counters, as
+// Engine.SparseStats returns: Step skips controllers whose observed prices
+// are unchanged and resources whose contributing shares are unchanged, which
+// changes no bit of the trajectory.
 type SparseStats = core.SparseStats
 
 // PriceSolver selects the resource-price dynamics for Config.PriceSolver
@@ -374,10 +361,9 @@ type AsyncResult = dist.AsyncResult
 // delays (see internal/dist documentation).
 var RunAsync = dist.RunAsync
 
-// NewInprocNetwork returns an in-process network. Its DelayMs/DropRate
-// knobs cover simple robustness tests; for the full fault repertoire
-// (jitter, duplication, reordering, partitions, crash/restart) wrap any
-// network in NewChaosNetwork.
+// NewInprocNetwork returns an in-process network. It delivers immediately
+// and loses nothing; to inject faults (loss, delay, jitter, duplication,
+// reordering, partitions, crash/restart) wrap it in NewChaosNetwork.
 func NewInprocNetwork(cfg InprocConfig) Network {
 	return transport.NewInproc(cfg)
 }

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Runs the core optimizer benchmarks and writes BENCH_core.json (parsed via
-# scripts/benchparse), failing if the sparse converged-step path is not
-# faster than the dense one, an accelerated price solver needs more
-# rounds-to-converge than the reference gradient, a warm checkpoint
+# scripts/benchparse), failing if the converged Step skips under 99 % of its
+# controller solves, allocates, or costs over twice the previous report's
+# ns/op, an accelerated price solver needs more rounds-to-converge than the
+# reference gradient, a warm checkpoint
 # restart does not re-converge in fewer rounds than a cold one, the
 # binary wire frame is not at least 10x smaller than its JSON equivalent,
 # the million-subtask sharded fleet fails to certify convergence, the

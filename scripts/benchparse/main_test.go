@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -88,12 +89,184 @@ func rec(name string, kv ...any) record {
 	return r
 }
 
+// gateCase is one row of a recs-only gate's table test.
+type gateCase struct {
+	name    string
+	recs    []record
+	wantErr string // "" = accept
+}
+
+// runGateCases checks a gate against its table: accepted rows must pass,
+// rejected rows must fail with an error containing wantErr.
+func runGateCases(t *testing.T, gate func([]record) error, cases []gateCase) {
+	t.Helper()
+	for _, tc := range cases {
+		err := gate(tc.recs)
+		switch {
+		case tc.wantErr == "" && err != nil:
+			t.Errorf("%s: rejected: %v", tc.name, err)
+		case tc.wantErr != "" && err == nil:
+			t.Errorf("%s: accepted, want error containing %q", tc.name, tc.wantErr)
+		case tc.wantErr != "" && !strings.Contains(err.Error(), tc.wantErr):
+			t.Errorf("%s: error %q does not contain %q", tc.name, err, tc.wantErr)
+		}
+	}
+}
+
+func TestCheckConvergedStep(t *testing.T) {
+	runGateCases(t, checkConvergedStep, []gateCase{
+		{
+			name: "frozen fixed point: everything skipped, nothing allocated",
+			recs: []record{rec("BenchmarkEngineStepConverged-2", "skipped_pct", 100.0, "allocs/op", 0.0, "ns/op", 780.0)},
+		},
+		{
+			name: "exactly 99% is still inside",
+			recs: []record{rec("BenchmarkEngineStepConverged", "skipped_pct", 99.0, "allocs/op", 0.0)},
+		},
+		{
+			name:    "skipping disengaged",
+			recs:    []record{rec("BenchmarkEngineStepConverged-2", "skipped_pct", 98.9, "allocs/op", 0.0)},
+			wantErr: "skipped 98.9%",
+		},
+		{
+			name:    "NaN skip rate (no solves counted)",
+			recs:    []record{rec("BenchmarkEngineStepConverged-2", "skipped_pct", math.NaN(), "allocs/op", 0.0)},
+			wantErr: "want >= 99%",
+		},
+		{
+			name:    "the step allocates",
+			recs:    []record{rec("BenchmarkEngineStepConverged-2", "skipped_pct", 100.0, "allocs/op", 1.0)},
+			wantErr: "allocates 1 objects",
+		},
+		{
+			name:    "run without -benchmem columns",
+			recs:    []record{rec("BenchmarkEngineStepConverged-2", "skipped_pct", 100.0)},
+			wantErr: "did not report skipped_pct and allocs/op",
+		},
+		{
+			name:    "benchmark missing",
+			recs:    []record{rec("BenchmarkEngineStep-2", "allocs/op", 0.0)},
+			wantErr: "BenchmarkEngineStepConverged missing",
+		},
+		{
+			name:    "the deleted dense/sparse pair does not stand in for it",
+			recs:    []record{rec("BenchmarkEngineStepConverged/sparse-2", "skipped_pct", 100.0, "allocs/op", 0.0)},
+			wantErr: "BenchmarkEngineStepConverged missing",
+		},
+	})
+}
+
+func TestCheckAcceleratedRounds(t *testing.T) {
+	runGateCases(t, checkAcceleratedRounds, []gateCase{
+		{name: "no rounds benchmarks: gate skipped", recs: []record{rec("BenchmarkEngineStep-2")}},
+		{
+			name: "every accelerated solver at or below gradient",
+			recs: []record{
+				rec("BenchmarkRoundsToConverge/gradient-2", "rounds", 60.0),
+				rec("BenchmarkRoundsToConverge/newton-2", "rounds", 6.0),
+				rec("BenchmarkRoundsToConverge/price-discovery-2", "rounds", 60.0),
+			},
+		},
+		{name: "gradient alone", recs: []record{rec("BenchmarkRoundsToConverge/gradient", "rounds", 60.0)}},
+		{
+			name: "one solver above gradient, named with both counts",
+			recs: []record{
+				rec("BenchmarkRoundsToConverge/gradient-2", "rounds", 60.0),
+				rec("BenchmarkRoundsToConverge/newton-2", "rounds", 6.0),
+				rec("BenchmarkRoundsToConverge/anderson-2", "rounds", 61.0),
+			},
+			wantErr: "anderson needs 61 rounds to converge, more than gradient's 60",
+		},
+		{
+			name:    "accelerated records without the baseline",
+			recs:    []record{rec("BenchmarkRoundsToConverge/newton-2", "rounds", 6.0)},
+			wantErr: "gradient baseline is missing",
+		},
+		{
+			name: "a record without a rounds metric",
+			recs: []record{
+				rec("BenchmarkRoundsToConverge/gradient-2", "rounds", 60.0),
+				rec("BenchmarkRoundsToConverge/newton-2"),
+			},
+			wantErr: "newton-2 reported no rounds metric",
+		},
+	})
+}
+
+func TestCheckRecoveryWarmFaster(t *testing.T) {
+	runGateCases(t, checkRecoveryWarmFaster, []gateCase{
+		{name: "no recovery benchmarks: gate skipped", recs: []record{rec("BenchmarkEngineStep-2")}},
+		{
+			name: "warm below cold",
+			recs: []record{
+				rec("BenchmarkRecoveryRounds/warm-2", "rounds", 3.0),
+				rec("BenchmarkRecoveryRounds/cold-2", "rounds", 60.0),
+			},
+		},
+		{
+			name: "warm equal to cold is not faster",
+			recs: []record{
+				rec("BenchmarkRecoveryRounds/warm", "rounds", 60.0),
+				rec("BenchmarkRecoveryRounds/cold", "rounds", 60.0),
+			},
+			wantErr: "warm recovery (60 rounds) is not below cold re-convergence (60 rounds)",
+		},
+		{
+			name:    "only the warm side ran",
+			recs:    []record{rec("BenchmarkRecoveryRounds/warm-2", "rounds", 3.0)},
+			wantErr: "incomplete: warm=true cold=false",
+		},
+		{
+			name:    "only the cold side ran",
+			recs:    []record{rec("BenchmarkRecoveryRounds/cold-2", "rounds", 60.0)},
+			wantErr: "incomplete: warm=false cold=true",
+		},
+		{
+			name: "a side without a rounds metric",
+			recs: []record{
+				rec("BenchmarkRecoveryRounds/warm-2"),
+				rec("BenchmarkRecoveryRounds/cold-2", "rounds", 60.0),
+			},
+			wantErr: "warm-2 reported no rounds metric",
+		},
+	})
+}
+
+func TestCheckWireCompression(t *testing.T) {
+	runGateCases(t, checkWireCompression, []gateCase{
+		{name: "no wire benchmark: gate skipped", recs: []record{rec("BenchmarkEngineStep-2")}},
+		{
+			name: "10.5x smaller",
+			recs: []record{rec("BenchmarkWireCodec-2", "binary_bytes", 846.0, "json_bytes", 8896.0)},
+		},
+		{
+			name: "exactly 10x is still inside",
+			recs: []record{rec("BenchmarkWireCodec", "binary_bytes", 100.0, "json_bytes", 1000.0)},
+		},
+		{
+			name:    "just under 10x",
+			recs:    []record{rec("BenchmarkWireCodec-2", "binary_bytes", 100.0, "json_bytes", 999.0)},
+			wantErr: "not >=10x smaller",
+		},
+		{
+			name:    "a size missing",
+			recs:    []record{rec("BenchmarkWireCodec-2", "binary_bytes", 846.0)},
+			wantErr: "did not report binary_bytes and json_bytes",
+		},
+		{
+			name:    "a zero size",
+			recs:    []record{rec("BenchmarkWireCodec-2", "binary_bytes", 0.0, "json_bytes", 8896.0)},
+			wantErr: "degenerate sizes",
+		},
+		{
+			name: "another benchmark with the same prefix is not the wire gate's business",
+			recs: []record{rec("BenchmarkWireCodecDecode-2", "binary_bytes", 1.0, "json_bytes", 1.0)},
+		},
+	})
+}
+
 func TestCheckFleetConverge(t *testing.T) {
-	for _, tc := range []struct {
-		name    string
-		recs    []record
-		wantErr string // "" = accept
-	}{
+	runGateCases(t, checkFleetConverge, []gateCase{
 		{name: "no fleet benchmarks: gate skipped", recs: []record{rec("BenchmarkEngineStep-2")}},
 		{
 			name: "1m certified, clustered within 2x",
@@ -135,17 +308,7 @@ func TestCheckFleetConverge(t *testing.T) {
 			name: "the parallel row is not the serial gate's business",
 			recs: []record{rec("BenchmarkFleetConverge/1m-parallel-2", "converged", 0.0)},
 		},
-	} {
-		err := checkFleetConverge(tc.recs)
-		switch {
-		case tc.wantErr == "" && err != nil:
-			t.Errorf("%s: rejected: %v", tc.name, err)
-		case tc.wantErr != "" && err == nil:
-			t.Errorf("%s: accepted, want error containing %q", tc.name, tc.wantErr)
-		case tc.wantErr != "" && !strings.Contains(err.Error(), tc.wantErr):
-			t.Errorf("%s: error %q does not contain %q", tc.name, err, tc.wantErr)
-		}
-	}
+	})
 }
 
 func TestCheckNoGatedLoss(t *testing.T) {
@@ -167,6 +330,11 @@ func TestCheckNoGatedLoss(t *testing.T) {
 		t.Fatal(err)
 	}
 	prev := write("prev.json", string(prevDoc))
+	// The report committed before the dense path was deleted, and the one after.
+	pairDoc, _ := json.Marshal(report{Benchmarks: []record{
+		rec("BenchmarkEngineStepConverged/dense-2"), rec("BenchmarkEngineStepConverged/sparse-2")}})
+	oneDoc, _ := json.Marshal(report{Benchmarks: []record{rec("BenchmarkEngineStepConverged-2")}})
+	prevPair, prevOne := write("pair.json", string(pairDoc)), write("one.json", string(oneDoc))
 
 	for _, tc := range []struct {
 		name    string
@@ -203,6 +371,17 @@ func TestCheckNoGatedLoss(t *testing.T) {
 			recs:    []record{rec("BenchmarkFleetConverge/1m-2")},
 			wantErr: []string{"parsing previous report"},
 		},
+		{
+			name: "the deleted dense/sparse sub-benchmarks are not a gated family",
+			prev: prevPair,
+			recs: []record{rec("BenchmarkEngineStepConverged-8")},
+		},
+		{
+			name:    "the single converged-step benchmark is gated by exact name",
+			prev:    prevOne,
+			recs:    []record{rec("BenchmarkEngineStepConvergedish-2"), rec("BenchmarkEngineStepConverged/sparse-2")},
+			wantErr: []string{"missing from this run: BenchmarkEngineStepConverged "},
+		},
 	} {
 		err := checkNoGatedLoss(tc.prev, tc.recs)
 		if tc.wantErr == nil {
@@ -232,6 +411,7 @@ func TestCheckPrevBounds(t *testing.T) {
 		rec("BenchmarkFleetBuild-8", "allocs/op", 100000.0),
 		rec("BenchmarkFleetReplace-8", "allocs/op", 10000.0),
 		rec("BenchmarkEngineStep-8", "allocs/op", 0.0), // unbounded: free to move
+		rec("BenchmarkEngineStepConverged-8", "ns/op", 800.0),
 	}})
 	if err != nil {
 		t.Fatal(err)
@@ -284,6 +464,17 @@ func TestCheckPrevBounds(t *testing.T) {
 				rec("BenchmarkFleetReplace-2", "allocs/op", 10600.0),
 			},
 			wantErr: []string{"BenchmarkFleetBuild", "BenchmarkFleetReplace allocs/op 10600"},
+		},
+		{
+			name: "converged step twice as slow on another machine is still inside",
+			prev: prev,
+			recs: []record{rec("BenchmarkEngineStepConverged-2", "ns/op", 1600.0)},
+		},
+		{
+			name:    "converged step at the cost of a dense sweep",
+			prev:    prev,
+			recs:    []record{rec("BenchmarkEngineStepConverged-2", "ns/op", 2800.0)},
+			wantErr: []string{"BenchmarkEngineStepConverged ns/op 2800", "800", "bound +100%"},
 		},
 		{
 			name: "an unbounded benchmark may regress",
