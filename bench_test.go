@@ -576,8 +576,8 @@ func BenchmarkRecoveryRounds(b *testing.B) {
 // 4-shard fleet and the single-engine reference side by side, reporting the
 // aggregator's boundary rounds against the single engine's KKT rounds —
 // scripts/benchparse gates rounds <= 2x single_rounds, the hierarchy's
-// price-iteration overhead bound. "1m" is ROADMAP item 1's headline scale
-// target: one million subtasks partitioned across 16 shards, end to end to
+// price-iteration overhead bound. "1m" is the headline scale target: one
+// million subtasks partitioned across 16 shards, end to end to
 // certification, with serial sweeps; benchparse gates converged == 1.
 // "1m-parallel" is the same problem with 16 concurrent shard sweeps —
 // benchparse gates identical round counts and the parallel speedup. All runs

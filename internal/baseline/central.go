@@ -79,21 +79,22 @@ func Central(w *workload.Workload, cfg CentralConfig) (*Assignment, *Evaluation,
 	muHat := make([]float64, len(p.Resources))
 	lamHat := make([][]float64, len(p.Tasks))
 	for ti := range p.Tasks {
-		lamHat[ti] = make([]float64, len(p.Tasks[ti].Paths))
+		lamHat[ti] = make([]float64, p.NumPaths(ti))
 	}
 	rho := cfg.Rho
 
 	resViol := func(ri int) float64 {
 		sum := 0.0
-		for _, sub := range p.Resources[ri].Subs {
-			sum += p.Tasks[sub[0]].Share[sub[1]].Share(lat[sub[0]][sub[1]])
+		for _, g := range p.Resources[ri].Subs {
+			ti, si := p.SubtaskAt(g)
+			sum += p.Share(ti, si).Share(lat[ti][si])
 		}
 		return sum - p.Resources[ri].Availability
 	}
 	pathViol := func(ti, pi int) float64 {
 		pt := &p.Tasks[ti]
 		sum := 0.0
-		for _, s := range pt.Paths[pi] {
+		for _, s := range p.Path(ti, pi) {
 			sum += lat[ti][s]
 		}
 		return (sum - pt.CriticalMs) / pt.CriticalMs
@@ -114,14 +115,14 @@ func Central(w *workload.Workload, cfg CentralConfig) (*Assignment, *Evaluation,
 					agg += wgt * lat[ti][si]
 				}
 				slope := pt.Curve.Slope(agg)
-				lamEff := make([]float64, len(pt.Paths))
-				for pi := range pt.Paths {
+				lamEff := make([]float64, p.NumPaths(ti))
+				for pi := range lamEff {
 					lamEff[pi] = math.Max(0, lamHat[ti][pi]+rho*pathViol(ti, pi))
 				}
 				for si := range lat[ti] {
 					g := pt.Weights[si] * slope
-					g -= muEff[pt.Res[si]] * pt.Share[si].Deriv(lat[ti][si])
-					for _, pi := range pt.PathsThrough[si] {
+					g -= muEff[pt.Res[si]] * p.Share(ti, si).Deriv(lat[ti][si])
+					for _, pi := range p.PathsThrough(ti, si) {
 						g -= lamEff[pi] / pt.CriticalMs
 					}
 					next := clampf(lat[ti][si]+cfg.Step*g, pt.LatMinMs[si], pt.LatMaxMs[si])

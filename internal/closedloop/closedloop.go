@@ -168,7 +168,7 @@ func (l *Loop) correct(snap core.Snapshot) error {
 	prob := l.engine.Problem()
 	for ti, tk := range l.w.Tasks {
 		for si := range tk.Subtasks {
-			base := prob.Tasks[ti].Share[si]
+			base := prob.Share(ti, si)
 			base.ErrMs = 0
 			predicted := base.LatencyFor(snap.Shares[ti][si])
 			c := l.correctors[ti][si]

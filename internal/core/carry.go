@@ -46,7 +46,7 @@ func (d *Engine) carryInto(e *Engine, muDone, taskDone []bool) {
 			continue
 		}
 		if oi, ok := d.p.resIdx[e.p.Resources[ri].ID]; ok {
-			e.agents[ri].Mu = d.agents[oi].Mu
+			e.price[ri] = d.price[oi]
 			muDone[ri] = true
 		}
 	}
@@ -61,7 +61,7 @@ func (d *Engine) carryInto(e *Engine, muDone, taskDone []bool) {
 		}
 		oldTask, newTask := &d.p.Tasks[oi], &e.p.Tasks[ti]
 		if len(oldTask.SubtaskNames) != len(newTask.SubtaskNames) ||
-			len(oldTask.Paths) != len(newTask.Paths) {
+			d.p.NumPaths(oi) != e.p.NumPaths(ti) {
 			continue // structure changed: start this task fresh
 		}
 		same := true
@@ -74,12 +74,11 @@ func (d *Engine) carryInto(e *Engine, muDone, taskDone []bool) {
 		if !same {
 			continue
 		}
-		copy(e.controllers[ti].LatMs, d.controllers[oi].LatMs)
-		copy(e.controllers[ti].Lambda, d.controllers[oi].Lambda)
+		from, to := d.Controller(oi), e.Controller(ti)
+		copy(to.Lambda, from.Lambda)
 		// Re-clamp carried latencies into the (possibly changed) bounds.
-		for si := range e.controllers[ti].LatMs {
-			e.controllers[ti].LatMs[si] = clamp(e.controllers[ti].LatMs[si],
-				newTask.LatMinMs[si], newTask.LatMaxMs[si])
+		for si, lat := range from.LatMs {
+			to.LatMs[si] = clamp(lat, newTask.LatMinMs[si], newTask.LatMaxMs[si])
 		}
 		taskDone[ti] = true
 	}

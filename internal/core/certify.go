@@ -39,8 +39,8 @@ type Certificate struct {
 // called from the goroutine driving the engine.
 func (e *Engine) Certify(kktTol, tol float64) (Certificate, bool) {
 	var c Certificate
-	nr := len(e.agents)
-	n := nr + len(e.controllers)
+	nr := len(e.price)
+	n := nr + len(e.p.Tasks)
 	i := e.certCursor
 	for k := 0; k < n; k++ {
 		var ok bool
@@ -76,21 +76,15 @@ func (e *Engine) certifyResource(ri int, tol float64, c *Certificate) bool {
 // certifyTask folds task ti's interior residuals and critical path into c
 // and reports whether all of them stay inside their tolerances.
 func (e *Engine) certifyTask(ti int, kktTol, tol float64, c *Certificate) bool {
-	ctl := e.controllers[ti]
-	pt := &e.p.Tasks[ti]
-	slope := pt.Curve.Slope(ctl.aggregate())
-	for si := range ctl.LatMs {
-		if r, ok := e.kktResidual(ti, si, slope); ok {
-			if r > c.KKTMax {
-				c.KKTMax = r
-			}
-			if r >= kktTol {
-				return false
-			}
-		}
+	f := kktFold{max: c.KKTMax}
+	ok := e.taskKKT(ti, kktTol, &f)
+	c.KKTMax = f.max
+	if !ok {
+		return false
 	}
-	cp, _ := ctl.CriticalPathMs()
-	frac := (cp - pt.CriticalMs) / pt.CriticalMs
+	cp, _ := e.p.criticalPath(ti, e.taskLat(ti))
+	crit := e.p.consts[ti].criticalMs
+	frac := (cp - crit) / crit
 	if frac > c.MaxPathViolationFrac {
 		c.MaxPathViolationFrac = frac
 	}

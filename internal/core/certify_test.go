@@ -16,7 +16,7 @@ import (
 func denseCertificate(e *Engine) Certificate {
 	var c Certificate
 	c.KKTMax, _, _ = e.KKTStats()
-	for ri := range e.agents {
+	for ri := range e.price {
 		if e.PinnedAt(ri) {
 			continue
 		}

@@ -15,12 +15,11 @@ import (
 //
 // What is deliberately NOT captured, because Step reconstructs it from the
 // captured state before reading it: the per-Step price snapshot e.mu
-// (re-read from the agents at the top of every Step), the controllers'
-// latPrev change-detection scratch (overwritten on entry to
-// AllocateLatencies), the Dynamics avail/curvature scratch (refilled each
-// resource phase), and the shares scratch rows — each row always equals
-// Share(current LatMs) (rows are rewritten whenever latencies move), so
-// RestoreState recomputes them from the restored latencies bit-for-bit.
+// (copied from the live prices at the top of every Step), the Dynamics
+// avail/curvature scratch (refilled each resource phase), and the per-subtask
+// shares — each always equals the share at the current latency (Solve
+// rewrites one whenever its latency moves), so RestoreState recomputes them
+// from the restored latencies bit-for-bit.
 
 // EngineState is a deep-copied checkpoint of an Engine's optimizer state.
 // Slices indexed per task hold one inner slice per compiled task, in
@@ -79,12 +78,12 @@ type EngineState struct {
 func (e *Engine) CaptureState() EngineState {
 	st := EngineState{
 		Iteration:   e.iter,
-		LatMs:       make([][]float64, len(e.controllers)),
-		Lambda:      make([][]float64, len(e.controllers)),
-		PathGamma:   make([][]float64, len(e.controllers)),
-		ErrMs:       make([][]float64, len(e.controllers)),
-		Mu:          make([]float64, len(e.agents)),
-		AgentGamma:  make([]float64, len(e.agents)),
+		LatMs:       make([][]float64, len(e.p.Tasks)),
+		Lambda:      make([][]float64, len(e.p.Tasks)),
+		PathGamma:   make([][]float64, len(e.p.Tasks)),
+		ErrMs:       make([][]float64, len(e.p.Tasks)),
+		Mu:          append([]float64(nil), e.price...),
+		AgentGamma:  price.CaptureSteps(e.grad),
 		ShareSums:   append([]float64(nil), e.shareSums...),
 		Congested:   append([]bool(nil), e.congested...),
 		FpMu:        append([]float64(nil), e.fpMu...),
@@ -97,21 +96,12 @@ func (e *Engine) CaptureState() EngineState {
 		Sparse:      e.sstats,
 		DynDelta:    e.dynDelta,
 	}
-	for ti, c := range e.controllers {
+	for ti := range e.p.Tasks {
+		c := e.Controller(ti)
 		st.LatMs[ti] = append([]float64(nil), c.LatMs...)
 		st.Lambda[ti] = append([]float64(nil), c.Lambda...)
-		st.PathGamma[ti] = make([]float64, len(c.pathStep))
-		for pi := range c.pathStep {
-			st.PathGamma[ti][pi] = c.pathStep[pi].Gamma()
-		}
-		st.ErrMs[ti] = make([]float64, len(e.p.Tasks[ti].Share))
-		for si := range e.p.Tasks[ti].Share {
-			st.ErrMs[ti][si] = e.p.Tasks[ti].Share[si].ErrMs
-		}
-	}
-	for ri, a := range e.agents {
-		st.Mu[ri] = a.Mu
-		st.AgentGamma[ri] = a.grad.Step.Gamma()
+		st.PathGamma[ti] = append([]float64(nil), c.gamma...)
+		st.ErrMs[ti] = append([]float64(nil), e.p.Tasks[ti].ErrMs...)
 	}
 	if e.dyn != nil {
 		if ds, ok := price.CaptureDynamics(e.dyn); ok {
@@ -123,19 +113,6 @@ func (e *Engine) CaptureState() EngineState {
 	return st
 }
 
-// restoreSizer forces one step sizer to a captured gamma; Fixed sizers (no
-// setter) accept only their own value.
-func restoreSizer(s price.StepSizer, gamma float64, what string) error {
-	if gs, ok := s.(price.GammaSetter); ok {
-		gs.SetGamma(gamma)
-		return nil
-	}
-	if s.Gamma() != gamma {
-		return fmt.Errorf("core: %s sizer %T cannot restore gamma %v (has %v and no SetGamma)", what, s, gamma, s.Gamma())
-	}
-	return nil
-}
-
 // RestoreState loads a captured state into this engine. The engine must be
 // freshly built over the same workload structure and config the checkpoint
 // was taken under (the recover package rebuilds it from the checkpoint's
@@ -143,28 +120,36 @@ func restoreSizer(s price.StepSizer, gamma float64, what string) error {
 // guarantee about the engine's state — rebuild before retrying. Workers may
 // differ freely: it is bitwise-neutral.
 func (e *Engine) RestoreState(st EngineState) error {
-	if len(st.LatMs) != len(e.controllers) || len(st.Lambda) != len(e.controllers) ||
-		len(st.PathGamma) != len(e.controllers) || len(st.ErrMs) != len(e.controllers) {
-		return fmt.Errorf("core: checkpoint has %d tasks, engine has %d", len(st.LatMs), len(e.controllers))
+	if len(st.LatMs) != len(e.p.Tasks) || len(st.Lambda) != len(e.p.Tasks) ||
+		len(st.PathGamma) != len(e.p.Tasks) || len(st.ErrMs) != len(e.p.Tasks) {
+		return fmt.Errorf("core: checkpoint has %d tasks, engine has %d", len(st.LatMs), len(e.p.Tasks))
 	}
-	if len(st.Mu) != len(e.agents) || len(st.AgentGamma) != len(e.agents) ||
-		len(st.ShareSums) != len(e.agents) || len(st.Congested) != len(e.agents) ||
-		len(st.AgentStable) != len(e.agents) || len(st.SumValid) != len(e.agents) {
-		return fmt.Errorf("core: checkpoint has %d resources, engine has %d", len(st.Mu), len(e.agents))
+	if nr := len(e.price); len(st.Mu) != nr || len(st.AgentGamma) != nr ||
+		len(st.ShareSums) != nr || len(st.Congested) != nr ||
+		len(st.AgentStable) != nr || len(st.SumValid) != nr {
+		return fmt.Errorf("core: checkpoint has %d resources, engine has %d", len(st.Mu), nr)
 	}
 	if len(st.FpMu) != len(e.fpMu) || len(st.FpCong) != len(e.fpCong) {
 		return fmt.Errorf("core: checkpoint fingerprint layout (%d slots) does not match engine (%d)", len(st.FpMu), len(e.fpMu))
 	}
-	if len(st.CtlSolved) != len(e.controllers) || len(st.CtlStable) != len(e.controllers) ||
-		len(st.LatChanged) != len(e.controllers) {
-		return fmt.Errorf("core: checkpoint controller flags sized %d, engine has %d tasks", len(st.CtlSolved), len(e.controllers))
+	if len(st.CtlSolved) != len(e.p.Tasks) || len(st.CtlStable) != len(e.p.Tasks) ||
+		len(st.LatChanged) != len(e.p.Tasks) {
+		return fmt.Errorf("core: checkpoint controller flags sized %d, engine has %d tasks", len(st.CtlSolved), len(e.p.Tasks))
 	}
-	for ti, c := range e.controllers {
-		if len(st.LatMs[ti]) != len(c.LatMs) || len(st.ErrMs[ti]) != len(e.p.Tasks[ti].Share) {
+	for ti := range e.p.Tasks {
+		c := e.Controller(ti)
+		if len(st.LatMs[ti]) != len(c.LatMs) || len(st.ErrMs[ti]) != len(c.LatMs) {
 			return fmt.Errorf("core: checkpoint task %d has %d subtasks, engine has %d", ti, len(st.LatMs[ti]), len(c.LatMs))
 		}
-		if len(st.Lambda[ti]) != len(c.Lambda) || len(st.PathGamma[ti]) != len(c.pathStep) {
+		if len(st.Lambda[ti]) != len(c.Lambda) || len(st.PathGamma[ti]) != len(c.Lambda) {
 			return fmt.Errorf("core: checkpoint task %d has %d paths, engine has %d", ti, len(st.Lambda[ti]), len(c.Lambda))
+		}
+		if !e.cfg.Step.Adaptive {
+			for pi, gamma := range st.PathGamma[ti] {
+				if gamma != e.cfg.Step.Gamma {
+					return fmt.Errorf("core: task %d path %d: fixed step %v cannot restore gamma %v", ti, pi, e.cfg.Step.Gamma, gamma)
+				}
+			}
 		}
 	}
 	switch {
@@ -174,29 +159,24 @@ func (e *Engine) RestoreState(st EngineState) error {
 		return fmt.Errorf("core: checkpoint was taken on the gradient agent path, engine runs %s", e.dyn.Solver())
 	}
 
-	for ti, c := range e.controllers {
-		for si := range e.p.Tasks[ti].Share {
+	for ti := range e.p.Tasks {
+		c := e.Controller(ti)
+		for si, errMs := range st.ErrMs[ti] {
 			// ErrMs first: refreshBounds reads it, and the restored latencies
 			// below must not be re-clamped against stale bounds.
-			e.p.Tasks[ti].Share[si].ErrMs = st.ErrMs[ti][si]
+			e.p.Tasks[ti].ErrMs[si] = errMs
 			e.p.refreshBounds(ti, si)
 		}
 		copy(c.LatMs, st.LatMs[ti])
 		copy(c.Lambda, st.Lambda[ti])
-		for pi := range c.pathStep {
-			if err := restoreSizer(c.pathStep[pi], st.PathGamma[ti][pi], fmt.Sprintf("task %d path %d", ti, pi)); err != nil {
-				return err
-			}
-		}
-		// The shares scratch row must hold Share(restored LatMs): a restored
-		// clean resource reuses it verbatim in the next serial reduction.
-		c.SharesInto(e.shares[ti])
+		copy(c.gamma, st.PathGamma[ti])
+		// The shares must be those of the restored latencies: a restored
+		// clean resource reuses them verbatim in the next serial reduction.
+		e.p.sharesInto(c.shares, ti, c.LatMs)
 	}
-	for ri, a := range e.agents {
-		a.Mu = st.Mu[ri]
-		if err := restoreSizer(a.grad.Step, st.AgentGamma[ri], fmt.Sprintf("resource %d", ri)); err != nil {
-			return err
-		}
+	copy(e.price, st.Mu)
+	if err := price.RestoreSteps(e.grad, st.AgentGamma); err != nil {
+		return err
 	}
 	copy(e.shareSums, st.ShareSums)
 	copy(e.congested, st.Congested)
@@ -219,7 +199,7 @@ func (e *Engine) RestoreState(st EngineState) error {
 		// Reset-on-restore contract: the solver's history is gone, so it must
 		// restart from cleared state (NewEngine already Reset it; do it again
 		// in case the engine has stepped).
-		e.dyn.Reset(len(e.agents))
+		e.dyn.Reset(len(e.price))
 	}
 	return nil
 }

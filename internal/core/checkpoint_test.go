@@ -104,7 +104,7 @@ func TestRestoreCarriesErrorMs(t *testing.T) {
 	if err := restored.RestoreState(st); err != nil {
 		t.Fatal(err)
 	}
-	if got := restored.Problem().Tasks[0].Share[0].ErrMs; got != 0.4 {
+	if got := restored.Problem().Tasks[0].ErrMs[0]; got != 0.4 {
 		t.Fatalf("restored ErrMs = %v, want 0.4", got)
 	}
 	var rs, cs Snapshot

@@ -4,13 +4,18 @@ import (
 	"math"
 
 	"lla/internal/price"
+	"lla/internal/share"
 )
 
 // Controller is the task controller of Section 4.1: it owns one task's path
 // prices and latencies, and — given the current resource prices — performs
-// the latency-allocation step of Section 4.2. Controllers are deliberately
+// the controller half of an iteration (Solve). Controllers are deliberately
 // self-contained message-driven state machines so the same code runs inside
-// the synchronous Engine and the distributed runtime.
+// the synchronous Engine and the distributed runtime. The state is four
+// plain float64 vectors. A distributed node's controller allocates its own
+// (NewController); the engine keeps one flat array of each for all its
+// tasks and builds a controller over a task's windows when it needs one
+// (Engine.Controller), so there is no per-task object on its hot path.
 type Controller struct {
 	p  *Problem
 	ti int
@@ -20,238 +25,221 @@ type Controller struct {
 	// Lambda[pi] is the price of path pi (the Lagrange multiplier of its
 	// critical-time constraint).
 	Lambda []float64
-	// pathStep[pi] sizes the gradient step of path pi's price.
-	pathStep []price.StepSizer
+	// gamma[pi] is path pi's current step size; step advances it.
+	gamma []float64
+	// shares[s] is subtask s's share at LatMs[s] as of the last Solve,
+	// which rewrites an entry exactly when its latency moves. The engine
+	// reduces each resource's demand from these.
+	shares []float64
 
-	// latPrev is the AllocateLatencies change-detection scratch (the entry
-	// latencies, compared bitwise against the exit latencies).
-	latPrev []float64
-
+	// step sizes the path-price steps: its Gamma is also the floor of the
+	// stability clamp, and in adaptive mode the effective step is floored at
+	// half the local price scale, mirroring price.GradStep's treatment of
+	// resource prices.
+	step StepPolicy
 	// maxInner bounds the fixed-point iterations used for curves with
 	// non-constant slope.
 	maxInner int
-	// baseGamma floors the path-step stability clamp.
-	baseGamma float64
-	// priceScaled (adaptive mode) floors the effective path step at half
-	// the local price scale, mirroring ResourceAgent's treatment.
-	priceScaled bool
 }
 
 // NewController builds the controller for task ti with latencies initialized
 // to a fair share split of each subtask's resource (every subtask on a
-// resource starts with an equal fraction of its availability).
-func NewController(p *Problem, ti int, newStep func() price.StepSizer, baseGamma float64, priceScaled bool, maxInner int) *Controller {
-	n, np := len(p.Tasks[ti].Res), len(p.Tasks[ti].Paths)
-	c := &Controller{LatMs: make([]float64, n), latPrev: make([]float64, n),
-		Lambda: make([]float64, np), pathStep: make([]price.StepSizer, np)}
-	return c.init(p, ti, newStep, baseGamma, priceScaled, maxInner)
-}
-
-// init finishes a controller whose state slices are already sized (the
-// engine carves them from flat arrays) and returns it.
-func (c *Controller) init(p *Problem, ti int, newStep func() price.StepSizer, baseGamma float64, priceScaled bool, maxInner int) *Controller {
-	pt := &p.Tasks[ti]
-	c.p, c.ti = p, ti
-	c.maxInner, c.baseGamma, c.priceScaled = maxInner, baseGamma, priceScaled
-	if c.maxInner <= 0 {
-		c.maxInner = 30
+// resource starts with an equal fraction of its availability). step must
+// have been through Config.WithDefaults.
+func NewController(p *Problem, ti int, step StepPolicy, maxInner int) *Controller {
+	n, np := len(p.Tasks[ti].Res), p.NumPaths(ti)
+	if maxInner <= 0 {
+		maxInner = Config{}.WithDefaults().MaxInner
 	}
-	for pi := range c.pathStep {
-		c.pathStep[pi] = newStep()
-	}
-	for si := range c.LatMs {
-		r := p.Resources[pt.Res[si]]
-		fair := r.Availability / float64(len(r.Subs))
-		c.LatMs[si] = clamp(pt.Share[si].LatencyFor(fair), pt.LatMinMs[si], pt.LatMaxMs[si])
-	}
+	state := make([]float64, 2*n+2*np)
+	c := &Controller{p: p, ti: ti, step: step, maxInner: maxInner,
+		LatMs: state[:n:n], shares: state[n : 2*n : 2*n],
+		Lambda: state[2*n : 2*n+np : 2*n+np], gamma: state[2*n+np:]}
+	c.reset()
 	return c
 }
 
-// UpdatePathPrices performs the path-price half of price computation
-// (Equation 9) using the controller's current latencies, and feeds each
-// path's step sizer. congestedRes marks resources whose capacity constraint
-// is currently violated: per the paper's adaptive heuristic (Section 5.2),
-// a path's step size is ramped while any resource it traverses is congested.
-// The effective step is clamped to the path analog of the resource-price
-// stability bound: the path latency responds to lambda as
-// d(Σlat)/dλ ≈ −Σlat / (2(λ + w·|f'|)), so contraction requires
-// gamma < 4(λ_p + w_min·|f'|); we clamp at twice the price scale, floored at
-// the base step.
-//
-// It reports whether the call moved any controller state: a path price, or
-// a step sizer's size. Engine.Step skips a re-solve only when a
-// previous identical-input call reported no change, so the comparison is
-// bitwise and the sizer check relies on Gamma() being the sizer's entire
-// observable state (true of both price.Fixed and price.Adaptive — Observe
-// with an unchanged Gamma is a no-op that would absorb identically on
-// replay).
-func (c *Controller) UpdatePathPrices(congestedRes []bool) bool {
-	pt := &c.p.Tasks[c.ti]
-	slope := pt.Curve.Slope(c.aggregate())
-	changed := false
-	for pi, path := range pt.Paths {
-		sum := 0.0
-		pathCongested := false
-		wMin := math.Inf(1)
-		for _, s := range path {
-			sum += c.LatMs[s]
-			if congestedRes != nil && congestedRes[pt.Res[s]] {
-				pathCongested = true
-			}
-			if w := pt.Weights[s]; w < wMin {
-				wMin = w
-			}
-		}
-		if sum > pt.CriticalMs*(1+CongestionMargin) {
-			pathCongested = true
-		}
-		g0 := c.pathStep[pi].Gamma()
-		c.pathStep[pi].Observe(pathCongested)
-		gamma := c.pathStep[pi].Gamma()
-		if gamma != g0 {
-			changed = true
-		}
-		scale := c.Lambda[pi] + wMin*math.Abs(slope)
-		if c.priceScaled && gamma < scale/2 {
-			gamma = scale / 2
-		}
-		if cap := math.Max(c.baseGamma, 2*scale); gamma > cap {
-			gamma = cap
-		}
-		if next := price.UpdatePath(c.Lambda[pi], gamma, sum, pt.CriticalMs); next != c.Lambda[pi] {
-			c.Lambda[pi] = next
-			changed = true
-		}
+// reset puts the controller in its cold state: base step sizes, and each
+// latency the fair split of its resource.
+func (c *Controller) reset() {
+	p, ti := c.p, c.ti
+	for pi := range c.gamma {
+		c.gamma[pi] = c.step.Gamma
 	}
-	return changed
+	lo := p.subOff[ti]
+	for si := range c.LatMs {
+		g := lo + int32(si)
+		r := &p.Resources[p.res[g]]
+		fair := r.Availability / float64(len(r.Subs))
+		c.LatMs[si] = clamp(p.Share(ti, si).LatencyFor(fair), p.latMin[g], p.latMax[g])
+		c.shares[si] = p.ShareAt(g, c.LatMs[si])
+	}
 }
 
-// AllocateLatencies performs the latency-allocation step (Section 4.2):
-// given the resource prices mu (indexed like Problem.Resources), it solves
-// the stationarity condition (Equation 7)
+// pathPriceSum is Λ_s = Σ_{p∋s} λ_p for subtask si of a task with path
+// prices lambda: the paths through it are through[toff[si]:toff[si+1]].
+// Every subtask lies on a path (task.Validate), so on a one-path task Λ_s is
+// that path's price and the index is not read.
+func pathPriceSum(lambda []float64, through, toff []int32, si int) float64 {
+	sum := 0.0
+	if len(lambda) == 1 {
+		return sum + lambda[0]
+	}
+	for _, pi := range through[toff[si]:toff[si+1]] {
+		sum += lambda[pi]
+	}
+	return sum
+}
+
+// stationary solves Equation 7 for one subtask — resource price mu, net
+// downward pressure denom = Λ_s − w_s·f'(L), share model (cost, errMs) —
+// and clamps the result to the subtask's admissible interval [lo, hi].
+func stationary(mu, denom, cost, errMs, lo, hi float64) float64 {
+	var lat float64
+	switch {
+	case mu <= 0:
+		// Free resource: the stationarity pressure is all downward; take the
+		// most share the resource allows.
+		lat = lo
+	case denom <= 1e-12:
+		// No downward pressure from utility or deadlines: release the
+		// resource entirely.
+		lat = hi
+	default:
+		lat = errMs + safeSqrt(mu*cost/denom)
+	}
+	return clamp(lat, lo, hi)
+}
+
+// Solve is the controller half of one LLA iteration, in one pass over the
+// task's slice of the problem arrays (DESIGN.md §6). Given the resource
+// prices mu and the congestion flags congested (both indexed like
+// Problem.Resources; congested may be nil), it
 //
-//	∂U/∂lat_s − Σ_{p∋s} λ_p − μ_r · ∂share/∂lat_s = 0
+//   - steps every path price by gradient projection (Equation 9) from the
+//     latencies it entered with. Per Section 5.2 the path's step size ramps
+//     while the path is over its critical time or crosses a congested
+//     resource. The path latency responds to lambda as
+//     d(Σlat)/dλ ≈ −Σlat/(2(λ + w·|f'|)), so contraction requires
+//     gamma < 4(λ_p + w_min·|f'|): the effective step is clamped at twice
+//     that price scale, floored at the base step;
+//   - solves the stationarity condition (Equation 7)
+//     ∂U/∂lat_s − Σ_{p∋s} λ_p − μ_r·∂share/∂lat_s = 0 for every subtask:
+//     with share = (c+l)/(lat−e), lat_s = e + sqrt(μ_r (c+l)/(Λ_s − w_s·f'(L)))
+//     clamped to the admissible interval. A constant-slope task never
+//     computes the aggregate L and takes one round, detecting change as it
+//     writes; otherwise f'(L) moves with L and the controller fixed-points
+//     on L until L or the slope stops moving (monotone for concave curves);
+//   - re-evaluates the share of each subtask whose latency moved.
 //
-// for every subtask. With share = (c+l)/(lat−e) this gives the closed form
-//
-//	lat_s = e + sqrt( μ_r (c+l) / (Λ_s − w_s · f'(L)) ),
-//
-// clamped to the subtask's admissible interval. For curves with
-// non-constant slope f'(L) depends on the aggregate L, so the controller
-// fixed-points on L until L or the slope stops moving (converges
-// monotonically for concave curves; constant-slope curves exit after one
-// inner round).
-//
-// It reports whether any latency changed bitwise — the trigger for
-// re-evaluating the task's shares and for marking its resources dirty in
-// Engine.Step.
-func (c *Controller) AllocateLatencies(mu []float64) bool {
-	copy(c.latPrev, c.LatMs)
-	pt := &c.p.Tasks[c.ti]
-	agg := c.aggregate()
-	slope := pt.Curve.Slope(agg)
-	for inner := 0; inner < c.maxInner; inner++ {
-		for si := range c.LatMs {
-			lambdaSum := 0.0
-			for _, pi := range pt.PathsThrough[si] {
-				lambdaSum += c.Lambda[pi]
+// priceChanged reports whether a path price or step size moved and
+// latChanged whether a latency did, bitwise against the state at entry. The
+// step sizes are the policy's entire state, so a Solve that reports neither
+// would be absorbed identically on replay — what lets Engine.Step skip it.
+func (c *Controller) Solve(mu []float64, congested []bool) (priceChanged, latChanged bool) {
+	// Hoisted into locals: the stores below would otherwise force slice
+	// headers and constants to be re-read from c and p on every iteration.
+	p, ti, step := c.p, c.ti, c.step
+	lat, lambda, gammas, shares := c.LatMs, c.Lambda, c.gamma, c.shares
+	lo, hi := p.subOff[ti], p.subOff[ti+1]
+	k := p.consts[ti]
+	res := p.res[lo:hi]
+	agg, slope := 0.0, k.slope
+	if !k.constSlope {
+		agg = p.aggregate(ti, lat)
+		slope = p.Tasks[ti].Curve.Slope(agg)
+	}
+
+	gp := p.pathOff[ti]
+	pathSubOff, pathSub, wMin := p.pathSubOff, p.pathSub, p.wMin
+	for pi, l := range lambda {
+		sum := 0.0
+		pathCongested := false
+		for _, s := range pathSub[pathSubOff[gp]:pathSubOff[gp+1]] {
+			sum += lat[s]
+			if congested != nil && congested[res[s]] {
+				pathCongested = true
 			}
-			denom := lambdaSum - pt.Weights[si]*slope
-			muR := mu[pt.Res[si]]
-			var lat float64
-			switch {
-			case muR <= 0:
-				// Free resource: the stationarity pressure is all downward;
-				// take the most share the resource allows.
-				lat = pt.LatMinMs[si]
-			case denom <= 1e-12:
-				// No downward pressure from utility or deadlines: release
-				// the resource entirely.
-				lat = pt.LatMaxMs[si]
-			default:
-				sf := pt.Share[si]
-				lat = sf.ErrMs + safeSqrt(muR*(sf.ExecMs+sf.LagMs)/denom)
-			}
-			c.LatMs[si] = clamp(lat, pt.LatMinMs[si], pt.LatMaxMs[si])
 		}
-		next := c.aggregate()
+		if sum > k.criticalMs*(1+CongestionMargin) {
+			pathCongested = true
+		}
+		gamma := gammas[pi]
+		if step.Adaptive {
+			gamma = price.Ramp(gamma, step.Gamma, step.Max, pathCongested)
+		}
+		if gamma != gammas[pi] {
+			gammas[pi] = gamma
+			priceChanged = true
+		}
+		scale := l + wMin[gp]*math.Abs(slope)
+		if step.Adaptive && gamma < scale/2 {
+			gamma = scale / 2
+		}
+		if cap := max(step.Gamma, 2*scale); gamma > cap {
+			gamma = cap
+		}
+		if next := price.UpdatePath(l, gamma, sum, k.criticalMs); next != l {
+			lambda[pi] = next
+			priceChanged = true
+		}
+		gp++
+	}
+
+	weight, cost, errMs := p.weight[lo:hi], p.cost[lo:hi], p.errMs[lo:hi]
+	latMin, latMax := p.latMin[lo:hi], p.latMax[lo:hi]
+	toff, through := p.throughOff[lo:hi+1], p.through
+
+	if k.constSlope {
+		for si := range lat {
+			v := stationary(mu[res[si]], pathPriceSum(lambda, through, toff, si)-weight[si]*slope, cost[si], errMs[si], latMin[si], latMax[si])
+			if v != lat[si] {
+				lat[si] = v
+				shares[si] = cost[si] / share.Budget(v, errMs[si])
+				latChanged = true
+			}
+		}
+		return priceChanged, latChanged
+	}
+
+	// The shares are rewritten below whatever happens, so until then they
+	// hold the entry latencies the result is compared against.
+	copy(shares, lat)
+	for inner := 0; inner < c.maxInner; inner++ {
+		for si := range lat {
+			lat[si] = stationary(mu[res[si]], pathPriceSum(lambda, through, toff, si)-weight[si]*slope, cost[si], errMs[si], latMin[si], latMax[si])
+		}
+		next := p.aggregate(ti, lat)
 		if math.Abs(next-agg) < 1e-9*(1+math.Abs(agg)) {
 			break
 		}
 		// The slope is the only input that varies between rounds: one that
-		// comes back bitwise unchanged (always, for a constant-slope curve)
-		// would make the next round reproduce these latencies and then exit.
-		nextSlope := pt.Curve.Slope(next)
+		// comes back bitwise unchanged would make the next round reproduce
+		// these latencies and then exit.
+		nextSlope := p.Tasks[ti].Curve.Slope(next)
 		if nextSlope == slope {
 			break
 		}
 		agg, slope = next, nextSlope
 	}
-	for si, lat := range c.LatMs {
-		if lat != c.latPrev[si] {
-			return true
+	for si, v := range lat {
+		if v != shares[si] {
+			latChanged = true
 		}
+		shares[si] = cost[si] / share.Budget(v, errMs[si])
 	}
-	return false
-}
-
-// ResponseSlope returns subtask si's demand response −∂share/∂μ at the
-// controller's current latency — the cheap local Hessian estimate the
-// fixed-point solve already implies (see Problem.ResponseSlope for the
-// closed form). The engine and the distributed resource nodes sum it per
-// resource as the curvature input of the DiagonalNewton price dynamics.
-func (c *Controller) ResponseSlope(si int, mu float64) float64 {
-	return c.p.ResponseSlope(c.ti, si, c.LatMs[si], mu)
-}
-
-// aggregate returns the weighted latency sum Σ w_s · lat_s.
-func (c *Controller) aggregate() float64 {
-	pt := &c.p.Tasks[c.ti]
-	sum := 0.0
-	for si, w := range pt.Weights {
-		sum += w * c.LatMs[si]
-	}
-	return sum
+	return priceChanged, latChanged
 }
 
 // Utility returns the task's utility at the current latencies.
 func (c *Controller) Utility() float64 {
-	return c.p.Tasks[c.ti].Curve.Value(c.aggregate())
+	return c.p.Tasks[c.ti].Curve.Value(c.p.aggregate(c.ti, c.LatMs))
 }
 
 // CriticalPathMs returns the longest path latency under the current
 // assignment and the index of that path.
 func (c *Controller) CriticalPathMs() (float64, int) {
-	pt := &c.p.Tasks[c.ti]
-	best, bestIdx := 0.0, -1
-	for pi, path := range pt.Paths {
-		sum := 0.0
-		for _, s := range path {
-			sum += c.LatMs[s]
-		}
-		if bestIdx < 0 || sum > best {
-			best, bestIdx = sum, pi
-		}
-	}
-	return best, bestIdx
-}
-
-// Shares returns the per-subtask resource shares implied by the current
-// latencies.
-func (c *Controller) Shares() []float64 {
-	out := make([]float64, len(c.LatMs))
-	c.SharesInto(out)
-	return out
-}
-
-// SharesInto writes the per-subtask resource shares implied by the current
-// latencies into dst (len >= len(LatMs)). The engine's hot path and
-// SnapshotInto use it to keep steady-state iterations allocation-free.
-func (c *Controller) SharesInto(dst []float64) {
-	pt := &c.p.Tasks[c.ti]
-	for si, lat := range c.LatMs {
-		dst[si] = pt.Share[si].Share(lat)
-	}
+	return c.p.criticalPath(c.ti, c.LatMs)
 }
 
 // ClampDeadlineSafe pulls the current latencies toward their lower bounds
@@ -263,8 +251,10 @@ func (c *Controller) SharesInto(dst []float64) {
 // Shrinking a latency only lowers the sums of the other paths through the
 // same subtask, so a single pass over the paths suffices.
 func (c *Controller) ClampDeadlineSafe() float64 {
-	pt := &c.p.Tasks[c.ti]
-	for _, path := range pt.Paths {
+	p, pt := c.p, &c.p.Tasks[c.ti]
+	np := p.NumPaths(c.ti)
+	for pi := 0; pi < np; pi++ {
+		path := p.Path(c.ti, pi)
 		sum, minSum := 0.0, 0.0
 		for _, s := range path {
 			sum += c.LatMs[s]
@@ -288,24 +278,19 @@ func (c *Controller) ClampDeadlineSafe() float64 {
 			}
 		}
 	}
-	worst := 0.0
-	for _, path := range pt.Paths {
-		sum := 0.0
-		for _, s := range path {
-			sum += c.LatMs[s]
-		}
-		if v := (sum - pt.CriticalMs) / pt.CriticalMs; v > worst {
-			worst = v
-		}
+	p.sharesInto(c.shares, c.ti, c.LatMs)
+	longest, _ := c.CriticalPathMs()
+	if v := (longest - pt.CriticalMs) / pt.CriticalMs; v > 0 {
+		return v
 	}
-	return worst
+	return 0
 }
 
-// ResetPrices zeroes the path prices and resets their step sizers; used
+// ResetPrices zeroes the path prices and resets their step sizes; used
 // after structural workload changes.
 func (c *Controller) ResetPrices() {
 	for pi := range c.Lambda {
 		c.Lambda[pi] = 0
-		c.pathStep[pi].Reset()
+		c.gamma[pi] = c.step.Gamma
 	}
 }

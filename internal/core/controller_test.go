@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"lla/internal/price"
 	"lla/internal/share"
 	"lla/internal/task"
 	"lla/internal/utility"
@@ -35,11 +34,12 @@ func newTestProblem(t *testing.T, curve utility.Curve) *Problem {
 	return p
 }
 
-func fixedStep() price.StepSizer { return &price.Fixed{Value: 1} }
+// fixedPolicy is a constant step size 1.
+var fixedPolicy = StepPolicy{Gamma: 1}
 
 func TestControllerInitialLatenciesAreFairSplit(t *testing.T) {
 	p := newTestProblem(t, utility.Linear{K: 2, CMs: 100})
-	c := NewController(p, 0, fixedStep, 1, false, 30)
+	c := NewController(p, 0, fixedPolicy, 30)
 	// Each subtask is alone on its resource: fair share = full availability
 	// -> latency = (c+l)/1.
 	if math.Abs(c.LatMs[0]-4) > 1e-12 || math.Abs(c.LatMs[1]-3) > 1e-12 {
@@ -49,10 +49,10 @@ func TestControllerInitialLatenciesAreFairSplit(t *testing.T) {
 
 func TestControllerClosedFormAllocation(t *testing.T) {
 	p := newTestProblem(t, utility.Linear{K: 2, CMs: 100})
-	c := NewController(p, 0, fixedStep, 1, false, 30)
+	c := NewController(p, 0, fixedPolicy, 30)
 	// With mu = [16, 9], lambda = 0, w = 1, |f'| = 1:
 	// lat_a = sqrt(16*4/1) = 8; lat_b = sqrt(9*3/1) ≈ 5.196.
-	c.AllocateLatencies([]float64{16, 9})
+	c.Solve([]float64{16, 9}, nil)
 	if math.Abs(c.LatMs[0]-8) > 1e-9 {
 		t.Errorf("lat_a = %v, want 8", c.LatMs[0])
 	}
@@ -63,17 +63,17 @@ func TestControllerClosedFormAllocation(t *testing.T) {
 
 func TestControllerPathPriceRaisesUnderViolation(t *testing.T) {
 	p := newTestProblem(t, utility.Linear{K: 2, CMs: 100})
-	c := NewController(p, 0, fixedStep, 1, false, 30)
+	c := NewController(p, 0, fixedPolicy, 30)
 	// Force the path over its critical time.
 	c.LatMs[0], c.LatMs[1] = 80, 40 // sum 120 > C=100
-	c.UpdatePathPrices(nil)
+	c.Solve([]float64{1, 1}, nil)
 	if c.Lambda[0] <= 0 {
 		t.Errorf("lambda = %v, want positive after violation", c.Lambda[0])
 	}
 	// With slack, the price projects back to zero.
-	c.LatMs[0], c.LatMs[1] = 10, 10
 	for i := 0; i < 10; i++ {
-		c.UpdatePathPrices(nil)
+		c.LatMs[0], c.LatMs[1] = 10, 10
+		c.Solve([]float64{1, 1}, nil)
 	}
 	if c.Lambda[0] != 0 {
 		t.Errorf("lambda = %v, want 0 after sustained slack", c.Lambda[0])
@@ -82,8 +82,8 @@ func TestControllerPathPriceRaisesUnderViolation(t *testing.T) {
 
 func TestControllerZeroPriceTakesMinLatency(t *testing.T) {
 	p := newTestProblem(t, utility.Linear{K: 2, CMs: 100})
-	c := NewController(p, 0, fixedStep, 1, false, 30)
-	c.AllocateLatencies([]float64{0, 0})
+	c := NewController(p, 0, fixedPolicy, 30)
+	c.Solve([]float64{0, 0}, nil)
 	if c.LatMs[0] != p.Tasks[0].LatMinMs[0] || c.LatMs[1] != p.Tasks[0].LatMinMs[1] {
 		t.Errorf("free resources should give minimum latencies, got %v", c.LatMs)
 	}
@@ -91,8 +91,8 @@ func TestControllerZeroPriceTakesMinLatency(t *testing.T) {
 
 func TestControllerHugePriceClampsAtMax(t *testing.T) {
 	p := newTestProblem(t, utility.Linear{K: 2, CMs: 100})
-	c := NewController(p, 0, fixedStep, 1, false, 30)
-	c.AllocateLatencies([]float64{1e12, 1e12})
+	c := NewController(p, 0, fixedPolicy, 30)
+	c.Solve([]float64{1e12, 1e12}, nil)
 	if c.LatMs[0] != p.Tasks[0].LatMaxMs[0] || c.LatMs[1] != p.Tasks[0].LatMaxMs[1] {
 		t.Errorf("expensive resources should clamp at max latencies, got %v (max %v)",
 			c.LatMs, p.Tasks[0].LatMaxMs)
@@ -101,8 +101,8 @@ func TestControllerHugePriceClampsAtMax(t *testing.T) {
 
 func TestControllerNonlinearInnerLoopConverges(t *testing.T) {
 	p := newTestProblem(t, utility.Quadratic{A: 1000, B: 0.1})
-	c := NewController(p, 0, fixedStep, 1, false, 50)
-	c.AllocateLatencies([]float64{20, 20})
+	c := NewController(p, 0, fixedPolicy, 50)
+	c.Solve([]float64{20, 20}, nil)
 	// The fixed point satisfies the stationarity condition:
 	// w·f'(L) = mu·share'(lat) for interior latencies.
 	agg := 0.0
@@ -115,7 +115,7 @@ func TestControllerNonlinearInnerLoopConverges(t *testing.T) {
 			continue
 		}
 		lhs := p.Tasks[0].Weights[si] * p.Tasks[0].Curve.Slope(agg)
-		rhs := 20 * p.Tasks[0].Share[si].Deriv(lat)
+		rhs := 20 * p.Share(0, si).Deriv(lat)
 		if math.Abs(lhs-rhs) > 1e-6*math.Abs(lhs) {
 			t.Errorf("subtask %d: stationarity residual %v vs %v", si, lhs, rhs)
 		}
@@ -124,7 +124,7 @@ func TestControllerNonlinearInnerLoopConverges(t *testing.T) {
 
 func TestControllerClampDeadlineSafe(t *testing.T) {
 	p := newTestProblem(t, utility.Linear{K: 2, CMs: 100})
-	c := NewController(p, 0, fixedStep, 1, false, 30)
+	c := NewController(p, 0, fixedPolicy, 30)
 	pt := &p.Tasks[0]
 
 	// Violating assignment: path sum 120 > C=100.
@@ -160,9 +160,9 @@ func TestControllerClampDeadlineSafe(t *testing.T) {
 
 func TestControllerResetPrices(t *testing.T) {
 	p := newTestProblem(t, utility.Linear{K: 2, CMs: 100})
-	c := NewController(p, 0, fixedStep, 1, false, 30)
+	c := NewController(p, 0, fixedPolicy, 30)
 	c.LatMs[0], c.LatMs[1] = 80, 40
-	c.UpdatePathPrices(nil)
+	c.Solve([]float64{1, 1}, nil)
 	if c.Lambda[0] == 0 {
 		t.Fatal("setup failed: lambda should be positive")
 	}
@@ -174,9 +174,10 @@ func TestControllerResetPrices(t *testing.T) {
 
 func TestControllerSharesAndCriticalPath(t *testing.T) {
 	p := newTestProblem(t, utility.Linear{K: 2, CMs: 100})
-	c := NewController(p, 0, fixedStep, 1, false, 30)
+	c := NewController(p, 0, fixedPolicy, 30)
 	c.LatMs[0], c.LatMs[1] = 8, 6
-	shares := c.Shares()
+	shares := make([]float64, 2)
+	p.sharesInto(shares, 0, c.LatMs)
 	if math.Abs(shares[0]-0.5) > 1e-12 || math.Abs(shares[1]-0.5) > 1e-12 {
 		t.Errorf("shares = %v, want [0.5 0.5]", shares)
 	}
@@ -189,37 +190,34 @@ func TestControllerSharesAndCriticalPath(t *testing.T) {
 	}
 }
 
-func TestResourceAgentPriceDynamics(t *testing.T) {
-	p := newTestProblem(t, utility.Linear{K: 2, CMs: 100})
-	a := NewResourceAgent(p, 0, fixedStep(), 1, false, 1)
-	if a.Congested(1.0) {
+func TestResourcePriceDynamics(t *testing.T) {
+	r := &newTestProblem(t, utility.Linear{K: 2, CMs: 100}).Resources[0]
+	if r.Congested(1.0) {
 		t.Error("exact saturation should be within the congestion margin")
 	}
-	if !a.Congested(1.05) {
+	if !r.Congested(1.05) {
 		t.Error("5% overload should be congested")
 	}
-	a.UpdatePrice(1.5) // overload: price rises
-	if a.Mu <= 1 {
-		t.Errorf("mu = %v, want > 1 after overload", a.Mu)
+	grad := Config{Step: fixedPolicy}.NewGradStep()
+	mu, _ := grad.Update(1, r.Availability, 1.5, r.Congested(1.5)) // overload: price rises
+	if mu <= 1 {
+		t.Errorf("mu = %v, want > 1 after overload", mu)
 	}
-	high := a.Mu
-	a.UpdatePrice(0.5) // slack: price falls
-	if a.Mu >= high {
-		t.Errorf("mu = %v, want < %v after slack", a.Mu, high)
-	}
-	a.ResetPrice(1)
-	if a.Mu != 1 {
-		t.Errorf("mu = %v after reset, want 1", a.Mu)
+	if low, _ := grad.Update(mu, r.Availability, 0.5, r.Congested(0.5)); low >= mu { // slack: price falls
+		t.Errorf("mu = %v, want < %v after slack", low, mu)
 	}
 }
 
-func TestResourceAgentShareSum(t *testing.T) {
+func TestEngineDemand(t *testing.T) {
 	p := newTestProblem(t, utility.Linear{K: 2, CMs: 100})
-	a := NewResourceAgent(p, 0, fixedStep(), 1, false, 1)
-	lat := [][]float64{{8, 6}}
-	sum := a.ShareSum(func(ti int) []float64 { return lat[ti] })
+	e, err := NewEngine(p.Workload(), Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	copy(e.Controller(0).LatMs, []float64{8, 6})
+	e.refreshResourceState()
 	// r0 hosts only subtask a: share = 4/8 = 0.5.
-	if math.Abs(sum-0.5) > 1e-12 {
+	if sum := e.ShareSumAt(0); math.Abs(sum-0.5) > 1e-12 {
 		t.Errorf("share sum = %v, want 0.5", sum)
 	}
 }
@@ -247,46 +245,11 @@ func TestEngineMixedCurveRandomWorkloads(t *testing.T) {
 		if !snap.Feasible(1e-2) {
 			t.Errorf("seed %d: infeasible: %v", seed, snap)
 		}
-		for _, r := range e.KKTResiduals() {
+		for _, r := range e.KKTResidualsInto(nil) {
 			if r > 0.05 {
 				t.Errorf("seed %d: KKT residual %v", seed, r)
 			}
 		}
-	}
-}
-
-// allocateLatenciesFullLoop is AllocateLatencies without the slope early
-// exit: every inner round re-evaluates the slope and the loop ends only
-// when the aggregate stops moving. It is the reference the early exit must
-// reproduce bit for bit.
-func allocateLatenciesFullLoop(c *Controller, mu []float64) {
-	pt := &c.p.Tasks[c.ti]
-	agg := c.aggregate()
-	for inner := 0; inner < c.maxInner; inner++ {
-		slope := pt.Curve.Slope(agg)
-		for si := range c.LatMs {
-			lambdaSum := 0.0
-			for _, pi := range pt.PathsThrough[si] {
-				lambdaSum += c.Lambda[pi]
-			}
-			denom := lambdaSum - pt.Weights[si]*slope
-			var lat float64
-			switch muR := mu[pt.Res[si]]; {
-			case muR <= 0:
-				lat = pt.LatMinMs[si]
-			case denom <= 1e-12:
-				lat = pt.LatMaxMs[si]
-			default:
-				sf := pt.Share[si]
-				lat = sf.ErrMs + safeSqrt(muR*(sf.ExecMs+sf.LagMs)/denom)
-			}
-			c.LatMs[si] = clamp(lat, pt.LatMinMs[si], pt.LatMaxMs[si])
-		}
-		next := c.aggregate()
-		if math.Abs(next-agg) < 1e-9*(1+math.Abs(agg)) {
-			break
-		}
-		agg = next
 	}
 }
 
@@ -302,9 +265,11 @@ func (s slopeCounter) Slope(x float64) float64 {
 }
 
 // TestAllocateLatenciesEarlyExitBitwise asserts the slope early exit leaves
-// exactly the latencies the full inner loop would, over a price sweep that
-// covers the free, clamped and interior regimes, with and without path
-// prices, carrying state from one solve into the next.
+// exactly the latencies the full inner loop would — the reference solve with
+// every inner round re-evaluating the slope, ending only when the aggregate
+// stops moving — over a price sweep that covers the free, clamped and
+// interior regimes, with and without path prices, carrying state from one
+// solve into the next.
 func TestAllocateLatenciesEarlyExitBitwise(t *testing.T) {
 	curves := map[string]utility.Curve{
 		"linear":      utility.Linear{K: 2, CMs: 100},
@@ -314,20 +279,24 @@ func TestAllocateLatenciesEarlyExitBitwise(t *testing.T) {
 	}
 	prices := []float64{0, 1e-6, 0.3, 1, 7, 20, 400, 1e12}
 	for name, curve := range curves {
-		p := newTestProblem(t, curve)
-		got := NewController(p, 0, fixedStep, 1, false, 30)
-		want := NewController(p, 0, fixedStep, 1, false, 30)
+		e, err := NewEngine(newTestProblem(t, curve).Workload(), Config{Workers: 1, Step: fixedPolicy})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := e.Controller(0)
+		want := newRefTask(t, e, 0, new(refHits))
+		want.fullLoop = true
 		for _, lambda := range []float64{0, 0.5} {
-			got.Lambda[0], want.Lambda[0] = lambda, lambda
+			got.Lambda[0], want.lambda[0] = lambda, lambda
 			for _, m0 := range prices {
 				for _, m1 := range prices {
 					mu := []float64{m0, m1}
-					got.AllocateLatencies(mu)
-					allocateLatenciesFullLoop(want, mu)
+					got.Solve(mu, nil)
+					referenceSolve(want, mu, nil)
 					for si := range got.LatMs {
-						if got.LatMs[si] != want.LatMs[si] {
+						if got.LatMs[si] != want.lat[si] {
 							t.Fatalf("%s lambda=%v mu=%v subtask %d: early exit %x, full loop %x",
-								name, lambda, mu, si, got.LatMs[si], want.LatMs[si])
+								name, lambda, mu, si, got.LatMs[si], want.lat[si])
 						}
 					}
 				}
@@ -345,17 +314,18 @@ func TestAllocateLatenciesInnerRounds(t *testing.T) {
 		curve     utility.Curve
 		wantCalls func(int) bool
 	}{
-		// Initial slope + one re-evaluation that comes back equal.
+		// Behind the counter the curve is not recognized as constant-slope:
+		// initial slope + one re-evaluation that comes back equal.
 		{"linear", utility.Linear{K: 2, CMs: 100}, func(n int) bool { return n == 2 }},
 		// At least two rounds: initial slope and two or more re-evaluations.
 		{"quadratic", utility.Quadratic{A: 1000, B: 0.1}, func(n int) bool { return n >= 3 }},
 	} {
 		calls := 0
 		p := newTestProblem(t, slopeCounter{tc.curve, &calls})
-		c := NewController(p, 0, fixedStep, 1, false, 50)
+		c := NewController(p, 0, fixedPolicy, 50)
 		before := append([]float64(nil), c.LatMs...)
 		calls = 0 // Compile samples the curve to validate it
-		if !c.AllocateLatencies([]float64{20, 20}) {
+		if _, moved := c.Solve([]float64{20, 20}, nil); !moved {
 			t.Fatalf("%s: latencies did not move from %v", tc.name, before)
 		}
 		if !tc.wantCalls(calls) {

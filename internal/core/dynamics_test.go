@@ -208,8 +208,7 @@ func TestRunUntilKKT(t *testing.T) {
 
 // TestResponseSlope pins the curvature formula the Newton dynamics consume:
 // interior subtasks respond with share/(2mu), bound-active subtasks and free
-// resources do not respond, and the controller wrapper evaluates the same
-// quantity at the live latency.
+// resources do not respond.
 func TestResponseSlope(t *testing.T) {
 	e, err := NewEngine(workload.Base(), Config{Workers: 1})
 	if err != nil {
@@ -221,26 +220,18 @@ func TestResponseSlope(t *testing.T) {
 	lo, hi := pt.LatMinMs[0], pt.LatMaxMs[0]
 	mid := (lo + hi) / 2
 
-	want := pt.Share[0].Share(mid) / (2 * 1.5)
-	if got := p.ResponseSlope(0, 0, mid, 1.5); got != want {
+	want := p.Share(0, 0).Share(mid) / (2 * 1.5)
+	if got := p.ResponseSlope(0, mid, 1.5); got != want {
 		t.Errorf("interior slope = %v, want share/(2mu) = %v", got, want)
 	}
-	if got := p.ResponseSlope(0, 0, mid, 0); got != 0 {
+	if got := p.ResponseSlope(0, mid, 0); got != 0 {
 		t.Errorf("free resource (mu=0) must not respond, got %v", got)
 	}
-	if got := p.ResponseSlope(0, 0, lo, 1); got != 0 {
+	if got := p.ResponseSlope(0, lo, 1); got != 0 {
 		t.Errorf("lower-bound-active subtask must not respond, got %v", got)
 	}
-	if got := p.ResponseSlope(0, 0, hi, 1); got != 0 {
+	if got := p.ResponseSlope(0, hi, 1); got != 0 {
 		t.Errorf("upper-bound-active subtask must not respond, got %v", got)
-	}
-
-	e.Run(50, nil)
-	c := e.Controller(0)
-	for si := range c.LatMs {
-		if got, want := c.ResponseSlope(si, 2), p.ResponseSlope(0, si, c.LatMs[si], 2); got != want {
-			t.Errorf("controller slope[%d] = %v, problem slope = %v", si, got, want)
-		}
 	}
 }
 

@@ -67,7 +67,7 @@ func (c Config) WithDefaults() Config {
 	if c.InitialMu == 0 {
 		c.InitialMu = 1
 	}
-	if c.MaxInner == 0 {
+	if c.MaxInner <= 0 {
 		c.MaxInner = 30
 	}
 	if c.Workers <= 0 {
@@ -79,11 +79,12 @@ func (c Config) WithDefaults() Config {
 	return c
 }
 
-// NewStepSizer builds one step sizer from the config's StepPolicy. It is
-// the single source of truth for step-sizer construction: the engine and
-// the distributed runtimes (which build controllers and agents directly)
-// all go through it, so a config produces identical price dynamics in every
-// runtime. Call on a config that has been through WithDefaults.
+// NewStepSizer builds one resource-price step sizer from the config's
+// StepPolicy. With NewGradStep and NewDynamics it is the single source of
+// truth for the resource-price dynamics: every runtime constructs its own
+// here, so a config produces identical price trajectories in all of them
+// (path step sizes are plain numbers advanced by the same policy in
+// Controller.Solve). Call on a config that has been through WithDefaults.
 func (c Config) NewStepSizer() price.StepSizer {
 	if c.Step.Adaptive {
 		a := price.NewAdaptive(c.Step.Gamma)
@@ -93,11 +94,15 @@ func (c Config) NewStepSizer() price.StepSizer {
 	return &price.Fixed{Value: c.Step.Gamma}
 }
 
-// NewDynamics builds the configured price-dynamics solver. Like NewStepSizer
-// it is the single source of truth: the engine and the distributed runtimes
-// construct their dynamics through it, so a config produces identical price
-// trajectories in every runtime. Call on a config that has been through
-// WithDefaults, and call Reset on the result before the first Step.
+// NewGradStep builds one resource's reference gradient-projection step: the
+// step sizer with the base-step and price-scaled floors (price.GradStep).
+func (c Config) NewGradStep() price.GradStep {
+	return price.GradStep{Step: c.NewStepSizer(), BaseGamma: c.Step.Gamma, PriceScaled: c.Step.Adaptive}
+}
+
+// NewDynamics builds the configured price-dynamics solver. Call on a config
+// that has been through WithDefaults, and call Reset on the result before
+// the first Step.
 func (c Config) NewDynamics() price.Dynamics {
 	return price.NewDynamics(c.PriceSolver, price.DynamicsConfig{
 		NewStep:     c.NewStepSizer,
@@ -119,10 +124,17 @@ func (c Config) Accelerated() bool {
 // paper's simulation experiments and the reference implementation the
 // distributed runtime is tested against.
 type Engine struct {
-	p           *Problem
-	cfg         Config
-	controllers []*Controller
-	agents      []*ResourceAgent
+	p   *Problem
+	cfg Config
+
+	// Optimizer state, flat and aligned with the problem's arrays (DESIGN.md
+	// §6): latency and share per subtask, price and step size per path, price
+	// per resource. Task ti's controller is a view of its windows of the
+	// first four (Controller); grad holds each resource's gradient step.
+	lat, shares   []float64
+	lambda, gamma []float64
+	price         []float64
+	grad          []price.GradStep
 
 	iter int
 	// shareSums and congested cache the previous iteration's resource
@@ -132,14 +144,11 @@ type Engine struct {
 
 	// mu is the reused per-Step snapshot of resource prices; taking it
 	// before the controller phase is what lets shards run against a frozen
-	// previous-iteration view.
+	// previous-iteration view. Each shard leaves its tasks' shares in
+	// shares, and the serial reduction sums them per resource in compiled
+	// subtask order so the result is bitwise-independent of the worker
+	// count.
 	mu []float64
-	// shares[ti][si] is the per-subtask share scratch: each shard writes
-	// the shares of its own tasks after allocating latencies, and the
-	// serial reduction sums them per resource in compiled subtask order so
-	// the result is bitwise-independent of the worker count. Backed by one
-	// flat allocation.
-	shares [][]float64
 	// nshards is the resolved shard count (Config.Workers clamped to the
 	// task count, at least 1).
 	nshards int
@@ -167,8 +176,8 @@ type Engine struct {
 	sstats       SparseStats
 
 	// Accelerated price dynamics (DESIGN.md §12). dyn is nil for the
-	// reference gradient solver, whose resource phase steps each agent's
-	// built-in UpdatePrice; for accelerated solvers the resource phase hands
+	// reference gradient solver, whose resource phase steps each resource's
+	// own GradStep; for accelerated solvers the resource phase hands
 	// the reduced demand vector to dyn. dynAvail/dynCurv are the preallocated
 	// StepInput scratch; dynDelta is the last round's largest |Δμ| (the
 	// residual-trajectory gauge).
@@ -191,8 +200,8 @@ type Engine struct {
 	// fleet's shard-level active set rests on it.
 	pinEpoch uint64
 
-	// certCursor is Certify's witness cursor: the resource (< len(agents)) or
-	// task (offset by len(agents)) that failed the last check, where the next
+	// certCursor is Certify's witness cursor: the resource (< len(price)) or
+	// task (offset by len(price)) that failed the last check, where the next
 	// scan starts. Scratch only — it never changes a verdict.
 	certCursor int
 
@@ -201,8 +210,7 @@ type Engine struct {
 	obsv *obsHandles
 }
 
-// NewEngine compiles the workload and builds controllers and resource
-// agents.
+// NewEngine compiles the workload and sets up the cold optimizer state.
 func NewEngine(w *workload.Workload, cfg Config) (*Engine, error) {
 	cfg = cfg.WithDefaults()
 	p, err := Compile(w, cfg.WeightMode)
@@ -217,29 +225,19 @@ func NewEngine(w *workload.Workload, cfg Config) (*Engine, error) {
 		mu:        make([]float64, len(p.Resources)),
 		nshards:   resolveShards(cfg.Workers, len(p.Tasks)),
 	}
-	// The shares scratch is one flat array, and so is the controllers'
-	// per-subtask and per-path state (LatMs, latPrev, Lambda per task).
-	nsub, npaths := p.NumSubtasks(), 0
+	nsub, npaths := p.NumSubtasks(), len(p.wMin)
+	state := make([]float64, 2*nsub+2*npaths)
+	e.lat, e.shares = state[:nsub:nsub], state[nsub:2*nsub:2*nsub]
+	e.lambda, e.gamma = state[2*nsub:2*nsub+npaths:2*nsub+npaths], state[2*nsub+npaths:]
 	for ti := range p.Tasks {
-		npaths += len(p.Tasks[ti].Paths)
+		c := e.Controller(ti)
+		c.reset()
 	}
-	flat := make([]float64, nsub)
-	state := make([]float64, 2*nsub+npaths)
-	steps := make([]price.StepSizer, npaths)
-	ctls := make([]Controller, len(p.Tasks))
-	e.shares = make([][]float64, len(p.Tasks))
-	e.controllers = make([]*Controller, len(p.Tasks))
-	newStep := cfg.NewStepSizer
-	for ti := range p.Tasks {
-		n, np := len(p.Tasks[ti].Res), len(p.Tasks[ti].Paths)
-		e.shares[ti], flat = flat[:n:n], flat[n:]
-		ctls[ti] = Controller{LatMs: state[:n:n], latPrev: state[n : 2*n : 2*n],
-			Lambda: state[2*n : 2*n+np : 2*n+np], pathStep: steps[:np:np]}
-		state, steps = state[2*n+np:], steps[np:]
-		e.controllers[ti] = ctls[ti].init(p, ti, newStep, cfg.Step.Gamma, cfg.Step.Adaptive, cfg.MaxInner)
-	}
-	for ri := range p.Resources {
-		e.agents = append(e.agents, NewResourceAgent(p, ri, newStep(), cfg.Step.Gamma, cfg.Step.Adaptive, cfg.InitialMu))
+	e.price = make([]float64, len(p.Resources))
+	e.grad = make([]price.GradStep, len(p.Resources))
+	for ri := range e.price {
+		e.price[ri] = cfg.InitialMu
+		e.grad[ri] = cfg.NewGradStep()
 	}
 	if cfg.Accelerated() {
 		e.dyn = cfg.NewDynamics()
@@ -255,28 +253,57 @@ func NewEngine(w *workload.Workload, cfg Config) (*Engine, error) {
 // Problem exposes the compiled problem (read-only use).
 func (e *Engine) Problem() *Problem { return e.p }
 
-// Controller returns the controller of task ti.
-func (e *Engine) Controller(ti int) *Controller { return e.controllers[ti] }
+// Controller returns the controller of task ti: a view, built on the spot,
+// of the task's windows of the engine's flat state.
+func (e *Engine) Controller(ti int) Controller {
+	var c Controller
+	e.controllerInto(&c, ti)
+	return c
+}
+
+// controllerInto makes *c the controller of task ti. Step's loop over tasks
+// refills one Controller this way rather than copy a fresh one per task.
+func (e *Engine) controllerInto(c *Controller, ti int) {
+	p := e.p
+	lo, hi, plo, phi := p.subOff[ti], p.subOff[ti+1], p.pathOff[ti], p.pathOff[ti+1]
+	c.p, c.ti, c.step, c.maxInner = p, ti, e.cfg.Step, e.cfg.MaxInner
+	c.LatMs, c.shares = e.lat[lo:hi:hi], e.shares[lo:hi:hi]
+	c.Lambda, c.gamma = e.lambda[plo:phi:phi], e.gamma[plo:phi:phi]
+}
 
 // Iteration returns the number of completed iterations.
 func (e *Engine) Iteration() int { return e.iter }
 
-// latOf adapts controller latencies for ResourceAgent.ShareSum.
-func (e *Engine) latOf(ti int) []float64 { return e.controllers[ti].LatMs }
+// taskLat returns task ti's window of the latency vector.
+func (e *Engine) taskLat(ti int) []float64 { return e.lat[e.p.subOff[ti]:e.p.subOff[ti+1]] }
 
-// refreshResourceState recomputes the cached share sums and congestion
-// flags from the controllers' current latencies. Every caller is reacting
-// to an out-of-band state change (construction, availability change, fork
-// warm-start, workload replacement), so it also drops the active set's
-// cached fixed points.
+// demand reduces resource ri's total demanded share from the per-subtask
+// shares, in compiled subtask order — so the sum is bitwise the same no
+// matter how many workers produced the values.
+func (e *Engine) demand(ri int) float64 {
+	sum := 0.0
+	for _, g := range e.p.Resources[ri].Subs {
+		sum += e.shares[g]
+	}
+	return sum
+}
+
+// refreshResourceState re-evaluates every share from the current latencies
+// and recomputes the cached share sums and congestion flags. Every caller is
+// reacting to an out-of-band state change (construction, availability
+// change, fork warm-start, workload replacement), so it also drops the
+// active set's cached fixed points.
 func (e *Engine) refreshResourceState() {
-	for ri, a := range e.agents {
-		sum := a.ShareSum(e.latOf)
+	for g, lat := range e.lat {
+		e.shares[g] = e.p.ShareAt(int32(g), lat)
+	}
+	for ri := range e.price {
+		sum := e.demand(ri)
 		e.shareSums[ri] = sum
 		if e.PinnedAt(ri) {
 			e.congested[ri] = e.pinnedCong[ri] // externally owned (pin.go)
 		} else {
-			e.congested[ri] = a.Congested(sum)
+			e.congested[ri] = e.p.Resources[ri].Congested(sum)
 		}
 	}
 	e.invalidateSparse()
@@ -297,9 +324,7 @@ func (e *Engine) refreshResourceState() {
 // arithmetic — and therefore the whole trajectory — bitwise-identical for
 // every worker count. Steady-state Steps perform no heap allocation.
 func (e *Engine) Step() {
-	for ri, a := range e.agents {
-		e.mu[ri] = a.Mu
-	}
+	copy(e.mu, e.price)
 	if e.nshards > 1 {
 		if e.pool == nil {
 			e.pool, e.shard = par.New(e.nshards-1), e.runShard
@@ -315,18 +340,17 @@ func (e *Engine) Step() {
 	}
 }
 
-// resourcePhase reduces each resource's demand from the shares scratch and
-// re-prices it. Under the reference gradient solver (dyn == nil) each agent
-// steps its own price, and a resource is clean — its cached sum, congestion
-// flag and price are reused verbatim — when a previous reduction populated
-// the cache (sumValid), the last executed gradient step was a bitwise no-op
-// (agentStable: neither Mu nor the step sizer moved), and no contributing
-// task re-solved with changed latencies this Step (resourceDirty). Under
-// those conditions recomputing would reproduce every cached bit: the shares
-// scratch rows of skipped tasks still hold exactly what their last executed
-// solve wrote, so ShareSumFrom would return the cached sum, and re-running
-// the fixed-point price update on identical inputs would return the cached
-// price.
+// resourcePhase reduces each resource's demand from the per-subtask shares
+// and re-prices it. Under the reference gradient solver (dyn == nil) each
+// resource steps its own price, and a resource is clean — its cached sum,
+// congestion flag and price are reused verbatim — when a previous reduction
+// populated the cache (sumValid), the last executed gradient step was a
+// bitwise no-op (agentStable: neither price nor step sizer moved), and no
+// contributing task re-solved with changed latencies this Step
+// (resourceDirty). Recomputing would then reproduce every cached bit: the
+// shares of skipped tasks are what their last executed solve wrote, so the
+// reduction would return the cached sum and the fixed-point price update
+// the cached price.
 //
 // The accelerated solvers reduce every resource and hand the whole vector to
 // the Dynamics: their updates move prices in ways the agent-stability test
@@ -341,21 +365,23 @@ func (e *Engine) Step() {
 func (e *Engine) resourcePhase() {
 	grad := e.dyn == nil
 	var clean uint64
-	for ri, a := range e.agents {
+	for ri := range e.price {
 		if grad && e.sumValid[ri] && e.agentStable[ri] && !e.resourceDirty(ri) {
 			clean++
 			continue
 		}
-		sum := a.ShareSumFrom(e.shares)
+		sum := e.demand(ri)
 		e.shareSums[ri] = sum
 		moved := false
 		if e.pinned != nil && e.pinned[ri] {
 			e.congested[ri] = e.pinnedCong[ri]
 		} else {
+			r := &e.p.Resources[ri]
+			cong := r.Congested(sum)
 			if grad {
-				moved = a.UpdatePrice(sum)
+				e.price[ri], moved = e.grad[ri].Update(e.price[ri], r.Availability, sum, cong)
 			}
-			e.congested[ri] = a.Congested(sum)
+			e.congested[ri] = cong
 		}
 		if grad {
 			e.sumValid[ri], e.agentStable[ri] = true, !moved
@@ -370,19 +396,21 @@ func (e *Engine) resourcePhase() {
 	}
 	e.sstats.Iterations++
 	e.sstats.SkippedSolves += skipped
-	e.sstats.ExecutedSolves += uint64(len(e.controllers)) - skipped
+	e.sstats.ExecutedSolves += uint64(len(e.p.Tasks)) - skipped
 	e.sstats.CleanResources += clean
-	e.sstats.RepricedResources += uint64(len(e.agents)) - clean
+	e.sstats.RepricedResources += uint64(len(e.price)) - clean
 }
 
 // stepDynamics advances the unpinned prices by one step of the accelerated
 // solver over the demand vector resourcePhase just reduced.
 func (e *Engine) stepDynamics() {
-	for ri := range e.agents {
+	for ri := range e.price {
 		e.dynAvail[ri] = e.p.Resources[ri].Availability
 	}
 	if e.dyn.NeedsCurvature() {
-		e.curvatureInto(e.dynCurv)
+		for ri := range e.dynCurv {
+			e.dynCurv[ri] = e.curvature(ri, e.mu[ri])
+		}
 	}
 	// e.mu holds this Step's frozen price snapshot; advancing it in place is
 	// safe (the controller phase has joined, and the next Step re-snapshots)
@@ -395,35 +423,32 @@ func (e *Engine) stepDynamics() {
 		Curvature: e.dynCurv,
 	})
 	maxd := 0.0
-	for ri, a := range e.agents {
+	for ri, mu := range e.price {
 		if e.pinned != nil && e.pinned[ri] {
 			// The Dynamics advanced the whole vector; a pinned coordinate's
 			// move is discarded — its price is externally owned.
-			e.mu[ri] = a.Mu
+			e.mu[ri] = mu
 			continue
 		}
-		if d := math.Abs(e.mu[ri] - a.Mu); d > maxd {
+		if d := math.Abs(e.mu[ri] - mu); d > maxd {
 			maxd = d
 		}
-		a.Mu = e.mu[ri]
+		e.price[ri] = e.mu[ri]
 	}
 	e.dynDelta = maxd
 }
 
-// curvatureInto fills dst with each resource's demand-response curvature
-// −∂(Σ share)/∂μ, summed over its subtasks in compiled Subs order — the
-// same serial order as the share reduction, so the result is bitwise
-// worker-count independent and matches the per-resource sum a distributed
-// resource node computes locally.
-func (e *Engine) curvatureInto(dst []float64) {
-	for ri := range e.p.Resources {
-		mu := e.mu[ri]
-		c := 0.0
-		for _, sub := range e.p.Resources[ri].Subs {
-			c += e.p.ResponseSlope(sub[0], sub[1], e.controllers[sub[0]].LatMs[sub[1]], mu)
-		}
-		dst[ri] = c
+// curvature is resource ri's demand-response curvature −∂(Σ share)/∂μ at
+// price mu, summed over its subtasks in compiled Subs order — the same
+// serial order as the share reduction, so the result is bitwise worker-count
+// independent and matches the per-resource sum a distributed resource node
+// computes locally.
+func (e *Engine) curvature(ri int, mu float64) float64 {
+	c := 0.0
+	for _, g := range e.p.Resources[ri].Subs {
+		c += e.p.ResponseSlope(g, e.lat[g], mu)
 	}
+	return c
 }
 
 // PriceSolver returns the configured price-dynamics solver.
@@ -444,7 +469,7 @@ func (e *Engine) SolverFallbacks() uint64 {
 // share values in e.shares for the serial reduction.
 //
 // A controller's solve is skipped when its previous executed solve changed
-// nothing (ctlStable: latencies, path prices and step sizers all came out
+// nothing (ctlStable: latencies, path prices and step sizes all came out
 // bitwise-unchanged) and the prices it observes are bitwise-identical to that
 // solve's fingerprint — re-running the solve would reproduce its state and
 // its shares scratch row verbatim. Shards only touch their own tasks' flags,
@@ -452,25 +477,26 @@ func (e *Engine) SolverFallbacks() uint64 {
 // only on frozen per-Step inputs, so it is identical under every worker
 // count.
 func (e *Engine) runShard(w int) {
-	nt := len(e.controllers)
+	nt := len(e.p.Tasks)
 	lo, hi := w*nt/e.nshards, (w+1)*nt/e.nshards
 	var skipped uint64
+	var c Controller
 	for ti := lo; ti < hi; ti++ {
 		if e.ctlSolved[ti] && e.ctlStable[ti] && e.fingerprintClean(ti) {
 			e.latChanged[ti] = false
 			skipped++
 			continue
 		}
-		c := e.controllers[ti]
-		e.recordFingerprint(ti)
-		priceChanged := c.UpdatePathPrices(e.congested)
-		latChanged := c.AllocateLatencies(e.mu)
-		if latChanged || !e.ctlSolved[ti] {
-			c.SharesInto(e.shares[ti])
-		}
+		e.controllerInto(&c, ti)
+		priceChanged, latChanged := c.Solve(e.mu, e.congested)
 		e.latChanged[ti] = latChanged
 		e.ctlStable[ti] = !priceChanged && !latChanged
 		e.ctlSolved[ti] = true
+		if e.ctlStable[ti] {
+			// Only a stable solve's fingerprint is ever read back, and the
+			// price view is frozen for the whole controller phase.
+			e.recordFingerprint(ti)
+		}
 	}
 	e.shardSkipped[w] = skipped
 }
@@ -595,8 +621,8 @@ func (e *Engine) SetAvailability(resourceID string, availability float64) error 
 		return fmt.Errorf("core: unknown resource %q", resourceID)
 	}
 	e.p.Resources[ri].Availability = availability
-	for _, sub := range e.p.Resources[ri].Subs {
-		e.p.refreshBounds(sub[0], sub[1])
+	for _, g := range e.p.Resources[ri].Subs {
+		e.p.refreshBounds(e.p.SubtaskAt(g))
 	}
 	e.refreshResourceState()
 	e.emit(obs.Event{Kind: obs.EventWorkloadChange, Iteration: e.iter,
@@ -611,8 +637,10 @@ func (e *Engine) SetErrorMs(taskName, subtaskName string, errMs float64) error {
 	if err != nil {
 		return err
 	}
-	e.p.Tasks[ti].Share[si].ErrMs = errMs
+	e.p.Tasks[ti].ErrMs[si] = errMs
 	e.p.refreshBounds(ti, si)
+	g := e.p.subOff[ti] + int32(si)
+	e.shares[g] = e.p.ShareAt(g, e.lat[g])
 	e.invalidateSparse()
 	e.emit(obs.Event{Kind: obs.EventWorkloadChange, Iteration: e.iter,
 		Task: taskName, Subtask: subtaskName, Detail: "err_ms", Value: errMs})
@@ -651,29 +679,12 @@ func (e *Engine) findSubtask(taskName, subtaskName string) (int, int, error) {
 	return 0, 0, fmt.Errorf("core: task %s has no subtask %q", taskName, subtaskName)
 }
 
-// KKTResiduals measures how far the current point is from stationarity: for
-// every subtask whose latency is strictly inside its bounds, the residual of
-// Equation 7 normalized by the price scale. Near the optimum these vanish;
-// tests use this to certify optimality beyond utility stabilization. It
-// allocates a fresh slice per call — hot paths (obs sampling) use
-// KKTResidualsInto with a reused buffer instead.
-func (e *Engine) KKTResiduals() []float64 {
-	return e.KKTResidualsInto(nil)
-}
-
-// KKTResidualsInto appends the interior-subtask stationarity residuals to
-// dst[:0] and returns the extended slice, reusing dst's capacity so repeated
-// calls with the returned buffer are allocation-free once it has grown to
-// the interior-subtask count.
+// KKTResidualsInto measures how far the current point is from stationarity:
+// for every subtask whose latency is strictly inside its bounds, the
+// residual of Equation 7 normalized by the price scale. Near the optimum
+// these vanish. It appends them to dst[:0] and returns the extended slice,
+// reusing dst's capacity so repeated calls with the returned buffer are
+// allocation-free once it has grown to the interior-subtask count.
 func (e *Engine) KKTResidualsInto(dst []float64) []float64 {
-	dst = dst[:0]
-	for ti := range e.p.Tasks {
-		slope := e.p.Tasks[ti].Curve.Slope(e.controllers[ti].aggregate())
-		for si := range e.controllers[ti].LatMs {
-			if r, ok := e.kktResidual(ti, si, slope); ok {
-				dst = append(dst, r)
-			}
-		}
-	}
-	return dst
+	return e.kktScan(kktFold{all: dst[:0], collect: true}).all
 }

@@ -78,7 +78,7 @@ func TestEngineTwoTaskAnalyticOptimum(t *testing.T) {
 			t.Errorf("adaptive=%v: mu = %v, want 25", adaptive, got)
 		}
 		// KKT residuals at the optimum are tiny.
-		for _, r := range e.KKTResiduals() {
+		for _, r := range e.KKTResidualsInto(nil) {
 			if r > 1e-2 {
 				t.Errorf("adaptive=%v: KKT residual %v too large", adaptive, r)
 			}
@@ -336,7 +336,7 @@ func TestEngineNonlinearCurveKKT(t *testing.T) {
 	if !ok {
 		t.Fatalf("did not converge: %v", snap)
 	}
-	for _, r := range e.KKTResiduals() {
+	for _, r := range e.KKTResidualsInto(nil) {
 		if r > 2e-2 {
 			t.Errorf("KKT residual %v too large for nonlinear curve", r)
 		}
@@ -373,8 +373,8 @@ func TestEngineAccessors(t *testing.T) {
 	if e.Iteration() != 1 {
 		t.Errorf("Iteration = %d, want 1", e.Iteration())
 	}
-	if e.Problem() == nil || e.Controller(0) == nil {
-		t.Error("accessors returned nil")
+	if e.Problem() == nil || len(e.Controller(0).LatMs) != 1 {
+		t.Error("accessors returned nothing")
 	}
 	if _, err := e.LatencyByName("t", "s"); err != nil {
 		t.Errorf("LatencyByName: %v", err)
@@ -412,20 +412,42 @@ func TestCompileIndexes(t *testing.T) {
 	if p.Workload() == nil {
 		t.Error("Workload() nil")
 	}
-	// PathsThrough is consistent with Paths.
-	for _, pt := range p.Tasks {
-		for si, pis := range pt.PathsThrough {
+	// The CSR paths are the tasks' own, and PathsThrough is their transpose.
+	for ti, pt := range p.Tasks {
+		paths, _ := p.Workload().Tasks[ti].Paths()
+		if p.NumPaths(ti) != len(paths) {
+			t.Fatalf("task %s: %d compiled paths, task has %d", pt.Name, p.NumPaths(ti), len(paths))
+		}
+		through := 0
+		for pi, want := range paths {
+			got := p.Path(ti, pi)
+			if len(got) != len(want) {
+				t.Fatalf("task %s path %d: %v, want %v", pt.Name, pi, got, want)
+			}
+			for i, s := range want {
+				if int(got[i]) != s {
+					t.Fatalf("task %s path %d: %v, want %v", pt.Name, pi, got, want)
+				}
+			}
+			through += len(want)
+		}
+		for si := range pt.Res {
+			pis := p.PathsThrough(ti, si)
+			through -= len(pis)
 			for _, pi := range pis {
 				found := false
-				for _, s := range pt.Paths[pi] {
+				for _, s := range paths[pi] {
 					if s == si {
 						found = true
 					}
 				}
 				if !found {
-					t.Errorf("task %s: PathsThrough[%d] lists path %d which misses the subtask", pt.Name, si, pi)
+					t.Errorf("task %s: PathsThrough(%d) lists path %d which misses the subtask", pt.Name, si, pi)
 				}
 			}
+		}
+		if through != 0 {
+			t.Errorf("task %s: PathsThrough is off by %d entries", pt.Name, through)
 		}
 		// Bounds sane.
 		for si := range pt.LatMinMs {
@@ -446,7 +468,7 @@ func TestEngineLatenciesRespectBounds(t *testing.T) {
 		e.Step()
 		for ti := range e.p.Tasks {
 			pt := &e.p.Tasks[ti]
-			for si, lat := range e.controllers[ti].LatMs {
+			for si, lat := range e.Controller(ti).LatMs {
 				if lat < pt.LatMinMs[si]-1e-9 || lat > pt.LatMaxMs[si]+1e-9 {
 					t.Fatalf("iter %d: task %d subtask %d latency %v outside [%v,%v]",
 						i, ti, si, lat, pt.LatMinMs[si], pt.LatMaxMs[si])

@@ -41,18 +41,16 @@ func (e *Engine) Fork() (*Engine, error) {
 		return nil, err
 	}
 	for ti := range e.p.Tasks {
-		copy(next.controllers[ti].LatMs, e.controllers[ti].LatMs)
-		copy(next.controllers[ti].Lambda, e.controllers[ti].Lambda)
-		for si := range e.p.Tasks[ti].Share {
-			// ErrMs lives only in the compiled share functions (SetErrorMs
-			// does not touch the source workload), so carry it explicitly.
-			next.p.Tasks[ti].Share[si].ErrMs = e.p.Tasks[ti].Share[si].ErrMs
+		for si, errMs := range e.p.Tasks[ti].ErrMs {
+			// ErrMs lives only in the compiled problem (SetErrorMs does not
+			// touch the source workload), so carry it explicitly.
+			next.p.Tasks[ti].ErrMs[si] = errMs
 			next.p.refreshBounds(ti, si)
 		}
 	}
-	for ri := range e.agents {
-		next.agents[ri].Mu = e.agents[ri].Mu
-	}
+	copy(next.lat, e.lat)
+	copy(next.lambda, e.lambda)
+	copy(next.price, e.price)
 	next.refreshResourceState()
 	return next, nil
 }

@@ -131,7 +131,7 @@ func TestForkCarriesErrorCorrection(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	if got := f.Problem().Tasks[0].Share[0].ErrMs; got != 0.7 {
+	if got := f.Problem().Tasks[0].ErrMs[0]; got != 0.7 {
 		t.Fatalf("fork ErrMs = %v, want 0.7", got)
 	}
 }

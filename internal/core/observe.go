@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"lla/internal/obs"
+	"lla/internal/share"
 )
 
 // obsHandles caches everything the per-iteration publication needs so the
@@ -71,11 +72,12 @@ func (e *Engine) emit(ev obs.Event) {
 func (e *Engine) publishObs() {
 	h := e.obsv
 	pr := e.Probe()
-	// One residual-vector pass feeds both the summary gauges and the
-	// per-iteration sample; KKTResidualsInto reuses h.kkt's capacity so the
-	// observed Step performs no allocation at steady state.
-	h.kkt = e.KKTResidualsInto(h.kkt)
-	kktMax, kktMean, kktCount := summarize(h.kkt)
+	// One residual pass feeds both the summary gauges and the per-iteration
+	// sample; it reuses h.kkt's capacity so the observed Step performs no
+	// allocation at steady state.
+	f := e.kktScan(kktFold{all: h.kkt[:0], collect: true})
+	h.kkt = f.all
+	kktMax, kktMean, kktCount := f.max, f.mean(), f.n
 
 	if h.sm != nil {
 		cur := e.sstats
@@ -96,8 +98,8 @@ func (e *Engine) publishObs() {
 			// Gradient paths leave e.mu holding the pre-update snapshot, so
 			// the last round's price movement is recoverable directly.
 			resid = 0
-			for ri, a := range e.agents {
-				if d := math.Abs(a.Mu - e.mu[ri]); d > resid {
+			for ri, mu := range e.price {
+				if d := math.Abs(mu - e.mu[ri]); d > resid {
 					resid = d
 				}
 			}
@@ -116,7 +118,7 @@ func (e *Engine) publishObs() {
 			rm.ShareSum.Set(e.shareSums[ri])
 			rm.Availability.Set(avail)
 			rm.Utilization.Set(e.shareSums[ri] / avail)
-			rm.Price.Set(e.agents[ri].Mu)
+			rm.Price.Set(e.price[ri])
 		}
 	}
 
@@ -137,55 +139,86 @@ func (e *Engine) publishObs() {
 	s.ShareSums = s.ShareSums[:0]
 	s.Avail = s.Avail[:0]
 	s.Gamma = s.Gamma[:0]
-	for ri, a := range e.agents {
-		s.Mu = append(s.Mu, a.Mu)
+	for ri, mu := range e.price {
+		s.Mu = append(s.Mu, mu)
 		s.ShareSums = append(s.ShareSums, e.shareSums[ri])
 		s.Avail = append(s.Avail, e.p.Resources[ri].Availability)
-		s.Gamma = append(s.Gamma, a.StepGamma())
+		s.Gamma = append(s.Gamma, e.grad[ri].Step.Gamma())
 	}
-	s.Lambda = s.Lambda[:0]
-	for _, c := range e.controllers {
-		s.Lambda = append(s.Lambda, c.Lambda...)
-	}
+	s.Lambda = append(s.Lambda[:0], e.lambda...)
 	s.KKT = append(s.KKT[:0], h.kkt...)
 	rec.Commit(s)
 }
 
-// summarize reduces a residual vector to the max/mean/count summary that
-// KKTStats would compute, from an already-materialized vector.
-func summarize(res []float64) (max, mean float64, n int) {
-	sum := 0.0
-	for _, r := range res {
-		sum += r
-		if r > max {
-			max = r
-		}
-	}
-	if len(res) > 0 {
-		mean = sum / float64(len(res))
-	}
-	return max, mean, len(res)
+// kktFold accumulates Equation 7 residuals over interior subtasks: their
+// maximum, sum and count, and — when collect is set — the residuals
+// themselves.
+type kktFold struct {
+	max, sum float64
+	n        int
+	collect  bool
+	all      []float64
 }
 
-// kktResidual returns the normalized Equation 7 stationarity residual of
-// subtask (ti, si) given the task's current curve slope, and whether the
-// subtask is interior (bound-active subtasks need not be stationary).
-func (e *Engine) kktResidual(ti, si int, slope float64) (float64, bool) {
-	pt := &e.p.Tasks[ti]
-	c := e.controllers[ti]
-	lat := c.LatMs[si]
-	lo, hi := pt.LatMinMs[si], pt.LatMaxMs[si]
-	if lat <= lo*(1+1e-6) || lat >= hi*(1-1e-6) {
-		return 0, false
+// mean returns the mean residual, 0 when every subtask is bound-active.
+func (f kktFold) mean() float64 {
+	if f.n == 0 {
+		return 0
 	}
-	lambdaSum := 0.0
-	for _, pi := range pt.PathsThrough[si] {
-		lambdaSum += c.Lambda[pi]
+	return f.sum / float64(f.n)
+}
+
+// kktScan folds every task into f.
+func (e *Engine) kktScan(f kktFold) kktFold {
+	for ti := range e.p.Tasks {
+		e.taskKKT(ti, math.NaN(), &f)
 	}
-	mu := e.agents[pt.Res[si]].Mu
-	resid := pt.Weights[si]*slope - lambdaSum - mu*pt.Share[si].Deriv(lat)
-	scale := math.Max(1, math.Abs(lambdaSum)+math.Abs(pt.Weights[si]*slope))
-	return math.Abs(resid) / scale, true
+	return f
+}
+
+// taskKKT folds into f the normalized Equation 7 stationarity residual of
+// every interior subtask of task ti (bound-active subtasks need not be
+// stationary), reading the flat problem and state arrays. It stops early,
+// reporting false, at the first residual >= stop; a NaN stop never stops.
+func (e *Engine) taskKKT(ti int, stop float64, f *kktFold) bool {
+	p, mu := e.p, e.price
+	lo, hi := p.subOff[ti], p.subOff[ti+1]
+	lat, lambda := e.lat[lo:hi], e.lambda[p.pathOff[ti]:p.pathOff[ti+1]]
+	weight, cost, errMs, res := p.weight[lo:hi], p.cost[lo:hi], p.errMs[lo:hi], p.res[lo:hi]
+	latMin, latMax := p.latMin[lo:hi], p.latMax[lo:hi]
+	toff, through := p.throughOff[lo:hi+1], p.through
+	slope := p.consts[ti].slope
+	if !p.consts[ti].constSlope {
+		slope = p.Tasks[ti].Curve.Slope(p.aggregate(ti, lat))
+	}
+	// The fold runs in locals: through f every residual would wait on the
+	// previous one's store.
+	worst, sum, n := f.max, f.sum, f.n
+	ok := true
+	for si, l := range lat {
+		if !interior(l, latMin[si], latMax[si]) {
+			continue
+		}
+		lambdaSum := pathPriceSum(lambda, through, toff, si)
+		ws := weight[si] * slope
+		b := share.Budget(l, errMs[si])
+		resid := ws - lambdaSum - mu[res[si]]*(-cost[si]/(b*b))
+		r := math.Abs(resid) / max(1, math.Abs(lambdaSum)+math.Abs(ws))
+		sum += r
+		n++
+		if r > worst {
+			worst = r
+		}
+		if f.collect {
+			f.all = append(f.all, r)
+		}
+		if r >= stop {
+			ok = false
+			break
+		}
+	}
+	f.max, f.sum, f.n = worst, sum, n
+	return ok
 }
 
 // KKTStats summarizes the Equation 7 residuals over interior subtasks —
@@ -193,21 +226,6 @@ func (e *Engine) kktResidual(ti, si int, slope float64) (float64, bool) {
 // without allocating. n is the number of interior subtasks; with n == 0
 // every subtask is bound-active and max/mean are 0.
 func (e *Engine) KKTStats() (max, mean float64, n int) {
-	sum := 0.0
-	for ti := range e.p.Tasks {
-		slope := e.p.Tasks[ti].Curve.Slope(e.controllers[ti].aggregate())
-		for si := range e.controllers[ti].LatMs {
-			if r, ok := e.kktResidual(ti, si, slope); ok {
-				sum += r
-				if r > max {
-					max = r
-				}
-				n++
-			}
-		}
-	}
-	if n > 0 {
-		mean = sum / float64(n)
-	}
-	return max, mean, n
+	f := e.kktScan(kktFold{})
+	return f.max, f.mean(), f.n
 }

@@ -26,8 +26,8 @@ func engines(t *testing.T, mk func() *workload.Workload, workers int) (*Engine, 
 // requireBitwiseEqual compares the full optimizer state of two engines.
 func requireBitwiseEqual(t *testing.T, iter int, serial, par *Engine) {
 	t.Helper()
-	for ti := range serial.controllers {
-		sc, pc := serial.controllers[ti], par.controllers[ti]
+	for ti := range serial.p.Tasks {
+		sc, pc := serial.Controller(ti), par.Controller(ti)
 		for si := range sc.LatMs {
 			if sc.LatMs[si] != pc.LatMs[si] {
 				t.Fatalf("iter %d: task %d subtask %d latency diverged: serial %x parallel %x",
@@ -41,10 +41,10 @@ func requireBitwiseEqual(t *testing.T, iter int, serial, par *Engine) {
 			}
 		}
 	}
-	for ri := range serial.agents {
-		if serial.agents[ri].Mu != par.agents[ri].Mu {
+	for ri := range serial.price {
+		if serial.price[ri] != par.price[ri] {
 			t.Fatalf("iter %d: resource %d mu diverged: serial %x parallel %x",
-				iter, ri, serial.agents[ri].Mu, par.agents[ri].Mu)
+				iter, ri, serial.price[ri], par.price[ri])
 		}
 	}
 	su, pu := serial.Probe(), par.Probe()

@@ -32,7 +32,7 @@ func (e *Engine) ResourceIndex(id string) int {
 }
 
 // MuAt returns the current price of resource ri.
-func (e *Engine) MuAt(ri int) float64 { return e.agents[ri].Mu }
+func (e *Engine) MuAt(ri int) float64 { return e.price[ri] }
 
 // ShareSumAt returns resource ri's total demanded share as of the latest
 // resource phase (or the construction-time refresh before the first Step).
@@ -47,17 +47,9 @@ func (e *Engine) PinnedAt(ri int) bool { return e.pinned != nil && e.pinned[ri] 
 
 // CurvatureAt returns resource ri's demand-response curvature
 // −∂(Σ share)/∂μ at the current latencies and price, summed over its
-// subtasks in compiled Subs order (the same serial order as curvatureInto,
-// so per-shard sums aggregate to the single-engine value bitwise when the
-// contributor sets coincide).
-func (e *Engine) CurvatureAt(ri int) float64 {
-	mu := e.agents[ri].Mu
-	c := 0.0
-	for _, sub := range e.p.Resources[ri].Subs {
-		c += e.p.ResponseSlope(sub[0], sub[1], e.controllers[sub[0]].LatMs[sub[1]], mu)
-	}
-	return c
-}
+// subtasks in compiled Subs order (so per-shard sums aggregate to the
+// single-engine value bitwise when the contributor sets coincide).
+func (e *Engine) CurvatureAt(ri int) float64 { return e.curvature(ri, e.price[ri]) }
 
 // PinPrice fixes resource ri's price and congestion flag to externally
 // supplied values. Subsequent Steps keep reducing the resource's demand but
@@ -65,21 +57,20 @@ func (e *Engine) CurvatureAt(ri int) float64 {
 // set needs no blanket invalidation: a changed price or congestion bit
 // shows up in the observing controllers' fingerprints on the next Step.
 func (e *Engine) PinPrice(ri int, mu float64, congested bool) error {
-	if ri < 0 || ri >= len(e.agents) {
-		return fmt.Errorf("core: pin: resource index %d out of range [0,%d)", ri, len(e.agents))
+	if ri < 0 || ri >= len(e.price) {
+		return fmt.Errorf("core: pin: resource index %d out of range [0,%d)", ri, len(e.price))
 	}
 	if !(mu >= 0) { // also rejects NaN
 		return fmt.Errorf("core: pin: price must be >= 0, got %v", mu)
 	}
 	if e.pinned == nil {
-		e.pinned = make([]bool, len(e.agents))
-		e.pinnedCong = make([]bool, len(e.agents))
+		e.pinned = make([]bool, len(e.price))
+		e.pinnedCong = make([]bool, len(e.price))
 	}
-	a := e.agents[ri]
-	changed := !e.pinned[ri] || a.Mu != mu || e.pinnedCong[ri] != congested
+	changed := !e.pinned[ri] || e.price[ri] != mu || e.pinnedCong[ri] != congested
 	e.pinned[ri] = true
 	e.pinnedCong[ri] = congested
-	a.Mu = mu
+	e.price[ri] = mu
 	e.congested[ri] = congested
 	if changed {
 		e.pinEpoch++
@@ -103,7 +94,7 @@ func (e *Engine) PinEpoch() uint64 { return e.pinEpoch }
 // resource phase reprices it from current demand. Unpinning an unpinned
 // resource is a no-op.
 func (e *Engine) UnpinPrice(ri int) {
-	if e.pinned == nil || ri < 0 || ri >= len(e.agents) || !e.pinned[ri] {
+	if e.pinned == nil || ri < 0 || ri >= len(e.price) || !e.pinned[ri] {
 		return
 	}
 	e.pinned[ri] = false

@@ -52,7 +52,7 @@ func TestPinPriceHoldsPrice(t *testing.T) {
 				}
 			}
 			moved := false
-			for ri := 1; ri < len(e.agents); ri++ {
+			for ri := 1; ri < len(e.price); ri++ {
 				if e.MuAt(ri) != e.cfg.InitialMu {
 					moved = true
 				}
@@ -106,7 +106,7 @@ func TestPinnedCongestionSurvivesRefresh(t *testing.T) {
 			for i := 0; i < 50; i++ {
 				e.Step()
 			}
-			if local := e.agents[0].Congested(e.ShareSumAt(0)); local == tc.cong {
+			if local := e.p.Resources[0].Congested(e.ShareSumAt(0)); local == tc.cong {
 				t.Fatalf("local congestion flag agrees with the pinned one (%v); the case tests nothing", local)
 			}
 			for _, ri := range []int{0, 1} {
@@ -176,7 +176,7 @@ func TestPinPriceRejectsBadInputs(t *testing.T) {
 	if err := e.PinPrice(-1, 1, false); err == nil {
 		t.Fatal("negative index accepted")
 	}
-	if err := e.PinPrice(len(e.agents), 1, false); err == nil {
+	if err := e.PinPrice(len(e.price), 1, false); err == nil {
 		t.Fatal("out-of-range index accepted")
 	}
 	if err := e.PinPrice(0, -1, false); err == nil {

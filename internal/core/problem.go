@@ -11,6 +11,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"sort"
 
 	"lla/internal/share"
 	"lla/internal/task"
@@ -18,9 +19,12 @@ import (
 	"lla/internal/workload"
 )
 
-// Problem is a compiled, index-based view of a workload: all name lookups,
-// path enumerations and weight derivations are done once so that iterations
-// touch only dense slices.
+// Problem is a compiled workload laid out for the iteration kernels
+// (DESIGN.md §6): every name lookup, path enumeration and weight derivation
+// is done once, and what the kernels read per subtask and per path sits in
+// flat arrays, tasks back to back. ProblemTask and ProblemResource expose
+// the same memory as per-task and per-resource views; nothing is stored
+// twice.
 type Problem struct {
 	// Tasks holds one compiled task per workload task, same order.
 	Tasks []ProblemTask
@@ -31,9 +35,44 @@ type Problem struct {
 	// resIdx and taskIdx resolve a resource ID and a task name to their
 	// compiled indices.
 	resIdx, taskIdx map[string]int
+
+	// Per-subtask arrays. Task ti owns entries [subOff[ti], subOff[ti+1]);
+	// such an entry's position is the subtask's global index.
+	subOff []int32
+	weight []float64 // utility weight w_s
+	latMin []float64 // latency at which the subtask takes its whole resource
+	latMax []float64 // critical time, tightened by a minimum share
+	cost   []float64 // share numerator c_s + l_r
+	errMs  []float64 // additive model-error correction (Section 6.3)
+	res    []int32   // index into Resources
+
+	// Paths in CSR form. Task ti owns paths [pathOff[ti], pathOff[ti+1]);
+	// path gp visits the task-local subtasks
+	// pathSub[pathSubOff[gp]:pathSubOff[gp+1]] and wMin[gp] is the smallest
+	// weight on it; subtask g lies on the task-local paths
+	// through[throughOff[g]:throughOff[g+1]].
+	pathOff    []int32
+	pathSubOff []int32
+	pathSub    []int32
+	wMin       []float64
+	throughOff []int32
+	through    []int32
+
+	// consts holds what a solve reads once per task.
+	consts []taskConsts
 }
 
-// ProblemTask is the compiled per-task view used by its task controller.
+// taskConsts is the per-task part of the kernel layout. constSlope is set,
+// with the slope, for utility.Linear and utility.NegLatency: such a task's
+// solve never needs the aggregate latency and is a single round.
+type taskConsts struct {
+	criticalMs, slope float64
+	constSlope        bool
+}
+
+// ProblemTask is the compiled per-task view. Its slices alias the problem's
+// flat arrays: entry si is subtask si, and a write through one of them is a
+// write to the store the kernels read.
 type ProblemTask struct {
 	// Name is the task name.
 	Name string
@@ -44,16 +83,12 @@ type ProblemTask struct {
 	// Weights are the per-subtask utility weights w_s for the configured
 	// weight mode.
 	Weights []float64
-	// Paths lists every root-to-leaf path as subtask indices.
-	Paths [][]int
-	// PathsThrough[s] lists the indices (into Paths) of paths containing
-	// subtask s.
-	PathsThrough [][]int
 	// Res[s] is the index into Problem.Resources of subtask s's resource.
-	Res []int
-	// Share[s] is subtask s's share function (WCET + resource lag; the
-	// additive error term is updated in place by error correction).
-	Share []share.WCETLag
+	Res []int32
+	// CostMs[s] is the share numerator c_s + l_r and ErrMs[s] the additive
+	// error term: the share at latency lat is
+	// CostMs[s] / share.Budget(lat, ErrMs[s]) — Problem.Share's model.
+	CostMs, ErrMs []float64
 	// LatMinMs[s] is the lowest admissible latency: the latency at which
 	// the subtask would consume the resource's full availability.
 	LatMinMs []float64
@@ -72,100 +107,145 @@ type ProblemResource struct {
 	Availability float64
 	// LagMs is the scheduling lag l_r.
 	LagMs float64
-	// Subs lists the (task index, subtask index) pairs consuming this
-	// resource.
-	Subs [][2]int
+	// Subs lists the global indices of the subtasks consuming this resource,
+	// in compiled (task, subtask) order; Problem.SubtaskAt maps one back to
+	// its task.
+	Subs []int32
 }
 
-// Compile validates the workload and builds the dense problem view.
-// weightMode selects the utility variant of Section 3.2. It counts first,
-// then carves every task's per-subtask slices and every resource's Subs out
-// of a few flat arrays sized to the workload: set-up allocates per problem,
-// not per task, and a task's data sits next to its neighbours'.
+// CongestionMargin is the relative violation below which a constraint is
+// treated as merely saturated rather than congested for step-size ramping.
+// At LLA's optimum resources sit exactly at capacity, so without a margin
+// the adaptive heuristic's congested flag would flicker forever and the
+// alternating step sizes would sustain a limit cycle around the optimum.
+// Price *updates* always use the exact gradients; the margin gates only the
+// ramping.
+const CongestionMargin = 0.01
+
+// Congested reports whether the given demand violates the capacity
+// constraint beyond the ramping margin.
+func (r *ProblemResource) Congested(shareSum float64) bool {
+	return shareSum > r.Availability*(1+CongestionMargin)
+}
+
+// Compile validates the workload and builds the problem. weightMode selects
+// the utility variant of Section 3.2. It counts first, then fills a few
+// flat arrays sized to the workload: set-up allocates per problem, not per
+// task.
 func Compile(w *workload.Workload, weightMode task.WeightMode) (*Problem, error) {
 	if err := w.Validate(); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
+	nt, nsub := len(w.Tasks), w.TotalSubtasks()
 	p := &Problem{
-		Tasks:     make([]ProblemTask, len(w.Tasks)),
+		Tasks:     make([]ProblemTask, nt),
 		Resources: make([]ProblemResource, len(w.Resources)),
 		src:       w,
 		resIdx:    make(map[string]int, len(w.Resources)),
-		taskIdx:   make(map[string]int, len(w.Tasks)),
+		taskIdx:   make(map[string]int, nt),
+		subOff:    make([]int32, nt+1),
+		pathOff:   make([]int32, nt+1),
+		res:       make([]int32, nsub),
+		consts:    make([]taskConsts, nt),
 	}
 	for i, r := range w.Resources {
 		p.resIdx[r.ID] = i
 		p.Resources[i] = ProblemResource{ID: r.ID, Availability: r.Availability, LagMs: r.LagMs}
 	}
 
-	// Count: resolve each subtask's resource once, and total the entries of
-	// PathsThrough and of each resource's Subs.
-	nsub := w.TotalSubtasks()
-	res := make([]int, nsub)
-	subCount := make([]int, len(w.Resources))
-	nthrough, maxSub, off := 0, 0, 0
+	// Count: resolve each subtask's resource once, and total the paths, the
+	// path entries and each resource's Subs.
+	subCount := make([]int32, len(w.Resources))
+	npaths, nthrough, off := 0, 0, 0
 	for ti, t := range w.Tasks {
 		p.taskIdx[t.Name] = ti
 		paths, err := t.Paths()
 		if err != nil {
 			return nil, fmt.Errorf("core: task %s: %w", t.Name, err)
 		}
+		npaths += len(paths)
 		for _, path := range paths {
 			nthrough += len(path)
 		}
 		for si, s := range t.Subtasks {
-			res[off+si] = p.resIdx[s.Resource]
-			subCount[res[off+si]]++
+			ri := p.resIdx[s.Resource]
+			p.res[off+si] = int32(ri)
+			subCount[ri]++
 		}
 		off += len(t.Subtasks)
-		maxSub = max(maxSub, len(t.Subtasks))
 	}
-	subs := make([][2]int, nsub)
+	if max(nsub, nthrough) > math.MaxInt32 {
+		return nil, fmt.Errorf("core: %d subtasks on %d path entries exceed the int32 index range", nsub, nthrough)
+	}
+	subs := make([]int32, nsub)
 	for ri, n := range subCount {
 		if n > 0 { // a resource nobody uses keeps a nil Subs
 			p.Resources[ri].Subs, subs = subs[:0:n], subs[n:]
 		}
 	}
 
-	floats := make([]float64, 3*nsub) // Weights, LatMinMs, LatMaxMs
-	shares := make([]share.WCETLag, nsub)
+	floats := make([]float64, 5*nsub+npaths)
+	p.weight, p.latMin, p.latMax = floats[:nsub:nsub], floats[nsub:2*nsub:2*nsub], floats[2*nsub:3*nsub:3*nsub]
+	p.cost, p.errMs, p.wMin = floats[3*nsub:4*nsub:4*nsub], floats[4*nsub:5*nsub:5*nsub], floats[5*nsub:]
 	names := make([]string, nsub)
-	through := make([][]int, nsub)
-	throughIdx := make([]int, nthrough)
-	count := make([]int, maxSub)
+	ints := make([]int32, npaths+1+nthrough+nsub+1+nthrough)
+	p.pathSubOff, ints = ints[:npaths+1:npaths+1], ints[npaths+1:]
+	p.pathSub, ints = ints[:0:nthrough], ints[nthrough:]
+	p.throughOff, p.through = ints[:nsub+1:nsub+1], ints[nsub+1:]
+	var cursor []int32 // per-subtask fill positions of the task being transposed
 	for ti, t := range w.Tasks {
-		n := len(t.Subtasks)
+		lo, n := int(p.subOff[ti]), len(t.Subtasks)
+		hi := lo + n
 		paths, _ := t.Paths() // cached by the counting pass
+		plo := int(p.pathOff[ti])
+		p.subOff[ti+1], p.pathOff[ti+1] = int32(hi), int32(plo+len(paths))
+		curve := w.Curves[t.Name]
 		pt := &p.Tasks[ti]
 		*pt = ProblemTask{
-			Name: t.Name, CriticalMs: t.CriticalMs, Curve: w.Curves[t.Name], Paths: paths,
-			Weights: floats[:n:n], LatMinMs: floats[n : 2*n : 2*n], LatMaxMs: floats[2*n : 3*n : 3*n],
-			Res: res[:n:n], Share: shares[:n:n], SubtaskNames: names[:n:n], PathsThrough: through[:n:n],
+			Name: t.Name, CriticalMs: t.CriticalMs, Curve: curve,
+			Weights: p.weight[lo:hi:hi], Res: p.res[lo:hi:hi], CostMs: p.cost[lo:hi:hi], ErrMs: p.errMs[lo:hi:hi],
+			LatMinMs: p.latMin[lo:hi:hi], LatMaxMs: p.latMax[lo:hi:hi], SubtaskNames: names[lo:hi:hi],
 		}
-		floats, res, shares, names, through = floats[3*n:], res[n:], shares[n:], names[n:], through[n:]
+		p.consts[ti].criticalMs = t.CriticalMs
+		switch curve.(type) {
+		case utility.Linear, utility.NegLatency:
+			p.consts[ti].slope, p.consts[ti].constSlope = curve.Slope(0), true
+		}
 		if err := t.WeightsInto(weightMode, pt.Weights); err != nil {
 			return nil, fmt.Errorf("core: task %s: %w", t.Name, err)
 		}
-		clear(count[:n])
-		for _, path := range paths {
+		// Paths, counting per subtask the paths through it (one slot up in
+		// throughOff, then summed into offsets), then the transpose.
+		toff := p.throughOff[lo+1 : hi+1]
+		for pi, path := range paths {
+			wMin := math.Inf(1)
 			for _, s := range path {
-				count[s]++
+				p.pathSub = append(p.pathSub, int32(s))
+				toff[s]++
+				if w := pt.Weights[s]; w < wMin {
+					wMin = w
+				}
 			}
+			p.pathSubOff[plo+pi+1] = int32(len(p.pathSub))
+			p.wMin[plo+pi] = wMin
 		}
-		for s, c := range count[:n] {
-			pt.PathsThrough[s], throughIdx = throughIdx[:0:c], throughIdx[c:]
+		for g := lo; g < hi; g++ {
+			p.throughOff[g+1] += p.throughOff[g]
 		}
+		cursor = append(cursor[:0], p.throughOff[lo:hi]...)
 		for pi, path := range paths {
 			for _, s := range path {
-				pt.PathsThrough[s] = append(pt.PathsThrough[s], pi)
+				p.through[cursor[s]] = int32(pi)
+				cursor[s]++
 			}
 		}
 		for si, s := range t.Subtasks {
-			ri := pt.Res[si]
-			pt.Share[si] = share.WCETLag{ExecMs: s.ExecMs, LagMs: p.Resources[ri].LagMs}
-			pt.SubtaskNames[si] = s.Name
+			g := lo + si
+			ri := p.res[g]
+			p.cost[g] = s.ExecMs + p.Resources[ri].LagMs
+			names[g] = s.Name
 			p.refreshBounds(ti, si)
-			p.Resources[ri].Subs = append(p.Resources[ri].Subs, [2]int{ti, si})
+			p.Resources[ri].Subs = append(p.Resources[ri].Subs, int32(g))
 		}
 	}
 	return p, nil
@@ -175,57 +255,121 @@ func Compile(w *workload.Workload, weightMode task.WeightMode) (*Problem, error)
 func (p *Problem) Workload() *workload.Workload { return p.src }
 
 // NumSubtasks counts subtasks across all tasks.
-func (p *Problem) NumSubtasks() int {
-	n := 0
-	for i := range p.Tasks {
-		n += len(p.Tasks[i].Res)
-	}
-	return n
+func (p *Problem) NumSubtasks() int { return len(p.res) }
+
+// SubtaskAt maps a global subtask index (an entry of ProblemResource.Subs)
+// to its task and its index within the task.
+func (p *Problem) SubtaskAt(g int32) (ti, si int) {
+	ti = sort.Search(len(p.Tasks), func(i int) bool { return p.subOff[i+1] > g })
+	return ti, int(g - p.subOff[ti])
 }
 
-// ResponseSlope returns subtask (ti, si)'s demand response to its resource
-// price, −∂share/∂μ ≥ 0, at the given latency and price. On the
+// NumPaths returns the number of root-to-leaf paths of task ti.
+func (p *Problem) NumPaths(ti int) int { return int(p.pathOff[ti+1] - p.pathOff[ti]) }
+
+// Path returns path pi of task ti as task-local subtask indices. The slice
+// aliases the problem; callers must not mutate it.
+func (p *Problem) Path(ti, pi int) []int32 {
+	gp := p.pathOff[ti] + int32(pi)
+	return p.pathSub[p.pathSubOff[gp]:p.pathSubOff[gp+1]]
+}
+
+// PathsThrough returns the task-local indices of the paths of task ti that
+// contain subtask si. The slice aliases the problem.
+func (p *Problem) PathsThrough(ti, si int) []int32 {
+	g := p.subOff[ti] + int32(si)
+	return p.through[p.throughOff[g]:p.throughOff[g+1]]
+}
+
+// Share returns subtask (ti, si)'s share function: WCET + resource lag, with
+// the current additive error term.
+func (p *Problem) Share(ti, si int) share.WCETLag {
+	g := p.subOff[ti] + int32(si)
+	return share.WCETLag{ExecMs: p.src.Tasks[ti].Subtasks[si].ExecMs, LagMs: p.Resources[p.res[g]].LagMs, ErrMs: p.errMs[g]}
+}
+
+// ShareAt is the share of the subtask with global index g at latency latMs.
+func (p *Problem) ShareAt(g int32, latMs float64) float64 {
+	return p.cost[g] / share.Budget(latMs, p.errMs[g])
+}
+
+// sharesInto writes the shares of task ti's subtasks at the latencies lat
+// into dst.
+func (p *Problem) sharesInto(dst []float64, ti int, lat []float64) {
+	lo := p.subOff[ti]
+	for si, l := range lat {
+		dst[si] = p.ShareAt(lo+int32(si), l)
+	}
+}
+
+// aggregate returns task ti's weighted latency sum Σ w_s · lat_s.
+func (p *Problem) aggregate(ti int, lat []float64) float64 {
+	sum := 0.0
+	for si, w := range p.weight[p.subOff[ti]:p.subOff[ti+1]] {
+		sum += w * lat[si]
+	}
+	return sum
+}
+
+// criticalPath returns task ti's longest path latency under lat and the
+// index of that path.
+func (p *Problem) criticalPath(ti int, lat []float64) (float64, int) {
+	best, bestIdx := 0.0, -1
+	for gp := p.pathOff[ti]; gp < p.pathOff[ti+1]; gp++ {
+		sum := 0.0
+		for _, s := range p.pathSub[p.pathSubOff[gp]:p.pathSubOff[gp+1]] {
+			sum += lat[s]
+		}
+		if bestIdx < 0 || sum > best {
+			best, bestIdx = sum, int(gp-p.pathOff[ti])
+		}
+	}
+	return best, bestIdx
+}
+
+// interior reports whether latMs lies strictly inside the bounds [lo, hi] —
+// the test the KKT residual and the curvature share, so stationarity and
+// demand response agree on which subtasks count.
+func interior(latMs, lo, hi float64) bool {
+	return !(latMs <= lo*(1+1e-6) || latMs >= hi*(1-1e-6))
+}
+
+// ResponseSlope returns the demand response of the subtask with global index
+// g to its resource price, −∂share/∂μ ≥ 0, at the given latency and price. On the
 // stationarity solution (Equation 7) lat − e = sqrt(μ·k/denom) with
 // k = c + l, so share = k/(lat−e) = sqrt(k·denom/μ) and
 // ∂share/∂μ = −share/(2μ) — the closed-form diagonal of the dual Hessian
 // that the DiagonalNewton price dynamics consume as curvature. Bound-active
 // subtasks (and free resources) do not respond: a clamped latency stays
-// clamped under a marginal price move, so their response is zero. The
-// interior test matches the KKT-residual one so curvature and stationarity
-// agree on which subtasks count.
-func (p *Problem) ResponseSlope(ti, si int, latMs, mu float64) float64 {
-	pt := &p.Tasks[ti]
-	if mu <= 0 {
+// clamped under a marginal price move, so their response is zero.
+func (p *Problem) ResponseSlope(g int32, latMs, mu float64) float64 {
+	if mu <= 0 || !interior(latMs, p.latMin[g], p.latMax[g]) {
 		return 0
 	}
-	lo, hi := pt.LatMinMs[si], pt.LatMaxMs[si]
-	if latMs <= lo*(1+1e-6) || latMs >= hi*(1-1e-6) {
-		return 0
-	}
-	return pt.Share[si].Share(latMs) / (2 * mu)
+	return p.ShareAt(g, latMs) / (2 * mu)
 }
 
 // refreshBounds computes a subtask's latency bounds, at compile time and
 // after a change to its share function (error correction), its minimum
 // share or its resource's availability.
 func (p *Problem) refreshBounds(ti, si int) {
-	pt := &p.Tasks[ti]
-	r := p.Resources[pt.Res[si]]
-	pt.LatMinMs[si] = pt.Share[si].LatencyFor(r.Availability)
-	maxLat := pt.CriticalMs
+	g := p.subOff[ti] + int32(si)
+	sf := p.Share(ti, si)
+	p.latMin[g] = sf.LatencyFor(p.Resources[p.res[g]].Availability)
+	maxLat := p.consts[ti].criticalMs
 	minShare := p.src.Tasks[ti].Subtasks[si].MinShare
 	if minShare > 0 {
-		if cap := pt.Share[si].LatencyFor(minShare); cap < maxLat {
+		if cap := sf.LatencyFor(minShare); cap < maxLat {
 			maxLat = cap
 		}
 	}
-	if maxLat < pt.LatMinMs[si] {
+	if maxLat < p.latMin[g] {
 		// Degenerate bounds (e.g. availability too low for the deadline):
 		// keep a consistent interval; the constraint violation will surface
 		// in the snapshot instead.
-		maxLat = pt.LatMinMs[si]
+		maxLat = p.latMin[g]
 	}
-	pt.LatMaxMs[si] = maxLat
+	p.latMax[g] = maxLat
 }
 
 // clamp bounds v to [lo, hi].

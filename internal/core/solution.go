@@ -49,7 +49,7 @@ func (e *Engine) Snapshot() Snapshot {
 // per-iteration garbage; the refilled snapshot aliases its previous
 // buffers, so copy anything that must outlive the next call.
 func (e *Engine) SnapshotInto(s *Snapshot) {
-	nt, nr := len(e.controllers), len(e.agents)
+	nt, nr := len(e.p.Tasks), len(e.price)
 	s.Iteration = e.iter
 	s.Utility = 0
 	s.MaxResourceViolation = 0
@@ -57,8 +57,8 @@ func (e *Engine) SnapshotInto(s *Snapshot) {
 	s.ShareSums = resizeFloats(s.ShareSums, nr)
 	copy(s.ShareSums, e.shareSums)
 	s.Mu = resizeFloats(s.Mu, nr)
-	for ri, a := range e.agents {
-		s.Mu[ri] = a.Mu
+	copy(s.Mu, e.price)
+	for ri := range e.price {
 		over := e.shareSums[ri] - e.p.Resources[ri].Availability
 		if over > s.MaxResourceViolation {
 			s.MaxResourceViolation = over
@@ -69,14 +69,15 @@ func (e *Engine) SnapshotInto(s *Snapshot) {
 	s.Shares = resizeRows(s.Shares, nt)
 	s.CriticalPathMs = resizeFloats(s.CriticalPathMs, nt)
 	s.CriticalTimeMs = resizeFloats(s.CriticalTimeMs, nt)
-	for ti, c := range e.controllers {
+	for ti := range e.p.Tasks {
+		c := e.Controller(ti)
 		u := c.Utility()
 		s.TaskUtility[ti] = u
 		s.Utility += u
 		s.LatMs[ti] = resizeFloats(s.LatMs[ti], len(c.LatMs))
 		copy(s.LatMs[ti], c.LatMs)
 		s.Shares[ti] = resizeFloats(s.Shares[ti], len(c.LatMs))
-		c.SharesInto(s.Shares[ti])
+		e.p.sharesInto(s.Shares[ti], ti, c.LatMs)
 		cp, _ := c.CriticalPathMs()
 		crit := e.p.Tasks[ti].CriticalMs
 		s.CriticalPathMs[ti] = cp
@@ -106,16 +107,17 @@ type Probe struct {
 // summation and max-scan order) at none of the allocation cost.
 func (e *Engine) Probe() Probe {
 	pr := Probe{Iteration: e.iter}
-	for ri := range e.agents {
+	for ri := range e.price {
 		over := e.shareSums[ri] - e.p.Resources[ri].Availability
 		if over > pr.MaxResourceViolation {
 			pr.MaxResourceViolation = over
 		}
 	}
-	for ti, c := range e.controllers {
-		pr.Utility += c.Utility()
-		cp, _ := c.CriticalPathMs()
-		crit := e.p.Tasks[ti].CriticalMs
+	for ti := range e.p.Tasks {
+		lat := e.taskLat(ti)
+		pr.Utility += e.p.Tasks[ti].Curve.Value(e.p.aggregate(ti, lat))
+		cp, _ := e.p.criticalPath(ti, lat)
+		crit := e.p.consts[ti].criticalMs
 		if frac := (cp - crit) / crit; frac > pr.MaxPathViolationFrac {
 			pr.MaxPathViolationFrac = frac
 		}
@@ -164,7 +166,7 @@ func (e *Engine) LatencyByName(taskName, subtaskName string) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return e.controllers[ti].LatMs[si], nil
+	return e.lat[e.p.subOff[ti]+int32(si)], nil
 }
 
 // ShareByName returns the share implied by the current latency of the named
@@ -174,5 +176,6 @@ func (e *Engine) ShareByName(taskName, subtaskName string) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return e.p.Tasks[ti].Share[si].Share(e.controllers[ti].LatMs[si]), nil
+	g := e.p.subOff[ti] + int32(si)
+	return e.p.ShareAt(g, e.lat[g]), nil
 }

@@ -2,26 +2,17 @@ package core
 
 import "lla/internal/workload"
 
-// The active-set iteration (DESIGN.md §11). LLA's gradient-projection loop
-// converges by making ever-smaller price moves; near the fixed point the
-// floating-point updates literally stop changing bits (the step rounds to a
-// no-op). Step therefore skips a controller's solve when its observed prices
-// are bitwise identical to its previous solve AND that solve was a
-// self-fixed-point (it left the controller's own state — latencies, path
-// prices, step sizers — bitwise unchanged), and it skips a resource's
-// reprice when no contributing subtask's share changed AND the previous
-// gradient step was likewise a bitwise no-op.
-//
-// The skip condition is exact, not approximate: both the controller solve
-// and the resource reprice are deterministic state machines S' = F(S, x).
-// If the last executed transition observed F(S, x) == S and the inputs x
-// are bitwise unchanged, re-running F would reproduce S and the cached
-// outputs verbatim — so Step produces byte-identical snapshots to an
-// iteration that skips nothing (the tests' denseStep reference) at every
-// iteration and under every Workers count. Any out-of-band mutation of S or
-// of the problem data (SetAvailability, SetErrorMs, SetMinShare,
-// ReplaceWorkload) invalidates every cached fingerprint; see
-// Engine.invalidateSparse.
+// The active set (DESIGN.md §11). Near the fixed point LLA's floating-point
+// updates literally stop changing bits. Step therefore skips a controller's
+// solve when its observed prices are bitwise what its previous solve saw AND
+// that solve left the controller's own state — latencies, path prices, step
+// sizes — bitwise unchanged, and skips a resource's reprice when no
+// contributing share changed AND the previous gradient step was likewise a
+// no-op. Both are deterministic state machines S' = F(S, x): after
+// F(S, x) == S, re-running F on the same x reproduces S and every cached
+// output, so Step's snapshots are byte-identical to an iteration that skips
+// nothing (the tests' denseStep) under every Workers count. Any write to S
+// or the problem data outside Step must go through Engine.invalidateSparse.
 
 // Incidence is the CSR-style index of the bipartite task/resource structure,
 // built once at engine construction: which distinct resources a task's
@@ -65,7 +56,7 @@ func (inc *Incidence) ResourceTasks(ri int) []int32 {
 // NewIncidence builds both CSR directions from the compiled problem.
 func NewIncidence(p *Problem) Incidence {
 	return buildIncidence(len(p.Tasks), len(p.Resources), p.NumSubtasks(),
-		func(ti int, _ []int) []int { return p.Tasks[ti].Res })
+		func(ti int, _ []int32) []int32 { return p.Tasks[ti].Res })
 }
 
 // NewWorkloadIncidence builds the index NewIncidence(Compile(w)) would,
@@ -77,10 +68,10 @@ func NewWorkloadIncidence(w *workload.Workload) Incidence {
 		resIdx[r.ID] = i
 	}
 	return buildIncidence(len(w.Tasks), len(w.Resources), w.TotalSubtasks(),
-		func(ti int, buf []int) []int {
+		func(ti int, buf []int32) []int32 {
 			buf = buf[:0]
 			for _, s := range w.Tasks[ti].Subtasks {
-				buf = append(buf, resIdx[s.Resource])
+				buf = append(buf, int32(resIdx[s.Resource]))
 			}
 			return buf
 		})
@@ -88,21 +79,21 @@ func NewWorkloadIncidence(w *workload.Workload) Incidence {
 
 // buildIncidence builds both directions from resOf, which returns task ti's
 // per-subtask resource indices (it may fill and return buf).
-func buildIncidence(nt, nr, nsub int, resOf func(ti int, buf []int) []int) Incidence {
+func buildIncidence(nt, nr, nsub int, resOf func(ti int, buf []int32) []int32) Incidence {
 	inc := Incidence{
 		taskResOff: make([]int32, nt+1),
 		taskRes:    make([]int32, 0, nsub),
 		resTaskOff: make([]int32, nr+1),
 	}
 	mark := make([]int32, nr) // 1 + the last task seen on the resource
-	var buf []int
+	var buf []int32
 	for ti := 0; ti < nt; ti++ {
 		inc.taskResOff[ti] = int32(len(inc.taskRes))
 		buf = resOf(ti, buf)
 		for _, ri := range buf {
 			if mark[ri] != int32(ti+1) {
 				mark[ri] = int32(ti + 1)
-				inc.taskRes = append(inc.taskRes, int32(ri))
+				inc.taskRes = append(inc.taskRes, ri)
 				inc.resTaskOff[ri+1]++
 			}
 		}

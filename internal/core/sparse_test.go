@@ -139,7 +139,7 @@ func TestSparseSkipsAtSteadyState(t *testing.T) {
 	const probe = 100
 	e.Run(probe, nil)
 	st := e.SparseStats()
-	nt, nr := uint64(len(e.controllers)), uint64(len(e.agents))
+	nt, nr := uint64(len(e.p.Tasks)), uint64(len(e.price))
 	if st.SkippedSolves != probe*nt {
 		t.Errorf("frozen engine skipped %d/%d controller solves", st.SkippedSolves, probe*nt)
 	}

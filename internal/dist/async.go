@@ -97,8 +97,6 @@ func RunAsyncObserved(w *workload.Workload, cfg core.Config, net transport.Netwo
 	if err != nil {
 		return nil, err
 	}
-	newStep := cfg.NewStepSizer
-
 	// Nil-safe metric handles: all remain nil (no-op) without a registry.
 	var cRetrans, cStale, cDegraded, cLease *obs.Counter
 	var rms []*obs.ResourceMetrics
@@ -118,10 +116,9 @@ func RunAsyncObserved(w *workload.Workload, cfg core.Config, net transport.Netwo
 		ti  int
 	}
 	type resNode struct {
-		agent *core.ResourceAgent
+		agent *resourcePrice
 		ep    transport.Endpoint
 		ri    int
-		dyn   *dynStepper
 	}
 
 	var ctls []*ctlNode
@@ -132,7 +129,7 @@ func RunAsyncObserved(w *workload.Workload, cfg core.Config, net transport.Netwo
 			return nil, fmt.Errorf("dist: async: %w", err)
 		}
 		ctls = append(ctls, &ctlNode{
-			ctl: core.NewController(p, ti, newStep, cfg.Step.Gamma, cfg.Step.Adaptive, cfg.MaxInner),
+			ctl: core.NewController(p, ti, cfg.Step, cfg.MaxInner),
 			ep:  ep,
 			ti:  ti,
 		})
@@ -143,10 +140,9 @@ func RunAsyncObserved(w *workload.Workload, cfg core.Config, net transport.Netwo
 			return nil, fmt.Errorf("dist: async: %w", err)
 		}
 		ress = append(ress, &resNode{
-			agent: core.NewResourceAgent(p, ri, newStep(), cfg.Step.Gamma, cfg.Step.Adaptive, cfg.InitialMu),
+			agent: newResourcePrice(p, ri, cfg),
 			ep:    ep,
 			ri:    ri,
-			dyn:   newDynStepper(cfg),
 		})
 	}
 	defer func() {
@@ -188,11 +184,10 @@ func RunAsyncObserved(w *workload.Workload, cfg core.Config, net transport.Netwo
 		go func(n *resNode) {
 			defer wg.Done()
 			r := &p.Resources[n.ri]
-			lat := make(map[[2]int]float64, len(r.Subs))
+			lat := make(map[int32]float64, len(r.Subs))
 			for _, sub := range r.Subs {
-				ti, si := sub[0], sub[1]
 				fair := r.Availability / float64(len(r.Subs))
-				lat[sub] = p.Tasks[ti].Share[si].LatencyFor(fair)
+				lat[sub] = p.Share(p.SubtaskAt(sub)).LatencyFor(fair)
 			}
 			lastSeq := make(map[string]int64)
 			var seq int64
@@ -202,7 +197,8 @@ func RunAsyncObserved(w *workload.Workload, cfg core.Config, net transport.Netwo
 			send := func(msg priceMsg) {
 				seen := make(map[string]bool)
 				for _, sub := range r.Subs {
-					tn := p.Tasks[sub[0]].Name
+					ti, _ := p.SubtaskAt(sub)
+					tn := p.Tasks[ti].Name
 					if !seen[tn] {
 						seen[tn] = true
 						_ = n.ep.Send(controllerAddr(tn), kindPrice, msg)
@@ -219,24 +215,19 @@ func RunAsyncObserved(w *workload.Workload, cfg core.Config, net transport.Netwo
 			publish := func() {
 				sum := 0.0
 				for _, sub := range r.Subs {
-					ti, si := sub[0], sub[1]
-					sum += p.Tasks[ti].Share[si].Share(lat[sub])
+					sum += p.ShareAt(sub, lat[sub])
 				}
-				if n.dyn != nil {
-					stable = !n.dyn.step(p, n.ri, n.agent, lat, sum)
-				} else {
-					stable = !n.agent.UpdatePrice(sum)
-				}
+				stable = !n.agent.update(p, lat, sum)
 				dirty = false
 				if rms != nil {
 					rm := rms[n.ri]
 					rm.ShareSum.Set(sum)
 					rm.Availability.Set(r.Availability)
 					rm.Utilization.Set(sum / r.Availability)
-					rm.Price.Set(n.agent.Mu)
+					rm.Price.Set(n.agent.mu)
 				}
 				seq++
-				lastMsg = priceMsg{Seq: seq, Resource: r.ID, Mu: n.agent.Mu, Congested: n.agent.Congested(sum)}
+				lastMsg = priceMsg{Seq: seq, Resource: r.ID, Mu: n.agent.mu, Congested: r.Congested(sum)}
 				send(lastMsg)
 				mu.Lock()
 				res.ResourceSteps++
@@ -254,7 +245,7 @@ func RunAsyncObserved(w *workload.Workload, cfg core.Config, net transport.Netwo
 					return
 				}
 				for sn, v := range lm.LatMs {
-					if sub, ok2 := subIndex(p, lm.Task, sn); ok2 {
+					if sub, ok2 := subIndex(p, r.Subs, lm.Task, sn); ok2 {
 						if lat[sub] != v {
 							lat[sub] = v
 							dirty = true
@@ -336,11 +327,11 @@ func RunAsyncObserved(w *workload.Workload, cfg core.Config, net transport.Netwo
 			congested := make([]bool, len(p.Resources))
 			pt := &p.Tasks[n.ti]
 			used := make([]int, 0, len(pt.Res))
-			seenRes := make(map[int]bool)
+			seenRes := make(map[int32]bool)
 			for _, ri := range pt.Res {
 				if !seenRes[ri] {
 					seenRes[ri] = true
-					used = append(used, ri)
+					used = append(used, int(ri))
 				}
 			}
 			lastHeard := make(map[int]time.Time, len(used))
@@ -371,8 +362,7 @@ func RunAsyncObserved(w *workload.Workload, cfg core.Config, net transport.Netwo
 			// engage while any used resource is degraded.
 			dirty, stable := true, false
 			publish := func() {
-				priceChanged := n.ctl.UpdatePathPrices(congested)
-				latChanged := n.ctl.AllocateLatencies(muVec)
+				priceChanged, latChanged := n.ctl.Solve(muVec, congested)
 				anyDegraded := false
 				for _, ri := range used {
 					if degraded[ri] {
@@ -396,10 +386,10 @@ func RunAsyncObserved(w *workload.Workload, cfg core.Config, net transport.Netwo
 				}
 				byRes := make(map[int]map[string]float64)
 				for si, ri := range pt.Res {
-					if byRes[ri] == nil {
-						byRes[ri] = make(map[string]float64)
+					if byRes[int(ri)] == nil {
+						byRes[int(ri)] = make(map[string]float64)
 					}
-					byRes[ri][pt.SubtaskNames[si]] = n.ctl.LatMs[si]
+					byRes[int(ri)][pt.SubtaskNames[si]] = n.ctl.LatMs[si]
 				}
 				seq++
 				lastOut = lastOut[:0]
@@ -527,22 +517,18 @@ func RunAsyncObserved(w *workload.Workload, cfg core.Config, net transport.Netwo
 		res.LatMs = append(res.LatMs, append([]float64(nil), n.ctl.LatMs...))
 	}
 	for _, n := range ress {
-		res.Mu = append(res.Mu, n.agent.Mu)
+		res.Mu = append(res.Mu, n.agent.mu)
 	}
 	return res, nil
 }
 
-// subIndex resolves (task name, subtask name) to compiled indices.
-func subIndex(p *core.Problem, taskName, subName string) ([2]int, bool) {
-	for ti := range p.Tasks {
-		if p.Tasks[ti].Name != taskName {
-			continue
-		}
-		for si, n := range p.Tasks[ti].SubtaskNames {
-			if n == subName {
-				return [2]int{ti, si}, true
-			}
+// subIndex finds (task name, subtask name) among subs, a resource's global
+// subtask indices.
+func subIndex(p *core.Problem, subs []int32, taskName, subName string) (int32, bool) {
+	for _, sub := range subs {
+		if ti, si := p.SubtaskAt(sub); p.Tasks[ti].Name == taskName && p.Tasks[ti].SubtaskNames[si] == subName {
+			return sub, true
 		}
 	}
-	return [2]int{}, false
+	return 0, false
 }

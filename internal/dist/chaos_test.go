@@ -252,9 +252,9 @@ func TestChaosAsyncLossCrashRestartConverges(t *testing.T) {
 	}
 	for ti := range p.Tasks {
 		pt := &p.Tasks[ti]
-		for pi, path := range pt.Paths {
+		for pi := 0; pi < p.NumPaths(ti); pi++ {
 			sum := 0.0
-			for _, s := range path {
+			for _, s := range p.Path(ti, pi) {
 				sum += res.LatMs[ti][s]
 			}
 			if sum > pt.CriticalMs*1.01 {

@@ -13,61 +13,68 @@ import (
 // identical to the engine under every solver — the property the dist tests
 // pin for the reference gradient extends to the accelerated solvers.
 
-// dynStepper drives a 1-coordinate price.Dynamics for one resource node,
-// holding the fixed-size StepInput scratch so the per-round update does not
-// allocate.
-type dynStepper struct {
-	dyn   price.Dynamics
-	mu    [1]float64
-	sum   [1]float64
-	avail [1]float64
-	curv  [1]float64
-	cong  [1]bool
+// resourcePrice is a resource node's price computer (Section 4.3): it takes
+// the total share demanded on its resource and moves the price mu by the
+// configured dynamics — the reference gradient projection (Equation 8,
+// price.GradStep, the engine's own per-resource step) or, for an accelerated
+// config, a 1-coordinate price.Dynamics.
+type resourcePrice struct {
+	r    *core.ProblemResource
+	mu   float64
+	grad price.GradStep
+	// dyn is nil under the reference gradient solver, mirroring the engine's
+	// dyn == nil path. The arrays are its fixed-size StepInput scratch, so
+	// the per-round update does not allocate.
+	dyn                  price.Dynamics
+	in, sum, avail, curv [1]float64
+	cong                 [1]bool
 }
 
-// newDynStepper builds the node-local dynamics for an accelerated config, or
-// nil for the reference gradient solver — nil keeps the agent's built-in
-// UpdatePrice path bit-for-bit untouched, mirroring the engine's dyn == nil
-// fast path.
-func newDynStepper(cfg core.Config) *dynStepper {
-	if !cfg.Accelerated() {
-		return nil
+func newResourcePrice(p *core.Problem, ri int, cfg core.Config) *resourcePrice {
+	a := &resourcePrice{r: &p.Resources[ri], mu: cfg.InitialMu, grad: cfg.NewGradStep()}
+	if cfg.Accelerated() {
+		a.dyn = cfg.NewDynamics()
+		a.dyn.Reset(1)
 	}
-	d := &dynStepper{dyn: cfg.NewDynamics()}
-	d.dyn.Reset(1)
-	return d
+	return a
 }
 
-// step advances the agent's price one round through the accelerated
-// dynamics. The curvature (when the solver needs it) is summed over the
-// resource's subtasks in compiled Subs order from the freshest reported
-// latencies — the same serial order and inputs as Engine.curvatureInto, which
-// is what keeps the trajectories bitwise identical. It reports whether any
-// observable solver state moved, the fixed-point signal the async sparse
-// path uses.
-func (d *dynStepper) step(p *core.Problem, ri int, agent *core.ResourceAgent, lat map[[2]int]float64, sum float64) bool {
-	r := &p.Resources[ri]
-	d.mu[0] = agent.Mu
-	d.sum[0] = sum
-	d.avail[0] = r.Availability
-	d.cong[0] = agent.Congested(sum)
-	if d.dyn.NeedsCurvature() {
+// update advances the price one round from the demand sum. The curvature
+// (when the solver needs it) is summed over the resource's subtasks in
+// compiled order from the freshest reported latencies (lat, by global
+// subtask index) — the same serial order and inputs as the engine's, which
+// is what keeps the trajectories bitwise identical. It reports whether any observable state moved — the
+// price or a step size — the fixed-point signal the async sparse path uses.
+func (a *resourcePrice) update(p *core.Problem, lat map[int32]float64, sum float64) bool {
+	cong := a.r.Congested(sum)
+	if a.dyn == nil {
+		var changed bool
+		a.mu, changed = a.grad.Update(a.mu, a.r.Availability, sum, cong)
+		return changed
+	}
+	a.in[0], a.sum[0], a.avail[0], a.cong[0] = a.mu, sum, a.r.Availability, cong
+	if a.dyn.NeedsCurvature() {
 		c := 0.0
-		for _, sub := range r.Subs {
-			c += p.ResponseSlope(sub[0], sub[1], lat[sub], agent.Mu)
+		for _, sub := range a.r.Subs {
+			c += p.ResponseSlope(sub, lat[sub], a.mu)
 		}
-		d.curv[0] = c
+		a.curv[0] = c
 	}
-	changed := d.dyn.Step(price.StepInput{
-		Mu:        d.mu[:],
-		ShareSums: d.sum[:],
-		Avail:     d.avail[:],
-		Congested: d.cong[:],
-		Curvature: d.curv[:],
+	changed := a.dyn.Step(price.StepInput{
+		Mu:        a.in[:],
+		ShareSums: a.sum[:],
+		Avail:     a.avail[:],
+		Congested: a.cong[:],
+		Curvature: a.curv[:],
 	})
-	agent.Mu = d.mu[0]
+	a.mu = a.in[0]
 	return changed
 }
 
 // fallbacks returns the cumulative safeguard-fallback count.
-func (d *dynStepper) fallbacks() uint64 { return d.dyn.Fallbacks() }
+func (a *resourcePrice) fallbacks() uint64 {
+	if a.dyn == nil {
+		return 0
+	}
+	return a.dyn.Fallbacks()
+}

@@ -34,22 +34,20 @@ import (
 type resourceNode struct {
 	p     *core.Problem
 	ri    int
-	agent *core.ResourceAgent
+	agent *resourcePrice
 	ep    transport.Endpoint
 	// controllers are the task names with subtasks on this resource.
 	controllers []string
 	ctlSet      map[string]bool
-	// latNames maps (task name, subtask name) to (ti, si).
-	subIdx map[string][2]int
+	// subIdx maps "task name/subtask name" to the subtask's global index
+	// (an entry of the resource's Subs).
+	subIdx map[string]int32
 	// lat holds the latest latency of each subtask on this resource.
-	lat map[[2]int]float64
+	lat map[int32]float64
 
 	// fp and stop are installed by the runtime before run.
 	fp   FaultPolicy
 	stop <-chan struct{}
-	// dyn, when non-nil, replaces the agent's built-in gradient step with
-	// the configured accelerated price dynamics (dynamics.go).
-	dyn *dynStepper
 	// lastPrice caches the latest full broadcast for retransmission and
 	// stale recovery — recovery always re-sends by value, never a marker.
 	lastPrice priceMsg
@@ -84,18 +82,19 @@ type resourceNode struct {
 }
 
 // newResourceNode wires a resource agent to an endpoint.
-func newResourceNode(p *core.Problem, ri int, agent *core.ResourceAgent, ep transport.Endpoint) *resourceNode {
+func newResourceNode(p *core.Problem, ri int, cfg core.Config, ep transport.Endpoint) *resourceNode {
+	agent := newResourcePrice(p, ri, cfg)
 	n := &resourceNode{
 		p:      p,
 		ri:     ri,
 		agent:  agent,
 		ep:     ep,
 		ctlSet: make(map[string]bool),
-		subIdx: make(map[string][2]int),
-		lat:    make(map[[2]int]float64),
+		subIdx: make(map[string]int32),
+		lat:    make(map[int32]float64),
 	}
 	for _, sub := range p.Resources[ri].Subs {
-		ti, si := sub[0], sub[1]
+		ti, si := p.SubtaskAt(sub)
 		tn := p.Tasks[ti].Name
 		if !n.ctlSet[tn] {
 			n.ctlSet[tn] = true
@@ -103,7 +102,7 @@ func newResourceNode(p *core.Problem, ri int, agent *core.ResourceAgent, ep tran
 		}
 		n.subIdx[tn+"/"+p.Tasks[ti].SubtaskNames[si]] = sub
 	}
-	n.liveMu.Set(agent.Mu)
+	n.liveMu.Set(agent.mu)
 	return n
 }
 
@@ -116,7 +115,7 @@ func (n *resourceNode) broadcastPrice(round int, congested bool) error {
 		Round:     round,
 		Epoch:     n.epoch,
 		Resource:  n.p.Resources[n.ri].ID,
-		Mu:        n.agent.Mu,
+		Mu:        n.agent.mu,
 		Congested: congested,
 	}
 	n.lastPrice = msg
@@ -287,27 +286,22 @@ func (n *resourceNode) run(maxRounds int) error {
 		// Round complete: price computation (Equation 8, or the configured
 		// accelerated dynamics).
 		sum := 0.0
-		for _, sub := range n.p.Resources[n.ri].Subs {
-			ti, si := sub[0], sub[1]
-			sum += n.p.Tasks[ti].Share[si].Share(n.lat[sub])
+		for _, sub := range n.agent.r.Subs {
+			sum += n.p.ShareAt(sub, n.lat[sub])
 		}
-		if n.dyn != nil {
-			n.dyn.step(n.p, n.ri, n.agent, n.lat, sum)
-		} else {
-			n.agent.UpdatePrice(sum)
-		}
-		n.liveMu.Set(n.agent.Mu)
+		n.agent.update(n.p, n.lat, sum)
+		n.liveMu.Set(n.agent.mu)
 		if n.rm != nil {
 			avail := n.p.Resources[n.ri].Availability
 			n.rm.ShareSum.Set(sum)
 			n.rm.Availability.Set(avail)
 			n.rm.Utilization.Set(sum / avail)
-			n.rm.Price.Set(n.agent.Mu)
+			n.rm.Price.Set(n.agent.mu)
 		}
 		round++
 		got = make(map[string]bool)
 		if round < limit {
-			if err := n.broadcastPrice(round, n.agent.Congested(sum)); err != nil {
+			if err := n.broadcastPrice(round, n.agent.r.Congested(sum)); err != nil {
 				return err
 			}
 		}
@@ -405,11 +399,11 @@ func newControllerNode(p *core.Problem, ti int, ctl *core.Controller, ep transpo
 	for ri := range p.Resources {
 		n.resByID[p.Resources[ri].ID] = ri
 	}
-	seen := make(map[int]bool)
+	seen := make(map[int32]bool)
 	for _, ri := range p.Tasks[ti].Res {
 		if !seen[ri] {
 			seen[ri] = true
-			n.res = append(n.res, ri)
+			n.res = append(n.res, int(ri))
 		}
 	}
 	return n
@@ -424,10 +418,10 @@ func (n *controllerNode) sendLatencies(round int) error {
 	pt := &n.p.Tasks[n.ti]
 	byRes := make(map[int]map[string]float64, len(n.res))
 	for si, ri := range pt.Res {
-		m := byRes[ri]
+		m := byRes[int(ri)]
 		if m == nil {
 			m = make(map[string]float64)
-			byRes[ri] = m
+			byRes[int(ri)] = m
 		}
 		m[pt.SubtaskNames[si]] = n.ctl.LatMs[si]
 	}
@@ -628,8 +622,7 @@ func (n *controllerNode) run(maxRounds int) error {
 		}
 
 		// Round complete: latency allocation (Section 4.2).
-		n.ctl.UpdatePathPrices(congested)
-		n.ctl.AllocateLatencies(mu)
+		n.ctl.Solve(mu, congested)
 		if err := n.sendLatencies(round); err != nil {
 			return err
 		}

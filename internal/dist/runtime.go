@@ -21,7 +21,6 @@ type Runtime struct {
 	cfg         core.Config
 	net         transport.Network
 	controllers []*core.Controller
-	agents      []*core.ResourceAgent
 	ctlNodes    []*controllerNode
 	resNodes    []*resourceNode
 	coordinator transport.Endpoint
@@ -51,8 +50,6 @@ func New(w *workload.Workload, cfg core.Config, net transport.Network) (*Runtime
 		fp:   DefaultFaultPolicy(),
 		stop: make(chan struct{}),
 	}
-	newStep := cfg.NewStepSizer
-
 	r.coordinator, err = net.Endpoint(coordinatorAddr)
 	if err != nil {
 		return nil, fmt.Errorf("dist: %w", err)
@@ -62,7 +59,7 @@ func New(w *workload.Workload, cfg core.Config, net transport.Network) (*Runtime
 		if err != nil {
 			return nil, fmt.Errorf("dist: %w", err)
 		}
-		ctl := core.NewController(p, ti, newStep, cfg.Step.Gamma, cfg.Step.Adaptive, cfg.MaxInner)
+		ctl := core.NewController(p, ti, cfg.Step, cfg.MaxInner)
 		r.controllers = append(r.controllers, ctl)
 		r.ctlNodes = append(r.ctlNodes, newControllerNode(p, ti, ctl, ep))
 	}
@@ -71,11 +68,7 @@ func New(w *workload.Workload, cfg core.Config, net transport.Network) (*Runtime
 		if err != nil {
 			return nil, fmt.Errorf("dist: %w", err)
 		}
-		agent := core.NewResourceAgent(p, ri, newStep(), cfg.Step.Gamma, cfg.Step.Adaptive, cfg.InitialMu)
-		r.agents = append(r.agents, agent)
-		node := newResourceNode(p, ri, agent, ep)
-		node.dyn = newDynStepper(cfg)
-		r.resNodes = append(r.resNodes, node)
+		r.resNodes = append(r.resNodes, newResourceNode(p, ri, cfg, ep))
 	}
 	return r, nil
 }
@@ -235,9 +228,6 @@ func (r *Runtime) collect(res *Result) {
 		res.Utility += c.Utility()
 		res.LatMs = append(res.LatMs, append([]float64(nil), c.LatMs...))
 	}
-	for _, a := range r.agents {
-		res.Mu = append(res.Mu, a.Mu)
-	}
 	for _, n := range r.ctlNodes {
 		res.Retransmits += n.retransmits
 		res.RejectedStale += n.rejectedStale
@@ -252,9 +242,8 @@ func (r *Runtime) collect(res *Result) {
 		res.DeltaSuppressed += n.deltaSuppressed
 		res.DeltaBytesSaved += n.deltaBytesSaved
 		res.FencedStale += n.fencedEpoch
-		if n.dyn != nil {
-			res.SolverFallbacks += n.dyn.fallbacks()
-		}
+		res.SolverFallbacks += n.agent.fallbacks()
+		res.Mu = append(res.Mu, n.agent.mu)
 	}
 }
 

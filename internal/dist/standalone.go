@@ -53,9 +53,7 @@ func RunResourceObserved(ctx context.Context, w *workload.Workload, cfg core.Con
 		return 0, err
 	}
 	defer ep.Close()
-	agent := core.NewResourceAgent(p, ri, cfg.NewStepSizer(), cfg.Step.Gamma, cfg.Step.Adaptive, cfg.InitialMu)
-	node := newResourceNode(p, ri, agent, ep)
-	node.dyn = newDynStepper(cfg)
+	node := newResourceNode(p, ri, cfg, ep)
 	node.fp, node.stop = DefaultFaultPolicy(), ctx.Done()
 	if o != nil && o.Metrics != nil {
 		dm := obs.NewDistMetrics(o.Metrics)
@@ -67,7 +65,7 @@ func RunResourceObserved(ctx context.Context, w *workload.Workload, cfg core.Con
 	if err := node.run(rounds); err != nil {
 		return 0, err
 	}
-	return agent.Mu, nil
+	return node.agent.mu, nil
 }
 
 // RunController runs the task controller of one task for the given number
@@ -102,7 +100,7 @@ func RunControllerObserved(ctx context.Context, w *workload.Workload, cfg core.C
 		return nil, 0, err
 	}
 	defer ep.Close()
-	ctl := core.NewController(p, ti, cfg.NewStepSizer, cfg.Step.Gamma, cfg.Step.Adaptive, cfg.MaxInner)
+	ctl := core.NewController(p, ti, cfg.Step, cfg.MaxInner)
 	node := newControllerNode(p, ti, ctl, ep)
 	node.reports = false
 	node.fp, node.stop = DefaultFaultPolicy(), ctx.Done()

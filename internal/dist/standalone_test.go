@@ -158,9 +158,8 @@ func TestSendFinsToleratesDepartedControllers(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ep.Close()
-	agent := core.NewResourceAgent(p, 0, cfg.NewStepSizer(), cfg.Step.Gamma, cfg.Step.Adaptive, cfg.InitialMu)
 	peers := make(map[string]transport.Endpoint)
-	n := newResourceNode(p, 0, agent, leaveOnFin{ep, peers})
+	n := newResourceNode(p, 0, cfg, leaveOnFin{ep, peers})
 	n.fp = DefaultFaultPolicy()
 	if len(n.controllers) < 2 {
 		t.Fatalf("resource 0 serves %d controllers; the case needs several", len(n.controllers))

@@ -281,7 +281,9 @@ func TestFleetParallelWorkers(t *testing.T) {
 
 // TestSweepCertificateMatchesDenseScans asserts that whichever way a sweep
 // exits — the KKT window (keeping its last in-loop certificate), the
-// iteration cap with a failed check, freeze mode, or the frozen break — the
+// iteration cap with a failed check, freeze mode, or the frozen break (which
+// keeps the previous iteration's certificate when that one passed: the
+// "long-window" case can exit no other way once it has converged) — the
 // certificate it leaves is bitwise what dense scans of the shard's final
 // state report, so the fleet's certification and Result.KKTMax read the
 // same numbers as before the sweep's checks short-circuited.
@@ -293,6 +295,7 @@ func TestSweepCertificateMatchesDenseScans(t *testing.T) {
 		{"window", Config{}},
 		{"cap", Config{LocalIters: 3}},
 		{"freeze", Config{LocalFreeze: true, LocalIters: 5000}},
+		{"long-window", Config{LocalWindow: 1 << 20, LocalIters: 5000}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := tc.cfg
@@ -302,7 +305,7 @@ func TestSweepCertificateMatchesDenseScans(t *testing.T) {
 				t.Fatalf("New: %v", err)
 			}
 			defer f.Close()
-			frozen := 0
+			frozen, frozenLate := 0, 0
 			for round := 0; round < 40; round++ {
 				// Sweep by hand so the state is inspected before the round's
 				// boundary update re-pins prices; the Round below then finds
@@ -311,6 +314,9 @@ func TestSweepCertificateMatchesDenseScans(t *testing.T) {
 					f.sweepShard(s)
 					if s.frozen {
 						frozen++
+						if s.iters > 1 {
+							frozenLate++
+						}
 					}
 					var want core.Certificate
 					want.KKTMax, _, _ = s.eng.KKTStats()
@@ -335,6 +341,9 @@ func TestSweepCertificateMatchesDenseScans(t *testing.T) {
 			}
 			if frozen == 0 {
 				t.Error("no sweep ended on the frozen break")
+			}
+			if tc.name == "long-window" && frozenLate == 0 {
+				t.Error("no sweep froze after an iteration of its own, so none kept a certificate")
 			}
 		})
 	}

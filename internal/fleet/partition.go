@@ -1,5 +1,5 @@
 // Package fleet implements hierarchical multi-coordinator sharding
-// (SHARDING.md, ROADMAP item 1): a deterministic balanced min-cut
+// (SHARDING.md): a deterministic balanced min-cut
 // partitioner over the core CSR incidence index, a shard runtime wrapping
 // one core.Engine per shard, and a top-level aggregator that iterates only
 // on cross-shard ("boundary") resource prices — the decomposition of the

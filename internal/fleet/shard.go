@@ -101,8 +101,10 @@ func subWorkload(w *workload.Workload, inc *core.Incidence, name string, taskIdx
 // state is bitwise frozen and further Steps are no-ops.
 // maxIters always caps the sweep. Each Step is graded by the engine's
 // short-circuiting certificate; a passing grade is complete, so the window
-// exit keeps it, and only an exit whose last Step went ungraded or failed
-// (frozen break, freeze mode, the cap) pays one full scan for s.cert.
+// exit keeps it — and so does a frozen exit right after one, since the no-op
+// Step left the graded state as it was. Only an exit whose state went
+// ungraded or failed (freeze mode, the cap, a frozen break after a failed
+// grade) pays one full scan for s.cert.
 func (s *shardRuntime) sweep(maxIters int, freeze bool, kktTol float64, window int, tol float64) {
 	if window < 1 {
 		window = 1
@@ -115,13 +117,13 @@ func (s *shardRuntime) sweep(maxIters int, freeze bool, kktTol float64, window i
 		before := s.eng.SparseStats()
 		s.eng.Step()
 		s.iters++
-		graded = false
 		after := s.eng.SparseStats()
 		if after.ExecutedSolves == before.ExecutedSolves &&
 			after.RepricedResources == before.RepricedResources {
 			s.frozen = true
 			break // bitwise frozen: replaying the Step changes nothing
 		}
+		graded = false
 		if freeze {
 			continue
 		}

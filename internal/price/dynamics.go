@@ -135,9 +135,10 @@ func NewDynamics(s Solver, cfg DynamicsConfig) Dynamics {
 
 // GradStep is one coordinate's reference gradient-projection update — the
 // exact arithmetic of the paper's dual step with the Section 5.2 adaptive
-// heuristic and the local stability clamp. core.ResourceAgent delegates to
-// it, and every accelerated solver embeds it as safeguard, so "fall back to
-// gradient" means bit-for-bit the reference behavior.
+// heuristic and the local stability clamp. The engine and the distributed
+// resource nodes step their prices with it, and every accelerated solver
+// embeds it as safeguard, so "fall back to gradient" means bit-for-bit the
+// reference behavior.
 type GradStep struct {
 	// Step sizes the gradient step, ramping under congestion when the
 	// adaptive policy is configured.
@@ -154,8 +155,15 @@ type GradStep struct {
 // Update advances one coordinate by the reference dynamics: feed the sizer
 // the congestion state, clamp the step to the local stability bound
 // (gamma ≤ max(BaseGamma, 2·mu/B), floored at mu/2 in price-scaled mode),
-// and apply Equation 8. It returns the next price and whether any state
-// moved bitwise (the price or the sizer's step size).
+// and apply Equation 8. With share = (c+l)/lat and lat = sqrt(mu·k/denom),
+// demand scales as 1/sqrt(mu), so the iteration contracts only for
+// gamma < 4·mu/B: clamping at half that (floored at the base step so the
+// price can rise from zero) lets the multiplicative ramp run while the
+// price is large without destabilizing it near the equilibrium. It returns
+// the next price and whether any state moved bitwise (the price or the
+// sizer's step size, which is the sizer's entire observable state): false
+// means a fixed point — replaying the update with the same demand would
+// change nothing, which is what lets a resource be skipped as clean.
 func (g *GradStep) Update(mu, availability, shareSum float64, congested bool) (float64, bool) {
 	g0 := g.Step.Gamma()
 	g.Step.Observe(congested)

@@ -116,21 +116,25 @@ func (a *Adaptive) Gamma() float64 {
 
 // Observe implements StepSizer.
 func (a *Adaptive) Observe(congested bool) {
-	if a.cur == 0 {
-		a.cur = a.Base
+	a.cur = Ramp(a.Gamma(), a.Base, a.Max, congested)
+}
+
+// Ramp is the adaptive heuristic on a bare step size: the size that follows
+// cur given this iteration's congestion state — doubled (capped at max, 0
+// meaning DefaultAdaptiveMax) while congested, back to base otherwise.
+// Adaptive is this function plus its own storage; the task controllers keep
+// their path step sizes in flat arrays and call it directly.
+func Ramp(cur, base, max float64, congested bool) float64 {
+	if !congested {
+		return base
 	}
-	if congested {
-		max := a.Max
-		if max == 0 {
-			max = DefaultAdaptiveMax
-		}
-		a.cur *= 2
-		if a.cur > max {
-			a.cur = max
-		}
-		return
+	if max == 0 {
+		max = DefaultAdaptiveMax
 	}
-	a.cur = a.Base
+	if cur *= 2; cur > max {
+		cur = max
+	}
+	return cur
 }
 
 // Reset implements StepSizer.

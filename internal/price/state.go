@@ -54,9 +54,9 @@ type DynamicsState struct {
 	PrevAbsF []float64
 }
 
-// captureSteps snapshots the per-coordinate sizer gammas shared by every
-// built-in solver.
-func captureSteps(steps []GradStep) []float64 {
+// CaptureSteps snapshots the per-coordinate sizer gammas: of a built-in
+// solver, or of the engine's own gradient steps.
+func CaptureSteps(steps []GradStep) []float64 {
 	gammas := make([]float64, len(steps))
 	for j := range steps {
 		gammas[j] = steps[j].Step.Gamma()
@@ -64,11 +64,11 @@ func captureSteps(steps []GradStep) []float64 {
 	return gammas
 }
 
-// restoreSteps forces each coordinate's sizer to a captured gamma. Fixed
+// RestoreSteps forces each coordinate's sizer to a captured gamma. Fixed
 // sizers accept only their own value (a mismatch means the checkpoint was
 // taken under a different configuration); everything else must implement
 // GammaSetter.
-func restoreSteps(steps []GradStep, gammas []float64) error {
+func RestoreSteps(steps []GradStep, gammas []float64) error {
 	if len(gammas) != len(steps) {
 		return fmt.Errorf("price: restore has %d step gammas, solver has %d coordinates", len(gammas), len(steps))
 	}
@@ -94,16 +94,16 @@ func restoreSteps(steps []GradStep, gammas []float64) error {
 func CaptureDynamics(d Dynamics) (DynamicsState, bool) {
 	switch v := d.(type) {
 	case *GradientProjection:
-		return DynamicsState{Solver: v.Solver(), Gammas: captureSteps(v.steps)}, true
+		return DynamicsState{Solver: v.Solver(), Gammas: CaptureSteps(v.steps)}, true
 	case *DiagonalNewton:
-		return DynamicsState{Solver: v.Solver(), Gammas: captureSteps(v.steps), Fallbacks: v.fallbacks}, true
+		return DynamicsState{Solver: v.Solver(), Gammas: CaptureSteps(v.steps), Fallbacks: v.fallbacks}, true
 	case *PriceDiscovery:
-		return DynamicsState{Solver: v.Solver(), Gammas: captureSteps(v.steps)}, true
+		return DynamicsState{Solver: v.Solver(), Gammas: CaptureSteps(v.steps)}, true
 	case *Anderson:
 		m := v.window()
 		st := DynamicsState{
 			Solver:    v.Solver(),
-			Gammas:    captureSteps(v.steps),
+			Gammas:    CaptureSteps(v.steps),
 			Fallbacks: v.fallbacks,
 			Window:    m,
 			Cnt:       append([]int(nil), v.cnt...),
@@ -131,17 +131,17 @@ func RestoreDynamics(d Dynamics, st DynamicsState) error {
 	}
 	switch v := d.(type) {
 	case *GradientProjection:
-		return restoreSteps(v.steps, st.Gammas)
+		return RestoreSteps(v.steps, st.Gammas)
 	case *DiagonalNewton:
-		if err := restoreSteps(v.steps, st.Gammas); err != nil {
+		if err := RestoreSteps(v.steps, st.Gammas); err != nil {
 			return err
 		}
 		v.fallbacks = st.Fallbacks
 		return nil
 	case *PriceDiscovery:
-		return restoreSteps(v.steps, st.Gammas)
+		return RestoreSteps(v.steps, st.Gammas)
 	case *Anderson:
-		if err := restoreSteps(v.steps, st.Gammas); err != nil {
+		if err := RestoreSteps(v.steps, st.Gammas); err != nil {
 			return err
 		}
 		m := v.window()

@@ -46,10 +46,15 @@ var _ Func = WCETLag{}
 // latency budget.
 func (w WCETLag) numerator() float64 { return w.ExecMs + w.LagMs }
 
-// effectiveLat applies the error correction and floors the budget at a tiny
-// positive value so shares stay finite.
-func (w WCETLag) effectiveLat(latMs float64) float64 {
-	lat := latMs - w.ErrMs
+// effectiveLat is the subtask's Budget.
+func (w WCETLag) effectiveLat(latMs float64) float64 { return Budget(latMs, w.ErrMs) }
+
+// Budget is the latency budget the share model amortizes its cost over: the
+// error-corrected latency, floored at a tiny positive value so shares stay
+// finite. Exported for the optimizer's flat-array kernels, which hold c+l
+// and the error term as plain numbers rather than as a WCETLag.
+func Budget(latMs, errMs float64) float64 {
+	lat := latMs - errMs
 	if lat < 1e-9 {
 		lat = 1e-9
 	}
