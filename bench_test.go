@@ -17,7 +17,6 @@ package lla_test
 import (
 	"bufio"
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"math"
 	"runtime"
@@ -768,14 +767,13 @@ func BenchmarkSimulator(b *testing.B) {
 
 // BenchmarkWireCodec measures the binary wire codec (PROTOCOL.md) on the
 // frame the protocol optimizes for — one round's 64 price updates as a
-// single batched frame with dictionary-compressed resource ids — against
-// the 64 individual length-prefixed JSON frames the legacy framing ships
-// for the same round. benchparse gates binary_bytes at <= json_bytes/10.
+// single batched frame with dictionary-compressed resource ids: encode plus
+// decode per op. benchparse gates binary_bytes (the frame may not grow) and
+// allocs/op against the committed report.
 func BenchmarkWireCodec(b *testing.B) {
 	const entries = 64
 	resources := make([]string, entries)
 	updates := make([]wire.PriceUpdate, entries)
-	jsonBytes := 0
 	for i := range resources {
 		resources[i] = fmt.Sprintf("resource-%02d", i)
 		updates[i] = wire.PriceUpdate{
@@ -784,23 +782,8 @@ func BenchmarkWireCodec(b *testing.B) {
 			Resource: resources[i],
 			Mu:       0.125 + float64(i)/1024,
 		}
-		one, err := json.Marshal(updates[i])
-		if err != nil {
-			b.Fatal(err)
-		}
-		oneFrame, err := json.Marshal(transport.Message{
-			From: "res/" + resources[i], To: "ctl/task1", Kind: "price", Payload: one,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		jsonBytes += 4 + len(oneFrame) // the legacy framing's length prefix
 	}
-	payload, err := json.Marshal(updates)
-	if err != nil {
-		b.Fatal(err)
-	}
-	msg := transport.Message{From: "coordinator", To: "ctl/task1", Kind: "price", Payload: payload}
+	msg := wire.Message{From: "coordinator", To: "ctl/task1", Kind: wire.KindPrice, Payload: updates}
 
 	dict, err := wire.NewDict(resources, []string{"task1"}, [][]string{{}})
 	if err != nil {
@@ -813,6 +796,7 @@ func BenchmarkWireCodec(b *testing.B) {
 	}
 
 	r := bufio.NewReader(bytes.NewReader(nil))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		enc, err := codec.Encode(msg)
@@ -825,6 +809,4 @@ func BenchmarkWireCodec(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(len(frame)), "binary_bytes")
-	b.ReportMetric(float64(jsonBytes), "json_bytes")
-	b.ReportMetric(float64(jsonBytes)/float64(len(frame)), "compression")
 }

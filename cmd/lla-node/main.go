@@ -55,7 +55,6 @@ func main() {
 // flags are declared, so the help test can assert the complete set.
 type nodeFlags struct {
 	workloadArg, registryPath, role, id, debugAddr, tracePath, solver, checkpointDir *string
-	wireMode                                                                         *string
 	demo, printRegistry, fleetMode                                                   *bool
 	rounds, workers, checkpointEvery, shards, shardWorkers                           *int
 }
@@ -79,8 +78,6 @@ func newFlagSet() (*flag.FlagSet, *nodeFlags) {
 			"demo mode: persist crash-safe checkpoints of the deployment's optimizer state here; the coordinator epoch resumes from the newest one"),
 		checkpointEvery: fs.Int("checkpoint-every", 0,
 			"demo mode: rounds between periodic checkpoint saves (0 = a default period)"),
-		wireMode: fs.String("wire", "binary",
-			"TCP message framing: binary (the PROTOCOL.md codec, negotiated per connection with automatic JSON fallback for pre-codec peers) or json (legacy length-prefixed JSON)"),
 		fleetMode: fs.Bool("fleet", false,
 			"run the hierarchical sharded fleet in-process: partition the workload across shard engines and iterate only the boundary prices (SHARDING.md)"),
 		shards: fs.Int("shards", 4, "fleet mode: number of coordinator shards"),
@@ -110,9 +107,6 @@ func run(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
-	if *f.wireMode != "binary" && *f.wireMode != "json" {
-		return fmt.Errorf("unknown -wire mode %q (have binary, json)", *f.wireMode)
-	}
 	cfg := core.Config{Workers: *workers, PriceSolver: sol}
 
 	o, obsDone, err := buildObserver(*debugAddr, *tracePath)
@@ -140,11 +134,11 @@ func run(ctx context.Context, args []string) error {
 	}
 
 	if *f.fleetMode {
-		return runFleet(w, cfg, *f.shards, *f.shardWorkers, *rounds, o, *f.wireMode)
+		return runFleet(w, cfg, *f.shards, *f.shardWorkers, *rounds, o)
 	}
 
 	if *demo {
-		return runDemo(ctx, w, cfg, *rounds, o, *f.checkpointDir, *f.checkpointEvery, *f.wireMode)
+		return runDemo(ctx, w, cfg, *rounds, o, *f.checkpointDir, *f.checkpointEvery)
 	}
 
 	if *registryPath == "" {
@@ -159,9 +153,7 @@ func run(ctx context.Context, args []string) error {
 		return fmt.Errorf("parsing registry: %w", err)
 	}
 	net := transport.NewTCP(registry)
-	if *f.wireMode == "binary" {
-		net.SetCodec(nodeCodec(w, o))
-	}
+	net.SetCodec(nodeCodec(w, o))
 
 	switch *role {
 	case "resource":
@@ -267,16 +259,16 @@ func buildObserver(debugAddr, tracePath string) (*obs.Observer, func(), error) {
 
 // runFleet hosts the hierarchical sharded fleet (SHARDING.md) in one
 // process: the workload is partitioned across shard engines, boundary
-// resource prices iterate at the aggregator, and with binary framing every
-// PRICE_AGG/BOUNDARY exchange round-trips through the wire codec.
-func runFleet(w *workload.Workload, cfg core.Config, shards, shardWorkers, rounds int, o *obs.Observer, wireMode string) error {
+// resource prices iterate at the aggregator, and every PRICE_AGG/BOUNDARY
+// exchange round-trips through the wire codec.
+func runFleet(w *workload.Workload, cfg core.Config, shards, shardWorkers, rounds int, o *obs.Observer) error {
 	f, err := fleet.New(w, fleet.Config{
 		Shards:       shards,
 		Seed:         1,
 		ShardWorkers: shardWorkers,
 		Engine:       cfg,
 		MaxRounds:    rounds,
-		WireVerify:   wireMode == "binary",
+		WireVerify:   true,
 		Observer:     o,
 	})
 	if err != nil {
@@ -308,15 +300,13 @@ func runFleet(w *workload.Workload, cfg core.Config, shards, shardWorkers, round
 // periodically and at the end — via a serial mirror engine (the protocol is
 // bitwise-identical to the engine, so the mirror's state IS the
 // deployment's).
-func runDemo(ctx context.Context, w *workload.Workload, cfg core.Config, rounds int, o *obs.Observer, ckptDir string, ckptEvery int, wireMode string) error {
+func runDemo(ctx context.Context, w *workload.Workload, cfg core.Config, rounds int, o *obs.Observer, ckptDir string, ckptEvery int) error {
 	registry := make(map[string]string)
 	for _, addr := range dist.Addresses(w) {
 		registry[addr] = "127.0.0.1:0"
 	}
 	net := transport.NewTCP(registry)
-	if wireMode == "binary" {
-		net.SetCodec(nodeCodec(w, o))
-	}
+	net.SetCodec(nodeCodec(w, o))
 	rt, err := dist.New(w, cfg, net)
 	if err != nil {
 		return err

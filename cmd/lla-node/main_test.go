@@ -19,7 +19,6 @@ func TestRunBadInputs(t *testing.T) {
 		{"-workload", "/nonexistent.json", "-demo"},
 		{"-workload", "base", "-role", "warp", "-registry", "/tmp/x"},
 		{"-workload", "base"}, // no registry, no demo
-		{"-workload", "base", "-demo", "-wire", "smoke-signals"},
 	}
 	for _, args := range cases {
 		if err := run(context.Background(), args); err == nil {
@@ -37,7 +36,7 @@ func TestHelpListsEveryFlag(t *testing.T) {
 		"rounds": true, "demo": true, "print-registry": true,
 		"debug-addr": true, "trace": true, "workers": true,
 		"solver": true, "checkpoint-dir": true, "checkpoint-every": true,
-		"wire": true, "fleet": true, "shards": true, "shard-workers": true,
+		"fleet": true, "shards": true, "shard-workers": true,
 	}
 	fs, _ := newFlagSet()
 	if fs.Lookup("sparse") != nil {

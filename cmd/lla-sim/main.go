@@ -71,7 +71,7 @@ func main() {
 // flags are declared, so the help test can assert the complete set.
 type simFlags struct {
 	experiment, solver, csvDir, tracePath, debugAddr, checkpointDir *string
-	wireMode, gatewayAddr                                           *string
+	gatewayAddr                                                     *string
 	quick                                                           *bool
 	seed                                                            *int64
 	workers, sampleEvery, checkpointEvery, shards, shardWorkers     *int
@@ -97,8 +97,6 @@ func newFlagSet() (*flag.FlagSet, *simFlags) {
 			"directory for crash-safe checkpoints in experiments that write them (soak); empty = a per-run temp dir"),
 		checkpointEvery: fs.Int("checkpoint-every", 0,
 			"churn events between periodic checkpoint saves (0 = experiment default)"),
-		wireMode: fs.String("wire", "binary",
-			"message framing for distributed-runtime experiments (soak): binary (PROTOCOL.md codec) or json (legacy framing) — results are bitwise identical"),
 		gatewayAddr: fs.String("gateway-addr", "",
 			"serve the live SSE control-plane gateway (/stream, /state) on this address while experiments run"),
 		shards: fs.Int("shards", 0,
@@ -123,10 +121,6 @@ func run(args []string) error {
 	tracePath := f.tracePath
 	debugAddr := f.debugAddr
 	sampleEvery := f.sampleEvery
-
-	if *f.wireMode != "binary" && *f.wireMode != "json" {
-		return fmt.Errorf("unknown -wire mode %q (have binary, json)", *f.wireMode)
-	}
 
 	var o *obs.Observer
 	if *tracePath != "" || *debugAddr != "" || *f.gatewayAddr != "" {
@@ -186,7 +180,7 @@ func run(args []string) error {
 		return err
 	}
 	opts := eval.Options{Quick: *quick, Seed: *seed, Workers: *workers, Observer: o, Solver: sol,
-		CheckpointDir: *f.checkpointDir, CheckpointEvery: *f.checkpointEvery, Wire: *f.wireMode,
+		CheckpointDir: *f.checkpointDir, CheckpointEvery: *f.checkpointEvery,
 		Shards: *f.shards, ShardWorkers: *f.shardWorkers}
 	for _, name := range selected {
 		res, err := runners[name](opts)

@@ -45,7 +45,7 @@ func TestHelpListsEveryFlag(t *testing.T) {
 		"solver": true, "csv": true, "trace": true,
 		"debug-addr": true, "trace-every": true,
 		"checkpoint-dir": true, "checkpoint-every": true,
-		"wire": true, "gateway-addr": true, "shards": true, "shard-workers": true,
+		"gateway-addr": true, "shards": true, "shard-workers": true,
 	}
 	fs, _ := newFlagSet()
 	if fs.Lookup("sparse") != nil {
@@ -74,13 +74,6 @@ func TestHelpListsEveryFlag(t *testing.T) {
 		if !want[name] {
 			t.Errorf("flag -%s is declared but not in the expected list — document it here", name)
 		}
-	}
-}
-
-func TestRunRejectsUnknownWireMode(t *testing.T) {
-	err := run([]string{"-experiment", "table1", "-quick", "-wire", "carrier-pigeon"})
-	if err == nil || !strings.Contains(err.Error(), "carrier-pigeon") {
-		t.Fatalf("unknown wire mode accepted: %v", err)
 	}
 }
 

@@ -19,6 +19,14 @@ import (
 // trial-optimization gate needs an engine, so a coordinator admit verdict
 // means "worth enacting", not "proven schedulable". Decisions are recorded
 // on the run's Result and answered to the querying endpoint best-effort.
+// The protocol has no frame type for either message: they cross a network as
+// JSON on RAW frames and are read back with Message.Decode.
+
+// Message kinds of the admission exchange.
+const (
+	kindAdmitQuery    = "admitQuery"
+	kindAdmitDecision = "admitDecision"
+)
 
 // AdmissionQuery describes a chain-pipeline candidate, mirroring
 // workload.ChurnTemplate: stage i executes for StageExecMs[i] on

@@ -8,6 +8,7 @@ import (
 	"lla/internal/core"
 	"lla/internal/obs"
 	"lla/internal/transport"
+	"lla/internal/wire"
 	"lla/internal/workload"
 )
 
@@ -110,40 +111,24 @@ func RunAsyncObserved(w *workload.Workload, cfg core.Config, net transport.Netwo
 		}
 	}
 
-	type ctlNode struct {
-		ctl *core.Controller
-		ep  transport.Endpoint
-		ti  int
-	}
-	type resNode struct {
-		agent *resourcePrice
-		ep    transport.Endpoint
-		ri    int
-	}
-
-	var ctls []*ctlNode
-	var ress []*resNode
+	// The async loops below reuse the synchronized nodes' wiring — endpoint,
+	// agent or controller, and the name indexes built once at construction —
+	// and none of their round state.
+	var ctls []*controllerNode
+	var ress []*resourceNode
 	for ti := range p.Tasks {
 		ep, err := net.Endpoint(controllerAddr(p.Tasks[ti].Name))
 		if err != nil {
 			return nil, fmt.Errorf("dist: async: %w", err)
 		}
-		ctls = append(ctls, &ctlNode{
-			ctl: core.NewController(p, ti, cfg.Step, cfg.MaxInner),
-			ep:  ep,
-			ti:  ti,
-		})
+		ctls = append(ctls, newControllerNode(p, ti, core.NewController(p, ti, cfg.Step, cfg.MaxInner), ep))
 	}
 	for ri := range p.Resources {
 		ep, err := net.Endpoint(resourceAddr(p.Resources[ri].ID))
 		if err != nil {
 			return nil, fmt.Errorf("dist: async: %w", err)
 		}
-		ress = append(ress, &resNode{
-			agent: newResourcePrice(p, ri, cfg),
-			ep:    ep,
-			ri:    ri,
-		})
+		ress = append(ress, newResourceNode(p, ri, cfg, ep))
 	}
 	defer func() {
 		for _, n := range ctls {
@@ -181,10 +166,10 @@ func RunAsyncObserved(w *workload.Workload, cfg core.Config, net transport.Netwo
 	// and heartbeat the current price while idle.
 	for _, n := range ress {
 		wg.Add(1)
-		go func(n *resNode) {
+		go func(n *resourceNode) {
 			defer wg.Done()
 			r := &p.Resources[n.ri]
-			lat := make(map[int32]float64, len(r.Subs))
+			lat := n.lat
 			for _, sub := range r.Subs {
 				fair := r.Availability / float64(len(r.Subs))
 				lat[sub] = p.Share(p.SubtaskAt(sub)).LatencyFor(fair)
@@ -194,15 +179,9 @@ func RunAsyncObserved(w *workload.Workload, cfg core.Config, net transport.Netwo
 			lastSent := time.Now()
 			// publish recomputes the price from current latencies and
 			// multicasts it; heartbeat re-sends the last price unchanged.
-			send := func(msg priceMsg) {
-				seen := make(map[string]bool)
-				for _, sub := range r.Subs {
-					ti, _ := p.SubtaskAt(sub)
-					tn := p.Tasks[ti].Name
-					if !seen[tn] {
-						seen[tn] = true
-						_ = n.ep.Send(controllerAddr(tn), kindPrice, msg)
-					}
+			send := func(msg wire.PriceUpdate) {
+				for _, tn := range n.controllers {
+					_ = n.ep.Send(controllerAddr(tn), wire.KindPrice, msg)
 				}
 				lastSent = time.Now()
 			}
@@ -211,7 +190,7 @@ func RunAsyncObserved(w *workload.Workload, cfg core.Config, net transport.Netwo
 			// of the agent. Both false → re-running would republish the exact
 			// same price, so the sparse path skips it.
 			dirty, stable := true, false
-			var lastMsg priceMsg
+			var lastMsg wire.PriceUpdate
 			publish := func() {
 				sum := 0.0
 				for _, sub := range r.Subs {
@@ -227,26 +206,20 @@ func RunAsyncObserved(w *workload.Workload, cfg core.Config, net transport.Netwo
 					rm.Price.Set(n.agent.mu)
 				}
 				seq++
-				lastMsg = priceMsg{Seq: seq, Resource: r.ID, Mu: n.agent.mu, Congested: r.Congested(sum)}
+				lastMsg = wire.PriceUpdate{Seq: seq, Resource: r.ID, Mu: n.agent.mu, Congested: r.Congested(sum)}
 				send(lastMsg)
 				mu.Lock()
 				res.ResourceSteps++
 				mu.Unlock()
 			}
 			handle := func(m transport.Message) {
-				if m.Kind != kindLatency {
+				lm, ok := m.Payload.(wire.ShareReport)
+				if !ok || !fresh(lastSeq, m.From, lm.Seq) {
 					return
 				}
-				var lm latencyMsg
-				if err := m.Decode(&lm); err != nil {
-					return
-				}
-				if !fresh(lastSeq, m.From, lm.Seq) {
-					return
-				}
-				for sn, v := range lm.LatMs {
-					if sub, ok2 := subIndex(p, r.Subs, lm.Task, sn); ok2 {
-						if lat[sub] != v {
+				for j, sn := range lm.Subs {
+					if sub, ok := n.subIdx[subKey{lm.Task, sn}]; ok {
+						if v := lm.LatMs[j]; lat[sub] != v {
 							lat[sub] = v
 							dirty = true
 						}
@@ -318,7 +291,7 @@ func RunAsyncObserved(w *workload.Workload, cfg core.Config, net transport.Netwo
 	// allocations while a resource is silent.
 	for _, n := range ctls {
 		wg.Add(1)
-		go func(n *ctlNode) {
+		go func(n *controllerNode) {
 			defer wg.Done()
 			muVec := make([]float64, len(p.Resources))
 			for ri := range muVec {
@@ -326,13 +299,10 @@ func RunAsyncObserved(w *workload.Workload, cfg core.Config, net transport.Netwo
 			}
 			congested := make([]bool, len(p.Resources))
 			pt := &p.Tasks[n.ti]
-			used := make([]int, 0, len(pt.Res))
-			seenRes := make(map[int32]bool)
-			for _, ri := range pt.Res {
-				if !seenRes[ri] {
-					seenRes[ri] = true
-					used = append(used, int(ri))
-				}
+			groups := n.groups
+			used := make([]int, len(groups))
+			for k := range groups {
+				used[k] = groups[k].ri
 			}
 			lastHeard := make(map[int]time.Time, len(used))
 			degraded := make(map[int]bool, len(used))
@@ -342,16 +312,13 @@ func RunAsyncObserved(w *workload.Workload, cfg core.Config, net transport.Netwo
 			lastSeq := make(map[string]int64)
 			var seq int64
 			lastSent := time.Now()
-			// outLat pairs a latency message with its destination resource so
-			// heartbeats can re-send the whole last batch.
-			type outLat struct {
-				resID string
-				msg   latencyMsg
-			}
-			var lastOut []outLat
-			send := func(msgs []outLat) {
-				for _, o := range msgs {
-					_ = n.ep.Send(resourceAddr(o.resID), kindLatency, o.msg)
+			// lastOut[k] is the latest latency message for groups[k], kept so
+			// heartbeats can re-send the whole last batch; nil before the first
+			// publish. Messages leave in groups order, a fixed one.
+			var lastOut []wire.ShareReport
+			send := func(msgs []wire.ShareReport) {
+				for k, msg := range msgs {
+					_ = n.ep.Send(resourceAddr(p.Resources[groups[k].ri].ID), wire.KindLatency, msg)
 				}
 				lastSent = time.Now()
 			}
@@ -384,20 +351,11 @@ func RunAsyncObserved(w *workload.Workload, cfg core.Config, net transport.Netwo
 					mu.Unlock()
 					cDegraded.Inc()
 				}
-				byRes := make(map[int]map[string]float64)
-				for si, ri := range pt.Res {
-					if byRes[int(ri)] == nil {
-						byRes[int(ri)] = make(map[string]float64)
-					}
-					byRes[int(ri)][pt.SubtaskNames[si]] = n.ctl.LatMs[si]
-				}
 				seq++
 				lastOut = lastOut[:0]
-				for ri, lats := range byRes {
-					lastOut = append(lastOut, outLat{
-						resID: p.Resources[ri].ID,
-						msg:   latencyMsg{Seq: seq, Task: pt.Name, LatMs: lats},
-					})
+				for k := range groups {
+					lats, _ := groups[k].latencies(n.ctl.LatMs, nil)
+					lastOut = append(lastOut, wire.ShareReport{Seq: seq, Task: pt.Name, Subs: groups[k].subs, LatMs: lats})
 				}
 				send(lastOut)
 				mu.Lock()
@@ -405,14 +363,8 @@ func RunAsyncObserved(w *workload.Workload, cfg core.Config, net transport.Netwo
 				mu.Unlock()
 			}
 			handle := func(m transport.Message) {
-				if m.Kind != kindPrice {
-					return
-				}
-				var pm priceMsg
-				if err := m.Decode(&pm); err != nil {
-					return
-				}
-				if !fresh(lastSeq, m.From, pm.Seq) {
+				pm, ok := m.Payload.(wire.PriceUpdate)
+				if !ok || !fresh(lastSeq, m.From, pm.Seq) {
 					return
 				}
 				for ri := range p.Resources {
@@ -469,8 +421,8 @@ func RunAsyncObserved(w *workload.Workload, cfg core.Config, net transport.Netwo
 					// resources can recover and observe our liveness.
 					if lastOut != nil && time.Since(lastSent) >= fp.RetransmitAfter {
 						seq++
-						for i := range lastOut {
-							lastOut[i].msg.Seq = seq
+						for k := range lastOut {
+							lastOut[k].Seq = seq
 						}
 						send(lastOut)
 						mu.Lock()
@@ -520,15 +472,4 @@ func RunAsyncObserved(w *workload.Workload, cfg core.Config, net transport.Netwo
 		res.Mu = append(res.Mu, n.agent.mu)
 	}
 	return res, nil
-}
-
-// subIndex finds (task name, subtask name) among subs, a resource's global
-// subtask indices.
-func subIndex(p *core.Problem, subs []int32, taskName, subName string) (int32, bool) {
-	for _, sub := range subs {
-		if ti, si := p.SubtaskAt(sub); p.Tasks[ti].Name == taskName && p.Tasks[ti].SubtaskNames[si] == subName {
-			return sub, true
-		}
-	}
-	return 0, false
 }

@@ -9,6 +9,7 @@ import (
 	rec "lla/internal/recover"
 	"lla/internal/stats"
 	"lla/internal/transport"
+	"lla/internal/wire"
 )
 
 // Coordinator failover (DESIGN.md §13). The coordinator is deliberately off
@@ -216,9 +217,9 @@ func (r *Runtime) failoverCoordinator(maxRounds int, det *stats.ConvergenceDetec
 		if plan.ZombieProbe {
 			// Impersonate the dead generation: every rejoined controller must
 			// fence this or halt on the spot.
-			zombie := stopMsg{AfterRound: 0, Epoch: epoch - 1}
+			zombie := wire.Stop{AfterRound: 0, Epoch: epoch - 1}
 			for task := range acked {
-				if err := r.coordinator.Send(controllerAddr(task), kindStop, zombie); err != nil {
+				if err := r.coordinator.Send(controllerAddr(task), wire.KindStop, zombie); err != nil {
 					errCh <- err
 				}
 			}
@@ -236,16 +237,11 @@ func (r *Runtime) failoverCoordinator(maxRounds int, det *stats.ConvergenceDetec
 			if state == coordDown {
 				continue // a dead process reads nothing
 			}
-			switch m.Kind {
-			case kindAdmitQuery:
-				r.handleAdmitQuery(m, res)
-				continue
-			case kindRejoinAck:
-				var am rejoinAckMsg
-				if err := m.Decode(&am); err != nil {
-					errCh <- err
-					continue
-				}
+			var rm wire.UtilityReport
+			switch am := m.Payload.(type) {
+			case wire.UtilityReport:
+				rm = am
+			case wire.RejoinAck:
 				if am.Epoch != epoch {
 					res.FencedStale++
 					continue
@@ -261,13 +257,10 @@ func (r *Runtime) failoverCoordinator(maxRounds int, det *stats.ConvergenceDetec
 					resync()
 				}
 				continue
-			case kindReport:
 			default:
-				continue
-			}
-			var rm reportMsg
-			if err := m.Decode(&rm); err != nil {
-				errCh <- err
+				if m.Kind == kindAdmitQuery {
+					r.handleAdmitQuery(m, res)
+				}
 				continue
 			}
 			if rm.Epoch != epoch {
@@ -347,18 +340,18 @@ func (r *Runtime) failoverCoordinator(maxRounds int, det *stats.ConvergenceDetec
 // asked to re-register (they ack and re-send their cached report); resources
 // always get the announcement so they adopt the epoch for stop fencing.
 func (r *Runtime) broadcastRejoin(epoch uint64, skip map[string]bool, errCh chan<- error) {
-	msg := rejoinMsg{Epoch: epoch}
+	msg := wire.Rejoin{Epoch: epoch}
 	for ti := range r.p.Tasks {
 		name := r.p.Tasks[ti].Name
 		if skip[name] {
 			continue
 		}
-		if err := r.coordinator.Send(controllerAddr(name), kindRejoin, msg); err != nil {
+		if err := r.coordinator.Send(controllerAddr(name), wire.KindRejoin, msg); err != nil {
 			errCh <- err
 		}
 	}
 	for ri := range r.p.Resources {
-		if err := r.coordinator.Send(resourceAddr(r.p.Resources[ri].ID), kindRejoin, msg); err != nil {
+		if err := r.coordinator.Send(resourceAddr(r.p.Resources[ri].ID), wire.KindRejoin, msg); err != nil {
 			errCh <- err
 		}
 	}

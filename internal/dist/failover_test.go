@@ -87,7 +87,11 @@ func TestFailoverCoordinatorCrashMatchesEngine(t *testing.T) {
 // would diverge from the engine.
 func TestFailoverZombieCoordinatorFenced(t *testing.T) {
 	const rounds = 100
-	ch, _ := chaosNet(transport.ChaosConfig{Seed: 3})
+	// DelayMs paces the rounds past the downtime, as in
+	// TestFailoverCoordinatorCrashMatchesEngine: with typed payloads 100
+	// undelayed in-process rounds take less than the 10 ms the coordinator
+	// is down, and a generation restarted after the run probes nobody.
+	ch, _ := chaosNet(transport.ChaosConfig{Seed: 3, DelayMs: 0.3})
 	rt, err := New(workload.Base(), core.Config{}, ch)
 	if err != nil {
 		t.Fatal(err)
@@ -217,7 +221,8 @@ func TestFailoverEpochLoadedFromCheckpoint(t *testing.T) {
 // still bitwise engine-equal — the recovery machinery composes with itself.
 func TestFailoverDoubleRestartBitwise(t *testing.T) {
 	const rounds = 140
-	ch, _ := chaosNet(transport.ChaosConfig{Seed: 47})
+	// Paced for the same reason: both 8 ms downtimes must end mid-run.
+	ch, _ := chaosNet(transport.ChaosConfig{Seed: 47, DelayMs: 0.3})
 	rt, err := New(workload.Base(), core.Config{}, ch)
 	if err != nil {
 		t.Fatal(err)

@@ -2,11 +2,13 @@ package dist
 
 import (
 	"fmt"
+	"sort"
 	"time"
 
 	"lla/internal/core"
 	"lla/internal/obs"
 	"lla/internal/transport"
+	"lla/internal/wire"
 )
 
 // Reliable round protocol. The synchronized protocol survives message loss,
@@ -26,6 +28,15 @@ import (
 // cached message is always exactly what the stuck peer is waiting for. The
 // recovered run is bitwise identical to a loss-free run.
 
+// deltaKeyframeInterval is the period of forced full-payload broadcasts of
+// the delta codec (wire/frames.go): rounds divisible by it never use delta
+// markers, bounding how long any recovery path can go without seeing a
+// payload by value.
+const deltaKeyframeInterval = 16
+
+// subKey names one subtask of one task, as a ShareReport does.
+type subKey struct{ task, sub string }
+
 // resourceNode hosts one resource's price agent (Section 4.3). Each round it
 // gathers the fresh latencies of every subtask on the resource, updates the
 // price by gradient projection, and multicasts the new price (with the
@@ -39,9 +50,9 @@ type resourceNode struct {
 	// controllers are the task names with subtasks on this resource.
 	controllers []string
 	ctlSet      map[string]bool
-	// subIdx maps "task name/subtask name" to the subtask's global index
-	// (an entry of the resource's Subs).
-	subIdx map[string]int32
+	// subIdx maps a subtask hosted here to its global index (an entry of the
+	// resource's Subs).
+	subIdx map[subKey]int32
 	// lat holds the latest latency of each subtask on this resource.
 	lat map[int32]float64
 
@@ -50,7 +61,7 @@ type resourceNode struct {
 	stop <-chan struct{}
 	// lastPrice caches the latest full broadcast for retransmission and
 	// stale recovery — recovery always re-sends by value, never a marker.
-	lastPrice priceMsg
+	lastPrice wire.PriceUpdate
 	// prevMu/prevCong hold the previous round's broadcast payload (the
 	// delta codec's reference); prevValid gates the first round.
 	prevMu    float64
@@ -61,20 +72,10 @@ type resourceNode struct {
 	// coordinator control frames are fenced and counted in fencedEpoch.
 	epoch       uint64
 	fencedEpoch int64
-	// retransmits and rejectedStale count fault-recovery events; read by the
-	// runtime after the node goroutine joins. deltaSuppressed counts
-	// delta-encoded broadcasts, deltaBytesSaved the payload bytes those
-	// markers kept off the wire.
-	retransmits     int64
-	rejectedStale   int64
-	deltaSuppressed int64
-	deltaBytesSaved int64
-	// mRetransmits/mRejectedStale mirror the counters live on an attached
-	// metrics registry; rm carries the per-resource gauges. All nil (and
-	// therefore no-ops) unless observability is attached before run.
-	mRetransmits, mRejectedStale       *obs.Counter
-	mDeltaSuppressed, mDeltaBytesSaved *obs.Counter
-	rm                                 *obs.ResourceMetrics
+	nodeCounters
+	// rm carries the per-resource gauges; nil unless observability is
+	// attached before run.
+	rm *obs.ResourceMetrics
 	// liveMu mirrors the agent's price after every completed round. Unlike
 	// rm it is always on: the coordinator reads it (atomically, from its own
 	// goroutine) to answer admission queries against fresh prices.
@@ -90,7 +91,7 @@ func newResourceNode(p *core.Problem, ri int, cfg core.Config, ep transport.Endp
 		agent:  agent,
 		ep:     ep,
 		ctlSet: make(map[string]bool),
-		subIdx: make(map[string]int32),
+		subIdx: make(map[subKey]int32),
 		lat:    make(map[int32]float64),
 	}
 	for _, sub := range p.Resources[ri].Subs {
@@ -100,18 +101,78 @@ func newResourceNode(p *core.Problem, ri int, cfg core.Config, ep transport.Endp
 			n.ctlSet[tn] = true
 			n.controllers = append(n.controllers, tn)
 		}
-		n.subIdx[tn+"/"+p.Tasks[ti].SubtaskNames[si]] = sub
+		n.subIdx[subKey{tn, p.Tasks[ti].SubtaskNames[si]}] = sub
 	}
 	n.liveMu.Set(agent.mu)
 	return n
 }
 
+// nodeCounters are one node's fault-recovery and delta-codec totals: read by
+// the runtime after the node goroutine joins, and mirrored live on the
+// metrics registry observe attached (nil handles, the default, are no-ops).
+type nodeCounters struct {
+	// retransmits counts messages re-sent (sender-side timeouts and
+	// receiver-side stale recovery), rejectedStale messages received from a
+	// completed round; deltaSuppressed counts delta-encoded sends and
+	// deltaBytesSaved the frame bytes those markers kept off the wire
+	// (wire.DeltaBytesSaved).
+	retransmits, rejectedStale, deltaSuppressed, deltaBytesSaved     int64
+	mRetransmits, mRejectedStale, mDeltaSuppressed, mDeltaBytesSaved *obs.Counter
+}
+
+// observe attaches the live mirrors to o's registry, or detaches them when
+// there is none. Call before run.
+func (c *nodeCounters) observe(o *obs.Observer) {
+	dm, sm := &obs.DistMetrics{}, &obs.SparseMetrics{}
+	if o != nil && o.Metrics != nil {
+		dm, sm = obs.NewDistMetrics(o.Metrics), obs.NewSparseMetrics(o.Metrics)
+	}
+	c.mRetransmits, c.mRejectedStale = dm.Retransmits, dm.RejectedStale
+	c.mDeltaSuppressed, c.mDeltaBytesSaved = sm.DeltaBroadcasts, sm.DeltaBytesSaved
+}
+
+func (c *nodeCounters) retransmit() {
+	c.retransmits++
+	c.mRetransmits.Inc()
+}
+
+func (c *nodeCounters) stale() {
+	c.rejectedStale++
+	c.mRejectedStale.Inc()
+}
+
+// suppressed counts n delta markers that saved the given bytes in all.
+func (c *nodeCounters) suppressed(n, saved int64) {
+	c.deltaSuppressed += n
+	c.deltaBytesSaved += saved
+	c.mDeltaSuppressed.Add(n)
+	c.mDeltaBytesSaved.Add(saved)
+}
+
+// addTo folds the totals into a run's result.
+func (c *nodeCounters) addTo(res *Result) {
+	res.Retransmits += c.retransmits
+	res.RejectedStale += c.rejectedStale
+	res.DeltaSuppressed += c.deltaSuppressed
+	res.DeltaBytesSaved += c.deltaBytesSaved
+}
+
+// observe attaches the node's live counters and gauges to o's registry, or
+// detaches them when there is none. Call before run.
+func (n *resourceNode) observe(o *obs.Observer) {
+	n.nodeCounters.observe(o)
+	n.rm = nil
+	if o != nil && o.Metrics != nil {
+		n.rm = obs.NewResourceMetrics(o.Metrics, n.p.Resources[n.ri].ID)
+	}
+}
+
 // broadcastPrice sends the current price to every interested controller and
 // caches the full message for retransmission. When the payload is bitwise
-// unchanged from the previous round, a delta marker (messages.go) goes on the
-// wire instead, except on keyframe rounds.
+// unchanged from the previous round, a delta marker (wire/frames.go) goes on
+// the wire instead, except on keyframe rounds.
 func (n *resourceNode) broadcastPrice(round int, congested bool) error {
-	msg := priceMsg{
+	msg := wire.PriceUpdate{
 		Round:     round,
 		Epoch:     n.epoch,
 		Resource:  n.p.Resources[n.ri].ID,
@@ -119,19 +180,16 @@ func (n *resourceNode) broadcastPrice(round int, congested bool) error {
 		Congested: congested,
 	}
 	n.lastPrice = msg
-	wire := msg
+	out := msg
 	if n.prevValid && round%deltaKeyframeInterval != 0 &&
 		msg.Mu == n.prevMu && msg.Congested == n.prevCong {
-		wire = priceMsg{Round: round, Epoch: n.epoch, Resource: msg.Resource, Delta: true}
-		saved := encodedBytesSaved(msg, wire) * int64(len(n.controllers))
-		n.deltaSuppressed += int64(len(n.controllers))
-		n.deltaBytesSaved += saved
-		n.mDeltaSuppressed.Add(int64(len(n.controllers)))
-		n.mDeltaBytesSaved.Add(saved)
+		out = wire.PriceUpdate{Round: round, Epoch: n.epoch, Resource: msg.Resource, Delta: true}
+		fanout := int64(len(n.controllers))
+		n.suppressed(fanout, fanout*wire.DeltaBytesSaved(msg))
 	}
 	n.prevMu, n.prevCong, n.prevValid = msg.Mu, msg.Congested, true
 	for _, tn := range n.controllers {
-		if err := n.ep.Send(controllerAddr(tn), kindPrice, wire); err != nil {
+		if err := n.ep.Send(controllerAddr(tn), wire.KindPrice, out); err != nil {
 			return fmt.Errorf("dist: resource %s: %w", n.p.Resources[n.ri].ID, err)
 		}
 	}
@@ -145,9 +203,8 @@ func (n *resourceNode) rebroadcast(got map[string]bool) error {
 		if got[tn] {
 			continue
 		}
-		n.retransmits++
-		n.mRetransmits.Inc()
-		if err := n.ep.Send(controllerAddr(tn), kindPrice, n.lastPrice); err != nil {
+		n.retransmit()
+		if err := n.ep.Send(controllerAddr(tn), wire.KindPrice, n.lastPrice); err != nil {
 			return fmt.Errorf("dist: resource %s: %w", n.p.Resources[n.ri].ID, err)
 		}
 	}
@@ -190,7 +247,7 @@ func (n *resourceNode) run(maxRounds int) error {
 	attempt := 0
 	// pending buffers latency messages by round (delayed transports may
 	// reorder across rounds).
-	pending := make(map[int][]latencyMsg)
+	pending := make(map[int][]wire.ShareReport)
 	got := make(map[string]bool)
 
 	for round < limit {
@@ -214,67 +271,53 @@ func (n *resourceNode) run(maxRounds int) error {
 			return fmt.Errorf("dist: resource %s: endpoint closed mid-protocol", n.p.Resources[n.ri].ID)
 		}
 		attempt = 0
-		switch m.Kind {
-		case kindLatency:
-			var lm latencyMsg
-			if err := m.Decode(&lm); err != nil {
-				return err
-			}
-			if lm.Round < round {
+		switch pl := m.Payload.(type) {
+		case wire.ShareReport:
+			if pl.Round < round {
 				// Stale: that controller has not seen our current price
 				// (lost, or this is a duplicate delivery). Re-send it
 				// directly; the fold it triggers is idempotent.
-				n.rejectedStale++
-				n.mRejectedStale.Inc()
-				if n.ctlSet[lm.Task] {
-					n.retransmits++
-					n.mRetransmits.Inc()
-					if err := n.ep.Send(controllerAddr(lm.Task), kindPrice, n.lastPrice); err != nil {
+				n.stale()
+				if n.ctlSet[pl.Task] {
+					n.retransmit()
+					if err := n.ep.Send(controllerAddr(pl.Task), wire.KindPrice, n.lastPrice); err != nil {
 						return fmt.Errorf("dist: resource %s: %w", n.p.Resources[n.ri].ID, err)
 					}
 				}
 				continue
 			}
-			pending[lm.Round] = append(pending[lm.Round], lm)
-		case kindStop:
-			var sm stopMsg
-			if err := m.Decode(&sm); err != nil {
-				return err
-			}
-			if sm.Epoch < n.epoch {
+			pending[pl.Round] = append(pending[pl.Round], pl)
+		case wire.Stop:
+			if pl.Epoch < n.epoch {
 				// A zombie coordinator from a fenced-off generation cannot
 				// halt this node.
 				n.fencedEpoch++
 				continue
 			}
-			n.epoch = sm.Epoch
-			if sm.AfterRound < limit {
-				limit = sm.AfterRound
+			n.epoch = pl.Epoch
+			if pl.AfterRound < limit {
+				limit = pl.AfterRound
 			}
 			continue
-		case kindRejoin:
-			var jm rejoinMsg
-			if err := m.Decode(&jm); err != nil {
-				return err
-			}
-			if jm.Epoch < n.epoch {
+		case wire.Rejoin:
+			if pl.Epoch < n.epoch {
 				n.fencedEpoch++
 			} else {
-				n.epoch = jm.Epoch
+				n.epoch = pl.Epoch
 			}
 			continue
 		default:
-			return fmt.Errorf("dist: resource %s: unexpected message kind %q", n.p.Resources[n.ri].ID, m.Kind)
+			return fmt.Errorf("dist: resource %s: unexpected %q message (%T)", n.p.Resources[n.ri].ID, m.Kind, m.Payload)
 		}
 
 		// Fold in everything buffered for the current round.
 		for _, lm := range pending[round] {
-			for sn, lat := range lm.LatMs {
-				sub, ok := n.subIdx[lm.Task+"/"+sn]
+			for j, sn := range lm.Subs {
+				sub, ok := n.subIdx[subKey{lm.Task, sn}]
 				if !ok {
 					return fmt.Errorf("dist: resource %s: unknown subtask %s/%s", n.p.Resources[n.ri].ID, lm.Task, sn)
 				}
-				n.lat[sub] = lat
+				n.lat[sub] = lm.LatMs[j]
 			}
 			got[lm.Task] = true
 		}
@@ -326,15 +369,68 @@ func (n *resourceNode) sendFins() error {
 	if n.fp.RetransmitAfter > 0 {
 		copies = 3
 	}
-	msg := finMsg{Resource: n.p.Resources[n.ri].ID}
+	msg := wire.Fin{Resource: n.p.Resources[n.ri].ID}
 	for i := 0; i < copies; i++ {
 		for _, tn := range n.controllers {
-			if err := n.ep.Send(controllerAddr(tn), kindFin, msg); err != nil && i == 0 {
+			if err := n.ep.Send(controllerAddr(tn), wire.KindFin, msg); err != nil && i == 0 {
 				return fmt.Errorf("dist: resource %s: %w", n.p.Resources[n.ri].ID, err)
 			}
 		}
 	}
 	return nil
+}
+
+// shareGroup is the part of a task's allocation one resource hears about:
+// the subtasks the task runs there, by ascending name — the order a
+// wire.ShareReport lists them in.
+type shareGroup struct {
+	ri   int      // resource index
+	subs []string // subtask names, ascending
+	si   []int    // their indices in the task, in subs order
+}
+
+// shareGroups splits a task's subtasks by resource, resources in order of
+// first use. Built once per controller; latencies fills in a round's values.
+func shareGroups(pt *core.ProblemTask) []shareGroup {
+	var groups []shareGroup
+	pos := make(map[int32]int)
+	for si, ri := range pt.Res {
+		k, ok := pos[ri]
+		if !ok {
+			k = len(groups)
+			pos[ri] = k
+			groups = append(groups, shareGroup{ri: int(ri)})
+		}
+		groups[k].si = append(groups[k].si, si)
+	}
+	for k := range groups {
+		g := &groups[k]
+		sort.Slice(g.si, func(a, b int) bool { return pt.SubtaskNames[g.si[a]] < pt.SubtaskNames[g.si[b]] })
+		for _, si := range g.si {
+			g.subs = append(g.subs, pt.SubtaskNames[si])
+		}
+	}
+	return groups
+}
+
+// latencies returns the group's slice of a task's latencies: prev itself when
+// every value is unchanged from it (changed=false), a fresh slice otherwise —
+// a sent payload is never written again.
+func (g *shareGroup) latencies(latMs, prev []float64) (out []float64, changed bool) {
+	for j, si := range g.si {
+		if prev == nil || prev[j] != latMs[si] {
+			changed = true
+			break
+		}
+	}
+	if !changed {
+		return prev, false
+	}
+	out = make([]float64, len(g.si))
+	for j, si := range g.si {
+		out[j] = latMs[si]
+	}
+	return out, true
 }
 
 // controllerNode hosts one task's controller (Section 4.2). Each round it
@@ -345,10 +441,11 @@ type controllerNode struct {
 	ti   int
 	ctl  *core.Controller
 	ep   transport.Endpoint
-	res  []int // distinct resource indices used by the task
 	name string
-	// resByID resolves a price message's resource ID to its index.
-	resByID map[string]int
+	// groups holds one entry per distinct resource the task uses; groupOf
+	// resolves a price message's resource ID to its entry.
+	groups  []shareGroup
+	groupOf map[string]int
 	// reports controls whether per-round utility reports are sent to the
 	// coordinator; standalone deployments have no coordinator and disable
 	// them.
@@ -357,31 +454,22 @@ type controllerNode struct {
 	// fp and stop are installed by the runtime before run.
 	fp   FaultPolicy
 	stop <-chan struct{}
-	// lastLat caches the latest full latency message per resource for
-	// retransmission, stale recovery, and as the delta codec's reference.
-	lastLat map[int]latencyMsg
+	// lastLat[k] caches the latest full latency message for groups[k], for
+	// retransmission, stale recovery, and as the delta codec's reference;
+	// its LatMs is nil until the first allocation.
+	lastLat []wire.ShareReport
 	// epoch is the adopted coordinator generation; fencedEpoch counts
-	// discarded stale-epoch coordinator control frames (see messages.go).
+	// discarded stale-epoch coordinator control frames (wire/frames.go).
 	epoch       uint64
 	fencedEpoch int64
 	// lastReport caches the most recent utility report so a rejoining
 	// coordinator can rebuild its aggregation state; haveReport gates the
 	// first round.
-	lastReport reportMsg
+	lastReport wire.UtilityReport
 	haveReport bool
 	// rejoins counts rejoin handshakes this controller answered.
 	rejoins int64
-	// retransmits and rejectedStale count fault-recovery events; read by the
-	// runtime after the node goroutine joins. deltaSuppressed counts
-	// delta-encoded share reports, deltaBytesSaved the bytes they saved.
-	retransmits     int64
-	rejectedStale   int64
-	deltaSuppressed int64
-	deltaBytesSaved int64
-	// mRetransmits/mRejectedStale mirror the counters live on an attached
-	// metrics registry; nil (no-op) unless observability is attached.
-	mRetransmits, mRejectedStale       *obs.Counter
-	mDeltaSuppressed, mDeltaBytesSaved *obs.Counter
+	nodeCounters
 }
 
 // newControllerNode wires a task controller to an endpoint.
@@ -392,67 +480,49 @@ func newControllerNode(p *core.Problem, ti int, ctl *core.Controller, ep transpo
 		ctl:     ctl,
 		ep:      ep,
 		name:    p.Tasks[ti].Name,
-		resByID: make(map[string]int, len(p.Resources)),
+		groups:  shareGroups(&p.Tasks[ti]),
+		groupOf: make(map[string]int),
 		reports: true,
-		lastLat: make(map[int]latencyMsg),
 	}
-	for ri := range p.Resources {
-		n.resByID[p.Resources[ri].ID] = ri
-	}
-	seen := make(map[int32]bool)
-	for _, ri := range p.Tasks[ti].Res {
-		if !seen[ri] {
-			seen[ri] = true
-			n.res = append(n.res, int(ri))
-		}
+	n.lastLat = make([]wire.ShareReport, len(n.groups))
+	for k := range n.groups {
+		n.groupOf[p.Resources[n.groups[k].ri].ID] = k
 	}
 	return n
 }
 
-// sendLatencies distributes the freshly allocated latencies, grouped per
-// resource, caches the full messages for retransmission, and reports
-// utility to the coordinator. A resource whose latencies are bitwise
-// unchanged from the previous round gets a coalesced marker (messages.go)
-// instead of the payload, except on keyframe rounds.
+// sendLatencies distributes the freshly allocated latencies, one message per
+// resource in groups order (a fixed order, so a seeded Chaos network draws
+// the same fault for the same frame every run), caches the full messages for
+// retransmission, and reports utility to the coordinator. A resource whose
+// latencies are bitwise unchanged from the previous round gets a coalesced
+// marker (wire/frames.go) instead of the payload, except on keyframe rounds.
 func (n *controllerNode) sendLatencies(round int) error {
-	pt := &n.p.Tasks[n.ti]
-	byRes := make(map[int]map[string]float64, len(n.res))
-	for si, ri := range pt.Res {
-		m := byRes[int(ri)]
-		if m == nil {
-			m = make(map[string]float64)
-			byRes[int(ri)] = m
+	for k := range n.groups {
+		g := &n.groups[k]
+		lats, changed := g.latencies(n.ctl.LatMs, n.lastLat[k].LatMs)
+		msg := wire.ShareReport{Round: round, Epoch: n.epoch, Task: n.name, Subs: g.subs, LatMs: lats}
+		out := msg
+		if !changed && round%deltaKeyframeInterval != 0 {
+			out = wire.ShareReport{Round: round, Epoch: n.epoch, Task: n.name, Delta: true}
+			n.suppressed(1, wire.DeltaBytesSaved(msg))
 		}
-		m[pt.SubtaskNames[si]] = n.ctl.LatMs[si]
-	}
-	for ri, lats := range byRes {
-		msg := latencyMsg{Round: round, Epoch: n.epoch, Task: n.name, LatMs: lats}
-		wire := msg
-		if round%deltaKeyframeInterval != 0 &&
-			latMapsEqual(lats, n.lastLat[ri].LatMs) {
-			wire = latencyMsg{Round: round, Epoch: n.epoch, Task: n.name, Delta: true}
-			saved := encodedBytesSaved(msg, wire)
-			n.deltaSuppressed++
-			n.deltaBytesSaved += saved
-			n.mDeltaSuppressed.Inc()
-			n.mDeltaBytesSaved.Add(saved)
-		}
-		n.lastLat[ri] = msg
-		if err := n.ep.Send(resourceAddr(n.p.Resources[ri].ID), kindLatency, wire); err != nil {
+		n.lastLat[k] = msg
+		if err := n.ep.Send(resourceAddr(n.p.Resources[g.ri].ID), wire.KindLatency, out); err != nil {
 			return fmt.Errorf("dist: controller %s: %w", n.name, err)
 		}
 	}
 	if !n.reports {
 		return nil
 	}
-	n.lastReport = reportMsg{
+	n.lastReport = wire.UtilityReport{
 		Round:   round,
 		Epoch:   n.epoch,
 		Task:    n.name,
 		Utility: n.ctl.Utility(),
 	}
 	n.haveReport = true
-	return n.ep.Send(coordinatorAddr, kindReport, n.lastReport)
+	return n.ep.Send(coordinatorAddr, wire.KindReport, n.lastReport)
 }
 
 // handleRejoin answers a restarted coordinator: adopt its epoch, acknowledge
@@ -460,59 +530,53 @@ func (n *controllerNode) sendLatencies(round int) error {
 // the new epoch so the coordinator can resume aggregation. Stale-epoch
 // rejoins (a zombie generation) are fenced; duplicate rejoins of the current
 // epoch are re-acked (the handshake is idempotent under retries).
-func (n *controllerNode) handleRejoin(jm rejoinMsg) error {
+func (n *controllerNode) handleRejoin(jm wire.Rejoin) error {
 	if jm.Epoch < n.epoch {
 		n.fencedEpoch++
 		return nil
 	}
 	n.epoch = jm.Epoch
 	n.rejoins++
-	ack := rejoinAckMsg{Epoch: n.epoch, Task: n.name, Round: -1}
+	ack := wire.RejoinAck{Epoch: n.epoch, Task: n.name, Round: -1}
 	if n.haveReport {
 		ack.Round = n.lastReport.Round
 	}
-	if err := n.ep.Send(coordinatorAddr, kindRejoinAck, ack); err != nil {
+	if err := n.ep.Send(coordinatorAddr, wire.KindRejoinAck, ack); err != nil {
 		return fmt.Errorf("dist: controller %s: %w", n.name, err)
 	}
 	if n.haveReport && n.reports {
 		n.lastReport.Epoch = n.epoch
-		if err := n.ep.Send(coordinatorAddr, kindReport, n.lastReport); err != nil {
+		if err := n.ep.Send(coordinatorAddr, wire.KindReport, n.lastReport); err != nil {
 			return fmt.Errorf("dist: controller %s: %w", n.name, err)
 		}
 	}
 	return nil
 }
 
-// latMapsEqual compares two latency payloads bitwise. A nil prev (first
-// round) never matches.
-func latMapsEqual(a, b map[string]float64) bool {
-	if b == nil || len(a) != len(b) {
-		return false
+// resendLatencies re-sends the cached latencies of the named resource, which
+// is stalled on them (its price is stale, or it retransmitted). Before the
+// first allocation there is nothing to re-send.
+func (n *controllerNode) resendLatencies(resource string) error {
+	k, ok := n.groupOf[resource]
+	if !ok || n.lastLat[k].LatMs == nil {
+		return nil
 	}
-	for k, v := range a {
-		if bv, ok := b[k]; !ok || bv != v {
-			return false
-		}
+	n.retransmit()
+	if err := n.ep.Send(resourceAddr(resource), wire.KindLatency, n.lastLat[k]); err != nil {
+		return fmt.Errorf("dist: controller %s: %w", n.name, err)
 	}
-	return true
+	return nil
 }
 
 // rebroadcast re-sends the cached latencies to the resources whose prices
-// for the current round are still missing. Before the first allocation there
-// is nothing to re-send; the resources' own retransmission covers round 0.
+// for the current round are still missing; the resources' own
+// retransmission covers round 0.
 func (n *controllerNode) rebroadcast(got map[string]bool) error {
-	for _, ri := range n.res {
-		if got[n.p.Resources[ri].ID] {
-			continue
-		}
-		msg, ok := n.lastLat[ri]
-		if !ok {
-			continue
-		}
-		n.retransmits++
-		n.mRetransmits.Inc()
-		if err := n.ep.Send(resourceAddr(n.p.Resources[ri].ID), kindLatency, msg); err != nil {
-			return fmt.Errorf("dist: controller %s: %w", n.name, err)
+	for k := range n.groups {
+		if id := n.p.Resources[n.groups[k].ri].ID; !got[id] {
+			if err := n.resendLatencies(id); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
@@ -526,7 +590,7 @@ func (n *controllerNode) run(maxRounds int) error {
 	attempt := 0
 	mu := make([]float64, len(n.p.Resources))
 	congested := make([]bool, len(n.p.Resources))
-	pending := make(map[int][]priceMsg)
+	pending := make(map[int][]wire.PriceUpdate)
 	got := make(map[string]bool)
 
 	for round < limit {
@@ -548,62 +612,43 @@ func (n *controllerNode) run(maxRounds int) error {
 			return fmt.Errorf("dist: controller %s: endpoint closed mid-protocol", n.name)
 		}
 		attempt = 0
-		switch m.Kind {
-		case kindPrice:
-			var pm priceMsg
-			if err := m.Decode(&pm); err != nil {
-				return err
-			}
+		switch pm := m.Payload.(type) {
+		case wire.PriceUpdate:
 			if pm.Round < round {
 				// Stale: the resource has not seen our latest latencies.
 				// Re-send the cached message for that resource directly.
-				n.rejectedStale++
-				n.mRejectedStale.Inc()
-				if ri, ok := n.resByID[pm.Resource]; ok {
-					if msg, ok := n.lastLat[ri]; ok {
-						n.retransmits++
-						n.mRetransmits.Inc()
-						if err := n.ep.Send(resourceAddr(pm.Resource), kindLatency, msg); err != nil {
-							return fmt.Errorf("dist: controller %s: %w", n.name, err)
-						}
-					}
+				n.stale()
+				if err := n.resendLatencies(pm.Resource); err != nil {
+					return err
 				}
 				continue
 			}
 			pending[pm.Round] = append(pending[pm.Round], pm)
-		case kindStop:
-			var sm stopMsg
-			if err := m.Decode(&sm); err != nil {
-				return err
-			}
-			if sm.Epoch < n.epoch {
+		case wire.Stop:
+			if pm.Epoch < n.epoch {
 				// Fenced: a zombie coordinator cannot halt this node.
 				n.fencedEpoch++
 				continue
 			}
-			n.epoch = sm.Epoch
-			if sm.AfterRound < limit {
-				limit = sm.AfterRound
+			n.epoch = pm.Epoch
+			if pm.AfterRound < limit {
+				limit = pm.AfterRound
 			}
 			continue
-		case kindRejoin:
-			var jm rejoinMsg
-			if err := m.Decode(&jm); err != nil {
-				return err
-			}
-			if err := n.handleRejoin(jm); err != nil {
+		case wire.Rejoin:
+			if err := n.handleRejoin(pm); err != nil {
 				return err
 			}
 			continue
-		case kindFin:
+		case wire.Fin:
 			// A straggler fin from an earlier run on the same endpoints.
 			continue
 		default:
-			return fmt.Errorf("dist: controller %s: unexpected message kind %q", n.name, m.Kind)
+			return fmt.Errorf("dist: controller %s: unexpected %q message (%T)", n.name, m.Kind, m.Payload)
 		}
 
 		for _, pm := range pending[round] {
-			ri, ok := n.resByID[pm.Resource]
+			k, ok := n.groupOf[pm.Resource]
 			if !ok {
 				return fmt.Errorf("dist: controller %s: unknown resource %q", n.name, pm.Resource)
 			}
@@ -611,13 +656,13 @@ func (n *controllerNode) run(maxRounds int) error {
 				// A delta marker means "same as my previous round": mu and
 				// congested already hold exactly that (round gating guarantees
 				// the round r−1 fold happened), so only full payloads write.
-				mu[ri] = pm.Mu
-				congested[ri] = pm.Congested
+				mu[n.groups[k].ri] = pm.Mu
+				congested[n.groups[k].ri] = pm.Congested
 			}
 			got[pm.Resource] = true
 		}
 		delete(pending, round)
-		if len(got) < len(n.res) {
+		if len(got) < len(n.groups) {
 			continue
 		}
 
@@ -648,7 +693,7 @@ func (n *controllerNode) linger() error {
 	}
 	finned := make(map[string]bool)
 	quiet := 0
-	for quiet < 6 && len(finned) < len(n.res) {
+	for quiet < 6 && len(finned) < len(n.groups) {
 		timer := time.NewTimer(window)
 		select {
 		case m, ok := <-n.ep.Recv():
@@ -656,40 +701,22 @@ func (n *controllerNode) linger() error {
 			if !ok {
 				return nil
 			}
-			switch m.Kind {
-			case kindFin:
-				var fm finMsg
-				if err := m.Decode(&fm); err == nil {
-					finned[fm.Resource] = true
-				}
-			case kindRejoin:
+			switch pm := m.Payload.(type) {
+			case wire.Fin:
+				finned[pm.Resource] = true
+			case wire.Rejoin:
 				// A coordinator restarting after this controller's final
 				// allocation still gets its ack and last report.
-				var jm rejoinMsg
-				if err := m.Decode(&jm); err != nil {
-					continue
-				}
 				quiet = 0
-				if err := n.handleRejoin(jm); err != nil {
+				if err := n.handleRejoin(pm); err != nil {
 					return err
 				}
-			case kindPrice:
-				var pm priceMsg
-				if err := m.Decode(&pm); err != nil {
-					continue
-				}
+			case wire.PriceUpdate:
 				// The resource is stalled on our final latencies: recover it.
-				n.rejectedStale++
-				n.mRejectedStale.Inc()
+				n.stale()
 				quiet = 0
-				if ri, ok := n.resByID[pm.Resource]; ok {
-					if msg, ok := n.lastLat[ri]; ok {
-						n.retransmits++
-						n.mRetransmits.Inc()
-						if err := n.ep.Send(resourceAddr(pm.Resource), kindLatency, msg); err != nil {
-							return fmt.Errorf("dist: controller %s: %w", n.name, err)
-						}
-					}
+				if err := n.resendLatencies(pm.Resource); err != nil {
+					return err
 				}
 			}
 		case <-timer.C:

@@ -1,3 +1,10 @@
+// Package dist runs LLA as a genuinely distributed system (Section 4.1):
+// one resource node per resource computing prices (Equation 8), one
+// controller node per task allocating latencies and path prices (Equations
+// 7 and 9), all communicating over a transport.Network with the messages
+// internal/wire defines. The protocol is round-synchronized, so a dist run
+// over a loss-free network reproduces the synchronous core.Engine
+// iterate-for-iterate; the test suite asserts that equivalence.
 package dist
 
 import (
@@ -10,6 +17,7 @@ import (
 	"lla/internal/obs"
 	"lla/internal/stats"
 	"lla/internal/transport"
+	"lla/internal/wire"
 	"lla/internal/workload"
 )
 
@@ -87,34 +95,14 @@ func (r *Runtime) SetFaultPolicy(fp FaultPolicy) { r.fp = fp.withDefaults() }
 // attached, the coordinator emits lease_expiry and converged events.
 func (r *Runtime) Observe(o *obs.Observer) {
 	r.obsv, r.dm = o, nil
-	if o == nil {
-		for _, n := range r.resNodes {
-			n.mRetransmits, n.mRejectedStale, n.rm = nil, nil, nil
-			n.mDeltaSuppressed, n.mDeltaBytesSaved = nil, nil
-		}
-		for _, n := range r.ctlNodes {
-			n.mRetransmits, n.mRejectedStale = nil, nil
-			n.mDeltaSuppressed, n.mDeltaBytesSaved = nil, nil
-		}
-		return
+	if o != nil && o.Metrics != nil {
+		r.dm = obs.NewDistMetrics(o.Metrics)
 	}
-	if o.Metrics == nil {
-		return
-	}
-	r.dm = obs.NewDistMetrics(o.Metrics)
-	sm := obs.NewSparseMetrics(o.Metrics)
-	for ri, n := range r.resNodes {
-		n.mRetransmits = r.dm.Retransmits
-		n.mRejectedStale = r.dm.RejectedStale
-		n.mDeltaSuppressed = sm.DeltaBroadcasts
-		n.mDeltaBytesSaved = sm.DeltaBytesSaved
-		n.rm = obs.NewResourceMetrics(o.Metrics, r.p.Resources[ri].ID)
+	for _, n := range r.resNodes {
+		n.observe(o)
 	}
 	for _, n := range r.ctlNodes {
-		n.mRetransmits = r.dm.Retransmits
-		n.mRejectedStale = r.dm.RejectedStale
-		n.mDeltaSuppressed = sm.DeltaBroadcasts
-		n.mDeltaBytesSaved = sm.DeltaBytesSaved
+		n.observe(o)
 	}
 }
 
@@ -151,8 +139,8 @@ type Result struct {
 	// DeltaSuppressed counts delta-encoded sends: broadcasts and share
 	// reports whose payload was unchanged and went out as markers.
 	DeltaSuppressed int64
-	// DeltaBytesSaved totals the encoded payload bytes those markers kept
-	// off the wire.
+	// DeltaBytesSaved totals the frame bytes those markers kept off the
+	// wire (wire.DeltaBytesSaved).
 	DeltaBytesSaved int64
 	// LeaseExpirations counts coordinator-observed report leases expiring: a
 	// controller stayed silent longer than FaultPolicy.LeaseAfter.
@@ -229,18 +217,12 @@ func (r *Runtime) collect(res *Result) {
 		res.LatMs = append(res.LatMs, append([]float64(nil), c.LatMs...))
 	}
 	for _, n := range r.ctlNodes {
-		res.Retransmits += n.retransmits
-		res.RejectedStale += n.rejectedStale
-		res.DeltaSuppressed += n.deltaSuppressed
-		res.DeltaBytesSaved += n.deltaBytesSaved
+		n.addTo(res)
 		res.FencedStale += n.fencedEpoch
 		res.Rejoins += n.rejoins
 	}
 	for _, n := range r.resNodes {
-		res.Retransmits += n.retransmits
-		res.RejectedStale += n.rejectedStale
-		res.DeltaSuppressed += n.deltaSuppressed
-		res.DeltaBytesSaved += n.deltaBytesSaved
+		n.addTo(res)
 		res.FencedStale += n.fencedEpoch
 		res.SolverFallbacks += n.agent.fallbacks()
 		res.Mu = append(res.Mu, n.agent.mu)
@@ -290,12 +272,8 @@ func (r *Runtime) run(maxRounds int, det *stats.ConvergenceDetector) (*Result, e
 					r.handleAdmitQuery(m, res)
 					continue
 				}
-				if m.Kind != kindReport {
-					continue
-				}
-				var rm reportMsg
-				if err := m.Decode(&rm); err != nil {
-					errCh <- err
+				rm, ok := m.Payload.(wire.UtilityReport)
+				if !ok {
 					continue
 				}
 				lastReport[rm.Task] = time.Now()
@@ -360,14 +338,14 @@ func (r *Runtime) run(maxRounds int, det *stats.ConvergenceDetector) (*Result, e
 // broadcastStop tells every node to stop after the given round, stamped with
 // the coordinator's current epoch (0 for uninterrupted runs).
 func (r *Runtime) broadcastStop(afterRound int, epoch uint64, errCh chan<- error) {
-	msg := stopMsg{AfterRound: afterRound, Epoch: epoch}
+	msg := wire.Stop{AfterRound: afterRound, Epoch: epoch}
 	for ti := range r.p.Tasks {
-		if err := r.coordinator.Send(controllerAddr(r.p.Tasks[ti].Name), kindStop, msg); err != nil {
+		if err := r.coordinator.Send(controllerAddr(r.p.Tasks[ti].Name), wire.KindStop, msg); err != nil {
 			errCh <- err
 		}
 	}
 	for ri := range r.p.Resources {
-		if err := r.coordinator.Send(resourceAddr(r.p.Resources[ri].ID), kindStop, msg); err != nil {
+		if err := r.coordinator.Send(resourceAddr(r.p.Resources[ri].ID), wire.KindStop, msg); err != nil {
 			errCh <- err
 		}
 	}
@@ -388,3 +366,10 @@ func (r *Runtime) Close() error {
 	}
 	return first
 }
+
+// Address helpers: resources and controllers get deterministic names.
+func resourceAddr(id string) string  { return "res/" + id }
+func controllerAddr(t string) string { return "ctl/" + t }
+
+// coordinatorAddr is the runtime's aggregation endpoint.
+const coordinatorAddr = "coordinator"

@@ -55,13 +55,7 @@ func RunResourceObserved(ctx context.Context, w *workload.Workload, cfg core.Con
 	defer ep.Close()
 	node := newResourceNode(p, ri, cfg, ep)
 	node.fp, node.stop = DefaultFaultPolicy(), ctx.Done()
-	if o != nil && o.Metrics != nil {
-		dm := obs.NewDistMetrics(o.Metrics)
-		node.mRetransmits, node.mRejectedStale = dm.Retransmits, dm.RejectedStale
-		sm := obs.NewSparseMetrics(o.Metrics)
-		node.mDeltaSuppressed, node.mDeltaBytesSaved = sm.DeltaBroadcasts, sm.DeltaBytesSaved
-		node.rm = obs.NewResourceMetrics(o.Metrics, resourceID)
-	}
+	node.observe(o)
 	if err := node.run(rounds); err != nil {
 		return 0, err
 	}
@@ -104,12 +98,7 @@ func RunControllerObserved(ctx context.Context, w *workload.Workload, cfg core.C
 	node := newControllerNode(p, ti, ctl, ep)
 	node.reports = false
 	node.fp, node.stop = DefaultFaultPolicy(), ctx.Done()
-	if o != nil && o.Metrics != nil {
-		dm := obs.NewDistMetrics(o.Metrics)
-		node.mRetransmits, node.mRejectedStale = dm.Retransmits, dm.RejectedStale
-		sm := obs.NewSparseMetrics(o.Metrics)
-		node.mDeltaSuppressed, node.mDeltaBytesSaved = sm.DeltaBroadcasts, sm.DeltaBytesSaved
-	}
+	node.observe(o)
 	if err := node.run(rounds); err != nil {
 		return nil, 0, err
 	}

@@ -9,6 +9,7 @@ import (
 
 	"lla/internal/core"
 	"lla/internal/transport"
+	"lla/internal/wire"
 	"lla/internal/workload"
 )
 
@@ -135,7 +136,7 @@ type leaveOnFin struct {
 
 func (e leaveOnFin) Send(to, kind string, payload any) error {
 	err := e.Endpoint.Send(to, kind, payload)
-	if err == nil && kind == kindFin {
+	if err == nil && kind == wire.KindFin {
 		e.peers[to].Close()
 	}
 	return err

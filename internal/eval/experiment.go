@@ -171,13 +171,6 @@ type Options struct {
 	// saves (0 = the experiment's default). Checkpoints are also written on
 	// convergence and immediately before every simulated crash.
 	CheckpointEvery int
-	// Wire selects the message framing for experiments that run the
-	// distributed runtime (currently the soak and the fleet): "binary"
-	// round-trips every delivery through the internal/wire codec
-	// (PROTOCOL.md), "" or "json" keeps the legacy JSON framing. Results are
-	// bitwise identical either way — the codec is a transparent transport
-	// layer.
-	Wire string
 	// Shards sets the fleet experiment's shard count (0 = the experiment's
 	// default). Other experiments ignore it.
 	Shards int

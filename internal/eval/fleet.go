@@ -68,7 +68,7 @@ func Fleet(opts Options) (*Result, error) {
 			Seed:         opts.Seed,
 			ShardWorkers: workers,
 			Engine:       opts.engineConfig(),
-			WireVerify:   opts.Wire == "binary",
+			WireVerify:   true,
 			RecordHashes: true,
 			Observer:     fobs,
 		})
@@ -175,7 +175,7 @@ func Fleet(opts Options) (*Result, error) {
 	coldRef, err := func() (fleet.Result, error) {
 		f, err := fleet.New(w2, fleet.Config{
 			Shards: shards, Seed: opts.Seed, ShardWorkers: opts.ShardWorkers,
-			Engine: opts.engineConfig(), WireVerify: opts.Wire == "binary",
+			Engine: opts.engineConfig(), WireVerify: true,
 		})
 		if err != nil {
 			return fleet.Result{}, err

@@ -39,7 +39,7 @@ func TestFleetExperimentQuick(t *testing.T) {
 // TestFleetExperimentShardsOverride checks Options.Shards reaches the
 // partitioner and the wire-verify path composes with it.
 func TestFleetExperimentShardsOverride(t *testing.T) {
-	res, err := Fleet(Options{Quick: true, Seed: 2, Workers: 1, Shards: 3, Wire: "binary"})
+	res, err := Fleet(Options{Quick: true, Seed: 2, Workers: 1, Shards: 3})
 	if err != nil {
 		t.Fatalf("Fleet: %v", err)
 	}

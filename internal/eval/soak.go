@@ -318,13 +318,11 @@ func Soak(opts Options) (*Result, error) {
 	// duplication, delay and reordering keep stale pre-crash frames racing
 	// every rejoin.
 	inner := transport.NewInproc(transport.InprocConfig{QueueLen: 16384})
-	if opts.Wire == "binary" {
-		var reg *obs.Registry
-		if opts.Observer != nil {
-			reg = opts.Observer.Metrics
-		}
-		inner.SetCodec(dist.WireCodec(workload.Base(), reg))
+	var reg *obs.Registry
+	if opts.Observer != nil {
+		reg = opts.Observer.Metrics
 	}
+	inner.SetCodec(dist.WireCodec(workload.Base(), reg))
 	ch := transport.NewChaos(inner, transport.ChaosConfig{
 		Seed:          seed,
 		DupRate:       0.05,

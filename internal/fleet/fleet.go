@@ -3,7 +3,6 @@ package fleet
 import (
 	"bufio"
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"math"
 	"runtime"
@@ -12,7 +11,6 @@ import (
 	"lla/internal/obs"
 	"lla/internal/par"
 	"lla/internal/price"
-	"lla/internal/transport"
 	"lla/internal/wire"
 	"lla/internal/workload"
 )
@@ -667,11 +665,7 @@ func (f *Fleet) publish(round int, ri *roundInfo) {
 // and returns the decoded payload entries — failing on any divergence the
 // codec detects (CRC, framing, or field-level validation).
 func roundTripPayload[T any](c *wire.Codec, from, to, kind string, entries []T) ([]T, error) {
-	payload, err := json.Marshal(entries)
-	if err != nil {
-		return nil, err
-	}
-	frame, err := c.Encode(transport.Message{From: from, To: to, Kind: kind, Payload: payload})
+	frame, err := c.Encode(wire.Message{From: from, To: to, Kind: kind, Payload: entries})
 	if err != nil {
 		return nil, err
 	}
@@ -679,12 +673,9 @@ func roundTripPayload[T any](c *wire.Codec, from, to, kind string, entries []T) 
 	if err != nil {
 		return nil, err
 	}
-	if out.Kind != kind {
-		return nil, fmt.Errorf("wire round trip changed kind %q -> %q", kind, out.Kind)
-	}
-	var decoded []T
-	if err := json.Unmarshal(out.Payload, &decoded); err != nil {
-		return nil, err
+	decoded, ok := out.Payload.([]T)
+	if !ok || out.Kind != kind {
+		return nil, fmt.Errorf("wire round trip changed %q %T -> %q %T", kind, entries, out.Kind, out.Payload)
 	}
 	return decoded, nil
 }

@@ -206,7 +206,7 @@ func NewDistMetrics(r *Registry) *DistMetrics {
 
 // WireMetrics is the binary wire codec's metric set (PROTOCOL.md): frame
 // and byte volume per direction, RAW escape-hatch frames, decode failures,
-// and the outcome of per-connection codec negotiations.
+// and the outcome of per-connection handshakes.
 type WireMetrics struct {
 	// FramesEncoded/FramesDecoded count binary frames produced and
 	// consumed.
@@ -222,10 +222,11 @@ type WireMetrics struct {
 	// DecodeErrors counts frames rejected by the defensive decoder (bad
 	// magic/version, CRC mismatch, malformed body).
 	DecodeErrors *Counter
-	// NegotiatedBinary/NegotiatedJSON count handshakes by outcome: JSON
-	// covers version skew, dictionary mismatch, and pre-codec peers.
+	// NegotiatedBinary/Refused count connection handshakes by outcome: a
+	// refusal is version skew, a dictionary mismatch, or a peer that did not
+	// speak the handshake.
 	NegotiatedBinary *Counter
-	NegotiatedJSON   *Counter
+	Refused          *Counter
 }
 
 // NewWireMetrics registers the wire codec metric set on r.
@@ -238,7 +239,7 @@ func NewWireMetrics(r *Registry) *WireMetrics {
 		RawFrames:        r.Counter("lla_wire_raw_frames_total", "Messages carried by the RAW escape-hatch frame."),
 		DecodeErrors:     r.Counter("lla_wire_decode_errors_total", "Frames rejected by the defensive decoder."),
 		NegotiatedBinary: r.Counter("lla_wire_negotiations_total", "Codec negotiations, by outcome.", "outcome", "binary"),
-		NegotiatedJSON:   r.Counter("lla_wire_negotiations_total", "Codec negotiations, by outcome.", "outcome", "json"),
+		Refused:          r.Counter("lla_wire_negotiations_total", "Codec negotiations, by outcome.", "outcome", "refused"),
 	}
 }
 

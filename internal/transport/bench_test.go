@@ -23,16 +23,3 @@ func BenchmarkInprocRoundTrip(b *testing.B) {
 		<-c.Recv()
 	}
 }
-
-func BenchmarkFrameCodec(b *testing.B) {
-	msg, err := encode("a", "b", "latency", map[string]float64{"s1": 9.74, "s2": 13.82})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := encodeFrame(msg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -1,10 +1,12 @@
-// Codec negotiation tests live in an external test package so they can use
-// the real internal/wire codec (wire imports transport, so an in-package
-// test would cycle).
 package transport_test
 
 import (
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
+	"io"
 	"net"
+	"runtime"
 	"testing"
 	"time"
 
@@ -21,9 +23,8 @@ func reservePort(t *testing.T) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hp := ln.Addr().String()
-	ln.Close()
-	return hp
+	defer ln.Close()
+	return ln.Addr().String()
 }
 
 func recvMsg(t *testing.T, ch <-chan transport.Message) transport.Message {
@@ -40,33 +41,25 @@ func recvMsg(t *testing.T, ch <-chan transport.Message) transport.Message {
 	return transport.Message{}
 }
 
-type pricePayload struct {
-	Round    int     `json:"round"`
-	Resource string  `json:"resource"`
-	Mu       float64 `json:"mu,omitempty"`
-}
-
-// exchange sends one price payload a->b and one b->a and asserts both
-// arrive intact.
+// exchange sends one typed price a->b and one unmodelled payload b->a and
+// asserts both arrive intact: the first as the value sent, the second as
+// JSON to Decode.
 func exchange(t *testing.T, a, b transport.Endpoint) {
 	t.Helper()
-	want := pricePayload{Round: 7, Resource: "cpu0", Mu: 1.5}
-	if err := a.Send(b.Addr(), "price", want); err != nil {
+	want := wire.PriceUpdate{Round: 7, Resource: "cpu0", Mu: 1.5}
+	if err := a.Send(b.Addr(), wire.KindPrice, want); err != nil {
 		t.Fatalf("a->b send: %v", err)
 	}
 	m := recvMsg(t, b.Recv())
-	var got pricePayload
-	if err := m.Decode(&got); err != nil {
-		t.Fatal(err)
-	}
-	if m.From != a.Addr() || m.Kind != "price" || got != want {
-		t.Fatalf("a->b got %+v via %+v", got, m)
+	if got, ok := m.Payload.(wire.PriceUpdate); !ok || m.From != a.Addr() || m.Kind != wire.KindPrice || got != want {
+		t.Fatalf("a->b got %+v", m)
 	}
 	if err := b.Send(a.Addr(), "hello", map[string]int{"n": 1}); err != nil {
 		t.Fatalf("b->a send: %v", err)
 	}
-	if m := recvMsg(t, a.Recv()); m.Kind != "hello" {
-		t.Fatalf("b->a got kind %q", m.Kind)
+	var got map[string]int
+	if m := recvMsg(t, a.Recv()); m.Kind != "hello" || m.Decode(&got) != nil || got["n"] != 1 {
+		t.Fatalf("b->a got %+v", m)
 	}
 }
 
@@ -75,12 +68,16 @@ func negotiations(reg *obs.Registry, outcome string) int64 {
 	return reg.Counter("lla_wire_negotiations_total", "Codec negotiations, by outcome.", "outcome", outcome).Value()
 }
 
+func observed(d *wire.Dict, reg *obs.Registry) *wire.Codec {
+	c := wire.NewCodec(d)
+	c.Observe(reg)
+	return c
+}
+
 func TestTCPBinaryCodecEndToEnd(t *testing.T) {
 	reg := obs.NewRegistry()
-	codec := wire.NewCodec(nil)
-	codec.Observe(reg)
 	n := transport.NewTCP(map[string]string{"a": "127.0.0.1:0", "b": "127.0.0.1:0"})
-	n.SetCodec(codec)
+	n.SetCodec(observed(nil, reg))
 	a, err := n.Endpoint("a")
 	if err != nil {
 		t.Fatal(err)
@@ -95,77 +92,37 @@ func TestTCPBinaryCodecEndToEnd(t *testing.T) {
 	if got := negotiations(reg, "binary"); got == 0 {
 		t.Fatal("no binary negotiation recorded")
 	}
-	frames := reg.Counter("lla_wire_frames_total", "Binary frames, by direction.", "dir", "decode").Value()
-	if frames == 0 {
-		t.Fatal("no binary frames decoded; traffic fell back to JSON")
+	if got := negotiations(reg, "refused"); got != 0 {
+		t.Fatalf("%d refusals between matching endpoints", got)
+	}
+	if frames := reg.Counter("lla_wire_frames_total", "Binary frames, by direction.", "dir", "decode").Value(); frames != 2 {
+		t.Fatalf("%d binary frames decoded, want 2", frames)
 	}
 }
 
-// TestTCPCodecClientLegacyServer: a codec-enabled client dialing a
-// pre-codec server sees its hello rejected (the magic reads as an invalid
-// frame length), redials, and interoperates on JSON.
-func TestTCPCodecClientLegacyServer(t *testing.T) {
-	srvPort := reservePort(t)
-	cliPort := reservePort(t)
-
-	srvNet := transport.NewTCP(map[string]string{"srv": srvPort, "cli": cliPort})
-	srv, err := srvNet.Endpoint("srv")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	reg := obs.NewRegistry()
-	codec := wire.NewCodec(nil)
-	codec.Observe(reg)
-	cliNet := transport.NewTCP(map[string]string{"srv": srvPort, "cli": cliPort})
-	cliNet.SetCodec(codec)
-	cli, err := cliNet.Endpoint("cli")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
-
-	exchange(t, cli, srv)
-	if got := negotiations(reg, "json"); got == 0 {
-		t.Fatal("no JSON fallback recorded")
-	}
-	if got := negotiations(reg, "binary"); got != 0 {
-		t.Fatalf("binary negotiation against a legacy server: %d", got)
-	}
+// helloCodec is a codec that opens its connections with bytes of the test's
+// choosing.
+type helloCodec struct {
+	transport.Codec
+	hello []byte
 }
 
-// TestTCPLegacyClientCodecServer: a pre-codec client's first bytes are a
-// JSON length prefix; the codec-enabled server sniffs, finds no hello, and
-// serves legacy framing.
-func TestTCPLegacyClientCodecServer(t *testing.T) {
-	srvPort := reservePort(t)
-	cliPort := reservePort(t)
+func (h helloCodec) Hello() []byte { return h.hello }
 
-	srvNet := transport.NewTCP(map[string]string{"srv": srvPort, "cli": cliPort})
-	srvNet.SetCodec(wire.NewCodec(nil))
-	srv, err := srvNet.Endpoint("srv")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	cliNet := transport.NewTCP(map[string]string{"srv": srvPort, "cli": cliPort})
-	cli, err := cliNet.Endpoint("cli")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
-
-	exchange(t, cli, srv)
+// hello builds a well-formed hello for a version range and dictionary hash.
+func hello(maxV, minV byte, dictHash uint64) []byte {
+	b := append([]byte("LLAW"), maxV, minV)
+	b = binary.LittleEndian.AppendUint64(b, dictHash)
+	return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
 }
 
-// TestTCPDictMismatchNegotiatesJSON: peers with disagreeing dictionaries
-// complete the handshake (no redial) but agree to speak JSON.
-func TestTCPDictMismatchNegotiatesJSON(t *testing.T) {
-	srvPort := reservePort(t)
-	cliPort := reservePort(t)
-
+// TestTCPRefusals is the other half of "binary is the only dialect": a
+// connection whose ends would not read each other's frames the same way, or
+// that does not speak the handshake, is refused — the sender's Send fails at
+// once with wire.ErrRefused instead of retrying for SendRetryWindow, nothing
+// is delivered, the refusal is counted, and no goroutine outlives the
+// endpoints. Nothing is downgraded.
+func TestTCPRefusals(t *testing.T) {
 	dictA, err := wire.NewDict([]string{"cpu0"}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -174,29 +131,130 @@ func TestTCPDictMismatchNegotiatesJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	corrupt := hello(wire.Version, wire.MinVersion, 0)
+	corrupt[7] ^= 0x40
 
-	srvNet := transport.NewTCP(map[string]string{"srv": srvPort, "cli": cliPort})
-	srvNet.SetCodec(wire.NewCodec(dictA))
-	srv, err := srvNet.Endpoint("srv")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
+	for _, tc := range []struct {
+		name string
+		// client builds the dialing endpoint's codec; server the listening
+		// one's, or nil for a fake peer that answers the hello with fakeAck
+		// and hangs up.
+		client, server func(reg *obs.Registry) transport.Codec
+		fakeAck        []byte
+	}{
+		{name: "version skew",
+			client: func(reg *obs.Registry) transport.Codec {
+				return helloCodec{observed(nil, reg), hello(wire.Version+1, wire.Version+1, 0)}
+			},
+			server: func(reg *obs.Registry) transport.Codec { return observed(nil, reg) }},
+		{name: "dictionary mismatch",
+			client: func(reg *obs.Registry) transport.Codec { return observed(dictB, reg) },
+			server: func(reg *obs.Registry) transport.Codec { return observed(dictA, reg) }},
+		{name: "dictionary against none",
+			client: func(reg *obs.Registry) transport.Codec { return observed(dictA, reg) },
+			server: func(reg *obs.Registry) transport.Codec { return observed(nil, reg) }},
+		{name: "legacy JSON length prefix, not a hello",
+			client: func(reg *obs.Registry) transport.Codec {
+				return helloCodec{observed(nil, reg), []byte{0, 0, 0, 2, '{', '}'}}
+			},
+			server: func(reg *obs.Registry) transport.Codec { return observed(nil, reg) }},
+		{name: "garbage, not a hello",
+			client: func(reg *obs.Registry) transport.Codec {
+				return helloCodec{observed(nil, reg), []byte{0xde, 0xad, 0xbe, 0xef, 1, 2, 3}}
+			},
+			server: func(reg *obs.Registry) transport.Codec { return observed(nil, reg) }},
+		{name: "corrupt hello CRC",
+			client: func(reg *obs.Registry) transport.Codec { return helloCodec{observed(nil, reg), corrupt} },
+			server: func(reg *obs.Registry) transport.Codec { return observed(nil, reg) }},
+		{name: "truncated ack",
+			client:  func(reg *obs.Registry) transport.Codec { return observed(nil, reg) },
+			fakeAck: []byte("LLAB\x01")},
+		{name: "peer hangs up on the hello",
+			client:  func(reg *obs.Registry) transport.Codec { return observed(nil, reg) },
+			fakeAck: []byte{}},
+		{name: "ack of another protocol",
+			client:  func(reg *obs.Registry) transport.Codec { return observed(nil, reg) },
+			fakeAck: []byte("HTTP/1.1 400 Bad Request\r\n")},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			creg, sreg := obs.NewRegistry(), obs.NewRegistry()
+			registry := map[string]string{"cli": "127.0.0.1:0", "srv": reservePort(t)}
 
-	reg := obs.NewRegistry()
-	codec := wire.NewCodec(dictB)
-	codec.Observe(reg)
-	cliNet := transport.NewTCP(map[string]string{"srv": srvPort, "cli": cliPort})
-	cliNet.SetCodec(codec)
-	cli, err := cliNet.Endpoint("cli")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
+			var srv transport.Endpoint
+			var ln net.Listener
+			fakeDone := make(chan struct{})
+			if tc.server != nil {
+				srvNet := transport.NewTCP(registry)
+				srvNet.SetCodec(tc.server(sreg))
+				var err error
+				if srv, err = srvNet.Endpoint("srv"); err != nil {
+					t.Fatal(err)
+				}
+				close(fakeDone)
+			} else {
+				var err error
+				if ln, err = net.Listen("tcp", registry["srv"]); err != nil {
+					t.Fatal(err)
+				}
+				go func() {
+					defer close(fakeDone)
+					conn, err := ln.Accept()
+					if err != nil {
+						return
+					}
+					defer conn.Close()
+					if _, err := io.ReadFull(conn, make([]byte, 18)); err == nil {
+						conn.Write(tc.fakeAck)
+					}
+				}()
+			}
 
-	exchange(t, cli, srv)
-	if got := negotiations(reg, "json"); got == 0 {
-		t.Fatal("dictionary mismatch did not record a JSON negotiation")
+			cliNet := transport.NewTCP(registry)
+			cliNet.SetCodec(tc.client(creg))
+			cli, err := cliNet.Endpoint("cli")
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			start := time.Now()
+			err = cli.Send("srv", wire.KindStop, wire.Stop{AfterRound: 1})
+			if !errors.Is(err, wire.ErrRefused) {
+				t.Errorf("Send = %v, want wire.ErrRefused", err)
+			}
+			if d := time.Since(start); d > time.Second {
+				t.Errorf("Send took %v: a refusal must not be retried", d)
+			}
+			if got := negotiations(creg, "refused"); got != 1 {
+				t.Errorf("client counted %d refusals, want 1", got)
+			}
+			if got := negotiations(creg, "binary") + negotiations(sreg, "binary"); got != 0 {
+				t.Errorf("%d handshakes counted as agreed", got)
+			}
+			if srv != nil {
+				// The server counts before it answers, and the client has the
+				// answer.
+				if got := negotiations(sreg, "refused"); got != 1 {
+					t.Errorf("server counted %d refusals, want 1", got)
+				}
+				select {
+				case m := <-srv.Recv():
+					t.Errorf("refused connection delivered %+v", m)
+				default:
+				}
+				srv.Close()
+			} else {
+				ln.Close()
+			}
+			<-fakeDone
+			cli.Close()
+			for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > base; time.Sleep(5 * time.Millisecond) {
+				if time.Now().After(deadline) {
+					buf := make([]byte, 1<<16)
+					t.Fatalf("%d goroutines left, %d before:\n%s", runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
+				}
+			}
+		})
 	}
 }
 
@@ -204,10 +262,8 @@ func TestTCPDictMismatchNegotiatesJSON(t *testing.T) {
 // the binary encode/decode cycle.
 func TestInprocCodecRoundTrip(t *testing.T) {
 	reg := obs.NewRegistry()
-	codec := wire.NewCodec(nil)
-	codec.Observe(reg)
 	n := transport.NewInproc(transport.InprocConfig{})
-	n.SetCodec(codec)
+	n.SetCodec(observed(nil, reg))
 	a, err := n.Endpoint("a")
 	if err != nil {
 		t.Fatal(err)

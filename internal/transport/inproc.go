@@ -6,13 +6,16 @@ import (
 	"fmt"
 	"sync"
 	"time"
+
+	"lla/internal/wire"
 )
 
 // InprocConfig tunes the in-process network. It delivers every message
 // immediately and in order per sender-receiver pair; wrap it in Chaos to
 // inject faults.
 type InprocConfig struct {
-	// QueueLen is the per-endpoint inbox capacity (default 1024).
+	// QueueLen is the per-endpoint inbox capacity (default 1024). Send to an
+	// endpoint whose inbox is full fails; it does not block.
 	QueueLen int
 	// RegistrationWait makes Send retry for up to this duration when the
 	// destination endpoint has never been registered, mirroring the TCP
@@ -29,7 +32,8 @@ type Inproc struct {
 
 	// codec, when set, round-trips every delivery through an encode/decode
 	// cycle, so in-process runs exercise exactly the bytes a TCP deployment
-	// would ship (the wire-codec chaos tests rely on this).
+	// would ship (the wire-codec chaos tests rely on this). Without one the
+	// receiver gets the sender's payload value as is.
 	codec Codec
 
 	mu        sync.Mutex
@@ -110,8 +114,7 @@ func (n *Inproc) deliver(msg Message) error {
 	if dst == nil {
 		return fmt.Errorf("transport: no endpoint %q", msg.To)
 	}
-	dst.push(msg)
-	return nil
+	return dst.push(msg)
 }
 
 // inprocEndpoint is one party on an Inproc network.
@@ -137,7 +140,7 @@ func (e *inprocEndpoint) Send(to, kind string, payload any) error {
 	if closed {
 		return fmt.Errorf("transport: endpoint %q closed", e.addr)
 	}
-	msg, err := encode(e.addr, to, kind, payload)
+	msg, err := wire.NewMessage(e.addr, to, kind, payload)
 	if err != nil {
 		return err
 	}
@@ -148,19 +151,19 @@ func (e *inprocEndpoint) Send(to, kind string, payload any) error {
 func (e *inprocEndpoint) Recv() <-chan Message { return e.in }
 
 // push enqueues an inbound message, dropping it if the endpoint has closed.
-func (e *inprocEndpoint) push(msg Message) {
+// It never blocks: a full inbox refuses the message and the sender gets the
+// error, which to a protocol that retransmits is one more lost message.
+func (e *inprocEndpoint) push(msg Message) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.closed {
-		return
+		return nil
 	}
-	// Block-free: a full inbox drops the oldest semantics would complicate
-	// reasoning; the inbox is sized for the runtime's round-based protocol,
-	// so blocking here indicates a protocol bug. Fail loudly instead.
 	select {
 	case e.in <- msg:
+		return nil
 	default:
-		panic(fmt.Sprintf("transport: inbox overflow at %q (protocol bug or undersized queue)", e.addr))
+		return fmt.Errorf("transport: inbox of %q is full (%d messages)", e.addr, cap(e.in))
 	}
 }
 

@@ -2,26 +2,22 @@ package transport
 
 import (
 	"bufio"
-	"bytes"
-	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"time"
+
+	"lla/internal/wire"
 )
 
-// maxFrameBytes bounds a frame so a corrupt length prefix cannot trigger a
-// huge allocation.
-const maxFrameBytes = 16 << 20
-
-// TCP is a Network whose endpoints listen on TCP sockets and exchange
-// length-prefixed JSON frames. Endpoint addresses are logical names mapped
-// to host:port pairs through a static registry (in a real deployment this
-// would be service discovery; a static table keeps the reproduction
-// self-contained).
+// TCP is a Network whose endpoints listen on TCP sockets and exchange the
+// binary frames of PROTOCOL.md, and nothing else: every connection opens
+// with the codec's hello/ack, and one whose peer disagrees on version or
+// dictionary is refused, not downgraded. Endpoint addresses are logical
+// names mapped to host:port pairs through a static registry (in a real
+// deployment this would be service discovery; a static table keeps the
+// reproduction self-contained).
 type TCP struct {
 	mu sync.Mutex
 	// registry maps logical address -> host:port.
@@ -36,11 +32,8 @@ type TCP struct {
 	// backoff plus jitter between attempts (the peer may be restarting).
 	// Zero falls back to a single immediate reconnect attempt.
 	SendRetryWindow time.Duration
-	// codec, when set, is negotiated per connection: outbound dials send
-	// its hello and fall back to JSON framing if the peer declines or
-	// predates it; inbound connections are sniffed for a hello and served
-	// legacy JSON when none arrives. Set via SetCodec before creating
-	// endpoints.
+	// codec frames every message and checks every connection's handshake:
+	// the dictionary-less wire codec unless SetCodec installed another.
 	codec Codec
 }
 
@@ -54,13 +47,13 @@ func NewTCP(registry map[string]string) *TCP {
 	for k, v := range registry {
 		r[k] = v
 	}
-	return &TCP{registry: r, dialTimeout: 5 * time.Second, DialRetryWindow: 15 * time.Second, SendRetryWindow: 10 * time.Second}
+	return &TCP{registry: r, dialTimeout: 5 * time.Second, DialRetryWindow: 15 * time.Second, SendRetryWindow: 10 * time.Second,
+		codec: wire.NewCodec(nil)}
 }
 
-// SetCodec installs a frame codec (e.g. the internal/wire binary codec) to
-// negotiate on every connection. Call before creating endpoints; the
-// fallback handshake keeps codec-enabled processes interoperable with
-// plain-JSON ones in either direction.
+// SetCodec replaces the frame codec, typically with one holding the
+// deployment's dictionary (dist.WireCodec). Call before creating endpoints,
+// with a codec every peer agrees with: the handshake refuses the rest.
 func (t *TCP) SetCodec(c Codec) { t.codec = c }
 
 // Register maps a logical address to a host:port.
@@ -94,14 +87,13 @@ func (t *TCP) Endpoint(addr string) (Endpoint, error) {
 	}
 	t.Register(addr, ln.Addr().String())
 	ep := &tcpEndpoint{
-		net:      t,
-		addr:     addr,
-		ln:       ln,
-		in:       make(chan Message, 1024),
-		conns:    make(map[string]*tcpConn),
-		jsonOnly: make(map[string]bool),
-		inbound:  make(map[net.Conn]struct{}),
-		done:     make(chan struct{}),
+		net:     t,
+		addr:    addr,
+		ln:      ln,
+		in:      make(chan Message, 1024),
+		conns:   make(map[string]net.Conn),
+		inbound: make(map[net.Conn]struct{}),
+		done:    make(chan struct{}),
 	}
 	ep.wg.Add(1)
 	go ep.acceptLoop()
@@ -118,22 +110,12 @@ type tcpEndpoint struct {
 	wg   sync.WaitGroup
 
 	mu sync.Mutex
-	// conns caches outbound connections by destination name; inbound holds
-	// accepted connections so Close can unblock their readers. jsonOnly
-	// remembers destinations whose handshake failed outright (a pre-codec
-	// peer closes on the hello), so reconnects skip straight to JSON.
-	conns    map[string]*tcpConn
-	jsonOnly map[string]bool
-	inbound  map[net.Conn]struct{}
-	closed   bool
-}
-
-// tcpConn is one outbound connection plus its negotiated framing mode.
-type tcpConn struct {
-	nc net.Conn
-	// binary is true when the codec handshake agreed on binary frames;
-	// false speaks legacy length-prefixed JSON.
-	binary bool
+	// conns caches outbound connections (past their handshake) by
+	// destination name; inbound holds accepted connections so Close can
+	// unblock their readers.
+	conns   map[string]net.Conn
+	inbound map[net.Conn]struct{}
+	closed  bool
 }
 
 var _ Endpoint = (*tcpEndpoint)(nil)
@@ -162,11 +144,10 @@ func (e *tcpEndpoint) acceptLoop() {
 	}
 }
 
-// readLoop decodes frames from one connection into the inbox. With a codec
-// installed, the connection's first four bytes are sniffed: a codec hello
-// runs the negotiation handshake, anything else (a legacy JSON length
-// prefix) is served the plain JSON framing — Peek does not consume, so the
-// legacy path re-reads those same bytes as its first frame.
+// readLoop serves one inbound connection: the handshake first — a peer that
+// does not open with a hello this codec agrees with gets the refusing ack
+// and the connection is dropped before it can deliver anything — then frames
+// into the inbox until the stream ends or fails to decode.
 func (e *tcpEndpoint) readLoop(conn net.Conn) {
 	defer e.wg.Done()
 	defer func() {
@@ -177,34 +158,12 @@ func (e *tcpEndpoint) readLoop(conn net.Conn) {
 	}()
 	br := bufio.NewReader(conn)
 	cod := e.net.codec
-	negotiated := false
-	if cod != nil {
-		prefix, err := br.Peek(4)
-		if err != nil {
-			return
-		}
-		if cod.Sniff(prefix) {
-			if _, err := br.Discard(4); err != nil {
-				return
-			}
-			ack, ok, err := cod.Accept(prefix, br)
-			if err != nil {
-				return // corrupt hello: drop the connection
-			}
-			if _, err := conn.Write(ack); err != nil {
-				return
-			}
-			negotiated = ok
-		}
+	ack, refused := cod.Accept(br)
+	if _, err := conn.Write(ack); err != nil || refused != nil {
+		return
 	}
 	for {
-		var msg Message
-		var err error
-		if negotiated {
-			msg, err = readNegotiated(br, cod)
-		} else {
-			msg, err = readFrame(br)
-		}
+		msg, err := cod.Read(br)
 		if err != nil {
 			return
 		}
@@ -216,27 +175,12 @@ func (e *tcpEndpoint) readLoop(conn net.Conn) {
 	}
 }
 
-// readNegotiated reads one frame from a binary-negotiated connection.
-// Binary streams may interleave legacy JSON frames (e.g. a payload the
-// codec declined to encode): the first byte discriminates, because a JSON
-// frame's big-endian length prefix starts with 0x00 under the 16 MiB cap
-// while binary frames start with the codec's nonzero magic.
-func readNegotiated(br *bufio.Reader, cod Codec) (Message, error) {
-	b, err := br.Peek(1)
-	if err != nil {
-		return Message{}, err
-	}
-	if b[0] == 0 {
-		return readFrame(br)
-	}
-	return cod.Read(br)
-}
-
 // Send implements Endpoint. Connections are cached per destination; a write
 // failure drops the broken connection and reconnects with capped exponential
 // backoff plus jitter for up to SendRetryWindow (the peer may be
-// restarting). Non-transient failures — unknown destination, unmarshalable
-// payload, closed endpoint — fail immediately.
+// restarting). Failures that retrying cannot cure — unknown destination,
+// unencodable payload, closed endpoint, a refused handshake — fail
+// immediately.
 func (e *tcpEndpoint) Send(to, kind string, payload any) error {
 	if e.isClosed() {
 		return fmt.Errorf("transport: endpoint %q closed", e.addr)
@@ -244,18 +188,22 @@ func (e *tcpEndpoint) Send(to, kind string, payload any) error {
 	if _, err := e.net.lookup(to); err != nil {
 		return err // unknown destination: retrying cannot help
 	}
-	msg, err := encode(e.addr, to, kind, payload)
+	msg, err := wire.NewMessage(e.addr, to, kind, payload)
 	if err != nil {
 		return err
 	}
-	err = e.writeMsg(to, msg)
+	frame, err := e.net.codec.Encode(msg)
+	if err != nil {
+		return err
+	}
+	err = e.write(to, frame)
 	if err == nil {
 		return nil
 	}
 	deadline := time.Now().Add(e.net.SendRetryWindow)
 	for attempt := 0; ; attempt++ {
 		e.dropConn(to)
-		if e.isClosed() {
+		if e.isClosed() || errors.Is(err, wire.ErrRefused) {
 			return err
 		}
 		if attempt > 0 && !time.Now().Before(deadline) {
@@ -264,7 +212,7 @@ func (e *tcpEndpoint) Send(to, kind string, payload any) error {
 		if attempt > 0 {
 			time.Sleep(Backoff(attempt-1, 25*time.Millisecond, time.Second))
 		}
-		if err = e.writeMsg(to, msg); err == nil {
+		if err = e.write(to, frame); err == nil {
 			return nil
 		}
 	}
@@ -277,72 +225,45 @@ func (e *tcpEndpoint) isClosed() bool {
 	return e.closed
 }
 
-// writeMsg encodes the message for the destination's negotiated framing
-// and writes it. Encoding happens per attempt because a reconnect can
-// renegotiate the mode (e.g. the peer restarted as a different build).
-func (e *tcpEndpoint) writeMsg(to string, msg Message) error {
+// write puts one frame on the destination's connection.
+func (e *tcpEndpoint) write(to string, frame []byte) error {
 	c, err := e.conn(to)
 	if err != nil {
 		return err
 	}
-	var frame []byte
-	if c.binary {
-		frame, err = e.net.codec.Encode(msg)
-		if err != nil {
-			// Unencodable payload: interleave a legacy JSON frame — binary
-			// readers discriminate frames by first byte (see readNegotiated).
-			frame, err = encodeFrame(msg)
-		}
-	} else {
-		frame, err = encodeFrame(msg)
-	}
-	if err != nil {
-		return err
-	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	_, err = c.nc.Write(frame)
+	_, err = c.Write(frame)
 	return err
 }
 
-// conn returns the cached connection to the destination, dialing (and
-// running the codec handshake) if needed.
-func (e *tcpEndpoint) conn(to string) (*tcpConn, error) {
+// conn returns the cached connection to the destination, dialing it and
+// running the handshake if needed. A refused handshake closes the
+// connection and is returned to Send, which does not retry it.
+func (e *tcpEndpoint) conn(to string) (net.Conn, error) {
 	e.mu.Lock()
-	if c, ok := e.conns[to]; ok {
-		e.mu.Unlock()
+	c, ok := e.conns[to]
+	e.mu.Unlock()
+	if ok {
 		return c, nil
 	}
-	jsonOnly := e.jsonOnly[to]
-	e.mu.Unlock()
-
-	nc, err := e.dial(to)
+	c, err := e.dial(to)
 	if err != nil {
 		return nil, err
 	}
-	c := &tcpConn{nc: nc}
-	if cod := e.net.codec; cod != nil && !jsonOnly {
-		ok, herr := clientHandshake(nc, cod, e.net.dialTimeout)
-		if herr != nil {
-			// The peer is a pre-codec build: it read the hello as an
-			// invalid frame and closed. Remember, redial, speak JSON.
-			nc.Close()
-			e.mu.Lock()
-			e.jsonOnly[to] = true
-			e.mu.Unlock()
-			return e.conn(to)
-		}
-		c.binary = ok
+	if err := clientHandshake(c, e.net.codec, e.net.dialTimeout); err != nil {
+		c.Close()
+		return nil, fmt.Errorf("transport: connecting %q to %q: %w", e.addr, to, err)
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.closed {
-		nc.Close()
+		c.Close()
 		return nil, fmt.Errorf("transport: endpoint %q closed", e.addr)
 	}
 	if prev, ok := e.conns[to]; ok {
 		// Lost a dial race; keep the first connection.
-		nc.Close()
+		c.Close()
 		return prev, nil
 	}
 	e.conns[to] = c
@@ -373,15 +294,12 @@ func (e *tcpEndpoint) dial(to string) (net.Conn, error) {
 }
 
 // clientHandshake writes the codec hello and waits (bounded) for the ack.
-func clientHandshake(nc net.Conn, cod Codec, timeout time.Duration) (bool, error) {
+func clientHandshake(nc net.Conn, cod Codec, timeout time.Duration) error {
 	if _, err := nc.Write(cod.Hello()); err != nil {
-		return false, err
-	}
-	if timeout <= 0 {
-		timeout = 5 * time.Second
+		return err
 	}
 	if err := nc.SetReadDeadline(time.Now().Add(timeout)); err != nil {
-		return false, err
+		return err
 	}
 	defer nc.SetReadDeadline(time.Time{})
 	return cod.ReadAck(nc)
@@ -392,7 +310,7 @@ func (e *tcpEndpoint) dropConn(to string) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if c, ok := e.conns[to]; ok {
-		c.nc.Close()
+		c.Close()
 		delete(e.conns, to)
 	}
 }
@@ -409,7 +327,7 @@ func (e *tcpEndpoint) Close() error {
 	}
 	e.closed = true
 	for _, c := range e.conns {
-		c.nc.Close()
+		c.Close()
 	}
 	for c := range e.inbound {
 		c.Close()
@@ -421,45 +339,4 @@ func (e *tcpEndpoint) Close() error {
 	e.wg.Wait()
 	close(e.in)
 	return err
-}
-
-// encodeFrame renders a message as a length-prefixed JSON frame.
-func encodeFrame(msg Message) ([]byte, error) {
-	body, err := json.Marshal(msg)
-	if err != nil {
-		return nil, fmt.Errorf("transport: encoding frame: %w", err)
-	}
-	if len(body) > maxFrameBytes {
-		return nil, fmt.Errorf("transport: frame of %d bytes exceeds limit", len(body))
-	}
-	frame := make([]byte, 4+len(body))
-	binary.BigEndian.PutUint32(frame, uint32(len(body)))
-	copy(frame[4:], body)
-	return frame, nil
-}
-
-// readFrame reads one length-prefixed JSON frame. The body buffer grows only
-// as bytes actually arrive, so a corrupt or hostile length prefix on a
-// truncated stream cannot force a large up-front allocation.
-func readFrame(r io.Reader) (Message, error) {
-	var lenBuf [4]byte
-	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
-		return Message{}, err
-	}
-	n := binary.BigEndian.Uint32(lenBuf[:])
-	if n == 0 || n > maxFrameBytes {
-		return Message{}, errors.New("transport: invalid frame length")
-	}
-	var buf bytes.Buffer
-	if n <= 64<<10 {
-		buf.Grow(int(n)) // typical small frame: one exact allocation
-	}
-	if _, err := io.CopyN(&buf, r, int64(n)); err != nil {
-		return Message{}, fmt.Errorf("transport: truncated frame: %w", err)
-	}
-	var msg Message
-	if err := json.Unmarshal(buf.Bytes(), &msg); err != nil {
-		return Message{}, fmt.Errorf("transport: decoding frame: %w", err)
-	}
-	return msg, nil
 }

@@ -1,46 +1,34 @@
 // Package transport provides the messaging substrate for the distributed
 // LLA runtime (the message-passing system shape of Section 4.1): named
-// endpoints exchanging small JSON messages. Two base networks are provided
-// — an in-process channel network and a TCP network with length-prefixed
-// JSON frames for genuinely distributed deployments (cmd/lla-node) — plus
-// Chaos, a wrapper that composes over either of them and injects
-// deterministic, seeded faults (loss, delay/jitter, duplication,
-// reordering, partitions, node crash/restart) for robustness testing.
+// endpoints exchanging the typed messages of internal/wire. Two base
+// networks are provided — an in-process channel network and a TCP network
+// carrying the binary frames of PROTOCOL.md for genuinely distributed
+// deployments (cmd/lla-node) — plus Chaos, a wrapper that composes over
+// either of them and injects deterministic, seeded faults (loss,
+// delay/jitter, duplication, reordering, partitions, node crash/restart)
+// for robustness testing.
 package transport
 
 import (
 	"bufio"
-	"encoding/json"
-	"fmt"
 	"io"
+
+	"lla/internal/wire"
 )
 
-// Message is a routed envelope. Payload is JSON so that both network
-// implementations behave identically.
-type Message struct {
-	// From and To are endpoint addresses (logical names).
-	From string `json:"from"`
-	To   string `json:"to"`
-	// Kind discriminates payload types for the receiver.
-	Kind string `json:"kind"`
-	// Payload is the JSON-encoded body.
-	Payload json.RawMessage `json:"payload"`
-}
-
-// Decode unmarshals the payload into out.
-func (m Message) Decode(out any) error {
-	if err := json.Unmarshal(m.Payload, out); err != nil {
-		return fmt.Errorf("transport: decoding %s payload: %w", m.Kind, err)
-	}
-	return nil
-}
+// Message is the routed envelope networks deliver: wire.Message, whose
+// Payload is the Go value the sender passed to Send (or, for a payload type
+// with no frame type, its JSON — see Message.Decode).
+type Message = wire.Message
 
 // Endpoint is one named party on a network.
 type Endpoint interface {
 	// Addr returns the endpoint's address.
 	Addr() string
-	// Send delivers a message to the named endpoint. Payload is marshaled
-	// to JSON. Send must not block indefinitely.
+	// Send delivers a message to the named endpoint. The payload travels as
+	// the value given and must not be modified afterwards: a network may
+	// hand the same value to the receiver, deliver it twice, or encode it
+	// later from another goroutine. Send must not block indefinitely.
 	Send(to, kind string, payload any) error
 	// Recv returns the channel of inbound messages. It is closed when the
 	// endpoint is closed.
@@ -56,43 +44,27 @@ type Network interface {
 	Endpoint(addr string) (Endpoint, error)
 }
 
-// Codec is a pluggable frame codec for networks that move Messages over
-// byte streams. internal/wire implements it with the binary protocol of
-// PROTOCOL.md; the transport package itself stays codec-agnostic: TCP
-// negotiates the codec per connection via the Sniff/Hello/Accept/ReadAck
-// handshake and falls back to the legacy length-prefixed JSON framing with
-// any peer that declines (or predates) it, and Inproc can round-trip every
-// delivery through a codec so in-process tests exercise the same bytes.
+// Codec is what a network needs of the frame codec: *wire.Codec implements
+// it, and a decorator can wrap one (the benchmark counts frames that way).
+// TCP encodes every message with it and opens every connection with its
+// handshake; Inproc can round-trip every delivery through it so in-process
+// tests exercise the same bytes.
 //
 // Implementations must be safe for concurrent use by every connection of a
 // process.
 type Codec interface {
-	// Name identifies the codec (e.g. "binary") for flags and logs.
-	Name() string
 	// Encode renders one message as a self-delimiting frame.
 	Encode(m Message) ([]byte, error)
-	// Read consumes exactly one frame from r and reconstructs the message.
+	// Read consumes exactly one frame from r and returns its message.
 	Read(r *bufio.Reader) (Message, error)
 	// Hello returns the fixed-size client handshake blob written once
 	// after dialing.
 	Hello() []byte
-	// ReadAck parses the server's handshake answer; ok=false negotiates
-	// the JSON fallback. An error (e.g. a pre-codec peer closing the
-	// connection) tells the dialer to reconnect and speak JSON.
-	ReadAck(r io.Reader) (ok bool, err error)
-	// Sniff reports whether a connection's first four bytes begin a codec
-	// hello (as opposed to a legacy JSON length prefix).
-	Sniff(prefix []byte) bool
-	// Accept consumes the rest of a sniffed hello from r and returns the
-	// ack to write back; ok reports whether binary framing was agreed.
-	Accept(prefix []byte, r io.Reader) (ack []byte, ok bool, err error)
-}
-
-// encode marshals a payload once, shared by the implementations.
-func encode(from, to, kind string, payload any) (Message, error) {
-	raw, err := json.Marshal(payload)
-	if err != nil {
-		return Message{}, fmt.Errorf("transport: encoding %s payload: %w", kind, err)
-	}
-	return Message{From: from, To: to, Kind: kind, Payload: raw}, nil
+	// Accept reads the hello an inbound connection must open with and
+	// returns the ack to write back; on an error (wrapping wire.ErrRefused)
+	// the ack says so and the connection is closed after writing it.
+	Accept(r io.Reader) (ack []byte, err error)
+	// ReadAck parses the server's answer to the hello; any failure wraps
+	// wire.ErrRefused.
+	ReadAck(r io.Reader) error
 }

@@ -1,7 +1,8 @@
 package transport
 
 import (
-	"bytes"
+	"encoding/json"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -317,55 +318,51 @@ func TestTCPSendAfterClose(t *testing.T) {
 	}
 }
 
-func TestFrameCodecRoundTrip(t *testing.T) {
-	msg, err := encode("a", "b", "kind", ping{N: 42})
-	if err != nil {
-		t.Fatal(err)
-	}
-	frame, err := encodeFrame(msg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := readFrame(bytes.NewReader(frame))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Kind != "kind" || back.From != "a" {
-		t.Fatalf("round trip = %+v", back)
-	}
-}
-
-func TestReadFrameRejectsGarbage(t *testing.T) {
-	// Zero length.
-	if _, err := readFrame(bytes.NewReader([]byte{0, 0, 0, 0})); err == nil {
-		t.Error("zero-length frame should fail")
-	}
-	// Absurd length.
-	if _, err := readFrame(bytes.NewReader([]byte{0xff, 0xff, 0xff, 0xff})); err == nil {
-		t.Error("oversized frame should fail")
-	}
-	// Truncated body.
-	if _, err := readFrame(bytes.NewReader([]byte{0, 0, 0, 10, 'x'})); err == nil {
-		t.Error("truncated frame should fail")
-	}
-	// Invalid JSON body.
-	frame := []byte{0, 0, 0, 3, 'x', 'y', 'z'}
-	if _, err := readFrame(bytes.NewReader(frame)); err == nil {
-		t.Error("non-JSON frame should fail")
-	}
-}
-
-func TestEncodeUnserializablePayload(t *testing.T) {
-	n := NewInproc(InprocConfig{})
+// A full inbox is the sender's error, never a panic and never a block; what
+// was already queued still arrives.
+func TestInprocFullInboxIsAnError(t *testing.T) {
+	n := NewInproc(InprocConfig{QueueLen: 1})
 	a, _ := n.Endpoint("a")
+	b, _ := n.Endpoint("b")
 	defer a.Close()
-	if err := a.Send("a", "x", func() {}); err == nil {
-		t.Fatal("unserializable payload should fail")
+	defer b.Close()
+	if err := a.Send("b", "x", ping{N: 1}); err != nil {
+		t.Fatal(err)
+	}
+	err := a.Send("b", "x", ping{N: 2})
+	if err == nil || !strings.Contains(err.Error(), `"b"`) {
+		t.Fatalf("send to a full inbox = %v, want an error naming the address", err)
+	}
+	var p ping
+	if err := recvOne(t, b).Decode(&p); err != nil || p.N != 1 {
+		t.Fatalf("queued message = %+v, %v", p, err)
+	}
+	// Room again: the endpoint is not poisoned.
+	if err := a.Send("b", "x", ping{N: 3}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// A payload with no frame type is marshalled at Send, on every network; one
+// that cannot be marshalled fails there.
+func TestEncodeUnserializablePayload(t *testing.T) {
+	for name, n := range map[string]Network{
+		"inproc": NewInproc(InprocConfig{}),
+		"tcp":    NewTCP(map[string]string{"a": "127.0.0.1:0"}),
+	} {
+		a, err := n.Endpoint("a")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := a.Send("a", "x", func() {}); err == nil {
+			t.Errorf("%s: unserializable payload should fail", name)
+		}
+		a.Close()
 	}
 }
 
 func TestMessageDecodeError(t *testing.T) {
-	m := Message{Kind: "x", Payload: []byte(`{"n": "notanint"}`)}
+	m := Message{Kind: "x", Payload: json.RawMessage(`{"n": "notanint"}`)}
 	var p ping
 	if err := m.Decode(&p); err == nil {
 		t.Fatal("type mismatch should fail")

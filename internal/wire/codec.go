@@ -2,31 +2,67 @@ package wire
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 
 	"lla/internal/obs"
-	"lla/internal/transport"
 )
+
+// Message is a routed envelope. Payload is the Go value the sender built:
+// one of the payload types of frames.go (or a slice of a batching one), or,
+// for a kind the protocol has no frame type for, the json.RawMessage that
+// NewMessage marshalled and a RAW frame carries verbatim.
+type Message struct {
+	// From and To are endpoint addresses (logical names).
+	From, To string
+	// Kind names the payload for the receiver; a frame type implies it.
+	Kind string
+	// Payload is immutable once the message is sent.
+	Payload any
+}
+
+// NewMessage builds the envelope a Send puts on a network. A payload with a
+// frame type travels as it is; anything else is marshalled to JSON here,
+// once, so every network and Decode see the same bytes.
+func NewMessage(from, to, kind string, payload any) (Message, error) {
+	if !modelled(payload) {
+		raw, err := json.Marshal(payload)
+		if err != nil {
+			return Message{}, fmt.Errorf("wire: encoding %s payload: %w", kind, err)
+		}
+		payload = json.RawMessage(raw)
+	}
+	return Message{From: from, To: to, Kind: kind, Payload: payload}, nil
+}
+
+// Decode unmarshals the JSON payload of a kind without a frame type into out.
+func (m Message) Decode(out any) error {
+	raw, ok := m.Payload.(json.RawMessage)
+	if !ok {
+		return fmt.Errorf("wire: %s payload is a %T, not JSON", m.Kind, m.Payload)
+	}
+	if err := json.Unmarshal(raw, out); err != nil {
+		return fmt.Errorf("wire: decoding %s payload: %w", m.Kind, err)
+	}
+	return nil
+}
 
 // Codec is the binary frame codec. It is stateless apart from metrics, so
 // one Codec instance can serve every connection of a process concurrently.
 // The zero value is not usable; construct with NewCodec.
 type Codec struct {
 	dict *Dict
-	// minVersion..maxVersion is the advertised negotiation range; production
-	// codecs use MinVersion..Version, tests skew them to exercise fallback.
+	// minVersion..maxVersion is the advertised handshake range; production
+	// codecs use MinVersion..Version, tests skew them to exercise refusal.
 	minVersion, maxVersion byte
 
 	m *obs.WireMetrics
 }
-
-var _ transport.Codec = (*Codec)(nil)
 
 // NewCodec returns a codec using the given dictionary (nil for inline
 // string ids). Call Observe to attach metrics.
@@ -41,30 +77,35 @@ func (c *Codec) Observe(reg *obs.Registry) {
 	}
 }
 
-// Name implements transport.Codec.
-func (c *Codec) Name() string { return "binary" }
-
-// Encode implements transport.Codec: it renders one message as a binary
-// frame. Messages whose kind or payload shape the codec does not model ride
-// a RAW frame (kind string + verbatim JSON payload), so Encode fails only
-// on oversize or non-finite inputs.
-func (c *Codec) Encode(m transport.Message) ([]byte, error) {
-	ft, flags, body, err := c.encodeBody(m, c.dict != nil)
-	if errors.Is(err, errDictMiss) {
-		// A name outside the negotiated dictionary (e.g. an ad-hoc client
-		// address): re-encode the whole frame with inline strings.
-		ft, flags, body, err = c.encodeBody(m, false)
+// Encode renders one message as a binary frame, choosing the frame type
+// from the payload's Go type; a json.RawMessage rides a RAW frame under the
+// message's kind. It fails on a payload that is neither, a kind that is not
+// the frame type's, and oversize or non-finite fields.
+func (c *Codec) Encode(m Message) ([]byte, error) {
+	// The body is encoded into the buffer that becomes the frame, behind
+	// room for the longest header; the header is then written flush against
+	// it. A typical control frame (tens of bytes) is this one allocation.
+	const maxHeader = 4 + binary.MaxVarintLen32
+	e := enc{b: make([]byte, maxHeader, 128)}
+	ft, flags := c.encodeBody(&e, m, c.dict != nil)
+	if errors.Is(e.err, errDictMiss) {
+		// A name outside the dictionary (e.g. an ad-hoc client address):
+		// re-encode the whole frame with inline strings.
+		e = enc{b: e.b[:maxHeader]}
+		ft, flags = c.encodeBody(&e, m, false)
 	}
-	if err != nil {
-		return nil, err
+	if e.err != nil {
+		return nil, e.err
 	}
-	if len(body) > maxBodyBytes {
-		return nil, fmt.Errorf("wire: frame body of %d bytes exceeds limit", len(body))
+	bodyLen := len(e.b) - maxHeader
+	if bodyLen > maxBodyBytes {
+		return nil, fmt.Errorf("wire: frame body of %d bytes exceeds limit", bodyLen)
 	}
-	frame := make([]byte, 0, 4+binary.MaxVarintLen32+len(body)+4)
-	frame = append(frame, FrameMagic, Version, ft, flags)
-	frame = binary.AppendUvarint(frame, uint64(len(body)))
-	frame = append(frame, body...)
+	var lenBuf [binary.MaxVarintLen32]byte
+	n := binary.PutUvarint(lenBuf[:], uint64(bodyLen))
+	frame := e.b[maxHeader-4-n:]
+	frame[0], frame[1], frame[2], frame[3] = FrameMagic, Version, ft, flags
+	copy(frame[4:], lenBuf[:n])
 	frame = binary.LittleEndian.AppendUint32(frame, crc32.ChecksumIEEE(frame))
 	c.m.FramesEncoded.Inc()
 	c.m.BytesEncoded.Add(int64(len(frame)))
@@ -74,322 +115,228 @@ func (c *Codec) Encode(m transport.Message) ([]byte, error) {
 	return frame, nil
 }
 
-// encodeBody renders the frame body, choosing the frame type from the
-// message kind and payload shape.
-func (c *Codec) encodeBody(m transport.Message, dict bool) (ft, flags byte, body []byte, err error) {
-	e := &enc{}
+// encodeBody renders the frame body into e and returns the frame type and
+// flags; failures latch on e.
+func (c *Codec) encodeBody(e *enc, m Message, dict bool) (ft, flags byte) {
 	c.addr(e, m.From, dict)
 	c.addr(e, m.To, dict)
-	batch := false
-	switch m.Kind {
-	case KindPrice:
-		if ps, isBatch, ok := parsePayload[PriceUpdate](m.Payload); ok {
-			ft, batch = FramePrice, isBatch
-			c.encPrice(e, ps, dict)
-		}
-	case KindLatency:
-		if ss, isBatch, ok := parsePayload[ShareReport](m.Payload); ok {
-			ft, batch = FrameLatency, isBatch
-			c.encLatency(e, ss, dict)
-		}
-	case KindReport:
-		if rs, isBatch, ok := parsePayload[UtilityReport](m.Payload); ok && !isBatch {
-			ft = FrameReport
-			r := &rs[0]
-			c.taskRef(e, r.Task, dict)
-			e.svarint(int64(r.Round))
-			e.uvarint(r.Epoch)
-			e.f64(r.Utility)
-		}
-	case KindStop:
-		if vs, isBatch, ok := parsePayload[Stop](m.Payload); ok && !isBatch {
-			ft = FrameStop
-			e.svarint(int64(vs[0].AfterRound))
-			e.uvarint(vs[0].Epoch)
-		}
-	case KindFin:
-		if vs, isBatch, ok := parsePayload[Fin](m.Payload); ok && !isBatch {
-			ft = FrameFin
-			c.resRef(e, vs[0].Resource, dict)
-		}
-	case KindRejoin:
-		if vs, isBatch, ok := parsePayload[Rejoin](m.Payload); ok && !isBatch {
-			ft = FrameRejoin
-			e.uvarint(vs[0].Epoch)
-		}
-	case KindRejoinAck:
-		if vs, isBatch, ok := parsePayload[RejoinAck](m.Payload); ok && !isBatch {
-			ft = FrameRejoinAck
-			c.taskRef(e, vs[0].Task, dict)
-			e.svarint(int64(vs[0].Round))
-			e.uvarint(vs[0].Epoch)
-		}
-	case KindPriceAgg:
-		if ps, isBatch, ok := parsePayload[BoundaryPrice](m.Payload); ok {
-			ft, batch = FramePriceAgg, isBatch
-			c.encPriceAgg(e, ps, dict)
-		}
-	case KindBoundary:
-		if bs, isBatch, ok := parsePayload[BoundaryDemand](m.Payload); ok {
-			ft, batch = FrameBoundary, isBatch
-			c.encBoundary(e, bs, dict)
-		}
-	}
-	if ft == 0 {
+	switch p := m.Payload.(type) {
+	case PriceUpdate:
+		ft = FramePrice
+		c.encPrice(e, []PriceUpdate{p}, dict)
+	case []PriceUpdate:
+		ft, flags = FramePrice, flagBatch
+		c.encPrice(e, p, dict)
+	case ShareReport:
+		ft = FrameLatency
+		c.encLatency(e, []ShareReport{p}, dict)
+	case []ShareReport:
+		ft, flags = FrameLatency, flagBatch
+		c.encLatency(e, p, dict)
+	case UtilityReport:
+		ft = FrameReport
+		c.taskRef(e, p.Task, dict)
+		e.svarint(int64(p.Round))
+		e.uvarint(p.Epoch)
+		e.f64(p.Utility)
+	case Stop:
+		ft = FrameStop
+		e.svarint(int64(p.AfterRound))
+		e.uvarint(p.Epoch)
+	case Fin:
+		ft = FrameFin
+		c.resRef(e, p.Resource, dict)
+	case Rejoin:
+		ft = FrameRejoin
+		e.uvarint(p.Epoch)
+	case RejoinAck:
+		ft = FrameRejoinAck
+		c.taskRef(e, p.Task, dict)
+		e.svarint(int64(p.Round))
+		e.uvarint(p.Epoch)
+	case BoundaryPrice:
+		ft = FramePriceAgg
+		c.encPriceAgg(e, []BoundaryPrice{p}, dict)
+	case []BoundaryPrice:
+		ft, flags = FramePriceAgg, flagBatch
+		c.encPriceAgg(e, p, dict)
+	case BoundaryDemand:
+		ft = FrameBoundary
+		c.encBoundary(e, []BoundaryDemand{p}, dict)
+	case []BoundaryDemand:
+		ft, flags = FrameBoundary, flagBatch
+		c.encBoundary(e, p, dict)
+	case json.RawMessage:
 		ft = FrameRaw
 		e.str(m.Kind)
-		e.bytes(m.Payload)
+		e.bytes(p)
+	default:
+		e.fail("%s payload is a %T: neither a frame type nor JSON", m.Kind, p)
+		return 0, 0
 	}
-	if e.err != nil {
-		return 0, 0, nil, e.err
+	if ft != FrameRaw && m.Kind != frameKinds[ft] {
+		e.fail("kind %q on a %s payload", m.Kind, frameKinds[ft])
 	}
 	if dict {
 		flags |= flagDict
 	}
-	if batch {
-		flags |= flagBatch
-	}
-	return ft, flags, e.b, nil
+	return ft, flags
 }
 
-// parsePayload strictly parses a JSON payload as either a single entry or
-// an array of entries. Unknown fields, mismatched types, trailing data, or
-// any non-object/array payload report ok=false, steering the message onto
-// the RAW escape hatch instead of silently dropping information (the
-// forward-evolution rule of PROTOCOL.md §7).
-func parsePayload[T any](raw json.RawMessage) (entries []T, isBatch, ok bool) {
-	switch firstByte(raw) {
-	case '{':
-		var v T
-		if !strictUnmarshal(raw, &v) {
-			return nil, false, false
-		}
-		return []T{v}, false, true
-	case '[':
-		v := []T{}
-		if !strictUnmarshal(raw, &v) {
-			return nil, false, false
-		}
-		return v, true, true
-	default:
-		return nil, false, false
-	}
-}
-
-// firstByte returns the first non-whitespace byte of a JSON document (0 if
-// none).
-func firstByte(raw []byte) byte {
-	for _, b := range raw {
-		switch b {
-		case ' ', '\t', '\r', '\n':
-			continue
-		}
-		return b
-	}
-	return 0
-}
-
-// strictUnmarshal decodes JSON rejecting unknown fields and trailing data.
-func strictUnmarshal(raw []byte, v any) bool {
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return false
-	}
-	return !dec.More()
-}
-
-// Read implements transport.Codec: it consumes exactly one binary frame
-// from r and reconstructs the message. The body buffer grows only as bytes
-// actually arrive, so a corrupt length field on a truncated stream cannot
-// force a large up-front allocation.
-func (c *Codec) Read(r *bufio.Reader) (transport.Message, error) {
+// Read consumes exactly one binary frame from r and returns the message it
+// carries. The body buffer grows only as bytes actually arrive, so a corrupt
+// length field on a truncated stream cannot force a large up-front
+// allocation.
+func (c *Codec) Read(r *bufio.Reader) (Message, error) {
 	msg, n, err := c.readFrame(r)
 	if err != nil {
 		if err != io.EOF {
 			c.m.DecodeErrors.Inc()
 		}
-		return transport.Message{}, err
+		return Message{}, err
 	}
 	c.m.FramesDecoded.Inc()
 	c.m.BytesDecoded.Add(int64(n))
 	return msg, nil
 }
 
-func (c *Codec) readFrame(r *bufio.Reader) (transport.Message, int, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return transport.Message{}, 0, err
+func (c *Codec) readFrame(r *bufio.Reader) (Message, int, error) {
+	// The header and the length behind it are peeked, so that the whole
+	// frame then arrives in one buffer: the CRC runs over it in one piece
+	// and a small frame costs one allocation.
+	hdr, err := r.Peek(4)
+	if err != nil {
+		if len(hdr) > 0 && err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		return Message{}, 0, err
 	}
 	if hdr[0] != FrameMagic {
-		return transport.Message{}, 0, fmt.Errorf("wire: bad frame magic 0x%02x", hdr[0])
+		return Message{}, 0, fmt.Errorf("wire: bad frame magic 0x%02x", hdr[0])
 	}
 	if hdr[1] != Version {
-		return transport.Message{}, 0, fmt.Errorf("wire: unsupported frame version %d", hdr[1])
+		return Message{}, 0, fmt.Errorf("wire: unsupported frame version %d", hdr[1])
 	}
-	flags := hdr[3]
+	ft, flags := hdr[2], hdr[3]
 	if flags&^byte(flagsKnown) != 0 {
-		return transport.Message{}, 0, fmt.Errorf("wire: reserved frame flag bits 0x%02x", flags)
+		return Message{}, 0, fmt.Errorf("wire: reserved frame flag bits 0x%02x", flags)
 	}
-	bodyLen, lenBytes, err := readUvarintBytes(r)
+	bodyLen, n, err := peekUvarint(r, 4)
 	if err != nil {
-		return transport.Message{}, 0, err
+		return Message{}, 0, err
 	}
 	if bodyLen > maxBodyBytes {
-		return transport.Message{}, 0, fmt.Errorf("wire: frame body of %d bytes exceeds limit", bodyLen)
+		return Message{}, 0, fmt.Errorf("wire: frame body of %d bytes exceeds limit", bodyLen)
 	}
-	var buf bytes.Buffer
-	if bodyLen <= 64<<10 {
-		buf.Grow(int(bodyLen)) // typical small frame: one exact allocation
-	}
-	if _, err := io.CopyN(&buf, r, int64(bodyLen)); err != nil {
-		return transport.Message{}, 0, fmt.Errorf("wire: truncated frame body: %w", err)
-	}
-	var crcBuf [4]byte
-	if _, err := io.ReadFull(r, crcBuf[:]); err != nil {
-		return transport.Message{}, 0, fmt.Errorf("wire: truncated frame trailer: %w", err)
-	}
-	crc := crc32.NewIEEE()
-	crc.Write(hdr[:])
-	crc.Write(lenBytes)
-	crc.Write(buf.Bytes())
-	if got := binary.LittleEndian.Uint32(crcBuf[:]); got != crc.Sum32() {
-		return transport.Message{}, 0, fmt.Errorf("wire: frame CRC mismatch: got %08x want %08x", got, crc.Sum32())
-	}
-	msg, err := c.decodeBody(hdr[2], flags, buf.Bytes())
+	frame, err := readN(r, 4+n+int(bodyLen)+4)
 	if err != nil {
-		return transport.Message{}, 0, err
+		return Message{}, 0, fmt.Errorf("wire: truncated frame: %w", err)
 	}
-	total := len(hdr) + len(lenBytes) + buf.Len() + len(crcBuf)
-	return msg, total, nil
+	sealed := len(frame) - 4
+	if got, want := binary.LittleEndian.Uint32(frame[sealed:]), crc32.ChecksumIEEE(frame[:sealed]); got != want {
+		return Message{}, 0, fmt.Errorf("wire: frame CRC mismatch: got %08x want %08x", got, want)
+	}
+	msg, err := c.decodeBody(ft, flags, frame[4+n:sealed])
+	if err != nil {
+		return Message{}, 0, err
+	}
+	return msg, len(frame), nil
 }
 
-// readUvarintBytes reads a varint byte-by-byte, returning the raw bytes for
-// CRC accumulation.
-func readUvarintBytes(r io.ByteReader) (uint64, []byte, error) {
-	var raw [binary.MaxVarintLen64]byte
-	var x uint64
-	var s uint
-	for i := 0; i < len(raw); i++ {
-		b, err := r.ReadByte()
+// readN reads n bytes in chunks of at most 64 KiB, so what it allocates is
+// bounded by what has arrived; the typical small frame is one exact
+// allocation.
+func readN(r io.Reader, n int) ([]byte, error) {
+	const chunk = 64 << 10
+	buf := make([]byte, 0, min(n, chunk))
+	for len(buf) < n {
+		k := min(n-len(buf), chunk)
+		buf = slices.Grow(buf, k)
+		got, err := io.ReadFull(r, buf[len(buf):len(buf)+k])
+		buf = buf[:len(buf)+got]
 		if err != nil {
-			return 0, nil, fmt.Errorf("wire: truncated frame length: %w", err)
+			return nil, err
 		}
-		raw[i] = b
+	}
+	return buf, nil
+}
+
+// peekUvarint decodes the varint at offset off of r's unread bytes without
+// consuming it, asking for one byte more only while the varint goes on — a
+// short frame may end right behind its length.
+func peekUvarint(r *bufio.Reader, off int) (v uint64, n int, err error) {
+	var s uint
+	for i := 0; i < binary.MaxVarintLen64; i++ {
+		p, err := r.Peek(off + i + 1)
+		if err != nil {
+			return 0, 0, fmt.Errorf("wire: truncated frame length: %w", err)
+		}
+		b := p[off+i]
 		if b < 0x80 {
-			if i == len(raw)-1 && b > 1 {
+			if i == binary.MaxVarintLen64-1 && b > 1 {
 				break // overflows uint64
 			}
-			return x | uint64(b)<<s, raw[:i+1], nil
+			return v | uint64(b)<<s, i + 1, nil
 		}
-		x |= uint64(b&0x7f) << s
+		v |= uint64(b&0x7f) << s
 		s += 7
 	}
-	return 0, nil, errors.New("wire: frame length varint overflow")
+	return 0, 0, errors.New("wire: frame length varint overflow")
 }
 
-// decodeBody reconstructs a transport.Message from a verified frame body.
-func (c *Codec) decodeBody(ft, flags byte, body []byte) (transport.Message, error) {
+// decodeBody reconstructs a Message from a verified frame body.
+func (c *Codec) decodeBody(ft, flags byte, body []byte) (Message, error) {
 	dict := flags&flagDict != 0
 	if dict && c.dict == nil {
-		return transport.Message{}, errors.New("wire: dictionary-encoded frame but codec has no dictionary")
+		return Message{}, errors.New("wire: dictionary-encoded frame but codec has no dictionary")
 	}
 	batch := flags&flagBatch != 0
 	d := &dec{buf: body}
-	var m transport.Message
+	if batch && ft != FramePrice && ft != FrameLatency && ft != FramePriceAgg && ft != FrameBoundary {
+		d.fail("batch flag on a single-entry frame")
+	}
+	var m Message
 	m.From = c.readAddr(d, dict)
 	m.To = c.readAddr(d, dict)
 	switch ft {
 	case FramePrice:
-		m.Kind = KindPrice
-		m.Payload = marshalEntries(d, c.decPrice(d, dict), batch)
+		m.Payload = decEntries(d, batch, func() PriceUpdate { return c.decPrice(d, dict) })
 	case FrameLatency:
-		m.Kind = KindLatency
-		m.Payload = marshalEntries(d, c.decLatency(d, dict), batch)
+		m.Payload = decEntries(d, batch, func() ShareReport { return c.decLatency(d, dict) })
+	case FramePriceAgg:
+		m.Payload = decEntries(d, batch, func() BoundaryPrice { return c.decPriceAgg(d, dict) })
+	case FrameBoundary:
+		m.Payload = decEntries(d, batch, func() BoundaryDemand { return c.decBoundary(d, dict) })
 	case FrameReport:
-		m.Kind = KindReport
 		var v UtilityReport
 		v.Task, _ = c.readTaskRef(d, dict)
 		v.Round = int(d.svarint())
 		v.Epoch = d.uvarint()
 		v.Utility = d.f64()
-		m.Payload = marshalOne(d, batch, &v)
+		m.Payload = v
 	case FrameStop:
-		m.Kind = KindStop
-		var v Stop
-		v.AfterRound = int(d.svarint())
-		v.Epoch = d.uvarint()
-		m.Payload = marshalOne(d, batch, &v)
+		m.Payload = Stop{AfterRound: int(d.svarint()), Epoch: d.uvarint()}
 	case FrameFin:
-		m.Kind = KindFin
-		v := Fin{Resource: c.readResRef(d, dict)}
-		m.Payload = marshalOne(d, batch, &v)
+		m.Payload = Fin{Resource: c.readResRef(d, dict)}
 	case FrameRejoin:
-		m.Kind = KindRejoin
-		v := Rejoin{Epoch: d.uvarint()}
-		m.Payload = marshalOne(d, batch, &v)
+		m.Payload = Rejoin{Epoch: d.uvarint()}
 	case FrameRejoinAck:
-		m.Kind = KindRejoinAck
 		var v RejoinAck
 		v.Task, _ = c.readTaskRef(d, dict)
 		v.Round = int(d.svarint())
 		v.Epoch = d.uvarint()
-		m.Payload = marshalOne(d, batch, &v)
-	case FramePriceAgg:
-		m.Kind = KindPriceAgg
-		m.Payload = marshalEntries(d, c.decPriceAgg(d, dict), batch)
-	case FrameBoundary:
-		m.Kind = KindBoundary
-		m.Payload = marshalEntries(d, c.decBoundary(d, dict), batch)
+		m.Payload = v
 	case FrameRaw:
-		if batch {
-			d.fail("batch flag on a RAW frame")
-		}
 		m.Kind = d.strN(maxStrLen)
-		m.Payload = d.bytesN(maxBodyBytes)
+		m.Payload = json.RawMessage(d.bytesN(maxBodyBytes))
 	default:
 		d.fail("unknown frame type 0x%02x", ft)
 	}
 	if err := d.done(); err != nil {
-		return transport.Message{}, err
+		return Message{}, err
+	}
+	if ft != FrameRaw {
+		m.Kind = frameKinds[ft]
 	}
 	return m, nil
-}
-
-// marshalEntries re-marshals a decoded batch as the original JSON shape:
-// a bare object unless the batch flag was set.
-func marshalEntries[T any](d *dec, entries []T, batch bool) json.RawMessage {
-	if d.err != nil {
-		return nil
-	}
-	if batch {
-		raw, err := json.Marshal(entries)
-		if err != nil {
-			d.fail("re-marshaling batch: %v", err)
-			return nil
-		}
-		return raw
-	}
-	if len(entries) != 1 {
-		d.fail("%d entries in an unbatched frame", len(entries))
-		return nil
-	}
-	return marshalOne(d, false, &entries[0])
-}
-
-// marshalOne re-marshals a single decoded entry, rejecting the batch flag
-// on frame types that never batch.
-func marshalOne[T any](d *dec, batch bool, v *T) json.RawMessage {
-	if batch {
-		d.fail("batch flag on a single-entry frame")
-	}
-	if d.err != nil {
-		return nil
-	}
-	raw, err := json.Marshal(v)
-	if err != nil {
-		d.fail("re-marshaling payload: %v", err)
-		return nil
-	}
-	return raw
 }

@@ -9,14 +9,17 @@ import (
 // tasks and subtasks by small varint indexes instead of inline strings.
 // Both peers derive it deterministically from the same compiled workload
 // (compiled resource/task order), and the negotiation handshake compares a
-// 64-bit hash of the contents: peers whose dictionaries disagree fall back
-// to JSON rather than risk misnaming an entity (PROTOCOL.md §5).
+// 64-bit hash of the contents: peers whose dictionaries disagree refuse the
+// connection rather than risk misnaming an entity (PROTOCOL.md §5).
 //
 // A Dict is immutable after construction and safe for concurrent use.
 type Dict struct {
 	resources []string
 	tasks     []string
 	subs      [][]string
+	// resAddrs and ctlAddrs are the endpoint addresses of the names above,
+	// built once so decoding an address allocates nothing.
+	resAddrs, ctlAddrs []string
 
 	resIdx  map[string]int
 	taskIdx map[string]int
@@ -37,6 +40,8 @@ func NewDict(resources, tasks []string, subs [][]string) (*Dict, error) {
 	d := &Dict{
 		resources: append([]string(nil), resources...),
 		tasks:     append([]string(nil), tasks...),
+		resAddrs:  make([]string, len(resources)),
+		ctlAddrs:  make([]string, len(tasks)),
 		resIdx:    make(map[string]int, len(resources)),
 		taskIdx:   make(map[string]int, len(tasks)),
 		subIdx:    make([]map[string]int, len(tasks)),
@@ -46,6 +51,7 @@ func NewDict(resources, tasks []string, subs [][]string) (*Dict, error) {
 			return nil, fmt.Errorf("wire: duplicate resource id %q", r)
 		}
 		d.resIdx[r] = i
+		d.resAddrs[i] = "res/" + r
 	}
 	d.subs = make([][]string, len(tasks))
 	for i, t := range d.tasks {
@@ -53,6 +59,7 @@ func NewDict(resources, tasks []string, subs [][]string) (*Dict, error) {
 			return nil, fmt.Errorf("wire: duplicate task name %q", t)
 		}
 		d.taskIdx[t] = i
+		d.ctlAddrs[i] = "ctl/" + t
 		if subs != nil {
 			d.subs[i] = append([]string(nil), subs[i]...)
 		}
@@ -69,8 +76,8 @@ func NewDict(resources, tasks []string, subs [][]string) (*Dict, error) {
 }
 
 // Hash returns the dictionary content hash exchanged during negotiation.
-// A nil dictionary hashes to 0, so two dictless peers negotiate binary
-// string-mode frames.
+// A nil dictionary hashes to 0, so two dictless peers agree on string-mode
+// frames.
 func (d *Dict) Hash() uint64 {
 	if d == nil {
 		return 0

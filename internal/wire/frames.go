@@ -1,93 +1,148 @@
 package wire
 
-import (
-	"sort"
-)
+// Payload types. These structs are the runtime's message definitions, not
+// mirrors of them: internal/dist builds and type-switches on these values
+// and the codec encodes them field by field (PROTOCOL.md §4), so there is
+// one definition between a node loop and the socket. A payload is immutable
+// once sent: networks may deliver the same value more than once, later, and
+// to another goroutine.
+//
+// Delta codec. Near convergence the per-round payloads stop changing:
+// prices freeze bitwise and so do latencies. The round-synchronized
+// protocol still needs one message per edge per round (the round gate
+// counts senders, not bytes), so instead of suppressing the send, a sender
+// whose payload is bitwise identical to its previous round's replaces it
+// with a delta marker — Delta set, the value fields omitted — meaning "same
+// as my round r−1 message". The round protocol makes the reference
+// well-founded without per-receiver ack maps: a resource broadcasts its
+// round-r price only after folding every controller's round r−1 latencies,
+// and a controller sends round-r latencies only after folding every round-r
+// price, so the receiver of a round-r delta provably folded the sender's
+// round r−1 value already. Retransmissions and stale recovery always
+// re-send the cached full message, so a lost delta is recovered by value,
+// and every 16th round a full keyframe goes out anyway as
+// defense-in-depth. Folding a delta (keep the held value) therefore
+// produces the same bits as folding the full message, and the run stays
+// bitwise identical to core.Engine.
+//
+// Epoch fencing (DESIGN.md §13). Every frame is stamped with the sender's
+// coordinator epoch — the generation number a restarted coordinator bumps
+// after loading its checkpoint. Frames are divided into two fencing classes:
+//
+//   - Coordinator control frames (Stop, Rejoin) and coordinator-bound frames
+//     (UtilityReport, RejoinAck) are FENCED: a receiver discards — and
+//     counts — any such frame whose epoch is below its own. This is what
+//     stops a zombie coordinator from split-braining the cluster: its stale
+//     stop frames are provably from a dead generation and cannot halt nodes
+//     that already rejoined the live one.
+//   - Node-to-node data frames (PriceUpdate, ShareReport) are STAMPED BUT
+//     NOT FENCED. The round protocol's correctness never depended on the
+//     coordinator (reports are fire-and-forget), so a price retransmitted
+//     from before the crash must still be folded after it — fencing data
+//     frames would strand the very recovery paths that make the run
+//     bitwise-exact.
 
-// Mirror payload structs. Field names, JSON tags and declaration order
-// match the internal/dist message structs exactly, so a payload
-// re-marshaled after a binary round trip is byte-identical to the JSON the
-// sender's legacy path would have produced (the cross-codec equivalence
-// tests assert this). The structs are exported so tests, tools and the
-// PROTOCOL.md examples can construct frames directly.
-
-// PriceUpdate mirrors dist's priceMsg: one resource's price broadcast.
+// PriceUpdate is sent by a resource node to every controller with a subtask
+// on the resource: the resource price and the congestion flag that drives
+// the adaptive path-step heuristic. Seq is a per-sender monotonic sequence
+// number used by the asynchronous protocol to reject duplicated and
+// reordered-stale deliveries; the round-synchronized protocol leaves it zero
+// (round gating already makes folds idempotent there). Delta marks a
+// delta-encoded broadcast: Mu is not on the wire and the receiver keeps the
+// values it folded for the previous round.
 type PriceUpdate struct {
-	Round     int     `json:"round"`
-	Seq       int64   `json:"seq,omitempty"`
-	Epoch     uint64  `json:"epoch,omitempty"`
-	Resource  string  `json:"resource"`
-	Mu        float64 `json:"mu,omitempty"`
-	Congested bool    `json:"congested,omitempty"`
-	Delta     bool    `json:"delta,omitempty"`
+	Round     int
+	Seq       int64
+	Epoch     uint64
+	Resource  string
+	Mu        float64
+	Congested bool
+	Delta     bool
 }
 
-// ShareReport mirrors dist's latencyMsg: one controller's per-resource
-// latency allocations.
+// ShareReport is sent by a controller to a resource node: the newly
+// allocated latencies of the controller's subtasks hosted on that resource,
+// LatMs[j] for the subtask named Subs[j], with Subs in strictly ascending
+// order (the order they cross the wire in). Seq works like PriceUpdate.Seq;
+// Delta marks a coalesced report whose latencies are unchanged from the
+// previous round (Subs and LatMs are not on the wire).
 type ShareReport struct {
-	Round int                `json:"round"`
-	Seq   int64              `json:"seq,omitempty"`
-	Epoch uint64             `json:"epoch,omitempty"`
-	Task  string             `json:"task"`
-	LatMs map[string]float64 `json:"latMs,omitempty"`
-	Delta bool               `json:"delta,omitempty"`
+	Round int
+	Seq   int64
+	Epoch uint64
+	Task  string
+	Subs  []string
+	LatMs []float64
+	Delta bool
 }
 
-// UtilityReport mirrors dist's reportMsg.
+// UtilityReport is a controller's per-round utility, sent to the
+// coordinator.
 type UtilityReport struct {
-	Round   int     `json:"round"`
-	Epoch   uint64  `json:"epoch,omitempty"`
-	Task    string  `json:"task"`
-	Utility float64 `json:"utility"`
+	Round   int
+	Epoch   uint64
+	Task    string
+	Utility float64
 }
 
-// Stop mirrors dist's stopMsg.
+// Stop tells a node to finish after completing the given round. Nodes
+// fence stale-epoch stops.
 type Stop struct {
-	AfterRound int    `json:"afterRound"`
-	Epoch      uint64 `json:"epoch,omitempty"`
+	AfterRound int
+	Epoch      uint64
 }
 
-// Fin mirrors dist's finMsg.
+// Fin is sent by a resource node to its controllers when it has completed
+// its final round. Controllers linger after their last allocation, answering
+// retransmitted prices, until every resource has finned (or a quiet timeout
+// elapses): without this tail handshake, a lost final-round latency message
+// would strand the resource with no sender left to recover it.
 type Fin struct {
-	Resource string `json:"resource"`
+	Resource string
 }
 
-// Rejoin mirrors dist's rejoinMsg.
+// Rejoin is broadcast by a restarted coordinator: it announces the bumped
+// epoch and asks every live node to re-register. Controllers answer with a
+// RejoinAck and re-send their cached last report (re-stamped with the new
+// epoch) so the coordinator can rebuild its aggregation state; resources
+// just adopt the epoch so they fence stale stops.
 type Rejoin struct {
-	Epoch uint64 `json:"epoch"`
+	Epoch uint64
 }
 
-// RejoinAck mirrors dist's rejoinAckMsg. Round may be -1 (nothing reported
-// yet), hence the zigzag encoding on the wire.
+// RejoinAck is a controller's answer to a rejoin: the adopted epoch and the
+// last round it reported (−1: nothing yet, hence the zigzag encoding on the
+// wire), which the coordinator uses to resynchronize its emission cursor
+// past the rounds whose reports died with the crash.
 type RejoinAck struct {
-	Epoch uint64 `json:"epoch"`
-	Task  string `json:"task"`
-	Round int    `json:"round"`
+	Epoch uint64
+	Task  string
+	Round int
 }
 
 // BoundaryPrice is one entry of the fleet aggregator's boundary-price
 // broadcast (SHARDING.md): the externally owned price and congestion flag a
 // shard must pin on a cross-shard resource for the next local sweep.
 type BoundaryPrice struct {
-	Round     int     `json:"round"`
-	Resource  string  `json:"resource"`
-	Mu        float64 `json:"mu"`
-	Congested bool    `json:"congested,omitempty"`
+	Round     int
+	Resource  string
+	Mu        float64
+	Congested bool
 }
 
 // BoundaryDemand is one entry of a shard's boundary report: the shard's
 // local share demand (and optionally demand-response curvature, for the
 // diagonal-Newton aggregator) on a cross-shard resource after a local sweep.
 type BoundaryDemand struct {
-	Round     int     `json:"round"`
-	Shard     int     `json:"shard"`
-	Resource  string  `json:"resource"`
-	Demand    float64 `json:"demand"`
-	Curvature float64 `json:"curvature,omitempty"`
+	Round     int
+	Shard     int
+	Resource  string
+	Demand    float64
+	Curvature float64
 }
 
-// Message kinds with a dedicated frame type. They mirror the internal/dist
-// kind tags; any other kind rides a RAW frame.
+// Message kinds with a dedicated frame type; any other kind rides a RAW
+// frame.
 const (
 	KindPrice     = "price"
 	KindLatency   = "latency"
@@ -142,6 +197,60 @@ const (
 // coordinatorName is dist's coordinator endpoint address.
 const coordinatorName = "coordinator"
 
+// frameKinds maps a frame type to the message kind it carries.
+var frameKinds = [...]string{
+	FramePrice:     KindPrice,
+	FrameLatency:   KindLatency,
+	FrameReport:    KindReport,
+	FrameStop:      KindStop,
+	FrameFin:       KindFin,
+	FrameRejoin:    KindRejoin,
+	FrameRejoinAck: KindRejoinAck,
+	FramePriceAgg:  KindPriceAgg,
+	FrameBoundary:  KindBoundary,
+}
+
+// modelled reports whether a payload's Go type has a frame type of its own.
+func modelled(payload any) bool {
+	switch payload.(type) {
+	case PriceUpdate, []PriceUpdate, ShareReport, []ShareReport,
+		UtilityReport, Stop, Fin, Rejoin, RejoinAck,
+		BoundaryPrice, []BoundaryPrice, BoundaryDemand, []BoundaryDemand:
+		return true
+	}
+	return false
+}
+
+// DeltaBytesSaved is the number of frame bytes a delta marker keeps off the
+// wire relative to the full entry it stands for (PROTOCOL.md §4.1, §4.2): a
+// price's 8-byte mu; a share report's pair count and, per pair, the subtask
+// reference and the 8-byte latency. References are sized as inline strings,
+// what a dictionary-less connection ships; against a dictionary each name
+// is its index varint instead. The byte the envelope's own length varint
+// may shed as the body shrinks past 127 is not counted.
+func DeltaBytesSaved(full any) int64 {
+	switch v := full.(type) {
+	case PriceUpdate:
+		return 8
+	case ShareReport:
+		n := uvarintLen(uint64(len(v.Subs)))
+		for _, s := range v.Subs {
+			n += uvarintLen(uint64(len(s))) + len(s) + 8
+		}
+		return int64(n)
+	}
+	return 0
+}
+
+// uvarintLen is the encoded size of v.
+func uvarintLen(v uint64) int {
+	n := 1
+	for ; v >= 0x80; v >>= 7 {
+		n++
+	}
+	return n
+}
+
 // Encode side ------------------------------------------------------------
 
 // resRef appends a resource id, as a dictionary index in dict mode.
@@ -178,6 +287,9 @@ func (c *Codec) taskRef(e *enc, name string, dict bool) int {
 // dict mode.
 func (c *Codec) subRef(e *enc, ti int, name string, dict bool) {
 	if dict {
+		if ti < 0 {
+			return // the task missed the dictionary: errDictMiss is latched
+		}
 		j, ok := c.dict.subIdx[ti][name]
 		if !ok {
 			e.setErr(errDictMiss)
@@ -237,8 +349,8 @@ func (c *Codec) encPrice(e *enc, batch []PriceUpdate, dict bool) {
 	}
 }
 
-// encLatency appends a LATENCY body. Map keys are emitted sorted so the
-// encoding is deterministic (and matches encoding/json's map ordering).
+// encLatency appends a LATENCY body. Pairs go out in the order given, which
+// must be the strictly ascending subtask order the decoder insists on.
 func (c *Codec) encLatency(e *enc, batch []ShareReport, dict bool) {
 	e.uvarint(uint64(len(batch)))
 	for i := range batch {
@@ -260,15 +372,17 @@ func (c *Codec) encLatency(e *enc, batch []ShareReport, dict bool) {
 		if s.Delta {
 			continue
 		}
-		keys := make([]string, 0, len(s.LatMs))
-		for k := range s.LatMs {
-			keys = append(keys, k)
+		if len(s.Subs) != len(s.LatMs) {
+			e.fail("share report of task %q names %d subtasks for %d latencies", s.Task, len(s.Subs), len(s.LatMs))
+			return
 		}
-		sort.Strings(keys)
-		e.uvarint(uint64(len(keys)))
-		for _, k := range keys {
+		e.uvarint(uint64(len(s.Subs)))
+		for j, k := range s.Subs {
+			if j > 0 && k <= s.Subs[j-1] {
+				e.fail("subtask %q after %q: share report subtasks must ascend", k, s.Subs[j-1])
+			}
 			c.subRef(e, ti, k, dict)
-			e.f64(s.LatMs[k])
+			e.f64(s.LatMs[j])
 		}
 	}
 }
@@ -291,8 +405,7 @@ func (c *Codec) encPriceAgg(e *enc, batch []BoundaryPrice, dict bool) {
 
 // encBoundary appends a BOUNDARY body (entry count + entries). The curvature
 // rides behind a presence flag so gradient-aggregator reports (curvature
-// always zero) stay 8 bytes smaller per entry and round-trip the struct's
-// omitempty JSON exactly.
+// always zero) stay 8 bytes smaller per entry.
 func (c *Codec) encBoundary(e *enc, batch []BoundaryDemand, dict bool) {
 	e.uvarint(uint64(len(batch)))
 	for i := range batch {
@@ -317,7 +430,8 @@ func (c *Codec) encBoundary(e *enc, batch []BoundaryDemand, dict bool) {
 // readResRef reads a resource id.
 func (c *Codec) readResRef(d *dec, dict bool) string {
 	if dict {
-		return c.dict.resources[d.index(len(c.dict.resources), "resource")]
+		id, _ := d.pick(c.dict.resources, "resource")
+		return id
 	}
 	return d.strN(maxStrLen)
 }
@@ -326,8 +440,7 @@ func (c *Codec) readResRef(d *dec, dict bool) string {
 // string mode).
 func (c *Codec) readTaskRef(d *dec, dict bool) (string, int) {
 	if dict {
-		i := d.index(len(c.dict.tasks), "task")
-		return c.dict.tasks[i], i
+		return d.pick(c.dict.tasks, "task")
 	}
 	return d.strN(maxStrLen), -1
 }
@@ -335,8 +448,11 @@ func (c *Codec) readTaskRef(d *dec, dict bool) (string, int) {
 // readSubRef reads a subtask name of task ti.
 func (c *Codec) readSubRef(d *dec, ti int, dict bool) string {
 	if dict {
-		subs := c.dict.subs[ti]
-		return subs[d.index(len(subs), "subtask")]
+		if d.err != nil {
+			return "" // ti is not an index once the task reference failed
+		}
+		name, _ := d.pick(c.dict.subs[ti], "subtask")
+		return name
 	}
 	return d.strN(maxStrLen)
 }
@@ -347,10 +463,17 @@ func (c *Codec) readAddr(d *dec, dict bool) string {
 	case addrCoordinator:
 		return coordinatorName
 	case addrResource:
-		return "res/" + c.readResRef(d, dict)
+		if dict {
+			a, _ := d.pick(c.dict.resAddrs, "resource")
+			return a
+		}
+		return "res/" + d.strN(maxStrLen)
 	case addrController:
-		name, _ := c.readTaskRef(d, dict)
-		return "ctl/" + name
+		if dict {
+			a, _ := d.pick(c.dict.ctlAddrs, "task")
+			return a
+		}
+		return "ctl/" + d.strN(maxStrLen)
 	case addrLiteral:
 		return d.strN(maxStrLen)
 	default:
@@ -359,116 +482,112 @@ func (c *Codec) readAddr(d *dec, dict bool) string {
 	}
 }
 
-// decPrice reads a PRICE body.
-func (c *Codec) decPrice(d *dec, dict bool) []PriceUpdate {
+// decEntries reads an entry count and the entries behind it. A batch frame
+// yields them as a slice; any other frame must hold exactly one and yields
+// it bare.
+func decEntries[T any](d *dec, batch bool, entry func() T) any {
 	n := d.count(maxBatch)
-	out := make([]PriceUpdate, 0, min(n, 4096))
+	if !batch {
+		if d.err == nil && n != 1 {
+			d.fail("%d entries in an unbatched frame", n)
+		}
+		return entry()
+	}
+	out := make([]T, 0, min(n, 4096))
 	for i := 0; i < n && d.err == nil; i++ {
-		var p PriceUpdate
-		p.Resource = c.readResRef(d, dict)
-		p.Round = int(d.svarint())
-		p.Epoch = d.uvarint()
-		fl := d.u8()
-		if fl&^priceFlagsKnown != 0 {
-			d.fail("reserved price entry flag bits 0x%02x", fl)
-		}
-		p.Congested = fl&priceFlagCongested != 0
-		p.Delta = fl&priceFlagDelta != 0
-		if (fl&priceFlagMu != 0) == p.Delta {
-			// A delta carries no price; a full update always does. Any
-			// other combination is not something the encoder emits.
-			d.fail("price entry flags 0x%02x: mu presence inconsistent with delta", fl)
-		}
-		if fl&priceFlagSeq != 0 {
-			p.Seq = d.svarint()
-		}
-		if fl&priceFlagMu != 0 {
-			p.Mu = d.f64()
-		}
-		out = append(out, p)
+		out = append(out, entry())
 	}
 	return out
 }
 
-// decPriceAgg reads a PRICE_AGG body.
-func (c *Codec) decPriceAgg(d *dec, dict bool) []BoundaryPrice {
-	n := d.count(maxBatch)
-	out := make([]BoundaryPrice, 0, min(n, 4096))
-	for i := 0; i < n && d.err == nil; i++ {
-		var p BoundaryPrice
-		p.Resource = c.readResRef(d, dict)
-		p.Round = int(d.svarint())
-		fl := d.u8()
-		if fl&^byte(aggFlagsKnown) != 0 {
-			d.fail("reserved price-agg entry flag bits 0x%02x", fl)
-		}
-		p.Congested = fl&aggFlagCongested != 0
+// decPrice reads one PRICE entry.
+func (c *Codec) decPrice(d *dec, dict bool) (p PriceUpdate) {
+	p.Resource = c.readResRef(d, dict)
+	p.Round = int(d.svarint())
+	p.Epoch = d.uvarint()
+	fl := d.u8()
+	if fl&^priceFlagsKnown != 0 {
+		d.fail("reserved price entry flag bits 0x%02x", fl)
+	}
+	p.Congested = fl&priceFlagCongested != 0
+	p.Delta = fl&priceFlagDelta != 0
+	if (fl&priceFlagMu != 0) == p.Delta {
+		// A delta carries no price; a full update always does. Any
+		// other combination is not something the encoder emits.
+		d.fail("price entry flags 0x%02x: mu presence inconsistent with delta", fl)
+	}
+	if fl&priceFlagSeq != 0 {
+		p.Seq = d.svarint()
+	}
+	if fl&priceFlagMu != 0 {
 		p.Mu = d.f64()
-		out = append(out, p)
 	}
-	return out
+	return p
 }
 
-// decBoundary reads a BOUNDARY body.
-func (c *Codec) decBoundary(d *dec, dict bool) []BoundaryDemand {
-	n := d.count(maxBatch)
-	out := make([]BoundaryDemand, 0, min(n, 4096))
-	for i := 0; i < n && d.err == nil; i++ {
-		var b BoundaryDemand
-		b.Resource = c.readResRef(d, dict)
-		b.Round = int(d.svarint())
-		b.Shard = int(d.uvarint())
-		fl := d.u8()
-		if fl&^byte(bdyFlagsKnown) != 0 {
-			d.fail("reserved boundary entry flag bits 0x%02x", fl)
-		}
-		b.Demand = d.f64()
-		if fl&bdyFlagCurvature != 0 {
-			b.Curvature = d.f64()
-			if b.Curvature == 0 {
-				// Zero curvature is encoded by omitting the field; a present
-				// zero would break the byte-identical JSON round trip.
-				d.fail("explicit zero curvature in boundary entry")
-			}
-		}
-		out = append(out, b)
+// decPriceAgg reads one PRICE_AGG entry.
+func (c *Codec) decPriceAgg(d *dec, dict bool) (p BoundaryPrice) {
+	p.Resource = c.readResRef(d, dict)
+	p.Round = int(d.svarint())
+	fl := d.u8()
+	if fl&^byte(aggFlagsKnown) != 0 {
+		d.fail("reserved price-agg entry flag bits 0x%02x", fl)
 	}
-	return out
+	p.Congested = fl&aggFlagCongested != 0
+	p.Mu = d.f64()
+	return p
 }
 
-// decLatency reads a LATENCY body.
-func (c *Codec) decLatency(d *dec, dict bool) []ShareReport {
-	n := d.count(maxBatch)
-	out := make([]ShareReport, 0, min(n, 4096))
-	for i := 0; i < n && d.err == nil; i++ {
-		var s ShareReport
-		var ti int
-		s.Task, ti = c.readTaskRef(d, dict)
-		s.Round = int(d.svarint())
-		s.Epoch = d.uvarint()
-		fl := d.u8()
-		if fl&^latFlagsKnown != 0 {
-			d.fail("reserved latency entry flag bits 0x%02x", fl)
-		}
-		s.Delta = fl&latFlagDelta != 0
-		if fl&latFlagSeq != 0 {
-			s.Seq = d.svarint()
-		}
-		if !s.Delta {
-			m := d.count(maxBatch)
-			if m > 0 {
-				s.LatMs = make(map[string]float64, min(m, 4096))
-				for j := 0; j < m && d.err == nil; j++ {
-					k := c.readSubRef(d, ti, dict)
-					v := d.f64()
-					if _, dup := s.LatMs[k]; dup {
-						d.fail("duplicate subtask %q in latency entry", k)
-					}
-					s.LatMs[k] = v
-				}
-			}
-		}
-		out = append(out, s)
+// decBoundary reads one BOUNDARY entry.
+func (c *Codec) decBoundary(d *dec, dict bool) (b BoundaryDemand) {
+	b.Resource = c.readResRef(d, dict)
+	b.Round = int(d.svarint())
+	b.Shard = int(d.uvarint())
+	fl := d.u8()
+	if fl&^byte(bdyFlagsKnown) != 0 {
+		d.fail("reserved boundary entry flag bits 0x%02x", fl)
 	}
-	return out
+	b.Demand = d.f64()
+	if fl&bdyFlagCurvature != 0 {
+		b.Curvature = d.f64()
+		if b.Curvature == 0 {
+			// Zero curvature is encoded by omitting the field; a present
+			// zero would be a second encoding of the same entry.
+			d.fail("explicit zero curvature in boundary entry")
+		}
+	}
+	return b
+}
+
+// decLatency reads one LATENCY entry. Subtasks must arrive strictly
+// ascending, which also rules out a duplicate.
+func (c *Codec) decLatency(d *dec, dict bool) (s ShareReport) {
+	var ti int
+	s.Task, ti = c.readTaskRef(d, dict)
+	s.Round = int(d.svarint())
+	s.Epoch = d.uvarint()
+	fl := d.u8()
+	if fl&^latFlagsKnown != 0 {
+		d.fail("reserved latency entry flag bits 0x%02x", fl)
+	}
+	s.Delta = fl&latFlagDelta != 0
+	if fl&latFlagSeq != 0 {
+		s.Seq = d.svarint()
+	}
+	if s.Delta {
+		return s
+	}
+	if n := d.count(maxBatch); n > 0 {
+		s.Subs = make([]string, 0, min(n, 4096))
+		s.LatMs = make([]float64, 0, min(n, 4096))
+		for j := 0; j < n && d.err == nil; j++ {
+			k := c.readSubRef(d, ti, dict)
+			if j > 0 && k <= s.Subs[j-1] {
+				d.fail("subtask %q after %q in latency entry: duplicate or out of order", k, s.Subs[j-1])
+			}
+			s.Subs = append(s.Subs, k)
+			s.LatMs = append(s.LatMs, d.f64())
+		}
+	}
+	return s
 }

@@ -7,11 +7,11 @@ import (
 )
 
 // FuzzDecodeFrame drives the defensive decoder with arbitrary bytes. The
-// seed corpus is captured real frames (every frame type, both id modes),
-// the handshake blobs, and a few deliberately broken variants; the fuzzer
-// mutates from there. Decoding must never panic, and any input that does
-// decode must re-encode and decode again to the identical message
-// (canonical-form stability).
+// seed corpus is every committed golden and reject vector (every frame
+// type, both id modes, each malformed and over-limit class) plus a hello
+// blob; the fuzzer mutates from there. Decoding must never panic, and any
+// input that does decode must re-encode and decode again to the identical
+// message (canonical-form stability).
 func FuzzDecodeFrame(f *testing.F) {
 	d, err := NewDict(
 		[]string{"cpu0", "net1", "disk2"},
@@ -22,19 +22,12 @@ func FuzzDecodeFrame(f *testing.F) {
 		f.Fatal(err)
 	}
 	dictCodec, plainCodec := NewCodec(d), NewCodec(nil)
-	for _, c := range []*Codec{dictCodec, plainCodec} {
-		for _, m := range corpus(f) {
-			frame, err := c.Encode(m)
-			if err != nil {
-				f.Fatal(err)
-			}
-			f.Add(frame)
+	for _, file := range []string{"golden_frames.txt", "reject_frames.txt"} {
+		for _, v := range readVectors(f, file) {
+			f.Add(v.frame)
 		}
 	}
 	f.Add(dictCodec.Hello())
-	f.Add([]byte{FrameMagic, Version, FramePrice, 0, 0})
-	f.Add([]byte{FrameMagic, Version, FrameRaw, 0x02, 3, 'a', 'b', 'c'})
-	f.Add([]byte{FrameMagic, 2, FramePrice, 0, 0, 0, 0, 0, 0})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, c := range []*Codec{dictCodec, plainCodec} {
@@ -42,8 +35,8 @@ func FuzzDecodeFrame(f *testing.F) {
 			if err != nil {
 				continue
 			}
-			// One re-encode may canonicalize (e.g. a RAW payload whose JSON
-			// key order differs from the struct order); after that the
+			// One re-encode may canonicalize (a varint the input padded, a
+			// literal address the encoder would tag); after that the
 			// representation must be a fixed point.
 			frame, err := c.Encode(msg)
 			if err != nil {
@@ -61,9 +54,7 @@ func FuzzDecodeFrame(f *testing.F) {
 			if err != nil {
 				t.Fatalf("canonical frame failed to decode: %v", err)
 			}
-			if again.From != canon.From || again.To != canon.To || again.Kind != canon.Kind || !bytes.Equal(again.Payload, canon.Payload) {
-				t.Fatalf("round trip unstable:\n first %+v\n again %+v", canon, again)
-			}
+			assertSame(t, canon, again)
 		}
 	})
 }

@@ -3,21 +3,18 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 )
 
-// Version negotiation (PROTOCOL.md §5). After dialing, a binary-capable
-// client writes one fixed-size hello; the server answers with one
-// fixed-size ack choosing the frame version (0 = speak legacy JSON). The
-// hello magic "LLAW" doubles as the connection discriminator: read as a
-// legacy big-endian length prefix it decodes to ~1.28 GB, far above the
-// 16 MiB frame cap, so a pre-codec server rejects the hello instantly and
-// closes — the client reads EOF instead of an ack and falls back to JSON
-// on a fresh connection. A pre-codec client's first bytes are a <16 MiB
-// length prefix, which never matches "LLAW", so a binary-capable server
-// serves it legacy JSON without any round trip.
+// Connection handshake (PROTOCOL.md §5). After dialing, the client writes
+// one fixed-size hello carrying its version range and dictionary hash; the
+// server answers with one fixed-size ack naming the frame version the
+// connection will carry, or 0: refused. The handshake checks that both ends
+// would read each other's frames the same way — it negotiates nothing else,
+// and a connection that fails it carries no frame.
 
 var (
 	helloMagic = [4]byte{'L', 'L', 'A', 'W'}
@@ -29,7 +26,13 @@ const (
 	ackLen   = 10 // magic(4) version(1) flags(1) crc(4)
 )
 
-// Hello implements transport.Codec: the client handshake blob.
+// ErrRefused marks a connection whose handshake failed: the peers share no
+// frame version, hold different dictionaries, or one of them did not speak
+// the handshake at all. Dialing again would fail the same way, so senders do
+// not retry it.
+var ErrRefused = errors.New("wire: connection refused")
+
+// Hello returns the client handshake blob, written once after dialing.
 func (c *Codec) Hello() []byte {
 	b := make([]byte, 0, helloLen)
 	b = append(b, helloMagic[:]...)
@@ -38,75 +41,78 @@ func (c *Codec) Hello() []byte {
 	return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
 }
 
-// Sniff implements transport.Codec: reports whether a connection's first
-// four bytes are a codec hello.
-func (c *Codec) Sniff(prefix []byte) bool {
-	return len(prefix) >= 4 && bytes.Equal(prefix[:4], helloMagic[:])
-}
-
-// Accept implements transport.Codec: it consumes the rest of a sniffed
-// hello and returns the ack to write back. ok reports whether the
-// connection will carry binary frames; a version or dictionary mismatch
-// negotiates JSON (ok=false) rather than failing. A corrupt hello is an
-// error: the caller should drop the connection.
-func (c *Codec) Accept(prefix []byte, r io.Reader) (ack []byte, ok bool, err error) {
-	hello := make([]byte, helloLen)
-	copy(hello, prefix[:4])
-	if _, err := io.ReadFull(r, hello[4:]); err != nil {
-		return nil, false, fmt.Errorf("wire: truncated hello: %w", err)
-	}
-	if got, want := binary.LittleEndian.Uint32(hello[helloLen-4:]), crc32.ChecksumIEEE(hello[:helloLen-4]); got != want {
-		return nil, false, fmt.Errorf("wire: hello CRC mismatch: got %08x want %08x", got, want)
-	}
-	theirMax, theirMin := hello[4], hello[5]
-	theirDict := binary.LittleEndian.Uint64(hello[6:14])
-
-	version := min(c.maxVersion, theirMax)
-	if version < theirMin || version < c.minVersion {
-		version = 0 // no common version: speak JSON
-	}
-	if theirDict != c.dict.Hash() {
-		version = 0 // dictionary disagreement: speak JSON
-	}
-	if version != 0 {
-		c.m.NegotiatedBinary.Inc()
-	} else {
-		c.m.NegotiatedJSON.Inc()
-	}
+// Accept is the server side: it reads the hello a connection must open with
+// and returns the ack to write back. On a hello it cannot honour — first
+// bytes that are not a hello, a bad CRC, no common version, a different
+// dictionary — the ack says refused and err wraps ErrRefused: the caller
+// writes the ack and closes the connection.
+func (c *Codec) Accept(r io.Reader) (ack []byte, err error) {
+	version, err := c.acceptHello(r)
 	b := make([]byte, 0, ackLen)
 	b = append(b, ackMagic[:]...)
 	b = append(b, version, 0)
-	b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
-	return b, version != 0, nil
+	return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b)), c.settle(err)
 }
 
-// ReadAck implements transport.Codec: it parses the server's handshake
-// answer. ok=false means the server negotiated JSON. An error (including a
-// connection closed by a pre-codec server) tells the caller to redial and
-// speak JSON.
-func (c *Codec) ReadAck(r io.Reader) (bool, error) {
+// settle counts one end's outcome of a handshake and names a failure.
+func (c *Codec) settle(err error) error {
+	if err != nil {
+		c.m.Refused.Inc()
+		return fmt.Errorf("%w: %v", ErrRefused, err)
+	}
+	c.m.NegotiatedBinary.Inc()
+	return nil
+}
+
+// acceptHello reads and checks one hello, returning the version to serve.
+func (c *Codec) acceptHello(r io.Reader) (byte, error) {
+	var hello [helloLen]byte
+	// The magic is checked before the rest is awaited, so a peer speaking
+	// anything else is refused on its first four bytes.
+	if _, err := io.ReadFull(r, hello[:4]); err != nil {
+		return 0, fmt.Errorf("reading hello: %v", err)
+	}
+	if !bytes.Equal(hello[:4], helloMagic[:]) {
+		return 0, fmt.Errorf("connection opens with % x, not a hello", hello[:4])
+	}
+	if _, err := io.ReadFull(r, hello[4:]); err != nil {
+		return 0, fmt.Errorf("truncated hello: %v", err)
+	}
+	if got, want := binary.LittleEndian.Uint32(hello[helloLen-4:]), crc32.ChecksumIEEE(hello[:helloLen-4]); got != want {
+		return 0, fmt.Errorf("hello CRC mismatch: got %08x want %08x", got, want)
+	}
+	theirMax, theirMin := hello[4], hello[5]
+	version := min(c.maxVersion, theirMax)
+	if version < theirMin || version < c.minVersion {
+		return 0, fmt.Errorf("no common frame version: peer speaks %d..%d, this end %d..%d", theirMin, theirMax, c.minVersion, c.maxVersion)
+	}
+	if theirs, ours := binary.LittleEndian.Uint64(hello[6:14]), c.dict.Hash(); theirs != ours {
+		return 0, fmt.Errorf("dictionary mismatch: peer hash %016x, this end %016x", theirs, ours)
+	}
+	return version, nil
+}
+
+// ReadAck is the client side: it parses the server's answer to the hello.
+// Anything but an intact ack naming a version this codec speaks — a refusal,
+// a short read, another magic, a bad CRC — is an error wrapping ErrRefused.
+func (c *Codec) ReadAck(r io.Reader) error { return c.settle(c.readAck(r)) }
+
+func (c *Codec) readAck(r io.Reader) error {
 	var b [ackLen]byte
 	if _, err := io.ReadFull(r, b[:]); err != nil {
-		c.m.NegotiatedJSON.Inc()
-		return false, fmt.Errorf("wire: reading handshake ack: %w", err)
+		return fmt.Errorf("reading handshake ack: %v", err)
 	}
 	if !bytes.Equal(b[:4], ackMagic[:]) {
-		c.m.NegotiatedJSON.Inc()
-		return false, fmt.Errorf("wire: bad ack magic % x", b[:4])
+		return fmt.Errorf("bad ack magic % x", b[:4])
 	}
 	if got, want := binary.LittleEndian.Uint32(b[ackLen-4:]), crc32.ChecksumIEEE(b[:ackLen-4]); got != want {
-		c.m.NegotiatedJSON.Inc()
-		return false, fmt.Errorf("wire: ack CRC mismatch: got %08x want %08x", got, want)
+		return fmt.Errorf("ack CRC mismatch: got %08x want %08x", got, want)
 	}
 	switch version := b[4]; {
 	case version == 0:
-		c.m.NegotiatedJSON.Inc()
-		return false, nil
+		return errors.New("peer refused the hello (version or dictionary mismatch)")
 	case version < c.minVersion || version > c.maxVersion:
-		c.m.NegotiatedJSON.Inc()
-		return false, fmt.Errorf("wire: server chose unsupported version %d", version)
-	default:
-		c.m.NegotiatedBinary.Inc()
-		return true, nil
+		return fmt.Errorf("peer chose unsupported version %d", version)
 	}
+	return nil
 }

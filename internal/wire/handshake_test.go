@@ -2,73 +2,29 @@ package wire
 
 import (
 	"bytes"
-	"encoding/binary"
+	"errors"
 	"testing"
+
+	"lla/internal/obs"
 )
 
-// accept runs the server side of a handshake against a client hello.
-func accept(t *testing.T, server *Codec, hello []byte) (ack []byte, ok bool) {
-	t.Helper()
-	r := bytes.NewReader(hello)
-	var prefix [4]byte
-	if _, err := r.Read(prefix[:]); err != nil {
-		t.Fatal(err)
-	}
-	if !server.Sniff(prefix[:]) {
-		t.Fatal("server did not sniff the hello")
-	}
-	ack, ok, err := server.Accept(prefix[:], r)
-	if err != nil {
-		t.Fatalf("Accept: %v", err)
-	}
-	return ack, ok
+// shake runs a whole handshake in memory: the client's hello through the
+// server's Accept, the ack back through the client's ReadAck.
+func shake(client, server *Codec) (ack []byte, serverErr, clientErr error) {
+	ack, serverErr = server.Accept(bytes.NewReader(client.Hello()))
+	return ack, serverErr, client.ReadAck(bytes.NewReader(ack))
 }
 
 func TestHandshakeAgreesBinary(t *testing.T) {
 	d := testDict(t)
-	client, server := NewCodec(d), NewCodec(d)
-	ack, ok := accept(t, server, client.Hello())
-	if !ok {
-		t.Fatal("matching codecs negotiated JSON")
-	}
-	got, err := client.ReadAck(bytes.NewReader(ack))
-	if err != nil || !got {
-		t.Fatalf("client ReadAck = %v, %v; want binary", got, err)
+	if _, serr, cerr := shake(NewCodec(d), NewCodec(d)); serr != nil || cerr != nil {
+		t.Fatalf("matching codecs: server %v, client %v", serr, cerr)
 	}
 }
 
 func TestHandshakeDictlessPairAgreesBinary(t *testing.T) {
-	client, server := NewCodec(nil), NewCodec(nil)
-	ack, ok := accept(t, server, client.Hello())
-	if !ok {
-		t.Fatal("dictless pair negotiated JSON")
-	}
-	if got, err := client.ReadAck(bytes.NewReader(ack)); err != nil || !got {
-		t.Fatalf("ReadAck = %v, %v", got, err)
-	}
-}
-
-// TestHandshakeVersionSkewFallsBackToJSON: a future client speaking only
-// version 2 and a current server share no version, so the ack says "JSON"
-// and both sides keep interoperating on the legacy framing.
-func TestHandshakeVersionSkewFallsBackToJSON(t *testing.T) {
-	future := NewCodec(nil)
-	future.minVersion, future.maxVersion = 2, 2
-	server := NewCodec(nil)
-	ack, ok := accept(t, server, future.Hello())
-	if ok {
-		t.Fatal("disjoint version ranges negotiated binary")
-	}
-	if got, err := future.ReadAck(bytes.NewReader(ack)); err != nil || got {
-		t.Fatalf("future client ReadAck = %v, %v; want JSON fallback", got, err)
-	}
-	// The symmetric skew: current client, future-only server.
-	ack, ok = accept(t, future, server.Hello())
-	if ok {
-		t.Fatal("future server agreed to binary with a v1 client")
-	}
-	if got, err := server.ReadAck(bytes.NewReader(ack)); err != nil || got {
-		t.Fatalf("current client ReadAck = %v, %v; want JSON fallback", got, err)
+	if _, serr, cerr := shake(NewCodec(nil), NewCodec(nil)); serr != nil || cerr != nil {
+		t.Fatalf("dictless pair: server %v, client %v", serr, cerr)
 	}
 }
 
@@ -77,31 +33,64 @@ func TestHandshakeVersionSkewFallsBackToJSON(t *testing.T) {
 func TestHandshakeOverlappingRangesPickCommonVersion(t *testing.T) {
 	wide := NewCodec(nil)
 	wide.maxVersion = 2
-	server := NewCodec(nil)
-	ack, ok := accept(t, server, wide.Hello())
-	if !ok {
-		t.Fatal("overlapping ranges negotiated JSON")
+	ack, serr, cerr := shake(wide, NewCodec(nil))
+	if serr != nil || cerr != nil {
+		t.Fatalf("overlapping ranges: server %v, client %v", serr, cerr)
 	}
 	if ack[4] != 1 {
-		t.Fatalf("negotiated version %d, want 1", ack[4])
-	}
-	if got, err := wide.ReadAck(bytes.NewReader(ack)); err != nil || !got {
-		t.Fatalf("ReadAck = %v, %v", got, err)
+		t.Fatalf("agreed version %d, want 1", ack[4])
 	}
 }
 
-func TestHandshakeDictMismatchFallsBackToJSON(t *testing.T) {
+// TestHandshakeRefusals: peers that would not read each other's frames the
+// same way — no common version, different dictionaries — and a connection
+// that does not open with a hello are refused by name on both ends, with
+// the refusal counted; nothing is downgraded.
+func TestHandshakeRefusals(t *testing.T) {
+	future := func() *Codec { c := NewCodec(nil); c.minVersion, c.maxVersion = 2, 2; return c }
 	other, err := NewDict([]string{"different"}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	client, server := NewCodec(testDict(t)), NewCodec(other)
-	ack, ok := accept(t, server, client.Hello())
-	if ok {
-		t.Fatal("mismatched dictionaries negotiated binary")
+	for _, tc := range []struct {
+		name           string
+		client, server *Codec
+	}{
+		{"future-only client", future(), NewCodec(nil)},
+		{"future-only server", NewCodec(nil), future()},
+		{"dictionary mismatch", NewCodec(testDict(t)), NewCodec(other)},
+		{"dictionary against none", NewCodec(testDict(t)), NewCodec(nil)},
+	} {
+		creg, sreg := obs.NewRegistry(), obs.NewRegistry()
+		tc.client.Observe(creg)
+		tc.server.Observe(sreg)
+		ack, serr, cerr := shake(tc.client, tc.server)
+		if !errors.Is(serr, ErrRefused) || !errors.Is(cerr, ErrRefused) {
+			t.Errorf("%s: server %v, client %v; want both ErrRefused", tc.name, serr, cerr)
+		}
+		if ack[4] != 0 {
+			t.Errorf("%s: refusing ack names version %d", tc.name, ack[4])
+		}
+		for side, reg := range map[string]*obs.Registry{"client": creg, "server": sreg} {
+			refused := reg.Counter("lla_wire_negotiations_total", "Codec negotiations, by outcome.", "outcome", "refused").Value()
+			binary := reg.Counter("lla_wire_negotiations_total", "Codec negotiations, by outcome.", "outcome", "binary").Value()
+			if refused != 1 || binary != 0 {
+				t.Errorf("%s: %s counted refused=%d binary=%d", tc.name, side, refused, binary)
+			}
+		}
 	}
-	if got, err := client.ReadAck(bytes.NewReader(ack)); err != nil || got {
-		t.Fatalf("ReadAck = %v, %v; want JSON fallback", got, err)
+
+	// A peer speaking anything else is refused on its first four bytes: the
+	// server does not wait for the other fourteen.
+	for name, prefix := range map[string][]byte{
+		"legacy JSON length prefix": {0, 0, 0, 2},
+		"a data frame":              {FrameMagic, Version, FramePrice, 0},
+		"nothing":                   {},
+	} {
+		ack, err := NewCodec(nil).Accept(bytes.NewReader(prefix))
+		if !errors.Is(err, ErrRefused) || ack[4] != 0 {
+			t.Errorf("%s: Accept = ack version %d, %v", name, ack[4], err)
+		}
 	}
 }
 
@@ -109,31 +98,23 @@ func TestHandshakeCorruptHelloRejected(t *testing.T) {
 	c := NewCodec(nil)
 	hello := c.Hello()
 	hello[6] ^= 0xFF // dict hash byte: CRC must catch it
-	r := bytes.NewReader(hello[4:])
-	if _, _, err := c.Accept(hello[:4], r); err == nil {
-		t.Fatal("corrupt hello accepted")
+	if _, err := c.Accept(bytes.NewReader(hello)); !errors.Is(err, ErrRefused) {
+		t.Fatalf("corrupt hello: %v", err)
+	}
+	if _, err := c.Accept(bytes.NewReader(c.Hello()[:10])); !errors.Is(err, ErrRefused) {
+		t.Fatalf("truncated hello: %v", err)
 	}
 }
 
 func TestHandshakeCorruptAckRejected(t *testing.T) {
 	d := testDict(t)
 	client, server := NewCodec(d), NewCodec(d)
-	ack, _ := accept(t, server, client.Hello())
+	ack, _, _ := shake(client, server)
 	ack[4] ^= 0x01
-	if _, err := client.ReadAck(bytes.NewReader(ack)); err == nil {
-		t.Fatal("corrupt ack accepted")
+	if err := client.ReadAck(bytes.NewReader(ack)); !errors.Is(err, ErrRefused) {
+		t.Fatalf("corrupt ack: %v", err)
 	}
-	if _, err := client.ReadAck(bytes.NewReader(ack[:3])); err == nil {
-		t.Fatal("truncated ack accepted")
-	}
-}
-
-// TestHelloRejectedByLegacyFrameReader documents the fallback mechanism:
-// read as a legacy big-endian length prefix, the hello magic decodes to
-// ~1.28 GB — far above the 16 MiB frame cap — so a pre-codec server
-// rejects the connection immediately instead of waiting for a giant frame.
-func TestHelloRejectedByLegacyFrameReader(t *testing.T) {
-	if n := binary.BigEndian.Uint32(helloMagic[:]); n <= 16<<20 {
-		t.Fatalf("hello magic reads as a plausible frame length %d; legacy peers would hang", n)
+	if err := client.ReadAck(bytes.NewReader(ack[:3])); !errors.Is(err, ErrRefused) {
+		t.Fatalf("truncated ack: %v", err)
 	}
 }

@@ -1,18 +1,18 @@
-// Package wire implements the LLA binary wire protocol: a versioned,
-// CRC-guarded binary frame codec for the distributed runtime's control
-// messages, ~10-30x smaller than the legacy length-prefixed JSON frames for
-// batched price updates. PROTOCOL.md is the normative byte-level
-// specification; this package is the reference implementation.
+// Package wire implements the LLA binary wire protocol: the message
+// envelope and payload types of the distributed runtime, and the versioned,
+// CRC-guarded frame codec that is the only dialect a connection carries.
+// PROTOCOL.md is the normative byte-level specification; this package is
+// the reference implementation.
 //
-// The codec is transport-pluggable: it implements transport.Codec, so the
-// TCP network negotiates it per connection (falling back to JSON when the
-// peer predates it or disagrees on version/dictionary) and the in-process
-// network can round-trip every delivery through it for bitwise-equivalence
-// testing. Frames carry the same payloads as the JSON transport — a decoded
-// frame reconstructs a transport.Message whose JSON payload is
-// indistinguishable from what the sender would have put on the legacy
-// path — so the round-synchronized protocol in internal/dist runs bitwise
-// identical under either encoding.
+// The payload structs of frames.go are the message definitions: a node
+// builds one, Endpoint.Send carries that Go value, Codec.Encode picks the
+// frame type from its Go type, Codec.Read returns it, and the receiving node
+// type-switches on it. A payload the protocol has no frame type for is
+// marshalled to JSON once (NewMessage) and rides a RAW frame verbatim — the
+// one place JSON meets a frame. The transport package builds on this one:
+// TCP checks version and dictionary per connection with the codec's
+// handshake, and Inproc can round-trip every delivery through the codec so
+// in-process runs exercise the same bytes.
 //
 // Decoding follows the defensive-decoder discipline of internal/recover:
 // a bounds-checked cursor with a latched first error, explicit limits on
@@ -35,25 +35,21 @@ const (
 	MinVersion = 1
 )
 
-// FrameMagic is the first byte of every binary data frame. It is distinct
-// from 0x00, the first byte of every legacy length-prefixed JSON frame
-// (whose 16 MiB size cap keeps the top length byte zero), so a binary
-// connection can carry interleaved JSON frames and a reader can classify
-// each frame by its first byte.
+// FrameMagic is the first byte of every data frame.
 const FrameMagic = 0xA7
 
 // Frame type codes. PROTOCOL.md documents the body layout of each;
 // FrameTypes lists them for the docs coverage test.
 const (
-	FramePrice     = 0x01 // batched resource price updates (priceMsg)
-	FrameLatency   = 0x02 // batched share/latency reports (latencyMsg)
-	FrameReport    = 0x03 // controller utility report (reportMsg)
-	FrameStop      = 0x04 // coordinator stop (stopMsg)
-	FrameFin       = 0x05 // resource fin handshake (finMsg)
-	FrameRejoin    = 0x06 // coordinator rejoin announcement (rejoinMsg)
-	FrameRejoinAck = 0x07 // controller rejoin answer (rejoinAckMsg)
-	FramePriceAgg  = 0x08 // batched fleet boundary-price broadcast (BoundaryPrice)
-	FrameBoundary  = 0x09 // batched shard boundary-demand report (BoundaryDemand)
+	FramePrice     = 0x01 // resource price update(s) (PriceUpdate)
+	FrameLatency   = 0x02 // share/latency report(s) (ShareReport)
+	FrameReport    = 0x03 // controller utility report (UtilityReport)
+	FrameStop      = 0x04 // coordinator stop (Stop)
+	FrameFin       = 0x05 // resource fin handshake (Fin)
+	FrameRejoin    = 0x06 // coordinator rejoin announcement (Rejoin)
+	FrameRejoinAck = 0x07 // controller rejoin answer (RejoinAck)
+	FramePriceAgg  = 0x08 // fleet boundary-price broadcast (BoundaryPrice)
+	FrameBoundary  = 0x09 // shard boundary-demand report (BoundaryDemand)
 	FrameRaw       = 0x0F // escape hatch: any kind, verbatim JSON payload
 )
 
@@ -81,9 +77,9 @@ const (
 	// flagDict marks ids encoded as indexes into the negotiated dictionary
 	// instead of inline strings.
 	flagDict = 0x01
-	// flagBatch marks a payload that was a JSON array of entries (the
-	// legacy encoding distinguishes [{...}] from {...}; the flag preserves
-	// that round-trip).
+	// flagBatch marks a payload that is a slice of entries rather than one
+	// entry, so a one-element slice and a bare entry round-trip as what
+	// they were.
 	flagBatch = 0x02
 
 	flagsKnown = flagDict | flagBatch
@@ -92,8 +88,7 @@ const (
 // Size limits, enforced on both encode and decode so a corrupt or hostile
 // length field cannot trigger a huge allocation.
 const (
-	// maxBodyBytes bounds a frame body; it matches the transport's JSON
-	// frame cap.
+	// maxBodyBytes bounds a frame body.
 	maxBodyBytes = 16 << 20
 	// maxStrLen bounds any inline identifier (addresses, ids, kinds).
 	maxStrLen = 1 << 16
@@ -252,8 +247,9 @@ func (d *dec) strN(max int) string {
 	return s
 }
 
-// bytesN reads a length-prefixed blob of at most max bytes. A zero length
-// yields nil.
+// bytesN reads a length-prefixed blob of at most max bytes, as a slice of
+// the body itself (each frame is read into a buffer of its own). A zero
+// length yields nil.
 func (d *dec) bytesN(max int) []byte {
 	n := d.uvarint()
 	if d.err != nil {
@@ -266,8 +262,7 @@ func (d *dec) bytesN(max int) []byte {
 	if n == 0 {
 		return nil
 	}
-	p := make([]byte, n)
-	copy(p, d.buf[d.off:])
+	p := d.buf[d.off : d.off+int(n) : d.off+int(n)]
 	d.off += int(n)
 	return p
 }
@@ -287,17 +282,18 @@ func (d *dec) count(max int) int {
 	return int(n)
 }
 
-// index reads a dictionary index bounded by size.
-func (d *dec) index(size int, what string) int {
+// pick reads a dictionary index and returns the name it selects with the
+// index; "" and 0 once the cursor has failed or the index is out of range.
+func (d *dec) pick(names []string, what string) (string, int) {
 	n := d.uvarint()
 	if d.err != nil {
-		return 0
+		return "", 0
 	}
-	if n >= uint64(size) {
-		d.fail("%s index %d out of range (dictionary has %d)", what, n, size)
-		return 0
+	if n >= uint64(len(names)) {
+		d.fail("%s index %d out of range (dictionary has %d)", what, n, len(names))
+		return "", 0
 	}
-	return int(n)
+	return names[n], int(n)
 }
 
 // done returns the latched error, or an error if trailing bytes remain (a

@@ -371,15 +371,18 @@ func NewInprocNetwork(cfg InprocConfig) Network {
 // InprocConfig tunes the in-process network.
 type InprocConfig = transport.InprocConfig
 
-// NewTCPNetwork returns a TCP network with a logical-name registry.
+// NewTCPNetwork returns a TCP network with a logical-name registry. It
+// speaks the binary wire protocol with ids inline; SetCodec a
+// NewWorkloadWireCodec on every node to send dictionary indexes instead.
 func NewTCPNetwork(registry map[string]string) *transport.TCP {
 	return transport.NewTCP(registry)
 }
 
 // Binary wire protocol (PROTOCOL.md). A WireCodec frames messages in the
-// versioned binary format; TCP networks negotiate it per connection (with
-// automatic JSON fallback for pre-codec peers, version skew and dictionary
-// mismatch), and in-process networks round-trip every delivery through it.
+// versioned binary format, the only one a TCP network carries: each
+// connection opens with a handshake that refuses a peer on version skew or
+// a dictionary mismatch. In-process networks given one round-trip every
+// delivery through it.
 type (
 	// WireCodec is the binary frame codec; it satisfies the transport
 	// Codec interface accepted by TCP/Inproc SetCodec.

@@ -4,9 +4,9 @@
 # controller solves, allocates, or costs over twice the previous report's
 # ns/op, an accelerated price solver needs more rounds-to-converge than the
 # reference gradient, a warm checkpoint
-# restart does not re-converge in fewer rounds than a cold one, the
-# binary wire frame is not at least 10x smaller than its JSON equivalent,
-# the million-subtask sharded fleet fails to certify convergence, the
+# restart does not re-converge in fewer rounds than a cold one, the batched
+# wire frame grows by a byte or the codec allocates over 5 % more than the
+# previous report recorded, the million-subtask sharded fleet fails to certify convergence, the
 # fleet's boundary rounds exceed twice the single engine's KKT rounds, the
 # parallel 1m fleet run diverges from the serial round count (or, on >= 4
 # CPUs, fails to halve its wall-clock), fleet.New or a one-cluster

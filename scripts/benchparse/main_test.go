@@ -30,9 +30,9 @@ func TestParseBenchLine(t *testing.T) {
 		},
 		{
 			name: "no CPU suffix, scientific notation",
-			line: "BenchmarkWireCodec 10 1.5e+03 ns/op 846 binary_bytes 8896 json_bytes",
+			line: "BenchmarkWireCodec 10 1.5e+03 ns/op 846 binary_bytes 70 allocs/op",
 			want: &record{Name: "BenchmarkWireCodec", Iters: 10,
-				Metrics: map[string]float64{"ns/op": 1500, "binary_bytes": 846, "json_bytes": 8896}},
+				Metrics: map[string]float64{"ns/op": 1500, "binary_bytes": 846, "allocs/op": 70}},
 		},
 		{
 			name: "dangling value without a unit is dropped",
@@ -232,39 +232,6 @@ func TestCheckRecoveryWarmFaster(t *testing.T) {
 	})
 }
 
-func TestCheckWireCompression(t *testing.T) {
-	runGateCases(t, checkWireCompression, []gateCase{
-		{name: "no wire benchmark: gate skipped", recs: []record{rec("BenchmarkEngineStep-2")}},
-		{
-			name: "10.5x smaller",
-			recs: []record{rec("BenchmarkWireCodec-2", "binary_bytes", 846.0, "json_bytes", 8896.0)},
-		},
-		{
-			name: "exactly 10x is still inside",
-			recs: []record{rec("BenchmarkWireCodec", "binary_bytes", 100.0, "json_bytes", 1000.0)},
-		},
-		{
-			name:    "just under 10x",
-			recs:    []record{rec("BenchmarkWireCodec-2", "binary_bytes", 100.0, "json_bytes", 999.0)},
-			wantErr: "not >=10x smaller",
-		},
-		{
-			name:    "a size missing",
-			recs:    []record{rec("BenchmarkWireCodec-2", "binary_bytes", 846.0)},
-			wantErr: "did not report binary_bytes and json_bytes",
-		},
-		{
-			name:    "a zero size",
-			recs:    []record{rec("BenchmarkWireCodec-2", "binary_bytes", 0.0, "json_bytes", 8896.0)},
-			wantErr: "degenerate sizes",
-		},
-		{
-			name: "another benchmark with the same prefix is not the wire gate's business",
-			recs: []record{rec("BenchmarkWireCodecDecode-2", "binary_bytes", 1.0, "json_bytes", 1.0)},
-		},
-	})
-}
-
 func TestCheckFleetConverge(t *testing.T) {
 	runGateCases(t, checkFleetConverge, []gateCase{
 		{name: "no fleet benchmarks: gate skipped", recs: []record{rec("BenchmarkEngineStep-2")}},
@@ -412,6 +379,7 @@ func TestCheckPrevBounds(t *testing.T) {
 		rec("BenchmarkFleetReplace-8", "allocs/op", 10000.0),
 		rec("BenchmarkEngineStep-8", "allocs/op", 0.0), // unbounded: free to move
 		rec("BenchmarkEngineStepConverged-8", "ns/op", 800.0),
+		rec("BenchmarkWireCodec-8", "binary_bytes", 846.0, "allocs/op", 100.0),
 	}})
 	if err != nil {
 		t.Fatal(err)
@@ -475,6 +443,28 @@ func TestCheckPrevBounds(t *testing.T) {
 			prev:    prev,
 			recs:    []record{rec("BenchmarkEngineStepConverged-2", "ns/op", 2800.0)},
 			wantErr: []string{"BenchmarkEngineStepConverged ns/op 2800", "800", "bound +100%"},
+		},
+		{
+			name: "the wire frame at its recorded size, allocations at exactly +5%",
+			prev: prev,
+			recs: []record{rec("BenchmarkWireCodec-2", "binary_bytes", 846.0, "allocs/op", 105.0)},
+		},
+		{
+			name: "a smaller frame is inside",
+			prev: prev,
+			recs: []record{rec("BenchmarkWireCodec-2", "binary_bytes", 800.0, "allocs/op", 3.0)},
+		},
+		{
+			name:    "the wire frame one byte larger",
+			prev:    prev,
+			recs:    []record{rec("BenchmarkWireCodec-2", "binary_bytes", 847.0, "allocs/op", 100.0)},
+			wantErr: []string{"BenchmarkWireCodec binary_bytes 847", "846", "bound +0%"},
+		},
+		{
+			name:    "the codec allocating again",
+			prev:    prev,
+			recs:    []record{rec("BenchmarkWireCodec-2", "binary_bytes", 846.0, "allocs/op", 106.0)},
+			wantErr: []string{"BenchmarkWireCodec allocs/op 106", "100"},
 		},
 		{
 			name: "an unbounded benchmark may regress",
