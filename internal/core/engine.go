@@ -210,10 +210,20 @@ type Engine struct {
 	obsv *obsHandles
 }
 
-// NewEngine compiles the workload and sets up the cold optimizer state.
+// NewEngine validates the workload, compiles it and sets up the cold state.
 func NewEngine(w *workload.Workload, cfg Config) (*Engine, error) {
+	ck, err := w.Check()
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
+	return NewEngineChecked(ck, cfg)
+}
+
+// NewEngineChecked is NewEngine on a workload that comes with its proof of
+// validity: nothing is validated or resolved by name again.
+func NewEngineChecked(ck *workload.Checked, cfg Config) (*Engine, error) {
 	cfg = cfg.WithDefaults()
-	p, err := Compile(w, cfg.WeightMode)
+	p, err := compile(ck, cfg.WeightMode)
 	if err != nil {
 		return nil, err
 	}
@@ -613,7 +623,7 @@ func (e *Engine) RunUntilKKT(maxIters int, kktTol float64, window int, tol float
 // driving Step: shard workers only run inside a Step, so changes applied
 // between Steps are published to them by the next dispatch.
 func (e *Engine) SetAvailability(resourceID string, availability float64) error {
-	if availability <= 0 || availability > 1 {
+	if !(availability > 0 && availability <= 1) { // accepting form: NaN fails it
 		return fmt.Errorf("core: availability %v outside (0,1]", availability)
 	}
 	ri := e.ResourceIndex(resourceID)
@@ -633,6 +643,9 @@ func (e *Engine) SetAvailability(resourceID string, availability float64) error 
 // SetErrorMs installs the additive model-error correction for one subtask
 // (Section 6.3): the share model becomes share = (c+l)/(lat − errMs).
 func (e *Engine) SetErrorMs(taskName, subtaskName string, errMs float64) error {
+	if math.IsNaN(errMs) || math.IsInf(errMs, 0) {
+		return fmt.Errorf("core: error correction %v is not finite", errMs)
+	}
 	ti, si, err := e.findSubtask(taskName, subtaskName)
 	if err != nil {
 		return err
@@ -650,7 +663,7 @@ func (e *Engine) SetErrorMs(taskName, subtaskName string, errMs float64) error {
 // SetMinShare changes a subtask's minimum-share floor at runtime (workload
 // variation: a rate change shifts the share needed to keep queues bounded).
 func (e *Engine) SetMinShare(taskName, subtaskName string, minShare float64) error {
-	if minShare < 0 || minShare > 1 {
+	if !(minShare >= 0 && minShare <= 1) {
 		return fmt.Errorf("core: min share %v outside [0,1]", minShare)
 	}
 	ti, si, err := e.findSubtask(taskName, subtaskName)

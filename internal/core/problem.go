@@ -129,14 +129,21 @@ func (r *ProblemResource) Congested(shareSum float64) bool {
 }
 
 // Compile validates the workload and builds the problem. weightMode selects
-// the utility variant of Section 3.2. It counts first, then fills a few
-// flat arrays sized to the workload: set-up allocates per problem, not per
-// task.
+// the utility variant of Section 3.2.
 func Compile(w *workload.Workload, weightMode task.WeightMode) (*Problem, error) {
-	if err := w.Validate(); err != nil {
+	ck, err := w.Check()
+	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	nt, nsub := len(w.Tasks), w.TotalSubtasks()
+	return compile(ck, weightMode)
+}
+
+// compile builds the problem of a checked workload, taking each subtask's
+// resource and each task's curve from the proof. It counts first, then fills
+// a few flat arrays: set-up allocates per problem, not per task.
+func compile(ck *workload.Checked, weightMode task.WeightMode) (*Problem, error) {
+	w := ck.Workload()
+	nt, nsub := len(w.Tasks), ck.NumSubtasks()
 	p := &Problem{
 		Tasks:     make([]ProblemTask, nt),
 		Resources: make([]ProblemResource, len(w.Resources)),
@@ -153,8 +160,7 @@ func Compile(w *workload.Workload, weightMode task.WeightMode) (*Problem, error)
 		p.Resources[i] = ProblemResource{ID: r.ID, Availability: r.Availability, LagMs: r.LagMs}
 	}
 
-	// Count: resolve each subtask's resource once, and total the paths, the
-	// path entries and each resource's Subs.
+	// Count: total the paths, the path entries and each resource's Subs.
 	subCount := make([]int32, len(w.Resources))
 	npaths, nthrough, off := 0, 0, 0
 	for ti, t := range w.Tasks {
@@ -167,12 +173,11 @@ func Compile(w *workload.Workload, weightMode task.WeightMode) (*Problem, error)
 		for _, path := range paths {
 			nthrough += len(path)
 		}
-		for si, s := range t.Subtasks {
-			ri := p.resIdx[s.Resource]
-			p.res[off+si] = int32(ri)
+		row := ck.TaskResources(ti)
+		for _, ri := range row {
 			subCount[ri]++
 		}
-		off += len(t.Subtasks)
+		off += copy(p.res[off:], row)
 	}
 	if max(nsub, nthrough) > math.MaxInt32 {
 		return nil, fmt.Errorf("core: %d subtasks on %d path entries exceed the int32 index range", nsub, nthrough)
@@ -199,7 +204,7 @@ func Compile(w *workload.Workload, weightMode task.WeightMode) (*Problem, error)
 		paths, _ := t.Paths() // cached by the counting pass
 		plo := int(p.pathOff[ti])
 		p.subOff[ti+1], p.pathOff[ti+1] = int32(hi), int32(plo+len(paths))
-		curve := w.Curves[t.Name]
+		curve := ck.Curve(ti)
 		pt := &p.Tasks[ti]
 		*pt = ProblemTask{
 			Name: t.Name, CriticalMs: t.CriticalMs, Curve: curve,
@@ -207,10 +212,7 @@ func Compile(w *workload.Workload, weightMode task.WeightMode) (*Problem, error)
 			LatMinMs: p.latMin[lo:hi:hi], LatMaxMs: p.latMax[lo:hi:hi], SubtaskNames: names[lo:hi:hi],
 		}
 		p.consts[ti].criticalMs = t.CriticalMs
-		switch curve.(type) {
-		case utility.Linear, utility.NegLatency:
-			p.consts[ti].slope, p.consts[ti].constSlope = curve.Slope(0), true
-		}
+		p.consts[ti].slope, p.consts[ti].constSlope = utility.ConstSlope(curve)
 		if err := t.WeightsInto(weightMode, pt.Weights); err != nil {
 			return nil, fmt.Errorf("core: task %s: %w", t.Name, err)
 		}

@@ -1,6 +1,6 @@
 package core
 
-import "lla/internal/workload"
+import "slices"
 
 // The active set (DESIGN.md §11). Near the fixed point LLA's floating-point
 // updates literally stop changing bits. Step therefore skips a controller's
@@ -19,9 +19,8 @@ import "lla/internal/workload"
 // controller observes (the mu/congested slots it fingerprints), and which
 // distinct tasks contribute shares to a resource (the dirty-propagation
 // fan-in of its price update). Both directions are flat int32 arrays so the
-// per-Step scans stay cache-dense and allocation-free. It is exported for
-// structure-aware consumers outside the engine — the fleet partitioner walks
-// it to compute balanced min-cut shard assignments (SHARDING.md).
+// per-Step scans stay cache-dense and allocation-free. It is a
+// fleet.Incidence: the partitioner can walk a compiled problem's.
 type Incidence struct {
 	// taskResOff/taskRes: task ti observes resources
 	// taskRes[taskResOff[ti]:taskResOff[ti+1]], in first-appearance order.
@@ -46,59 +45,16 @@ func (inc *Incidence) TaskResources(ti int) []int32 {
 	return inc.taskRes[inc.taskResOff[ti]:inc.taskResOff[ti+1]]
 }
 
-// ResourceTasks returns the distinct tasks contributing shares to resource
-// ri, in first-appearance order. The returned slice aliases the index;
-// callers must not mutate it.
-func (inc *Incidence) ResourceTasks(ri int) []int32 {
-	return inc.resTask[inc.resTaskOff[ri]:inc.resTaskOff[ri+1]]
-}
-
-// NewIncidence builds both CSR directions from the compiled problem.
+// NewIncidence builds the index of the compiled problem. No task of a
+// problem has two subtasks on one resource (workload validation), so the
+// task-to-resource direction is the problem's own per-subtask resource array
+// and only the transpose is built.
 func NewIncidence(p *Problem) Incidence {
-	return buildIncidence(len(p.Tasks), len(p.Resources), p.NumSubtasks(),
-		func(ti int, _ []int32) []int32 { return p.Tasks[ti].Res })
-}
-
-// NewWorkloadIncidence builds the index NewIncidence(Compile(w)) would,
-// without compiling: resources are numbered as in w.Resources. The workload
-// must have passed Validate (every subtask's resource is defined).
-func NewWorkloadIncidence(w *workload.Workload) Incidence {
-	resIdx := make(map[string]int, len(w.Resources))
-	for i, r := range w.Resources {
-		resIdx[r.ID] = i
+	nt, nr := len(p.Tasks), len(p.Resources)
+	inc := Incidence{taskResOff: p.subOff, taskRes: p.res, resTaskOff: make([]int32, nr+1)}
+	for _, ri := range p.res {
+		inc.resTaskOff[ri+1]++
 	}
-	return buildIncidence(len(w.Tasks), len(w.Resources), w.TotalSubtasks(),
-		func(ti int, buf []int32) []int32 {
-			buf = buf[:0]
-			for _, s := range w.Tasks[ti].Subtasks {
-				buf = append(buf, int32(resIdx[s.Resource]))
-			}
-			return buf
-		})
-}
-
-// buildIncidence builds both directions from resOf, which returns task ti's
-// per-subtask resource indices (it may fill and return buf).
-func buildIncidence(nt, nr, nsub int, resOf func(ti int, buf []int32) []int32) Incidence {
-	inc := Incidence{
-		taskResOff: make([]int32, nt+1),
-		taskRes:    make([]int32, 0, nsub),
-		resTaskOff: make([]int32, nr+1),
-	}
-	mark := make([]int32, nr) // 1 + the last task seen on the resource
-	var buf []int32
-	for ti := 0; ti < nt; ti++ {
-		inc.taskResOff[ti] = int32(len(inc.taskRes))
-		buf = resOf(ti, buf)
-		for _, ri := range buf {
-			if mark[ri] != int32(ti+1) {
-				mark[ri] = int32(ti + 1)
-				inc.taskRes = append(inc.taskRes, ri)
-				inc.resTaskOff[ri+1]++
-			}
-		}
-	}
-	inc.taskResOff[nt] = int32(len(inc.taskRes))
 
 	// The other direction is the transpose: tasks are compiled in order, so a
 	// resource's contributors in first-appearance order are ascending.
@@ -106,8 +62,7 @@ func buildIncidence(nt, nr, nsub int, resOf func(ti int, buf []int32) []int32) I
 		inc.resTaskOff[ri+1] += inc.resTaskOff[ri]
 	}
 	inc.resTask = make([]int32, len(inc.taskRes))
-	next := mark
-	copy(next, inc.resTaskOff)
+	next := slices.Clone(inc.resTaskOff[:nr])
 	for ti := 0; ti < nt; ti++ {
 		for _, ri := range inc.TaskResources(ti) {
 			inc.resTask[next[ri]] = int32(ti)

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -99,8 +100,14 @@ func TestFleetBuildMatchesCompileOracle(t *testing.T) {
 				t.Fatalf("Compile: %v", err)
 			}
 			inc := core.NewIncidence(p)
-			if winc := core.NewWorkloadIncidence(w); !reflect.DeepEqual(inc, winc) {
-				t.Fatal("incidence built from the workload differs from the compiled problem's")
+			ck, err := w.Check()
+			if err != nil {
+				t.Fatalf("Check: %v", err)
+			}
+			for ti := range w.Tasks {
+				if !slices.Equal(ck.TaskResources(ti), inc.TaskResources(ti)) {
+					t.Fatalf("task %d: the checked workload's resources differ from the compiled problem's incidence", ti)
+				}
 			}
 			want, err := NewPartition(&inc, PartitionConfig{Shards: cfg.Shards, Seed: cfg.Seed})
 			if err != nil {
@@ -185,7 +192,7 @@ func TestTaskChangedMatchesReflectOracle(t *testing.T) {
 			b := a.Clone()
 			ca, cb := utility.Curve(lin), utility.Curve(lin)
 			m.mutate(b, &cb)
-			got, oracle := taskChanged(a, b, ca, cb), taskChangedReflect(a, b, ca, cb)
+			got, oracle := workload.TaskChanged(a, b, ca, cb), taskChangedReflect(a, b, ca, cb)
 			if got != oracle || got != m.want {
 				t.Fatalf("%s on task %d: taskChanged=%v, reflect oracle=%v, want %v", m.name, ti, got, oracle, m.want)
 			}
@@ -209,7 +216,7 @@ func TestTaskChangedMatchesReflectOracle(t *testing.T) {
 		{"uncomparable different", sliceCurve{[]float64{1}}, sliceCurve{[]float64{2}}, true},
 		{"NaN field", utility.Linear{K: math.NaN(), CMs: 1}, utility.Linear{K: math.NaN(), CMs: 1}, true},
 	} {
-		got, oracle := taskChanged(a, a.Clone(), tc.ca, tc.cb), taskChangedReflect(a, a.Clone(), tc.ca, tc.cb)
+		got, oracle := workload.TaskChanged(a, a.Clone(), tc.ca, tc.cb), taskChangedReflect(a, a.Clone(), tc.ca, tc.cb)
 		if got != oracle || got != tc.want {
 			t.Errorf("curves %s: taskChanged=%v, reflect oracle=%v, want %v", tc.name, got, oracle, tc.want)
 		}
@@ -226,7 +233,7 @@ func TestTaskChangedMatchesReflectOracle(t *testing.T) {
 		}
 		for _, a := range rw.Tasks {
 			c := rw.Curves[a.Name]
-			if taskChanged(a, a.Clone(), c, c) || taskChangedReflect(a, a.Clone(), c, c) {
+			if workload.TaskChanged(a, a.Clone(), c, c) || taskChangedReflect(a, a.Clone(), c, c) {
 				t.Fatalf("unchanged task %s of seed %d reported changed", a.Name, cfg.Seed)
 			}
 			pairs++
@@ -296,6 +303,33 @@ func TestFleetReplaceWorkloadRejectsInvalid(t *testing.T) {
 		{"zero availability", func(w2 *workload.Workload) {
 			w2.Resources[0] = share.Resource{ID: w2.Resources[0].ID, Kind: w2.Resources[0].Kind}
 		}, "availability"},
+		{"empty task name", func(w2 *workload.Workload) {
+			w2.Curves[""] = w2.Curves[w2.Tasks[first].Name]
+			w2.Tasks[first].Name = ""
+		}, "task has empty name"},
+		// The cases that attack inheritance: every task they break is field
+		// for field the one the fleet validated.
+		{"unchanged task whose resource left the table", func(w2 *workload.Workload) {
+			id := w2.Tasks[first].Subtasks[0].Resource
+			w2.Resources = slices.DeleteFunc(w2.Resources, func(r share.Resource) bool { return r.ID == id })
+		}, "unknown resource"},
+		{"unchanged task whose resource was renamed in place", func(w2 *workload.Workload) {
+			id := w2.Tasks[first].Subtasks[0].Resource
+			w2.Resources[slices.IndexFunc(w2.Resources, func(r share.Resource) bool { return r.ID == id })].ID = "elsewhere"
+		}, "unknown resource"},
+		{"earlier task renamed onto an untouched later one", func(w2 *workload.Workload) {
+			w2.Tasks[first].Name = w2.Tasks[other].Name
+		}, "duplicate task"},
+		{"two tasks renamed onto one new name", func(w2 *workload.Workload) {
+			w2.Tasks[first].Name, w2.Tasks[other].Name = "twin", "twin"
+			w2.Curves["twin"] = utility.Linear{K: 2, CMs: 100}
+		}, "duplicate task"},
+		{"non-concave curve on an otherwise identical task", func(w2 *workload.Workload) {
+			w2.Curves[w2.Tasks[first].Name] = utility.Quadratic{A: 1, B: -1}
+		}, "non-increasing"},
+		{"duplicate resource", func(w2 *workload.Workload) {
+			w2.Resources = append(w2.Resources, w2.Resources[0])
+		}, "duplicate resource"},
 	} {
 		w2 := w.Clone()
 		tc.mutate(w2)
@@ -344,11 +378,11 @@ func allocWorkload(t *testing.T) *workload.Workload {
 
 // newAllocsPerTask is the ceiling on heap objects fleet.New allocates per
 // task of allocWorkload. The count repeats to within a few objects (serial
-// build, no pools), so the ceiling sits just above the 5.6 measured: a task
-// costs its path enumeration (four objects), one step sizer per path and a
-// share of the per-shard arrays and name maps — before this budget existed
-// it cost 58.
-const newAllocsPerTask = 6
+// build, no pools), so the ceiling sits just above the 3.4 measured: a task
+// costs its path enumeration (three objects: scratch, the paths' one backing
+// array, the list) and a share of the per-shard arrays and name maps — before
+// this budget existed it cost 58.
+const newAllocsPerTask = 4
 
 // TestFleetBuildAllocBudget pins fleet.New's allocation count per task.
 func TestFleetBuildAllocBudget(t *testing.T) {
@@ -378,10 +412,10 @@ func TestFleetBuildAllocBudget(t *testing.T) {
 
 // replaceAllocsPerEvent is the ceiling on heap objects one ReplaceWorkload
 // allocates when the delta dirties one of allocWorkload's eight shards
-// (2 878 measured): the rebuilt shard's 500 tasks at the build cost above,
+// (1 735 measured): the rebuilt shard's 500 tasks at the build cost above,
 // plus whole-workload bookkeeping that is a few dozen slices and maps, not
 // objects per task.
-const replaceAllocsPerEvent = 3200
+const replaceAllocsPerEvent = 1900
 
 // TestFleetReplaceAllocBudget pins what a one-shard churn event allocates:
 // the delta, not the workload.

@@ -165,13 +165,14 @@ type Stats struct {
 // that vector; everything else converges inside the shards.
 type Fleet struct {
 	cfg      Config
-	ecfg     core.Config
 	shardCfg core.Config
-	w        *workload.Workload
-	part     *Partition
-	shards   []*shardRuntime
-	// taskAt maps a task name to its index in w.Tasks (and so, through part,
-	// to its shard); ReplaceWorkload diffs against it and keeps it current.
+	// ck is the current workload with the proof of its validity: what every
+	// shard is projected from and what ReplaceWorkload checks a successor
+	// against. taskAt maps a task name to its index in that workload (and so,
+	// through part, to its shard); ReplaceWorkload keeps both current.
+	ck     *workload.Checked
+	part   *Partition
+	shards []*shardRuntime
 	taskAt map[string]int
 
 	// workers is the resolved sweep concurrency; pool the persistent sweep
@@ -217,27 +218,35 @@ type Fleet struct {
 
 // New validates and partitions the workload, builds one engine per shard —
 // the only place a task is compiled — and pins every boundary resource to
-// the initial price. Shard engines share the workload's *task.Task values.
+// the initial price. Shard engines share the workload's *task.Task values:
+// the caller must not modify a workload it has handed to the fleet.
 func New(w *workload.Workload, cfg Config) (*Fleet, error) {
-	if err := w.Validate(); err != nil {
+	ck, err := w.Check()
+	if err != nil {
 		return nil, fmt.Errorf("fleet: %w", err)
 	}
-	return build(w, cfg)
+	return build(ck, cfg)
 }
 
-// build is New on a workload that has already passed Validate.
-func build(w *workload.Workload, cfg Config) (*Fleet, error) {
+// shardEngine builds shard s's engine over tasks taskIdx of ck's workload
+// from the proof's projection: validated once, at the fleet.
+func (f *Fleet) shardEngine(ck *workload.Checked, s int, taskIdx []int) (*core.Engine, error) {
+	return core.NewEngineChecked(ck.Project(fmt.Sprintf("%s/shard%d", ck.Workload().Name, s), taskIdx), f.shardCfg)
+}
+
+// build is New on a workload that has already been checked.
+func build(ck *workload.Checked, cfg Config) (*Fleet, error) {
 	cfg = cfg.withDefaults()
 	ecfg := cfg.Engine.WithDefaults()
-	inc := core.NewWorkloadIncidence(w)
-	part, err := NewPartition(&inc, PartitionConfig{
+	w := ck.Workload()
+	part, err := NewPartition(ck, PartitionConfig{
 		Shards: cfg.Shards, Seed: cfg.Seed,
 		BalanceSlack: cfg.BalanceSlack, Passes: cfg.Passes,
 	})
 	if err != nil {
 		return nil, err
 	}
-	f := &Fleet{cfg: cfg, ecfg: ecfg, w: w, part: part, obsv: cfg.Observer,
+	f := &Fleet{cfg: cfg, ck: ck, part: part, obsv: cfg.Observer,
 		taskAt: make(map[string]int, len(w.Tasks))}
 	for ti, t := range w.Tasks {
 		f.taskAt[t.Name] = ti
@@ -247,55 +256,19 @@ func build(w *workload.Workload, cfg Config) (*Fleet, error) {
 	if f.workers <= 0 {
 		f.workers = runtime.GOMAXPROCS(0)
 	}
-	if f.workers > part.Shards {
-		f.workers = part.Shards
-	}
+	f.workers = min(f.workers, part.Shards)
 	f.shardCfg = cfg.Engine
 	if f.workers > 1 && f.shardCfg.Workers == 0 {
-		f.shardCfg.Workers = runtime.GOMAXPROCS(0) / f.workers
-		if f.shardCfg.Workers < 1 {
-			f.shardCfg.Workers = 1
-		}
+		f.shardCfg.Workers = max(1, runtime.GOMAXPROCS(0)/f.workers)
 	}
 
 	for s := 0; s < part.Shards; s++ {
-		sw := subWorkload(w, &inc, fmt.Sprintf("%s/shard%d", w.Name, s), part.ShardTasks[s])
-		eng, err := core.NewEngine(sw, f.shardCfg)
+		eng, err := f.shardEngine(ck, s, part.ShardTasks[s])
 		if err != nil {
 			f.Close()
 			return nil, fmt.Errorf("fleet: building shard %d: %w", s, err)
 		}
 		f.shards = append(f.shards, &shardRuntime{id: s, eng: eng})
-	}
-
-	nb := len(part.Boundary)
-	f.bid = make([]string, nb)
-	f.bavail = make([]float64, nb)
-	f.bmu = make([]float64, nb)
-	f.bdemand = make([]float64, nb)
-	f.bcurv = make([]float64, nb)
-	f.bcong = make([]bool, nb)
-	f.bmove = make([]float64, nb)
-	f.bprev = make([]float64, nb)
-	for b, ri := range part.Boundary {
-		f.bid[b] = w.Resources[ri].ID
-		f.bavail[b] = w.Resources[ri].Availability
-		f.bmu[b] = ecfg.InitialMu
-	}
-	for _, s := range f.shards {
-		for b, id := range f.bid {
-			lri := s.eng.ResourceIndex(id)
-			if lri < 0 {
-				continue
-			}
-			s.localRi = append(s.localRi, lri)
-			s.slot = append(s.slot, b)
-			if err := s.eng.PinPrice(lri, f.bmu[b], false); err != nil {
-				f.Close()
-				return nil, fmt.Errorf("fleet: pinning %s on shard %d: %w", id, s.id, err)
-			}
-		}
-		s.initBuffers(f.bid)
 	}
 
 	// The boundary price vector runs the same pluggable dynamics as an
@@ -307,8 +280,11 @@ func build(w *workload.Workload, cfg Config) (*Fleet, error) {
 	}
 	bcfg = bcfg.WithDefaults()
 	f.bdyn = bcfg.NewDynamics()
-	f.bdyn.Reset(nb)
 	f.needCurv = f.bdyn.NeedsCurvature()
+	if err := f.bindBoundary(w, part.Boundary, f); err != nil {
+		f.Close()
+		return nil, err
+	}
 
 	if cfg.WireVerify {
 		f.codec = wire.NewCodec(nil)
@@ -318,23 +294,69 @@ func build(w *workload.Workload, cfg Config) (*Fleet, error) {
 	}
 	if f.obsv != nil && f.obsv.Metrics != nil {
 		f.fm = obs.NewFleetMetrics(f.obsv.Metrics)
-		f.fm.BoundaryResources.Set(float64(nb))
+		f.fm.BoundaryResources.Set(float64(len(f.bid)))
 		f.fm.CutCost.Set(float64(part.CutCost))
 		f.fm.ShardWorkers.Set(float64(f.workers))
 	}
 	return f, nil
 }
 
-// initBuffers sizes the shard's reusable boundary report/pin buffers and
-// stamps the fixed fields.
-func (s *shardRuntime) initBuffers(bid []string) {
-	s.bd = make([]wire.BoundaryDemand, len(s.localRi))
-	s.bp = make([]wire.BoundaryPrice, len(s.localRi))
-	for j, b := range s.slot {
-		s.bd[j].Shard = s.id
-		s.bd[j].Resource = bid[b]
-		s.bp[j].Resource = bid[b]
+// bindBoundary makes boundary (resource indices of w, ascending) the fleet's:
+// it sizes the vectors, warm-starts each price by resource ID — warm's iterate
+// where the resource was on its boundary, else the price of the first shard
+// engine holding it (a cold engine's is the initial one) — and re-pins every
+// shard. On an engine that stays, unpinning a resource that left the boundary
+// advances the pin epoch (the shard must re-solve with it free); pinning an
+// unchanged (price, congestion) pair does not, so a shard the delta did not
+// reach stays skippable and aggregates its real cached demand.
+func (f *Fleet) bindBoundary(w *workload.Workload, boundary []int, warm *Fleet) error {
+	prevMu, prevCong := make(map[string]float64, len(warm.bid)), make(map[string]bool, len(warm.bid))
+	for b, id := range warm.bid {
+		prevMu[id], prevCong[id] = warm.bmu[b], warm.bcong[b]
 	}
+	oldBid, nb := f.bid, len(boundary)
+	f.bid, f.bcong = make([]string, nb), make([]bool, nb)
+	for _, v := range []*[]float64{&f.bavail, &f.bmu, &f.bdemand, &f.bcurv, &f.bmove, &f.bprev} {
+		*v = make([]float64, nb)
+	}
+	onBoundary := make(map[string]bool, nb)
+	for b, ri := range boundary {
+		r := &w.Resources[ri]
+		mu, ok := prevMu[r.ID]
+		for s := 0; !ok && s < len(f.shards); s++ {
+			if lri := f.shards[s].eng.ResourceIndex(r.ID); lri >= 0 {
+				mu, ok = f.shards[s].eng.MuAt(lri), true
+			}
+		}
+		f.bid[b], f.bavail[b], f.bmu[b], f.bcong[b] = r.ID, r.Availability, mu, prevCong[r.ID]
+		onBoundary[r.ID] = true
+	}
+	for _, s := range f.shards {
+		for j, b := range s.slot {
+			if !onBoundary[oldBid[b]] {
+				s.eng.UnpinPrice(s.localRi[j])
+			}
+		}
+		s.localRi, s.slot = s.localRi[:0], s.slot[:0]
+		for b, id := range f.bid {
+			lri := s.eng.ResourceIndex(id)
+			if lri < 0 {
+				continue
+			}
+			s.localRi, s.slot = append(s.localRi, lri), append(s.slot, b)
+			if err := s.eng.PinPrice(lri, f.bmu[b], f.bcong[b]); err != nil {
+				return fmt.Errorf("fleet: pinning %s on shard %d: %w", id, s.id, err)
+			}
+		}
+		// The reusable report/pin buffers, their fixed fields stamped.
+		s.bd, s.bp = make([]wire.BoundaryDemand, len(s.slot)), make([]wire.BoundaryPrice, len(s.slot))
+		for j, b := range s.slot {
+			s.bd[j].Shard, s.bd[j].Resource, s.bp[j].Resource = s.id, f.bid[b], f.bid[b]
+		}
+		s.refreshBoundary(f.needCurv)
+	}
+	f.bdyn.Reset(nb)
+	return nil
 }
 
 // Partition exposes the fleet's task partition.

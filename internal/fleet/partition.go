@@ -1,6 +1,6 @@
 // Package fleet implements hierarchical multi-coordinator sharding
 // (SHARDING.md): a deterministic balanced min-cut
-// partitioner over the core CSR incidence index, a shard runtime wrapping
+// partitioner over the task/resource incidence, a shard runtime wrapping
 // one core.Engine per shard, and a top-level aggregator that iterates only
 // on cross-shard ("boundary") resource prices — the decomposition of the
 // Agrawal/Boyd price-discovery method applied to the paper's dual. Each
@@ -15,9 +15,17 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
-
-	"lla/internal/core"
 )
+
+// Incidence is what the partitioner reads of a problem's structure: for each
+// task, the distinct resources it touches. A compiled problem's
+// *core.Incidence provides it, and so does a validated workload's
+// *workload.Checked, which is how the fleet partitions without compiling.
+type Incidence interface {
+	NumTasks() int
+	NumResources() int
+	TaskResources(ti int) []int32
+}
 
 // PartitionConfig parametrizes the task partitioner.
 type PartitionConfig struct {
@@ -59,7 +67,7 @@ type Partition struct {
 // would beat the refined cut (pathological topologies), round-robin is used
 // instead — the result never cuts more than round-robin. Every shard always
 // holds at least one task (refinement never drains a shard).
-func NewPartition(inc *core.Incidence, cfg PartitionConfig) (*Partition, error) {
+func NewPartition(inc Incidence, cfg PartitionConfig) (*Partition, error) {
 	n, nr := inc.NumTasks(), inc.NumResources()
 	if cfg.Shards < 1 {
 		return nil, fmt.Errorf("fleet: Shards must be >= 1, got %d", cfg.Shards)
@@ -67,22 +75,12 @@ func NewPartition(inc *core.Incidence, cfg PartitionConfig) (*Partition, error) 
 	if n < 1 {
 		return nil, fmt.Errorf("fleet: cannot partition an empty problem")
 	}
-	k := cfg.Shards
-	if k > n {
-		k = n
-	}
-	slack := cfg.BalanceSlack
-	if slack <= 0 {
-		slack = 0.2
-	}
+	k := min(cfg.Shards, n)
 	passes := cfg.Passes
 	if passes <= 0 {
 		passes = 3
 	}
-	capacity := int(math.Ceil(float64(n) / float64(k) * (1 + slack)))
-	if capacity < 1 {
-		capacity = 1
-	}
+	capacity := balanceCap(n, k, cfg.BalanceSlack)
 
 	// Contiguous-block initial assignment: task i -> shard i*k/n. Block
 	// sizes differ by at most one, so the balance cap holds from the start.
@@ -204,18 +202,29 @@ func NewPartition(inc *core.Incidence, cfg PartitionConfig) (*Partition, error) 
 	return p, nil
 }
 
-// cutOf computes the cut cost and boundary resource list of an assignment.
-func cutOf(inc *core.Incidence, assign []int, k int) (cut int, boundary []int) {
-	nr := inc.NumResources()
-	seen := make([]int, k) // stamped with r+1
-	for r := 0; r < nr; r++ {
+// balanceCap is the most tasks a shard may hold: ceil(n/k * (1+slack)), with
+// the default slack 0.2 for slack <= 0.
+func balanceCap(n, k int, slack float64) int {
+	if slack <= 0 {
+		slack = 0.2
+	}
+	return max(1, int(math.Ceil(float64(n)/float64(k)*(1+slack))))
+}
+
+// cutOf computes the cut cost and boundary resource list of an assignment,
+// from a per-resource bitset of the shards touching it.
+func cutOf(inc Incidence, assign []int, k int) (cut int, boundary []int) {
+	words := (k + 63) / 64
+	mask := make([]uint64, inc.NumResources()*words)
+	for ti, s := range assign {
+		for _, r32 := range inc.TaskResources(ti) {
+			mask[int(r32)*words+s/64] |= 1 << (s % 64)
+		}
+	}
+	for r := 0; r*words < len(mask); r++ {
 		distinct := 0
-		for _, t32 := range inc.ResourceTasks(r) {
-			s := assign[t32]
-			if seen[s] != r+1 {
-				seen[s] = r + 1
-				distinct++
-			}
+		for _, m := range mask[r*words : (r+1)*words] {
+			distinct += bits.OnesCount64(m)
 		}
 		if distinct > 1 {
 			cut += distinct - 1

@@ -4,6 +4,7 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"lla/internal/core"
@@ -118,8 +119,10 @@ func TestPartitionProperties(t *testing.T) {
 			var wantBoundary []int
 			for r := 0; r < inc.NumResources(); r++ {
 				shards := map[int]bool{}
-				for _, ti := range inc.ResourceTasks(r) {
-					shards[part.TaskShard[ti]] = true
+				for ti := 0; ti < n; ti++ {
+					if slices.Contains(inc.TaskResources(ti), int32(r)) {
+						shards[part.TaskShard[ti]] = true
+					}
 				}
 				if len(shards) > 1 {
 					wantCut += len(shards) - 1

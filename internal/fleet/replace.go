@@ -2,15 +2,10 @@ package fleet
 
 import (
 	"fmt"
-	"math"
-	"reflect"
 	"slices"
 
 	"lla/internal/core"
 	"lla/internal/obs"
-	"lla/internal/share"
-	"lla/internal/task"
-	"lla/internal/utility"
 	"lla/internal/workload"
 )
 
@@ -43,33 +38,20 @@ type ReplaceStats struct {
 // price vector is recomputed for the new cut and warm-started by resource
 // ID. Falls back to a full rebuild (still warm-started) when the delta
 // invalidates the partition shape — fewer tasks than shards, or a shard
-// left empty. A workload that does not validate is refused before any state
-// is touched; after any later error the fleet must be discarded. Shards
-// share w's *task.Task values, as in New.
+// left empty. Shards share w's *task.Task values, as in New.
+//
+// Validation, the match of each task to its predecessor and the diff are one
+// pass over w (workload.Checked.Recheck, SHARDING.md §3b): w is refused,
+// before any state is touched, exactly when w.Validate would refuse it.
+// After any later error the fleet must be discarded.
 func (f *Fleet) ReplaceWorkload(w *workload.Workload) (ReplaceStats, error) {
-	if err := w.Validate(); err != nil {
+	ck2, prev, taskDirty, err := f.ck.Recheck(w, f.taskAt)
+	if err != nil {
 		return ReplaceStats{}, fmt.Errorf("fleet: %w", err)
 	}
-	inc2 := core.NewWorkloadIncidence(w)
+	old := f.ck.Workload()
 	K := f.part.Shards
 	n2 := len(w.Tasks)
-
-	// prev[ti] is the new task ti's index in the old workload, or -1.
-	prev := make([]int, n2)
-	added := 0
-	for ti, t := range w.Tasks {
-		if oi, ok := f.taskAt[t.Name]; ok {
-			prev[ti] = oi
-		} else {
-			prev[ti] = -1
-			added++
-		}
-	}
-	removed := len(f.w.Tasks) - (n2 - added)
-
-	if n2 < K {
-		return f.replaceFull(w, added, removed)
-	}
 
 	// Survivors keep their shard; new tasks go, in ascending task order, to
 	// the shard already touching the most of their resources (ties to the
@@ -87,23 +69,26 @@ func (f *Fleet) ReplaceWorkload(w *workload.Workload) (ReplaceStats, error) {
 			fresh = append(fresh, ti)
 		}
 	}
-	cnt := make([]int32, inc2.NumResources()*K)
-	for ti, s := range assign {
-		if s < 0 {
-			continue
+	added := len(fresh)
+	removed := len(old.Tasks) - (n2 - added)
+	if n2 < K {
+		return f.replaceFull(ck2, prev, added, removed)
+	}
+	var cnt []int32 // tasks per (resource, shard): only a placement reads it
+	if len(fresh) > 0 {
+		cnt = make([]int32, ck2.NumResources()*K)
+		for ti, s := range assign {
+			if s < 0 {
+				continue
+			}
+			for _, r32 := range ck2.TaskResources(ti) {
+				cnt[int(r32)*K+s]++
+			}
 		}
-		for _, r32 := range inc2.TaskResources(ti) {
-			cnt[int(r32)*K+s]++
-		}
 	}
-	slack := f.cfg.BalanceSlack
-	if slack <= 0 {
-		slack = 0.2
-	}
-	capacity := int(math.Ceil(float64(n2) / float64(K) * (1 + slack)))
-	if capacity < 1 {
-		capacity = 1
-	}
+	capacity := balanceCap(n2, K, f.cfg.BalanceSlack)
+	// Placed tasks number fewer than n2 <= K*capacity, so some shard is always
+	// under the cap.
 	for _, ti := range fresh {
 		best, bestScore := -1, -1
 		for s := 0; s < K; s++ {
@@ -111,7 +96,7 @@ func (f *Fleet) ReplaceWorkload(w *workload.Workload) (ReplaceStats, error) {
 				continue
 			}
 			score := 0
-			for _, r32 := range inc2.TaskResources(ti) {
+			for _, r32 := range ck2.TaskResources(ti) {
 				if cnt[int(r32)*K+s] > 0 {
 					score++
 				}
@@ -120,23 +105,15 @@ func (f *Fleet) ReplaceWorkload(w *workload.Workload) (ReplaceStats, error) {
 				best, bestScore = s, score
 			}
 		}
-		if best < 0 { // every shard at capacity: least loaded, lowest index
-			best = 0
-			for s := 1; s < K; s++ {
-				if count[s] < count[best] {
-					best = s
-				}
-			}
-		}
 		assign[ti] = best
 		count[best]++
-		for _, r32 := range inc2.TaskResources(ti) {
+		for _, r32 := range ck2.TaskResources(ti) {
 			cnt[int(r32)*K+best]++
 		}
 	}
 	for s := 0; s < K; s++ {
 		if count[s] == 0 {
-			return f.replaceFull(w, added, removed)
+			return f.replaceFull(ck2, prev, added, removed)
 		}
 	}
 
@@ -154,29 +131,10 @@ func (f *Fleet) ReplaceWorkload(w *workload.Workload) (ReplaceStats, error) {
 	// is bit-identical, so its engine state remains valid as-is. Survivors
 	// never change shard, so the name set changed iff a task left (the
 	// counts differ) or a new one arrived.
-	oldRes := make(map[string]share.Resource, len(f.w.Resources))
-	for _, r := range f.w.Resources {
-		oldRes[r.ID] = r
-	}
-	resChanged := make([]bool, len(w.Resources))
-	for ri, r := range w.Resources {
-		resChanged[ri] = r != oldRes[r.ID]
-	}
-	taskDirty := func(ti int) bool {
-		t := w.Tasks[ti]
-		if prev[ti] < 0 || taskChanged(f.w.Tasks[prev[ti]], t, f.w.Curves[t.Name], w.Curves[t.Name]) {
-			return true
-		}
-		for _, r32 := range inc2.TaskResources(ti) {
-			if resChanged[r32] {
-				return true
-			}
-		}
-		return false
-	}
 	dirty := make([]bool, K)
 	for s := range dirty {
-		dirty[s] = len(shardTasks2[s]) != len(f.part.ShardTasks[s]) || slices.ContainsFunc(shardTasks2[s], taskDirty)
+		dirty[s] = len(shardTasks2[s]) != len(f.part.ShardTasks[s]) ||
+			slices.ContainsFunc(shardTasks2[s], func(ti int) bool { return taskDirty[ti] })
 	}
 
 	// Build the dirty shards' replacement engines, warm-started from the
@@ -189,134 +147,39 @@ func (f *Fleet) ReplaceWorkload(w *workload.Workload) (ReplaceStats, error) {
 		if !dirty[s] {
 			continue
 		}
-		sub := subWorkload(w, &inc2, fmt.Sprintf("%s/shard%d", w.Name, s), shardTasks2[s])
-		eng, err := core.NewEngine(sub, f.shardCfg)
+		eng, err := f.shardEngine(ck2, s, shardTasks2[s])
 		if err != nil {
 			return ReplaceStats{}, fmt.Errorf("fleet: rebuilding shard %d: %w", s, err)
 		}
-		donorSet := map[int]bool{s: true}
-		donors := []*core.Engine{f.shards[s].eng}
-		for _, ti := range shardTasks2[s] {
-			if prev[ti] >= 0 {
-				donorSet[f.part.TaskShard[prev[ti]]] = true
-			}
-		}
-		for os := 0; os < K; os++ {
-			if donorSet[os] && os != s {
-				donors = append(donors, f.shards[os].eng)
-			}
-		}
-		eng.CarryFrom(donors...)
+		eng.CarryFrom(f.donors(s, shardTasks2[s], prev)...)
 		newEngines[s] = eng
 		rebuilt++
 	}
 
-	// Boundary rework: new cut, prices warm-started by ID — surviving
-	// boundary resources keep the aggregator's iterate, promoted interior
-	// resources adopt their current engine price.
-	cut2, bRes2 := cutOf(&inc2, assign, K)
-	part2 := &Partition{
-		Shards: K, TaskShard: assign, ShardTasks: shardTasks2,
-		Boundary: bRes2, CutCost: cut2,
-	}
-	oldBMu := make(map[string]float64, len(f.bid))
-	oldBCong := make(map[string]bool, len(f.bid))
-	for b, id := range f.bid {
-		oldBMu[id] = f.bmu[b]
-		oldBCong[id] = f.bcong[b]
-	}
-	oldPinIDs := make([][]string, K)
-	for s := 0; s < K; s++ {
-		ids := make([]string, len(f.shards[s].slot))
-		for j, b := range f.shards[s].slot {
-			ids[j] = f.bid[b]
-		}
-		oldPinIDs[s] = ids
-	}
-
-	nb2 := len(bRes2)
-	f.bid = make([]string, nb2)
-	f.bavail = make([]float64, nb2)
-	f.bmu = make([]float64, nb2)
-	f.bdemand = make([]float64, nb2)
-	f.bcurv = make([]float64, nb2)
-	f.bcong = make([]bool, nb2)
-	f.bmove = make([]float64, nb2)
-	f.bprev = make([]float64, nb2)
-	for b, ri := range bRes2 {
-		id := w.Resources[ri].ID
-		f.bid[b] = id
-		f.bavail[b] = w.Resources[ri].Availability
-		if mu, ok := oldBMu[id]; ok {
-			f.bmu[b] = mu
-		} else {
-			mu := f.ecfg.InitialMu
-			for s := 0; s < K; s++ {
-				eng := newEngines[s]
-				if eng == nil {
-					eng = f.shards[s].eng
-				}
-				if lri := eng.ResourceIndex(id); lri >= 0 {
-					mu = eng.MuAt(lri)
-					break
-				}
-			}
-			f.bmu[b] = mu
-		}
-		f.bcong[b] = oldBCong[id]
-	}
-
-	// Swap in the rebuilt engines and re-pin the new boundary everywhere.
-	// On a clean shard, pinning an unchanged (price, congestion) pair does
-	// not advance the pin epoch, so shards the delta did not reach stay
-	// skippable; demoted boundary resources are unpinned (which does
-	// advance it — the shard must re-solve with the resource free).
-	newSet := make(map[string]bool, nb2)
-	for _, id := range f.bid {
-		newSet[id] = true
-	}
-	for s := 0; s < K; s++ {
-		sr := f.shards[s]
-		if dirty[s] {
-			old := sr.eng
-			sr.eng = newEngines[s]
-			old.Close()
+	// Swap in the rebuilt engines, then bind the new cut's boundary on every
+	// shard: surviving boundary resources keep the aggregator's iterate,
+	// promoted interior resources adopt their current engine price.
+	for s, eng := range newEngines {
+		if sr := f.shards[s]; eng != nil {
+			sr.eng.Close()
+			sr.eng, sr.localRi, sr.slot = eng, nil, nil
 			sr.frozen, sr.sweptEpoch, sr.iters = false, 0, 0
-		} else {
-			for j, id := range oldPinIDs[s] {
-				if !newSet[id] {
-					sr.eng.UnpinPrice(sr.localRi[j])
-				}
-			}
 		}
-		sr.localRi, sr.slot = sr.localRi[:0], sr.slot[:0]
-		for b, id := range f.bid {
-			lri := sr.eng.ResourceIndex(id)
-			if lri < 0 {
-				continue
-			}
-			sr.localRi = append(sr.localRi, lri)
-			sr.slot = append(sr.slot, b)
-			if err := sr.eng.PinPrice(lri, f.bmu[b], f.bcong[b]); err != nil {
-				return ReplaceStats{}, fmt.Errorf("fleet: re-pinning %s on shard %d: %w", id, s, err)
-			}
-		}
-		sr.initBuffers(f.bid)
-		// Repopulate the report buffer from the engine: a shard that stays
-		// skippable must aggregate its real (cached) demand, not the zeroed
-		// fresh buffer.
-		sr.refreshBoundary(f.needCurv)
+	}
+	cut2, bRes2 := cutOf(ck2, assign, K)
+	if err := f.bindBoundary(w, bRes2, f); err != nil {
+		return ReplaceStats{}, err
 	}
 
 	// Commit the name index: drop the tasks that left, move the rest.
 	if removed > 0 {
-		alive := make([]bool, len(f.w.Tasks))
+		alive := make([]bool, len(old.Tasks))
 		for _, oi := range prev {
 			if oi >= 0 {
 				alive[oi] = true
 			}
 		}
-		for oi, t := range f.w.Tasks {
+		for oi, t := range old.Tasks {
 			if !alive[oi] {
 				delete(f.taskAt, t.Name)
 			}
@@ -327,15 +190,14 @@ func (f *Fleet) ReplaceWorkload(w *workload.Workload) (ReplaceStats, error) {
 			f.taskAt[w.Tasks[ti].Name] = ti
 		}
 	}
-	f.bdyn.Reset(nb2)
-	f.part = part2
-	f.w = w
+	f.part = &Partition{Shards: K, TaskShard: assign, ShardTasks: shardTasks2, Boundary: bRes2, CutCost: cut2}
+	f.ck = ck2
 	f.stable = 0
 
 	st := ReplaceStats{
 		Rebuilt: rebuilt, Reused: K - rebuilt,
 		Added: added, Removed: removed,
-		BoundaryCount: nb2, CutCost: cut2,
+		BoundaryCount: len(bRes2), CutCost: cut2,
 	}
 	f.publishRebuild(st, "incremental")
 	return st, nil
@@ -344,56 +206,19 @@ func (f *Fleet) ReplaceWorkload(w *workload.Workload) (ReplaceStats, error) {
 // replaceFull rebuilds the fleet from scratch — fresh partition, fresh
 // engines — but still warm-starts every shard from the old engines holding
 // its surviving tasks and the boundary vector from the old iterate by ID.
-func (f *Fleet) replaceFull(w *workload.Workload, added, removed int) (ReplaceStats, error) {
-	nf, err := build(w, f.cfg)
+func (f *Fleet) replaceFull(ck *workload.Checked, prev []int, added, removed int) (ReplaceStats, error) {
+	nf, err := build(ck, f.cfg)
 	if err != nil {
 		return ReplaceStats{}, err
 	}
 	for _, s := range nf.shards {
-		donorSet := make(map[int]bool)
-		for _, ti := range nf.part.ShardTasks[s.id] {
-			if oi, ok := f.taskAt[w.Tasks[ti].Name]; ok {
-				donorSet[f.part.TaskShard[oi]] = true
-			}
-		}
-		var donors []*core.Engine
-		for os := 0; os < f.part.Shards; os++ {
-			if donorSet[os] {
-				donors = append(donors, f.shards[os].eng)
-			}
-		}
-		if len(donors) > 0 {
+		if donors := f.donors(-1, nf.part.ShardTasks[s.id], prev); len(donors) > 0 {
 			s.eng.CarryFrom(donors...)
 		}
 	}
-	// Warm the boundary iterate by ID (falling back to the engines' carried
-	// prices for newly boundary resources) and re-pin it: CarryFrom just
-	// overwrote the cold prices New pinned.
-	oldBMu := make(map[string]float64, len(f.bid))
-	oldBCong := make(map[string]bool, len(f.bid))
-	for b, id := range f.bid {
-		oldBMu[id] = f.bmu[b]
-		oldBCong[id] = f.bcong[b]
-	}
-	for b, id := range nf.bid {
-		if mu, ok := oldBMu[id]; ok {
-			nf.bmu[b] = mu
-		} else {
-			for _, s := range nf.shards {
-				if lri := s.eng.ResourceIndex(id); lri >= 0 {
-					nf.bmu[b] = s.eng.MuAt(lri)
-					break
-				}
-			}
-		}
-		nf.bcong[b] = oldBCong[id]
-	}
-	for _, s := range nf.shards {
-		for j, b := range s.slot {
-			if err := s.eng.PinPrice(s.localRi[j], nf.bmu[b], nf.bcong[b]); err != nil {
-				return ReplaceStats{}, fmt.Errorf("fleet: re-pinning %s on shard %d: %w", nf.bid[b], s.id, err)
-			}
-		}
+	// CarryFrom just overwrote the cold prices build pinned: bind again, warm.
+	if err := nf.bindBoundary(ck.Workload(), nf.part.Boundary, f); err != nil {
+		return ReplaceStats{}, err
 	}
 	nf.stats = f.stats
 	nf.hashLog, nf.residLog = f.hashLog, f.residLog
@@ -409,6 +234,28 @@ func (f *Fleet) replaceFull(w *workload.Workload, added, removed int) (ReplaceSt
 	return st, nil
 }
 
+// donors lists the engines a rebuilt shard holding the given tasks of the new
+// workload warm-starts from: the old engine of shard own first (-1: none),
+// then, ascending, the old shards of its surviving tasks.
+func (f *Fleet) donors(own int, tasks, prev []int) []*core.Engine {
+	from := make([]bool, len(f.shards))
+	var donors []*core.Engine
+	if own >= 0 {
+		donors = append(donors, f.shards[own].eng)
+	}
+	for _, ti := range tasks {
+		if oi := prev[ti]; oi >= 0 {
+			from[f.part.TaskShard[oi]] = true
+		}
+	}
+	for os, ok := range from {
+		if ok && os != own {
+			donors = append(donors, f.shards[os].eng)
+		}
+	}
+	return donors
+}
+
 // publishRebuild emits the rebuild metrics and trace event.
 func (f *Fleet) publishRebuild(st ReplaceStats, detail string) {
 	if f.fm != nil {
@@ -419,24 +266,4 @@ func (f *Fleet) publishRebuild(st ReplaceStats, detail string) {
 	}
 	f.obsv.Emit(obs.Event{Kind: obs.EventFleetRebuild,
 		Iteration: st.Rebuilt, Value: float64(st.Reused), Detail: detail})
-}
-
-// taskChanged reports whether a surviving task's definition differs in any
-// way the compiled sub-problem can see. Curves are compared as interface
-// values — dynamic type and fields — except pointer-typed ones (such as
-// *utility.PiecewiseLinear), which are compared by what they point to.
-func taskChanged(a, b *task.Task, ca, cb utility.Curve) bool {
-	if a.CriticalMs != b.CriticalMs || a.Trigger != b.Trigger || len(a.Subtasks) != len(b.Subtasks) {
-		return true
-	}
-	for i := range a.Subtasks {
-		if a.Subtasks[i] != b.Subtasks[i] || !slices.Equal(a.Successors(i), b.Successors(i)) {
-			return true
-		}
-	}
-	// A value type that == cannot compare would panic below.
-	if t := reflect.TypeOf(ca); t.Kind() == reflect.Pointer || !t.Comparable() {
-		return !reflect.DeepEqual(ca, cb)
-	}
-	return ca != cb
 }

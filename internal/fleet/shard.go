@@ -4,10 +4,7 @@ import (
 	"math"
 
 	"lla/internal/core"
-	"lla/internal/task"
-	"lla/internal/utility"
 	"lla/internal/wire"
-	"lla/internal/workload"
 )
 
 // shardRuntime wraps one shard's engine: the sub-workload's tasks with their
@@ -62,36 +59,6 @@ func (s *shardRuntime) refreshBoundary(needCurv bool) {
 			s.bd[j].Curvature = s.eng.CurvatureAt(lri)
 		}
 	}
-}
-
-// subWorkload extracts the tasks of one shard, keeping task and resource
-// order as in the full workload. Order preservation is what makes the
-// shard's compiled sub-problem a projection of the full one: every per-task
-// datum is identical and every resource's Subs list is the original list
-// filtered to the shard's tasks — so an overlap-free shard reproduces the
-// single engine's per-component arithmetic bit for bit. Tasks are shared
-// with w, not copied, as a single engine shares its caller's workload.
-func subWorkload(w *workload.Workload, inc *core.Incidence, name string, taskIdx []int) *workload.Workload {
-	sub := &workload.Workload{
-		Name:   name,
-		Tasks:  make([]*task.Task, len(taskIdx)),
-		Curves: make(map[string]utility.Curve, len(taskIdx)),
-	}
-	used := make([]bool, len(w.Resources))
-	for i, ti := range taskIdx {
-		t := w.Tasks[ti]
-		sub.Tasks[i] = t
-		sub.Curves[t.Name] = w.Curves[t.Name]
-		for _, ri := range inc.TaskResources(ti) {
-			used[ri] = true
-		}
-	}
-	for ri, r := range w.Resources {
-		if used[ri] {
-			sub.Resources = append(sub.Resources, r)
-		}
-	}
-	return sub
 }
 
 // sweep runs the shard's local price dynamics against the current pinned

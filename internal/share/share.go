@@ -80,17 +80,6 @@ func (w WCETLag) LatencyFor(share float64) float64 {
 	return w.numerator()/share + w.ErrMs
 }
 
-// Validate checks the model parameters.
-func (w WCETLag) Validate() error {
-	if w.ExecMs <= 0 {
-		return fmt.Errorf("share: WCET must be positive, got %v", w.ExecMs)
-	}
-	if w.LagMs < 0 {
-		return fmt.Errorf("share: lag must be non-negative, got %v", w.LagMs)
-	}
-	return nil
-}
-
 // Resource is a schedulable resource: a CPU or a network link managed by a
 // proportional-share scheduler.
 type Resource struct {
@@ -135,11 +124,11 @@ func (r Resource) Validate() error {
 	if r.ID == "" {
 		return fmt.Errorf("share: resource has empty ID")
 	}
-	if r.Availability <= 0 || r.Availability > 1 {
+	if !(r.Availability > 0 && r.Availability <= 1) {
 		return fmt.Errorf("share: resource %s availability %v outside (0,1]", r.ID, r.Availability)
 	}
-	if r.LagMs < 0 {
-		return fmt.Errorf("share: resource %s lag %v negative", r.ID, r.LagMs)
+	if !(r.LagMs >= 0 && r.LagMs <= math.MaxFloat64) {
+		return fmt.Errorf("share: resource %s lag %v negative or not finite", r.ID, r.LagMs)
 	}
 	if r.Kind != CPU && r.Kind != Link {
 		return fmt.Errorf("share: resource %s has unknown kind %d", r.ID, int(r.Kind))

@@ -52,18 +52,6 @@ func TestWCETLagDegenerateInputs(t *testing.T) {
 	}
 }
 
-func TestWCETLagValidate(t *testing.T) {
-	if err := (WCETLag{ExecMs: 1}).Validate(); err != nil {
-		t.Errorf("valid model rejected: %v", err)
-	}
-	if err := (WCETLag{ExecMs: 0}).Validate(); err == nil {
-		t.Error("zero WCET should fail")
-	}
-	if err := (WCETLag{ExecMs: 1, LagMs: -1}).Validate(); err == nil {
-		t.Error("negative lag should fail")
-	}
-}
-
 // Properties required by LLA's convergence analysis: share is positive,
 // strictly decreasing and strictly convex in latency, and LatencyFor is its
 // inverse.
@@ -107,6 +95,10 @@ func TestResourceValidate(t *testing.T) {
 		{ID: "x", Kind: CPU, Availability: 1.5},
 		{ID: "x", Kind: CPU, Availability: 1, LagMs: -1},
 		{ID: "x", Kind: Kind(9), Availability: 1},
+		{ID: "x", Kind: CPU, Availability: math.NaN()},
+		{ID: "x", Kind: CPU, Availability: math.Inf(1)},
+		{ID: "x", Kind: CPU, Availability: 1, LagMs: math.NaN()},
+		{ID: "x", Kind: CPU, Availability: 1, LagMs: math.Inf(1)},
 	}
 	for i, r := range cases {
 		if err := r.Validate(); err == nil {

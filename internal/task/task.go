@@ -6,8 +6,8 @@
 package task
 
 import (
-	"errors"
 	"fmt"
+	"math"
 	"sync"
 )
 
@@ -149,16 +149,6 @@ func (t *Task) Leaves() []int {
 	return leaves
 }
 
-// TopoSort returns the subtask indices in a topological order, or an error
-// if the graph has a cycle.
-func (t *Task) TopoSort() ([]int, error) {
-	order := t.topo(make([]int, 2*len(t.Subtasks)))
-	if len(order) != len(t.Subtasks) {
-		return nil, fmt.Errorf("task %s: precedence graph has a cycle", t.Name)
-	}
-	return order, nil
-}
-
 // topo runs Kahn's algorithm in buf (len >= 2n): the first half holds the
 // in-degrees, the second the FIFO queue, whose push order is the topological
 // order. The result has n entries iff the graph is acyclic.
@@ -185,52 +175,38 @@ func (t *Task) topo(buf []int) []int {
 // zero value is ready to use.
 type Validator struct {
 	ints  []int
-	seen  []bool
 	names map[string]struct{}
 }
 
-// Validate checks the structural invariants required by the model: at least
-// one subtask, acyclicity, a unique root, every subtask reachable from the
-// root, positive execution times and critical time, and MinShare in [0,1].
+// Validate checks the structural invariants required by the model: a name,
+// at least one subtask, acyclicity, a unique root (which together make every
+// subtask reachable from it), positive finite execution times and critical
+// time, and MinShare in [0,1]. Range checks are written in the accepting form, so NaN
+// fails every one of them.
 func (t *Task) Validate() error { return new(Validator).Validate(t) }
 
 // Validate is Task.Validate on the validator's reused storage.
 func (v *Validator) Validate(t *Task) error {
+	if t.Name == "" {
+		return fmt.Errorf("task has empty name")
+	}
 	n := len(t.Subtasks)
 	if n == 0 {
 		return fmt.Errorf("task %s: no subtasks", t.Name)
 	}
-	if !(t.CriticalMs > 0) { // also rejects NaN
-		return fmt.Errorf("task %s: critical time must be positive, got %v", t.Name, t.CriticalMs)
+	if !(t.CriticalMs > 0 && t.CriticalMs <= math.MaxFloat64) {
+		return fmt.Errorf("task %s: critical time must be positive and finite, got %v", t.Name, t.CriticalMs)
 	}
 	if cap(v.ints) < 2*n {
-		v.ints, v.seen = make([]int, 2*n), make([]bool, n)
+		v.ints = make([]int, 2*n)
 	}
 	if len(t.topo(v.ints[:2*n])) != n {
 		return fmt.Errorf("task %s: precedence graph has a cycle", t.Name)
 	}
-	root, err := t.Root()
-	if err != nil {
+	// Acyclic with a single root: every subtask is reachable from it, since
+	// walking predecessors back from any subtask can only end there.
+	if _, err := t.Root(); err != nil {
 		return err
-	}
-	// Reachability from the root.
-	seen, stack := v.seen[:n], append(v.ints[:0], root)
-	clear(seen)
-	seen[root] = true
-	for len(stack) > 0 {
-		u := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, s := range t.succ[u] {
-			if !seen[s] {
-				seen[s] = true
-				stack = append(stack, s)
-			}
-		}
-	}
-	for i, ok := range seen {
-		if !ok {
-			return fmt.Errorf("task %s: subtask %s (index %d) unreachable from root", t.Name, t.Subtasks[i].Name, i)
-		}
 	}
 	if v.names == nil {
 		v.names = make(map[string]struct{}, n)
@@ -247,10 +223,10 @@ func (v *Validator) Validate(t *Task) error {
 		if s.Resource == "" {
 			return fmt.Errorf("task %s: subtask %s has no resource", t.Name, s.Name)
 		}
-		if s.ExecMs <= 0 {
-			return fmt.Errorf("task %s: subtask %s has non-positive WCET %v", t.Name, s.Name, s.ExecMs)
+		if !(s.ExecMs > 0 && s.ExecMs <= math.MaxFloat64) {
+			return fmt.Errorf("task %s: subtask %s WCET must be positive and finite, got %v", t.Name, s.Name, s.ExecMs)
 		}
-		if s.MinShare < 0 || s.MinShare > 1 {
+		if !(s.MinShare >= 0 && s.MinShare <= 1) {
 			return fmt.Errorf("task %s: subtask %s MinShare %v outside [0,1]", t.Name, s.Name, s.MinShare)
 		}
 	}
@@ -259,9 +235,6 @@ func (v *Validator) Validate(t *Task) error {
 	}
 	return nil
 }
-
-// ErrNoPaths indicates a task whose graph yields no root-to-leaf paths.
-var ErrNoPaths = errors.New("task: no root-to-leaf paths")
 
 // Paths enumerates every root-to-leaf path as a slice of subtask indices.
 // Results are cached until the task is mutated. The caller must not modify
@@ -277,32 +250,49 @@ func (t *Task) Paths() ([][]int, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, err := t.TopoSort(); err != nil {
-		return nil, err
+	// One scratch array for Kahn's algorithm and the walk's stack. The walk
+	// runs twice: it counts the paths and their entries, then carves every
+	// path out of one array, in the same depth-first order.
+	n := len(t.Subtasks)
+	buf := make([]int, 3*n)
+	if len(t.topo(buf[:2*n])) != n {
+		return nil, fmt.Errorf("task %s: precedence graph has a cycle", t.Name)
 	}
-	var paths [][]int
-	cur := make([]int, 0, len(t.Subtasks))
-	var walk func(v int)
-	walk = func(v int) {
-		cur = append(cur, v)
-		if len(t.succ[v]) == 0 {
-			p := make([]int, len(cur))
-			copy(p, cur)
-			paths = append(paths, p)
-		} else {
-			for _, s := range t.succ[v] {
-				walk(s)
-			}
-		}
-		cur = cur[:len(cur)-1]
-	}
-	walk(root)
-	if len(paths) == 0 {
-		return nil, ErrNoPaths
-	}
-	t.paths = paths
+	w := pathWalk{t: t, cur: buf[2*n : 2*n]}
+	w.from(root)
+	w.ints, w.paths = make([]int, w.entries), make([][]int, 0, w.count)
+	w.from(root)
+	t.paths = w.paths
 	t.pathsOK = true
-	return paths, nil
+	return t.paths, nil
+}
+
+// pathWalk is the state of Paths' enumeration: the stack of the walk, the
+// tally of the counting run and, on the carving run, what is left of the
+// paths' backing array and the paths carved so far.
+type pathWalk struct {
+	t              *Task
+	cur            []int
+	count, entries int
+	ints           []int
+	paths          [][]int
+}
+
+// from visits every path that extends the stack through v to a leaf.
+func (w *pathWalk) from(v int) {
+	w.cur = append(w.cur, v)
+	switch succ := w.t.succ[v]; {
+	case len(succ) > 0:
+		for _, s := range succ {
+			w.from(s)
+		}
+	case w.ints == nil:
+		w.count, w.entries = w.count+1, w.entries+len(w.cur)
+	default:
+		n := copy(w.ints, w.cur)
+		w.paths, w.ints = append(w.paths, w.ints[:n:n]), w.ints[n:]
+	}
+	w.cur = w.cur[:len(w.cur)-1]
 }
 
 // PathCount returns, for each subtask index, the number of root-to-leaf
@@ -355,16 +345,26 @@ func (t *Task) SubtaskIndexByName(name string) int {
 	return -1
 }
 
-// Clone returns a deep copy of the task (graph, subtasks and trigger).
+// Clone returns a deep copy of the task (graph, subtasks and trigger). The
+// succ and pred rows are carved out of one array, each clipped to its length,
+// so growing a row (AddEdge) reallocates it instead of writing into its
+// neighbour.
 func (t *Task) Clone() *Task {
 	c := New(t.Name, t.CriticalMs)
 	c.Trigger = t.Trigger
 	c.Subtasks = append([]Subtask(nil), t.Subtasks...)
-	c.succ = make([][]int, len(t.succ))
-	c.pred = make([][]int, len(t.pred))
-	for i := range t.succ {
-		c.succ[i] = append([]int(nil), t.succ[i]...)
-		c.pred[i] = append([]int(nil), t.pred[i]...)
+	n, edges := len(t.succ), 0
+	for _, s := range t.succ {
+		edges += len(s)
+	}
+	rows, ints := make([][]int, 2*n), make([]int, 2*edges)
+	c.succ, c.pred = rows[:n:n], rows[n:]
+	for j, side := range [2][][]int{t.succ, t.pred} {
+		for i, src := range side {
+			if k := copy(ints, src); k > 0 { // an empty row stays nil
+				rows[j*n+i], ints = ints[:k:k], ints[k:]
+			}
+		}
 	}
 	return c
 }

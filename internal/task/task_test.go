@@ -3,6 +3,7 @@ package task
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -168,6 +169,25 @@ func TestValidateCatchesCycle(t *testing.T) {
 	}
 }
 
+// TestValidateCatchesUnreachable: Validate has no reachability walk of its
+// own — a subtask the root cannot reach is a second root or sits behind a
+// cycle, and both are rejected.
+func TestValidateCatchesUnreachable(t *testing.T) {
+	tk := New("island", 10)
+	for _, name := range []string{"a", "b", "c", "d"} {
+		tk.AddSubtask(Subtask{Name: name, Resource: "r" + name, ExecMs: 1})
+	}
+	tk.MustEdge(0, 1)
+	tk.MustEdge(2, 3)
+	if err := tk.Validate(); err == nil || !strings.Contains(err.Error(), "multiple roots") {
+		t.Fatalf("second component with a root: Validate = %v, want multiple-roots error", err)
+	}
+	tk.MustEdge(3, 2)
+	if err := tk.Validate(); err == nil || !strings.Contains(err.Error(), "cycle") {
+		t.Fatalf("second component closed into a cycle: Validate = %v, want cycle error", err)
+	}
+}
+
 func TestValidateCatchesMultipleRoots(t *testing.T) {
 	tk := New("two-roots", 10)
 	tk.AddSubtask(Subtask{Name: "a", Resource: "r", ExecMs: 1})
@@ -190,6 +210,15 @@ func TestValidateCatchesBadFields(t *testing.T) {
 		{"bad minshare", func(tk *Task) { tk.Subtasks[0].MinShare = 1.5 }, "MinShare"},
 		{"empty name", func(tk *Task) { tk.Subtasks[0].Name = "" }, "empty name"},
 		{"dup name", func(tk *Task) { tk.Subtasks[1].Name = "a" }, "duplicate"},
+		{"empty task name", func(tk *Task) { tk.Name = "" }, "task has empty name"},
+		{"NaN critical", func(tk *Task) { tk.CriticalMs = math.NaN() }, "critical time"},
+		{"infinite critical", func(tk *Task) { tk.CriticalMs = math.Inf(1) }, "critical time"},
+		{"NaN wcet", func(tk *Task) { tk.Subtasks[1].ExecMs = math.NaN() }, "WCET"},
+		{"infinite wcet", func(tk *Task) { tk.Subtasks[1].ExecMs = math.Inf(1) }, "WCET"},
+		{"NaN minshare", func(tk *Task) { tk.Subtasks[1].MinShare = math.NaN() }, "MinShare"},
+		{"NaN period", func(tk *Task) { tk.Trigger = Periodic(math.NaN()) }, "period"},
+		{"infinite period", func(tk *Task) { tk.Trigger = Poisson(math.Inf(1)) }, "period"},
+		{"NaN bursty off", func(tk *Task) { tk.Trigger = Bursty(10, 5, math.NaN()) }, "bursty"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -226,9 +255,9 @@ func TestAddEdgeErrors(t *testing.T) {
 
 func TestTopoSortOrder(t *testing.T) {
 	tk := diamond(t)
-	order, err := tk.TopoSort()
-	if err != nil {
-		t.Fatal(err)
+	order := tk.topo(make([]int, 2*len(tk.Subtasks)))
+	if len(order) != len(tk.Subtasks) {
+		t.Fatalf("order %v does not cover the %d subtasks", order, len(tk.Subtasks))
 	}
 	pos := make(map[int]int)
 	for i, v := range order {
@@ -251,6 +280,57 @@ func TestCloneIsDeep(t *testing.T) {
 	}
 	if len(tk.Successors(1)) == len(c.Successors(1)) {
 		t.Error("Clone shares edge storage")
+	}
+}
+
+// TestCloneRowsAreClipped: a clone's succ and pred rows share one backing
+// array, so each must be clipped to its length — growing one (AddEdge,
+// AddSubtask) has to reallocate it, never write into the row behind it.
+func TestCloneRowsAreClipped(t *testing.T) {
+	tk := diamond(t) // a->b, a->c, b->d, c->d
+	c := tk.Clone()
+	if !reflect.DeepEqual(c.succ, tk.succ) || !reflect.DeepEqual(c.pred, tk.pred) || !reflect.DeepEqual(c.Subtasks, tk.Subtasks) {
+		t.Fatalf("clone differs from its original: succ %v pred %v, want %v %v", c.succ, c.pred, tk.succ, tk.pred)
+	}
+	for i := range c.succ {
+		for _, row := range [][]int{c.succ[i], c.pred[i]} {
+			if cap(row) != len(row) {
+				t.Fatalf("subtask %d: row %v has capacity %d beyond its length", i, row, cap(row))
+			}
+		}
+	}
+	if cap(c.succ) != len(c.succ) {
+		t.Fatalf("succ has capacity %d beyond its %d rows: AddSubtask would overwrite pred", cap(c.succ), len(c.succ))
+	}
+	// The same growth on the clone and on a task built row by row: every row
+	// of the clone, grown or not, must come out as on that one.
+	want := diamond(t)
+	for _, tk := range []*Task{want, c} {
+		tk.MustEdge(1, 2)
+		tk.MustEdge(0, tk.AddSubtask(Subtask{Name: "e", Resource: "r", ExecMs: 1}))
+	}
+	if !reflect.DeepEqual(c.succ, want.succ) || !reflect.DeepEqual(c.pred, want.pred) {
+		t.Fatalf("growing a clone's rows corrupted a neighbour:\n got succ %v pred %v\nwant succ %v pred %v", c.succ, c.pred, want.succ, want.pred)
+	}
+	if len(tk.Successors(1)) != 1 || len(tk.Subtasks) != 4 {
+		t.Fatal("growing the clone changed the original")
+	}
+}
+
+// TestPathsAreClipped: the paths share one backing array too, in the
+// depth-first order of the recursive enumeration.
+func TestPathsAreClipped(t *testing.T) {
+	paths, err := diamond(t).Paths()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := [][]int{{0, 1, 3}, {0, 2, 3}}; !reflect.DeepEqual(paths, want) {
+		t.Fatalf("paths %v, want %v", paths, want)
+	}
+	for _, p := range paths {
+		if cap(p) != len(p) {
+			t.Fatalf("path %v has capacity %d beyond its length", p, cap(p))
+		}
 	}
 }
 

@@ -1,6 +1,9 @@
 package task
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // TriggerKind enumerates the supported triggering-event arrival patterns
 // (Section 2: "signals with an arrival pattern").
@@ -72,15 +75,17 @@ func (tr Trigger) RateHz() float64 {
 	return base
 }
 
-// Validate checks trigger parameters.
+// Validate checks trigger parameters: durations are finite, periods and
+// on-phases positive.
 func (tr Trigger) Validate() error {
+	positive := func(ms float64) bool { return ms > 0 && ms <= math.MaxFloat64 }
 	switch tr.Kind {
 	case TriggerPeriodic, TriggerPoisson:
-		if tr.PeriodMs <= 0 {
-			return fmt.Errorf("trigger %s: period must be positive, got %v", tr.Kind, tr.PeriodMs)
+		if !positive(tr.PeriodMs) {
+			return fmt.Errorf("trigger %s: period must be positive and finite, got %v", tr.Kind, tr.PeriodMs)
 		}
 	case TriggerBursty:
-		if tr.PeriodMs <= 0 || tr.OnMs <= 0 || tr.OffMs < 0 {
+		if !(positive(tr.PeriodMs) && positive(tr.OnMs) && tr.OffMs >= 0 && tr.OffMs <= math.MaxFloat64) {
 			return fmt.Errorf("trigger bursty: invalid parameters period=%v on=%v off=%v", tr.PeriodMs, tr.OnMs, tr.OffMs)
 		}
 	case 0:

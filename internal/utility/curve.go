@@ -159,14 +159,28 @@ func (p *PiecewiseLinear) Slope(x float64) float64 {
 	return (p.ys[i+1] - p.ys[i]) / (p.xs[i+1] - p.xs[i])
 }
 
+// ConstSlope reports whether c's Slope ignores its argument, as Linear's and
+// NegLatency's do, and if so that slope: such a task is solved in a single
+// round, and one sample of its slope is a scan of all of them.
+func ConstSlope(c Curve) (slope float64, ok bool) {
+	switch c.(type) {
+	case Linear, NegLatency:
+		return c.Slope(0), true
+	}
+	return 0, false
+}
+
 // ValidateCurve numerically spot-checks that a curve is non-increasing and
 // concave over (0, maxX]: used by workload validation and property tests to
 // reject curves that would break LLA's convergence assumptions.
 func ValidateCurve(c Curve, maxX float64) error {
-	const steps = 64
+	steps := 64
+	if _, ok := ConstSlope(c); ok {
+		steps = 1
+	}
 	prevSlope := math.Inf(1)
 	for i := 1; i <= steps; i++ {
-		x := maxX * float64(i) / steps
+		x := maxX * float64(i) / float64(steps)
 		s := c.Slope(x)
 		if s > 1e-9 {
 			return fmt.Errorf("utility: slope %v > 0 at x=%v (curve must be non-increasing)", s, x)

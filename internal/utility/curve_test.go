@@ -1,6 +1,7 @@
 package utility
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -114,6 +115,61 @@ func TestValidateCurveRejectsConvex(t *testing.T) {
 	}
 	if err := ValidateCurve(increasing{}, 10); err == nil {
 		t.Error("ValidateCurve should reject an increasing curve")
+	}
+}
+
+// fullScan is ValidateCurve as it was before constant-slope curves got their
+// one-sample shortcut: 64 samples whatever the curve.
+func fullScan(c Curve, maxX float64) error {
+	prevSlope := math.Inf(1)
+	for i := 1; i <= 64; i++ {
+		s := c.Slope(maxX * float64(i) / 64)
+		if s > 1e-9 || s > prevSlope+1e-9 {
+			return fmt.Errorf("slope %v after %v at sample %d", s, prevSlope, i)
+		}
+		prevSlope = s
+	}
+	return nil
+}
+
+// TestValidateCurveConstSlope: Linear and NegLatency are validated from one
+// sample with the full scan's verdict; every other curve, valid or not, still
+// gets the full scan — the piecewise curve that flattens only past its middle
+// knot is caught by no early sample.
+func TestValidateCurveConstSlope(t *testing.T) {
+	for _, c := range []Curve{Linear{K: 2, CMs: 50}, Linear{K: 0, CMs: 0}, NegLatency{}} {
+		if _, ok := ConstSlope(c); !ok {
+			t.Errorf("%T not reported as constant-slope", c)
+		}
+		for _, maxX := range []float64{1e-9, 1, 50, 1e12} {
+			if got, want := ValidateCurve(c, maxX), fullScan(c, maxX); (got == nil) != (want == nil) {
+				t.Errorf("%#v over (0,%v]: ValidateCurve %v, full scan %v", c, maxX, got, want)
+			}
+		}
+	}
+	pw, err := NewPiecewiseLinear([]float64{0, 10, 20}, []float64{30, 25, 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		c     Curve
+		valid bool
+	}{
+		{Quadratic{A: 100, B: 0.01}, true},
+		{Quadratic{A: 100, B: -0.01}, false},
+		{ExpPenalty{A: 100, B: 1, Tau: 20}, true},
+		{ExpPenalty{A: 100, B: -1, Tau: 20}, false},
+		{pw, true},
+		{&PiecewiseLinear{xs: []float64{0, 10, 20}, ys: []float64{30, 5, 0}}, false}, // flattens: not concave
+		{convexDecay{}, false},
+	} {
+		if _, ok := ConstSlope(tc.c); ok {
+			t.Errorf("%T reported as constant-slope", tc.c)
+		}
+		got, want := ValidateCurve(tc.c, 20), fullScan(tc.c, 20)
+		if (got == nil) != tc.valid || (want == nil) != tc.valid {
+			t.Errorf("%#v: ValidateCurve %v, full scan %v, want valid=%v", tc.c, got, want, tc.valid)
+		}
 	}
 }
 

@@ -6,8 +6,6 @@
 package workload
 
 import (
-	"fmt"
-
 	"lla/internal/share"
 	"lla/internal/task"
 	"lla/internal/utility"
@@ -41,61 +39,6 @@ func (w *Workload) TaskByName(name string) *task.Task {
 	for _, t := range w.Tasks {
 		if t.Name == name {
 			return t
-		}
-	}
-	return nil
-}
-
-// Validate checks the workload for structural consistency: valid tasks and
-// resources, unique names, every referenced resource defined, a curve for
-// every task, and (per the paper's simplifying assumption in Section 2.1)
-// no two subtasks of the same task on the same resource.
-func (w *Workload) Validate() error {
-	if len(w.Tasks) == 0 {
-		return fmt.Errorf("workload %s: no tasks", w.Name)
-	}
-	if len(w.Resources) == 0 {
-		return fmt.Errorf("workload %s: no resources", w.Name)
-	}
-	resIdx := make(map[string]int, len(w.Resources))
-	for i, r := range w.Resources {
-		if err := r.Validate(); err != nil {
-			return fmt.Errorf("workload %s: %w", w.Name, err)
-		}
-		if _, dup := resIdx[r.ID]; dup {
-			return fmt.Errorf("workload %s: duplicate resource %q", w.Name, r.ID)
-		}
-		resIdx[r.ID] = i
-	}
-	// One scratch for every task: the task validator's storage, and per
-	// resource the last task seen on it (1-based) with that task's subtask.
-	var tv task.Validator
-	lastTask, lastSub := make([]int, len(w.Resources)), make([]int, len(w.Resources))
-	taskNames := make(map[string]struct{}, len(w.Tasks))
-	for ti, t := range w.Tasks {
-		if err := tv.Validate(t); err != nil {
-			return fmt.Errorf("workload %s: %w", w.Name, err)
-		}
-		if _, dup := taskNames[t.Name]; dup {
-			return fmt.Errorf("workload %s: duplicate task %q", w.Name, t.Name)
-		}
-		taskNames[t.Name] = struct{}{}
-		for si, s := range t.Subtasks {
-			ri, ok := resIdx[s.Resource]
-			if !ok {
-				return fmt.Errorf("workload %s: task %s subtask %s references unknown resource %q", w.Name, t.Name, s.Name, s.Resource)
-			}
-			if lastTask[ri] == ti+1 {
-				return fmt.Errorf("workload %s: task %s has subtasks %s and %s on the same resource %q", w.Name, t.Name, t.Subtasks[lastSub[ri]].Name, s.Name, s.Resource)
-			}
-			lastTask[ri], lastSub[ri] = ti+1, si
-		}
-		curve, ok := w.Curves[t.Name]
-		if !ok || curve == nil {
-			return fmt.Errorf("workload %s: task %s has no utility curve", w.Name, t.Name)
-		}
-		if err := utility.ValidateCurve(curve, t.CriticalMs); err != nil {
-			return fmt.Errorf("workload %s: task %s: %w", w.Name, t.Name, err)
 		}
 	}
 	return nil
