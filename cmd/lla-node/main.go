@@ -282,9 +282,9 @@ func runFleet(w *workload.Workload, cfg core.Config, shards, shardWorkers, round
 	if err != nil {
 		return err
 	}
-	fmt.Printf("converged=%v rounds=%d local_iters=%d swept=%d skipped=%d shard_workers=%d kkt=%.3g boundary_residual=%.3g utility=%.3f\n",
+	fmt.Printf("converged=%v rounds=%d local_iters=%d swept=%d skipped=%d shard_workers=%d kkt=%.3g boundary_residual=%.3g boundary_fallbacks=%d utility=%.3f\n",
 		res.Converged, res.Rounds, res.LocalIters, res.SweptShards, res.SkippedShards, res.ShardWorkers,
-		res.KKTMax, res.BoundaryResidual, res.Utility)
+		res.KKTMax, res.BoundaryResidual, res.BoundaryFallbacks, res.Utility)
 	for s := 0; s < part.Shards; s++ {
 		fmt.Printf("  shard %d: %d tasks\n", s, len(part.ShardTasks[s]))
 	}

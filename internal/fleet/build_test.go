@@ -48,14 +48,19 @@ var oracleCases = []struct {
 	chain bool
 	cross float64
 	// golden is the FNV-1a digest of a full Run's RecordHashes matrix and
-	// boundary-residual series, recorded at the commit before fleet.New
-	// stopped compiling the whole workload.
+	// boundary-residual series. Recorded at the commit before fleet.New
+	// stopped compiling the whole workload, and re-recorded once, when the
+	// trajectory itself changed on purpose: the aggregator takes Newton steps
+	// (coupled: 37 and 42 rounds became 6) and a shard whose sweep ended on the KKT
+	// window is skipped, not polished by two more iterations, while its pins
+	// stand (separable: the second of the two rounds). What the runs converge
+	// to is held by the property suites, not by these recordings.
 	golden uint64
 }{
-	{"chain/separable", true, 0, 0x8a8ac15d8c5db2fa},
-	{"chain/coupled", true, 0.15, 0x47759e4f8996cae3},
-	{"dag/separable", false, 0, 0x1652a0d28b78c40e},
-	{"dag/coupled", false, 0.15, 0x788bfc0802b6365f},
+	{"chain/separable", true, 0, 0x692ddc3c5d4f7b94},
+	{"chain/coupled", true, 0.15, 0xeff63c309f39d720},
+	{"dag/separable", false, 0, 0x1f8299e7fb773efc},
+	{"dag/coupled", false, 0.15, 0x3e1991aa3de97c42},
 }
 
 func oracleWorkload(t *testing.T, chain bool, cross float64) *workload.Workload {

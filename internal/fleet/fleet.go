@@ -42,12 +42,6 @@ type Config struct {
 	// invariant.
 	Engine core.Config
 
-	// BoundarySolver selects the aggregator's dynamics over the boundary
-	// price vector — gradient or diagonal-Newton ("" = the Engine config's
-	// solver, which defaults to gradient). Diagonal Newton consumes the
-	// shard-summed demand curvature carried by the BOUNDARY frames.
-	BoundarySolver price.Solver
-
 	// LocalIters caps one shard sweep (0 = 400). LocalKKTTol, LocalWindow
 	// and Tol form the sweep's stopping rule (0 = KKTTol, 2, 1e-6).
 	LocalIters  int
@@ -137,6 +131,10 @@ type Result struct {
 	// relative price movement).
 	KKTMax           float64
 	BoundaryResidual float64
+	// BoundaryFallbacks counts, over the run's rounds, the boundary
+	// coordinates that took the gradient safeguard because their Newton model
+	// was degenerate — the first thing to read when Rounds balloons.
+	BoundaryFallbacks uint64
 	// Utility is the global aggregate utility (sum over shards).
 	Utility float64
 	// BoundaryCount and CutCost describe the partition.
@@ -200,8 +198,9 @@ type Fleet struct {
 	bmove   []float64
 	bprev   []float64
 
-	bdyn     price.Dynamics
-	needCurv bool
+	// bdyn is diagonal Newton over the shard-summed demand and curvature (an
+	// interface only so an in-package test can install the gradient oracle).
+	bdyn price.Dynamics
 
 	// stable counts consecutive certified rounds; stats the lifetime
 	// counters; hashLog/residLog the RecordHashes determinism certificate
@@ -237,7 +236,6 @@ func (f *Fleet) shardEngine(ck *workload.Checked, s int, taskIdx []int) (*core.E
 // build is New on a workload that has already been checked.
 func build(ck *workload.Checked, cfg Config) (*Fleet, error) {
 	cfg = cfg.withDefaults()
-	ecfg := cfg.Engine.WithDefaults()
 	w := ck.Workload()
 	part, err := NewPartition(ck, PartitionConfig{
 		Shards: cfg.Shards, Seed: cfg.Seed,
@@ -271,16 +269,13 @@ func build(ck *workload.Checked, cfg Config) (*Fleet, error) {
 		f.shards = append(f.shards, &shardRuntime{id: s, eng: eng})
 	}
 
-	// The boundary price vector runs the same pluggable dynamics as an
-	// engine's resource phase, built through the shared constructor so the
-	// aggregator's update arithmetic is the engine's.
-	bcfg := core.Config{Step: ecfg.Step, PriceSolver: cfg.BoundarySolver}
-	if bcfg.PriceSolver == "" {
-		bcfg.PriceSolver = ecfg.PriceSolver
-	}
-	bcfg = bcfg.WithDefaults()
+	// The boundary vector takes diagonal-Newton steps whatever solver the
+	// shard engines run: an aggregator round costs a sweep of the fleet, and
+	// the curvature is in every BOUNDARY report already. The safeguard is the
+	// engines' reference gradient step, built from their step policy.
+	bcfg := cfg.Engine.WithDefaults()
+	bcfg.PriceSolver = price.SolverNewton
 	f.bdyn = bcfg.NewDynamics()
-	f.needCurv = f.bdyn.NeedsCurvature()
 	if err := f.bindBoundary(w, part.Boundary, f); err != nil {
 		f.Close()
 		return nil, err
@@ -353,7 +348,7 @@ func (f *Fleet) bindBoundary(w *workload.Workload, boundary []int, warm *Fleet) 
 		for j, b := range s.slot {
 			s.bd[j].Shard, s.bd[j].Resource, s.bp[j].Resource = s.id, f.bid[b], f.bid[b]
 		}
-		s.refreshBoundary(f.needCurv)
+		s.refreshBoundary()
 	}
 	f.bdyn.Reset(nb)
 	return nil
@@ -390,15 +385,15 @@ func (f *Fleet) Close() {
 }
 
 // Run drives aggregator rounds until certification or MaxRounds. Each round
-// sweeps every shard whose pinned prices moved (concurrently, ShardWorkers
-// at a time) to its local fixed point, aggregates the boundary demand (and
-// curvature, for Newton), checks the certification, and — when not yet
-// certified — advances the boundary price vector one dynamics step and
-// re-pins it everywhere.
+// sweeps every shard not at rest (concurrently, ShardWorkers at a time) to
+// its local fixed point, aggregates the boundary demand and curvature, checks
+// the certification, and — when not yet certified — advances the boundary
+// price vector one Newton step and re-pins it everywhere.
 func (f *Fleet) Run() (Result, error) {
 	res := Result{BoundaryCount: len(f.bid), CutCost: f.part.CutCost, ShardWorkers: f.workers}
 	f.stable = 0
 	hashStart, residStart := len(f.hashLog), len(f.residLog)
+	fallbacks := f.bdyn.Fallbacks()
 	for res.Rounds < f.cfg.MaxRounds {
 		info, err := f.round()
 		res.Rounds++
@@ -416,6 +411,7 @@ func (f *Fleet) Run() (Result, error) {
 	}
 	res.ShardHashes = f.hashLog[hashStart:]
 	res.BoundaryResiduals = f.residLog[residStart:]
+	res.BoundaryFallbacks = f.bdyn.Fallbacks() - fallbacks
 	for _, s := range f.shards {
 		res.Utility += s.eng.Probe().Utility
 	}
@@ -451,7 +447,6 @@ type roundInfo struct {
 	kktMax  float64
 	// boundary is the round's boundary residual.
 	boundary  float64
-	certified bool
 	converged bool
 }
 
@@ -461,14 +456,13 @@ func (f *Fleet) round() (roundInfo, error) {
 	n := f.stats.Rounds
 	var ri roundInfo
 
-	// Active set: a shard whose last sweep ended at a bitwise
-	// self-fixed-point and whose pinned prices have not moved since (pin
-	// epoch unchanged) would replay a no-op sweep — skip it and reuse its
-	// cached boundary report, which is bit-exact because nothing in the
-	// shard changed.
+	// Active set: a shard at rest — its last sweep ended on its own stopping
+	// rule and neither its pins (pin epoch) nor its engine have been touched
+	// since — is skipped, and its cached boundary report and certificate
+	// stand: they describe a state nothing has changed (SHARDING.md §3a).
 	f.due = f.due[:0]
 	for _, s := range f.shards {
-		s.skip = s.frozen && s.eng.PinEpoch() == s.sweptEpoch
+		s.skip = s.atRest && s.eng.PinEpoch() == s.sweptEpoch
 		if s.skip {
 			s.iters = 0
 			ri.skipped++
@@ -517,10 +511,8 @@ func (f *Fleet) round() (roundInfo, error) {
 			feasible = false
 		}
 	}
-	ri.certified = ri.kktMax < f.cfg.KKTTol && feasible && ri.boundary < f.cfg.BoundaryTol
-
 	f.publish(n, &ri)
-	if ri.certified {
+	if ri.kktMax < f.cfg.KKTTol && feasible && ri.boundary < f.cfg.BoundaryTol {
 		f.stable++
 	} else {
 		f.stable = 0
@@ -545,7 +537,7 @@ func (f *Fleet) round() (roundInfo, error) {
 func (f *Fleet) sweepShard(s *shardRuntime) {
 	s.sweep(f.cfg.LocalIters, f.cfg.LocalFreeze, f.cfg.LocalKKTTol, f.cfg.LocalWindow, f.cfg.Tol)
 	s.sweptEpoch = s.eng.PinEpoch()
-	s.refreshBoundary(f.needCurv)
+	s.refreshBoundary()
 }
 
 // aggregate sums each boundary resource's demand (and curvature) over the
@@ -626,6 +618,7 @@ func (f *Fleet) updateBoundary(round int) error {
 		f.bcong[b] = f.bdemand[b] > f.bavail[b]*(1+core.CongestionMargin)
 	}
 	copy(f.bprev, f.bmu)
+	fallbacks := f.bdyn.Fallbacks()
 	f.bdyn.Step(price.StepInput{
 		Mu:        f.bmu,
 		ShareSums: f.bdemand,
@@ -633,6 +626,9 @@ func (f *Fleet) updateBoundary(round int) error {
 		Congested: f.bcong,
 		Curvature: f.bcurv,
 	})
+	if f.fm != nil {
+		f.fm.BoundaryFallbacks.Add(int64(f.bdyn.Fallbacks() - fallbacks))
+	}
 	for b := range f.bmu {
 		f.bmove[b] = math.Abs(f.bmu[b]-f.bprev[b]) / math.Max(f.bprev[b], 1)
 	}

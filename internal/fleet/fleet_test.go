@@ -7,7 +7,6 @@ import (
 
 	"lla/internal/core"
 	"lla/internal/obs"
-	"lla/internal/price"
 	"lla/internal/workload"
 )
 
@@ -189,26 +188,6 @@ func TestFleetDeterministicHashes(t *testing.T) {
 	}
 }
 
-// TestFleetBoundaryNewton drives the aggregator with diagonal-Newton
-// boundary dynamics (curvature aggregated over shards) and checks it
-// certifies in no more rounds than MaxRounds.
-func TestFleetBoundaryNewton(t *testing.T) {
-	w := clusteredWorkload(t, 41, 0.3)
-	f, err := New(w, Config{Shards: 4, Seed: 2, Engine: core.Config{Workers: 1},
-		BoundarySolver: price.SolverNewton, WireVerify: true})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	defer f.Close()
-	res, err := f.Run()
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if !res.Converged {
-		t.Fatalf("newton boundary dynamics did not certify: %+v", res)
-	}
-}
-
 // TestFleetObservability checks the lla_fleet_* metric set and the trace
 // events: one fleet_round per executed round, one fleet_converged on
 // certification, and the converged gauge set.
@@ -241,6 +220,9 @@ func TestFleetObservability(t *testing.T) {
 	}
 	if got := fm.LocalIters.Value(); got != int64(res.LocalIters) {
 		t.Errorf("lla_fleet_local_iters_total %d, want %d", got, res.LocalIters)
+	}
+	if got := fm.BoundaryFallbacks.Value(); got != int64(res.BoundaryFallbacks) || got == 0 {
+		t.Errorf("lla_fleet_boundary_fallbacks_total %d, Result says %d, and a cold round 0 has no Newton step to take", got, res.BoundaryFallbacks)
 	}
 	if got := fm.Converged.Value(); got != 1 {
 		t.Errorf("lla_fleet_converged %v, want 1", got)
@@ -312,7 +294,9 @@ func TestSweepCertificateMatchesDenseScans(t *testing.T) {
 				// each shard where this sweep left it and moves the pins on.
 				for _, s := range f.shards {
 					f.sweepShard(s)
-					if s.frozen {
+					// At rest is the window exit or the frozen break; in the
+					// freeze and long-window cases it can only be the latter.
+					if s.atRest {
 						frozen++
 						if s.iters > 1 {
 							frozenLate++
@@ -331,8 +315,8 @@ func TestSweepCertificateMatchesDenseScans(t *testing.T) {
 					}
 					want.MaxPathViolationFrac = s.eng.Probe().MaxPathViolationFrac
 					if s.cert != want {
-						t.Fatalf("round %d shard %d (iters %d, frozen %v): sweep left %+v, dense scans %+v",
-							round, s.id, s.iters, s.frozen, s.cert, want)
+						t.Fatalf("round %d shard %d (iters %d, at rest %v): sweep left %+v, dense scans %+v",
+							round, s.id, s.iters, s.atRest, s.cert, want)
 					}
 				}
 				if _, err := f.Round(); err != nil {
@@ -340,7 +324,7 @@ func TestSweepCertificateMatchesDenseScans(t *testing.T) {
 				}
 			}
 			if frozen == 0 {
-				t.Error("no sweep ended on the frozen break")
+				t.Error("no sweep ended at rest")
 			}
 			if tc.name == "long-window" && frozenLate == 0 {
 				t.Error("no sweep froze after an iteration of its own, so none kept a certificate")

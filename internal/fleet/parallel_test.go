@@ -1,10 +1,13 @@
 package fleet
 
 import (
+	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"lla/internal/core"
+	"lla/internal/workload"
 )
 
 // TestFleetShardWorkersBitwiseInvariant is the parallel-rounds determinism
@@ -51,15 +54,25 @@ func TestFleetShardWorkersBitwiseInvariant(t *testing.T) {
 	}
 }
 
-// TestFleetSkipsFrozenShards: once Run certifies, the shards sit at proven
-// fixed points under unchanged pins, so further rounds skip every sweep.
-func TestFleetSkipsFrozenShards(t *testing.T) {
-	w := clusteredWorkload(t, 17, 0.25)
-	f, err := New(w, Config{Shards: 4, Seed: 1, LocalFreeze: true, LocalIters: 5000})
+// restConfigs are the two rules a sweep can come to rest under: the default
+// KKT window, and the bitwise frozen fixed point of LocalFreeze.
+var restConfigs = []struct {
+	name string
+	cfg  Config
+}{
+	{"window", Config{}},
+	{"freeze", Config{LocalFreeze: true, LocalIters: 5000}},
+}
+
+// certifiedFleet builds cfg's 4-shard fleet over w and runs it to certification.
+func certifiedFleet(t *testing.T, w *workload.Workload, cfg Config) *Fleet {
+	t.Helper()
+	cfg.Shards, cfg.Seed = 4, 1
+	f, err := New(w, cfg)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	defer f.Close()
+	t.Cleanup(f.Close)
 	res, err := f.Run()
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -70,26 +83,171 @@ func TestFleetSkipsFrozenShards(t *testing.T) {
 	if res.SweptShards == 0 {
 		t.Fatal("run reported zero swept shards")
 	}
-	before := f.Stats()
-	if before.Swept+before.Skipped != before.Rounds*f.Shards() {
-		t.Fatalf("stats don't tally: %+v over %d shards", before, f.Shards())
+	return f
+}
+
+// roundSweeps runs one round and fails unless it swept exactly the shards of
+// want (ascending) and skipped every other.
+func roundSweeps(t *testing.T, f *Fleet, what string, want []int) {
+	t.Helper()
+	if _, err := f.Round(); err != nil {
+		t.Fatalf("%s: Round: %v", what, err)
 	}
-	for i := 0; i < 3; i++ {
-		conv, err := f.Round()
+	var got []int
+	for _, s := range f.shards {
+		if !s.skip {
+			got = append(got, s.id)
+		}
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("%s: the round swept shards %v, want %v", what, got, want)
+	}
+}
+
+// repin pins boundary resource b at mu in every shard holding it, behind the
+// aggregator's back, and returns those shards (ascending).
+func repin(t *testing.T, f *Fleet, b int, mu float64) []int {
+	t.Helper()
+	var holders []int
+	for _, s := range f.shards {
+		if j := slices.Index(s.slot, b); j >= 0 {
+			holders = append(holders, s.id)
+			if err := s.eng.PinPrice(s.localRi[j], mu, f.bcong[b]); err != nil {
+				t.Fatalf("PinPrice: %v", err)
+			}
+		}
+	}
+	return holders
+}
+
+// recertify runs the fleet back to certification between wake-up cases.
+func recertify(t *testing.T, f *Fleet, what string) {
+	t.Helper()
+	if res, err := f.Run(); err != nil || !res.Converged {
+		t.Fatalf("%s: re-run: converged=%v err=%v", what, res.Converged, err)
+	}
+}
+
+// TestFleetSkipsShardsAtRest: once Run certifies, every shard's last sweep
+// ended on its own stopping rule under pins that have not moved since, so
+// further rounds skip every sweep — and what a skipped shard contributes, its
+// cached boundary report and certificate, is bitwise what re-scanning its
+// untouched engine reports. Then each thing that can touch a shard — a moved
+// pin, an unpin, a ReplaceWorkload that dirties it — wakes that shard and no
+// other.
+func TestFleetSkipsShardsAtRest(t *testing.T) {
+	for _, tc := range restConfigs {
+		t.Run(tc.name, func(t *testing.T) {
+			w := clusteredWorkload(t, 17, 0.25)
+			f := certifiedFleet(t, w, tc.cfg)
+			before := f.Stats()
+			if before.Swept+before.Skipped != before.Rounds*f.Shards() {
+				t.Fatalf("stats don't tally: %+v over %d shards", before, f.Shards())
+			}
+			for i := 0; i < 3; i++ {
+				conv, err := f.Round()
+				if err != nil {
+					t.Fatalf("Round: %v", err)
+				}
+				if !conv {
+					t.Fatalf("round %d: certified fleet reported not converged", i)
+				}
+				for _, s := range f.shards {
+					for j, lri := range s.localRi {
+						demand, curv := s.eng.ShareSumAt(lri), s.eng.CurvatureAt(lri)
+						if math.Float64bits(s.bd[j].Demand) != math.Float64bits(demand) ||
+							math.Float64bits(s.bd[j].Curvature) != math.Float64bits(curv) {
+							t.Fatalf("round %d shard %d: cached report of %s is (%v, %v), the engine says (%v, %v)",
+								i, s.id, s.bd[j].Resource, s.bd[j].Demand, s.bd[j].Curvature, demand, curv)
+						}
+					}
+					if want, _ := s.eng.Certify(math.Inf(1), math.Inf(1)); s.cert != want {
+						t.Fatalf("round %d shard %d: cached certificate %+v, a dense scan says %+v", i, s.id, s.cert, want)
+					}
+				}
+			}
+			after := f.Stats()
+			if got := after.Skipped - before.Skipped; got != 3*f.Shards() {
+				t.Fatalf("steady-state rounds skipped %d sweeps, want %d", got, 3*f.Shards())
+			}
+			if after.Swept != before.Swept {
+				t.Fatalf("steady-state rounds executed %d sweeps, want 0", after.Swept-before.Swept)
+			}
+
+			// A moved pin wakes the shards holding that boundary resource.
+			if len(f.bid) == 0 {
+				t.Fatal("no boundary resources; the wake-up cases are vacuous")
+			}
+			holders := repin(t, f, 0, f.bmu[0]*1.001)
+			if len(holders) < 2 || len(holders) == f.Shards() {
+				t.Fatalf("boundary resource %s is held by shards %v of %d; the case needs some, not all", f.bid[0], holders, f.Shards())
+			}
+			roundSweeps(t, f, "moved pin", holders)
+			recertify(t, f, "moved pin")
+
+			// An unpinned resource wakes its shard alone.
+			one := f.shards[holders[0]]
+			one.eng.UnpinPrice(one.localRi[0])
+			roundSweeps(t, f, "unpin", holders[:1])
+			recertify(t, f, "unpin")
+
+			// A ReplaceWorkload wakes the shard it rebuilds; the others keep
+			// their engines, their pins and their rest.
+			w2 := w.Clone()
+			w2.Tasks[0].CriticalMs *= 0.9
+			st, err := f.ReplaceWorkload(w2)
+			if err != nil || st.Full || st.Rebuilt != 1 {
+				t.Fatalf("ReplaceWorkload: %+v, err %v; want one shard rebuilt", st, err)
+			}
+			roundSweeps(t, f, "replace", []int{f.Partition().TaskShard[0]})
+			recertify(t, f, "replace")
+		})
+	}
+}
+
+// TestFleetCappedSweepIsNotAtRest: a sweep that ran into LocalIters did not
+// end on its stopping rule, so its shard is swept again next round although
+// nothing touched it (a separable workload has no pins to move); the first
+// sweep that does end on the rule is the last.
+func TestFleetCappedSweepIsNotAtRest(t *testing.T) {
+	const capIters = 5
+	f, err := New(clusteredWorkload(t, 17, 0), Config{Shards: 4, Seed: 1, LocalIters: capIters})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer f.Close()
+	if len(f.bid) != 0 {
+		t.Fatalf("separable workload has %d boundary resources", len(f.bid))
+	}
+	capped := 0
+	for round := 0; round < 200; round++ {
+		rest := make([]bool, f.Shards())
+		for i, s := range f.shards {
+			rest[i] = s.atRest
+		}
+		done, err := f.Round()
 		if err != nil {
 			t.Fatalf("Round: %v", err)
 		}
-		if !conv {
-			t.Fatalf("round %d: certified fleet reported not converged", i)
+		for i, s := range f.shards {
+			if s.skip != rest[i] {
+				t.Fatalf("round %d shard %d: at rest %v before the round, skipped %v", round, i, rest[i], s.skip)
+			}
+			if !s.skip && !s.atRest {
+				capped++
+				if s.iters != capIters {
+					t.Fatalf("round %d shard %d: sweep left the shard awake after %d of %d iterations", round, i, s.iters, capIters)
+				}
+			}
+		}
+		if done {
+			if capped == 0 {
+				t.Fatal("no sweep hit the cap; test is vacuous")
+			}
+			return
 		}
 	}
-	after := f.Stats()
-	if got := after.Skipped - before.Skipped; got != 3*f.Shards() {
-		t.Fatalf("steady-state rounds skipped %d sweeps, want %d", got, 3*f.Shards())
-	}
-	if after.Swept != before.Swept {
-		t.Fatalf("steady-state rounds executed %d sweeps, want 0", after.Swept-before.Swept)
-	}
+	t.Fatal("capped sweeps never certified")
 }
 
 // TestFleetSkippedRoundZeroAllocs: a steady-state round — every shard
@@ -97,33 +255,27 @@ func TestFleetSkipsFrozenShards(t *testing.T) {
 // nothing: cached demand reports and persistent boundary buffers carry the
 // whole round.
 func TestFleetSkippedRoundZeroAllocs(t *testing.T) {
-	w := clusteredWorkload(t, 17, 0.25)
-	f, err := New(w, Config{Shards: 4, Seed: 1, ShardWorkers: 1, Engine: core.Config{Workers: 1},
-		LocalFreeze: true, LocalIters: 5000})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	defer f.Close()
-	res, err := f.Run()
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if !res.Converged {
-		t.Fatalf("did not converge in %d rounds", res.Rounds)
-	}
-	var roundErr error
-	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := f.Round(); err != nil {
-			roundErr = err
-		}
-	})
-	if roundErr != nil {
-		t.Fatalf("Round: %v", roundErr)
-	}
-	if allocs != 0 {
-		t.Fatalf("steady-state round allocates %v times, want 0", allocs)
-	}
-	if st := f.Stats(); st.Skipped == 0 {
-		t.Fatal("steady-state rounds did not skip")
+	for _, tc := range restConfigs {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tc.cfg
+			cfg.ShardWorkers, cfg.Engine = 1, core.Config{Workers: 1}
+			f := certifiedFleet(t, clusteredWorkload(t, 17, 0.25), cfg)
+			before := f.Stats()
+			var roundErr error
+			allocs := testing.AllocsPerRun(20, func() {
+				if _, err := f.Round(); err != nil {
+					roundErr = err
+				}
+			})
+			if roundErr != nil {
+				t.Fatalf("Round: %v", roundErr)
+			}
+			if allocs != 0 {
+				t.Fatalf("steady-state round allocates %v times, want 0", allocs)
+			}
+			if st := f.Stats(); st.Swept != before.Swept || st.Skipped == before.Skipped {
+				t.Fatalf("steady-state rounds swept %d shards and skipped %d", st.Swept-before.Swept, st.Skipped-before.Skipped)
+			}
+		})
 	}
 }

@@ -163,7 +163,7 @@ func (f *Fleet) ReplaceWorkload(w *workload.Workload) (ReplaceStats, error) {
 		if sr := f.shards[s]; eng != nil {
 			sr.eng.Close()
 			sr.eng, sr.localRi, sr.slot = eng, nil, nil
-			sr.frozen, sr.sweptEpoch, sr.iters = false, 0, 0
+			sr.atRest, sr.sweptEpoch, sr.iters = false, 0, 0
 		}
 	}
 	cut2, bRes2 := cutOf(ck2, assign, K)

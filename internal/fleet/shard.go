@@ -26,14 +26,13 @@ type shardRuntime struct {
 	iters int
 	cert  core.Certificate
 
-	// Shard-level active-set state (SHARDING.md): frozen records that the
-	// last sweep exited at a bitwise self-fixed-point (a Step that executed
-	// zero solves and repriced zero resources), sweptEpoch the engine's pin
-	// epoch when that sweep ended. While both hold — no pinned boundary
-	// price has moved since a proven fixed point — re-sweeping would be a
-	// bitwise no-op, so the round skips the shard entirely. skip caches the
-	// current round's decision.
-	frozen     bool
+	// Shard-level active-set state (SHARDING.md §3a): atRest records that the
+	// last sweep ended on its own stopping rule — the KKT window or a no-op
+	// Step — not on the iteration cap; sweptEpoch is the engine's pin epoch
+	// when it ended. While both hold, the sweep's contract (iterate until the
+	// rule holds) is met by the state as it stands and the round skips the
+	// shard. skip caches the current round's decision.
+	atRest     bool
 	sweptEpoch uint64
 	skip       bool
 
@@ -47,38 +46,32 @@ type shardRuntime struct {
 	bp []wire.BoundaryPrice
 }
 
-// refreshBoundary refreshes the shard's boundary demand report from the
-// engine's post-sweep state. Curvature is recomputed only when the boundary
-// solver consumes it (O(degree) per resource). Runs inside the sweep job —
-// it touches only this shard's engine and buffers, so concurrent shard
-// sweeps stay race-free.
-func (s *shardRuntime) refreshBoundary(needCurv bool) {
+// refreshBoundary refreshes the shard's boundary report — demand and its
+// curvature, O(degree) per resource — from the engine's post-sweep state.
+// Runs inside the sweep job: it touches only this shard's engine and buffers,
+// so concurrent shard sweeps stay race-free.
+func (s *shardRuntime) refreshBoundary() {
 	for j, lri := range s.localRi {
 		s.bd[j].Demand = s.eng.ShareSumAt(lri)
-		if needCurv {
-			s.bd[j].Curvature = s.eng.CurvatureAt(lri)
-		}
+		s.bd[j].Curvature = s.eng.CurvatureAt(lri)
 	}
 }
 
 // sweep runs the shard's local price dynamics against the current pinned
 // boundary prices until the shard-local fixed point: the KKT/feasibility
-// window rule, or — in freeze mode, and as an early exit otherwise — until
-// a Step executes zero solves and reprices zero resources, meaning the
-// state is bitwise frozen and further Steps are no-ops.
-// maxIters always caps the sweep. Each Step is graded by the engine's
-// short-circuiting certificate; a passing grade is complete, so the window
-// exit keeps it — and so does a frozen exit right after one, since the no-op
-// Step left the graded state as it was. Only an exit whose state went
-// ungraded or failed (freeze mode, the cap, a frozen break after a failed
-// grade) pays one full scan for s.cert.
+// window rule, or — in freeze mode, and as an early exit otherwise — until a
+// Step executes zero solves and reprices zero resources, meaning the state is
+// bitwise frozen and further Steps are no-ops. Either exit leaves the shard at
+// rest; maxIters always caps the sweep, and a capped sweep does not. Each Step
+// is graded by the engine's short-circuiting certificate; a passing grade is
+// complete, so the window exit keeps it — and so does a frozen exit right
+// after one, since the no-op Step left the graded state as it was. Only an
+// exit whose state went ungraded or failed (freeze mode, the cap, a frozen
+// break after a failed grade) pays one full scan for s.cert.
 func (s *shardRuntime) sweep(maxIters int, freeze bool, kktTol float64, window int, tol float64) {
-	if window < 1 {
-		window = 1
-	}
-	stable := 0
+	stable := 0 // a window below 1 is a window of 1: the first pass reaches it
 	s.iters = 0
-	s.frozen = false
+	s.atRest = false
 	graded := false // s.cert is the complete certificate of the current state
 	for s.iters < maxIters {
 		before := s.eng.SparseStats()
@@ -87,8 +80,8 @@ func (s *shardRuntime) sweep(maxIters int, freeze bool, kktTol float64, window i
 		after := s.eng.SparseStats()
 		if after.ExecutedSolves == before.ExecutedSolves &&
 			after.RepricedResources == before.RepricedResources {
-			s.frozen = true
-			break // bitwise frozen: replaying the Step changes nothing
+			s.atRest = true // bitwise frozen: replaying the Step changes nothing
+			break
 		}
 		graded = false
 		if freeze {
@@ -97,6 +90,7 @@ func (s *shardRuntime) sweep(maxIters int, freeze bool, kktTol float64, window i
 		if s.cert, graded = s.eng.Certify(kktTol, tol); graded {
 			stable++
 			if stable >= window {
+				s.atRest = true
 				break
 			}
 		} else {

@@ -298,10 +298,13 @@ type FleetMetrics struct {
 	// Converged is 1 once the KKT stopping rule has certified the global
 	// fixed point, else 0.
 	Converged *Gauge
+	// BoundaryFallbacks counts boundary coordinates that took the gradient
+	// safeguard because the aggregator's Newton model was degenerate there.
+	BoundaryFallbacks *Counter
 	// ShardSweeps and ShardSkips count per-shard sweep decisions: a sweep
-	// runs the shard engine's local iteration; a skip reuses the shard's
-	// frozen state because its pinned boundary prices did not move since its
-	// last sweep ended at a self-fixed-point (the shard-level active set).
+	// runs the shard engine's local iteration; a skip reuses the report of a
+	// shard at rest — its last sweep ended on its own stopping rule and its
+	// pins have not moved since (the shard-level active set).
 	ShardSweeps *Counter
 	ShardSkips  *Counter
 	// ShardWorkers is the resolved sweep concurrency (fleet.Config
@@ -325,6 +328,7 @@ func NewFleetMetrics(r *Registry) *FleetMetrics {
 		BoundaryResidual:  r.Gauge("lla_fleet_boundary_residual", "Worst boundary residual of the last round."),
 		KKTMax:            r.Gauge("lla_fleet_kkt_residual_max", "Worst shard-local KKT residual of the last round."),
 		Converged:         r.Gauge("lla_fleet_converged", "1 once the global fixed point is certified, else 0."),
+		BoundaryFallbacks: r.Counter("lla_fleet_boundary_fallbacks_total", "Boundary coordinates that took the gradient safeguard instead of a Newton step."),
 		ShardSweeps:       r.Counter("lla_fleet_shard_sweeps_total", "Shard sweeps executed by aggregator rounds."),
 		ShardSkips:        r.Counter("lla_fleet_shard_skips_total", "Shard sweeps skipped by the shard-level active set."),
 		ShardWorkers:      r.Gauge("lla_fleet_shard_workers", "Resolved concurrent shard-sweep worker count."),

@@ -6,7 +6,8 @@
 # reference gradient, a warm checkpoint
 # restart does not re-converge in fewer rounds than a cold one, the batched
 # wire frame grows by a byte or the codec allocates over 5 % more than the
-# previous report recorded, the million-subtask sharded fleet fails to certify convergence, the
+# previous report recorded, the million-subtask sharded fleet fails to certify convergence or
+# needs more aggregator rounds than the previous report recorded, the
 # fleet's boundary rounds exceed twice the single engine's KKT rounds, the
 # parallel 1m fleet run diverges from the serial round count (or, on >= 4
 # CPUs, fails to halve its wall-clock), fleet.New or a one-cluster

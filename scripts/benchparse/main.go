@@ -377,6 +377,9 @@ var gated = []string{
 // tol (relative). Allocation counts repeat run to run, so their bound is
 // tight, and a frame's size is exact — the batched PRICE frame of
 // BenchmarkWireCodec may not grow by a byte (PROTOCOL.md fixes its layout).
+// So is a round count: the million-subtask fleet may certify in fewer
+// aggregator rounds than the report records, never in more (56 before the
+// aggregator took Newton steps; a silent return there must fail).
 // The one wall-clock bound is loose because CI compares its own runner with
 // the machine that recorded the committed report — it catches the skipping
 // going away (3.5x), not a few percent.
@@ -389,6 +392,7 @@ var prevBounds = []struct {
 	{"BenchmarkFleetReplace", "allocs/op", 0.05},
 	{"BenchmarkWireCodec", "binary_bytes", 0},
 	{"BenchmarkWireCodec", "allocs/op", 0.05},
+	{"BenchmarkFleetConverge/1m", "rounds", 0},
 }
 
 // isGated reports whether a (GOMAXPROCS-suffix-stripped) benchmark name is a

@@ -380,6 +380,7 @@ func TestCheckPrevBounds(t *testing.T) {
 		rec("BenchmarkEngineStep-8", "allocs/op", 0.0), // unbounded: free to move
 		rec("BenchmarkEngineStepConverged-8", "ns/op", 800.0),
 		rec("BenchmarkWireCodec-8", "binary_bytes", 846.0, "allocs/op", 100.0),
+		rec("BenchmarkFleetConverge/1m-8", "rounds", 10.0, "converged", 1.0),
 	}})
 	if err != nil {
 		t.Fatal(err)
@@ -465,6 +466,33 @@ func TestCheckPrevBounds(t *testing.T) {
 			prev:    prev,
 			recs:    []record{rec("BenchmarkWireCodec-2", "binary_bytes", 846.0, "allocs/op", 106.0)},
 			wantErr: []string{"BenchmarkWireCodec allocs/op 106", "100"},
+		},
+		{
+			name: "the 1M fleet at its recorded rounds",
+			prev: prev,
+			recs: []record{rec("BenchmarkFleetConverge/1m-2", "rounds", 10.0)},
+		},
+		{
+			name: "the 1M fleet in fewer rounds",
+			prev: prev,
+			recs: []record{rec("BenchmarkFleetConverge/1m-2", "rounds", 9.0)},
+		},
+		{
+			name:    "the 1M fleet one round over",
+			prev:    prev,
+			recs:    []record{rec("BenchmarkFleetConverge/1m-2", "rounds", 11.0, "converged", 1.0)},
+			wantErr: []string{"BenchmarkFleetConverge/1m rounds 11", "10", "bound +0%"},
+		},
+		{
+			name:    "a silent return to the gradient aggregator's 56 rounds, still converged",
+			prev:    prev,
+			recs:    []record{rec("BenchmarkFleetConverge/1m-2", "rounds", 56.0, "converged", 1.0)},
+			wantErr: []string{"BenchmarkFleetConverge/1m rounds 56", "previous report 10"},
+		},
+		{
+			name: "the parallel twin is held to the serial count by checkFleetParallel, not here",
+			prev: prev,
+			recs: []record{rec("BenchmarkFleetConverge/1m-parallel-2", "rounds", 56.0)},
 		},
 		{
 			name: "an unbounded benchmark may regress",
