@@ -158,7 +158,7 @@ func run(ctx context.Context, args []string) error {
 	switch *role {
 	case "resource":
 		fmt.Fprintf(os.Stderr, "resource node %s: running %d rounds\n", *id, *rounds)
-		mu, err := dist.RunResourceObserved(ctx, w, cfg, net, *id, *rounds, o)
+		mu, err := dist.RunResource(ctx, w, cfg, net, *id, *rounds, o)
 		if err != nil {
 			return err
 		}
@@ -166,7 +166,7 @@ func run(ctx context.Context, args []string) error {
 		return nil
 	case "controller":
 		fmt.Fprintf(os.Stderr, "controller node %s: running %d rounds\n", *id, *rounds)
-		lats, utility, err := dist.RunControllerObserved(ctx, w, cfg, net, *id, *rounds, o)
+		lats, utility, err := dist.RunController(ctx, w, cfg, net, *id, *rounds, o)
 		if err != nil {
 			return err
 		}

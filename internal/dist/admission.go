@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"lla/internal/admit"
-	"lla/internal/obs"
 	"lla/internal/transport"
 	"lla/internal/workload"
 )
@@ -113,28 +112,6 @@ func (r *Runtime) decideAdmission(q AdmissionQuery) AdmissionDecision {
 	d.Admitted = true
 	d.Reason = "passed static and price screens at the live prices"
 	return d
-}
-
-// handleAdmitQuery decodes, decides, records and (best-effort) answers one
-// admission query; called from the coordinator goroutine.
-func (r *Runtime) handleAdmitQuery(m transport.Message, res *Result) {
-	var q AdmissionQuery
-	if err := m.Decode(&q); err != nil {
-		return
-	}
-	d := r.decideAdmission(q)
-	res.Admissions = append(res.Admissions, d)
-	if r.obsv != nil {
-		v := 0.0
-		if d.Admitted {
-			v = 1
-		}
-		r.obsv.Emit(obs.Event{Kind: obs.EventAdmission, Task: d.Name, Detail: d.Stage, Value: v})
-	}
-	if m.From != "" {
-		// The querier may already be gone; admission answers are advisory.
-		_ = r.coordinator.Send(m.From, kindAdmitDecision, d)
-	}
 }
 
 // QueryAdmission asks a running deployment's coordinator whether the

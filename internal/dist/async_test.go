@@ -10,14 +10,29 @@ import (
 	"lla/internal/workload"
 )
 
-// Asynchronous LLA converges close to the synchronous optimum on the base
-// workload despite unsynchronized, stale updates.
-func TestAsyncConvergesNearOptimum(t *testing.T) {
-	net := transport.NewInproc(transport.InprocConfig{QueueLen: 8192})
-	res, err := RunAsync(workload.Base(), core.Config{}, net, 1500*time.Millisecond, time.Millisecond)
+// The asynchronous suite runs in virtual time: d and pace are virtual
+// durations and a run costs only its compute (RunAsync's wall-clock smoke is
+// in sim_test.go).
+
+// simAsync runs the asynchronous protocol on the virtual driver with the
+// default fault policy.
+func simAsync(t *testing.T, w *workload.Workload, cfg core.Config, chaos transport.ChaosConfig, d time.Duration) *Result {
+	t.Helper()
+	rt, err := NewSim(w, cfg, chaos)
 	if err != nil {
 		t.Fatal(err)
 	}
+	res, err := rt.RunAsync(d, time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// Asynchronous LLA converges close to the synchronous optimum on the base
+// workload despite unsynchronized, stale updates.
+func TestAsyncConvergesNearOptimum(t *testing.T) {
+	res := simAsync(t, workload.Base(), core.Config{}, transport.ChaosConfig{}, 1500*time.Millisecond)
 	// Synchronous optimum is 188.73 (Table 1 reproduction).
 	if math.Abs(res.Utility-188.73) > 2 {
 		t.Errorf("async utility = %.2f, want ≈188.73", res.Utility)
@@ -25,8 +40,8 @@ func TestAsyncConvergesNearOptimum(t *testing.T) {
 	if res.ControllerSteps == 0 || res.ResourceSteps == 0 {
 		t.Errorf("no compute steps: %+v", res)
 	}
-	// Latencies close to Table 1 (loose tolerance: async endpoint is
-	// timing-dependent).
+	// Latencies close to Table 1 (loose tolerance: the async endpoint depends
+	// on message timing).
 	ref := workload.Table1LatenciesMs()
 	w := workload.Base()
 	for ti, tk := range w.Tasks {
@@ -46,25 +61,15 @@ func TestAsyncConvergesNearOptimum(t *testing.T) {
 // (the standard asynchronous-gradient staleness/step-size trade-off), so
 // this case runs with a fixed moderate gamma.
 func TestAsyncTolerantOfDelay(t *testing.T) {
-	net := transport.NewChaos(transport.NewInproc(transport.InprocConfig{QueueLen: 8192}),
-		transport.ChaosConfig{QueueLen: 8192, DelayMs: 1, Seed: 5})
 	cfg := core.Config{Step: core.StepPolicy{Adaptive: false, Gamma: 2}}
-	res, err := RunAsync(workload.Base(), cfg, net, 4*time.Second, time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := simAsync(t, workload.Base(), cfg, transport.ChaosConfig{DelayMs: 1, Seed: 5}, 4*time.Second)
 	if math.Abs(res.Utility-188.73) > 5 {
 		t.Errorf("async-with-delay utility = %.2f, want ≈188.73", res.Utility)
 	}
-	net.Wait()
 }
 
 func TestAsyncPrototypeMeetsConstraints(t *testing.T) {
-	net := transport.NewInproc(transport.InprocConfig{QueueLen: 8192})
-	res, err := RunAsync(workload.Prototype(), core.Config{}, net, 1500*time.Millisecond, time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := simAsync(t, workload.Prototype(), core.Config{}, transport.ChaosConfig{}, 1500*time.Millisecond)
 	// Fast tasks settle at the 35ms per-subtask allocation (C=105 binding).
 	for ti := 0; ti < 2; ti++ {
 		sum := 0.0
@@ -86,8 +91,14 @@ func TestAsyncPrototypeMeetsConstraints(t *testing.T) {
 func TestAsyncRejectsInvalidWorkload(t *testing.T) {
 	bad := workload.Base()
 	bad.Resources = nil
-	net := transport.NewInproc(transport.InprocConfig{})
-	if _, err := RunAsync(bad, core.Config{}, net, 10*time.Millisecond, 0); err == nil {
+	if _, err := NewSim(bad, core.Config{}, transport.ChaosConfig{}); err == nil {
 		t.Fatal("invalid workload should fail")
+	}
+	rt, err := NewSim(workload.Base(), core.Config{}, transport.ChaosConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rt.RunAsync(0, 0); err == nil {
+		t.Fatal("an asynchronous run needs a positive duration")
 	}
 }

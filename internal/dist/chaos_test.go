@@ -11,14 +11,15 @@ import (
 	"lla/internal/workload"
 )
 
-// The chaos suite proves the fault-tolerance layer end to end: the
-// round-synchronized Runtime recovers the serial engine's result bitwise
-// under loss/delay/duplication/reordering and node crash/restart, and the
-// asynchronous runtime converges to the optimum while never violating a
-// critical-time constraint during degraded (stale-price) operation.
+// The chaos suite proves the fault-tolerance layer end to end, in virtual
+// time (NewSim): the round-synchronized Runtime recovers the serial engine's
+// result bitwise under loss/delay/duplication/reordering and node
+// crash/restart, and the asynchronous runtime converges to the optimum while
+// never violating a critical-time constraint during degraded (stale-price)
+// operation. A protocol hang is a stalled virtual run, reported as an error.
 
-// fastPolicy shrinks the fault-tolerance timers so chaos tests recover in
-// milliseconds instead of the production-shaped defaults.
+// fastPolicy shrinks the fault-tolerance timers below the production-shaped
+// defaults, so recoveries are short against the run.
 func fastPolicy() FaultPolicy {
 	return FaultPolicy{
 		RetransmitAfter: 2 * time.Millisecond,
@@ -27,35 +28,25 @@ func fastPolicy() FaultPolicy {
 	}
 }
 
-// chaosNet wraps a roomy in-process network with the given fault injection.
-func chaosNet(cfg transport.ChaosConfig) (*transport.Chaos, *transport.Inproc) {
-	inner := transport.NewInproc(transport.InprocConfig{QueueLen: 16384})
-	cfg.QueueLen = 16384
-	return transport.NewChaos(inner, cfg), inner
+// simRuntime deploys w on the virtual driver with the fast policy.
+func simRuntime(t *testing.T, w *workload.Workload, chaos transport.ChaosConfig) *Runtime {
+	t.Helper()
+	rt, err := NewSim(w, core.Config{}, chaos)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt.SetFaultPolicy(fastPolicy())
+	return rt
 }
 
-// runWithDeadline guards chaos runs against protocol hangs.
-func runWithDeadline(t *testing.T, rt *Runtime, rounds int) *Result {
+// mustRun runs the synchronized protocol to completion.
+func mustRun(t *testing.T, rt *Runtime, rounds int) *Result {
 	t.Helper()
-	type out struct {
-		res *Result
-		err error
+	res, err := rt.Run(rounds)
+	if err != nil {
+		t.Fatal(err)
 	}
-	done := make(chan out, 1)
-	go func() {
-		res, err := rt.Run(rounds)
-		done <- out{res, err}
-	}()
-	select {
-	case o := <-done:
-		if o.err != nil {
-			t.Fatal(o.err)
-		}
-		return o.res
-	case <-time.After(90 * time.Second):
-		t.Fatal("chaos run did not complete")
-		return nil
-	}
+	return res
 }
 
 // assertMatchesEngine checks bitwise recovery against the serial engine.
@@ -89,7 +80,7 @@ func assertMatchesEngine(t *testing.T, res *Result, rounds int) {
 // the 1%-of-serial-utility acceptance bound.
 func TestChaosSyncLossDelayDupMatchesEngine(t *testing.T) {
 	const rounds = 80
-	ch, _ := chaosNet(transport.ChaosConfig{
+	rt := simRuntime(t, workload.Base(), transport.ChaosConfig{
 		Seed:          42,
 		LossRate:      0.10,
 		DupRate:       0.10,
@@ -97,23 +88,14 @@ func TestChaosSyncLossDelayDupMatchesEngine(t *testing.T) {
 		DelayJitterMs: 0.5,
 		ReorderRate:   0.10,
 	})
-	rt, err := New(workload.Base(), core.Config{}, ch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rt.Close()
-	rt.SetFaultPolicy(fastPolicy())
-
-	res := runWithDeadline(t, rt, rounds)
+	res := mustRun(t, rt, rounds)
 	assertMatchesEngine(t, res, rounds)
 	if res.Retransmits == 0 {
 		t.Error("10% loss over 80 rounds recovered without a single retransmit")
 	}
-	st := ch.Stats()
-	if st.Dropped == 0 || st.Duplicated == 0 {
+	if st := rt.Sim().Stats(); st.Dropped == 0 || st.Duplicated == 0 {
 		t.Errorf("chaos injected no faults: %v", st)
 	}
-	ch.Wait()
 }
 
 // A resource node crashed at start and restarted mid-run: its traffic is
@@ -123,36 +105,26 @@ func TestChaosSyncLossDelayDupMatchesEngine(t *testing.T) {
 // the stalled controllers.
 func TestChaosSyncResourceCrashRestartMatchesEngine(t *testing.T) {
 	const rounds = 120
-	ch, _ := chaosNet(transport.ChaosConfig{Seed: 7})
-	rt, err := New(workload.Base(), core.Config{}, ch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rt.Close()
-	rt.SetFaultPolicy(fastPolicy())
+	rt := simRuntime(t, workload.Base(), transport.ChaosConfig{Seed: 7})
+	net := rt.Sim()
+	net.Crash(resourceAddr("r0"))
+	net.At(60*time.Millisecond, func() { net.Restart(resourceAddr("r0")) })
 
-	ch.Crash(resourceAddr("r0"))
-	go func() {
-		time.Sleep(60 * time.Millisecond)
-		ch.Restart(resourceAddr("r0"))
-	}()
-
-	res := runWithDeadline(t, rt, rounds)
+	res := mustRun(t, rt, rounds)
 	assertMatchesEngine(t, res, rounds)
 	if res.Retransmits == 0 {
 		t.Error("crash recovery happened without retransmits")
 	}
-	if st := ch.Stats(); st.Blackholed == 0 {
+	if st := net.Stats(); st.Blackholed == 0 {
 		t.Errorf("crash blackholed nothing: %v", st)
 	}
 	if res.LeaseExpirations == 0 {
 		t.Error("coordinator saw no lease expiration during a 60ms crash with a 20ms lease")
 	}
-	ch.Wait()
 }
 
 // Shutdown stops a long run gracefully: node goroutines exit at their next
-// receive, Run returns without error, and the final state is flushed.
+// event, Run returns without error, and the final state is flushed.
 func TestRuntimeShutdownGraceful(t *testing.T) {
 	rt, err := New(workload.Base(), core.Config{}, transport.NewInproc(transport.InprocConfig{QueueLen: 8192}))
 	if err != nil {
@@ -189,41 +161,52 @@ func TestRuntimeShutdownGraceful(t *testing.T) {
 	}
 }
 
+// serialOptimum is the converged serial engine's utility on the base workload.
+func serialOptimum(t *testing.T) float64 {
+	t.Helper()
+	e, err := core.NewEngine(workload.Base(), core.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	snap, ok := e.RunUntilConverged(20000, 1e-9, 30, 1e-3)
+	if !ok {
+		t.Fatalf("serial engine did not converge: %v", snap)
+	}
+	return snap.Utility
+}
+
+// asyncPolicy is the heartbeat/lease policy of the asynchronous chaos cases.
+func asyncPolicy() FaultPolicy {
+	return FaultPolicy{
+		RetransmitAfter: 3 * time.Millisecond,
+		RetransmitMax:   30 * time.Millisecond,
+		LeaseAfter:      25 * time.Millisecond,
+	}
+}
+
 // Asynchronous runtime under seeded loss, duplication, small delay, and a
 // resource-node crash/restart (pause/resume): sequence numbers reject
 // duplicated/reordered-stale prices, leases detect the silent resource,
 // degraded allocations stay deadline-safe, and after resync the run still
 // converges within 1% of the serial engine's utility.
 func TestChaosAsyncLossCrashRestartConverges(t *testing.T) {
-	e, err := core.NewEngine(workload.Base(), core.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap, ok := e.RunUntilConverged(20000, 1e-9, 30, 1e-3)
-	if !ok {
-		t.Fatalf("serial engine did not converge: %v", snap)
-	}
-	want := snap.Utility
-
-	ch, _ := chaosNet(transport.ChaosConfig{
+	want := serialOptimum(t)
+	rt, err := NewSim(workload.Base(), core.Config{}, transport.ChaosConfig{
 		Seed:          11,
 		LossRate:      0.10,
 		DupRate:       0.10,
 		DelayMs:       0.1,
 		DelayJitterMs: 0.2,
 	})
-	fp := FaultPolicy{
-		RetransmitAfter: 3 * time.Millisecond,
-		RetransmitMax:   30 * time.Millisecond,
-		LeaseAfter:      25 * time.Millisecond,
+	if err != nil {
+		t.Fatal(err)
 	}
-	go func() {
-		time.Sleep(700 * time.Millisecond)
-		ch.Crash(resourceAddr("r0"))
-		time.Sleep(500 * time.Millisecond)
-		ch.Restart(resourceAddr("r0"))
-	}()
-	res, err := RunAsyncWithPolicy(workload.Base(), core.Config{}, ch, 3500*time.Millisecond, time.Millisecond, fp)
+	rt.SetFaultPolicy(asyncPolicy())
+	net := rt.Sim()
+	net.At(700*time.Millisecond, func() { net.Crash(resourceAddr("r0")) })
+	net.At(1200*time.Millisecond, func() { net.Restart(resourceAddr("r0")) })
+	res, err := rt.RunAsync(3500*time.Millisecond, time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,29 +245,18 @@ func TestChaosAsyncLossCrashRestartConverges(t *testing.T) {
 			}
 		}
 	}
-	ch.Wait()
 }
 
 // Loss alone (no duplication or delay): the asynchronous heartbeat recovers
 // dropped broadcasts and the run stays within 1% of the serial optimum.
 func TestChaosAsyncLossOnlyBoundedGap(t *testing.T) {
-	e, err := core.NewEngine(workload.Base(), core.Config{})
+	want := serialOptimum(t)
+	rt, err := NewSim(workload.Base(), core.Config{}, transport.ChaosConfig{Seed: 3, LossRate: 0.15})
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap, ok := e.RunUntilConverged(20000, 1e-9, 30, 1e-3)
-	if !ok {
-		t.Fatalf("serial engine did not converge: %v", snap)
-	}
-	want := snap.Utility
-
-	ch, _ := chaosNet(transport.ChaosConfig{Seed: 3, LossRate: 0.15})
-	fp := FaultPolicy{
-		RetransmitAfter: 3 * time.Millisecond,
-		RetransmitMax:   30 * time.Millisecond,
-		LeaseAfter:      25 * time.Millisecond,
-	}
-	res, err := RunAsyncWithPolicy(workload.Base(), core.Config{}, ch, 2*time.Second, time.Millisecond, fp)
+	rt.SetFaultPolicy(asyncPolicy())
+	res, err := rt.RunAsync(2*time.Second, time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,8 +266,7 @@ func TestChaosAsyncLossOnlyBoundedGap(t *testing.T) {
 	if res.ControllerSteps == 0 || res.ResourceSteps == 0 {
 		t.Errorf("no compute steps: %+v", res)
 	}
-	if st := ch.Stats(); st.Dropped == 0 {
+	if st := rt.Sim().Stats(); st.Dropped == 0 {
 		t.Errorf("chaos dropped nothing: %v", st)
 	}
-	ch.Wait()
 }

@@ -84,8 +84,7 @@ func TestDeltaLossFreeBitwiseAndSaves(t *testing.T) {
 // fixed point bitwise while still suppressing payloads past the freeze.
 func TestDeltaChaosReconvergesBitwise(t *testing.T) {
 	const rounds = 160
-	w := frozenWorkload(t)
-	ch, _ := chaosNet(transport.ChaosConfig{
+	rt := simRuntime(t, frozenWorkload(t), transport.ChaosConfig{
 		Seed:          19,
 		LossRate:      0.08,
 		DupRate:       0.08,
@@ -93,14 +92,7 @@ func TestDeltaChaosReconvergesBitwise(t *testing.T) {
 		DelayJitterMs: 0.3,
 		ReorderRate:   0.08,
 	})
-	rt, err := New(w, core.Config{}, ch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rt.Close()
-	rt.SetFaultPolicy(fastPolicy())
-
-	res := runWithDeadline(t, rt, rounds)
+	res := mustRun(t, rt, rounds)
 	assertMatchesEngineBitwise(t, frozenWorkload(t), res, rounds)
 	if res.DeltaSuppressed == 0 {
 		t.Error("chaos run past the freeze point sent no delta markers")
@@ -108,7 +100,6 @@ func TestDeltaChaosReconvergesBitwise(t *testing.T) {
 	if res.Retransmits == 0 {
 		t.Error("8% loss over 160 rounds recovered without a single retransmit")
 	}
-	ch.Wait()
 }
 
 // Async suppression: once a node's inputs are bitwise stable and its last
@@ -116,28 +107,15 @@ func TestDeltaChaosReconvergesBitwise(t *testing.T) {
 // heartbeats keep leases alive, so nothing degrades. The run must still
 // converge to the serial optimum.
 func TestAsyncSparseSuppression(t *testing.T) {
-	e, err := core.NewEngine(workload.Base(), core.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	snap, ok := e.RunUntilConverged(20000, 1e-9, 30, 1e-3)
-	if !ok {
-		t.Fatalf("serial engine did not converge: %v", snap)
-	}
-
-	net := transport.NewInproc(transport.InprocConfig{QueueLen: 16384})
-	res, err := RunAsync(workload.Base(), core.Config{}, net, 1500*time.Millisecond, time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := serialOptimum(t)
+	res := simAsync(t, workload.Base(), core.Config{}, transport.ChaosConfig{}, 1500*time.Millisecond)
 	if res.SkippedSteps == 0 {
 		t.Error("quiesced async run skipped no compute steps")
 	}
 	if res.DegradedRounds != 0 {
 		t.Errorf("suppression starved a lease: %d degraded rounds", res.DegradedRounds)
 	}
-	if rel := math.Abs(res.Utility-snap.Utility) / math.Abs(snap.Utility); rel > 0.01 {
-		t.Errorf("async utility %.3f vs serial %.3f (%.2f%% off, want ≤1%%)", res.Utility, snap.Utility, rel*100)
+	if rel := math.Abs(res.Utility-want) / math.Abs(want); rel > 0.01 {
+		t.Errorf("async utility %.3f vs serial %.3f (%.2f%% off, want ≤1%%)", res.Utility, want, rel*100)
 	}
 }

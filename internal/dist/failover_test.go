@@ -5,40 +5,29 @@ import (
 	"time"
 
 	"lla/internal/core"
+	"lla/internal/obs"
 	"lla/internal/price"
 	rec "lla/internal/recover"
 	"lla/internal/transport"
 	"lla/internal/workload"
 )
 
-// The failover suite proves coordinator crash recovery end to end: node
-// state and therefore the optimization result stay bitwise identical to the
-// serial engine across coordinator generations, a restarted coordinator
-// re-registers the live nodes via the rejoin handshake, and epoch fencing
-// stops a zombie generation from split-braining the cluster.
+// The failover suite proves coordinator crash recovery end to end, in virtual
+// time: node state and therefore the optimization result stay bitwise
+// identical to the serial engine across coordinator generations, a restarted
+// coordinator re-registers the live nodes via the rejoin handshake, and epoch
+// fencing stops a zombie generation from split-braining the cluster. A crash
+// plan's DownFor is a virtual duration, so a scheduled crash lands where the
+// schedule says on every run.
 
-// runFailoverWithDeadline guards failover runs against protocol hangs.
-func runFailoverWithDeadline(t *testing.T, rt *Runtime, rounds int, plan FailoverPlan) *Result {
+// mustFailover runs the synchronized protocol through a crash plan.
+func mustFailover(t *testing.T, rt *Runtime, rounds int, plan FailoverPlan) *Result {
 	t.Helper()
-	type out struct {
-		res *Result
-		err error
+	res, err := rt.RunWithFailover(rounds, plan)
+	if err != nil {
+		t.Fatal(err)
 	}
-	done := make(chan out, 1)
-	go func() {
-		res, err := rt.RunWithFailover(rounds, plan)
-		done <- out{res, err}
-	}()
-	select {
-	case o := <-done:
-		if o.err != nil {
-			t.Fatal(o.err)
-		}
-		return o.res
-	case <-time.After(90 * time.Second):
-		t.Fatal("failover run did not complete")
-		return nil
-	}
+	return res
 }
 
 // A clean network, two scheduled coordinator crashes: the optimization result
@@ -46,27 +35,18 @@ func runFailoverWithDeadline(t *testing.T, rt *Runtime, rounds int, plan Failove
 // each new generation, and the epoch must count both restarts.
 func TestFailoverCoordinatorCrashMatchesEngine(t *testing.T) {
 	const rounds = 120
-	// DelayMs paces the rounds so the scheduled crashes land well before the
-	// run drains: at full in-process speed a 120-round run can finish inside
-	// a single coordinator downtime window.
-	ch, _ := chaosNet(transport.ChaosConfig{Seed: 11, DelayMs: 0.3})
-	rt, err := New(workload.Base(), core.Config{}, ch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rt.Close()
-	rt.SetFaultPolicy(fastPolicy())
-
+	rt := simRuntime(t, workload.Base(), transport.ChaosConfig{Seed: 11})
+	trace := &obs.Memory{}
+	rt.Observe(&obs.Observer{Trace: trace})
 	var restartEpochs []uint64
 	plan := FailoverPlan{
-		Chaos: ch,
 		Crashes: []Crash{
 			{AfterEmit: 5, DownFor: 2 * time.Millisecond},
 			{AfterEmit: 15, DownFor: 2 * time.Millisecond},
 		},
 		OnRestart: func(e uint64) { restartEpochs = append(restartEpochs, e) },
 	}
-	res := runFailoverWithDeadline(t, rt, rounds, plan)
+	res := mustFailover(t, rt, rounds, plan)
 	assertMatchesEngine(t, res, rounds)
 	if res.CoordinatorRestarts != 2 || res.Epoch != 2 {
 		t.Errorf("restarts=%d epoch=%d, want 2 and 2", res.CoordinatorRestarts, res.Epoch)
@@ -78,7 +58,17 @@ func TestFailoverCoordinatorCrashMatchesEngine(t *testing.T) {
 	if res.Rejoins < int64(nTasks) {
 		t.Errorf("rejoins = %d, want at least one full handshake (%d controllers)", res.Rejoins, nTasks)
 	}
-	ch.Wait()
+	// Each generation announces itself once, stamped by the driver with the
+	// coordinator's address, its new epoch and the round it was awaiting.
+	bumps := trace.ByKind(obs.EventEpochBump)
+	if len(bumps) != 2 {
+		t.Fatalf("%d epoch_bump events, want 2", len(bumps))
+	}
+	for i, ev := range bumps {
+		if ev.Node != coordinatorAddr || ev.Epoch != uint64(i+1) || ev.Round < plan.Crashes[i].AfterEmit {
+			t.Errorf("epoch_bump %d stamped node=%q epoch=%d round=%d", i, ev.Node, ev.Epoch, ev.Round)
+		}
+	}
 }
 
 // The zombie probe: each restarted generation impersonates its dead
@@ -87,39 +77,29 @@ func TestFailoverCoordinatorCrashMatchesEngine(t *testing.T) {
 // would diverge from the engine.
 func TestFailoverZombieCoordinatorFenced(t *testing.T) {
 	const rounds = 100
-	// DelayMs paces the rounds past the downtime, as in
-	// TestFailoverCoordinatorCrashMatchesEngine: with typed payloads 100
-	// undelayed in-process rounds take less than the 10 ms the coordinator
-	// is down, and a generation restarted after the run probes nobody.
-	ch, _ := chaosNet(transport.ChaosConfig{Seed: 3, DelayMs: 0.3})
-	rt, err := New(workload.Base(), core.Config{}, ch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rt.Close()
-	rt.SetFaultPolicy(fastPolicy())
-
+	rt := simRuntime(t, workload.Base(), transport.ChaosConfig{Seed: 3})
 	plan := FailoverPlan{
-		Chaos:       ch,
 		Crashes:     []Crash{{AfterEmit: 8, DownFor: 10 * time.Millisecond}},
 		ZombieProbe: true,
 	}
-	res := runFailoverWithDeadline(t, rt, rounds, plan)
+	res := mustFailover(t, rt, rounds, plan)
 	assertMatchesEngine(t, res, rounds)
-	if res.FencedStale == 0 {
-		t.Error("zombie probe ran but no stale-epoch frame was fenced")
+	if res.CoordinatorRestarts != 1 {
+		t.Errorf("restarts = %d, want 1", res.CoordinatorRestarts)
 	}
-	ch.Wait()
+	if nTasks := int64(len(workload.Base().Tasks)); res.FencedStale < nTasks {
+		t.Errorf("fenced %d stale-epoch frames, want at least the %d zombie stops", res.FencedStale, nTasks)
+	}
 }
 
 // Rejoin racing retransmitted pre-crash frames: loss, duplication, delay and
-// reordering keep stale node-to-node frames in flight across both restarts.
+// reordering keep stale node-to-node frames in flight across the restart.
 // Data frames are stamped but never fenced, so recovery stays bitwise exact.
 // AfterEmit 0 crashes the coordinator at the very first report, maximizing
 // the population of pre-crash frames that survive into the new generation.
 func TestFailoverRejoinRacesRetransmits(t *testing.T) {
 	const rounds = 80
-	ch, _ := chaosNet(transport.ChaosConfig{
+	rt := simRuntime(t, workload.Base(), transport.ChaosConfig{
 		Seed:          19,
 		LossRate:      0.08,
 		DupRate:       0.08,
@@ -127,23 +107,12 @@ func TestFailoverRejoinRacesRetransmits(t *testing.T) {
 		DelayJitterMs: 0.4,
 		ReorderRate:   0.08,
 	})
-	rt, err := New(workload.Base(), core.Config{}, ch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rt.Close()
-	rt.SetFaultPolicy(fastPolicy())
-
-	plan := FailoverPlan{
-		Chaos:   ch,
-		Crashes: []Crash{{AfterEmit: 0, DownFor: 12 * time.Millisecond}},
-	}
-	res := runFailoverWithDeadline(t, rt, rounds, plan)
+	plan := FailoverPlan{Crashes: []Crash{{AfterEmit: 0, DownFor: 12 * time.Millisecond}}}
+	res := mustFailover(t, rt, rounds, plan)
 	assertMatchesEngine(t, res, rounds)
 	if res.CoordinatorRestarts != 1 {
 		t.Errorf("restarts = %d, want 1", res.CoordinatorRestarts)
 	}
-	ch.Wait()
 }
 
 // Report leases expiring exactly across a coordinator restart: the lease
@@ -152,25 +121,21 @@ func TestFailoverRejoinRacesRetransmits(t *testing.T) {
 // lease clocks on rejoin and the run still recovers the engine bitwise.
 func TestFailoverLeaseExpiresAtRestart(t *testing.T) {
 	const rounds = 100
-	ch, _ := chaosNet(transport.ChaosConfig{Seed: 23})
-	rt, err := New(workload.Base(), core.Config{}, ch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rt.Close()
+	rt := simRuntime(t, workload.Base(), transport.ChaosConfig{Seed: 23})
 	rt.SetFaultPolicy(FaultPolicy{
 		RetransmitAfter: 2 * time.Millisecond,
 		RetransmitMax:   40 * time.Millisecond,
 		LeaseAfter:      5 * time.Millisecond,
 	})
-
-	plan := FailoverPlan{
-		Chaos:   ch,
-		Crashes: []Crash{{AfterEmit: 5, DownFor: 30 * time.Millisecond}},
-	}
-	res := runFailoverWithDeadline(t, rt, rounds, plan)
+	plan := FailoverPlan{Crashes: []Crash{{AfterEmit: 5, DownFor: 30 * time.Millisecond}}}
+	res := mustFailover(t, rt, rounds, plan)
 	assertMatchesEngine(t, res, rounds)
-	ch.Wait()
+	if res.CoordinatorRestarts != 1 {
+		t.Errorf("restarts = %d, want 1", res.CoordinatorRestarts)
+	}
+	if res.LeaseExpirations != 0 {
+		t.Errorf("%d leases expired: a dead coordinator watches none, a restarted one starts them afresh", res.LeaseExpirations)
+	}
 }
 
 // A restarted coordinator loads its epoch from the newest checkpoint: a
@@ -196,49 +161,31 @@ func TestFailoverEpochLoadedFromCheckpoint(t *testing.T) {
 	}
 	eng.Close()
 
-	ch, _ := chaosNet(transport.ChaosConfig{Seed: 31, DelayMs: 0.3})
-	rt, err := New(workload.Base(), core.Config{}, ch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rt.Close()
-	rt.SetFaultPolicy(fastPolicy())
-
+	rt := simRuntime(t, workload.Base(), transport.ChaosConfig{Seed: 31})
 	plan := FailoverPlan{
-		Chaos:         ch,
 		Crashes:       []Crash{{AfterEmit: 6, DownFor: 2 * time.Millisecond}},
 		CheckpointDir: dir,
 	}
-	res := runFailoverWithDeadline(t, rt, rounds, plan)
+	res := mustFailover(t, rt, rounds, plan)
 	assertMatchesEngine(t, res, rounds)
 	if res.Epoch != 6 {
 		t.Errorf("epoch = %d, want 6 (checkpointed 5 + one bump)", res.Epoch)
 	}
-	ch.Wait()
 }
 
 // Double restart back to back: two epoch bumps, two full rejoin handshakes,
 // still bitwise engine-equal — the recovery machinery composes with itself.
 func TestFailoverDoubleRestartBitwise(t *testing.T) {
 	const rounds = 140
-	// Paced for the same reason: both 8 ms downtimes must end mid-run.
-	ch, _ := chaosNet(transport.ChaosConfig{Seed: 47, DelayMs: 0.3})
-	rt, err := New(workload.Base(), core.Config{}, ch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rt.Close()
-	rt.SetFaultPolicy(fastPolicy())
-
+	rt := simRuntime(t, workload.Base(), transport.ChaosConfig{Seed: 47})
 	plan := FailoverPlan{
-		Chaos: ch,
 		Crashes: []Crash{
 			{AfterEmit: 4, DownFor: 8 * time.Millisecond},
 			{AfterEmit: 5, DownFor: 8 * time.Millisecond},
 		},
 		ZombieProbe: true,
 	}
-	res := runFailoverWithDeadline(t, rt, rounds, plan)
+	res := mustFailover(t, rt, rounds, plan)
 	assertMatchesEngine(t, res, rounds)
 	if res.Epoch != 2 || res.CoordinatorRestarts != 2 {
 		t.Errorf("epoch=%d restarts=%d, want 2 and 2", res.Epoch, res.CoordinatorRestarts)
@@ -246,5 +193,4 @@ func TestFailoverDoubleRestartBitwise(t *testing.T) {
 	if res.FencedStale == 0 {
 		t.Error("two zombie generations probed but nothing was fenced")
 	}
-	ch.Wait()
 }

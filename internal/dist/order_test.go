@@ -108,7 +108,12 @@ func TestLatencyFramesLeaveInFixedOrder(t *testing.T) {
 	}
 
 	async := &recordingNet{Network: transport.NewInproc(transport.InprocConfig{QueueLen: 16384}), sent: make(map[string][]sendRecord)}
-	if _, err := RunAsync(w, core.Config{}, async, 100*time.Millisecond, time.Millisecond); err != nil {
+	art, err := New(w, core.Config{}, async)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer art.Close()
+	if _, err := art.RunAsync(100*time.Millisecond, time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
 	multi := 0

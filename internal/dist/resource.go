@@ -1,0 +1,193 @@
+package dist
+
+import (
+	"time"
+
+	"lla/internal/core"
+	"lla/internal/obs"
+	"lla/internal/wire"
+)
+
+// subKey names one subtask of one task, as a ShareReport does.
+type subKey struct{ task, sub string }
+
+// resourceNode is the machine of one resource's price agent (Section 4.3):
+// the peer protocol in the resource role. Each round it gathers the fresh
+// latencies of every subtask on the resource, moves the price (Equation 8, or
+// the configured dynamics), and multicasts it (with the congestion flag for
+// the adaptive heuristic) to the controllers of the tasks running here — its
+// peers, in order of first use.
+type resourceNode struct {
+	peer
+	p     *core.Problem
+	agent *resourcePrice
+	// ctlIdx resolves a task name to its controller's entry in peers.
+	ctlIdx map[string]int
+	// subIdx maps a subtask hosted here to its global index (an entry of the
+	// resource's Subs); lat holds the latest latency of each.
+	subIdx map[subKey]int32
+	lat    map[int32]float64
+	// rm carries the per-resource gauges; nil unless observed.
+	rm *obs.ResourceMetrics
+	// liveMu mirrors the price after every update. Unlike rm it is always
+	// on: the coordinator reads it (atomically) to answer admission queries
+	// against fresh prices.
+	liveMu obs.Gauge
+
+	// congested is the flag of the latest update. last caches the latest full
+	// broadcast (none yet while its Resource is empty) for retransmission,
+	// stale recovery and heartbeats — recovery always re-sends by value, never
+	// a marker. prevMu/prevCong are the previous round's payload, the delta
+	// codec's reference.
+	congested         bool
+	last              wire.PriceUpdate
+	prevMu            float64
+	prevCong, prevSet bool
+}
+
+// newResourceNode builds the machine of resource ri.
+func newResourceNode(p *core.Problem, ri int, cfg core.Config, a addresses) *resourceNode {
+	n := &resourceNode{
+		peer:   peer{node: node{addr: a.res[ri]}, kind: wire.KindPrice, leads: true},
+		p:      p,
+		agent:  newResourcePrice(p, ri, cfg),
+		ctlIdx: make(map[string]int),
+		subIdx: make(map[subKey]int32),
+		lat:    make(map[int32]float64),
+	}
+	for _, sub := range p.Resources[ri].Subs {
+		ti, si := p.SubtaskAt(sub)
+		tn := p.Tasks[ti].Name
+		if _, seen := n.ctlIdx[tn]; !seen {
+			n.ctlIdx[tn] = len(n.peers)
+			n.peers = append(n.peers, a.ctl[ti])
+		}
+		n.subIdx[subKey{tn, p.Tasks[ti].SubtaskNames[si]}] = sub
+	}
+	n.liveMu.Set(n.agent.mu)
+	return n
+}
+
+// observe attaches the node's live counters and gauges to o's registry, or
+// detaches them when there is none.
+func (n *resourceNode) observe(o *obs.Observer) {
+	n.m, n.rm = metricsFor(o), nil
+	if o != nil && o.Metrics != nil {
+		n.rm = obs.NewResourceMetrics(o.Metrics, n.agent.r.ID)
+	}
+}
+
+func (n *resourceNode) step(now time.Duration, ev event) *effects { return n.run(n, now, ev) }
+
+// open seeds an asynchronous run: every latency is the fair split until its
+// subtask is first reported, and the first price goes out at once.
+func (n *resourceNode) open(time.Duration) {
+	if n.pace == 0 {
+		return
+	}
+	r := n.agent.r
+	fair := r.Availability / float64(len(r.Subs))
+	for _, sub := range r.Subs {
+		n.lat[sub] = n.p.Share(n.p.SubtaskAt(sub)).LatencyFor(fair)
+	}
+	n.owed = true
+}
+
+func (n *resourceNode) read(payload any) (k, round int, seq int64, ok bool) {
+	lm, isReport := payload.(wire.ShareReport)
+	if isReport {
+		k, ok = n.ctlIdx[lm.Task]
+	}
+	return k, lm.Round, lm.Seq, ok
+}
+
+// fold writes a report's latencies; a delta marker carries none — the values
+// of the previous round stand.
+func (n *resourceNode) fold(_ int, payload any, _ time.Duration) (changed bool) {
+	lm := payload.(wire.ShareReport)
+	for j, sn := range lm.Subs {
+		sub, hosted := n.subIdx[subKey{lm.Task, sn}]
+		if !hosted {
+			n.failf("unknown subtask %s/%s", lm.Task, sn)
+			return false
+		}
+		if v := lm.LatMs[j]; n.lat[sub] != v {
+			n.lat[sub], changed = v, true
+		}
+	}
+	return changed
+}
+
+// compute moves the price from the latencies in hand, summing shares over
+// the resource's subtasks in compiled order — the engine's own order and
+// inputs, which is what keeps the trajectories bitwise identical.
+func (n *resourceNode) compute() (moved bool) {
+	r, sum := n.agent.r, 0.0
+	for _, sub := range r.Subs {
+		sum += n.p.ShareAt(sub, n.lat[sub])
+	}
+	moved = n.agent.update(n.p, n.lat, sum)
+	n.congested = r.Congested(sum)
+	n.liveMu.Set(n.agent.mu)
+	if n.rm != nil {
+		n.rm.ShareSum.Set(sum)
+		n.rm.Availability.Set(r.Availability)
+		n.rm.Utilization.Set(sum / r.Availability)
+		n.rm.Price.Set(n.agent.mu)
+	}
+	return moved
+}
+
+// speak multicasts the current price. In the round protocol a payload
+// bitwise unchanged from the previous round goes out as a delta marker
+// (wire/frames.go) instead, except on keyframe rounds.
+func (n *resourceNode) speak() {
+	n.last = wire.PriceUpdate{Round: n.round, Seq: n.seq, Epoch: n.epoch, Resource: n.agent.r.ID, Mu: n.agent.mu, Congested: n.congested}
+	out := n.last
+	if n.pace == 0 {
+		if n.prevSet && n.round%deltaKeyframeInterval != 0 && out.Mu == n.prevMu && out.Congested == n.prevCong {
+			out = wire.PriceUpdate{Round: n.round, Epoch: n.epoch, Resource: out.Resource, Delta: true}
+			fanout := int64(len(n.peers))
+			n.suppressed(fanout, fanout*wire.DeltaBytesSaved(n.last))
+		}
+		n.prevMu, n.prevCong, n.prevSet = n.last.Mu, n.last.Congested, true
+	}
+	for k := range n.peers {
+		n.tell(k, out)
+	}
+}
+
+func (n *resourceNode) again(k int) bool {
+	if n.last.Resource == "" {
+		return false
+	}
+	n.last.Seq = n.seq
+	n.tell(k, n.last)
+	return true
+}
+
+func (n *resourceNode) beat(time.Duration) {}
+func (n *resourceNode) rejoined()          {}
+
+// close ends the node: it tells the controllers this resource has completed
+// its final round so they can stop lingering on its behalf. The fin is
+// repeated a few times when fault tolerance is on (it is the one message
+// with no sender left to retransmit it); a surviving copy short-circuits the
+// controller's quiet timeout, and losing all copies only costs that timeout.
+//
+// Only the first copy's send must succeed. A controller leaves linger and
+// closes its endpoint as soon as one fin from each of its resources is in,
+// so a repeat can find it gone — which is what a fin is for, not a failure.
+func (n *resourceNode) close(time.Duration) {
+	copies := 1
+	if n.fp.RetransmitAfter > 0 {
+		copies = 3
+	}
+	msg := wire.Fin{Resource: n.agent.r.ID}
+	for i := 0; i < copies; i++ {
+		for _, addr := range n.peers {
+			n.send(addr, wire.KindFin, msg, i == 0)
+		}
+	}
+	n.finish(nil)
+}

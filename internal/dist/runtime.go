@@ -8,78 +8,131 @@
 package dist
 
 import (
+	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
 	"lla/internal/admit"
 	"lla/internal/core"
 	"lla/internal/obs"
+	rec "lla/internal/recover"
 	"lla/internal/stats"
 	"lla/internal/transport"
-	"lla/internal/wire"
 	"lla/internal/workload"
 )
 
 // Runtime assembles and drives a distributed LLA deployment: one resource
 // node per resource, one controller node per task, and a coordinator that
 // aggregates per-round utility reports and watches per-task report leases.
+// The nodes are state machines (machine.go); New runs them on goroutines
+// over a transport.Network and the wall clock, NewSim on a seeded virtual
+// network and clock.
 type Runtime struct {
-	p           *core.Problem
-	cfg         core.Config
-	net         transport.Network
-	controllers []*core.Controller
-	ctlNodes    []*controllerNode
-	resNodes    []*resourceNode
-	coordinator transport.Endpoint
+	p        *core.Problem
+	cfg      core.Config
+	ctlNodes []*controllerNode
+	resNodes []*resourceNode
+	// nodes and peers are every controller, then every resource, as machines
+	// and as protocol state; eps their endpoints under New, in that order —
+	// nil, like coordEp, under NewSim, whose network is sim.
+	nodes   []machine
+	peers   []*peer
+	eps     []transport.Endpoint
+	coordEp transport.Endpoint
+	sim     *Sim
 
 	fp       FaultPolicy
 	admitCfg admit.Config
 	stop     chan struct{}
 	stopOnce sync.Once
 
-	// obsv and dm are set by Observe; nil means no observability overhead
-	// beyond the nodes' nil-safe counter calls.
+	// obsv is set by Observe; nil means no observability overhead beyond the
+	// nodes' nil-safe counter calls.
 	obsv *obs.Observer
-	dm   *obs.DistMetrics
 }
 
-// New compiles the workload and registers all endpoints on the network.
-func New(w *workload.Workload, cfg core.Config, net transport.Network) (*Runtime, error) {
+// compile is the first thing every entry point does with its workload: the
+// (identical, deterministic) problem each node of a deployment derives.
+func compile(w *workload.Workload, cfg core.Config) (*core.Problem, core.Config, error) {
 	cfg = cfg.WithDefaults()
 	p, err := core.Compile(w, cfg.WeightMode)
+	return p, cfg, err
+}
+
+// New compiles the workload, builds every node's machine and registers its
+// endpoint on the network as it goes (a listener's set-up overlaps the next
+// node's construction).
+func New(w *workload.Workload, cfg core.Config, net transport.Network) (*Runtime, error) {
+	p, cfg, err := compile(w, cfg)
 	if err != nil {
 		return nil, err
 	}
-	r := &Runtime{
-		p:    p,
-		cfg:  cfg,
-		net:  net,
-		fp:   DefaultFaultPolicy(),
-		stop: make(chan struct{}),
+	r := &Runtime{p: p, cfg: cfg, fp: DefaultFaultPolicy(), stop: make(chan struct{})}
+	n, a := len(p.Tasks)+len(p.Resources), addressesOf(p)
+	r.nodes, r.peers = make([]machine, 0, n), make([]*peer, 0, n)
+	add := func(m machine, n *peer) {
+		r.nodes, r.peers = append(r.nodes, m), append(r.peers, n)
+		if net != nil && err == nil {
+			var ep transport.Endpoint
+			if ep, err = net.Endpoint(n.addr); err == nil {
+				r.eps = append(r.eps, ep)
+			}
+		}
 	}
-	r.coordinator, err = net.Endpoint(coordinatorAddr)
-	if err != nil {
-		return nil, fmt.Errorf("dist: %w", err)
+	if net != nil {
+		r.coordEp, err = net.Endpoint(coordinatorAddr)
 	}
 	for ti := range p.Tasks {
-		ep, err := net.Endpoint(controllerAddr(p.Tasks[ti].Name))
-		if err != nil {
-			return nil, fmt.Errorf("dist: %w", err)
-		}
-		ctl := core.NewController(p, ti, cfg.Step, cfg.MaxInner)
-		r.controllers = append(r.controllers, ctl)
-		r.ctlNodes = append(r.ctlNodes, newControllerNode(p, ti, ctl, ep))
+		n := newControllerNode(p, ti, cfg, a)
+		r.ctlNodes = append(r.ctlNodes, n)
+		add(n, &n.peer)
 	}
 	for ri := range p.Resources {
-		ep, err := net.Endpoint(resourceAddr(p.Resources[ri].ID))
-		if err != nil {
-			return nil, fmt.Errorf("dist: %w", err)
-		}
-		r.resNodes = append(r.resNodes, newResourceNode(p, ri, cfg, ep))
+		n := newResourceNode(p, ri, cfg, a)
+		r.resNodes = append(r.resNodes, n)
+		add(n, &n.peer)
+	}
+	if err != nil {
+		r.Close()
+		return nil, fmt.Errorf("dist: %w", err)
 	}
 	return r, nil
 }
+
+// addresses are a deployment's node addresses by task and resource index,
+// built once so that every node's peer list shares the strings.
+type addresses struct{ ctl, res []string }
+
+func addressesOf(p *core.Problem) addresses {
+	a := addresses{make([]string, len(p.Tasks)), make([]string, len(p.Resources))}
+	for ti := range p.Tasks {
+		a.ctl[ti] = controllerAddr(p.Tasks[ti].Name)
+	}
+	for ri := range p.Resources {
+		a.res[ri] = resourceAddr(p.Resources[ri].ID)
+	}
+	return a
+}
+
+// NewSim is New on the virtual driver: no network, no goroutines, no wall
+// clock. The deployment runs on a virtual network with chaos's faults and a
+// virtual clock, both seeded by chaos.Seed (see Sim), so the same arguments
+// give the same run — event for event — every time. FaultPolicy durations,
+// Crash.DownFor and RunAsync's d and pace are virtual durations.
+func NewSim(w *workload.Workload, cfg core.Config, chaos transport.ChaosConfig) (*Runtime, error) {
+	r, err := New(w, cfg, nil) // no network: no endpoints
+	if err != nil {
+		return nil, err
+	}
+	r.sim = &Sim{Faults: transport.NewFaults(chaos)}
+	return r, nil
+}
+
+// Sim returns the virtual network and clock of a NewSim runtime (to crash
+// and partition nodes, schedule events, or log the run); nil for New's.
+func (r *Runtime) Sim() *Sim { return r.sim }
 
 // SetFaultPolicy overrides the fault-tolerance policy (retransmission timers
 // and report leases). Call before Run; the zero policy disables
@@ -92,23 +145,21 @@ func (r *Runtime) SetFaultPolicy(fp FaultPolicy) { r.fp = fp.withDefaults() }
 // lla_dist_* counters live (alongside the join-time Result totals), resource
 // nodes refresh the per-resource gauges each completed round, and the
 // coordinator counts rounds and samples round latency; with a trace sink
-// attached, the coordinator emits lease_expiry and converged events.
+// attached, nodes emit lease_expiry, converged, epoch_bump and
+// degraded_enter/exit events, each stamped with its round, epoch and node.
 func (r *Runtime) Observe(o *obs.Observer) {
-	r.obsv, r.dm = o, nil
-	if o != nil && o.Metrics != nil {
-		r.dm = obs.NewDistMetrics(o.Metrics)
-	}
+	r.obsv = o
 	for _, n := range r.resNodes {
 		n.observe(o)
 	}
 	for _, n := range r.ctlNodes {
-		n.observe(o)
+		n.m = metricsFor(o)
 	}
 }
 
-// Shutdown asks all nodes to stop gracefully at their next receive: node
-// goroutines return without error, Run joins them and returns the state
-// reached so far. Safe to call concurrently with Run and more than once.
+// Shutdown asks all nodes to stop gracefully at their next event: they
+// finish without error, the run joins them and returns the state reached so
+// far. Safe to call concurrently with a run and more than once.
 func (r *Runtime) Shutdown() {
 	r.stopOnce.Do(func() { close(r.stop) })
 }
@@ -128,8 +179,7 @@ type Result struct {
 	LatMs [][]float64
 	// Mu[ri] are the final resource prices.
 	Mu []float64
-	// Converged reports whether a convergence stop fired (RunUntilConverged
-	// only).
+	// Converged reports whether a convergence stop fired.
 	Converged bool
 	// Retransmits counts messages re-sent by the reliability layer
 	// (sender-side timeouts plus receiver-side stale recovery).
@@ -153,7 +203,7 @@ type Result struct {
 	// during the run, in arrival order (see admission.go).
 	Admissions []AdmissionDecision
 	// Epoch is the coordinator generation the run finished on: 0 for an
-	// uninterrupted run, bumped once per coordinator restart (failover.go).
+	// uninterrupted run, bumped once per coordinator restart.
 	Epoch uint64
 	// CoordinatorRestarts counts coordinator crash/restart cycles executed
 	// by a failover plan.
@@ -165,206 +215,279 @@ type Result struct {
 	// Rejoins counts completed rejoin handshakes (controller acks processed
 	// by a restarted coordinator).
 	Rejoins int64
+
+	// RunAsync's own counts (there Retransmits counts idle heartbeats and
+	// RejectedStale sequence-number rejections). ControllerSteps and
+	// ResourceSteps count compute steps across nodes, SkippedSteps those
+	// suppressed because the inputs were bitwise unchanged after a fixed-point
+	// update. DegradedRounds counts controller steps taken while a used
+	// resource's lease had expired, MaxDegradedPathViolation the worst
+	// relative critical-time violation left after their deadline-safe
+	// clamping — 0 unless the workload itself is degenerate.
+	ControllerSteps, ResourceSteps int
+	SkippedSteps, DegradedRounds   int64
+	MaxDegradedPathViolation       float64
 }
 
 // Run executes exactly rounds synchronous rounds and returns the final
 // state. A loss-free in-order network makes the result identical to
 // core.Engine after the same number of Steps; on lossy networks the
-// reliability layer (see nodes.go) recovers the same result bitwise.
+// reliability layer (see peer.go) recovers the same result bitwise.
 func (r *Runtime) Run(rounds int) (*Result, error) {
-	return r.run(rounds, nil)
+	return r.run(rounds, nil, FailoverPlan{})
 }
 
 // RunUntilConverged executes until the aggregate utility is stable (relative
 // change < relTol over window rounds) or maxRounds; on convergence it
 // broadcasts a stop and lets the protocol drain.
 func (r *Runtime) RunUntilConverged(maxRounds int, relTol float64, window int) (*Result, error) {
-	det := stats.NewConvergenceDetector(relTol, window)
-	return r.run(maxRounds, det)
+	return r.run(maxRounds, stats.NewConvergenceDetector(relTol, window), FailoverPlan{})
 }
 
-// startNodes installs the fault policy on every node and launches the node
-// goroutines; failures land on errCh. Shared by run and RunWithFailover.
-func (r *Runtime) startNodes(maxRounds int, wg *sync.WaitGroup, errCh chan<- error) {
-	for _, n := range r.resNodes {
-		n.fp, n.stop = r.fp, r.stop
-		wg.Add(1)
-		go func(n *resourceNode) {
-			defer wg.Done()
-			if err := n.run(maxRounds); err != nil {
-				errCh <- err
-			}
-		}(n)
+// RunWithFailover executes up to maxRounds synchronous rounds while crashing
+// and restarting the coordinator according to plan. Node state is never
+// touched — the run's final latencies and prices are bitwise identical to an
+// uninterrupted run — but aggregate reporting is best-effort across the
+// crash gaps: rounds whose reports died with a coordinator generation are
+// skipped by the emission cursor, so Result.Rounds may trail further than an
+// uninterrupted run's would.
+func (r *Runtime) RunWithFailover(maxRounds int, plan FailoverPlan) (*Result, error) {
+	var det *stats.ConvergenceDetector
+	if plan.Window > 0 {
+		det = stats.NewConvergenceDetector(plan.RelTol, plan.Window)
 	}
-	for _, n := range r.ctlNodes {
-		n.fp, n.stop = r.fp, r.stop
-		wg.Add(1)
-		go func(n *controllerNode) {
-			defer wg.Done()
-			if err := n.run(maxRounds); err != nil {
-				errCh <- err
-			}
-		}(n)
-	}
+	return r.run(maxRounds, det, plan)
 }
 
-// collect folds the final node state and counters into res after all node
-// goroutines have joined. Shared by run and RunWithFailover.
-func (r *Runtime) collect(res *Result) {
-	res.Rounds = res.UtilitySeries.Len()
-	for _, c := range r.controllers {
-		res.Utility += c.Utility()
-		res.LatMs = append(res.LatMs, append([]float64(nil), c.LatMs...))
-	}
-	for _, n := range r.ctlNodes {
-		n.addTo(res)
-		res.FencedStale += n.fencedEpoch
-		res.Rejoins += n.rejoins
-	}
-	for _, n := range r.resNodes {
-		n.addTo(res)
-		res.FencedStale += n.fencedEpoch
-		res.SolverFallbacks += n.agent.fallbacks()
-		res.Mu = append(res.Mu, n.agent.mu)
-	}
-}
-
-// run starts all nodes, monitors reports at the coordinator, and joins.
-func (r *Runtime) run(maxRounds int, det *stats.ConvergenceDetector) (*Result, error) {
+// run is every synchronized mode: the nodes run maxRounds rounds while the
+// coordinator aggregates, detects convergence with det, and lives through
+// plan's crashes.
+func (r *Runtime) run(maxRounds int, det *stats.ConvergenceDetector, plan FailoverPlan) (*Result, error) {
 	if maxRounds <= 0 {
 		return nil, fmt.Errorf("dist: rounds must be positive, got %d", maxRounds)
 	}
-	var wg sync.WaitGroup
-	errCh := make(chan error, len(r.ctlNodes)*2+len(r.resNodes)*2+8)
-	r.startNodes(maxRounds, &wg, errCh)
-
-	// Coordinator: aggregate per-round utilities and watch report leases; on
-	// convergence, broadcast stop. The coordinator reads until its endpoint
-	// closes after all nodes have joined.
 	res := &Result{UtilitySeries: stats.NewSeries("utility")}
-	coordDone := make(chan struct{})
-	go func() {
-		defer close(coordDone)
-		perRound := make(map[int]float64)
-		counts := make(map[int]int)
-		converged := false
-		nextEmit := 0
-		lastReport := make(map[string]time.Time)
-		expired := make(map[string]bool)
-		start := time.Now()
-		lastEmit := start
-		for ti := range r.p.Tasks {
-			lastReport[r.p.Tasks[ti].Name] = start
+	c := &coordinator{
+		node:    node{addr: coordinatorAddr, fp: r.fp, nodeCounters: nodeCounters{m: metricsFor(r.obsv)}},
+		rt:      r,
+		det:     det,
+		plan:    plan,
+		res:     res,
+		taskIdx: make(map[string]int, len(r.ctlNodes)),
+	}
+	for ti, n := range r.ctlNodes {
+		c.taskIdx[n.name] = ti
+	}
+	if plan.CheckpointDir != "" {
+		if cp, _, err := rec.Latest(plan.CheckpointDir); err == nil {
+			c.epoch = cp.Epoch
 		}
-		var lease <-chan time.Time
-		if r.fp.LeaseAfter > 0 {
-			t := time.NewTicker(r.fp.LeaseAfter)
-			defer t.Stop()
-			lease = t.C
-		}
-		for {
-			select {
-			case m, ok := <-r.coordinator.Recv():
-				if !ok {
-					return
-				}
-				if m.Kind == kindAdmitQuery {
-					r.handleAdmitQuery(m, res)
-					continue
-				}
-				rm, ok := m.Payload.(wire.UtilityReport)
-				if !ok {
-					continue
-				}
-				lastReport[rm.Task] = time.Now()
-				delete(expired, rm.Task)
-				perRound[rm.Round] += rm.Utility
-				counts[rm.Round]++
-				// Emit completed rounds strictly in order: a fast
-				// controller's round r+1 report can beat a slow controller's
-				// round r report.
-				for counts[nextEmit] == len(r.ctlNodes) {
-					u := perRound[nextEmit]
-					res.UtilitySeries.Append(float64(nextEmit), u)
-					delete(perRound, nextEmit)
-					delete(counts, nextEmit)
-					if r.dm != nil {
-						now := time.Now()
-						r.dm.Rounds.Inc()
-						r.dm.RoundSeconds.Observe(now.Sub(lastEmit).Seconds())
-						lastEmit = now
-					}
-					if det != nil && !converged && det.Observe(u) {
-						converged = true
-						res.Converged = true
-						if r.obsv != nil {
-							r.obsv.Emit(obs.Event{Kind: obs.EventConverged, Round: nextEmit, Value: u})
-						}
-						r.broadcastStop(nextEmit+1, 0, errCh)
-					}
-					nextEmit++
-				}
-			case <-lease:
-				now := time.Now()
-				for task, ts := range lastReport {
-					if now.Sub(ts) > r.fp.LeaseAfter && !expired[task] {
-						expired[task] = true
-						res.LeaseExpirations++
-						if r.dm != nil {
-							r.dm.LeaseExpirations.Inc()
-						}
-						if r.obsv != nil {
-							r.obsv.Emit(obs.Event{Kind: obs.EventLeaseExpiry, Round: nextEmit, Task: task})
-						}
-					}
-				}
-			}
-		}
-	}()
-
-	wg.Wait()
-	r.coordinator.Close()
-	<-coordDone
-	select {
-	case err := <-errCh:
+	}
+	res.Epoch = c.epoch
+	if err := r.drive(c, maxRounds, 0, 0); err != nil {
 		return nil, err
-	default:
 	}
 
+	res.Rounds = res.UtilitySeries.Len()
 	r.collect(res)
 	return res, nil
 }
 
-// broadcastStop tells every node to stop after the given round, stamped with
-// the coordinator's current epoch (0 for uninterrupted runs).
-func (r *Runtime) broadcastStop(afterRound int, epoch uint64, errCh chan<- error) {
-	msg := wire.Stop{AfterRound: afterRound, Epoch: epoch}
-	for ti := range r.p.Tasks {
-		if err := r.coordinator.Send(controllerAddr(r.p.Tasks[ti].Name), wire.KindStop, msg); err != nil {
-			errCh <- err
+// collect folds the nodes' final state and counters into res.
+func (r *Runtime) collect(res *Result) {
+	add := func(n *peer) {
+		res.FencedStale += n.fencedEpoch
+		res.Retransmits += n.retransmits
+		res.RejectedStale += n.rejectedStale
+		res.DeltaSuppressed += n.deltaSuppressed
+		res.DeltaBytesSaved += n.deltaBytesSaved
+		res.SkippedSteps += int64(n.skipped)
+	}
+	for _, n := range r.ctlNodes {
+		res.Utility += n.ctl.Utility()
+		res.LatMs = append(res.LatMs, slices.Clone(n.ctl.LatMs))
+		res.Rejoins += n.rejoins
+		res.ControllerSteps += n.steps
+		res.DegradedRounds += n.degradedRounds
+		res.MaxDegradedPathViolation = max(res.MaxDegradedPathViolation, n.maxDegradedViolation)
+		add(&n.peer)
+	}
+	for _, n := range r.resNodes {
+		res.Mu = append(res.Mu, n.agent.mu)
+		res.SolverFallbacks += n.agent.fallbacks()
+		res.ResourceSteps += n.steps
+		add(&n.peer)
+	}
+}
+
+// drive configures the node machines (round limit, or pace > 0 for the
+// asynchronous protocol) and runs them, with the coordinator if there is
+// one, on the runtime's driver: to completion, or for d when d > 0.
+func (r *Runtime) drive(c *coordinator, rounds int, d, pace time.Duration) error {
+	for _, n := range r.peers {
+		n.fp, n.limit, n.pace = r.fp, rounds, pace
+		if r.sim != nil {
+			n.rng = r.sim.Faults
+		} else if r.fp.RetransmitAfter > 0 {
+			n.rng = transport.NewJitter(n.addr)
 		}
 	}
-	for ri := range r.p.Resources {
-		if err := r.coordinator.Send(resourceAddr(r.p.Resources[ri].ID), wire.KindStop, msg); err != nil {
-			errCh <- err
+	if r.sim != nil {
+		var reg *obs.Registry // publishes lla_wire_* when observed
+		if r.obsv != nil {
+			reg = r.obsv.Metrics
+		}
+		return r.sim.run(r.nodes, c, d, WireCodec(r.p.Workload(), reg), r.obsv, r.stop)
+	}
+
+	var nodes, coord sync.WaitGroup
+	errs := make(chan error, len(r.nodes)+1) // one slot per driven machine
+	launch := func(wg *sync.WaitGroup, m machine, ep transport.Endpoint, stop <-chan struct{}) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := drive(m, ep, stop, r.obsv); err != nil {
+				errs <- err
+			}
+		}()
+	}
+	if c != nil {
+		launch(&coord, c, r.coordEp, nil)
+	}
+	for i, m := range r.nodes {
+		launch(&nodes, m, r.eps[i], r.stop)
+	}
+	if d > 0 {
+		select {
+		case <-time.After(d):
+			r.Shutdown()
+		case <-r.stop:
 		}
 	}
+	// The coordinator reads until its endpoint closes, after every node has
+	// joined.
+	nodes.Wait()
+	r.coordEp.Close()
+	coord.Wait()
+	select {
+	case err := <-errs:
+		return err
+	default:
+		return nil
+	}
+}
+
+// RunAsync executes the asynchronous protocol (peer.go) for the duration d on
+// the runtime's driver — wall-clock under New, virtual under NewSim — then
+// quiesces and returns the final state. pace is the minimum interval between
+// a node's compute steps (0 = 1ms); the fault policy sets the heartbeat
+// interval and the failure-detection lease. The synchronized modes remain the
+// reference for exact engine equivalence; async trades determinism (under
+// New) for decoupling.
+func (r *Runtime) RunAsync(d, pace time.Duration) (*Result, error) {
+	if d <= 0 {
+		return nil, fmt.Errorf("dist: async duration must be positive, got %v", d)
+	}
+	if pace <= 0 {
+		pace = time.Millisecond
+	}
+	if err := r.drive(nil, 0, d, pace); err != nil {
+		return nil, err
+	}
+	res := &Result{}
+	r.collect(res)
+	return res, nil
+}
+
+// Standalone node entry points: each process compiles the problem locally
+// and runs exactly one node's machine, so a deployment can spread resources
+// and controllers across machines (cmd/lla-node). Standalone nodes send no
+// coordinator reports — the deployment simply runs its fixed number of
+// rounds — and use the default fault policy. runStandalone registers the
+// node's endpoint and drives its machine until the protocol completes or ctx
+// is cancelled (a graceful stop).
+func runStandalone(ctx context.Context, net transport.Network, m machine, n *node, o *obs.Observer) error {
+	ep, err := net.Endpoint(n.addr)
+	if err != nil {
+		return err
+	}
+	defer ep.Close()
+	n.fp, n.rng = DefaultFaultPolicy(), transport.NewJitter(n.addr)
+	return drive(m, ep, ctx.Done(), o)
+}
+
+// RunResource runs the price agent of one resource for the given number of
+// rounds over the network and returns the final price. With an observer the
+// node's counters increment live on its registry and the per-resource gauges
+// refresh each completed round.
+func RunResource(ctx context.Context, w *workload.Workload, cfg core.Config, net transport.Network, resourceID string, rounds int, o *obs.Observer) (float64, error) {
+	p, cfg, err := compile(w, cfg)
+	if err != nil {
+		return 0, err
+	}
+	ri := slices.IndexFunc(p.Resources, func(r core.ProblemResource) bool { return r.ID == resourceID })
+	if ri < 0 {
+		return 0, fmt.Errorf("dist: unknown resource %q", resourceID)
+	}
+	n := newResourceNode(p, ri, cfg, addressesOf(p))
+	n.limit = rounds
+	n.observe(o)
+	if err := runStandalone(ctx, net, n, &n.node, o); err != nil {
+		return 0, err
+	}
+	return n.agent.mu, nil
+}
+
+// RunController runs the controller of one task for the given number of
+// rounds and returns the final per-subtask latencies keyed by subtask name,
+// and the final task utility.
+func RunController(ctx context.Context, w *workload.Workload, cfg core.Config, net transport.Network, taskName string, rounds int, o *obs.Observer) (map[string]float64, float64, error) {
+	p, cfg, err := compile(w, cfg)
+	if err != nil {
+		return nil, 0, err
+	}
+	ti := slices.IndexFunc(p.Tasks, func(t core.ProblemTask) bool { return t.Name == taskName })
+	if ti < 0 {
+		return nil, 0, fmt.Errorf("dist: unknown task %q", taskName)
+	}
+	n := newControllerNode(p, ti, cfg, addressesOf(p))
+	n.limit, n.reports, n.m = rounds, false, metricsFor(o)
+	if err := runStandalone(ctx, net, n, &n.node, o); err != nil {
+		return nil, 0, err
+	}
+	out := make(map[string]float64, len(n.ctl.LatMs))
+	for si, lat := range n.ctl.LatMs {
+		out[p.Tasks[ti].SubtaskNames[si]] = lat
+	}
+	return out, n.ctl.Utility(), nil
 }
 
 // Close releases all endpoints.
 func (r *Runtime) Close() error {
 	var first error
-	for _, n := range r.ctlNodes {
-		if err := n.ep.Close(); err != nil && first == nil {
-			first = err
+	for _, ep := range append(r.eps, r.coordEp) {
+		if ep == nil {
+			continue
 		}
-	}
-	for _, n := range r.resNodes {
-		if err := n.ep.Close(); err != nil && first == nil {
+		if err := ep.Close(); err != nil && first == nil {
 			first = err
 		}
 	}
 	return first
+}
+
+// Addresses returns the logical endpoint names a workload's deployment
+// needs (controllers, resources, coordinator), for building transport
+// registries.
+func Addresses(w *workload.Workload) []string {
+	out := []string{coordinatorAddr}
+	for _, t := range w.Tasks {
+		out = append(out, controllerAddr(t.Name))
+	}
+	for _, r := range w.Resources {
+		out = append(out, resourceAddr(r.ID))
+	}
+	return out
 }
 
 // Address helpers: resources and controllers get deterministic names.

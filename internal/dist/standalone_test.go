@@ -32,7 +32,7 @@ func TestStandaloneNodesMatchEngine(t *testing.T) {
 		wg.Add(1)
 		go func(ri int, id string) {
 			defer wg.Done()
-			mu, err := RunResource(context.Background(), w, core.Config{}, net, id, rounds)
+			mu, err := RunResource(context.Background(), w, core.Config{}, net, id, rounds, nil)
 			if err != nil {
 				errs <- err
 				return
@@ -44,7 +44,7 @@ func TestStandaloneNodesMatchEngine(t *testing.T) {
 		wg.Add(1)
 		go func(ti int, name string) {
 			defer wg.Done()
-			l, u, err := RunController(context.Background(), w, core.Config{}, net, name, rounds)
+			l, u, err := RunController(context.Background(), w, core.Config{}, net, name, rounds, nil)
 			if err != nil {
 				errs <- err
 				return
@@ -94,15 +94,15 @@ func TestStandaloneNodesMatchEngine(t *testing.T) {
 func TestStandaloneUnknownNames(t *testing.T) {
 	w := workload.Base()
 	net := transport.NewInproc(transport.InprocConfig{})
-	if _, err := RunResource(context.Background(), w, core.Config{}, net, "nope", 10); err == nil {
+	if _, err := RunResource(context.Background(), w, core.Config{}, net, "nope", 10, nil); err == nil {
 		t.Error("unknown resource should fail")
 	}
-	if _, _, err := RunController(context.Background(), w, core.Config{}, net, "nope", 10); err == nil {
+	if _, _, err := RunController(context.Background(), w, core.Config{}, net, "nope", 10, nil); err == nil {
 		t.Error("unknown task should fail")
 	}
 	bad := workload.Base()
 	bad.Tasks = nil
-	if _, err := RunResource(context.Background(), bad, core.Config{}, net, "r0", 10); err == nil {
+	if _, err := RunResource(context.Background(), bad, core.Config{}, net, "r0", 10, nil); err == nil {
 		t.Error("invalid workload should fail")
 	}
 }
@@ -146,7 +146,9 @@ func (e leaveOnFin) Send(to, kind string, payload any) error {
 // every controller leaves after fin copy 1 while the resource still owes
 // copies 2 and 3. Those must neither wait out RegistrationWait for an
 // endpoint that is gone rather than late, nor turn the departure into an
-// error. A controller that is gone before copy 1 is still reported.
+// error: in the machine's effects only the first copy is a must send, and
+// the real driver lets the others fail. A controller that is gone before a
+// must send is still reported, at once.
 func TestSendFinsToleratesDepartedControllers(t *testing.T) {
 	cfg := core.Config{}.WithDefaults()
 	p, err := core.Compile(workload.Prototype(), cfg.WeightMode)
@@ -159,40 +161,69 @@ func TestSendFinsToleratesDepartedControllers(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ep.Close()
-	peers := make(map[string]transport.Endpoint)
-	n := newResourceNode(p, 0, cfg, leaveOnFin{ep, peers})
-	n.fp = DefaultFaultPolicy()
-	if len(n.controllers) < 2 {
-		t.Fatalf("resource 0 serves %d controllers; the case needs several", len(n.controllers))
+	node := func() *resourceNode {
+		n := newResourceNode(p, 0, cfg, addressesOf(p))
+		n.fp, n.rng, n.limit = DefaultFaultPolicy(), transport.NewJitter(n.addr), 100
+		return n
 	}
-	for _, tn := range n.controllers {
-		if peers[controllerAddr(tn)], err = net.Endpoint(controllerAddr(tn)); err != nil {
+	n := node()
+	if len(n.peers) < 2 {
+		t.Fatalf("resource 0 serves %d controllers; the case needs several", len(n.peers))
+	}
+	peers := make(map[string]transport.Endpoint)
+	for _, addr := range n.peers {
+		if peers[addr], err = net.Endpoint(addr); err != nil {
 			t.Fatal(err)
 		}
 	}
+	// A stop after round 0 is already waiting: the node opens round 0, reads
+	// it, and goes straight to its fins.
+	halt := transport.Message{From: coordinatorAddr, Kind: wire.KindStop, Payload: wire.Stop{AfterRound: 0}}
+	if err := peers[n.peers[0]].Send(n.addr, halt.Kind, halt.Payload); err != nil {
+		t.Fatal(err)
+	}
 
 	start := time.Now()
-	if err := n.sendFins(); err != nil {
-		t.Fatalf("sendFins after every controller left on copy 1: %v", err)
+	if err := drive(n, leaveOnFin{ep, peers}, nil, nil); err != nil {
+		t.Fatalf("resource whose controllers all left on fin copy 1: %v", err)
 	}
 	if d := time.Since(start); d > time.Second {
-		t.Errorf("sendFins took %v: it waited for endpoints that had closed", d)
+		t.Errorf("the fins took %v: the node waited for endpoints that had closed", d)
 	}
 	for addr, peer := range peers {
 		fins := 0
-		for range peer.Recv() {
-			fins++
+		for m := range peer.Recv() {
+			if m.Kind == wire.KindFin {
+				fins++
+			}
 		}
 		if fins != 1 {
 			t.Errorf("%s received %d fins before leaving, want 1", addr, fins)
 		}
 	}
 
+	// The effects say which copies may fail: the first to each controller
+	// must arrive, the repeats need not.
+	n = node()
+	n.step(0, event{kind: evStart})
+	eff := n.step(0, event{kind: evMessage, msg: halt})
+	if !eff.done || eff.err != nil || len(eff.sends) != 3*len(n.peers) {
+		t.Fatalf("stop after round 0: done=%v err=%v sends=%d, want the node done after 3 fin copies per controller",
+			eff.done, eff.err, len(eff.sends))
+	}
+	for i, s := range eff.sends {
+		if s.kind != wire.KindFin || s.must != (i < len(n.peers)) {
+			t.Errorf("send %d: kind %s must=%v", i, s.kind, s.must)
+		}
+	}
+
+	// Every controller is gone now: the next node's first must send fails,
+	// and fails fast.
 	start = time.Now()
-	if err := n.sendFins(); err == nil {
-		t.Error("sendFins to controllers gone before the first copy reported no error")
+	if err := drive(node(), ep, nil, nil); err == nil {
+		t.Error("a must send to controllers that are gone reported no error")
 	}
 	if d := time.Since(start); d > time.Second {
-		t.Errorf("failing sendFins took %v", d)
+		t.Errorf("the failing send took %v", d)
 	}
 }

@@ -81,6 +81,9 @@ type traceLine struct {
 	KKTCount int     `json:"kkt_count"`
 	Task     string  `json:"task"`
 	Resource string  `json:"resource"`
+	Round    int     `json:"round"`
+	Node     string  `json:"node"`
+	TimeNs   int64   `json:"t_unix_ns"`
 }
 
 // Chaos telemetry smoke: one JSONL stream records an observed engine run
@@ -103,25 +106,24 @@ func TestChaosTelemetryJSONLReconstructs(t *testing.T) {
 	e.Run(40, nil)
 	e.Observe(nil)
 
-	// Phase 2: async run under a resource crash/restart — event lines.
-	ch, _ := chaosNet(transport.ChaosConfig{Seed: 11, LossRate: 0.05})
-	// LeaseAfter must clear the crash window comfortably below 500ms but
-	// leave generous absolute slack: sparse suppression means a quiesced
-	// resource advertises at heartbeat cadence (RetransmitAfter), so a
-	// too-tight lease expires spuriously under race-detector scheduling.
-	fp := FaultPolicy{
+	// Phase 2: async run under a resource crash/restart, in virtual time —
+	// event lines.
+	rt, err := NewSim(workload.Base(), core.Config{}, transport.ChaosConfig{Seed: 11, LossRate: 0.05})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// LeaseAfter clears the heartbeat cadence a quiesced resource advertises
+	// at (RetransmitAfter, with 5% loss) and is far below the crash window.
+	rt.SetFaultPolicy(FaultPolicy{
 		RetransmitAfter: 3 * time.Millisecond,
 		RetransmitMax:   30 * time.Millisecond,
 		LeaseAfter:      80 * time.Millisecond,
-	}
-	go func() {
-		time.Sleep(400 * time.Millisecond)
-		ch.Crash(resourceAddr("r0"))
-		time.Sleep(500 * time.Millisecond)
-		ch.Restart(resourceAddr("r0"))
-	}()
-	res, err := RunAsyncObserved(workload.Base(), core.Config{}, ch, 2500*time.Millisecond, time.Millisecond,
-		fp, &obs.Observer{Metrics: reg, Trace: j})
+	})
+	rt.Observe(&obs.Observer{Metrics: reg, Trace: j})
+	net := rt.Sim()
+	net.At(400*time.Millisecond, func() { net.Crash(resourceAddr("r0")) })
+	net.At(900*time.Millisecond, func() { net.Restart(resourceAddr("r0")) })
+	res, err := rt.RunAsync(2500*time.Millisecond, time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,8 +159,20 @@ func TestChaosTelemetryJSONLReconstructs(t *testing.T) {
 				if tl.Task == "" || tl.Resource != "r0" {
 					t.Errorf("degraded_enter missing task/resource: %+v", tl)
 				}
+				// The driver's stamps: the emitting controller, its compute
+				// step, and the virtual time the lease ran out at — inside
+				// the crash window, one lease after it opened.
+				if tl.Node != controllerAddr(tl.Task) || tl.Round == 0 {
+					t.Errorf("degraded_enter not stamped with node and round: %+v", tl)
+				}
+				if at := time.Duration(tl.TimeNs); at < 480*time.Millisecond || at > 900*time.Millisecond {
+					t.Errorf("degraded_enter at virtual %v, outside the crash window", at)
+				}
 			case obs.EventDegradedExit:
 				exits++
+				if tl.Node != controllerAddr(tl.Task) || tl.Round == 0 {
+					t.Errorf("degraded_exit not stamped with node and round: %+v", tl)
+				}
 			}
 		default:
 			t.Fatalf("unknown record kind in %q", line)
@@ -188,5 +202,4 @@ func TestChaosTelemetryJSONLReconstructs(t *testing.T) {
 	if dm.LeaseExpirations.Value() == 0 {
 		t.Error("no lease expirations counted despite degradation")
 	}
-	ch.Wait()
 }

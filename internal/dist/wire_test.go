@@ -103,12 +103,12 @@ func TestDistBinaryWireMatchesEngineAllSolvers(t *testing.T) {
 }
 
 // TestDistBinaryWireChaosMatchesEngine: binary framing under seeded loss,
-// duplication, delay, and reordering — retransmitted frames re-encode and
-// the result still matches the engine bitwise (within the chaos-suite
-// tolerance).
+// duplication, delay, and reordering — every virtual delivery round-trips
+// through the codec, retransmitted frames re-encode, and the result still
+// matches the engine bitwise (within the chaos-suite tolerance).
 func TestDistBinaryWireChaosMatchesEngine(t *testing.T) {
 	const rounds = 80
-	ch, inner := chaosNet(transport.ChaosConfig{
+	rt := simRuntime(t, workload.Base(), transport.ChaosConfig{
 		Seed:          7,
 		LossRate:      0.10,
 		DupRate:       0.10,
@@ -117,15 +117,8 @@ func TestDistBinaryWireChaosMatchesEngine(t *testing.T) {
 		ReorderRate:   0.10,
 	})
 	reg := obs.NewRegistry()
-	inner.SetCodec(WireCodec(workload.Base(), reg))
-	rt, err := New(workload.Base(), core.Config{}, ch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rt.Close()
-	rt.SetFaultPolicy(fastPolicy())
-
-	res := runWithDeadline(t, rt, rounds)
+	rt.Observe(&obs.Observer{Metrics: reg})
+	res := mustRun(t, rt, rounds)
 	assertMatchesEngine(t, res, rounds)
 	if res.Retransmits == 0 {
 		t.Error("10% loss over 80 rounds recovered without a single retransmit")
@@ -133,7 +126,9 @@ func TestDistBinaryWireChaosMatchesEngine(t *testing.T) {
 	if reg.Counter("lla_wire_frames_total", "Binary frames, by direction.", "dir", "decode").Value() == 0 {
 		t.Error("chaos run decoded no binary frames")
 	}
-	ch.Wait()
+	if raw := reg.Counter("lla_wire_raw_frames_total", "Messages carried by the RAW escape-hatch frame.").Value(); raw != 0 {
+		t.Errorf("%d dist messages fell back to RAW framing", raw)
+	}
 }
 
 // TestDistWireMessagesNeverRideRaw: every message kind dist emits has a

@@ -312,88 +312,25 @@ func Soak(opts Options) (*Result, error) {
 	allocLate := float64(msHi.Mallocs-msMid2.Mallocs) / float64(max(q3-q2, 1))
 	allocsFlat := allocLate <= 2*allocEarly
 
-	// Phase 2: distributed runtime under chaos with coordinator failover.
-	// Loss stays at zero here — coordinator downtime already destroys
-	// reports, and the crash schedule keys off emitted rounds — while
-	// duplication, delay and reordering keep stale pre-crash frames racing
-	// every rejoin.
-	inner := transport.NewInproc(transport.InprocConfig{QueueLen: 16384})
-	var reg *obs.Registry
-	if opts.Observer != nil {
-		reg = opts.Observer.Metrics
-	}
-	inner.SetCodec(dist.WireCodec(workload.Base(), reg))
-	ch := transport.NewChaos(inner, transport.ChaosConfig{
-		Seed:          seed,
-		DupRate:       0.05,
-		DelayMs:       0.3,
-		DelayJitterMs: 0.3,
-		ReorderRate:   0.05,
-		QueueLen:      16384,
-	})
-	rt, err := dist.New(workload.Base(), core.Config{}, ch)
-	if err != nil {
-		return nil, err
-	}
-	defer rt.Close()
-	rt.SetFaultPolicy(dist.FaultPolicy{
-		RetransmitAfter: 2 * time.Millisecond,
-		RetransmitMax:   40 * time.Millisecond,
-		LeaseAfter:      20 * time.Millisecond,
-	})
-	if opts.Observer != nil {
-		rt.Observe(opts.Observer)
-	}
-	dres, err := rt.RunWithFailover(plan.distRounds, dist.FailoverPlan{
-		Chaos:         ch,
-		Crashes:       plan.distCrashes,
-		CheckpointDir: dir,
-		ZombieProbe:   true,
-		OnRestart: func(epoch uint64) {
-			// The restarted coordinator persists its generation: the next
-			// restart (and the next soak) recovers the epoch from disk.
-			baseEpoch = epoch
-			_, _ = writer.Save(rec.Capture(st.eng, rec.CaptureOptions{
-				Epoch: epoch, Seed: seed, Admit: st.ctrl,
-			}))
-			if rm != nil {
-				rm.Epoch.Set(float64(epoch))
-				rm.Rejoins.Inc()
-			}
-		},
+	// Phase 2: the distributed runtime under chaos with coordinator failover.
+	dres, distMaxDiff, distFeasible, err := soakFailover(seed, plan, dir, opts.Observer, func(epoch uint64) {
+		// The restarted coordinator persists its generation: the next
+		// restart (and the next soak) recovers the epoch from disk.
+		baseEpoch = epoch
+		_, _ = writer.Save(rec.Capture(st.eng, rec.CaptureOptions{
+			Epoch: epoch, Seed: seed, Admit: st.ctrl,
+		}))
+		if rm != nil {
+			rm.Epoch.Set(float64(epoch))
+			rm.Rejoins.Inc()
+		}
 	})
 	if err != nil {
 		return nil, err
 	}
-	ch.Wait()
 	if rm != nil {
 		rm.FencedFrames.Add(dres.FencedStale)
 	}
-
-	// Mirror engine: the distributed run crossed three coordinator
-	// generations; its final state must still be the serial engine's, bitwise.
-	mirror, err := core.NewEngine(workload.Base(), core.Config{})
-	if err != nil {
-		return nil, err
-	}
-	defer mirror.Close()
-	mirror.Run(plan.distRounds, nil)
-	msnap := mirror.Snapshot()
-	distMaxDiff := 0.0
-	for ti := range msnap.LatMs {
-		for si := range msnap.LatMs[ti] {
-			if d := math.Abs(dres.LatMs[ti][si] - msnap.LatMs[ti][si]); d > distMaxDiff {
-				distMaxDiff = d
-			}
-		}
-	}
-	for ri := range msnap.Mu {
-		if d := math.Abs(dres.Mu[ri] - msnap.Mu[ri]); d > distMaxDiff {
-			distMaxDiff = d
-		}
-	}
-	mprobe := mirror.Probe()
-	distFeasible := mprobe.MaxResourceViolation <= tol && mprobe.MaxPathViolationFrac <= tol
 
 	res := &Result{
 		ID: "soak",
@@ -475,4 +412,60 @@ func Soak(opts Options) (*Result, error) {
 		fmt.Sprintf("distributed recovery exact: max |dist−engine| = %.2e, final state feasible", distMaxDiff),
 		fmt.Sprintf("distributed run diverged (max diff %.2e) or ended infeasible", distMaxDiff))
 	return res, nil
+}
+
+// soakFailover is the soak's second phase: the base workload on the
+// distributed runtime's virtual driver (dist.NewSim) with the plan's
+// coordinator crashes, the zombie probe, and epoch recovery from the
+// checkpoint directory. Timers, downtimes and injected delays are virtual
+// durations, so the crash schedule is part of the clock and the phase replays
+// exactly from the seed. Loss stays at zero — downtime already destroys
+// reports — while duplication, delay and reordering keep stale pre-crash
+// frames racing every rejoin. maxDiff is the run's largest deviation from the
+// serial engine after the same rounds (it must be zero), feasible whether
+// that state is.
+func soakFailover(seed int64, plan soakPlan, dir string, o *obs.Observer, onRestart func(epoch uint64)) (dres *dist.Result, maxDiff float64, feasible bool, err error) {
+	rt, err := dist.NewSim(workload.Base(), core.Config{}, transport.ChaosConfig{
+		Seed:          seed,
+		DupRate:       0.05,
+		DelayMs:       0.3,
+		DelayJitterMs: 0.3,
+		ReorderRate:   0.05,
+	})
+	if err != nil {
+		return nil, 0, false, err
+	}
+	rt.SetFaultPolicy(dist.FaultPolicy{
+		RetransmitAfter: 2 * time.Millisecond,
+		RetransmitMax:   40 * time.Millisecond,
+		LeaseAfter:      20 * time.Millisecond,
+	})
+	rt.Observe(o)
+	dres, err = rt.RunWithFailover(plan.distRounds, dist.FailoverPlan{
+		Crashes:       plan.distCrashes,
+		CheckpointDir: dir,
+		ZombieProbe:   true,
+		OnRestart:     onRestart,
+	})
+	if err != nil {
+		return nil, 0, false, err
+	}
+	mirror, err := core.NewEngine(workload.Base(), core.Config{})
+	if err != nil {
+		return nil, 0, false, err
+	}
+	defer mirror.Close()
+	mirror.Run(plan.distRounds, nil)
+	msnap := mirror.Snapshot()
+	for ti := range msnap.LatMs {
+		for si := range msnap.LatMs[ti] {
+			maxDiff = math.Max(maxDiff, math.Abs(dres.LatMs[ti][si]-msnap.LatMs[ti][si]))
+		}
+	}
+	for ri := range msnap.Mu {
+		maxDiff = math.Max(maxDiff, math.Abs(dres.Mu[ri]-msnap.Mu[ri]))
+	}
+	const tol = 1e-3
+	mprobe := mirror.Probe()
+	return dres, maxDiff, mprobe.MaxResourceViolation <= tol && mprobe.MaxPathViolationFrac <= tol, nil
 }

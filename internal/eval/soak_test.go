@@ -56,9 +56,6 @@ func TestSoakQuick(t *testing.T) {
 // directory: the second run's coordinator must recover the first run's final
 // epoch from disk and keep counting generations from there.
 func TestSoakEpochPersists(t *testing.T) {
-	if testing.Short() {
-		t.Skip("two full quick soaks")
-	}
 	dir := t.TempDir()
 	first, err := Soak(Options{Quick: true, CheckpointDir: dir})
 	if err != nil {
@@ -87,5 +84,29 @@ func TestSoakEpochPersists(t *testing.T) {
 	}
 	if !strings.Contains(n1, "final epoch 3") || !strings.Contains(n2, "final epoch 6") {
 		t.Errorf("epochs did not persist across soaks:\n first: %s\n second: %s", n1, n2)
+	}
+}
+
+// TestSoakFailoverPhase runs the soak's distributed phase alone, in virtual
+// time, over two seeds: every scheduled coordinator crash executes, the
+// zombie generation is fenced, and the final state is the serial engine's —
+// the three verdicts a wall-clock crash plan used to miss under load.
+func TestSoakFailoverPhase(t *testing.T) {
+	plan := soakPlanFor(Options{Quick: true})
+	for _, seed := range []int64{7, 1} { // the soak's default, and the documented full run's
+		var epochs []uint64
+		res, diff, feasible, err := soakFailover(seed, plan, t.TempDir(), nil, func(e uint64) { epochs = append(epochs, e) })
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if res.CoordinatorRestarts != len(plan.distCrashes) || len(epochs) != len(plan.distCrashes) {
+			t.Errorf("seed %d: %d restarts (epochs %v), %d crashes scheduled", seed, res.CoordinatorRestarts, epochs, len(plan.distCrashes))
+		}
+		if res.FencedStale == 0 {
+			t.Errorf("seed %d: zombie probe ran but nothing was fenced", seed)
+		}
+		if diff != 0 || !feasible {
+			t.Errorf("seed %d: max |dist−engine| = %g, feasible=%v", seed, diff, feasible)
+		}
 	}
 }

@@ -72,6 +72,11 @@ type Event struct {
 	// Iteration/Round locate the event in optimization time where known.
 	Iteration int `json:"iter,omitempty"`
 	Round     int `json:"round,omitempty"`
+	// Epoch and Node are the coordinator generation and the address of the
+	// emitting node; with Round, the distributed runtime's drivers stamp all
+	// three on every event a node emits.
+	Epoch uint64 `json:"epoch,omitempty"`
+	Node  string `json:"node,omitempty"`
 	// Task, Subtask and Resource name the entities involved.
 	Task     string `json:"task,omitempty"`
 	Subtask  string `json:"subtask,omitempty"`

@@ -66,13 +66,23 @@ func (c *Clock) After(delayMs float64, fn func()) {
 // to untilMs.
 func (c *Clock) RunUntil(untilMs float64) {
 	for c.queue.Len() > 0 && c.queue.peek().atMs <= untilMs {
-		e := c.queue.popEvent()
-		c.nowMs = e.atMs
-		e.fn()
+		c.Step()
 	}
 	if untilMs > c.nowMs {
 		c.nowMs = untilMs
 	}
+}
+
+// Step processes the earliest queued event, advancing the clock to its time,
+// and reports whether there was one.
+func (c *Clock) Step() bool {
+	if c.queue.Len() == 0 {
+		return false
+	}
+	e := c.queue.popEvent()
+	c.nowMs = e.atMs
+	e.fn()
+	return true
 }
 
 // Pending reports the number of queued events.

@@ -2,9 +2,9 @@ package transport
 
 import (
 	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -49,24 +49,140 @@ type ChaosStats struct {
 	Blackholed int64
 }
 
-// Chaos wraps any Network with deterministic, composable fault injection:
-// loss, delay, duplication, reordering, network partitions, and node
-// crash/restart (a crashed node's traffic is blackholed in both directions,
-// which is indistinguishable from a process crash to the rest of the
-// system). It works over the in-process and TCP networks alike.
-type Chaos struct {
-	inner Network
-	cfg   ChaosConfig
-	inj   *injector
-	wg    sync.WaitGroup
+// Faults is the seeded fault decision shared by every fault injector: which
+// messages are lost, duplicated, held or delayed (Plan), which node pairs
+// cannot talk (Blocked), and the jitter of retransmission timers (Float64).
+// Chaos applies its decisions to a real network with goroutines and sleeps;
+// dist's virtual driver applies the same decisions as events on a virtual
+// clock. Safe for concurrent use.
+type Faults struct {
+	cfg ChaosConfig
 
 	mu      sync.Mutex
+	rng     *rand.Rand
 	crashed map[string]bool
 	// group assigns partitioned addresses to partition groups; addresses in
 	// different groups cannot communicate, unlisted addresses reach everyone.
 	group map[string]int
+	stats ChaosStats
+}
 
-	dropped, duplicated, delayed, reordered, blackholed atomic.Int64
+// NewFaults returns the fault decision stream of one seed.
+func NewFaults(cfg ChaosConfig) *Faults {
+	return &Faults{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed)), crashed: make(map[string]bool)}
+}
+
+// Crash blackholes the named node: every message it sends or that is sent to
+// it is silently discarded until Restart. The node's local state is
+// untouched — from its own point of view the network went dark, from its
+// peers' point of view it crashed.
+func (f *Faults) Crash(addr string) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.crashed[addr] = true
+}
+
+// Restart reconnects a crashed node.
+func (f *Faults) Restart(addr string) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	delete(f.crashed, addr)
+}
+
+// Partition splits the listed addresses into isolated groups: messages
+// between different groups are blackholed. Addresses not listed in any group
+// keep full connectivity. A new call replaces the previous partition.
+func (f *Faults) Partition(groups ...[]string) {
+	m := make(map[string]int)
+	for gi, g := range groups {
+		for _, a := range g {
+			m[a] = gi
+		}
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.group = m
+}
+
+// Heal removes any partition.
+func (f *Faults) Heal() {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.group = nil
+}
+
+// Blocked reports whether traffic from -> to is currently blackholed (a
+// crashed end, or ends in different partitions), counting it if so.
+func (f *Faults) Blocked(from, to string) bool {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	gf, okf := f.group[from]
+	gt, okt := f.group[to]
+	blocked := f.crashed[from] || f.crashed[to] || (okf && okt && gf != gt)
+	if blocked {
+		f.stats.Blackholed++
+	}
+	return blocked
+}
+
+// Plan decides the fate of one message: how many copies arrive (0 = lost,
+// 2 = duplicated; duplicates share the delay) and after how long. Draws are
+// consumed in send order from the seeded stream — and only for the fault
+// classes actually configured — so a serial sender replays bit-identically.
+func (f *Faults) Plan() (copies int, delay time.Duration) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	c, st := &f.cfg, &f.stats
+	drop := c.LossRate > 0 && f.rng.Float64() < c.LossRate
+	dup := c.DupRate > 0 && f.rng.Float64() < c.DupRate
+	d := c.DelayMs
+	if c.DelayJitterMs > 0 {
+		d += f.rng.Float64() * c.DelayJitterMs
+	}
+	reorder := c.ReorderRate > 0 && f.rng.Float64() < c.ReorderRate
+	if reorder {
+		d += 1 + 2*f.rng.Float64()
+	}
+	if drop {
+		st.Dropped++
+		return 0, 0
+	}
+	copies = 1
+	if dup {
+		st.Duplicated++
+		copies = 2
+	}
+	if reorder {
+		st.Reordered++
+	}
+	if d > 0 {
+		st.Delayed++
+	}
+	return copies, time.Duration(d * float64(time.Millisecond))
+}
+
+// Float64 draws from the seeded stream: the jitter source Backoff takes when
+// retransmission timing has to replay with the faults.
+func (f *Faults) Float64() float64 {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.rng.Float64()
+}
+
+// Stats returns a snapshot of the injected-fault counters.
+func (f *Faults) Stats() ChaosStats {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.stats
+}
+
+// Chaos wraps any Network with the decisions of a Faults, enacted on the
+// wall clock: a delayed copy is a goroutine that sleeps. It works over the
+// in-process and TCP networks alike.
+type Chaos struct {
+	*Faults
+	inner Network
+	wg    sync.WaitGroup
 }
 
 var _ Network = (*Chaos)(nil)
@@ -76,12 +192,7 @@ func NewChaos(inner Network, cfg ChaosConfig) *Chaos {
 	if cfg.QueueLen == 0 {
 		cfg.QueueLen = 4096
 	}
-	return &Chaos{
-		inner:   inner,
-		cfg:     cfg,
-		inj:     newInjector(cfg.Seed, cfg.LossRate, cfg.DupRate, cfg.ReorderRate, cfg.DelayMs, cfg.DelayJitterMs),
-		crashed: make(map[string]bool),
-	}
+	return &Chaos{Faults: NewFaults(cfg), inner: inner}
 }
 
 // Endpoint implements Network by wrapping the inner endpoint.
@@ -101,72 +212,10 @@ func (c *Chaos) Endpoint(addr string) (Endpoint, error) {
 	return ep, nil
 }
 
-// Crash blackholes the named node: every message it sends or that is sent to
-// it is silently discarded until Restart. The node's local state is
-// untouched — from its own point of view the network went dark, from its
-// peers' point of view it crashed.
-func (c *Chaos) Crash(addr string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.crashed[addr] = true
-}
-
-// Restart reconnects a crashed node.
-func (c *Chaos) Restart(addr string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	delete(c.crashed, addr)
-}
-
-// Partition splits the listed addresses into isolated groups: messages
-// between different groups are blackholed. Addresses not listed in any group
-// keep full connectivity. A new call replaces the previous partition.
-func (c *Chaos) Partition(groups ...[]string) {
-	m := make(map[string]int)
-	for gi, g := range groups {
-		for _, a := range g {
-			m[a] = gi
-		}
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.group = m
-}
-
-// Heal removes any partition.
-func (c *Chaos) Heal() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.group = nil
-}
-
-// blocked reports whether traffic from -> to is currently blackholed.
-func (c *Chaos) blocked(from, to string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.crashed[from] || c.crashed[to] {
-		return true
-	}
-	gf, okf := c.group[from]
-	gt, okt := c.group[to]
-	return okf && okt && gf != gt
-}
-
-// Stats returns a snapshot of the injected-fault counters.
-func (c *Chaos) Stats() ChaosStats {
-	return ChaosStats{
-		Dropped:    c.dropped.Load(),
-		Duplicated: c.duplicated.Load(),
-		Delayed:    c.delayed.Load(),
-		Reordered:  c.reordered.Load(),
-		Blackholed: c.blackholed.Load(),
-	}
-}
-
 // Wait blocks until all in-flight delayed deliveries have settled.
 func (c *Chaos) Wait() { c.wg.Wait() }
 
-// chaosEndpoint filters one endpoint's traffic through the injector.
+// chaosEndpoint filters one endpoint's traffic through the fault decisions.
 type chaosEndpoint struct {
 	c     *Chaos
 	inner Endpoint
@@ -187,38 +236,20 @@ func (e *chaosEndpoint) Addr() string { return e.addr }
 // were deferred (delay, reorder) cannot report errors; transport failures on
 // those are indistinguishable from loss, exactly as on a real network.
 func (e *chaosEndpoint) Send(to, kind string, payload any) error {
-	if e.c.blocked(e.addr, to) {
-		e.c.blackholed.Add(1)
+	if e.c.Blocked(e.addr, to) {
 		return nil
 	}
-	drop, dup, reorder, delay := e.c.inj.plan()
-	if drop {
-		e.c.dropped.Add(1)
-		return nil
-	}
-	if reorder {
-		e.c.reordered.Add(1)
-	}
-	copies := 1
-	if dup {
-		e.c.duplicated.Add(1)
-		copies = 2
-	}
-	if delay > 0 {
-		e.c.delayed.Add(1)
-		for i := 0; i < copies; i++ {
+	copies, delay := e.c.Plan()
+	var err error
+	for i := 0; i < copies; i++ {
+		if delay > 0 {
 			e.c.wg.Add(1)
 			go func() {
 				defer e.c.wg.Done()
 				time.Sleep(delay)
 				_ = e.inner.Send(to, kind, payload)
 			}()
-		}
-		return nil
-	}
-	var err error
-	for i := 0; i < copies; i++ {
-		if serr := e.inner.Send(to, kind, payload); err == nil {
+		} else if serr := e.inner.Send(to, kind, payload); err == nil {
 			err = serr
 		}
 	}
@@ -229,8 +260,7 @@ func (e *chaosEndpoint) Send(to, kind string, payload any) error {
 // crashed or partitioned away from the sender.
 func (e *chaosEndpoint) pump() {
 	for m := range e.inner.Recv() {
-		if e.c.blocked(m.From, e.addr) {
-			e.c.blackholed.Add(1)
+		if e.c.Blocked(m.From, e.addr) {
 			continue
 		}
 		// Forward without blocking when there is room, so messages buffered
@@ -262,53 +292,20 @@ func (e *chaosEndpoint) Close() error {
 	return e.closeErr
 }
 
-// injector makes the seeded loss/duplication/reorder/delay decisions.
-type injector struct {
-	mu                 sync.Mutex
-	rng                *rand.Rand
-	loss, dup, reorder float64
-	delayMs, jitterMs  float64
-}
-
-func newInjector(seed int64, loss, dup, reorder, delayMs, jitterMs float64) *injector {
-	return &injector{
-		rng:      rand.New(rand.NewSource(seed)),
-		loss:     loss,
-		dup:      dup,
-		reorder:  reorder,
-		delayMs:  delayMs,
-		jitterMs: jitterMs,
-	}
-}
-
-// plan decides the fate of one message. Draws are consumed in send order
-// from the seeded stream — and only for the fault classes actually
-// configured — so a serial sender replays bit-identically.
-func (j *injector) plan() (drop, dup, reorder bool, delay time.Duration) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.loss > 0 && j.rng.Float64() < j.loss {
-		drop = true
-	}
-	if j.dup > 0 && j.rng.Float64() < j.dup {
-		dup = true
-	}
-	d := j.delayMs
-	if j.jitterMs > 0 {
-		d += j.rng.Float64() * j.jitterMs
-	}
-	if j.reorder > 0 && j.rng.Float64() < j.reorder {
-		reorder = true
-		d += 1 + 2*j.rng.Float64()
-	}
-	delay = time.Duration(d * float64(time.Millisecond))
-	return drop, dup, reorder, delay
+// NewJitter returns a private jitter source for Backoff, seeded from name so
+// that distinct nodes and connections decorrelate without reading a clock.
+func NewJitter(name string) *rand.Rand {
+	h := fnv.New64a()
+	h.Write([]byte(name))
+	return rand.New(rand.NewSource(int64(h.Sum64())))
 }
 
 // Backoff returns the wait before retry attempt (0-based): base·2^attempt
-// with ±25% jitter, capped at max. Shared by the TCP reconnect path and the
-// distributed runtime's retransmission timers.
-func Backoff(attempt int, base, max time.Duration) time.Duration {
+// with ±25% jitter drawn from rng, capped at max. Shared by the TCP
+// reconnect path (a per-connection source) and the distributed runtime's
+// retransmission timers (a per-node source, or the run's Faults when the
+// timing has to replay from a seed).
+func Backoff(rng interface{ Float64() float64 }, attempt int, base, max time.Duration) time.Duration {
 	if base <= 0 {
 		return 0
 	}
@@ -319,8 +316,7 @@ func Backoff(attempt int, base, max time.Duration) time.Duration {
 	if max > 0 && d > max {
 		d = max
 	}
-	j := 0.75 + 0.5*rand.Float64()
-	return time.Duration(float64(d) * j)
+	return time.Duration(float64(d) * (0.75 + 0.5*rng.Float64()))
 }
 
 // String renders the stats for logs and test failures.

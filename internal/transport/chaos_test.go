@@ -212,3 +212,36 @@ func TestChaosPassthroughErrors(t *testing.T) {
 		t.Fatal("duplicate endpoint should fail")
 	}
 }
+
+// Backoff's jitter comes from the source it is handed and nowhere else: two
+// sources with one seed give the same waits, attempt by attempt, inside
+// ±25 % of the capped doubling; a Faults stream is such a source, and two
+// seeds differ.
+func TestBackoffJitterIsSeeded(t *testing.T) {
+	const base, max = 10 * time.Millisecond, 80 * time.Millisecond
+	a, b := NewJitter("res/r0"), NewJitter("res/r0")
+	fa, fb := NewFaults(ChaosConfig{Seed: 5}), NewFaults(ChaosConfig{Seed: 5})
+	other := NewFaults(ChaosConfig{Seed: 6})
+	differs := false
+	for attempt := 0; attempt < 8; attempt++ {
+		want := base << min(attempt, 3)
+		d := Backoff(a, attempt, base, max)
+		if d != Backoff(b, attempt, base, max) {
+			t.Fatalf("attempt %d: equal jitter seeds gave different waits", attempt)
+		}
+		if d < want*3/4 || d > want*5/4 {
+			t.Errorf("attempt %d: wait %v outside ±25%% of %v", attempt, d, want)
+		}
+		fd := Backoff(fa, attempt, base, max)
+		if fd != Backoff(fb, attempt, base, max) {
+			t.Fatalf("attempt %d: equal fault seeds gave different waits", attempt)
+		}
+		differs = differs || fd != Backoff(other, attempt, base, max)
+	}
+	if !differs {
+		t.Error("fault seeds 5 and 6 jittered eight waits identically")
+	}
+	if Backoff(a, 3, 0, max) != 0 {
+		t.Error("a zero base must disable the wait")
+	}
+}

@@ -105,8 +105,8 @@ func (n *Inproc) deliver(msg Message) error {
 	if dst == nil && !gone && n.cfg.RegistrationWait > 0 {
 		// A destination never seen may simply not have started yet; one that
 		// has come and gone will not be helped by waiting.
-		deadline := time.Now().Add(n.cfg.RegistrationWait)
-		for dst == nil && !gone && time.Now().Before(deadline) {
+		open := retryWindow(n.cfg.RegistrationWait)
+		for dst == nil && !gone && open() {
 			time.Sleep(time.Millisecond)
 			dst, gone = n.lookup(msg.To)
 		}

@@ -200,17 +200,18 @@ func (e *tcpEndpoint) Send(to, kind string, payload any) error {
 	if err == nil {
 		return nil
 	}
-	deadline := time.Now().Add(e.net.SendRetryWindow)
+	open := retryWindow(e.net.SendRetryWindow)
+	jitter := NewJitter(e.addr + ">" + to) // this reconnect's own
 	for attempt := 0; ; attempt++ {
 		e.dropConn(to)
 		if e.isClosed() || errors.Is(err, wire.ErrRefused) {
 			return err
 		}
-		if attempt > 0 && !time.Now().Before(deadline) {
-			return err
-		}
 		if attempt > 0 {
-			time.Sleep(Backoff(attempt-1, 25*time.Millisecond, time.Second))
+			if !open() {
+				return err
+			}
+			time.Sleep(Backoff(jitter, attempt-1, 25*time.Millisecond, time.Second))
 		}
 		if err = e.write(to, frame); err == nil {
 			return nil
@@ -279,8 +280,8 @@ func (e *tcpEndpoint) dial(to string) (net.Conn, error) {
 		return nil, err
 	}
 	c, err := net.DialTimeout("tcp", hp, e.net.dialTimeout)
-	deadline := time.Now().Add(e.net.DialRetryWindow)
-	for err != nil && time.Now().Before(deadline) {
+	open := retryWindow(e.net.DialRetryWindow)
+	for err != nil && open() {
 		if e.isClosed() {
 			break
 		}

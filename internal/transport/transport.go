@@ -12,6 +12,7 @@ package transport
 import (
 	"bufio"
 	"io"
+	"time"
 
 	"lla/internal/wire"
 )
@@ -67,4 +68,12 @@ type Codec interface {
 	// ReadAck parses the server's answer to the hello; any failure wraps
 	// wire.ErrRefused.
 	ReadAck(r io.Reader) error
+}
+
+// retryWindow opens a wall-clock window of length d and returns a function
+// reporting whether it is still open: the one bounded-retry idiom of the
+// TCP dial, the TCP re-send and the in-process registration wait.
+func retryWindow(d time.Duration) func() bool {
+	end := time.Now().Add(d)
+	return func() bool { return time.Now().Before(end) }
 }

@@ -368,3 +368,52 @@ func TestMessageDecodeError(t *testing.T) {
 		t.Fatal("type mismatch should fail")
 	}
 }
+
+// Wall-clock smoke of the TCP re-send path: the destination is not
+// listening when Send starts, so the first attempts are refused and Send
+// backs off (25 ms, then doubling, jittered) until the peer comes up.
+func TestTCPSendBacksOffUntilPeerListens(t *testing.T) {
+	net := NewTCP(map[string]string{"a": "127.0.0.1:0", "b": "127.0.0.1:0"})
+	net.DialRetryWindow = 0 // refused dials fail at once: only Send's backoff waits
+	net.SendRetryWindow = 2 * time.Second
+	a, err := net.Endpoint("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	b, err := net.Endpoint("b") // binds a port into the registry, then leaves it
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.Close()
+
+	up := make(chan Endpoint, 1)
+	go func() {
+		time.Sleep(40 * time.Millisecond)
+		b, err := net.Endpoint("b")
+		if err != nil {
+			t.Error(err)
+		}
+		up <- b
+	}()
+	start := time.Now()
+	if err := a.Send("b", "ping", "late"); err != nil {
+		t.Fatalf("send across the peer's restart: %v", err)
+	}
+	if d := time.Since(start); d < 40*time.Millisecond || d > 300*time.Millisecond {
+		t.Errorf("send took %v: want the peer's 40ms absence plus at most a few backoff steps", d)
+	}
+	b = <-up
+	if b == nil {
+		t.FailNow()
+	}
+	defer b.Close()
+	select {
+	case m := <-b.Recv():
+		if m.From != "a" || m.Kind != "ping" {
+			t.Errorf("got %+v", m)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("the re-sent message never arrived")
+	}
+}

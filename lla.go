@@ -281,7 +281,10 @@ var NewCorrector = errcorr.New
 // Distributed runtime.
 type (
 	// Distributed drives LLA as message-passing resource and controller
-	// nodes over a transport.
+	// nodes over a transport: round-synchronized (Run, RunUntilConverged,
+	// RunWithFailover) or, with RunAsync, without round synchronization —
+	// nodes compute on whatever prices/latencies have arrived and publish
+	// immediately (prefer fixed moderate steps under long message delays).
 	Distributed = dist.Runtime
 	// DistResult summarizes a distributed run.
 	DistResult = dist.Result
@@ -341,25 +344,8 @@ var (
 // (retransmission backoff and failure-detection leases).
 type FaultPolicy = dist.FaultPolicy
 
-var (
-	// DefaultFaultPolicy returns the retransmission/lease defaults.
-	DefaultFaultPolicy = dist.DefaultFaultPolicy
-	// RunAsyncWithPolicy is RunAsync with an explicit fault policy.
-	RunAsyncWithPolicy = dist.RunAsyncWithPolicy
-	// RunAsyncObserved is RunAsyncWithPolicy with an observer attached:
-	// dist counters increment live, resource gauges track prices, and the
-	// trace sink sees degradation transitions.
-	RunAsyncObserved = dist.RunAsyncObserved
-)
-
-// AsyncResult summarizes an asynchronous distributed run.
-type AsyncResult = dist.AsyncResult
-
-// RunAsync runs LLA without round synchronization for the given wall-clock
-// duration: nodes compute on whatever prices/latencies have arrived and
-// publish immediately. Prefer fixed moderate steps under long message
-// delays (see internal/dist documentation).
-var RunAsync = dist.RunAsync
+// DefaultFaultPolicy returns the retransmission/lease defaults.
+var DefaultFaultPolicy = dist.DefaultFaultPolicy
 
 // NewInprocNetwork returns an in-process network. It delivers immediately
 // and loses nothing; to inject faults (loss, delay, jitter, duplication,
