@@ -30,12 +30,7 @@ func (e *Engine) CarryFrom(donors ...*Engine) {
 	for _, d := range donors {
 		d.carryInto(e, muDone, taskDone)
 	}
-	e.refreshResourceState()
-	// Accelerated dynamics must not extrapolate across the carry
-	// discontinuity (relevant when the receiver has already stepped).
-	if e.dyn != nil {
-		e.dyn.Invalidate()
-	}
+	e.refreshResourceState() // invalidates the dynamics' history too
 }
 
 // carryInto copies d's prices and task state into e where IDs/names match

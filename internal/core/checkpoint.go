@@ -15,11 +15,11 @@ import (
 //
 // What is deliberately NOT captured, because Step reconstructs it from the
 // captured state before reading it: the per-Step price snapshot e.mu
-// (copied from the live prices at the top of every Step), the Dynamics
-// avail/curvature scratch (refilled each resource phase), and the per-subtask
+// (copied from the live prices at the top of every Step), and the per-subtask
 // shares — each always equals the share at the current latency (Solve
 // rewrites one whenever its latency moves), so RestoreState recomputes them
-// from the restored latencies bit-for-bit.
+// from the restored latencies bit-for-bit, and with them each resource's
+// interior-share sum (the curvature numerator).
 
 // EngineState is a deep-copied checkpoint of an Engine's optimizer state.
 // Slices indexed per task hold one inner slice per compiled task, in
@@ -41,15 +41,14 @@ type EngineState struct {
 	// rebuilt from the workload would silently lose it without this.
 	ErrMs [][]float64
 
-	// Mu and AgentGamma are each resource agent's price and step-sizer size;
-	// ShareSums/Congested the cached previous-iteration resource state.
-	Mu         []float64
-	AgentGamma []float64
-	ShareSums  []float64
-	Congested  []bool
+	// Mu is each resource's price; ShareSums/Congested the cached
+	// previous-iteration resource state.
+	Mu        []float64
+	ShareSums []float64
+	Congested []bool
 
 	// Sparse active-set state: the controller input fingerprints (incidence
-	// layout) and the per-controller/per-agent fixed-point flags. Restoring
+	// layout) and the per-controller/per-resource fixed-point flags. Restoring
 	// them verbatim — rather than invalidating — is what keeps the first
 	// post-restore Step identical to the uninterrupted one: the skip contract
 	// is exact, so a restored bit-identical state satisfies it identically.
@@ -58,17 +57,13 @@ type EngineState struct {
 	CtlSolved   []bool
 	CtlStable   []bool
 	LatChanged  []bool
-	AgentStable []bool
+	PriceStable []bool
 	SumValid    []bool
 	Sparse      SparseStats
 
-	// Dyn is the accelerated price solver's internal state (nil when the
-	// reference gradient runs on the agents' built-in path); DynReset marks a
-	// Dynamics that was present but not capturable, which restores under the
-	// Reset-on-restore contract instead. DynDelta is the last round's largest
-	// price move.
-	Dyn      *price.DynamicsState
-	DynReset bool
+	// Dyn is the price solver's internal state (step sizes, safeguard and
+	// history); DynDelta is the last round's largest price move.
+	Dyn      price.DynamicsState
 	DynDelta float64
 }
 
@@ -83,7 +78,6 @@ func (e *Engine) CaptureState() EngineState {
 		PathGamma:   make([][]float64, len(e.p.Tasks)),
 		ErrMs:       make([][]float64, len(e.p.Tasks)),
 		Mu:          append([]float64(nil), e.price...),
-		AgentGamma:  price.CaptureSteps(e.grad),
 		ShareSums:   append([]float64(nil), e.shareSums...),
 		Congested:   append([]bool(nil), e.congested...),
 		FpMu:        append([]float64(nil), e.fpMu...),
@@ -91,9 +85,10 @@ func (e *Engine) CaptureState() EngineState {
 		CtlSolved:   append([]bool(nil), e.ctlSolved...),
 		CtlStable:   append([]bool(nil), e.ctlStable...),
 		LatChanged:  append([]bool(nil), e.latChanged...),
-		AgentStable: append([]bool(nil), e.agentStable...),
+		PriceStable: append([]bool(nil), e.priceStable...),
 		SumValid:    append([]bool(nil), e.sumValid...),
 		Sparse:      e.sstats,
+		Dyn:         price.CaptureDynamics(e.dyn),
 		DynDelta:    e.dynDelta,
 	}
 	for ti := range e.p.Tasks {
@@ -102,13 +97,6 @@ func (e *Engine) CaptureState() EngineState {
 		st.Lambda[ti] = append([]float64(nil), c.Lambda...)
 		st.PathGamma[ti] = append([]float64(nil), c.gamma...)
 		st.ErrMs[ti] = append([]float64(nil), e.p.Tasks[ti].ErrMs...)
-	}
-	if e.dyn != nil {
-		if ds, ok := price.CaptureDynamics(e.dyn); ok {
-			st.Dyn = &ds
-		} else {
-			st.DynReset = true
-		}
 	}
 	return st
 }
@@ -124,9 +112,8 @@ func (e *Engine) RestoreState(st EngineState) error {
 		len(st.PathGamma) != len(e.p.Tasks) || len(st.ErrMs) != len(e.p.Tasks) {
 		return fmt.Errorf("core: checkpoint has %d tasks, engine has %d", len(st.LatMs), len(e.p.Tasks))
 	}
-	if nr := len(e.price); len(st.Mu) != nr || len(st.AgentGamma) != nr ||
-		len(st.ShareSums) != nr || len(st.Congested) != nr ||
-		len(st.AgentStable) != nr || len(st.SumValid) != nr {
+	if nr := len(e.price); len(st.Mu) != nr || len(st.ShareSums) != nr || len(st.Congested) != nr ||
+		len(st.PriceStable) != nr || len(st.SumValid) != nr {
 		return fmt.Errorf("core: checkpoint has %d resources, engine has %d", len(st.Mu), nr)
 	}
 	if len(st.FpMu) != len(e.fpMu) || len(st.FpCong) != len(e.fpCong) {
@@ -152,11 +139,8 @@ func (e *Engine) RestoreState(st EngineState) error {
 			}
 		}
 	}
-	switch {
-	case st.Dyn != nil && e.dyn == nil:
-		return fmt.Errorf("core: checkpoint holds %s solver state, engine runs the gradient agent path", st.Dyn.Solver)
-	case st.Dyn == nil && !st.DynReset && e.dyn != nil:
-		return fmt.Errorf("core: checkpoint was taken on the gradient agent path, engine runs %s", e.dyn.Solver())
+	if err := price.RestoreDynamics(e.dyn, st.Dyn); err != nil {
+		return err
 	}
 
 	for ti := range e.p.Tasks {
@@ -172,34 +156,23 @@ func (e *Engine) RestoreState(st EngineState) error {
 		copy(c.gamma, st.PathGamma[ti])
 		// The shares must be those of the restored latencies: a restored
 		// clean resource reuses them verbatim in the next serial reduction.
-		e.p.sharesInto(c.shares, ti, c.LatMs)
+		e.p.sharesInto(c.shares, ti, c.LatMs, true)
 	}
 	copy(e.price, st.Mu)
-	if err := price.RestoreSteps(e.grad, st.AgentGamma); err != nil {
-		return err
-	}
 	copy(e.shareSums, st.ShareSums)
+	for ri := range e.inner {
+		_, e.inner[ri] = e.demand(ri)
+	}
 	copy(e.congested, st.Congested)
 	copy(e.fpMu, st.FpMu)
 	copy(e.fpCong, st.FpCong)
 	copy(e.ctlSolved, st.CtlSolved)
 	copy(e.ctlStable, st.CtlStable)
 	copy(e.latChanged, st.LatChanged)
-	copy(e.agentStable, st.AgentStable)
+	copy(e.priceStable, st.PriceStable)
 	copy(e.sumValid, st.SumValid)
 	e.sstats = st.Sparse
 	e.dynDelta = st.DynDelta
 	e.iter = st.Iteration
-
-	if st.Dyn != nil {
-		if err := price.RestoreDynamics(e.dyn, *st.Dyn); err != nil {
-			return err
-		}
-	} else if st.DynReset && e.dyn != nil {
-		// Reset-on-restore contract: the solver's history is gone, so it must
-		// restart from cleared state (NewEngine already Reset it; do it again
-		// in case the engine has stepped).
-		e.dyn.Reset(len(e.price))
-	}
 	return nil
 }

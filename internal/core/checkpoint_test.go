@@ -118,9 +118,11 @@ func TestRestoreCarriesErrorMs(t *testing.T) {
 }
 
 // TestRestoreRejectsMismatch: shape and solver mismatches must refuse the
-// restore rather than load approximately.
+// restore rather than load approximately. Every engine runs a Dynamics, so
+// the solver check is the Dynamics state's own, whichever solver the
+// checkpoint and the engine name.
 func TestRestoreRejectsMismatch(t *testing.T) {
-	ref, err := NewEngine(workload.Base(), Config{Workers: 1})
+	ref, err := NewEngine(workload.Base(), Config{Workers: 1, PriceSolver: price.SolverGradient})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +134,7 @@ func TestRestoreRejectsMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	other, err := NewEngine(bigger, Config{Workers: 1})
+	other, err := NewEngine(bigger, Config{Workers: 1, PriceSolver: price.SolverGradient})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,8 +28,9 @@ type Controller struct {
 	// gamma[pi] is path pi's current step size; step advances it.
 	gamma []float64
 	// shares[s] is subtask s's share at LatMs[s] as of the last Solve,
-	// which rewrites an entry exactly when its latency moves. The engine
-	// reduces each resource's demand from these.
+	// which rewrites an entry exactly when its latency moves, flagged
+	// (negated) while the subtask is bound-active. The engine reduces each
+	// resource's demand and curvature from these.
 	shares []float64
 
 	// step sizes the path-price steps: its Gamma is also the floor of the
@@ -72,8 +73,8 @@ func (c *Controller) reset() {
 		r := &p.Resources[p.res[g]]
 		fair := r.Availability / float64(len(r.Subs))
 		c.LatMs[si] = clamp(p.Share(ti, si).LatencyFor(fair), p.latMin[g], p.latMax[g])
-		c.shares[si] = p.ShareAt(g, c.LatMs[si])
 	}
+	p.sharesInto(c.shares, ti, c.LatMs, true)
 }
 
 // pathPriceSum is Λ_s = Σ_{p∋s} λ_p for subtask si of a task with path
@@ -130,7 +131,7 @@ func stationary(mu, denom, cost, errMs, lo, hi float64) float64 {
 //     computes the aggregate L and takes one round, detecting change as it
 //     writes; otherwise f'(L) moves with L and the controller fixed-points
 //     on L until L or the slope stops moving (monotone for concave curves);
-//   - re-evaluates the share of each subtask whose latency moved.
+//   - re-evaluates the share of each subtask whose latency moved (flagged).
 //
 // priceChanged reports whether a path price or step size moved and
 // latChanged whether a latency did, bitwise against the state at entry. The
@@ -195,7 +196,7 @@ func (c *Controller) Solve(mu []float64, congested []bool) (priceChanged, latCha
 			v := stationary(mu[res[si]], pathPriceSum(lambda, through, toff, si)-weight[si]*slope, cost[si], errMs[si], latMin[si], latMax[si])
 			if v != lat[si] {
 				lat[si] = v
-				shares[si] = cost[si] / share.Budget(v, errMs[si])
+				shares[si] = flagged(cost[si]/share.Budget(v, errMs[si]), v, latMin[si], latMax[si])
 				latChanged = true
 			}
 		}
@@ -226,7 +227,7 @@ func (c *Controller) Solve(mu []float64, congested []bool) (priceChanged, latCha
 		if v != shares[si] {
 			latChanged = true
 		}
-		shares[si] = cost[si] / share.Budget(v, errMs[si])
+		shares[si] = flagged(cost[si]/share.Budget(v, errMs[si]), v, latMin[si], latMax[si])
 	}
 	return priceChanged, latChanged
 }
@@ -278,7 +279,7 @@ func (c *Controller) ClampDeadlineSafe() float64 {
 			}
 		}
 	}
-	p.sharesInto(c.shares, c.ti, c.LatMs)
+	p.sharesInto(c.shares, c.ti, c.LatMs, true)
 	longest, _ := c.CriticalPathMs()
 	if v := (longest - pt.CriticalMs) / pt.CriticalMs; v > 0 {
 		return v

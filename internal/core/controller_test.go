@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"lla/internal/price"
 	"lla/internal/share"
 	"lla/internal/task"
 	"lla/internal/utility"
@@ -177,7 +178,7 @@ func TestControllerSharesAndCriticalPath(t *testing.T) {
 	c := NewController(p, 0, fixedPolicy, 30)
 	c.LatMs[0], c.LatMs[1] = 8, 6
 	shares := make([]float64, 2)
-	p.sharesInto(shares, 0, c.LatMs)
+	p.sharesInto(shares, 0, c.LatMs, false)
 	if math.Abs(shares[0]-0.5) > 1e-12 || math.Abs(shares[1]-0.5) > 1e-12 {
 		t.Errorf("shares = %v, want [0.5 0.5]", shares)
 	}
@@ -198,12 +199,13 @@ func TestResourcePriceDynamics(t *testing.T) {
 	if !r.Congested(1.05) {
 		t.Error("5% overload should be congested")
 	}
-	grad := Config{Step: fixedPolicy}.NewGradStep()
-	mu, _ := grad.Update(1, r.Availability, 1.5, r.Congested(1.5)) // overload: price rises
+	grad := Config{Step: fixedPolicy, PriceSolver: price.SolverGradient}.WithDefaults().NewDynamics()
+	grad.Reset(1)
+	mu, _ := grad.StepAt(0, 1, 1.5, r.Availability, 0, r.Congested(1.5)) // overload: price rises
 	if mu <= 1 {
 		t.Errorf("mu = %v, want > 1 after overload", mu)
 	}
-	if low, _ := grad.Update(mu, r.Availability, 0.5, r.Congested(0.5)); low >= mu { // slack: price falls
+	if low, _ := grad.StepAt(0, mu, 0.5, r.Availability, 0, r.Congested(0.5)); low >= mu { // slack: price falls
 		t.Errorf("mu = %v, want < %v after slack", low, mu)
 	}
 }

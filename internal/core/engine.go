@@ -45,12 +45,12 @@ type Config struct {
 	// produces bitwise-identical results.
 	Workers int
 	// PriceSolver selects the resource-price dynamics (DESIGN.md §12):
-	// price.SolverGradient (the default) is the paper's gradient projection
-	// with the Section 5.2 doubling heuristic, bit-for-bit the pre-Dynamics
-	// behavior; the accelerated solvers (newton, anderson, price-discovery)
-	// trade it for updates that need far fewer rounds to converge. Path
-	// prices always use the reference gradient dynamics — only the resource
-	// half of the dual update is pluggable.
+	// price.SolverNewton (the default) takes diagonal-Newton steps on the
+	// curvature the demand reduction already yields; price.SolverGradient is
+	// the paper's gradient projection with the Section 5.2 doubling
+	// heuristic. Every solver reaches the same fixed point; only the resource
+	// half of the dual update is pluggable — path prices always take the
+	// paper's gradient steps.
 	PriceSolver price.Solver
 }
 
@@ -74,17 +74,17 @@ func (c Config) WithDefaults() Config {
 		c.Workers = runtime.GOMAXPROCS(0)
 	}
 	if c.PriceSolver == "" {
-		c.PriceSolver = price.SolverGradient
+		c.PriceSolver = price.SolverNewton
 	}
 	return c
 }
 
 // NewStepSizer builds one resource-price step sizer from the config's
-// StepPolicy. With NewGradStep and NewDynamics it is the single source of
-// truth for the resource-price dynamics: every runtime constructs its own
-// here, so a config produces identical price trajectories in all of them
-// (path step sizes are plain numbers advanced by the same policy in
-// Controller.Solve). Call on a config that has been through WithDefaults.
+// StepPolicy. With NewDynamics it is the single source of truth for the
+// resource-price dynamics: every runtime constructs its own here, so a config
+// produces identical price trajectories in all of them (path step sizes are
+// plain numbers advanced by the same policy in Controller.Solve). Call on a
+// config that has been through WithDefaults.
 func (c Config) NewStepSizer() price.StepSizer {
 	if c.Step.Adaptive {
 		a := price.NewAdaptive(c.Step.Gamma)
@@ -92,12 +92,6 @@ func (c Config) NewStepSizer() price.StepSizer {
 		return a
 	}
 	return &price.Fixed{Value: c.Step.Gamma}
-}
-
-// NewGradStep builds one resource's reference gradient-projection step: the
-// step sizer with the base-step and price-scaled floors (price.GradStep).
-func (c Config) NewGradStep() price.GradStep {
-	return price.GradStep{Step: c.NewStepSizer(), BaseGamma: c.Step.Gamma, PriceScaled: c.Step.Adaptive}
 }
 
 // NewDynamics builds the configured price-dynamics solver. Call on a config
@@ -109,13 +103,6 @@ func (c Config) NewDynamics() price.Dynamics {
 		BaseGamma:   c.Step.Gamma,
 		PriceScaled: c.Step.Adaptive,
 	})
-}
-
-// Accelerated reports whether the config selects a non-reference price
-// solver — the condition under which runtimes swap the built-in agent
-// gradient step for a Dynamics instance.
-func (c Config) Accelerated() bool {
-	return c.PriceSolver != "" && c.PriceSolver != price.SolverGradient
 }
 
 // Engine drives LLA synchronously: one Step performs a full iteration —
@@ -130,17 +117,19 @@ type Engine struct {
 	// Optimizer state, flat and aligned with the problem's arrays (DESIGN.md
 	// §6): latency and share per subtask, price and step size per path, price
 	// per resource. Task ti's controller is a view of its windows of the
-	// first four (Controller); grad holds each resource's gradient step.
+	// first four (Controller); dyn steps the prices.
 	lat, shares   []float64
 	lambda, gamma []float64
 	price         []float64
-	grad          []price.GradStep
+	dyn           price.Dynamics
 
 	iter int
 	// shareSums and congested cache the previous iteration's resource
 	// state; controllers consume it for the adaptive path-step heuristic.
-	shareSums []float64
-	congested []bool
+	// inner is the same reduction over each resource's interior subtasks
+	// only — the numerator of its curvature (Curvature).
+	shareSums, inner []float64
+	congested        []bool
 
 	// mu is the reused per-Step snapshot of resource prices; taking it
 	// before the controller phase is what lets shards run against a frozen
@@ -162,28 +151,21 @@ type Engine struct {
 	// Active-set state (sparse.go). inc is the once-built CSR incidence
 	// index; fpMu/fpCong hold each controller's input fingerprint (aligned
 	// with inc.taskRes); the bool vectors carry the per-controller and
-	// per-agent fixed-point flags; shardSkipped is the per-shard skip tally
-	// folded into sstats after the join.
+	// per-resource fixed-point flags; shardSkipped is the per-shard skip
+	// tally folded into sstats after the join.
 	inc          Incidence
 	fpMu         []float64
 	fpCong       []bool
 	ctlSolved    []bool
 	ctlStable    []bool
 	latChanged   []bool
-	agentStable  []bool
+	priceStable  []bool
 	sumValid     []bool
 	shardSkipped []uint64
 	sstats       SparseStats
 
-	// Accelerated price dynamics (DESIGN.md §12). dyn is nil for the
-	// reference gradient solver, whose resource phase steps each resource's
-	// own GradStep; for accelerated solvers the resource phase hands
-	// the reduced demand vector to dyn. dynAvail/dynCurv are the preallocated
-	// StepInput scratch; dynDelta is the last round's largest |Δμ| (the
-	// residual-trajectory gauge).
-	dyn      price.Dynamics
-	dynAvail []float64
-	dynCurv  []float64
+	// dynDelta is the last round's largest |Δμ| (the residual-trajectory
+	// gauge).
 	dynDelta float64
 
 	// Pinned-price state (pin.go). pinned is nil until the first PinPrice —
@@ -227,12 +209,16 @@ func NewEngineChecked(ck *workload.Checked, cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
+	nr := len(p.Resources)
 	e := &Engine{
 		p:         p,
 		cfg:       cfg,
-		shareSums: make([]float64, len(p.Resources)),
-		congested: make([]bool, len(p.Resources)),
-		mu:        make([]float64, len(p.Resources)),
+		shareSums: make([]float64, nr),
+		inner:     make([]float64, nr),
+		congested: make([]bool, nr),
+		mu:        make([]float64, nr),
+		price:     make([]float64, nr),
+		dyn:       cfg.NewDynamics(),
 		nshards:   resolveShards(cfg.Workers, len(p.Tasks)),
 	}
 	nsub, npaths := p.NumSubtasks(), len(p.wMin)
@@ -243,18 +229,10 @@ func NewEngineChecked(ck *workload.Checked, cfg Config) (*Engine, error) {
 		c := e.Controller(ti)
 		c.reset()
 	}
-	e.price = make([]float64, len(p.Resources))
-	e.grad = make([]price.GradStep, len(p.Resources))
 	for ri := range e.price {
 		e.price[ri] = cfg.InitialMu
-		e.grad[ri] = cfg.NewGradStep()
 	}
-	if cfg.Accelerated() {
-		e.dyn = cfg.NewDynamics()
-		e.dyn.Reset(len(p.Resources))
-		e.dynAvail = make([]float64, len(p.Resources))
-		e.dynCurv = make([]float64, len(p.Resources))
-	}
+	e.dyn.Reset(nr)
 	e.initSparse()
 	e.refreshResourceState()
 	return e, nil
@@ -288,14 +266,33 @@ func (e *Engine) Iteration() int { return e.iter }
 func (e *Engine) taskLat(ti int) []float64 { return e.lat[e.p.subOff[ti]:e.p.subOff[ti+1]] }
 
 // demand reduces resource ri's total demanded share from the per-subtask
-// shares, in compiled subtask order — so the sum is bitwise the same no
-// matter how many workers produced the values.
-func (e *Engine) demand(ri int) float64 {
-	sum := 0.0
+// share cache, in compiled subtask order — so the sum is bitwise the same no
+// matter how many workers produced the values — and, in the same pass, the
+// shares of its interior subtasks: the numerator of its curvature. A cached
+// share is negated while its subtask is bound-active (flagged), so the pass
+// reads nothing else.
+func (e *Engine) demand(ri int) (sum, inner float64) {
 	for _, g := range e.p.Resources[ri].Subs {
-		sum += e.shares[g]
+		s := e.shares[g]
+		a := math.Abs(s)
+		sum += a
+		inner += (s + a) * 0.5 // s when interior, exactly 0 when bound-active
 	}
-	return sum
+	return sum, inner
+}
+
+// Curvature is a resource's demand response −∂(Σ share)/∂μ at price mu from
+// the summed shares of its interior subtasks (Problem.Interior): on the
+// stationarity solution (Equation 7) lat − e = sqrt(μ·k/denom), so each
+// interior share is sqrt(k·denom/μ) and responds as −share/(2μ) — the
+// closed-form diagonal of the dual Hessian. Bound-active subtasks and free
+// resources do not respond. Every runtime derives it here from the same
+// reduction as the demand, so their trajectories agree bit for bit.
+func Curvature(inner, mu float64) float64 {
+	if mu <= 0 {
+		return 0
+	}
+	return inner / (2 * mu)
 }
 
 // refreshResourceState re-evaluates every share from the current latencies
@@ -304,12 +301,13 @@ func (e *Engine) demand(ri int) float64 {
 // change, fork warm-start, workload replacement), so it also drops the
 // active set's cached fixed points.
 func (e *Engine) refreshResourceState() {
-	for g, lat := range e.lat {
-		e.shares[g] = e.p.ShareAt(int32(g), lat)
+	for ti := range e.p.Tasks {
+		lo, hi := e.p.subOff[ti], e.p.subOff[ti+1]
+		e.p.sharesInto(e.shares[lo:hi], ti, e.lat[lo:hi], true)
 	}
 	for ri := range e.price {
-		sum := e.demand(ri)
-		e.shareSums[ri] = sum
+		sum, inner := e.demand(ri)
+		e.shareSums[ri], e.inner[ri] = sum, inner
 		if e.PinnedAt(ri) {
 			e.congested[ri] = e.pinnedCong[ri] // externally owned (pin.go)
 		} else {
@@ -350,56 +348,45 @@ func (e *Engine) Step() {
 	}
 }
 
-// resourcePhase reduces each resource's demand from the per-subtask shares
-// and re-prices it. Under the reference gradient solver (dyn == nil) each
-// resource steps its own price, and a resource is clean — its cached sum,
-// congestion flag and price are reused verbatim — when a previous reduction
-// populated the cache (sumValid), the last executed gradient step was a
-// bitwise no-op (agentStable: neither price nor step sizer moved), and no
-// contributing task re-solved with changed latencies this Step
-// (resourceDirty). Recomputing would then reproduce every cached bit: the
-// shares of skipped tasks are what their last executed solve wrote, so the
-// reduction would return the cached sum and the fixed-point price update
-// the cached price.
+// resourcePhase reduces each resource's demand and curvature from the
+// per-subtask shares and steps its price through the Dynamics. A resource is
+// clean — its cached sum, curvature, congestion flag and price are reused
+// verbatim — when a previous reduction populated the cache (sumValid), its
+// last executed step was a bitwise no-op (priceStable: neither the price nor
+// the solver's state for it moved), and no contributing task re-solved with
+// changed latencies this Step (resourceDirty). Recomputing would then
+// reproduce every cached bit: the shares of skipped tasks are what their last
+// executed solve wrote, so the reduction would return the cached sums and the
+// fixed-point step the cached price. Every solver is coordinate-separable, so
+// skipping a coordinate leaves the others' steps untouched.
 //
-// The accelerated solvers reduce every resource and hand the whole vector to
-// the Dynamics: their updates move prices in ways the agent-stability test
-// does not model, so no resource is ever clean. Controller skipping works
-// unchanged under them — a repriced resource changes the mu/congested
-// fingerprints of exactly the controllers that observe it.
-//
-// A pinned price (pin.go) is externally owned under either solver: the
-// reduction refreshes its demand, the price stays, the congestion flag is the
-// supplied one — a no-op update, hence a bitwise fixed point, so a pinned
-// resource goes clean as soon as its contributors freeze.
+// A pinned price (pin.go) is externally owned: the reduction refreshes its
+// demand, the price stays, the congestion flag is the supplied one — a no-op
+// update, hence a bitwise fixed point, so a pinned resource goes clean as
+// soon as its contributors freeze.
 func (e *Engine) resourcePhase() {
-	grad := e.dyn == nil
 	var clean uint64
-	for ri := range e.price {
-		if grad && e.sumValid[ri] && e.agentStable[ri] && !e.resourceDirty(ri) {
+	maxd := 0.0
+	for ri, mu := range e.price {
+		if e.sumValid[ri] && e.priceStable[ri] && !e.resourceDirty(ri) {
 			clean++
 			continue
 		}
-		sum := e.demand(ri)
-		e.shareSums[ri] = sum
+		sum, inner := e.demand(ri)
+		e.shareSums[ri], e.inner[ri] = sum, inner
 		moved := false
 		if e.pinned != nil && e.pinned[ri] {
 			e.congested[ri] = e.pinnedCong[ri]
 		} else {
 			r := &e.p.Resources[ri]
 			cong := r.Congested(sum)
-			if grad {
-				e.price[ri], moved = e.grad[ri].Update(e.price[ri], r.Availability, sum, cong)
-			}
+			e.price[ri], moved = e.dyn.StepAt(ri, mu, sum, r.Availability, Curvature(inner, mu), cong)
 			e.congested[ri] = cong
+			maxd = max(maxd, math.Abs(e.price[ri]-mu))
 		}
-		if grad {
-			e.sumValid[ri], e.agentStable[ri] = true, !moved
-		}
+		e.sumValid[ri], e.priceStable[ri] = true, !moved
 	}
-	if !grad {
-		e.stepDynamics()
-	}
+	e.dynDelta = maxd
 	var skipped uint64
 	for _, n := range e.shardSkipped {
 		skipped += n
@@ -411,68 +398,13 @@ func (e *Engine) resourcePhase() {
 	e.sstats.RepricedResources += uint64(len(e.price)) - clean
 }
 
-// stepDynamics advances the unpinned prices by one step of the accelerated
-// solver over the demand vector resourcePhase just reduced.
-func (e *Engine) stepDynamics() {
-	for ri := range e.price {
-		e.dynAvail[ri] = e.p.Resources[ri].Availability
-	}
-	if e.dyn.NeedsCurvature() {
-		for ri := range e.dynCurv {
-			e.dynCurv[ri] = e.curvature(ri, e.mu[ri])
-		}
-	}
-	// e.mu holds this Step's frozen price snapshot; advancing it in place is
-	// safe (the controller phase has joined, and the next Step re-snapshots)
-	// and gives the Dynamics the previous prices as its iterate history.
-	e.dyn.Step(price.StepInput{
-		Mu:        e.mu,
-		ShareSums: e.shareSums,
-		Avail:     e.dynAvail,
-		Congested: e.congested,
-		Curvature: e.dynCurv,
-	})
-	maxd := 0.0
-	for ri, mu := range e.price {
-		if e.pinned != nil && e.pinned[ri] {
-			// The Dynamics advanced the whole vector; a pinned coordinate's
-			// move is discarded — its price is externally owned.
-			e.mu[ri] = mu
-			continue
-		}
-		if d := math.Abs(e.mu[ri] - mu); d > maxd {
-			maxd = d
-		}
-		e.price[ri] = e.mu[ri]
-	}
-	e.dynDelta = maxd
-}
-
-// curvature is resource ri's demand-response curvature −∂(Σ share)/∂μ at
-// price mu, summed over its subtasks in compiled Subs order — the same
-// serial order as the share reduction, so the result is bitwise worker-count
-// independent and matches the per-resource sum a distributed resource node
-// computes locally.
-func (e *Engine) curvature(ri int, mu float64) float64 {
-	c := 0.0
-	for _, g := range e.p.Resources[ri].Subs {
-		c += e.p.ResponseSlope(g, e.lat[g], mu)
-	}
-	return c
-}
-
 // PriceSolver returns the configured price-dynamics solver.
 func (e *Engine) PriceSolver() price.Solver { return e.cfg.PriceSolver }
 
 // SolverFallbacks returns the cumulative safeguard-fallback count of the
 // configured price dynamics (0 for the reference gradient solver, which
 // never falls back).
-func (e *Engine) SolverFallbacks() uint64 {
-	if e.dyn == nil {
-		return 0
-	}
-	return e.dyn.Fallbacks()
-}
+func (e *Engine) SolverFallbacks() uint64 { return e.dyn.Fallbacks() }
 
 // runShard executes the controller phase for shard w's contiguous task
 // range against the frozen e.mu/e.congested snapshot, leaving the resulting
@@ -652,9 +584,7 @@ func (e *Engine) SetErrorMs(taskName, subtaskName string, errMs float64) error {
 	}
 	e.p.Tasks[ti].ErrMs[si] = errMs
 	e.p.refreshBounds(ti, si)
-	g := e.p.subOff[ti] + int32(si)
-	e.shares[g] = e.p.ShareAt(g, e.lat[g])
-	e.invalidateSparse()
+	e.refreshShare(ti, si)
 	e.emit(obs.Event{Kind: obs.EventWorkloadChange, Iteration: e.iter,
 		Task: taskName, Subtask: subtaskName, Detail: "err_ms", Value: errMs})
 	return nil
@@ -672,10 +602,18 @@ func (e *Engine) SetMinShare(taskName, subtaskName string, minShare float64) err
 	}
 	e.p.src.Tasks[ti].Subtasks[si].MinShare = minShare
 	e.p.refreshBounds(ti, si)
-	e.invalidateSparse()
+	e.refreshShare(ti, si)
 	e.emit(obs.Event{Kind: obs.EventWorkloadChange, Iteration: e.iter,
 		Task: taskName, Subtask: subtaskName, Detail: "min_share", Value: minShare})
 	return nil
+}
+
+// refreshShare re-caches one subtask's share after a change to its share
+// function or bounds (the flag may flip), and drops the active set.
+func (e *Engine) refreshShare(ti, si int) {
+	g := e.p.subOff[ti] + int32(si)
+	e.shares[g] = flagged(e.p.ShareAt(g, e.lat[g]), e.lat[g], e.p.latMin[g], e.p.latMax[g])
+	e.invalidateSparse()
 }
 
 // findSubtask resolves names to compiled indices.

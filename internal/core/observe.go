@@ -93,18 +93,7 @@ func (e *Engine) publishObs() {
 		fb := e.SolverFallbacks()
 		h.slv.Fallbacks.Add(int64(fb - h.lastFallbacks))
 		h.lastFallbacks = fb
-		resid := e.dynDelta
-		if e.dyn == nil {
-			// Gradient paths leave e.mu holding the pre-update snapshot, so
-			// the last round's price movement is recoverable directly.
-			resid = 0
-			for ri, mu := range e.price {
-				if d := math.Abs(mu - e.mu[ri]); d > resid {
-					resid = d
-				}
-			}
-		}
-		h.slv.Residual.Set(resid)
+		h.slv.Residual.Set(e.dynDelta)
 	}
 
 	if h.em != nil {
@@ -143,7 +132,7 @@ func (e *Engine) publishObs() {
 		s.Mu = append(s.Mu, mu)
 		s.ShareSums = append(s.ShareSums, e.shareSums[ri])
 		s.Avail = append(s.Avail, e.p.Resources[ri].Availability)
-		s.Gamma = append(s.Gamma, e.grad[ri].Step.Gamma())
+		s.Gamma = append(s.Gamma, e.dyn.Gamma(ri))
 	}
 	s.Lambda = append(s.Lambda[:0], e.lambda...)
 	s.KKT = append(s.KKT[:0], h.kkt...)

@@ -83,10 +83,19 @@ func newRefTask(t *testing.T, e *Engine, ti int, hits *refHits) *refTask {
 		r.share[si] = share.WCETLag{ExecMs: s.ExecMs, LagMs: w.Resources[r.res[si]].LagMs}
 	}
 	r.sync(e, ti)
+	r.cacheShares()
+	return r
+}
+
+// cacheShares writes every share as the engine's share cache holds it:
+// negated while the subtask is bound-active.
+func (r *refTask) cacheShares() {
 	for si, lat := range r.lat {
 		r.shares[si] = r.share[si].Share(lat)
+		if lat <= r.latMin[si]*(1+1e-6) || lat >= r.latMax[si]*(1-1e-6) {
+			r.shares[si] = -r.shares[si]
+		}
 	}
-	return r
 }
 
 func (r *refTask) sync(e *Engine, ti int) {
@@ -211,9 +220,7 @@ func (r *refTask) allocateLatencies(mu []float64) bool {
 func referenceSolve(r *refTask, mu []float64, congested []bool) (priceChanged, latChanged bool) {
 	priceChanged = r.updatePathPrices(congested)
 	latChanged = r.allocateLatencies(mu)
-	for si, lat := range r.lat {
-		r.shares[si] = r.share[si].Share(lat)
-	}
+	r.cacheShares()
 	return priceChanged, latChanged
 }
 

@@ -46,10 +46,9 @@ func (e *Engine) CongestedAt(ri int) bool { return e.congested[ri] }
 func (e *Engine) PinnedAt(ri int) bool { return e.pinned != nil && e.pinned[ri] }
 
 // CurvatureAt returns resource ri's demand-response curvature
-// −∂(Σ share)/∂μ at the current latencies and price, summed over its
-// subtasks in compiled Subs order (so per-shard sums aggregate to the
-// single-engine value bitwise when the contributor sets coincide).
-func (e *Engine) CurvatureAt(ri int) float64 { return e.curvature(ri, e.price[ri]) }
+// −∂(Σ share)/∂μ at the current price, from the interior shares of the
+// latest reduction (summed in compiled Subs order, like ShareSumAt).
+func (e *Engine) CurvatureAt(ri int) float64 { return Curvature(e.inner[ri], e.price[ri]) }
 
 // PinPrice fixes resource ri's price and congestion flag to externally
 // supplied values. Subsequent Steps keep reducing the resource's demand but
@@ -74,12 +73,9 @@ func (e *Engine) PinPrice(ri int, mu float64, congested bool) error {
 	e.congested[ri] = congested
 	if changed {
 		e.pinEpoch++
-		// Accelerated dynamics extrapolate from iterate history; an
-		// out-of-band price move is a discontinuity that history must not
-		// straddle.
-		if e.dyn != nil {
-			e.dyn.Invalidate()
-		}
+		// The dynamics' history (Newton's safeguard, Anderson's window) must
+		// not straddle an out-of-band price move.
+		e.dyn.Invalidate()
 	}
 	return nil
 }
@@ -99,11 +95,9 @@ func (e *Engine) UnpinPrice(ri int) {
 	}
 	e.pinned[ri] = false
 	e.pinEpoch++
-	// The agent's gradient state was frozen while pinned; force a real
-	// reprice on the next resource phase rather than trusting a stale
-	// fixed-point flag.
-	e.agentStable[ri] = false
-	if e.dyn != nil {
-		e.dyn.Invalidate()
-	}
+	// The coordinate's step was frozen while pinned; force a real reprice
+	// on the next resource phase rather than trusting a stale fixed-point
+	// flag.
+	e.priceStable[ri] = false
+	e.dyn.Invalidate()
 }

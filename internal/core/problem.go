@@ -296,12 +296,27 @@ func (p *Problem) ShareAt(g int32, latMs float64) float64 {
 }
 
 // sharesInto writes the shares of task ti's subtasks at the latencies lat
-// into dst.
-func (p *Problem) sharesInto(dst []float64, ti int, lat []float64) {
+// into dst — flagged (see flagged) when dst is a share cache.
+func (p *Problem) sharesInto(dst []float64, ti int, lat []float64, cache bool) {
 	lo := p.subOff[ti]
 	for si, l := range lat {
-		dst[si] = p.ShareAt(lo+int32(si), l)
+		g := lo + int32(si)
+		if dst[si] = p.ShareAt(g, l); cache {
+			dst[si] = flagged(dst[si], l, p.latMin[g], p.latMax[g])
+		}
 	}
+}
+
+// flagged is share s at latency lat as a share cache holds it: negated when
+// the subtask is bound-active (not interior to [lo, hi]). The demand
+// reduction then reads which subtasks respond to the price — the curvature
+// numerator — off the sign of the value it loads anyway (Engine.demand),
+// instead of gathering each subtask's latency and bounds a second time.
+func flagged(s, lat, lo, hi float64) float64 {
+	if interior(lat, lo, hi) {
+		return s
+	}
+	return -s
 }
 
 // aggregate returns task ti's weighted latency sum Σ w_s · lat_s.
@@ -336,19 +351,11 @@ func interior(latMs, lo, hi float64) bool {
 	return !(latMs <= lo*(1+1e-6) || latMs >= hi*(1-1e-6))
 }
 
-// ResponseSlope returns the demand response of the subtask with global index
-// g to its resource price, −∂share/∂μ ≥ 0, at the given latency and price. On the
-// stationarity solution (Equation 7) lat − e = sqrt(μ·k/denom) with
-// k = c + l, so share = k/(lat−e) = sqrt(k·denom/μ) and
-// ∂share/∂μ = −share/(2μ) — the closed-form diagonal of the dual Hessian
-// that the DiagonalNewton price dynamics consume as curvature. Bound-active
-// subtasks (and free resources) do not respond: a clamped latency stays
-// clamped under a marginal price move, so their response is zero.
-func (p *Problem) ResponseSlope(g int32, latMs, mu float64) float64 {
-	if mu <= 0 || !interior(latMs, p.latMin[g], p.latMax[g]) {
-		return 0
-	}
-	return p.ShareAt(g, latMs) / (2 * mu)
+// Interior reports whether the subtask with global index g is strictly
+// inside its latency bounds at latMs: only interior subtasks respond to their
+// resource's price (Curvature).
+func (p *Problem) Interior(g int32, latMs float64) bool {
+	return interior(latMs, p.latMin[g], p.latMax[g])
 }
 
 // refreshBounds computes a subtask's latency bounds, at compile time and

@@ -77,7 +77,7 @@ func (e *Engine) SnapshotInto(s *Snapshot) {
 		s.LatMs[ti] = resizeFloats(s.LatMs[ti], len(c.LatMs))
 		copy(s.LatMs[ti], c.LatMs)
 		s.Shares[ti] = resizeFloats(s.Shares[ti], len(c.LatMs))
-		e.p.sharesInto(s.Shares[ti], ti, c.LatMs)
+		e.p.sharesInto(s.Shares[ti], ti, c.LatMs, false)
 		cp, _ := c.CriticalPathMs()
 		crit := e.p.Tasks[ti].CriticalMs
 		s.CriticalPathMs[ti] = cp

@@ -7,7 +7,7 @@ import "slices"
 // solve when its observed prices are bitwise what its previous solve saw AND
 // that solve left the controller's own state — latencies, path prices, step
 // sizes — bitwise unchanged, and skips a resource's reprice when no
-// contributing share changed AND the previous gradient step was likewise a
+// contributing share changed AND its previous price step was likewise a
 // no-op. Both are deterministic state machines S' = F(S, x): after
 // F(S, x) == S, re-running F on the same x reproduces S and every cached
 // output, so Step's snapshots are byte-identical to an iteration that skips
@@ -85,8 +85,7 @@ type SparseStats struct {
 	// ExecutedSolves counts controller solves actually performed.
 	ExecutedSolves uint64
 	// CleanResources counts resource price updates skipped because no
-	// contributing share changed and the projected gradient was at its
-	// fixed point.
+	// contributing share changed and the price step was at its fixed point.
 	CleanResources uint64
 	// RepricedResources counts resource price updates actually performed.
 	RepricedResources uint64
@@ -149,17 +148,13 @@ func (e *Engine) invalidateSparse() {
 		e.ctlStable[i] = false
 		e.latChanged[i] = true
 	}
-	for i := range e.agentStable {
-		e.agentStable[i] = false
-		e.sumValid[i] = false
-	}
-	// Accelerated price dynamics carry iterate history (Anderson's mixing
+	clear(e.priceStable)
+	clear(e.sumValid)
+	// The price dynamics carry history (Newton's safeguard, Anderson's mixing
 	// window); an out-of-band change invalidates it for the same reason it
 	// invalidates the fingerprints — extrapolating across the discontinuity
 	// would be meaningless.
-	if e.dyn != nil {
-		e.dyn.Invalidate()
-	}
+	e.dyn.Invalidate()
 }
 
 // initSparse sizes the active-set state for a freshly compiled problem.
@@ -170,7 +165,7 @@ func (e *Engine) initSparse() {
 	e.ctlSolved = make([]bool, len(e.p.Tasks))
 	e.ctlStable = make([]bool, len(e.p.Tasks))
 	e.latChanged = make([]bool, len(e.p.Tasks))
-	e.agentStable = make([]bool, len(e.p.Resources))
+	e.priceStable = make([]bool, len(e.p.Resources))
 	e.sumValid = make([]bool, len(e.p.Resources))
 	e.shardSkipped = make([]uint64, e.nshards)
 	e.invalidateSparse()

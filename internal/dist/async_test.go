@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"lla/internal/core"
+	"lla/internal/price"
 	"lla/internal/transport"
 	"lla/internal/workload"
 )
@@ -100,5 +101,44 @@ func TestAsyncRejectsInvalidWorkload(t *testing.T) {
 	}
 	if _, err := rt.RunAsync(0, 0); err == nil {
 		t.Fatal("an asynchronous run needs a positive duration")
+	}
+}
+
+// TestAsyncResolvesUnsetSolverToGradient: an asynchronous run of a config
+// that names no solver steps its resources by the gradient, whose steps
+// tolerate stale demand; a named solver — Newton included — is kept, and the
+// lockstep modes keep the default Newton.
+func TestAsyncResolvesUnsetSolverToGradient(t *testing.T) {
+	solvers := func(rt *Runtime) map[price.Solver]int {
+		out := map[price.Solver]int{}
+		for _, n := range rt.resNodes {
+			out[n.dyn.Solver()]++
+		}
+		return out
+	}
+	nr := len(workload.Base().Resources)
+	for _, tc := range []struct {
+		cfg         core.Config
+		lockstep    price.Solver
+		async       price.Solver
+		description string
+	}{
+		{core.Config{}, price.SolverNewton, price.SolverGradient, "unset"},
+		{core.Config{PriceSolver: price.SolverNewton}, price.SolverNewton, price.SolverNewton, "explicit newton"},
+		{core.Config{PriceSolver: price.SolverGradient}, price.SolverGradient, price.SolverGradient, "explicit gradient"},
+	} {
+		rt, err := NewSim(workload.Base(), tc.cfg, transport.ChaosConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := solvers(rt); got[tc.lockstep] != nr {
+			t.Errorf("%s: lockstep resources run %v, want %s", tc.description, got, tc.lockstep)
+		}
+		if _, err := rt.RunAsync(50*time.Millisecond, time.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+		if got := solvers(rt); got[tc.async] != nr {
+			t.Errorf("%s: async resources run %v, want %s", tc.description, got, tc.async)
+		}
 	}
 }

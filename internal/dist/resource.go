@@ -5,6 +5,7 @@ import (
 
 	"lla/internal/core"
 	"lla/internal/obs"
+	"lla/internal/price"
 	"lla/internal/wire"
 )
 
@@ -13,14 +14,17 @@ type subKey struct{ task, sub string }
 
 // resourceNode is the machine of one resource's price agent (Section 4.3):
 // the peer protocol in the resource role. Each round it gathers the fresh
-// latencies of every subtask on the resource, moves the price (Equation 8, or
-// the configured dynamics), and multicasts it (with the congestion flag for
-// the adaptive heuristic) to the controllers of the tasks running here — its
-// peers, in order of first use.
+// latencies of every subtask on the resource, moves the price mu by the
+// configured dynamics, and multicasts it (with the congestion flag for the
+// adaptive heuristic) to the controllers of the tasks running here — its
+// peers, in order of first use. The dynamics are coordinate-separable, so the
+// node's own 1-coordinate instance steps exactly as the engine's does.
 type resourceNode struct {
 	peer
-	p     *core.Problem
-	agent *resourcePrice
+	p   *core.Problem
+	r   *core.ProblemResource
+	mu  float64
+	dyn price.Dynamics
 	// ctlIdx resolves a task name to its controller's entry in peers.
 	ctlIdx map[string]int
 	// subIdx maps a subtask hosted here to its global index (an entry of the
@@ -50,7 +54,9 @@ func newResourceNode(p *core.Problem, ri int, cfg core.Config, a addresses) *res
 	n := &resourceNode{
 		peer:   peer{node: node{addr: a.res[ri]}, kind: wire.KindPrice, leads: true},
 		p:      p,
-		agent:  newResourcePrice(p, ri, cfg),
+		r:      &p.Resources[ri],
+		mu:     cfg.InitialMu,
+		dyn:    cfg.NewDynamics(),
 		ctlIdx: make(map[string]int),
 		subIdx: make(map[subKey]int32),
 		lat:    make(map[int32]float64),
@@ -64,7 +70,8 @@ func newResourceNode(p *core.Problem, ri int, cfg core.Config, a addresses) *res
 		}
 		n.subIdx[subKey{tn, p.Tasks[ti].SubtaskNames[si]}] = sub
 	}
-	n.liveMu.Set(n.agent.mu)
+	n.dyn.Reset(1)
+	n.liveMu.Set(n.mu)
 	return n
 }
 
@@ -73,7 +80,7 @@ func newResourceNode(p *core.Problem, ri int, cfg core.Config, a addresses) *res
 func (n *resourceNode) observe(o *obs.Observer) {
 	n.m, n.rm = metricsFor(o), nil
 	if o != nil && o.Metrics != nil {
-		n.rm = obs.NewResourceMetrics(o.Metrics, n.agent.r.ID)
+		n.rm = obs.NewResourceMetrics(o.Metrics, n.r.ID)
 	}
 }
 
@@ -85,7 +92,7 @@ func (n *resourceNode) open(time.Duration) {
 	if n.pace == 0 {
 		return
 	}
-	r := n.agent.r
+	r := n.r
 	fair := r.Availability / float64(len(r.Subs))
 	for _, sub := range r.Subs {
 		n.lat[sub] = n.p.Share(n.p.SubtaskAt(sub)).LatencyFor(fair)
@@ -118,22 +125,28 @@ func (n *resourceNode) fold(_ int, payload any, _ time.Duration) (changed bool) 
 	return changed
 }
 
-// compute moves the price from the latencies in hand, summing shares over
-// the resource's subtasks in compiled order — the engine's own order and
-// inputs, which is what keeps the trajectories bitwise identical.
+// compute moves the price from the latencies in hand, reducing demand and
+// interior shares over the resource's subtasks as the engine's resource phase
+// does — its order, inputs and arithmetic, hence its bits. moved (price or
+// solver state) is the fixed-point signal the async sparse path uses.
 func (n *resourceNode) compute() (moved bool) {
-	r, sum := n.agent.r, 0.0
+	r, sum, inner := n.r, 0.0, 0.0
 	for _, sub := range r.Subs {
-		sum += n.p.ShareAt(sub, n.lat[sub])
+		lat := n.lat[sub]
+		s := n.p.ShareAt(sub, lat)
+		sum += s
+		if n.p.Interior(sub, lat) {
+			inner += s
+		}
 	}
-	moved = n.agent.update(n.p, n.lat, sum)
 	n.congested = r.Congested(sum)
-	n.liveMu.Set(n.agent.mu)
+	n.mu, moved = n.dyn.StepAt(0, n.mu, sum, r.Availability, core.Curvature(inner, n.mu), n.congested)
+	n.liveMu.Set(n.mu)
 	if n.rm != nil {
 		n.rm.ShareSum.Set(sum)
 		n.rm.Availability.Set(r.Availability)
 		n.rm.Utilization.Set(sum / r.Availability)
-		n.rm.Price.Set(n.agent.mu)
+		n.rm.Price.Set(n.mu)
 	}
 	return moved
 }
@@ -142,7 +155,7 @@ func (n *resourceNode) compute() (moved bool) {
 // bitwise unchanged from the previous round goes out as a delta marker
 // (wire/frames.go) instead, except on keyframe rounds.
 func (n *resourceNode) speak() {
-	n.last = wire.PriceUpdate{Round: n.round, Seq: n.seq, Epoch: n.epoch, Resource: n.agent.r.ID, Mu: n.agent.mu, Congested: n.congested}
+	n.last = wire.PriceUpdate{Round: n.round, Seq: n.seq, Epoch: n.epoch, Resource: n.r.ID, Mu: n.mu, Congested: n.congested}
 	out := n.last
 	if n.pace == 0 {
 		if n.prevSet && n.round%deltaKeyframeInterval != 0 && out.Mu == n.prevMu && out.Congested == n.prevCong {
@@ -183,7 +196,7 @@ func (n *resourceNode) close(time.Duration) {
 	if n.fp.RetransmitAfter > 0 {
 		copies = 3
 	}
-	msg := wire.Fin{Resource: n.agent.r.ID}
+	msg := wire.Fin{Resource: n.r.ID}
 	for i := 0; i < copies; i++ {
 		for _, addr := range n.peers {
 			n.send(addr, wire.KindFin, msg, i == 0)

@@ -17,6 +17,7 @@ import (
 	"lla/internal/admit"
 	"lla/internal/core"
 	"lla/internal/obs"
+	"lla/internal/price"
 	rec "lla/internal/recover"
 	"lla/internal/stats"
 	"lla/internal/transport"
@@ -30,10 +31,13 @@ import (
 // over a transport.Network and the wall clock, NewSim on a seeded virtual
 // network and clock.
 type Runtime struct {
-	p        *core.Problem
-	cfg      core.Config
-	ctlNodes []*controllerNode
-	resNodes []*resourceNode
+	p   *core.Problem
+	cfg core.Config
+	// solverUnset records that the caller left Config.PriceSolver empty:
+	// RunAsync then resolves it to the gradient rather than the default.
+	solverUnset bool
+	ctlNodes    []*controllerNode
+	resNodes    []*resourceNode
 	// nodes and peers are every controller, then every resource, as machines
 	// and as protocol state; eps their endpoints under New, in that order —
 	// nil, like coordEp, under NewSim, whose network is sim.
@@ -65,11 +69,12 @@ func compile(w *workload.Workload, cfg core.Config) (*core.Problem, core.Config,
 // endpoint on the network as it goes (a listener's set-up overlaps the next
 // node's construction).
 func New(w *workload.Workload, cfg core.Config, net transport.Network) (*Runtime, error) {
+	unset := cfg.PriceSolver == ""
 	p, cfg, err := compile(w, cfg)
 	if err != nil {
 		return nil, err
 	}
-	r := &Runtime{p: p, cfg: cfg, fp: DefaultFaultPolicy(), stop: make(chan struct{})}
+	r := &Runtime{p: p, cfg: cfg, solverUnset: unset, fp: DefaultFaultPolicy(), stop: make(chan struct{})}
 	n, a := len(p.Tasks)+len(p.Resources), addressesOf(p)
 	r.nodes, r.peers = make([]machine, 0, n), make([]*peer, 0, n)
 	add := func(m machine, n *peer) {
@@ -313,8 +318,8 @@ func (r *Runtime) collect(res *Result) {
 		add(&n.peer)
 	}
 	for _, n := range r.resNodes {
-		res.Mu = append(res.Mu, n.agent.mu)
-		res.SolverFallbacks += n.agent.fallbacks()
+		res.Mu = append(res.Mu, n.mu)
+		res.SolverFallbacks += n.dyn.Fallbacks()
 		res.ResourceSteps += n.steps
 		add(&n.peer)
 	}
@@ -384,12 +389,22 @@ func (r *Runtime) drive(c *coordinator, rounds int, d, pace time.Duration) error
 // interval and the failure-detection lease. The synchronized modes remain the
 // reference for exact engine equivalence; async trades determinism (under
 // New) for decoupling.
+// A config that left PriceSolver unset runs the gradient here, not Newton,
+// whose model breaks on stale asynchronous demand; a named solver is kept.
 func (r *Runtime) RunAsync(d, pace time.Duration) (*Result, error) {
 	if d <= 0 {
 		return nil, fmt.Errorf("dist: async duration must be positive, got %v", d)
 	}
 	if pace <= 0 {
 		pace = time.Millisecond
+	}
+	if r.solverUnset {
+		cfg := r.cfg
+		cfg.PriceSolver = price.SolverGradient
+		for _, n := range r.resNodes {
+			n.dyn = cfg.NewDynamics()
+			n.dyn.Reset(1)
+		}
 	}
 	if err := r.drive(nil, 0, d, pace); err != nil {
 		return nil, err
@@ -435,7 +450,7 @@ func RunResource(ctx context.Context, w *workload.Workload, cfg core.Config, net
 	if err := runStandalone(ctx, net, n, &n.node, o); err != nil {
 		return 0, err
 	}
-	return n.agent.mu, nil
+	return n.mu, nil
 }
 
 // RunController runs the controller of one task for the given number of

@@ -148,8 +148,9 @@ type Options struct {
 	Quick   bool
 	Seed    int64
 	Workers int
-	// Solver selects the resource-price dynamics ("" = the reference
-	// gradient projection). Unlike Workers this DOES change the
+	// Solver selects the resource-price dynamics ("" = the paper's gradient
+	// projection, not the engine's Newton default: the experiments reproduce
+	// the paper's trajectories). Unlike Workers this DOES change the
 	// artifacts: accelerated solvers follow a different price trajectory to
 	// the same fixed point, so iteration-indexed series and
 	// rounds-to-converge counts shift. The solvers experiment ignores it (it
@@ -189,7 +190,11 @@ func (o Options) attach(e *core.Engine) { e.Observe(o.Observer) }
 // sweep additional knobs (step sizers, weight modes) amend the returned
 // value before handing it to core.NewEngine.
 func (o Options) engineConfig() core.Config {
-	return core.Config{Workers: o.Workers, PriceSolver: o.Solver}
+	cfg := core.Config{Workers: o.Workers, PriceSolver: o.Solver}
+	if cfg.PriceSolver == "" {
+		cfg.PriceSolver = price.SolverGradient
+	}
+	return cfg
 }
 
 // f1, f2, f3 are numeric cell formatters.

@@ -425,7 +425,7 @@ func Soak(opts Options) (*Result, error) {
 // serial engine after the same rounds (it must be zero), feasible whether
 // that state is.
 func soakFailover(seed int64, plan soakPlan, dir string, o *obs.Observer, onRestart func(epoch uint64)) (dres *dist.Result, maxDiff float64, feasible bool, err error) {
-	rt, err := dist.NewSim(workload.Base(), core.Config{}, transport.ChaosConfig{
+	rt, err := dist.NewSim(workload.Base(), Options{}.engineConfig(), transport.ChaosConfig{
 		Seed:          seed,
 		DupRate:       0.05,
 		DelayMs:       0.3,
@@ -450,7 +450,7 @@ func soakFailover(seed int64, plan soakPlan, dir string, o *obs.Observer, onRest
 	if err != nil {
 		return nil, 0, false, err
 	}
-	mirror, err := core.NewEngine(workload.Base(), core.Config{})
+	mirror, err := core.NewEngine(workload.Base(), Options{}.engineConfig())
 	if err != nil {
 		return nil, 0, false, err
 	}

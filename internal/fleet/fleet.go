@@ -49,9 +49,9 @@ type Config struct {
 	LocalWindow int
 	// LocalFreeze makes sweeps run to the bitwise frozen fixed point (every
 	// Step a no-op) instead of the KKT window — the mode the bitwise
-	// single-engine equivalence tests use. Requires the gradient solver;
-	// under the others no Step is ever a no-op and sweeps simply run
-	// LocalIters.
+	// single-engine equivalence tests use. It requires Engine.PriceSolver to
+	// be the gradient, the one solver whose shards provably freeze: New
+	// refuses the combination rather than let every sweep burn LocalIters.
 	LocalFreeze bool
 
 	// MaxRounds caps aggregator rounds (0 = 300).
@@ -236,6 +236,9 @@ func (f *Fleet) shardEngine(ck *workload.Checked, s int, taskIdx []int) (*core.E
 // build is New on a workload that has already been checked.
 func build(ck *workload.Checked, cfg Config) (*Fleet, error) {
 	cfg = cfg.withDefaults()
+	if s := cfg.Engine.WithDefaults().PriceSolver; cfg.LocalFreeze && s != price.SolverGradient {
+		return nil, fmt.Errorf("fleet: LocalFreeze needs the gradient price solver, shards run %s", s)
+	}
 	w := ck.Workload()
 	part, err := NewPartition(ck, PartitionConfig{
 		Shards: cfg.Shards, Seed: cfg.Seed,

@@ -7,6 +7,7 @@ import (
 
 	"lla/internal/core"
 	"lla/internal/obs"
+	"lla/internal/price"
 	"lla/internal/workload"
 )
 
@@ -44,7 +45,7 @@ func runToFrozen(t *testing.T, eng *core.Engine, maxIters int) {
 // price, bit for bit.
 func TestFleetOverlapFreeBitwiseMatchesSingle(t *testing.T) {
 	w := clusteredWorkload(t, 17, 0)
-	ecfg := core.Config{Workers: 1}
+	ecfg := core.Config{Workers: 1, PriceSolver: price.SolverGradient}
 
 	f, err := New(w, Config{Shards: 4, Seed: 1, Engine: ecfg, LocalFreeze: true, LocalIters: 5000})
 	if err != nil {
@@ -276,12 +277,12 @@ func TestSweepCertificateMatchesDenseScans(t *testing.T) {
 	}{
 		{"window", Config{}},
 		{"cap", Config{LocalIters: 3}},
-		{"freeze", Config{LocalFreeze: true, LocalIters: 5000}},
+		{"freeze", Config{Engine: core.Config{PriceSolver: price.SolverGradient}, LocalFreeze: true, LocalIters: 5000}},
 		{"long-window", Config{LocalWindow: 1 << 20, LocalIters: 5000}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := tc.cfg
-			cfg.Shards, cfg.Seed, cfg.Engine = 4, 1, core.Config{Workers: 1}
+			cfg.Shards, cfg.Seed, cfg.Engine.Workers = 4, 1, 1
 			f, err := New(clusteredWorkload(t, 23, 0.3), cfg)
 			if err != nil {
 				t.Fatalf("New: %v", err)
@@ -331,4 +332,23 @@ func TestSweepCertificateMatchesDenseScans(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestFleetRefusesFreezeWithoutGradient: a frozen sweep is a bitwise no-op
+// Step, which only the gradient's shards provably reach; under any other
+// solver every sweep would silently burn LocalIters, so New refuses the
+// combination — including the zero Engine config, which runs Newton.
+func TestFleetRefusesFreezeWithoutGradient(t *testing.T) {
+	w := clusteredWorkload(t, 17, 0)
+	for _, s := range []price.Solver{"", price.SolverNewton, price.SolverAnderson, price.SolverPriceDiscovery} {
+		if f, err := New(w, Config{Shards: 2, Engine: core.Config{PriceSolver: s}, LocalFreeze: true}); err == nil {
+			f.Close()
+			t.Errorf("solver %q: LocalFreeze accepted, want an error", s)
+		}
+	}
+	f, err := New(w, Config{Shards: 2, Engine: core.Config{PriceSolver: price.SolverGradient}, LocalFreeze: true})
+	if err != nil {
+		t.Fatalf("gradient LocalFreeze refused: %v", err)
+	}
+	f.Close()
 }

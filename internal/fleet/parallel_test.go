@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"lla/internal/core"
+	"lla/internal/price"
 	"lla/internal/workload"
 )
 
@@ -61,7 +62,7 @@ var restConfigs = []struct {
 	cfg  Config
 }{
 	{"window", Config{}},
-	{"freeze", Config{LocalFreeze: true, LocalIters: 5000}},
+	{"freeze", Config{Engine: core.Config{PriceSolver: price.SolverGradient}, LocalFreeze: true, LocalIters: 5000}},
 }
 
 // certifiedFleet builds cfg's 4-shard fleet over w and runs it to certification.
@@ -258,7 +259,7 @@ func TestFleetSkippedRoundZeroAllocs(t *testing.T) {
 	for _, tc := range restConfigs {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := tc.cfg
-			cfg.ShardWorkers, cfg.Engine = 1, core.Config{Workers: 1}
+			cfg.ShardWorkers, cfg.Engine.Workers = 1, 1
 			f := certifiedFleet(t, clusteredWorkload(t, 17, 0.25), cfg)
 			before := f.Stats()
 			var roundErr error

@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 
+	"lla/internal/core"
+	"lla/internal/price"
 	"lla/internal/task"
 	"lla/internal/workload"
 )
@@ -31,7 +33,7 @@ func replaceUtility(t *testing.T, w *workload.Workload, cfg Config) float64 {
 // the affected shards, keeps every untouched shard's engine (same pointer,
 // still skippable), and re-converges to the cold fleet's utility.
 func TestFleetReplaceWorkloadIncremental(t *testing.T) {
-	cfg := Config{Shards: 4, Seed: 1, LocalFreeze: true, LocalIters: 5000}
+	cfg := Config{Shards: 4, Seed: 1, Engine: core.Config{PriceSolver: price.SolverGradient}, LocalFreeze: true, LocalIters: 5000}
 	w := clusteredWorkload(t, 17, 0.25)
 	f, err := New(w, cfg)
 	if err != nil {
@@ -91,7 +93,7 @@ func TestFleetReplaceWorkloadIncremental(t *testing.T) {
 // the incremental path — the newcomer lands on the shard already touching
 // its resources, the leaver's shard rebuilds, and the fleet re-converges.
 func TestFleetReplaceWorkloadChurn(t *testing.T) {
-	cfg := Config{Shards: 4, Seed: 1, LocalFreeze: true, LocalIters: 5000}
+	cfg := Config{Shards: 4, Seed: 1, Engine: core.Config{PriceSolver: price.SolverGradient}, LocalFreeze: true, LocalIters: 5000}
 	w := clusteredWorkload(t, 23, 0.25)
 	f, err := New(w, cfg)
 	if err != nil {
@@ -146,7 +148,7 @@ func TestFleetReplaceWorkloadChurn(t *testing.T) {
 // invalidates the partition shape; ReplaceWorkload falls back to a full
 // (still warm-started) rebuild and the fleet stays usable.
 func TestFleetReplaceWorkloadFullFallback(t *testing.T) {
-	cfg := Config{Shards: 4, Seed: 1, LocalFreeze: true, LocalIters: 5000}
+	cfg := Config{Shards: 4, Seed: 1, Engine: core.Config{PriceSolver: price.SolverGradient}, LocalFreeze: true, LocalIters: 5000}
 	w := clusteredWorkload(t, 17, 0.25)
 	f, err := New(w, cfg)
 	if err != nil {

@@ -15,6 +15,21 @@ func testCfg() DynamicsConfig {
 	}
 }
 
+// solver builds the named solver, Reset for n coordinates, as its concrete
+// type.
+func solver[T Dynamics](s Solver, cfg DynamicsConfig, n int) T {
+	d := NewDynamics(s, cfg)
+	d.Reset(n)
+	return d.(T)
+}
+
+// gradSteps builds n reference coordinate steps.
+func gradSteps(cfg DynamicsConfig, n int) []GradStep {
+	c := coords{cfg: cfg}
+	c.Reset(n)
+	return c.steps
+}
+
 func TestParseSolver(t *testing.T) {
 	for _, s := range Solvers() {
 		got, err := ParseSolver(string(s))
@@ -22,8 +37,8 @@ func TestParseSolver(t *testing.T) {
 			t.Errorf("ParseSolver(%q) = %v, %v", s, got, err)
 		}
 	}
-	if got, err := ParseSolver(""); err != nil || got != SolverGradient {
-		t.Errorf("ParseSolver(\"\") = %v, %v; want gradient default", got, err)
+	if got, err := ParseSolver(""); err != nil || got != "" {
+		t.Errorf("ParseSolver(\"\") = %v, %v; want the unset solver", got, err)
 	}
 	if _, err := ParseSolver("bogus"); err == nil {
 		t.Error("ParseSolver must reject unknown names")
@@ -60,8 +75,7 @@ func TestNewDynamicsPanicsOnUnknown(t *testing.T) {
 // per-coordinate GradStep applied coordinate-wise — bit for bit.
 func TestGradientProjectionMatchesGradStep(t *testing.T) {
 	cfg := testCfg()
-	g := NewGradientProjection(cfg)
-	g.Reset(2)
+	g := solver[*GradientProjection](SolverGradient, cfg, 2)
 	manual := gradSteps(cfg, 2)
 
 	mu := []float64{1, 1}
@@ -85,8 +99,7 @@ func TestGradientProjectionMatchesGradStep(t *testing.T) {
 // closed-form curvature curv = sum/(2mu) the elasticity is 1/2, so the step
 // solves sum·(mu'/mu)^(-1/2) = B exactly — mu' = mu·(sum/B)².
 func TestNewtonStepSolvesPowerLaw(t *testing.T) {
-	d := NewDiagonalNewton(testCfg())
-	d.Reset(1)
+	d := solver[*DiagonalNewton](SolverNewton, testCfg(), 1)
 	mu := []float64{1}
 	d.Step(StepInput{
 		Mu: mu, ShareSums: []float64{2}, Avail: []float64{1},
@@ -115,8 +128,7 @@ func TestNewtonStepSolvesPowerLaw(t *testing.T) {
 // step and count a fallback.
 func TestNewtonFallsBackOnDegenerateCurvature(t *testing.T) {
 	cfg := testCfg()
-	d := NewDiagonalNewton(cfg)
-	d.Reset(1)
+	d := solver[*DiagonalNewton](SolverNewton, cfg, 1)
 	ref := gradSteps(cfg, 1)
 
 	cases := []struct {
@@ -149,8 +161,7 @@ func TestNewtonFallsBackOnDegenerateCurvature(t *testing.T) {
 // residual grow after accepted extrapolations, so the window must be dropped
 // (Fallbacks advances) while the price stays inside [0, MaxPrice] throughout.
 func TestAndersonForcedFallback(t *testing.T) {
-	a := NewAnderson(testCfg())
-	a.Reset(1)
+	a := solver[*Anderson](SolverAnderson, testCfg(), 1)
 	mu := []float64{1}
 	for round := 0; round < 60; round++ {
 		sum := 0.05
@@ -175,8 +186,7 @@ func TestAndersonForcedFallback(t *testing.T) {
 // coordinate takes exactly the reference gradient step.
 func TestAndersonInvalidateClearsWindow(t *testing.T) {
 	cfg := testCfg()
-	a := NewAnderson(cfg)
-	a.Reset(1)
+	a := solver[*Anderson](SolverAnderson, cfg, 1)
 	mu := []float64{1}
 	in := func(sum float64) StepInput {
 		return StepInput{Mu: mu, ShareSums: []float64{sum}, Avail: []float64{1}, Congested: []bool{sum > 1}}
@@ -207,8 +217,7 @@ func TestAndersonInvalidateClearsWindow(t *testing.T) {
 // clamped per round, sub-floor uncongested prices snap to exactly zero, and
 // zero prices bootstrap through the reference gradient step.
 func TestPriceDiscoveryUpdate(t *testing.T) {
-	p := NewPriceDiscovery(testCfg())
-	p.Reset(1)
+	p := solver[*PriceDiscovery](SolverPriceDiscovery, testCfg(), 1)
 
 	mu := []float64{1}
 	p.Step(StepInput{Mu: mu, ShareSums: []float64{8}, Avail: []float64{1}, Congested: []bool{true}})
@@ -284,5 +293,42 @@ func TestAdaptiveDoublingCapNearMax(t *testing.T) {
 	a.Observe(false)
 	if a.Gamma() != 1 {
 		t.Errorf("uncongested reversion = %v, want base 1", a.Gamma())
+	}
+}
+
+// TestNewtonSafeguardDampsSignFlips pins the safeguard against the period-2
+// cycle: a coordinate whose excess Σshare − B flips sign every step halves
+// its log-step exponent each time (the move shrinks geometrically instead of
+// repeating), a same-sign step doubles it back, and Invalidate clears it.
+func TestNewtonSafeguardDampsSignFlips(t *testing.T) {
+	d := solver[*DiagonalNewton](SolverNewton, testCfg(), 1)
+	// sum/B alternates 4 ↔ 1/4 at elasticity 1/2: the undamped log step is
+	// (sum/B)^2, a 16x move each way, every step.
+	moves := []float64{}
+	for i, sum := range []float64{4, 0.25, 4, 0.25, 4} {
+		next, moved := d.StepAt(0, 1, sum, 1, sum/2, sum > 1)
+		if !moved {
+			t.Fatalf("step %d: reported no move", i)
+		}
+		moves = append(moves, math.Abs(math.Log2(next)))
+	}
+	want := []float64{4, 2, 1, 0.5, 0.25}
+	for i := range want {
+		if math.Abs(moves[i]-want[i]) > 1e-12 {
+			t.Fatalf("log2 moves %v, want %v", moves, want)
+		}
+	}
+	// A same-sign step doubles the exponent back: 2^-4 → 2^-3.
+	if next, _ := d.StepAt(0, 1, 4, 1, 2, true); math.Abs(math.Log2(next)-0.5) > 1e-12 {
+		t.Errorf("same-sign step moved log2 %v, want 0.5", math.Log2(next))
+	}
+	d.Invalidate()
+	if next, _ := d.StepAt(0, 1, 0.25, 1, 0.125, false); math.Log2(next) != -4 {
+		t.Errorf("post-Invalidate step moved log2 %v, want the undamped -4", math.Log2(next))
+	}
+	// At a bitwise fixed point nothing moves, so a runtime may skip the
+	// coordinate.
+	if next, moved := d.StepAt(0, 2, 1, 1, 0.25, false); moved || next != 2 {
+		t.Errorf("fixed point moved to %v (moved %v)", next, moved)
 	}
 }

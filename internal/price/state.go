@@ -3,18 +3,12 @@ package price
 import "fmt"
 
 // Checkpoint support (DESIGN.md §13). A Dynamics is part of the engine's
-// observable state: the adaptive sizers' current step sizes and Anderson's
-// iterate window both influence future price trajectories, so a restore that
-// dropped them would diverge bitwise from the uninterrupted run. This file
-// defines the serializable snapshot of every built-in solver and the
-// capture/restore pair the engine checkpointer drives.
-//
-// The contract is two-tier: the four built-in solvers round-trip exactly
-// (CaptureDynamics reports ok=true and RestoreDynamics reproduces every bit
-// of internal state), while an unknown third-party Dynamics falls back to
-// the Reset-on-restore contract — CaptureDynamics reports ok=false, and the
-// restored engine calls Reset, trading bitwise continuity for a safe warm
-// start from the restored prices.
+// observable state: the adaptive sizers' current step sizes, Newton's
+// safeguard and Anderson's iterate window all influence future price
+// trajectories, so a restore that dropped them would diverge bitwise from the
+// uninterrupted run. This file defines the serializable snapshot of every
+// solver and the capture/restore pair the engine checkpointer drives; the
+// interface is sealed, so every Dynamics round-trips exactly.
 
 // GammaSetter is the optional StepSizer extension a bitwise restore needs:
 // Gamma() is the sizer's entire observable state (the engine relies on that
@@ -31,10 +25,10 @@ type GammaSetter interface {
 // adaptive controller, since Base/Max are configuration, not state.
 func (a *Adaptive) SetGamma(gamma float64) { a.cur = gamma }
 
-// DynamicsState is the serializable snapshot of a built-in Dynamics. Gammas
-// and Fallbacks cover every solver (all four embed the reference GradStep
-// per coordinate); the remaining fields are Anderson's window and are empty
-// for the memoryless solvers.
+// DynamicsState is the serializable snapshot of a Dynamics. Gammas and
+// Fallbacks cover every solver (all four embed the reference GradStep per
+// coordinate); Halvings/Signs are Newton's safeguard and the remaining fields
+// Anderson's window, empty for the other solvers.
 type DynamicsState struct {
 	// Solver names the implementation the state belongs to; restoring onto a
 	// different solver is an error, never a silent partial load.
@@ -44,8 +38,12 @@ type DynamicsState struct {
 	// Fallbacks is the cumulative safeguard-fallback count.
 	Fallbacks uint64
 
+	// Halvings and Signs are Newton's per-coordinate damping and last excess
+	// sign.
+	Halvings, Signs []uint8
+
 	// Window, Cnt, Xs, Fs, Accepted, PrevAbsF are Anderson's mixing window
-	// (flat m-per-coordinate layout, chronological); empty for other solvers.
+	// (flat m-per-coordinate layout, chronological).
 	Window   int
 	Cnt      []int
 	Xs       []float64
@@ -54,74 +52,34 @@ type DynamicsState struct {
 	PrevAbsF []float64
 }
 
-// CaptureSteps snapshots the per-coordinate sizer gammas: of a built-in
-// solver, or of the engine's own gradient steps.
-func CaptureSteps(steps []GradStep) []float64 {
-	gammas := make([]float64, len(steps))
-	for j := range steps {
-		gammas[j] = steps[j].Step.Gamma()
+// CaptureDynamics deep-copies a Dynamics' state for checkpointing.
+func CaptureDynamics(d Dynamics) DynamicsState {
+	c := d.base()
+	st := DynamicsState{Solver: d.Solver(), Gammas: make([]float64, len(c.steps)), Fallbacks: c.fallbacks}
+	for j := range c.steps {
+		st.Gammas[j] = c.steps[j].Step.Gamma()
 	}
-	return gammas
-}
-
-// RestoreSteps forces each coordinate's sizer to a captured gamma. Fixed
-// sizers accept only their own value (a mismatch means the checkpoint was
-// taken under a different configuration); everything else must implement
-// GammaSetter.
-func RestoreSteps(steps []GradStep, gammas []float64) error {
-	if len(gammas) != len(steps) {
-		return fmt.Errorf("price: restore has %d step gammas, solver has %d coordinates", len(gammas), len(steps))
-	}
-	for j := range steps {
-		switch s := steps[j].Step.(type) {
-		case GammaSetter:
-			s.SetGamma(gammas[j])
-		default:
-			if steps[j].Step.Gamma() != gammas[j] {
-				return fmt.Errorf("price: coordinate %d sizer %T cannot restore gamma %v (has %v and no SetGamma)",
-					j, steps[j].Step, gammas[j], steps[j].Step.Gamma())
-			}
-		}
-	}
-	return nil
-}
-
-// CaptureDynamics snapshots a Dynamics for checkpointing. ok is false for
-// implementations outside this package, which restore under the
-// Reset-on-restore contract instead. A nil Dynamics (the engine's built-in
-// gradient agent path) captures as ok=false too: the agents' sizer state is
-// captured by the engine itself.
-func CaptureDynamics(d Dynamics) (DynamicsState, bool) {
 	switch v := d.(type) {
-	case *GradientProjection:
-		return DynamicsState{Solver: v.Solver(), Gammas: CaptureSteps(v.steps)}, true
 	case *DiagonalNewton:
-		return DynamicsState{Solver: v.Solver(), Gammas: CaptureSteps(v.steps), Fallbacks: v.fallbacks}, true
-	case *PriceDiscovery:
-		return DynamicsState{Solver: v.Solver(), Gammas: CaptureSteps(v.steps)}, true
+		st.Halvings = append([]uint8(nil), v.halvings...)
+		st.Signs = append([]uint8(nil), v.sign...)
 	case *Anderson:
-		m := v.window()
-		st := DynamicsState{
-			Solver:    v.Solver(),
-			Gammas:    CaptureSteps(v.steps),
-			Fallbacks: v.fallbacks,
-			Window:    m,
-			Cnt:       append([]int(nil), v.cnt...),
-			Xs:        append([]float64(nil), v.xs...),
-			Fs:        append([]float64(nil), v.fs...),
-			Accepted:  append([]bool(nil), v.accepted...),
-			PrevAbsF:  append([]float64(nil), v.prevAbsF...),
-		}
-		return st, true
+		st.Window = andersonWindow
+		st.Cnt = append([]int(nil), v.cnt...)
+		st.Xs = append([]float64(nil), v.xs...)
+		st.Fs = append([]float64(nil), v.fs...)
+		st.Accepted = append([]bool(nil), v.accepted...)
+		st.PrevAbsF = append([]float64(nil), v.prevAbsF...)
 	}
-	return DynamicsState{}, false
+	return st
 }
 
 // RestoreDynamics loads a captured snapshot into a freshly Reset Dynamics of
-// the same solver and coordinate count. The caller must have called Reset(n)
-// first (NewEngine does); RestoreDynamics then overwrites the cleared state
-// with the captured bits. Solver or shape mismatches are errors — a restore
-// must be exact or refused, never approximate.
+// the same solver and coordinate count, overwriting the cleared state with
+// the captured bits. Solver or shape mismatches are errors — a restore must
+// be exact or refused, never approximate. Fixed sizers accept only their own
+// gamma (a mismatch means the checkpoint was taken under a different
+// configuration); every other sizer must implement GammaSetter.
 func RestoreDynamics(d Dynamics, st DynamicsState) error {
 	if d == nil {
 		return fmt.Errorf("price: cannot restore %s state into a nil Dynamics", st.Solver)
@@ -129,25 +87,34 @@ func RestoreDynamics(d Dynamics, st DynamicsState) error {
 	if d.Solver() != st.Solver {
 		return fmt.Errorf("price: checkpoint holds %s solver state, engine runs %s", st.Solver, d.Solver())
 	}
+	c := d.base()
+	n := len(c.steps)
+	if len(st.Gammas) != n {
+		return fmt.Errorf("price: restore has %d step gammas, solver has %d coordinates", len(st.Gammas), n)
+	}
+	for j := range c.steps {
+		switch s := c.steps[j].Step.(type) {
+		case GammaSetter:
+			s.SetGamma(st.Gammas[j])
+		default:
+			if s.Gamma() != st.Gammas[j] {
+				return fmt.Errorf("price: coordinate %d sizer %T cannot restore gamma %v (has %v and no SetGamma)",
+					j, s, st.Gammas[j], s.Gamma())
+			}
+		}
+	}
+	c.fallbacks = st.Fallbacks
 	switch v := d.(type) {
-	case *GradientProjection:
-		return RestoreSteps(v.steps, st.Gammas)
 	case *DiagonalNewton:
-		if err := RestoreSteps(v.steps, st.Gammas); err != nil {
-			return err
+		if len(st.Halvings) != n || len(st.Signs) != n {
+			return fmt.Errorf("price: Newton safeguard state sized %d, engine has %d coordinates", len(st.Halvings), n)
 		}
-		v.fallbacks = st.Fallbacks
-		return nil
-	case *PriceDiscovery:
-		return RestoreSteps(v.steps, st.Gammas)
+		copy(v.halvings, st.Halvings)
+		copy(v.sign, st.Signs)
 	case *Anderson:
-		if err := RestoreSteps(v.steps, st.Gammas); err != nil {
-			return err
-		}
-		m := v.window()
-		n := len(v.cnt)
+		const m = andersonWindow
 		if st.Window != m {
-			return fmt.Errorf("price: checkpoint Anderson window %d, engine configured %d", st.Window, m)
+			return fmt.Errorf("price: checkpoint Anderson window %d, solver has %d", st.Window, m)
 		}
 		if len(st.Cnt) != n || len(st.Xs) != n*m || len(st.Fs) != n*m ||
 			len(st.Accepted) != n || len(st.PrevAbsF) != n {
@@ -158,8 +125,6 @@ func RestoreDynamics(d Dynamics, st DynamicsState) error {
 		copy(v.fs, st.Fs)
 		copy(v.accepted, st.Accepted)
 		copy(v.prevAbsF, st.PrevAbsF)
-		v.fallbacks = st.Fallbacks
-		return nil
 	}
-	return fmt.Errorf("price: %T does not support state restore (Reset-on-restore contract applies)", d)
+	return nil
 }

@@ -41,10 +41,7 @@ func TestDynamicsStateRoundTrip(t *testing.T) {
 			orig.Reset(3)
 			muPrefix := driveDynamics(orig, 7)
 
-			st, ok := CaptureDynamics(orig)
-			if !ok {
-				t.Fatalf("CaptureDynamics(%s) not supported", solver)
-			}
+			st := CaptureDynamics(orig)
 			if st.Solver != solver {
 				t.Fatalf("captured solver = %s, want %s", st.Solver, solver)
 			}
@@ -92,10 +89,7 @@ func TestDynamicsStateRoundTrip(t *testing.T) {
 func TestRestoreDynamicsRejectsMismatch(t *testing.T) {
 	grad := NewDynamics(SolverGradient, testConfig())
 	grad.Reset(3)
-	st, ok := CaptureDynamics(grad)
-	if !ok {
-		t.Fatal("capture failed")
-	}
+	st := CaptureDynamics(grad)
 
 	newton := NewDynamics(SolverNewton, testConfig())
 	newton.Reset(3)
@@ -120,7 +114,7 @@ func TestRestoreFixedSizerMismatch(t *testing.T) {
 	cfg := DynamicsConfig{NewStep: func() StepSizer { return &Fixed{Value: 0.25} }, BaseGamma: 0.25}
 	d := NewDynamics(SolverGradient, cfg)
 	d.Reset(2)
-	st, _ := CaptureDynamics(d)
+	st := CaptureDynamics(d)
 
 	fresh := NewDynamics(SolverGradient, cfg)
 	fresh.Reset(2)

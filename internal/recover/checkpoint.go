@@ -29,10 +29,13 @@ import (
 // and a CRC-32 (IEEE) of the payload. Every multi-byte integer is
 // little-endian; every slice and string is u32-length-prefixed. Decoding is
 // defensive end to end — truncated, bit-flipped or version-skewed inputs
-// produce errors, never panics and never a silently partial load.
+// produce errors, never panics and never a silently partial load. Version 2
+// holds one Dynamics state for every solver; version 1 (the gradient's agent
+// step sizes beside an optional Dynamics) still decodes, into the same
+// EngineState.
 const (
 	ckptMagic   = "LLACKPT\x00"
-	ckptVersion = 1
+	ckptVersion = 2
 )
 
 // Checkpoint is one durable snapshot of a running system.
@@ -164,8 +167,9 @@ func Decode(b []byte) (*Checkpoint, error) {
 	if string(b[:n]) != ckptMagic {
 		return nil, fmt.Errorf("recover: bad checkpoint magic")
 	}
-	if v := binary.LittleEndian.Uint16(b[n:]); v != ckptVersion {
-		return nil, fmt.Errorf("recover: unsupported checkpoint version %d (have %d)", v, ckptVersion)
+	version := binary.LittleEndian.Uint16(b[n:])
+	if version < 1 || version > ckptVersion {
+		return nil, fmt.Errorf("recover: unsupported checkpoint version %d (have 1..%d)", version, ckptVersion)
 	}
 	plen := int64(binary.LittleEndian.Uint32(b[n+2:]))
 	body := b[n+2+4:]
@@ -176,11 +180,11 @@ func Decode(b []byte) (*Checkpoint, error) {
 	if got, want := crc32.ChecksumIEEE(pay), binary.LittleEndian.Uint32(body[plen:]); got != want {
 		return nil, fmt.Errorf("recover: checkpoint checksum mismatch (corrupt)")
 	}
-	return decodePayload(pay)
+	return decodePayload(pay, version)
 }
 
-// decodePayload parses the checksummed payload body.
-func decodePayload(pay []byte) (*Checkpoint, error) {
+// decodePayload parses the checksummed payload body of the given version.
+func decodePayload(pay []byte, version uint16) (*Checkpoint, error) {
 	r := &reader{b: pay}
 	cp := &Checkpoint{}
 	cp.Epoch = r.u64()
@@ -205,7 +209,7 @@ func decodePayload(pay []byte) (*Checkpoint, error) {
 		return nil, fmt.Errorf("recover: decoding checkpoint workload: %w", err)
 	}
 	cp.Workload = w
-	if err := decodeEngine(r, &cp.Engine); err != nil {
+	if err := decodeEngine(r, &cp.Engine, version); err != nil {
 		return nil, err
 	}
 	switch r.u8() {
@@ -244,7 +248,6 @@ func encodeEngine(p *payload, st *core.EngineState) {
 		p.f64s(st.ErrMs[ti])
 	}
 	p.f64s(st.Mu)
-	p.f64s(st.AgentGamma)
 	p.f64s(st.ShareSums)
 	p.bools(st.Congested)
 	p.f64s(st.FpMu)
@@ -252,7 +255,7 @@ func encodeEngine(p *payload, st *core.EngineState) {
 	p.bools(st.CtlSolved)
 	p.bools(st.CtlStable)
 	p.bools(st.LatChanged)
-	p.bools(st.AgentStable)
+	p.bools(st.PriceStable)
 	p.bools(st.SumValid)
 	p.u64(st.Sparse.Iterations)
 	p.u64(st.Sparse.SkippedSolves)
@@ -260,30 +263,25 @@ func encodeEngine(p *payload, st *core.EngineState) {
 	p.u64(st.Sparse.CleanResources)
 	p.u64(st.Sparse.RepricedResources)
 	p.f64(st.DynDelta)
-	switch {
-	case st.Dyn != nil:
-		p.u8(1)
-		p.str(string(st.Dyn.Solver))
-		p.f64s(st.Dyn.Gammas)
-		p.u64(st.Dyn.Fallbacks)
-		p.i64(int64(st.Dyn.Window))
-		p.u32(uint32(len(st.Dyn.Cnt)))
-		for _, c := range st.Dyn.Cnt {
-			p.i64(int64(c))
-		}
-		p.f64s(st.Dyn.Xs)
-		p.f64s(st.Dyn.Fs)
-		p.bools(st.Dyn.Accepted)
-		p.f64s(st.Dyn.PrevAbsF)
-	case st.DynReset:
-		p.u8(2)
-	default:
-		p.u8(0)
+	d := &st.Dyn
+	p.str(string(d.Solver))
+	p.f64s(d.Gammas)
+	p.u64(d.Fallbacks)
+	p.bytes(d.Halvings)
+	p.bytes(d.Signs)
+	p.i64(int64(d.Window))
+	p.u32(uint32(len(d.Cnt)))
+	for _, c := range d.Cnt {
+		p.i64(int64(c))
 	}
+	p.f64s(d.Xs)
+	p.f64s(d.Fs)
+	p.bools(d.Accepted)
+	p.f64s(d.PrevAbsF)
 }
 
-// decodeEngine parses the engine-state section.
-func decodeEngine(r *reader, st *core.EngineState) error {
+// decodeEngine parses the engine-state section of the given version.
+func decodeEngine(r *reader, st *core.EngineState, version uint16) error {
 	st.Iteration = int(r.i64())
 	nt := r.len(8)
 	for ti := 0; ti < nt && r.err == nil; ti++ {
@@ -293,7 +291,10 @@ func decodeEngine(r *reader, st *core.EngineState) error {
 		st.ErrMs = append(st.ErrMs, r.f64s())
 	}
 	st.Mu = r.f64s()
-	st.AgentGamma = r.f64s()
+	var agentGamma []float64 // v1: the gradient agents' step sizes
+	if version == 1 {
+		agentGamma = r.f64s()
+	}
 	st.ShareSums = r.f64s()
 	st.Congested = r.bools()
 	st.FpMu = r.f64s()
@@ -301,7 +302,7 @@ func decodeEngine(r *reader, st *core.EngineState) error {
 	st.CtlSolved = r.bools()
 	st.CtlStable = r.bools()
 	st.LatChanged = r.bools()
-	st.AgentStable = r.bools()
+	st.PriceStable = r.bools()
 	st.SumValid = r.bools()
 	st.Sparse.Iterations = r.u64()
 	st.Sparse.SkippedSolves = r.u64()
@@ -309,34 +310,36 @@ func decodeEngine(r *reader, st *core.EngineState) error {
 	st.Sparse.CleanResources = r.u64()
 	st.Sparse.RepricedResources = r.u64()
 	st.DynDelta = r.f64()
-	switch r.u8() {
-	case 0:
-	case 1:
-		ds := &price.DynamicsState{}
-		solver, err := price.ParseSolver(r.str())
-		if err != nil && r.err == nil {
-			return fmt.Errorf("recover: %w", err)
-		}
-		ds.Solver = solver
-		ds.Gammas = r.f64s()
-		ds.Fallbacks = r.u64()
-		ds.Window = int(r.i64())
-		nc := r.len(8)
-		for i := 0; i < nc && r.err == nil; i++ {
-			ds.Cnt = append(ds.Cnt, int(r.i64()))
-		}
-		ds.Xs = r.f64s()
-		ds.Fs = r.f64s()
-		ds.Accepted = r.bools()
-		ds.PrevAbsF = r.f64s()
-		st.Dyn = ds
-	case 2:
-		st.DynReset = true
-	default:
-		if r.err == nil {
-			return fmt.Errorf("recover: bad solver-state tag")
+	d := &st.Dyn
+	if version == 1 {
+		if tag := r.u8(); tag == 0 { // the gradient agent path: its sizers are the whole state
+			d.Solver, d.Gammas = price.SolverGradient, agentGamma
+			return r.err
+		} else if tag != 1 && r.err == nil {
+			return fmt.Errorf("recover: bad or unsupported v1 solver-state tag %d", tag)
 		}
 	}
+	solver, err := price.ParseSolver(r.str())
+	if err != nil && r.err == nil {
+		return fmt.Errorf("recover: %w", err)
+	}
+	d.Solver = solver
+	d.Gammas = r.f64s()
+	d.Fallbacks = r.u64()
+	if version > 1 {
+		d.Halvings, d.Signs = r.bytes(), r.bytes()
+	} else if solver == price.SolverNewton { // v1 Newton had no safeguard: start it cleared
+		d.Halvings, d.Signs = make([]uint8, len(d.Gammas)), make([]uint8, len(d.Gammas))
+	}
+	d.Window = int(r.i64())
+	nc := r.len(8)
+	for i := 0; i < nc && r.err == nil; i++ {
+		d.Cnt = append(d.Cnt, int(r.i64()))
+	}
+	d.Xs = r.f64s()
+	d.Fs = r.f64s()
+	d.Accepted = r.bools()
+	d.PrevAbsF = r.f64s()
 	return r.err
 }
 

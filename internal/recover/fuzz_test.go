@@ -102,7 +102,9 @@ func FuzzDecodePayload(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		_, _ = decodePayload(data) // must not panic or hang, errors are fine
+		for v := uint16(1); v <= ckptVersion; v++ {
+			_, _ = decodePayload(data, v) // must not panic or hang, errors are fine
+		}
 	})
 }
 
@@ -116,7 +118,7 @@ func TestDecodeHostileLengthAllocs(t *testing.T) {
 	p.u32(0xFFFF_FF00) // hostile solver-string length
 	body := p.b
 	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := decodePayload(body); err == nil {
+		if _, err := decodePayload(body, ckptVersion); err == nil {
 			t.Fatal("hostile length prefix decoded successfully")
 		}
 	})

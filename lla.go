@@ -147,19 +147,20 @@ type StepPolicy = core.StepPolicy
 type SparseStats = core.SparseStats
 
 // PriceSolver selects the resource-price dynamics for Config.PriceSolver
-// (DESIGN.md §12): the reference gradient projection, or an accelerated
-// second-order solver that reaches the same fixed point in far fewer
-// rounds. Every solver keeps the engine ≡ distributed-runtime bitwise
-// equivalence and the zero-allocation steady-state step.
+// (DESIGN.md §12): diagonal Newton (the default), the paper's gradient
+// projection, or another accelerated solver; all reach the same fixed point.
+// Every solver keeps the engine ≡ distributed-runtime bitwise equivalence
+// and the zero-allocation steady-state step.
 type PriceSolver = price.Solver
 
 // Price solvers for Config.PriceSolver.
 const (
 	// SolverGradient is the paper's gradient projection with the Section
-	// 5.2 congestion-doubling heuristic — the reference dynamics (default).
+	// 5.2 congestion-doubling heuristic — the reference dynamics.
 	SolverGradient = price.SolverGradient
 	// SolverNewton is diagonal Newton in log-price coordinates, scaled by
-	// the closed-form demand-response curvature (~10x fewer rounds).
+	// the closed-form demand-response curvature (~10x fewer rounds): the
+	// default.
 	SolverNewton = price.SolverNewton
 	// SolverAnderson is safeguarded coordinate-wise Anderson acceleration
 	// over the reference gradient map.
@@ -169,8 +170,9 @@ const (
 	SolverPriceDiscovery = price.SolverPriceDiscovery
 )
 
-// ParsePriceSolver resolves a flag or config string ("" = gradient) to a
-// PriceSolver, rejecting unknown names.
+// ParsePriceSolver resolves a flag or config string to a PriceSolver ("" is
+// the unset solver, which Config resolves to Newton), rejecting unknown
+// names.
 var ParsePriceSolver = price.ParseSolver
 
 // PriceSolvers lists every implemented solver, reference first.
