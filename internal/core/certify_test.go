@@ -57,8 +57,10 @@ func certifyWorkload(t *testing.T, seed int64, family string) *workload.Workload
 // that the short-circuiting certificate reaches the dense rule's verdict,
 // from the remembered witness and from a cold cursor alike; that a passing
 // certificate and the infinite-tolerance scan the fleet uses on ungraded
-// sweep exits both carry the dense maxima bit for bit; and that a
-// non-positive KKT tolerance never certifies.
+// sweep exits both carry the dense maxima bit for bit; that a non-positive
+// KKT tolerance never certifies; and, every fifth iteration, that witnesses
+// planted in each of the pooled scan's ranges are found
+// (requirePlantedWitnessesFound).
 func TestCertifyMatchesDenseRule(t *testing.T) {
 	const (
 		iters  = 600
@@ -108,6 +110,9 @@ func TestCertifyMatchesDenseRule(t *testing.T) {
 									t.Fatalf("%s iter %d: certified at kktTol %v", name, it, bad)
 								}
 							}
+							if it%5 == 0 {
+								requirePlantedWitnessesFound(t, fmt.Sprintf("%s iter %d", name, it), e, kktTol, tol, want)
+							}
 							if want {
 								passes++
 							} else {
@@ -129,10 +134,58 @@ func TestCertifyMatchesDenseRule(t *testing.T) {
 	}
 }
 
+// plantWitness makes item i of Certify's index space break the rule — a
+// resource one unit over capacity, or a task whose first subtask's latency
+// grows by twice the critical time — and returns what undoes it.
+func plantWitness(e *Engine, i int) (undo func()) {
+	if nr := len(e.price); i >= nr {
+		g := e.p.subOff[i-nr]
+		old := e.lat[g]
+		e.lat[g] += 2 * e.p.Tasks[i-nr].CriticalMs
+		return func() { e.lat[g] = old }
+	}
+	old := e.shareSums[i]
+	e.shareSums[i] = e.p.Resources[i].Availability + 1
+	return func() { e.shareSums[i] = old }
+}
+
+// requirePlantedWitnessesFound plants a witness at one owned resource and at
+// one task of each of Certify's ranges in turn. Each must fail the check
+// twice: found by the scan, then again where the cursor holds it. When the
+// point itself passes (clean), the plant is the only witness and the cursor
+// must land on it.
+func requirePlantedWitnessesFound(t *testing.T, at string, e *Engine, kktTol, tol float64, clean bool) {
+	t.Helper()
+	nr, nt, ns := len(e.price), len(e.p.Tasks), e.nshards
+	for k := 0; k < ns; k++ {
+		var plants []int
+		for ri := k * nr / ns; ri < (k+1)*nr/ns; ri++ {
+			if !e.PinnedAt(ri) {
+				plants = append(plants, ri)
+				break
+			}
+		}
+		if ti := k * nt / ns; ti < (k+1)*nt/ns {
+			plants = append(plants, nr+ti)
+		}
+		for _, i := range plants {
+			undo := plantWitness(e, i)
+			_, scanned := e.Certify(kktTol, tol)
+			landed := e.certCursor
+			_, again := e.Certify(kktTol, tol)
+			undo()
+			if scanned || again || (clean && landed != i) {
+				t.Fatalf("%s: witness %d planted in range %d: verdicts %v then %v, cursor at %d", at, i, k, scanned, again, landed)
+			}
+		}
+	}
+}
+
 // TestCertifyZeroAllocs locks the certificate off the allocator on both of
-// its paths: the O(1) failing check and the full passing scan.
+// its paths — the O(1) failing check and the full passing scan — inline and
+// on the pool.
 func TestCertifyZeroAllocs(t *testing.T) {
-	for _, workers := range []int{1, 4} {
+	for _, workers := range []int{1, 2, 4} {
 		e, err := NewEngine(workload.Base(), Config{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
@@ -145,6 +198,37 @@ func TestCertifyZeroAllocs(t *testing.T) {
 			}
 		}
 		e.Close()
+	}
+}
+
+// TestCertifyStandingWitnessStaysSerial: a witness still standing at the
+// cursor is re-checked on the calling goroutine and wakes no worker. After
+// Close the engine has no pool, and failing checks must leave it so; a
+// passing scan then spawns one, which is what a dispatch would have shown.
+func TestCertifyStandingWitnessStaysSerial(t *testing.T) {
+	e, err := NewEngine(workload.Base(), Config{Workers: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	e.Run(50, nil)
+	e.Close()
+	nr, nt := len(e.price), len(e.p.Tasks)
+	for _, i := range []int{0, nr - 1, nr, nr + nt - 1} {
+		undo := plantWitness(e, i)
+		e.certCursor = i
+		for range 3 {
+			if _, ok := e.Certify(1e-6, 1e-4); ok || e.certCursor != i {
+				t.Fatalf("witness %d at the cursor: verdict %v, cursor moved to %d", i, ok, e.certCursor)
+			}
+		}
+		undo()
+		if e.pool != nil {
+			t.Fatalf("witness %d standing at the cursor: Certify woke the pool", i)
+		}
+	}
+	if _, ok := e.Certify(math.Inf(1), math.Inf(1)); !ok || e.pool == nil {
+		t.Fatalf("passing scan: verdict %v, pool spawned %v; want a pooled pass", ok, e.pool != nil)
 	}
 }
 

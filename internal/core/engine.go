@@ -183,9 +183,12 @@ type Engine struct {
 	pinEpoch uint64
 
 	// certCursor is Certify's witness cursor: the resource (< len(price)) or
-	// task (offset by len(price)) that failed the last check, where the next
-	// scan starts. Scratch only — it never changes a verdict.
+	// task (offset by len(price)) that failed the last check, which the next
+	// check re-tests first. cert is the pooled scan's scratch, nil until the
+	// first pooled Certify (so, like shard, never stale after
+	// ReplaceWorkload). Scratch only — neither changes a verdict.
 	certCursor int
+	cert       *certScan
 
 	// obsv holds the attached observability channels (nil = disabled); the
 	// hot path pays one nil-check per Step when nothing is attached.
@@ -296,25 +299,58 @@ func Curvature(inner, mu float64) float64 {
 }
 
 // refreshResourceState re-evaluates every share from the current latencies
-// and recomputes the cached share sums and congestion flags. Every caller is
-// reacting to an out-of-band state change (construction, availability
-// change, fork warm-start, workload replacement), so it also drops the
-// active set's cached fixed points.
+// and recomputes the cached share sums and congestion flags. Its callers
+// install state wholesale (construction, Fork, CarryFrom and with it
+// ReplaceWorkload), so it also drops every cached fixed point; a change
+// confined to one resource goes through refreshResource.
 func (e *Engine) refreshResourceState() {
 	for ti := range e.p.Tasks {
 		lo, hi := e.p.subOff[ti], e.p.subOff[ti+1]
 		e.p.sharesInto(e.shares[lo:hi], ti, e.lat[lo:hi], true)
 	}
 	for ri := range e.price {
-		sum, inner := e.demand(ri)
-		e.shareSums[ri], e.inner[ri] = sum, inner
-		if e.PinnedAt(ri) {
-			e.congested[ri] = e.pinnedCong[ri] // externally owned (pin.go)
-		} else {
-			e.congested[ri] = e.p.Resources[ri].Congested(sum)
-		}
+		e.shareSums[ri], e.inner[ri] = e.demand(ri)
+		e.congested[ri] = e.congestion(ri)
 	}
 	e.invalidateSparse()
+}
+
+// refreshResource is refreshResourceState confined to what a change on
+// resource ri — its availability, or the share function or bounds of a
+// subtask on it — can reach. It re-caches the shares of ri's subtasks (a
+// bound change may flip a flag), re-reduces ri's demand and curvature
+// numerator, and drops the fixed points of the controllers incident to ri
+// only. Everything else it keeps is what the global refresh would recompute
+// bit for bit: every other share is its latency's under unchanged bounds, and
+// every other resource's reduction is over those shares. The congestion
+// flags, every price fixed point and the dynamics' history are O(resources)
+// and stay global — each flag is re-derived from its cached sum, as the
+// global refresh does, in case its resource was unpinned since its last
+// reduction — so no skipped coordinate straddles the reset and the
+// trajectory is the global refresh's.
+func (e *Engine) refreshResource(ri int) {
+	p := e.p
+	for _, g := range p.Resources[ri].Subs {
+		e.shares[g] = flagged(p.ShareAt(g, e.lat[g]), e.lat[g], p.latMin[g], p.latMax[g])
+	}
+	e.shareSums[ri], e.inner[ri] = e.demand(ri)
+	for r := range e.congested {
+		e.congested[r] = e.congestion(r)
+	}
+	for _, ti := range e.inc.resTask[e.inc.resTaskOff[ri]:e.inc.resTaskOff[ri+1]] {
+		e.ctlSolved[ti], e.ctlStable[ti], e.latChanged[ti] = false, false, true
+	}
+	clear(e.priceStable)
+	e.dyn.Invalidate()
+}
+
+// congestion is resource ri's congestion flag for its cached demand: the
+// externally supplied one while its price is pinned (pin.go).
+func (e *Engine) congestion(ri int) bool {
+	if e.PinnedAt(ri) {
+		return e.pinnedCong[ri]
+	}
+	return e.p.Resources[ri].Congested(e.shareSums[ri])
 }
 
 // Step performs one full LLA iteration: each controller refreshes its path
@@ -334,10 +370,8 @@ func (e *Engine) refreshResourceState() {
 func (e *Engine) Step() {
 	copy(e.mu, e.price)
 	if e.nshards > 1 {
-		if e.pool == nil {
-			e.pool, e.shard = par.New(e.nshards-1), e.runShard
-		}
-		e.pool.Run(e.nshards, e.shard)
+		pool := e.workerPool()
+		pool.Run(e.nshards, e.shard)
 	} else {
 		e.runShard(0)
 	}
@@ -566,7 +600,7 @@ func (e *Engine) SetAvailability(resourceID string, availability float64) error 
 	for _, g := range e.p.Resources[ri].Subs {
 		e.p.refreshBounds(e.p.SubtaskAt(g))
 	}
-	e.refreshResourceState()
+	e.refreshResource(ri)
 	e.emit(obs.Event{Kind: obs.EventWorkloadChange, Iteration: e.iter,
 		Resource: resourceID, Detail: "availability", Value: availability})
 	return nil
@@ -584,7 +618,7 @@ func (e *Engine) SetErrorMs(taskName, subtaskName string, errMs float64) error {
 	}
 	e.p.Tasks[ti].ErrMs[si] = errMs
 	e.p.refreshBounds(ti, si)
-	e.refreshShare(ti, si)
+	e.refreshResource(int(e.p.Tasks[ti].Res[si]))
 	e.emit(obs.Event{Kind: obs.EventWorkloadChange, Iteration: e.iter,
 		Task: taskName, Subtask: subtaskName, Detail: "err_ms", Value: errMs})
 	return nil
@@ -602,18 +636,20 @@ func (e *Engine) SetMinShare(taskName, subtaskName string, minShare float64) err
 	}
 	e.p.src.Tasks[ti].Subtasks[si].MinShare = minShare
 	e.p.refreshBounds(ti, si)
-	e.refreshShare(ti, si)
+	e.refreshResource(int(e.p.Tasks[ti].Res[si]))
 	e.emit(obs.Event{Kind: obs.EventWorkloadChange, Iteration: e.iter,
 		Task: taskName, Subtask: subtaskName, Detail: "min_share", Value: minShare})
 	return nil
 }
 
-// refreshShare re-caches one subtask's share after a change to its share
-// function or bounds (the flag may flip), and drops the active set.
-func (e *Engine) refreshShare(ti, si int) {
-	g := e.p.subOff[ti] + int32(si)
-	e.shares[g] = flagged(e.p.ShareAt(g, e.lat[g]), e.lat[g], e.p.latMin[g], e.p.latMax[g])
-	e.invalidateSparse()
+// workerPool returns the parked shard workers, spawning them on first use
+// together with shard, the bound runShard Step hands them; Certify's ranges
+// run on the same pool.
+func (e *Engine) workerPool() *par.Pool {
+	if e.pool == nil {
+		e.pool, e.shard = par.New(e.nshards-1), e.runShard
+	}
+	return e.pool
 }
 
 // findSubtask resolves names to compiled indices.

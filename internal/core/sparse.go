@@ -12,7 +12,9 @@ import "slices"
 // F(S, x) == S, re-running F on the same x reproduces S and every cached
 // output, so Step's snapshots are byte-identical to an iteration that skips
 // nothing (the tests' denseStep) under every Workers count. Any write to S
-// or the problem data outside Step must go through Engine.invalidateSparse.
+// or the problem data outside Step must drop the fixed points it can reach:
+// Engine.refreshResource for a change on one resource, invalidateSparse for
+// anything wider.
 
 // Incidence is the CSR-style index of the bipartite task/resource structure,
 // built once at engine construction: which distinct resources a task's
@@ -137,11 +139,11 @@ func (e *Engine) resourceDirty(ri int) bool {
 }
 
 // invalidateSparse drops every cached fingerprint and fixed-point flag. Any
-// mutation of the problem data or controller/agent state outside Step —
-// availability changes, model-error corrections, min-share updates,
-// workload replacement — must call it: the skip contract is "inputs
-// identical AND state untouched", and out-of-band writes break the second
-// half invisibly.
+// wholesale write of the problem data or controller state outside Step —
+// construction, warm starts, workload replacement — must call it: the skip
+// contract is "inputs identical AND state untouched", and out-of-band writes
+// break the second half invisibly. A change confined to one resource drops
+// only what it reaches (Engine.refreshResource).
 func (e *Engine) invalidateSparse() {
 	for i := range e.ctlSolved {
 		e.ctlSolved[i] = false

@@ -1,6 +1,10 @@
 package core
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"lla/internal/price"
@@ -148,10 +152,68 @@ func TestSparseSkipsAtSteadyState(t *testing.T) {
 	}
 }
 
+// setAvailabilityGlobal is SetAvailability through the global refresh every
+// mutator took before refreshResource: the new bounds, then every share,
+// every resource's reduction and the whole active set.
+func setAvailabilityGlobal(e *Engine, ri int, availability float64) {
+	e.p.Resources[ri].Availability = availability
+	for _, g := range e.p.Resources[ri].Subs {
+		e.p.refreshBounds(e.p.SubtaskAt(g))
+	}
+	e.refreshResourceState()
+}
+
+// solvesAfterEvent counts the controller solves the first Step after an
+// event on resource ri must execute: those of the controllers incident to
+// ri, and of every other one that could not skip anyway — never solved, last
+// solve not a fixed point, or an observed price or flag moved since. Call it
+// before the event.
+func solvesAfterEvent(e *Engine, ri int) uint64 {
+	incident := make([]bool, len(e.p.Tasks))
+	for _, ti := range e.inc.resTask[e.inc.resTaskOff[ri]:e.inc.resTaskOff[ri+1]] {
+		incident[ti] = true
+	}
+	var n uint64
+	for ti := range e.p.Tasks {
+		skip := !incident[ti] && e.ctlSolved[ti] && e.ctlStable[ti]
+		for j := e.inc.taskResOff[ti]; skip && j < e.inc.taskResOff[ti+1]; j++ {
+			r := e.inc.taskRes[j]
+			skip = e.price[r] == e.fpMu[j] && e.congested[r] == e.fpCong[j]
+		}
+		if !skip {
+			n++
+		}
+	}
+	return n
+}
+
+// requireEnginesBitwiseEqual compares two engines' optimizer state and every
+// cache the next Step reads, bit for bit.
+func requireEnginesBitwiseEqual(t *testing.T, at string, a, b *Engine) {
+	t.Helper()
+	for _, v := range []struct {
+		what string
+		a, b []float64
+	}{
+		{"lat", a.lat, b.lat}, {"shares", a.shares, b.shares},
+		{"lambda", a.lambda, b.lambda}, {"gamma", a.gamma, b.gamma},
+		{"price", a.price, b.price}, {"shareSums", a.shareSums, b.shareSums},
+		{"inner", a.inner, b.inner},
+	} {
+		requireBitsEqual(t, at+" "+v.what, v.a, v.b)
+	}
+	if a.iter != b.iter || !slices.Equal(a.congested, b.congested) {
+		t.Fatalf("%s: iteration %d vs %d, congestion flags %v vs %v", at, a.iter, b.iter, a.congested, b.congested)
+	}
+}
+
 // TestSparseMutationsInvalidate interleaves every runtime mutation — and a
 // mid-run workload replacement — with Steps, checking the engine tracks the
 // denseStep reference bitwise throughout. A missing invalidation would show
-// up as Step coasting on stale cached state after a mutation.
+// up as Step coasting on stale cached state after a mutation. A third engine
+// takes every mutation through the global refresh and must stay bitwise
+// equal too, while the first Step after a mutation executes exactly the
+// solves solvesAfterEvent counts.
 func TestSparseMutationsInvalidate(t *testing.T) {
 	mk := func() *workload.Workload {
 		w, err := workload.Replicate(workload.Base(), 8, 4)
@@ -160,39 +222,81 @@ func TestSparseMutationsInvalidate(t *testing.T) {
 		}
 		return w
 	}
+	// Round r changes, by r%3, r0's availability, task1/T12's minimum share
+	// or task2/T21's error term.
+	subtask := map[int][2]string{1: {"task1", "T12"}, 2: {"task2", "T21"}}
+	touched := func(e *Engine, round int) int {
+		if round%3 == 0 {
+			return e.ResourceIndex("r0")
+		}
+		n := subtask[round%3]
+		ti, si, _ := e.findSubtask(n[0], n[1])
+		return int(e.p.Tasks[ti].Res[si])
+	}
+	mutate := func(e *Engine, round int) {
+		var err error
+		switch round % 3 {
+		case 0:
+			err = e.SetAvailability("r0", 0.7+0.05*float64(round%4))
+		case 1:
+			err = e.SetMinShare("task1", "T12", 0.02+0.01*float64(round%3))
+		case 2:
+			err = e.SetErrorMs("task2", "T21", 0.1*float64(round%5))
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	mutateGlobal := func(e *Engine, round int) {
+		if round%3 == 0 {
+			setAvailabilityGlobal(e, e.ResourceIndex("r0"), 0.7+0.05*float64(round%4))
+			return
+		}
+		n := subtask[round%3]
+		ti, si, _ := e.findSubtask(n[0], n[1])
+		if round%3 == 1 {
+			e.p.src.Tasks[ti].Subtasks[si].MinShare = 0.02 + 0.01*float64(round%3)
+		} else {
+			e.p.Tasks[ti].ErrMs[si] = 0.1 * float64(round%5)
+		}
+		e.p.refreshBounds(ti, si)
+		e.refreshResourceState()
+	}
 	for _, workers := range []int{1, 3} {
 		dense, sparse := newSparsePair(t, mk, workers, price.SolverGradient)
-		mutate := func(e *Engine, round int) {
-			var err error
-			switch round % 3 {
-			case 0:
-				err = e.SetAvailability("r0", 0.7+0.05*float64(round%4))
-			case 1:
-				err = e.SetMinShare("task1", "T12", 0.02+0.01*float64(round%3))
-			case 2:
-				err = e.SetErrorMs("task2", "T21", 0.1*float64(round%5))
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
+		global, err := NewEngine(mk(), Config{Workers: workers, PriceSolver: price.SolverGradient})
+		if err != nil {
+			t.Fatal(err)
 		}
-		var ds, ss Snapshot
+		t.Cleanup(global.Close)
+		step := func() {
+			denseStep(dense)
+			sparse.Step()
+			global.Step()
+		}
+		var ds, ss, gs Snapshot
 		for round := 0; round < 12; round++ {
-			// Let both engines freeze before mutating so the invalidation,
+			// Let the engines freeze before mutating so the invalidation,
 			// not a still-hot active set, is what forces the re-solve.
 			for i := 0; i < 120; i++ {
-				denseStep(dense)
-				sparse.Step()
+				step()
 			}
+			want, before := solvesAfterEvent(sparse, touched(sparse, round)), sparse.SparseStats().ExecutedSolves
 			mutate(dense, round)
 			mutate(sparse, round)
+			mutateGlobal(global, round)
 			for i := 0; i < 40; i++ {
-				denseStep(dense)
-				sparse.Step()
+				step()
+				if got := sparse.SparseStats().ExecutedSolves - before; i == 0 && got != want {
+					t.Fatalf("workers=%d round %d: the first Step executed %d solves, want %d", workers, round, got, want)
+				}
 				dense.SnapshotInto(&ds)
 				sparse.SnapshotInto(&ss)
+				global.SnapshotInto(&gs)
 				requireSnapshotsBitwiseEqual(t, round*160+i, &ds, &ss)
+				requireSnapshotsBitwiseEqual(t, round*160+i, &gs, &ss)
 			}
+			requireEnginesBitwiseEqual(t, fmt.Sprintf("workers=%d round %d", workers, round), global, sparse)
 		}
 		grown, err := workload.Replicate(workload.Base(), 12, 4)
 		if err != nil {
@@ -211,6 +315,133 @@ func TestSparseMutationsInvalidate(t *testing.T) {
 			sparse.SnapshotInto(&ss)
 			requireSnapshotsBitwiseEqual(t, 2000+i, &ds, &ss)
 		}
+	}
+}
+
+// TestLocalRefreshMatchesGlobal holds SetAvailability's localized refresh to
+// the global one it replaced on a clustered DAG. A twin engine takes each of
+// 20 seeded capacity events through setAvailabilityGlobal; after the first
+// Step that follows and after the event's RunUntilKKT the two are bitwise
+// equal under every solver and worker count, and that first Step executes
+// exactly the solves
+// solvesAfterEvent counts. Every fourth event follows a pin lifted before a
+// Step could re-derive its resource's congestion flag, which the localized
+// refresh must re-derive as the global one does.
+func TestLocalRefreshMatchesGlobal(t *testing.T) {
+	const maxIters = 400
+	mk := func() *workload.Workload {
+		cfg := workload.DefaultClusteredConfig(5)
+		cfg.SlackFactor = 40
+		w, err := workload.Clustered(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return w
+	}
+	for _, solver := range price.Solvers() {
+		for _, workers := range []int{1, 3} {
+			name := fmt.Sprintf("%s/workers=%d", solver, workers)
+			local, err := NewEngine(mk(), Config{Workers: workers, PriceSolver: solver})
+			if err != nil {
+				t.Fatal(err)
+			}
+			global, err := NewEngine(mk(), Config{Workers: workers, PriceSolver: solver})
+			if err != nil {
+				t.Fatal(err)
+			}
+			both := func(f func(e *Engine)) { f(local); f(global) }
+			converge := func(e *Engine) { e.RunUntilKKT(maxIters, 1e-9, 3, 1e-6) }
+			both(converge)
+			rng := rand.New(rand.NewSource(1))
+			nr, skipped := len(local.price), uint64(0)
+			for ev := 0; ev < 20; ev++ {
+				ri, v := rng.Intn(nr), 0.5+0.5*rng.Float64()
+				lifted := ev%4 == 3
+				if lifted {
+					rp := (ri + 1) % nr
+					both(func(e *Engine) {
+						if err := e.PinPrice(rp, 2*e.price[rp]+1, !e.congested[rp]); err != nil {
+							t.Fatal(err)
+						}
+						e.Step()
+						e.UnpinPrice(rp)
+					})
+				}
+				want, before := solvesAfterEvent(local, ri), local.SparseStats().ExecutedSolves
+				if err := local.SetAvailability(local.p.Resources[ri].ID, v); err != nil {
+					t.Fatal(err)
+				}
+				setAvailabilityGlobal(global, ri, v)
+				both((*Engine).Step)
+				got := local.SparseStats().ExecutedSolves - before
+				if !lifted && got != want {
+					t.Fatalf("%s event %d: the first Step executed %d solves, want %d", name, ev, got, want)
+				}
+				skipped += uint64(len(local.p.Tasks)) - got
+				requireEnginesBitwiseEqual(t, fmt.Sprintf("%s event %d, first Step", name, ev), local, global)
+				both(converge)
+				requireEnginesBitwiseEqual(t, fmt.Sprintf("%s event %d", name, ev), local, global)
+			}
+			if skipped == 0 {
+				t.Errorf("%s: no first Step after an event skipped a controller; the locality check tests nothing", name)
+			}
+			local.Close()
+			global.Close()
+		}
+	}
+}
+
+// TestMutatorsRefreshTouchedResource: after every mutator, each resource's
+// cached demand, curvature numerator and congestion flag are those of the
+// shares the mutator left, so Snapshot, Probe and Certify see an overload the
+// moment it is made and the next Step's controllers read the current flag.
+// SetErrorMs and SetMinShare used to leave the touched resource at its last
+// reduction: an error term of 3 ms on the base workload put r0 at Σ shares
+// 1.137 while ShareSums read 1.00003 and no overload showed.
+func TestMutatorsRefreshTouchedResource(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		mutate func(e *Engine, task, sub, res string) error
+	}{
+		{"SetErrorMs", func(e *Engine, task, sub, _ string) error { return e.SetErrorMs(task, sub, 3) }},
+		{"SetMinShare", func(e *Engine, task, sub, _ string) error { return e.SetMinShare(task, sub, 0.6) }},
+		{"SetAvailability", func(e *Engine, _, _, res string) error { return e.SetAvailability(res, 0.6) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e, err := NewEngine(workload.Base(), Config{Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e.Close()
+			e.Run(50, nil)
+			p := e.Problem()
+			pt := &p.Tasks[0]
+			if err := tc.mutate(e, pt.Name, pt.SubtaskNames[0], p.Resources[pt.Res[0]].ID); err != nil {
+				t.Fatal(err)
+			}
+			s := e.Snapshot()
+			over := 0.0
+			for ri := range p.Resources {
+				sum, inner := 0.0, 0.0
+				for _, g := range p.Resources[ri].Subs {
+					ti, si := p.SubtaskAt(g)
+					sum += s.Shares[ti][si]
+					if p.Interior(g, e.lat[g]) {
+						inner += s.Shares[ti][si]
+					}
+				}
+				if math.Abs(sum-s.ShareSums[ri]) > 1e-12 || math.Abs(inner-e.inner[ri]) > 1e-12 {
+					t.Errorf("resource %d: Σ shares %v and interior %v, cached %v and %v", ri, sum, inner, s.ShareSums[ri], e.inner[ri])
+				}
+				if got, want := e.CongestedAt(ri), p.Resources[ri].Congested(sum); got != want {
+					t.Errorf("resource %d: congestion flag %v, Σ shares say %v", ri, got, want)
+				}
+				over = max(over, sum-p.Resources[ri].Availability)
+			}
+			if math.Abs(over-s.MaxResourceViolation) > 1e-12 {
+				t.Errorf("MaxResourceViolation %v, Σ shares say %v", s.MaxResourceViolation, over)
+			}
+		})
 	}
 }
 
