@@ -73,7 +73,7 @@ func newFlagSet() (*flag.FlagSet, *nodeFlags) {
 		debugAddr:     fs.String("debug-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address (e.g. localhost:8080)"),
 		tracePath:     fs.String("trace", "", "append JSONL trace events to this file"),
 		workers:       fs.Int("workers", 0, "optimizer worker shards for engine-backed computation in this process: 0 = GOMAXPROCS, 1 = serial (results are bitwise-identical either way)"),
-		solver:        fs.String("solver", "", "price dynamics: newton (default), gradient, anderson, price-discovery — every node of a deployment must use the same setting"),
+		solver:        fs.String("solver", "", "price dynamics: newton (default) or gradient — every node of a deployment must use the same setting"),
 		checkpointDir: fs.String("checkpoint-dir", "",
 			"demo mode: persist crash-safe checkpoints of the deployment's optimizer state here; the coordinator epoch resumes from the newest one"),
 		checkpointEvery: fs.Int("checkpoint-every", 0,

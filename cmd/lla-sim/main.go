@@ -86,7 +86,7 @@ func newFlagSet() (*flag.FlagSet, *simFlags) {
 		quick:   fs.Bool("quick", false, "shrink iteration budgets (smoke test)"),
 		seed:    fs.Int64("seed", 1, "simulation seed (fig8, soak)"),
 		workers: fs.Int("workers", 0, "optimizer shards per iteration: 0 = GOMAXPROCS, 1 = serial (results are identical either way)"),
-		solver:  fs.String("solver", "", "price dynamics: gradient (default here: the paper's experiments trace its trajectories), newton (the engine default), anderson, price-discovery — every solver reaches the same fixed point"),
+		solver:  fs.String("solver", "", "price dynamics: gradient (default here: the paper's experiments trace its trajectories), or newton (the engine default) — both reach the same fixed point"),
 		csvDir:  fs.String("csv", "", "directory to write full series CSVs into"),
 		tracePath: fs.String("trace", "",
 			"append per-iteration JSONL telemetry (samples + events) to this file"),

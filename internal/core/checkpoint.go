@@ -31,7 +31,7 @@ type EngineState struct {
 	Iteration int
 
 	// LatMs, Lambda and PathGamma are each controller's latency assignment,
-	// path prices, and path step-sizer sizes.
+	// path prices, and path step sizes.
 	LatMs     [][]float64
 	Lambda    [][]float64
 	PathGamma [][]float64

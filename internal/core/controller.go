@@ -35,7 +35,7 @@ type Controller struct {
 
 	// step sizes the path-price steps: its Gamma is also the floor of the
 	// stability clamp, and in adaptive mode the effective step is floored at
-	// half the local price scale, mirroring price.GradStep's treatment of
+	// half the local price scale, mirroring price.Dynamics' gradient step on
 	// resource prices.
 	step StepPolicy
 	// maxInner bounds the fixed-point iterations used for curves with

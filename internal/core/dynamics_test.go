@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"lla/internal/obs"
@@ -76,11 +77,35 @@ func TestSolverParallelMatchesSerial(t *testing.T) {
 	}
 }
 
+// agent is one resource's price agent as the paper's runtime holds it: its
+// own step size, ramped by price.Ramp under the adaptive policy, clamped to
+// the local stability bound (max(base, 2·mu/B), floored at mu/2 when
+// adaptive) and applied through Equation 8. It shares no code with
+// price.Dynamics beyond those two functions.
+type agent struct {
+	gamma float64
+	step  StepPolicy
+}
+
+func (a *agent) update(mu, avail, sum float64, congested bool) float64 {
+	if a.step.Adaptive {
+		a.gamma = price.Ramp(a.gamma, a.step.Gamma, a.step.Max, congested)
+	}
+	gamma := a.gamma
+	if a.step.Adaptive && gamma < mu/2 {
+		gamma = mu / 2
+	}
+	if cap := math.Max(a.step.Gamma, 2*mu/avail); gamma > cap {
+		gamma = cap
+	}
+	return price.UpdateResource(mu, gamma, avail, sum)
+}
+
 // agentStep is the iteration as the paper's runtime performs it: every
-// controller solves, then every resource agent steps its own price with its
-// own reference GradStep (Equation 8) — no Dynamics, no skipping. It is the
-// oracle the engine's gradient Dynamics is held to.
-func agentStep(e *Engine, agents []price.GradStep) {
+// controller solves, then every resource agent steps its own price — no
+// Dynamics, no skipping. It is the oracle the engine's gradient Dynamics is
+// held to.
+func agentStep(e *Engine, agents []agent) {
 	copy(e.mu, e.price)
 	for ti := range e.p.Tasks {
 		c := e.Controller(ti)
@@ -91,17 +116,17 @@ func agentStep(e *Engine, agents []price.GradStep) {
 		e.shareSums[ri] = sum
 		r := &e.p.Resources[ri]
 		cong := r.Congested(sum)
-		e.price[ri], _ = agents[ri].Update(e.price[ri], r.Availability, sum, cong)
+		e.price[ri] = agents[ri].update(e.price[ri], r.Availability, sum, cong)
 		e.congested[ri] = cong
 	}
 	e.iter++
 }
 
-// newAgents builds the oracle's per-resource reference steps for e's config.
-func newAgents(e *Engine) []price.GradStep {
-	agents := make([]price.GradStep, len(e.price))
+// newAgents builds the oracle's per-resource agents for e's config.
+func newAgents(e *Engine) []agent {
+	agents := make([]agent, len(e.price))
 	for ri := range agents {
-		agents[ri] = price.GradStep{Step: e.cfg.NewStepSizer(), BaseGamma: e.cfg.Step.Gamma, PriceScaled: e.cfg.Step.Adaptive}
+		agents[ri] = agent{gamma: e.cfg.Step.Gamma, step: e.cfg.Step}
 	}
 	return agents
 }
@@ -140,8 +165,7 @@ func TestGradientSolverKeepsAgentPath(t *testing.T) {
 // TestGradientDynamicsMatchesAgentPath proves the gradient Dynamics is the
 // agents' arithmetic on the sharded, sparse engine too, across runtime
 // mutations. This is the anchor for "fall back to gradient means the
-// reference behavior" — the safeguard path of every accelerated solver runs
-// this exact arithmetic.
+// reference behavior" — Newton's safeguard path runs this exact arithmetic.
 func TestGradientDynamicsMatchesAgentPath(t *testing.T) {
 	cfg := Config{Workers: 2, PriceSolver: price.SolverGradient}
 	eng, err := NewEngine(workload.Base(), cfg)

@@ -79,30 +79,15 @@ func (c Config) WithDefaults() Config {
 	return c
 }
 
-// NewStepSizer builds one resource-price step sizer from the config's
-// StepPolicy. With NewDynamics it is the single source of truth for the
-// resource-price dynamics: every runtime constructs its own here, so a config
-// produces identical price trajectories in all of them (path step sizes are
-// plain numbers advanced by the same policy in Controller.Solve). Call on a
-// config that has been through WithDefaults.
-func (c Config) NewStepSizer() price.StepSizer {
-	if c.Step.Adaptive {
-		a := price.NewAdaptive(c.Step.Gamma)
-		a.Max = c.Step.Max
-		return a
-	}
-	return &price.Fixed{Value: c.Step.Gamma}
-}
-
-// NewDynamics builds the configured price-dynamics solver. Call on a config
+// NewDynamics builds the configured price dynamics over the config's
+// StepPolicy. It is the single source of truth for the resource-price
+// dynamics: every runtime constructs its own here, so a config produces
+// identical price trajectories in all of them (path step sizes are plain
+// numbers advanced by the same policy in Controller.Solve). Call on a config
 // that has been through WithDefaults, and call Reset on the result before
 // the first Step.
-func (c Config) NewDynamics() price.Dynamics {
-	return price.NewDynamics(c.PriceSolver, price.DynamicsConfig{
-		NewStep:     c.NewStepSizer,
-		BaseGamma:   c.Step.Gamma,
-		PriceScaled: c.Step.Adaptive,
-	})
+func (c Config) NewDynamics() *price.Dynamics {
+	return price.NewDynamics(c.PriceSolver, c.Step.Gamma, c.Step.Max, c.Step.Adaptive)
 }
 
 // Engine drives LLA synchronously: one Step performs a full iteration —
@@ -121,7 +106,7 @@ type Engine struct {
 	lat, shares   []float64
 	lambda, gamma []float64
 	price         []float64
-	dyn           price.Dynamics
+	dyn           *price.Dynamics
 
 	iter int
 	// shareSums and congested cache the previous iteration's resource
@@ -208,6 +193,9 @@ func NewEngine(w *workload.Workload, cfg Config) (*Engine, error) {
 // validity: nothing is validated or resolved by name again.
 func NewEngineChecked(ck *workload.Checked, cfg Config) (*Engine, error) {
 	cfg = cfg.WithDefaults()
+	if _, err := price.ParseSolver(string(cfg.PriceSolver)); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
 	p, err := compile(ck, cfg.WeightMode)
 	if err != nil {
 		return nil, err

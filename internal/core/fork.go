@@ -34,7 +34,7 @@ func (e *Engine) CurrentWorkload() *workload.Workload {
 // sufficiency gate) can ReplaceWorkload and iterate freely without
 // disturbing the running system. The fork's iteration counter starts at
 // zero (so trial convergence cost reads directly off its snapshots) and its
-// adaptive step sizers start fresh. Close the fork when done with it.
+// adaptive step sizes start fresh. Close the fork when done with it.
 func (e *Engine) Fork() (*Engine, error) {
 	next, err := NewEngine(e.CurrentWorkload(), e.cfg)
 	if err != nil {

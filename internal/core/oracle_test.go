@@ -13,7 +13,8 @@ import (
 
 // refTask is one task's problem data and controller state held the
 // straightforward way — per-task slices built from the workload, paths as
-// [][]int, a share.WCETLag per subtask, a heap price.StepSizer per path — and
+// [][]int, a share.WCETLag per subtask, a step size per path ramped by
+// price.Ramp — and
 // referenceSolve is the controller iteration written over them as three
 // separate passes. It is the oracle for Controller.Solve and shares none of
 // its code or layout: denseStep drives the engine's own Controller, so only
@@ -29,14 +30,14 @@ type refTask struct {
 	latMin     []float64
 	latMax     []float64
 
-	lat      []float64
-	lambda   []float64
-	pathStep []price.StepSizer
-	shares   []float64
+	lat       []float64
+	lambda    []float64
+	pathGamma []float64
+	shares    []float64
 
-	baseGamma   float64
-	priceScaled bool
-	maxInner    int
+	baseGamma, maxGamma float64
+	priceScaled         bool
+	maxInner            int
 	// fullLoop drops the slope early exit from the fixed-point loop.
 	fullLoop bool
 
@@ -70,10 +71,11 @@ func newRefTask(t *testing.T, e *Engine, ti int, hits *refHits) *refTask {
 		latMin: make([]float64, n), latMax: make([]float64, n),
 		lat: append([]float64(nil), e.Controller(ti).LatMs...), lambda: make([]float64, len(paths)),
 		shares:    make([]float64, n),
-		baseGamma: cfg.Step.Gamma, priceScaled: cfg.Step.Adaptive, maxInner: cfg.MaxInner, hits: hits,
+		baseGamma: cfg.Step.Gamma, maxGamma: cfg.Step.Max, priceScaled: cfg.Step.Adaptive,
+		maxInner: cfg.MaxInner, hits: hits,
 	}
 	for pi, path := range paths {
-		r.pathStep = append(r.pathStep, cfg.NewStepSizer())
+		r.pathGamma = append(r.pathGamma, cfg.Step.Gamma)
 		for _, s := range path {
 			r.through[s] = append(r.through[s], pi)
 		}
@@ -138,10 +140,12 @@ func (r *refTask) updatePathPrices(congestedRes []bool) bool {
 		if pathCongested {
 			r.hits.congestedPath++
 		}
-		g0 := r.pathStep[pi].Gamma()
-		r.pathStep[pi].Observe(pathCongested)
-		gamma := r.pathStep[pi].Gamma()
-		if gamma != g0 {
+		gamma := r.pathGamma[pi]
+		if r.priceScaled {
+			gamma = price.Ramp(gamma, r.baseGamma, r.maxGamma, pathCongested)
+		}
+		if gamma != r.pathGamma[pi] {
+			r.pathGamma[pi] = gamma
 			changed = true
 		}
 		scale := r.lambda[pi] + wMin*math.Abs(slope)
@@ -389,11 +393,7 @@ func TestSolveMatchesReference(t *testing.T) {
 							requireBitsEqual(t, at+" LatMs", c.LatMs, r.lat)
 							requireBitsEqual(t, at+" Lambda", c.Lambda, r.lambda)
 							requireBitsEqual(t, at+" shares", c.shares, r.shares)
-							for pi, s := range r.pathStep {
-								if c.gamma[pi] != s.Gamma() {
-									t.Fatalf("%s: path %d step size %v, reference %v", at, pi, c.gamma[pi], s.Gamma())
-								}
-							}
+							requireBitsEqual(t, at+" path step sizes", c.gamma, r.pathGamma)
 						})
 						got, _ := e.Certify(math.Inf(1), math.Inf(1))
 						if want := referenceCertificate(e); got != want {
@@ -506,9 +506,7 @@ func TestMutatorsWriteThroughOneStore(t *testing.T) {
 			for i := range refs {
 				refs[i] = newRefTask(t, e, i, &hits)
 				copy(refs[i].lambda, e.Controller(i).Lambda)
-				for pi, s := range refs[i].pathStep {
-					s.(price.GammaSetter).SetGamma(e.Controller(i).gamma[pi])
-				}
+				copy(refs[i].pathGamma, e.Controller(i).gamma)
 			}
 			denseStepObserved(e, func(i int, c *Controller) {
 				referenceSolve(refs[i], e.mu, e.congested)

@@ -73,8 +73,8 @@ func (e *Engine) PinPrice(ri int, mu float64, congested bool) error {
 	e.congested[ri] = congested
 	if changed {
 		e.pinEpoch++
-		// The dynamics' history (Newton's safeguard, Anderson's window) must
-		// not straddle an out-of-band price move.
+		// The dynamics' history (Newton's safeguard) must not straddle an
+		// out-of-band price move.
 		e.dyn.Invalidate()
 	}
 	return nil

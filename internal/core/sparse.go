@@ -152,10 +152,9 @@ func (e *Engine) invalidateSparse() {
 	}
 	clear(e.priceStable)
 	clear(e.sumValid)
-	// The price dynamics carry history (Newton's safeguard, Anderson's mixing
-	// window); an out-of-band change invalidates it for the same reason it
-	// invalidates the fingerprints — extrapolating across the discontinuity
-	// would be meaningless.
+	// The price dynamics carry history (Newton's safeguard); an out-of-band
+	// change invalidates it for the same reason it invalidates the
+	// fingerprints — damping across the discontinuity would be meaningless.
 	e.dyn.Invalidate()
 }
 

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"lla/internal/core"
+	"lla/internal/fleet"
 	"lla/internal/price"
 	"lla/internal/transport"
 	"lla/internal/workload"
@@ -56,6 +57,52 @@ func TestDistMatchesEngineAllSolvers(t *testing.T) {
 			}
 			if res.SolverFallbacks != e.SolverFallbacks() {
 				t.Errorf("fallbacks: dist %d engine %d", res.SolverFallbacks, e.SolverFallbacks())
+			}
+		})
+	}
+}
+
+// TestUnknownSolverIsAnError: a config naming a solver that does not exist —
+// a typo, or a stale config naming one that was removed — is refused with an
+// error by every runtime that builds price dynamics, never a panic.
+func TestUnknownSolverIsAnError(t *testing.T) {
+	for _, s := range []price.Solver{"bogus", "anderson"} {
+		t.Run(string(s), func(t *testing.T) {
+			cfg := core.Config{PriceSolver: s}
+			builds := map[string]func() error{
+				"engine": func() error {
+					e, err := core.NewEngine(workload.Base(), cfg)
+					if err == nil {
+						e.Close()
+					}
+					return err
+				},
+				"dist": func() error {
+					rt, err := NewSim(workload.Base(), cfg, transport.ChaosConfig{})
+					if err == nil {
+						rt.Close()
+					}
+					return err
+				},
+				"fleet": func() error {
+					f, err := fleet.New(workload.Base(), fleet.Config{Shards: 2, Engine: cfg})
+					if err == nil {
+						f.Close()
+					}
+					return err
+				},
+			}
+			for name, build := range builds {
+				func() {
+					defer func() {
+						if r := recover(); r != nil {
+							t.Errorf("%s: panicked: %v", name, r)
+						}
+					}()
+					if err := build(); err == nil {
+						t.Errorf("%s: accepted solver %q, want an error", name, s)
+					}
+				}()
 			}
 		})
 	}

@@ -24,7 +24,7 @@ type resourceNode struct {
 	p   *core.Problem
 	r   *core.ProblemResource
 	mu  float64
-	dyn price.Dynamics
+	dyn *price.Dynamics
 	// ctlIdx resolves a task name to its controller's entry in peers.
 	ctlIdx map[string]int
 	// subIdx maps a subtask hosted here to its global index (an entry of the

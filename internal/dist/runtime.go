@@ -61,6 +61,9 @@ type Runtime struct {
 // (identical, deterministic) problem each node of a deployment derives.
 func compile(w *workload.Workload, cfg core.Config) (*core.Problem, core.Config, error) {
 	cfg = cfg.WithDefaults()
+	if _, err := price.ParseSolver(string(cfg.PriceSolver)); err != nil {
+		return nil, cfg, fmt.Errorf("dist: %w", err)
+	}
 	p, err := core.Compile(w, cfg.WeightMode)
 	return p, cfg, err
 }

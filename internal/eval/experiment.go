@@ -151,10 +151,10 @@ type Options struct {
 	// Solver selects the resource-price dynamics ("" = the paper's gradient
 	// projection, not the engine's Newton default: the experiments reproduce
 	// the paper's trajectories). Unlike Workers this DOES change the
-	// artifacts: accelerated solvers follow a different price trajectory to
-	// the same fixed point, so iteration-indexed series and
-	// rounds-to-converge counts shift. The solvers experiment ignores it (it
-	// sweeps all solvers itself).
+	// artifacts: Newton follows a different price trajectory to the same
+	// fixed point, so iteration-indexed series and rounds-to-converge counts
+	// shift. The solvers experiment ignores it (it sweeps both solvers
+	// itself).
 	Solver price.Solver
 	// Observer, when non-nil, is attached to every engine an experiment
 	// creates, so a run streams per-iteration telemetry (KKT residuals,

@@ -16,14 +16,14 @@ import (
 // run's values.
 const solverDevTol = 1e-6
 
-// Solvers compares the pluggable price dynamics (DESIGN.md §12) on the
+// Solvers compares the two price solvers (DESIGN.md §12) on the
 // Figure 6 scalability workloads. For each workload size it first runs the
 // reference gradient projection to depth — that run's prices, path prices
 // and latencies define the fixed point — then measures, for every solver at
 // every worker count, how many rounds a fresh engine needs to bring all
 // three within solverDevTol of it. Two invariants are asserted as the sweep
-// runs: every solver reaches the same fixed point (the accelerated dynamics
-// change the trajectory, never the optimum), and a solver's rounds count is
+// runs: every solver reaches the same fixed point (Newton changes the
+// trajectory, never the optimum), and a solver's rounds count is
 // identical at every worker count (the sharded iteration is bitwise
 // deterministic). A second measurement runs each solver under the KKT
 // stationarity criterion (core.RunUntilKKT), which certifies the fixed point

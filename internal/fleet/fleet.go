@@ -198,9 +198,9 @@ type Fleet struct {
 	bmove   []float64
 	bprev   []float64
 
-	// bdyn is diagonal Newton over the shard-summed demand and curvature (an
-	// interface only so an in-package test can install the gradient oracle).
-	bdyn price.Dynamics
+	// bdyn is diagonal Newton over the shard-summed demand and curvature (a
+	// field so an in-package test can install the gradient oracle).
+	bdyn *price.Dynamics
 
 	// stable counts consecutive certified rounds; stats the lifetime
 	// counters; hashLog/residLog the RecordHashes determinism certificate

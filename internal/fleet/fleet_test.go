@@ -340,7 +340,7 @@ func TestSweepCertificateMatchesDenseScans(t *testing.T) {
 // combination — including the zero Engine config, which runs Newton.
 func TestFleetRefusesFreezeWithoutGradient(t *testing.T) {
 	w := clusteredWorkload(t, 17, 0)
-	for _, s := range []price.Solver{"", price.SolverNewton, price.SolverAnderson, price.SolverPriceDiscovery} {
+	for _, s := range []price.Solver{"", price.SolverNewton} {
 		if f, err := New(w, Config{Shards: 2, Engine: core.Config{PriceSolver: s}, LocalFreeze: true}); err == nil {
 			f.Close()
 			t.Errorf("solver %q: LocalFreeze accepted, want an error", s)

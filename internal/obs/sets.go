@@ -88,16 +88,15 @@ func NewSparseMetrics(r *Registry) *SparseMetrics {
 }
 
 // SolverMetrics is the price-dynamics metric set (DESIGN.md §12), labelled
-// by solver name: how many price rounds the configured solver has taken,
-// how often an accelerated solver's safeguard fell back to the reference
-// gradient step, and the residual trajectory (the largest per-round price
+// by solver name (gradient or newton): how many price rounds the configured
+// solver has taken, how often Newton fell back to the reference gradient
+// step, and the residual trajectory (the largest per-round price
 // movement), whose decay toward zero is the live convergence signal.
 type SolverMetrics struct {
 	// Rounds counts price-update rounds taken by the solver.
 	Rounds *Counter
-	// Fallbacks counts safeguard fallbacks to the reference gradient step
-	// (Anderson's rejected extrapolations, Newton's degenerate-curvature
-	// coordinates); always zero for the reference solver.
+	// Fallbacks counts Newton steps that fell back to the reference gradient
+	// step (degenerate-curvature coordinates); always zero for the gradient.
 	Fallbacks *Counter
 	// Residual is the largest |Δμ| any resource moved in the last round.
 	Residual *Gauge

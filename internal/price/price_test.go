@@ -65,85 +65,67 @@ func TestUpdateProperties(t *testing.T) {
 	}
 }
 
+// TestFixedStepSizer: under a fixed step policy the step size never moves,
+// congested or not, and Reset leaves it where it was.
 func TestFixedStepSizer(t *testing.T) {
-	f := &Fixed{Value: 2.5}
-	if f.Gamma() != 2.5 {
-		t.Errorf("Gamma = %v, want 2.5", f.Gamma())
+	f := NewDynamics(SolverGradient, 2.5, 0, false)
+	f.Reset(1)
+	if f.Gamma(0) != 2.5 {
+		t.Errorf("Gamma = %v, want 2.5", f.Gamma(0))
 	}
-	f.Observe(true)
-	f.Observe(false)
-	f.Reset()
-	if f.Gamma() != 2.5 {
-		t.Errorf("Fixed must never change, got %v", f.Gamma())
+	observe(f, true)
+	observe(f, false)
+	f.Reset(1)
+	if f.Gamma(0) != 2.5 {
+		t.Errorf("a fixed step must never change, got %v", f.Gamma(0))
 	}
 }
 
 func TestAdaptiveDoublesWhileCongested(t *testing.T) {
-	a := NewAdaptive(1)
-	if a.Gamma() != 1 {
-		t.Fatalf("initial Gamma = %v, want 1", a.Gamma())
+	a := newDyn(SolverGradient, 1)
+	if a.Gamma(0) != 1 {
+		t.Fatalf("initial Gamma = %v, want 1", a.Gamma(0))
 	}
-	a.Observe(true)
-	if a.Gamma() != 2 {
-		t.Errorf("after 1 congested iter Gamma = %v, want 2", a.Gamma())
+	observe(a, true)
+	if a.Gamma(0) != 2 {
+		t.Errorf("after 1 congested iter Gamma = %v, want 2", a.Gamma(0))
 	}
-	a.Observe(true)
-	a.Observe(true)
-	if a.Gamma() != 8 {
-		t.Errorf("after 3 congested iters Gamma = %v, want 8", a.Gamma())
+	observe(a, true)
+	observe(a, true)
+	if a.Gamma(0) != 8 {
+		t.Errorf("after 3 congested iters Gamma = %v, want 8", a.Gamma(0))
 	}
-	a.Observe(false)
-	if a.Gamma() != 1 {
-		t.Errorf("after decongestion Gamma = %v, want 1 (revert to base)", a.Gamma())
+	observe(a, false)
+	if a.Gamma(0) != 1 {
+		t.Errorf("after decongestion Gamma = %v, want 1 (revert to base)", a.Gamma(0))
 	}
 }
 
 func TestAdaptiveCap(t *testing.T) {
-	a := NewAdaptive(1)
-	a.Max = 4
+	a := NewDynamics(SolverGradient, 1, 4, true)
+	a.Reset(1)
 	for i := 0; i < 10; i++ {
-		a.Observe(true)
+		observe(a, true)
 	}
-	if a.Gamma() != 4 {
-		t.Errorf("Gamma = %v, want capped at 4", a.Gamma())
+	if a.Gamma(0) != 4 {
+		t.Errorf("Gamma = %v, want capped at 4", a.Gamma(0))
 	}
-	// Default cap applies when Max is zero.
-	d := NewAdaptive(1)
+	// Default cap applies when max is zero.
+	d := newDyn(SolverGradient, 1)
 	for i := 0; i < 40; i++ {
-		d.Observe(true)
+		observe(d, true)
 	}
-	if d.Gamma() != DefaultAdaptiveMax {
-		t.Errorf("Gamma = %v, want default cap %v", d.Gamma(), DefaultAdaptiveMax)
+	if d.Gamma(0) != DefaultAdaptiveMax {
+		t.Errorf("Gamma = %v, want default cap %v", d.Gamma(0), DefaultAdaptiveMax)
 	}
 }
 
 func TestAdaptiveReset(t *testing.T) {
-	a := NewAdaptive(0.5)
-	a.Observe(true)
-	a.Reset()
-	if a.Gamma() != 0.5 {
-		t.Errorf("after Reset Gamma = %v, want 0.5", a.Gamma())
+	a := NewDynamics(SolverGradient, 0.5, 0, true)
+	a.Reset(1)
+	observe(a, true)
+	a.Reset(1)
+	if a.Gamma(0) != 0.5 {
+		t.Errorf("after Reset Gamma = %v, want 0.5", a.Gamma(0))
 	}
-}
-
-func TestAdaptiveZeroValueStruct(t *testing.T) {
-	// A zero-value Adaptive with only Base set lazily initializes.
-	a := &Adaptive{Base: 2}
-	if a.Gamma() != 2 {
-		t.Errorf("lazy Gamma = %v, want 2", a.Gamma())
-	}
-	b := &Adaptive{Base: 2}
-	b.Observe(true)
-	if b.Gamma() != 4 {
-		t.Errorf("lazy Observe Gamma = %v, want 4", b.Gamma())
-	}
-}
-
-func TestNewAdaptivePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for non-positive base")
-		}
-	}()
-	NewAdaptive(0)
 }

@@ -6,9 +6,9 @@ import (
 )
 
 // driveDynamics runs a few rounds of a small 3-coordinate problem so the
-// solver accumulates non-trivial internal state (ramped sizers, Anderson
-// windows, fallback counts).
-func driveDynamics(d Dynamics, rounds int) []float64 {
+// solver accumulates non-trivial internal state (ramped step sizes, Newton's
+// safeguard, fallback counts).
+func driveDynamics(d *Dynamics, rounds int) []float64 {
 	mu := []float64{0.5, 2, 0}
 	avail := []float64{1, 1, 1}
 	curv := make([]float64, 3)
@@ -28,8 +28,12 @@ func driveDynamics(d Dynamics, rounds int) []float64 {
 	return mu
 }
 
-func testConfig() DynamicsConfig {
-	return DynamicsConfig{NewStep: func() StepSizer { return NewAdaptive(0.1) }, BaseGamma: 0.1, PriceScaled: true}
+// testDyn builds the named solver with adaptive steps from base 0.1, Reset
+// for n coordinates.
+func testDyn(s Solver, n int) *Dynamics {
+	d := NewDynamics(s, 0.1, 0, true)
+	d.Reset(n)
+	return d
 }
 
 // TestDynamicsStateRoundTrip drives each solver, captures it, restores into
@@ -37,8 +41,7 @@ func testConfig() DynamicsConfig {
 func TestDynamicsStateRoundTrip(t *testing.T) {
 	for _, solver := range Solvers() {
 		t.Run(string(solver), func(t *testing.T) {
-			orig := NewDynamics(solver, testConfig())
-			orig.Reset(3)
+			orig := testDyn(solver, 3)
 			muPrefix := driveDynamics(orig, 7)
 
 			st := CaptureDynamics(orig)
@@ -46,8 +49,7 @@ func TestDynamicsStateRoundTrip(t *testing.T) {
 				t.Fatalf("captured solver = %s, want %s", st.Solver, solver)
 			}
 
-			fresh := NewDynamics(solver, testConfig())
-			fresh.Reset(3)
+			fresh := testDyn(solver, 3)
 			if err := RestoreDynamics(fresh, st); err != nil {
 				t.Fatalf("RestoreDynamics: %v", err)
 			}
@@ -87,37 +89,34 @@ func TestDynamicsStateRoundTrip(t *testing.T) {
 // TestRestoreDynamicsRejectsMismatch checks solver and shape mismatches are
 // errors rather than silent partial loads.
 func TestRestoreDynamicsRejectsMismatch(t *testing.T) {
-	grad := NewDynamics(SolverGradient, testConfig())
-	grad.Reset(3)
-	st := CaptureDynamics(grad)
-
-	newton := NewDynamics(SolverNewton, testConfig())
-	newton.Reset(3)
-	if err := RestoreDynamics(newton, st); err == nil {
+	st := CaptureDynamics(testDyn(SolverGradient, 3))
+	if err := RestoreDynamics(testDyn(SolverNewton, 3), st); err == nil {
 		t.Fatal("restoring gradient state into newton succeeded, want error")
 	}
-
-	small := NewDynamics(SolverGradient, testConfig())
-	small.Reset(2)
-	if err := RestoreDynamics(small, st); err == nil {
+	if err := RestoreDynamics(testDyn(SolverGradient, 2), st); err == nil {
 		t.Fatal("restoring 3-coordinate state into 2-coordinate solver succeeded, want error")
 	}
 
 	if err := RestoreDynamics(nil, st); err == nil {
 		t.Fatal("restoring into nil Dynamics succeeded, want error")
 	}
+	newton := CaptureDynamics(testDyn(SolverNewton, 3))
+	newton.Halvings = newton.Halvings[:2]
+	if err := RestoreDynamics(testDyn(SolverNewton, 3), newton); err == nil {
+		t.Fatal("restoring a short Newton safeguard succeeded, want error")
+	}
 }
 
-// TestRestoreFixedSizerMismatch: a Fixed sizer has no setter; restoring its
-// own value succeeds, any other value errors.
+// TestRestoreFixedSizerMismatch: a fixed step policy accepts its own gamma
+// on restore and refuses any other value.
 func TestRestoreFixedSizerMismatch(t *testing.T) {
-	cfg := DynamicsConfig{NewStep: func() StepSizer { return &Fixed{Value: 0.25} }, BaseGamma: 0.25}
-	d := NewDynamics(SolverGradient, cfg)
-	d.Reset(2)
-	st := CaptureDynamics(d)
-
-	fresh := NewDynamics(SolverGradient, cfg)
-	fresh.Reset(2)
+	fixed := func() *Dynamics {
+		d := NewDynamics(SolverGradient, 0.25, 0, false)
+		d.Reset(2)
+		return d
+	}
+	st := CaptureDynamics(fixed())
+	fresh := fixed()
 	if err := RestoreDynamics(fresh, st); err != nil {
 		t.Fatalf("restoring matching fixed gammas: %v", err)
 	}
@@ -128,23 +127,25 @@ func TestRestoreFixedSizerMismatch(t *testing.T) {
 	}
 }
 
-// TestAdaptiveSetGamma: SetGamma must place the sizer exactly where a
-// congestion ramp left it.
+// TestAdaptiveSetGamma: a restore must place an adaptive step size exactly
+// where a congestion ramp left it.
 func TestAdaptiveSetGamma(t *testing.T) {
-	a := NewAdaptive(0.1)
-	a.Observe(true)
-	a.Observe(true)
-	want := a.Gamma()
+	a := testDyn(SolverGradient, 1)
+	observe(a, true)
+	observe(a, true)
+	want := a.Gamma(0)
 
-	b := NewAdaptive(0.1)
-	b.SetGamma(want)
-	if b.Gamma() != want {
-		t.Fatalf("SetGamma: got %v, want %v", b.Gamma(), want)
+	b := testDyn(SolverGradient, 1)
+	if err := RestoreDynamics(b, CaptureDynamics(a)); err != nil {
+		t.Fatal(err)
+	}
+	if b.Gamma(0) != want {
+		t.Fatalf("restored gamma %v, want %v", b.Gamma(0), want)
 	}
 	// Both must evolve identically afterwards.
-	a.Observe(true)
-	b.Observe(true)
-	if a.Gamma() != b.Gamma() {
-		t.Fatalf("post-set Observe diverged: %v vs %v", b.Gamma(), a.Gamma())
+	observe(a, true)
+	observe(b, true)
+	if a.Gamma(0) != b.Gamma(0) {
+		t.Fatalf("post-restore ramp diverged: %v vs %v", b.Gamma(0), a.Gamma(0))
 	}
 }

@@ -29,13 +29,14 @@ import (
 // and a CRC-32 (IEEE) of the payload. Every multi-byte integer is
 // little-endian; every slice and string is u32-length-prefixed. Decoding is
 // defensive end to end — truncated, bit-flipped or version-skewed inputs
-// produce errors, never panics and never a silently partial load. Version 2
-// holds one Dynamics state for every solver; version 1 (the gradient's agent
-// step sizes beside an optional Dynamics) still decodes, into the same
-// EngineState.
+// produce errors, never panics and never a silently partial load. Version 3
+// holds one Dynamics state: step sizes, fallbacks and Newton's safeguard.
+// Version 2 (the same, followed by a mixing window only the removed Anderson
+// solver filled) and version 1 (the gradient's agent step sizes beside an
+// optional Dynamics) still decode, into the same EngineState.
 const (
 	ckptMagic   = "LLACKPT\x00"
-	ckptVersion = 2
+	ckptVersion = 3
 )
 
 // Checkpoint is one durable snapshot of a running system.
@@ -269,15 +270,6 @@ func encodeEngine(p *payload, st *core.EngineState) {
 	p.u64(d.Fallbacks)
 	p.bytes(d.Halvings)
 	p.bytes(d.Signs)
-	p.i64(int64(d.Window))
-	p.u32(uint32(len(d.Cnt)))
-	for _, c := range d.Cnt {
-		p.i64(int64(c))
-	}
-	p.f64s(d.Xs)
-	p.f64s(d.Fs)
-	p.bools(d.Accepted)
-	p.f64s(d.PrevAbsF)
 }
 
 // decodeEngine parses the engine-state section of the given version.
@@ -331,16 +323,22 @@ func decodeEngine(r *reader, st *core.EngineState, version uint16) error {
 	} else if solver == price.SolverNewton { // v1 Newton had no safeguard: start it cleared
 		d.Halvings, d.Signs = make([]uint8, len(d.Gammas)), make([]uint8, len(d.Gammas))
 	}
-	d.Window = int(r.i64())
-	nc := r.len(8)
-	for i := 0; i < nc && r.err == nil; i++ {
-		d.Cnt = append(d.Cnt, int(r.i64()))
+	if version < 3 && !emptyAndersonWindow(r) && r.err == nil {
+		return fmt.Errorf("recover: checkpoint holds anderson solver history; the anderson solver was removed")
 	}
-	d.Xs = r.f64s()
-	d.Fs = r.f64s()
-	d.Accepted = r.bools()
-	d.PrevAbsF = r.f64s()
 	return r.err
+}
+
+// emptyAndersonWindow reads the mixing window versions 1 and 2 close the
+// solver state with — a window size, then five length-prefixed slices (fill
+// counts, iterates, residuals, accept flags, residual magnitudes) — and
+// reports whether it is empty, as it is for every solver but Anderson.
+func emptyAndersonWindow(r *reader) bool {
+	empty := r.i64() == 0
+	for i := 0; i < 5; i++ {
+		empty = r.u32() == 0 && empty
+	}
+	return empty
 }
 
 // payload is the append-only encode buffer.

@@ -11,15 +11,16 @@ import (
 	"lla/internal/workload"
 )
 
-// fuzzSeedCheckpoint builds one real encoded checkpoint (Anderson solver +
-// admission state, the deepest payload shape) for the fuzz corpus.
+// fuzzSeedCheckpoint builds one real encoded checkpoint (Newton, with its
+// safeguard history, plus admission state: the deepest payload shape) for the
+// fuzz corpus.
 func fuzzSeedCheckpoint(f *testing.F) []byte {
 	f.Helper()
 	w, err := workload.Replicate(workload.Base(), 2, 4)
 	if err != nil {
 		f.Fatal(err)
 	}
-	eng, err := core.NewEngine(w, core.Config{Workers: 1, PriceSolver: price.SolverAnderson})
+	eng, err := core.NewEngine(w, core.Config{Workers: 1, PriceSolver: price.SolverNewton})
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -113,7 +113,7 @@ func TestCheckpointCarriesAdmitState(t *testing.T) {
 // TestDecodeRejectsCorruption: truncations, bit flips and version skew all
 // error; none load silently.
 func TestDecodeRejectsCorruption(t *testing.T) {
-	eng := newRunEngine(t, price.SolverAnderson, 25)
+	eng := newRunEngine(t, price.SolverNewton, 25)
 	b, err := Capture(eng, CaptureOptions{}).Encode()
 	if err != nil {
 		t.Fatal(err)
