@@ -348,7 +348,7 @@ func (c *Controller) screen(trial *workload.Workload, t *task.Task, curve utilit
 
 	// Gate 2: price the candidate against the live mu vector.
 	mode := c.eng.Config().WeightMode
-	_, reason, err := PriceScreen(trial, t, curve, mode, c.liveMu(), c.cfg)
+	reason, err := priceScreen(trial, rep, t, curve, mode, c.liveMu(), c.cfg)
 	if err != nil {
 		return false, Decision{}, fmt.Errorf("admit: pricing %q: %w", t.Name, err)
 	}

@@ -92,46 +92,40 @@ func predictLatShare(execMs, minShare, criticalMs, weight, slope float64, r shar
 	return lat, fn.Share(lat)
 }
 
-// PriceScreen runs the admission price gate for a candidate. Two tests:
+// priceScreen runs the admission price gate for a candidate. Two tests:
 // headroom — the combined demand floors of residents plus candidate (the
-// share every feasible allocation must grant, from workload.Analyze) must
-// fit under each resource's overcommit-adjusted availability with the
-// configured reserve — and cost-benefit — the candidate's predicted demand
-// at the live prices mu must not cost more congestion than the utility it
-// brings. Floors (not predicted demand) drive the headroom test because at
-// an LLA optimum congested resources sit exactly at capacity, so any
-// live-price demand prediction there saturates and would veto every
-// arrival; the floors are the irreducible claim, and the reserve knob buys
-// back slack. trial is the resident workload plus the candidate. It returns
-// the demand estimate and a non-empty rejection reason when a gate fires;
-// err reports malformed inputs only. The dist coordinator runs the same
-// screen against its price mirrors, so engine-backed and coordinator-backed
-// decisions agree.
-func PriceScreen(trial *workload.Workload, cand *task.Task, curve utility.Curve, mode task.WeightMode, mu map[string]float64, cfg Config) (*Estimate, string, error) {
-	cfg = cfg.WithDefaults()
+// share every feasible allocation must grant, from rep, the static gate's
+// workload.Analyze report on trial) must fit under each resource's
+// overcommit-adjusted availability with the configured reserve — and
+// cost-benefit — the candidate's predicted demand at the live prices mu must
+// not cost more congestion than the utility it brings. Floors (not predicted
+// demand) drive the headroom test because at an LLA optimum congested
+// resources sit exactly at capacity, so any live-price demand prediction
+// there saturates and would veto every arrival; the floors are the
+// irreducible claim, and the reserve knob buys back slack. trial is the
+// resident workload plus the candidate; cfg has its defaults filled. It
+// returns a non-empty rejection reason when a gate fires; err reports
+// malformed inputs only.
+func priceScreen(trial *workload.Workload, rep *workload.SchedulabilityReport, cand *task.Task, curve utility.Curve, mode task.WeightMode, mu map[string]float64, cfg Config) (string, error) {
 	est, err := EstimateDemand(trial, cand, curve, mode, mu, cfg.MuFloor)
 	if err != nil {
-		return nil, "", err
-	}
-	rep, err := workload.Analyze(trial)
-	if err != nil {
-		return nil, "", err
+		return "", err
 	}
 	for _, r := range trial.Resources {
 		limit := r.Availability * (cfg.Overcommit - cfg.Headroom)
 		if floor := rep.ResourceFloor[r.ID]; floor > limit+1e-9 {
-			return est, fmt.Sprintf("resource %s: demand floor %.3f exceeds headroom %.3f (B=%.3f, overcommit %.2f, headroom %.2f)",
+			return fmt.Sprintf("resource %s: demand floor %.3f exceeds headroom %.3f (B=%.3f, overcommit %.2f, headroom %.2f)",
 				r.ID, floor, limit, r.Availability, cfg.Overcommit, cfg.Headroom), nil
 		}
 	}
 	if cfg.MaxCostBenefit > 0 {
 		if est.UtilityGain <= 0 && est.CongestionCost > 0 {
-			return est, fmt.Sprintf("congestion cost %.3f with no utility gain (%.3f)", est.CongestionCost, est.UtilityGain), nil
+			return fmt.Sprintf("congestion cost %.3f with no utility gain (%.3f)", est.CongestionCost, est.UtilityGain), nil
 		}
 		if est.CongestionCost > cfg.MaxCostBenefit*est.UtilityGain {
-			return est, fmt.Sprintf("congestion cost %.3f exceeds %.2f× utility gain %.3f",
+			return fmt.Sprintf("congestion cost %.3f exceeds %.2f× utility gain %.3f",
 				est.CongestionCost, cfg.MaxCostBenefit, est.UtilityGain), nil
 		}
 	}
-	return est, "", nil
+	return "", nil
 }

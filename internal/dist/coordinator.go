@@ -13,7 +13,7 @@ import (
 // The coordinator is deliberately off the protocol's critical path: reports
 // are fire-and-forget and round progress gates only on node-to-node frames,
 // so a coordinator crash never stalls the optimization — it only blinds
-// aggregation, convergence detection, and admission. Failover therefore has
+// aggregation and convergence detection. Failover therefore has
 // to restore exactly that view: a restarted coordinator loads the latest
 // checkpoint for its epoch, bumps it, re-registers the live nodes with a
 // rejoin handshake, and fences every frame from the dead generation so a
@@ -64,9 +64,9 @@ const (
 )
 
 // coordinator is the machine that aggregates per-round utility reports in
-// round order, watches a report lease per task, answers admission queries,
-// broadcasts the convergence stop, and lives through its crash plan.
-// node.epoch is the generation it runs as.
+// round order, watches a report lease per task, broadcasts the convergence
+// stop, and lives through its crash plan. node.epoch is the generation it
+// runs as.
 type coordinator struct {
 	node
 	rt      *Runtime
@@ -190,10 +190,6 @@ func (c *coordinator) receive(now time.Duration, m transport.Message) {
 		}
 		if c.state == coordRejoin && c.nAcked == len(c.acked) {
 			c.resync()
-		}
-	default:
-		if m.Kind == kindAdmitQuery {
-			c.admit(m)
 		}
 	}
 }
@@ -322,23 +318,4 @@ func (c *coordinator) resync() {
 		}
 	}
 	c.state, c.ackAt = coordUp, 0
-}
-
-// admit decodes, decides, records and (best-effort: the querier may already
-// be gone, and the answer is advisory) answers one admission query.
-func (c *coordinator) admit(m transport.Message) {
-	var q AdmissionQuery
-	if err := m.Decode(&q); err != nil {
-		return
-	}
-	d := c.rt.decideAdmission(q)
-	c.res.Admissions = append(c.res.Admissions, d)
-	v := 0.0
-	if d.Admitted {
-		v = 1
-	}
-	c.emit(obs.Event{Kind: obs.EventAdmission, Task: d.Name, Detail: d.Stage, Value: v})
-	if m.From != "" {
-		c.send(m.From, kindAdmitDecision, d, false)
-	}
 }

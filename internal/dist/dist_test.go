@@ -52,30 +52,15 @@ func TestDistMatchesEngineExactly(t *testing.T) {
 	}
 }
 
-// Message delay reorders deliveries but the round protocol must still
-// produce the same result.
+// Message delay with jitter reorders deliveries, but the round protocol
+// must still produce the engine's state bit for bit.
 func TestDistTolerantOfDeliveryDelay(t *testing.T) {
 	const rounds = 50
-	e, err := core.NewEngine(workload.Base(), core.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.Run(rounds, nil)
-	want := e.Snapshot()
-
-	net := transport.NewChaos(transport.NewInproc(transport.InprocConfig{}), transport.ChaosConfig{DelayMs: 1, Seed: 3})
-	rt, err := New(workload.Base(), core.Config{}, net)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rt.Close()
-	res, err := rt.Run(rounds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	net.Wait()
-	if d := math.Abs(res.Utility - want.Utility); d > 1e-6 {
-		t.Errorf("utility with delay: dist %v engine %v", res.Utility, want.Utility)
+	rt := simRuntime(t, workload.Base(), transport.ChaosConfig{Seed: 3, DelayMs: 1, DelayJitterMs: 1})
+	res := mustRun(t, rt, rounds)
+	assertMatchesEngineBitwise(t, workload.Base(), res, rounds)
+	if st := rt.Sim().Stats(); st.Delayed == 0 || st.Dropped != 0 {
+		t.Errorf("stats: %s, want delays and no loss", st)
 	}
 }
 

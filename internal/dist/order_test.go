@@ -76,7 +76,7 @@ func latencyCycle(sent []sendRecord) (cycle []string, ok bool) {
 }
 
 // A controller's frames leave in one fixed order — its resources in order of
-// first use — not in a map's: which seeded Chaos draw each frame consumes
+// first use — not in a map's: which seeded Faults draw each frame consumes
 // must not differ from run to run. Two loss-free runs put the identical
 // (to, kind, round) sequence on the network for every sender, and the async
 // controller, whose send count is timing, still cycles through the same

@@ -33,10 +33,6 @@ type resourceNode struct {
 	lat    map[int32]float64
 	// rm carries the per-resource gauges; nil unless observed.
 	rm *obs.ResourceMetrics
-	// liveMu mirrors the price after every update. Unlike rm it is always
-	// on: the coordinator reads it (atomically) to answer admission queries
-	// against fresh prices.
-	liveMu obs.Gauge
 
 	// congested is the flag of the latest update. last caches the latest full
 	// broadcast (none yet while its Resource is empty) for retransmission,
@@ -71,7 +67,6 @@ func newResourceNode(p *core.Problem, ri int, cfg core.Config, a addresses) *res
 		n.subIdx[subKey{tn, p.Tasks[ti].SubtaskNames[si]}] = sub
 	}
 	n.dyn.Reset(1)
-	n.liveMu.Set(n.mu)
 	return n
 }
 
@@ -141,7 +136,6 @@ func (n *resourceNode) compute() (moved bool) {
 	}
 	n.congested = r.Congested(sum)
 	n.mu, moved = n.dyn.StepAt(0, n.mu, sum, r.Availability, core.Curvature(inner, n.mu), n.congested)
-	n.liveMu.Set(n.mu)
 	if n.rm != nil {
 		n.rm.ShareSum.Set(sum)
 		n.rm.Availability.Set(r.Availability)

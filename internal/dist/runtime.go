@@ -14,7 +14,6 @@ import (
 	"sync"
 	"time"
 
-	"lla/internal/admit"
 	"lla/internal/core"
 	"lla/internal/obs"
 	"lla/internal/price"
@@ -48,7 +47,6 @@ type Runtime struct {
 	sim     *Sim
 
 	fp       FaultPolicy
-	admitCfg admit.Config
 	stop     chan struct{}
 	stopOnce sync.Once
 
@@ -207,9 +205,6 @@ type Result struct {
 	// fallbacks to the reference gradient step across all resource nodes
 	// (0 under the reference gradient solver).
 	SolverFallbacks uint64
-	// Admissions records every admission query the coordinator answered
-	// during the run, in arrival order (see admission.go).
-	Admissions []AdmissionDecision
 	// Epoch is the coordinator generation the run finished on: 0 for an
 	// uninterrupted run, bumped once per coordinator restart.
 	Epoch uint64

@@ -26,10 +26,10 @@ const (
 // Sim is the virtual driver: the network and clock of a NewSim runtime. One
 // goroutine pops a seeded event heap (sim.Clock); a send becomes a delivery
 // event at now + simHop + the delay its embedded transport.Faults plans —
-// after the same loss, duplication, reordering, crash and partition
-// decisions transport.Chaos makes — and every delivery round-trips through
-// the wire codec. Retransmission jitter draws from the same seeded stream,
-// so a run is a pure function of its ChaosConfig, and costs only its compute.
+// after its loss, duplication, reordering, crash and partition decisions —
+// and every delivery round-trips through the wire codec. Retransmission
+// jitter draws from the same seeded stream, so a run is a pure function of
+// its ChaosConfig, and costs only its compute.
 //
 // Crash, Restart, Partition and Heal (promoted from Faults) act at once; At
 // schedules them, or anything else, in virtual time. A Sim runs once.

@@ -1,6 +1,10 @@
 package transport
 
-import "testing"
+import (
+	"testing"
+
+	"lla/internal/wire"
+)
 
 func BenchmarkInprocRoundTrip(b *testing.B) {
 	n := NewInproc(InprocConfig{QueueLen: 4})
@@ -14,10 +18,10 @@ func BenchmarkInprocRoundTrip(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer c.Close()
-	payload := map[string]float64{"mu": 1.5}
+	payload := wire.PriceUpdate{Resource: "cpu0", Round: 3, Mu: 1.5}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := a.Send("b", "price", payload); err != nil {
+		if err := a.Send("b", wire.KindPrice, payload); err != nil {
 			b.Fatal(err)
 		}
 		<-c.Recv()

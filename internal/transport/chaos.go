@@ -8,10 +8,10 @@ import (
 	"time"
 )
 
-// ChaosConfig parameterizes the fault injector of a Chaos network. All rates
-// are probabilities in [0,1); all decisions are drawn from one seeded stream
-// (in send order), so a run with the same seed and the same serial send
-// sequence injects exactly the same faults.
+// ChaosConfig parameterizes a Faults. All rates are probabilities in [0,1);
+// all decisions are drawn from one seeded stream (in send order), so a run
+// with the same seed and the same serial send sequence injects exactly the
+// same faults.
 type ChaosConfig struct {
 	// Seed drives every fault decision.
 	Seed int64
@@ -29,12 +29,9 @@ type ChaosConfig struct {
 	// pass it, forcing out-of-order delivery even on an otherwise
 	// zero-latency network.
 	ReorderRate float64
-	// QueueLen is the capacity of each wrapped endpoint's inbox
-	// (default 4096).
-	QueueLen int
 }
 
-// ChaosStats counts the faults a Chaos network has injected so far.
+// ChaosStats counts the faults a Faults has decided so far.
 type ChaosStats struct {
 	// Dropped counts messages lost to LossRate.
 	Dropped int64
@@ -49,12 +46,12 @@ type ChaosStats struct {
 	Blackholed int64
 }
 
-// Faults is the seeded fault decision shared by every fault injector: which
-// messages are lost, duplicated, held or delayed (Plan), which node pairs
-// cannot talk (Blocked), and the jitter of retransmission timers (Float64).
-// Chaos applies its decisions to a real network with goroutines and sleeps;
-// dist's virtual driver applies the same decisions as events on a virtual
-// clock. Safe for concurrent use.
+// Faults is the seeded fault decision stream: which messages are lost,
+// duplicated, held or delayed (Plan), which node pairs cannot talk
+// (Blocked), and the jitter of retransmission timers (Float64). It only
+// decides; dist's virtual driver (dist.NewSim) is the one place the
+// decisions are applied, as events on a virtual clock. Safe for concurrent
+// use.
 type Faults struct {
 	cfg ChaosConfig
 
@@ -174,122 +171,6 @@ func (f *Faults) Stats() ChaosStats {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.stats
-}
-
-// Chaos wraps any Network with the decisions of a Faults, enacted on the
-// wall clock: a delayed copy is a goroutine that sleeps. It works over the
-// in-process and TCP networks alike.
-type Chaos struct {
-	*Faults
-	inner Network
-	wg    sync.WaitGroup
-}
-
-var _ Network = (*Chaos)(nil)
-
-// NewChaos wraps the inner network with fault injection.
-func NewChaos(inner Network, cfg ChaosConfig) *Chaos {
-	if cfg.QueueLen == 0 {
-		cfg.QueueLen = 4096
-	}
-	return &Chaos{Faults: NewFaults(cfg), inner: inner}
-}
-
-// Endpoint implements Network by wrapping the inner endpoint.
-func (c *Chaos) Endpoint(addr string) (Endpoint, error) {
-	inner, err := c.inner.Endpoint(addr)
-	if err != nil {
-		return nil, err
-	}
-	ep := &chaosEndpoint{
-		c:     c,
-		inner: inner,
-		addr:  addr,
-		out:   make(chan Message, c.cfg.QueueLen),
-		done:  make(chan struct{}),
-	}
-	go ep.pump()
-	return ep, nil
-}
-
-// Wait blocks until all in-flight delayed deliveries have settled.
-func (c *Chaos) Wait() { c.wg.Wait() }
-
-// chaosEndpoint filters one endpoint's traffic through the fault decisions.
-type chaosEndpoint struct {
-	c     *Chaos
-	inner Endpoint
-	addr  string
-	out   chan Message
-	done  chan struct{}
-
-	closeOnce sync.Once
-	closeErr  error
-}
-
-var _ Endpoint = (*chaosEndpoint)(nil)
-
-// Addr implements Endpoint.
-func (e *chaosEndpoint) Addr() string { return e.addr }
-
-// Send implements Endpoint, applying the configured faults. Deliveries that
-// were deferred (delay, reorder) cannot report errors; transport failures on
-// those are indistinguishable from loss, exactly as on a real network.
-func (e *chaosEndpoint) Send(to, kind string, payload any) error {
-	if e.c.Blocked(e.addr, to) {
-		return nil
-	}
-	copies, delay := e.c.Plan()
-	var err error
-	for i := 0; i < copies; i++ {
-		if delay > 0 {
-			e.c.wg.Add(1)
-			go func() {
-				defer e.c.wg.Done()
-				time.Sleep(delay)
-				_ = e.inner.Send(to, kind, payload)
-			}()
-		} else if serr := e.inner.Send(to, kind, payload); err == nil {
-			err = serr
-		}
-	}
-	return err
-}
-
-// pump forwards inbound messages, discarding them while this node is
-// crashed or partitioned away from the sender.
-func (e *chaosEndpoint) pump() {
-	for m := range e.inner.Recv() {
-		if e.c.Blocked(m.From, e.addr) {
-			continue
-		}
-		// Forward without blocking when there is room, so messages buffered
-		// at Close time still drain deterministically into the outbox;
-		// block (or bail out on close) only when the outbox is full.
-		select {
-		case e.out <- m:
-			continue
-		default:
-		}
-		select {
-		case e.out <- m:
-		case <-e.done:
-			// Closing with a full outbox: discard the rest.
-		}
-	}
-	close(e.out)
-}
-
-// Recv implements Endpoint.
-func (e *chaosEndpoint) Recv() <-chan Message { return e.out }
-
-// Close implements Endpoint.
-func (e *chaosEndpoint) Close() error {
-	e.closeOnce.Do(func() {
-		close(e.done)
-		e.closeErr = e.inner.Close()
-	})
-	return e.closeErr
 }
 
 // NewJitter returns a private jitter source for Backoff, seeded from name so

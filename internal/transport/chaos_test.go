@@ -5,211 +5,157 @@ import (
 	"time"
 )
 
-// collect drains n's endpoint b until it closes, returning the payload Ns in
-// arrival order.
-func collectNs(t *testing.T, ep Endpoint) []int {
-	t.Helper()
-	var out []int
-	for m := range ep.Recv() {
-		var p ping
-		if err := m.Decode(&p); err != nil {
-			t.Fatal(err)
-		}
-		out = append(out, p.N)
-	}
-	return out
+// plan is one Faults.Plan decision.
+type plan struct {
+	copies int
+	delay  time.Duration
 }
 
-// A serial sender over the same seed must see the identical loss pattern.
+// plans draws n decisions from a fresh Faults of cfg and returns them with
+// the stats they left behind.
+func plans(cfg ChaosConfig, n int) ([]plan, ChaosStats) {
+	f := NewFaults(cfg)
+	out := make([]plan, n)
+	for i := range out {
+		out[i].copies, out[i].delay = f.Plan()
+	}
+	return out, f.Stats()
+}
+
+// A serial sender over the same seed must see the identical loss pattern,
+// at a rate near the configured one, and every loss counted.
 func TestChaosLossDeterministic(t *testing.T) {
-	run := func() []int {
-		c := NewChaos(NewInproc(InprocConfig{}), ChaosConfig{Seed: 9, LossRate: 0.3})
-		a, err := c.Endpoint("a")
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := c.Endpoint("b")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer a.Close()
-		for i := 0; i < 200; i++ {
-			if err := a.Send("b", "x", ping{N: i}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		b.Close()
-		return collectNs(t, b)
-	}
-	first, second := run(), run()
-	if len(first) == 0 || len(first) == 200 {
-		t.Fatalf("loss injection inactive: delivered %d of 200", len(first))
-	}
-	if len(first) != len(second) {
-		t.Fatalf("non-deterministic loss: %d vs %d delivered", len(first), len(second))
-	}
+	const n = 200
+	cfg := ChaosConfig{Seed: 9, LossRate: 0.3}
+	first, st := plans(cfg, n)
+	second, _ := plans(cfg, n)
+	lost := 0
 	for i := range first {
 		if first[i] != second[i] {
-			t.Fatalf("non-deterministic delivery at %d: %d vs %d", i, first[i], second[i])
+			t.Fatalf("decision %d: %+v, then %+v from the same seed", i, first[i], second[i])
 		}
+		switch first[i] {
+		case plan{0, 0}:
+			lost++
+		case plan{1, 0}:
+		default:
+			t.Fatalf("decision %d: %+v under loss only", i, first[i])
+		}
+	}
+	if lost < n/10 || lost > n/2 {
+		t.Errorf("lost %d of %d at LossRate 0.3", lost, n)
+	}
+	if st.Dropped != int64(lost) || st.Duplicated+st.Delayed+st.Reordered+st.Blackholed != 0 {
+		t.Errorf("stats: %s, want %d dropped and nothing else", st, lost)
+	}
+	other, _ := plans(ChaosConfig{Seed: 10, LossRate: 0.3}, n)
+	same := true
+	for i := range first {
+		same = same && first[i] == other[i]
+	}
+	if same {
+		t.Error("seeds 9 and 10 lost the same messages")
 	}
 }
 
 func TestChaosDuplication(t *testing.T) {
-	c := NewChaos(NewInproc(InprocConfig{}), ChaosConfig{Seed: 1, DupRate: 1})
-	a, _ := c.Endpoint("a")
-	b, _ := c.Endpoint("b")
-	defer a.Close()
 	const n = 50
-	for i := 0; i < n; i++ {
-		if err := a.Send("b", "x", ping{N: i}); err != nil {
-			t.Fatal(err)
+	got, st := plans(ChaosConfig{Seed: 1, DupRate: 1}, n)
+	for i, p := range got {
+		if p != (plan{2, 0}) {
+			t.Fatalf("decision %d: %+v at DupRate=1, want two undelayed copies", i, p)
 		}
 	}
-	b.Close()
-	got := collectNs(t, b)
-	if len(got) != 2*n {
-		t.Fatalf("delivered %d messages at DupRate=1, want %d", len(got), 2*n)
-	}
-	if s := c.Stats(); s.Duplicated != n {
-		t.Errorf("stats: %s, want %d duplicated", s, n)
+	if st.Duplicated != n {
+		t.Errorf("stats: %s, want %d duplicated", st, n)
 	}
 }
 
+// Delay plus jitter plus reordering: every copy is held inside the
+// configured window, about half are held the extra reorder time, and
+// messages sent back to back arrive out of order.
 func TestChaosDelayAndReorder(t *testing.T) {
-	c := NewChaos(NewInproc(InprocConfig{}), ChaosConfig{Seed: 4, DelayMs: 2, DelayJitterMs: 4, ReorderRate: 0.5})
-	a, _ := c.Endpoint("a")
-	b, _ := c.Endpoint("b")
-	defer a.Close()
-	defer b.Close()
 	const n = 100
-	start := time.Now()
-	for i := 0; i < n; i++ {
-		if err := a.Send("b", "x", ping{N: i}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got := make([]int, 0, n)
-	for len(got) < n {
-		select {
-		case m := <-b.Recv():
-			var p ping
-			if err := m.Decode(&p); err != nil {
-				t.Fatal(err)
-			}
-			got = append(got, p.N)
-		case <-time.After(5 * time.Second):
-			t.Fatalf("timed out after %d of %d", len(got), n)
-		}
-	}
-	if elapsed := time.Since(start); elapsed < 2*time.Millisecond {
-		t.Errorf("delivery took %v, want >= ~2ms of injected delay", elapsed)
-	}
+	cfg := ChaosConfig{Seed: 4, DelayMs: 2, DelayJitterMs: 4, ReorderRate: 0.5}
+	got, st := plans(cfg, n)
+	again, _ := plans(cfg, n)
 	inOrder := true
-	for i := 1; i < n; i++ {
-		if got[i] < got[i-1] {
-			inOrder = false
-			break
+	for i, p := range got {
+		if p != again[i] {
+			t.Fatalf("decision %d: %+v, then %+v from the same seed", i, p, again[i])
 		}
+		if p.copies != 1 || p.delay < 2*time.Millisecond || p.delay >= 9*time.Millisecond {
+			t.Fatalf("decision %d: %+v, want one copy held 2ms..9ms", i, p)
+		}
+		inOrder = inOrder && (i == 0 || p.delay >= got[i-1].delay)
 	}
 	if inOrder {
 		t.Error("jittered delay + 50% reorder delivered fully in order")
 	}
-	c.Wait()
+	if st.Delayed != n || st.Reordered < n/4 || st.Reordered > 3*n/4 {
+		t.Errorf("stats: %s, want %d delayed and about %d reordered", st, n, n/2)
+	}
 }
 
 func TestChaosCrashRestartBlackholesBothDirections(t *testing.T) {
-	c := NewChaos(NewInproc(InprocConfig{}), ChaosConfig{Seed: 2})
-	a, _ := c.Endpoint("a")
-	b, _ := c.Endpoint("b")
-	defer a.Close()
-	defer b.Close()
-
-	c.Crash("b")
-	if err := a.Send("b", "x", ping{N: 1}); err != nil {
-		t.Fatalf("send to crashed node must be silent loss, got %v", err)
+	f := NewFaults(ChaosConfig{Seed: 2})
+	f.Crash("b")
+	if !f.Blocked("a", "b") || !f.Blocked("b", "a") {
+		t.Fatal("a crashed node must be cut off in both directions")
 	}
-	if err := b.Send("a", "x", ping{N: 2}); err != nil {
-		t.Fatalf("send from crashed node must be silent loss, got %v", err)
+	if f.Blocked("a", "c") {
+		t.Fatal("a crash cut off two live nodes")
 	}
-	select {
-	case m := <-a.Recv():
-		t.Fatalf("message %v leaked through a crash", m)
-	case <-time.After(20 * time.Millisecond):
+	if st := f.Stats(); st.Blackholed != 2 {
+		t.Errorf("stats: %s, want 2 blackholed", st)
 	}
-	if s := c.Stats(); s.Blackholed != 2 {
-		t.Errorf("stats: %s, want 2 blackholed", s)
+	f.Restart("b")
+	if f.Blocked("a", "b") || f.Blocked("b", "a") {
+		t.Fatal("a restarted node is still cut off")
 	}
-
-	c.Restart("b")
-	if err := a.Send("b", "x", ping{N: 3}); err != nil {
-		t.Fatal(err)
-	}
-	var p ping
-	if err := recvOne(t, b).Decode(&p); err != nil {
-		t.Fatal(err)
-	}
-	if p.N != 3 {
-		t.Fatalf("post-restart payload = %+v", p)
+	if st := f.Stats(); st.Blackholed != 2 {
+		t.Errorf("stats after restart: %s, want 2 blackholed", st)
 	}
 }
 
 func TestChaosPartitionAndHeal(t *testing.T) {
-	c := NewChaos(NewInproc(InprocConfig{}), ChaosConfig{Seed: 2})
-	a, _ := c.Endpoint("a")
-	b, _ := c.Endpoint("b")
-	x, _ := c.Endpoint("x") // unlisted: reaches everyone
-	defer a.Close()
-	defer b.Close()
-	defer x.Close()
-
-	c.Partition([]string{"a"}, []string{"b"})
-	if err := a.Send("b", "x", ping{N: 1}); err != nil {
-		t.Fatalf("cross-partition send must be silent loss, got %v", err)
+	f := NewFaults(ChaosConfig{Seed: 2})
+	f.Partition([]string{"a"}, []string{"b"})
+	if !f.Blocked("a", "b") || !f.Blocked("b", "a") {
+		t.Fatal("traffic crossed the partition")
 	}
-	if err := x.Send("b", "x", ping{N: 2}); err != nil {
-		t.Fatal(err)
+	// x is in no group: it reaches everyone.
+	if f.Blocked("x", "b") || f.Blocked("a", "x") {
+		t.Fatal("an unlisted node was cut off")
 	}
-	var p ping
-	if err := recvOne(t, b).Decode(&p); err != nil {
-		t.Fatal(err)
+	f.Heal()
+	if f.Blocked("a", "b") {
+		t.Fatal("the partition outlived Heal")
 	}
-	if p.N != 2 {
-		t.Fatalf("partition delivered wrong message: %+v", p)
-	}
-
-	c.Heal()
-	if err := a.Send("b", "x", ping{N: 3}); err != nil {
-		t.Fatal(err)
-	}
-	if err := recvOne(t, b).Decode(&p); err != nil {
-		t.Fatal(err)
-	}
-	if p.N != 3 {
-		t.Fatalf("post-heal payload = %+v", p)
+	if st := f.Stats(); st.Blackholed != 2 {
+		t.Errorf("stats: %s, want 2 blackholed", st)
 	}
 }
 
-// The chaos wrapper composes with the TCP network, not just inproc.
-func TestChaosOverTCP(t *testing.T) {
-	inner := NewTCP(map[string]string{"a": "127.0.0.1:0", "b": "127.0.0.1:0"})
-	testRoundTrip(t, NewChaos(inner, ChaosConfig{Seed: 1}))
-}
-
-// A fault-free chaos network is a transparent pass-through, including Send
-// errors for unknown destinations.
-func TestChaosPassthroughErrors(t *testing.T) {
-	c := NewChaos(NewInproc(InprocConfig{}), ChaosConfig{})
-	a, err := c.Endpoint("a")
-	if err != nil {
-		t.Fatal(err)
+// A zero-rate Faults passes everything through: every message arrives once
+// and undelayed, nobody is blocked, nothing is counted, and Plan draws
+// nothing from the seeded stream, which Backoff's jitter then reads
+// exactly as a fresh stream of the seed would.
+func TestFaultsZeroConfigPassesThrough(t *testing.T) {
+	f, fresh := NewFaults(ChaosConfig{Seed: 8}), NewFaults(ChaosConfig{Seed: 8})
+	for i := 0; i < 100; i++ {
+		if copies, delay := f.Plan(); copies != 1 || delay != 0 {
+			t.Fatalf("decision %d: %d copies after %v, want one undelayed", i, copies, delay)
+		}
+		if f.Blocked("a", "b") {
+			t.Fatal("a fault-free stream blocked a message")
+		}
 	}
-	defer a.Close()
-	if err := a.Send("ghost", "x", ping{}); err == nil {
-		t.Fatal("send to unknown endpoint should fail")
+	if st := f.Stats(); st != (ChaosStats{}) {
+		t.Errorf("stats: %s, want nothing counted", st)
 	}
-	if _, err := c.Endpoint("a"); err == nil {
-		t.Fatal("duplicate endpoint should fail")
+	if got, want := f.Float64(), fresh.Float64(); got != want {
+		t.Errorf("Plan consumed the stream: next draw %v, fresh stream %v", got, want)
 	}
 }
 

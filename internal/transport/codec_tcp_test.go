@@ -41,9 +41,8 @@ func recvMsg(t *testing.T, ch <-chan transport.Message) transport.Message {
 	return transport.Message{}
 }
 
-// exchange sends one typed price a->b and one unmodelled payload b->a and
-// asserts both arrive intact: the first as the value sent, the second as
-// JSON to Decode.
+// exchange sends a price a->b and a share report b->a and asserts both
+// arrive intact, as the values sent.
 func exchange(t *testing.T, a, b transport.Endpoint) {
 	t.Helper()
 	want := wire.PriceUpdate{Round: 7, Resource: "cpu0", Mu: 1.5}
@@ -54,11 +53,12 @@ func exchange(t *testing.T, a, b transport.Endpoint) {
 	if got, ok := m.Payload.(wire.PriceUpdate); !ok || m.From != a.Addr() || m.Kind != wire.KindPrice || got != want {
 		t.Fatalf("a->b got %+v", m)
 	}
-	if err := b.Send(a.Addr(), "hello", map[string]int{"n": 1}); err != nil {
+	report := wire.ShareReport{Round: 7, Task: "alpha", Subs: []string{"a1"}, LatMs: []float64{4.5}}
+	if err := b.Send(a.Addr(), wire.KindLatency, report); err != nil {
 		t.Fatalf("b->a send: %v", err)
 	}
-	var got map[string]int
-	if m := recvMsg(t, a.Recv()); m.Kind != "hello" || m.Decode(&got) != nil || got["n"] != 1 {
+	m = recvMsg(t, a.Recv())
+	if got, ok := m.Payload.(wire.ShareReport); !ok || m.Kind != wire.KindLatency || got.Task != "alpha" || len(got.LatMs) != 1 || got.LatMs[0] != 4.5 || got.Subs[0] != "a1" {
 		t.Fatalf("b->a got %+v", m)
 	}
 }

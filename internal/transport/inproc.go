@@ -11,8 +11,8 @@ import (
 )
 
 // InprocConfig tunes the in-process network. It delivers every message
-// immediately and in order per sender-receiver pair; wrap it in Chaos to
-// inject faults.
+// immediately and in order per sender-receiver pair; faulty networks are
+// dist.NewSim's.
 type InprocConfig struct {
 	// QueueLen is the per-endpoint inbox capacity (default 1024). Send to an
 	// endpoint whose inbox is full fails; it does not block.

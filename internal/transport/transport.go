@@ -1,12 +1,11 @@
 // Package transport provides the messaging substrate for the distributed
 // LLA runtime (the message-passing system shape of Section 4.1): named
-// endpoints exchanging the typed messages of internal/wire. Two base
-// networks are provided — an in-process channel network and a TCP network
-// carrying the binary frames of PROTOCOL.md for genuinely distributed
-// deployments (cmd/lla-node) — plus Chaos, a wrapper that composes over
-// either of them and injects deterministic, seeded faults (loss,
+// endpoints exchanging the typed messages of internal/wire. Two networks are
+// provided — an in-process channel network and a TCP network carrying the
+// binary frames of PROTOCOL.md for genuinely distributed deployments
+// (cmd/lla-node). Faults is the seeded fault decision stream (loss,
 // delay/jitter, duplication, reordering, partitions, node crash/restart)
-// for robustness testing.
+// that dist's virtual driver applies in virtual time for robustness testing.
 package transport
 
 import (
@@ -19,7 +18,7 @@ import (
 
 // Message is the routed envelope networks deliver: wire.Message, whose
 // Payload is the Go value the sender passed to Send (or, for a payload type
-// with no frame type, its JSON — see Message.Decode).
+// with no frame type, its JSON as a json.RawMessage).
 type Message = wire.Message
 
 // Endpoint is one named party on a network.

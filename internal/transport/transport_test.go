@@ -1,15 +1,26 @@
 package transport
 
 import (
-	"encoding/json"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"lla/internal/wire"
 )
 
-type ping struct {
-	N int `json:"n"`
+// ping is a framed test payload carrying the number n; it travels as kind
+// wire.KindReport, which every network, TCP's codec included, accepts.
+func ping(n int) wire.UtilityReport { return wire.UtilityReport{Task: "t", Round: n} }
+
+// pingN reads back the number a ping carries.
+func pingN(t *testing.T, m Message) int {
+	t.Helper()
+	p, ok := m.Payload.(wire.UtilityReport)
+	if !ok {
+		t.Fatalf("payload = %#v, want a ping", m.Payload)
+	}
+	return p.Round
 }
 
 func recvOne(t *testing.T, ep Endpoint) Message {
@@ -38,27 +49,23 @@ func testRoundTrip(t *testing.T, n Network) {
 	}
 	defer b.Close()
 
-	if err := a.Send("b", "ping", ping{N: 7}); err != nil {
+	if err := a.Send("b", wire.KindReport, ping(7)); err != nil {
 		t.Fatal(err)
 	}
 	m := recvOne(t, b)
-	if m.From != "a" || m.To != "b" || m.Kind != "ping" {
+	if m.From != "a" || m.To != "b" || m.Kind != wire.KindReport {
 		t.Fatalf("envelope = %+v", m)
 	}
-	var p ping
-	if err := m.Decode(&p); err != nil {
-		t.Fatal(err)
-	}
-	if p.N != 7 {
-		t.Fatalf("payload = %+v", p)
+	if n := pingN(t, m); n != 7 {
+		t.Fatalf("payload = %+v", m.Payload)
 	}
 
 	// Reply path.
-	if err := b.Send("a", "pong", ping{N: 8}); err != nil {
+	if err := b.Send("a", wire.KindStop, wire.Stop{AfterRound: 8}); err != nil {
 		t.Fatal(err)
 	}
 	m = recvOne(t, a)
-	if m.Kind != "pong" {
+	if m.Kind != wire.KindStop || m.Payload != any(wire.Stop{AfterRound: 8}) {
 		t.Fatalf("reply = %+v", m)
 	}
 }
@@ -81,17 +88,13 @@ func TestInprocOrderingPerPair(t *testing.T) {
 	defer a.Close()
 	defer b.Close()
 	for i := 0; i < 100; i++ {
-		if err := a.Send("b", "seq", ping{N: i}); err != nil {
+		if err := a.Send("b", wire.KindReport, ping(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < 100; i++ {
-		var p ping
-		if err := recvOne(t, b).Decode(&p); err != nil {
-			t.Fatal(err)
-		}
-		if p.N != i {
-			t.Fatalf("out of order: got %d, want %d", p.N, i)
+		if n := pingN(t, recvOne(t, b)); n != i {
+			t.Fatalf("out of order: got %d, want %d", n, i)
 		}
 	}
 }
@@ -113,7 +116,7 @@ func TestInprocUnknownDestination(t *testing.T) {
 	n := NewInproc(InprocConfig{})
 	a, _ := n.Endpoint("a")
 	defer a.Close()
-	if err := a.Send("ghost", "ping", ping{}); err == nil {
+	if err := a.Send("ghost", wire.KindReport, ping(0)); err == nil {
 		t.Fatal("send to unknown endpoint should fail")
 	}
 }
@@ -128,7 +131,7 @@ func TestInprocClosedAddressFailsFast(t *testing.T) {
 	b, _ := n.Endpoint("b")
 	b.Close()
 	start := time.Now()
-	if err := a.Send("b", "x", ping{}); err == nil {
+	if err := a.Send("b", wire.KindReport, ping(0)); err == nil {
 		t.Fatal("send to a closed endpoint should fail")
 	}
 	if d := time.Since(start); d > time.Second {
@@ -140,12 +143,11 @@ func TestInprocClosedAddressFailsFast(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer b2.Close()
-	if err := a.Send("b", "x", ping{N: 7}); err != nil {
+	if err := a.Send("b", wire.KindReport, ping(7)); err != nil {
 		t.Fatalf("send to a re-registered address: %v", err)
 	}
-	var got ping
-	if err := recvOne(t, b2).Decode(&got); err != nil || got.N != 7 {
-		t.Fatalf("re-registered endpoint received %+v, %v", got, err)
+	if n := pingN(t, recvOne(t, b2)); n != 7 {
+		t.Fatalf("re-registered endpoint received ping %d, want 7", n)
 	}
 
 	// Never registered: still waited for, and found when it arrives late.
@@ -156,7 +158,7 @@ func TestInprocClosedAddressFailsFast(t *testing.T) {
 		late <- c
 	}()
 	start = time.Now()
-	if err := a.Send("c", "x", ping{}); err != nil {
+	if err := a.Send("c", wire.KindReport, ping(0)); err != nil {
 		t.Fatalf("send to a late endpoint: %v", err)
 	}
 	if d := time.Since(start); d < 20*time.Millisecond {
@@ -170,7 +172,7 @@ func TestInprocClosedAddressFailsFast(t *testing.T) {
 	s, _ := short.Endpoint("s")
 	defer s.Close()
 	start = time.Now()
-	if err := s.Send("ghost", "x", ping{}); err == nil {
+	if err := s.Send("ghost", wire.KindReport, ping(0)); err == nil {
 		t.Fatal("send to a never-registered endpoint should fail once the wait is over")
 	}
 	if d := time.Since(start); d < 40*time.Millisecond {
@@ -178,15 +180,29 @@ func TestInprocClosedAddressFailsFast(t *testing.T) {
 	}
 }
 
+// sendPlanned applies one Faults.Plan decision to a send over ep, the way a
+// fault-injecting driver does: no copy on loss, two on duplication, each
+// after the planned delay. It returns when every copy has been handed to the
+// network.
+func sendPlanned(t *testing.T, f *Faults, ep Endpoint, to string, payload any) {
+	t.Helper()
+	copies, delay := f.Plan()
+	time.Sleep(delay)
+	for i := 0; i < copies; i++ {
+		if err := ep.Send(to, wire.KindReport, payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 func TestInprocDropInjection(t *testing.T) {
-	n := NewChaos(NewInproc(InprocConfig{}), ChaosConfig{LossRate: 0.5, Seed: 1})
+	f := NewFaults(ChaosConfig{LossRate: 0.5, Seed: 1})
+	n := NewInproc(InprocConfig{})
 	a, _ := n.Endpoint("a")
 	b, _ := n.Endpoint("b")
 	defer a.Close()
 	for i := 0; i < 200; i++ {
-		if err := a.Send("b", "x", ping{N: i}); err != nil {
-			t.Fatal(err)
-		}
+		sendPlanned(t, f, a, "b", ping(i))
 	}
 	got := 0
 	b.Close() // closes the channel so we can drain it
@@ -196,30 +212,34 @@ func TestInprocDropInjection(t *testing.T) {
 	if got < 50 || got > 150 {
 		t.Fatalf("received %d of 200 at 50%% drop, want ≈100", got)
 	}
+	if dropped := f.Stats().Dropped; int64(got) != 200-dropped {
+		t.Errorf("received %d of 200 with %d counted dropped", got, dropped)
+	}
 }
 
 func TestInprocDelayedDelivery(t *testing.T) {
-	n := NewChaos(NewInproc(InprocConfig{}), ChaosConfig{DelayMs: 5})
+	f := NewFaults(ChaosConfig{DelayMs: 5})
+	n := NewInproc(InprocConfig{})
 	a, _ := n.Endpoint("a")
 	b, _ := n.Endpoint("b")
 	defer a.Close()
 	defer b.Close()
 	start := time.Now()
-	if err := a.Send("b", "x", ping{N: 1}); err != nil {
-		t.Fatal(err)
-	}
+	sendPlanned(t, f, a, "b", ping(1))
 	recvOne(t, b)
 	if elapsed := time.Since(start); elapsed < 4*time.Millisecond {
 		t.Errorf("delivery took %v, want >= ~5ms", elapsed)
 	}
-	n.Wait()
+	if st := f.Stats(); st.Delayed != 1 {
+		t.Errorf("stats: %s, want 1 delayed", st)
+	}
 }
 
 func TestInprocSendAfterClose(t *testing.T) {
 	n := NewInproc(InprocConfig{})
 	a, _ := n.Endpoint("a")
 	a.Close()
-	if err := a.Send("a", "x", ping{}); err == nil {
+	if err := a.Send("a", wire.KindReport, ping(0)); err == nil {
 		t.Fatal("send after close should fail")
 	}
 	if err := a.Close(); err != nil {
@@ -234,7 +254,7 @@ func TestTCPUnknownDestination(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	if err := a.Send("ghost", "x", ping{}); err == nil {
+	if err := a.Send("ghost", wire.KindReport, ping(0)); err == nil {
 		t.Fatal("send to unregistered name should fail")
 	}
 }
@@ -261,7 +281,7 @@ func TestTCPManyMessagesBothDirections(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < total; i++ {
-			if err := a.Send("b", "x", ping{N: i}); err != nil {
+			if err := a.Send("b", wire.KindReport, ping(i)); err != nil {
 				t.Errorf("a->b: %v", err)
 				return
 			}
@@ -270,7 +290,7 @@ func TestTCPManyMessagesBothDirections(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < total; i++ {
-			if err := b.Send("a", "y", ping{N: i}); err != nil {
+			if err := b.Send("a", wire.KindReport, ping(i)); err != nil {
 				t.Errorf("b->a: %v", err)
 				return
 			}
@@ -310,7 +330,7 @@ func TestTCPSendAfterClose(t *testing.T) {
 	b, _ := n.Endpoint("b")
 	defer b.Close()
 	a.Close()
-	if err := a.Send("b", "x", ping{}); err == nil {
+	if err := a.Send("b", wire.KindReport, ping(0)); err == nil {
 		t.Fatal("send after close should fail")
 	}
 	if err := a.Close(); err != nil {
@@ -326,19 +346,18 @@ func TestInprocFullInboxIsAnError(t *testing.T) {
 	b, _ := n.Endpoint("b")
 	defer a.Close()
 	defer b.Close()
-	if err := a.Send("b", "x", ping{N: 1}); err != nil {
+	if err := a.Send("b", wire.KindReport, ping(1)); err != nil {
 		t.Fatal(err)
 	}
-	err := a.Send("b", "x", ping{N: 2})
+	err := a.Send("b", wire.KindReport, ping(2))
 	if err == nil || !strings.Contains(err.Error(), `"b"`) {
 		t.Fatalf("send to a full inbox = %v, want an error naming the address", err)
 	}
-	var p ping
-	if err := recvOne(t, b).Decode(&p); err != nil || p.N != 1 {
-		t.Fatalf("queued message = %+v, %v", p, err)
+	if n := pingN(t, recvOne(t, b)); n != 1 {
+		t.Fatalf("queued message = ping %d, want 1", n)
 	}
 	// Room again: the endpoint is not poisoned.
-	if err := a.Send("b", "x", ping{N: 3}); err != nil {
+	if err := a.Send("b", wire.KindReport, ping(3)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -358,14 +377,6 @@ func TestEncodeUnserializablePayload(t *testing.T) {
 			t.Errorf("%s: unserializable payload should fail", name)
 		}
 		a.Close()
-	}
-}
-
-func TestMessageDecodeError(t *testing.T) {
-	m := Message{Kind: "x", Payload: json.RawMessage(`{"n": "notanint"}`)}
-	var p ping
-	if err := m.Decode(&p); err == nil {
-		t.Fatal("type mismatch should fail")
 	}
 }
 
@@ -397,7 +408,7 @@ func TestTCPSendBacksOffUntilPeerListens(t *testing.T) {
 		up <- b
 	}()
 	start := time.Now()
-	if err := a.Send("b", "ping", "late"); err != nil {
+	if err := a.Send("b", wire.KindReport, ping(1)); err != nil {
 		t.Fatalf("send across the peer's restart: %v", err)
 	}
 	if d := time.Since(start); d < 40*time.Millisecond || d > 300*time.Millisecond {
@@ -410,7 +421,7 @@ func TestTCPSendBacksOffUntilPeerListens(t *testing.T) {
 	defer b.Close()
 	select {
 	case m := <-b.Recv():
-		if m.From != "a" || m.Kind != "ping" {
+		if m.From != "a" || m.Kind != wire.KindReport {
 			t.Errorf("got %+v", m)
 		}
 	case <-time.After(2 * time.Second):

@@ -28,7 +28,7 @@ type Message struct {
 
 // NewMessage builds the envelope a Send puts on a network. A payload with a
 // frame type travels as it is; anything else is marshalled to JSON here,
-// once, so every network and Decode see the same bytes.
+// once, so every network delivers the same bytes.
 func NewMessage(from, to, kind string, payload any) (Message, error) {
 	if !modelled(payload) {
 		raw, err := json.Marshal(payload)
@@ -38,18 +38,6 @@ func NewMessage(from, to, kind string, payload any) (Message, error) {
 		payload = json.RawMessage(raw)
 	}
 	return Message{From: from, To: to, Kind: kind, Payload: payload}, nil
-}
-
-// Decode unmarshals the JSON payload of a kind without a frame type into out.
-func (m Message) Decode(out any) error {
-	raw, ok := m.Payload.(json.RawMessage)
-	if !ok {
-		return fmt.Errorf("wire: %s payload is a %T, not JSON", m.Kind, m.Payload)
-	}
-	if err := json.Unmarshal(raw, out); err != nil {
-		return fmt.Errorf("wire: decoding %s payload: %w", m.Kind, err)
-	}
-	return nil
 }
 
 // Codec is the binary frame codec. It is stateless apart from metrics, so
