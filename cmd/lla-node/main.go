@@ -240,7 +240,7 @@ func buildObserver(debugAddr, tracePath string) (*obs.Observer, func(), error) {
 		})
 	}
 	if debugAddr != "" {
-		srv, addr, err := obs.Serve(debugAddr, o.Metrics)
+		srv, addr, err := obs.Serve(debugAddr, o.Metrics, nil)
 		if err != nil {
 			for _, c := range closers {
 				c()

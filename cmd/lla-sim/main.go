@@ -12,18 +12,19 @@
 //
 // -trace streams one JSONL line per optimizer iteration (KKT residuals,
 // prices, demands — see OBSERVABILITY.md); -debug-addr serves /metrics,
-// /debug/vars and /debug/pprof while the experiments run.
+// /debug/vars and /debug/pprof while the experiments run, and the same
+// JSONL lines live as Server-Sent Events on /stream.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 
 	"lla/internal/eval"
-	"lla/internal/gateway"
 	"lla/internal/obs"
 	"lla/internal/price"
 	"lla/internal/stats"
@@ -71,7 +72,6 @@ func main() {
 // flags are declared, so the help test can assert the complete set.
 type simFlags struct {
 	experiment, solver, csvDir, tracePath, debugAddr, checkpointDir *string
-	gatewayAddr                                                     *string
 	quick                                                           *bool
 	seed                                                            *int64
 	workers, sampleEvery, checkpointEvery, shards, shardWorkers     *int
@@ -91,14 +91,12 @@ func newFlagSet() (*flag.FlagSet, *simFlags) {
 		tracePath: fs.String("trace", "",
 			"append per-iteration JSONL telemetry (samples + events) to this file"),
 		debugAddr: fs.String("debug-addr", "",
-			"serve /metrics, /debug/vars and /debug/pprof on this address while experiments run"),
+			"serve /metrics, /stream (SSE tail of the JSONL trace), /state, /debug/vars and /debug/pprof on this address while experiments run"),
 		sampleEvery: fs.Int("trace-every", 1, "record every Nth iteration in the trace (1 = all)"),
 		checkpointDir: fs.String("checkpoint-dir", "",
 			"directory for crash-safe checkpoints in experiments that write them (soak); empty = a per-run temp dir"),
 		checkpointEvery: fs.Int("checkpoint-every", 0,
 			"churn events between periodic checkpoint saves (0 = experiment default)"),
-		gatewayAddr: fs.String("gateway-addr", "",
-			"serve the live SSE control-plane gateway (/stream, /state) on this address while experiments run"),
 		shards: fs.Int("shards", 0,
 			"fleet experiment: number of coordinator shards (0 = experiment default; see SHARDING.md)"),
 		shardWorkers: fs.Int("shard-workers", 0,
@@ -123,42 +121,37 @@ func run(args []string) error {
 	sampleEvery := f.sampleEvery
 
 	var o *obs.Observer
-	if *tracePath != "" || *debugAddr != "" || *f.gatewayAddr != "" {
+	if *tracePath != "" || *debugAddr != "" {
+		// One JSONL encoder feeds both byte sinks — the trace file and the
+		// debug server's /stream — so -trace-every paces both.
 		o = &obs.Observer{Metrics: obs.NewRegistry()}
+		var sinks []io.Writer
 		if *tracePath != "" {
 			f, err := os.OpenFile(*tracePath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 			if err != nil {
 				return err
 			}
 			defer f.Close()
-			j := obs.NewJSONL(f)
-			j.Every = *sampleEvery
-			o.Recorder, o.Trace = j, j
-			defer func() {
-				if err := j.Err(); err != nil {
-					fmt.Fprintln(os.Stderr, "lla-sim: trace:", err)
-				}
-			}()
+			sinks = append(sinks, f)
 		}
 		if *debugAddr != "" {
-			srv, addr, err := obs.Serve(*debugAddr, o.Metrics)
+			st := obs.NewStream(o.Metrics)
+			srv, addr, err := obs.Serve(*debugAddr, o.Metrics, st)
 			if err != nil {
 				return err
 			}
 			defer srv.Close()
-			fmt.Fprintf(os.Stderr, "debug endpoint on http://%s/metrics (also /debug/vars, /debug/pprof)\n", addr)
+			sinks = append(sinks, st)
+			fmt.Fprintf(os.Stderr, "debug endpoint on http://%s/metrics (also /stream, /state, /debug/vars, /debug/pprof)\n", addr)
 		}
-		if *f.gatewayAddr != "" {
-			gw := gateway.New(gateway.Config{}, o.Metrics)
-			o.Recorder = obs.MultiRecorder(o.Recorder, gw)
-			o.Trace = obs.MultiSink(o.Trace, gw)
-			srv, addr, err := gateway.Serve(*f.gatewayAddr, gw)
-			if err != nil {
-				return err
+		j := obs.NewJSONL(io.MultiWriter(sinks...))
+		j.Every = *sampleEvery
+		o.Recorder, o.Trace = j, j
+		defer func() {
+			if err := j.Err(); err != nil {
+				fmt.Fprintln(os.Stderr, "lla-sim: trace:", err)
 			}
-			defer srv.Close()
-			fmt.Fprintf(os.Stderr, "gateway on http://%s/stream (SSE; snapshot at /state — see OBSERVABILITY.md)\n", addr)
-		}
+		}()
 	}
 
 	runners := make(map[string]func(eval.Options) (*eval.Result, error), len(experiments))

@@ -45,11 +45,14 @@ func TestHelpListsEveryFlag(t *testing.T) {
 		"solver": true, "csv": true, "trace": true,
 		"debug-addr": true, "trace-every": true,
 		"checkpoint-dir": true, "checkpoint-every": true,
-		"gateway-addr": true, "shards": true, "shard-workers": true,
+		"shards": true, "shard-workers": true,
 	}
 	fs, _ := newFlagSet()
 	if fs.Lookup("sparse") != nil {
 		t.Error("-sparse is declared: the iteration has one path and no switch")
+	}
+	if fs.Lookup("gateway-addr") != nil {
+		t.Error("-gateway-addr is declared: /stream lives on -debug-addr")
 	}
 	var buf bytes.Buffer
 	fs.SetOutput(&buf)

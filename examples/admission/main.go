@@ -3,7 +3,7 @@
 // on top of our approach"). A running engine is wrapped in an
 // AdmissionController; each arriving task passes three gates — the static
 // necessary conditions, a price screen against the live dual variables, and
-// a bounded warm-started trial optimization on a forked scratch engine
+// a bounded warm-started trial optimization on a scratch engine
 // (the paper's Section 5.4 schedulability test, made incremental) — and
 // admitted tasks are enacted with a warm-started re-convergence. Rejected
 // candidates are quarantined with event-counted backoff so repeat offers

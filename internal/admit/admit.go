@@ -6,7 +6,7 @@
 // say no fast: arriving tasks pass a static necessary-condition screen, a
 // price screen against the live dual variables mu (predicted demand vs.
 // per-resource headroom, congestion cost vs. utility gain), and finally a
-// bounded warm-started trial optimization on a forked scratch engine.
+// bounded trial optimization on a scratch engine warm-started from the live one.
 // Rejected tasks are quarantined with capped exponential backoff, counted
 // in controller events rather than wall-clock time so decision traces are
 // deterministic and replayable.
@@ -356,17 +356,16 @@ func (c *Controller) screen(trial *workload.Workload, t *task.Task, curve utilit
 		return true, Decision{Stage: StagePrice, Reason: reason}, nil
 	}
 
-	// Gate 3: bounded warm-started trial optimization on a scratch fork —
-	// the paper's sufficient schedulability test (Section 5.4), run without
-	// disturbing the live engine.
-	scratch, err := c.eng.Fork()
+	// Gate 3: bounded trial optimization on a scratch engine over the trial
+	// workload, warm-started from the live one — the paper's sufficient
+	// schedulability test (Section 5.4), run without disturbing the live
+	// engine.
+	scratch, err := core.NewEngine(trial, c.eng.Config())
 	if err != nil {
-		return false, Decision{}, fmt.Errorf("admit: forking trial engine: %w", err)
-	}
-	defer scratch.Close()
-	if err := scratch.ReplaceWorkload(trial); err != nil {
 		return true, Decision{Stage: StageTrial, Reason: err.Error()}, nil
 	}
+	defer scratch.Close()
+	scratch.CarryFrom(c.eng)
 	snap, ok := scratch.RunUntilConverged(c.cfg.TrialIters, c.cfg.TrialRelTol, c.cfg.TrialWindow, c.cfg.Tol)
 	d.TrialIters = snap.Iteration
 	if !ok || !snap.Feasible(c.cfg.Tol) {

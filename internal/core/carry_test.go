@@ -51,8 +51,8 @@ func TestPinEpoch(t *testing.T) {
 
 // TestCarryFromWarmStart checks the carry semantics: prices carry by
 // resource ID, surviving tasks' latencies carry by name, and the carried
-// trajectory then matches stepping the donor — the same contract Fork
-// guarantees, reached through the ID/name-matching path churn uses.
+// trajectory then matches stepping the donor, through the ID/name-matching
+// path churn and admission trials use.
 func TestCarryFromWarmStart(t *testing.T) {
 	w := workload.Base()
 	donor, err := NewEngine(w, Config{Workers: 1})

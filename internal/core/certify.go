@@ -69,7 +69,7 @@ type certSlot struct {
 // including kktTol <= 0 or NaN (never certifies); infinite tolerances
 // never short-circuit and so always yield the complete maxima. The witness
 // cursor is scratch, not optimizer state: it cannot change a verdict and is
-// not carried by State, Fork or CarryFrom. Like Step, Certify must be
+// not carried by State or CarryFrom. Like Step, Certify must be
 // called from the goroutine driving the engine; the ranges only read it.
 func (e *Engine) Certify(kktTol, tol float64) (Certificate, bool) {
 	var c Certificate

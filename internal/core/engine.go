@@ -288,7 +288,7 @@ func Curvature(inner, mu float64) float64 {
 
 // refreshResourceState re-evaluates every share from the current latencies
 // and recomputes the cached share sums and congestion flags. Its callers
-// install state wholesale (construction, Fork, CarryFrom and with it
+// install state wholesale (construction, CarryFrom and with it
 // ReplaceWorkload), so it also drops every cached fixed point; a change
 // confined to one resource goes through refreshResource.
 func (e *Engine) refreshResourceState() {

@@ -15,7 +15,7 @@ package core
 // cached demand stays valid until one of its contributors re-solves with
 // changed latencies (the ordinary dirty propagation).
 //
-// Pins are deliberately not carried by Fork or checkpoints: they are
+// Pins are deliberately not carried by CarryFrom or checkpoints: they are
 // fleet-session state owned by the aggregator, which re-pins every boundary
 // price after any shard restart (it would be stale otherwise).
 

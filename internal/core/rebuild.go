@@ -4,6 +4,27 @@ import (
 	"lla/internal/workload"
 )
 
+// Config returns the engine's resolved configuration (after WithDefaults).
+// Layers above the engine — admission control, placement — read it to price
+// candidates under the same weight mode and defaults the engine runs with.
+func (e *Engine) Config() Config { return e.cfg }
+
+// CurrentWorkload returns a deep copy of the workload the engine is
+// currently optimizing, with every runtime mutation baked in. The compiled
+// problem — not the source workload — is authoritative for resource
+// availabilities (SetAvailability updates the problem in place without
+// writing back), so the copy re-reads them from the problem; minimum-share
+// floors are already written through to the source by SetMinShare. Admission
+// control builds candidate workloads from this copy so a trial optimization
+// sees exactly the world the live engine does.
+func (e *Engine) CurrentWorkload() *workload.Workload {
+	w := e.p.src.Clone()
+	for ri := range e.p.Resources {
+		w.Resources[ri].Availability = e.p.Resources[ri].Availability
+	}
+	return w
+}
+
 // ReplaceWorkload swaps the engine's workload for a new one — tasks may
 // join, leave or change structure — while warm-starting the optimizer from
 // the current state via CarryFrom: resource prices carry over by resource

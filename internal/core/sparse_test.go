@@ -445,24 +445,27 @@ func TestMutatorsRefreshTouchedResource(t *testing.T) {
 	}
 }
 
-// TestSparseForkStartsInvalidated checks a fork of a frozen engine re-solves
-// from its warm start instead of inheriting the parent's active set, and
-// still matches a dense-stepped fork of the reference bitwise.
-func TestSparseForkStartsInvalidated(t *testing.T) {
+// TestSparseCarryStartsInvalidated checks an engine warm-started from a
+// frozen one (NewEngine + CarryFrom, as an admission trial is) re-solves
+// from its warm start instead of inheriting the donor's active set, and
+// still matches a dense-stepped carry of the reference bitwise.
+func TestSparseCarryStartsInvalidated(t *testing.T) {
 	dense, sparse := newSparsePair(t, workload.Base, 1, price.SolverGradient)
 	for i := 0; i < 300; i++ {
 		denseStep(dense)
 		sparse.Step()
 	}
-	df, err := dense.Fork()
-	if err != nil {
-		t.Fatal(err)
+	carry := func(donor *Engine) *Engine {
+		e, err := NewEngine(donor.CurrentWorkload(), donor.Config())
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.CarryFrom(donor)
+		return e
 	}
+	df := carry(dense)
 	defer df.Close()
-	sf, err := sparse.Fork()
-	if err != nil {
-		t.Fatal(err)
-	}
+	sf := carry(sparse)
 	defer sf.Close()
 	var ds, ss Snapshot
 	for i := 0; i < 100; i++ {

@@ -213,10 +213,32 @@ func TestConcurrentEmitAndRecord(t *testing.T) {
 	}
 }
 
+type captureSink struct{ events []Event }
+
+func (c *captureSink) Emit(ev Event) { c.events = append(c.events, ev) }
+
+func TestMultiSinkFansOut(t *testing.T) {
+	a, b := &captureSink{}, &captureSink{}
+	s := MultiSink(a, nil, b)
+	s.Emit(Event{Kind: EventConverged, Value: 42})
+	if len(a.events) != 1 || len(b.events) != 1 {
+		t.Fatalf("fan-out delivered %d/%d events, want 1/1", len(a.events), len(b.events))
+	}
+	if a.events[0].Value != 42 || b.events[0].Kind != EventConverged {
+		t.Fatalf("payload corrupted: %+v / %+v", a.events[0], b.events[0])
+	}
+	if MultiSink(nil) != nil {
+		t.Fatal("all-nil sink composite should be nil")
+	}
+	if MultiSink(a) != Sink(a) {
+		t.Fatal("single sink should be returned directly")
+	}
+}
+
 func TestDebugHandlerEndpoints(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("lla_dist_retransmits_total", "Messages re-sent.").Add(2)
-	srv, addr, err := Serve("127.0.0.1:0", reg)
+	srv, addr, err := Serve("127.0.0.1:0", reg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -242,33 +242,20 @@ func NewWireMetrics(r *Registry) *WireMetrics {
 	}
 }
 
-// GatewayMetrics is the streaming control-plane gateway's metric set:
-// connection count, emitted event volume by type, and the backpressure
-// counters (events dropped on slow consumers, keyframe resyncs that
-// repaired them).
-type GatewayMetrics struct {
+// StreamMetrics is the live trace tail's metric set (Stream, /stream).
+type StreamMetrics struct {
 	// Connections is the number of live /stream subscribers.
 	Connections *Gauge
-	// Keyframes/Deltas/TraceEvents count emitted events by type.
-	Keyframes   *Counter
-	Deltas      *Counter
-	TraceEvents *Counter
-	// Dropped counts events discarded because a subscriber's queue was
-	// full; the subscriber is marked lost until a keyframe resync.
+	// Dropped counts JSONL lines discarded because a subscriber's queue
+	// was full.
 	Dropped *Counter
-	// Resyncs counts keyframe resyncs delivered to lost subscribers.
-	Resyncs *Counter
 }
 
-// NewGatewayMetrics registers the gateway metric set on r.
-func NewGatewayMetrics(r *Registry) *GatewayMetrics {
-	return &GatewayMetrics{
-		Connections: r.Gauge("lla_gateway_connections", "Live SSE stream subscribers."),
-		Keyframes:   r.Counter("lla_gateway_events_total", "Emitted gateway events, by type.", "type", "keyframe"),
-		Deltas:      r.Counter("lla_gateway_events_total", "Emitted gateway events, by type.", "type", "delta"),
-		TraceEvents: r.Counter("lla_gateway_events_total", "Emitted gateway events, by type.", "type", "trace"),
-		Dropped:     r.Counter("lla_gateway_dropped_events_total", "Events discarded on slow subscribers."),
-		Resyncs:     r.Counter("lla_gateway_resyncs_total", "Keyframe resyncs delivered to lost subscribers."),
+// NewStreamMetrics registers the stream metric set on r.
+func NewStreamMetrics(r *Registry) *StreamMetrics {
+	return &StreamMetrics{
+		Connections: r.Gauge("lla_stream_connections", "Live /stream subscribers."),
+		Dropped:     r.Counter("lla_stream_dropped_lines_total", "JSONL lines discarded on slow /stream subscribers."),
 	}
 }
 

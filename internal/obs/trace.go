@@ -144,6 +144,34 @@ func (m *Memory) ByKind(kind string) []Event {
 	return out
 }
 
+// multiSink fans Emit out to several sinks.
+type multiSink struct{ sinks []Sink }
+
+// MultiSink composes sinks into one. Nil entries are dropped; the result
+// is nil for an empty set and the sink itself for a single one.
+func MultiSink(sinks ...Sink) Sink {
+	kept := make([]Sink, 0, len(sinks))
+	for _, s := range sinks {
+		if s != nil {
+			kept = append(kept, s)
+		}
+	}
+	switch len(kept) {
+	case 0:
+		return nil
+	case 1:
+		return kept[0]
+	}
+	return &multiSink{sinks: kept}
+}
+
+// Emit implements Sink.
+func (m *multiSink) Emit(ev Event) {
+	for _, s := range m.sinks {
+		s.Emit(ev)
+	}
+}
+
 // JSONL writes telemetry — iteration samples and trace events — as one JSON
 // object per line to an io.Writer. Every line carries a "record" field
 // ("sample" or "event") so a stream mixing both remains machine-parseable;
