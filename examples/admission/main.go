@@ -90,7 +90,7 @@ func run() error {
 	// The controller screens offers against the converged prices; the
 	// placer rebinds each stage to the cheapest feasible resource.
 	ctrl := lla.NewAdmissionController(engine, lla.AdmissionConfig{})
-	ctrl.UsePlacer(lla.NewPlacer(lla.PlacerConfig{}))
+	ctrl.UsePlacer(lla.NewPlacer())
 
 	// A stream of candidates with progressively tighter demands. Advisory
 	// bindings deliberately pile onto node-a; the placer spreads them.

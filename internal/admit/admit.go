@@ -4,9 +4,9 @@
 // "run LLA and check convergence" as the sufficient schedulability test
 // (Section 5.4); this package turns those remarks into a subsystem that can
 // say no fast: arriving tasks pass a static necessary-condition screen, a
-// price screen against the live dual variables mu (predicted demand vs.
-// per-resource headroom, congestion cost vs. utility gain), and finally a
-// bounded trial optimization on a scratch engine warm-started from the live one.
+// price screen against the live dual variables mu (congestion cost vs.
+// utility gain), and finally a bounded trial optimization on a scratch
+// engine warm-started from the live one.
 // Rejected tasks are quarantined with capped exponential backoff, counted
 // in controller events rather than wall-clock time so decision traces are
 // deterministic and replayable.
@@ -25,77 +25,32 @@ import (
 // Config tunes the admission controller. The zero value uses the defaults
 // noted per field.
 type Config struct {
-	// Headroom is the fraction of every resource's availability the price
-	// screen keeps in reserve: candidates must fit under
-	// (Overcommit − Headroom)·B_r. Default 0.
-	Headroom float64
-	// Overcommit relaxes (>1) or tightens (<1) the price screen's demand
-	// ceiling; the trial gate still arbitrates truth. Default 1.
-	Overcommit float64
-	// MaxCostBenefit rejects candidates whose congestion cost at live
-	// prices exceeds MaxCostBenefit × their utility gain. Default 1
-	// (admitting must not cost more congestion than it adds utility);
-	// negative disables the test.
-	MaxCostBenefit float64
-	// MuFloor floors live prices when predicting candidate demand, so
-	// uncongested resources price newcomers like a fresh engine would.
-	// Default 1 (the engine's default InitialMu).
-	MuFloor float64
 	// TrialIters bounds the scratch trial optimization and each live
 	// re-convergence. Default 1500.
 	TrialIters int
-	// TrialRelTol and TrialWindow parametrize the convergence detector of
-	// trial and re-convergence runs. Defaults 1e-7 and 20.
-	TrialRelTol float64
-	TrialWindow int
-	// Tol is the feasibility tolerance on constraint violations. Default 1e-3.
-	Tol float64
-	// BackoffBase is how many controller events a rejected task is
-	// quarantined for after its first strike; BackoffFactor multiplies the
-	// quarantine per further strike; BackoffCap caps it. Defaults 2, 2, 32.
-	// Event-counted (not wall-clock) so decisions stay deterministic.
-	BackoffBase   int
-	BackoffFactor int
-	BackoffCap    int
 	// AdmitAll skips every gate and enacts each offer directly — the
 	// admit-everything baseline the churn experiment compares against.
 	AdmitAll bool
 }
 
-// WithDefaults returns the config with unset fields filled.
-func (c Config) WithDefaults() Config {
-	if c.Overcommit == 0 {
-		c.Overcommit = 1
-	}
-	if c.MaxCostBenefit == 0 {
-		c.MaxCostBenefit = 1
-	}
-	if c.MuFloor == 0 {
-		c.MuFloor = 1
-	}
-	if c.TrialIters == 0 {
-		c.TrialIters = 1500
-	}
-	if c.TrialRelTol == 0 {
-		c.TrialRelTol = 1e-7
-	}
-	if c.TrialWindow == 0 {
-		c.TrialWindow = 20
-	}
-	if c.Tol == 0 {
-		c.Tol = 1e-3
-	}
-	if c.BackoffBase == 0 {
-		c.BackoffBase = 2
-	}
-	if c.BackoffFactor == 0 {
-		c.BackoffFactor = 2
-	}
-	if c.BackoffCap == 0 {
-		c.BackoffCap = 32
-	}
-	return c
-}
+// The convergence detector of trial and re-convergence runs: relative
+// utility change below trialRelTol over trialWindow iterations, with
+// constraint violations below tol.
+const (
+	trialRelTol = 1e-7
+	trialWindow = 20
+	tol         = 1e-3
+)
+
+// Quarantine backoff: a rejected task waits backoffBase controller events
+// after its first strike, backoffFactor times longer per further strike, and
+// never more than backoffCap. Event-counted (not wall-clock) so decisions
+// stay deterministic.
+const (
+	backoffBase   = 2
+	backoffFactor = 2
+	backoffCap    = 32
+)
 
 // Decision kinds and gate stages.
 const (
@@ -167,11 +122,10 @@ type Controller struct {
 // converged (or close) before the first Offer: the price screen reads the
 // live mu vector.
 func New(eng *core.Engine, cfg Config) *Controller {
-	return &Controller{
-		eng:        eng,
-		cfg:        cfg.WithDefaults(),
-		quarantine: make(map[string]*quarEntry),
+	if cfg.TrialIters == 0 {
+		cfg.TrialIters = 1500
 	}
+	return &Controller{eng: eng, cfg: cfg, quarantine: make(map[string]*quarEntry)}
 }
 
 // Engine returns the controlled engine.
@@ -257,8 +211,8 @@ func (c *Controller) finish(d Decision) Decision {
 }
 
 // strike quarantines a rejected task name with capped exponential backoff:
-// BackoffBase events after the first strike, multiplied by BackoffFactor
-// per further strike, never more than BackoffCap.
+// backoffBase events after the first strike, multiplied by backoffFactor
+// per further strike, never more than backoffCap.
 func (c *Controller) strike(name string) *quarEntry {
 	q := c.quarantine[name]
 	if q == nil {
@@ -266,12 +220,12 @@ func (c *Controller) strike(name string) *quarEntry {
 		c.quarantine[name] = q
 	}
 	q.strikes++
-	backoff := c.cfg.BackoffBase
-	for i := 1; i < q.strikes && backoff < c.cfg.BackoffCap; i++ {
-		backoff *= c.cfg.BackoffFactor
+	backoff := backoffBase
+	for i := 1; i < q.strikes && backoff < backoffCap; i++ {
+		backoff *= backoffFactor
 	}
-	if backoff > c.cfg.BackoffCap {
-		backoff = c.cfg.BackoffCap
+	if backoff > backoffCap {
+		backoff = backoffCap
 	}
 	q.until = c.event + backoff
 	return q
@@ -280,7 +234,7 @@ func (c *Controller) strike(name string) *quarEntry {
 // reconverge drives the live engine after an enacted change and returns the
 // iterations spent.
 func (c *Controller) reconverge() int {
-	snap, _ := c.eng.RunUntilConverged(c.cfg.TrialIters, c.cfg.TrialRelTol, c.cfg.TrialWindow, c.cfg.Tol)
+	snap, _ := c.eng.RunUntilConverged(c.cfg.TrialIters, trialRelTol, trialWindow, tol)
 	return snap.Iteration
 }
 
@@ -348,7 +302,7 @@ func (c *Controller) screen(trial *workload.Workload, t *task.Task, curve utilit
 
 	// Gate 2: price the candidate against the live mu vector.
 	mode := c.eng.Config().WeightMode
-	reason, err := priceScreen(trial, rep, t, curve, mode, c.liveMu(), c.cfg)
+	reason, err := priceScreen(trial, t, curve, mode, c.liveMu())
 	if err != nil {
 		return false, Decision{}, fmt.Errorf("admit: pricing %q: %w", t.Name, err)
 	}
@@ -366,9 +320,9 @@ func (c *Controller) screen(trial *workload.Workload, t *task.Task, curve utilit
 	}
 	defer scratch.Close()
 	scratch.CarryFrom(c.eng)
-	snap, ok := scratch.RunUntilConverged(c.cfg.TrialIters, c.cfg.TrialRelTol, c.cfg.TrialWindow, c.cfg.Tol)
+	snap, ok := scratch.RunUntilConverged(c.cfg.TrialIters, trialRelTol, trialWindow, tol)
 	d.TrialIters = snap.Iteration
-	if !ok || !snap.Feasible(c.cfg.Tol) {
+	if !ok || !snap.Feasible(tol) {
 		return true, Decision{Stage: StageTrial, Reason: fmt.Sprintf(
 			"trial did not converge feasibly in %d iterations (resViol %.4f, pathViol %.4f)",
 			snap.Iteration, snap.MaxResourceViolation, snap.MaxPathViolationFrac)}, nil

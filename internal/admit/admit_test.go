@@ -2,6 +2,7 @@ package admit
 
 import (
 	"reflect"
+	"regexp"
 	"testing"
 
 	"lla/internal/core"
@@ -118,18 +119,35 @@ func TestOfferGates(t *testing.T) {
 	}
 }
 
-func TestOfferHeadroomPolicy(t *testing.T) {
+// TestOfferPriceStageCostBenefit: with a and b resident, a tight pipeline
+// passes the static floors but its predicted congestion cost at the live
+// prices exceeds its utility gain, so the price screen rejects it.
+func TestOfferPriceStageCostBenefit(t *testing.T) {
 	eng := testCluster(t, 1)
-	// Reserve 95% of every resource: even a modest candidate must fail the
-	// price screen's headroom test while still passing the static floors.
-	ctrl := New(eng, Config{Headroom: 0.95})
-	cand, curve := chainCandidate(t, "modest", 120, []float64{4, 4}, []string{"r0", "r1"})
-	d, err := ctrl.Offer(cand, curve)
+	ctrl := New(eng, Config{})
+	for _, o := range []struct {
+		name     string
+		critical float64
+		exec     []float64
+	}{
+		{"a", 300, []float64{5, 4}},
+		{"b", 200, []float64{4, 4, 4}},
+	} {
+		tk, curve := chainCandidate(t, o.name, o.critical, o.exec, []string{"r0", "r1", "r2"}[:len(o.exec)])
+		if d, err := ctrl.Offer(tk, curve); err != nil || !d.Admitted {
+			t.Fatalf("%s: %+v, %v", o.name, d, err)
+		}
+	}
+	tight, curve := chainCandidate(t, "tight", 24, []float64{6, 6}, []string{"r0", "r1"})
+	d, err := ctrl.Offer(tight, curve)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if d.Admitted || d.Stage != StagePrice {
-		t.Fatalf("expected price-stage rejection under 0.9 headroom, got %+v", d)
+		t.Fatalf("expected a price-stage rejection, got %+v", d)
+	}
+	if !regexp.MustCompile(`^congestion cost \S+ exceeds `).MatchString(d.Reason) {
+		t.Errorf("reason %q is not the cost-benefit test", d.Reason)
 	}
 }
 
@@ -154,13 +172,12 @@ func TestAdmitAllSkipsGates(t *testing.T) {
 // checks the evaluated-retry schedule follows capped exponential backoff.
 func TestQuarantineBackoffCap(t *testing.T) {
 	eng := testCluster(t, 1)
-	cfg := Config{BackoffBase: 2, BackoffFactor: 2, BackoffCap: 5}
-	ctrl := New(eng, cfg)
+	ctrl := New(eng, Config{})
 	imp, curve := chainCandidate(t, "impossible", 8, []float64{5, 5}, []string{"r0", "r1"})
 
 	var gaps []int
 	lastEval := 0
-	for i := 0; i < 30; i++ {
+	for i := 0; i < 120; i++ {
 		d, err := ctrl.Offer(imp, curve)
 		if err != nil {
 			t.Fatal(err)
@@ -176,8 +193,9 @@ func TestQuarantineBackoffCap(t *testing.T) {
 		}
 	}
 	// until = event + backoff and retry fires at event == until, so the gap
-	// between evaluated retries equals the backoff: 2, then 4, then capped 5.
-	want := []int{2, 4, 5, 5}
+	// between evaluated retries equals the backoff: doubling from
+	// backoffBase, then capped at backoffCap.
+	want := []int{2, 4, 8, 16, 32, 32}
 	if len(gaps) < len(want) {
 		t.Fatalf("too few evaluated retries: gaps %v", gaps)
 	}
@@ -187,8 +205,8 @@ func TestQuarantineBackoffCap(t *testing.T) {
 		}
 	}
 	for i, g := range gaps {
-		if g > cfg.BackoffCap {
-			t.Fatalf("gap %d = %d exceeds cap %d", i, g, cfg.BackoffCap)
+		if g > backoffCap {
+			t.Fatalf("gap %d = %d exceeds cap %d", i, g, backoffCap)
 		}
 	}
 }
@@ -197,8 +215,8 @@ func TestQuarantineBackoffCap(t *testing.T) {
 // exactly with the controller's returned decision log.
 func TestCountersMatchDecisionLog(t *testing.T) {
 	eng := testCluster(t, 1)
-	ctrl := New(eng, Config{Headroom: 0.2})
-	ctrl.UsePlacer(NewPlacer(PlacerConfig{}))
+	ctrl := New(eng, Config{})
+	ctrl.UsePlacer(NewPlacer())
 	ctrl.Observe(&obs.Observer{Metrics: obs.NewRegistry()})
 
 	offers := []struct {
@@ -286,7 +304,7 @@ func TestDecisionsDeterministicAcrossWorkers(t *testing.T) {
 	run := func(workers int) []Decision {
 		eng := testCluster(t, workers)
 		ctrl := New(eng, Config{TrialIters: 800})
-		ctrl.UsePlacer(NewPlacer(PlacerConfig{}))
+		ctrl.UsePlacer(NewPlacer())
 		for _, ev := range trace {
 			tpl := []workload.ChurnTemplate{
 				{Name: "web", CriticalMs: 60, StageExecMs: []float64{3, 2}, UtilityK: 2},

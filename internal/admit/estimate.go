@@ -35,12 +35,12 @@ type Estimate struct {
 // stationarity condition — Equation 7 with zero path prices,
 // lat = sqrt(mu·(c+l) / (w·|slope|)) — clamped to the subtask's admissible
 // latency interval, and reads the share off the share function. Prices are
-// floored at muFloor so uncongested resources (mu ≈ 0) price the newcomer
-// as a fresh engine would (InitialMu) instead of predicting it swallows the
+// floored at core.InitialMu so uncongested resources (mu ≈ 0) price the
+// newcomer as a fresh engine would instead of predicting it swallows the
 // whole availability. The curve slope is taken at the critical time, the
 // steepest point of a concave curve, which biases latencies low and shares
 // high: the screen errs toward over-predicting demand.
-func EstimateDemand(w *workload.Workload, cand *task.Task, curve utility.Curve, mode task.WeightMode, mu map[string]float64, muFloor float64) (*Estimate, error) {
+func EstimateDemand(w *workload.Workload, cand *task.Task, curve utility.Curve, mode task.WeightMode, mu map[string]float64) (*Estimate, error) {
 	weights, err := cand.Weights(mode)
 	if err != nil {
 		return nil, err
@@ -53,7 +53,7 @@ func EstimateDemand(w *workload.Workload, cand *task.Task, curve utility.Curve, 
 			return nil, fmt.Errorf("admit: subtask %s/%s references unknown resource %q", cand.Name, s.Name, s.Resource)
 		}
 		muR := mu[r.ID]
-		lat, sh := predictLatShare(s.ExecMs, s.MinShare, cand.CriticalMs, weights[si], slope, r, effMu(muR, muFloor))
+		lat, sh := predictLatShare(s.ExecMs, s.MinShare, cand.CriticalMs, weights[si], slope, r, effMu(muR))
 		est.PredictedShare[r.ID] += sh
 		est.CongestionCost += muR * sh
 		est.AggLatMs += weights[si] * lat
@@ -92,40 +92,30 @@ func predictLatShare(execMs, minShare, criticalMs, weight, slope float64, r shar
 	return lat, fn.Share(lat)
 }
 
-// priceScreen runs the admission price gate for a candidate. Two tests:
-// headroom — the combined demand floors of residents plus candidate (the
-// share every feasible allocation must grant, from rep, the static gate's
-// workload.Analyze report on trial) must fit under each resource's
-// overcommit-adjusted availability with the configured reserve — and
-// cost-benefit — the candidate's predicted demand at the live prices mu must
-// not cost more congestion than the utility it brings. Floors (not predicted
-// demand) drive the headroom test because at an LLA optimum congested
-// resources sit exactly at capacity, so any live-price demand prediction
-// there saturates and would veto every arrival; the floors are the
-// irreducible claim, and the reserve knob buys back slack. trial is the
-// resident workload plus the candidate; cfg has its defaults filled. It
-// returns a non-empty rejection reason when a gate fires; err reports
+// maxCostBenefit is the price screen's bound: a candidate whose congestion
+// cost at the live prices exceeds maxCostBenefit × its utility gain is
+// rejected (admitting must not cost more congestion than it adds utility).
+const maxCostBenefit = 1.0
+
+// priceScreen runs the admission price gate for a candidate: its predicted
+// demand at the live prices mu must not cost more congestion than the
+// utility it brings. Capacity is not re-tested here — the static gate's
+// resource floors already are, and at an LLA optimum congested resources sit
+// exactly at capacity, so a live-price demand prediction there would veto
+// every arrival. trial is the resident workload plus the candidate. It
+// returns a non-empty rejection reason when the gate fires; err reports
 // malformed inputs only.
-func priceScreen(trial *workload.Workload, rep *workload.SchedulabilityReport, cand *task.Task, curve utility.Curve, mode task.WeightMode, mu map[string]float64, cfg Config) (string, error) {
-	est, err := EstimateDemand(trial, cand, curve, mode, mu, cfg.MuFloor)
+func priceScreen(trial *workload.Workload, cand *task.Task, curve utility.Curve, mode task.WeightMode, mu map[string]float64) (string, error) {
+	est, err := EstimateDemand(trial, cand, curve, mode, mu)
 	if err != nil {
 		return "", err
 	}
-	for _, r := range trial.Resources {
-		limit := r.Availability * (cfg.Overcommit - cfg.Headroom)
-		if floor := rep.ResourceFloor[r.ID]; floor > limit+1e-9 {
-			return fmt.Sprintf("resource %s: demand floor %.3f exceeds headroom %.3f (B=%.3f, overcommit %.2f, headroom %.2f)",
-				r.ID, floor, limit, r.Availability, cfg.Overcommit, cfg.Headroom), nil
-		}
+	if est.UtilityGain <= 0 && est.CongestionCost > 0 {
+		return fmt.Sprintf("congestion cost %.3f with no utility gain (%.3f)", est.CongestionCost, est.UtilityGain), nil
 	}
-	if cfg.MaxCostBenefit > 0 {
-		if est.UtilityGain <= 0 && est.CongestionCost > 0 {
-			return fmt.Sprintf("congestion cost %.3f with no utility gain (%.3f)", est.CongestionCost, est.UtilityGain), nil
-		}
-		if est.CongestionCost > cfg.MaxCostBenefit*est.UtilityGain {
-			return fmt.Sprintf("congestion cost %.3f exceeds %.2f× utility gain %.3f",
-				est.CongestionCost, cfg.MaxCostBenefit, est.UtilityGain), nil
-		}
+	if est.CongestionCost > maxCostBenefit*est.UtilityGain {
+		return fmt.Sprintf("congestion cost %.3f exceeds %.2f× utility gain %.3f",
+			est.CongestionCost, maxCostBenefit, est.UtilityGain), nil
 	}
 	return "", nil
 }

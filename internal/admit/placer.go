@@ -2,8 +2,10 @@ package admit
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
+	"lla/internal/core"
 	"lla/internal/obs"
 	"lla/internal/share"
 	"lla/internal/task"
@@ -27,45 +29,20 @@ type Candidate struct {
 	Curve utility.Curve
 }
 
-// PlacerConfig tunes the price-guided placer.
-type PlacerConfig struct {
-	// SkewRatio and SkewWindow arm the rebalance pass: when the ratio of
-	// the most to least expensive resource price exceeds SkewRatio for
-	// SkewWindow consecutive observations, MaybeRebalance looks for a
-	// profitable move. Defaults 4 and 8.
-	SkewRatio  float64
-	SkewWindow int
-	// MinGain is the minimum relative binding-cost improvement a rebalance
-	// move must deliver. Default 0.2.
-	MinGain float64
-	// MuFloor floors prices when predicting per-binding shares, matching
-	// Config.MuFloor. Default 1.
-	MuFloor float64
-}
-
-// withDefaults fills unset fields.
-func (c PlacerConfig) withDefaults() PlacerConfig {
-	if c.SkewRatio == 0 {
-		c.SkewRatio = 4
-	}
-	if c.SkewWindow == 0 {
-		c.SkewWindow = 8
-	}
-	if c.MinGain == 0 {
-		c.MinGain = 0.2
-	}
-	if c.MuFloor == 0 {
-		c.MuFloor = 1
-	}
-	return c
-}
+// The rebalance trigger: when the ratio of the most to least expensive
+// resource price exceeds skewRatio for skewWindow consecutive observations,
+// MaybeRebalance looks for a move that improves a resident's binding cost by
+// at least minGain (relative).
+const (
+	skewRatio  = 4
+	skewWindow = 8
+	minGain    = 0.2
+)
 
 // Placer binds candidate subtasks to the cheapest feasible resource at the
 // live prices, and optionally re-places resident tasks when prices skew for
 // long enough. Like the Controller it is single-goroutine.
 type Placer struct {
-	cfg PlacerConfig
-
 	m    *obs.PlaceMetrics
 	obsv *obs.Observer
 
@@ -77,8 +54,8 @@ type Placer struct {
 }
 
 // NewPlacer builds a placer.
-func NewPlacer(cfg PlacerConfig) *Placer {
-	return &Placer{cfg: cfg.withDefaults(), placed: make(map[string]Candidate)}
+func NewPlacer() *Placer {
+	return &Placer{placed: make(map[string]Candidate)}
 }
 
 // Observe attaches placement metrics; nil detaches.
@@ -115,7 +92,7 @@ func (p *Placer) Bind(w *workload.Workload, cand Candidate, mode task.WeightMode
 			if !ok {
 				return nil, fmt.Errorf("admit: candidate %s subtask %s: unknown resource %q", cand.Task.Name, s.Name, rid)
 			}
-			sh := predictShare(s.ExecMs, s.MinShare, bound.CriticalMs, weights[si], slope, r, effMu(mu[rid], p.cfg.MuFloor))
+			sh := predictShare(s.ExecMs, s.MinShare, bound.CriticalMs, weights[si], slope, r, effMu(mu[rid]))
 			cost := mu[rid] * sh
 			if bestID == "" || cost < bestCost {
 				bestID, bestCost = rid, cost
@@ -158,7 +135,7 @@ func (p *Placer) bindingCost(w *workload.Workload, t *task.Task, curve utility.C
 		if !ok {
 			return 0, fmt.Errorf("admit: task %s subtask %s: unknown resource %q", t.Name, s.Name, s.Resource)
 		}
-		sh := predictShare(s.ExecMs, s.MinShare, t.CriticalMs, weights[si], slope, r, effMu(mu[s.Resource], p.cfg.MuFloor))
+		sh := predictShare(s.ExecMs, s.MinShare, t.CriticalMs, weights[si], slope, r, effMu(mu[s.Resource]))
 		cost += mu[s.Resource] * sh
 	}
 	return cost, nil
@@ -185,7 +162,7 @@ func (p *Placer) noteSkew(mu map[string]float64) bool {
 		if minMu < 1e-12 {
 			skewed = maxMu > 1e-12
 		} else {
-			skewed = maxMu/minMu > p.cfg.SkewRatio
+			skewed = maxMu/minMu > skewRatio
 		}
 	}
 	if skewed {
@@ -193,7 +170,7 @@ func (p *Placer) noteSkew(mu map[string]float64) bool {
 	} else {
 		p.skewStreak = 0
 	}
-	return p.skewStreak >= p.cfg.SkewWindow
+	return p.skewStreak >= skewWindow
 }
 
 // place records an admitted placed task; forget drops it.
@@ -243,7 +220,7 @@ func (c *Controller) OfferPlaced(cand Candidate) (Decision, error) {
 
 // MaybeRebalance observes the live price skew and, when it has persisted
 // for the placer's window, re-places the single resident placed task with
-// the largest relative binding-cost improvement (if it beats MinGain). Call
+// the largest relative binding-cost improvement (if it beats minGain). Call
 // it once per controller event; it returns whether a move was enacted.
 func (c *Controller) MaybeRebalance() (Decision, bool, error) {
 	if c.placer == nil {
@@ -285,7 +262,7 @@ func (c *Controller) MaybeRebalance() (Decision, bool, error) {
 	// Scan done: reset the streak either way so the trigger re-arms over a
 	// fresh window instead of re-scanning every event.
 	c.placer.skewStreak = 0
-	if bestName == "" || bestGain < c.placer.cfg.MinGain {
+	if bestName == "" || bestGain < minGain {
 		return Decision{}, false, nil
 	}
 
@@ -319,12 +296,10 @@ func bindingString(t *task.Task) string {
 	return strings.Join(ids, " ")
 }
 
-// effMu floors a live price for demand prediction.
-func effMu(mu, floor float64) float64 {
-	if mu < floor {
-		return floor
-	}
-	return mu
+// effMu floors a live price at core.InitialMu for demand prediction, so
+// uncongested resources price a newcomer as a fresh engine would.
+func effMu(mu float64) float64 {
+	return math.Max(mu, core.InitialMu)
 }
 
 // predictShare is predictLatShare's share-only view.

@@ -39,7 +39,7 @@ func placedCandidate(t *testing.T, name string, stages int, candidates [][]strin
 
 func TestBindChoosesCheapest(t *testing.T) {
 	w := placerWorkload()
-	p := NewPlacer(PlacerConfig{})
+	p := NewPlacer()
 	mu := map[string]float64{"r0": 5, "r1": 0.5, "r2": 2}
 
 	bound, err := p.Bind(w, placedCandidate(t, "solo", 1, nil), task.WeightSum, mu)
@@ -62,7 +62,7 @@ func TestBindChoosesCheapest(t *testing.T) {
 
 func TestBindDistinctResources(t *testing.T) {
 	w := placerWorkload()
-	p := NewPlacer(PlacerConfig{})
+	p := NewPlacer()
 	mu := map[string]float64{"r0": 5, "r1": 0.5, "r2": 2}
 
 	bound, err := p.Bind(w, placedCandidate(t, "pair", 2, nil), task.WeightSum, mu)
@@ -83,7 +83,7 @@ func TestBindDistinctResources(t *testing.T) {
 
 func TestBindDeterministicTies(t *testing.T) {
 	w := placerWorkload()
-	p := NewPlacer(PlacerConfig{})
+	p := NewPlacer()
 	mu := map[string]float64{"r0": 1, "r1": 1, "r2": 1} // all tied
 	for i := 0; i < 10; i++ {
 		bound, err := p.Bind(w, placedCandidate(t, "tied", 2, nil), task.WeightSum, mu)
@@ -102,7 +102,7 @@ func TestBindDeterministicTies(t *testing.T) {
 func TestRebalanceMovesOnSkew(t *testing.T) {
 	eng := testCluster(t, 1)
 	ctrl := New(eng, Config{})
-	ctrl.UsePlacer(NewPlacer(PlacerConfig{SkewRatio: 2, SkewWindow: 3, MinGain: 0.05}))
+	ctrl.UsePlacer(NewPlacer())
 
 	cand := placedCandidate(t, "mover", 1, [][]string{{"r0", "r1"}})
 	d, err := ctrl.OfferPlaced(cand)

@@ -20,25 +20,10 @@ type Config struct {
 	// EpochMs is the simulated time between optimizer enactments
 	// (default 1000).
 	EpochMs float64
-	// ConvergeIters bounds the optimizer iterations per epoch
-	// (default 4000).
-	ConvergeIters int
-	// Corrector configures the per-subtask error correctors.
-	Corrector errcorr.Config
-	// CorrectionDisabled turns off online error correction (the loop then
-	// only optimizes and enacts on the raw model).
-	CorrectionDisabled bool
 }
 
-func (c Config) withDefaults() Config {
-	if c.EpochMs == 0 {
-		c.EpochMs = 1000
-	}
-	if c.ConvergeIters == 0 {
-		c.ConvergeIters = 4000
-	}
-	return c
-}
+// convergeIters bounds the optimizer iterations per epoch.
+const convergeIters = 4000
 
 // Epoch reports one loop iteration to the observer.
 type Epoch struct {
@@ -71,7 +56,9 @@ type Loop struct {
 // New builds a closed loop over a workload: a fresh engine and simulator
 // are constructed from the given configurations.
 func New(w *workload.Workload, engineCfg core.Config, simCfg sim.Config, cfg Config) (*Loop, error) {
-	cfg = cfg.withDefaults()
+	if cfg.EpochMs == 0 {
+		cfg.EpochMs = 1000
+	}
 	engine, err := core.NewEngine(w, engineCfg)
 	if err != nil {
 		return nil, err
@@ -86,16 +73,12 @@ func New(w *workload.Workload, engineCfg core.Config, simCfg sim.Config, cfg Con
 		engine:     engine,
 		world:      world,
 		enactor:    core.NewEnactor(),
-		correcting: !cfg.CorrectionDisabled,
+		correcting: true,
 	}
 	for _, tk := range w.Tasks {
 		row := make([]*errcorr.Corrector, len(tk.Subtasks))
-		for si := range tk.Subtasks {
-			c, err := errcorr.New(cfg.Corrector)
-			if err != nil {
-				return nil, err
-			}
-			row[si] = c
+		for si := range row {
+			row[si] = errcorr.New()
 		}
 		l.correctors = append(l.correctors, row)
 	}
@@ -111,7 +94,7 @@ func (l *Loop) World() *sim.Sim { return l.world }
 
 // SetCorrection enables or disables online error correction at runtime (the
 // Figure 8 experiment enables it mid-run).
-func (l *Loop) SetCorrection(on bool) { l.correcting = on && !l.cfg.CorrectionDisabled }
+func (l *Loop) SetCorrection(on bool) { l.correcting = on }
 
 // Correcting reports whether correction is active.
 func (l *Loop) Correcting() bool { return l.correcting }
@@ -120,7 +103,7 @@ func (l *Loop) Correcting() bool { return l.correcting }
 // observe → correct. observe may be nil.
 func (l *Loop) RunEpochs(n int, observe func(Epoch)) error {
 	for i := 0; i < n; i++ {
-		snap, _ := l.engine.RunUntilConverged(l.cfg.ConvergeIters, 1e-7, 20, 1e-2)
+		snap, _ := l.engine.RunUntilConverged(convergeIters, 1e-7, 20, 1e-2)
 
 		enacted := false
 		if shares := l.enactor.Consider(snap); shares != nil {

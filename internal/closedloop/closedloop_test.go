@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"lla/internal/core"
-	"lla/internal/errcorr"
 	"lla/internal/sim"
 	"lla/internal/workload"
 )
@@ -66,7 +65,8 @@ func TestLoopReproducesErrorCorrectionShift(t *testing.T) {
 // The enactment policy keeps the loop quiet once converged: enactments stop
 // growing while epochs continue.
 func TestLoopEnactmentGoesQuiet(t *testing.T) {
-	l := newLoop(t, Config{EpochMs: 500, CorrectionDisabled: true})
+	l := newLoop(t, Config{EpochMs: 500})
+	l.SetCorrection(false)
 	if err := l.RunEpochs(5, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -79,15 +79,6 @@ func TestLoopEnactmentGoesQuiet(t *testing.T) {
 	}
 	if l.Enactments() != afterWarm {
 		t.Errorf("enactments grew from %d to %d on a stable system", afterWarm, l.Enactments())
-	}
-}
-
-// CorrectionDisabled makes SetCorrection(true) a no-op.
-func TestLoopCorrectionDisabledIsSticky(t *testing.T) {
-	l := newLoop(t, Config{CorrectionDisabled: true})
-	l.SetCorrection(true)
-	if l.Correcting() {
-		t.Fatal("disabled correction must not be re-enabled")
 	}
 }
 
@@ -120,7 +111,8 @@ func TestLoopEpochObservations(t *testing.T) {
 // Dynamic changes through the exposed engine integrate with the loop: a
 // capacity drop mid-run re-enacts a new allocation.
 func TestLoopReactsToCapacityDrop(t *testing.T) {
-	l := newLoop(t, Config{EpochMs: 500, CorrectionDisabled: true})
+	l := newLoop(t, Config{EpochMs: 500})
+	l.SetCorrection(false)
 	if err := l.RunEpochs(4, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -152,9 +144,5 @@ func TestLoopRejectsInvalidInputs(t *testing.T) {
 	bad.Tasks = nil
 	if _, err := New(bad, core.Config{}, sim.Config{}, Config{}); err == nil {
 		t.Error("invalid workload should fail")
-	}
-	if _, err := New(workload.Prototype(), core.Config{}, sim.Config{},
-		Config{Corrector: errcorr.Config{Alpha: 2}}); err == nil {
-		t.Error("invalid corrector config should fail")
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"lla/internal/price"
 )
@@ -139,6 +140,9 @@ func (e *Engine) RestoreState(st EngineState) error {
 			}
 		}
 	}
+	if err := checkValues(&st); err != nil {
+		return err
+	}
 	if err := price.RestoreDynamics(e.dyn, st.Dyn); err != nil {
 		return err
 	}
@@ -174,5 +178,34 @@ func (e *Engine) RestoreState(st EngineState) error {
 	e.sstats = st.Sparse
 	e.dynDelta = st.DynDelta
 	e.iter = st.Iteration
+	return nil
+}
+
+// checkValues refuses values no run produces: anything non-finite, a
+// resource price outside [0, price.MaxPrice], a negative path price or a
+// step size ≤ 0. Resumed, any of them would poison every later price.
+func checkValues(st *EngineState) error {
+	const big = math.MaxFloat64
+	bad := ""
+	check := func(name string, v []float64, lo, hi float64) {
+		for _, x := range v {
+			if bad == "" && !(x >= lo && x <= hi) {
+				bad = fmt.Sprintf("%s value %v outside [%v, %v]", name, x, lo, hi)
+			}
+		}
+	}
+	check("Mu", st.Mu, 0, price.MaxPrice)
+	check("FpMu", st.FpMu, 0, price.MaxPrice)
+	check("ShareSums", st.ShareSums, -big, big)
+	check("DynDelta", []float64{st.DynDelta}, -big, big)
+	for ti := range st.LatMs {
+		check("LatMs", st.LatMs[ti], -big, big)
+		check("ErrMs", st.ErrMs[ti], -big, big)
+		check("Lambda", st.Lambda[ti], 0, big)
+		check("PathGamma", st.PathGamma[ti], math.SmallestNonzeroFloat64, big)
+	}
+	if bad != "" {
+		return fmt.Errorf("core: checkpoint %s", bad)
+	}
 	return nil
 }

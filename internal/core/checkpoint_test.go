@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"lla/internal/price"
@@ -155,5 +156,51 @@ func TestRestoreRejectsMismatch(t *testing.T) {
 	accel.Step()
 	if err := ref.RestoreState(accel.CaptureState()); err == nil {
 		t.Fatal("restoring newton checkpoint into gradient engine succeeded, want error")
+	}
+}
+
+// TestRestoreRejectsNonFiniteState: a checkpoint whose values no run can
+// produce is refused, not resumed — one NaN price would spread to every price
+// within a few Steps.
+func TestRestoreRejectsNonFiniteState(t *testing.T) {
+	ref, err := NewEngine(workload.Base(), Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Close()
+	for i := 0; i < 10; i++ {
+		ref.Step()
+	}
+	for _, tc := range []struct {
+		name    string
+		corrupt func(st *EngineState)
+	}{
+		{"Mu NaN", func(st *EngineState) { st.Mu[0] = math.NaN() }},
+		{"Mu negative", func(st *EngineState) { st.Mu[1] = -1 }},
+		{"Mu above MaxPrice", func(st *EngineState) { st.Mu[0] = 2 * price.MaxPrice }},
+		{"FpMu Inf", func(st *EngineState) { st.FpMu[0] = math.Inf(1) }},
+		{"FpMu negative", func(st *EngineState) { st.FpMu[0] = -0.5 }},
+		{"ShareSums NaN", func(st *EngineState) { st.ShareSums[0] = math.NaN() }},
+		{"DynDelta Inf", func(st *EngineState) { st.DynDelta = math.Inf(1) }},
+		{"LatMs Inf", func(st *EngineState) { st.LatMs[0][0] = math.Inf(1) }},
+		{"ErrMs -Inf", func(st *EngineState) { st.ErrMs[1][0] = math.Inf(-1) }},
+		{"Lambda negative", func(st *EngineState) { st.Lambda[0][0] = -1 }},
+		{"Lambda NaN", func(st *EngineState) { st.Lambda[0][0] = math.NaN() }},
+		{"PathGamma zero", func(st *EngineState) { st.PathGamma[0][0] = 0 }},
+		{"Dyn gamma negative", func(st *EngineState) { st.Dyn.Gammas[1] = -3 }},
+		{"Dyn gamma NaN", func(st *EngineState) { st.Dyn.Gammas[0] = math.NaN() }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st := ref.CaptureState()
+			tc.corrupt(&st)
+			eng, err := NewEngine(workload.Base(), Config{Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer eng.Close()
+			if err := eng.RestoreState(st); err == nil {
+				t.Fatal("restore succeeded, want an error")
+			}
+		})
 	}
 }

@@ -38,22 +38,16 @@ type Controller struct {
 	// half the local price scale, mirroring price.Dynamics' gradient step on
 	// resource prices.
 	step StepPolicy
-	// maxInner bounds the fixed-point iterations used for curves with
-	// non-constant slope.
-	maxInner int
 }
 
 // NewController builds the controller for task ti with latencies initialized
 // to a fair share split of each subtask's resource (every subtask on a
 // resource starts with an equal fraction of its availability). step must
 // have been through Config.WithDefaults.
-func NewController(p *Problem, ti int, step StepPolicy, maxInner int) *Controller {
+func NewController(p *Problem, ti int, step StepPolicy) *Controller {
 	n, np := len(p.Tasks[ti].Res), p.NumPaths(ti)
-	if maxInner <= 0 {
-		maxInner = Config{}.WithDefaults().MaxInner
-	}
 	state := make([]float64, 2*n+2*np)
-	c := &Controller{p: p, ti: ti, step: step, maxInner: maxInner,
+	c := &Controller{p: p, ti: ti, step: step,
 		LatMs: state[:n:n], shares: state[n : 2*n : 2*n],
 		Lambda: state[2*n : 2*n+np : 2*n+np], gamma: state[2*n+np:]}
 	c.reset()
@@ -167,7 +161,7 @@ func (c *Controller) Solve(mu []float64, congested []bool) (priceChanged, latCha
 		}
 		gamma := gammas[pi]
 		if step.Adaptive {
-			gamma = price.Ramp(gamma, step.Gamma, step.Max, pathCongested)
+			gamma = price.Ramp(gamma, step.Gamma, pathCongested)
 		}
 		if gamma != gammas[pi] {
 			gammas[pi] = gamma
@@ -206,7 +200,7 @@ func (c *Controller) Solve(mu []float64, congested []bool) (priceChanged, latCha
 	// The shares are rewritten below whatever happens, so until then they
 	// hold the entry latencies the result is compared against.
 	copy(shares, lat)
-	for inner := 0; inner < c.maxInner; inner++ {
+	for inner := 0; inner < maxInner; inner++ {
 		for si := range lat {
 			lat[si] = stationary(mu[res[si]], pathPriceSum(lambda, through, toff, si)-weight[si]*slope, cost[si], errMs[si], latMin[si], latMax[si])
 		}

@@ -40,7 +40,7 @@ var fixedPolicy = StepPolicy{Gamma: 1}
 
 func TestControllerInitialLatenciesAreFairSplit(t *testing.T) {
 	p := newTestProblem(t, utility.Linear{K: 2, CMs: 100})
-	c := NewController(p, 0, fixedPolicy, 30)
+	c := NewController(p, 0, fixedPolicy)
 	// Each subtask is alone on its resource: fair share = full availability
 	// -> latency = (c+l)/1.
 	if math.Abs(c.LatMs[0]-4) > 1e-12 || math.Abs(c.LatMs[1]-3) > 1e-12 {
@@ -50,7 +50,7 @@ func TestControllerInitialLatenciesAreFairSplit(t *testing.T) {
 
 func TestControllerClosedFormAllocation(t *testing.T) {
 	p := newTestProblem(t, utility.Linear{K: 2, CMs: 100})
-	c := NewController(p, 0, fixedPolicy, 30)
+	c := NewController(p, 0, fixedPolicy)
 	// With mu = [16, 9], lambda = 0, w = 1, |f'| = 1:
 	// lat_a = sqrt(16*4/1) = 8; lat_b = sqrt(9*3/1) ≈ 5.196.
 	c.Solve([]float64{16, 9}, nil)
@@ -64,7 +64,7 @@ func TestControllerClosedFormAllocation(t *testing.T) {
 
 func TestControllerPathPriceRaisesUnderViolation(t *testing.T) {
 	p := newTestProblem(t, utility.Linear{K: 2, CMs: 100})
-	c := NewController(p, 0, fixedPolicy, 30)
+	c := NewController(p, 0, fixedPolicy)
 	// Force the path over its critical time.
 	c.LatMs[0], c.LatMs[1] = 80, 40 // sum 120 > C=100
 	c.Solve([]float64{1, 1}, nil)
@@ -83,7 +83,7 @@ func TestControllerPathPriceRaisesUnderViolation(t *testing.T) {
 
 func TestControllerZeroPriceTakesMinLatency(t *testing.T) {
 	p := newTestProblem(t, utility.Linear{K: 2, CMs: 100})
-	c := NewController(p, 0, fixedPolicy, 30)
+	c := NewController(p, 0, fixedPolicy)
 	c.Solve([]float64{0, 0}, nil)
 	if c.LatMs[0] != p.Tasks[0].LatMinMs[0] || c.LatMs[1] != p.Tasks[0].LatMinMs[1] {
 		t.Errorf("free resources should give minimum latencies, got %v", c.LatMs)
@@ -92,7 +92,7 @@ func TestControllerZeroPriceTakesMinLatency(t *testing.T) {
 
 func TestControllerHugePriceClampsAtMax(t *testing.T) {
 	p := newTestProblem(t, utility.Linear{K: 2, CMs: 100})
-	c := NewController(p, 0, fixedPolicy, 30)
+	c := NewController(p, 0, fixedPolicy)
 	c.Solve([]float64{1e12, 1e12}, nil)
 	if c.LatMs[0] != p.Tasks[0].LatMaxMs[0] || c.LatMs[1] != p.Tasks[0].LatMaxMs[1] {
 		t.Errorf("expensive resources should clamp at max latencies, got %v (max %v)",
@@ -102,7 +102,7 @@ func TestControllerHugePriceClampsAtMax(t *testing.T) {
 
 func TestControllerNonlinearInnerLoopConverges(t *testing.T) {
 	p := newTestProblem(t, utility.Quadratic{A: 1000, B: 0.1})
-	c := NewController(p, 0, fixedPolicy, 50)
+	c := NewController(p, 0, fixedPolicy)
 	c.Solve([]float64{20, 20}, nil)
 	// The fixed point satisfies the stationarity condition:
 	// w·f'(L) = mu·share'(lat) for interior latencies.
@@ -125,7 +125,7 @@ func TestControllerNonlinearInnerLoopConverges(t *testing.T) {
 
 func TestControllerClampDeadlineSafe(t *testing.T) {
 	p := newTestProblem(t, utility.Linear{K: 2, CMs: 100})
-	c := NewController(p, 0, fixedPolicy, 30)
+	c := NewController(p, 0, fixedPolicy)
 	pt := &p.Tasks[0]
 
 	// Violating assignment: path sum 120 > C=100.
@@ -161,7 +161,7 @@ func TestControllerClampDeadlineSafe(t *testing.T) {
 
 func TestControllerResetPrices(t *testing.T) {
 	p := newTestProblem(t, utility.Linear{K: 2, CMs: 100})
-	c := NewController(p, 0, fixedPolicy, 30)
+	c := NewController(p, 0, fixedPolicy)
 	c.LatMs[0], c.LatMs[1] = 80, 40
 	c.Solve([]float64{1, 1}, nil)
 	if c.Lambda[0] == 0 {
@@ -175,7 +175,7 @@ func TestControllerResetPrices(t *testing.T) {
 
 func TestControllerSharesAndCriticalPath(t *testing.T) {
 	p := newTestProblem(t, utility.Linear{K: 2, CMs: 100})
-	c := NewController(p, 0, fixedPolicy, 30)
+	c := NewController(p, 0, fixedPolicy)
 	c.LatMs[0], c.LatMs[1] = 8, 6
 	shares := make([]float64, 2)
 	p.sharesInto(shares, 0, c.LatMs, false)
@@ -324,7 +324,7 @@ func TestAllocateLatenciesInnerRounds(t *testing.T) {
 	} {
 		calls := 0
 		p := newTestProblem(t, slopeCounter{tc.curve, &calls})
-		c := NewController(p, 0, fixedPolicy, 50)
+		c := NewController(p, 0, fixedPolicy)
 		before := append([]float64(nil), c.LatMs...)
 		calls = 0 // Compile samples the curve to validate it
 		if _, moved := c.Solve([]float64{20, 20}, nil); !moved {

@@ -89,7 +89,7 @@ type agent struct {
 
 func (a *agent) update(mu, avail, sum float64, congested bool) float64 {
 	if a.step.Adaptive {
-		a.gamma = price.Ramp(a.gamma, a.step.Gamma, a.step.Max, congested)
+		a.gamma = price.Ramp(a.gamma, a.step.Gamma, congested)
 	}
 	gamma := a.gamma
 	if a.step.Adaptive && gamma < mu/2 {

@@ -19,10 +19,16 @@ type StepPolicy struct {
 	// false the step size is fixed at Gamma.
 	Adaptive bool
 	// Gamma is the fixed step size, or the adaptive policy's base value.
+	// The adaptive ramp is capped at price.DefaultAdaptiveMax.
 	Gamma float64
-	// Max caps the adaptive ramp (0 = price.DefaultAdaptiveMax).
-	Max float64
 }
+
+// InitialMu is every resource's starting price: the engine's, a distributed
+// resource node's, and the floor admission prices newcomers at.
+const InitialMu = 1
+
+// maxInner bounds the controller's fixed-point rounds for nonlinear curves.
+const maxInner = 30
 
 // Config configures an Engine.
 type Config struct {
@@ -32,11 +38,6 @@ type Config struct {
 	// Step configures the price step sizes (default: adaptive with base 1,
 	// the paper's best-performing setting).
 	Step StepPolicy
-	// InitialMu is the starting resource price (default 1).
-	InitialMu float64
-	// MaxInner bounds the controller's fixed-point rounds for nonlinear
-	// curves (default 30).
-	MaxInner int
 	// Workers sets how many shards Step fans the per-task controller work
 	// across: 0 (or negative) uses GOMAXPROCS, 1 runs everything on the
 	// calling goroutine (the serial path). Controllers only read the
@@ -64,12 +65,6 @@ func (c Config) WithDefaults() Config {
 	if c.Step.Gamma == 0 {
 		c.Step = StepPolicy{Adaptive: true, Gamma: 1}
 	}
-	if c.InitialMu == 0 {
-		c.InitialMu = 1
-	}
-	if c.MaxInner <= 0 {
-		c.MaxInner = 30
-	}
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
 	}
@@ -87,7 +82,7 @@ func (c Config) WithDefaults() Config {
 // that has been through WithDefaults, and call Reset on the result before
 // the first Step.
 func (c Config) NewDynamics() *price.Dynamics {
-	return price.NewDynamics(c.PriceSolver, c.Step.Gamma, c.Step.Max, c.Step.Adaptive)
+	return price.NewDynamics(c.PriceSolver, c.Step.Gamma, c.Step.Adaptive)
 }
 
 // Engine drives LLA synchronously: one Step performs a full iteration —
@@ -221,7 +216,7 @@ func NewEngineChecked(ck *workload.Checked, cfg Config) (*Engine, error) {
 		c.reset()
 	}
 	for ri := range e.price {
-		e.price[ri] = cfg.InitialMu
+		e.price[ri] = InitialMu
 	}
 	e.dyn.Reset(nr)
 	e.initSparse()
@@ -245,7 +240,7 @@ func (e *Engine) Controller(ti int) Controller {
 func (e *Engine) controllerInto(c *Controller, ti int) {
 	p := e.p
 	lo, hi, plo, phi := p.subOff[ti], p.subOff[ti+1], p.pathOff[ti], p.pathOff[ti+1]
-	c.p, c.ti, c.step, c.maxInner = p, ti, e.cfg.Step, e.cfg.MaxInner
+	c.p, c.ti, c.step = p, ti, e.cfg.Step
 	c.LatMs, c.shares = e.lat[lo:hi:hi], e.shares[lo:hi:hi]
 	c.Lambda, c.gamma = e.lambda[plo:phi:phi], e.gamma[plo:phi:phi]
 }

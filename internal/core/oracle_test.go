@@ -35,9 +35,8 @@ type refTask struct {
 	pathGamma []float64
 	shares    []float64
 
-	baseGamma, maxGamma float64
-	priceScaled         bool
-	maxInner            int
+	baseGamma   float64
+	priceScaled bool
 	// fullLoop drops the slope early exit from the fixed-point loop.
 	fullLoop bool
 
@@ -71,8 +70,7 @@ func newRefTask(t *testing.T, e *Engine, ti int, hits *refHits) *refTask {
 		latMin: make([]float64, n), latMax: make([]float64, n),
 		lat: append([]float64(nil), e.Controller(ti).LatMs...), lambda: make([]float64, len(paths)),
 		shares:    make([]float64, n),
-		baseGamma: cfg.Step.Gamma, maxGamma: cfg.Step.Max, priceScaled: cfg.Step.Adaptive,
-		maxInner: cfg.MaxInner, hits: hits,
+		baseGamma: cfg.Step.Gamma, priceScaled: cfg.Step.Adaptive, hits: hits,
 	}
 	for pi, path := range paths {
 		r.pathGamma = append(r.pathGamma, cfg.Step.Gamma)
@@ -142,7 +140,7 @@ func (r *refTask) updatePathPrices(congestedRes []bool) bool {
 		}
 		gamma := r.pathGamma[pi]
 		if r.priceScaled {
-			gamma = price.Ramp(gamma, r.baseGamma, r.maxGamma, pathCongested)
+			gamma = price.Ramp(gamma, r.baseGamma, pathCongested)
 		}
 		if gamma != r.pathGamma[pi] {
 			r.pathGamma[pi] = gamma
@@ -168,7 +166,7 @@ func (r *refTask) allocateLatencies(mu []float64) bool {
 	latPrev := append([]float64(nil), r.lat...)
 	agg := r.aggregate()
 	slope := r.curve.Slope(agg)
-	for inner := 0; inner < r.maxInner; inner++ {
+	for inner := 0; inner < maxInner; inner++ {
 		if inner == 1 {
 			r.hits.multiRound++
 		}

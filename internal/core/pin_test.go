@@ -53,7 +53,7 @@ func TestPinPriceHoldsPrice(t *testing.T) {
 			}
 			moved := false
 			for ri := 1; ri < len(e.price); ri++ {
-				if e.MuAt(ri) != e.cfg.InitialMu {
+				if e.MuAt(ri) != InitialMu {
 					moved = true
 				}
 			}

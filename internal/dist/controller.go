@@ -89,10 +89,10 @@ type controllerNode struct {
 	// coordinator; standalone deployments have none.
 	reports bool
 	// mu and congested are the price vector Solve reads, by resource index
-	// (resources of them, each starting at initialMu), built when a run opens.
+	// (resources of them, each starting at core.InitialMu), built when a run
+	// opens.
 	mu        []float64
 	congested []bool
-	initialMu float64
 	resources int
 	// lastLat[k] caches the latest full latency message for groups[k], for
 	// retransmission, stale recovery, heartbeats and as the delta codec's
@@ -122,12 +122,11 @@ type controllerNode struct {
 func newControllerNode(p *core.Problem, ti int, cfg core.Config, a addresses) *controllerNode {
 	n := &controllerNode{
 		peer:      peer{node: node{addr: a.ctl[ti]}, kind: wire.KindLatency},
-		ctl:       core.NewController(p, ti, cfg.Step, cfg.MaxInner),
+		ctl:       core.NewController(p, ti, cfg.Step),
 		name:      p.Tasks[ti].Name,
 		groups:    shareGroups(p, &p.Tasks[ti]),
 		groupOf:   make(map[string]int),
 		reports:   true,
-		initialMu: cfg.InitialMu,
 		resources: len(p.Resources),
 	}
 	n.lastLat = make([]wire.ShareReport, len(n.groups))
@@ -149,7 +148,7 @@ func (n *controllerNode) open(now time.Duration) {
 	n.mu, n.congested = make([]float64, n.resources), make([]bool, n.resources)
 	n.lastHeard, n.degraded = make([]time.Duration, len(n.groups)), make([]bool, len(n.groups))
 	for k, g := range n.groups {
-		n.mu[g.ri], n.lastHeard[k] = n.initialMu, now
+		n.mu[g.ri], n.lastHeard[k] = core.InitialMu, now
 	}
 }
 

@@ -51,7 +51,7 @@ func newResourceNode(p *core.Problem, ri int, cfg core.Config, a addresses) *res
 		peer:   peer{node: node{addr: a.res[ri]}, kind: wire.KindPrice, leads: true},
 		p:      p,
 		r:      &p.Resources[ri],
-		mu:     cfg.InitialMu,
+		mu:     core.InitialMu,
 		dyn:    cfg.NewDynamics(),
 		ctlIdx: make(map[string]int),
 		subIdx: make(map[subKey]int32),

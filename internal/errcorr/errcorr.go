@@ -8,57 +8,29 @@
 package errcorr
 
 import (
-	"fmt"
 	"math"
 
 	"lla/internal/stats"
 )
 
-// Config parametrizes a corrector.
-type Config struct {
-	// Alpha is the exponential-smoothing factor in (0,1] (default 0.3).
-	Alpha float64
-	// Percentile is the sample percentile compared against the model's
-	// prediction, in (0,1). The paper uses "high percentile samples
-	// (greater than 90th percentile)"; the default is 0.95.
-	Percentile float64
-	// MinSamples is the number of samples required before a correction is
-	// produced (default 20).
-	MinSamples int
-}
-
-func (c Config) withDefaults() Config {
-	if c.Alpha == 0 {
-		c.Alpha = 0.3
-	}
-	if c.Percentile == 0 {
-		c.Percentile = 0.95
-	}
-	if c.MinSamples == 0 {
-		c.MinSamples = 20
-	}
-	return c
-}
+// The corrector's parameters. The sample percentile compared against the
+// model's prediction is the paper's "high percentile samples (greater than
+// 90th percentile)"; the error is smoothed with factor alpha, and a period
+// with fewer than minSamples samples is skipped.
+const (
+	alpha      = 0.3
+	percentile = 0.95
+	minSamples = 20
+)
 
 // Corrector tracks the additive model error of one subtask.
 type Corrector struct {
-	cfg  Config
 	ewma *stats.EWMA
 }
 
 // New returns a corrector.
-func New(cfg Config) (*Corrector, error) {
-	cfg = cfg.withDefaults()
-	if cfg.Alpha <= 0 || cfg.Alpha > 1 {
-		return nil, fmt.Errorf("errcorr: alpha %v outside (0,1]", cfg.Alpha)
-	}
-	if cfg.Percentile <= 0 || cfg.Percentile >= 1 {
-		return nil, fmt.Errorf("errcorr: percentile %v outside (0,1)", cfg.Percentile)
-	}
-	if cfg.MinSamples < 1 {
-		return nil, fmt.Errorf("errcorr: MinSamples %d < 1", cfg.MinSamples)
-	}
-	return &Corrector{cfg: cfg, ewma: stats.NewEWMA(cfg.Alpha)}, nil
+func New() *Corrector {
+	return &Corrector{ewma: stats.NewEWMA(alpha)}
 }
 
 // Observe folds one measurement period into the error estimate: samples are
@@ -66,10 +38,10 @@ func New(cfg Config) (*Corrector, error) {
 // prediction for the subtask. It returns true when the estimate was updated
 // (enough samples were available).
 func (c *Corrector) Observe(samples *stats.Reservoir, predictedMs float64) bool {
-	if samples.Count() < c.cfg.MinSamples {
+	if samples.Count() < minSamples {
 		return false
 	}
-	measured := samples.Quantile(c.cfg.Percentile)
+	measured := samples.Quantile(percentile)
 	if math.IsNaN(measured) {
 		return false
 	}

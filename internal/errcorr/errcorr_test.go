@@ -24,10 +24,7 @@ func constSamples(v float64, n int) *stats.Reservoir {
 }
 
 func TestCorrectorLearnsNegativeError(t *testing.T) {
-	c, err := New(Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := New()
 	if c.ErrMs() != 0 || c.Initialized() {
 		t.Fatal("fresh corrector should report zero error")
 	}
@@ -43,63 +40,41 @@ func TestCorrectorLearnsNegativeError(t *testing.T) {
 }
 
 func TestCorrectorUsesHighPercentile(t *testing.T) {
-	c, err := New(Config{Percentile: 0.9, Alpha: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 100 samples: 99 at 10ms, 1 at 100ms -> p90 = 10.
+	c := New()
+	// 100 samples 1..100 against a zero prediction: the first observation
+	// sets the error to the sampled p95 (≈95), far from the median (≈50).
 	r := stats.NewReservoir(1024)
-	for i := 0; i < 99; i++ {
-		r.Add(10)
+	for i := 1; i <= 100; i++ {
+		r.Add(float64(i))
 	}
-	r.Add(100)
-	c.Observe(r, 20)
-	got := c.ErrMs()
-	if math.Abs(got-(-10)) > 1.5 {
-		t.Errorf("ErrMs = %v, want ≈ -10 (p90-based)", got)
+	c.Observe(r, 0)
+	if got := c.ErrMs(); math.Abs(got-95) > 0.5 {
+		t.Errorf("ErrMs = %v, want ≈ 95 (p95-based)", got)
 	}
 }
 
 func TestCorrectorRequiresMinSamples(t *testing.T) {
-	c, err := New(Config{MinSamples: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Observe(reservoirOf(1, 2, 3), 5) {
+	c := New()
+	if c.Observe(reservoirOf(1, 2, 3), 5) || c.Observe(constSamples(1, minSamples-1), 5) {
 		t.Error("observation with too few samples should be rejected")
 	}
 	if c.ErrMs() != 0 {
 		t.Errorf("ErrMs = %v, want 0", c.ErrMs())
 	}
+	if !c.Observe(constSamples(1, minSamples), 5) {
+		t.Errorf("observation with %d samples should be accepted", minSamples)
+	}
 }
 
 func TestCorrectorSmoothing(t *testing.T) {
-	c, err := New(Config{Alpha: 0.5, MinSamples: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Observe(constSamples(10, 10), 20) // err -10
-	c.Observe(constSamples(20, 10), 20) // err 0 -> smoothed -5
-	if got := c.ErrMs(); math.Abs(got-(-5)) > 1e-9 {
-		t.Errorf("ErrMs = %v, want -5", got)
+	c := New()
+	c.Observe(constSamples(10, minSamples), 20) // err -10
+	c.Observe(constSamples(20, minSamples), 20) // err 0 -> smoothed 0.7·-10 = -7
+	if got := c.ErrMs(); math.Abs(got-(-7)) > 1e-9 {
+		t.Errorf("ErrMs = %v, want -7", got)
 	}
 	c.Reset()
 	if c.ErrMs() != 0 || c.Initialized() {
 		t.Error("Reset did not clear state")
-	}
-}
-
-func TestCorrectorConfigValidation(t *testing.T) {
-	bad := []Config{
-		{Alpha: -1},
-		{Alpha: 2},
-		{Percentile: -0.5},
-		{Percentile: 1.5},
-		{MinSamples: -1},
-	}
-	for i, cfg := range bad {
-		if _, err := New(cfg); err == nil {
-			t.Errorf("config %d (%+v) should fail", i, cfg)
-		}
 	}
 }

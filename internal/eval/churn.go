@@ -81,7 +81,7 @@ func replayChurn(opts Options, trace []workload.ChurnEvent, cfg admit.Config, la
 	warmSnap, warmOK := eng.RunUntilConverged(3000, 1e-7, 20, 1e-3)
 
 	ctrl := admit.New(eng, cfg)
-	ctrl.UsePlacer(admit.NewPlacer(admit.PlacerConfig{}))
+	ctrl.UsePlacer(admit.NewPlacer())
 	if opts.Observer != nil {
 		ctrl.Observe(opts.Observer)
 	}

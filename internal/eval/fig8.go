@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"lla/internal/closedloop"
-	"lla/internal/errcorr"
 	"lla/internal/sim"
 	"lla/internal/stats"
 	"lla/internal/workload"
@@ -33,7 +32,7 @@ func Fig8(opts Options) (*Result, error) {
 		workload.Prototype(),
 		opts.engineConfig(),
 		sim.Config{Scheduler: sim.Quantum, QuantumMs: 5, Seed: opts.Seed + 1},
-		closedloop.Config{EpochMs: epochMs, Corrector: errcorr.Config{}},
+		closedloop.Config{EpochMs: epochMs},
 	)
 	if err != nil {
 		return nil, err

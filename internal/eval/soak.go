@@ -82,7 +82,7 @@ func soakAdmitConfig() admit.Config {
 // newSoakController attaches a gated admission controller to eng.
 func newSoakController(eng *core.Engine, o *obs.Observer) *admit.Controller {
 	ctrl := admit.New(eng, soakAdmitConfig())
-	ctrl.UsePlacer(admit.NewPlacer(admit.PlacerConfig{}))
+	ctrl.UsePlacer(admit.NewPlacer())
 	if o != nil {
 		ctrl.Observe(o)
 	}

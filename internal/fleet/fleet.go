@@ -21,9 +21,6 @@ type Config struct {
 	Shards int
 	// Seed drives the partitioner's refinement order.
 	Seed int64
-	// BalanceSlack and Passes tune the partitioner (0 = defaults).
-	BalanceSlack float64
-	Passes       int
 
 	// ShardWorkers is the number of shard sweeps run concurrently per round
 	// (0 = min(Shards, GOMAXPROCS), 1 = serial). Results are bitwise
@@ -42,11 +39,9 @@ type Config struct {
 	// invariant.
 	Engine core.Config
 
-	// LocalIters caps one shard sweep (0 = 400). LocalKKTTol, LocalWindow
-	// and Tol form the sweep's stopping rule (0 = KKTTol, 2, 1e-6).
-	LocalIters  int
-	LocalKKTTol float64
-	LocalWindow int
+	// LocalIters caps one shard sweep (0 = 400). Otherwise a sweep stops
+	// after window consecutive Steps certify at kktTol and tol.
+	LocalIters int
 	// LocalFreeze makes sweeps run to the bitwise frozen fixed point (every
 	// Step a no-op) instead of the KKT window — the mode the bitwise
 	// single-engine equivalence tests use. It requires Engine.PriceSolver to
@@ -56,15 +51,6 @@ type Config struct {
 
 	// MaxRounds caps aggregator rounds (0 = 300).
 	MaxRounds int
-	// KKTTol bounds the worst shard-local KKT residual at certification
-	// (0 = 1e-6); Tol bounds constraint violations (0 = 1e-6); BoundaryTol
-	// bounds the boundary residual — relative overload and relative price
-	// movement (0 = 1e-6). Window is how many consecutive rounds must
-	// certify (0 = 2).
-	KKTTol      float64
-	Tol         float64
-	BoundaryTol float64
-	Window      int
 
 	// WireVerify routes every PRICE_AGG broadcast and BOUNDARY demand
 	// report through an encode/decode round trip of the binary wire codec,
@@ -81,38 +67,33 @@ type Config struct {
 	Observer *obs.Observer
 }
 
+// The fleet's stopping rule. A round certifies when the worst shard-local
+// KKT residual is below kktTol, every shard's constraint violations below
+// tol, and the boundary residual — relative overload and relative price
+// movement — below boundaryTol; the run converges after window consecutive
+// certified rounds. A shard sweep uses the same kktTol, tol and window over
+// its Steps.
+const (
+	kktTol      = 1e-6
+	tol         = 1e-6
+	boundaryTol = 1e-6
+	window      = 2
+)
+
 // withDefaults fills the zero values.
 func (c Config) withDefaults() Config {
 	if c.LocalIters == 0 {
 		c.LocalIters = 400
 	}
-	if c.KKTTol == 0 {
-		c.KKTTol = 1e-6
-	}
-	if c.LocalKKTTol == 0 {
-		c.LocalKKTTol = c.KKTTol
-	}
-	if c.LocalWindow == 0 {
-		c.LocalWindow = 2
-	}
 	if c.MaxRounds == 0 {
 		c.MaxRounds = 300
-	}
-	if c.Tol == 0 {
-		c.Tol = 1e-6
-	}
-	if c.BoundaryTol == 0 {
-		c.BoundaryTol = 1e-6
-	}
-	if c.Window == 0 {
-		c.Window = 2
 	}
 	return c
 }
 
 // Result summarizes one fleet run.
 type Result struct {
-	// Converged reports whether the certification held for Window
+	// Converged reports whether the certification held for window
 	// consecutive rounds before MaxRounds.
 	Converged bool
 	// Rounds is the number of aggregator rounds executed; LocalIters the
@@ -240,10 +221,7 @@ func build(ck *workload.Checked, cfg Config) (*Fleet, error) {
 		return nil, fmt.Errorf("fleet: LocalFreeze needs the gradient price solver, shards run %s", s)
 	}
 	w := ck.Workload()
-	part, err := NewPartition(ck, PartitionConfig{
-		Shards: cfg.Shards, Seed: cfg.Seed,
-		BalanceSlack: cfg.BalanceSlack, Passes: cfg.Passes,
-	})
+	part, err := NewPartition(ck, PartitionConfig{Shards: cfg.Shards, Seed: cfg.Seed})
 	if err != nil {
 		return nil, err
 	}
@@ -510,17 +488,17 @@ func (f *Fleet) round() (roundInfo, error) {
 	}
 	feasible := true
 	for _, s := range f.shards {
-		if s.cert.MaxResourceViolation >= f.cfg.Tol || s.cert.MaxPathViolationFrac >= f.cfg.Tol {
+		if s.cert.MaxResourceViolation >= tol || s.cert.MaxPathViolationFrac >= tol {
 			feasible = false
 		}
 	}
 	f.publish(n, &ri)
-	if ri.kktMax < f.cfg.KKTTol && feasible && ri.boundary < f.cfg.BoundaryTol {
+	if ri.kktMax < kktTol && feasible && ri.boundary < boundaryTol {
 		f.stable++
 	} else {
 		f.stable = 0
 	}
-	ri.converged = f.stable >= f.cfg.Window
+	ri.converged = f.stable >= window
 
 	f.stats.Rounds++
 	f.stats.Swept += ri.swept
@@ -538,7 +516,7 @@ func (f *Fleet) round() (roundInfo, error) {
 // to run concurrently across distinct shards: it touches only the shard's
 // own engine and buffers.
 func (f *Fleet) sweepShard(s *shardRuntime) {
-	s.sweep(f.cfg.LocalIters, f.cfg.LocalFreeze, f.cfg.LocalKKTTol, f.cfg.LocalWindow, f.cfg.Tol)
+	s.sweep(f.cfg.LocalIters, f.cfg.LocalFreeze, kktTol, window, tol)
 	s.sweptEpoch = s.eng.PinEpoch()
 	s.refreshBoundary()
 }

@@ -29,7 +29,7 @@ func denseCertify(t *testing.T, what string, f *Fleet) {
 	inf := math.Inf(1)
 	for _, s := range f.shards {
 		c, _ := s.eng.Certify(inf, inf)
-		if !(c.KKTMax < f.cfg.KKTTol && c.MaxResourceViolation < f.cfg.Tol && c.MaxPathViolationFrac < f.cfg.Tol) {
+		if !(c.KKTMax < kktTol && c.MaxResourceViolation < tol && c.MaxPathViolationFrac < tol) {
 			t.Errorf("%s: shard %d fails the dense certificate: %+v", what, s.id, c)
 		}
 	}
@@ -40,7 +40,7 @@ func denseCertify(t *testing.T, what string, f *Fleet) {
 				demand += s.eng.ShareSumAt(lri)
 			}
 		}
-		if over := (demand - f.bavail[b]) / f.bavail[b]; !(over < f.cfg.BoundaryTol) {
+		if over := (demand - f.bavail[b]) / f.bavail[b]; !(over < boundaryTol) {
 			t.Errorf("%s: boundary resource %s overloaded by %v of its capacity", what, id, over)
 		}
 	}

@@ -35,12 +35,14 @@ type PartitionConfig struct {
 	// pure function of (incidence, config) — identical inputs produce
 	// identical partitions on every run and GOMAXPROCS setting.
 	Seed int64
-	// BalanceSlack bounds shard size: no shard exceeds
-	// ceil(numTasks/K * (1+BalanceSlack)). 0 means the default 0.2.
-	BalanceSlack float64
-	// Passes is the number of greedy refinement passes (0 = default 3).
-	Passes int
 }
+
+// balanceSlack bounds shard size: no shard exceeds
+// ceil(numTasks/K * (1+balanceSlack)).
+const balanceSlack = 0.2
+
+// refinePasses is the number of greedy refinement passes.
+const refinePasses = 3
 
 // Partition assigns every task to exactly one shard and identifies the
 // boundary resources — those receiving shares from tasks in more than one
@@ -76,11 +78,7 @@ func NewPartition(inc Incidence, cfg PartitionConfig) (*Partition, error) {
 		return nil, fmt.Errorf("fleet: cannot partition an empty problem")
 	}
 	k := min(cfg.Shards, n)
-	passes := cfg.Passes
-	if passes <= 0 {
-		passes = 3
-	}
-	capacity := balanceCap(n, k, cfg.BalanceSlack)
+	capacity := balanceCap(n, k)
 
 	// Contiguous-block initial assignment: task i -> shard i*k/n. Block
 	// sizes differ by at most one, so the balance cap holds from the start.
@@ -111,7 +109,7 @@ func NewPartition(inc Incidence, cfg PartitionConfig) (*Partition, error) {
 
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	order := rng.Perm(n)
-	for pass := 0; pass < passes; pass++ {
+	for pass := 0; pass < refinePasses; pass++ {
 		moved := 0
 		for _, i := range order {
 			s0 := assign[i]
@@ -202,13 +200,9 @@ func NewPartition(inc Incidence, cfg PartitionConfig) (*Partition, error) {
 	return p, nil
 }
 
-// balanceCap is the most tasks a shard may hold: ceil(n/k * (1+slack)), with
-// the default slack 0.2 for slack <= 0.
-func balanceCap(n, k int, slack float64) int {
-	if slack <= 0 {
-		slack = 0.2
-	}
-	return max(1, int(math.Ceil(float64(n)/float64(k)*(1+slack))))
+// balanceCap is the most tasks a shard may hold: ceil(n/k * (1+balanceSlack)).
+func balanceCap(n, k int) int {
+	return max(1, int(math.Ceil(float64(n)/float64(k)*(1+balanceSlack))))
 }
 
 // cutOf computes the cut cost and boundary resource list of an assignment,

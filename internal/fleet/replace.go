@@ -86,7 +86,7 @@ func (f *Fleet) ReplaceWorkload(w *workload.Workload) (ReplaceStats, error) {
 			}
 		}
 	}
-	capacity := balanceCap(n2, K, f.cfg.BalanceSlack)
+	capacity := balanceCap(n2, K)
 	// Placed tasks number fewer than n2 <= K*capacity, so some shard is always
 	// under the cap.
 	for _, ti := range fresh {

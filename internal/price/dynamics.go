@@ -139,10 +139,9 @@ type Dynamics struct {
 	newton bool
 	// base is the step policy's gamma: the start and post-congestion step,
 	// and the stability clamp's floor. With adaptive set, gamma[j] ramps by
-	// Ramp (capped at max) while coordinate j is congested; otherwise it
-	// stays at base.
-	base, max float64
-	adaptive  bool
+	// Ramp while coordinate j is congested; otherwise it stays at base.
+	base     float64
+	adaptive bool
 
 	// gamma[j] is coordinate j's current gradient step size.
 	gamma []float64
@@ -155,15 +154,15 @@ type Dynamics struct {
 	fallbacks uint64
 }
 
-// NewDynamics builds the named solver over the step policy (base gamma, ramp
-// cap max with 0 meaning DefaultAdaptiveMax, adaptive doubling on or off).
+// NewDynamics builds the named solver over the step policy (base gamma,
+// adaptive doubling on or off).
 // Unknown solvers panic: configurations are vetted through ParseSolver, so
 // reaching here with a bad name is a programming error.
-func NewDynamics(s Solver, base, max float64, adaptive bool) *Dynamics {
+func NewDynamics(s Solver, base float64, adaptive bool) *Dynamics {
 	if s != SolverGradient && s != SolverNewton {
 		panic(fmt.Sprintf("price: unknown solver %q", s))
 	}
-	return &Dynamics{newton: s == SolverNewton, base: base, max: max, adaptive: adaptive}
+	return &Dynamics{newton: s == SolverNewton, base: base, adaptive: adaptive}
 }
 
 // Solver identifies the update the dynamics runs.
@@ -272,7 +271,7 @@ func (d *Dynamics) StepAt(j int, mu, sum, avail, curv float64, cong bool) (float
 func (d *Dynamics) gradient(j int, mu, sum, avail float64, cong bool) (float64, bool) {
 	gamma := d.gamma[j]
 	if d.adaptive {
-		gamma = Ramp(gamma, d.base, d.max, cong)
+		gamma = Ramp(gamma, d.base, cong)
 	}
 	changed := gamma != d.gamma[j]
 	d.gamma[j] = gamma

@@ -9,7 +9,7 @@ import (
 // (adaptive doubling from base 1, price-scaled steps), Reset for n
 // coordinates.
 func newDyn(s Solver, n int) *Dynamics {
-	d := NewDynamics(s, 1, 0, true)
+	d := NewDynamics(s, 1, true)
 	d.Reset(n)
 	return d
 }
@@ -19,7 +19,7 @@ func newDyn(s Solver, n int) *Dynamics {
 // and apply Equation 8. It shares nothing with Dynamics but Ramp and
 // UpdateResource.
 func refGradient(gamma *float64, base, mu, avail, sum float64, cong bool) float64 {
-	*gamma = Ramp(*gamma, base, 0, cong)
+	*gamma = Ramp(*gamma, base, cong)
 	g := *gamma
 	if g < mu/2 {
 		g = mu / 2
@@ -67,7 +67,7 @@ func TestNewDynamicsPanicsOnUnknown(t *testing.T) {
 			t.Error("NewDynamics with an unvetted name must panic")
 		}
 	}()
-	NewDynamics("bogus", 1, 0, true)
+	NewDynamics("bogus", 1, true)
 }
 
 // TestGradientMatchesReference: the gradient dynamics is the reference
@@ -179,7 +179,7 @@ func TestAdaptiveResetAfterSaturation(t *testing.T) {
 // step size — every uncongested observation reverts to base, so the step
 // never exceeds 2x base.
 func TestAdaptiveAlternatingObserve(t *testing.T) {
-	a := NewDynamics(SolverGradient, 0.5, 0, true)
+	a := NewDynamics(SolverGradient, 0.5, true)
 	a.Reset(1)
 	for i := 0; i < 40; i++ {
 		congested := i%2 == 0
@@ -195,23 +195,24 @@ func TestAdaptiveAlternatingObserve(t *testing.T) {
 }
 
 // TestAdaptiveDoublingCapNearMax: a cap that is not a power-of-two multiple
-// of the base is still respected exactly — the ramp clamps at Max rather
-// than stepping over it, and stays pinned there while congestion persists.
+// of the base is still respected exactly — the ramp from base 3 clamps at
+// DefaultAdaptiveMax rather than stepping over it (768 → 1536), and stays
+// pinned there while congestion persists.
 func TestAdaptiveDoublingCapNearMax(t *testing.T) {
-	a := NewDynamics(SolverGradient, 1, 3, true)
+	a := NewDynamics(SolverGradient, 3, true)
 	a.Reset(1)
-	for i := 0; i < 10; i++ {
+	for i := 0; i < 20; i++ {
 		observe(a, true)
-		if a.Gamma(0) > 3 {
+		if a.Gamma(0) > DefaultAdaptiveMax {
 			t.Fatalf("observation %d stepped over the cap: %v", i, a.Gamma(0))
 		}
 	}
-	if a.Gamma(0) != 3 {
-		t.Errorf("saturated gamma = %v, want the exact cap 3", a.Gamma(0))
+	if a.Gamma(0) != DefaultAdaptiveMax {
+		t.Errorf("saturated gamma = %v, want the exact cap %v", a.Gamma(0), DefaultAdaptiveMax)
 	}
 	observe(a, false)
-	if a.Gamma(0) != 1 {
-		t.Errorf("uncongested reversion = %v, want base 1", a.Gamma(0))
+	if a.Gamma(0) != 3 {
+		t.Errorf("uncongested reversion = %v, want base 3", a.Gamma(0))
 	}
 }
 

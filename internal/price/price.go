@@ -45,27 +45,23 @@ func UpdatePath(lambda, gamma, pathLatMs, criticalMs float64) float64 {
 	return next
 }
 
-// DefaultAdaptiveMax bounds the adaptive step size when no explicit cap is
-// configured.
+// DefaultAdaptiveMax caps the adaptive step size.
 const DefaultAdaptiveMax = 1024
 
 // Ramp is the paper's adaptive heuristic (Section 5.2) on a bare step size:
 // the size that follows cur given this iteration's congestion state — doubled
-// (capped at max, 0 meaning DefaultAdaptiveMax) while congested, back to base
+// (capped at DefaultAdaptiveMax) while congested, back to base
 // otherwise. Fast multiplicative ramping escapes congestion quickly, and the
 // reversion restores the fine-grained updates needed to settle on the
 // convergence point.
 // Dynamics keeps its resource step sizes, and the task controllers their
 // path step sizes, in flat arrays and call it directly.
-func Ramp(cur, base, max float64, congested bool) float64 {
+func Ramp(cur, base float64, congested bool) float64 {
 	if !congested {
 		return base
 	}
-	if max == 0 {
-		max = DefaultAdaptiveMax
-	}
-	if cur *= 2; cur > max {
-		cur = max
+	if cur *= 2; cur > DefaultAdaptiveMax {
+		cur = DefaultAdaptiveMax
 	}
 	return cur
 }

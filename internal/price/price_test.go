@@ -68,7 +68,7 @@ func TestUpdateProperties(t *testing.T) {
 // TestFixedStepSizer: under a fixed step policy the step size never moves,
 // congested or not, and Reset leaves it where it was.
 func TestFixedStepSizer(t *testing.T) {
-	f := NewDynamics(SolverGradient, 2.5, 0, false)
+	f := NewDynamics(SolverGradient, 2.5, false)
 	f.Reset(1)
 	if f.Gamma(0) != 2.5 {
 		t.Errorf("Gamma = %v, want 2.5", f.Gamma(0))
@@ -101,27 +101,26 @@ func TestAdaptiveDoublesWhileCongested(t *testing.T) {
 	}
 }
 
+// TestAdaptiveCap: ten doublings take base 1 exactly to the cap, and further
+// congestion leaves it there.
 func TestAdaptiveCap(t *testing.T) {
-	a := NewDynamics(SolverGradient, 1, 4, true)
-	a.Reset(1)
-	for i := 0; i < 10; i++ {
-		observe(a, true)
-	}
-	if a.Gamma(0) != 4 {
-		t.Errorf("Gamma = %v, want capped at 4", a.Gamma(0))
-	}
-	// Default cap applies when max is zero.
 	d := newDyn(SolverGradient, 1)
-	for i := 0; i < 40; i++ {
+	for i := 0; i < 10; i++ {
 		observe(d, true)
 	}
 	if d.Gamma(0) != DefaultAdaptiveMax {
-		t.Errorf("Gamma = %v, want default cap %v", d.Gamma(0), DefaultAdaptiveMax)
+		t.Errorf("Gamma after 10 doublings = %v, want the cap %v", d.Gamma(0), DefaultAdaptiveMax)
+	}
+	for i := 0; i < 30; i++ {
+		observe(d, true)
+	}
+	if d.Gamma(0) != DefaultAdaptiveMax {
+		t.Errorf("Gamma = %v, want capped at %v", d.Gamma(0), DefaultAdaptiveMax)
 	}
 }
 
 func TestAdaptiveReset(t *testing.T) {
-	a := NewDynamics(SolverGradient, 0.5, 0, true)
+	a := NewDynamics(SolverGradient, 0.5, true)
 	a.Reset(1)
 	observe(a, true)
 	a.Reset(1)

@@ -1,6 +1,9 @@
 package price
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Checkpoint support (DESIGN.md §13). A Dynamics is part of the engine's
 // observable state: the adaptive step sizes and Newton's safeguard both
@@ -34,9 +37,10 @@ func CaptureDynamics(d *Dynamics) DynamicsState {
 
 // RestoreDynamics loads a captured snapshot into a freshly Reset Dynamics of
 // the same solver and coordinate count. Solver or shape mismatches are
-// errors — a restore must be exact or refused, never approximate. A fixed
-// step policy accepts only its own gamma: a mismatch means the checkpoint
-// was taken under a different configuration.
+// errors — a restore must be exact or refused, never approximate — and so
+// is a step size that is not positive and finite. A fixed step policy
+// accepts only its own gamma: a mismatch means the checkpoint was taken
+// under a different configuration.
 func RestoreDynamics(d *Dynamics, st DynamicsState) error {
 	if d == nil {
 		return fmt.Errorf("price: cannot restore %s state into a nil Dynamics", st.Solver)
@@ -48,11 +52,12 @@ func RestoreDynamics(d *Dynamics, st DynamicsState) error {
 	if len(st.Gammas) != n {
 		return fmt.Errorf("price: restore has %d step gammas, solver has %d coordinates", len(st.Gammas), n)
 	}
-	if !d.adaptive {
-		for j, g := range st.Gammas {
-			if g != d.base {
-				return fmt.Errorf("price: coordinate %d: fixed step %v cannot restore gamma %v", j, d.base, g)
-			}
+	for j, g := range st.Gammas {
+		if !(g > 0 && g <= math.MaxFloat64) {
+			return fmt.Errorf("price: coordinate %d: step size %v is not positive and finite", j, g)
+		}
+		if !d.adaptive && g != d.base {
+			return fmt.Errorf("price: coordinate %d: fixed step %v cannot restore gamma %v", j, d.base, g)
 		}
 	}
 	if d.newton {

@@ -31,7 +31,7 @@ func driveDynamics(d *Dynamics, rounds int) []float64 {
 // testDyn builds the named solver with adaptive steps from base 0.1, Reset
 // for n coordinates.
 func testDyn(s Solver, n int) *Dynamics {
-	d := NewDynamics(s, 0.1, 0, true)
+	d := NewDynamics(s, 0.1, true)
 	d.Reset(n)
 	return d
 }
@@ -111,7 +111,7 @@ func TestRestoreDynamicsRejectsMismatch(t *testing.T) {
 // on restore and refuses any other value.
 func TestRestoreFixedSizerMismatch(t *testing.T) {
 	fixed := func() *Dynamics {
-		d := NewDynamics(SolverGradient, 0.25, 0, false)
+		d := NewDynamics(SolverGradient, 0.25, false)
 		d.Reset(2)
 		return d
 	}

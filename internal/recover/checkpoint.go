@@ -106,18 +106,6 @@ func Restore(cp *Checkpoint, cfg core.Config) (*core.Engine, error) {
 	return eng, nil
 }
 
-// WorkloadHash returns the identity hash of the checkpoint's workload: the
-// SHA-256 of its canonical JSON encoding (deterministic — the encoder emits
-// slices in compiled order, never map order). Nodes compare it to fence a
-// coordinator restored from a checkpoint of a different workload.
-func (cp *Checkpoint) WorkloadHash() ([32]byte, error) {
-	b, err := json.Marshal(cp.Workload)
-	if err != nil {
-		return [32]byte{}, fmt.Errorf("recover: hashing workload: %w", err)
-	}
-	return sha256.Sum256(b), nil
-}
-
 // Encode serializes the checkpoint: envelope, payload, checksum.
 func (cp *Checkpoint) Encode() ([]byte, error) {
 	wj, err := json.Marshal(cp.Workload)

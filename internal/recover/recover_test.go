@@ -1,7 +1,10 @@
 package recover
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -57,10 +60,10 @@ func TestCheckpointRoundTrip(t *testing.T) {
 			if dec.Epoch != 3 || dec.Seed != 42 || !dec.Converged || dec.Solver != solver {
 				t.Fatalf("metadata did not round-trip: %+v", dec)
 			}
-			h1, _ := cp.WorkloadHash()
-			h2, _ := dec.WorkloadHash()
-			if h1 != h2 {
-				t.Fatal("workload hash changed across the round trip")
+			j1, err1 := json.Marshal(cp.Workload)
+			j2, err2 := json.Marshal(dec.Workload)
+			if err1 != nil || err2 != nil || !bytes.Equal(j1, j2) {
+				t.Fatalf("workload changed across the round trip (%v, %v)", err1, err2)
 			}
 			restored, err := Restore(dec, core.Config{Workers: 4})
 			if err != nil {
@@ -140,6 +143,28 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	}
 	if _, err := Decode(append(append([]byte(nil), b...), 0xAA)); err == nil {
 		t.Fatal("trailing garbage decoded successfully")
+	}
+}
+
+// TestRestoreRefusesNonFiniteState: a checkpoint whose CRC is valid but
+// whose state holds a NaN price, an infinite latency and a negative step
+// size encodes and decodes, and Restore refuses it.
+func TestRestoreRefusesNonFiniteState(t *testing.T) {
+	cp := Capture(newRunEngine(t, price.SolverNewton, 10), CaptureOptions{})
+	cp.Engine.Mu[0] = math.NaN()
+	cp.Engine.LatMs[0][0] = math.Inf(1)
+	cp.Engine.Dyn.Gammas[1] = -3
+	b, err := cp.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec, err := Decode(b)
+	if err != nil {
+		t.Fatalf("Decode: %v", err)
+	}
+	if eng, err := Restore(dec, core.Config{Workers: 1, PriceSolver: price.SolverNewton}); err == nil {
+		eng.Close()
+		t.Fatal("Restore resumed a non-finite checkpoint")
 	}
 }
 

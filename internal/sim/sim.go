@@ -37,12 +37,6 @@ type Config struct {
 	// ExecJitterFrac in [0,1) makes actual job demand uniform in
 	// [(1-frac)·WCET, WCET]; zero means every job takes its WCET.
 	ExecJitterFrac float64
-	// NoBackgroundLoad disables the always-backlogged background flow that
-	// models reserved capacity (1 - B_r), e.g. the prototype's Metronome GC
-	// share. By default the reservation is simulated.
-	NoBackgroundLoad bool
-	// SampleCap bounds the latency reservoirs (default 8192).
-	SampleCap int
 }
 
 func (c Config) withDefaults() Config {
@@ -52,15 +46,16 @@ func (c Config) withDefaults() Config {
 	if c.QuantumMs == 0 {
 		c.QuantumMs = 5
 	}
-	if c.SampleCap == 0 {
-		c.SampleCap = 8192
-	}
 	return c
 }
 
-// backgroundFlow is the reserved flow id modelling (1 - B_r); subtask flows
-// are numbered from 0.
+// backgroundFlow is the reserved flow id of the always-backlogged background
+// load that models a resource's reserved capacity (1 - B_r), e.g. the
+// prototype's Metronome GC share; subtask flows are numbered from 0.
 const backgroundFlow = 1 << 20
+
+// sampleCap bounds the latency reservoirs.
+const sampleCap = 8192
 
 // Sim simulates a workload under a given share assignment.
 type Sim struct {
@@ -133,7 +128,7 @@ func New(w *workload.Workload, cfg Config) (*Sim, error) {
 		}
 		s.servers = append(s.servers, &server{s: sc})
 		s.resIdx[r.ID] = ri
-		if !cfg.NoBackgroundLoad && r.Availability < 1 {
+		if r.Availability < 1 {
 			sc.SetWeight(0, backgroundFlow, 1-r.Availability)
 			s.feedBackground(ri)
 		}
@@ -150,13 +145,13 @@ func New(w *workload.Workload, cfg Config) (*Sim, error) {
 			flows[si] = counts[ri]
 			counts[ri]++
 			srvs[si] = ri
-			lats[si] = stats.NewReservoir(cfg.SampleCap)
+			lats[si] = stats.NewReservoir(sampleCap)
 		}
 		s.flowOf = append(s.flowOf, flows)
 		s.srvOf = append(s.srvOf, srvs)
 		s.shares = append(s.shares, shr)
 		s.subLat = append(s.subLat, lats)
-		s.taskLat = append(s.taskLat, stats.NewReservoir(cfg.SampleCap))
+		s.taskLat = append(s.taskLat, stats.NewReservoir(sampleCap))
 		s.releasedSets = append(s.releasedSets, 0)
 		s.completedSets = append(s.completedSets, 0)
 		s.deadlineMisses = append(s.deadlineMisses, 0)

@@ -145,8 +145,8 @@ func TestSimBackgroundReservationThrottles(t *testing.T) {
 	if got := lat.Quantile(0.5); math.Abs(got-4) > 0.05 {
 		t.Errorf("median latency = %v, want 4 (rate 0.5)", got)
 	}
-	// NoBackgroundLoad disables the reservation.
-	s2, err := New(singleSubtaskWorkload(0.5, 20), Config{Scheduler: GPS, Seed: 1, NoBackgroundLoad: true})
+	// The same subtask with nothing reserved (B=1: no background flow).
+	s2, err := New(singleSubtaskWorkload(1, 20), Config{Scheduler: GPS, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -171,9 +171,6 @@ func NewClosedLoop(w *Workload, engineCfg Config, simCfg SimConfig, cfg ClosedLo
 	return closedloop.New(w, engineCfg, simCfg, cfg)
 }
 
-// CorrectorConfig parametrizes NewCorrector.
-type CorrectorConfig = errcorr.Config
-
 // NewCorrector builds the online additive model-error corrector (Section
 // 6.3).
 var NewCorrector = errcorr.New
@@ -215,13 +212,11 @@ type (
 	// AdmissionController screens and enacts arriving/departing tasks over
 	// a live engine.
 	AdmissionController = admit.Controller
-	// AdmissionConfig tunes the admission gates (headroom, overcommit,
-	// cost-benefit bound, trial budgets, quarantine backoff).
+	// AdmissionConfig sets the trial budget and the admit-everything
+	// baseline; the gates' bounds and the quarantine backoff are constants.
 	AdmissionConfig = admit.Config
 	// AdmissionDecision is one entry of the controller's decision log.
 	AdmissionDecision = admit.Decision
-	// PlacerConfig tunes placement and rebalance triggers.
-	PlacerConfig = admit.PlacerConfig
 	// PlacedCandidate is a task offered for placed admission: advisory
 	// bindings plus per-subtask candidate resource sets.
 	PlacedCandidate = admit.Candidate

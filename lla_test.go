@@ -158,11 +158,7 @@ func TestFacadePaperWorkloads(t *testing.T) {
 }
 
 func TestFacadeCorrector(t *testing.T) {
-	c, err := lla.NewCorrector(lla.CorrectorConfig{MinSamples: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.ErrMs() != 0 {
+	if c := lla.NewCorrector(); c.ErrMs() != 0 {
 		t.Error("fresh corrector should report zero")
 	}
 }
