@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 
 	"lla/internal/core"
 	"lla/internal/obs"
@@ -22,11 +23,11 @@ type Config struct {
 	// Seed drives the partitioner's refinement order.
 	Seed int64
 
-	// ShardWorkers is the number of shard sweeps run concurrently per round
+	// ShardWorkers is the number of shards built and swept concurrently
 	// (0 = min(Shards, GOMAXPROCS), 1 = serial). Results are bitwise
-	// identical at every setting: sweeps touch disjoint shard state and the
-	// boundary reduction over their results is serial in ascending shard
-	// order, so the schedule cannot reach the arithmetic (SHARDING.md).
+	// identical at every setting: builds and sweeps touch disjoint shard
+	// state and the boundary reduction over the sweeps is serial in ascending
+	// shard order, so the schedule cannot reach the arithmetic (SHARDING.md).
 	ShardWorkers int
 
 	// Engine configures every shard engine (zero value = paper defaults).
@@ -98,8 +99,7 @@ type Result struct {
 	Converged bool
 	// Rounds is the number of aggregator rounds executed; LocalIters the
 	// total shard engine iterations they consumed.
-	Rounds     int
-	LocalIters int
+	Rounds, LocalIters int
 	// SweptShards and SkippedShards total, over the run's rounds, the shard
 	// sweeps executed and the sweeps skipped because the shard sat at a
 	// proven fixed point under unchanged pinned prices. ShardWorkers is the
@@ -134,8 +134,7 @@ type Stats struct {
 	// Rounds is the number of aggregator rounds executed so far.
 	Rounds int
 	// Swept and Skipped count shard sweeps executed and skipped.
-	Swept   int
-	Skipped int
+	Swept, Skipped int
 }
 
 // Fleet is the hierarchical runtime: K shard engines under one boundary
@@ -154,10 +153,10 @@ type Fleet struct {
 	shards []*shardRuntime
 	taskAt map[string]int
 
-	// workers is the resolved sweep concurrency; pool the persistent sweep
-	// workers and sweepDue the bound function they call, created lazily on
-	// the first round that can use them (so a fleet that is built and
-	// discarded, or runs serial, spawns nothing).
+	// workers is the resolved shard concurrency; pool, created on first use
+	// by run, the one set of workers-1 parked goroutines that builds shard
+	// engines (New, ReplaceWorkload) and sweeps them; sweepDue the bound
+	// sweep function, created on the first round.
 	workers  int
 	pool     *par.Pool
 	sweepDue func(int)
@@ -208,10 +207,41 @@ func New(w *workload.Workload, cfg Config) (*Fleet, error) {
 	return build(ck, cfg)
 }
 
-// shardEngine builds shard s's engine over tasks taskIdx of ck's workload
-// from the proof's projection: validated once, at the fleet.
-func (f *Fleet) shardEngine(ck *workload.Checked, s int, taskIdx []int) (*core.Engine, error) {
-	return core.NewEngineChecked(ck.Project(fmt.Sprintf("%s/shard%d", ck.Workload().Name, s), taskIdx), f.shardCfg)
+// buildShards builds on the fleet's pool the engine of each shard s with
+// only[s] (nil: all) over tasks[s], projected from the proof, and carries
+// f's donors into it when prev is non-nil. A job writes only its own slot; on
+// failure every engine built is closed and the lowest shard's error returned.
+func (f *Fleet) buildShards(ck *workload.Checked, tasks [][]int, only []bool, prev []int) ([]*core.Engine, error) {
+	engines, errs := make([]*core.Engine, len(tasks)), make([]error, len(tasks))
+	f.run(len(tasks), func(s int) {
+		if only != nil && !only[s] {
+			return
+		}
+		eng, err := core.NewEngineChecked(ck.Project(fmt.Sprintf("%s/shard%d", ck.Workload().Name, s), tasks[s]), f.shardCfg)
+		if err == nil && prev != nil {
+			eng.CarryFrom(f.donors(s, tasks[s], prev)...)
+		}
+		engines[s], errs[s] = eng, err
+	})
+	for s, err := range errs {
+		if err != nil {
+			for _, eng := range engines {
+				if eng != nil {
+					eng.Close()
+				}
+			}
+			return nil, fmt.Errorf("fleet: building shard %d: %w", s, err)
+		}
+	}
+	return engines, nil
+}
+
+// run calls fn(0) … fn(n-1) on the fleet's pool, created on first use.
+func (f *Fleet) run(n int, fn func(int)) {
+	if f.pool == nil {
+		f.pool = par.New(f.workers - 1)
+	}
+	f.pool.Run(n, fn)
 }
 
 // build is New on a workload that has already been checked.
@@ -241,12 +271,12 @@ func build(ck *workload.Checked, cfg Config) (*Fleet, error) {
 		f.shardCfg.Workers = max(1, runtime.GOMAXPROCS(0)/f.workers)
 	}
 
-	for s := 0; s < part.Shards; s++ {
-		eng, err := f.shardEngine(ck, s, part.ShardTasks[s])
-		if err != nil {
-			f.Close()
-			return nil, fmt.Errorf("fleet: building shard %d: %w", s, err)
-		}
+	engines, err := f.buildShards(ck, part.ShardTasks, nil, nil)
+	if err != nil {
+		f.Close()
+		return nil, err
+	}
+	for s, eng := range engines {
 		f.shards = append(f.shards, &shardRuntime{id: s, eng: eng})
 	}
 
@@ -341,9 +371,6 @@ func (f *Fleet) Partition() *Partition { return f.part }
 // Shards returns the effective shard count.
 func (f *Fleet) Shards() int { return len(f.shards) }
 
-// ShardWorkers returns the resolved sweep concurrency.
-func (f *Fleet) ShardWorkers() int { return f.workers }
-
 // Stats returns the fleet's lifetime round and sweep counters.
 func (f *Fleet) Stats() Stats { return f.stats }
 
@@ -351,14 +378,14 @@ func (f *Fleet) Stats() Stats { return f.stats }
 // against the single-engine reference).
 func (f *Fleet) Engine(s int) *core.Engine { return f.shards[s].eng }
 
-// Close retires the sweep pool and every shard engine's worker pool. The
-// fleet remains usable: pools respawn lazily on the next parallel round. A
+// Close retires the fleet's pool and every shard engine's worker pool. The
+// fleet remains usable: pools respawn lazily on their next parallel use. A
 // fleet dropped without Close leaks nothing either — each pool's finalizer
 // retires its workers.
 func (f *Fleet) Close() {
 	if f.pool != nil {
 		f.pool.Close()
-		f.pool, f.sweepDue = nil, nil
+		f.pool = nil
 	}
 	for _, s := range f.shards {
 		s.eng.Close()
@@ -422,13 +449,11 @@ func (f *Fleet) Round() (bool, error) {
 
 // roundInfo is one round's outcome.
 type roundInfo struct {
-	iters   int
-	swept   int
-	skipped int
-	kktMax  float64
-	// boundary is the round's boundary residual.
-	boundary  float64
-	converged bool
+	iters, swept, skipped int
+	// kktMax is the worst shard-local KKT residual, boundary the round's
+	// boundary residual.
+	kktMax, boundary float64
+	converged        bool
 }
 
 // round runs one aggregator round: decide the active set, sweep it,
@@ -452,19 +477,12 @@ func (f *Fleet) round() (roundInfo, error) {
 			ri.swept++
 		}
 	}
-	if f.workers > 1 && len(f.due) > 1 {
-		// Determinism does not depend on the schedule: each sweep reads and
-		// writes only its own shard's engine and buffers.
-		if f.pool == nil {
-			f.pool = par.New(f.workers - 1)
-			f.sweepDue = func(i int) { f.sweepShard(f.due[i]) }
-		}
-		f.pool.Run(len(f.due), f.sweepDue)
-	} else {
-		for _, s := range f.due {
-			f.sweepShard(s)
-		}
+	// Determinism does not depend on the schedule: each sweep reads and
+	// writes only its own shard's engine and buffers.
+	if f.sweepDue == nil {
+		f.sweepDue = func(i int) { f.sweepShard(f.due[i]) }
 	}
+	f.run(len(f.due), f.sweepDue)
 	// Serial reduction in ascending shard order, regardless of the sweep
 	// schedule — the fleet's bitwise worker-count invariance.
 	for _, s := range f.due {
@@ -474,24 +492,17 @@ func (f *Fleet) round() (roundInfo, error) {
 	if err := f.aggregate(n); err != nil {
 		return ri, err
 	}
+	ri.kktMax, ri.boundary = f.residuals()
 	if f.cfg.RecordHashes {
 		hashes := make([]uint64, len(f.shards))
 		for i, s := range f.shards {
 			hashes[i] = s.stateHash()
 		}
-		f.hashLog = append(f.hashLog, hashes)
+		f.hashLog, f.residLog = append(f.hashLog, hashes), append(f.residLog, ri.boundary)
 	}
-
-	ri.kktMax, ri.boundary = f.residuals()
-	if f.cfg.RecordHashes {
-		f.residLog = append(f.residLog, ri.boundary)
-	}
-	feasible := true
-	for _, s := range f.shards {
-		if s.cert.MaxResourceViolation >= tol || s.cert.MaxPathViolationFrac >= tol {
-			feasible = false
-		}
-	}
+	feasible := !slices.ContainsFunc(f.shards, func(s *shardRuntime) bool {
+		return s.cert.MaxResourceViolation >= tol || s.cert.MaxPathViolationFrac >= tol
+	})
 	f.publish(n, &ri)
 	if ri.kktMax < kktTol && feasible && ri.boundary < boundaryTol {
 		f.stable++

@@ -4,6 +4,7 @@ import (
 	"math"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"lla/internal/core"
@@ -12,45 +13,95 @@ import (
 )
 
 // TestFleetShardWorkersBitwiseInvariant is the parallel-rounds determinism
-// property: at every sweep concurrency — serial, partial, full, and
+// property: at every shard concurrency — serial, partial, full, and
 // over-provisioned — the fleet produces bitwise-identical per-round shard
-// hashes, boundary residual series, and round counts. Sweeps touch disjoint
-// shard state and the boundary reduction is serial in ascending shard
-// order, so the schedule cannot reach the arithmetic.
+// hashes, boundary residual series, and round counts, cold and after a
+// ReplaceWorkload whose dirty shards are rebuilt and warm-started
+// concurrently. Builds and sweeps touch disjoint shard state and the boundary
+// reduction is serial in ascending shard order, so the schedule cannot reach
+// the arithmetic.
 func TestFleetShardWorkersBitwiseInvariant(t *testing.T) {
 	const shards = 4
 	for _, seed := range []int64{31, 47} {
 		w := clusteredWorkload(t, seed, 0.25)
-		var ref Result
+		var ref, refWarm Result
+		var refCarried []uint64
+		var refStats ReplaceStats
 		for i, workers := range []int{1, 2, shards, shards + 3} {
 			f, err := New(w, Config{Shards: shards, Seed: 5, ShardWorkers: workers, RecordHashes: true})
 			if err != nil {
 				t.Fatalf("seed %d workers %d: New: %v", seed, workers, err)
 			}
 			res, err := f.Run()
-			f.Close()
 			if err != nil {
+				f.Close()
 				t.Fatalf("seed %d workers %d: Run: %v", seed, workers, err)
 			}
-			if !res.Converged {
-				t.Fatalf("seed %d workers %d: did not converge in %d rounds", seed, workers, res.Rounds)
+			// Churn: tighten the first task of shards 0 and 1 by 10%.
+			w2 := w.Clone()
+			for s := 0; s < 2; s++ {
+				w2.Tasks[f.Partition().ShardTasks[s][0]].CriticalMs *= 0.9
+			}
+			st, err := f.ReplaceWorkload(w2)
+			if err != nil {
+				f.Close()
+				t.Fatalf("seed %d workers %d: ReplaceWorkload: %v", seed, workers, err)
+			}
+			carried := make([]uint64, f.Shards())
+			for s, sr := range f.shards {
+				carried[s] = sr.stateHash()
+			}
+			warm, err := f.Run()
+			f.Close()
+			if err != nil {
+				t.Fatalf("seed %d workers %d: warm Run: %v", seed, workers, err)
+			}
+			if !res.Converged || !warm.Converged {
+				t.Fatalf("seed %d workers %d: did not converge (%d, %d rounds)", seed, workers, res.Rounds, warm.Rounds)
+			}
+			if st.Full || st.Rebuilt < 2 {
+				t.Fatalf("seed %d workers %d: replace %+v, want >= 2 shards rebuilt incrementally", seed, workers, st)
 			}
 			if i == 0 {
-				ref = res
+				ref, refWarm, refCarried, refStats = res, warm, carried, st
 				continue
 			}
-			if res.Rounds != ref.Rounds {
-				t.Fatalf("seed %d workers %d: %d rounds, serial took %d", seed, workers, res.Rounds, ref.Rounds)
+			if st != refStats {
+				t.Fatalf("seed %d workers %d: replace %+v, serial %+v", seed, workers, st, refStats)
 			}
-			if !reflect.DeepEqual(res.ShardHashes, ref.ShardHashes) {
-				t.Fatalf("seed %d workers %d: shard hashes diverged from serial", seed, workers)
+			if !reflect.DeepEqual(carried, refCarried) {
+				t.Fatalf("seed %d workers %d: carried shard hashes diverged from serial", seed, workers)
 			}
-			if !reflect.DeepEqual(res.BoundaryResiduals, ref.BoundaryResiduals) {
-				t.Fatalf("seed %d workers %d: boundary residual series diverged from serial", seed, workers)
+			for _, run := range []struct {
+				name     string
+				got, ref Result
+			}{{"cold", res, ref}, {"warm", warm, refWarm}} {
+				got, ref := run.got, run.ref
+				if got.Rounds != ref.Rounds {
+					t.Fatalf("seed %d workers %d %s: %d rounds, serial took %d", seed, workers, run.name, got.Rounds, ref.Rounds)
+				}
+				if !reflect.DeepEqual(got.ShardHashes, ref.ShardHashes) {
+					t.Fatalf("seed %d workers %d %s: shard hashes diverged from serial", seed, workers, run.name)
+				}
+				if !reflect.DeepEqual(got.BoundaryResiduals, ref.BoundaryResiduals) {
+					t.Fatalf("seed %d workers %d %s: boundary residual series diverged from serial", seed, workers, run.name)
+				}
+				if got.LocalIters != ref.LocalIters {
+					t.Fatalf("seed %d workers %d %s: %d local iters, serial %d", seed, workers, run.name, got.LocalIters, ref.LocalIters)
+				}
 			}
-			if res.LocalIters != ref.LocalIters {
-				t.Fatalf("seed %d workers %d: %d local iters, serial %d", seed, workers, res.LocalIters, ref.LocalIters)
-			}
+		}
+	}
+}
+
+// TestFleetBuildErrorNamesLowestShard: when every shard engine fails to build
+// concurrently, New reports shard 0's error, whatever the schedule.
+func TestFleetBuildErrorNamesLowestShard(t *testing.T) {
+	w := clusteredWorkload(t, 31, 0.25)
+	for run := 0; run < 20; run++ {
+		_, err := New(w, Config{Shards: 4, ShardWorkers: 4, Engine: core.Config{PriceSolver: "bogus"}})
+		if err == nil || !strings.Contains(err.Error(), "building shard 0:") {
+			t.Fatalf("run %d: New gave %v, want shard 0's build error", run, err)
 		}
 	}
 }

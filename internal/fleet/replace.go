@@ -17,11 +17,9 @@ type ReplaceStats struct {
 	// Rebuilt and Reused count shards that got a new (warm-started) engine
 	// versus shards whose engine — including its converged state and
 	// skippability — survived untouched.
-	Rebuilt int
-	Reused  int
+	Rebuilt, Reused int
 	// Added and Removed count tasks that joined and left.
-	Added   int
-	Removed int
+	Added, Removed int
 	// BoundaryCount and CutCost describe the post-churn partition.
 	BoundaryCount int
 	CutCost       int
@@ -137,30 +135,22 @@ func (f *Fleet) ReplaceWorkload(w *workload.Workload) (ReplaceStats, error) {
 			slices.ContainsFunc(shardTasks2[s], func(ti int) bool { return taskDirty[ti] })
 	}
 
-	// Build the dirty shards' replacement engines, warm-started from the
-	// old engine of the same shard first, then (ascending) the old shards
-	// of any surviving tasks that moved in. Old engines stay alive as
-	// donors until every carry is done.
-	newEngines := make([]*core.Engine, K)
-	rebuilt := 0
-	for s := 0; s < K; s++ {
-		if !dirty[s] {
-			continue
-		}
-		eng, err := f.shardEngine(ck2, s, shardTasks2[s])
-		if err != nil {
-			return ReplaceStats{}, fmt.Errorf("fleet: rebuilding shard %d: %w", s, err)
-		}
-		eng.CarryFrom(f.donors(s, shardTasks2[s], prev)...)
-		newEngines[s] = eng
-		rebuilt++
+	// Build the dirty shards' replacement engines on the fleet's pool,
+	// warm-started from the old engine of the same shard first, then
+	// (ascending) the old shards of any surviving tasks that moved in. Old
+	// engines stay alive as donors until every carry is done.
+	newEngines, err := f.buildShards(ck2, shardTasks2, dirty, prev)
+	if err != nil {
+		return ReplaceStats{}, err
 	}
 
 	// Swap in the rebuilt engines, then bind the new cut's boundary on every
 	// shard: surviving boundary resources keep the aggregator's iterate,
 	// promoted interior resources adopt their current engine price.
+	rebuilt := 0
 	for s, eng := range newEngines {
 		if sr := f.shards[s]; eng != nil {
+			rebuilt++
 			sr.eng.Close()
 			sr.eng, sr.localRi, sr.slot = eng, nil, nil
 			sr.atRest, sr.sweptEpoch, sr.iters = false, 0, 0

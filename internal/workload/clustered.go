@@ -2,8 +2,13 @@ package workload
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
+	"runtime"
+	"slices"
 
+	"lla/internal/par"
+	"lla/internal/task"
 	"lla/internal/utility"
 )
 
@@ -79,9 +84,10 @@ func DefaultClusteredConfig(seed int64) ClusteredConfig {
 
 // Clustered generates a deterministic clustered workload. Each cluster is a
 // Random workload over a private resource pool, scaled up with Replicate and
-// renamed with a cluster prefix; clusters are then merged and a seeded
-// CrossFraction of tasks have one subtask rewired onto the next cluster's
-// resources. Identical configs always produce identical workloads.
+// named with its "c<k>-" prefix in one pass; clusters generate concurrently
+// and are concatenated in cluster order, so the schedule cannot reach the
+// result. A seeded CrossFraction of tasks then have one subtask rewired onto
+// the next cluster's resources. Identical configs give identical workloads.
 func Clustered(cfg ClusteredConfig) (*Workload, error) {
 	if cfg.Clusters < 1 {
 		return nil, fmt.Errorf("workload: Clusters must be >= 1, got %d", cfg.Clusters)
@@ -93,17 +99,10 @@ func Clustered(cfg ClusteredConfig) (*Workload, error) {
 		return nil, fmt.Errorf("workload: CrossFraction must be in [0,1], got %v", cfg.CrossFraction)
 	}
 
-	out := &Workload{
-		Name:   fmt.Sprintf("clustered-seed%d-k%d", cfg.Seed, cfg.Clusters),
-		Curves: make(map[string]utility.Curve),
-	}
-	// clusterRes[c] lists the resource IDs owned by cluster c, in generation
-	// order, for the rewiring pass below.
-	clusterRes := make([][]string, cfg.Clusters)
-	// taskCluster[i] is the cluster of out.Tasks[i].
-	var taskCluster []int
-
-	for c := 0; c < cfg.Clusters; c++ {
+	parts, errs := make([]*Workload, cfg.Clusters), make([]error, cfg.Clusters)
+	pool := par.New(runtime.GOMAXPROCS(0) - 1)
+	defer pool.Close()
+	pool.Run(cfg.Clusters, func(c int) {
 		cw, err := Random(RandomConfig{
 			Seed:         cfg.Seed + int64(c)*1000003,
 			NumTasks:     cfg.TasksPerCluster,
@@ -119,37 +118,29 @@ func Clustered(cfg ClusteredConfig) (*Workload, error) {
 			ChainOnly:    cfg.ChainOnly,
 			MixedCurves:  cfg.MixedCurves,
 		})
+		if err == nil {
+			cw, err = replicate(cw, cfg.ReplicateFactor, 1, fmt.Sprintf("c%d-", c))
+		}
+		parts[c], errs[c] = cw, err
+	})
+	for c, err := range errs {
 		if err != nil {
 			return nil, fmt.Errorf("workload: cluster %d: %w", c, err)
 		}
-		if cfg.ReplicateFactor > 1 {
-			cw, err = Replicate(cw, cfg.ReplicateFactor, 1)
-			if err != nil {
-				return nil, fmt.Errorf("workload: cluster %d: %w", c, err)
-			}
-		}
+	}
 
-		prefix := fmt.Sprintf("c%d-", c)
-		rename := make(map[string]string, len(cw.Resources))
-		for _, r := range cw.Resources {
-			nr := r
-			nr.ID = prefix + r.ID
-			rename[r.ID] = nr.ID
-			out.Resources = append(out.Resources, nr)
-			clusterRes[c] = append(clusterRes[c], nr.ID)
-		}
-		// cw is private to this loop, so its tasks are renamed in place.
-		for _, t := range cw.Tasks {
-			curve := cw.Curves[t.Name]
-			t.Name = prefix + t.Name
-			for si := range t.Subtasks {
-				t.Subtasks[si].Name = prefix + t.Subtasks[si].Name
-				t.Subtasks[si].Resource = rename[t.Subtasks[si].Resource]
-			}
-			out.Tasks = append(out.Tasks, t)
-			out.Curves[t.Name] = curve
-			taskCluster = append(taskCluster, c)
-		}
+	// Cluster c owns resources [c*nr, (c+1)*nr) and tasks [c*nt, (c+1)*nt).
+	nr, nt := cfg.ResourcesPerCluster, cfg.TasksPerCluster*cfg.ReplicateFactor
+	out := &Workload{
+		Name:   fmt.Sprintf("clustered-seed%d-k%d", cfg.Seed, cfg.Clusters),
+		Tasks:  make([]*task.Task, 0, cfg.Clusters*nt),
+		Curves: make(map[string]utility.Curve, cfg.Clusters*nt),
+	}
+	for c, p := range parts {
+		out.Resources = append(out.Resources, p.Resources...)
+		out.Tasks = append(out.Tasks, p.Tasks...)
+		maps.Copy(out.Curves, p.Curves)
+		parts[c] = nil // merged: let the part's map go
 	}
 
 	// Cross-cluster rewiring: a seeded fraction of tasks move one non-root
@@ -163,17 +154,10 @@ func Clustered(cfg ClusteredConfig) (*Workload, error) {
 			if rng.Float64() >= cfg.CrossFraction || len(t.Subtasks) < 2 {
 				continue
 			}
-			next := clusterRes[(taskCluster[i]+1)%cfg.Clusters]
+			next := (i/nt + 1) % cfg.Clusters
 			si := 1 + rng.Intn(len(t.Subtasks)-1)
-			target := next[rng.Intn(len(next))]
-			used := false
-			for _, s := range t.Subtasks {
-				if s.Resource == target {
-					used = true
-					break
-				}
-			}
-			if !used {
+			target := out.Resources[next*nr+rng.Intn(nr)].ID
+			if !slices.ContainsFunc(t.Subtasks, func(s task.Subtask) bool { return s.Resource == target }) {
 				t.Subtasks[si].Resource = target
 			}
 		}

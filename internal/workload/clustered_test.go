@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -108,6 +109,7 @@ func TestClusteredRejectsBadConfig(t *testing.T) {
 		{"negative cross", func(c *ClusteredConfig) { c.CrossFraction = -0.1 }},
 		{"cross above one", func(c *ClusteredConfig) { c.CrossFraction = 1.5 }},
 		{"zero tasks", func(c *ClusteredConfig) { c.TasksPerCluster = 0 }},
+		{"negative tasks", func(c *ClusteredConfig) { c.TasksPerCluster = -5 }},
 		{"subtasks exceed pool", func(c *ClusteredConfig) { c.MaxSubtasks = c.ResourcesPerCluster + 1 }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -170,27 +172,48 @@ func workloadHash(w *Workload) uint64 {
 	return h.Sum64()
 }
 
-// TestClusteredGolden pins the generator's output: the hashes were recorded
-// before Clustered stopped cloning the tasks it renames, so an equal hash
-// proves the in-place rename generates the same workload byte for byte.
+// TestClusteredGolden pins the generators' output. The hashes were recorded
+// before clusters generated concurrently and named each subtask once, so an
+// equal hash proves the new path generates the same workload byte for byte;
+// the table runs at GOMAXPROCS 1 and 4 so the schedule cannot reach it.
 func TestClusteredGolden(t *testing.T) {
 	dag := DefaultClusteredConfig(42)
 	chain := DefaultClusteredConfig(7)
 	chain.ChainOnly, chain.ReplicateFactor, chain.CrossFraction, chain.SlackFactor = true, 3, 0.3, 30
-	for _, tc := range []struct {
-		name string
-		cfg  ClusteredConfig
-		want uint64
-	}{
-		{"dag", dag, 0xf032170a704f5a06},
-		{"chain-replicated", chain, 0xd24277488b0d3ce4},
-	} {
-		w, err := Clustered(tc.cfg)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
+	mixed := DefaultClusteredConfig(11)
+	mixed.MixedCurves, mixed.Clusters, mixed.ReplicateFactor, mixed.CrossFraction, mixed.SlackFactor = true, 16, 3, 0.3, 30
+	bad := DefaultClusteredConfig(3)
+	bad.MinExecMs = 0 // Random refuses it in every cluster
+	const badErr = "workload: cluster 0: workload: invalid exec bounds [0,6]"
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		for _, tc := range []struct {
+			name string
+			cfg  ClusteredConfig
+			want uint64
+		}{
+			{"dag", dag, 0xf032170a704f5a06},
+			{"chain-replicated", chain, 0xd24277488b0d3ce4},
+			{"mixed-16-replicated", mixed, 0x26fd7c083cea8874},
+		} {
+			w, err := Clustered(tc.cfg)
+			if err != nil {
+				t.Fatalf("GOMAXPROCS %d %s: %v", procs, tc.name, err)
+			}
+			if got := workloadHash(w); got != tc.want {
+				t.Errorf("GOMAXPROCS %d %s: workload hash %#x, want %#x", procs, tc.name, got, tc.want)
+			}
 		}
-		if got := workloadHash(w); got != tc.want {
-			t.Errorf("%s: workload hash %#x, want %#x", tc.name, got, tc.want)
+		r, err := Replicate(Base(), 3, 2)
+		if err != nil {
+			t.Fatalf("GOMAXPROCS %d Replicate: %v", procs, err)
+		}
+		if got, want := workloadHash(r), uint64(0x7a9e7c881734607d); got != want {
+			t.Errorf("GOMAXPROCS %d Replicate(Base(), 3, 2): workload hash %#x, want %#x", procs, got, want)
+		}
+		if _, err := Clustered(bad); err == nil || err.Error() != badErr {
+			t.Errorf("GOMAXPROCS %d: every cluster failing gave %v, want %q", procs, err, badErr)
 		}
 	}
 }

@@ -186,6 +186,14 @@ func TestReplicateErrors(t *testing.T) {
 	}
 }
 
+func TestReplicateRejectsBadCriticalScale(t *testing.T) {
+	for _, scale := range []float64{math.NaN(), math.Inf(1), 0, -1} {
+		if w, err := Replicate(Base(), 2, scale); err == nil {
+			t.Errorf("Replicate(Base(), 2, %v) = %d tasks, want an error", scale, len(w.Tasks))
+		}
+	}
+}
+
 func TestRandomWorkloadDeterministic(t *testing.T) {
 	cfg := DefaultRandomConfig(7)
 	w1, err := Random(cfg)
