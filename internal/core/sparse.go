@@ -2,19 +2,19 @@ package core
 
 import "slices"
 
-// The active set (DESIGN.md §11). Near the fixed point LLA's floating-point
-// updates literally stop changing bits. Step therefore skips a controller's
-// solve when its observed prices are bitwise what its previous solve saw AND
-// that solve left the controller's own state — latencies, path prices, step
-// sizes — bitwise unchanged, and skips a resource's reprice when no
-// contributing share changed AND its previous price step was likewise a
-// no-op. Both are deterministic state machines S' = F(S, x): after
+// The active set (DESIGN.md §11). At a certified point LLA's floating-point
+// updates stop changing bits: the price dynamics treat a rounding-level
+// excess as zero (DESIGN.md §12), so the skip comparisons stay exact. Step
+// skips a controller's solve when its observed prices are bitwise what its
+// previous solve saw AND that solve left the controller's own state —
+// latencies, path prices, step sizes — bitwise unchanged, and a resource's
+// reprice when no contributing share changed AND its previous price step was
+// likewise a no-op. Both are deterministic state machines S' = F(S, x): after
 // F(S, x) == S, re-running F on the same x reproduces S and every cached
 // output, so Step's snapshots are byte-identical to an iteration that skips
-// nothing (the tests' denseStep) under every Workers count. Any write to S
-// or the problem data outside Step must drop the fixed points it can reach:
-// Engine.refreshResource for a change on one resource, invalidateSparse for
-// anything wider.
+// nothing (the tests' denseStep) under every Workers count. Any write to S or
+// the problem data outside Step must drop the fixed points it can reach:
+// Engine.refreshResource for one resource, invalidateSparse for anything wider.
 
 // Incidence is the CSR-style index of the bipartite task/resource structure,
 // built once at engine construction: which distinct resources a task's

@@ -137,7 +137,7 @@ func TestSparseSkipsAtSteadyState(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	e.Run(600, nil) // well past the empirical freeze (~iter 115)
+	e.Run(600, nil) // well past the certificate (iteration 6) and the freeze (10)
 
 	e.ResetSparseStats()
 	const probe = 100
@@ -514,5 +514,54 @@ func TestIncidenceIndex(t *testing.T) {
 				t.Fatalf("task %d row missing resource %d", ti, ri)
 			}
 		}
+	}
+}
+
+// TestCertifiedPointIsBitwiseFixed: once the certificate passes, Newton's
+// prices stop moving bit for bit (an excess within the demand reduction's
+// rounding counts as zero), so the active set fires right after
+// certification — on a cold start and after an availability event — at
+// every worker count.
+func TestCertifiedPointIsBitwiseFixed(t *testing.T) {
+	cfg := workload.DefaultClusteredConfig(1)
+	cfg.TasksPerCluster, cfg.ReplicateFactor, cfg.ResourcesPerCluster = 50, 3, 200
+	cfg.MinSubtasks, cfg.MaxSubtasks, cfg.ChainOnly = 3, 7, false
+	cfg.SlackFactor, cfg.CrossFraction = 400, 0.05
+	w, err := workload.Clustered(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// skipRate is the share of solves the next n Steps skip.
+	skipRate := func(e *Engine, n int) float64 {
+		e.ResetSparseStats()
+		e.Run(n, nil)
+		st := e.SparseStats()
+		return float64(st.SkippedSolves) / float64(st.SkippedSolves+st.ExecutedSolves)
+	}
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			e, err := NewEngine(w, Config{Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e.Close()
+			if _, ok := e.RunUntilKKT(3000, 1e-9, 3, 1e-6); !ok {
+				t.Fatal("cold start did not certify")
+			}
+			if r := skipRate(e, 3); r < 0.99 {
+				t.Errorf("3 Steps after the cold certificate skipped %.1f %% of solves, want >= 99 %%", 100*r)
+			}
+			for c := 0; c < 4; c++ {
+				if err := e.SetAvailability(fmt.Sprintf("c%d-r0", c), cfg.Availability/2); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, ok := e.RunUntilKKT(3000, 1e-9, 1, 1e-6); !ok {
+				t.Fatal("no certificate after halving 4 resources")
+			}
+			if r := skipRate(e, 2); r < 0.95 {
+				t.Errorf("2 Steps after the event's first certificate skipped %.1f %% of solves, want >= 95 %%", 100*r)
+			}
+		})
 	}
 }

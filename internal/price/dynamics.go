@@ -86,6 +86,17 @@ const newtonTrustFactor = 16
 // price moves, so such coordinates take the reference step instead.
 const newtonElasticityFloor = 0.05
 
+// roundingBand is the relative excess |Σshare − B|/B that Newton treats as
+// zero. Summing n non-negative shares left to right errs by at most
+// (n−1)·2⁻⁵³·Σshare, so a binding resource's demand lands a few ulps either
+// side of B with a sign that flips from step to step; stepping on that noise
+// moves the price by as many ulps and a certified point never repeats
+// bitwise, so no controller's fingerprint ever holds. 64 ulps (7.1e-15, eight
+// orders below the certificate's tolerance) covers the reductions in use; on
+// engine-online's instance the share of solves skipped after the first
+// passing certificate is 19 / 72 / 96 / 98 / 98 % at 1 / 2 / 4 / 16 / 64 ulps.
+const roundingBand = 64 * 0x1p-53
+
 // newtonMaxHalvings caps the safeguard's damping at a 2^-30 step: small
 // enough to break any cycle, large enough that doubling back recovers.
 const newtonMaxHalvings = 30
@@ -95,42 +106,27 @@ const newtonMaxHalvings = 30
 // under Newton it also carries the safeguard's damping.
 //
 // The gradient update is the paper's dual step (Equation 8) with the Section
-// 5.2 adaptive heuristic and a local stability clamp. With share =
-// (c+l)/lat and lat = sqrt(mu·k/denom), demand scales as 1/sqrt(mu), so the
-// iteration contracts only for gamma < 4·mu/B: clamping at half that
-// (floored at the base step so the price can rise from zero) lets the
-// multiplicative ramp run while the price is large without destabilizing it
-// near the equilibrium. In adaptive mode the step is also floored at mu/2: a
-// price far from equilibrium needs steps proportional to itself to move in
-// O(1) iterations.
+// 5.2 adaptive heuristic and a local stability clamp. Demand scales as
+// 1/sqrt(mu), so the iteration contracts only for gamma < 4·mu/B: clamping at
+// half that (floored at the base step so a zero price can rise) lets the ramp
+// run without destabilizing the equilibrium. In adaptive mode the step is
+// also floored at mu/2, so a distant price moves in O(1) iterations.
 //
-// Diagonal Newton scales each coordinate's dual step by the closed-form
-// demand response — the diagonal of the dual Hessian — applied in log-price
-// coordinates. With share = (c+l)/(lat−e) and the stationarity solution
-// lat−e = sqrt(mu·k/denom), each interior subtask responds as
-// ∂share/∂mu = −share/(2·mu), so the measured demand has local log-log
-// elasticity
+// Diagonal Newton steps in log-price coordinates. Each interior subtask
+// responds as ∂share/∂mu = −share/(2·mu), so the measured demand has local
+// elasticity p = mu·curv/Σshare (1/2 when fully interior), and the step
 //
-//	p = −dlog(Σshare)/dlog(mu) = mu·curv/Σshare  (= 1/2 when fully interior).
+//	mu' = mu · (Σshare/B)^(1/p)
 //
-// A plain Newton step mu' = mu + (Σshare−B)/curv linearizes that power law
-// and therefore cannot move more than ~3× per round from below the root; the
-// log-space Newton step solves the local model Σshare·(mu'/mu)^(−p) = B
-// exactly:
-//
-//	mu' = mu · (Σshare/B)^(1/p),
-//
-// closing any demand gap in one move when the power-law model holds, and
-// landing where the linear step lands when it is near the root. Coordinates
-// with no interior response (every subtask bound-active), a zero price, or
-// zero demand fall back to the gradient step, bit for bit.
-//
-// The model ignores the coupling between coordinates, and a Jacobi sweep
-// over strongly coupled resources can overshoot every root at once and
-// settle into a period-2 cycle (the paper's base workload under the
-// weighted-sum utility does). The safeguard damps it per coordinate: when
-// the excess Σshare − B changes sign between steps the log-step exponent
-// halves, and every same-sign step doubles it back toward 1.
+// solves the local power-law model Σshare·(mu'/mu)^(−p) = B exactly, where a
+// linear Newton step closes only ~3× of a gap per round. A zero price, zero
+// demand or no usable interior response falls back to the gradient step, bit
+// for bit. An excess within roundingBand counts as zero, so a certified point
+// stops moving bitwise. A Jacobi sweep over coupled coordinates can overshoot
+// every root at once into a period-2 cycle (the base workload under the
+// weighted-sum utility does): the safeguard halves a coordinate's log-step
+// exponent when its excess Σshare − B changes sign, and doubles it back on
+// every same-sign step.
 //
 // Step and StepAt do not allocate once Reset has sized the coordinates.
 type Dynamics struct {
@@ -225,6 +221,9 @@ func (d *Dynamics) Step(in StepInput) bool {
 func (d *Dynamics) StepAt(j int, mu, sum, avail, curv float64, cong bool) (float64, bool) {
 	if !d.newton {
 		return d.gradient(j, mu, sum, avail, cong)
+	}
+	if math.Abs(sum-avail) <= roundingBand*avail {
+		sum = avail // the reduction's rounding, not an excess
 	}
 	h, s := d.halvings[j], uint8(0)
 	if sum > avail {

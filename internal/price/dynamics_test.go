@@ -252,3 +252,50 @@ func TestNewtonSafeguardDampsSignFlips(t *testing.T) {
 		t.Errorf("fixed point moved to %v (moved %v)", next, moved)
 	}
 }
+
+// TestNewtonRoundingBand: an excess within roundingBand of capacity is the
+// demand reduction's rounding, so Newton treats it as zero — the price stays
+// bitwise, the last sign stands, the halvings decay, and once they reach 0
+// the step reports no move. Just outside the band the price moves, and the
+// degenerate coordinates still take the reference gradient step.
+func TestNewtonRoundingBand(t *testing.T) {
+	const avail = 3.0
+	in := avail * (1 + roundingBand) // the band's edge, above capacity
+	out := avail * (1 + 2*roundingBand)
+	for _, tc := range []struct {
+		name                    string
+		mu, sum, curv           float64
+		sign, halvings          uint8 // safeguard state before the step
+		wantSign, wantHalvings  uint8
+		wantMoved, wantFallback bool
+		wantMu                  float64 // 0: the reference gradient step
+	}{
+		{"in band above", 2, in, 1, 2, 0, 2, 0, false, false, 2},
+		{"in band below", 2, avail * (1 - roundingBand), 1, 1, 0, 1, 0, false, false, 2},
+		{"in band, halvings decaying", 2, in, 1, 1, 3, 1, 2, true, false, 2},
+		{"in band, first step", 2, in, 1, 0, 0, 0, 0, false, false, 2},
+		{"outside the band", 2, out, 1, 1, 0, 1, 0, true, false, 2 * math.Pow(out/avail, 1/(2*1/out))},
+		{"zero price", 0, avail + 1, 0.2, 1, 0, 1, 0, true, true, 0},
+		{"zero demand", 2, 0, 0.1, 2, 0, 2, 0, true, true, 0},
+		{"low elasticity", 2, avail + 1, 0.01, 1, 0, 1, 0, true, true, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d := newDyn(SolverNewton, 1)
+			d.sign[0], d.halvings[0] = tc.sign, tc.halvings
+			want, gamma := tc.wantMu, 1.0
+			if tc.wantFallback {
+				want = refGradient(&gamma, 1, tc.mu, avail, tc.sum, false)
+			}
+			next, moved := d.StepAt(0, tc.mu, tc.sum, avail, tc.curv, false)
+			if math.Float64bits(next) != math.Float64bits(want) || moved != tc.wantMoved {
+				t.Errorf("StepAt = %v (moved %v), want %v (moved %v)", next, moved, want, tc.wantMoved)
+			}
+			if d.sign[0] != tc.wantSign || d.halvings[0] != tc.wantHalvings {
+				t.Errorf("safeguard sign %d halvings %d, want %d %d", d.sign[0], d.halvings[0], tc.wantSign, tc.wantHalvings)
+			}
+			if got := d.Fallbacks() == 1; got != tc.wantFallback {
+				t.Errorf("fell back %d times, want fallback %v", d.Fallbacks(), tc.wantFallback)
+			}
+		})
+	}
+}

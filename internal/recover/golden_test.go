@@ -36,18 +36,14 @@ var v1GradientMu = []uint64{
 	0x4041a7ecc364ef56, 0x401bbb0957234cb7, 0x403ecf86f833c761, 0x4035f2529855ffc4,
 }
 
-// v2NewtonMu are the prices, bit for bit, that the version-2 engine reached
-// 30 Steps after writing ckpt_v2_newton.bin.
-var v2NewtonMu = []uint64{
-	0x4041f0ed37a566aa, 0x403e5b2e5e115640, 0x40330610a6bfe807, 0x40217c3b666fb66d,
-	0x4041c5270da93538, 0x401bbb0962b0c0c9, 0x403ef1bd236afd3f, 0x40360f2ef6667943,
-}
-
 // TestV1CheckpointsRestore decodes every older-format vector, restores it,
-// re-encodes it as the current version without losing a bit, and resumes:
-// bitwise on the trajectory the writing engine took where the vector
-// records one, and otherwise (version-1 Newton, whose safeguard that format
-// did not hold, so it restarts cleared) to a certified fixed point.
+// re-encodes it as the current version without losing a bit, and resumes.
+// The gradient vector resumes bitwise on the trajectory the writing engine
+// took. The Newton vectors' trajectories changed when Newton began treating
+// a rounding-level excess as zero, so they resume bitwise with their own
+// current-version re-encoding, the version-2 vector's decoded halvings must
+// reach the dynamics, and both certify. (The version-1 format did not hold
+// the safeguard, so that vector restarts it cleared.)
 func TestV1CheckpointsRestore(t *testing.T) {
 	for _, tc := range []struct {
 		name, file string
@@ -58,7 +54,7 @@ func TestV1CheckpointsRestore(t *testing.T) {
 	}{
 		{"gradient", "ckpt_v1_gradient.bin", 1, price.SolverGradient, 12, v1GradientMu},
 		{"newton", "ckpt_v1_newton.bin", 1, price.SolverNewton, 12, nil},
-		{"v2-newton", "ckpt_v2_newton.bin", 2, price.SolverNewton, 6, v2NewtonMu},
+		{"v2-newton", "ckpt_v2_newton.bin", 2, price.SolverNewton, 6, nil},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			b, err := os.ReadFile("testdata/" + tc.file)
@@ -100,9 +96,7 @@ func TestV1CheckpointsRestore(t *testing.T) {
 			}
 
 			if tc.mu == nil {
-				if _, ok := eng.RunUntilKKT(2000, 1e-9, 3, 1e-6); !ok {
-					t.Fatal("restored engine did not certify")
-				}
+				resumeNewton(t, b, cp2, eng, tc.version == 2)
 				return
 			}
 			fresh, err := core.NewEngine(workload.Base(), core.Config{Workers: 1, PriceSolver: tc.solver})
@@ -123,6 +117,50 @@ func TestV1CheckpointsRestore(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// resumeNewton holds a restored Newton vector (raw bytes b, engine eng) to
+// its current-version re-encoding cp2: a second engine restored from cp2
+// steps 30 times bitwise with eng. With checkHalvings, a copy restored with
+// the decoded halvings cleared must price differently after one Step, or the
+// halvings never reached the dynamics. eng then certifies.
+func resumeNewton(t *testing.T, b []byte, cp2 *Checkpoint, eng *core.Engine, checkHalvings bool) {
+	t.Helper()
+	again, err := Restore(cp2, core.Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer again.Close()
+	var cleared *core.Engine
+	if checkHalvings {
+		cpc, err := Decode(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		clear(cpc.Engine.Dyn.Halvings)
+		if cleared, err = Restore(cpc, core.Config{Workers: 1}); err != nil {
+			t.Fatal(err)
+		}
+		defer cleared.Close()
+		cleared.Step()
+	}
+	for i := 0; i < 30; i++ {
+		eng.Step()
+		again.Step()
+		requireProbeEqual(t, i, eng, again)
+		if i == 0 && cleared != nil && slices.Equal(cleared.Snapshot().Mu, eng.Snapshot().Mu) {
+			t.Fatal("clearing the decoded halvings changed no price: they never reached the dynamics")
+		}
+	}
+	want := again.Snapshot().Mu
+	for ri, mu := range eng.Snapshot().Mu {
+		if math.Float64bits(mu) != math.Float64bits(want[ri]) {
+			t.Fatalf("resource %d: price %v after 30 Steps, its re-encoding reached %v", ri, mu, want[ri])
+		}
+	}
+	if _, ok := eng.RunUntilKKT(2000, 1e-9, 3, 1e-6); !ok {
+		t.Fatal("restored engine did not certify")
 	}
 }
 
