@@ -49,7 +49,7 @@ func BenchmarkTable1(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		snap, ok := e.RunUntilConverged(8000, 1e-8, 50, 1e-3)
+		snap, ok := e.RunUntilKKT(8000, 1e-9, 3, 1e-6)
 		if !ok {
 			b.Fatal("did not converge")
 		}
@@ -111,7 +111,7 @@ func BenchmarkFig6Scalability(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				snap, ok := e.RunUntilConverged(4000, 1e-8, 50, 1e-2)
+				snap, ok := e.RunUntilKKT(4000, 1e-9, 3, 1e-6)
 				if !ok {
 					b.Fatal("did not converge")
 				}
@@ -173,7 +173,7 @@ func BenchmarkWeightVariants(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				snap, ok := e.RunUntilConverged(8000, 1e-8, 50, 1e-2)
+				snap, ok := e.RunUntilKKT(8000, 1e-9, 3, 1e-6)
 				if !ok {
 					b.Fatal("did not converge")
 				}
@@ -193,7 +193,7 @@ func BenchmarkBaselines(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			snap, _ := e.RunUntilConverged(8000, 1e-8, 50, 1e-3)
+			snap, _ := e.RunUntilKKT(8000, 1e-9, 3, 1e-6)
 			b.ReportMetric(snap.Utility, "utility")
 			b.ReportMetric(math.Max(snap.MaxResourceViolation, snap.MaxPathViolationFrac), "viol")
 		}
@@ -249,14 +249,14 @@ func BenchmarkAdaptation(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, ok := e.RunUntilConverged(8000, 1e-8, 50, 1e-3); !ok {
+			if _, ok := e.RunUntilKKT(8000, 1e-9, 3, 1e-6); !ok {
 				b.Fatal("initial convergence failed")
 			}
 			before := e.Iteration()
 			if err := e.SetAvailability("r0", 0.7); err != nil {
 				b.Fatal(err)
 			}
-			snap, ok := e.RunUntilConverged(8000, 1e-8, 50, 1e-2)
+			snap, ok := e.RunUntilKKT(8000, 1e-9, 3, 1e-6)
 			if !ok {
 				b.Fatal("re-convergence failed")
 			}
@@ -270,7 +270,7 @@ func BenchmarkAdaptation(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, ok := e.RunUntilConverged(8000, 1e-7, 20, 1e-2); !ok {
+			if _, ok := e.RunUntilKKT(8000, 1e-9, 3, 1e-6); !ok {
 				b.Fatal("initial convergence failed")
 			}
 			before := e.Iteration()
@@ -285,7 +285,7 @@ func BenchmarkAdaptation(b *testing.B) {
 					}
 				}
 			}
-			snap, ok := e.RunUntilConverged(8000, 1e-7, 20, 1e-2)
+			snap, ok := e.RunUntilKKT(8000, 1e-9, 3, 1e-6)
 			if !ok {
 				b.Fatal("re-convergence failed")
 			}
@@ -450,7 +450,7 @@ func BenchmarkFig6ScalabilitySparse(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				snap, ok := e.RunUntilConverged(4000, 1e-8, 50, 1e-2)
+				snap, ok := e.RunUntilKKT(4000, 1e-9, 3, 1e-6)
 				if !ok {
 					b.Fatal("did not converge")
 				}
@@ -535,7 +535,7 @@ func BenchmarkRecoveryRounds(b *testing.B) {
 	})
 	b.Run("warm", func(b *testing.B) {
 		dir := b.TempDir()
-		w, err := rec.NewWriter(dir, 0)
+		w, err := rec.NewWriter(dir)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -75,7 +75,7 @@ func newFlagSet() (*flag.FlagSet, *nodeFlags) {
 		workers:       fs.Int("workers", 0, "optimizer worker shards for engine-backed computation in this process: 0 = GOMAXPROCS, 1 = serial (results are bitwise-identical either way)"),
 		solver:        fs.String("solver", "", "price dynamics: newton (default) or gradient — every node of a deployment must use the same setting"),
 		checkpointDir: fs.String("checkpoint-dir", "",
-			"demo mode: persist crash-safe checkpoints of the deployment's optimizer state here; the coordinator epoch resumes from the newest one"),
+			"demo mode: persist crash-safe checkpoints of the deployment's optimizer state here; the epoch resumes from the newest one"),
 		checkpointEvery: fs.Int("checkpoint-every", 0,
 			"demo mode: rounds between periodic checkpoint saves (0 = a default period)"),
 		fleetMode: fs.Bool("fleet", false,
@@ -294,12 +294,12 @@ func runFleet(w *workload.Workload, cfg core.Config, shards, shardWorkers, round
 	return nil
 }
 
-// runDemo hosts the full deployment in one process over TCP loopback. With a
-// checkpoint directory, the coordinator seeds its epoch from the newest
-// checkpoint there, and the run's optimizer state is persisted into it —
-// periodically and at the end — via a serial mirror engine (the protocol is
-// bitwise-identical to the engine, so the mirror's state IS the
-// deployment's).
+// runDemo hosts the full deployment in one process over TCP loopback and
+// stops it on the KKT certificate. With a checkpoint directory, the epoch
+// resumes from the newest checkpoint there, and the run's optimizer state is
+// persisted into it — periodically and at the end — via a serial mirror
+// engine (the protocol is bitwise-identical to the engine, so the mirror's
+// state IS the deployment's).
 func runDemo(ctx context.Context, w *workload.Workload, cfg core.Config, rounds int, o *obs.Observer, ckptDir string, ckptEvery int) error {
 	registry := make(map[string]string)
 	for _, addr := range dist.Addresses(w) {
@@ -326,16 +326,7 @@ func runDemo(ctx context.Context, w *workload.Workload, cfg core.Config, rounds 
 	}()
 	fmt.Fprintf(os.Stderr, "demo: %d tasks, %d resources, %d rounds over TCP loopback\n",
 		len(w.Tasks), len(w.Resources), rounds)
-	var res *dist.Result
-	if ckptDir != "" {
-		// The failover runner is the plain run loop plus epoch seeding from
-		// the checkpoint directory (no crashes are scheduled here).
-		res, err = rt.RunWithFailover(rounds, dist.FailoverPlan{
-			CheckpointDir: ckptDir, RelTol: 1e-7, Window: 20,
-		})
-	} else {
-		res, err = rt.RunUntilConverged(rounds, 1e-7, 20)
-	}
+	res, err := rt.RunUntilKKT(rounds, 1e-9, 3, 1e-6)
 	if err != nil {
 		return err
 	}
@@ -358,9 +349,14 @@ func runDemo(ctx context.Context, w *workload.Workload, cfg core.Config, rounds 
 // checkpointDemo persists the demo run's optimizer state: a serial mirror
 // engine replays the deployment's (bitwise-identical) trajectory up to the
 // emitted-round count, saving a generation every ckptEvery rounds and a final
-// one stamped with the coordinator epoch.
+// one. No coordinator crash is scheduled, so every generation carries the
+// epoch of the directory's newest checkpoint (0 for an empty directory).
 func checkpointDemo(w *workload.Workload, cfg core.Config, dir string, every int, res *dist.Result) error {
-	wr, err := rec.NewWriter(dir, 0)
+	var epoch uint64
+	if cp, _, err := rec.Latest(dir); err == nil {
+		epoch = cp.Epoch
+	}
+	wr, err := rec.NewWriter(dir)
 	if err != nil {
 		return err
 	}
@@ -380,13 +376,13 @@ func checkpointDemo(w *workload.Workload, cfg core.Config, dir string, every int
 		eng.Run(n, nil)
 		done += n
 		_, err := wr.Save(rec.Capture(eng, rec.CaptureOptions{
-			Epoch:     res.Epoch,
+			Epoch:     epoch,
 			Converged: res.Converged && done == res.Rounds,
 		}))
 		if err != nil {
 			return err
 		}
 	}
-	fmt.Fprintf(os.Stderr, "checkpointed %d generations into %s (epoch %d)\n", wr.Saves(), dir, res.Epoch)
+	fmt.Fprintf(os.Stderr, "checkpointed %d generations into %s (epoch %d)\n", wr.Saves(), dir, epoch)
 	return nil
 }

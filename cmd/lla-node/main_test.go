@@ -100,7 +100,7 @@ func TestDemoCheckpoints(t *testing.T) {
 		t.Error("checkpoint carries no optimizer progress")
 	}
 	// Seed the directory with a bumped epoch: the next demo must pick it up.
-	wr, err := rec.NewWriter(dir, 0)
+	wr, err := rec.NewWriter(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

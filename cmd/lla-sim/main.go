@@ -62,7 +62,7 @@ func experimentIDs() []string {
 }
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "lla-sim:", err)
 		os.Exit(1)
 	}
@@ -105,7 +105,7 @@ func newFlagSet() (*flag.FlagSet, *simFlags) {
 	return fs, f
 }
 
-func run(args []string) error {
+func run(args []string, stdout io.Writer) error {
 	fs, f := newFlagSet()
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -180,7 +180,7 @@ func run(args []string) error {
 		if err != nil {
 			return fmt.Errorf("%s: %w", name, err)
 		}
-		fmt.Println(res.Render())
+		fmt.Fprintln(stdout, res.Render())
 		if *csvDir != "" {
 			if err := writeCSVs(*csvDir, res); err != nil {
 				return err

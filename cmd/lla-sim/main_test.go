@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -10,7 +11,7 @@ import (
 )
 
 func TestRunUnknownExperiment(t *testing.T) {
-	if err := run([]string{"-experiment", "nope"}); err == nil {
+	if err := run([]string{"-experiment", "nope"}, io.Discard); err == nil {
 		t.Fatal("unknown experiment should fail")
 	}
 }
@@ -81,37 +82,20 @@ func TestHelpListsEveryFlag(t *testing.T) {
 }
 
 func TestRunBadFlag(t *testing.T) {
-	if err := run([]string{"-bogus"}); err == nil {
+	if err := run([]string{"-bogus"}, io.Discard); err == nil {
 		t.Fatal("unknown flag should fail")
 	}
 }
 
 func TestRunSingleExperimentQuick(t *testing.T) {
-	// Redirect stdout to keep test output readable.
-	old := os.Stdout
-	devnull, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	os.Stdout = devnull
-	defer func() { os.Stdout = old; devnull.Close() }()
-
-	if err := run([]string{"-experiment", "table1", "-quick"}); err != nil {
+	if err := run([]string{"-experiment", "table1", "-quick"}, io.Discard); err != nil {
 		t.Fatalf("table1: %v", err)
 	}
 }
 
 func TestRunWritesCSV(t *testing.T) {
 	dir := t.TempDir()
-	old := os.Stdout
-	devnull, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	os.Stdout = devnull
-	defer func() { os.Stdout = old; devnull.Close() }()
-
-	if err := run([]string{"-experiment", "fig5", "-quick", "-csv", dir}); err != nil {
+	if err := run([]string{"-experiment", "fig5", "-quick", "-csv", dir}, io.Discard); err != nil {
 		t.Fatalf("fig5: %v", err)
 	}
 	if _, err := os.Stat(filepath.Join(dir, "fig5_series.csv")); err != nil {
@@ -120,4 +104,42 @@ func TestRunWritesCSV(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, "fig5_table0.csv")); err != nil {
 		t.Errorf("table CSV missing: %v", err)
 	}
+}
+
+// TestQuickTranscript diffs `lla-sim -quick -experiment all -shard-workers 2`
+// against the committed transcript at -workers 1 and at -workers 4: the
+// engine is bitwise-deterministic across worker counts, so both must
+// reproduce it line for line. -shard-workers is pinned because its default
+// follows GOMAXPROCS and the fleet report prints it. A change that moves a
+// line on purpose re-records the file with that command and names the
+// experiments it changed.
+func TestQuickTranscript(t *testing.T) {
+	want, err := os.ReadFile("testdata/quick_all.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One run at a time: the soak's allocation check reads process-wide
+	// allocation counts.
+	for _, w := range []string{"1", "4"} {
+		var out bytes.Buffer
+		if err := run([]string{"-quick", "-experiment", "all", "-shard-workers", "2", "-workers", w}, &out); err != nil {
+			t.Fatalf("-workers %s: %v", w, err)
+		}
+		got, exp := strings.Split(out.String(), "\n"), strings.Split(string(want), "\n")
+		for j := 0; j < max(len(got), len(exp)); j++ {
+			if j >= len(got) || j >= len(exp) || got[j] != exp[j] {
+				t.Errorf("-workers %s: line %d differs from testdata/quick_all.txt:\n got %q\nwant %q",
+					w, j+1, at(got, j), at(exp, j))
+				break
+			}
+		}
+	}
+}
+
+// at is lines[j], or "" past the end.
+func at(lines []string, j int) string {
+	if j < len(lines) {
+		return lines[j]
+	}
+	return ""
 }

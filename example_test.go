@@ -32,7 +32,7 @@ func ExampleNewEngine() {
 		fmt.Println(err)
 		return
 	}
-	snap, converged := engine.RunUntilConverged(5000, 1e-7, 20, 1e-3)
+	snap, converged := engine.RunUntilKKT(5000, 1e-9, 3, 1e-6)
 	// Alone on both resources, the task takes the full availability:
 	// latency = (WCET + lag) / 1.
 	fmt.Printf("converged=%v stage1=%.1fms stage2=%.1fms\n",

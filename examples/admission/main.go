@@ -84,7 +84,7 @@ func run() error {
 		return err
 	}
 	defer engine.Close()
-	snap, _ := engine.RunUntilConverged(4000, 1e-7, 20, 1e-3)
+	snap, _ := engine.RunUntilKKT(4000, 1e-9, 3, 1e-6)
 	fmt.Printf("running system: 1 task, utility %.2f\n\n", snap.Utility)
 
 	// The controller screens offers against the converged prices; the

@@ -57,7 +57,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	snap, converged := engine.RunUntilConverged(5000, 1e-7, 20, 1e-3)
+	snap, converged := engine.RunUntilKKT(5000, 1e-9, 3, 1e-6)
 	fmt.Printf("converged=%v after %d iterations, total utility %.2f\n\n",
 		converged, snap.Iteration, snap.Utility)
 

@@ -111,7 +111,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	snap, ok := engine.RunUntilConverged(8000, 1e-7, 20, 1e-3)
+	snap, ok := engine.RunUntilKKT(8000, 1e-9, 3, 1e-6)
 	if !ok {
 		return fmt.Errorf("LLA did not converge: %v", snap)
 	}

@@ -103,7 +103,7 @@ func run() error {
 		return err
 	}
 
-	snap, ok := engine.RunUntilConverged(8000, 1e-7, 20, 1e-3)
+	snap, ok := engine.RunUntilKKT(8000, 1e-9, 3, 1e-6)
 	if !ok {
 		return fmt.Errorf("initial optimization did not converge: %v", snap)
 	}
@@ -123,7 +123,7 @@ func run() error {
 			return err
 		}
 	}
-	snap, ok = engine.RunUntilConverged(8000, 1e-7, 20, 1e-3)
+	snap, ok = engine.RunUntilKKT(8000, 1e-9, 3, 1e-6)
 	if !ok {
 		return fmt.Errorf("did not re-converge after surge: %v", snap)
 	}
@@ -134,7 +134,7 @@ func run() error {
 	if err := engine.SetAvailability("cpu-strat", 0.7); err != nil {
 		return err
 	}
-	snap, ok = engine.RunUntilConverged(8000, 1e-7, 20, 1e-3)
+	snap, ok = engine.RunUntilKKT(8000, 1e-9, 3, 1e-6)
 	if !ok {
 		return fmt.Errorf("did not re-converge after degradation: %v", snap)
 	}

@@ -33,15 +33,6 @@ type Config struct {
 	AdmitAll bool
 }
 
-// The convergence detector of trial and re-convergence runs: relative
-// utility change below trialRelTol over trialWindow iterations, with
-// constraint violations below tol.
-const (
-	trialRelTol = 1e-7
-	trialWindow = 20
-	tol         = 1e-3
-)
-
 // Quarantine backoff: a rejected task waits backoffBase controller events
 // after its first strike, backoffFactor times longer per further strike, and
 // never more than backoffCap. Event-counted (not wall-clock) so decisions
@@ -234,7 +225,7 @@ func (c *Controller) strike(name string) *quarEntry {
 // reconverge drives the live engine after an enacted change and returns the
 // iterations spent.
 func (c *Controller) reconverge() int {
-	snap, _ := c.eng.RunUntilConverged(c.cfg.TrialIters, trialRelTol, trialWindow, tol)
+	snap, _ := c.eng.RunUntilKKT(c.cfg.TrialIters, 1e-9, 3, 1e-6)
 	return snap.Iteration
 }
 
@@ -320,11 +311,11 @@ func (c *Controller) screen(trial *workload.Workload, t *task.Task, curve utilit
 	}
 	defer scratch.Close()
 	scratch.CarryFrom(c.eng)
-	snap, ok := scratch.RunUntilConverged(c.cfg.TrialIters, trialRelTol, trialWindow, tol)
+	snap, ok := scratch.RunUntilKKT(c.cfg.TrialIters, 1e-9, 3, 1e-6)
 	d.TrialIters = snap.Iteration
-	if !ok || !snap.Feasible(tol) {
+	if !ok {
 		return true, Decision{Stage: StageTrial, Reason: fmt.Sprintf(
-			"trial did not converge feasibly in %d iterations (resViol %.4f, pathViol %.4f)",
+			"trial did not certify in %d iterations (resViol %.4f, pathViol %.4f)",
 			snap.Iteration, snap.MaxResourceViolation, snap.MaxPathViolationFrac)}, nil
 	}
 	return false, Decision{}, nil

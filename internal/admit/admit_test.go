@@ -39,7 +39,7 @@ func testCluster(t *testing.T, workers int) *core.Engine {
 		t.Fatal(err)
 	}
 	t.Cleanup(eng.Close)
-	eng.RunUntilConverged(3000, 1e-7, 20, 1e-3)
+	eng.RunUntilKKT(3000, 1e-9, 3, 1e-6)
 	return eng
 }
 

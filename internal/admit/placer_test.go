@@ -121,7 +121,7 @@ func TestRebalanceMovesOnSkew(t *testing.T) {
 	if err := eng.SetAvailability(home, 0.25); err != nil {
 		t.Fatal(err)
 	}
-	eng.RunUntilConverged(3000, 1e-7, 20, 1e-3)
+	eng.RunUntilKKT(3000, 1e-9, 3, 1e-6)
 
 	moved := false
 	for i := 0; i < 30 && !moved; i++ {

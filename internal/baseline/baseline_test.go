@@ -110,7 +110,7 @@ func TestCentralMatchesLLAOnBase(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap, ok := e.RunUntilConverged(5000, 1e-8, 50, 1e-3)
+	snap, ok := e.RunUntilKKT(5000, 1e-9, 3, 1e-6)
 	if !ok {
 		t.Fatal("LLA did not converge")
 	}
@@ -156,7 +156,7 @@ func TestLLADominatesBaselinesWhenFeasible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap, ok := e.RunUntilConverged(5000, 1e-8, 50, 1e-3)
+	snap, ok := e.RunUntilKKT(5000, 1e-9, 3, 1e-6)
 	if !ok {
 		t.Fatal("LLA did not converge")
 	}

@@ -159,7 +159,8 @@ func (e *Engine) certRange(k int, kktTol, tol float64, stop *atomic.Bool) (c Cer
 // tolerances.
 func (e *Engine) certifyAt(i int, kktTol, tol float64, c *Certificate) bool {
 	if nr := len(e.price); i >= nr {
-		return e.certifyTask(i-nr, kktTol, tol, c)
+		ti, p := i-nr, e.p
+		return p.CertifyTask(ti, e.taskLat(ti), e.lambda[p.pathOff[ti]:p.pathOff[ti+1]], e.price, kktTol, tol, c)
 	}
 	return e.certifyResource(i, tol, c)
 }
@@ -177,17 +178,22 @@ func (e *Engine) certifyResource(ri int, tol float64, c *Certificate) bool {
 	return !(over >= tol) // not over < tol: a NaN is no witness, as it is no maximum
 }
 
-// certifyTask folds task ti's interior residuals and critical path into c
-// and reports whether all of them stay inside their tolerances.
-func (e *Engine) certifyTask(ti int, kktTol, tol float64, c *Certificate) bool {
+// CertifyTask folds into c task ti's Equation 7 residuals over its interior
+// subtasks and its critical-path violation at latencies lat, path prices
+// lambda and resource prices mu (indexed like Resources), and reports
+// whether all of them stay inside kktTol and tol. It stops at the first
+// residual >= kktTol; infinite tolerances never stop and fold the task
+// completely. It is the one grading of a task: Engine.Certify calls it on
+// the engine's arrays, a distributed controller on its own state.
+func (p *Problem) CertifyTask(ti int, lat, lambda, mu []float64, kktTol, tol float64, c *Certificate) bool {
 	f := kktFold{max: c.KKTMax}
-	ok := e.taskKKT(ti, kktTol, &f)
+	ok := p.taskKKT(ti, lat, lambda, mu, kktTol, &f)
 	c.KKTMax = f.max
 	if !ok {
 		return false
 	}
-	cp, _ := e.p.criticalPath(ti, e.taskLat(ti))
-	crit := e.p.consts[ti].criticalMs
+	cp, _ := p.criticalPath(ti, lat)
+	crit := p.consts[ti].criticalMs
 	frac := (cp - crit) / crit
 	if frac > c.MaxPathViolationFrac {
 		c.MaxPathViolationFrac = frac

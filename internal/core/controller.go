@@ -106,6 +106,23 @@ func stationary(mu, denom, cost, errMs, lo, hi float64) float64 {
 	return clamp(lat, lo, hi)
 }
 
+// latenciesAt solves Equation 7 for every subtask of task ti at utility
+// slope slope, path prices lambda and resource prices mu, writes the
+// latencies into lat and returns their aggregate Σ w_s·lat_s.
+func (p *Problem) latenciesAt(ti int, lat, lambda, mu []float64, slope float64) float64 {
+	lo, hi := p.subOff[ti], p.subOff[ti+1]
+	res, weight, cost, errMs := p.res[lo:hi], p.weight[lo:hi], p.cost[lo:hi], p.errMs[lo:hi]
+	latMin, latMax := p.latMin[lo:hi], p.latMax[lo:hi]
+	toff, through := p.throughOff[lo:hi+1], p.through
+	agg := 0.0
+	for si := range lat {
+		v := stationary(mu[res[si]], pathPriceSum(lambda, through, toff, si)-weight[si]*slope, cost[si], errMs[si], latMin[si], latMax[si])
+		lat[si] = v
+		agg += weight[si] * v
+	}
+	return agg
+}
+
 // Solve is the controller half of one LLA iteration, in one pass over the
 // task's slice of the problem arrays (DESIGN.md §6). Given the resource
 // prices mu and the congestion flags congested (both indexed like
@@ -123,8 +140,8 @@ func stationary(mu, denom, cost, errMs, lo, hi float64) float64 {
 //     with share = (c+l)/(lat−e), lat_s = e + sqrt(μ_r (c+l)/(Λ_s − w_s·f'(L)))
 //     clamped to the admissible interval. A constant-slope task never
 //     computes the aggregate L and takes one round, detecting change as it
-//     writes; otherwise f'(L) moves with L and the controller fixed-points
-//     on L until L or the slope stops moving (monotone for concave curves);
+//     writes; otherwise f'(L) moves with L, and L is the bracketed root of
+//     the aggregate the slope f'(L) produces;
 //   - re-evaluates the share of each subtask whose latency moved (flagged).
 //
 // priceChanged reports whether a path price or step size moved and
@@ -197,25 +214,27 @@ func (c *Controller) Solve(mu []float64, congested []bool) (priceChanged, latCha
 		return priceChanged, latChanged
 	}
 
-	// The shares are rewritten below whatever happens, so until then they
-	// hold the entry latencies the result is compared against.
+	// The shares hold the entry latencies until rewritten below. One pass at
+	// the entry slope stands if it reproduces its aggregate (or slope);
+	// otherwise the aggregate is the root of g(a) − a, g(a) the aggregate
+	// solved at f'(a). A concave curve's |f'| grows with a and each latency
+	// shrinks as |f'| grows, so g is non-increasing: the root is unique,
+	// between agg and next = g(agg), and bisection to exhaustion finds it.
 	copy(shares, lat)
-	for inner := 0; inner < maxInner; inner++ {
-		for si := range lat {
-			lat[si] = stationary(mu[res[si]], pathPriceSum(lambda, through, toff, si)-weight[si]*slope, cost[si], errMs[si], latMin[si], latMax[si])
+	curve := p.Tasks[ti].Curve
+	if next := p.latenciesAt(ti, lat, lambda, mu, slope); math.Abs(next-agg) >= 1e-9*(1+math.Abs(agg)) && curve.Slope(next) != slope {
+		a, b := min(agg, next), max(agg, next)
+		for m := a + (b-a)/2; a < m && m < b; m = a + (b-a)/2 {
+			g := p.latenciesAt(ti, lat, lambda, mu, curve.Slope(m))
+			if g == m {
+				break
+			}
+			if g > m {
+				a = m
+			} else {
+				b = m
+			}
 		}
-		next := p.aggregate(ti, lat)
-		if math.Abs(next-agg) < 1e-9*(1+math.Abs(agg)) {
-			break
-		}
-		// The slope is the only input that varies between rounds: one that
-		// comes back bitwise unchanged would make the next round reproduce
-		// these latencies and then exit.
-		nextSlope := p.Tasks[ti].Curve.Slope(next)
-		if nextSlope == slope {
-			break
-		}
-		agg, slope = next, nextSlope
 	}
 	for si, v := range lat {
 		if v != shares[si] {

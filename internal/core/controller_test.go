@@ -225,12 +225,30 @@ func TestEngineDemand(t *testing.T) {
 }
 
 // Mixed-curve random workloads exercise the nonlinear path at scale: LLA
-// must still converge to feasible KKT points.
+// must certify them — every Equation 7 residual below the certificate's
+// 1e-9. Seeds 1, 6 and 16 at the default slack hold tasks whose latencies
+// and aggregate a slope-aggregate fixed-point iteration cycles between
+// (seed 6's ExpPenalty task: slopes −0.0555 and −279.6) instead of solving.
+// Seeds 5, 9 and 19 at the default slack still do not certify: their
+// controllers are exact (KKT below 1e-9) but the prices never settle, a
+// resource stays 0.5–2.4 % over capacity. They are recorded, not dropped: a
+// change that makes them certify must move them up.
 func TestEngineMixedCurveRandomWorkloads(t *testing.T) {
-	for seed := int64(0); seed < 5; seed++ {
-		cfg := workload.DefaultRandomConfig(seed)
+	const kktTol, tol = 1e-9, 1e-6
+	for _, tc := range []struct {
+		seed      int64
+		slack     float64 // 0: the generator's default
+		certifies bool
+	}{
+		{0, 10, true}, {1, 10, true}, {2, 10, true}, {3, 10, true}, {4, 10, true},
+		{1, 0, true}, {6, 0, true}, {16, 0, true},
+		{5, 0, false}, {9, 0, false}, {19, 0, false},
+	} {
+		cfg := workload.DefaultRandomConfig(tc.seed)
 		cfg.MixedCurves = true
-		cfg.SlackFactor = 10
+		if tc.slack > 0 {
+			cfg.SlackFactor = tc.slack
+		}
 		w, err := workload.Random(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -239,18 +257,24 @@ func TestEngineMixedCurveRandomWorkloads(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		snap, ok := e.RunUntilConverged(10000, 1e-8, 30, 1e-2)
-		if !ok {
-			t.Errorf("seed %d: did not converge: %v", seed, snap)
+		snap, ok := e.RunUntilKKT(4000, kktTol, 3, tol)
+		c, _ := e.Certify(math.Inf(1), math.Inf(1))
+		e.Close()
+		if ok != tc.certifies {
+			t.Errorf("seed %d slack %v: certified %v, want %v: %+v", tc.seed, tc.slack, ok, tc.certifies, c)
 			continue
 		}
-		if !snap.Feasible(1e-2) {
-			t.Errorf("seed %d: infeasible: %v", seed, snap)
-		}
-		for _, r := range e.KKTResidualsInto(nil) {
-			if r > 0.05 {
-				t.Errorf("seed %d: KKT residual %v", seed, r)
+		if !ok {
+			if c.KKTMax >= kktTol {
+				t.Errorf("seed %d slack %v: controllers not stationary: %+v", tc.seed, tc.slack, c)
 			}
+			continue
+		}
+		if !snap.Feasible(tol) {
+			t.Errorf("seed %d slack %v: infeasible: %v", tc.seed, tc.slack, snap)
+		}
+		if c.KKTMax >= kktTol {
+			t.Errorf("seed %d slack %v: KKT residual %v", tc.seed, tc.slack, c.KKTMax)
 		}
 	}
 }
@@ -266,12 +290,13 @@ func (s slopeCounter) Slope(x float64) float64 {
 	return s.Curve.Slope(x)
 }
 
-// TestAllocateLatenciesEarlyExitBitwise asserts the slope early exit leaves
-// exactly the latencies the full inner loop would — the reference solve with
-// every inner round re-evaluating the slope, ending only when the aggregate
-// stops moving — over a price sweep that covers the free, clamped and
-// interior regimes, with and without path prices, carrying state from one
-// solve into the next.
+// TestAllocateLatenciesEarlyExitBitwise asserts Solve leaves exactly the
+// latencies of the reference solve — one pass at the entry slope when it
+// reproduces its aggregate, otherwise bisection to exhaustion — over a price
+// sweep that covers the free, clamped and interior regimes, with and without
+// path prices, carrying state from one solve into the next; and that the
+// one-pass exit lands within 1e-7 of the root an exhaustive bisection finds
+// without it, which every solve that bisects returns bit for bit.
 func TestAllocateLatenciesEarlyExitBitwise(t *testing.T) {
 	curves := map[string]utility.Curve{
 		"linear":      utility.Linear{K: 2, CMs: 100},
@@ -287,7 +312,8 @@ func TestAllocateLatenciesEarlyExitBitwise(t *testing.T) {
 		}
 		got := e.Controller(0)
 		want := newRefTask(t, e, 0, new(refHits))
-		want.fullLoop = true
+		root := newRefTask(t, e, 0, new(refHits))
+		root.noOnePass = true
 		for _, lambda := range []float64{0, 0.5} {
 			got.Lambda[0], want.lambda[0] = lambda, lambda
 			for _, m0 := range prices {
@@ -295,10 +321,16 @@ func TestAllocateLatenciesEarlyExitBitwise(t *testing.T) {
 					mu := []float64{m0, m1}
 					got.Solve(mu, nil)
 					referenceSolve(want, mu, nil)
+					copy(root.lambda, got.Lambda) // the path prices the latencies were solved at
+					root.allocateLatencies(mu)
 					for si := range got.LatMs {
 						if got.LatMs[si] != want.lat[si] {
-							t.Fatalf("%s lambda=%v mu=%v subtask %d: early exit %x, full loop %x",
+							t.Fatalf("%s lambda=%v mu=%v subtask %d: Solve %x, reference %x",
 								name, lambda, mu, si, got.LatMs[si], want.lat[si])
+						}
+						if d := math.Abs(got.LatMs[si] - root.lat[si]); d > 1e-7*(1+math.Abs(root.lat[si])) {
+							t.Fatalf("%s lambda=%v mu=%v subtask %d: Solve %v, exhaustive bisection %v",
+								name, lambda, mu, si, got.LatMs[si], root.lat[si])
 						}
 					}
 				}

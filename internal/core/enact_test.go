@@ -101,7 +101,7 @@ func TestReplaceWorkloadCarriesPrices(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snapBefore, ok := e.RunUntilConverged(5000, 1e-8, 50, 1e-3)
+	snapBefore, ok := e.RunUntilKKT(5000, 1e-9, 3, 1e-6)
 	if !ok {
 		t.Fatal("initial convergence failed")
 	}
@@ -117,7 +117,7 @@ func TestReplaceWorkloadCarriesPrices(t *testing.T) {
 			t.Errorf("mu[%d] = %v, want carried %v", ri, snap.Mu[ri], muBefore[ri])
 		}
 	}
-	snapAfter, ok := e.RunUntilConverged(200, 1e-8, 50, 1e-3)
+	snapAfter, ok := e.RunUntilKKT(200, 1e-9, 3, 1e-6)
 	if !ok {
 		t.Fatalf("warm restart should converge almost immediately: %v", snapAfter)
 	}
@@ -132,7 +132,7 @@ func TestReplaceWorkloadWithNewTask(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := e.RunUntilConverged(5000, 1e-8, 50, 1e-3); !ok {
+	if _, ok := e.RunUntilKKT(5000, 1e-9, 3, 1e-6); !ok {
 		t.Fatal("initial convergence failed")
 	}
 
@@ -145,7 +145,7 @@ func TestReplaceWorkloadWithNewTask(t *testing.T) {
 		t.Fatal(err)
 	}
 	warm := e.Iteration()
-	snap, ok := e.RunUntilConverged(5000, 1e-8, 50, 1e-2)
+	snap, ok := e.RunUntilKKT(5000, 1e-9, 3, 1e-6)
 	if !ok {
 		t.Fatalf("did not converge after task join: %v", snap)
 	}
@@ -160,7 +160,7 @@ func TestReplaceWorkloadWithNewTask(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	coldSnap, ok := cold.RunUntilConverged(5000, 1e-8, 50, 1e-2)
+	coldSnap, ok := cold.RunUntilKKT(5000, 1e-9, 3, 1e-6)
 	if !ok {
 		t.Fatal("cold start did not converge")
 	}
@@ -201,7 +201,7 @@ func TestReplaceWorkloadStructureChangeStartsFresh(t *testing.T) {
 	if err := e.ReplaceWorkload(w); err != nil {
 		t.Fatal(err)
 	}
-	snap, ok := e.RunUntilConverged(5000, 1e-8, 50, 1e-2)
+	snap, ok := e.RunUntilKKT(5000, 1e-9, 3, 1e-6)
 	if !ok {
 		t.Fatalf("did not converge after structural change: %v", snap)
 	}

@@ -8,7 +8,6 @@ import (
 	"lla/internal/obs"
 	"lla/internal/par"
 	"lla/internal/price"
-	"lla/internal/stats"
 	"lla/internal/task"
 	"lla/internal/workload"
 )
@@ -26,9 +25,6 @@ type StepPolicy struct {
 // InitialMu is every resource's starting price: the engine's, a distributed
 // resource node's, and the floor admission prices newcomers at.
 const InitialMu = 1
-
-// maxInner bounds the controller's fixed-point rounds for nonlinear curves.
-const maxInner = 30
 
 // Config configures an Engine.
 type Config struct {
@@ -501,41 +497,14 @@ func (e *Engine) Run(n int, record func(Snapshot)) {
 	}
 }
 
-// RunUntilConverged iterates until the total utility is stable (relative
-// change < relTol for window consecutive iterations) and no constraint is
-// violated beyond tol, or until maxIters. It returns the final snapshot and
-// whether convergence was reached. Each iteration is judged through the
-// allocation-free Probe rather than a deep-copied Snapshot; the full
-// snapshot is assembled once on exit.
-func (e *Engine) RunUntilConverged(maxIters int, relTol float64, window int, tol float64) (Snapshot, bool) {
-	if maxIters <= 0 {
-		return Snapshot{}, false
-	}
-	det := stats.NewConvergenceDetector(relTol, window)
-	for i := 0; i < maxIters; i++ {
-		e.Step()
-		pr := e.Probe()
-		if det.Observe(pr.Utility) && pr.MaxResourceViolation < tol && pr.MaxPathViolationFrac < tol {
-			e.emit(obs.Event{Kind: obs.EventConverged, Iteration: pr.Iteration, Value: pr.Utility})
-			return e.Snapshot(), true
-		}
-	}
-	return e.Snapshot(), false
-}
-
 // RunUntilKKT iterates until the point is a certified stationary point: the
 // worst normalized Equation 7 residual over interior subtasks stays below
 // kktTol for window consecutive iterations while no constraint is violated
 // beyond tol, or until maxIters. It returns the final snapshot and whether
 // convergence was reached.
 //
-// This is a strictly stronger criterion than RunUntilConverged's
-// utility-stability window: under oscillating prices the aggregate utility
-// can sit still (the oscillation cancels across tasks) while the KKT
-// residuals are still shrinking, so the utility window can declare
-// convergence at a point that is not yet the fixed point. Solver
-// comparisons (the eval solvers sweep, BenchmarkRoundsToConverge) use this
-// criterion so every solver is measured against the same true fixed point.
+// It is the one stopping rule: every decision path stops here, or on the
+// same certificate graded per round (dist's RunUntilKKT).
 //
 // Each iteration is graded by Certify, which stops at the first witness, so
 // the iterations that are not yet stationary — nearly all of them — pay
@@ -546,18 +515,14 @@ func (e *Engine) RunUntilKKT(maxIters int, kktTol float64, window int, tol float
 	if maxIters <= 0 || window <= 0 {
 		return Snapshot{}, false
 	}
-	stable := 0
-	for i := 0; i < maxIters; i++ {
+	for i, passed := 0, 0; i < maxIters; i++ {
 		e.Step()
-		if _, ok := e.Certify(kktTol, tol); ok {
-			stable++
-			if stable >= window {
-				s := e.Snapshot()
-				e.emit(obs.Event{Kind: obs.EventConverged, Iteration: s.Iteration, Value: s.Utility})
-				return s, true
-			}
-		} else {
-			stable = 0
+		if _, ok := e.Certify(kktTol, tol); !ok {
+			passed = 0
+		} else if passed++; passed >= window {
+			s := e.Snapshot()
+			e.emit(obs.Event{Kind: obs.EventConverged, Iteration: s.Iteration, Value: s.Utility})
+			return s, true
 		}
 	}
 	return e.Snapshot(), false

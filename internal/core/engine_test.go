@@ -28,7 +28,7 @@ func TestEngineSingleSubtaskOptimum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap, ok := e.RunUntilConverged(2000, 1e-6, 10, 1e-3)
+	snap, ok := e.RunUntilKKT(2000, 1e-9, 3, 1e-6)
 	if !ok {
 		t.Fatalf("did not converge: %v", snap)
 	}
@@ -64,7 +64,7 @@ func TestEngineTwoTaskAnalyticOptimum(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		snap, ok := e.RunUntilConverged(5000, 1e-7, 20, 1e-3)
+		snap, ok := e.RunUntilKKT(5000, 1e-9, 3, 1e-6)
 		if !ok {
 			t.Fatalf("adaptive=%v: did not converge: %v", adaptive, snap)
 		}
@@ -95,7 +95,7 @@ func TestEnginePrototypeModelOptimum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap, ok := e.RunUntilConverged(6000, 1e-7, 20, 1e-3)
+	snap, ok := e.RunUntilKKT(6000, 1e-9, 3, 1e-6)
 	if !ok {
 		t.Fatalf("did not converge: %v", snap)
 	}
@@ -140,7 +140,7 @@ func TestEnginePrototypeErrorCorrectionShift(t *testing.T) {
 			}
 		}
 	}
-	snap, ok := e.RunUntilConverged(6000, 1e-7, 20, 1e-3)
+	snap, ok := e.RunUntilKKT(6000, 1e-9, 3, 1e-6)
 	if !ok {
 		t.Fatalf("did not re-converge: %v", snap)
 	}
@@ -162,7 +162,7 @@ func TestEngineBaseWorkloadMatchesTable1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap, ok := e.RunUntilConverged(8000, 1e-8, 50, 1e-3)
+	snap, ok := e.RunUntilKKT(8000, 1e-9, 3, 1e-6)
 	if !ok {
 		t.Fatalf("did not converge: %v", snap)
 	}
@@ -219,7 +219,7 @@ func TestEngineDetectsUnschedulableWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap, ok := e.RunUntilConverged(1500, 1e-8, 50, 1e-3)
+	snap, ok := e.RunUntilKKT(1500, 1e-9, 3, 1e-6)
 	if ok && snap.Feasible(1e-3) {
 		t.Fatalf("unschedulable workload reported as converged feasible: %v", snap)
 	}
@@ -249,7 +249,7 @@ func TestEngineScalabilityConverges(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		snap, ok := e.RunUntilConverged(8000, 1e-8, 50, 1e-2)
+		snap, ok := e.RunUntilKKT(8000, 1e-9, 3, 1e-6)
 		if !ok {
 			t.Fatalf("factor %d: did not converge: %v", factor, snap)
 		}
@@ -267,13 +267,13 @@ func TestEngineAdaptsToAvailabilityDrop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := e.RunUntilConverged(5000, 1e-7, 20, 1e-3); !ok {
+	if _, ok := e.RunUntilKKT(5000, 1e-9, 3, 1e-6); !ok {
 		t.Fatal("initial convergence failed")
 	}
 	if err := e.SetAvailability("r0", 0.5); err != nil {
 		t.Fatal(err)
 	}
-	snap, ok := e.RunUntilConverged(8000, 1e-7, 20, 1e-3)
+	snap, ok := e.RunUntilKKT(8000, 1e-9, 3, 1e-6)
 	if !ok {
 		t.Fatalf("did not re-converge after availability drop: %v", snap)
 	}
@@ -303,7 +303,7 @@ func TestEngineAdaptsToMinShareChange(t *testing.T) {
 	if err := e.SetMinShare("t1", "s1", 0.6); err != nil {
 		t.Fatal(err)
 	}
-	snap, ok := e.RunUntilConverged(8000, 1e-7, 20, 1e-3)
+	snap, ok := e.RunUntilKKT(8000, 1e-9, 3, 1e-6)
 	if !ok {
 		t.Fatalf("did not re-converge: %v", snap)
 	}
@@ -332,7 +332,7 @@ func TestEngineNonlinearCurveKKT(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap, ok := e.RunUntilConverged(10000, 1e-8, 30, 1e-3)
+	snap, ok := e.RunUntilKKT(10000, 1e-9, 3, 1e-6)
 	if !ok {
 		t.Fatalf("did not converge: %v", snap)
 	}
@@ -354,7 +354,7 @@ func TestEngineWeightVariantsConverge(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		snap, ok := e.RunUntilConverged(8000, 1e-8, 50, 1e-2)
+		snap, ok := e.RunUntilKKT(8000, 1e-9, 3, 1e-6)
 		if !ok {
 			t.Errorf("mode %v: did not converge: %v", mode, snap)
 		}

@@ -159,20 +159,20 @@ func (f kktFold) mean() float64 {
 
 // kktScan folds every task into f.
 func (e *Engine) kktScan(f kktFold) kktFold {
-	for ti := range e.p.Tasks {
-		e.taskKKT(ti, math.NaN(), &f)
+	p := e.p
+	for ti := range p.Tasks {
+		p.taskKKT(ti, e.taskLat(ti), e.lambda[p.pathOff[ti]:p.pathOff[ti+1]], e.price, math.NaN(), &f)
 	}
 	return f
 }
 
 // taskKKT folds into f the normalized Equation 7 stationarity residual of
 // every interior subtask of task ti (bound-active subtasks need not be
-// stationary), reading the flat problem and state arrays. It stops early,
-// reporting false, at the first residual >= stop; a NaN stop never stops.
-func (e *Engine) taskKKT(ti int, stop float64, f *kktFold) bool {
-	p, mu := e.p, e.price
+// stationary) at latencies lat, path prices lambda and resource prices mu
+// (indexed like Resources). It stops early, reporting false, at the first
+// residual >= stop; a NaN stop never stops.
+func (p *Problem) taskKKT(ti int, lat, lambda, mu []float64, stop float64, f *kktFold) bool {
 	lo, hi := p.subOff[ti], p.subOff[ti+1]
-	lat, lambda := e.lat[lo:hi], e.lambda[p.pathOff[ti]:p.pathOff[ti+1]]
 	weight, cost, errMs, res := p.weight[lo:hi], p.cost[lo:hi], p.errMs[lo:hi], p.res[lo:hi]
 	latMin, latMax := p.latMin[lo:hi], p.latMax[lo:hi]
 	toff, through := p.throughOff[lo:hi+1], p.through

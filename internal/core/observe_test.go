@@ -177,7 +177,7 @@ func TestEngineTraceEvents(t *testing.T) {
 	mem := &obs.Memory{}
 	e.Observe(&obs.Observer{Trace: mem})
 
-	if _, ok := e.RunUntilConverged(20000, 1e-9, 30, 1e-3); !ok {
+	if _, ok := e.RunUntilKKT(20000, 1e-9, 3, 1e-6); !ok {
 		t.Fatal("engine did not converge")
 	}
 	conv := mem.ByKind(obs.EventConverged)

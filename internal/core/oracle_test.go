@@ -37,8 +37,8 @@ type refTask struct {
 
 	baseGamma   float64
 	priceScaled bool
-	// fullLoop drops the slope early exit from the fixed-point loop.
-	fullLoop bool
+	// noOnePass drops the one-pass exit: every solve bisects.
+	noOnePass bool
 
 	hits *refHits
 }
@@ -161,56 +161,91 @@ func (r *refTask) updatePathPrices(congestedRes []bool) bool {
 	return changed
 }
 
-// allocateLatencies is the latency-allocation step (Section 4.2, Equation 7).
+// solveAt is the latency solve (Section 4.2, Equation 7) at one utility
+// slope: it writes every latency and returns their aggregate.
+func (r *refTask) solveAt(mu []float64, slope float64) float64 {
+	for si := range r.lat {
+		lambdaSum := 0.0
+		for _, pi := range r.through[si] {
+			lambdaSum += r.lambda[pi]
+		}
+		denom := lambdaSum - r.weights[si]*slope
+		muR := mu[r.res[si]]
+		var lat float64
+		switch {
+		case muR <= 0:
+			lat = r.latMin[si]
+			r.hits.free++
+		case denom <= 1e-12:
+			lat = r.latMax[si]
+			r.hits.released++
+		default:
+			sf := r.share[si]
+			lat = sf.ErrMs + safeSqrt(muR*(sf.ExecMs+sf.LagMs)/denom)
+			switch {
+			case lat < r.latMin[si]:
+				r.hits.clampLo++
+			case lat > r.latMax[si]:
+				r.hits.clampHi++
+			default:
+				r.hits.interior++
+			}
+		}
+		r.lat[si] = clamp(lat, r.latMin[si], r.latMax[si])
+	}
+	return r.aggregate()
+}
+
+// aggregateOf is Σ w_s·lat_s over the given latencies.
+func (r *refTask) aggregateOf(lat []float64) float64 {
+	sum := 0.0
+	for si, w := range r.weights {
+		sum += w * lat[si]
+	}
+	return sum
+}
+
+// allocateLatencies is the latency-allocation step (Section 4.2, Equation
+// 7): one pass at the entry aggregate's slope, kept when it reproduces that
+// aggregate (or a slope bitwise equal to its own); otherwise the aggregate a
+// with g(a) = a, g(a) the aggregate solveAt returns at slope f'(a), found by
+// bisecting between the entry aggregate and the pass's until no double lies
+// strictly between the ends. With noOnePass it bisects the whole
+// [Σw·latMin, Σw·latMax] instead.
 func (r *refTask) allocateLatencies(mu []float64) bool {
 	latPrev := append([]float64(nil), r.lat...)
 	agg := r.aggregate()
 	slope := r.curve.Slope(agg)
-	for inner := 0; inner < maxInner; inner++ {
-		if inner == 1 {
-			r.hits.multiRound++
-		}
-		for si := range r.lat {
-			lambdaSum := 0.0
-			for _, pi := range r.through[si] {
-				lambdaSum += r.lambda[pi]
-			}
-			denom := lambdaSum - r.weights[si]*slope
-			muR := mu[r.res[si]]
-			var lat float64
-			switch {
-			case muR <= 0:
-				lat = r.latMin[si]
-				r.hits.free++
-			case denom <= 1e-12:
-				lat = r.latMax[si]
-				r.hits.released++
-			default:
-				sf := r.share[si]
-				lat = sf.ErrMs + safeSqrt(muR*(sf.ExecMs+sf.LagMs)/denom)
-				switch {
-				case lat < r.latMin[si]:
-					r.hits.clampLo++
-				case lat > r.latMax[si]:
-					r.hits.clampHi++
-				default:
-					r.hits.interior++
-				}
-			}
-			r.lat[si] = clamp(lat, r.latMin[si], r.latMax[si])
-		}
-		next := r.aggregate()
-		if math.Abs(next-agg) < 1e-9*(1+math.Abs(agg)) {
-			break
-		}
-		nextSlope := r.curve.Slope(next)
-		if !r.fullLoop && nextSlope == slope {
-			break
-		}
-		agg, slope = next, nextSlope
+	next := r.solveAt(mu, slope)
+	lo, hi := math.Min(agg, next), math.Max(agg, next)
+	if r.noOnePass {
+		lo, hi = r.aggregateOf(r.latMin), r.aggregateOf(r.latMax)
+	} else if math.Abs(next-agg) < 1e-9*(1+math.Abs(agg)) || r.curve.Slope(next) == slope {
+		return changed(r.lat, latPrev)
 	}
-	for si, lat := range r.lat {
-		if lat != latPrev[si] {
+	r.hits.multiRound++
+	for {
+		m := lo + (hi-lo)/2
+		if m <= lo || m >= hi {
+			break
+		}
+		g := r.solveAt(mu, r.curve.Slope(m))
+		if g == m {
+			break
+		}
+		if g > m {
+			lo = m
+		} else {
+			hi = m
+		}
+	}
+	return changed(r.lat, latPrev)
+}
+
+// changed reports whether any latency moved bitwise.
+func changed(lat, prev []float64) bool {
+	for si := range lat {
+		if lat[si] != prev[si] {
 			return true
 		}
 	}

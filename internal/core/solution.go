@@ -88,9 +88,9 @@ func (e *Engine) SnapshotInto(s *Snapshot) {
 	}
 }
 
-// Probe is the allocation-free convergence view of an iteration: the three
-// scalars RunUntilConverged's stopping rule needs, computed without the
-// deep copies a full Snapshot makes.
+// Probe is the allocation-free view of an iteration: utility and the two
+// constraint violations, computed without the deep copies a full Snapshot
+// makes.
 type Probe struct {
 	// Iteration is the number of completed iterations.
 	Iteration int

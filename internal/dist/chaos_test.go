@@ -169,7 +169,7 @@ func serialOptimum(t *testing.T) float64 {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	snap, ok := e.RunUntilConverged(20000, 1e-9, 30, 1e-3)
+	snap, ok := e.RunUntilKKT(20000, 1e-9, 3, 1e-6)
 	if !ok {
 		t.Fatalf("serial engine did not converge: %v", snap)
 	}

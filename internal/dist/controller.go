@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"math"
 	"slices"
 	"sort"
 	"time"
@@ -80,6 +81,8 @@ func (g *shareGroup) latencies(latMs, prev []float64) (out []float64, changed bo
 type controllerNode struct {
 	peer
 	ctl  *core.Controller
+	p    *core.Problem
+	ti   int
 	name string
 	// groups holds one entry per distinct resource the task uses, parallel to
 	// peers; groupOf resolves a price message's resource ID to its entry.
@@ -90,9 +93,11 @@ type controllerNode struct {
 	reports bool
 	// mu and congested are the price vector Solve reads, by resource index
 	// (resources of them, each starting at core.InitialMu), built when a run
-	// opens.
+	// opens; excess[k] is the capacity excess groups[k]'s latest price
+	// carried.
 	mu        []float64
 	congested []bool
+	excess    []float64
 	resources int
 	// lastLat[k] caches the latest full latency message for groups[k], for
 	// retransmission, stale recovery, heartbeats and as the delta codec's
@@ -123,6 +128,8 @@ func newControllerNode(p *core.Problem, ti int, cfg core.Config, a addresses) *c
 	n := &controllerNode{
 		peer:      peer{node: node{addr: a.ctl[ti]}, kind: wire.KindLatency},
 		ctl:       core.NewController(p, ti, cfg.Step),
+		p:         p,
+		ti:        ti,
 		name:      p.Tasks[ti].Name,
 		groups:    shareGroups(p, &p.Tasks[ti]),
 		groupOf:   make(map[string]int),
@@ -147,6 +154,7 @@ func (n *controllerNode) step(now time.Duration, ev event) *effects {
 func (n *controllerNode) open(now time.Duration) {
 	n.mu, n.congested = make([]float64, n.resources), make([]bool, n.resources)
 	n.lastHeard, n.degraded = make([]time.Duration, len(n.groups)), make([]bool, len(n.groups))
+	n.excess = make([]float64, len(n.groups))
 	for k, g := range n.groups {
 		n.mu[g.ri], n.lastHeard[k] = core.InitialMu, now
 	}
@@ -168,7 +176,7 @@ func (n *controllerNode) fold(k int, payload any, now time.Duration) (changed bo
 	pm, ri := payload.(wire.PriceUpdate), n.groups[k].ri
 	if !pm.Delta {
 		changed = n.mu[ri] != pm.Mu || n.congested[ri] != pm.Congested
-		n.mu[ri], n.congested[ri] = pm.Mu, pm.Congested
+		n.mu[ri], n.congested[ri], n.excess[k] = pm.Mu, pm.Congested, pm.Excess
 	}
 	n.lastHeard[k] = now
 	if n.degraded[k] {
@@ -194,7 +202,12 @@ func (n *controllerNode) beat(now time.Duration) {
 // price may be off-optimum, but it must never break a deadline: it is clamped,
 // and never counts as a fixed point — the clamp mutates latencies after the
 // solve, so suppression must not engage while any used resource is degraded.
+// In the round protocol the round's report goes out first: the point its
+// prices complete is the one the coordinator grades.
 func (n *controllerNode) compute() (moved bool) {
+	if n.reports && n.pace == 0 {
+		n.report()
+	}
 	priceChanged, latChanged := n.ctl.Solve(n.mu, n.congested)
 	if slices.Contains(n.degraded, true) {
 		n.maxDegradedViolation = max(n.maxDegradedViolation, n.ctl.ClampDeadlineSafe())
@@ -205,10 +218,25 @@ func (n *controllerNode) compute() (moved bool) {
 	return priceChanged || latChanged
 }
 
+// report sends the coordinator this round's utility and the task's part of
+// its certificate: the point after the engine's Step n.round (the last
+// solve's latencies and path prices, the prices just folded), graded as
+// core.Engine.Certify grades it, and the largest excess the prices carried.
+func (n *controllerNode) report() {
+	var c core.Certificate
+	n.p.CertifyTask(n.ti, n.ctl.LatMs, n.ctl.Lambda, n.mu, math.Inf(1), math.Inf(1), &c)
+	n.lastReport = wire.UtilityReport{Round: n.round, Epoch: n.epoch, Task: n.name, Utility: n.ctl.Utility(),
+		KKTMax: c.KKTMax, PathViolation: c.MaxPathViolationFrac, Excess: slices.Max(n.excess)}
+	n.haveReport = true
+	// Best-effort: a report the coordinator's full inbox refuses is a lost
+	// report (it skips the round), not a reason to stop allocating.
+	n.send(coordinatorAddr, wire.KindReport, n.lastReport, false)
+}
+
 // speak distributes the freshly allocated latencies, one message per
-// resource, and reports utility to the coordinator. In the round protocol a
-// resource whose latencies are bitwise unchanged from the previous round gets
-// a coalesced marker (wire/frames.go) instead, except on keyframe rounds.
+// resource. In the round protocol a resource whose latencies are bitwise
+// unchanged from the previous round gets a coalesced marker (wire/frames.go)
+// instead, except on keyframe rounds.
 func (n *controllerNode) speak() {
 	for k := range n.groups {
 		g := &n.groups[k]
@@ -220,14 +248,6 @@ func (n *controllerNode) speak() {
 			msg = wire.ShareReport{Round: n.round, Epoch: n.epoch, Task: n.name, Delta: true}
 		}
 		n.tell(k, msg)
-	}
-	if n.reports && n.pace == 0 {
-		n.lastReport = wire.UtilityReport{Round: n.round, Epoch: n.epoch, Task: n.name, Utility: n.ctl.Utility()}
-		n.haveReport = true
-		// Best-effort, like everything coordinator-bound: the coordinator is
-		// off the critical path, and a report its full inbox refuses is a
-		// lost report (it skips the round), not a reason to stop allocating.
-		n.send(coordinatorAddr, wire.KindReport, n.lastReport, false)
 	}
 }
 
@@ -302,10 +322,13 @@ func (n *controllerNode) linger(now time.Duration, ev event) *effects {
 				n.rejoined()
 			}
 		case wire.PriceUpdate:
-			// The resource is stalled on our final latencies: recover it.
-			n.stale()
 			n.quiet = 0
-			if k, ok := n.groupOf[pm.Resource]; ok {
+			if k, ok := n.groupOf[pm.Resource]; ok && pm.Round >= n.limit {
+				// The resource opened a round past a stop it missed: pass it on.
+				n.send(n.peers[k], wire.KindStop, wire.Stop{AfterRound: n.limit, Epoch: n.epoch}, false)
+			} else if ok {
+				// The resource is stalled on our final latencies: recover it.
+				n.stale()
 				n.resend(n, k)
 			}
 		}

@@ -3,9 +3,9 @@ package dist
 import (
 	"time"
 
+	"lla/internal/core"
 	"lla/internal/obs"
 	rec "lla/internal/recover"
-	"lla/internal/stats"
 	"lla/internal/transport"
 	"lla/internal/wire"
 )
@@ -13,7 +13,7 @@ import (
 // The coordinator is deliberately off the protocol's critical path: reports
 // are fire-and-forget and round progress gates only on node-to-node frames,
 // so a coordinator crash never stalls the optimization — it only blinds
-// aggregation and convergence detection. Failover therefore has
+// aggregation and the certificate stop. Failover therefore has
 // to restore exactly that view: a restarted coordinator loads the latest
 // checkpoint for its epoch, bumps it, re-registers the live nodes with a
 // rejoin handshake, and fences every frame from the dead generation so a
@@ -50,10 +50,13 @@ type FailoverPlan struct {
 	// counts it; a node that failed to fence would halt immediately and the
 	// run would visibly collapse.
 	ZombieProbe bool
-	// RelTol and Window enable convergence detection (as RunUntilConverged)
-	// when Window > 0.
-	RelTol float64
-	Window int
+}
+
+// certRule is RunUntilKKT's stopping rule: window consecutive rounds whose
+// certificate passes core.Engine.Certify's test at kktTol and tol.
+type certRule struct {
+	kktTol, tol float64
+	window      int
 }
 
 // coordinator lifecycle states.
@@ -63,22 +66,23 @@ const (
 	coordRejoin        // restarted: collecting rejoin acks
 )
 
-// coordinator is the machine that aggregates per-round utility reports in
-// round order, watches a report lease per task, broadcasts the convergence
-// stop, and lives through its crash plan. node.epoch is the generation it
-// runs as.
+// coordinator is the machine that aggregates per-round reports in round
+// order, watches a report lease per task, broadcasts the certificate stop,
+// and lives through its crash plan. node.epoch is the generation it runs as.
 type coordinator struct {
 	node
-	rt      *Runtime
-	det     *stats.ConvergenceDetector
+	rt *Runtime
+	// rule, when set, stops the run; passed counts the consecutive emitted
+	// rounds whose certificate passed it.
+	rule    *certRule
+	passed  int
 	plan    FailoverPlan
 	res     *Result
 	taskIdx map[string]int
 
 	// open holds the rounds with some but not all reports in.
 	open      map[int]*tally
-	nextEmit  int // rounds fully reported so far: the round awaited
-	emitted   int
+	nextEmit  int // the round awaited (res.Rounds counts those emitted)
 	converged bool
 	// lastReport and expired are the report leases, by task index.
 	lastReport []time.Duration
@@ -97,11 +101,13 @@ type coordinator struct {
 
 // tally is one round's reports, a slot per task: a duplicated report counts
 // once (a second count would push the round past "all in" and stall the
-// emission cursor for good), and the round's utility is summed in task order.
+// emission cursor for good), the round's utility is summed in task order,
+// and cert folds the tasks' certificates — maxima, exact in any order.
 type tally struct {
 	utility []float64
 	have    []bool
 	n       int
+	cert    core.Certificate
 }
 
 func (c *coordinator) ids() (int, uint64, string) { return c.nextEmit, c.epoch, c.addr }
@@ -213,14 +219,19 @@ func (c *coordinator) report(now time.Duration, rm wire.UtilityReport) {
 	}
 	if tl != nil && !tl.have[ti] {
 		tl.utility[ti], tl.have[ti] = rm.Utility, true
+		tl.cert.KKTMax = max(tl.cert.KKTMax, rm.KKTMax)
+		tl.cert.MaxPathViolationFrac = max(tl.cert.MaxPathViolationFrac, rm.PathViolation)
+		tl.cert.MaxResourceViolation = max(tl.cert.MaxResourceViolation, rm.Excess)
 		tl.n++
 		if tl.n == len(c.acked) {
 			// Every controller has reported this round, so each is past the
 			// earlier ones: a report still missing from those is lost
 			// (reports are fire-and-forget), and waiting for it would stall
-			// the cursor — and convergence detection — for good. Skip them.
+			// the cursor — and the certificate stop — for good. Skip them;
+			// a skipped round is unproven, so the stop's count restarts.
 			for ; c.nextEmit < rm.Round; c.nextEmit++ {
 				delete(c.open, c.nextEmit)
+				c.passed = 0
 			}
 		}
 	}
@@ -229,27 +240,47 @@ func (c *coordinator) report(now time.Duration, rm wire.UtilityReport) {
 		for _, v := range tl.utility {
 			u += v
 		}
-		c.res.UtilitySeries.Append(float64(c.nextEmit), u)
-		delete(c.open, c.nextEmit)
+		round := c.nextEmit
+		delete(c.open, round)
 		c.nextEmit++
-		c.emitted++
+		c.res.Rounds++
 		c.m.Rounds.Inc()
 		c.m.RoundSeconds.Observe((now - c.lastEmit).Seconds())
 		c.lastEmit = now
-		if c.det != nil && !c.converged && c.det.Observe(u) {
-			c.converged, c.res.Converged = true, true
-			c.emit(obs.Event{Kind: obs.EventConverged, Value: u})
-			c.broadcast(wire.KindStop, wire.Stop{AfterRound: c.nextEmit, Epoch: c.epoch}, nil)
-		}
+		c.certify(round, u, tl.cert)
 	}
 	if c.state == coordUp && !c.converged &&
-		c.nextCrash < len(c.plan.Crashes) && c.emitted >= c.plan.Crashes[c.nextCrash].AfterEmit {
+		c.nextCrash < len(c.plan.Crashes) && c.res.Rounds >= c.plan.Crashes[c.nextCrash].AfterEmit {
 		// This generation dies: it reads nothing until it restarts, and its
 		// aggregation memory is lost.
 		clear(c.open)
+		c.passed = 0
 		c.state = coordDown
 		c.downAt = now + c.plan.Crashes[c.nextCrash].DownFor
 	}
+}
+
+// certify applies the stopping rule to emitted round k's certificate (round
+// 0, the starting point, is never graded). When the verdict lands the nodes
+// can be a round past k, and the stop takes a hop more, so it names round
+// k+2: the final state is the engine's after k+2 Steps. A node the stop
+// misses learns it from its peers (peer.go, controllerNode.linger).
+func (c *coordinator) certify(k int, u float64, cert core.Certificate) {
+	r := c.rule
+	if r == nil || c.converged || k == 0 {
+		return
+	}
+	if cert.KKTMax < r.kktTol && cert.MaxResourceViolation < r.tol && cert.MaxPathViolationFrac < r.tol {
+		c.passed++
+	} else {
+		c.passed = 0
+	}
+	if c.passed < r.window {
+		return
+	}
+	c.converged, c.res.Converged = true, true
+	c.emit(obs.Event{Kind: obs.EventConverged, Iteration: k, Value: u})
+	c.broadcast(wire.KindStop, wire.Stop{AfterRound: k + 2, Epoch: c.epoch}, nil)
 }
 
 // restart brings a fresh generation up: reload the checkpointed epoch, bump
@@ -289,11 +320,13 @@ func (c *coordinator) broadcastRejoin() {
 }
 
 // broadcast sends one control frame to every controller not in skip, then to
-// every resource (rt.peers lists the controllers first, in skip's order).
+// every resource (rt.peers lists the controllers first, in skip's order). A
+// stop is best-effort: nodes pass it on, so the run can end before its last
+// copy is out.
 func (c *coordinator) broadcast(kind string, payload any, skip []bool) {
 	for i, n := range c.rt.peers {
 		if i >= len(skip) || !skip[i] {
-			c.send(n.addr, kind, payload, true)
+			c.send(n.addr, kind, payload, kind != wire.KindStop)
 		}
 	}
 }
@@ -301,7 +334,9 @@ func (c *coordinator) broadcast(kind string, payload any, skip []bool) {
 // resync ends the rejoin handshake: jump the emission cursor past the rounds
 // whose reports died with the previous generation and resume.
 func (c *coordinator) resync() {
-	c.nextEmit = max(c.nextEmit, c.maxAckRound+1)
+	if c.maxAckRound+1 > c.nextEmit {
+		c.nextEmit, c.passed = c.maxAckRound+1, 0
+	}
 	for round := range c.open {
 		if round < c.nextEmit {
 			delete(c.open, round)

@@ -152,7 +152,7 @@ func TestFailoverEpochLoadedFromCheckpoint(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		eng.Step()
 	}
-	w, err := rec.NewWriter(dir, 0)
+	w, err := rec.NewWriter(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"slices"
 	"time"
 
 	"lla/internal/transport"
@@ -191,7 +192,13 @@ func (n *peer) receive(r role, now time.Duration, m transport.Message) {
 		}
 		return
 	case wire.Fin:
-		return // a straggler from an earlier run on the same endpoints
+		// A resource finishes in the round this controller is in (it cannot
+		// open a round without our latencies): a stop we missed ends it here.
+		if n.pace == 0 && !n.leads && slices.Contains(n.peers, m.From) {
+			n.limit = n.round
+			r.close(now)
+		}
+		return
 	}
 	k, round, seq, ok := r.read(m.Payload)
 	switch {

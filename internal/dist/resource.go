@@ -34,15 +34,16 @@ type resourceNode struct {
 	// rm carries the per-resource gauges; nil unless observed.
 	rm *obs.ResourceMetrics
 
-	// congested is the flag of the latest update. last caches the latest full
-	// broadcast (none yet while its Resource is empty) for retransmission,
-	// stale recovery and heartbeats — recovery always re-sends by value, never
-	// a marker. prevMu/prevCong are the previous round's payload, the delta
-	// codec's reference.
-	congested         bool
-	last              wire.PriceUpdate
-	prevMu            float64
-	prevCong, prevSet bool
+	// congested is the flag of the latest update and excess its capacity
+	// excess. last caches the latest full broadcast (none yet while its
+	// Resource is empty) for retransmission, stale recovery and heartbeats —
+	// recovery always re-sends by value, never a marker. prev is the previous
+	// round's payload, the delta codec's reference.
+	congested bool
+	excess    float64
+	last      wire.PriceUpdate
+	prev      wire.PriceUpdate
+	prevSet   bool
 }
 
 // newResourceNode builds the machine of resource ri.
@@ -135,6 +136,7 @@ func (n *resourceNode) compute() (moved bool) {
 		}
 	}
 	n.congested = r.Congested(sum)
+	n.excess = max(sum-r.Availability, 0)
 	n.mu, moved = n.dyn.StepAt(0, n.mu, sum, r.Availability, core.Curvature(inner, n.mu), n.congested)
 	if n.rm != nil {
 		n.rm.ShareSum.Set(sum)
@@ -149,15 +151,15 @@ func (n *resourceNode) compute() (moved bool) {
 // bitwise unchanged from the previous round goes out as a delta marker
 // (wire/frames.go) instead, except on keyframe rounds.
 func (n *resourceNode) speak() {
-	n.last = wire.PriceUpdate{Round: n.round, Seq: n.seq, Epoch: n.epoch, Resource: n.r.ID, Mu: n.mu, Congested: n.congested}
+	n.last = wire.PriceUpdate{Round: n.round, Seq: n.seq, Epoch: n.epoch, Resource: n.r.ID, Mu: n.mu, Excess: n.excess, Congested: n.congested}
 	out := n.last
 	if n.pace == 0 {
-		if n.prevSet && n.round%deltaKeyframeInterval != 0 && out.Mu == n.prevMu && out.Congested == n.prevCong {
+		if n.prevSet && n.round%deltaKeyframeInterval != 0 && out.Mu == n.prev.Mu && out.Excess == n.prev.Excess && out.Congested == n.prev.Congested {
 			out = wire.PriceUpdate{Round: n.round, Epoch: n.epoch, Resource: out.Resource, Delta: true}
 			fanout := int64(len(n.peers))
 			n.suppressed(fanout, fanout*wire.DeltaBytesSaved(n.last))
 		}
-		n.prevMu, n.prevCong, n.prevSet = n.last.Mu, n.last.Congested, true
+		n.prev, n.prevSet = n.last, true
 	}
 	for k := range n.peers {
 		n.tell(k, out)

@@ -18,7 +18,6 @@ import (
 	"lla/internal/obs"
 	"lla/internal/price"
 	rec "lla/internal/recover"
-	"lla/internal/stats"
 	"lla/internal/transport"
 	"lla/internal/workload"
 )
@@ -179,13 +178,11 @@ type Result struct {
 	// Utility is the final aggregate utility, computed from the controllers'
 	// final state (robust to lost coordinator reports).
 	Utility float64
-	// UtilitySeries records the aggregate utility per fully reported round.
-	UtilitySeries *stats.Series
 	// LatMs[ti][si] are the final latencies.
 	LatMs [][]float64
 	// Mu[ri] are the final resource prices.
 	Mu []float64
-	// Converged reports whether a convergence stop fired.
+	// Converged reports whether RunUntilKKT's certificate stop fired.
 	Converged bool
 	// Retransmits counts messages re-sent by the reliability layer
 	// (sender-side timeouts plus receiver-side stale recovery).
@@ -240,11 +237,16 @@ func (r *Runtime) Run(rounds int) (*Result, error) {
 	return r.run(rounds, nil, FailoverPlan{})
 }
 
-// RunUntilConverged executes until the aggregate utility is stable (relative
-// change < relTol over window rounds) or maxRounds; on convergence it
-// broadcasts a stop and lets the protocol drain.
-func (r *Runtime) RunUntilConverged(maxRounds int, relTol float64, window int) (*Result, error) {
-	return r.run(maxRounds, stats.NewConvergenceDetector(relTol, window), FailoverPlan{})
+// RunUntilKKT executes until the coordinator has certified window
+// consecutive rounds, or maxRounds. The arguments and the certificate are
+// core.Engine.RunUntilKKT's: round k grades the point Certify grades after
+// Step k, so a lossless run certifies (the converged event's Iteration) where
+// the engine does. The stop then drains the protocol (coordinator.certify).
+func (r *Runtime) RunUntilKKT(maxRounds int, kktTol float64, window int, tol float64) (*Result, error) {
+	if window <= 0 {
+		return nil, fmt.Errorf("dist: certificate window must be positive, got %d", window)
+	}
+	return r.run(maxRounds, &certRule{kktTol: kktTol, tol: tol, window: window}, FailoverPlan{})
 }
 
 // RunWithFailover executes up to maxRounds synchronous rounds while crashing
@@ -255,25 +257,21 @@ func (r *Runtime) RunUntilConverged(maxRounds int, relTol float64, window int) (
 // skipped by the emission cursor, so Result.Rounds may trail further than an
 // uninterrupted run's would.
 func (r *Runtime) RunWithFailover(maxRounds int, plan FailoverPlan) (*Result, error) {
-	var det *stats.ConvergenceDetector
-	if plan.Window > 0 {
-		det = stats.NewConvergenceDetector(plan.RelTol, plan.Window)
-	}
-	return r.run(maxRounds, det, plan)
+	return r.run(maxRounds, nil, plan)
 }
 
 // run is every synchronized mode: the nodes run maxRounds rounds while the
-// coordinator aggregates, detects convergence with det, and lives through
+// coordinator aggregates, stops the run by rule (if set), and lives through
 // plan's crashes.
-func (r *Runtime) run(maxRounds int, det *stats.ConvergenceDetector, plan FailoverPlan) (*Result, error) {
+func (r *Runtime) run(maxRounds int, rule *certRule, plan FailoverPlan) (*Result, error) {
 	if maxRounds <= 0 {
 		return nil, fmt.Errorf("dist: rounds must be positive, got %d", maxRounds)
 	}
-	res := &Result{UtilitySeries: stats.NewSeries("utility")}
+	res := &Result{}
 	c := &coordinator{
 		node:    node{addr: coordinatorAddr, fp: r.fp, nodeCounters: nodeCounters{m: metricsFor(r.obsv)}},
 		rt:      r,
-		det:     det,
+		rule:    rule,
 		plan:    plan,
 		res:     res,
 		taskIdx: make(map[string]int, len(r.ctlNodes)),
@@ -290,8 +288,6 @@ func (r *Runtime) run(maxRounds int, det *stats.ConvergenceDetector, plan Failov
 	if err := r.drive(c, maxRounds, 0, 0); err != nil {
 		return nil, err
 	}
-
-	res.Rounds = res.UtilitySeries.Len()
 	r.collect(res)
 	return res, nil
 }

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"lla/internal/core"
+	"lla/internal/obs"
 	"lla/internal/transport"
 	"lla/internal/workload"
 )
@@ -219,5 +220,72 @@ func TestAsyncWallClockSmoke(t *testing.T) {
 	}
 	if math.IsNaN(res.Utility) || res.Utility <= 0 || res.DegradedRounds != 0 {
 		t.Errorf("utility %v after %d degraded rounds on a healthy network", res.Utility, res.DegradedRounds)
+	}
+}
+
+// RunUntilKKT stops on the engine's certificate. On the lossless virtual
+// network the coordinator certifies at the iteration core.Engine's
+// RunUntilKKT does with the same arguments. Under the chaos suite's loss,
+// delay, duplication and reordering a lost report leaves its round unproven,
+// so certification may come later, never earlier, and only at a point the
+// engine's Certify passes too. Either way the nodes stop at the round the
+// stop names — two past the certified one — in the engine's state after that
+// many Steps, bit for bit. At 30 % loss (seeds 1, 3 and 6) the stop itself
+// is lost on the way to some nodes, which must learn it from their peers.
+func TestVirtualRunCertifiesAtEngineRound(t *testing.T) {
+	const maxRounds, kktTol, window, tol = 5000, 1e-9, 3, 1e-6
+	lossy := transport.ChaosConfig{Seed: 42, LossRate: 0.10, DupRate: 0.10, DelayMs: 0.3, DelayJitterMs: 0.5, ReorderRate: 0.10}
+	chaos := []transport.ChaosConfig{{Seed: 1}, lossy}
+	for _, seed := range []int64{1, 3, 6} {
+		heavy := lossy
+		heavy.Seed, heavy.LossRate = seed, 0.3
+		chaos = append(chaos, heavy)
+	}
+	for _, w := range []struct {
+		name string
+		gen  func() *workload.Workload
+	}{{"base", workload.Base}, {"prototype", workload.Prototype}} {
+		e, err := core.NewEngine(w.gen(), core.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap, ok := e.RunUntilKKT(maxRounds, kktTol, window, tol)
+		e.Close()
+		if !ok {
+			t.Fatalf("%s: the engine did not certify in %d iterations", w.name, maxRounds)
+		}
+		for _, chaos := range chaos {
+			at := fmt.Sprintf("%s, seed %d, loss %v", w.name, chaos.Seed, chaos.LossRate)
+			rt := simRuntime(t, w.gen(), chaos)
+			mem := &obs.Memory{}
+			rt.Observe(&obs.Observer{Trace: mem})
+			res, err := rt.RunUntilKKT(maxRounds, kktTol, window, tol)
+			if err != nil {
+				t.Fatalf("%s: %v", at, err)
+			}
+			conv := mem.ByKind(obs.EventConverged)
+			if !res.Converged || len(conv) != 1 {
+				t.Fatalf("%s: converged %v with %d converged events", at, res.Converged, len(conv))
+			}
+			k := conv[0].Iteration
+			switch {
+			case chaos.LossRate == 0 && k != snap.Iteration:
+				t.Errorf("%s: certified at round %d, the engine at iteration %d", at, k, snap.Iteration)
+			case k < snap.Iteration:
+				t.Errorf("%s: certified at round %d, before the engine's iteration %d", at, k, snap.Iteration)
+			case chaos.LossRate == 0 && res.Rounds != k+2:
+				t.Errorf("%s: %d rounds reported, want the %d up to the stop", at, res.Rounds, k+2)
+			}
+			ref, err := core.NewEngine(w.gen(), core.Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref.Run(k, nil)
+			if _, ok := ref.Certify(kktTol, tol); !ok {
+				t.Errorf("%s: the engine does not certify round %d", at, k)
+			}
+			ref.Close()
+			assertMatchesEngineBitwise(t, w.gen(), res, k+2)
+		}
 	}
 }

@@ -78,7 +78,7 @@ func replayChurn(opts Options, trace []workload.ChurnEvent, cfg admit.Config, la
 	}
 	defer eng.Close()
 	opts.attach(eng)
-	warmSnap, warmOK := eng.RunUntilConverged(3000, 1e-7, 20, 1e-3)
+	warmSnap, warmOK := eng.RunUntilKKT(3000, 1e-9, 3, 1e-6)
 
 	ctrl := admit.New(eng, cfg)
 	ctrl.UsePlacer(admit.NewPlacer())

@@ -121,7 +121,7 @@ func Soak(opts Options) (*Result, error) {
 		defer os.RemoveAll(tmp)
 		dir = tmp
 	}
-	writer, err := rec.NewWriter(dir, 0)
+	writer, err := rec.NewWriter(dir)
 	if err != nil {
 		return nil, err
 	}
@@ -144,7 +144,7 @@ func Soak(opts Options) (*Result, error) {
 		return nil, err
 	}
 	opts.attach(eng)
-	warmSnap, warmOK := eng.RunUntilConverged(3000, 1e-7, 20, 1e-3)
+	warmSnap, warmOK := eng.RunUntilKKT(3000, 1e-9, 3, 1e-6)
 	coldRounds := -1
 	if warmOK {
 		coldRounds = warmSnap.Iteration
@@ -228,7 +228,7 @@ func Soak(opts Options) (*Result, error) {
 		// Warm recovery: rounds until the restored engine satisfies the same
 		// convergence criterion the cold baseline was measured against.
 		pre := restored.Probe().Iteration
-		wSnap, wOK := restored.RunUntilConverged(3000, 1e-7, 20, 1e-3)
+		wSnap, wOK := restored.RunUntilKKT(3000, 1e-9, 3, 1e-6)
 		warm := wSnap.Iteration - pre
 		if !wOK {
 			warmFailures++
@@ -390,17 +390,16 @@ func Soak(opts Options) (*Result, error) {
 	verdict(restores > 0 && bitwiseMismatches == 0,
 		fmt.Sprintf("restore fidelity: %d restores, every one bitwise-identical to the live engine", restores),
 		fmt.Sprintf("%d of %d restores diverged from the live engine", bitwiseMismatches, restores))
-	// The convergence detector's window puts a floor under every measured
-	// recovery, so the soak bound is a small multiple of rounds_to_converge;
-	// the strict warm-vs-cold comparison (without the window floor) is the
-	// recovery benchmark's regression gate.
+	// The strict warm-vs-cold comparison is the recovery benchmark's
+	// regression gate; the soak only bounds the worst recovery.
 	verdict(warmFailures == 0 && coldRounds > 0 && warmRoundsMax <= 2*coldRounds,
 		fmt.Sprintf("warm recovery bounded: max %d rounds ≤ 2× rounds_to_converge (%d)",
 			warmRoundsMax, coldRounds),
 		fmt.Sprintf("warm recovery (max %d rounds, %d failures) exceeds 2× rounds_to_converge (%d)",
 			warmRoundsMax, warmFailures, coldRounds))
-	verdict(allocsFlat,
-		fmt.Sprintf("allocation rate flat: %.0f allocs/event late vs %.0f early", allocLate, allocEarly),
+	// Allocation counts vary from run to run (the runtime allocates too), so
+	// only a failure prints them: the report stays a function of the seed.
+	verdict(allocsFlat, "allocation rate flat: late allocs/event ≤ 2× early",
 		fmt.Sprintf("allocation rate grew: %.0f allocs/event late vs %.0f early", allocLate, allocEarly))
 	verdict(dres.CoordinatorRestarts >= len(plan.distCrashes),
 		fmt.Sprintf("coordinator crashes: %d executed, final epoch %d", dres.CoordinatorRestarts, dres.Epoch),

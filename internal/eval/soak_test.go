@@ -32,8 +32,8 @@ func TestSoakQuick(t *testing.T) {
 			t.Errorf("soak report missing %q:\n%s", want, out)
 		}
 	}
-	// The checkpoint directory must hold durable generations (writer keeps
-	// DefaultKeep), none of them temp litter.
+	// The checkpoint directory must hold durable generations (the writer
+	// keeps 3), none of them temp litter.
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)

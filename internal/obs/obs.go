@@ -14,7 +14,7 @@
 //   - Registry: counters, gauges and histograms exported in Prometheus text
 //     format (and via expvar on the debug server). NewEngineMetrics and
 //     NewDistMetrics register the standard LLA metric sets.
-//   - Sink: structured trace events (convergence detected, workload change,
+//   - Sink: structured trace events (certified convergence, workload change,
 //     lease expiry, degradation enter/exit) with JSONL and in-memory
 //     implementations.
 //

@@ -9,8 +9,8 @@ import (
 
 // Event kinds emitted by the engine and the distributed runtimes.
 const (
-	// EventConverged fires when a convergence detector declares the
-	// utility stable (engine RunUntilConverged, dist coordinator).
+	// EventConverged fires when the KKT certificate has held for its
+	// window (engine RunUntilKKT, dist coordinator).
 	EventConverged = "converged"
 	// EventWorkloadChange fires on a runtime variation: availability,
 	// minimum share, or model-error change (Detail says which).

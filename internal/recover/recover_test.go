@@ -169,16 +169,16 @@ func TestRestoreRefusesNonFiniteState(t *testing.T) {
 }
 
 // TestWriterAtomicAndPruned: Save publishes complete files only, keeps the
-// configured generation count, and Latest falls back past a corrupted tail.
+// newest keep generations, and Latest falls back past a corrupted tail.
 func TestWriterAtomicAndPruned(t *testing.T) {
 	dir := t.TempDir()
-	w, err := NewWriter(dir, 2)
+	w, err := NewWriter(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	eng := newRunEngine(t, price.SolverGradient, 0)
 	var lastPath string
-	for i := 0; i < 4; i++ {
+	for i := 0; i < 5; i++ {
 		for j := 0; j < 10; j++ {
 			eng.Step()
 		}
@@ -187,10 +187,10 @@ func TestWriterAtomicAndPruned(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if names := listCheckpoints(dir); len(names) != 2 {
-		t.Fatalf("writer kept %d checkpoints, want 2: %v", len(names), names)
+	if names := listCheckpoints(dir); len(names) != 3 {
+		t.Fatalf("writer kept %d checkpoints, want 3: %v", len(names), names)
 	}
-	if w.Saves() != 4 || w.LastBytes() == 0 {
+	if w.Saves() != 5 || w.LastBytes() == 0 {
 		t.Fatalf("writer counters: saves=%d lastBytes=%d", w.Saves(), w.LastBytes())
 	}
 
@@ -201,8 +201,8 @@ func TestWriterAtomicAndPruned(t *testing.T) {
 	if path != lastPath {
 		t.Fatalf("Latest returned %s, want %s", path, lastPath)
 	}
-	if cp.Engine.Iteration != 40 {
-		t.Fatalf("latest checkpoint at iteration %d, want 40", cp.Engine.Iteration)
+	if cp.Engine.Iteration != 50 {
+		t.Fatalf("latest checkpoint at iteration %d, want 50", cp.Engine.Iteration)
 	}
 
 	// Corrupt the newest file: Latest must fall back to the older one.
@@ -221,8 +221,8 @@ func TestWriterAtomicAndPruned(t *testing.T) {
 	if path == lastPath {
 		t.Fatal("Latest returned the corrupted checkpoint")
 	}
-	if cp.Engine.Iteration != 30 {
-		t.Fatalf("fallback checkpoint at iteration %d, want 30", cp.Engine.Iteration)
+	if cp.Engine.Iteration != 40 {
+		t.Fatalf("fallback checkpoint at iteration %d, want 40", cp.Engine.Iteration)
 	}
 
 	// No temp litter after successful saves.

@@ -20,9 +20,9 @@ const (
 	ckptExt    = ".llackpt"
 )
 
-// DefaultKeep is how many checkpoints a Writer retains when not configured:
-// enough that one torn/corrupt tail file never loses the run.
-const DefaultKeep = 3
+// keep is how many checkpoints a Writer retains: enough that one
+// torn/corrupt tail file never loses the run.
+const keep = 3
 
 // Writer persists checkpoints into a directory with the WAL discipline:
 // encode, write to a temp file, fsync, rename into place, fsync the
@@ -30,8 +30,7 @@ const DefaultKeep = 3
 // the previous set of complete checkpoints or the previous set plus one new
 // complete checkpoint — never a torn file under a checkpoint name.
 type Writer struct {
-	dir  string
-	keep int
+	dir string
 	// gen is the next generation number, seeded past the directory's existing
 	// checkpoints so a restarted writer keeps appending to the same sequence.
 	gen uint64
@@ -43,15 +42,12 @@ type Writer struct {
 }
 
 // NewWriter builds a writer rooted at dir (created if missing), retaining
-// keep generations (0 = DefaultKeep).
-func NewWriter(dir string, keep int) (*Writer, error) {
-	if keep <= 0 {
-		keep = DefaultKeep
-	}
+// the newest keep generations.
+func NewWriter(dir string) (*Writer, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("recover: creating checkpoint dir: %w", err)
 	}
-	w := &Writer{dir: dir, keep: keep}
+	w := &Writer{dir: dir}
 	for _, name := range listCheckpoints(dir) {
 		if g, ok := parseGeneration(name); ok && g >= w.gen {
 			w.gen = g + 1
@@ -118,7 +114,7 @@ func (w *Writer) Save(cp *Checkpoint) (string, error) {
 // prune removes all but the newest keep checkpoints (best effort).
 func (w *Writer) prune() {
 	names := listCheckpoints(w.dir)
-	for len(names) > w.keep {
+	for len(names) > keep {
 		os.Remove(filepath.Join(w.dir, names[0]))
 		names = names[1:]
 	}

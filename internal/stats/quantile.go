@@ -1,6 +1,6 @@
 // Package stats provides the statistical substrate used throughout the LLA
 // reproduction: exact and streaming quantile estimation, exponential
-// smoothing, time-series recording and convergence detection.
+// smoothing and time-series recording.
 //
 // The LLA paper expresses timeliness constraints over configurable latency
 // percentiles (Section 2.1) and drives its online model error correction

@@ -115,55 +115,3 @@ func TestMergeCSV(t *testing.T) {
 		t.Errorf("row 2 = %q", lines[2])
 	}
 }
-
-func TestConvergenceDetector(t *testing.T) {
-	d := NewConvergenceDetector(0.01, 3)
-	// Large changes: never converges.
-	vals := []float64{1, 2, 4, 8}
-	for _, v := range vals {
-		if d.Observe(v) {
-			t.Fatal("converged on doubling sequence")
-		}
-	}
-	// Now stabilize.
-	for i := 0; i < 5; i++ {
-		d.Observe(8.0001)
-	}
-	if !d.Converged() {
-		t.Fatal("did not converge on stable sequence")
-	}
-	at := d.ConvergedAt()
-	if at <= 4 {
-		t.Errorf("ConvergedAt = %d, want > 4", at)
-	}
-	d.Reset()
-	if d.Converged() || d.ConvergedAt() != -1 {
-		t.Fatal("Reset did not clear detector")
-	}
-}
-
-func TestConvergenceDetectorWindowResets(t *testing.T) {
-	d := NewConvergenceDetector(0.01, 3)
-	d.Observe(100)
-	d.Observe(100) // stable 1
-	d.Observe(100) // stable 2
-	d.Observe(200) // breaks the window
-	d.Observe(200)
-	d.Observe(200)
-	if d.Converged() {
-		t.Fatal("should need 3 consecutive stable steps after the break")
-	}
-	d.Observe(200)
-	if !d.Converged() {
-		t.Fatal("should converge after 3 stable steps")
-	}
-}
-
-func TestConvergenceDetectorPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewConvergenceDetector(0, 1)
-}

@@ -127,6 +127,9 @@ func (c *Codec) encodeBody(e *enc, m Message, dict bool) (ft, flags byte) {
 		e.svarint(int64(p.Round))
 		e.uvarint(p.Epoch)
 		e.f64(p.Utility)
+		e.f64(p.KKTMax)
+		e.f64(p.PathViolation)
+		e.f64(p.Excess)
 	case Stop:
 		ft = FrameStop
 		e.svarint(int64(p.AfterRound))
@@ -301,6 +304,9 @@ func (c *Codec) decodeBody(ft, flags byte, body []byte) (Message, error) {
 		v.Round = int(d.svarint())
 		v.Epoch = d.uvarint()
 		v.Utility = d.f64()
+		v.KKTMax = d.f64()
+		v.PathViolation = d.f64()
+		v.Excess = d.f64()
 		m.Payload = v
 	case FrameStop:
 		m.Payload = Stop{AfterRound: int(d.svarint()), Epoch: d.uvarint()}

@@ -47,8 +47,10 @@ package wire
 // the adaptive path-step heuristic. Seq is a per-sender monotonic sequence
 // number used by the asynchronous protocol to reject duplicated and
 // reordered-stale deliveries; the round-synchronized protocol leaves it zero
-// (round gating already makes folds idempotent there). Delta marks a
-// delta-encoded broadcast: Mu is not on the wire and the receiver keeps the
+// (round gating already makes folds idempotent there). Excess is the
+// capacity excess Σshare − B the price was stepped from, when positive: the
+// resource's part of the round's KKT certificate. Delta marks a delta-encoded
+// broadcast: Mu and Excess are not on the wire and the receiver keeps the
 // values it folded for the previous round.
 type PriceUpdate struct {
 	Round     int
@@ -56,6 +58,7 @@ type PriceUpdate struct {
 	Epoch     uint64
 	Resource  string
 	Mu        float64
+	Excess    float64
 	Congested bool
 	Delta     bool
 }
@@ -76,13 +79,18 @@ type ShareReport struct {
 	Delta bool
 }
 
-// UtilityReport is a controller's per-round utility, sent to the
-// coordinator.
+// UtilityReport is a controller's round, sent to the coordinator once the
+// round's prices are in: the task's utility and its part of the round's KKT
+// certificate (core.Certificate) — its largest Equation 7 residual, its path
+// violation and the largest excess its resources' prices carried.
 type UtilityReport struct {
-	Round   int
-	Epoch   uint64
-	Task    string
-	Utility float64
+	Round         int
+	Epoch         uint64
+	Task          string
+	Utility       float64
+	KKTMax        float64
+	PathViolation float64
+	Excess        float64
 }
 
 // Stop tells a node to finish after completing the given round. Nodes
@@ -161,7 +169,8 @@ const (
 	priceFlagDelta     = 0x02
 	priceFlagSeq       = 0x04
 	priceFlagMu        = 0x08
-	priceFlagsKnown    = priceFlagCongested | priceFlagDelta | priceFlagSeq | priceFlagMu
+	priceFlagExcess    = 0x20 // 0x10 stays reserved (a reject vector pins it)
+	priceFlagsKnown    = priceFlagCongested | priceFlagDelta | priceFlagSeq | priceFlagMu | priceFlagExcess
 )
 
 // Per-entry flag bits of LATENCY frames.
@@ -223,14 +232,18 @@ func modelled(payload any) bool {
 
 // DeltaBytesSaved is the number of frame bytes a delta marker keeps off the
 // wire relative to the full entry it stands for (PROTOCOL.md §4.1, §4.2): a
-// price's 8-byte mu; a share report's pair count and, per pair, the subtask
-// reference and the 8-byte latency. References are sized as inline strings,
-// what a dictionary-less connection ships; against a dictionary each name
-// is its index varint instead. The byte the envelope's own length varint
-// may shed as the body shrinks past 127 is not counted.
+// price's 8-byte mu and excess (when it has one); a share report's pair
+// count and, per pair, the subtask reference and the 8-byte latency.
+// References are sized as inline strings, what a dictionary-less connection
+// ships; against a dictionary each name is its index varint instead. The
+// byte the envelope's own length varint may shed as the body shrinks past
+// 127 is not counted.
 func DeltaBytesSaved(full any) int64 {
 	switch v := full.(type) {
 	case PriceUpdate:
+		if v.Excess > 0 {
+			return 16
+		}
 		return 8
 	case ShareReport:
 		n := uvarintLen(uint64(len(v.Subs)))
@@ -338,6 +351,9 @@ func (c *Codec) encPrice(e *enc, batch []PriceUpdate, dict bool) {
 		}
 		if !p.Delta {
 			fl |= priceFlagMu
+			if p.Excess > 0 {
+				fl |= priceFlagExcess
+			}
 		}
 		e.u8(fl)
 		if fl&priceFlagSeq != 0 {
@@ -345,6 +361,9 @@ func (c *Codec) encPrice(e *enc, batch []PriceUpdate, dict bool) {
 		}
 		if fl&priceFlagMu != 0 {
 			e.f64(p.Mu)
+		}
+		if fl&priceFlagExcess != 0 {
+			e.f64(p.Excess)
 		}
 	}
 }
@@ -521,6 +540,12 @@ func (c *Codec) decPrice(d *dec, dict bool) (p PriceUpdate) {
 	}
 	if fl&priceFlagMu != 0 {
 		p.Mu = d.f64()
+	}
+	// No excess is encoded by omitting the field, and a delta carries none.
+	if fl&priceFlagExcess != 0 {
+		if p.Excess = d.f64(); p.Delta || !(p.Excess > 0) {
+			d.fail("price entry flags 0x%02x: excess %v on a delta or not positive", fl, p.Excess)
+		}
 	}
 	return p
 }

@@ -36,12 +36,13 @@ func goldenCases() map[string]Message {
 			{Round: 4, Task: "alpha", Subs: alpha, LatMs: []float64{1, 2}},
 			{Round: 4, Task: "beta", Delta: true},
 		}},
-		"report":     {From: "ctl/alpha", To: "coordinator", Kind: "report", Payload: UtilityReport{Round: 5, Epoch: 3, Task: "alpha", Utility: -12.75}},
-		"stop":       {From: "coordinator", To: "res/cpu0", Kind: "stop", Payload: Stop{AfterRound: 8, Epoch: 3}},
-		"fin":        {From: "res/disk2", To: "ctl/beta", Kind: "fin", Payload: Fin{Resource: "disk2"}},
-		"rejoin":     {From: "coordinator", To: "ctl/alpha", Kind: "rejoin", Payload: Rejoin{Epoch: 4}},
-		"rejoin_ack": {From: "ctl/alpha", To: "coordinator", Kind: "rejoinAck", Payload: RejoinAck{Epoch: 4, Task: "alpha", Round: -1}},
-		"price_agg":  {From: "coordinator", To: "shard/0", Kind: "priceAgg", Payload: BoundaryPrice{Round: 6, Resource: "cpu0", Mu: 2.125, Congested: true}},
+		"price_excess": {From: "res/cpu0", To: "ctl/alpha", Kind: "price", Payload: PriceUpdate{Round: 4, Resource: "cpu0", Mu: 1.25, Excess: 0.03125, Congested: true}},
+		"report":       {From: "ctl/alpha", To: "coordinator", Kind: "report", Payload: UtilityReport{Round: 5, Epoch: 3, Task: "alpha", Utility: -12.75, KKTMax: 0.0625, PathViolation: 0.5, Excess: 0.25}},
+		"stop":         {From: "coordinator", To: "res/cpu0", Kind: "stop", Payload: Stop{AfterRound: 8, Epoch: 3}},
+		"fin":          {From: "res/disk2", To: "ctl/beta", Kind: "fin", Payload: Fin{Resource: "disk2"}},
+		"rejoin":       {From: "coordinator", To: "ctl/alpha", Kind: "rejoin", Payload: Rejoin{Epoch: 4}},
+		"rejoin_ack":   {From: "ctl/alpha", To: "coordinator", Kind: "rejoinAck", Payload: RejoinAck{Epoch: 4, Task: "alpha", Round: -1}},
+		"price_agg":    {From: "coordinator", To: "shard/0", Kind: "priceAgg", Payload: BoundaryPrice{Round: 6, Resource: "cpu0", Mu: 2.125, Congested: true}},
 		"price_agg_batch": {From: "coordinator", To: "shard/0", Kind: "priceAgg", Payload: []BoundaryPrice{
 			{Round: 2, Resource: "cpu0", Mu: 1.5, Congested: true},
 			{Round: 2, Resource: "net1", Mu: 0},

@@ -29,16 +29,16 @@ func TestHandshakeDictlessPairAgreesBinary(t *testing.T) {
 }
 
 // TestHandshakeOverlappingRangesPickCommonVersion: a client advertising
-// 1..2 and a v1 server settle on version 1.
+// Version..Version+1 and a server of this version settle on Version.
 func TestHandshakeOverlappingRangesPickCommonVersion(t *testing.T) {
 	wide := NewCodec(nil)
-	wide.maxVersion = 2
+	wide.maxVersion = Version + 1
 	ack, serr, cerr := shake(wide, NewCodec(nil))
 	if serr != nil || cerr != nil {
 		t.Fatalf("overlapping ranges: server %v, client %v", serr, cerr)
 	}
-	if ack[4] != 1 {
-		t.Fatalf("agreed version %d, want 1", ack[4])
+	if ack[4] != Version {
+		t.Fatalf("agreed version %d, want %d", ack[4], Version)
 	}
 }
 
@@ -47,7 +47,7 @@ func TestHandshakeOverlappingRangesPickCommonVersion(t *testing.T) {
 // that does not open with a hello are refused by name on both ends, with
 // the refusal counted; nothing is downgraded.
 func TestHandshakeRefusals(t *testing.T) {
-	future := func() *Codec { c := NewCodec(nil); c.minVersion, c.maxVersion = 2, 2; return c }
+	only := func(v byte) *Codec { c := NewCodec(nil); c.minVersion, c.maxVersion = v, v; return c }
 	other, err := NewDict([]string{"different"}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -56,8 +56,11 @@ func TestHandshakeRefusals(t *testing.T) {
 		name           string
 		client, server *Codec
 	}{
-		{"future-only client", future(), NewCodec(nil)},
-		{"future-only server", NewCodec(nil), future()},
+		{"future-only client", only(Version + 1), NewCodec(nil)},
+		{"future-only server", NewCodec(nil), only(Version + 1)},
+		// Version 2 keeps no version 1 dialect: the REPORT body grew.
+		{"v1-only client", only(1), NewCodec(nil)},
+		{"v1-only server", NewCodec(nil), only(1)},
 		{"dictionary mismatch", NewCodec(testDict(t)), NewCodec(other)},
 		{"dictionary against none", NewCodec(testDict(t)), NewCodec(nil)},
 	} {

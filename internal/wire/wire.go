@@ -31,8 +31,8 @@ import (
 // implementation emits and accepts; MinVersion..Version is the range
 // advertised in the negotiation hello.
 const (
-	Version    = 1
-	MinVersion = 1
+	Version    = 2
+	MinVersion = 2
 )
 
 // FrameMagic is the first byte of every data frame.

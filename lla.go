@@ -177,7 +177,7 @@ var NewCorrector = errcorr.New
 
 // NewDistributed assembles a distributed deployment on the given network:
 // LLA as message-passing resource and controller nodes, round-synchronized
-// (Run, RunUntilConverged, RunWithFailover) or, with RunAsync, without round
+// (Run, RunUntilKKT, RunWithFailover) or, with RunAsync, without round
 // synchronization — nodes compute on whatever prices/latencies have arrived
 // and publish immediately (prefer fixed moderate steps under long message
 // delays).

@@ -48,7 +48,7 @@ func TestFacadeEngineEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap, ok := engine.RunUntilConverged(5000, 1e-7, 20, 1e-3)
+	snap, ok := engine.RunUntilKKT(5000, 1e-9, 3, 1e-6)
 	if !ok {
 		t.Fatalf("no convergence: %v", snap)
 	}
@@ -69,7 +69,7 @@ func TestFacadeSimulatorEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap, _ := engine.RunUntilConverged(5000, 1e-7, 20, 1e-3)
+	snap, _ := engine.RunUntilKKT(5000, 1e-9, 3, 1e-6)
 
 	world, err := lla.NewSimulator(w, lla.SimConfig{Scheduler: lla.SchedGPS, Seed: 3})
 	if err != nil {
@@ -97,7 +97,7 @@ func TestFacadeDistributedEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rt.Close()
-	res, err := rt.RunUntilConverged(3000, 1e-7, 20)
+	res, err := rt.RunUntilKKT(3000, 1e-9, 3, 1e-6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestFacadeDistributedEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _ := engine.RunUntilConverged(5000, 1e-7, 20, 1e-3)
+	want, _ := engine.RunUntilKKT(5000, 1e-9, 3, 1e-6)
 	if math.Abs(res.Utility-want.Utility) > 0.01*math.Abs(want.Utility) {
 		t.Errorf("distributed utility %v vs engine %v", res.Utility, want.Utility)
 	}
@@ -178,7 +178,7 @@ func TestFacadeLLADominatesOnRandomWorkloads(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		snap, ok := engine.RunUntilConverged(8000, 1e-8, 30, 1e-2)
+		snap, ok := engine.RunUntilKKT(8000, 1e-9, 3, 1e-6)
 		if !ok {
 			t.Errorf("seed %d: did not converge: %v", seed, snap)
 			continue
