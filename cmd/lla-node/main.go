@@ -75,7 +75,7 @@ func newFlagSet() (*flag.FlagSet, *nodeFlags) {
 		workers:       fs.Int("workers", 0, "optimizer worker shards for engine-backed computation in this process: 0 = GOMAXPROCS, 1 = serial (results are bitwise-identical either way)"),
 		solver:        fs.String("solver", "", "price dynamics: newton (default) or gradient — every node of a deployment must use the same setting"),
 		checkpointDir: fs.String("checkpoint-dir", "",
-			"demo mode: persist crash-safe checkpoints of the deployment's optimizer state here; the epoch resumes from the newest one"),
+			"demo mode: persist crash-safe checkpoints of the deployment's optimizer state here; they keep the epoch of the newest checkpoint already there"),
 		checkpointEvery: fs.Int("checkpoint-every", 0,
 			"demo mode: rounds between periodic checkpoint saves (0 = a default period)"),
 		fleetMode: fs.Bool("fleet", false,
@@ -295,11 +295,11 @@ func runFleet(w *workload.Workload, cfg core.Config, shards, shardWorkers, round
 }
 
 // runDemo hosts the full deployment in one process over TCP loopback and
-// stops it on the KKT certificate. With a checkpoint directory, the epoch
-// resumes from the newest checkpoint there, and the run's optimizer state is
-// persisted into it — periodically and at the end — via a serial mirror
-// engine (the protocol is bitwise-identical to the engine, so the mirror's
-// state IS the deployment's).
+// stops it on the KKT certificate. With a checkpoint directory, the run's
+// optimizer state is persisted into it — periodically and at the end, under
+// the epoch of the newest checkpoint there — via a serial mirror engine (the
+// protocol is bitwise-identical to the engine, so the mirror's state IS the
+// deployment's).
 func runDemo(ctx context.Context, w *workload.Workload, cfg core.Config, rounds int, o *obs.Observer, ckptDir string, ckptEvery int) error {
 	registry := make(map[string]string)
 	for _, addr := range dist.Addresses(w) {
@@ -326,7 +326,7 @@ func runDemo(ctx context.Context, w *workload.Workload, cfg core.Config, rounds 
 	}()
 	fmt.Fprintf(os.Stderr, "demo: %d tasks, %d resources, %d rounds over TCP loopback\n",
 		len(w.Tasks), len(w.Resources), rounds)
-	res, err := rt.RunUntilKKT(rounds, 1e-9, 3, 1e-6)
+	res, err := rt.RunUntilKKT(rounds)
 	if err != nil {
 		return err
 	}

@@ -69,8 +69,10 @@ func TestHelpListsEveryFlag(t *testing.T) {
 }
 
 // TestDemoCheckpoints runs the loopback demo with a checkpoint directory: the
-// run must leave decodable checkpoint generations behind, and a second demo
-// over the same directory must resume the persisted coordinator epoch.
+// run must leave decodable checkpoint generations behind, stamped with epoch
+// 0 in a fresh directory, and a second demo over the same directory must add
+// new generations that keep the epoch of the newest one already there (the
+// demo schedules no coordinator crash, so nothing bumps it).
 func TestDemoCheckpoints(t *testing.T) {
 	if testing.Short() {
 		t.Skip("demo spins up a full TCP deployment")
@@ -99,24 +101,32 @@ func TestDemoCheckpoints(t *testing.T) {
 	if cp.Engine.Iteration == 0 {
 		t.Error("checkpoint carries no optimizer progress")
 	}
-	// Seed the directory with a bumped epoch: the next demo must pick it up.
+	if cp.Epoch != 0 {
+		t.Errorf("checkpoint epoch in a fresh directory = %d, want 0", cp.Epoch)
+	}
+	// Seed the directory with a bumped epoch: the next demo's generations
+	// must carry it.
 	wr, err := rec.NewWriter(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cp.Epoch = 4
-	if _, err := wr.Save(cp); err != nil {
+	seeded, err := wr.Save(cp)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if err := run(context.Background(), args); err != nil {
 		t.Fatalf("second demo over reused checkpoint dir: %v", err)
 	}
-	cp2, _, err := rec.Latest(dir)
+	cp2, path, err := rec.Latest(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if path == seeded {
+		t.Fatalf("the second demo added no checkpoint generation after %s", seeded)
+	}
 	if cp2.Epoch != 4 {
-		t.Errorf("final checkpoint epoch = %d, want the resumed 4", cp2.Epoch)
+		t.Errorf("second demo's checkpoint epoch = %d, want the directory's newest 4", cp2.Epoch)
 	}
 }
 

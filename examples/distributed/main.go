@@ -41,7 +41,7 @@ func run() error {
 
 	fmt.Printf("running %d controller nodes and %d resource nodes over TCP...\n",
 		len(w.Tasks), len(w.Resources))
-	res, err := rt.RunUntilKKT(3000, 1e-9, 3, 1e-6)
+	res, err := rt.RunUntilKKT(3000)
 	if err != nil {
 		return err
 	}

@@ -225,7 +225,7 @@ func (c *Controller) strike(name string) *quarEntry {
 // reconverge drives the live engine after an enacted change and returns the
 // iterations spent.
 func (c *Controller) reconverge() int {
-	snap, _ := c.eng.RunUntilKKT(c.cfg.TrialIters, 1e-9, 3, 1e-6)
+	snap, _ := c.eng.RunUntilKKT(c.cfg.TrialIters, core.StopKKTTol, core.StopWindow, core.StopTol)
 	return snap.Iteration
 }
 
@@ -311,7 +311,7 @@ func (c *Controller) screen(trial *workload.Workload, t *task.Task, curve utilit
 	}
 	defer scratch.Close()
 	scratch.CarryFrom(c.eng)
-	snap, ok := scratch.RunUntilKKT(c.cfg.TrialIters, 1e-9, 3, 1e-6)
+	snap, ok := scratch.RunUntilKKT(c.cfg.TrialIters, core.StopKKTTol, core.StopWindow, core.StopTol)
 	d.TrialIters = snap.Iteration
 	if !ok {
 		return true, Decision{Stage: StageTrial, Reason: fmt.Sprintf(

@@ -103,7 +103,7 @@ func (l *Loop) Correcting() bool { return l.correcting }
 // observe → correct. observe may be nil.
 func (l *Loop) RunEpochs(n int, observe func(Epoch)) error {
 	for i := 0; i < n; i++ {
-		snap, _ := l.engine.RunUntilKKT(convergeIters, 1e-9, 3, 1e-6)
+		snap, _ := l.engine.RunUntilKKT(convergeIters, core.StopKKTTol, core.StopWindow, core.StopTol)
 
 		enacted := false
 		if shares := l.enactor.Consider(snap); shares != nil {

@@ -497,14 +497,25 @@ func (e *Engine) Run(n int, record func(Snapshot)) {
 	}
 }
 
+// The certificate every decision path stops on — admission, the closed
+// loop, the experiments, lla-node and dist's RunUntilKKT: the worst Eq. 7
+// residual below StopKKTTol and every constraint violation below StopTol for
+// StopWindow consecutive iterations.
+const (
+	StopKKTTol = 1e-9
+	StopTol    = 1e-6
+	StopWindow = 3
+)
+
 // RunUntilKKT iterates until the point is a certified stationary point: the
 // worst normalized Equation 7 residual over interior subtasks stays below
 // kktTol for window consecutive iterations while no constraint is violated
 // beyond tol, or until maxIters. It returns the final snapshot and whether
 // convergence was reached.
 //
-// It is the one stopping rule: every decision path stops here, or on the
-// same certificate graded per round (dist's RunUntilKKT).
+// It is the one stopping rule: every decision path stops here at the Stop
+// constants, or on the same certificate graded per round (dist's
+// RunUntilKKT).
 //
 // Each iteration is graded by Certify, which stops at the first witness, so
 // the iterations that are not yet stationary — nearly all of them — pay

@@ -52,13 +52,6 @@ type FailoverPlan struct {
 	ZombieProbe bool
 }
 
-// certRule is RunUntilKKT's stopping rule: window consecutive rounds whose
-// certificate passes core.Engine.Certify's test at kktTol and tol.
-type certRule struct {
-	kktTol, tol float64
-	window      int
-}
-
 // coordinator lifecycle states.
 const (
 	coordUp     = iota // normal aggregation
@@ -72,13 +65,14 @@ const (
 type coordinator struct {
 	node
 	rt *Runtime
-	// rule, when set, stops the run; passed counts the consecutive emitted
-	// rounds whose certificate passed it.
-	rule    *certRule
-	passed  int
-	plan    FailoverPlan
-	res     *Result
-	taskIdx map[string]int
+	// untilKKT stops the run on the certificate; passed counts the
+	// consecutive emitted rounds whose certificate passed. It is never set
+	// together with a crash plan, so no crash or resync resets passed.
+	untilKKT bool
+	passed   int
+	plan     FailoverPlan
+	res      *Result
+	taskIdx  map[string]int
 
 	// open holds the rounds with some but not all reports in.
 	open      map[int]*tally
@@ -254,7 +248,6 @@ func (c *coordinator) report(now time.Duration, rm wire.UtilityReport) {
 		// This generation dies: it reads nothing until it restarts, and its
 		// aggregation memory is lost.
 		clear(c.open)
-		c.passed = 0
 		c.state = coordDown
 		c.downAt = now + c.plan.Crashes[c.nextCrash].DownFor
 	}
@@ -266,16 +259,15 @@ func (c *coordinator) report(now time.Duration, rm wire.UtilityReport) {
 // k+2: the final state is the engine's after k+2 Steps. A node the stop
 // misses learns it from its peers (peer.go, controllerNode.linger).
 func (c *coordinator) certify(k int, u float64, cert core.Certificate) {
-	r := c.rule
-	if r == nil || c.converged || k == 0 {
+	if !c.untilKKT || c.converged || k == 0 {
 		return
 	}
-	if cert.KKTMax < r.kktTol && cert.MaxResourceViolation < r.tol && cert.MaxPathViolationFrac < r.tol {
+	if cert.KKTMax < core.StopKKTTol && cert.MaxResourceViolation < core.StopTol && cert.MaxPathViolationFrac < core.StopTol {
 		c.passed++
 	} else {
 		c.passed = 0
 	}
-	if c.passed < r.window {
+	if c.passed < core.StopWindow {
 		return
 	}
 	c.converged, c.res.Converged = true, true
@@ -334,9 +326,7 @@ func (c *coordinator) broadcast(kind string, payload any, skip []bool) {
 // resync ends the rejoin handshake: jump the emission cursor past the rounds
 // whose reports died with the previous generation and resume.
 func (c *coordinator) resync() {
-	if c.maxAckRound+1 > c.nextEmit {
-		c.nextEmit, c.passed = c.maxAckRound+1, 0
-	}
+	c.nextEmit = max(c.nextEmit, c.maxAckRound+1)
 	for round := range c.open {
 		if round < c.nextEmit {
 			delete(c.open, round)

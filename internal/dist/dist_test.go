@@ -70,7 +70,7 @@ func TestDistConvergenceStop(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rt.Close()
-	res, err := rt.RunUntilKKT(3000, 1e-9, 3, 1e-6)
+	res, err := rt.RunUntilKKT(3000)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -234,19 +234,17 @@ type Result struct {
 // core.Engine after the same number of Steps; on lossy networks the
 // reliability layer (see peer.go) recovers the same result bitwise.
 func (r *Runtime) Run(rounds int) (*Result, error) {
-	return r.run(rounds, nil, FailoverPlan{})
+	return r.run(rounds, false, FailoverPlan{})
 }
 
-// RunUntilKKT executes until the coordinator has certified window
-// consecutive rounds, or maxRounds. The arguments and the certificate are
-// core.Engine.RunUntilKKT's: round k grades the point Certify grades after
-// Step k, so a lossless run certifies (the converged event's Iteration) where
-// the engine does. The stop then drains the protocol (coordinator.certify).
-func (r *Runtime) RunUntilKKT(maxRounds int, kktTol float64, window int, tol float64) (*Result, error) {
-	if window <= 0 {
-		return nil, fmt.Errorf("dist: certificate window must be positive, got %d", window)
-	}
-	return r.run(maxRounds, &certRule{kktTol: kktTol, tol: tol, window: window}, FailoverPlan{})
+// RunUntilKKT executes until the coordinator has certified
+// core.StopWindow consecutive rounds, or maxRounds. The certificate is
+// core.Engine.RunUntilKKT's at the core Stop constants: round k grades the
+// point Certify grades after Step k, so a lossless run certifies (the
+// converged event's Iteration) where the engine does. The stop then drains
+// the protocol (coordinator.certify).
+func (r *Runtime) RunUntilKKT(maxRounds int) (*Result, error) {
+	return r.run(maxRounds, true, FailoverPlan{})
 }
 
 // RunWithFailover executes up to maxRounds synchronous rounds while crashing
@@ -257,24 +255,24 @@ func (r *Runtime) RunUntilKKT(maxRounds int, kktTol float64, window int, tol flo
 // skipped by the emission cursor, so Result.Rounds may trail further than an
 // uninterrupted run's would.
 func (r *Runtime) RunWithFailover(maxRounds int, plan FailoverPlan) (*Result, error) {
-	return r.run(maxRounds, nil, plan)
+	return r.run(maxRounds, false, plan)
 }
 
 // run is every synchronized mode: the nodes run maxRounds rounds while the
-// coordinator aggregates, stops the run by rule (if set), and lives through
-// plan's crashes.
-func (r *Runtime) run(maxRounds int, rule *certRule, plan FailoverPlan) (*Result, error) {
+// coordinator aggregates, stops the run on the certificate (if untilKKT), and
+// lives through plan's crashes. No caller sets both untilKKT and a crash plan.
+func (r *Runtime) run(maxRounds int, untilKKT bool, plan FailoverPlan) (*Result, error) {
 	if maxRounds <= 0 {
 		return nil, fmt.Errorf("dist: rounds must be positive, got %d", maxRounds)
 	}
 	res := &Result{}
 	c := &coordinator{
-		node:    node{addr: coordinatorAddr, fp: r.fp, nodeCounters: nodeCounters{m: metricsFor(r.obsv)}},
-		rt:      r,
-		rule:    rule,
-		plan:    plan,
-		res:     res,
-		taskIdx: make(map[string]int, len(r.ctlNodes)),
+		node:     node{addr: coordinatorAddr, fp: r.fp, nodeCounters: nodeCounters{m: metricsFor(r.obsv)}},
+		rt:       r,
+		untilKKT: untilKKT,
+		plan:     plan,
+		res:      res,
+		taskIdx:  make(map[string]int, len(r.ctlNodes)),
 	}
 	for ti, n := range r.ctlNodes {
 		c.taskIdx[n.name] = ti

@@ -225,7 +225,7 @@ func TestAsyncWallClockSmoke(t *testing.T) {
 
 // RunUntilKKT stops on the engine's certificate. On the lossless virtual
 // network the coordinator certifies at the iteration core.Engine's
-// RunUntilKKT does with the same arguments. Under the chaos suite's loss,
+// RunUntilKKT does at the core Stop constants. Under the chaos suite's loss,
 // delay, duplication and reordering a lost report leaves its round unproven,
 // so certification may come later, never earlier, and only at a point the
 // engine's Certify passes too. Either way the nodes stop at the round the
@@ -233,7 +233,7 @@ func TestAsyncWallClockSmoke(t *testing.T) {
 // many Steps, bit for bit. At 30 % loss (seeds 1, 3 and 6) the stop itself
 // is lost on the way to some nodes, which must learn it from their peers.
 func TestVirtualRunCertifiesAtEngineRound(t *testing.T) {
-	const maxRounds, kktTol, window, tol = 5000, 1e-9, 3, 1e-6
+	const maxRounds = 5000
 	lossy := transport.ChaosConfig{Seed: 42, LossRate: 0.10, DupRate: 0.10, DelayMs: 0.3, DelayJitterMs: 0.5, ReorderRate: 0.10}
 	chaos := []transport.ChaosConfig{{Seed: 1}, lossy}
 	for _, seed := range []int64{1, 3, 6} {
@@ -249,7 +249,7 @@ func TestVirtualRunCertifiesAtEngineRound(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		snap, ok := e.RunUntilKKT(maxRounds, kktTol, window, tol)
+		snap, ok := e.RunUntilKKT(maxRounds, core.StopKKTTol, core.StopWindow, core.StopTol)
 		e.Close()
 		if !ok {
 			t.Fatalf("%s: the engine did not certify in %d iterations", w.name, maxRounds)
@@ -259,7 +259,7 @@ func TestVirtualRunCertifiesAtEngineRound(t *testing.T) {
 			rt := simRuntime(t, w.gen(), chaos)
 			mem := &obs.Memory{}
 			rt.Observe(&obs.Observer{Trace: mem})
-			res, err := rt.RunUntilKKT(maxRounds, kktTol, window, tol)
+			res, err := rt.RunUntilKKT(maxRounds)
 			if err != nil {
 				t.Fatalf("%s: %v", at, err)
 			}
@@ -281,7 +281,7 @@ func TestVirtualRunCertifiesAtEngineRound(t *testing.T) {
 				t.Fatal(err)
 			}
 			ref.Run(k, nil)
-			if _, ok := ref.Certify(kktTol, tol); !ok {
+			if _, ok := ref.Certify(core.StopKKTTol, core.StopTol); !ok {
 				t.Errorf("%s: the engine does not certify round %d", at, k)
 			}
 			ref.Close()

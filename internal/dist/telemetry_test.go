@@ -43,7 +43,7 @@ func TestRuntimeObserveMetricsAndEvents(t *testing.T) {
 	mem := &obs.Memory{}
 	rt.Observe(&obs.Observer{Metrics: reg, Trace: mem})
 
-	res, err := rt.RunUntilKKT(5000, 1e-9, 3, 1e-6)
+	res, err := rt.RunUntilKKT(5000)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,7 +34,7 @@ func AblationWeights(opts Options) (*Result, error) {
 			return nil, err
 		}
 		opts.attach(e)
-		snap, ok := e.RunUntilKKT(iters, 1e-9, 3, 1e-6)
+		snap, ok := e.RunUntilKKT(iters, core.StopKKTTol, core.StopWindow, core.StopTol)
 		tbl.AddRow(mode.String(), fmt.Sprintf("%v", ok), fmt.Sprintf("%d", snap.Iteration),
 			f2(snap.Utility), f3(snap.MaxResourceViolation), f3(snap.MaxPathViolationFrac))
 	}
@@ -79,7 +79,7 @@ func AblationBaselines(opts Options) (*Result, error) {
 			return nil, err
 		}
 		opts.attach(e)
-		snap, _ := e.RunUntilKKT(iters, 1e-9, 3, 1e-6)
+		snap, _ := e.RunUntilKKT(iters, core.StopKKTTol, core.StopWindow, core.StopTol)
 		tbl.AddRow("LLA (distributed)", f2(snap.Utility), f3(snap.MaxResourceViolation),
 			f3(snap.MaxPathViolationFrac), fmt.Sprintf("%v", snap.Feasible(1e-2)))
 

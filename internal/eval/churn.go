@@ -78,7 +78,7 @@ func replayChurn(opts Options, trace []workload.ChurnEvent, cfg admit.Config, la
 	}
 	defer eng.Close()
 	opts.attach(eng)
-	warmSnap, warmOK := eng.RunUntilKKT(3000, 1e-9, 3, 1e-6)
+	warmSnap, warmOK := eng.RunUntilKKT(3000, core.StopKKTTol, core.StopWindow, core.StopTol)
 
 	ctrl := admit.New(eng, cfg)
 	ctrl.UsePlacer(admit.NewPlacer())

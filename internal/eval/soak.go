@@ -144,7 +144,7 @@ func Soak(opts Options) (*Result, error) {
 		return nil, err
 	}
 	opts.attach(eng)
-	warmSnap, warmOK := eng.RunUntilKKT(3000, 1e-9, 3, 1e-6)
+	warmSnap, warmOK := eng.RunUntilKKT(3000, core.StopKKTTol, core.StopWindow, core.StopTol)
 	coldRounds := -1
 	if warmOK {
 		coldRounds = warmSnap.Iteration
@@ -228,7 +228,7 @@ func Soak(opts Options) (*Result, error) {
 		// Warm recovery: rounds until the restored engine satisfies the same
 		// convergence criterion the cold baseline was measured against.
 		pre := restored.Probe().Iteration
-		wSnap, wOK := restored.RunUntilKKT(3000, 1e-9, 3, 1e-6)
+		wSnap, wOK := restored.RunUntilKKT(3000, core.StopKKTTol, core.StopWindow, core.StopTol)
 		warm := wSnap.Iteration - pre
 		if !wOK {
 			warmFailures++

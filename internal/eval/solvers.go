@@ -117,7 +117,7 @@ func Solvers(opts Options) (*Result, error) {
 				return nil, err
 			}
 			opts.attach(ke)
-			ksnap, kok := ke.RunUntilKKT(maxRounds, 1e-9, 3, 1e-6)
+			ksnap, kok := ke.RunUntilKKT(maxRounds, core.StopKKTTol, core.StopWindow, core.StopTol)
 			ke.Close()
 			kktRounds = -1
 			if kok {

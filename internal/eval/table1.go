@@ -23,7 +23,7 @@ func Table1(opts Options) (*Result, error) {
 		return nil, err
 	}
 	opts.attach(e)
-	snap, converged := e.RunUntilKKT(iters, 1e-9, 3, 1e-6)
+	snap, converged := e.RunUntilKKT(iters, core.StopKKTTol, core.StopWindow, core.StopTol)
 
 	res := &Result{
 		ID:    "table1",
