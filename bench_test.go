@@ -557,7 +557,7 @@ func BenchmarkRecoveryRounds(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			restored, err := rec.Restore(cp, core.Config{})
+			restored, _, err := rec.Restore(cp, core.Config{})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"lla/internal/core"
 	rec "lla/internal/recover"
 )
 
@@ -98,9 +99,14 @@ func TestDemoCheckpoints(t *testing.T) {
 	if cp.Workload == nil || len(cp.Workload.Tasks) == 0 {
 		t.Error("checkpoint carries no workload")
 	}
-	if cp.Engine.Iteration == 0 {
+	eng, _, err := rec.Restore(cp, core.Config{})
+	if err != nil {
+		t.Fatalf("demo checkpoint does not restore: %v", err)
+	}
+	if eng.Iteration() == 0 {
 		t.Error("checkpoint carries no optimizer progress")
 	}
+	eng.Close()
 	if cp.Epoch != 0 {
 		t.Errorf("checkpoint epoch in a fresh directory = %d, want 0", cp.Epoch)
 	}

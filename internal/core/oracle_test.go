@@ -563,16 +563,13 @@ func TestMutatorsWriteThroughOneStore(t *testing.T) {
 
 			// A checkpoint carries the error term into an engine rebuilt from
 			// the workload, which then sees the same problem.
-			st := e.CaptureState()
-			if got := st.ErrMs[ti][si]; got != tc.errMs {
-				t.Errorf("checkpoint ErrMs = %v, want %v", got, tc.errMs)
-			}
+			st := checkpointSection(t, e)
 			restored, err := NewEngine(w, Config{Workers: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer restored.Close()
-			if err := restored.RestoreState(st); err != nil {
+			if err := readSection(restored, st); err != nil {
 				t.Fatal(err)
 			}
 			rt := &restored.p.Tasks[ti]

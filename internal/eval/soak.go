@@ -211,7 +211,7 @@ func Soak(opts Options) (*Result, error) {
 		if restores%2 == 1 {
 			workers = 4
 		}
-		restored, err := rec.Restore(cp, core.Config{Workers: workers})
+		restored, admitState, err := rec.Restore(cp, core.Config{Workers: workers})
 		if err != nil {
 			return err
 		}
@@ -244,8 +244,8 @@ func Soak(opts Options) (*Result, error) {
 		// The crashed instance is gone: the restored engine and a controller
 		// rebuilt from the checkpointed quarantine clocks take over.
 		ctrl := newSoakController(restored, opts.Observer)
-		if cp.Admit != nil {
-			ctrl.RestoreState(*cp.Admit)
+		if admitState != nil {
+			ctrl.RestoreState(*admitState)
 		}
 		st.eng.Close()
 		st = soakState{eng: restored, ctrl: ctrl}

@@ -1,73 +1,99 @@
 package price
 
 import (
-	"fmt"
 	"math"
+
+	"lla/internal/byteio"
 )
 
 // Checkpoint support (DESIGN.md §13). A Dynamics is part of the engine's
 // observable state: the adaptive step sizes and Newton's safeguard both
 // influence future price trajectories, so a restore that dropped them would
-// diverge bitwise from the uninterrupted run.
+// diverge bitwise from the uninterrupted run. The dynamics owns its part of
+// the engine's checkpoint section: the solver name, each coordinate's step
+// size, the fallback count, and Newton's halvings and signs (empty under the
+// gradient). Strings and slices are u32-length-prefixed.
+//
+// Version 2 followed that with the mixing window only the removed Anderson
+// solver filled. Version 1 had no safeguard and opened the part with a tag:
+// 0 for the gradient agents, whose step sizes (read by ReadGammas ahead of
+// the tag) were the whole state, 1 for a Dynamics part as above.
 
-// DynamicsState is the serializable snapshot of a Dynamics.
-type DynamicsState struct {
-	// Solver names the update the state belongs to; restoring onto a
-	// different solver is an error, never a silent partial load.
-	Solver Solver
-	// Gammas holds each coordinate's current step size.
-	Gammas []float64
-	// Fallbacks is the cumulative Newton fallback count.
-	Fallbacks uint64
-	// Halvings and Signs are Newton's per-coordinate damping and last excess
-	// sign, empty under the gradient.
-	Halvings, Signs []uint8
+// AppendState writes the dynamics' part of a checkpoint section.
+func (d *Dynamics) AppendState(w *byteio.Enc) {
+	s := d.Solver()
+	w.U32(uint32(len(s)))
+	w.B = append(w.B, s...)
+	w.U32(uint32(len(d.gamma)))
+	for _, g := range d.gamma {
+		w.F64(g)
+	}
+	w.U64(d.fallbacks)
+	for _, b := range [][]uint8{d.halvings, d.sign} {
+		w.U32(uint32(len(b)))
+		w.B = append(w.B, b...)
+	}
 }
 
-// CaptureDynamics deep-copies a Dynamics' state for checkpointing.
-func CaptureDynamics(d *Dynamics) DynamicsState {
-	st := DynamicsState{Solver: d.Solver(), Gammas: make([]float64, len(d.gamma)), Fallbacks: d.fallbacks}
-	copy(st.Gammas, d.gamma)
-	if d.newton {
-		st.Halvings = append([]uint8(nil), d.halvings...)
-		st.Signs = append([]uint8(nil), d.sign...)
+// ReadState reads the part AppendState writes, in checkpoint layout version
+// 1..3, into a freshly Reset Dynamics of the same solver and coordinate
+// count. A solver or shape mismatch is latched on r — a restore must be
+// exact or refused, never approximate — and so is anything ReadGammas
+// refuses. A version-1 Newton part starts the safeguard cleared.
+func (d *Dynamics) ReadState(r *byteio.Dec, version int) {
+	if version == 1 {
+		switch tag := r.U8(); {
+		case tag == 0 && !d.newton:
+			return
+		case tag == 0:
+			r.Fail("checkpoint holds gradient solver state, engine runs %s", d.Solver())
+		case tag != 1:
+			r.Fail("bad version-1 solver-state tag %d", tag)
+		}
 	}
-	return st
+	if s := r.Take(int(r.U32())); r.Err == nil && string(s) != string(d.Solver()) {
+		r.Fail("checkpoint holds %s solver state, engine runs %s", s, d.Solver())
+	}
+	d.ReadGammas(r)
+	d.fallbacks = r.U64()
+	if version > 1 {
+		for _, b := range [][]uint8{d.halvings, d.sign} {
+			if n := r.U32(); r.Err == nil && int(n) != len(b) {
+				r.Fail("checkpoint Newton safeguard sized %d, engine has %d coordinates", n, len(b))
+			}
+			copy(b, r.Take(len(b)))
+		}
+	}
+	if version < 3 {
+		// The mixing window: a size, then five length-prefixed slices (fill
+		// counts, iterates, residuals, accept flags, residual magnitudes),
+		// all empty for every solver but Anderson.
+		empty := r.U64() == 0
+		for i := 0; i < 5; i++ {
+			empty = r.U32() == 0 && empty
+		}
+		if !empty && r.Err == nil {
+			r.Fail("checkpoint holds anderson solver history; the anderson solver was removed")
+		}
+	}
 }
 
-// RestoreDynamics loads a captured snapshot into a freshly Reset Dynamics of
-// the same solver and coordinate count. Solver or shape mismatches are
-// errors — a restore must be exact or refused, never approximate — and so
-// is a step size that is not positive and finite. A fixed step policy
-// accepts only its own gamma: a mismatch means the checkpoint was taken
-// under a different configuration.
-func RestoreDynamics(d *Dynamics, st DynamicsState) error {
-	if d == nil {
-		return fmt.Errorf("price: cannot restore %s state into a nil Dynamics", st.Solver)
+// ReadGammas reads a u32-length-prefixed vector of step sizes into the
+// coordinates. The length must match, and every step size must be positive
+// and finite — and under a fixed step policy, the policy's own step.
+func (d *Dynamics) ReadGammas(r *byteio.Dec) {
+	if n := r.U32(); r.Err == nil && int(n) != len(d.gamma) {
+		r.Fail("checkpoint has %d step sizes, solver has %d coordinates", n, len(d.gamma))
 	}
-	if d.Solver() != st.Solver {
-		return fmt.Errorf("price: checkpoint holds %s solver state, engine runs %s", st.Solver, d.Solver())
-	}
-	n := len(d.gamma)
-	if len(st.Gammas) != n {
-		return fmt.Errorf("price: restore has %d step gammas, solver has %d coordinates", len(st.Gammas), n)
-	}
-	for j, g := range st.Gammas {
-		if !(g > 0 && g <= math.MaxFloat64) {
-			return fmt.Errorf("price: coordinate %d: step size %v is not positive and finite", j, g)
-		}
-		if !d.adaptive && g != d.base {
-			return fmt.Errorf("price: coordinate %d: fixed step %v cannot restore gamma %v", j, d.base, g)
+	for j := 0; j < len(d.gamma) && r.Err == nil; j++ {
+		switch g := r.F64(); {
+		case r.Err != nil:
+		case !(g > 0 && g <= math.MaxFloat64):
+			r.Fail("coordinate %d: step size %v is not positive and finite", j, g)
+		case !d.adaptive && g != d.base:
+			r.Fail("coordinate %d: fixed step %v cannot restore gamma %v", j, d.base, g)
+		default:
+			d.gamma[j] = g
 		}
 	}
-	if d.newton {
-		if len(st.Halvings) != n || len(st.Signs) != n {
-			return fmt.Errorf("price: Newton safeguard state sized %d, engine has %d coordinates", len(st.Halvings), n)
-		}
-		copy(d.halvings, st.Halvings)
-		copy(d.sign, st.Signs)
-	}
-	copy(d.gamma, st.Gammas)
-	d.fallbacks = st.Fallbacks
-	return nil
 }

@@ -1,9 +1,27 @@
 package price
 
 import (
+	"encoding/binary"
 	"math"
 	"testing"
+
+	"lla/internal/byteio"
 )
+
+// stateOf writes d's checkpoint part.
+func stateOf(d *Dynamics) []byte {
+	var w byteio.Enc
+	d.AppendState(&w)
+	return w.B
+}
+
+// readState reads a current-version checkpoint part into d, which must
+// consume it exactly.
+func readState(d *Dynamics, b []byte) error {
+	r := byteio.Dec{Buf: b}
+	d.ReadState(&r, 3)
+	return r.Done()
+}
 
 // driveDynamics runs a few rounds of a small 3-coordinate problem so the
 // solver accumulates non-trivial internal state (ramped step sizes, Newton's
@@ -44,14 +62,9 @@ func TestDynamicsStateRoundTrip(t *testing.T) {
 			orig := testDyn(solver, 3)
 			muPrefix := driveDynamics(orig, 7)
 
-			st := CaptureDynamics(orig)
-			if st.Solver != solver {
-				t.Fatalf("captured solver = %s, want %s", st.Solver, solver)
-			}
-
 			fresh := testDyn(solver, 3)
-			if err := RestoreDynamics(fresh, st); err != nil {
-				t.Fatalf("RestoreDynamics: %v", err)
+			if err := readState(fresh, stateOf(orig)); err != nil {
+				t.Fatalf("ReadState: %v", err)
 			}
 			if fresh.Fallbacks() != orig.Fallbacks() {
 				t.Fatalf("restored fallbacks = %d, want %d", fresh.Fallbacks(), orig.Fallbacks())
@@ -89,20 +102,25 @@ func TestDynamicsStateRoundTrip(t *testing.T) {
 // TestRestoreDynamicsRejectsMismatch checks solver and shape mismatches are
 // errors rather than silent partial loads.
 func TestRestoreDynamicsRejectsMismatch(t *testing.T) {
-	st := CaptureDynamics(testDyn(SolverGradient, 3))
-	if err := RestoreDynamics(testDyn(SolverNewton, 3), st); err == nil {
+	st := stateOf(testDyn(SolverGradient, 3))
+	if err := readState(testDyn(SolverNewton, 3), st); err == nil {
 		t.Fatal("restoring gradient state into newton succeeded, want error")
 	}
-	if err := RestoreDynamics(testDyn(SolverGradient, 2), st); err == nil {
+	if err := readState(testDyn(SolverGradient, 2), st); err == nil {
 		t.Fatal("restoring 3-coordinate state into 2-coordinate solver succeeded, want error")
 	}
 
-	if err := RestoreDynamics(nil, st); err == nil {
-		t.Fatal("restoring into nil Dynamics succeeded, want error")
+	// A Newton part whose halvings hold two bytes instead of three: the
+	// halvings start behind the solver name, the step sizes and the
+	// fallback count.
+	newton := stateOf(testDyn(SolverNewton, 3))
+	at := 4 + len(SolverNewton) + 4 + 3*8 + 8
+	if n := binary.LittleEndian.Uint32(newton[at:]); n != 3 {
+		t.Fatalf("halvings length prefix reads %d, want 3", n)
 	}
-	newton := CaptureDynamics(testDyn(SolverNewton, 3))
-	newton.Halvings = newton.Halvings[:2]
-	if err := RestoreDynamics(testDyn(SolverNewton, 3), newton); err == nil {
+	short := binary.LittleEndian.AppendUint32(append([]byte(nil), newton[:at]...), 2)
+	short = append(append(short, newton[at+4:at+6]...), newton[at+7:]...)
+	if err := readState(testDyn(SolverNewton, 3), short); err == nil {
 		t.Fatal("restoring a short Newton safeguard succeeded, want error")
 	}
 }
@@ -115,14 +133,19 @@ func TestRestoreFixedSizerMismatch(t *testing.T) {
 		d.Reset(2)
 		return d
 	}
-	st := CaptureDynamics(fixed())
+	st := stateOf(fixed())
 	fresh := fixed()
-	if err := RestoreDynamics(fresh, st); err != nil {
+	if err := readState(fresh, st); err != nil {
 		t.Fatalf("restoring matching fixed gammas: %v", err)
 	}
 
-	st.Gammas[1] = 0.5
-	if err := RestoreDynamics(fresh, st); err == nil {
+	// The second step size sits behind the solver name and the first one.
+	at := 4 + len(SolverGradient) + 4 + 8
+	if g := math.Float64frombits(binary.LittleEndian.Uint64(st[at:])); g != 0.25 {
+		t.Fatalf("second step size reads %v, want 0.25", g)
+	}
+	binary.LittleEndian.PutUint64(st[at:], math.Float64bits(0.5))
+	if err := readState(fixed(), st); err == nil {
 		t.Fatal("restoring mismatched fixed gamma succeeded, want error")
 	}
 }
@@ -136,7 +159,7 @@ func TestAdaptiveSetGamma(t *testing.T) {
 	want := a.Gamma(0)
 
 	b := testDyn(SolverGradient, 1)
-	if err := RestoreDynamics(b, CaptureDynamics(a)); err != nil {
+	if err := readState(b, stateOf(a)); err != nil {
 		t.Fatal(err)
 	}
 	if b.Gamma(0) != want {

@@ -2,6 +2,7 @@ package recover
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"math"
@@ -10,6 +11,7 @@ import (
 	"testing"
 
 	"lla/internal/admit"
+	"lla/internal/byteio"
 	"lla/internal/core"
 	"lla/internal/price"
 	"lla/internal/workload"
@@ -65,7 +67,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 			if err1 != nil || err2 != nil || !bytes.Equal(j1, j2) {
 				t.Fatalf("workload changed across the round trip (%v, %v)", err1, err2)
 			}
-			restored, err := Restore(dec, core.Config{Workers: 4})
+			restored, _, err := Restore(dec, core.Config{Workers: 4})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -99,10 +101,14 @@ func TestCheckpointCarriesAdmitState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dec.Admit == nil {
+	restored, got, err := Restore(dec, core.Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored.Close()
+	if got == nil {
 		t.Fatal("admission state missing after round trip")
 	}
-	got := *dec.Admit
 	if got.Event != st.Event || len(got.Quarantine) != len(st.Quarantine) {
 		t.Fatalf("admission state = %+v, want %+v", got, st)
 	}
@@ -147,24 +153,113 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 }
 
 // TestRestoreRefusesNonFiniteState: a checkpoint whose CRC is valid but
-// whose state holds a NaN price, an infinite latency and a negative step
-// size encodes and decodes, and Restore refuses it.
+// whose engine section holds a NaN price, an infinite latency or a negative
+// step size decodes, and Restore refuses it.
 func TestRestoreRefusesNonFiniteState(t *testing.T) {
-	cp := Capture(newRunEngine(t, price.SolverNewton, 10), CaptureOptions{})
-	cp.Engine.Mu[0] = math.NaN()
-	cp.Engine.LatMs[0][0] = math.Inf(1)
-	cp.Engine.Dyn.Gammas[1] = -3
+	eng := newRunEngine(t, price.SolverNewton, 10)
+	cp := Capture(eng, CaptureOptions{})
 	b, err := cp.Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := Decode(b)
-	if err != nil {
-		t.Fatalf("Decode: %v", err)
+	// Offsets into the engine section (core.Engine.AppendCheckpoint): the
+	// first latency follows the iteration, the task count and its length
+	// prefix; the prices follow every task's four vectors; the Newton step
+	// sizes lead the dynamics' part, which closes the section before the
+	// admission tag with the fallback count and the halvings and signs.
+	p := eng.Problem()
+	mu := 8 + 4
+	for ti := range p.Tasks {
+		mu += 2*(4+8*len(p.Tasks[ti].SubtaskNames)) + 2*(4+8*p.NumPaths(ti))
 	}
-	if eng, err := Restore(dec, core.Config{Workers: 1, PriceSolver: price.SolverNewton}); err == nil {
-		eng.Close()
-		t.Fatal("Restore resumed a non-finite checkpoint")
+	nr := len(p.Resources)
+	gammas := len(cp.sections) - 1 - 2*(4+nr) - 8 - 8*nr
+	if n := binary.LittleEndian.Uint32(cp.sections[gammas-4:]); int(n) != nr || string(cp.sections[gammas-4-6:gammas-4]) != "newton" {
+		t.Fatalf("no Newton step sizes at section offset %d", gammas)
+	}
+	sec := len(b) - 4 - len(cp.sections)
+	for _, tc := range []struct {
+		name string
+		at   int
+		want float64
+		v    float64
+	}{
+		{"price NaN", mu + 4, eng.Snapshot().Mu[0], math.NaN()},
+		{"latency Inf", 8 + 4 + 4, eng.Controller(0).LatMs[0], math.Inf(1)},
+		{"step size negative", gammas + 8, math.NaN(), -3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			mut := append([]byte(nil), b...)
+			at := sec + tc.at
+			if got := math.Float64frombits(binary.LittleEndian.Uint64(mut[at:])); got != tc.want && !math.IsNaN(tc.want) {
+				t.Fatalf("offset %d reads %v, the engine holds %v", tc.at, got, tc.want)
+			}
+			binary.LittleEndian.PutUint64(mut[at:], math.Float64bits(tc.v))
+			reseal(mut)
+			dec, err := Decode(mut)
+			if err != nil {
+				t.Fatalf("Decode: %v", err)
+			}
+			if eng, _, err := Restore(dec, core.Config{Workers: 1}); err == nil {
+				eng.Close()
+				t.Fatal("Restore resumed a non-finite checkpoint")
+			}
+		})
+	}
+}
+
+// TestRestoreRefusesMalformedAdmission: a CRC-valid checkpoint whose
+// admission section names a task twice or out of order, gives an entry
+// fewer than one strike, or carries a negative event counter is refused —
+// before, the duplicate silently dropped an entry's strikes.
+func TestRestoreRefusesMalformedAdmission(t *testing.T) {
+	eng := newRunEngine(t, price.SolverGradient, 3)
+	type entry struct {
+		name           string
+		strikes, until int64
+	}
+	build := func(event int64, entries ...entry) *Checkpoint {
+		cp := Capture(eng, CaptureOptions{})
+		w := byteio.Enc{B: cp.sections[:len(cp.sections)-1]} // drop the empty tag
+		w.U8(1)
+		w.U64(uint64(event))
+		w.U32(uint32(len(entries)))
+		for _, q := range entries {
+			putStr(&w, q.name)
+			w.U64(uint64(q.strikes))
+			w.U64(uint64(q.until))
+		}
+		cp.sections = w.B
+		b, err := cp.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cp, err = Decode(b); err != nil {
+			t.Fatal(err)
+		}
+		return cp
+	}
+	restore := func(cp *Checkpoint) (*admit.State, error) {
+		eng, st, err := Restore(cp, core.Config{Workers: 1})
+		if err == nil {
+			eng.Close()
+		}
+		return st, err
+	}
+	st, err := restore(build(4, entry{"a", 1, 7}, entry{"b", 3, 50}))
+	if err != nil || st.Event != 4 || len(st.Quarantine) != 2 || st.Quarantine[1] != (admit.QuarantineEntry{Name: "b", Strikes: 3, Until: 50}) {
+		t.Fatalf("well-formed admission section restored to %+v, %v", st, err)
+	}
+	for name, cp := range map[string]*Checkpoint{
+		"probe's entries": build(-4, entry{"b", 3, 50}, entry{"a", 0, 0}, entry{"b", -1, -9}),
+		"duplicate":       build(4, entry{"a", 1, 7}, entry{"b", 3, 50}, entry{"b", 1, 9}),
+		"descending":      build(4, entry{"b", 3, 50}, entry{"a", 1, 7}),
+		"zero strikes":    build(4, entry{"a", 0, 7}),
+		"negative event":  build(-4),
+	} {
+		if _, err := restore(cp); err == nil {
+			t.Errorf("%s: restored, want an error", name)
+		}
 	}
 }
 
@@ -201,8 +296,8 @@ func TestWriterAtomicAndPruned(t *testing.T) {
 	if path != lastPath {
 		t.Fatalf("Latest returned %s, want %s", path, lastPath)
 	}
-	if cp.Engine.Iteration != 50 {
-		t.Fatalf("latest checkpoint at iteration %d, want 50", cp.Engine.Iteration)
+	if it := iterationOf(t, cp); it != 50 {
+		t.Fatalf("latest checkpoint at iteration %d, want 50", it)
 	}
 
 	// Corrupt the newest file: Latest must fall back to the older one.
@@ -221,8 +316,8 @@ func TestWriterAtomicAndPruned(t *testing.T) {
 	if path == lastPath {
 		t.Fatal("Latest returned the corrupted checkpoint")
 	}
-	if cp.Engine.Iteration != 40 {
-		t.Fatalf("fallback checkpoint at iteration %d, want 40", cp.Engine.Iteration)
+	if it := iterationOf(t, cp); it != 40 {
+		t.Fatalf("fallback checkpoint at iteration %d, want 40", it)
 	}
 
 	// No temp litter after successful saves.
@@ -232,6 +327,17 @@ func TestWriterAtomicAndPruned(t *testing.T) {
 			t.Fatalf("temp file %s left behind", e.Name())
 		}
 	}
+}
+
+// iterationOf restores cp and returns the restored engine's iteration.
+func iterationOf(t *testing.T, cp *Checkpoint) int {
+	t.Helper()
+	eng, _, err := Restore(cp, core.Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	return eng.Iteration()
 }
 
 // TestLatestEmptyDir reports os.ErrNotExist for a checkpoint-free directory.

@@ -100,15 +100,27 @@ func (w *Writer) Save(cp *Checkpoint) (string, error) {
 	}
 	// Persist the rename itself; without this a crash can roll the directory
 	// back to a state where the temp file never existed.
-	if d, err := os.Open(w.dir); err == nil {
-		d.Sync()
-		d.Close()
+	if err := syncDir(w.dir); err != nil {
+		return "", fmt.Errorf("recover: persisting checkpoint rename: %w", err)
 	}
 	w.gen++
 	w.saves++
 	w.lastBytes = len(b)
 	w.prune()
 	return final, nil
+}
+
+// syncDir fsyncs a directory, making the renames inside it durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // prune removes all but the newest keep checkpoints (best effort).

@@ -10,6 +10,7 @@ import (
 	"io"
 	"slices"
 
+	"lla/internal/byteio"
 	"lla/internal/obs"
 )
 
@@ -74,24 +75,24 @@ func (c *Codec) Encode(m Message) ([]byte, error) {
 	// room for the longest header; the header is then written flush against
 	// it. A typical control frame (tens of bytes) is this one allocation.
 	const maxHeader = 4 + binary.MaxVarintLen32
-	e := enc{b: make([]byte, maxHeader, 128)}
+	e := byteio.Enc{B: make([]byte, maxHeader, 128)}
 	ft, flags := c.encodeBody(&e, m, c.dict != nil)
-	if errors.Is(e.err, errDictMiss) {
+	if errors.Is(e.Err, errDictMiss) {
 		// A name outside the dictionary (e.g. an ad-hoc client address):
 		// re-encode the whole frame with inline strings.
-		e = enc{b: e.b[:maxHeader]}
+		e = byteio.Enc{B: e.B[:maxHeader]}
 		ft, flags = c.encodeBody(&e, m, false)
 	}
-	if e.err != nil {
-		return nil, e.err
+	if e.Err != nil {
+		return nil, fmt.Errorf("wire: %w", e.Err)
 	}
-	bodyLen := len(e.b) - maxHeader
+	bodyLen := len(e.B) - maxHeader
 	if bodyLen > maxBodyBytes {
 		return nil, fmt.Errorf("wire: frame body of %d bytes exceeds limit", bodyLen)
 	}
 	var lenBuf [binary.MaxVarintLen32]byte
 	n := binary.PutUvarint(lenBuf[:], uint64(bodyLen))
-	frame := e.b[maxHeader-4-n:]
+	frame := e.B[maxHeader-4-n:]
 	frame[0], frame[1], frame[2], frame[3] = FrameMagic, Version, ft, flags
 	copy(frame[4:], lenBuf[:n])
 	frame = binary.LittleEndian.AppendUint32(frame, crc32.ChecksumIEEE(frame))
@@ -105,7 +106,7 @@ func (c *Codec) Encode(m Message) ([]byte, error) {
 
 // encodeBody renders the frame body into e and returns the frame type and
 // flags; failures latch on e.
-func (c *Codec) encodeBody(e *enc, m Message, dict bool) (ft, flags byte) {
+func (c *Codec) encodeBody(e *byteio.Enc, m Message, dict bool) (ft, flags byte) {
 	c.addr(e, m.From, dict)
 	c.addr(e, m.To, dict)
 	switch p := m.Payload.(type) {
@@ -124,27 +125,27 @@ func (c *Codec) encodeBody(e *enc, m Message, dict bool) (ft, flags byte) {
 	case UtilityReport:
 		ft = FrameReport
 		c.taskRef(e, p.Task, dict)
-		e.svarint(int64(p.Round))
-		e.uvarint(p.Epoch)
-		e.f64(p.Utility)
-		e.f64(p.KKTMax)
-		e.f64(p.PathViolation)
-		e.f64(p.Excess)
+		e.Svarint(int64(p.Round))
+		e.Uvarint(p.Epoch)
+		e.F64(p.Utility)
+		e.F64(p.KKTMax)
+		e.F64(p.PathViolation)
+		e.F64(p.Excess)
 	case Stop:
 		ft = FrameStop
-		e.svarint(int64(p.AfterRound))
-		e.uvarint(p.Epoch)
+		e.Svarint(int64(p.AfterRound))
+		e.Uvarint(p.Epoch)
 	case Fin:
 		ft = FrameFin
 		c.resRef(e, p.Resource, dict)
 	case Rejoin:
 		ft = FrameRejoin
-		e.uvarint(p.Epoch)
+		e.Uvarint(p.Epoch)
 	case RejoinAck:
 		ft = FrameRejoinAck
 		c.taskRef(e, p.Task, dict)
-		e.svarint(int64(p.Round))
-		e.uvarint(p.Epoch)
+		e.Svarint(int64(p.Round))
+		e.Uvarint(p.Epoch)
 	case BoundaryPrice:
 		ft = FramePriceAgg
 		c.encPriceAgg(e, []BoundaryPrice{p}, dict)
@@ -159,14 +160,14 @@ func (c *Codec) encodeBody(e *enc, m Message, dict bool) (ft, flags byte) {
 		c.encBoundary(e, p, dict)
 	case json.RawMessage:
 		ft = FrameRaw
-		e.str(m.Kind)
-		e.bytes(p)
+		e.Str(m.Kind, maxStrLen)
+		e.Bytes(p, maxBodyBytes)
 	default:
-		e.fail("%s payload is a %T: neither a frame type nor JSON", m.Kind, p)
+		e.Fail("%s payload is a %T: neither a frame type nor JSON", m.Kind, p)
 		return 0, 0
 	}
 	if ft != FrameRaw && m.Kind != frameKinds[ft] {
-		e.fail("kind %q on a %s payload", m.Kind, frameKinds[ft])
+		e.Fail("kind %q on a %s payload", m.Kind, frameKinds[ft])
 	}
 	if dict {
 		flags |= flagDict
@@ -282,9 +283,9 @@ func (c *Codec) decodeBody(ft, flags byte, body []byte) (Message, error) {
 		return Message{}, errors.New("wire: dictionary-encoded frame but codec has no dictionary")
 	}
 	batch := flags&flagBatch != 0
-	d := &dec{buf: body}
+	d := &byteio.Dec{Buf: body}
 	if batch && ft != FramePrice && ft != FrameLatency && ft != FramePriceAgg && ft != FrameBoundary {
-		d.fail("batch flag on a single-entry frame")
+		d.Fail("batch flag on a single-entry frame")
 	}
 	var m Message
 	m.From = c.readAddr(d, dict)
@@ -301,33 +302,33 @@ func (c *Codec) decodeBody(ft, flags byte, body []byte) (Message, error) {
 	case FrameReport:
 		var v UtilityReport
 		v.Task, _ = c.readTaskRef(d, dict)
-		v.Round = int(d.svarint())
-		v.Epoch = d.uvarint()
-		v.Utility = d.f64()
-		v.KKTMax = d.f64()
-		v.PathViolation = d.f64()
-		v.Excess = d.f64()
+		v.Round = int(d.Svarint())
+		v.Epoch = d.Uvarint()
+		v.Utility = d.F64()
+		v.KKTMax = d.F64()
+		v.PathViolation = d.F64()
+		v.Excess = d.F64()
 		m.Payload = v
 	case FrameStop:
-		m.Payload = Stop{AfterRound: int(d.svarint()), Epoch: d.uvarint()}
+		m.Payload = Stop{AfterRound: int(d.Svarint()), Epoch: d.Uvarint()}
 	case FrameFin:
 		m.Payload = Fin{Resource: c.readResRef(d, dict)}
 	case FrameRejoin:
-		m.Payload = Rejoin{Epoch: d.uvarint()}
+		m.Payload = Rejoin{Epoch: d.Uvarint()}
 	case FrameRejoinAck:
 		var v RejoinAck
 		v.Task, _ = c.readTaskRef(d, dict)
-		v.Round = int(d.svarint())
-		v.Epoch = d.uvarint()
+		v.Round = int(d.Svarint())
+		v.Epoch = d.Uvarint()
 		m.Payload = v
 	case FrameRaw:
-		m.Kind = d.strN(maxStrLen)
-		m.Payload = json.RawMessage(d.bytesN(maxBodyBytes))
+		m.Kind = d.Str(maxStrLen)
+		m.Payload = json.RawMessage(d.Bytes(maxBodyBytes))
 	default:
-		d.fail("unknown frame type 0x%02x", ft)
+		d.Fail("unknown frame type 0x%02x", ft)
 	}
-	if err := d.done(); err != nil {
-		return Message{}, err
+	if err := d.Done(); err != nil {
+		return Message{}, fmt.Errorf("wire: %w", err)
 	}
 	if ft != FrameRaw {
 		m.Kind = frameKinds[ft]

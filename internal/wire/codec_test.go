@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"lla/internal/byteio"
 	"lla/internal/obs"
 )
 
@@ -260,14 +261,14 @@ func TestDictIndexOutOfRangeRejected(t *testing.T) {
 }
 
 func TestNonFiniteFloatsRejected(t *testing.T) {
-	e := &enc{}
-	e.f64(math.NaN())
-	if e.err == nil {
+	e := &byteio.Enc{}
+	e.F64(math.NaN())
+	if e.Err == nil {
 		t.Fatal("encoder accepted NaN")
 	}
-	e = &enc{}
-	e.f64(math.Inf(1))
-	if e.err == nil {
+	e = &byteio.Enc{}
+	e.F64(math.Inf(1))
+	if e.Err == nil {
 		t.Fatal("encoder accepted +Inf")
 	}
 

@@ -1,5 +1,7 @@
 package wire
 
+import "lla/internal/byteio"
+
 // Payload types. These structs are the runtime's message definitions, not
 // mirrors of them: internal/dist builds and type-switches on these values
 // and the codec encodes them field by field (PROTOCOL.md §4), so there is
@@ -267,78 +269,78 @@ func uvarintLen(v uint64) int {
 // Encode side ------------------------------------------------------------
 
 // resRef appends a resource id, as a dictionary index in dict mode.
-func (c *Codec) resRef(e *enc, id string, dict bool) {
+func (c *Codec) resRef(e *byteio.Enc, id string, dict bool) {
 	if dict {
 		i, ok := c.dict.resIdx[id]
 		if !ok {
-			e.setErr(errDictMiss)
+			e.SetErr(errDictMiss)
 			return
 		}
-		e.uvarint(uint64(i))
+		e.Uvarint(uint64(i))
 		return
 	}
-	e.str(id)
+	e.Str(id, maxStrLen)
 }
 
 // taskRef appends a task name and returns its dictionary index (-1 in
 // string mode) for subtask resolution.
-func (c *Codec) taskRef(e *enc, name string, dict bool) int {
+func (c *Codec) taskRef(e *byteio.Enc, name string, dict bool) int {
 	if dict {
 		i, ok := c.dict.taskIdx[name]
 		if !ok {
-			e.setErr(errDictMiss)
+			e.SetErr(errDictMiss)
 			return -1
 		}
-		e.uvarint(uint64(i))
+		e.Uvarint(uint64(i))
 		return i
 	}
-	e.str(name)
+	e.Str(name, maxStrLen)
 	return -1
 }
 
 // subRef appends a subtask name, as an index into task ti's subtask list in
 // dict mode.
-func (c *Codec) subRef(e *enc, ti int, name string, dict bool) {
+func (c *Codec) subRef(e *byteio.Enc, ti int, name string, dict bool) {
 	if dict {
 		if ti < 0 {
 			return // the task missed the dictionary: errDictMiss is latched
 		}
 		j, ok := c.dict.subIdx[ti][name]
 		if !ok {
-			e.setErr(errDictMiss)
+			e.SetErr(errDictMiss)
 			return
 		}
-		e.uvarint(uint64(j))
+		e.Uvarint(uint64(j))
 		return
 	}
-	e.str(name)
+	e.Str(name, maxStrLen)
 }
 
 // addr appends an endpoint address.
-func (c *Codec) addr(e *enc, a string, dict bool) {
+func (c *Codec) addr(e *byteio.Enc, a string, dict bool) {
 	switch {
 	case a == coordinatorName:
-		e.u8(addrCoordinator)
+		e.U8(addrCoordinator)
 	case len(a) > 4 && a[:4] == "res/":
-		e.u8(addrResource)
+		e.U8(addrResource)
 		c.resRef(e, a[4:], dict)
 	case len(a) > 4 && a[:4] == "ctl/":
-		e.u8(addrController)
+		e.U8(addrController)
 		c.taskRef(e, a[4:], dict)
 	default:
-		e.u8(addrLiteral)
-		e.str(a)
+		e.U8(addrLiteral)
+		e.Str(a, maxStrLen)
 	}
 }
 
 // encPrice appends a PRICE body (entry count + entries).
-func (c *Codec) encPrice(e *enc, batch []PriceUpdate, dict bool) {
-	e.uvarint(uint64(len(batch)))
+func (c *Codec) encPrice(e *byteio.Enc, batch []PriceUpdate, dict bool) {
+	e.Uvarint(uint64(len(batch)))
 	for i := range batch {
 		p := &batch[i]
 		c.resRef(e, p.Resource, dict)
-		e.svarint(int64(p.Round))
-		e.uvarint(p.Epoch)
+		e.Svarint(int64(p.Round))
+		e.Uvarint(p.Epoch)
 		var fl byte
 		if p.Congested {
 			fl |= priceFlagCongested
@@ -355,28 +357,28 @@ func (c *Codec) encPrice(e *enc, batch []PriceUpdate, dict bool) {
 				fl |= priceFlagExcess
 			}
 		}
-		e.u8(fl)
+		e.U8(fl)
 		if fl&priceFlagSeq != 0 {
-			e.svarint(p.Seq)
+			e.Svarint(p.Seq)
 		}
 		if fl&priceFlagMu != 0 {
-			e.f64(p.Mu)
+			e.F64(p.Mu)
 		}
 		if fl&priceFlagExcess != 0 {
-			e.f64(p.Excess)
+			e.F64(p.Excess)
 		}
 	}
 }
 
 // encLatency appends a LATENCY body. Pairs go out in the order given, which
 // must be the strictly ascending subtask order the decoder insists on.
-func (c *Codec) encLatency(e *enc, batch []ShareReport, dict bool) {
-	e.uvarint(uint64(len(batch)))
+func (c *Codec) encLatency(e *byteio.Enc, batch []ShareReport, dict bool) {
+	e.Uvarint(uint64(len(batch)))
 	for i := range batch {
 		s := &batch[i]
 		ti := c.taskRef(e, s.Task, dict)
-		e.svarint(int64(s.Round))
-		e.uvarint(s.Epoch)
+		e.Svarint(int64(s.Round))
+		e.Uvarint(s.Epoch)
 		var fl byte
 		if s.Delta {
 			fl |= latFlagDelta
@@ -384,62 +386,62 @@ func (c *Codec) encLatency(e *enc, batch []ShareReport, dict bool) {
 		if s.Seq != 0 {
 			fl |= latFlagSeq
 		}
-		e.u8(fl)
+		e.U8(fl)
 		if fl&latFlagSeq != 0 {
-			e.svarint(s.Seq)
+			e.Svarint(s.Seq)
 		}
 		if s.Delta {
 			continue
 		}
 		if len(s.Subs) != len(s.LatMs) {
-			e.fail("share report of task %q names %d subtasks for %d latencies", s.Task, len(s.Subs), len(s.LatMs))
+			e.Fail("share report of task %q names %d subtasks for %d latencies", s.Task, len(s.Subs), len(s.LatMs))
 			return
 		}
-		e.uvarint(uint64(len(s.Subs)))
+		e.Uvarint(uint64(len(s.Subs)))
 		for j, k := range s.Subs {
 			if j > 0 && k <= s.Subs[j-1] {
-				e.fail("subtask %q after %q: share report subtasks must ascend", k, s.Subs[j-1])
+				e.Fail("subtask %q after %q: share report subtasks must ascend", k, s.Subs[j-1])
 			}
 			c.subRef(e, ti, k, dict)
-			e.f64(s.LatMs[j])
+			e.F64(s.LatMs[j])
 		}
 	}
 }
 
 // encPriceAgg appends a PRICE_AGG body (entry count + entries).
-func (c *Codec) encPriceAgg(e *enc, batch []BoundaryPrice, dict bool) {
-	e.uvarint(uint64(len(batch)))
+func (c *Codec) encPriceAgg(e *byteio.Enc, batch []BoundaryPrice, dict bool) {
+	e.Uvarint(uint64(len(batch)))
 	for i := range batch {
 		p := &batch[i]
 		c.resRef(e, p.Resource, dict)
-		e.svarint(int64(p.Round))
+		e.Svarint(int64(p.Round))
 		var fl byte
 		if p.Congested {
 			fl |= aggFlagCongested
 		}
-		e.u8(fl)
-		e.f64(p.Mu)
+		e.U8(fl)
+		e.F64(p.Mu)
 	}
 }
 
 // encBoundary appends a BOUNDARY body (entry count + entries). The curvature
 // rides behind a presence flag so gradient-aggregator reports (curvature
 // always zero) stay 8 bytes smaller per entry.
-func (c *Codec) encBoundary(e *enc, batch []BoundaryDemand, dict bool) {
-	e.uvarint(uint64(len(batch)))
+func (c *Codec) encBoundary(e *byteio.Enc, batch []BoundaryDemand, dict bool) {
+	e.Uvarint(uint64(len(batch)))
 	for i := range batch {
 		b := &batch[i]
 		c.resRef(e, b.Resource, dict)
-		e.svarint(int64(b.Round))
-		e.uvarint(uint64(b.Shard))
+		e.Svarint(int64(b.Round))
+		e.Uvarint(uint64(b.Shard))
 		var fl byte
 		if b.Curvature != 0 {
 			fl |= bdyFlagCurvature
 		}
-		e.u8(fl)
-		e.f64(b.Demand)
+		e.U8(fl)
+		e.F64(b.Demand)
 		if fl&bdyFlagCurvature != 0 {
-			e.f64(b.Curvature)
+			e.F64(b.Curvature)
 		}
 	}
 }
@@ -447,56 +449,56 @@ func (c *Codec) encBoundary(e *enc, batch []BoundaryDemand, dict bool) {
 // Decode side ------------------------------------------------------------
 
 // readResRef reads a resource id.
-func (c *Codec) readResRef(d *dec, dict bool) string {
+func (c *Codec) readResRef(d *byteio.Dec, dict bool) string {
 	if dict {
-		id, _ := d.pick(c.dict.resources, "resource")
+		id, _ := pick(d, c.dict.resources, "resource")
 		return id
 	}
-	return d.strN(maxStrLen)
+	return d.Str(maxStrLen)
 }
 
 // readTaskRef reads a task name, returning the dictionary index (-1 in
 // string mode).
-func (c *Codec) readTaskRef(d *dec, dict bool) (string, int) {
+func (c *Codec) readTaskRef(d *byteio.Dec, dict bool) (string, int) {
 	if dict {
-		return d.pick(c.dict.tasks, "task")
+		return pick(d, c.dict.tasks, "task")
 	}
-	return d.strN(maxStrLen), -1
+	return d.Str(maxStrLen), -1
 }
 
 // readSubRef reads a subtask name of task ti.
-func (c *Codec) readSubRef(d *dec, ti int, dict bool) string {
+func (c *Codec) readSubRef(d *byteio.Dec, ti int, dict bool) string {
 	if dict {
-		if d.err != nil {
+		if d.Err != nil {
 			return "" // ti is not an index once the task reference failed
 		}
-		name, _ := d.pick(c.dict.subs[ti], "subtask")
+		name, _ := pick(d, c.dict.subs[ti], "subtask")
 		return name
 	}
-	return d.strN(maxStrLen)
+	return d.Str(maxStrLen)
 }
 
 // readAddr reads an endpoint address.
-func (c *Codec) readAddr(d *dec, dict bool) string {
-	switch tag := d.u8(); tag {
+func (c *Codec) readAddr(d *byteio.Dec, dict bool) string {
+	switch tag := d.U8(); tag {
 	case addrCoordinator:
 		return coordinatorName
 	case addrResource:
 		if dict {
-			a, _ := d.pick(c.dict.resAddrs, "resource")
+			a, _ := pick(d, c.dict.resAddrs, "resource")
 			return a
 		}
-		return "res/" + d.strN(maxStrLen)
+		return "res/" + d.Str(maxStrLen)
 	case addrController:
 		if dict {
-			a, _ := d.pick(c.dict.ctlAddrs, "task")
+			a, _ := pick(d, c.dict.ctlAddrs, "task")
 			return a
 		}
-		return "ctl/" + d.strN(maxStrLen)
+		return "ctl/" + d.Str(maxStrLen)
 	case addrLiteral:
-		return d.strN(maxStrLen)
+		return d.Str(maxStrLen)
 	default:
-		d.fail("unknown address tag 0x%02x", tag)
+		d.Fail("unknown address tag 0x%02x", tag)
 		return ""
 	}
 }
@@ -504,81 +506,81 @@ func (c *Codec) readAddr(d *dec, dict bool) string {
 // decEntries reads an entry count and the entries behind it. A batch frame
 // yields them as a slice; any other frame must hold exactly one and yields
 // it bare.
-func decEntries[T any](d *dec, batch bool, entry func() T) any {
-	n := d.count(maxBatch)
+func decEntries[T any](d *byteio.Dec, batch bool, entry func() T) any {
+	n := d.Count(maxBatch)
 	if !batch {
-		if d.err == nil && n != 1 {
-			d.fail("%d entries in an unbatched frame", n)
+		if d.Err == nil && n != 1 {
+			d.Fail("%d entries in an unbatched frame", n)
 		}
 		return entry()
 	}
 	out := make([]T, 0, min(n, 4096))
-	for i := 0; i < n && d.err == nil; i++ {
+	for i := 0; i < n && d.Err == nil; i++ {
 		out = append(out, entry())
 	}
 	return out
 }
 
 // decPrice reads one PRICE entry.
-func (c *Codec) decPrice(d *dec, dict bool) (p PriceUpdate) {
+func (c *Codec) decPrice(d *byteio.Dec, dict bool) (p PriceUpdate) {
 	p.Resource = c.readResRef(d, dict)
-	p.Round = int(d.svarint())
-	p.Epoch = d.uvarint()
-	fl := d.u8()
+	p.Round = int(d.Svarint())
+	p.Epoch = d.Uvarint()
+	fl := d.U8()
 	if fl&^priceFlagsKnown != 0 {
-		d.fail("reserved price entry flag bits 0x%02x", fl)
+		d.Fail("reserved price entry flag bits 0x%02x", fl)
 	}
 	p.Congested = fl&priceFlagCongested != 0
 	p.Delta = fl&priceFlagDelta != 0
 	if (fl&priceFlagMu != 0) == p.Delta {
 		// A delta carries no price; a full update always does. Any
 		// other combination is not something the encoder emits.
-		d.fail("price entry flags 0x%02x: mu presence inconsistent with delta", fl)
+		d.Fail("price entry flags 0x%02x: mu presence inconsistent with delta", fl)
 	}
 	if fl&priceFlagSeq != 0 {
-		p.Seq = d.svarint()
+		p.Seq = d.Svarint()
 	}
 	if fl&priceFlagMu != 0 {
-		p.Mu = d.f64()
+		p.Mu = d.F64()
 	}
 	// No excess is encoded by omitting the field, and a delta carries none.
 	if fl&priceFlagExcess != 0 {
-		if p.Excess = d.f64(); p.Delta || !(p.Excess > 0) {
-			d.fail("price entry flags 0x%02x: excess %v on a delta or not positive", fl, p.Excess)
+		if p.Excess = d.F64(); p.Delta || !(p.Excess > 0) {
+			d.Fail("price entry flags 0x%02x: excess %v on a delta or not positive", fl, p.Excess)
 		}
 	}
 	return p
 }
 
 // decPriceAgg reads one PRICE_AGG entry.
-func (c *Codec) decPriceAgg(d *dec, dict bool) (p BoundaryPrice) {
+func (c *Codec) decPriceAgg(d *byteio.Dec, dict bool) (p BoundaryPrice) {
 	p.Resource = c.readResRef(d, dict)
-	p.Round = int(d.svarint())
-	fl := d.u8()
+	p.Round = int(d.Svarint())
+	fl := d.U8()
 	if fl&^byte(aggFlagsKnown) != 0 {
-		d.fail("reserved price-agg entry flag bits 0x%02x", fl)
+		d.Fail("reserved price-agg entry flag bits 0x%02x", fl)
 	}
 	p.Congested = fl&aggFlagCongested != 0
-	p.Mu = d.f64()
+	p.Mu = d.F64()
 	return p
 }
 
 // decBoundary reads one BOUNDARY entry.
-func (c *Codec) decBoundary(d *dec, dict bool) (b BoundaryDemand) {
+func (c *Codec) decBoundary(d *byteio.Dec, dict bool) (b BoundaryDemand) {
 	b.Resource = c.readResRef(d, dict)
-	b.Round = int(d.svarint())
-	b.Shard = int(d.uvarint())
-	fl := d.u8()
+	b.Round = int(d.Svarint())
+	b.Shard = int(d.Uvarint())
+	fl := d.U8()
 	if fl&^byte(bdyFlagsKnown) != 0 {
-		d.fail("reserved boundary entry flag bits 0x%02x", fl)
+		d.Fail("reserved boundary entry flag bits 0x%02x", fl)
 	}
-	b.Demand = d.f64()
+	b.Demand = d.F64()
 	if fl&bdyFlagCurvature != 0 {
-		b.Curvature = d.f64()
+		b.Curvature = d.F64()
 		if b.Curvature == 0 {
 			// Zero curvature is encoded by omitting the field; a present
 			// zero would be a second encoding of the same entry.
-			d.fail("explicit zero curvature in boundary entry")
+			d.Fail("explicit zero curvature in boundary entry")
 		}
 	}
 	return b
@@ -586,32 +588,32 @@ func (c *Codec) decBoundary(d *dec, dict bool) (b BoundaryDemand) {
 
 // decLatency reads one LATENCY entry. Subtasks must arrive strictly
 // ascending, which also rules out a duplicate.
-func (c *Codec) decLatency(d *dec, dict bool) (s ShareReport) {
+func (c *Codec) decLatency(d *byteio.Dec, dict bool) (s ShareReport) {
 	var ti int
 	s.Task, ti = c.readTaskRef(d, dict)
-	s.Round = int(d.svarint())
-	s.Epoch = d.uvarint()
-	fl := d.u8()
+	s.Round = int(d.Svarint())
+	s.Epoch = d.Uvarint()
+	fl := d.U8()
 	if fl&^latFlagsKnown != 0 {
-		d.fail("reserved latency entry flag bits 0x%02x", fl)
+		d.Fail("reserved latency entry flag bits 0x%02x", fl)
 	}
 	s.Delta = fl&latFlagDelta != 0
 	if fl&latFlagSeq != 0 {
-		s.Seq = d.svarint()
+		s.Seq = d.Svarint()
 	}
 	if s.Delta {
 		return s
 	}
-	if n := d.count(maxBatch); n > 0 {
+	if n := d.Count(maxBatch); n > 0 {
 		s.Subs = make([]string, 0, min(n, 4096))
 		s.LatMs = make([]float64, 0, min(n, 4096))
-		for j := 0; j < n && d.err == nil; j++ {
+		for j := 0; j < n && d.Err == nil; j++ {
 			k := c.readSubRef(d, ti, dict)
 			if j > 0 && k <= s.Subs[j-1] {
-				d.fail("subtask %q after %q in latency entry: duplicate or out of order", k, s.Subs[j-1])
+				d.Fail("subtask %q after %q in latency entry: duplicate or out of order", k, s.Subs[j-1])
 			}
 			s.Subs = append(s.Subs, k)
-			s.LatMs = append(s.LatMs, d.f64())
+			s.LatMs = append(s.LatMs, d.F64())
 		}
 	}
 	return s
