@@ -138,16 +138,10 @@ func (t *Task) Root() (int, error) {
 	return root, nil
 }
 
-// Leaves returns the indices of all end subtasks (no successors).
-func (t *Task) Leaves() []int {
-	var leaves []int
-	for i := range t.Subtasks {
-		if len(t.succ[i]) == 0 {
-			leaves = append(leaves, i)
-		}
-	}
-	return leaves
-}
+// Built reports whether t has a precedence-graph slot per subtask, as New and
+// AddSubtask keep it. A Task literal with subtasks has none: it fails
+// validation and never reaches the graph's methods.
+func (t *Task) Built() bool { return len(t.succ) == len(t.Subtasks) && len(t.pred) == len(t.Subtasks) }
 
 // topo runs Kahn's algorithm in buf (len >= 2n): the first half holds the
 // in-degrees, the second the FIFO queue, whose push order is the topological
@@ -196,6 +190,9 @@ func (v *Validator) Validate(t *Task) error {
 	}
 	if !(t.CriticalMs > 0 && t.CriticalMs <= math.MaxFloat64) {
 		return fmt.Errorf("task %s: critical time must be positive and finite, got %v", t.Name, t.CriticalMs)
+	}
+	if !t.Built() {
+		return fmt.Errorf("task %s: subtasks not added through AddSubtask or Builder", t.Name)
 	}
 	if cap(v.ints) < 2*n {
 		v.ints = make([]int, 2*n)
@@ -293,22 +290,6 @@ func (w *pathWalk) from(v int) {
 		w.paths, w.ints = append(w.paths, w.ints[:n:n]), w.ints[n:]
 	}
 	w.cur = w.cur[:len(w.cur)-1]
-}
-
-// PathCount returns, for each subtask index, the number of root-to-leaf
-// paths that traverse it.
-func (t *Task) PathCount() ([]int, error) {
-	paths, err := t.Paths()
-	if err != nil {
-		return nil, err
-	}
-	counts := make([]int, len(t.Subtasks))
-	for _, p := range paths {
-		for _, s := range p {
-			counts[s]++
-		}
-	}
-	return counts, nil
 }
 
 // CriticalPathMs returns the maximum over paths of the summed latencies, and

@@ -63,18 +63,6 @@ func Bursty(periodMs, onMs, offMs float64) Trigger {
 	return Trigger{Kind: TriggerBursty, PeriodMs: periodMs, OnMs: onMs, OffMs: offMs}
 }
 
-// RateHz returns the long-run average arrival rate in events per second.
-func (tr Trigger) RateHz() float64 {
-	if tr.PeriodMs <= 0 {
-		return 0
-	}
-	base := 1000 / tr.PeriodMs
-	if tr.Kind == TriggerBursty && tr.OnMs+tr.OffMs > 0 {
-		return base * tr.OnMs / (tr.OnMs + tr.OffMs)
-	}
-	return base
-}
-
 // Validate checks trigger parameters: durations are finite, periods and
 // on-phases positive.
 func (tr Trigger) Validate() error {

@@ -172,8 +172,12 @@ func ConstSlope(c Curve) (slope float64, ok bool) {
 
 // ValidateCurve numerically spot-checks that a curve is non-increasing and
 // concave over (0, maxX]: used by workload validation and property tests to
-// reject curves that would break LLA's convergence assumptions.
+// reject curves that would break LLA's convergence assumptions. A nil or
+// zero-value *PiecewiseLinear is refused before it is sampled.
 func ValidateCurve(c Curve, maxX float64) error {
+	if p, ok := c.(*PiecewiseLinear); ok && (p == nil || len(p.xs) < 2) {
+		return fmt.Errorf("utility: piecewise-linear curve not built by NewPiecewiseLinear")
+	}
 	steps := 64
 	if _, ok := ConstSlope(c); ok {
 		steps = 1

@@ -291,11 +291,7 @@ func TestSubtaskPercentile(t *testing.T) {
 			if q < p || q > 100 {
 				t.Errorf("SubtaskPercentile(%v,%d) = %v outside [p,100]", p, n, q)
 			}
-			back, err := ComposedPercentile(q, n)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if math.Abs(back-p) > 1e-9 {
+			if back := 100 * math.Pow(q/100, float64(n)); math.Abs(back-p) > 1e-9 {
 				t.Errorf("round trip p=%v n=%d: got %v", p, n, back)
 			}
 		}
@@ -311,12 +307,6 @@ func TestPercentileErrors(t *testing.T) {
 	}
 	if _, err := SubtaskPercentile(50, 0); err == nil {
 		t.Error("n=0 should fail")
-	}
-	if _, err := ComposedPercentile(0, 2); err == nil {
-		t.Error("q=0 should fail")
-	}
-	if _, err := ComposedPercentile(50, -1); err == nil {
-		t.Error("n<0 should fail")
 	}
 }
 

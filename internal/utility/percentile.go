@@ -26,16 +26,3 @@ func SubtaskPercentile(pathPercentile float64, n int) (float64, error) {
 	q := math.Pow(pathPercentile, 1/nf) * math.Pow(100, (nf-1)/nf)
 	return q, nil
 }
-
-// ComposedPercentile is the inverse check: given a per-subtask percentile q
-// applied uniformly along a path of n subtasks, it returns the end-to-end
-// percentile p = 100 * (q/100)^n that the summed bounds guarantee.
-func ComposedPercentile(subtaskPercentile float64, n int) (float64, error) {
-	if subtaskPercentile <= 0 || subtaskPercentile > 100 {
-		return 0, fmt.Errorf("utility: subtask percentile %v outside (0,100]", subtaskPercentile)
-	}
-	if n <= 0 {
-		return 0, fmt.Errorf("utility: path length must be positive, got %d", n)
-	}
-	return 100 * math.Pow(subtaskPercentile/100, float64(n)), nil
-}

@@ -3,8 +3,10 @@ package workload
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"slices"
 
+	"lla/internal/par"
 	"lla/internal/task"
 	"lla/internal/utility"
 )
@@ -61,6 +63,10 @@ func (w *Workload) Check() (*Checked, error) {
 	return ck, err
 }
 
+// minChunk is the fewest tasks a chunk of Recheck's per-task part holds, so
+// that a small workload is checked inline instead of being handed to workers.
+const minChunk = 2048
+
 // Recheck validates next, the successor of the workload c proves, in one
 // pass that pays for the difference between the two. It returns next's proof
 // with, per task, prev — its index in the predecessor, matched by name, or -1
@@ -70,12 +76,18 @@ func (w *Workload) Check() (*Checked, error) {
 // only for a task that is not at its old position.
 //
 // A task that is field for field its predecessor, curve included, inherits
-// its verdict and its resolved row: the per-task checks (checkTask below) are
-// a pure function of the task's fields, its curve and the resource ID table,
-// and when that table is not positionally the predecessor's every task is
-// checked afresh. Workload-level checks — resources, unique task names — are
-// never inherited, and the error is the one Validate gives. Equality is of
-// content: what next shares with the predecessor must not have been modified.
+// its verdict and its resolved row: the per-task checks are a pure function
+// of the task's fields, its curve and the resource ID table, and when that
+// table is not positionally the predecessor's every task is checked afresh.
+// Workload-level checks — resources, unique task names — are never
+// inherited, and the error is the one Validate gives: the first failure in
+// task order, a task's own checks before its name's uniqueness. Equality is
+// of content: what next shares with the predecessor must not have been
+// modified.
+//
+// Resources are checked serially, then each task's own checks and diff in at
+// most GOMAXPROCS contiguous chunks of at least minChunk tasks, then name
+// uniqueness serially in task order, up to the first task that failed.
 func (c *Checked) Recheck(next *Workload, taskAt map[string]int) (ck *Checked, prev []int, dirty []bool, err error) {
 	old := c.w
 	fail := func(format string, args ...any) (*Checked, []int, []bool, error) {
@@ -112,47 +124,26 @@ func (c *Checked) Recheck(next *Workload, taskAt map[string]int) (ck *Checked, p
 	}
 
 	nt := len(next.Tasks)
-	ck = &Checked{
-		w: next, resIdx: resIdx,
-		subOff: make([]int32, nt+1),
-		res:    make([]int32, 0, next.TotalSubtasks()),
-		curves: make([]utility.Curve, nt),
-	}
-
-	// checkTask runs every check whose verdict is task ti's alone — structure
-	// and fields, resources against the ID table, curve — and appends its
-	// resolved row. Per resource, lastTask is the last task seen on it
-	// (1-based) and lastSub that task's subtask.
-	var tv task.Validator
-	lastTask, lastSub := make([]int32, len(next.Resources)), make([]int32, len(next.Resources))
-	checkTask := func(ti int, t *task.Task, curve utility.Curve) error {
-		if err := tv.Validate(t); err != nil {
-			return err
-		}
-		for si, s := range t.Subtasks {
-			ri, ok := resIdx[s.Resource]
-			if !ok {
-				return fmt.Errorf("task %s subtask %s references unknown resource %q", t.Name, s.Name, s.Resource)
-			}
-			if lastTask[ri] == int32(ti+1) {
-				return fmt.Errorf("task %s has subtasks %s and %s on the same resource %q", t.Name, t.Subtasks[lastSub[ri]].Name, s.Name, s.Resource)
-			}
-			lastTask[ri], lastSub[ri] = int32(ti+1), int32(si)
-			ck.res = append(ck.res, ri)
-		}
-		if curve == nil {
-			return fmt.Errorf("task %s has no utility curve", t.Name)
-		}
-		if err := utility.ValidateCurve(curve, t.CriticalMs); err != nil {
-			return fmt.Errorf("task %s: %w", t.Name, err)
-		}
-		return nil
-	}
-
-	prev, dirty = make([]int, nt), make([]bool, nt)
-	claimed := make([]bool, len(old.Tasks))
-	joined := make(map[string]struct{}, max(nt-len(old.Tasks), 0))
+	ck = &Checked{w: next, resIdx: resIdx, subOff: make([]int32, nt+1), curves: make([]utility.Curve, nt)}
 	for ti, t := range next.Tasks {
+		ck.subOff[ti+1] = ck.subOff[ti]
+		if t != nil { // refused by its chunk
+			ck.subOff[ti+1] += int32(len(t.Subtasks))
+		}
+	}
+	ck.res = make([]int32, ck.subOff[nt])
+	prev, dirty = make([]int, nt), make([]bool, nt)
+
+	// recheck runs everything whose verdict is task ti's alone — its match to
+	// a predecessor, the diff, and unless it inherits its row: structure and
+	// fields, resources against the ID table, curve — and writes ti's row,
+	// curve, prev and dirty. Per resource, lastTask is the last task the
+	// chunk saw on it (1-based) and lastSub that task's subtask.
+	recheck := func(tv *task.Validator, lastTask, lastSub []int32, ti int) error {
+		t := next.Tasks[ti]
+		if t == nil {
+			return fmt.Errorf("task %d is nil", ti)
+		}
 		oi := -1
 		if ti < len(old.Tasks) && old.Tasks[ti].Name == t.Name {
 			oi = ti
@@ -161,29 +152,72 @@ func (c *Checked) Recheck(next *Workload, taskAt map[string]int) (ck *Checked, p
 		}
 		curve := next.Curves[t.Name]
 		changed := oi < 0 || TaskChanged(old.Tasks[oi], t, c.curves[oi], curve)
+		row := ck.res[ck.subOff[ti]:ck.subOff[ti+1]]
 		if !changed && sameIDs {
-			ck.res = append(ck.res, c.TaskResources(oi)...)
-		} else if err := checkTask(ti, t, curve); err != nil {
-			return fail("%w", err)
-		}
-		// Names are unique in the predecessor, so two tasks of one name either
-		// claim the same predecessor or both have none.
-		if oi >= 0 {
-			if claimed[oi] {
-				return fail("duplicate task %q", t.Name)
-			}
-			claimed[oi] = true
+			copy(row, c.TaskResources(oi))
 		} else {
-			if _, dup := joined[t.Name]; dup {
-				return fail("duplicate task %q", t.Name)
+			if err := tv.Validate(t); err != nil {
+				return err
 			}
-			joined[t.Name] = struct{}{}
+			for si, s := range t.Subtasks {
+				ri, ok := resIdx[s.Resource]
+				if !ok {
+					return fmt.Errorf("task %s subtask %s references unknown resource %q", t.Name, s.Name, s.Resource)
+				}
+				if lastTask[ri] == int32(ti+1) {
+					return fmt.Errorf("task %s has subtasks %s and %s on the same resource %q", t.Name, t.Subtasks[lastSub[ri]].Name, s.Name, s.Resource)
+				}
+				lastTask[ri], lastSub[ri], row[si] = int32(ti+1), int32(si), ri
+			}
+			if curve == nil {
+				return fmt.Errorf("task %s has no utility curve", t.Name)
+			}
+			if err := utility.ValidateCurve(curve, t.CriticalMs); err != nil {
+				return fmt.Errorf("task %s: %w", t.Name, err)
+			}
 		}
-		ck.subOff[ti+1], ck.curves[ti] = int32(len(ck.res)), curve
-		prev[ti], dirty[ti] = oi, changed
-		for _, ri := range ck.TaskResources(ti) {
+		ck.curves[ti], prev[ti], dirty[ti] = curve, oi, changed
+		for _, ri := range row {
 			dirty[ti] = dirty[ti] || resChanged[ri]
 		}
+		return nil
+	}
+
+	// Chunk k covers tasks [k*nt/chunks, (k+1)*nt/chunks) and stops at its
+	// first failure, failAt[k], with errs[k].
+	chunks := max(min(runtime.GOMAXPROCS(0), nt/minChunk), 1)
+	failAt, errs := make([]int, chunks), make([]error, chunks)
+	pool := par.New(chunks - 1)
+	defer pool.Close()
+	pool.Run(chunks, func(k int) {
+		var tv task.Validator
+		lastTask, lastSub := make([]int32, len(next.Resources)), make([]int32, len(next.Resources))
+		for ti := k * nt / chunks; ti < (k+1)*nt/chunks && errs[k] == nil; ti++ {
+			failAt[k], errs[k] = ti, recheck(&tv, lastTask, lastSub, ti)
+		}
+	})
+	stop, stopErr := nt, error(nil)
+	if k := slices.IndexFunc(errs, func(err error) bool { return err != nil }); k >= 0 {
+		stop, stopErr = failAt[k], errs[k]
+	}
+
+	// Names are unique in the predecessor, so two tasks of one name either
+	// claim the same predecessor or both have none.
+	claimed := make([]bool, len(old.Tasks))
+	joined := make(map[string]struct{}, max(nt-len(old.Tasks), 0))
+	for ti, oi := range prev[:stop] {
+		dup := oi >= 0 && claimed[oi]
+		if oi >= 0 {
+			claimed[oi] = true
+		} else if _, dup = joined[next.Tasks[ti].Name]; !dup {
+			joined[next.Tasks[ti].Name] = struct{}{}
+		}
+		if dup {
+			return fail("duplicate task %q", next.Tasks[ti].Name)
+		}
+	}
+	if stopErr != nil {
+		return fail("%w", stopErr)
 	}
 	return ck, prev, dirty, nil
 }
@@ -192,9 +226,10 @@ func (c *Checked) Recheck(next *Workload, taskAt map[string]int) (ck *Checked, p
 // way validation or a compiled problem can see. Curves are compared as
 // interface values — dynamic type and fields — except pointer-typed ones
 // (such as *utility.PiecewiseLinear), which are compared by what they point
-// to. ca must not be nil; a nil cb differs from it.
+// to. ca must not be nil; a nil cb differs from it, and so does a b that is
+// not Built.
 func TaskChanged(a, b *task.Task, ca, cb utility.Curve) bool {
-	if a.CriticalMs != b.CriticalMs || a.Trigger != b.Trigger || len(a.Subtasks) != len(b.Subtasks) {
+	if a.CriticalMs != b.CriticalMs || a.Trigger != b.Trigger || len(a.Subtasks) != len(b.Subtasks) || !b.Built() {
 		return true
 	}
 	for i := range a.Subtasks {
