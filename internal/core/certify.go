@@ -1,6 +1,9 @@
 package core
 
-import "sync/atomic"
+import (
+	"math"
+	"sync/atomic"
+)
 
 // Certificate holds the three maxima of the KKT stopping rule shared by
 // RunUntilKKT and the fleet's shard sweeps.
@@ -60,6 +63,13 @@ type certSlot struct {
 // has found one. With one shard the single range runs inline: the serial
 // scan from the cursor on.
 //
+// A task is graded from its cached complete grade (taskGrade) and re-graded
+// only when a write that can move the grade has cleared its bit since: an
+// executed solve, a bitwise move of an observed price, a refresh of one of
+// its resources, or any wholesale write (invalidateSparse, ReadCheckpoint).
+// Near the fixed point almost nothing moves, so a passing check re-grades
+// only the tasks that did.
+//
 // A true verdict has necessarily visited everything, and only then are the
 // returned maxima complete. They are the ranges' maxima reduced with max,
 // which is exact and order-free, so they are bitwise the values KKTStats and
@@ -68,9 +78,10 @@ type certSlot struct {
 // The verdict is the same boolean as the dense rule for every tolerance,
 // including kktTol <= 0 or NaN (never certifies); infinite tolerances
 // never short-circuit and so always yield the complete maxima. The witness
-// cursor is scratch, not optimizer state: it cannot change a verdict and is
-// not carried by State or CarryFrom. Like Step, Certify must be
-// called from the goroutine driving the engine; the ranges only read it.
+// cursor and the grades are scratch, not optimizer state: they cannot change
+// a verdict and are not carried by State, CarryFrom or checkpoints. Like
+// Step, Certify must be called from the goroutine driving the engine; the
+// ranges write only their own tasks' grade slots.
 func (e *Engine) Certify(kktTol, tol float64) (Certificate, bool) {
 	var c Certificate
 	if !e.certifyAt(e.certCursor, kktTol, tol, &c) {
@@ -156,13 +167,50 @@ func (e *Engine) certRange(k int, kktTol, tol float64, stop *atomic.Bool) (c Cer
 
 // certifyAt folds item i of Certify's index space — resource i, or task
 // i−nr past the resources — into c and reports whether it stays inside the
-// tolerances.
+// tolerances. A task's grade is folded with CertifyTask's tests; being
+// clamped at 0, it can name a different witness than CertifyTask only at a
+// tolerance <= 0, which no verdict passes.
 func (e *Engine) certifyAt(i int, kktTol, tol float64, c *Certificate) bool {
-	if nr := len(e.price); i >= nr {
-		ti, p := i-nr, e.p
-		return p.CertifyTask(ti, e.taskLat(ti), e.lambda[p.pathOff[ti]:p.pathOff[ti+1]], e.price, kktTol, tol, c)
+	nr := len(e.price)
+	if i < nr {
+		return e.certifyResource(i, tol, c)
 	}
-	return e.certifyResource(i, tol, c)
+	g := e.gradeOf(i - nr)
+	if g.kkt > c.KKTMax {
+		c.KKTMax = g.kkt
+	}
+	if g.kkt >= kktTol {
+		return false
+	}
+	if g.path > c.MaxPathViolationFrac {
+		c.MaxPathViolationFrac = g.path
+	}
+	return !(g.path >= tol)
+}
+
+// taskGrade is a task's complete grade: its worst Equation 7 residual and
+// its critical-path violation fraction, each folded from 0 like a
+// Certificate's maxima, hence never NaN.
+type taskGrade struct{ kkt, path float64 }
+
+// gradeOf returns task ti's grade, re-grading it — CertifyTask at infinite
+// tolerances — only when its bit is clear.
+func (e *Engine) gradeOf(ti int) taskGrade {
+	if !e.graded[ti] {
+		p, inf := e.p, math.Inf(1)
+		var c Certificate
+		p.CertifyTask(ti, e.taskLat(ti), e.lambda[p.pathOff[ti]:p.pathOff[ti+1]], e.price, inf, inf, &c)
+		e.grade[ti], e.graded[ti] = taskGrade{c.KKTMax, c.MaxPathViolationFrac}, true
+	}
+	return e.grade[ti]
+}
+
+// dropGrades clears the grade of every task observing resource ri: its price
+// or its subtasks' bounds moved.
+func (e *Engine) dropGrades(ri int) {
+	for _, ti := range e.inc.resTask[e.inc.resTaskOff[ri]:e.inc.resTaskOff[ri+1]] {
+		e.graded[ti] = false
+	}
 }
 
 // certifyResource folds resource ri into c and reports whether it stays

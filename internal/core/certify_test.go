@@ -136,13 +136,16 @@ func TestCertifyMatchesDenseRule(t *testing.T) {
 
 // plantWitness makes item i of Certify's index space break the rule — a
 // resource one unit over capacity, or a task whose first subtask's latency
-// grows by twice the critical time — and returns what undoes it.
+// grows by twice the critical time — and returns what undoes it. Either
+// write of a latency drops the task's cached grade.
 func plantWitness(e *Engine, i int) (undo func()) {
 	if nr := len(e.price); i >= nr {
-		g := e.p.subOff[i-nr]
+		ti := i - nr
+		g := e.p.subOff[ti]
 		old := e.lat[g]
-		e.lat[g] += 2 * e.p.Tasks[i-nr].CriticalMs
-		return func() { e.lat[g] = old }
+		e.lat[g] += 2 * e.p.Tasks[ti].CriticalMs
+		e.graded[ti] = false
+		return func() { e.lat[g], e.graded[ti] = old, false }
 	}
 	old := e.shareSums[i]
 	e.shareSums[i] = e.p.Resources[i].Availability + 1
@@ -265,5 +268,152 @@ func TestRunUntilKKTCertifiesDensePoint(t *testing.T) {
 	snap, ok := e.RunUntilKKT(5000, kktTol, window, tol)
 	if !ok || snap.Iteration != wantIter {
 		t.Fatalf("RunUntilKKT stopped at iteration %d (converged=%v), dense rule stops at %d", snap.Iteration, ok, wantIter)
+	}
+}
+
+// worstInterior returns the interior subtask holding the point's worst
+// Equation 7 residual, as (task, subtask).
+func worstInterior(e *Engine) (wt, ws int) {
+	p, worst := e.p, -1.0
+	for ti := range p.Tasks {
+		f := kktFold{collect: true}
+		p.taskKKT(ti, e.taskLat(ti), e.lambda[p.pathOff[ti]:p.pathOff[ti+1]], e.price, math.NaN(), &f)
+		for si, g := 0, p.subOff[ti]; g < p.subOff[ti+1]; si, g = si+1, g+1 {
+			if !p.Interior(g, e.lat[g]) {
+				continue
+			}
+			if r := f.all[0]; r > worst {
+				worst, wt, ws = r, ti, si
+			}
+			f.all = f.all[1:]
+		}
+	}
+	return wt, ws
+}
+
+// TestCertifyAfterOutOfBandWrites grades the point straight after every
+// write that reaches an engine between Steps, with every task's grade
+// cached just before it: Certify(inf, inf) must return the dense maxima bit
+// for bit, and Certify(kktTol, tol) the dense verdict, with the dense maxima
+// when it passes. Each write runs at an early point, where it must move the
+// dense certificate (so a grade it leaves stale shows), and at a certified
+// one, where a stale grade would pass a point the dense rule fails. The
+// bound-moving writes make the worst interior subtask bound-active, which
+// takes the maximum off it.
+func TestCertifyAfterOutOfBandWrites(t *testing.T) {
+	const (
+		kktTol = 1e-6
+		tol    = 1e-4
+	)
+	inf := math.Inf(1)
+	// cached fills every grade slot and returns the point's dense certificate.
+	cached := func(e *Engine) Certificate {
+		e.Certify(inf, inf)
+		return denseCertificate(e)
+	}
+	type write func(t *testing.T, e *Engine, cfg Config) (graded *Engine, before Certificate)
+	onWorst := func(apply func(e *Engine, name, sub string, ri int, g int32) error) write {
+		return func(t *testing.T, e *Engine, _ Config) (*Engine, Certificate) {
+			before := cached(e)
+			ti, si := worstInterior(e)
+			g := e.p.subOff[ti] + int32(si)
+			if err := apply(e, e.p.Tasks[ti].Name, e.p.Tasks[ti].SubtaskNames[si], int(e.p.res[g]), g); err != nil {
+				t.Fatal(err)
+			}
+			return e, before
+		}
+	}
+	writes := []struct {
+		name  string
+		moves bool // the write moves a grade at the early point
+		apply write
+	}{
+		{"SetAvailability", true, onWorst(func(e *Engine, _, _ string, ri int, g int32) error {
+			return e.SetAvailability(e.p.Resources[ri].ID, e.p.ShareAt(g, e.lat[g])/2)
+		})},
+		{"SetErrorMs", true, onWorst(func(e *Engine, name, sub string, _ int, g int32) error {
+			return e.SetErrorMs(name, sub, e.lat[g])
+		})},
+		{"SetMinShare", true, onWorst(func(e *Engine, name, sub string, _ int, g int32) error {
+			return e.SetMinShare(name, sub, min(1, 2*e.p.ShareAt(g, e.lat[g])))
+		})},
+		{"PinPrice moved", true, onWorst(func(e *Engine, _, _ string, ri int, _ int32) error {
+			return e.PinPrice(ri, 2*e.price[ri]+1, e.congested[ri])
+		})},
+		{"PinPrice unmoved", false, onWorst(func(e *Engine, _, _ string, ri int, _ int32) error {
+			return e.PinPrice(ri, e.price[ri], !e.congested[ri])
+		})},
+		{"UnpinPrice", false, func(t *testing.T, e *Engine, _ Config) (*Engine, Certificate) {
+			ti, si := worstInterior(e)
+			ri := int(e.p.res[e.p.subOff[ti]+int32(si)])
+			if err := e.PinPrice(ri, e.price[ri], e.congested[ri]); err != nil {
+				t.Fatal(err)
+			}
+			before := cached(e)
+			e.UnpinPrice(ri)
+			return e, before
+		}},
+		{"CarryFrom", true, func(t *testing.T, e *Engine, cfg Config) (*Engine, Certificate) {
+			donor, err := NewEngine(certifyWorkload(t, 1, "quadratic"), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer donor.Close()
+			donor.Step()
+			before := cached(e)
+			e.CarryFrom(donor)
+			return e, before
+		}},
+		{"ReplaceWorkload", true, func(t *testing.T, e *Engine, _ Config) (*Engine, Certificate) {
+			before := cached(e)
+			if err := e.ReplaceWorkload(certifyWorkload(t, 2, "quadratic")); err != nil {
+				t.Fatal(err)
+			}
+			return e, before
+		}},
+		{"checkpoint restore", true, func(t *testing.T, e *Engine, cfg Config) (*Engine, Certificate) {
+			fresh, err := NewEngine(certifyWorkload(t, 1, "quadratic"), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := cached(fresh)
+			if err := readSection(fresh, checkpointSection(t, e)); err != nil {
+				t.Fatal(err)
+			}
+			return fresh, before
+		}},
+	}
+	for _, solver := range []price.Solver{price.SolverGradient, price.SolverNewton} {
+		for _, workers := range []int{1, 3} {
+			cfg := Config{Workers: workers, PriceSolver: solver}
+			for _, w := range writes {
+				for _, certified := range []bool{false, true} {
+					name := fmt.Sprintf("%s/workers=%d/%s/certified=%v", solver, workers, w.name, certified)
+					e, err := NewEngine(certifyWorkload(t, 1, "quadratic"), cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !certified {
+						e.Run(5, nil)
+					} else if _, ok := e.RunUntilKKT(5000, StopKKTTol, StopWindow, StopTol); !ok {
+						t.Fatalf("%s: never certified", name)
+					}
+					g, before := w.apply(t, e, cfg)
+					ref := denseCertificate(g)
+					if w.moves && !certified && ref == before {
+						t.Fatalf("%s: the write left the dense certificate at %+v; the case tests nothing", name, ref)
+					}
+					want := ref.KKTMax < kktTol && ref.MaxResourceViolation < tol && ref.MaxPathViolationFrac < tol
+					if got, ok := g.Certify(kktTol, tol); ok != want || (ok && got != ref) {
+						t.Fatalf("%s: certificate %+v verdict %v, dense %+v verdict %v", name, got, ok, ref, want)
+					}
+					if full, _ := g.Certify(inf, inf); full != ref {
+						t.Fatalf("%s: full scan %+v, dense %+v", name, full, ref)
+					}
+					g.Close()
+					e.Close()
+				}
+			}
+		}
 	}
 }

@@ -81,6 +81,7 @@ func (e *Engine) AppendCheckpoint(w *byteio.Enc) {
 func (e *Engine) ReadCheckpoint(d *byteio.Dec, version int) {
 	const big = math.MaxFloat64
 	p := e.p
+	clear(e.graded) // the grades are scratch, and the restore moves them all
 	e.iter = int(d.U64())
 	if n := d.U32(); d.Err == nil && int(n) != len(p.Tasks) {
 		d.Fail("checkpoint has %d tasks, engine has %d", n, len(p.Tasks))

@@ -10,7 +10,8 @@ import "math"
 // same engine fields Step does, so Snapshot, Probe, Certify, PinPrice and the
 // Set* mutators work on a dense-stepped engine — but it maintains none of the
 // active-set flags, so an engine must be advanced by denseStep only or by
-// Step only, never both. It shares Controller.Solve with Step; the oracle
+// Step only, never both. It drops every cached task grade, as it may move
+// every task's state and every price. It shares Controller.Solve with Step; the oracle
 // that does not is referenceSolve (oracle_test.go).
 func denseStep(e *Engine) { denseStepObserved(e, nil) }
 
@@ -40,6 +41,7 @@ func denseStepObserved(e *Engine, solve func(ti int, c *Controller)) {
 		e.congested[ri] = cong
 		e.dynDelta = max(e.dynDelta, math.Abs(e.price[ri]-mu))
 	}
+	clear(e.graded)
 	e.iter++
 }
 

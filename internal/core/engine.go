@@ -165,6 +165,10 @@ type Engine struct {
 	// ReplaceWorkload). Scratch only — neither changes a verdict.
 	certCursor int
 	cert       *certScan
+	// grade caches each task's complete grade and graded marks the slots
+	// still valid (certify.go). Sized in initSparse; scratch like the cursor.
+	grade  []taskGrade
+	graded []bool
 
 	// obsv holds the attached observability channels (nil = disabled); the
 	// hot path pays one nil-check per Step when nothing is attached.
@@ -298,10 +302,11 @@ func (e *Engine) refreshResourceState() {
 // resource ri — its availability, or the share function or bounds of a
 // subtask on it — can reach. It re-caches the shares of ri's subtasks (a
 // bound change may flip a flag), re-reduces ri's demand and curvature
-// numerator, and drops the fixed points of the controllers incident to ri
-// only. Everything else it keeps is what the global refresh would recompute
-// bit for bit: every other share is its latency's under unchanged bounds, and
-// every other resource's reduction is over those shares. The congestion
+// numerator, and drops the fixed points and grades of the controllers
+// incident to ri only. Everything else it keeps is what the global refresh
+// would recompute bit for bit: every other share is its latency's under
+// unchanged bounds, and every other resource's reduction is over those
+// shares. The congestion
 // flags, every price fixed point and the dynamics' history are O(resources)
 // and stay global — each flag is re-derived from its cached sum, as the
 // global refresh does, in case its resource was unpinned since its last
@@ -318,6 +323,7 @@ func (e *Engine) refreshResource(ri int) {
 	}
 	for _, ti := range e.inc.resTask[e.inc.resTaskOff[ri]:e.inc.resTaskOff[ri+1]] {
 		e.ctlSolved[ti], e.ctlStable[ti], e.latChanged[ti] = false, false, true
+		e.graded[ti] = false
 	}
 	clear(e.priceStable)
 	e.dyn.Invalidate()
@@ -371,7 +377,8 @@ func (e *Engine) Step() {
 // reproduce every cached bit: the shares of skipped tasks are what their last
 // executed solve wrote, so the reduction would return the cached sums and the
 // fixed-point step the cached price. Every solver is coordinate-separable, so
-// skipping a coordinate leaves the others' steps untouched.
+// skipping a coordinate leaves the others' steps untouched. A price that
+// moves drops the grades of the tasks observing it (certify.go).
 //
 // A pinned price (pin.go) is externally owned: the reduction refreshes its
 // demand, the price stays, the congestion flag is the supplied one — a no-op
@@ -396,6 +403,9 @@ func (e *Engine) resourcePhase() {
 			e.price[ri], moved = e.dyn.StepAt(ri, mu, sum, r.Availability, Curvature(inner, mu), cong)
 			e.congested[ri] = cong
 			maxd = max(maxd, math.Abs(e.price[ri]-mu))
+			if e.price[ri] != mu {
+				e.dropGrades(ri)
+			}
 		}
 		e.sumValid[ri], e.priceStable[ri] = true, !moved
 	}
@@ -427,7 +437,8 @@ func (e *Engine) SolverFallbacks() uint64 { return e.dyn.Fallbacks() }
 // nothing (ctlStable: latencies, path prices and step sizes all came out
 // bitwise-unchanged) and the prices it observes are bitwise-identical to that
 // solve's fingerprint — re-running the solve would reproduce its state and
-// its shares scratch row verbatim. Shards only touch their own tasks' flags,
+// its shares scratch row verbatim. An executed solve drops the task's grade
+// (certify.go). Shards only touch their own tasks' flags,
 // so the parallel dispatch stays race-free, and the skip decision depends
 // only on frozen per-Step inputs, so it is identical under every worker
 // count.
@@ -444,6 +455,7 @@ func (e *Engine) runShard(w int) {
 		}
 		e.controllerInto(&c, ti)
 		priceChanged, latChanged := c.Solve(e.mu, e.congested)
+		e.graded[ti] = false
 		e.latChanged[ti] = latChanged
 		e.ctlStable[ti] = !priceChanged && !latChanged
 		e.ctlSolved[ti] = true

@@ -54,7 +54,8 @@ func (e *Engine) CurvatureAt(ri int) float64 { return Curvature(e.inner[ri], e.p
 // supplied values. Subsequent Steps keep reducing the resource's demand but
 // never move its price; the pin stays in force until UnpinPrice. The active
 // set needs no blanket invalidation: a changed price or congestion bit
-// shows up in the observing controllers' fingerprints on the next Step.
+// shows up in the observing controllers' fingerprints on the next Step. A
+// moved price drops the observing tasks' grades (certify.go).
 func (e *Engine) PinPrice(ri int, mu float64, congested bool) error {
 	if ri < 0 || ri >= len(e.price) {
 		return fmt.Errorf("core: pin: resource index %d out of range [0,%d)", ri, len(e.price))
@@ -66,7 +67,11 @@ func (e *Engine) PinPrice(ri int, mu float64, congested bool) error {
 		e.pinned = make([]bool, len(e.price))
 		e.pinnedCong = make([]bool, len(e.price))
 	}
-	changed := !e.pinned[ri] || e.price[ri] != mu || e.pinnedCong[ri] != congested
+	moved := e.price[ri] != mu
+	if moved {
+		e.dropGrades(ri)
+	}
+	changed := !e.pinned[ri] || moved || e.pinnedCong[ri] != congested
 	e.pinned[ri] = true
 	e.pinnedCong[ri] = congested
 	e.price[ri] = mu

@@ -13,7 +13,8 @@ import "slices"
 // F(S, x) == S, re-running F on the same x reproduces S and every cached
 // output, so Step's snapshots are byte-identical to an iteration that skips
 // nothing (the tests' denseStep) under every Workers count. Any write to S or
-// the problem data outside Step must drop the fixed points it can reach:
+// the problem data outside Step must drop the fixed points it can reach, and
+// with them Certify's cached task grades (certify.go):
 // Engine.refreshResource for one resource, invalidateSparse for anything wider.
 
 // Incidence is the CSR-style index of the bipartite task/resource structure,
@@ -138,11 +139,11 @@ func (e *Engine) resourceDirty(ri int) bool {
 	return false
 }
 
-// invalidateSparse drops every cached fingerprint and fixed-point flag. Any
-// wholesale write of the problem data or controller state outside Step —
-// construction, warm starts, workload replacement — must call it: the skip
-// contract is "inputs identical AND state untouched", and out-of-band writes
-// break the second half invisibly. A change confined to one resource drops
+// invalidateSparse drops every cached fingerprint, fixed-point flag and task
+// grade. Any wholesale write of the problem data or controller state outside
+// Step — construction, warm starts, workload replacement — must call it: the
+// skip contract is "inputs identical AND state untouched", and out-of-band
+// writes break the second half invisibly. A change confined to one resource drops
 // only what it reaches (Engine.refreshResource).
 func (e *Engine) invalidateSparse() {
 	for i := range e.ctlSolved {
@@ -152,13 +153,15 @@ func (e *Engine) invalidateSparse() {
 	}
 	clear(e.priceStable)
 	clear(e.sumValid)
+	clear(e.graded)
 	// The price dynamics carry history (Newton's safeguard); an out-of-band
 	// change invalidates it for the same reason it invalidates the
 	// fingerprints — damping across the discontinuity would be meaningless.
 	e.dyn.Invalidate()
 }
 
-// initSparse sizes the active-set state for a freshly compiled problem.
+// initSparse sizes the active-set state and the grade cache for a freshly
+// compiled problem.
 func (e *Engine) initSparse() {
 	e.inc = NewIncidence(e.p)
 	e.fpMu = make([]float64, len(e.inc.taskRes))
@@ -169,5 +172,7 @@ func (e *Engine) initSparse() {
 	e.priceStable = make([]bool, len(e.p.Resources))
 	e.sumValid = make([]bool, len(e.p.Resources))
 	e.shardSkipped = make([]uint64, e.nshards)
+	e.grade = make([]taskGrade, len(e.p.Tasks))
+	e.graded = make([]bool, len(e.p.Tasks))
 	e.invalidateSparse()
 }

@@ -421,7 +421,7 @@ func (f *Fleet) Run() (Result, error) {
 	res.BoundaryResiduals = f.residLog[residStart:]
 	res.BoundaryFallbacks = f.bdyn.Fallbacks() - fallbacks
 	for _, s := range f.shards {
-		res.Utility += s.eng.Probe().Utility
+		res.Utility += s.probeUtility()
 	}
 	if f.fm != nil {
 		f.fm.KKTMax.Set(res.KKTMax)

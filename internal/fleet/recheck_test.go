@@ -413,6 +413,12 @@ func TestHostileTasksAndCurvesRejected(t *testing.T) {
 		{"zero-value piecewise-linear curve", "not built by NewPiecewiseLinear", func(w *workload.Workload, ti int) {
 			w.Curves[w.Tasks[ti].Name] = new(utility.PiecewiseLinear)
 		}},
+		{"zero-value exp-penalty curve (NaN slope)", "not finite", func(w *workload.Workload, ti int) {
+			w.Curves[w.Tasks[ti].Name] = utility.ExpPenalty{}
+		}},
+		{"exp-penalty curve with zero Tau (-Inf slope)", "not finite", func(w *workload.Workload, ti int) {
+			w.Curves[w.Tasks[ti].Name] = utility.ExpPenalty{A: 1, B: 1, Tau: 0}
+		}},
 	}
 	for i, row := range rows {
 		w := base.Clone()

@@ -153,7 +153,7 @@ func (f *Fleet) ReplaceWorkload(w *workload.Workload) (ReplaceStats, error) {
 			rebuilt++
 			sr.eng.Close()
 			sr.eng, sr.localRi, sr.slot = eng, nil, nil
-			sr.atRest, sr.sweptEpoch, sr.iters = false, 0, 0
+			sr.atRest, sr.sweptEpoch, sr.iters, sr.utilityOK = false, 0, 0, false
 		}
 	}
 	cut2, bRes2 := cutOf(ck2, assign, K)

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -89,6 +90,47 @@ func TestFleetReplaceWorkloadIncremental(t *testing.T) {
 	}
 }
 
+// TestFleetUtilityFollowsEverySweep runs a fleet one round per Run, so
+// every Run sweeps shards whose utilities the previous one summed:
+// Result.Utility must be the shards' utilities probed afresh each time.
+func TestFleetUtilityFollowsEverySweep(t *testing.T) {
+	f, err := New(clusteredWorkload(t, 23, 0.25), Config{Shards: 4, Seed: 1, MaxRounds: 1})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer f.Close()
+	swept := 0
+	for run := 0; run < 50; run++ {
+		res, err := f.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireProbedUtility(t, fmt.Sprintf("run %d", run), f, res)
+		if res.SweptShards > 0 {
+			swept++
+		}
+		if res.Converged {
+			break
+		}
+	}
+	if swept < 2 {
+		t.Fatalf("%d runs swept a shard; the test needs a sweep after a summed run", swept)
+	}
+}
+
+// requireProbedUtility holds res.Utility bitwise to the sum, in shard order,
+// of each shard engine's utility probed now.
+func requireProbedUtility(t *testing.T, at string, f *Fleet, res Result) {
+	t.Helper()
+	want := 0.0
+	for s := 0; s < f.Shards(); s++ {
+		want += f.Engine(s).Probe().Utility
+	}
+	if res.Utility != want {
+		t.Fatalf("%s: Result.Utility %v, the shards' probed utilities sum to %v", at, res.Utility, want)
+	}
+}
+
 // TestFleetReplaceWorkloadChurn: tasks joining and leaving route through
 // the incremental path — the newcomer lands on the shard already touching
 // its resources, the leaver's shard rebuilds, and the fleet re-converges.
@@ -138,10 +180,17 @@ func TestFleetReplaceWorkloadChurn(t *testing.T) {
 	if !res.Converged {
 		t.Fatalf("warm fleet did not re-converge in %d rounds", res.Rounds)
 	}
+	requireProbedUtility(t, "re-run", f, res)
 	cold := replaceUtility(t, w2, cfg)
 	if dev := math.Abs(res.Utility-cold) / math.Max(math.Abs(cold), 1); dev > 1e-3 {
 		t.Fatalf("warm utility %v deviates from cold %v by %v", res.Utility, cold, dev)
 	}
+	// A run that sweeps nothing sums the utilities cached by the last one.
+	res, err = f.Run()
+	if err != nil || res.SweptShards != 0 {
+		t.Fatalf("idle run: swept %d shards, err %v", res.SweptShards, err)
+	}
+	requireProbedUtility(t, "idle run", f, res)
 }
 
 // TestFleetReplaceWorkloadFullFallback: shrinking below one task per shard

@@ -36,6 +36,11 @@ type shardRuntime struct {
 	sweptEpoch uint64
 	skip       bool
 
+	// utility is the engine's Probe().Utility while utilityOK: only a sweep
+	// or a new engine moves the shard's latencies.
+	utility   float64
+	utilityOK bool
+
 	// bd and bp are the shard's reusable boundary report/pin buffers
 	// (demand+curvature out, price+congestion in). Resource and Shard
 	// fields are fixed at (re)build; per-round refreshes touch only the
@@ -71,7 +76,7 @@ func (s *shardRuntime) refreshBoundary() {
 func (s *shardRuntime) sweep(maxIters int, freeze bool, kktTol float64, window int, tol float64) {
 	stable := 0 // a window below 1 is a window of 1: the first pass reaches it
 	s.iters = 0
-	s.atRest = false
+	s.atRest, s.utilityOK = false, false
 	graded := false // s.cert is the complete certificate of the current state
 	for s.iters < maxIters {
 		before := s.eng.SparseStats()
@@ -101,6 +106,15 @@ func (s *shardRuntime) sweep(maxIters int, freeze bool, kktTol float64, window i
 		// Infinite tolerances have no witness: the scan runs to the end.
 		s.cert, _ = s.eng.Certify(math.Inf(1), math.Inf(1))
 	}
+}
+
+// probeUtility returns the shard engine's utility, probing the engine only
+// when a sweep or a new engine has moved it since the last probe.
+func (s *shardRuntime) probeUtility() float64 {
+	if !s.utilityOK {
+		s.utility, s.utilityOK = s.eng.Probe().Utility, true
+	}
+	return s.utility
 }
 
 // stateHash is an FNV-1a 64 hash over the shard's full optimization state —

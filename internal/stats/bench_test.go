@@ -10,14 +10,6 @@ func BenchmarkReservoirAdd(b *testing.B) {
 	}
 }
 
-func BenchmarkP2Add(b *testing.B) {
-	p := NewP2(0.95)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.Add(float64(i % 1000))
-	}
-}
-
 func BenchmarkQuantileExact(b *testing.B) {
 	samples := make([]float64, 4096)
 	for i := range samples {

@@ -47,45 +47,3 @@ func (e *EWMA) Initialized() bool { return e.seen }
 
 // Reset forgets all history.
 func (e *EWMA) Reset() { e.seen = false; e.value = 0 }
-
-// Summary holds basic aggregate statistics over a set of observations.
-type Summary struct {
-	Count int
-	Min   float64
-	Max   float64
-	Mean  float64
-	// M2 is the running sum of squared deviations (Welford), from which
-	// Variance and Stddev are derived.
-	m2 float64
-}
-
-// NewSummary returns an empty summary.
-func NewSummary() *Summary {
-	return &Summary{Min: math.Inf(1), Max: math.Inf(-1)}
-}
-
-// Add folds one observation into the summary using Welford's algorithm.
-func (s *Summary) Add(v float64) {
-	s.Count++
-	if v < s.Min {
-		s.Min = v
-	}
-	if v > s.Max {
-		s.Max = v
-	}
-	delta := v - s.Mean
-	s.Mean += delta / float64(s.Count)
-	s.m2 += delta * (v - s.Mean)
-}
-
-// Variance returns the population variance of the observations, or NaN when
-// empty.
-func (s *Summary) Variance() float64 {
-	if s.Count == 0 {
-		return math.NaN()
-	}
-	return s.m2 / float64(s.Count)
-}
-
-// Stddev returns the population standard deviation.
-func (s *Summary) Stddev() float64 { return math.Sqrt(s.Variance()) }

@@ -89,29 +89,3 @@ func TestEWMAWithinEnvelope(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestSummaryBasics(t *testing.T) {
-	s := NewSummary()
-	for _, v := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
-		s.Add(v)
-	}
-	if s.Count != 8 {
-		t.Errorf("Count = %d, want 8", s.Count)
-	}
-	if s.Min != 2 || s.Max != 9 {
-		t.Errorf("min/max = %v/%v, want 2/9", s.Min, s.Max)
-	}
-	if math.Abs(s.Mean-5) > 1e-12 {
-		t.Errorf("Mean = %v, want 5", s.Mean)
-	}
-	if math.Abs(s.Stddev()-2) > 1e-12 {
-		t.Errorf("Stddev = %v, want 2", s.Stddev())
-	}
-}
-
-func TestSummaryEmpty(t *testing.T) {
-	s := NewSummary()
-	if !math.IsNaN(s.Variance()) {
-		t.Fatal("empty summary variance should be NaN")
-	}
-}

@@ -1,6 +1,6 @@
 // Package stats provides the statistical substrate used throughout the LLA
-// reproduction: exact and streaming quantile estimation, exponential
-// smoothing and time-series recording.
+// reproduction: exact quantiles, bounded-memory reservoir sampling,
+// exponential smoothing and time-series recording.
 //
 // The LLA paper expresses timeliness constraints over configurable latency
 // percentiles (Section 2.1) and drives its online model error correction
@@ -119,118 +119,4 @@ func (r *Reservoir) Snapshot() []float64 {
 	out := make([]float64, len(r.samples))
 	copy(out, r.samples)
 	return out
-}
-
-// P2 is the P² (Jain & Chlamtac) streaming quantile estimator: constant
-// memory, no sample retention. It tracks a single quantile q.
-type P2 struct {
-	q       float64
-	count   int
-	heights [5]float64
-	pos     [5]float64 // actual marker positions (1-based)
-	want    [5]float64 // desired marker positions
-	incr    [5]float64
-	initial []float64
-}
-
-// NewP2 returns a streaming estimator for the q-quantile, 0 < q < 1.
-func NewP2(q float64) *P2 {
-	if q <= 0 || q >= 1 || math.IsNaN(q) {
-		panic(fmt.Sprintf("stats: P2 quantile must be in (0,1), got %v", q))
-	}
-	p := &P2{q: q}
-	p.incr = [5]float64{0, q / 2, q, (1 + q) / 2, 1}
-	return p
-}
-
-// Add feeds one observation to the estimator.
-func (p *P2) Add(v float64) {
-	p.count++
-	if p.count <= 5 {
-		p.initial = append(p.initial, v)
-		if p.count == 5 {
-			sort.Float64s(p.initial)
-			for i := 0; i < 5; i++ {
-				p.heights[i] = p.initial[i]
-				p.pos[i] = float64(i + 1)
-				p.want[i] = 1 + 4*p.incr[i]
-			}
-			p.initial = nil
-		}
-		return
-	}
-
-	// Locate cell k such that heights[k] <= v < heights[k+1].
-	var k int
-	switch {
-	case v < p.heights[0]:
-		p.heights[0] = v
-		k = 0
-	case v >= p.heights[4]:
-		p.heights[4] = v
-		k = 3
-	default:
-		for k = 0; k < 4; k++ {
-			if v < p.heights[k+1] {
-				break
-			}
-		}
-	}
-
-	for i := k + 1; i < 5; i++ {
-		p.pos[i]++
-	}
-	for i := 0; i < 5; i++ {
-		p.want[i] += p.incr[i]
-	}
-
-	// Adjust interior markers toward their desired positions.
-	for i := 1; i <= 3; i++ {
-		d := p.want[i] - p.pos[i]
-		if (d >= 1 && p.pos[i+1]-p.pos[i] > 1) || (d <= -1 && p.pos[i-1]-p.pos[i] < -1) {
-			sign := 1.0
-			if d < 0 {
-				sign = -1.0
-			}
-			h := p.parabolic(i, sign)
-			if p.heights[i-1] < h && h < p.heights[i+1] {
-				p.heights[i] = h
-			} else {
-				p.heights[i] = p.linear(i, sign)
-			}
-			p.pos[i] += sign
-		}
-	}
-}
-
-// parabolic implements the piecewise-parabolic (P²) height update.
-func (p *P2) parabolic(i int, d float64) float64 {
-	num1 := p.pos[i] - p.pos[i-1] + d
-	num2 := p.pos[i+1] - p.pos[i] - d
-	den := p.pos[i+1] - p.pos[i-1]
-	t1 := (p.heights[i+1] - p.heights[i]) / (p.pos[i+1] - p.pos[i])
-	t2 := (p.heights[i] - p.heights[i-1]) / (p.pos[i] - p.pos[i-1])
-	return p.heights[i] + d/den*(num1*t1+num2*t2)
-}
-
-// linear is the fallback linear height update.
-func (p *P2) linear(i int, d float64) float64 {
-	j := i + int(d)
-	return p.heights[i] + d*(p.heights[j]-p.heights[i])/(p.pos[j]-p.pos[i])
-}
-
-// Count reports how many observations have been added.
-func (p *P2) Count() int { return p.count }
-
-// Value returns the current quantile estimate. Before five observations have
-// been seen it falls back to an exact small-sample quantile; with no samples
-// it returns NaN.
-func (p *P2) Value() float64 {
-	if p.count == 0 {
-		return math.NaN()
-	}
-	if p.count < 5 {
-		return Quantile(p.initial, p.q)
-	}
-	return p.heights[2]
 }

@@ -137,69 +137,3 @@ func TestReservoirPanicsOnBadCapacity(t *testing.T) {
 	}()
 	NewReservoir(0)
 }
-
-func TestP2MatchesExactOnUniform(t *testing.T) {
-	for _, q := range []float64{0.5, 0.9, 0.99} {
-		p := NewP2(q)
-		rng := rand.New(rand.NewSource(7))
-		var all []float64
-		for i := 0; i < 50000; i++ {
-			v := rng.Float64() * 100
-			p.Add(v)
-			all = append(all, v)
-		}
-		exact := Quantile(all, q)
-		if math.Abs(p.Value()-exact) > 2.0 {
-			t.Errorf("P2(%v) = %v, exact = %v", q, p.Value(), exact)
-		}
-	}
-}
-
-func TestP2SmallSamples(t *testing.T) {
-	p := NewP2(0.5)
-	if !math.IsNaN(p.Value()) {
-		t.Error("empty P2 should return NaN")
-	}
-	p.Add(3)
-	p.Add(1)
-	p.Add(2)
-	if got := p.Value(); math.Abs(got-2) > 1e-12 {
-		t.Errorf("small-sample median = %v, want 2", got)
-	}
-	if p.Count() != 3 {
-		t.Errorf("Count = %d, want 3", p.Count())
-	}
-}
-
-func TestP2PanicsOnBadQuantile(t *testing.T) {
-	for _, q := range []float64{0, 1, -1, math.NaN()} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("expected panic for q=%v", q)
-				}
-			}()
-			NewP2(q)
-		}()
-	}
-}
-
-// Property: P2 estimate stays within the observed min/max envelope.
-func TestP2WithinEnvelope(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		p := NewP2(0.75)
-		lo, hi := math.Inf(1), math.Inf(-1)
-		for i := 0; i < 200; i++ {
-			v := rng.NormFloat64() * 10
-			p.Add(v)
-			lo = math.Min(lo, v)
-			hi = math.Max(hi, v)
-		}
-		v := p.Value()
-		return v >= lo-1e-9 && v <= hi+1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -173,7 +173,9 @@ func ConstSlope(c Curve) (slope float64, ok bool) {
 // ValidateCurve numerically spot-checks that a curve is non-increasing and
 // concave over (0, maxX]: used by workload validation and property tests to
 // reject curves that would break LLA's convergence assumptions. A nil or
-// zero-value *PiecewiseLinear is refused before it is sampled.
+// zero-value *PiecewiseLinear is refused before it is sampled, and a
+// non-finite slope (a zero-value ExpPenalty's NaN, a zero Tau's −Inf) is
+// refused where it is sampled; the shape tests are in accepting form.
 func ValidateCurve(c Curve, maxX float64) error {
 	if p, ok := c.(*PiecewiseLinear); ok && (p == nil || len(p.xs) < 2) {
 		return fmt.Errorf("utility: piecewise-linear curve not built by NewPiecewiseLinear")
@@ -186,10 +188,13 @@ func ValidateCurve(c Curve, maxX float64) error {
 	for i := 1; i <= steps; i++ {
 		x := maxX * float64(i) / float64(steps)
 		s := c.Slope(x)
-		if s > 1e-9 {
+		if math.IsNaN(s) || math.IsInf(s, 0) {
+			return fmt.Errorf("utility: slope %v at x=%v is not finite", s, x)
+		}
+		if !(s <= 1e-9) {
 			return fmt.Errorf("utility: slope %v > 0 at x=%v (curve must be non-increasing)", s, x)
 		}
-		if s > prevSlope+1e-9 {
+		if !(s <= prevSlope+1e-9) {
 			return fmt.Errorf("utility: slope rises from %v to %v at x=%v (curve must be concave)", prevSlope, s, x)
 		}
 		prevSlope = s

@@ -3,6 +3,7 @@ package utility
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -169,6 +170,22 @@ func TestValidateCurveConstSlope(t *testing.T) {
 		got, want := ValidateCurve(tc.c, 20), fullScan(tc.c, 20)
 		if (got == nil) != tc.valid || (want == nil) != tc.valid {
 			t.Errorf("%#v: ValidateCurve %v, full scan %v, want valid=%v", tc.c, got, want, tc.valid)
+		}
+	}
+}
+
+// TestValidateCurveRejectsNonFiniteSlopes: a zero-value ExpPenalty has a
+// NaN slope (−0/0·e^(x/0)) and a zero Tau a −Inf one. Neither is a curve a
+// task can be solved against, and the comparison-based shape tests alone
+// let both through.
+func TestValidateCurveRejectsNonFiniteSlopes(t *testing.T) {
+	for _, c := range []Curve{ExpPenalty{}, ExpPenalty{A: 1, B: 1, Tau: 0}, Quadratic{A: 1, B: math.Inf(1)}} {
+		err := ValidateCurve(c, 20)
+		if err == nil || !strings.Contains(err.Error(), "not finite") {
+			t.Errorf("%#v: ValidateCurve %v, want a non-finite slope refused", c, err)
+		}
+		if fullScan(c, 20) != nil {
+			t.Errorf("%#v: the comparison tests alone refuse it; the case tests nothing", c)
 		}
 	}
 }
