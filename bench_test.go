@@ -406,7 +406,7 @@ func BenchmarkScaleParallel(b *testing.B) {
 // BenchmarkEngineStepConverged measures the Step cost right after the KKT
 // certificate first holds, on the Fig 6-scale workload (12 tasks, 84
 // subtasks). This is the active set's headline number: a certified point is
-// a bitwise fixed point, so from there Step only verifies fingerprints.
+// a bitwise fixed point, so from there Step only reads its skip flags.
 // skipped_pct reports the fraction of controller solves skipped during the
 // timed loop (100 at a frozen fixed point).
 func BenchmarkEngineStepConverged(b *testing.B) {
@@ -432,6 +432,39 @@ func BenchmarkEngineStepConverged(b *testing.B) {
 	st := e.SparseStats()
 	b.ReportMetric(float64(st.SkippedSolves)/float64(st.SkippedSolves+st.ExecutedSolves)*100, "skipped_pct")
 }
+
+// BenchmarkEngineSnapshot measures the Snapshot RunUntilKKT returns on exit,
+// on engine-online's shape (bench/engine.go: 8 clusters of 100 layered-DAG
+// tasks over 400 resources, replicated 12 times — 9 600 tasks, 47 748
+// subtasks) right after its first KKT certificate, every grade cached. A
+// fresh Snapshot carves its rows from shared chunks, so allocs/op counts
+// chunks, not tasks; benchparse gates it against the previous report.
+func BenchmarkEngineSnapshot(b *testing.B) {
+	cfg := workload.DefaultClusteredConfig(1)
+	cfg.Clusters, cfg.TasksPerCluster, cfg.ReplicateFactor, cfg.ResourcesPerCluster = 8, 100, 12, 400
+	cfg.MinSubtasks, cfg.MaxSubtasks, cfg.ChainOnly = 3, 7, false
+	cfg.SlackFactor, cfg.CrossFraction = 400, 0.05
+	w, err := workload.Clustered(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	e, err := core.NewEngine(w, core.Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer e.Close()
+	if _, ok := e.RunUntilKKT(3000, core.StopKKTTol, core.StopWindow, core.StopTol); !ok {
+		b.Fatal("no KKT certificate")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		snapshotSink = e.Snapshot()
+	}
+}
+
+// snapshotSink keeps BenchmarkEngineSnapshot's result live.
+var snapshotSink core.Snapshot
 
 // BenchmarkFig6ScalabilitySparse models a long-running deployment at Figure
 // 6's scales: converge on the sparse path, then keep iterating for 400 more

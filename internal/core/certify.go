@@ -190,8 +190,9 @@ func (e *Engine) certifyAt(i int, kktTol, tol float64, c *Certificate) bool {
 
 // taskGrade is a task's complete grade: its worst Equation 7 residual and
 // its critical-path violation fraction, each folded from 0 like a
-// Certificate's maxima, hence never NaN.
-type taskGrade struct{ kkt, path float64 }
+// Certificate's maxima, hence never NaN, and the critical path the fraction
+// was taken of, which Snapshot and Probe read back (Engine.scan).
+type taskGrade struct{ kkt, path, cp float64 }
 
 // gradeOf returns task ti's grade, re-grading it — CertifyTask at infinite
 // tolerances — only when its bit is clear.
@@ -199,18 +200,10 @@ func (e *Engine) gradeOf(ti int) taskGrade {
 	if !e.graded[ti] {
 		p, inf := e.p, math.Inf(1)
 		var c Certificate
-		p.CertifyTask(ti, e.taskLat(ti), e.lambda[p.pathOff[ti]:p.pathOff[ti+1]], e.price, inf, inf, &c)
-		e.grade[ti], e.graded[ti] = taskGrade{c.KKTMax, c.MaxPathViolationFrac}, true
+		_, cp := p.CertifyTask(ti, e.taskLat(ti), e.lambda[p.pathOff[ti]:p.pathOff[ti+1]], e.price, inf, inf, &c)
+		e.grade[ti], e.graded[ti] = taskGrade{c.KKTMax, c.MaxPathViolationFrac, cp}, true
 	}
 	return e.grade[ti]
-}
-
-// dropGrades clears the grade of every task observing resource ri: its price
-// or its subtasks' bounds moved.
-func (e *Engine) dropGrades(ri int) {
-	for _, ti := range e.inc.resTask[e.inc.resTaskOff[ri]:e.inc.resTaskOff[ri+1]] {
-		e.graded[ti] = false
-	}
 }
 
 // certifyResource folds resource ri into c and reports whether it stays
@@ -229,22 +222,23 @@ func (e *Engine) certifyResource(ri int, tol float64, c *Certificate) bool {
 // CertifyTask folds into c task ti's Equation 7 residuals over its interior
 // subtasks and its critical-path violation at latencies lat, path prices
 // lambda and resource prices mu (indexed like Resources), and reports
-// whether all of them stay inside kktTol and tol. It stops at the first
+// whether all of them stay inside kktTol and tol, with the critical path it
+// graded (NaN when a residual stopped it first). It stops at the first
 // residual >= kktTol; infinite tolerances never stop and fold the task
 // completely. It is the one grading of a task: Engine.Certify calls it on
 // the engine's arrays, a distributed controller on its own state.
-func (p *Problem) CertifyTask(ti int, lat, lambda, mu []float64, kktTol, tol float64, c *Certificate) bool {
+func (p *Problem) CertifyTask(ti int, lat, lambda, mu []float64, kktTol, tol float64, c *Certificate) (ok bool, cp float64) {
 	f := kktFold{max: c.KKTMax}
-	ok := p.taskKKT(ti, lat, lambda, mu, kktTol, &f)
+	ok = p.taskKKT(ti, lat, lambda, mu, kktTol, &f)
 	c.KKTMax = f.max
 	if !ok {
-		return false
+		return false, math.NaN()
 	}
-	cp, _ := p.criticalPath(ti, lat)
+	cp, _ = p.criticalPath(ti, lat)
 	crit := p.consts[ti].criticalMs
 	frac := (cp - crit) / crit
 	if frac > c.MaxPathViolationFrac {
 		c.MaxPathViolationFrac = frac
 	}
-	return !(frac >= tol)
+	return !(frac >= tol), cp
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"lla/internal/price"
@@ -24,7 +25,14 @@ func denseCertificate(e *Engine) Certificate {
 			c.MaxResourceViolation = over
 		}
 	}
-	c.MaxPathViolationFrac = e.Probe().MaxPathViolationFrac
+	for ti := range e.p.Tasks {
+		// Not Probe's: Probe reads the critical paths of the grades under test.
+		cp, _ := e.p.criticalPath(ti, e.taskLat(ti))
+		crit := e.p.consts[ti].criticalMs
+		if frac := (cp - crit) / crit; frac > c.MaxPathViolationFrac {
+			c.MaxPathViolationFrac = frac
+		}
+	}
 	return c
 }
 
@@ -54,7 +62,9 @@ func certifyWorkload(t *testing.T, seed int64, family string) *workload.Workload
 }
 
 // TestCertifyMatchesDenseRule asserts, at every iteration of every case,
-// that the short-circuiting certificate reaches the dense rule's verdict,
+// that Snapshot and Probe, which read the grades cached one Step earlier,
+// are a from-scratch recomputation (requireSnapshotFromScratch); that the
+// short-circuiting certificate reaches the dense rule's verdict,
 // from the remembered witness and from a cold cursor alike; that a passing
 // certificate and the infinite-tolerance scan the fleet uses on ungraded
 // sweep exits both carry the dense maxima bit for bit; that a non-positive
@@ -88,6 +98,7 @@ func TestCertifyMatchesDenseRule(t *testing.T) {
 						}
 						for it := 0; it < iters; it++ {
 							e.Step()
+							requireSnapshotFromScratch(t, fmt.Sprintf("%s iter %d", name, it), e)
 							ref := denseCertificate(e)
 							want := ref.KKTMax < kktTol && ref.MaxResourceViolation < tol && ref.MaxPathViolationFrac < tol
 
@@ -299,7 +310,11 @@ func worstInterior(e *Engine) (wt, ws int) {
 // dense certificate (so a grade it leaves stale shows), and at a certified
 // one, where a stale grade would pass a point the dense rule fails. The
 // bound-moving writes make the worst interior subtask bound-active, which
-// takes the maximum off it.
+// takes the maximum off it. The exit snapshot trusts the same grades and the
+// share cache: Snapshot and Probe must then be a from-scratch recomputation
+// (requireSnapshotFromScratch) after the write, after each of three Steps
+// taken with every grade cached, after the RunUntilKKT that follows, and
+// with the grades cleared — and never grade a task.
 func TestCertifyAfterOutOfBandWrites(t *testing.T) {
 	const (
 		kktTol = 1e-6
@@ -410,10 +425,80 @@ func TestCertifyAfterOutOfBandWrites(t *testing.T) {
 					if full, _ := g.Certify(inf, inf); full != ref {
 						t.Fatalf("%s: full scan %+v, dense %+v", name, full, ref)
 					}
+					requireSnapshotFromScratch(t, name+" after the write", g)
+					for i := 0; i < 3; i++ {
+						g.Certify(inf, inf)
+						g.Step()
+						requireSnapshotFromScratch(t, fmt.Sprintf("%s, graded, then step %d", name, i), g)
+					}
+					g.RunUntilKKT(500, StopKKTTol, StopWindow, StopTol)
+					requireSnapshotFromScratch(t, name+" after RunUntilKKT", g)
+					clear(g.graded)
+					requireSnapshotFromScratch(t, name+" with the grades cleared", g)
+					if slices.Contains(g.graded, true) {
+						t.Fatalf("%s: Snapshot or Probe graded a task", name)
+					}
 					g.Close()
 					e.Close()
 				}
 			}
 		}
+	}
+}
+
+// requireSnapshotFromScratch compares e's Snapshot, the same snapshot
+// refilled in place by SnapshotInto, and Probe bit for bit with the state
+// recomputed from the latencies alone: each share by ShareAt, each critical
+// path by criticalPath, each utility by Curve.Value, each resource's demand
+// summed afresh.
+func requireSnapshotFromScratch(t *testing.T, at string, e *Engine) {
+	t.Helper()
+	p, want := e.p, Probe{Iteration: e.iter}
+	utils, cps := make([]float64, len(p.Tasks)), make([]float64, len(p.Tasks))
+	for ti := range p.Tasks {
+		lat := e.taskLat(ti)
+		utils[ti] = p.Tasks[ti].Curve.Value(p.aggregate(ti, lat))
+		cps[ti], _ = p.criticalPath(ti, lat)
+		want.Utility += utils[ti]
+		crit := p.Tasks[ti].CriticalMs
+		if frac := (cps[ti] - crit) / crit; frac > want.MaxPathViolationFrac {
+			want.MaxPathViolationFrac = frac
+		}
+	}
+	sums := make([]float64, len(p.Resources))
+	for ri, r := range p.Resources {
+		for _, g := range r.Subs {
+			sums[ri] += p.ShareAt(g, e.lat[g])
+		}
+		want.MaxResourceViolation = max(want.MaxResourceViolation, sums[ri]-r.Availability)
+	}
+	check := func(how string, s *Snapshot) {
+		same := func(what string, i int, got, want float64) { // no t.Helper: it walks the stack per call
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s: %s %s[%d] = %x, recomputed %x", at, how, what, i, got, want)
+			}
+		}
+		for ti := range p.Tasks {
+			for si, l := range e.taskLat(ti) {
+				g := p.subOff[ti] + int32(si)
+				same("LatMs", int(g), s.LatMs[ti][si], l)
+				same("Shares", int(g), s.Shares[ti][si], p.ShareAt(g, l))
+			}
+			same("TaskUtility", ti, s.TaskUtility[ti], utils[ti])
+			same("CriticalPathMs", ti, s.CriticalPathMs[ti], cps[ti])
+		}
+		for ri, sum := range sums {
+			same("ShareSums", ri, s.ShareSums[ri], sum)
+		}
+		if got := (Probe{s.Iteration, s.Utility, s.MaxResourceViolation, s.MaxPathViolationFrac}); got != want {
+			t.Fatalf("%s: %s scalars %+v, recomputed %+v", at, how, got, want)
+		}
+	}
+	s := e.Snapshot()
+	check("Snapshot", &s)
+	e.SnapshotInto(&s) // shaped: refills every row in place
+	check("SnapshotInto", &s)
+	if got := e.Probe(); got != want {
+		t.Fatalf("%s: Probe %+v, recomputed %+v", at, got, want)
 	}
 }

@@ -25,18 +25,20 @@ import (
 // The section, in order: the iteration count; the task count and, per task
 // in compiled order, its latencies, path prices, path step sizes and
 // model-error corrections; then per resource (Problem.Resources order) the
-// prices, demand sums and congestion flags; the controller input
-// fingerprints (incidence layout); the controller and resource fixed-point
-// flags; the five sparse counters; the last largest price move; and the
-// price dynamics' own part (price.Dynamics.AppendState). Every slice is
-// u32-length-prefixed and every bool one byte.
+// prices, demand sums and congestion flags; the controller and resource
+// fixed-point flags; the five sparse counters; the last largest price move;
+// and the price dynamics' own part (price.Dynamics.AppendState). Every slice
+// is u32-length-prefixed and every bool one byte.
 //
-// Version 2 differs only inside the dynamics' part. Version 1 also held the
+// Version 3 held, in place of the two fixed-point vectors, each
+// controller's input fingerprint (the prices and flags its last stable solve
+// saw, incidence layout) and six flag vectors (readFingerprints). Version 2
+// differs from 3 only inside the dynamics' part. Version 1 also held the
 // gradient agents' step sizes between the prices and the demand sums.
 
 // CheckpointVersion is the section layout AppendCheckpoint writes.
-// ReadCheckpoint reads it and the older versions 1 and 2.
-const CheckpointVersion = 3
+// ReadCheckpoint reads it and the older versions 1 to 3.
+const CheckpointVersion = 4
 
 // AppendCheckpoint writes the engine's checkpoint section to w. Call it
 // between Steps (the same discipline as the Set* mutators); the engine is
@@ -55,10 +57,8 @@ func (e *Engine) AppendCheckpoint(w *byteio.Enc) {
 	putF64s(w, e.price)
 	putF64s(w, e.shareSums)
 	putBools(w, e.congested)
-	putF64s(w, e.fpMu)
-	for _, flags := range [][]bool{e.fpCong, e.ctlSolved, e.ctlStable, e.latChanged, e.priceStable, e.sumValid} {
-		putBools(w, flags)
-	}
+	putBools(w, e.ctlStable)
+	putBools(w, e.priceStable)
 	s := &e.sstats
 	for _, v := range [...]uint64{s.Iterations, s.SkippedSolves, s.ExecutedSolves, s.CleanResources, s.RepricedResources} {
 		w.U64(v)
@@ -67,7 +67,7 @@ func (e *Engine) AppendCheckpoint(w *byteio.Enc) {
 	e.dyn.AppendState(w)
 }
 
-// ReadCheckpoint reads a checkpoint section of layout version 1..3 into this
+// ReadCheckpoint reads a checkpoint section of layout version 1..4 into this
 // engine, which must be freshly built over the workload and config the
 // section was written under (the recover package rebuilds it from the
 // checkpoint's workload). Workers may differ freely: it is bitwise-neutral.
@@ -104,9 +104,11 @@ func (e *Engine) ReadCheckpoint(d *byteio.Dec, version int) {
 	}
 	readF64s(d, e.shareSums, "ShareSums", -big, big)
 	readBools(d, e.congested, "Congested")
-	readF64s(d, e.fpMu, "FpMu", 0, price.MaxPrice)
-	for _, flags := range [][]bool{e.fpCong, e.ctlSolved, e.ctlStable, e.latChanged, e.priceStable, e.sumValid} {
-		readBools(d, flags, "fixed-point flags")
+	if version < 4 {
+		e.readFingerprints(d)
+	} else {
+		readBools(d, e.ctlStable, "fixed-point flags")
+		readBools(d, e.priceStable, "fixed-point flags")
 	}
 	s := &e.sstats
 	for _, v := range [...]*uint64{&s.Iterations, &s.SkippedSolves, &s.ExecutedSolves, &s.CleanResources, &s.RepricedResources} {
@@ -126,10 +128,37 @@ func (e *Engine) ReadCheckpoint(d *byteio.Dec, version int) {
 		}
 		// The shares must be those of the restored latencies: a restored
 		// clean resource reuses them verbatim in the next serial reduction.
-		p.sharesInto(c.shares, ti, c.LatMs, true)
+		p.sharesInto(c.shares, ti, c.LatMs)
 	}
 	for ri := range e.inner {
 		_, e.inner[ri] = e.demand(ri)
+	}
+}
+
+// readFingerprints reads the active set as versions 1 to 3 held it into the
+// two fixed-point vectors: a controller stays stable if it had solved, its
+// last solve was a fixed point and its fingerprint matches the restored
+// prices and flags — what the next Step's skip test compared — and a
+// resource if its sum was cached and its step a fixed point. The latChanged
+// flags land unused: every Step rewrites them before reading them.
+func (e *Engine) readFingerprints(d *byteio.Dec) {
+	inc, nt, nr := &e.inc, len(e.p.Tasks), len(e.price)
+	fpMu, fpCong := make([]float64, len(inc.taskRes)), make([]bool, len(inc.taskRes))
+	solved, sumValid := make([]bool, nt), make([]bool, nr)
+	readF64s(d, fpMu, "FpMu", 0, price.MaxPrice)
+	for _, flags := range [][]bool{fpCong, solved, e.ctlStable, e.latChanged, e.priceStable, sumValid} {
+		readBools(d, flags, "fixed-point flags")
+	}
+	for ti := range e.ctlStable {
+		stable := solved[ti] && e.ctlStable[ti]
+		for j := inc.taskResOff[ti]; stable && j < inc.taskResOff[ti+1]; j++ {
+			ri := inc.taskRes[j]
+			stable = e.price[ri] == fpMu[j] && e.congested[ri] == fpCong[j]
+		}
+		e.ctlStable[ti] = stable
+	}
+	for ri, valid := range sumValid {
+		e.priceStable[ri] = e.priceStable[ri] && valid
 	}
 }
 

@@ -68,7 +68,7 @@ func (c *Controller) reset() {
 		fair := r.Availability / float64(len(r.Subs))
 		c.LatMs[si] = clamp(p.Share(ti, si).LatencyFor(fair), p.latMin[g], p.latMax[g])
 	}
-	p.sharesInto(c.shares, ti, c.LatMs, true)
+	p.sharesInto(c.shares, ti, c.LatMs)
 }
 
 // pathPriceSum is Λ_s = Σ_{p∋s} λ_p for subtask si of a task with path
@@ -250,12 +250,6 @@ func (c *Controller) Utility() float64 {
 	return c.p.Tasks[c.ti].Curve.Value(c.p.aggregate(c.ti, c.LatMs))
 }
 
-// CriticalPathMs returns the longest path latency under the current
-// assignment and the index of that path.
-func (c *Controller) CriticalPathMs() (float64, int) {
-	return c.p.criticalPath(c.ti, c.LatMs)
-}
-
 // ClampDeadlineSafe pulls the current latencies toward their lower bounds
 // until every path meets its critical-time constraint (Equation 4), and
 // returns the worst remaining relative violation — 0 unless the workload is
@@ -292,8 +286,8 @@ func (c *Controller) ClampDeadlineSafe() float64 {
 			}
 		}
 	}
-	p.sharesInto(c.shares, c.ti, c.LatMs, true)
-	longest, _ := c.CriticalPathMs()
+	p.sharesInto(c.shares, c.ti, c.LatMs)
+	longest, _ := p.criticalPath(c.ti, c.LatMs)
 	if v := (longest - pt.CriticalMs) / pt.CriticalMs; v > 0 {
 		return v
 	}

@@ -177,12 +177,11 @@ func TestControllerSharesAndCriticalPath(t *testing.T) {
 	p := newTestProblem(t, utility.Linear{K: 2, CMs: 100})
 	c := NewController(p, 0, fixedPolicy)
 	c.LatMs[0], c.LatMs[1] = 8, 6
-	shares := make([]float64, 2)
-	p.sharesInto(shares, 0, c.LatMs, false)
+	shares := []float64{p.ShareAt(0, c.LatMs[0]), p.ShareAt(1, c.LatMs[1])}
 	if math.Abs(shares[0]-0.5) > 1e-12 || math.Abs(shares[1]-0.5) > 1e-12 {
 		t.Errorf("shares = %v, want [0.5 0.5]", shares)
 	}
-	cp, pi := c.CriticalPathMs()
+	cp, pi := p.criticalPath(0, c.LatMs)
 	if math.Abs(cp-14) > 1e-12 || pi != 0 {
 		t.Errorf("critical path = %v (path %d), want 14 (path 0)", cp, pi)
 	}

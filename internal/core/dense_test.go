@@ -5,7 +5,7 @@ import "math"
 // denseStep is the reference iteration the bitwise suites compare
 // Engine.Step against: on the calling goroutine, every controller solves
 // (Equations 9 and 7), every resource reduces its demand and re-prices
-// (Equation 8), and nothing is fingerprinted, cached or skipped. It drives
+// (Equation 8), and nothing is flagged, cached or skipped. It drives
 // the engine's own Controller and Dynamics objects and writes the
 // same engine fields Step does, so Snapshot, Probe, Certify, PinPrice and the
 // Set* mutators work on a dense-stepped engine — but it maintains none of the

@@ -125,18 +125,14 @@ type Engine struct {
 	shard func(int)
 
 	// Active-set state (sparse.go). inc is the once-built CSR incidence
-	// index; fpMu/fpCong hold each controller's input fingerprint (aligned
-	// with inc.taskRes); the bool vectors carry the per-controller and
-	// per-resource fixed-point flags; shardSkipped is the per-shard skip
+	// index; ctlStable and priceStable are the per-controller and
+	// per-resource fixed-point flags, latChanged the controllers whose
+	// latencies this Step's solve moved; shardSkipped is the per-shard skip
 	// tally folded into sstats after the join.
 	inc          Incidence
-	fpMu         []float64
-	fpCong       []bool
-	ctlSolved    []bool
 	ctlStable    []bool
 	latChanged   []bool
 	priceStable  []bool
-	sumValid     []bool
 	shardSkipped []uint64
 	sstats       SparseStats
 
@@ -289,7 +285,7 @@ func Curvature(inner, mu float64) float64 {
 func (e *Engine) refreshResourceState() {
 	for ti := range e.p.Tasks {
 		lo, hi := e.p.subOff[ti], e.p.subOff[ti+1]
-		e.p.sharesInto(e.shares[lo:hi], ti, e.lat[lo:hi], true)
+		e.p.sharesInto(e.shares[lo:hi], ti, e.lat[lo:hi])
 	}
 	for ri := range e.price {
 		e.shareSums[ri], e.inner[ri] = e.demand(ri)
@@ -303,14 +299,14 @@ func (e *Engine) refreshResourceState() {
 // subtask on it — can reach. It re-caches the shares of ri's subtasks (a
 // bound change may flip a flag), re-reduces ri's demand and curvature
 // numerator, and drops the fixed points and grades of the controllers
-// incident to ri only. Everything else it keeps is what the global refresh
-// would recompute bit for bit: every other share is its latency's under
-// unchanged bounds, and every other resource's reduction is over those
-// shares. The congestion
-// flags, every price fixed point and the dynamics' history are O(resources)
-// and stay global — each flag is re-derived from its cached sum, as the
-// global refresh does, in case its resource was unpinned since its last
-// reduction — so no skipped coordinate straddles the reset and the
+// incident to ri only (unsettle). Everything else it keeps is what the global
+// refresh would recompute bit for bit: every other share is its latency's
+// under unchanged bounds, and every other resource's reduction is over those
+// shares. The congestion flags, every price fixed point and the dynamics'
+// history are O(resources) and stay global — each flag is re-derived from
+// its cached sum, as the global refresh does, in case its resource was
+// unpinned since its last reduction, and a flag that flips unsettles its
+// observers — so no skipped coordinate straddles the reset and the
 // trajectory is the global refresh's.
 func (e *Engine) refreshResource(ri int) {
 	p := e.p
@@ -318,13 +314,12 @@ func (e *Engine) refreshResource(ri int) {
 		e.shares[g] = flagged(p.ShareAt(g, e.lat[g]), e.lat[g], p.latMin[g], p.latMax[g])
 	}
 	e.shareSums[ri], e.inner[ri] = e.demand(ri)
-	for r := range e.congested {
-		e.congested[r] = e.congestion(r)
+	for r, was := range e.congested {
+		if e.congested[r] = e.congestion(r); e.congested[r] != was {
+			e.unsettle(r)
+		}
 	}
-	for _, ti := range e.inc.resTask[e.inc.resTaskOff[ri]:e.inc.resTaskOff[ri+1]] {
-		e.ctlSolved[ti], e.ctlStable[ti], e.latChanged[ti] = false, false, true
-		e.graded[ti] = false
-	}
+	e.unsettle(ri)
 	clear(e.priceStable)
 	e.dyn.Invalidate()
 }
@@ -370,44 +365,51 @@ func (e *Engine) Step() {
 // resourcePhase reduces each resource's demand and curvature from the
 // per-subtask shares and steps its price through the Dynamics. A resource is
 // clean — its cached sum, curvature, congestion flag and price are reused
-// verbatim — when a previous reduction populated the cache (sumValid), its
-// last executed step was a bitwise no-op (priceStable: neither the price nor
-// the solver's state for it moved), and no contributing task re-solved with
-// changed latencies this Step (resourceDirty). Recomputing would then
-// reproduce every cached bit: the shares of skipped tasks are what their last
-// executed solve wrote, so the reduction would return the cached sums and the
-// fixed-point step the cached price. Every solver is coordinate-separable, so
-// skipping a coordinate leaves the others' steps untouched. A price that
-// moves drops the grades of the tasks observing it (certify.go).
+// verbatim — while priceStable holds: its last reduction's step was a
+// bitwise no-op (neither the price nor the solver's state for it moved), and
+// no contributing task has re-solved with changed latencies since, which
+// this Step's pass over latChanged pushes to the task's resources first.
+// Recomputing would then reproduce every cached bit: the shares of skipped
+// tasks are what their last executed solve wrote, so the reduction would
+// return the cached sums and the fixed-point step the cached price. Every
+// solver is coordinate-separable, so skipping a coordinate leaves the
+// others' steps untouched. A price or congestion flag that moves unsettles
+// the tasks observing it: their next Step solves and their grades drop.
 //
 // A pinned price (pin.go) is externally owned: the reduction refreshes its
 // demand, the price stays, the congestion flag is the supplied one — a no-op
 // update, hence a bitwise fixed point, so a pinned resource goes clean as
 // soon as its contributors freeze.
 func (e *Engine) resourcePhase() {
+	for ti, moved := range e.latChanged {
+		if moved {
+			for _, ri := range e.inc.TaskResources(ti) {
+				e.priceStable[ri] = false
+			}
+		}
+	}
 	var clean uint64
 	maxd := 0.0
 	for ri, mu := range e.price {
-		if e.sumValid[ri] && e.priceStable[ri] && !e.resourceDirty(ri) {
+		if e.priceStable[ri] {
 			clean++
 			continue
 		}
 		sum, inner := e.demand(ri)
 		e.shareSums[ri], e.inner[ri] = sum, inner
-		moved := false
+		moved, was := false, e.congested[ri]
 		if e.pinned != nil && e.pinned[ri] {
 			e.congested[ri] = e.pinnedCong[ri]
 		} else {
 			r := &e.p.Resources[ri]
-			cong := r.Congested(sum)
-			e.price[ri], moved = e.dyn.StepAt(ri, mu, sum, r.Availability, Curvature(inner, mu), cong)
-			e.congested[ri] = cong
+			e.congested[ri] = r.Congested(sum)
+			e.price[ri], moved = e.dyn.StepAt(ri, mu, sum, r.Availability, Curvature(inner, mu), e.congested[ri])
 			maxd = max(maxd, math.Abs(e.price[ri]-mu))
-			if e.price[ri] != mu {
-				e.dropGrades(ri)
-			}
 		}
-		e.sumValid[ri], e.priceStable[ri] = true, !moved
+		if e.price[ri] != mu || e.congested[ri] != was {
+			e.unsettle(ri)
+		}
+		e.priceStable[ri] = !moved
 	}
 	e.dynDelta = maxd
 	var skipped uint64
@@ -433,14 +435,14 @@ func (e *Engine) SolverFallbacks() uint64 { return e.dyn.Fallbacks() }
 // range against the frozen e.mu/e.congested snapshot, leaving the resulting
 // share values in e.shares for the serial reduction.
 //
-// A controller's solve is skipped when its previous executed solve changed
-// nothing (ctlStable: latencies, path prices and step sizes all came out
-// bitwise-unchanged) and the prices it observes are bitwise-identical to that
-// solve's fingerprint — re-running the solve would reproduce its state and
-// its shares scratch row verbatim. An executed solve drops the task's grade
-// (certify.go). Shards only touch their own tasks' flags,
-// so the parallel dispatch stays race-free, and the skip decision depends
-// only on frozen per-Step inputs, so it is identical under every worker
+// A controller's solve is skipped while ctlStable holds: its previous
+// executed solve changed nothing (latencies, path prices and step sizes all
+// came out bitwise-unchanged) and no price or congestion flag it observes
+// has moved since (unsettle) — re-running the solve would reproduce its
+// state and its shares scratch row verbatim. An executed solve drops the
+// task's grade (certify.go). Shards only touch their own tasks' flags, so
+// the parallel dispatch stays race-free, and the skip decision depends only
+// on state frozen during the phase, so it is identical under every worker
 // count.
 func (e *Engine) runShard(w int) {
 	nt := len(e.p.Tasks)
@@ -448,7 +450,7 @@ func (e *Engine) runShard(w int) {
 	var skipped uint64
 	var c Controller
 	for ti := lo; ti < hi; ti++ {
-		if e.ctlSolved[ti] && e.ctlStable[ti] && e.fingerprintClean(ti) {
+		if e.ctlStable[ti] {
 			e.latChanged[ti] = false
 			skipped++
 			continue
@@ -458,12 +460,6 @@ func (e *Engine) runShard(w int) {
 		e.graded[ti] = false
 		e.latChanged[ti] = latChanged
 		e.ctlStable[ti] = !priceChanged && !latChanged
-		e.ctlSolved[ti] = true
-		if e.ctlStable[ti] {
-			// Only a stable solve's fingerprint is ever read back, and the
-			// price view is frozen for the whole controller phase.
-			e.recordFingerprint(ti)
-		}
 	}
 	e.shardSkipped[w] = skipped
 }

@@ -197,6 +197,28 @@ func TestSnapshotIntoReuses(t *testing.T) {
 	}
 }
 
+// TestSnapshotAllocBudget locks a fresh Snapshot's allocations at O(chunks),
+// not O(tasks): five per-task or per-resource vectors, two row tables, and
+// the row chunks of LatMs and Shares, each at most rowChunk floats.
+func TestSnapshotAllocBudget(t *testing.T) {
+	w, err := workload.Replicate(workload.Base(), 1700, 8) // 5 100 tasks
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := NewEngine(w, Config{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	e.Run(3, nil)
+	subtasks := e.p.NumSubtasks()
+	budget := float64(8 + 2*((subtasks+rowChunk-1)/rowChunk))
+	if allocs := testing.AllocsPerRun(10, func() { _ = e.Snapshot() }); allocs > budget {
+		t.Errorf("Snapshot of %d tasks, %d subtasks allocates %v objects, want <= %v",
+			len(e.p.Tasks), subtasks, allocs, budget)
+	}
+}
+
 // TestEngineCloseIsReusable checks Close retires the pool without bricking
 // the engine: the next parallel Step respawns workers and the trajectory is
 // unaffected.

@@ -8,12 +8,12 @@ package core
 // every Step (the aggregator reads it via ShareSumAt), but the price update
 // is suppressed and the congestion flag is the externally supplied one.
 //
-// Pinning composes with the sparse active-set path without invalidation: the
-// controllers' input fingerprints compare the mu/congested snapshot bitwise,
-// so an out-of-band PinPrice re-activates exactly the controllers that
-// observe the pinned resource on their next Step, and a pinned resource's
-// cached demand stays valid until one of its contributors re-solves with
-// changed latencies (the ordinary dirty propagation).
+// Pinning composes with the sparse active-set path without invalidation: a
+// PinPrice that moves the price or flips the flag unsettles exactly the
+// controllers that observe the pinned resource, which re-solve on their next
+// Step, and a pinned resource's cached demand stays valid until one of its
+// contributors re-solves with changed latencies (the ordinary dirty
+// propagation).
 //
 // Pins are deliberately not carried by CarryFrom or checkpoints: they are
 // fleet-session state owned by the aggregator, which re-pins every boundary
@@ -54,8 +54,8 @@ func (e *Engine) CurvatureAt(ri int) float64 { return Curvature(e.inner[ri], e.p
 // supplied values. Subsequent Steps keep reducing the resource's demand but
 // never move its price; the pin stays in force until UnpinPrice. The active
 // set needs no blanket invalidation: a changed price or congestion bit
-// shows up in the observing controllers' fingerprints on the next Step. A
-// moved price drops the observing tasks' grades (certify.go).
+// unsettles the observing controllers, which solve on the next Step and
+// lose their grades (certify.go).
 func (e *Engine) PinPrice(ri int, mu float64, congested bool) error {
 	if ri < 0 || ri >= len(e.price) {
 		return fmt.Errorf("core: pin: resource index %d out of range [0,%d)", ri, len(e.price))
@@ -68,8 +68,8 @@ func (e *Engine) PinPrice(ri int, mu float64, congested bool) error {
 		e.pinnedCong = make([]bool, len(e.price))
 	}
 	moved := e.price[ri] != mu
-	if moved {
-		e.dropGrades(ri)
+	if moved || e.congested[ri] != congested {
+		e.unsettle(ri)
 	}
 	changed := !e.pinned[ri] || moved || e.pinnedCong[ri] != congested
 	e.pinned[ri] = true

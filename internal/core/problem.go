@@ -296,14 +296,12 @@ func (p *Problem) ShareAt(g int32, latMs float64) float64 {
 }
 
 // sharesInto writes the shares of task ti's subtasks at the latencies lat
-// into dst — flagged (see flagged) when dst is a share cache.
-func (p *Problem) sharesInto(dst []float64, ti int, lat []float64, cache bool) {
+// into the share cache dst, flagged (see flagged).
+func (p *Problem) sharesInto(dst []float64, ti int, lat []float64) {
 	lo := p.subOff[ti]
 	for si, l := range lat {
 		g := lo + int32(si)
-		if dst[si] = p.ShareAt(g, l); cache {
-			dst[si] = flagged(dst[si], l, p.latMin[g], p.latMax[g])
-		}
+		dst[si] = flagged(p.ShareAt(g, l), l, p.latMin[g], p.latMax[g])
 	}
 }
 

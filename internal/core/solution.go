@@ -2,12 +2,15 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"strings"
 )
 
 // Snapshot captures the optimizer's observable state after an iteration: the
 // quantities the paper's figures plot (utility, share sums) and the
 // constraint diagnostics its schedulability test relies on (Section 5.4).
+// A fresh Snapshot's LatMs and Shares rows share backing chunks of at most
+// rowChunk floats, each row capacity-capped to its length.
 type Snapshot struct {
 	// Iteration is the number of completed iterations.
 	Iteration int
@@ -17,7 +20,7 @@ type Snapshot struct {
 	TaskUtility []float64
 	// LatMs[ti][si] are the assigned latencies.
 	LatMs [][]float64
-	// ShareMs[ti][si] are the implied resource shares.
+	// Shares[ti][si] are the implied resource shares.
 	Shares [][]float64
 	// ShareSums[ri] is the total share demanded on each resource.
 	ShareSums []float64
@@ -36,7 +39,12 @@ type Snapshot struct {
 	MaxPathViolationFrac float64
 }
 
-// Snapshot assembles the current state into freshly allocated slices.
+// rowChunk is the most floats (32 KB) a backing chunk of Snapshot rows
+// holds: fewer allocations than a row per task, no large object to scan.
+const rowChunk = 4096
+
+// Snapshot assembles the current state into freshly allocated slices, two
+// row chunks per rowChunk subtasks and a fixed few besides.
 func (e *Engine) Snapshot() Snapshot {
 	var s Snapshot
 	e.SnapshotInto(&s)
@@ -44,48 +52,25 @@ func (e *Engine) Snapshot() Snapshot {
 }
 
 // SnapshotInto assembles the current state into s, reusing s's slices when
-// their capacity suffices. Callers that poll every iteration (monitoring
-// loops, convergence studies) can hold one Snapshot and refill it without
+// their capacity suffices and its rows when they are shaped like the
+// engine's tasks. Callers that poll every iteration (monitoring loops,
+// convergence studies) can hold one Snapshot and refill it without
 // per-iteration garbage; the refilled snapshot aliases its previous
 // buffers, so copy anything that must outlive the next call.
 func (e *Engine) SnapshotInto(s *Snapshot) {
 	nt, nr := len(e.p.Tasks), len(e.price)
-	s.Iteration = e.iter
-	s.Utility = 0
-	s.MaxResourceViolation = 0
-	s.MaxPathViolationFrac = 0
 	s.ShareSums = resizeFloats(s.ShareSums, nr)
 	copy(s.ShareSums, e.shareSums)
 	s.Mu = resizeFloats(s.Mu, nr)
 	copy(s.Mu, e.price)
-	for ri := range e.price {
-		over := e.shareSums[ri] - e.p.Resources[ri].Availability
-		if over > s.MaxResourceViolation {
-			s.MaxResourceViolation = over
-		}
-	}
 	s.TaskUtility = resizeFloats(s.TaskUtility, nt)
-	s.LatMs = resizeRows(s.LatMs, nt)
-	s.Shares = resizeRows(s.Shares, nt)
+	s.LatMs = shapeRows(s.LatMs, e.p.subOff)
+	s.Shares = shapeRows(s.Shares, e.p.subOff)
 	s.CriticalPathMs = resizeFloats(s.CriticalPathMs, nt)
 	s.CriticalTimeMs = resizeFloats(s.CriticalTimeMs, nt)
-	for ti := range e.p.Tasks {
-		c := e.Controller(ti)
-		u := c.Utility()
-		s.TaskUtility[ti] = u
-		s.Utility += u
-		s.LatMs[ti] = resizeFloats(s.LatMs[ti], len(c.LatMs))
-		copy(s.LatMs[ti], c.LatMs)
-		s.Shares[ti] = resizeFloats(s.Shares[ti], len(c.LatMs))
-		e.p.sharesInto(s.Shares[ti], ti, c.LatMs, false)
-		cp, _ := c.CriticalPathMs()
-		crit := e.p.Tasks[ti].CriticalMs
-		s.CriticalPathMs[ti] = cp
-		s.CriticalTimeMs[ti] = crit
-		if frac := (cp - crit) / crit; frac > s.MaxPathViolationFrac {
-			s.MaxPathViolationFrac = frac
-		}
-	}
+	pr := e.scan(s)
+	s.Iteration, s.Utility = pr.Iteration, pr.Utility
+	s.MaxResourceViolation, s.MaxPathViolationFrac = pr.MaxResourceViolation, pr.MaxPathViolationFrac
 }
 
 // Probe is the allocation-free view of an iteration: utility and the two
@@ -102,24 +87,41 @@ type Probe struct {
 	MaxPathViolationFrac float64
 }
 
-// Probe computes the convergence scalars for the current state. The values
-// are bitwise-identical to the corresponding Snapshot fields (same
-// summation and max-scan order) at none of the allocation cost.
-func (e *Engine) Probe() Probe {
-	pr := Probe{Iteration: e.iter}
-	for ri := range e.price {
-		over := e.shareSums[ri] - e.p.Resources[ri].Availability
-		if over > pr.MaxResourceViolation {
+// Probe computes the convergence scalars for the current state: the scan
+// behind Snapshot's, so bitwise its values, at none of its allocations.
+func (e *Engine) Probe() Probe { return e.scan(nil) }
+
+// scan computes the convergence scalars and, when s is non-nil, fills s's
+// sized per-task vectors and rows. It reads what the engine has already
+// computed: each share from the share cache (which negates bound-active
+// ones) and each critical path from the task's grade while that is cached —
+// criticalPath at these very latencies (gradeOf). It never grades.
+func (e *Engine) scan(s *Snapshot) Probe {
+	p, pr := e.p, Probe{Iteration: e.iter}
+	for ri, sum := range e.shareSums {
+		if over := sum - p.Resources[ri].Availability; over > pr.MaxResourceViolation {
 			pr.MaxResourceViolation = over
 		}
 	}
-	for ti := range e.p.Tasks {
-		lat := e.taskLat(ti)
-		pr.Utility += e.p.Tasks[ti].Curve.Value(e.p.aggregate(ti, lat))
-		cp, _ := e.p.criticalPath(ti, lat)
-		crit := e.p.consts[ti].criticalMs
+	for ti := range p.Tasks {
+		lo, hi := p.subOff[ti], p.subOff[ti+1]
+		lat := e.lat[lo:hi]
+		u := p.Tasks[ti].Curve.Value(p.aggregate(ti, lat))
+		cp := e.grade[ti].cp
+		if !e.graded[ti] {
+			cp, _ = p.criticalPath(ti, lat)
+		}
+		crit := p.consts[ti].criticalMs
+		pr.Utility += u
 		if frac := (cp - crit) / crit; frac > pr.MaxPathViolationFrac {
 			pr.MaxPathViolationFrac = frac
+		}
+		if s != nil {
+			copy(s.LatMs[ti], lat)
+			for si, sh := range e.shares[lo:hi] {
+				s.Shares[ti][si] = math.Abs(sh)
+			}
+			s.TaskUtility[ti], s.CriticalPathMs[ti], s.CriticalTimeMs[ti] = u, cp, crit
 		}
 	}
 	return pr
@@ -134,15 +136,28 @@ func resizeFloats(s []float64, n int) []float64 {
 	return s[:n]
 }
 
-// resizeRows returns a row slice of length n, keeping existing rows so
-// their backing arrays stay reusable.
-func resizeRows(s [][]float64, n int) [][]float64 {
-	if cap(s) < n {
-		out := make([][]float64, n)
-		copy(out, s)
-		return out
+// shapeRows returns rows as they are when row ti already has length
+// off[ti+1]−off[ti], and otherwise rows of those lengths carved,
+// capacity-capped, from chunks of at most rowChunk floats (or one task's).
+func shapeRows(rows [][]float64, off []int32) [][]float64 {
+	nt := len(off) - 1
+	shaped := len(rows) == nt
+	for ti := 0; shaped && ti < nt; ti++ {
+		shaped = len(rows[ti]) == int(off[ti+1]-off[ti])
 	}
-	return s[:n]
+	if shaped {
+		return rows
+	}
+	rows = make([][]float64, nt)
+	var buf []float64
+	for ti := range rows {
+		n := int(off[ti+1] - off[ti])
+		if len(buf) < n {
+			buf = make([]float64, max(n, min(rowChunk, int(off[nt]-off[ti]))))
+		}
+		rows[ti], buf = buf[:n:n], buf[n:]
+	}
+	return rows
 }
 
 // Feasible reports whether no constraint is violated beyond tol.

@@ -4,24 +4,24 @@ import "slices"
 
 // The active set (DESIGN.md §11). At a certified point LLA's floating-point
 // updates stop changing bits: the price dynamics treat a rounding-level
-// excess as zero (DESIGN.md §12), so the skip comparisons stay exact. Step
-// skips a controller's solve when its observed prices are bitwise what its
-// previous solve saw AND that solve left the controller's own state —
-// latencies, path prices, step sizes — bitwise unchanged, and a resource's
-// reprice when no contributing share changed AND its previous price step was
-// likewise a no-op. Both are deterministic state machines S' = F(S, x): after
-// F(S, x) == S, re-running F on the same x reproduces S and every cached
-// output, so Step's snapshots are byte-identical to an iteration that skips
-// nothing (the tests' denseStep) under every Workers count. Any write to S or
-// the problem data outside Step must drop the fixed points it can reach, and
-// with them Certify's cached task grades (certify.go):
-// Engine.refreshResource for one resource, invalidateSparse for anything wider.
+// excess as zero (DESIGN.md §12), so the skip tests stay exact. Step skips a
+// controller's solve while no price or congestion flag it observes has moved
+// since a solve that left its own state bitwise unchanged (ctlStable), and a
+// resource's reprice while no contributor's latency moved since a no-op
+// price step (priceStable); each flag is cleared where the move happens.
+// Both are deterministic state machines S' = F(S, x): after F(S, x) == S,
+// re-running F on the same x reproduces S and every cached output, so Step's
+// snapshots are byte-identical to an iteration that skips nothing (the
+// tests' denseStep) under every Workers count. Any write to S or the problem
+// data outside Step must drop the fixed points it can reach, and with them
+// Certify's cached task grades (certify.go): unsettle for one resource's
+// observers, refreshResource for one resource, invalidateSparse for all.
 
 // Incidence is the CSR-style index of the bipartite task/resource structure,
 // built once at engine construction: which distinct resources a task's
-// controller observes (the mu/congested slots it fingerprints), and which
-// distinct tasks contribute shares to a resource (the dirty-propagation
-// fan-in of its price update). Both directions are flat int32 arrays so the
+// controller observes (the mu/congested slots its solve reads), and which
+// distinct tasks contribute shares to a resource (the fan-out of a moved
+// price and the fan-in of its update). Both directions are flat int32 arrays so the
 // per-Step scans stay cache-dense and allocation-free. It is a
 // fleet.Incidence: the partitioner can walk a compiled problem's.
 type Incidence struct {
@@ -100,63 +100,28 @@ func (e *Engine) SparseStats() SparseStats { return e.sstats }
 // ResetSparseStats zeroes the cumulative counters (benchmark windows).
 func (e *Engine) ResetSparseStats() { e.sstats = SparseStats{} }
 
-// fingerprintClean reports whether task ti's observed price view — the mu
-// and congested slots of every resource it touches — is bitwise identical
-// to the view recorded at its previous executed solve. Float comparison is
-// deliberately exact (==): a skip is only sound for identical bits, and
-// NaNs (which would compare unequal to themselves and force a solve) cannot
-// reach the price vector because price updates project onto [0, MaxPrice].
-func (e *Engine) fingerprintClean(ti int) bool {
-	lo, hi := e.inc.taskResOff[ti], e.inc.taskResOff[ti+1]
-	for j := lo; j < hi; j++ {
-		ri := e.inc.taskRes[j]
-		if e.mu[ri] != e.fpMu[j] || e.congested[ri] != e.fpCong[j] {
-			return false
-		}
-	}
-	return true
-}
-
-// recordFingerprint snapshots task ti's observed price view before a solve.
-func (e *Engine) recordFingerprint(ti int) {
-	lo, hi := e.inc.taskResOff[ti], e.inc.taskResOff[ti+1]
-	for j := lo; j < hi; j++ {
-		ri := e.inc.taskRes[j]
-		e.fpMu[j] = e.mu[ri]
-		e.fpCong[j] = e.congested[ri]
+// unsettle drops the fixed point and the grade of every task observing
+// resource ri: its price, its congestion flag or its subtasks' bounds moved,
+// so the task's next Step must solve and its next certificate re-grade it.
+func (e *Engine) unsettle(ri int) {
+	for _, ti := range e.inc.resTask[e.inc.resTaskOff[ri]:e.inc.resTaskOff[ri+1]] {
+		e.ctlStable[ti], e.graded[ti] = false, false
 	}
 }
 
-// resourceDirty reports whether any task contributing shares to resource ri
-// re-solved with changed latencies this Step.
-func (e *Engine) resourceDirty(ri int) bool {
-	lo, hi := e.inc.resTaskOff[ri], e.inc.resTaskOff[ri+1]
-	for j := lo; j < hi; j++ {
-		if e.latChanged[e.inc.resTask[j]] {
-			return true
-		}
-	}
-	return false
-}
-
-// invalidateSparse drops every cached fingerprint, fixed-point flag and task
-// grade. Any wholesale write of the problem data or controller state outside
-// Step — construction, warm starts, workload replacement — must call it: the
-// skip contract is "inputs identical AND state untouched", and out-of-band
-// writes break the second half invisibly. A change confined to one resource drops
+// invalidateSparse drops every fixed-point flag and task grade. Any
+// wholesale write of the problem data or controller state outside Step —
+// construction, warm starts, workload replacement — must call it: the skip
+// contract is "inputs unmoved AND state untouched", and out-of-band writes
+// break the second half invisibly. A change confined to one resource drops
 // only what it reaches (Engine.refreshResource).
 func (e *Engine) invalidateSparse() {
-	for i := range e.ctlSolved {
-		e.ctlSolved[i] = false
-		e.ctlStable[i] = false
-		e.latChanged[i] = true
-	}
+	clear(e.ctlStable)
 	clear(e.priceStable)
-	clear(e.sumValid)
 	clear(e.graded)
 	// The price dynamics carry history (Newton's safeguard); an out-of-band
-	// change invalidates it for the same reason it invalidates the
-	// fingerprints — damping across the discontinuity would be meaningless.
+	// change invalidates it for the same reason it invalidates the fixed
+	// points — damping across the discontinuity would be meaningless.
 	e.dyn.Invalidate()
 }
 
@@ -164,13 +129,9 @@ func (e *Engine) invalidateSparse() {
 // compiled problem.
 func (e *Engine) initSparse() {
 	e.inc = NewIncidence(e.p)
-	e.fpMu = make([]float64, len(e.inc.taskRes))
-	e.fpCong = make([]bool, len(e.inc.taskRes))
-	e.ctlSolved = make([]bool, len(e.p.Tasks))
 	e.ctlStable = make([]bool, len(e.p.Tasks))
 	e.latChanged = make([]bool, len(e.p.Tasks))
 	e.priceStable = make([]bool, len(e.p.Resources))
-	e.sumValid = make([]bool, len(e.p.Resources))
 	e.shardSkipped = make([]uint64, e.nshards)
 	e.grade = make([]taskGrade, len(e.p.Tasks))
 	e.graded = make([]bool, len(e.p.Tasks))

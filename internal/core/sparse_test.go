@@ -175,12 +175,7 @@ func solvesAfterEvent(e *Engine, ri int) uint64 {
 	}
 	var n uint64
 	for ti := range e.p.Tasks {
-		skip := !incident[ti] && e.ctlSolved[ti] && e.ctlStable[ti]
-		for j := e.inc.taskResOff[ti]; skip && j < e.inc.taskResOff[ti+1]; j++ {
-			r := e.inc.taskRes[j]
-			skip = e.price[r] == e.fpMu[j] && e.congested[r] == e.fpCong[j]
-		}
-		if !skip {
+		if incident[ti] || !e.ctlStable[ti] {
 			n++
 		}
 	}
@@ -387,6 +382,85 @@ func TestLocalRefreshMatchesGlobal(t *testing.T) {
 			}
 			local.Close()
 			global.Close()
+		}
+	}
+}
+
+// TestSkippedInputsUnmoved is the soundness oracle of the pushed skip flags:
+// a controller marked stable skips its next solve, which is sound only if
+// every price and congestion flag it observes is bitwise what the last
+// Step's controller phase read. Checked after every Step and after every
+// out-of-band write of a churn sequence — availability changes, pins that
+// move a price or flip only a flag, and unpins followed by a refresh that
+// re-derives the lifted flag — under the adaptive step policy, which reads
+// the flags, and a fixed one, under which a flipped flag leaves a solve
+// stable.
+func TestSkippedInputsUnmoved(t *testing.T) {
+	for _, step := range []StepPolicy{{Adaptive: true, Gamma: 1}, {Gamma: 0.5}} {
+		for _, workers := range []int{1, 3} {
+			name := fmt.Sprintf("adaptive=%v/workers=%d", step.Adaptive, workers)
+			cfg := workload.DefaultClusteredConfig(5)
+			cfg.SlackFactor = 40
+			w, err := workload.Clustered(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e, err := NewEngine(w, Config{Workers: workers, Step: step})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var mu []float64 // the view of the last Step's controller phase
+			var cong []bool
+			check := func(at string) {
+				for ti, stable := range e.ctlStable {
+					for _, ri := range e.inc.TaskResources(ti) {
+						if stable && (e.price[ri] != mu[ri] || e.congested[ri] != cong[ri]) {
+							t.Fatalf("%s %s: controller %d will skip, but resource %d moved since its last Step", name, at, ti, ri)
+						}
+					}
+				}
+			}
+			run := func(n int) {
+				for i := 0; i < n; i++ {
+					mu, cong = slices.Clone(e.price), slices.Clone(e.congested)
+					e.Step()
+					check("after a Step")
+				}
+			}
+			run(300)
+			rng, nr, skipped := rand.New(rand.NewSource(1)), len(e.price), false
+			for ev := 0; ev < 40; ev++ {
+				ri, rp := rng.Intn(nr), rng.Intn(nr)
+				var err error
+				switch ev % 4 {
+				case 0:
+					err = e.SetAvailability(e.p.Resources[ri].ID, 0.5+0.5*rng.Float64())
+				case 1:
+					err = e.PinPrice(ri, e.price[ri], !e.congested[ri])
+				case 2:
+					err = e.PinPrice(ri, 2*e.price[ri]+1, e.congested[ri])
+				case 3:
+					if err = e.PinPrice(rp, e.price[rp], !e.congested[rp]); err == nil {
+						run(1)
+						e.UnpinPrice(rp)
+						check(fmt.Sprintf("event %d, unpinned", ev))
+						err = e.SetAvailability(e.p.Resources[ri].ID, 0.5+0.5*rng.Float64())
+					}
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				check(fmt.Sprintf("event %d", ev))
+				skipped = skipped || slices.Contains(e.ctlStable, true)
+				run(5)
+				for r := range e.price {
+					e.UnpinPrice(r)
+				}
+			}
+			if !skipped {
+				t.Errorf("%s: no controller was stable after an event; the oracle tests nothing", name)
+			}
+			e.Close()
 		}
 	}
 }

@@ -58,8 +58,8 @@ func NewResourceMetrics(r *Registry, id string) *ResourceMetrics {
 // resources) and how much wire traffic the distributed delta codec saved.
 // The engine publishes the first four; the distributed runtime the last two.
 type SparseMetrics struct {
-	// SkippedSolves counts controller solves skipped because the observed
-	// prices matched the previous solve's fingerprint at a fixed point.
+	// SkippedSolves counts controller solves skipped because no observed
+	// price moved since the previous solve, which was at a fixed point.
 	SkippedSolves *Counter
 	// ExecutedSolves counts controller solves actually performed.
 	ExecutedSolves *Counter

@@ -91,7 +91,7 @@ const newtonElasticityFloor = 0.05
 // (n−1)·2⁻⁵³·Σshare, so a binding resource's demand lands a few ulps either
 // side of B with a sign that flips from step to step; stepping on that noise
 // moves the price by as many ulps and a certified point never repeats
-// bitwise, so no controller's fingerprint ever holds. 64 ulps (7.1e-15, eight
+// bitwise, so no controller's inputs ever stay unmoved. 64 ulps (7.1e-15, eight
 // orders below the certificate's tolerance) covers the reductions in use; on
 // engine-online's instance the share of solves skipped after the first
 // passing certificate is 19 / 72 / 96 / 98 / 98 % at 1 / 2 / 4 / 16 / 64 ulps.

@@ -1,7 +1,7 @@
 // Package recover implements crash-safe checkpointing for the LLA engine
 // (DESIGN.md §13): a versioned, checksummed binary format over the full
 // optimizer state — dual prices, latencies, step-sizer and solver internals,
-// active-set fingerprints, admission quarantine clocks, and the workload
+// active-set flags, admission quarantine clocks, and the workload
 // identity — plus an atomic write-rename Writer and a Restore that resumes
 // the run bitwise-identically to the uninterrupted one.
 //
@@ -32,7 +32,7 @@ import (
 // JSON with its SHA-256, the engine section, written and read by core.Engine
 // (AppendCheckpoint, ReadCheckpoint), and the admission section. The version
 // is the engine section's layout version (core.CheckpointVersion); versions
-// 1 and 2 differ from 3 only inside the engine section, and still restore.
+// 1 to 3 differ from 4 only inside the engine section, and still restore.
 //
 // Decode checks the envelope, the header and the workload; a checkpoint that
 // passes holds its two sections as bytes. Restore reads them into the engine

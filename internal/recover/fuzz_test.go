@@ -13,7 +13,7 @@ import (
 	"lla/internal/workload"
 )
 
-// seedRun is the run behind testdata/ckpt_v3_newton.bin and the fuzz corpus:
+// seedRun is the run behind testdata/ckpt_v{3,4}_newton.bin and the fuzz corpus:
 // Newton on Replicate(Base, 2, 4) after 15 serial Steps, with safeguard
 // history, plus an admission controller holding one quarantine entry — the
 // deepest payload shape.
@@ -122,8 +122,8 @@ func FuzzDecodePayload(f *testing.F) {
 		f.Add(tmpl[solver].sections)
 	}
 	// The older vectors' sections (version 1 gradient and Newton, version 2
-	// Newton), all on workload.Base().
-	for _, name := range []string{"ckpt_v1_gradient.bin", "ckpt_v1_newton.bin", "ckpt_v2_newton.bin"} {
+	// Newton on workload.Base(), version 3 the seed run).
+	for _, name := range []string{"ckpt_v1_gradient.bin", "ckpt_v1_newton.bin", "ckpt_v2_newton.bin", "ckpt_v3_newton.bin"} {
 		b, err := os.ReadFile("testdata/" + name)
 		if err != nil {
 			f.Fatal(err)

@@ -28,11 +28,13 @@ import (
 //   - ckpt_v2_anderson.bin by the version-2 codec under the Anderson solver,
 //     after 12 Steps.
 //
-// ckpt_v3_newton.bin is the current format, written from the seed run of
-// seedRun (TestV3CheckpointVector).
+// ckpt_v3_newton.bin is the seed run of seedRun written by the version-3
+// codec (each controller's input fingerprint in the engine section), and
+// ckpt_v4_newton.bin the same run in the current format
+// (TestV3CheckpointVector, TestV4CheckpointVector).
 //
-// The current codec must decode all but the last, which names a solver that
-// no longer exists.
+// The current codec must decode all but ckpt_v2_anderson.bin, which names a
+// solver that no longer exists.
 
 // v1GradientMu are the prices, bit for bit, that the version-1 engine reached
 // 30 Steps after writing ckpt_v1_gradient.bin.
@@ -230,12 +232,18 @@ func TestAndersonCheckpointsAreRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	want, err := Decode(cur)
+	if err != nil {
+		t.Fatal(err)
+	}
 	// The current payload ends with the engine section and a zero admission
-	// tag; version 2 held the mixing window in between.
-	pay := cur[len(ckptMagic)+2+4 : len(cur)-4]
+	// tag; version 2 held the engine section in the version-3 layout and the
+	// mixing window after it.
+	pay, sec := cur[len(ckptMagic)+2+4:len(cur)-4], want.sections
 	v2 := func(window uint64) *Checkpoint {
 		w := byteio.Enc{B: append([]byte(ckptMagic), 2, 0, 0, 0, 0, 0)}
-		w.B = append(w.B, pay[:len(pay)-1]...)
+		w.B = append(w.B, pay[:len(pay)-len(sec)]...)
+		w.B = append(w.B, v3Engine(eng, sec[:len(sec)-1])...)
 		w.U64(window)
 		for i := 0; i < 5; i++ {
 			w.U32(0) // fill counts, iterates, residuals, accept flags, residual magnitudes
@@ -250,10 +258,6 @@ func TestAndersonCheckpointsAreRejected(t *testing.T) {
 		}
 		return cp
 	}
-	want, err := Decode(cur)
-	if err != nil {
-		t.Fatal(err)
-	}
 	if !bytes.Equal(reencode(t, v2(0), CaptureOptions{}), reencode(t, want, CaptureOptions{})) {
 		t.Fatal("version-2 payload restored to a different state than the current one")
 	}
@@ -265,12 +269,93 @@ func TestAndersonCheckpointsAreRejected(t *testing.T) {
 	}
 }
 
-// TestV3CheckpointVector pins the current format: ckpt_v3_newton.bin is the
+// v3Engine rewrites eng's engine section sec, current layout, in the
+// version-3 layout: between the congestion flags and the sparse counters,
+// each controller's input fingerprint — eng's prices and flags, one per
+// subtask in compiled order, so a stable controller stays stable — and the
+// six flag vectors version 3 held, built from the two current ones.
+func v3Engine(eng *core.Engine, sec []byte) []byte {
+	d := byteio.Dec{Buf: sec}
+	d.U64()
+	nt := int(d.U32())
+	for i := 0; i < 4*nt+2; i++ { // per-task vectors, prices, demand sums
+		d.Take(8 * int(d.U32()))
+	}
+	d.Take(int(d.U32())) // congestion flags
+	w := byteio.Enc{B: append([]byte(nil), sec[:len(sec)-d.Remaining()]...)}
+	flags := func(v []byte) []byte { return append(binary.LittleEndian.AppendUint32(nil, uint32(len(v))), v...) }
+	ctl, pri := d.Take(int(d.U32())), d.Take(int(d.U32()))
+	var fpMu []float64
+	var fpCong []byte
+	for _, tk := range eng.Problem().Tasks {
+		for _, ri := range tk.Res {
+			fpMu = append(fpMu, eng.MuAt(int(ri)))
+			cong := byte(0)
+			if eng.CongestedAt(int(ri)) {
+				cong = 1
+			}
+			fpCong = append(fpCong, cong)
+		}
+	}
+	w.U32(uint32(len(fpMu)))
+	for _, mu := range fpMu {
+		w.F64(mu)
+	}
+	for _, v := range [][]byte{fpCong, ctl, ctl, make([]byte, nt), pri, pri} {
+		w.B = append(w.B, flags(v)...)
+	}
+	return append(w.B, sec[len(sec)-d.Remaining():]...)
+}
+
+// TestV3CheckpointVector: ckpt_v3_newton.bin, the seed run in the version-3
+// layout, must restore to the seed run's state — its fingerprints folded
+// into the fixed-point flags exactly as the run holds them — so it
+// re-encodes as the current vector byte for byte, and the restored engine
+// steps on bitwise with the run.
+func TestV3CheckpointVector(t *testing.T) {
+	b, err := os.ReadFile("testdata/ckpt_v3_newton.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile("testdata/ckpt_v4_newton.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := binary.LittleEndian.Uint16(b[len(ckptMagic):]); v != 3 {
+		t.Fatalf("vector is version %d, want 3", v)
+	}
+	cp, err := Decode(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored, st, err := Restore(cp, core.Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer restored.Close()
+	rctrl := admit.New(restored, admit.Config{})
+	rctrl.RestoreState(*st)
+	again, err := Capture(restored, seedOptions(rctrl)).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again, want) {
+		t.Fatal("the version-3 vector re-encodes to bytes that differ from the current vector")
+	}
+	eng, _ := seedRun(t)
+	for i := 0; i < 30; i++ {
+		eng.Step()
+		restored.Step()
+		requireProbeEqual(t, i, eng, restored)
+	}
+}
+
+// TestV4CheckpointVector pins the current format: ckpt_v4_newton.bin is the
 // seed run's checkpoint (see seedRun), and capturing that run again must
 // reproduce it byte for byte. Decoding, restoring and re-encoding the vector
 // must too, and the restored engine must step on bitwise with the run.
-func TestV3CheckpointVector(t *testing.T) {
-	want, err := os.ReadFile("testdata/ckpt_v3_newton.bin")
+func TestV4CheckpointVector(t *testing.T) {
+	want, err := os.ReadFile("testdata/ckpt_v4_newton.bin")
 	if err != nil {
 		t.Fatal(err)
 	}

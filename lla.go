@@ -104,9 +104,11 @@ const (
 // 1 = fully serial.
 type Config = core.Config
 
-// Snapshot is the optimizer's observable state after an iteration. Engines
-// also offer SnapshotInto (refill a reusable snapshot without allocating)
-// and Probe (just the convergence scalars) for per-iteration polling.
+// Snapshot is the optimizer's observable state after an iteration, read from
+// the engine's caches in O(subtasks/4096) allocations (its rows share
+// capacity-capped chunks). Engines also offer SnapshotInto (refill a reusable
+// snapshot without allocating) and Probe (just the convergence scalars) for
+// per-iteration polling.
 type Snapshot = core.Snapshot
 
 // Workload is a complete problem instance: tasks, resources and utility

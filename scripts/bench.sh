@@ -2,7 +2,8 @@
 # Runs the core optimizer benchmarks and writes BENCH_core.json (parsed via
 # scripts/benchparse), failing if the converged Step skips under 99 % of its
 # controller solves, allocates, or costs over twice the previous report's
-# ns/op, an accelerated price solver needs more rounds-to-converge than the
+# ns/op, the exit Snapshot allocates over 5 % more objects than the previous
+# report recorded, an accelerated price solver needs more rounds-to-converge than the
 # reference gradient, a warm checkpoint
 # restart does not re-converge in fewer rounds than a cold one, the batched
 # wire frame grows by a byte or the codec allocates over 5 % more than the
@@ -35,7 +36,7 @@ raw="$(mktemp -t bench-raw.XXXXXX)"
 trap 'rm -f "$raw"' EXIT
 
 go test -run '^$' \
-  -bench 'BenchmarkEngineStepConverged|BenchmarkFig6ScalabilitySparse|BenchmarkEngineStep$|BenchmarkEngineStepLarge$|BenchmarkRoundsToConverge|BenchmarkRecoveryRounds|BenchmarkWireCodec$' \
+  -bench 'BenchmarkEngineStepConverged|BenchmarkEngineSnapshot$|BenchmarkFig6ScalabilitySparse|BenchmarkEngineStep$|BenchmarkEngineStepLarge$|BenchmarkRoundsToConverge|BenchmarkRecoveryRounds|BenchmarkWireCodec$' \
   -benchtime "$benchtime" -json . > "$raw"
 
 # The fleet benchmarks run in their own pinned invocation: the serial and

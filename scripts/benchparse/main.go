@@ -364,6 +364,7 @@ func checkFleetParallel(recs []record) error {
 // instead.
 var gated = []string{
 	"BenchmarkEngineStepConverged",
+	"BenchmarkEngineSnapshot",
 	"BenchmarkRoundsToConverge/",
 	"BenchmarkRecoveryRounds/",
 	"BenchmarkWireCodec",
@@ -375,7 +376,8 @@ var gated = []string{
 // prevBounds is the table of regression gates against the -prev report: the
 // metric of the named benchmark may exceed the previous report's by at most
 // tol (relative). Allocation counts repeat run to run, so their bound is
-// tight, and a frame's size is exact — the batched PRICE frame of
+// tight — the exit Snapshot's counts row chunks, and a return to a row per
+// task would multiply it — and a frame's size is exact — the batched PRICE frame of
 // BenchmarkWireCodec may not grow by a byte (PROTOCOL.md fixes its layout).
 // So is a round count: the million-subtask fleet may certify in fewer
 // aggregator rounds than the report records, never in more (56 before the
@@ -388,6 +390,7 @@ var prevBounds = []struct {
 	tol           float64
 }{
 	{"BenchmarkEngineStepConverged", "ns/op", 1.0},
+	{"BenchmarkEngineSnapshot", "allocs/op", 0.05},
 	{"BenchmarkFleetBuild", "allocs/op", 0.05},
 	{"BenchmarkFleetReplace", "allocs/op", 0.05},
 	{"BenchmarkWireCodec", "binary_bytes", 0},

@@ -379,6 +379,7 @@ func TestCheckPrevBounds(t *testing.T) {
 		rec("BenchmarkFleetReplace-8", "allocs/op", 10000.0),
 		rec("BenchmarkEngineStep-8", "allocs/op", 0.0), // unbounded: free to move
 		rec("BenchmarkEngineStepConverged-8", "ns/op", 800.0),
+		rec("BenchmarkEngineSnapshot-8", "allocs/op", 31.0),
 		rec("BenchmarkWireCodec-8", "binary_bytes", 846.0, "allocs/op", 100.0),
 		rec("BenchmarkFleetConverge/1m-8", "rounds", 10.0, "converged", 1.0),
 	}})
@@ -433,6 +434,17 @@ func TestCheckPrevBounds(t *testing.T) {
 				rec("BenchmarkFleetReplace-2", "allocs/op", 10600.0),
 			},
 			wantErr: []string{"BenchmarkFleetBuild", "BenchmarkFleetReplace allocs/op 10600"},
+		},
+		{
+			name: "the exit snapshot at its recorded row chunks",
+			prev: prev,
+			recs: []record{rec("BenchmarkEngineSnapshot-2", "allocs/op", 31.0)},
+		},
+		{
+			name:    "the exit snapshot back at two rows per task",
+			prev:    prev,
+			recs:    []record{rec("BenchmarkEngineSnapshot-2", "allocs/op", 19207.0)},
+			wantErr: []string{"BenchmarkEngineSnapshot allocs/op 19207", "31"},
 		},
 		{
 			name: "converged step twice as slow on another machine is still inside",
