@@ -27,6 +27,7 @@ import (
 	"lla"
 	"lla/internal/baseline"
 	"lla/internal/core"
+	"lla/internal/dist"
 	"lla/internal/eval"
 	"lla/internal/fleet"
 	"lla/internal/price"
@@ -773,18 +774,38 @@ func BenchmarkFleetReplace(b *testing.B) {
 	}
 }
 
-// BenchmarkDistributedRounds measures distributed rounds per second over
-// the in-process transport.
+// BenchmarkDistributedRounds measures 100 distributed rounds of the base
+// workload, set-up included: over the in-process transport, and over TCP
+// loopback with the deployment's dictionary codec, as lla-node -demo runs.
 func BenchmarkDistributedRounds(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rt, err := lla.NewDistributed(workload.Base(), core.Config{}, transport.NewInproc(transport.InprocConfig{}))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := rt.Run(100); err != nil {
-			b.Fatal(err)
-		}
-		rt.Close()
+	w := workload.Base()
+	nets := map[string]func() transport.Network{
+		"inproc": func() transport.Network { return transport.NewInproc(transport.InprocConfig{}) },
+		"tcp": func() transport.Network {
+			registry := make(map[string]string)
+			for _, addr := range dist.Addresses(w) {
+				registry[addr] = "127.0.0.1:0"
+			}
+			n := transport.NewTCP(registry)
+			n.SetCodec(dist.WireCodec(w, nil))
+			return n
+		},
+	}
+	for _, name := range []string{"inproc", "tcp"} {
+		b.Run(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				rt, err := lla.NewDistributed(w, core.Config{}, nets[name]())
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := rt.Run(100); err != nil {
+					b.Fatal(err)
+				}
+				if err := rt.Close(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

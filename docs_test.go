@@ -2,14 +2,16 @@ package lla
 
 import (
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
-
-	"lla/internal/wire"
 )
 
 // mdLink matches inline markdown links [text](target). Reference-style and
@@ -68,17 +70,45 @@ func TestDocsLinks(t *testing.T) {
 }
 
 // TestProtocolCoversFrameTypes keeps PROTOCOL.md honest: every frame type
-// the codec can emit must appear in the spec by name and by its hex code.
-// Adding a frame type without documenting it fails here.
+// the codec can emit — each Frame* code constant of internal/wire/wire.go
+// but FrameMagic — must appear in the spec by name (FramePriceAgg is
+// PRICE_AGG) and by its hex code. Adding a frame type without documenting it
+// fails here.
 func TestProtocolCoversFrameTypes(t *testing.T) {
 	raw, err := os.ReadFile("PROTOCOL.md")
 	if err != nil {
 		t.Fatal(err)
 	}
 	spec := string(raw)
-	types := wire.FrameTypes()
-	if len(types) == 0 {
-		t.Fatal("wire.FrameTypes() is empty")
+	f, err := parser.ParseFile(token.NewFileSet(), "internal/wire/wire.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	types := make(map[string]uint64)
+	for _, d := range f.Decls {
+		if g, ok := d.(*ast.GenDecl); ok && g.Tok == token.CONST {
+			for _, s := range g.Specs {
+				v := s.(*ast.ValueSpec)
+				for i, n := range v.Names {
+					if !strings.HasPrefix(n.Name, "Frame") || n.Name == "FrameMagic" || i >= len(v.Values) {
+						continue
+					}
+					lit, ok := v.Values[i].(*ast.BasicLit)
+					if !ok {
+						t.Fatalf("%s is not a literal code", n.Name)
+					}
+					code, err := strconv.ParseUint(lit.Value, 0, 8)
+					if err != nil {
+						t.Fatalf("%s: %v", n.Name, err)
+					}
+					name := regexp.MustCompile(`(.)([A-Z])`).ReplaceAllString(strings.TrimPrefix(n.Name, "Frame"), "${1}_$2")
+					types[strings.ToUpper(name)] = code
+				}
+			}
+		}
+	}
+	if len(types) < 10 {
+		t.Fatalf("found %d frame types in internal/wire/wire.go, want the 10 of PROTOCOL.md §3 at least: %v", len(types), types)
 	}
 	for name, code := range types {
 		if !strings.Contains(spec, name) {

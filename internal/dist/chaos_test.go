@@ -94,7 +94,7 @@ func TestChaosSyncLossDelayDupMatchesEngine(t *testing.T) {
 		t.Error("10% loss over 80 rounds recovered without a single retransmit")
 	}
 	if st := rt.Sim().Stats(); st.Dropped == 0 || st.Duplicated == 0 {
-		t.Errorf("chaos injected no faults: %v", st)
+		t.Errorf("chaos injected no faults: %+v", st)
 	}
 }
 
@@ -116,7 +116,7 @@ func TestChaosSyncResourceCrashRestartMatchesEngine(t *testing.T) {
 		t.Error("crash recovery happened without retransmits")
 	}
 	if st := net.Stats(); st.Blackholed == 0 {
-		t.Errorf("crash blackholed nothing: %v", st)
+		t.Errorf("crash blackholed nothing: %+v", st)
 	}
 	if res.LeaseExpirations == 0 {
 		t.Error("coordinator saw no lease expiration during a 60ms crash with a 20ms lease")
@@ -267,6 +267,6 @@ func TestChaosAsyncLossOnlyBoundedGap(t *testing.T) {
 		t.Errorf("no compute steps: %+v", res)
 	}
 	if st := rt.Sim().Stats(); st.Dropped == 0 {
-		t.Errorf("chaos dropped nothing: %v", st)
+		t.Errorf("chaos dropped nothing: %+v", st)
 	}
 }

@@ -72,12 +72,10 @@ func (g *shareGroup) latencies(latMs, prev []float64) (out []float64, changed bo
 // frame every run — refreshes path prices, re-solves latencies, and sends
 // each resource its share of them.
 //
-// Asynchronously it also keeps a lease per used resource: one silent past
-// LeaseAfter is degraded — its last-known price frozen — and every
-// allocation computed while any used resource is degraded is clamped
-// deadline-safe (core.ClampDeadlineSafe), so stale prices can make the
-// assignment suboptimal but never break a critical-time constraint. A fresh
-// price from the resource ends the degradation.
+// Asynchronously it keeps a lease per used resource: one silent past
+// LeaseAfter is degraded (price frozen) until a fresh price arrives, and
+// every allocation meanwhile is clamped deadline-safe
+// (core.ClampDeadlineSafe): perhaps suboptimal, never a deadline miss.
 type controllerNode struct {
 	peer
 	ctl  *core.Controller

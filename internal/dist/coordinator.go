@@ -10,15 +10,12 @@ import (
 	"lla/internal/wire"
 )
 
-// The coordinator is deliberately off the protocol's critical path: reports
-// are fire-and-forget and round progress gates only on node-to-node frames,
-// so a coordinator crash never stalls the optimization — it only blinds
-// aggregation and the certificate stop. Failover therefore has
-// to restore exactly that view: a restarted coordinator loads the latest
-// checkpoint for its epoch, bumps it, re-registers the live nodes with a
-// rejoin handshake, and fences every frame from the dead generation so a
-// zombie instance can never split-brain the cluster. An uninterrupted run is
-// the same machine with an empty crash plan.
+// The coordinator is off the protocol's critical path (DESIGN.md §7): a
+// crash blinds aggregation and the certificate stop, never a round. Failover
+// restores that view: a restarted coordinator loads the latest checkpoint's
+// epoch, bumps it, re-registers the live nodes with a rejoin handshake and
+// fences every frame of the dead generation. An uninterrupted run is the
+// same machine with an empty crash plan.
 
 // Crash schedules one coordinator crash/restart cycle in a FailoverPlan.
 type Crash struct {
@@ -144,8 +141,7 @@ func (c *coordinator) step(now time.Duration, ev event) *effects {
 				// resume with the acks in hand rather than stalling the join.
 				c.resync()
 			} else {
-				c.broadcastRejoin()
-				c.ackAt = now + c.ackWindow
+				c.broadcastRejoin(now)
 			}
 		}
 		if c.leaseAt != 0 && now >= c.leaseAt {
@@ -300,15 +296,16 @@ func (c *coordinator) startRejoin(now time.Duration) {
 	clear(c.acked)
 	c.nAcked, c.maxAckRound, c.rejoinAttempts = 0, -1, 0
 	c.state = coordRejoin
-	c.broadcastRejoin()
-	c.ackAt = now + c.ackWindow
+	c.broadcastRejoin(now)
 }
 
-// broadcastRejoin announces the epoch. Controllers that have not acked are
-// asked to re-register (they ack and re-send their cached report); resources
-// always get the announcement so they adopt the epoch for stop fencing.
-func (c *coordinator) broadcastRejoin() {
+// broadcastRejoin announces the epoch and opens an ack window. Controllers
+// that have not acked are asked to re-register (they ack and re-send their
+// cached report); resources always get the announcement so they adopt the
+// epoch for stop fencing.
+func (c *coordinator) broadcastRejoin(now time.Duration) {
 	c.broadcast(wire.KindRejoin, wire.Rejoin{Epoch: c.epoch}, c.acked)
+	c.ackAt = now + c.ackWindow
 }
 
 // broadcast sends one control frame to every controller not in skip, then to

@@ -60,7 +60,7 @@ func TestDistTolerantOfDeliveryDelay(t *testing.T) {
 	res := mustRun(t, rt, rounds)
 	assertMatchesEngineBitwise(t, workload.Base(), res, rounds)
 	if st := rt.Sim().Stats(); st.Delayed == 0 || st.Dropped != 0 {
-		t.Errorf("stats: %s, want delays and no loss", st)
+		t.Errorf("stats: %+v, want delays and no loss", st)
 	}
 }
 

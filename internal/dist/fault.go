@@ -29,21 +29,3 @@ func DefaultFaultPolicy() FaultPolicy {
 		LeaseAfter:      150 * time.Millisecond,
 	}
 }
-
-// withDefaults fills unset knobs that depend on set ones.
-func (fp FaultPolicy) withDefaults() FaultPolicy {
-	if fp.RetransmitAfter > 0 && fp.RetransmitMax <= 0 {
-		fp.RetransmitMax = 20 * fp.RetransmitAfter
-	}
-	return fp
-}
-
-// stopRequested reports whether the stop channel (possibly nil) has fired.
-func stopRequested(stop <-chan struct{}) bool {
-	select {
-	case <-stop:
-		return true
-	default:
-		return false
-	}
-}

@@ -8,15 +8,13 @@ import (
 	"lla/internal/transport"
 )
 
-// Node state machines. Each role of Section 4.1 — resource, controller,
-// coordinator — is one machine: step(now, event) folds one event into the
-// node's state and returns the effects it asks of whoever drives it. A
-// machine never blocks, reads no clock and touches no endpoint; time is the
-// now it is handed, and the only timer it owns is the single wake deadline in
-// its effects (it keeps its logical timers — retransmit, heartbeat, lease,
-// ack window, down-for, pace — as deadlines and wakes at the earliest). Two
-// drivers run the machines: drive (real.go) over an Endpoint and the wall
-// clock, and Sim (sim.go) over a seeded event heap.
+// Node state machines (DESIGN.md §7). Each role of Section 4.1 — resource,
+// controller, coordinator — is one machine: step(now, event) folds one event
+// into the node's state and returns the effects it asks of its driver. A
+// machine never blocks, reads no clock and touches no endpoint; its logical
+// timers are deadlines, and it wakes at the earliest. Two drivers run the
+// machines: drive (real.go) over an Endpoint and the wall clock, and Sim
+// (sim.go) over a seeded event heap.
 
 // evKind discriminates an event.
 type evKind uint8

@@ -8,35 +8,28 @@ import (
 	"lla/internal/wire"
 )
 
-// The peer protocol. A resource and a controller are the same machine with
-// different roles: each waits for an input from every peer (a resource's
-// peers are the controllers of the tasks running on it, a controller's the
-// resources its subtasks use), computes (a price from latencies, latencies
-// from prices), and tells every peer the result. peer is that machine; a
-// role supplies what an input means, what to compute and what to say.
+// The peer protocol (DESIGN.md §7). A resource and a controller are the
+// same machine with different roles: each waits for an input from every
+// peer (a resource's peers are the controllers of the tasks running on it, a
+// controller's the resources its subtasks use), computes (a price from
+// latencies, latencies from prices), and tells every peer the result. peer
+// is that machine; a role supplies what an input means, what to compute and
+// what to say.
 //
-// Round-synchronized (pace == 0), it survives message loss, duplication and
-// reordering without acknowledgements: folds are idempotent and each round
-// gates on content-completeness, not delivery order. A node stalled waiting
-// for its round's inputs re-sends its last output to the silent peers after
-// RetransmitAfter, backing off exponentially (with jitter) up to
-// RetransmitMax; and a message from a past round means its sender missed our
-// latest output, so the cached counterpart is re-sent to that peer. A
-// resource opens round r with its price, a controller answers with its
-// round-r latencies, and neither can complete a round the other has not, so
-// no message is ever from a future round, the cached message is always
-// exactly what the stuck peer is waiting for, and the recovered run is
-// bitwise identical to a loss-free run.
+// Round-synchronized (pace == 0), it needs no acknowledgements: folds are
+// idempotent and a round gates on content-completeness. A stalled node
+// re-sends its last output to the silent peers, backing off from
+// RetransmitAfter to RetransmitMax, and a message from a past round gets the
+// cached counterpart re-sent. A resource opens round r, a controller answers
+// it, and neither can complete a round the other has not, so no message is
+// from a future round and the recovered run is bitwise the loss-free one.
 //
-// Asynchronous (pace > 0), there is no round gate: a node computes on
-// whatever has arrived, at most once per pace — unbounded relative staleness
-// destabilizes the gradient updates, and on a real network the round trip
-// provides this pacing for free. Messages carry a per-sender sequence number
-// and receivers reject duplicates and reordered-stale deliveries; a node idle
-// for RetransmitAfter re-advertises its state, at once the heartbeat that
-// feeds failure detection and the recovery path for lost messages. A compute
-// whose inputs are bitwise unchanged since a fixed-point update is skipped:
-// it would republish the exact state already sent.
+// Asynchronous (pace > 0), a node computes on whatever has arrived, at most
+// once per pace (unbounded staleness destabilizes the price updates; on a
+// real network the round trip paces for free). Sequence numbers reject
+// duplicates and stale reorders, an idle node re-advertises its state every
+// RetransmitAfter (heartbeat and recovery in one), and a compute on inputs
+// bitwise unchanged since a fixed-point update is skipped.
 
 // role is what distinguishes a resource from a controller inside the peer
 // protocol. A role embeds the peer it plays on and reads its round, seq and

@@ -51,7 +51,7 @@ func drive(m machine, ep transport.Endpoint, stop <-chan struct{}, o *obs.Observ
 			switch {
 			case ok:
 				ev = event{kind: evMessage, msg: msg}
-			case stopRequested(stop):
+			case transport.Stopped(stop):
 				ev = event{kind: evStop}
 			default:
 				ev = event{kind: evClosed}

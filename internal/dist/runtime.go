@@ -142,8 +142,13 @@ func (r *Runtime) Sim() *Sim { return r.sim }
 // SetFaultPolicy overrides the fault-tolerance policy (retransmission timers
 // and report leases). Call before Run; the zero policy disables
 // retransmission and lease tracking entirely, which is only safe on
-// loss-free networks.
-func (r *Runtime) SetFaultPolicy(fp FaultPolicy) { r.fp = fp.withDefaults() }
+// loss-free networks. An unset RetransmitMax is 20 × RetransmitAfter.
+func (r *Runtime) SetFaultPolicy(fp FaultPolicy) {
+	if fp.RetransmitAfter > 0 && fp.RetransmitMax <= 0 {
+		fp.RetransmitMax = 20 * fp.RetransmitAfter
+	}
+	r.fp = fp
+}
 
 // Observe attaches observability to the deployment; nil detaches. Call
 // before Run. With a metrics registry attached, every node increments the

@@ -92,9 +92,9 @@ func (s *Sim) run(nodes []machine, coord *coordinator, d time.Duration, codec tr
 		s.clock.RunUntil(float64(d) / float64(time.Millisecond))
 		s.now = d
 	} else {
-		for s.live > 0 && s.err == nil && s.now < simHorizon && !stopRequested(stop) && s.clock.Step() {
+		for s.live > 0 && s.err == nil && s.now < simHorizon && !transport.Stopped(stop) && s.clock.Step() {
 		}
-		if s.live > 0 && s.err == nil && !stopRequested(stop) {
+		if s.live > 0 && s.err == nil && !transport.Stopped(stop) {
 			s.err = fmt.Errorf("dist: virtual run stalled at %v with %d nodes unfinished", s.now, s.live)
 		}
 	}

@@ -1,7 +1,6 @@
 package dist
 
 import (
-	"strings"
 	"testing"
 
 	"lla/internal/core"
@@ -131,14 +130,19 @@ func TestDistBinaryWireChaosMatchesEngine(t *testing.T) {
 	}
 }
 
-// TestDistWireMessagesNeverRideRaw: every message kind dist emits has a
-// dedicated binary frame; if a schema change reintroduces RAW fallback for
-// control traffic, this catches it by name.
+// TestDistWireMessagesNeverRideRaw: every message kind dist emits, with the
+// payload type dist sends under it, encodes to a dedicated binary frame; if
+// a schema change reintroduces RAW fallback for control traffic, this
+// catches it by name.
 func TestDistWireMessagesNeverRideRaw(t *testing.T) {
-	kinds := []string{wire.KindPrice, wire.KindLatency, wire.KindReport, wire.KindStop, wire.KindFin, wire.KindRejoin, wire.KindRejoinAck}
-	for _, k := range kinds {
-		if _, ok := wire.FrameTypes()[strings.ToUpper(strings.ReplaceAll(k, "rejoinAck", "rejoin_ack"))]; !ok {
-			t.Errorf("dist kind %q has no dedicated frame type", k)
+	codec := wire.NewCodec(nil)
+	for kind, payload := range map[string]any{
+		wire.KindPrice: wire.PriceUpdate{Mu: 1}, wire.KindLatency: wire.ShareReport{}, wire.KindReport: wire.UtilityReport{},
+		wire.KindStop: wire.Stop{}, wire.KindFin: wire.Fin{}, wire.KindRejoin: wire.Rejoin{}, wire.KindRejoinAck: wire.RejoinAck{},
+	} {
+		frame, err := codec.Encode(wire.Message{From: coordinatorAddr, To: coordinatorAddr, Kind: kind, Payload: payload})
+		if err != nil || frame[2] == wire.FrameRaw {
+			t.Errorf("dist kind %q has no dedicated frame type (%v)", kind, err)
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"fmt"
 	"hash/fnv"
 	"math/rand"
 	"sync"
@@ -182,10 +181,10 @@ func NewJitter(name string) *rand.Rand {
 }
 
 // Backoff returns the wait before retry attempt (0-based): base·2^attempt
-// with ±25% jitter drawn from rng, capped at max. Shared by the TCP
-// reconnect path (a per-connection source) and the distributed runtime's
-// retransmission timers (a per-node source, or the run's Faults when the
-// timing has to replay from a seed).
+// with ±25% jitter drawn from rng, capped at max. Shared by the TCP dial
+// (a per-connection source) and the distributed runtime's retransmission
+// timers (a per-node source, or the run's Faults when the timing has to
+// replay from a seed).
 func Backoff(rng interface{ Float64() float64 }, attempt int, base, max time.Duration) time.Duration {
 	if base <= 0 {
 		return 0
@@ -198,10 +197,4 @@ func Backoff(rng interface{ Float64() float64 }, attempt int, base, max time.Dur
 		d = max
 	}
 	return time.Duration(float64(d) * (0.75 + 0.5*rng.Float64()))
-}
-
-// String renders the stats for logs and test failures.
-func (s ChaosStats) String() string {
-	return fmt.Sprintf("dropped=%d duplicated=%d delayed=%d reordered=%d blackholed=%d",
-		s.Dropped, s.Duplicated, s.Delayed, s.Reordered, s.Blackholed)
 }

@@ -46,7 +46,7 @@ func TestChaosLossDeterministic(t *testing.T) {
 		t.Errorf("lost %d of %d at LossRate 0.3", lost, n)
 	}
 	if st.Dropped != int64(lost) || st.Duplicated+st.Delayed+st.Reordered+st.Blackholed != 0 {
-		t.Errorf("stats: %s, want %d dropped and nothing else", st, lost)
+		t.Errorf("stats: %+v, want %d dropped and nothing else", st, lost)
 	}
 	other, _ := plans(ChaosConfig{Seed: 10, LossRate: 0.3}, n)
 	same := true
@@ -67,7 +67,7 @@ func TestChaosDuplication(t *testing.T) {
 		}
 	}
 	if st.Duplicated != n {
-		t.Errorf("stats: %s, want %d duplicated", st, n)
+		t.Errorf("stats: %+v, want %d duplicated", st, n)
 	}
 }
 
@@ -93,7 +93,7 @@ func TestChaosDelayAndReorder(t *testing.T) {
 		t.Error("jittered delay + 50% reorder delivered fully in order")
 	}
 	if st.Delayed != n || st.Reordered < n/4 || st.Reordered > 3*n/4 {
-		t.Errorf("stats: %s, want %d delayed and about %d reordered", st, n, n/2)
+		t.Errorf("stats: %+v, want %d delayed and about %d reordered", st, n, n/2)
 	}
 }
 
@@ -107,14 +107,14 @@ func TestChaosCrashRestartBlackholesBothDirections(t *testing.T) {
 		t.Fatal("a crash cut off two live nodes")
 	}
 	if st := f.Stats(); st.Blackholed != 2 {
-		t.Errorf("stats: %s, want 2 blackholed", st)
+		t.Errorf("stats: %+v, want 2 blackholed", st)
 	}
 	f.Restart("b")
 	if f.Blocked("a", "b") || f.Blocked("b", "a") {
 		t.Fatal("a restarted node is still cut off")
 	}
 	if st := f.Stats(); st.Blackholed != 2 {
-		t.Errorf("stats after restart: %s, want 2 blackholed", st)
+		t.Errorf("stats after restart: %+v, want 2 blackholed", st)
 	}
 }
 
@@ -133,7 +133,7 @@ func TestChaosPartitionAndHeal(t *testing.T) {
 		t.Fatal("the partition outlived Heal")
 	}
 	if st := f.Stats(); st.Blackholed != 2 {
-		t.Errorf("stats: %s, want 2 blackholed", st)
+		t.Errorf("stats: %+v, want 2 blackholed", st)
 	}
 }
 
@@ -152,7 +152,7 @@ func TestFaultsZeroConfigPassesThrough(t *testing.T) {
 		}
 	}
 	if st := f.Stats(); st != (ChaosStats{}) {
-		t.Errorf("stats: %s, want nothing counted", st)
+		t.Errorf("stats: %+v, want nothing counted", st)
 	}
 	if got, want := f.Float64(), fresh.Float64(); got != want {
 		t.Errorf("Plan consumed the stream: next draw %v, fresh stream %v", got, want)

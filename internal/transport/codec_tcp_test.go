@@ -119,7 +119,7 @@ func hello(maxV, minV byte, dictHash uint64) []byte {
 // TestTCPRefusals is the other half of "binary is the only dialect": a
 // connection whose ends would not read each other's frames the same way, or
 // that does not speak the handshake, is refused — the sender's Send fails at
-// once with wire.ErrRefused instead of retrying for SendRetryWindow, nothing
+// once with wire.ErrRefused instead of retrying for RetryWindow, nothing
 // is delivered, the refusal is counted, and no goroutine outlives the
 // endpoints. Nothing is downgraded.
 func TestTCPRefusals(t *testing.T) {

@@ -19,7 +19,7 @@ type InprocConfig struct {
 	QueueLen int
 	// RegistrationWait makes Send retry for up to this duration when the
 	// destination endpoint has never been registered, mirroring the TCP
-	// transport's dial-retry so that independently started nodes can come
+	// transport's RetryWindow so that independently started nodes can come
 	// up in any order. Zero fails unknown destinations immediately. An
 	// address that was registered and has closed is gone, not late: Send to
 	// it fails immediately either way, until the address is registered again.
@@ -36,11 +36,10 @@ type Inproc struct {
 	// receiver gets the sender's payload value as is.
 	codec Codec
 
-	mu        sync.Mutex
+	mu sync.Mutex
+	// endpoints maps an address to its endpoint, or to nil once that has
+	// closed and not been registered again.
 	endpoints map[string]*inprocEndpoint
-	// gone holds the addresses whose endpoint has closed and not been
-	// registered again.
-	gone map[string]bool
 }
 
 var _ Network = (*Inproc)(nil)
@@ -50,11 +49,7 @@ func NewInproc(cfg InprocConfig) *Inproc {
 	if cfg.QueueLen == 0 {
 		cfg.QueueLen = 1024
 	}
-	return &Inproc{
-		cfg:       cfg,
-		endpoints: make(map[string]*inprocEndpoint),
-		gone:      make(map[string]bool),
-	}
+	return &Inproc{cfg: cfg, endpoints: make(map[string]*inprocEndpoint)}
 }
 
 // Endpoint implements Network.
@@ -64,7 +59,7 @@ func (n *Inproc) Endpoint(addr string) (Endpoint, error) {
 	if addr == "" {
 		return nil, fmt.Errorf("transport: empty address")
 	}
-	if _, dup := n.endpoints[addr]; dup {
+	if n.endpoints[addr] != nil {
 		return nil, fmt.Errorf("transport: endpoint %q already registered", addr)
 	}
 	ep := &inprocEndpoint{
@@ -73,7 +68,6 @@ func (n *Inproc) Endpoint(addr string) (Endpoint, error) {
 		in:   make(chan Message, n.cfg.QueueLen),
 	}
 	n.endpoints[addr] = ep
-	delete(n.gone, addr)
 	return ep, nil
 }
 
@@ -87,7 +81,8 @@ func (n *Inproc) SetCodec(c Codec) { n.codec = c }
 func (n *Inproc) lookup(addr string) (ep *inprocEndpoint, gone bool) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.endpoints[addr], n.gone[addr]
+	ep, known := n.endpoints[addr]
+	return ep, known && ep == nil
 }
 
 // deliver routes a message to its destination's inbox.
@@ -126,8 +121,6 @@ type inprocEndpoint struct {
 	mu     sync.Mutex
 	closed bool
 }
-
-var _ Endpoint = (*inprocEndpoint)(nil)
 
 // Addr implements Endpoint.
 func (e *inprocEndpoint) Addr() string { return e.addr }
@@ -177,8 +170,7 @@ func (e *inprocEndpoint) Close() error {
 	e.closed = true
 	close(e.in)
 	e.net.mu.Lock()
-	delete(e.net.endpoints, e.addr)
-	e.net.gone[e.addr] = true
+	e.net.endpoints[e.addr] = nil
 	e.net.mu.Unlock()
 	return nil
 }

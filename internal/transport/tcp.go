@@ -18,26 +18,43 @@ import (
 // names mapped to host:port pairs through a static registry (in a real
 // deployment this would be service discovery; a static table keeps the
 // reproduction self-contained).
+//
+// Sending is write-behind over one connection per destination, shared by
+// every endpoint of the network: Send queues the encoded frame, and a writer
+// goroutine, alive while the queue is non-empty, puts all that was queued
+// since its last write on the socket in one Write. Frames from one sender to
+// one destination keep their Send order; senders interleave only at frame
+// boundaries.
 type TCP struct {
 	mu sync.Mutex
 	// registry maps logical address -> host:port.
 	registry map[string]string
-	// dialTimeout bounds a single connection attempt.
+	// dialTimeout bounds a single connection attempt, and the wait for an
+	// inbound connection's hello.
 	dialTimeout time.Duration
-	// DialRetryWindow keeps retrying refused dials for this long, so nodes
-	// of a deployment can start in any order. Zero disables retrying.
-	DialRetryWindow time.Duration
-	// SendRetryWindow keeps retrying a failed Send for this long, dropping
-	// the broken cached connection and re-dialing with capped exponential
-	// backoff plus jitter between attempts (the peer may be restarting).
-	// Zero falls back to a single immediate reconnect attempt.
-	SendRetryWindow time.Duration
+	// RetryWindow keeps retrying a connection for this long — a refused dial
+	// (nodes of a deployment start in any order) or a failed write (the peer
+	// may be restarting) — with capped exponential backoff plus jitter
+	// between attempts. Zero tries once.
+	RetryWindow time.Duration
 	// codec frames every message and checks every connection's handshake:
 	// the dictionary-less wire codec unless SetCodec installed another.
 	codec Codec
+	// pool serves the live open endpoints; the last one's Close ends it.
+	pool *pool
+	live int
 }
 
 var _ Network = (*TCP)(nil)
+
+const (
+	// maxQueue caps the bytes queued on one connection, so a peer that
+	// stopped reading fails Send (as a full Inproc inbox does) rather than
+	// blocking it.
+	maxQueue = 1 << 20
+	// flushGrace is how long the last Close lets queued frames drain.
+	flushGrace = 250 * time.Millisecond
+)
 
 // NewTCP returns a TCP network with the given logical-name registry.
 // Entries may also be added later with Register (e.g. after kernel-assigned
@@ -47,8 +64,7 @@ func NewTCP(registry map[string]string) *TCP {
 	for k, v := range registry {
 		r[k] = v
 	}
-	return &TCP{registry: r, dialTimeout: 5 * time.Second, DialRetryWindow: 15 * time.Second, SendRetryWindow: 10 * time.Second,
-		codec: wire.NewCodec(nil)}
+	return &TCP{registry: r, dialTimeout: 5 * time.Second, RetryWindow: 10 * time.Second, codec: wire.NewCodec(nil)}
 }
 
 // SetCodec replaces the frame codec, typically with one holding the
@@ -85,24 +101,80 @@ func (t *TCP) Endpoint(addr string) (Endpoint, error) {
 	if err != nil {
 		return nil, fmt.Errorf("transport: listening for %q on %s: %w", addr, hp, err)
 	}
-	t.Register(addr, ln.Addr().String())
-	ep := &tcpEndpoint{
-		net:     t,
-		addr:    addr,
-		ln:      ln,
-		in:      make(chan Message, 1024),
-		conns:   make(map[string]net.Conn),
-		inbound: make(map[net.Conn]struct{}),
-		done:    make(chan struct{}),
+	t.mu.Lock()
+	t.registry[addr] = ln.Addr().String()
+	if t.live++; t.pool == nil {
+		t.pool = &pool{conns: make(map[string]*outConn), done: make(chan struct{})}
 	}
+	ep := &tcpEndpoint{net: t, pool: t.pool, addr: addr, ln: ln, in: make(chan Message, 1024),
+		inbound: make(map[net.Conn]struct{}), done: make(chan struct{})}
+	t.mu.Unlock()
 	ep.wg.Add(1)
 	go ep.acceptLoop()
 	return ep, nil
 }
 
-// tcpEndpoint is one listener plus a cache of outbound connections.
+// pool is the outbound side of a network's endpoints open at the same time:
+// one connection per destination.
+type pool struct {
+	mu                sync.Mutex
+	conns             map[string]*outConn
+	done              chan struct{} // closed by the last endpoint's Close
+	writers, watchers sync.WaitGroup
+}
+
+// outConn is one pooled connection and its write-behind queue.
+type outConn struct {
+	mu sync.Mutex
+	nc net.Conn // nil until dialed, and again once a writer gave up on it
+	// queue holds the frames Send appended since the writer's last Write;
+	// spare is the writer's previous batch, reused as the next queue.
+	queue, spare []byte
+	busy         bool // a writer is running
+}
+
+// close ends the pool: writers get flushGrace to drain their queues, then
+// every connection closes, and close returns with none of the pool's
+// goroutines left.
+func (p *pool) close() {
+	close(p.done)
+	deadline := time.Now().Add(flushGrace)
+	p.each(func(nc net.Conn) { nc.SetWriteDeadline(deadline) })
+	p.writers.Wait()
+	p.each(func(nc net.Conn) { nc.Close() })
+	p.watchers.Wait()
+}
+
+// each applies f to every dialed connection.
+func (p *pool) each(f func(net.Conn)) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for _, c := range p.conns {
+		c.mu.Lock()
+		if c.nc != nil {
+			f(c.nc)
+		}
+		c.mu.Unlock()
+	}
+}
+
+// watch installs a dialed connection (c.mu held) with a watcher that closes
+// it when the peer hangs up — a peer sends nothing after its ack — so the
+// next write fails and re-dials instead of vanishing into the peer's reset.
+func (p *pool) watch(c *outConn, nc net.Conn) {
+	c.nc = nc
+	p.watchers.Add(1)
+	go func() {
+		defer p.watchers.Done()
+		nc.Read(make([]byte, 1))
+		nc.Close()
+	}()
+}
+
+// tcpEndpoint is one listener; it sends through its network's pool.
 type tcpEndpoint struct {
 	net  *TCP
+	pool *pool
 	addr string
 	ln   net.Listener
 	in   chan Message
@@ -110,15 +182,10 @@ type tcpEndpoint struct {
 	wg   sync.WaitGroup
 
 	mu sync.Mutex
-	// conns caches outbound connections (past their handshake) by
-	// destination name; inbound holds accepted connections so Close can
-	// unblock their readers.
-	conns   map[string]net.Conn
+	// inbound holds accepted connections so Close can unblock their readers.
 	inbound map[net.Conn]struct{}
 	closed  bool
 }
-
-var _ Endpoint = (*tcpEndpoint)(nil)
 
 // Addr implements Endpoint.
 func (e *tcpEndpoint) Addr() string { return e.addr }
@@ -145,9 +212,10 @@ func (e *tcpEndpoint) acceptLoop() {
 }
 
 // readLoop serves one inbound connection: the handshake first — a peer that
-// does not open with a hello this codec agrees with gets the refusing ack
-// and the connection is dropped before it can deliver anything — then frames
-// into the inbox until the stream ends or fails to decode.
+// does not open with a hello this codec agrees with, within dialTimeout, gets
+// the refusing ack and the connection is dropped before it can deliver
+// anything — then frames into the inbox until the stream ends or fails to
+// decode.
 func (e *tcpEndpoint) readLoop(conn net.Conn) {
 	defer e.wg.Done()
 	defer func() {
@@ -158,7 +226,9 @@ func (e *tcpEndpoint) readLoop(conn net.Conn) {
 	}()
 	br := bufio.NewReader(conn)
 	cod := e.net.codec
+	conn.SetReadDeadline(time.Now().Add(e.net.dialTimeout))
 	ack, refused := cod.Accept(br)
+	conn.SetReadDeadline(time.Time{})
 	if _, err := conn.Write(ack); err != nil || refused != nil {
 		return
 	}
@@ -175,16 +245,14 @@ func (e *tcpEndpoint) readLoop(conn net.Conn) {
 	}
 }
 
-// Send implements Endpoint. Connections are cached per destination; a write
-// failure drops the broken connection and reconnects with capped exponential
-// backoff plus jitter for up to SendRetryWindow (the peer may be
-// restarting). Failures that retrying cannot cure — unknown destination,
-// unencodable payload, closed endpoint, a refused handshake — fail
-// immediately.
+// Send implements Endpoint. It encodes the frame and queues it on the
+// network's connection to the destination, dialing that first (and running
+// the handshake) if there is none: a nil error means queued, not written.
+// It fails on an unknown destination, an unencodable payload, a closed
+// endpoint, a dial that does not succeed within RetryWindow, a refused
+// handshake (at once, wrapping wire.ErrRefused) and a full queue. Write
+// failures are the writer's (writeLoop).
 func (e *tcpEndpoint) Send(to, kind string, payload any) error {
-	if e.isClosed() {
-		return fmt.Errorf("transport: endpoint %q closed", e.addr)
-	}
 	if _, err := e.net.lookup(to); err != nil {
 		return err // unknown destination: retrying cannot help
 	}
@@ -196,130 +264,124 @@ func (e *tcpEndpoint) Send(to, kind string, payload any) error {
 	if err != nil {
 		return err
 	}
-	err = e.write(to, frame)
-	if err == nil {
-		return nil
+	p := e.pool
+	p.mu.Lock()
+	c := p.conns[to]
+	if c == nil {
+		c = &outConn{}
+		p.conns[to] = c
 	}
-	open := retryWindow(e.net.SendRetryWindow)
-	jitter := NewJitter(e.addr + ">" + to) // this reconnect's own
-	for attempt := 0; ; attempt++ {
-		e.dropConn(to)
-		if e.isClosed() || errors.Is(err, wire.ErrRefused) {
-			return err
+	p.mu.Unlock()
+	// c.mu is held across a dial, so concurrent first Sends share one
+	// handshake, and over the closed check: the pool's close locks every
+	// connection too, after the last endpoint closed, so nothing starts past it.
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if Stopped(e.done) {
+		return fmt.Errorf("transport: endpoint %q closed", e.addr)
+	}
+	if c.nc == nil {
+		nc, err := e.net.dial(e.addr, to, retryWindow(e.net.RetryWindow), e.done)
+		if err != nil {
+			return fmt.Errorf("transport: connecting %q to %q: %w", e.addr, to, err)
 		}
-		if attempt > 0 {
-			if !open() {
-				return err
+		p.watch(c, nc)
+	}
+	if len(c.queue)+len(frame) > maxQueue {
+		return fmt.Errorf("transport: queue to %q is full (%d bytes)", to, len(c.queue))
+	}
+	c.queue = append(c.queue, frame...)
+	if !c.busy {
+		c.busy = true
+		p.writers.Add(1)
+		go e.net.writeLoop(p, to, c)
+	}
+	return nil
+}
+
+// writeLoop drains a connection's queue, one Write per batch, until it is
+// empty. A failed write closes the connection, re-dials within RetryWindow
+// and writes the batch again, so its leading frames may arrive twice. If
+// that fails too, or the pool is closing, the writer gives up: it drops the
+// connection and what was queued, and the next Send dials afresh.
+func (t *TCP) writeLoop(p *pool, to string, c *outConn) {
+	defer p.writers.Done()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for len(c.queue) > 0 {
+		batch, nc := c.queue, c.nc
+		c.queue = c.spare[:0]
+		c.mu.Unlock()
+		_, err := nc.Write(batch)
+		for open := retryWindow(t.RetryWindow); err != nil && !Stopped(p.done); {
+			nc.Close()
+			var redialed net.Conn
+			if redialed, err = t.dial(nc.LocalAddr().String(), to, open, p.done); err == nil {
+				nc = redialed
+				c.mu.Lock()
+				if Stopped(p.done) { // past the pool's write deadlines: never install
+					nc.Close()
+				} else {
+					p.watch(c, nc)
+				}
+				c.mu.Unlock()
+				_, err = nc.Write(batch)
 			}
-			time.Sleep(Backoff(jitter, attempt-1, 25*time.Millisecond, time.Second))
+			if errors.Is(err, wire.ErrRefused) || !open() {
+				break
+			}
 		}
-		if err = e.write(to, frame); err == nil {
-			return nil
+		c.mu.Lock()
+		c.spare = batch
+		if err != nil {
+			c.nc.Close()
+			c.nc, c.queue = nil, c.queue[:0]
 		}
 	}
+	c.busy = false
 }
 
-// isClosed reports whether Close has run.
-func (e *tcpEndpoint) isClosed() bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.closed
-}
-
-// write puts one frame on the destination's connection.
-func (e *tcpEndpoint) write(to string, frame []byte) error {
-	c, err := e.conn(to)
-	if err != nil {
-		return err
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	_, err = c.Write(frame)
-	return err
-}
-
-// conn returns the cached connection to the destination, dialing it and
-// running the handshake if needed. A refused handshake closes the
-// connection and is returned to Send, which does not retry it.
-func (e *tcpEndpoint) conn(to string) (net.Conn, error) {
-	e.mu.Lock()
-	c, ok := e.conns[to]
-	e.mu.Unlock()
-	if ok {
-		return c, nil
-	}
-	c, err := e.dial(to)
-	if err != nil {
-		return nil, err
-	}
-	if err := clientHandshake(c, e.net.codec, e.net.dialTimeout); err != nil {
-		c.Close()
-		return nil, fmt.Errorf("transport: connecting %q to %q: %w", e.addr, to, err)
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.closed {
-		c.Close()
-		return nil, fmt.Errorf("transport: endpoint %q closed", e.addr)
-	}
-	if prev, ok := e.conns[to]; ok {
-		// Lost a dial race; keep the first connection.
-		c.Close()
-		return prev, nil
-	}
-	e.conns[to] = c
-	return c, nil
-}
-
-// dial opens a raw connection to the destination, retrying refused dials
-// within the window: the peer process may simply not have bound its
-// listener yet (deployments start in any order).
-func (e *tcpEndpoint) dial(to string) (net.Conn, error) {
-	hp, err := e.net.lookup(to)
-	if err != nil {
-		return nil, err
-	}
-	c, err := net.DialTimeout("tcp", hp, e.net.dialTimeout)
-	open := retryWindow(e.net.DialRetryWindow)
-	for err != nil && open() {
-		if e.isClosed() {
-			break
+// dial connects to the destination and runs the handshake, backing off
+// between attempts (capped exponential, jittered per from>to) while open
+// holds and stop has not fired: the peer may not have bound its listener
+// yet, or may be restarting. A refused handshake is final and returned at
+// once.
+func (t *TCP) dial(from, to string, open func() bool, stop <-chan struct{}) (net.Conn, error) {
+	jitter := NewJitter(from + ">" + to)
+	for attempt := 0; ; attempt++ {
+		hp, err := t.lookup(to)
+		if err != nil {
+			return nil, err
 		}
-		time.Sleep(100 * time.Millisecond)
-		c, err = net.DialTimeout("tcp", hp, e.net.dialTimeout)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("transport: dialing %q (%s): %w", to, hp, err)
-	}
-	return c, nil
-}
-
-// clientHandshake writes the codec hello and waits (bounded) for the ack.
-func clientHandshake(nc net.Conn, cod Codec, timeout time.Duration) error {
-	if _, err := nc.Write(cod.Hello()); err != nil {
-		return err
-	}
-	if err := nc.SetReadDeadline(time.Now().Add(timeout)); err != nil {
-		return err
-	}
-	defer nc.SetReadDeadline(time.Time{})
-	return cod.ReadAck(nc)
-}
-
-// dropConn evicts a broken cached connection.
-func (e *tcpEndpoint) dropConn(to string) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if c, ok := e.conns[to]; ok {
-		c.Close()
-		delete(e.conns, to)
+		nc, err := net.DialTimeout("tcp", hp, t.dialTimeout)
+		if err == nil { // the handshake: the hello, then the ack within dialTimeout
+			nc.SetReadDeadline(time.Now().Add(t.dialTimeout))
+			if _, err = nc.Write(t.codec.Hello()); err == nil {
+				err = t.codec.ReadAck(nc)
+			}
+			if err == nil {
+				nc.SetReadDeadline(time.Time{})
+				return nc, nil
+			}
+			nc.Close()
+		}
+		if errors.Is(err, wire.ErrRefused) || !open() {
+			return nil, err
+		}
+		select {
+		case <-time.After(Backoff(jitter, attempt, 25*time.Millisecond, time.Second)):
+		case <-stop:
+			return nil, err
+		}
 	}
 }
 
 // Recv implements Endpoint.
 func (e *tcpEndpoint) Recv() <-chan Message { return e.in }
 
-// Close implements Endpoint.
+// Close implements Endpoint. The network's last open endpoint also ends the
+// pool: queued frames get flushGrace to reach the socket, then the pooled
+// connections close and Close waits for their goroutines.
 func (e *tcpEndpoint) Close() error {
 	e.mu.Lock()
 	if e.closed {
@@ -327,9 +389,6 @@ func (e *tcpEndpoint) Close() error {
 		return nil
 	}
 	e.closed = true
-	for _, c := range e.conns {
-		c.Close()
-	}
 	for c := range e.inbound {
 		c.Close()
 	}
@@ -339,5 +398,15 @@ func (e *tcpEndpoint) Close() error {
 	err := e.ln.Close()
 	e.wg.Wait()
 	close(e.in)
+	t := e.net
+	t.mu.Lock()
+	if t.live--; t.live == 0 {
+		t.pool = nil
+	}
+	last := t.pool == nil
+	t.mu.Unlock()
+	if last {
+		e.pool.close()
+	}
 	return err
 }

@@ -76,3 +76,13 @@ func retryWindow(d time.Duration) func() bool {
 	end := time.Now().Add(d)
 	return func() bool { return time.Now().Before(end) }
 }
+
+// Stopped reports whether the stop channel (possibly nil) has fired.
+func Stopped(stop <-chan struct{}) bool {
+	select {
+	case <-stop:
+		return true
+	default:
+		return false
+	}
+}

@@ -231,7 +231,7 @@ func TestInprocDelayedDelivery(t *testing.T) {
 		t.Errorf("delivery took %v, want >= ~5ms", elapsed)
 	}
 	if st := f.Stats(); st.Delayed != 1 {
-		t.Errorf("stats: %s, want 1 delayed", st)
+		t.Errorf("stats: %+v, want 1 delayed", st)
 	}
 }
 
@@ -385,8 +385,7 @@ func TestEncodeUnserializablePayload(t *testing.T) {
 // backs off (25 ms, then doubling, jittered) until the peer comes up.
 func TestTCPSendBacksOffUntilPeerListens(t *testing.T) {
 	net := NewTCP(map[string]string{"a": "127.0.0.1:0", "b": "127.0.0.1:0"})
-	net.DialRetryWindow = 0 // refused dials fail at once: only Send's backoff waits
-	net.SendRetryWindow = 2 * time.Second
+	net.RetryWindow = 2 * time.Second
 	a, err := net.Endpoint("a")
 	if err != nil {
 		t.Fatal(err)

@@ -89,19 +89,14 @@ func (d *Dict) Hash() uint64 {
 // that ["ab"] and ["a","b"] hash differently, through FNV-1a.
 func (d *Dict) computeHash() uint64 {
 	h := fnv.New64a()
+	put := func(ns byte, name string) { h.Write(append(append([]byte{ns}, name...), 0)) }
 	for _, r := range d.resources {
-		h.Write([]byte{'r'})
-		h.Write([]byte(r))
-		h.Write([]byte{0})
+		put('r', r)
 	}
 	for i, t := range d.tasks {
-		h.Write([]byte{'t'})
-		h.Write([]byte(t))
-		h.Write([]byte{0})
+		put('t', t)
 		for _, s := range d.subs[i] {
-			h.Write([]byte{'s'})
-			h.Write([]byte(s))
-			h.Write([]byte{0})
+			put('s', s)
 		}
 	}
 	return h.Sum64()

@@ -2,12 +2,8 @@ package wire
 
 import "lla/internal/byteio"
 
-// Payload types. These structs are the runtime's message definitions, not
-// mirrors of them: internal/dist builds and type-switches on these values
-// and the codec encodes them field by field (PROTOCOL.md §4), so there is
-// one definition between a node loop and the socket. A payload is immutable
-// once sent: networks may deliver the same value more than once, later, and
-// to another goroutine.
+// Payload types: the runtime's message definitions (see the package doc),
+// encoded field by field (PROTOCOL.md §4) and immutable once sent.
 //
 // Delta codec. Near convergence the per-round payloads stop changing:
 // prices freeze bitwise and so do latencies. The round-synchronized
@@ -27,22 +23,14 @@ import "lla/internal/byteio"
 // produces the same bits as folding the full message, and the run stays
 // bitwise identical to core.Engine.
 //
-// Epoch fencing (DESIGN.md §13). Every frame is stamped with the sender's
-// coordinator epoch — the generation number a restarted coordinator bumps
-// after loading its checkpoint. Frames are divided into two fencing classes:
-//
-//   - Coordinator control frames (Stop, Rejoin) and coordinator-bound frames
-//     (UtilityReport, RejoinAck) are FENCED: a receiver discards — and
-//     counts — any such frame whose epoch is below its own. This is what
-//     stops a zombie coordinator from split-braining the cluster: its stale
-//     stop frames are provably from a dead generation and cannot halt nodes
-//     that already rejoined the live one.
-//   - Node-to-node data frames (PriceUpdate, ShareReport) are STAMPED BUT
-//     NOT FENCED. The round protocol's correctness never depended on the
-//     coordinator (reports are fire-and-forget), so a price retransmitted
-//     from before the crash must still be folded after it — fencing data
-//     frames would strand the very recovery paths that make the run
-//     bitwise-exact.
+// Epoch fencing (DESIGN.md §7, §13). Every frame is stamped with the
+// sender's coordinator epoch, the generation a restarted coordinator bumps.
+// Coordinator control frames (Stop, Rejoin) and coordinator-bound ones
+// (UtilityReport, RejoinAck) below the receiver's epoch are discarded and
+// counted, so a zombie coordinator cannot halt nodes that rejoined the live
+// one. Data frames (PriceUpdate, ShareReport) are stamped but never fenced:
+// rounds gate on them, and a price retransmitted from before a crash must
+// still fold after it.
 
 // PriceUpdate is sent by a resource node to every controller with a subtask
 // on the resource: the resource price and the congestion flag that drives

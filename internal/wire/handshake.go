@@ -34,9 +34,7 @@ var ErrRefused = errors.New("wire: connection refused")
 
 // Hello returns the client handshake blob, written once after dialing.
 func (c *Codec) Hello() []byte {
-	b := make([]byte, 0, helloLen)
-	b = append(b, helloMagic[:]...)
-	b = append(b, c.maxVersion, c.minVersion)
+	b := append(append(make([]byte, 0, helloLen), helloMagic[:]...), c.maxVersion, c.minVersion)
 	b = binary.LittleEndian.AppendUint64(b, c.dict.Hash())
 	return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
 }
@@ -48,9 +46,7 @@ func (c *Codec) Hello() []byte {
 // writes the ack and closes the connection.
 func (c *Codec) Accept(r io.Reader) (ack []byte, err error) {
 	version, err := c.acceptHello(r)
-	b := make([]byte, 0, ackLen)
-	b = append(b, ackMagic[:]...)
-	b = append(b, version, 0)
+	b := append(append(make([]byte, 0, ackLen), ackMagic[:]...), version, 0)
 	return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b)), c.settle(err)
 }
 

@@ -9,10 +9,9 @@
 // frame type from its Go type, Codec.Read returns it, and the receiving node
 // type-switches on it. A payload the protocol has no frame type for is
 // marshalled to JSON once (NewMessage) and rides a RAW frame verbatim — the
-// one place JSON meets a frame. The transport package builds on this one:
-// TCP checks version and dictionary per connection with the codec's
-// handshake, and Inproc can round-trip every delivery through the codec so
-// in-process runs exercise the same bytes.
+// one place JSON meets a frame. internal/transport builds on this package:
+// TCP opens every connection with the codec's handshake, and Inproc can
+// round-trip every delivery through the codec.
 //
 // Decoding is defensive: the byteio cursor internal/recover reads
 // checkpoints with (a latched first error, explicit limits on every length
@@ -37,8 +36,8 @@ const (
 // FrameMagic is the first byte of every data frame.
 const FrameMagic = 0xA7
 
-// Frame type codes. PROTOCOL.md documents the body layout of each;
-// FrameTypes lists them for the docs coverage test.
+// Frame type codes. PROTOCOL.md documents the body layout of each (a docs
+// test reads this block and checks it does).
 const (
 	FramePrice     = 0x01 // resource price update(s) (PriceUpdate)
 	FrameLatency   = 0x02 // share/latency report(s) (ShareReport)
@@ -51,23 +50,6 @@ const (
 	FrameBoundary  = 0x09 // shard boundary-demand report (BoundaryDemand)
 	FrameRaw       = 0x0F // escape hatch: any kind, verbatim JSON payload
 )
-
-// FrameTypes maps every frame type this codec can emit to its wire code.
-// docs_test.go asserts PROTOCOL.md documents each entry.
-func FrameTypes() map[string]byte {
-	return map[string]byte{
-		"PRICE":      FramePrice,
-		"LATENCY":    FrameLatency,
-		"REPORT":     FrameReport,
-		"STOP":       FrameStop,
-		"FIN":        FrameFin,
-		"REJOIN":     FrameRejoin,
-		"REJOIN_ACK": FrameRejoinAck,
-		"PRICE_AGG":  FramePriceAgg,
-		"BOUNDARY":   FrameBoundary,
-		"RAW":        FrameRaw,
-	}
-}
 
 // Frame header flag bits. Reserved bits must be zero; decoders reject
 // frames that set them (evolution rule: a new optional behavior needs a new

@@ -197,7 +197,8 @@ func NewInprocNetwork(cfg InprocConfig) transport.Network {
 type InprocConfig = transport.InprocConfig
 
 // NewTCPNetwork returns a TCP network with a logical-name registry. It
-// speaks the binary wire protocol (PROTOCOL.md).
+// speaks the binary wire protocol (PROTOCOL.md); Send queues each frame on
+// one connection per destination, shared by the network's endpoints.
 func NewTCPNetwork(registry map[string]string) *transport.TCP {
 	return transport.NewTCP(registry)
 }

@@ -48,6 +48,12 @@ go test -run '^$' \
   -bench 'BenchmarkFleetConverge|BenchmarkFleetBuild|BenchmarkFleetReplace' \
   -benchtime "$benchtime" -json . >> "$raw"
 
+# The distributed round over TCP loopback runs in its own invocation: a
+# sub-benchmark pattern in the first regex would filter every other
+# family's sub-benchmarks as well.
+go test -run '^$' -bench 'BenchmarkDistributedRounds/tcp' \
+  -benchtime "$benchtime" -json . >> "$raw"
+
 # Gate against the committed baseline too: a gated benchmark that vanishes
 # from the report (renamed, regex narrowed) must fail loudly, not turn its
 # gate into a silent no-op, and the metrics in benchparse's prevBounds table
