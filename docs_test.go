@@ -119,3 +119,30 @@ func TestProtocolCoversFrameTypes(t *testing.T) {
 		}
 	}
 }
+
+// maxChangeEntry is the most bytes one CHANGES.md entry may hold: what
+// changed, the tests removed or re-recorded, and the headline number.
+// Tables and per-run prose belong in git history and the benchmark reports.
+const maxChangeEntry = 1200
+
+// TestChangesEntriesAreShort fails on any CHANGES.md entry — a top-level
+// "- " item with its continuation lines — longer than maxChangeEntry bytes.
+func TestChangesEntriesAreShort(t *testing.T) {
+	raw, err := os.ReadFile("CHANGES.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var entries []string
+	for _, line := range strings.Split(string(raw), "\n") {
+		if strings.HasPrefix(line, "- ") || len(entries) == 0 {
+			entries = append(entries, line)
+		} else {
+			entries[len(entries)-1] += "\n" + line
+		}
+	}
+	for _, e := range entries {
+		if n := len(strings.TrimSpace(e)); n > maxChangeEntry {
+			t.Errorf("CHANGES.md entry of %d bytes (cap %d): %.80s…", n, maxChangeEntry, e)
+		}
+	}
+}

@@ -149,7 +149,7 @@ func compile(ck *workload.Checked, weightMode task.WeightMode) (*Problem, error)
 		Resources: make([]ProblemResource, len(w.Resources)),
 		src:       w,
 		resIdx:    make(map[string]int, len(w.Resources)),
-		taskIdx:   make(map[string]int, nt),
+		taskIdx:   w.TaskIndex(),
 		subOff:    make([]int32, nt+1),
 		pathOff:   make([]int32, nt+1),
 		res:       make([]int32, nsub),
@@ -163,15 +163,10 @@ func compile(ck *workload.Checked, weightMode task.WeightMode) (*Problem, error)
 	// Count: total the paths, the path entries and each resource's Subs.
 	subCount := make([]int32, len(w.Resources))
 	npaths, nthrough, off := 0, 0, 0
+	var walk task.PathWalk // the checked tasks are acyclic with one root
 	for ti, t := range w.Tasks {
-		p.taskIdx[t.Name] = ti
-		paths, err := t.Paths()
-		if err != nil {
-			return nil, fmt.Errorf("core: task %s: %w", t.Name, err)
-		}
-		npaths += len(paths)
-		for _, path := range paths {
-			nthrough += len(path)
+		for walk.Reset(t); walk.Next(); npaths++ {
+			nthrough += len(walk.Path())
 		}
 		row := ck.TaskResources(ti)
 		for _, ri := range row {
@@ -201,9 +196,6 @@ func compile(ck *workload.Checked, weightMode task.WeightMode) (*Problem, error)
 	for ti, t := range w.Tasks {
 		lo, n := int(p.subOff[ti]), len(t.Subtasks)
 		hi := lo + n
-		paths, _ := t.Paths() // cached by the counting pass
-		plo := int(p.pathOff[ti])
-		p.subOff[ti+1], p.pathOff[ti+1] = int32(hi), int32(plo+len(paths))
 		curve := ck.Curve(ti)
 		pt := &p.Tasks[ti]
 		*pt = ProblemTask{
@@ -213,32 +205,33 @@ func compile(ck *workload.Checked, weightMode task.WeightMode) (*Problem, error)
 		}
 		p.consts[ti].criticalMs = t.CriticalMs
 		p.consts[ti].slope, p.consts[ti].constSlope = utility.ConstSlope(curve)
-		if err := t.WeightsInto(weightMode, pt.Weights); err != nil {
-			return nil, fmt.Errorf("core: task %s: %w", t.Name, err)
-		}
-		// Paths, counting per subtask the paths through it (one slot up in
-		// throughOff, then summed into offsets), then the transpose.
-		toff := p.throughOff[lo+1 : hi+1]
-		for pi, path := range paths {
-			wMin := math.Inf(1)
-			for _, s := range path {
+		// Walk the paths into pathSub, counting per subtask the paths through
+		// it one slot up in throughOff. Those counts are the path weights.
+		plo, toff := int(p.pathOff[ti]), p.throughOff[lo+1:hi+1]
+		gp := plo
+		for walk.Reset(t); walk.Next(); gp++ {
+			for _, s := range walk.Path() {
 				p.pathSub = append(p.pathSub, int32(s))
 				toff[s]++
-				if w := pt.Weights[s]; w < wMin {
-					wMin = w
-				}
 			}
-			p.pathSubOff[plo+pi+1] = int32(len(p.pathSub))
-			p.wMin[plo+pi] = wMin
+			p.pathSubOff[gp+1] = int32(len(p.pathSub))
 		}
-		for g := lo; g < hi; g++ {
+		p.subOff[ti+1], p.pathOff[ti+1] = int32(hi), int32(gp)
+		for g := lo; g < hi; g++ { // the counts into weights, then offsets
+			p.weight[g] = float64(p.throughOff[g+1])
 			p.throughOff[g+1] += p.throughOff[g]
 		}
+		if err := weightMode.FromPathCounts(pt.Weights, gp-plo); err != nil {
+			return nil, fmt.Errorf("core: task %s: %w", t.Name, err)
+		}
+		// Transpose, taking each path's smallest weight on the way.
 		cursor = append(cursor[:0], p.throughOff[lo:hi]...)
-		for pi, path := range paths {
-			for _, s := range path {
-				p.through[cursor[s]] = int32(pi)
+		for g := plo; g < gp; g++ {
+			p.wMin[g] = math.Inf(1)
+			for _, s := range p.pathSub[p.pathSubOff[g]:p.pathSubOff[g+1]] {
+				p.through[cursor[s]] = int32(g - plo)
 				cursor[s]++
+				p.wMin[g] = min(p.wMin[g], pt.Weights[s])
 			}
 		}
 		for si, s := range t.Subtasks {

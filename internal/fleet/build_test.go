@@ -396,11 +396,12 @@ func allocWorkload(t *testing.T) *workload.Workload {
 
 // newAllocsPerTask is the ceiling on heap objects fleet.New allocates per
 // task of allocWorkload. The count repeats to within a few objects (serial
-// build, no pools), so the ceiling sits just above the 3.4 measured: a task
-// costs its path enumeration (three objects: scratch, the paths' one backing
-// array, the list) and a share of the per-shard arrays and name maps — before
-// this budget existed it cost 58.
-const newAllocsPerTask = 4
+// build, no pools), so the ceiling sits just above the 0.19 measured. No
+// object is allocated per task — validation checks small tasks' names
+// without a map and compile walks each task's paths straight into the
+// shard's flat arrays — so what a task pays is its share of the per-shard
+// arrays and maps.
+const newAllocsPerTask = 0.25
 
 // TestFleetBuildAllocBudget pins fleet.New's allocation count per task.
 func TestFleetBuildAllocBudget(t *testing.T) {
@@ -408,9 +409,7 @@ func TestFleetBuildAllocBudget(t *testing.T) {
 	cfg := Config{Shards: 8, Seed: 1, ShardWorkers: 1, Engine: core.Config{Workers: 1}}
 	var buildErr error
 	allocs := testing.AllocsPerRun(3, func() {
-		// Fresh tasks each run: the first compile caches a task's paths on
-		// the task itself, which later builds over the same tasks reuse.
-		f, err := New(w.Clone(), cfg)
+		f, err := New(w, cfg)
 		if err != nil {
 			buildErr = err
 			return
@@ -420,20 +419,18 @@ func TestFleetBuildAllocBudget(t *testing.T) {
 	if buildErr != nil {
 		t.Fatalf("New: %v", buildErr)
 	}
-	clone := testing.AllocsPerRun(3, func() { w.Clone() })
-	perTask := (allocs - clone) / float64(len(w.Tasks))
-	t.Logf("fleet.New: %.0f objects, %.2f per task (ceiling %d)", allocs-clone, perTask, newAllocsPerTask)
+	perTask := allocs / float64(len(w.Tasks))
+	t.Logf("fleet.New: %.0f objects, %.2f per task (ceiling %.2f)", allocs, perTask, newAllocsPerTask)
 	if perTask > newAllocsPerTask {
-		t.Fatalf("fleet.New allocates %.2f objects per task, ceiling %d", perTask, newAllocsPerTask)
+		t.Fatalf("fleet.New allocates %.2f objects per task, ceiling %.2f", perTask, newAllocsPerTask)
 	}
 }
 
 // replaceAllocsPerEvent is the ceiling on heap objects one ReplaceWorkload
 // allocates when the delta dirties one of allocWorkload's eight shards
-// (1 735 measured): the rebuilt shard's 500 tasks at the build cost above,
-// plus whole-workload bookkeeping that is a few dozen slices and maps, not
-// objects per task.
-const replaceAllocsPerEvent = 1900
+// (139 measured): the rebuilt shard's arrays plus whole-workload
+// bookkeeping, a few dozen slices and maps, not objects per task.
+const replaceAllocsPerEvent = 170
 
 // TestFleetReplaceAllocBudget pins what a one-shard churn event allocates:
 // the delta, not the workload.

@@ -147,7 +147,8 @@ type Fleet struct {
 	// ck is the current workload with the proof of its validity: what every
 	// shard is projected from and what ReplaceWorkload checks a successor
 	// against. taskAt maps a task name to its index in that workload (and so,
-	// through part, to its shard); ReplaceWorkload keeps both current.
+	// through part, to its shard): built by its one reader, ReplaceWorkload,
+	// which keeps both current.
 	ck     *workload.Checked
 	part   *Partition
 	shards []*shardRuntime
@@ -250,17 +251,11 @@ func build(ck *workload.Checked, cfg Config) (*Fleet, error) {
 	if s := cfg.Engine.WithDefaults().PriceSolver; cfg.LocalFreeze && s != price.SolverGradient {
 		return nil, fmt.Errorf("fleet: LocalFreeze needs the gradient price solver, shards run %s", s)
 	}
-	w := ck.Workload()
 	part, err := NewPartition(ck, PartitionConfig{Shards: cfg.Shards, Seed: cfg.Seed})
 	if err != nil {
 		return nil, err
 	}
-	f := &Fleet{cfg: cfg, ck: ck, part: part, obsv: cfg.Observer,
-		taskAt: make(map[string]int, len(w.Tasks))}
-	for ti, t := range w.Tasks {
-		f.taskAt[t.Name] = ti
-	}
-
+	f := &Fleet{cfg: cfg, ck: ck, part: part, obsv: cfg.Observer}
 	f.workers = cfg.ShardWorkers
 	if f.workers <= 0 {
 		f.workers = runtime.GOMAXPROCS(0)
@@ -287,7 +282,7 @@ func build(ck *workload.Checked, cfg Config) (*Fleet, error) {
 	bcfg := cfg.Engine.WithDefaults()
 	bcfg.PriceSolver = price.SolverNewton
 	f.bdyn = bcfg.NewDynamics()
-	if err := f.bindBoundary(w, part.Boundary, f); err != nil {
+	if err := f.bindBoundary(ck.Workload(), part.Boundary, f); err != nil {
 		f.Close()
 		return nil, err
 	}

@@ -457,3 +457,34 @@ func shardEngines(f *Fleet) []*core.Engine {
 	}
 	return out
 }
+
+// TestMutatedClusteredWorkloadRefused: Clustered leaves the validation of its
+// output to whoever consumes it, so a generated workload changed afterwards is
+// refused by fleet.New and core.NewEngine alike.
+func TestMutatedClusteredWorkloadRefused(t *testing.T) {
+	for _, tc := range []struct {
+		name, want string
+		mut        func(w *workload.Workload)
+	}{
+		{"NaN WCET", "WCET", func(w *workload.Workload) { w.Tasks[7].Subtasks[1].ExecMs = math.NaN() }},
+		{"duplicate task name", "duplicate task", func(w *workload.Workload) { w.Tasks[9].Name = w.Tasks[2].Name }},
+		{"unknown resource", "unknown resource", func(w *workload.Workload) { w.Tasks[4].Subtasks[0].Resource = "nowhere" }},
+	} {
+		w, err := workload.Clustered(workload.DefaultClusteredConfig(3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := New(w, Config{Shards: 2})
+		if err != nil {
+			t.Fatalf("the unmutated workload is refused: %v", err)
+		}
+		f.Close()
+		tc.mut(w)
+		if _, err := New(w, Config{Shards: 2}); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: fleet.New = %v, want an error containing %q", tc.name, err, tc.want)
+		}
+		if _, err := core.NewEngine(w, core.Config{}); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: core.NewEngine = %v, want an error containing %q", tc.name, err, tc.want)
+		}
+	}
+}

@@ -43,6 +43,9 @@ type ReplaceStats struct {
 // before any state is touched, exactly when w.Validate would refuse it.
 // After any later error the fleet must be discarded.
 func (f *Fleet) ReplaceWorkload(w *workload.Workload) (ReplaceStats, error) {
+	if f.taskAt == nil { // the first churn: index the names now
+		f.taskAt = f.ck.Workload().TaskIndex()
+	}
 	ck2, prev, taskDirty, err := f.ck.Recheck(w, f.taskAt)
 	if err != nil {
 		return ReplaceStats{}, fmt.Errorf("fleet: %w", err)
@@ -214,6 +217,7 @@ func (f *Fleet) replaceFull(ck *workload.Checked, prev []int, added, removed int
 	nf.hashLog, nf.residLog = f.hashLog, f.residLog
 	f.Close()
 	*f = *nf
+	f.taskAt = ck.Workload().TaskIndex()
 
 	st := ReplaceStats{
 		Full: true, Rebuilt: len(f.shards),

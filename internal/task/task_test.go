@@ -1,6 +1,7 @@
 package task
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -60,18 +61,16 @@ func TestPathsDiamond(t *testing.T) {
 	}
 }
 
-func TestPathsCached(t *testing.T) {
+// TestPathsFollowMutation: nothing is cached on a task, so Paths sees every
+// edge added since its last call.
+func TestPathsFollowMutation(t *testing.T) {
 	tk := diamond(t)
 	p1, _ := tk.Paths()
-	p2, _ := tk.Paths()
-	if &p1[0] != &p2[0] {
-		t.Error("Paths should be cached between calls")
-	}
 	tk.AddSubtask(Subtask{Name: "e", Resource: "r4", ExecMs: 1})
 	tk.MustEdge(3, 4)
-	p3, _ := tk.Paths()
-	if len(p3[0]) == len(p1[0]) {
-		t.Error("mutation should invalidate the path cache")
+	p2, _ := tk.Paths()
+	if want := [][]int{{0, 1, 3, 4}, {0, 2, 3, 4}}; !reflect.DeepEqual(p2, want) || len(p1[0]) != 3 {
+		t.Fatalf("paths after adding an edge %v, want %v (before: %v)", p2, want, p1)
 	}
 }
 
@@ -227,6 +226,36 @@ func TestValidateCatchesBadFields(t *testing.T) {
 				t.Fatalf("Validate = %v, want error containing %q", err, c.want)
 			}
 		})
+	}
+}
+
+// TestValidateDuplicateNamesAtEverySize: the pairwise check of tasks with up
+// to 16 subtasks and the map of larger ones refuse the same duplicates with the same error,
+// on one Validator reused across sizes, and pass distinct names.
+func TestValidateDuplicateNamesAtEverySize(t *testing.T) {
+	var v Validator
+	for _, n := range []int{2, 3, 16, 17, 40, 16, 5} {
+		chain := func() *Task {
+			tk := New("chain", 1000)
+			for i := 0; i < n; i++ {
+				tk.AddSubtask(Subtask{Name: "s" + strconv.Itoa(i), Resource: "r" + strconv.Itoa(i), ExecMs: 1})
+				if i > 0 {
+					tk.MustEdge(i-1, i)
+				}
+			}
+			return tk
+		}
+		if err := v.Validate(chain()); err != nil {
+			t.Fatalf("n=%d: distinct names refused: %v", n, err)
+		}
+		for _, pair := range [][2]int{{0, n - 1}, {n / 2, n/2 - 1}, {n - 1, n - 2}} {
+			tk := chain()
+			tk.Subtasks[pair[0]].Name = tk.Subtasks[pair[1]].Name
+			want := fmt.Sprintf("task chain: duplicate subtask name %q", tk.Subtasks[pair[1]].Name)
+			if err := v.Validate(tk); err == nil || err.Error() != want {
+				t.Fatalf("n=%d, subtask %d renamed to %d's name: Validate = %v, want %q", n, pair[0], pair[1], err, want)
+			}
+		}
 	}
 }
 

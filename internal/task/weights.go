@@ -40,42 +40,42 @@ func (m WeightMode) String() string {
 // Weights computes the per-subtask weights for the given mode.
 func (t *Task) Weights(mode WeightMode) ([]float64, error) {
 	w := make([]float64, len(t.Subtasks))
-	if err := t.WeightsInto(mode, w); err != nil {
-		return nil, err
-	}
-	return w, nil
-}
-
-// WeightsInto is Weights into caller-owned storage (len == len(Subtasks)).
-func (t *Task) WeightsInto(mode WeightMode, w []float64) error {
-	switch mode {
-	case WeightSum:
-		for i := range w {
-			w[i] = 1
+	var paths [][]int
+	if mode == WeightPathNormalized || mode == WeightPathRaw {
+		var err error
+		if paths, err = t.Paths(); err != nil {
+			return nil, err
 		}
-		return nil
-	case WeightPathNormalized, WeightPathRaw:
-		paths, err := t.Paths()
-		if err != nil {
-			return err
-		}
-		// Path counts are small integers, exact in a float64.
-		clear(w)
 		for _, p := range paths {
 			for _, s := range p {
 				w[s]++
 			}
 		}
-		if mode == WeightPathNormalized {
-			norm := float64(len(paths))
-			for i := range w {
-				w[i] /= norm
-			}
-		}
-		return nil
-	default:
-		return fmt.Errorf("task %s: unknown weight mode %d", t.Name, int(mode))
 	}
+	if err := mode.FromPathCounts(w, len(paths)); err != nil {
+		return nil, fmt.Errorf("task %s: %w", t.Name, err)
+	}
+	return w, nil
+}
+
+// FromPathCounts turns path counts into the mode's weights in place: w[s] of
+// a task's npaths root-to-leaf paths run through subtask s. Counts are small
+// integers, exact in a float64.
+func (m WeightMode) FromPathCounts(w []float64, npaths int) error {
+	switch m {
+	case WeightSum:
+		for i := range w {
+			w[i] = 1
+		}
+	case WeightPathRaw: // the counts are the weights
+	case WeightPathNormalized:
+		for i := range w {
+			w[i] /= float64(npaths)
+		}
+	default:
+		return fmt.Errorf("unknown weight mode %d", int(m))
+	}
+	return nil
 }
 
 // WeightedLatencyMs returns the weighted sum of subtask latencies under the

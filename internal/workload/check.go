@@ -63,6 +63,15 @@ func (w *Workload) Check() (*Checked, error) {
 	return ck, err
 }
 
+// TaskIndex maps each task's name to its index in w.
+func (w *Workload) TaskIndex() map[string]int {
+	at := make(map[string]int, len(w.Tasks))
+	for ti, t := range w.Tasks {
+		at[t.Name] = ti
+	}
+	return at
+}
+
 // minChunk is the fewest tasks a chunk of Recheck's per-task part holds, so
 // that a small workload is checked inline instead of being handed to workers.
 const minChunk = 2048
@@ -72,8 +81,8 @@ const minChunk = 2048
 // with, per task, prev — its index in the predecessor, matched by name, or -1
 // if it joined — and dirty: it joined, differs from its predecessor in a way
 // a compiled problem can see, or uses a resource whose definition changed.
-// taskAt maps the predecessor's task names to their indices; it is consulted
-// only for a task that is not at its old position.
+// taskAt maps the predecessor's task names to their indices (nil: built
+// here); it is consulted only for a task that is not at its old position.
 //
 // A task that is field for field its predecessor, curve included, inherits
 // its verdict and its resolved row: the per-task checks are a pure function
@@ -123,6 +132,9 @@ func (c *Checked) Recheck(next *Workload, taskAt map[string]int) (ck *Checked, p
 		}
 	}
 
+	if taskAt == nil && len(old.Tasks) > 0 {
+		taskAt = old.TaskIndex()
+	}
 	nt := len(next.Tasks)
 	ck = &Checked{w: next, resIdx: resIdx, subOff: make([]int32, nt+1), curves: make([]utility.Curve, nt)}
 	for ti, t := range next.Tasks {

@@ -88,6 +88,8 @@ func DefaultClusteredConfig(seed int64) ClusteredConfig {
 // and are concatenated in cluster order, so the schedule cannot reach the
 // result. A seeded CrossFraction of tasks then have one subtask rewired onto
 // the next cluster's resources. Identical configs give identical workloads.
+// Random validates each cluster; the merged result is validated once, by
+// whoever consumes it (fleet.New, core.NewEngine, core.Compile).
 func Clustered(cfg ClusteredConfig) (*Workload, error) {
 	if cfg.Clusters < 1 {
 		return nil, fmt.Errorf("workload: Clusters must be >= 1, got %d", cfg.Clusters)
@@ -163,8 +165,5 @@ func Clustered(cfg ClusteredConfig) (*Workload, error) {
 		}
 	}
 
-	if err := out.Validate(); err != nil {
-		return nil, fmt.Errorf("workload: generated clustered workload invalid: %w", err)
-	}
 	return out, nil
 }

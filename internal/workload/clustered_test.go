@@ -122,22 +122,34 @@ func TestClusteredRejectsBadConfig(t *testing.T) {
 	}
 }
 
-// FuzzClusteredSeed asserts that any seed and cross fraction yields either a
-// clean error or a valid, deterministic workload.
+// FuzzClusteredSeed holds Clustered to its guarantee — Clustered does not
+// validate its merged output, so this does: any seed, cross fraction, cluster
+// count (1–5), replication (1–4), chain or DAG shape, curve family and
+// subtask bounds (0–9 on 8 resources) yields either a clean error on an
+// invalid config or a workload that validates, the same every time.
 func FuzzClusteredSeed(f *testing.F) {
-	f.Add(int64(0), 0.0)
-	f.Add(int64(42), 0.15)
-	f.Add(int64(-9), 1.0)
-	f.Fuzz(func(t *testing.T, seed int64, cross float64) {
+	f.Add(int64(0), 0.0, uint8(3), uint8(0), false, false, uint8(3), uint8(5))
+	f.Add(int64(42), 0.15, uint8(1), uint8(1), true, false, uint8(5), uint8(5))
+	f.Add(int64(-9), 1.0, uint8(4), uint8(3), false, true, uint8(1), uint8(8))
+	f.Add(int64(7), 0.5, uint8(0), uint8(2), false, true, uint8(6), uint8(2))
+	f.Fuzz(func(t *testing.T, seed int64, cross float64, clusters, replicate uint8, chain, mixed bool, minSub, maxSub uint8) {
 		cfg := DefaultClusteredConfig(seed)
 		cfg.TasksPerCluster = 3
 		cfg.CrossFraction = cross
+		cfg.Clusters, cfg.ReplicateFactor = 1+int(clusters%5), 1+int(replicate%4)
+		cfg.ChainOnly, cfg.MixedCurves = chain, mixed
+		cfg.MinSubtasks, cfg.MaxSubtasks = int(minSub%10), int(maxSub%10)
+		valid := cross >= 0 && cross <= 1 &&
+			cfg.MinSubtasks >= 1 && cfg.MaxSubtasks >= cfg.MinSubtasks && cfg.MaxSubtasks <= cfg.ResourcesPerCluster
 		a, err := Clustered(cfg)
 		if err != nil {
-			if !(cross >= 0 && cross <= 1) {
+			if !valid {
 				return // rejected cleanly
 			}
 			t.Fatalf("valid config rejected: %v", err)
+		}
+		if !valid {
+			t.Fatalf("invalid config %+v accepted", cfg)
 		}
 		if err := a.Validate(); err != nil {
 			t.Fatalf("generated workload does not validate: %v", err)
@@ -152,6 +164,34 @@ func FuzzClusteredSeed(f *testing.F) {
 			t.Fatal("same config produced different workloads")
 		}
 	})
+}
+
+// TestClusteredOutputValidates: the three benchmark shapes — 16 chain
+// clusters of 125 tasks (fleet-1m-cold, fleet-churn-250k), 8 DAG clusters
+// of 100 tasks (engine-online) and the default — validate at replication up
+// to 3, lightly and fully cross-wired.
+func TestClusteredOutputValidates(t *testing.T) {
+	chains := DefaultClusteredConfig(1)
+	chains.Clusters, chains.TasksPerCluster, chains.ResourcesPerCluster = 16, 125, 500
+	chains.MinSubtasks, chains.MaxSubtasks, chains.ChainOnly, chains.SlackFactor = 5, 5, true, 400
+	dags := DefaultClusteredConfig(1)
+	dags.Clusters, dags.TasksPerCluster, dags.ResourcesPerCluster = 8, 100, 400
+	dags.MinSubtasks, dags.MaxSubtasks, dags.SlackFactor = 3, 7, 400
+	for name, shape := range map[string]ClusteredConfig{"chains": chains, "dags": dags, "default": DefaultClusteredConfig(1)} {
+		for replicate := 1; replicate <= 3; replicate++ {
+			for _, cross := range []float64{0.3, 1} {
+				cfg := shape
+				cfg.ReplicateFactor, cfg.CrossFraction = replicate, cross
+				w, err := Clustered(cfg)
+				if err != nil {
+					t.Fatalf("%s x%d cross %v: %v", name, replicate, cross, err)
+				}
+				if err := w.Validate(); err != nil {
+					t.Fatalf("%s x%d cross %v: generated workload does not validate: %v", name, replicate, cross, err)
+				}
+			}
+		}
+	}
 }
 
 // workloadHash is an FNV-1a digest of everything the optimizer reads from a
