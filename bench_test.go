@@ -185,8 +185,8 @@ func BenchmarkWeightVariants(b *testing.B) {
 	}
 }
 
-// BenchmarkBaselines compares LLA against the centralized reference solver
-// and the deadline-slicing heuristics on the base workload.
+// BenchmarkBaselines compares LLA against the deadline-slicing heuristics on
+// the base workload.
 func BenchmarkBaselines(b *testing.B) {
 	b.Run("lla", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -197,16 +197,6 @@ func BenchmarkBaselines(b *testing.B) {
 			snap, _ := e.RunUntilKKT(8000, 1e-9, 3, 1e-6)
 			b.ReportMetric(snap.Utility, "utility")
 			b.ReportMetric(math.Max(snap.MaxResourceViolation, snap.MaxPathViolationFrac), "viol")
-		}
-	})
-	b.Run("central", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			_, ev, err := baseline.Central(workload.Base(), baseline.CentralConfig{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(ev.Utility, "utility")
-			b.ReportMetric(math.Max(ev.MaxResourceViolation, ev.MaxPathViolationFrac), "viol")
 		}
 	})
 	for _, bl := range []struct {

@@ -93,58 +93,6 @@ func TestEvaluateShapeErrors(t *testing.T) {
 	}
 }
 
-// The centralized penalty solver and LLA must agree on the base workload:
-// same utility within 1% and both feasible. This is the cross-validation of
-// the distributed optimum.
-func TestCentralMatchesLLAOnBase(t *testing.T) {
-	w := workload.Base()
-	_, ev, err := Central(w, CentralConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ev.Feasible(0.02) {
-		t.Fatalf("central solution infeasible: resViol=%.4f pathViol=%.4f",
-			ev.MaxResourceViolation, ev.MaxPathViolationFrac)
-	}
-	e, err := core.NewEngine(w, core.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap, ok := e.RunUntilKKT(5000, 1e-9, 3, 1e-6)
-	if !ok {
-		t.Fatal("LLA did not converge")
-	}
-	rel := math.Abs(ev.Utility-snap.Utility) / math.Abs(snap.Utility)
-	if rel > 0.01 {
-		t.Errorf("central utility %.2f vs LLA %.2f (%.2f%% apart)", ev.Utility, snap.Utility, rel*100)
-	}
-	t.Logf("central=%.3f LLA=%.3f (%.3f%% apart)", ev.Utility, snap.Utility, rel*100)
-}
-
-func TestCentralOnPrototype(t *testing.T) {
-	w := workload.Prototype()
-	_, ev, err := Central(w, CentralConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ev.Feasible(0.02) {
-		t.Fatalf("central infeasible on prototype: %+v", ev)
-	}
-	// Optimal utility: fast tasks at 105ms paths, slow at 3*18/0.1643.
-	want := -(2*105 + 2*3*18/(0.45-10.0/35))
-	if math.Abs(ev.Utility-want)/math.Abs(want) > 0.02 {
-		t.Errorf("central utility %.1f, want ≈ %.1f", ev.Utility, want)
-	}
-}
-
-func TestCentralRejectsInvalidWorkload(t *testing.T) {
-	w := workload.Base()
-	w.Tasks = nil
-	if _, _, err := Central(w, CentralConfig{}); err == nil {
-		t.Error("invalid workload should fail")
-	}
-}
-
 // LLA beats both slicing baselines in utility whenever the baselines are
 // compared on a workload where all are feasible (overprovisioned variant).
 func TestLLADominatesBaselinesWhenFeasible(t *testing.T) {

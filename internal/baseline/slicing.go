@@ -1,8 +1,8 @@
 // Package baseline implements the comparison algorithms LLA is evaluated
-// against: classic offline deadline-slicing heuristics (in the spirit of the
+// against: classic offline deadline-slicing heuristics, in the spirit of the
 // related work the paper cites — Bettati & Liu's even slicing and
-// WCET-proportional slicing) and a centralized penalty-method solver that
-// cross-validates the distributed optimizer's optimum.
+// WCET-proportional slicing. LLA's optimality is not cross-validated here
+// but certified by core.Engine.DualBound.
 //
 // The slicing baselines work with a fixed end-to-end deadline and ignore
 // resource capacity (the paper notes "Neither BST nor AST account for

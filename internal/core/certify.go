@@ -242,3 +242,62 @@ func (p *Problem) CertifyTask(ti int, lat, lambda, mu []float64, kktTol, tol flo
 	}
 	return !(frac >= tol), cp
 }
+
+// DualBound returns the dual bound D̂ at the engine's current prices: no
+// allocation that meets every resource and path constraint has a utility
+// above it, whether or not the engine has converged. With μ the resource
+// prices, λ the path prices and, per task, a its aggregate at the engine's
+// latencies, s = f'(a) its slope there and ℓ* the latencies Equation 7
+// solves at (s, λ, μ),
+//
+//	D̂ = Σ_r μ_r·B_r + Σ_i [f(a) + s·(Σ w·ℓ* − a) − Σ_s μ_r(s)·share_s(ℓ*) − Σ_p λ_p·(Σ_{s∈p} ℓ*_s − C)].
+//
+// Each task's term is the maximum of its Lagrangian over the latency box
+// (which the constraints imply) with f replaced by its tangent at a; since f
+// is concave the tangent lies above it, so D̂ ≥ D(μ, λ), the dual function,
+// which by weak duality bounds every feasible utility. For a constant-slope
+// curve the tangent is f and D̂ = D(μ, λ). At a certified point D̂ meets the
+// utility up to the constraint violations the certificate tolerates.
+// Pinned prices are used as given, so on a fleet shard the bound is the
+// shard's own problem's at the aggregator's boundary prices. DualBound reads
+// the state and allocates one scratch row; it is off the iteration's path.
+func (e *Engine) DualBound() float64 {
+	p := e.p
+	d, row := 0.0, 0
+	for ri, r := range p.Resources {
+		d += e.price[ri] * r.Availability
+	}
+	for ti := range p.Tasks {
+		row = max(row, int(p.subOff[ti+1]-p.subOff[ti]))
+	}
+	star := make([]float64, row)
+	for ti := range p.Tasks {
+		d += p.dualTerm(ti, e.taskLat(ti), e.lambda[p.pathOff[ti]:p.pathOff[ti+1]], e.price, star)
+	}
+	return d
+}
+
+// dualTerm is task ti's term of DualBound at latencies lat, path prices
+// lambda and resource prices mu, solving ℓ* into the scratch row star.
+func (p *Problem) dualTerm(ti int, lat, lambda, mu, star []float64) float64 {
+	k, curve := p.consts[ti], p.Tasks[ti].Curve
+	a, slope := p.aggregate(ti, lat), k.slope
+	if !k.constSlope {
+		slope = curve.Slope(a)
+	}
+	star = star[:len(lat)]
+	v := curve.Value(a) + slope*(p.latenciesAt(ti, star, lambda, mu, slope)-a)
+	lo := p.subOff[ti]
+	for si, l := range star {
+		g := lo + int32(si)
+		v -= mu[p.res[g]] * p.ShareAt(g, l)
+	}
+	for pi, l := range lambda {
+		sum := 0.0
+		for _, s := range p.Path(ti, pi) {
+			sum += star[s]
+		}
+		v -= l * (sum - k.criticalMs)
+	}
+	return v
+}

@@ -502,3 +502,131 @@ func requireSnapshotFromScratch(t *testing.T, at string, e *Engine) {
 		t.Fatalf("%s: Probe %+v, recomputed %+v", at, got, want)
 	}
 }
+
+// lagrangian is L(ℓ, μ, λ) = Σ f(a) − Σ_r μ_r(Σ share − B_r) − Σ_p λ_p(Σ_{s∈p} ℓ_s − C)
+// at the engine's latencies and prices, summed per resource rather than per
+// task as DualBound's terms are.
+func lagrangian(e *Engine) float64 {
+	p, l := e.p, 0.0
+	for ti := range p.Tasks {
+		lat := e.taskLat(ti)
+		l += p.Tasks[ti].Curve.Value(p.aggregate(ti, lat))
+		for pi, lp := range e.lambda[p.pathOff[ti]:p.pathOff[ti+1]] {
+			sum := 0.0
+			for _, s := range p.Path(ti, pi) {
+				sum += lat[s]
+			}
+			l -= lp * (sum - p.Tasks[ti].CriticalMs)
+		}
+	}
+	for ri, r := range p.Resources {
+		sum := 0.0
+		for _, g := range r.Subs {
+			sum += p.ShareAt(g, e.lat[g])
+		}
+		l -= e.price[ri] * (sum - r.Availability)
+	}
+	return l
+}
+
+// TestDualBound holds DualBound to what makes it a certificate: at every
+// iterate it is at least the Lagrangian there (it is that Lagrangian's
+// maximum, with each curve replaced by its tangent: a wrong slope or sign
+// in the argmax fails this) and at least the certified optimum U*, and at a
+// certified point it meets the utility. Each instance runs under both
+// solvers: once to its certificate, once over its first 400 iterates.
+func TestDualBound(t *testing.T) {
+	random := func(seed int64, mixed bool, slack float64) *workload.Workload {
+		cfg := workload.DefaultRandomConfig(seed)
+		cfg.MixedCurves = mixed
+		if slack > 0 {
+			cfg.SlackFactor = slack
+		}
+		w, err := workload.Random(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return w
+	}
+	replicate := func(k int, scale float64) *workload.Workload {
+		w, err := workload.Replicate(workload.Base(), k, scale)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return w
+	}
+	type dualCase struct {
+		name string
+		w    *workload.Workload
+		// iterates: the 400-iterate sweep runs; certifies: the run reaches
+		// its certificate, so U* exists.
+		iterates, certifies bool
+	}
+	cases := []dualCase{
+		{"base", workload.Base(), true, true},
+		{"prototype", workload.Prototype(), true, true},
+		{"base x1 crit x4", replicate(1, 4), false, true},
+		{"base x2 crit x8", replicate(2, 8), false, true},
+	}
+	for _, seed := range []int64{1, 2, 3, 6, 16} {
+		cases = append(cases, dualCase{fmt.Sprintf("linear seed %d", seed), random(seed, false, 0), false, true})
+	}
+	for seed := int64(0); seed < 5; seed++ {
+		cases = append(cases, dualCase{fmt.Sprintf("mixed seed %d slack 10", seed), random(seed, true, 10), true, true})
+	}
+	for _, seed := range []int64{1, 6, 16} {
+		cases = append(cases, dualCase{fmt.Sprintf("mixed seed %d", seed), random(seed, true, 0), false, true})
+	}
+	// Mixed seeds 5, 9 and 19 never certify: their iterates alternate between
+	// two points, each a few percent over capacity, so there is no U* and
+	// the gap at the last iterate measures that violation, not the bound.
+	// Their gaps are logged; the bound is still held against the Lagrangian,
+	// which it bounds at any prices.
+	for _, seed := range []int64{5, 9, 19} {
+		cases = append(cases, dualCase{fmt.Sprintf("mixed seed %d", seed), random(seed, true, 0), seed != 19, false})
+	}
+	for _, tc := range cases {
+		for _, solver := range []price.Solver{price.SolverGradient, price.SolverNewton} {
+			name := fmt.Sprintf("%s/%s", tc.name, solver)
+			e, err := NewEngine(tc.w, Config{PriceSolver: solver, Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			snap, ok := e.RunUntilKKT(4000, StopKKTTol, StopWindow, StopTol)
+			bound := e.DualBound()
+			gap := (bound - snap.Utility) / max(1, math.Abs(snap.Utility))
+			e.Close()
+			switch {
+			case ok != tc.certifies:
+				t.Errorf("%s: certified %v, want %v", name, ok, tc.certifies)
+				continue
+			case !ok:
+				t.Logf("%s: not certified after %d iterations: gap %.3g", name, snap.Iteration, gap)
+			case math.Abs(gap) > 1e-8:
+				t.Errorf("%s: certified gap %.3g: bound %v, utility %v", name, gap, bound, snap.Utility)
+			}
+			if !tc.iterates {
+				continue
+			}
+			e, err = NewEngine(tc.w, Config{PriceSolver: solver, Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for it := 0; it <= 400; it++ {
+				if it > 0 {
+					e.Step()
+				}
+				d, l := e.DualBound(), lagrangian(e)
+				if d < l-1e-12*max(1, math.Abs(l)) {
+					t.Errorf("%s: iterate %d: bound %v below the Lagrangian %v", name, it, d, l)
+					break
+				}
+				if u := snap.Utility; ok && d < u-1e-8*math.Abs(u)-1e-8 {
+					t.Errorf("%s: iterate %d: bound %v below the certified optimum %v", name, it, d, u)
+					break
+				}
+			}
+			e.Close()
+		}
+	}
+}

@@ -147,8 +147,8 @@ func TestFleetCoupledMatchesSingleWithinTol(t *testing.T) {
 	if !ok {
 		t.Fatal("single engine did not converge")
 	}
-	if rel := math.Abs(res.Utility-snap.Utility) / math.Abs(snap.Utility); rel > 1e-3 {
-		t.Errorf("fleet utility %v vs single %v (rel diff %v > 1e-3)", res.Utility, snap.Utility, rel)
+	if rel := math.Abs(res.Utility-snap.Utility) / math.Abs(snap.Utility); rel > 1e-6 {
+		t.Errorf("fleet utility %v vs single %v (rel diff %v > 1e-6)", res.Utility, snap.Utility, rel)
 	}
 }
 

@@ -105,8 +105,8 @@ func TestFleetNewtonHeldToGradientOracle(t *testing.T) {
 						denseCertify(t, what+" oracle", gf)
 					}
 					if n.Converged && g.Converged {
-						if d := relDiff(n.Utility, g.Utility); d > 1e-3 {
-							t.Errorf("%s: newton utility %v, oracle %v (rel diff %v > 1e-3)", what, n.Utility, g.Utility, d)
+						if d := relDiff(n.Utility, g.Utility); d > 1e-6 {
+							t.Errorf("%s: newton utility %v, oracle %v (rel diff %v > 1e-6)", what, n.Utility, g.Utility, d)
 						}
 						if n.BoundaryCount > 0 {
 							coupled++
@@ -201,7 +201,7 @@ func TestFleetNewtonSafeguardCoordinates(t *testing.T) {
 	if lifted.Rounds >= liftedOracle.Rounds {
 		t.Errorf("zeroed price: newton took %d rounds, oracle %d", lifted.Rounds, liftedOracle.Rounds)
 	}
-	if d := relDiff(lifted.Utility, cold.Utility); d > 1e-3 {
+	if d := relDiff(lifted.Utility, cold.Utility); d > 1e-6 {
 		t.Errorf("utility %v after the price was zeroed, %v before (rel diff %v)", lifted.Utility, cold.Utility, d)
 	}
 
@@ -233,7 +233,7 @@ func TestFleetNewtonSafeguardCoordinates(t *testing.T) {
 	if n >= g {
 		t.Errorf("boundary capacity halved and restored: newton re-certified in %d rounds, oracle in %d", n, g)
 	}
-	if d := relDiff(restored, cold.Utility); d > 1e-3 {
+	if d := relDiff(restored, cold.Utility); d > 1e-6 {
 		t.Errorf("utility %v after the capacity was restored, %v before (rel diff %v)", restored, cold.Utility, d)
 	}
 	t.Logf("rounds newton/oracle: cold %d/%d, zeroed price %d/%d, capacity halved+restored %d/%d",

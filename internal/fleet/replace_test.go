@@ -85,7 +85,7 @@ func TestFleetReplaceWorkloadIncremental(t *testing.T) {
 		t.Fatalf("warm fleet did not re-converge in %d rounds", res.Rounds)
 	}
 	cold := replaceUtility(t, w2, cfg)
-	if dev := math.Abs(res.Utility-cold) / math.Max(math.Abs(cold), 1); dev > 1e-3 {
+	if dev := math.Abs(res.Utility-cold) / math.Max(math.Abs(cold), 1); dev > 1e-6 {
 		t.Fatalf("warm utility %v deviates from cold %v by %v", res.Utility, cold, dev)
 	}
 }
@@ -182,7 +182,7 @@ func TestFleetReplaceWorkloadChurn(t *testing.T) {
 	}
 	requireProbedUtility(t, "re-run", f, res)
 	cold := replaceUtility(t, w2, cfg)
-	if dev := math.Abs(res.Utility-cold) / math.Max(math.Abs(cold), 1); dev > 1e-3 {
+	if dev := math.Abs(res.Utility-cold) / math.Max(math.Abs(cold), 1); dev > 1e-6 {
 		t.Fatalf("warm utility %v deviates from cold %v by %v", res.Utility, cold, dev)
 	}
 	// A run that sweeps nothing sums the utilities cached by the last one.

@@ -24,4 +24,3 @@ func benchScheduler(b *testing.B, mk func() Scheduler) {
 
 func BenchmarkGPS(b *testing.B)     { benchScheduler(b, func() Scheduler { return NewGPS() }) }
 func BenchmarkQuantum(b *testing.B) { benchScheduler(b, func() Scheduler { return NewQuantum(1) }) }
-func BenchmarkSFQ(b *testing.B)     { benchScheduler(b, func() Scheduler { return NewSFQ(1) }) }

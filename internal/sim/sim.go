@@ -19,9 +19,6 @@ const (
 	// Quantum is the quantum-based weighted round-robin scheduler, which
 	// exhibits realistic scheduling lag.
 	Quantum
-	// SFQ is the start-time fair queuing scheduler, the virtual-time family
-	// the paper's prototype kernel scheduler belongs to.
-	SFQ
 )
 
 // Config parametrizes a simulation.
@@ -121,8 +118,6 @@ func New(w *workload.Workload, cfg Config) (*Sim, error) {
 			sc = sched.NewGPS()
 		case Quantum:
 			sc = sched.NewQuantum(cfg.QuantumMs)
-		case SFQ:
-			sc = sched.NewSFQ(cfg.QuantumMs)
 		default:
 			return nil, fmt.Errorf("sim: unknown scheduler kind %d", int(cfg.Scheduler))
 		}

@@ -7,6 +7,7 @@ package utility
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -131,6 +132,12 @@ func NewPiecewiseLinear(xs, ys []float64) (*PiecewiseLinear, error) {
 		ys: append([]float64(nil), ys...),
 	}
 	return p, nil
+}
+
+// Knots returns copies of the curve's knots: NewPiecewiseLinear(p.Knots())
+// rebuilds it.
+func (p *PiecewiseLinear) Knots() (xs, ys []float64) {
+	return slices.Clone(p.xs), slices.Clone(p.ys)
 }
 
 // segment returns the index i of the segment [xs[i], xs[i+1]] containing x,

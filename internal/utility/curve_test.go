@@ -340,3 +340,16 @@ func TestPercentilePaperExample(t *testing.T) {
 		t.Errorf("q = %v, want %v", q, want)
 	}
 }
+
+// Knots hands out copies: writing them leaves the curve as it was.
+func TestPiecewiseKnotsAreCopies(t *testing.T) {
+	c, err := NewPiecewiseLinear([]float64{0, 50, 100}, []float64{10, 5, 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	xs, ys := c.Knots()
+	xs[1], ys[1] = 60, 9
+	if v := c.Value(50); v != 5 {
+		t.Errorf("curve moved through its knots' copies: f(50) = %v, want 5", v)
+	}
+}

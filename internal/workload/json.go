@@ -177,9 +177,13 @@ func encodeCurve(c utility.Curve) (curveJSON, error) {
 		return curveJSON{Kind: "quadratic", A: v.A, B: v.B}, nil
 	case utility.ExpPenalty:
 		return curveJSON{Kind: "exp-penalty", A: v.A, B: v.B, Tau: v.Tau}, nil
-	default:
-		return curveJSON{}, fmt.Errorf("curve type %T not serializable", c)
+	case *utility.PiecewiseLinear:
+		if v != nil {
+			xs, ys := v.Knots()
+			return curveJSON{Kind: "piecewise", Xs: xs, Ys: ys}, nil
+		}
 	}
+	return curveJSON{}, fmt.Errorf("curve type %T not serializable", c)
 }
 
 func decodeCurve(cj curveJSON) (utility.Curve, error) {

@@ -3,6 +3,7 @@ package workload
 import (
 	"encoding/json"
 	"math"
+	"reflect"
 	"testing"
 
 	"lla/internal/share"
@@ -390,6 +391,52 @@ func TestJSONRoundTrip(t *testing.T) {
 		if err := back.Validate(); err != nil {
 			t.Errorf("%s: decoded workload invalid: %v", w.Name, err)
 		}
+	}
+}
+
+// TestJSONCurveRoundTrip re-encodes every curve kind decodeCurve accepts to
+// the JSON it was decoded from, and a workload holding a decoded piecewise
+// curve survives Marshal and Unmarshal.
+func TestJSONCurveRoundTrip(t *testing.T) {
+	for _, cj := range []curveJSON{
+		{Kind: "linear", K: 2, CMs: 40},
+		{Kind: "neg-latency"},
+		{Kind: "quadratic", A: 100, B: 0.01},
+		{Kind: "exp-penalty", A: 10, B: 1, Tau: 50},
+		{Kind: "piecewise", Xs: []float64{0, 50, 100}, Ys: []float64{10, 5, 0}},
+	} {
+		c, err := decodeCurve(cj)
+		if err != nil {
+			t.Fatalf("%s: decode: %v", cj.Kind, err)
+		}
+		back, err := encodeCurve(c)
+		if err != nil {
+			t.Fatalf("%s: encode: %v", cj.Kind, err)
+		}
+		if !reflect.DeepEqual(back, cj) {
+			t.Errorf("%s: re-encoded as %+v", cj.Kind, back)
+		}
+	}
+	in := `{"name":"pw","resources":[{"id":"r0","kind":"cpu","availability":1}],
+	  "tasks":[{"name":"t","criticalMs":100,"curve":{"kind":"piecewise","xs":[0,50,100],"ys":[10,5,0]},
+	  "subtasks":[{"name":"a","resource":"r0","execMs":1}],"edges":[]}]}`
+	var w Workload
+	if err := json.Unmarshal([]byte(in), &w); err != nil {
+		t.Fatal(err)
+	}
+	data, err := json.Marshal(&w)
+	if err != nil {
+		t.Fatalf("decoded piecewise workload does not re-encode: %v", err)
+	}
+	var back Workload
+	if err := json.Unmarshal(data, &back); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := back.Curves["t"].Value(75), w.Curves["t"].Value(75); got != want {
+		t.Errorf("round-tripped curve gives %v at 75, want %v", got, want)
+	}
+	if _, err := encodeCurve((*utility.PiecewiseLinear)(nil)); err == nil {
+		t.Error("a nil piecewise curve should not encode")
 	}
 }
 

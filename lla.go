@@ -239,15 +239,10 @@ var NewPlacer = admit.NewPlacer
 // studies (the lla-sim "churn" experiment replays seeded traces of them).
 type ChurnTemplate = workload.ChurnTemplate
 
-// Baselines (offline deadline-slicing heuristics and the centralized
-// reference solver) for comparison against LLA.
-type (
-	// BaselineAssignment is a per-task latency assignment produced by a
-	// baseline algorithm.
-	BaselineAssignment = baseline.Assignment
-	// CentralConfig parametrizes the centralized reference solver.
-	CentralConfig = baseline.CentralConfig
-)
+// BaselineAssignment is a per-task latency assignment produced by a
+// baseline, an offline deadline-slicing heuristic LLA is compared against.
+// No feasible assignment's utility exceeds LLA's Engine.DualBound.
+type BaselineAssignment = baseline.Assignment
 
 var (
 	// EvenSlice distributes each critical time evenly along paths.
@@ -256,7 +251,4 @@ var (
 	ProportionalSlice = baseline.ProportionalSlice
 	// EvaluateAssignment scores an assignment against a workload.
 	EvaluateAssignment = baseline.Evaluate
-	// CentralSolve runs the centralized augmented-Lagrangian reference
-	// solver.
-	CentralSolve = baseline.Central
 )

@@ -128,15 +128,38 @@ func TestFacadeBaselinesEndToEnd(t *testing.T) {
 	if ev.MaxPathViolationFrac > 1e-9 {
 		t.Errorf("even slicing violated a deadline: %v", ev.MaxPathViolationFrac)
 	}
-	_, central, err := lla.CentralSolve(w, lla.CentralConfig{})
+	prop, err := lla.ProportionalSlice(w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !central.Feasible(0.02) {
-		t.Errorf("central solution infeasible: %+v", central)
+	pev, err := lla.EvaluateAssignment(w, prop, lla.WeightPathNormalized)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if central.Utility < ev.Utility-1e-6 {
-		t.Errorf("central %.2f worse than even slicing %.2f", central.Utility, ev.Utility)
+	// The dual bound at LLA's certified prices bounds every feasible
+	// allocation, the slicings among them, and meets LLA's own utility.
+	e, err := lla.NewEngine(w, lla.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, ok := e.RunUntilKKT(5000, 1e-9, 3, 1e-6)
+	if !ok {
+		t.Fatal("LLA did not certify")
+	}
+	bound := e.DualBound()
+	for i, sl := range [...]struct {
+		utility  float64
+		feasible bool
+	}{{ev.Utility, ev.Feasible(1e-9)}, {pev.Utility, pev.Feasible(1e-9)}} {
+		if !sl.feasible {
+			t.Fatalf("slicing %d is infeasible, so the bound says nothing of it", i)
+		}
+		if bound < sl.utility {
+			t.Errorf("dual bound %v below feasible slicing %d's utility %v", bound, i, sl.utility)
+		}
+	}
+	if gap := (bound - snap.Utility) / max(1, math.Abs(snap.Utility)); math.Abs(gap) > 1e-8 {
+		t.Errorf("certified gap %.3g: bound %v, utility %v", gap, bound, snap.Utility)
 	}
 }
 
