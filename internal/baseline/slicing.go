@@ -16,7 +16,6 @@ import (
 
 	"lla/internal/share"
 	"lla/internal/task"
-	"lla/internal/utility"
 	"lla/internal/workload"
 )
 
@@ -126,14 +125,12 @@ func Evaluate(w *workload.Workload, a *Assignment, mode task.WeightMode) (*Evalu
 		if len(lats) != len(t.Subtasks) {
 			return nil, fmt.Errorf("baseline: task %s assignment covers %d subtasks, want %d", t.Name, len(lats), len(t.Subtasks))
 		}
-		u, err := utility.NewTaskUtility(t, mode, w.Curves[t.Name])
+		weights, err := t.Weights(mode)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("baseline: task %s: %w", t.Name, err)
 		}
-		val, err := u.Value(lats)
-		if err != nil {
-			return nil, err
-		}
+		agg, _ := task.WeightedLatencyMs(weights, lats) // lengths checked above
+		val := w.Curves[t.Name].Value(agg)
 		ev.TaskUtility = append(ev.TaskUtility, val)
 		ev.Utility += val
 

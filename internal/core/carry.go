@@ -1,5 +1,7 @@
 package core
 
+import "math"
+
 // State carry-over between engines: the warm-start primitive behind
 // ReplaceWorkload and the fleet's incremental repartitioning
 // (fleet.ReplaceWorkload). A freshly built engine adopts as much of one or
@@ -77,4 +79,35 @@ func (d *Engine) carryInto(e *Engine, muDone, taskDone []bool) {
 		}
 		taskDone[ti] = true
 	}
+}
+
+// PriceRoots returns, per resource r, the root sum Σ_s √(c_s·w_s·|f_i'(L_i)|)
+// over its subtasks at the engine's current latencies, in compiled order:
+// c_s the share numerator, w_s the weight and f_i'(L_i) the slope of the
+// subtask's task at its aggregate. With every path price at zero and every
+// latency interior, Equation 7 gives subtask s the share √(c_s·w_s·|f'|/μ_r),
+// so (root_r/B_r)² is the price at which r's demand meets its availability:
+// the relaxed dual optimum a cold fleet seeds its prices with (SeedPrices).
+func (e *Engine) PriceRoots() []float64 {
+	p := e.p
+	roots := make([]float64, len(p.Resources))
+	for ti := range p.Tasks {
+		slope := p.consts[ti].slope
+		if !p.consts[ti].constSlope {
+			slope = p.Tasks[ti].Curve.Slope(p.aggregate(ti, e.taskLat(ti)))
+		}
+		for g := p.subOff[ti]; g < p.subOff[ti+1]; g++ {
+			roots[p.res[g]] += math.Sqrt(p.cost[g] * p.weight[g] * math.Abs(slope))
+		}
+	}
+	return roots
+}
+
+// SeedPrices installs mu, indexed like Problem.Resources, as the prices of a
+// cold engine, before its first Step. Nothing the construction's refresh
+// cached depends on a price, so only the fixed points, the grades and the
+// dynamics' history drop.
+func (e *Engine) SeedPrices(mu []float64) {
+	copy(e.price, mu)
+	e.invalidateSparse()
 }

@@ -104,6 +104,12 @@ func (e *Engine) ReadCheckpoint(d *byteio.Dec, version int) {
 	}
 	readF64s(d, e.shareSums, "ShareSums", -big, big)
 	readBools(d, e.congested, "Congested")
+	e.stale = e.stale[:0]
+	for ri, c := range e.congested { // pins are not restored: a pinned flag is stale
+		if c != p.Resources[ri].Congested(e.shareSums[ri]) {
+			e.stale = append(e.stale, int32(ri))
+		}
+	}
 	if version < 4 {
 		e.readFingerprints(d)
 	} else {

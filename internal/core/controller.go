@@ -293,12 +293,3 @@ func (c *Controller) ClampDeadlineSafe() float64 {
 	}
 	return 0
 }
-
-// ResetPrices zeroes the path prices and resets their step sizes; used
-// after structural workload changes.
-func (c *Controller) ResetPrices() {
-	for pi := range c.Lambda {
-		c.Lambda[pi] = 0
-		c.gamma[pi] = c.step.Gamma
-	}
-}

@@ -159,20 +159,6 @@ func TestControllerClampDeadlineSafe(t *testing.T) {
 	}
 }
 
-func TestControllerResetPrices(t *testing.T) {
-	p := newTestProblem(t, utility.Linear{K: 2, CMs: 100})
-	c := NewController(p, 0, fixedPolicy)
-	c.LatMs[0], c.LatMs[1] = 80, 40
-	c.Solve([]float64{1, 1}, nil)
-	if c.Lambda[0] == 0 {
-		t.Fatal("setup failed: lambda should be positive")
-	}
-	c.ResetPrices()
-	if c.Lambda[0] != 0 {
-		t.Errorf("lambda = %v after reset, want 0", c.Lambda[0])
-	}
-}
-
 func TestControllerSharesAndCriticalPath(t *testing.T) {
 	p := newTestProblem(t, utility.Linear{K: 2, CMs: 100})
 	c := NewController(p, 0, fixedPolicy)

@@ -23,7 +23,9 @@ type StepPolicy struct {
 }
 
 // InitialMu is every resource's starting price: the engine's, a distributed
-// resource node's, and the floor admission prices newcomers at.
+// resource node's, and the floor admission prices newcomers at. A cold fleet
+// seeds its shards' prices instead (SeedPrices) and keeps InitialMu only
+// where the seed is zero.
 const InitialMu = 1
 
 // Config configures an Engine.
@@ -147,6 +149,11 @@ type Engine struct {
 	// and its congestion flag is the externally supplied one.
 	pinned     []bool
 	pinnedCong []bool
+	// stale lists the resources whose congestion flag may differ from the
+	// one their cached sum gives: unpinned since their last reduction, or
+	// restored so from a checkpoint. Every other flag is its sum's, so a
+	// localized refresh re-derives only these and its own (refreshResource).
+	stale []int32
 	// pinEpoch counts pin-state changes: it advances whenever a PinPrice
 	// actually moves a pinned value (price or congestion bit) and on every
 	// UnpinPrice. A caller that recorded the epoch at its last sweep can
@@ -291,6 +298,7 @@ func (e *Engine) refreshResourceState() {
 		e.shareSums[ri], e.inner[ri] = e.demand(ri)
 		e.congested[ri] = e.congestion(ri)
 	}
+	e.stale = e.stale[:0]
 	e.invalidateSparse()
 }
 
@@ -303,22 +311,24 @@ func (e *Engine) refreshResourceState() {
 // refresh would recompute bit for bit: every other share is its latency's
 // under unchanged bounds, and every other resource's reduction is over those
 // shares. The congestion flags, every price fixed point and the dynamics'
-// history are O(resources) and stay global — each flag is re-derived from
-// its cached sum, as the global refresh does, in case its resource was
-// unpinned since its last reduction, and a flag that flips unsettles its
-// observers — so no skipped coordinate straddles the reset and the
-// trajectory is the global refresh's.
+// history are O(resources) and stay global. Of the congestion flags only
+// ri's and the stale ones can differ from what the global refresh re-derives
+// from the cached sums; those are re-derived, and a flag that flips
+// unsettles its observers — so no skipped coordinate straddles the reset and
+// the trajectory is the global refresh's.
 func (e *Engine) refreshResource(ri int) {
 	p := e.p
 	for _, g := range p.Resources[ri].Subs {
 		e.shares[g] = flagged(p.ShareAt(g, e.lat[g]), e.lat[g], p.latMin[g], p.latMax[g])
 	}
 	e.shareSums[ri], e.inner[ri] = e.demand(ri)
-	for r, was := range e.congested {
-		if e.congested[r] = e.congestion(r); e.congested[r] != was {
-			e.unsettle(r)
+	for _, r := range append(e.stale, int32(ri)) {
+		if c := e.congestion(int(r)); c != e.congested[r] {
+			e.congested[r] = c
+			e.unsettle(int(r))
 		}
 	}
+	e.stale = e.stale[:0]
 	e.unsettle(ri)
 	clear(e.priceStable)
 	e.dyn.Invalidate()
@@ -388,6 +398,13 @@ func (e *Engine) resourcePhase() {
 			}
 		}
 	}
+	n := 0 // a stale resource reduced below re-derives its flag
+	for _, ri := range e.stale {
+		if e.priceStable[ri] {
+			e.stale[n], n = ri, n+1
+		}
+	}
+	e.stale = e.stale[:n]
 	var clean uint64
 	maxd := 0.0
 	for ri, mu := range e.price {
@@ -631,14 +648,4 @@ func (e *Engine) findSubtask(taskName, subtaskName string) (int, int, error) {
 		}
 	}
 	return 0, 0, fmt.Errorf("core: task %s has no subtask %q", taskName, subtaskName)
-}
-
-// KKTResidualsInto measures how far the current point is from stationarity:
-// for every subtask whose latency is strictly inside its bounds, the
-// residual of Equation 7 normalized by the price scale. Near the optimum
-// these vanish. It appends them to dst[:0] and returns the extended slice,
-// reusing dst's capacity so repeated calls with the returned buffer are
-// allocation-free once it has grown to the interior-subtask count.
-func (e *Engine) KKTResidualsInto(dst []float64) []float64 {
-	return e.kktScan(kktFold{all: dst[:0], collect: true}).all
 }

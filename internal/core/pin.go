@@ -99,6 +99,7 @@ func (e *Engine) UnpinPrice(ri int) {
 		return
 	}
 	e.pinned[ri] = false
+	e.stale = append(e.stale, int32(ri)) // its flag is the pinned one until reduced
 	e.pinEpoch++
 	// The coordinate's step was frozen while pinned; force a real reprice
 	// on the next resource phase rather than trusting a stale fixed-point

@@ -269,13 +269,6 @@ func (p *Problem) Path(ti, pi int) []int32 {
 	return p.pathSub[p.pathSubOff[gp]:p.pathSubOff[gp+1]]
 }
 
-// PathsThrough returns the task-local indices of the paths of task ti that
-// contain subtask si. The slice aliases the problem.
-func (p *Problem) PathsThrough(ti, si int) []int32 {
-	g := p.subOff[ti] + int32(si)
-	return p.through[p.throughOff[g]:p.throughOff[g+1]]
-}
-
 // Share returns subtask (ti, si)'s share function: WCET + resource lag, with
 // the current additive error term.
 func (p *Problem) Share(ti, si int) share.WCETLag {

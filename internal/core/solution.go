@@ -172,25 +172,3 @@ func (s Snapshot) String() string {
 		s.Iteration, s.Utility, s.MaxResourceViolation, s.MaxPathViolationFrac)
 	return b.String()
 }
-
-// LatencyByName returns the latency assigned to the named subtask of the
-// named task, resolving through the engine's problem. It returns an error
-// for unknown names.
-func (e *Engine) LatencyByName(taskName, subtaskName string) (float64, error) {
-	ti, si, err := e.findSubtask(taskName, subtaskName)
-	if err != nil {
-		return 0, err
-	}
-	return e.lat[e.p.subOff[ti]+int32(si)], nil
-}
-
-// ShareByName returns the share implied by the current latency of the named
-// subtask.
-func (e *Engine) ShareByName(taskName, subtaskName string) (float64, error) {
-	ti, si, err := e.findSubtask(taskName, subtaskName)
-	if err != nil {
-		return 0, err
-	}
-	g := e.p.subOff[ti] + int32(si)
-	return e.p.ShareAt(g, e.lat[g]), nil
-}

@@ -386,6 +386,46 @@ func TestLocalRefreshMatchesGlobal(t *testing.T) {
 	}
 }
 
+// TestRestoredStaleFlagRefreshesLikeGlobal: pins are not checkpointed, so a
+// congestion flag pinned against its resource's demand is restored stale,
+// and a localized refresh on another resource must re-derive it as the
+// global refresh does.
+func TestRestoredStaleFlagRefreshesLikeGlobal(t *testing.T) {
+	cfg := workload.DefaultClusteredConfig(5)
+	cfg.SlackFactor = 40
+	w, err := workload.Clustered(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mk := func() *Engine {
+		e, err := NewEngine(w, Config{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	src, local, global := mk(), mk(), mk()
+	src.RunUntilKKT(400, 1e-9, 3, 1e-6)
+	if err := src.PinPrice(0, src.price[0], !src.congested[0]); err != nil {
+		t.Fatal(err)
+	}
+	sec := checkpointSection(t, src)
+	for _, e := range []*Engine{local, global} {
+		if err := readSection(e, sec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := local.SetAvailability(local.p.Resources[1].ID, 0.7); err != nil {
+		t.Fatal(err)
+	}
+	setAvailabilityGlobal(global, 1, 0.7)
+	requireEnginesBitwiseEqual(t, "after the refresh", local, global)
+	for _, e := range []*Engine{local, global} {
+		e.RunUntilKKT(400, 1e-9, 3, 1e-6)
+	}
+	requireEnginesBitwiseEqual(t, "re-converged", local, global)
+}
+
 // TestSkippedInputsUnmoved is the soundness oracle of the pushed skip flags:
 // a controller marked stable skips its next solve, which is sound only if
 // every price and congestion flag it observes is bitwise what the last

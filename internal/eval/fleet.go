@@ -17,7 +17,7 @@ import (
 // certifies its own KKT residual too, but the cross-check against an
 // independently converged engine is what ties the hierarchy back to the
 // paper's centralized optimum.
-const fleetUtilityTol = 1e-3
+const fleetUtilityTol = 1e-6
 
 // Fleet runs the hierarchical sharded fleet (SHARDING.md) on a clustered
 // workload and cross-checks it against the single-engine reference: the

@@ -197,9 +197,10 @@ type Fleet struct {
 }
 
 // New validates and partitions the workload, builds one engine per shard —
-// the only place a task is compiled — and pins every boundary resource to
-// the initial price. Shard engines share the workload's *task.Task values:
-// the caller must not modify a workload it has handed to the fleet.
+// the only place a task is compiled — seeds every resource price with the
+// relaxed dual optimum and pins every boundary resource to its seed. Shard
+// engines share the workload's *task.Task values: the caller must not modify
+// a workload it has handed to the fleet.
 func New(w *workload.Workload, cfg Config) (*Fleet, error) {
 	ck, err := w.Check()
 	if err != nil {
@@ -210,10 +211,12 @@ func New(w *workload.Workload, cfg Config) (*Fleet, error) {
 
 // buildShards builds on the fleet's pool the engine of each shard s with
 // only[s] (nil: all) over tasks[s], projected from the proof, and carries
-// f's donors into it when prev is non-nil. A job writes only its own slot; on
-// failure every engine built is closed and the lowest shard's error returned.
-func (f *Fleet) buildShards(ck *workload.Checked, tasks [][]int, only []bool, prev []int) ([]*core.Engine, error) {
-	engines, errs := make([]*core.Engine, len(tasks)), make([]error, len(tasks))
+// f's donors into it when prev is non-nil; when prev is nil the engines are
+// cold and the job also takes their price roots (seedPrices). A job writes
+// only its own slots; on failure every engine built is closed and the lowest
+// shard's error returned.
+func (f *Fleet) buildShards(ck *workload.Checked, tasks [][]int, only []bool, prev []int) ([]*core.Engine, [][]float64, error) {
+	engines, roots, errs := make([]*core.Engine, len(tasks)), make([][]float64, len(tasks)), make([]error, len(tasks))
 	f.run(len(tasks), func(s int) {
 		if only != nil && !only[s] {
 			return
@@ -221,6 +224,8 @@ func (f *Fleet) buildShards(ck *workload.Checked, tasks [][]int, only []bool, pr
 		eng, err := core.NewEngineChecked(ck.Project(fmt.Sprintf("%s/shard%d", ck.Workload().Name, s), tasks[s]), f.shardCfg)
 		if err == nil && prev != nil {
 			eng.CarryFrom(f.donors(s, tasks[s], prev)...)
+		} else if err == nil {
+			roots[s] = eng.PriceRoots()
 		}
 		engines[s], errs[s] = eng, err
 	})
@@ -231,10 +236,38 @@ func (f *Fleet) buildShards(ck *workload.Checked, tasks [][]int, only []bool, pr
 					eng.Close()
 				}
 			}
-			return nil, fmt.Errorf("fleet: building shard %d: %w", s, err)
+			return nil, nil, fmt.Errorf("fleet: building shard %d: %w", s, err)
 		}
 	}
-	return engines, nil
+	return engines, roots, nil
+}
+
+// seedPrices starts cold shard engines at the relaxed dual optimum
+// (SHARDING.md §3): each resource's root sum (core.Engine.PriceRoots),
+// reduced over the shards in ascending order, fixes μ_r = (root_r/B_r)², the
+// price at which r's demand meets B_r while no path constraint binds. A
+// resource no utility presses on (root 0) keeps core.InitialMu.
+func seedPrices(engines []*core.Engine, roots [][]float64) {
+	n := 0
+	for _, r := range roots {
+		n += len(r)
+	}
+	total := make(map[string]float64, n)
+	for s, eng := range engines {
+		for ri, r := range eng.Problem().Resources {
+			total[r.ID] += roots[s][ri]
+		}
+	}
+	for s, eng := range engines {
+		mu := roots[s]
+		for ri, r := range eng.Problem().Resources {
+			mu[ri] = core.InitialMu
+			if root := total[r.ID]; root > 0 {
+				mu[ri] = min((root/r.Availability)*(root/r.Availability), price.MaxPrice)
+			}
+		}
+		eng.SeedPrices(mu)
+	}
 }
 
 // run calls fn(0) … fn(n-1) on the fleet's pool, created on first use.
@@ -266,11 +299,12 @@ func build(ck *workload.Checked, cfg Config) (*Fleet, error) {
 		f.shardCfg.Workers = max(1, runtime.GOMAXPROCS(0)/f.workers)
 	}
 
-	engines, err := f.buildShards(ck, part.ShardTasks, nil, nil)
+	engines, roots, err := f.buildShards(ck, part.ShardTasks, nil, nil)
 	if err != nil {
 		f.Close()
 		return nil, err
 	}
+	seedPrices(engines, roots) // before the boundary binds: pins start at the seed
 	for s, eng := range engines {
 		f.shards = append(f.shards, &shardRuntime{id: s, eng: eng})
 	}

@@ -42,7 +42,9 @@ func runToFrozen(t *testing.T, eng *core.Engine, maxIters int) {
 // TestFleetOverlapFreeBitwiseMatchesSingle is the headline equivalence: on
 // a partition with no cross-shard resources, the fleet's frozen fixed point
 // is bitwise identical to the single engine's — every latency and every
-// price, bit for bit.
+// price, bit for bit. The single engine starts from the fleet's relaxed
+// seed, installed through the same core methods: with no resource shared, a
+// resource's root sum is the one shard's holding it, bit for bit.
 func TestFleetOverlapFreeBitwiseMatchesSingle(t *testing.T) {
 	w := clusteredWorkload(t, 17, 0)
 	ecfg := core.Config{Workers: 1, PriceSolver: price.SolverGradient}
@@ -68,6 +70,7 @@ func TestFleetOverlapFreeBitwiseMatchesSingle(t *testing.T) {
 		t.Fatalf("NewEngine: %v", err)
 	}
 	defer single.Close()
+	seedPrices([]*core.Engine{single}, [][]float64{single.PriceRoots()})
 	runToFrozen(t, single, 20000)
 
 	sp := single.Problem()
@@ -202,6 +205,10 @@ func TestFleetObservability(t *testing.T) {
 		t.Fatalf("New: %v", err)
 	}
 	defer f.Close()
+	// A seeded boundary has a Newton step everywhere; a zero price has none
+	// (the step is in log space), so the safeguard must take it.
+	f.bmu[0] = 0
+	repin(t, f, 0, 0)
 	res, err := f.Run()
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -223,7 +230,7 @@ func TestFleetObservability(t *testing.T) {
 		t.Errorf("lla_fleet_local_iters_total %d, want %d", got, res.LocalIters)
 	}
 	if got := fm.BoundaryFallbacks.Value(); got != int64(res.BoundaryFallbacks) || got == 0 {
-		t.Errorf("lla_fleet_boundary_fallbacks_total %d, Result says %d, and a cold round 0 has no Newton step to take", got, res.BoundaryFallbacks)
+		t.Errorf("lla_fleet_boundary_fallbacks_total %d, Result says %d, and a zero price has no Newton step to take", got, res.BoundaryFallbacks)
 	}
 	if got := fm.Converged.Value(); got != 1 {
 		t.Errorf("lla_fleet_converged %v, want 1", got)

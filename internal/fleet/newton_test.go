@@ -129,6 +129,8 @@ func TestFleetNewtonHeldToGradientOracle(t *testing.T) {
 // a boundary resource nobody is interior on, one whose price has been driven
 // to zero — and the boundary-capacity change that cost the gradient aggregator
 // the most rounds; each must re-certify, in fewer rounds than the oracle.
+// Every fleet's boundary starts at core.InitialMu, not at New's relaxed seed:
+// that low a price is where nobody is interior.
 func TestFleetNewtonSafeguardCoordinates(t *testing.T) {
 	w := clusteredWorkload(t, 23, 0.3)
 	build := func(oracle bool) *Fleet {
@@ -137,6 +139,10 @@ func TestFleetNewtonSafeguardCoordinates(t *testing.T) {
 			t.Fatalf("New: %v", err)
 		}
 		t.Cleanup(f.Close)
+		for b := range f.bmu {
+			f.bmu[b] = core.InitialMu
+			repin(t, f, b, core.InitialMu)
+		}
 		if oracle {
 			gradientAggregator(f)
 		}
@@ -155,7 +161,7 @@ func TestFleetNewtonSafeguardCoordinates(t *testing.T) {
 		t.Fatal("no boundary resources; test is vacuous")
 	}
 
-	// Nobody interior: at the cold initial price every subtask of a boundary
+	// Nobody interior: at the initial price every subtask of a boundary
 	// resource sits on its lower latency bound, so the first report's
 	// curvature is exactly zero and round 0 has no Newton step to take.
 	probe := build(false)

@@ -142,7 +142,7 @@ func (f *Fleet) ReplaceWorkload(w *workload.Workload) (ReplaceStats, error) {
 	// warm-started from the old engine of the same shard first, then
 	// (ascending) the old shards of any surviving tasks that moved in. Old
 	// engines stay alive as donors until every carry is done.
-	newEngines, err := f.buildShards(ck2, shardTasks2, dirty, prev)
+	newEngines, _, err := f.buildShards(ck2, shardTasks2, dirty, prev)
 	if err != nil {
 		return ReplaceStats{}, err
 	}

@@ -90,11 +90,12 @@ func TestFleetReplaceWorkloadIncremental(t *testing.T) {
 	}
 }
 
-// TestFleetUtilityFollowsEverySweep runs a fleet one round per Run, so
-// every Run sweeps shards whose utilities the previous one summed:
-// Result.Utility must be the shards' utilities probed afresh each time.
+// TestFleetUtilityFollowsEverySweep runs a fleet one round of one-Step
+// sweeps per Run, so every Run sweeps shards whose utilities the previous one
+// summed: Result.Utility must be the shards' utilities probed afresh each
+// time.
 func TestFleetUtilityFollowsEverySweep(t *testing.T) {
-	f, err := New(clusteredWorkload(t, 23, 0.25), Config{Shards: 4, Seed: 1, MaxRounds: 1})
+	f, err := New(clusteredWorkload(t, 23, 0.25), Config{Shards: 4, Seed: 1, MaxRounds: 1, LocalIters: 1})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}

@@ -79,9 +79,6 @@ type Sim struct {
 	// releasedSets / completedSets count job sets per task.
 	releasedSets  []int
 	completedSets []int
-	// deadlineMisses counts job sets whose end-to-end latency exceeded the
-	// task's critical time.
-	deadlineMisses []int
 }
 
 // server wraps a scheduler with event re-arming bookkeeping and utilization
@@ -149,7 +146,6 @@ func New(w *workload.Workload, cfg Config) (*Sim, error) {
 		s.taskLat = append(s.taskLat, stats.NewReservoir(sampleCap))
 		s.releasedSets = append(s.releasedSets, 0)
 		s.completedSets = append(s.completedSets, 0)
-		s.deadlineMisses = append(s.deadlineMisses, 0)
 
 		src, err := NewSource(t.Trigger, rand.New(rand.NewSource(cfg.Seed+int64(ti)+1)))
 		if err != nil {
@@ -273,9 +269,6 @@ func (s *Sim) onJobDone(ti, si int, js *jobSet, doneMs float64) {
 			lat := doneMs - js.releaseMs
 			s.taskLat[ti].Add(lat)
 			s.completedSets[ti]++
-			if lat > t.CriticalMs {
-				s.deadlineMisses[ti]++
-			}
 		}
 		return
 	}
@@ -387,11 +380,6 @@ func (s *Sim) Utilization(resourceID string) (float64, bool) {
 func (s *Sim) Counts(ti int) (released, completed int) {
 	return s.releasedSets[ti], s.completedSets[ti]
 }
-
-// DeadlineMisses reports how many completed job sets of task ti exceeded
-// the critical time (counted since construction; ResetStats does not clear
-// it, matching the released/completed counters).
-func (s *Sim) DeadlineMisses(ti int) int { return s.deadlineMisses[ti] }
 
 // Backlog returns the queue length of subtask (ti, si) on its resource.
 func (s *Sim) Backlog(ti, si int) int {

@@ -6,8 +6,6 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
-
-	"lla/internal/task"
 )
 
 func TestLinearCurve(t *testing.T) {
@@ -227,67 +225,6 @@ func TestCurveMonotonicityProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func buildDiamond(t *testing.T) *task.Task {
-	t.Helper()
-	return task.NewBuilder("d", 100).
-		Subtask("a", "r0", 1).Subtask("b", "r1", 1).
-		Subtask("c", "r2", 1).Subtask("d", "r3", 1).
-		Edge("a", "b").Edge("a", "c").Edge("b", "d").Edge("c", "d").
-		MustBuild()
-}
-
-func TestTaskUtilityValueAndSlope(t *testing.T) {
-	tk := buildDiamond(t)
-	u, err := NewTaskUtility(tk, task.WeightPathNormalized, Linear{K: 2, CMs: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	lats := []float64{10, 20, 30, 40}
-	// Normalized weights: {1, .5, .5, 1} -> aggregate = 10+10+15+40 = 75.
-	agg, err := u.Aggregate(lats)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(agg-75) > 1e-12 {
-		t.Fatalf("aggregate = %v, want 75", agg)
-	}
-	v, err := u.Value(lats)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(v-125) > 1e-12 {
-		t.Errorf("value = %v, want 125", v)
-	}
-	if got := u.PartialSlope(1, agg); math.Abs(got-(-0.5)) > 1e-12 {
-		t.Errorf("PartialSlope(1) = %v, want -0.5", got)
-	}
-	if got := u.PartialSlope(0, agg); math.Abs(got-(-1)) > 1e-12 {
-		t.Errorf("PartialSlope(0) = %v, want -1", got)
-	}
-	if u.Mode() != task.WeightPathNormalized {
-		t.Errorf("Mode = %v", u.Mode())
-	}
-	if u.NumSubtasks() != 4 {
-		t.Errorf("NumSubtasks = %d, want 4", u.NumSubtasks())
-	}
-	if u.Weight(3) != 1 {
-		t.Errorf("Weight(3) = %v, want 1", u.Weight(3))
-	}
-	if u.Curve() == nil {
-		t.Error("Curve() returned nil")
-	}
-	if _, err := u.Value([]float64{1}); err == nil {
-		t.Error("length mismatch should error")
-	}
-}
-
-func TestTaskUtilityBadMode(t *testing.T) {
-	tk := buildDiamond(t)
-	if _, err := NewTaskUtility(tk, task.WeightMode(0), Linear{}); err == nil {
-		t.Error("invalid mode should error")
 	}
 }
 
