@@ -249,47 +249,3 @@ func (c *Controller) Solve(mu []float64, congested []bool) (priceChanged, latCha
 func (c *Controller) Utility() float64 {
 	return c.p.Tasks[c.ti].Curve.Value(c.p.aggregate(c.ti, c.LatMs))
 }
-
-// ClampDeadlineSafe pulls the current latencies toward their lower bounds
-// until every path meets its critical-time constraint (Equation 4), and
-// returns the worst remaining relative violation — 0 unless the workload is
-// degenerate (a path's minimum latencies already exceed the critical time).
-// The distributed runtimes call it while operating on stale prices: a
-// degraded allocation may be suboptimal, but it must never break a deadline.
-// Shrinking a latency only lowers the sums of the other paths through the
-// same subtask, so a single pass over the paths suffices.
-func (c *Controller) ClampDeadlineSafe() float64 {
-	p, pt := c.p, &c.p.Tasks[c.ti]
-	np := p.NumPaths(c.ti)
-	for pi := 0; pi < np; pi++ {
-		path := p.Path(c.ti, pi)
-		sum, minSum := 0.0, 0.0
-		for _, s := range path {
-			sum += c.LatMs[s]
-			minSum += pt.LatMinMs[s]
-		}
-		if sum <= pt.CriticalMs {
-			continue
-		}
-		// Scale every subtask's slack above its floor by the common factor
-		// that lands the path exactly on the critical time.
-		f := 0.0
-		if sum > minSum {
-			f = (pt.CriticalMs - minSum) / (sum - minSum)
-		}
-		if f < 0 {
-			f = 0
-		}
-		for _, s := range path {
-			if nl := pt.LatMinMs[s] + (c.LatMs[s]-pt.LatMinMs[s])*f; nl < c.LatMs[s] {
-				c.LatMs[s] = nl
-			}
-		}
-	}
-	p.sharesInto(c.shares, c.ti, c.LatMs)
-	longest, _ := p.criticalPath(c.ti, c.LatMs)
-	if v := (longest - pt.CriticalMs) / pt.CriticalMs; v > 0 {
-		return v
-	}
-	return 0
-}

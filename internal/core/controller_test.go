@@ -123,42 +123,6 @@ func TestControllerNonlinearInnerLoopConverges(t *testing.T) {
 	}
 }
 
-func TestControllerClampDeadlineSafe(t *testing.T) {
-	p := newTestProblem(t, utility.Linear{K: 2, CMs: 100})
-	c := NewController(p, 0, fixedPolicy)
-	pt := &p.Tasks[0]
-
-	// Violating assignment: path sum 120 > C=100.
-	c.LatMs[0], c.LatMs[1] = 80, 40
-	if v := c.ClampDeadlineSafe(); v > 1e-12 {
-		t.Fatalf("residual violation %v, want 0", v)
-	}
-	sum := c.LatMs[0] + c.LatMs[1]
-	if math.Abs(sum-100) > 1e-9 {
-		t.Errorf("clamped path sum = %v, want exactly the critical time 100", sum)
-	}
-	for si, lat := range c.LatMs {
-		if lat < pt.LatMinMs[si]-1e-12 {
-			t.Errorf("subtask %d clamped below its floor: %v < %v", si, lat, pt.LatMinMs[si])
-		}
-	}
-	// Slack above each floor shrinks by a common factor.
-	r0 := (c.LatMs[0] - pt.LatMinMs[0]) / (80 - pt.LatMinMs[0])
-	r1 := (c.LatMs[1] - pt.LatMinMs[1]) / (40 - pt.LatMinMs[1])
-	if math.Abs(r0-r1) > 1e-9 {
-		t.Errorf("slack factors differ: %v vs %v", r0, r1)
-	}
-
-	// A feasible assignment is left untouched.
-	c.LatMs[0], c.LatMs[1] = 30, 20
-	if v := c.ClampDeadlineSafe(); v != 0 {
-		t.Errorf("feasible point reported violation %v", v)
-	}
-	if c.LatMs[0] != 30 || c.LatMs[1] != 20 {
-		t.Errorf("feasible point modified: %v", c.LatMs)
-	}
-}
-
 func TestControllerSharesAndCriticalPath(t *testing.T) {
 	p := newTestProblem(t, utility.Linear{K: 2, CMs: 100})
 	c := NewController(p, 0, fixedPolicy)

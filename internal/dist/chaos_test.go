@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"lla/internal/core"
-	"lla/internal/task"
 	"lla/internal/transport"
 	"lla/internal/workload"
 )
@@ -14,9 +13,8 @@ import (
 // The chaos suite proves the fault-tolerance layer end to end, in virtual
 // time (NewSim): the round-synchronized Runtime recovers the serial engine's
 // result bitwise under loss/delay/duplication/reordering and node
-// crash/restart, and the asynchronous runtime converges to the optimum while
-// never violating a critical-time constraint during degraded (stale-price)
-// operation. A protocol hang is a stalled virtual run, reported as an error.
+// crash/restart. A protocol hang is a stalled virtual run, reported as an
+// error.
 
 // fastPolicy shrinks the fault-tolerance timers below the production-shaped
 // defaults, so recoveries are short against the run.
@@ -158,115 +156,5 @@ func TestRuntimeShutdownGraceful(t *testing.T) {
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("Shutdown did not stop the run")
-	}
-}
-
-// serialOptimum is the converged serial engine's utility on the base workload.
-func serialOptimum(t *testing.T) float64 {
-	t.Helper()
-	e, err := core.NewEngine(workload.Base(), core.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	snap, ok := e.RunUntilKKT(20000, 1e-9, 3, 1e-6)
-	if !ok {
-		t.Fatalf("serial engine did not converge: %v", snap)
-	}
-	return snap.Utility
-}
-
-// asyncPolicy is the heartbeat/lease policy of the asynchronous chaos cases.
-func asyncPolicy() FaultPolicy {
-	return FaultPolicy{
-		RetransmitAfter: 3 * time.Millisecond,
-		RetransmitMax:   30 * time.Millisecond,
-		LeaseAfter:      25 * time.Millisecond,
-	}
-}
-
-// Asynchronous runtime under seeded loss, duplication, small delay, and a
-// resource-node crash/restart (pause/resume): sequence numbers reject
-// duplicated/reordered-stale prices, leases detect the silent resource,
-// degraded allocations stay deadline-safe, and after resync the run still
-// converges within 1% of the serial engine's utility.
-func TestChaosAsyncLossCrashRestartConverges(t *testing.T) {
-	want := serialOptimum(t)
-	rt, err := NewSim(workload.Base(), core.Config{}, transport.ChaosConfig{
-		Seed:          11,
-		LossRate:      0.10,
-		DupRate:       0.10,
-		DelayMs:       0.1,
-		DelayJitterMs: 0.2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt.SetFaultPolicy(asyncPolicy())
-	net := rt.Sim()
-	net.At(700*time.Millisecond, func() { net.Crash(resourceAddr("r0")) })
-	net.At(1200*time.Millisecond, func() { net.Restart(resourceAddr("r0")) })
-	res, err := rt.RunAsync(3500*time.Millisecond, time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if rel := math.Abs(res.Utility-want) / math.Abs(want); rel > 0.01 {
-		t.Errorf("async utility %.3f vs serial %.3f (%.2f%% off, want ≤1%%)", res.Utility, want, rel*100)
-	}
-	if res.DegradedRounds == 0 {
-		t.Error("a 500ms crash with a 25ms lease caused no degraded rounds")
-	}
-	if res.MaxDegradedPathViolation > 1e-9 {
-		t.Errorf("degraded allocation violated a critical-time constraint: %v", res.MaxDegradedPathViolation)
-	}
-	if res.RejectedStale == 0 {
-		t.Error("10% duplication passed sequence-number dedup untouched")
-	}
-	if res.Retransmits == 0 {
-		t.Error("no heartbeat rebroadcasts despite a crashed peer")
-	}
-
-	// The final allocation must honor every path's critical time (1% slack
-	// for in-flight asynchronous wobble).
-	p, err := core.Compile(workload.Base(), task.WeightPathNormalized)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for ti := range p.Tasks {
-		pt := &p.Tasks[ti]
-		for pi := 0; pi < p.NumPaths(ti); pi++ {
-			sum := 0.0
-			for _, s := range p.Path(ti, pi) {
-				sum += res.LatMs[ti][s]
-			}
-			if sum > pt.CriticalMs*1.01 {
-				t.Errorf("task %s path %d: %.3fms exceeds critical time %.3fms", pt.Name, pi, sum, pt.CriticalMs)
-			}
-		}
-	}
-}
-
-// Loss alone (no duplication or delay): the asynchronous heartbeat recovers
-// dropped broadcasts and the run stays within 1% of the serial optimum.
-func TestChaosAsyncLossOnlyBoundedGap(t *testing.T) {
-	want := serialOptimum(t)
-	rt, err := NewSim(workload.Base(), core.Config{}, transport.ChaosConfig{Seed: 3, LossRate: 0.15})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt.SetFaultPolicy(asyncPolicy())
-	res, err := rt.RunAsync(2*time.Second, time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rel := math.Abs(res.Utility-want) / math.Abs(want); rel > 0.01 {
-		t.Errorf("async utility %.3f vs serial %.3f (%.2f%% off, want ≤1%%)", res.Utility, want, rel*100)
-	}
-	if res.ControllerSteps == 0 || res.ResourceSteps == 0 {
-		t.Errorf("no compute steps: %+v", res)
-	}
-	if st := rt.Sim().Stats(); st.Dropped == 0 {
-		t.Errorf("chaos dropped nothing: %+v", st)
 	}
 }

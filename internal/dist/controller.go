@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"lla/internal/core"
-	"lla/internal/obs"
 	"lla/internal/wire"
 )
 
@@ -71,11 +70,6 @@ func (g *shareGroup) latencies(latMs, prev []float64) (out []float64, changed bo
 // fixed order, so a seeded fault stream draws the same fault for the same
 // frame every run — refreshes path prices, re-solves latencies, and sends
 // each resource its share of them.
-//
-// Asynchronously it keeps a lease per used resource: one silent past
-// LeaseAfter is degraded (price frozen) until a fresh price arrives, and
-// every allocation meanwhile is clamped deadline-safe
-// (core.ClampDeadlineSafe): perhaps suboptimal, never a deadline miss.
 type controllerNode struct {
 	peer
 	ctl  *core.Controller
@@ -90,16 +84,15 @@ type controllerNode struct {
 	// coordinator; standalone deployments have none.
 	reports bool
 	// mu and congested are the price vector Solve reads, by resource index
-	// (resources of them, each starting at core.InitialMu), built when a run
-	// opens; excess[k] is the capacity excess groups[k]'s latest price
-	// carried.
+	// (one per resource of the problem, each used one starting at
+	// core.InitialMu); excess[k] is the capacity excess groups[k]'s latest
+	// price carried.
 	mu        []float64
 	congested []bool
 	excess    []float64
-	resources int
 	// lastLat[k] caches the latest full latency message for groups[k], for
-	// retransmission, stale recovery, heartbeats and as the delta codec's
-	// reference; its LatMs is nil until the first allocation.
+	// retransmission, stale recovery and as the delta codec's reference; its
+	// LatMs is nil until the first allocation.
 	lastLat []wire.ShareReport
 	// lastReport caches the most recent utility report so a rejoining
 	// coordinator can rebuild its aggregation state; haveReport gates the
@@ -113,12 +106,6 @@ type controllerNode struct {
 	finned    []bool
 	unfinned  int
 	quiet     int
-	// Leases (asynchronous): when each resource was last heard, and which are
-	// degraded.
-	lastHeard            []time.Duration
-	degraded             []bool
-	degradedRounds       int64
-	maxDegradedViolation float64
 }
 
 // newControllerNode builds the machine of task ti.
@@ -132,12 +119,15 @@ func newControllerNode(p *core.Problem, ti int, cfg core.Config, a addresses) *c
 		groups:    shareGroups(p, &p.Tasks[ti]),
 		groupOf:   make(map[string]int),
 		reports:   true,
-		resources: len(p.Resources),
+		mu:        make([]float64, len(p.Resources)),
+		congested: make([]bool, len(p.Resources)),
 	}
 	n.lastLat = make([]wire.ShareReport, len(n.groups))
+	n.excess = make([]float64, len(n.groups))
 	n.peers = make([]string, len(n.groups))
 	for k, g := range n.groups {
 		n.peers[k], n.groupOf[g.id] = a.res[g.ri], k
+		n.mu[g.ri] = core.InitialMu
 	}
 	return n
 }
@@ -149,71 +139,31 @@ func (n *controllerNode) step(now time.Duration, ev event) *effects {
 	return n.run(n, now, ev)
 }
 
-func (n *controllerNode) open(now time.Duration) {
-	n.mu, n.congested = make([]float64, n.resources), make([]bool, n.resources)
-	n.lastHeard, n.degraded = make([]time.Duration, len(n.groups)), make([]bool, len(n.groups))
-	n.excess = make([]float64, len(n.groups))
-	for k, g := range n.groups {
-		n.mu[g.ri], n.lastHeard[k] = core.InitialMu, now
-	}
-}
-
-func (n *controllerNode) read(payload any) (k, round int, seq int64, ok bool) {
+func (n *controllerNode) read(payload any) (k, round int, ok bool) {
 	pm, isPrice := payload.(wire.PriceUpdate)
 	if isPrice {
 		k, ok = n.groupOf[pm.Resource]
 	}
-	return k, pm.Round, pm.Seq, ok
+	return k, pm.Round, ok
 }
 
 // fold takes a price. A delta marker means "same as my previous round": mu
 // and congested already hold exactly that (round gating guarantees the round
-// r−1 fold happened), so only full payloads write. A fresh price also renews
-// the resource's lease and resynchronizes a degraded one.
-func (n *controllerNode) fold(k int, payload any, now time.Duration) (changed bool) {
-	pm, ri := payload.(wire.PriceUpdate), n.groups[k].ri
-	if !pm.Delta {
-		changed = n.mu[ri] != pm.Mu || n.congested[ri] != pm.Congested
+// r−1 fold happened), so only full payloads write.
+func (n *controllerNode) fold(k int, payload any) {
+	if pm := payload.(wire.PriceUpdate); !pm.Delta {
+		ri := n.groups[k].ri
 		n.mu[ri], n.congested[ri], n.excess[k] = pm.Mu, pm.Congested, pm.Excess
 	}
-	n.lastHeard[k] = now
-	if n.degraded[k] {
-		n.degraded[k], changed = false, true // leaving degraded changes the clamp
-		n.emit(obs.Event{Kind: obs.EventDegradedExit, Task: n.name, Resource: pm.Resource})
-	}
-	return changed
 }
 
-// beat checks the leases with every asynchronous heartbeat.
-func (n *controllerNode) beat(now time.Duration) {
-	for k, g := range n.groups {
-		if n.fp.LeaseAfter > 0 && !n.degraded[k] && now-n.lastHeard[k] > n.fp.LeaseAfter {
-			n.degraded[k] = true
-			n.dirty, n.owed = true, true // re-clamp on frozen prices
-			n.m.LeaseExpirations.Inc()
-			n.emit(obs.Event{Kind: obs.EventDegradedEnter, Task: n.name, Resource: g.id})
-		}
-	}
-}
-
-// compute allocates latencies (Section 4.2). A solve on a frozen (stale)
-// price may be off-optimum, but it must never break a deadline: it is clamped,
-// and never counts as a fixed point — the clamp mutates latencies after the
-// solve, so suppression must not engage while any used resource is degraded.
-// In the round protocol the round's report goes out first: the point its
-// prices complete is the one the coordinator grades.
-func (n *controllerNode) compute() (moved bool) {
-	if n.reports && n.pace == 0 {
+// compute allocates latencies (Section 4.2). The round's report goes out
+// first: the point its prices complete is the one the coordinator grades.
+func (n *controllerNode) compute() {
+	if n.reports {
 		n.report()
 	}
-	priceChanged, latChanged := n.ctl.Solve(n.mu, n.congested)
-	if slices.Contains(n.degraded, true) {
-		n.maxDegradedViolation = max(n.maxDegradedViolation, n.ctl.ClampDeadlineSafe())
-		n.degradedRounds++
-		n.m.DegradedRounds.Inc()
-		return true
-	}
-	return priceChanged || latChanged
+	n.ctl.Solve(n.mu, n.congested)
 }
 
 // report sends the coordinator this round's utility and the task's part of
@@ -232,16 +182,16 @@ func (n *controllerNode) report() {
 }
 
 // speak distributes the freshly allocated latencies, one message per
-// resource. In the round protocol a resource whose latencies are bitwise
-// unchanged from the previous round gets a coalesced marker (wire/frames.go)
-// instead, except on keyframe rounds.
+// resource. A resource whose latencies are bitwise unchanged from the
+// previous round gets a coalesced marker (wire/frames.go) instead, except on
+// keyframe rounds.
 func (n *controllerNode) speak() {
 	for k := range n.groups {
 		g := &n.groups[k]
 		lats, changed := g.latencies(n.ctl.LatMs, n.lastLat[k].LatMs)
-		msg := wire.ShareReport{Round: n.round, Seq: n.seq, Epoch: n.epoch, Task: n.name, Subs: g.subs, LatMs: lats}
+		msg := wire.ShareReport{Round: n.round, Epoch: n.epoch, Task: n.name, Subs: g.subs, LatMs: lats}
 		n.lastLat[k] = msg
-		if n.pace == 0 && !changed && n.round%deltaKeyframeInterval != 0 {
+		if !changed && n.round%deltaKeyframeInterval != 0 {
 			n.suppressed(1, wire.DeltaBytesSaved(msg))
 			msg = wire.ShareReport{Round: n.round, Epoch: n.epoch, Task: n.name, Delta: true}
 		}
@@ -255,7 +205,6 @@ func (n *controllerNode) again(k int) bool {
 	if n.lastLat[k].LatMs == nil {
 		return false
 	}
-	n.lastLat[k].Seq = n.seq
 	n.tell(k, n.lastLat[k])
 	return true
 }

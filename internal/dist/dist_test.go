@@ -131,6 +131,37 @@ func TestDistRejectsBadInputs(t *testing.T) {
 	}
 }
 
+// A runtime's nodes are spent after one run: every later run is an error,
+// not a zero-round Result carrying the first run's state.
+func TestRuntimeRunsOnce(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		rt   func(t *testing.T) *Runtime
+	}{
+		{"New", func(t *testing.T) *Runtime {
+			rt, err := New(workload.Base(), core.Config{}, transport.NewInproc(transport.InprocConfig{}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { rt.Close() })
+			return rt
+		}},
+		{"NewSim", func(t *testing.T) *Runtime { return simRuntime(t, workload.Base(), transport.ChaosConfig{Seed: 1}) }},
+	} {
+		rt := tc.rt(t)
+		mustRun(t, rt, 20)
+		for again, run := range map[string]func() (*Result, error){
+			"Run":             func() (*Result, error) { return rt.Run(20) },
+			"RunUntilKKT":     func() (*Result, error) { return rt.RunUntilKKT(20) },
+			"RunWithFailover": func() (*Result, error) { return rt.RunWithFailover(20, FailoverPlan{}) },
+		} {
+			if res, err := run(); err == nil {
+				t.Errorf("%s: %s after Run returned %+v and no error", tc.name, again, res)
+			}
+		}
+	}
+}
+
 func TestDistDuplicateEndpointRegistration(t *testing.T) {
 	net := transport.NewInproc(transport.InprocConfig{})
 	if _, err := New(workload.Base(), core.Config{}, net); err != nil {

@@ -3,21 +3,19 @@ package dist
 import "time"
 
 // FaultPolicy tunes the fault-tolerance machinery of the distributed
-// runtimes: sender-side retransmission, receiver-side staleness recovery, and
-// lease-based failure detection. The zero value disables a mechanism (a zero
-// RetransmitAfter never retransmits, a zero LeaseAfter never declares a peer
-// failed); DefaultFaultPolicy returns production-shaped values.
+// runtime: sender-side retransmission, receiver-side staleness recovery, and
+// the coordinator's report leases. The zero value disables a mechanism (a
+// zero RetransmitAfter never retransmits, a zero LeaseAfter never expires a
+// lease); DefaultFaultPolicy returns production-shaped values.
 type FaultPolicy struct {
 	// RetransmitAfter is how long a node waits for protocol input before
 	// re-sending its last output. Retries back off exponentially (with
-	// jitter) up to RetransmitMax. In async mode it is also the heartbeat
-	// interval: an idle node rebroadcasts its state every RetransmitAfter.
+	// jitter) up to RetransmitMax.
 	RetransmitAfter time.Duration
 	// RetransmitMax caps the retransmission backoff.
 	RetransmitMax time.Duration
-	// LeaseAfter is how long a peer may stay silent before it is considered
-	// failed. Async controllers then freeze the peer's last-known price and
-	// clamp allocations deadline-safe; the coordinator counts the expiration.
+	// LeaseAfter is how long a controller may go without reporting before
+	// the coordinator counts its report lease expired.
 	LeaseAfter time.Duration
 }
 

@@ -23,7 +23,7 @@ const (
 	evStart   evKind = iota // the run begins
 	evMessage               // msg arrived
 	evTimer                 // the wake deadline may have passed (spurious wakes are harmless)
-	evStop                  // graceful stop: Shutdown, a cancelled context, the end of an async run
+	evStop                  // graceful stop: Shutdown, a cancelled context, the end of a virtual run
 	evClosed                // the endpoint closed under the node
 )
 
@@ -155,11 +155,10 @@ func metricsFor(o *obs.Observer) (m metrics) {
 // nodeCounters are one node's fault-recovery and delta-codec totals, read by
 // the runtime after the node has finished and mirrored live on m.
 type nodeCounters struct {
-	// retransmits counts messages re-sent (timeouts, heartbeats and
-	// receiver-side stale recovery), rejectedStale messages rejected as from a
-	// completed round or an old sequence number; deltaSuppressed counts
-	// delta-encoded sends and deltaBytesSaved the frame bytes those markers
-	// kept off the wire (wire.DeltaBytesSaved).
+	// retransmits counts messages re-sent (timeouts and receiver-side stale
+	// recovery), rejectedStale messages rejected as from a completed round;
+	// deltaSuppressed counts delta-encoded sends and deltaBytesSaved the
+	// frame bytes those markers kept off the wire (wire.DeltaBytesSaved).
 	retransmits, rejectedStale, deltaSuppressed, deltaBytesSaved int64
 	m                                                            metrics
 }

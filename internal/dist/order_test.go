@@ -4,7 +4,6 @@ import (
 	"reflect"
 	"sync"
 	"testing"
-	"time"
 
 	"lla/internal/core"
 	"lla/internal/transport"
@@ -78,9 +77,8 @@ func latencyCycle(sent []sendRecord) (cycle []string, ok bool) {
 // A controller's frames leave in one fixed order — its resources in order of
 // first use — not in a map's: which seeded Faults draw each frame consumes
 // must not differ from run to run. Two loss-free runs put the identical
-// (to, kind, round) sequence on the network for every sender, and the async
-// controller, whose send count is timing, still cycles through the same
-// destinations in the same order.
+// (to, kind, round) sequence on the network for every sender, and every
+// controller cycles through its resources in the same order each round.
 func TestLatencyFramesLeaveInFixedOrder(t *testing.T) {
 	w := workload.Base()
 	record := func() map[string][]sendRecord {
@@ -107,24 +105,12 @@ func TestLatencyFramesLeaveInFixedOrder(t *testing.T) {
 		}
 	}
 
-	async := &recordingNet{Network: transport.NewInproc(transport.InprocConfig{QueueLen: 16384}), sent: make(map[string][]sendRecord)}
-	art, err := New(w, core.Config{}, async)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer art.Close()
-	if _, err := art.RunAsync(100*time.Millisecond, time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
 	multi := 0
 	for _, task := range w.Tasks {
 		addr := controllerAddr(task.Name)
 		want, ok := latencyCycle(first[addr])
 		if !ok {
 			t.Fatalf("%s: synchronous latency sends do not cycle: %v", addr, first[addr])
-		}
-		if got, ok := latencyCycle(async.sent[addr]); !ok || !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: async latency sends cycle %v (clean=%v), synchronous ones %v", addr, got, ok, want)
 		}
 		if len(want) > 1 {
 			multi++

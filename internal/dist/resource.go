@@ -36,14 +36,12 @@ type resourceNode struct {
 
 	// congested is the flag of the latest update and excess its capacity
 	// excess. last caches the latest full broadcast (none yet while its
-	// Resource is empty) for retransmission, stale recovery and heartbeats —
-	// recovery always re-sends by value, never a marker. prev is the previous
-	// round's payload, the delta codec's reference.
+	// Resource is empty) for retransmission and stale recovery — recovery
+	// always re-sends by value, never a marker. Until the next speak it is
+	// also the delta codec's reference.
 	congested bool
 	excess    float64
 	last      wire.PriceUpdate
-	prev      wire.PriceUpdate
-	prevSet   bool
 }
 
 // newResourceNode builds the machine of resource ri.
@@ -82,50 +80,32 @@ func (n *resourceNode) observe(o *obs.Observer) {
 
 func (n *resourceNode) step(now time.Duration, ev event) *effects { return n.run(n, now, ev) }
 
-// open seeds an asynchronous run: every latency is the fair split until its
-// subtask is first reported, and the first price goes out at once.
-func (n *resourceNode) open(time.Duration) {
-	if n.pace == 0 {
-		return
-	}
-	r := n.r
-	fair := r.Availability / float64(len(r.Subs))
-	for _, sub := range r.Subs {
-		n.lat[sub] = n.p.Share(n.p.SubtaskAt(sub)).LatencyFor(fair)
-	}
-	n.owed = true
-}
-
-func (n *resourceNode) read(payload any) (k, round int, seq int64, ok bool) {
+func (n *resourceNode) read(payload any) (k, round int, ok bool) {
 	lm, isReport := payload.(wire.ShareReport)
 	if isReport {
 		k, ok = n.ctlIdx[lm.Task]
 	}
-	return k, lm.Round, lm.Seq, ok
+	return k, lm.Round, ok
 }
 
 // fold writes a report's latencies; a delta marker carries none — the values
 // of the previous round stand.
-func (n *resourceNode) fold(_ int, payload any, _ time.Duration) (changed bool) {
+func (n *resourceNode) fold(_ int, payload any) {
 	lm := payload.(wire.ShareReport)
 	for j, sn := range lm.Subs {
 		sub, hosted := n.subIdx[subKey{lm.Task, sn}]
 		if !hosted {
 			n.failf("unknown subtask %s/%s", lm.Task, sn)
-			return false
+			return
 		}
-		if v := lm.LatMs[j]; n.lat[sub] != v {
-			n.lat[sub], changed = v, true
-		}
+		n.lat[sub] = lm.LatMs[j]
 	}
-	return changed
 }
 
 // compute moves the price from the latencies in hand, reducing demand and
 // interior shares over the resource's subtasks as the engine's resource phase
-// does — its order, inputs and arithmetic, hence its bits. moved (price or
-// solver state) is the fixed-point signal the async sparse path uses.
-func (n *resourceNode) compute() (moved bool) {
+// does — its order, inputs and arithmetic, hence its bits.
+func (n *resourceNode) compute() {
 	r, sum, inner := n.r, 0.0, 0.0
 	for _, sub := range r.Subs {
 		lat := n.lat[sub]
@@ -137,29 +117,26 @@ func (n *resourceNode) compute() (moved bool) {
 	}
 	n.congested = r.Congested(sum)
 	n.excess = max(sum-r.Availability, 0)
-	n.mu, moved = n.dyn.StepAt(0, n.mu, sum, r.Availability, core.Curvature(inner, n.mu), n.congested)
+	n.mu, _ = n.dyn.StepAt(0, n.mu, sum, r.Availability, core.Curvature(inner, n.mu), n.congested)
 	if n.rm != nil {
 		n.rm.ShareSum.Set(sum)
 		n.rm.Availability.Set(r.Availability)
 		n.rm.Utilization.Set(sum / r.Availability)
 		n.rm.Price.Set(n.mu)
 	}
-	return moved
 }
 
-// speak multicasts the current price. In the round protocol a payload
-// bitwise unchanged from the previous round goes out as a delta marker
-// (wire/frames.go) instead, except on keyframe rounds.
+// speak multicasts the current price. A payload bitwise unchanged from the
+// previous round goes out as a delta marker (wire/frames.go) instead, except
+// on keyframe rounds.
 func (n *resourceNode) speak() {
-	n.last = wire.PriceUpdate{Round: n.round, Seq: n.seq, Epoch: n.epoch, Resource: n.r.ID, Mu: n.mu, Excess: n.excess, Congested: n.congested}
+	prev := n.last
+	n.last = wire.PriceUpdate{Round: n.round, Epoch: n.epoch, Resource: n.r.ID, Mu: n.mu, Excess: n.excess, Congested: n.congested}
 	out := n.last
-	if n.pace == 0 {
-		if n.prevSet && n.round%deltaKeyframeInterval != 0 && out.Mu == n.prev.Mu && out.Excess == n.prev.Excess && out.Congested == n.prev.Congested {
-			out = wire.PriceUpdate{Round: n.round, Epoch: n.epoch, Resource: out.Resource, Delta: true}
-			fanout := int64(len(n.peers))
-			n.suppressed(fanout, fanout*wire.DeltaBytesSaved(n.last))
-		}
-		n.prev, n.prevSet = n.last, true
+	if prev.Resource != "" && n.round%deltaKeyframeInterval != 0 && out.Mu == prev.Mu && out.Excess == prev.Excess && out.Congested == prev.Congested {
+		out = wire.PriceUpdate{Round: n.round, Epoch: n.epoch, Resource: out.Resource, Delta: true}
+		fanout := int64(len(n.peers))
+		n.suppressed(fanout, fanout*wire.DeltaBytesSaved(n.last))
 	}
 	for k := range n.peers {
 		n.tell(k, out)
@@ -170,13 +147,11 @@ func (n *resourceNode) again(k int) bool {
 	if n.last.Resource == "" {
 		return false
 	}
-	n.last.Seq = n.seq
 	n.tell(k, n.last)
 	return true
 }
 
-func (n *resourceNode) beat(time.Duration) {}
-func (n *resourceNode) rejoined()          {}
+func (n *resourceNode) rejoined() {}
 
 // close ends the node: it tells the controllers this resource has completed
 // its final round so they can stop lingering on its behalf. The fin is

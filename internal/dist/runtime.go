@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"slices"
 	"sync"
-	"time"
 
 	"lla/internal/core"
 	"lla/internal/obs"
@@ -29,13 +28,10 @@ import (
 // over a transport.Network and the wall clock, NewSim on a seeded virtual
 // network and clock.
 type Runtime struct {
-	p   *core.Problem
-	cfg core.Config
-	// solverUnset records that the caller left Config.PriceSolver empty:
-	// RunAsync then resolves it to the gradient rather than the default.
-	solverUnset bool
-	ctlNodes    []*controllerNode
-	resNodes    []*resourceNode
+	p        *core.Problem
+	cfg      core.Config
+	ctlNodes []*controllerNode
+	resNodes []*resourceNode
 	// nodes and peers are every controller, then every resource, as machines
 	// and as protocol state; eps their endpoints under New, in that order —
 	// nil, like coordEp, under NewSim, whose network is sim.
@@ -48,6 +44,8 @@ type Runtime struct {
 	fp       FaultPolicy
 	stop     chan struct{}
 	stopOnce sync.Once
+	// ran is set by the first run: the nodes' state is spent after it.
+	ran bool
 
 	// obsv is set by Observe; nil means no observability overhead beyond the
 	// nodes' nil-safe counter calls.
@@ -69,12 +67,11 @@ func compile(w *workload.Workload, cfg core.Config) (*core.Problem, core.Config,
 // endpoint on the network as it goes (a listener's set-up overlaps the next
 // node's construction).
 func New(w *workload.Workload, cfg core.Config, net transport.Network) (*Runtime, error) {
-	unset := cfg.PriceSolver == ""
 	p, cfg, err := compile(w, cfg)
 	if err != nil {
 		return nil, err
 	}
-	r := &Runtime{p: p, cfg: cfg, solverUnset: unset, fp: DefaultFaultPolicy(), stop: make(chan struct{})}
+	r := &Runtime{p: p, cfg: cfg, fp: DefaultFaultPolicy(), stop: make(chan struct{})}
 	n, a := len(p.Tasks)+len(p.Resources), addressesOf(p)
 	r.nodes, r.peers = make([]machine, 0, n), make([]*peer, 0, n)
 	add := func(m machine, n *peer) {
@@ -124,8 +121,8 @@ func addressesOf(p *core.Problem) addresses {
 // NewSim is New on the virtual driver: no network, no goroutines, no wall
 // clock. The deployment runs on a virtual network with chaos's faults and a
 // virtual clock, both seeded by chaos.Seed (see Sim), so the same arguments
-// give the same run — event for event — every time. FaultPolicy durations,
-// Crash.DownFor and RunAsync's d and pace are virtual durations.
+// give the same run — event for event — every time. FaultPolicy durations
+// and Crash.DownFor are virtual durations.
 func NewSim(w *workload.Workload, cfg core.Config, chaos transport.ChaosConfig) (*Runtime, error) {
 	r, err := New(w, cfg, nil) // no network: no endpoints
 	if err != nil {
@@ -155,8 +152,8 @@ func (r *Runtime) SetFaultPolicy(fp FaultPolicy) {
 // lla_dist_* counters live (alongside the join-time Result totals), resource
 // nodes refresh the per-resource gauges each completed round, and the
 // coordinator counts rounds and samples round latency; with a trace sink
-// attached, nodes emit lease_expiry, converged, epoch_bump and
-// degraded_enter/exit events, each stamped with its round, epoch and node.
+// attached, the coordinator emits lease_expiry, converged and epoch_bump
+// events, each stamped with its round, epoch and node.
 func (r *Runtime) Observe(o *obs.Observer) {
 	r.obsv = o
 	for _, n := range r.resNodes {
@@ -220,22 +217,11 @@ type Result struct {
 	// Rejoins counts completed rejoin handshakes (controller acks processed
 	// by a restarted coordinator).
 	Rejoins int64
-
-	// RunAsync's own counts (there Retransmits counts idle heartbeats and
-	// RejectedStale sequence-number rejections). ControllerSteps and
-	// ResourceSteps count compute steps across nodes, SkippedSteps those
-	// suppressed because the inputs were bitwise unchanged after a fixed-point
-	// update. DegradedRounds counts controller steps taken while a used
-	// resource's lease had expired, MaxDegradedPathViolation the worst
-	// relative critical-time violation left after their deadline-safe
-	// clamping — 0 unless the workload itself is degenerate.
-	ControllerSteps, ResourceSteps int
-	SkippedSteps, DegradedRounds   int64
-	MaxDegradedPathViolation       float64
 }
 
 // Run executes exactly rounds synchronous rounds and returns the final
-// state. A loss-free in-order network makes the result identical to
+// state. A Runtime runs once: a second Run, RunUntilKKT or RunWithFailover
+// is an error. A loss-free in-order network makes the result identical to
 // core.Engine after the same number of Steps; on lossy networks the
 // reliability layer (see peer.go) recovers the same result bitwise.
 func (r *Runtime) Run(rounds int) (*Result, error) {
@@ -267,9 +253,13 @@ func (r *Runtime) RunWithFailover(maxRounds int, plan FailoverPlan) (*Result, er
 // coordinator aggregates, stops the run on the certificate (if untilKKT), and
 // lives through plan's crashes. No caller sets both untilKKT and a crash plan.
 func (r *Runtime) run(maxRounds int, untilKKT bool, plan FailoverPlan) (*Result, error) {
-	if maxRounds <= 0 {
-		return nil, fmt.Errorf("dist: rounds must be positive, got %d", maxRounds)
+	if err := checkRounds(maxRounds); err != nil {
+		return nil, err
 	}
+	if r.ran {
+		return nil, fmt.Errorf("dist: the runtime has already run")
+	}
+	r.ran = true
 	res := &Result{}
 	c := &coordinator{
 		node:     node{addr: coordinatorAddr, fp: r.fp, nodeCounters: nodeCounters{m: metricsFor(r.obsv)}},
@@ -288,7 +278,7 @@ func (r *Runtime) run(maxRounds int, untilKKT bool, plan FailoverPlan) (*Result,
 		}
 	}
 	res.Epoch = c.epoch
-	if err := r.drive(c, maxRounds, 0, 0); err != nil {
+	if err := r.drive(c, maxRounds); err != nil {
 		return nil, err
 	}
 	r.collect(res)
@@ -303,31 +293,25 @@ func (r *Runtime) collect(res *Result) {
 		res.RejectedStale += n.rejectedStale
 		res.DeltaSuppressed += n.deltaSuppressed
 		res.DeltaBytesSaved += n.deltaBytesSaved
-		res.SkippedSteps += int64(n.skipped)
 	}
 	for _, n := range r.ctlNodes {
 		res.Utility += n.ctl.Utility()
 		res.LatMs = append(res.LatMs, slices.Clone(n.ctl.LatMs))
 		res.Rejoins += n.rejoins
-		res.ControllerSteps += n.steps
-		res.DegradedRounds += n.degradedRounds
-		res.MaxDegradedPathViolation = max(res.MaxDegradedPathViolation, n.maxDegradedViolation)
 		add(&n.peer)
 	}
 	for _, n := range r.resNodes {
 		res.Mu = append(res.Mu, n.mu)
 		res.SolverFallbacks += n.dyn.Fallbacks()
-		res.ResourceSteps += n.steps
 		add(&n.peer)
 	}
 }
 
-// drive configures the node machines (round limit, or pace > 0 for the
-// asynchronous protocol) and runs them, with the coordinator if there is
-// one, on the runtime's driver: to completion, or for d when d > 0.
-func (r *Runtime) drive(c *coordinator, rounds int, d, pace time.Duration) error {
+// drive configures the node machines for rounds rounds and runs them, with
+// the coordinator, on the runtime's driver to completion.
+func (r *Runtime) drive(c *coordinator, rounds int) error {
 	for _, n := range r.peers {
-		n.fp, n.limit, n.pace = r.fp, rounds, pace
+		n.fp, n.limit = r.fp, rounds
 		if r.sim != nil {
 			n.rng = r.sim.Faults
 		} else if r.fp.RetransmitAfter > 0 {
@@ -339,7 +323,7 @@ func (r *Runtime) drive(c *coordinator, rounds int, d, pace time.Duration) error
 		if r.obsv != nil {
 			reg = r.obsv.Metrics
 		}
-		return r.sim.run(r.nodes, c, d, WireCodec(r.p.Workload(), reg), r.obsv, r.stop)
+		return r.sim.run(r.nodes, c, WireCodec(r.p.Workload(), reg), r.obsv, r.stop)
 	}
 
 	var nodes, coord sync.WaitGroup
@@ -353,18 +337,9 @@ func (r *Runtime) drive(c *coordinator, rounds int, d, pace time.Duration) error
 			}
 		}()
 	}
-	if c != nil {
-		launch(&coord, c, r.coordEp, nil)
-	}
+	launch(&coord, c, r.coordEp, nil)
 	for i, m := range r.nodes {
 		launch(&nodes, m, r.eps[i], r.stop)
-	}
-	if d > 0 {
-		select {
-		case <-time.After(d):
-			r.Shutdown()
-		case <-r.stop:
-		}
 	}
 	// The coordinator reads until its endpoint closes, after every node has
 	// joined.
@@ -379,53 +354,32 @@ func (r *Runtime) drive(c *coordinator, rounds int, d, pace time.Duration) error
 	}
 }
 
-// RunAsync executes the asynchronous protocol (peer.go) for the duration d on
-// the runtime's driver — wall-clock under New, virtual under NewSim — then
-// quiesces and returns the final state. pace is the minimum interval between
-// a node's compute steps (0 = 1ms); the fault policy sets the heartbeat
-// interval and the failure-detection lease. The synchronized modes remain the
-// reference for exact engine equivalence; async trades determinism (under
-// New) for decoupling.
-// A config that left PriceSolver unset runs the gradient here, not Newton,
-// whose model breaks on stale asynchronous demand; a named solver is kept.
-func (r *Runtime) RunAsync(d, pace time.Duration) (*Result, error) {
-	if d <= 0 {
-		return nil, fmt.Errorf("dist: async duration must be positive, got %v", d)
-	}
-	if pace <= 0 {
-		pace = time.Millisecond
-	}
-	if r.solverUnset {
-		cfg := r.cfg
-		cfg.PriceSolver = price.SolverGradient
-		for _, n := range r.resNodes {
-			n.dyn = cfg.NewDynamics()
-			n.dyn.Reset(1)
-		}
-	}
-	if err := r.drive(nil, 0, d, pace); err != nil {
-		return nil, err
-	}
-	res := &Result{}
-	r.collect(res)
-	return res, nil
-}
-
 // Standalone node entry points: each process compiles the problem locally
 // and runs exactly one node's machine, so a deployment can spread resources
 // and controllers across machines (cmd/lla-node). Standalone nodes send no
 // coordinator reports — the deployment simply runs its fixed number of
 // rounds — and use the default fault policy. runStandalone registers the
-// node's endpoint and drives its machine until the protocol completes or ctx
-// is cancelled (a graceful stop).
-func runStandalone(ctx context.Context, net transport.Network, m machine, n *node, o *obs.Observer) error {
+// node's endpoint and drives its machine for rounds rounds, until the
+// protocol completes or ctx is cancelled (a graceful stop).
+func runStandalone(ctx context.Context, net transport.Network, m machine, n *peer, rounds int, o *obs.Observer) error {
+	if err := checkRounds(rounds); err != nil {
+		return err
+	}
 	ep, err := net.Endpoint(n.addr)
 	if err != nil {
 		return err
 	}
 	defer ep.Close()
-	n.fp, n.rng = DefaultFaultPolicy(), transport.NewJitter(n.addr)
+	n.fp, n.rng, n.limit = DefaultFaultPolicy(), transport.NewJitter(n.addr), rounds
 	return drive(m, ep, ctx.Done(), o)
+}
+
+// checkRounds refuses a run of no rounds, standalone or not.
+func checkRounds(rounds int) error {
+	if rounds <= 0 {
+		return fmt.Errorf("dist: rounds must be positive, got %d", rounds)
+	}
+	return nil
 }
 
 // RunResource runs the price agent of one resource for the given number of
@@ -442,9 +396,8 @@ func RunResource(ctx context.Context, w *workload.Workload, cfg core.Config, net
 		return 0, fmt.Errorf("dist: unknown resource %q", resourceID)
 	}
 	n := newResourceNode(p, ri, cfg, addressesOf(p))
-	n.limit = rounds
 	n.observe(o)
-	if err := runStandalone(ctx, net, n, &n.node, o); err != nil {
+	if err := runStandalone(ctx, net, n, &n.peer, rounds, o); err != nil {
 		return 0, err
 	}
 	return n.mu, nil
@@ -463,8 +416,8 @@ func RunController(ctx context.Context, w *workload.Workload, cfg core.Config, n
 		return nil, 0, fmt.Errorf("dist: unknown task %q", taskName)
 	}
 	n := newControllerNode(p, ti, cfg, addressesOf(p))
-	n.limit, n.reports, n.m = rounds, false, metricsFor(o)
-	if err := runStandalone(ctx, net, n, &n.node, o); err != nil {
+	n.reports, n.m = false, metricsFor(o)
+	if err := runStandalone(ctx, net, n, &n.peer, rounds, o); err != nil {
 		return nil, 0, err
 	}
 	out := make(map[string]float64, len(n.ctl.LatMs))

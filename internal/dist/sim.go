@@ -16,8 +16,7 @@ import (
 // simHop is the latency of every virtual delivery before any injected delay:
 // a round takes time even on a fault-free virtual network, so timers, leases
 // and crash windows land inside a run, not after an instantaneous one.
-// simHorizon bounds a round-synchronized run in virtual time: a protocol not
-// finished by then is reported as stalled instead of retransmitting forever.
+// simHorizon bounds a run in virtual time: a protocol not finished by then is reported as stalled instead of retransmitting forever.
 const (
 	simHop     = 250 * time.Microsecond
 	simHorizon = 10 * time.Minute
@@ -66,9 +65,9 @@ func (s *Sim) At(at time.Duration, fn func()) {
 	s.clock.At(float64(at)/float64(time.Millisecond), func() { s.now = at; fn() })
 }
 
-// run drives the nodes (and the coordinator, if any) to completion, or for
-// the virtual duration d when d > 0, then stops whatever is still running.
-func (s *Sim) run(nodes []machine, coord *coordinator, d time.Duration, codec transport.Codec, o *obs.Observer, stop <-chan struct{}) error {
+// run drives the nodes and the coordinator to completion, then stops
+// whatever is still running.
+func (s *Sim) run(nodes []machine, coord *coordinator, codec transport.Codec, o *obs.Observer, stop <-chan struct{}) error {
 	s.nodes, s.codec, s.obsv = make(map[string]*simNode, len(nodes)+1), codec, o
 	order := make([]*simNode, 0, len(nodes)+1)
 	add := func(m machine) *simNode {
@@ -82,30 +81,21 @@ func (s *Sim) run(nodes []machine, coord *coordinator, d time.Duration, codec tr
 		add(m)
 	}
 	s.live = len(nodes)
-	if coord != nil {
-		s.coord = add(coord)
-	}
+	s.coord = add(coord)
 	for _, n := range order {
 		s.dispatch(n, event{kind: evStart})
 	}
-	if d > 0 {
-		s.clock.RunUntil(float64(d) / float64(time.Millisecond))
-		s.now = d
-	} else {
-		for s.live > 0 && s.err == nil && s.now < simHorizon && !transport.Stopped(stop) && s.clock.Step() {
-		}
-		if s.live > 0 && s.err == nil && !transport.Stopped(stop) {
-			s.err = fmt.Errorf("dist: virtual run stalled at %v with %d nodes unfinished", s.now, s.live)
-		}
+	for s.live > 0 && s.err == nil && s.now < simHorizon && !transport.Stopped(stop) && s.clock.Step() {
+	}
+	if s.live > 0 && s.err == nil && !transport.Stopped(stop) {
+		s.err = fmt.Errorf("dist: virtual run stalled at %v with %d nodes unfinished", s.now, s.live)
 	}
 	for _, n := range order {
 		if n != s.coord {
 			s.dispatch(n, event{kind: evStop})
 		}
 	}
-	if s.coord != nil {
-		s.dispatch(s.coord, event{kind: evClosed})
-	}
+	s.dispatch(s.coord, event{kind: evClosed})
 	return s.err
 }
 

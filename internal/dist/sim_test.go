@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"fmt"
-	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -17,9 +16,8 @@ import (
 	"lla/internal/workload"
 )
 
-// The virtual driver's own suite: a run is a pure function of its seed, a
-// sweep of generated fault schedules all end on the engine's bits, and one
-// wall-clock smoke keeps the real driver's asynchronous mode honest.
+// The virtual driver's own suite: a run is a pure function of its seed, and
+// a sweep of generated fault schedules all end on the engine's bits.
 
 // window is one node's crash/restart window in virtual time.
 type window struct {
@@ -93,10 +91,8 @@ func (s schedule) sim(t *testing.T, fp FaultPolicy) (*Runtime, *workload.Workloa
 
 // The fault-schedule sweep: 200 generated schedules, each ending bitwise on
 // the serial engine's state after the same rounds with every scheduled
-// coordinator crash executed; and the same schedule run asynchronously never
-// lets a degraded (stale-price) step break a critical time.
+// coordinator crash executed.
 func TestFaultScheduleSweep(t *testing.T) {
-	var degraded int64
 	for seed := int64(1); seed <= 200; seed++ {
 		s := genSchedule(seed)
 		rt, w := s.sim(t, fastPolicy())
@@ -120,20 +116,6 @@ func TestFaultScheduleSweep(t *testing.T) {
 		if s.plan.ZombieProbe && res.Rejoins > 0 && res.FencedStale == 0 {
 			t.Errorf("seed %d: zombie stops went to %d rejoined controllers and none was fenced", seed, res.Rejoins)
 		}
-
-		// The lease is short against the crash windows, so they degrade.
-		art, _ := s.sim(t, FaultPolicy{RetransmitAfter: time.Millisecond, RetransmitMax: 10 * time.Millisecond, LeaseAfter: 4 * time.Millisecond})
-		ares, err := art.RunAsync(40*time.Millisecond, time.Millisecond)
-		if err != nil {
-			t.Fatalf("seed %d: async: %v", seed, err)
-		}
-		if ares.MaxDegradedPathViolation > 1e-9 {
-			t.Errorf("seed %d: a degraded async step broke a critical time by %v", seed, ares.MaxDegradedPathViolation)
-		}
-		degraded += ares.DegradedRounds
-	}
-	if degraded == 0 {
-		t.Error("no schedule of the sweep produced a degraded async step: the clamp was never exercised")
 	}
 }
 
@@ -196,30 +178,6 @@ func TestVirtualRunReportsStall(t *testing.T) {
 	rt.SetFaultPolicy(FaultPolicy{})
 	if _, err := rt.Run(50); err == nil {
 		t.Fatal("20% loss without retransmission completed 50 rounds")
-	}
-}
-
-// Wall-clock smoke of the real driver's asynchronous mode: 200 ms over the
-// in-process network, nodes pacing and heartbeating on real timers.
-func TestAsyncWallClockSmoke(t *testing.T) {
-	rt, err := New(workload.Base(), core.Config{}, transport.NewInproc(transport.InprocConfig{QueueLen: 8192}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rt.Close()
-	start := time.Now()
-	res, err := rt.RunAsync(200*time.Millisecond, time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := time.Since(start); d < 200*time.Millisecond || d > 2*time.Second {
-		t.Errorf("a 200ms asynchronous run took %v", d)
-	}
-	if res.ControllerSteps < 10 || res.ResourceSteps < 10 {
-		t.Errorf("too few compute steps in 200ms at a 1ms pace: %+v", res)
-	}
-	if math.IsNaN(res.Utility) || res.Utility <= 0 || res.DegradedRounds != 0 {
-		t.Errorf("utility %v after %d degraded rounds on a healthy network", res.Utility, res.DegradedRounds)
 	}
 }
 

@@ -107,6 +107,34 @@ func TestStandaloneUnknownNames(t *testing.T) {
 	}
 }
 
+// A standalone node refuses a run of no rounds, as Runtime.Run does. (A node
+// that ran instead would wait for its silent peers until the context ends,
+// then stop without an error.)
+func TestStandaloneRefusesNonPositiveRounds(t *testing.T) {
+	w := workload.Base()
+	// The resource's peers are up, so its sends succeed.
+	resNet := transport.NewInproc(transport.InprocConfig{QueueLen: 1024})
+	for _, tk := range w.Tasks {
+		ep, err := resNet.Endpoint(controllerAddr(tk.Name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ep.Close()
+	}
+	for _, rounds := range []int{0, -3} {
+		ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+		if _, err := RunResource(ctx, w, core.Config{}, resNet, "r0", rounds, nil); err == nil {
+			t.Errorf("resource with %d rounds: no error", rounds)
+		}
+		cancel()
+		ctx, cancel = context.WithTimeout(context.Background(), 200*time.Millisecond)
+		if _, _, err := RunController(ctx, w, core.Config{}, transport.NewInproc(transport.InprocConfig{}), "task1", rounds, nil); err == nil {
+			t.Errorf("controller with %d rounds: no error", rounds)
+		}
+		cancel()
+	}
+}
+
 func TestAddressesCoverDeployment(t *testing.T) {
 	w := workload.Base()
 	addrs := Addresses(w)

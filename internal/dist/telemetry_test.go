@@ -82,15 +82,19 @@ type traceLine struct {
 	Task     string  `json:"task"`
 	Resource string  `json:"resource"`
 	Round    int     `json:"round"`
+	Epoch    uint64  `json:"epoch"`
 	Node     string  `json:"node"`
+	Value    float64 `json:"value"`
 	TimeNs   int64   `json:"t_unix_ns"`
 }
 
 // Chaos telemetry smoke: one JSONL stream records an observed engine run
-// (per-iteration KKT residuals) and an observed async run through a
-// crash/restart (degradation trace events); both the residual series and
-// the PR 2 degradation story must be reconstructable from the emitted
-// lines, and the live registry counters must agree with the AsyncResult.
+// (per-iteration KKT residuals), an observed run through a resource crash and
+// a coordinator crash, and an observed certificate run, the last two in
+// virtual time. The residual series and the outage story — report leases
+// expiring inside the crash window, a new coordinator generation, the
+// certificate — must be reconstructable from the emitted lines, and the live
+// registry counters must agree with the runs' Results.
 func TestChaosTelemetryJSONLReconstructs(t *testing.T) {
 	var buf bytes.Buffer
 	j := obs.NewJSONL(&buf)
@@ -106,38 +110,47 @@ func TestChaosTelemetryJSONLReconstructs(t *testing.T) {
 	e.Run(40, nil)
 	e.Observe(nil)
 
-	// Phase 2: async run under a resource crash/restart, in virtual time —
-	// event lines.
-	rt, err := NewSim(workload.Base(), core.Config{}, transport.ChaosConfig{Seed: 11, LossRate: 0.05})
+	// Phase 2: resource r0 is down from the start until crashEnd, so the
+	// controllers stall and their report leases expire; once rounds flow
+	// again the coordinator crashes and a new generation takes over.
+	const crashEnd = 60 * time.Millisecond
+	chaos := transport.ChaosConfig{Seed: 11, LossRate: 0.05}
+	rt := simRuntime(t, workload.Base(), chaos)
+	rt.Observe(&obs.Observer{Metrics: reg, Trace: j})
+	net := rt.Sim()
+	net.Crash(resourceAddr("r0"))
+	net.At(crashEnd, func() { net.Restart(resourceAddr("r0")) })
+	failover, err := rt.RunWithFailover(120, FailoverPlan{Crashes: []Crash{{AfterEmit: 30, DownFor: 5 * time.Millisecond}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// LeaseAfter clears the heartbeat cadence a quiesced resource advertises
-	// at (RetransmitAfter, with 5% loss) and is far below the crash window.
-	rt.SetFaultPolicy(FaultPolicy{
-		RetransmitAfter: 3 * time.Millisecond,
-		RetransmitMax:   30 * time.Millisecond,
-		LeaseAfter:      80 * time.Millisecond,
-	})
+	if failover.CoordinatorRestarts != 1 {
+		t.Fatalf("%d coordinator restarts, want 1", failover.CoordinatorRestarts)
+	}
+
+	// Phase 3: the certificate stop.
+	rt = simRuntime(t, workload.Base(), chaos)
 	rt.Observe(&obs.Observer{Metrics: reg, Trace: j})
-	net := rt.Sim()
-	net.At(400*time.Millisecond, func() { net.Crash(resourceAddr("r0")) })
-	net.At(900*time.Millisecond, func() { net.Restart(resourceAddr("r0")) })
-	res, err := rt.RunAsync(2500*time.Millisecond, time.Millisecond)
+	certified, err := rt.RunUntilKKT(5000)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !certified.Converged {
+		t.Fatal("the certificate run did not converge")
 	}
 	if err := j.Err(); err != nil {
 		t.Fatalf("JSONL writer error: %v", err)
 	}
 
-	// Reconstruct both stories from the one stream.
-	var samples, enters, exits int
+	// Reconstruct the stories from the one stream.
+	var samples, expiries, bumps, converged int
 	lastIter, maxResid := 0, 0.0
+	lineNo, lastExpiry, firstBump, convergedAt := 0, -1, -1, -1
 	for _, line := range bytes.Split(buf.Bytes(), []byte("\n")) {
 		if len(line) == 0 {
 			continue
 		}
+		lineNo++
 		var tl traceLine
 		if err := json.Unmarshal(line, &tl); err != nil {
 			t.Fatalf("unparseable trace line %q: %v", line, err)
@@ -153,26 +166,35 @@ func TestChaosTelemetryJSONLReconstructs(t *testing.T) {
 				maxResid = tl.KKTMax
 			}
 		case "event":
+			// Every dist event is the coordinator's, stamped by the driver.
+			if tl.Node != coordinatorAddr {
+				t.Errorf("%s not stamped with the coordinator's address: %+v", tl.Event, tl)
+			}
 			switch tl.Event {
-			case obs.EventDegradedEnter:
-				enters++
-				if tl.Task == "" || tl.Resource != "r0" {
-					t.Errorf("degraded_enter missing task/resource: %+v", tl)
+			case obs.EventLeaseExpiry:
+				expiries++
+				lastExpiry = lineNo
+				// The stamps: the silent task and the virtual time the lease
+				// ran out at — a lease after the crash opened, and no later
+				// than a lease past its end.
+				at := time.Duration(tl.TimeNs)
+				if tl.Task == "" || at <= fastPolicy().LeaseAfter || at > crashEnd+2*fastPolicy().LeaseAfter {
+					t.Errorf("lease_expiry outside the crash window or without a task: %+v at %v", tl, at)
 				}
-				// The driver's stamps: the emitting controller, its compute
-				// step, and the virtual time the lease ran out at — inside
-				// the crash window, one lease after it opened.
-				if tl.Node != controllerAddr(tl.Task) || tl.Round == 0 {
-					t.Errorf("degraded_enter not stamped with node and round: %+v", tl)
+			case obs.EventEpochBump:
+				bumps++
+				firstBump = lineNo
+				if tl.Epoch != 1 || tl.Value != 1 || tl.Round < 30 {
+					t.Errorf("epoch_bump stamped epoch=%d value=%v round=%d, want epoch 1 after round 30", tl.Epoch, tl.Value, tl.Round)
 				}
-				if at := time.Duration(tl.TimeNs); at < 480*time.Millisecond || at > 900*time.Millisecond {
-					t.Errorf("degraded_enter at virtual %v, outside the crash window", at)
+			case obs.EventConverged:
+				converged++
+				convergedAt = lineNo
+				if tl.Iter == 0 || tl.Value == 0 {
+					t.Errorf("converged event missing iteration/utility: %+v", tl)
 				}
-			case obs.EventDegradedExit:
-				exits++
-				if tl.Node != controllerAddr(tl.Task) || tl.Round == 0 {
-					t.Errorf("degraded_exit not stamped with node and round: %+v", tl)
-				}
+			default:
+				t.Errorf("unexpected event %q", tl.Event)
 			}
 		default:
 			t.Fatalf("unknown record kind in %q", line)
@@ -184,22 +206,29 @@ func TestChaosTelemetryJSONLReconstructs(t *testing.T) {
 	if maxResid == 0 {
 		t.Error("no nonzero KKT residual in the recorded iterations")
 	}
-	if enters == 0 {
-		t.Error("a 500ms crash with a 25ms lease emitted no degraded_enter event")
+	if expiries == 0 || bumps != 1 || converged != 1 {
+		t.Fatalf("%d lease_expiry, %d epoch_bump and %d converged events, want some, 1 and 1", expiries, bumps, converged)
 	}
-	if exits == 0 {
-		t.Error("restart emitted no degraded_exit event")
+	if !(lastExpiry < firstBump && firstBump < convergedAt) {
+		t.Errorf("story out of order: lease expiries up to line %d, epoch bump at %d, converged at %d", lastExpiry, firstBump, convergedAt)
 	}
 
-	// Registry counters agree with the run's summary.
+	// Registry counters agree with the runs' summaries.
 	dm := obs.NewDistMetrics(reg)
-	if got := dm.DegradedRounds.Value(); got != res.DegradedRounds {
-		t.Errorf("lla_dist_degraded_rounds_total = %d, AsyncResult.DegradedRounds = %d", got, res.DegradedRounds)
+	for _, c := range []struct {
+		name      string
+		got, want int64
+	}{
+		{"lla_dist_rounds_total", dm.Rounds.Value(), int64(failover.Rounds + certified.Rounds)},
+		{"lla_dist_retransmits_total", dm.Retransmits.Value(), failover.Retransmits + certified.Retransmits},
+		{"lla_dist_rejected_stale_total", dm.RejectedStale.Value(), failover.RejectedStale + certified.RejectedStale},
+		{"lla_dist_lease_expirations_total", dm.LeaseExpirations.Value(), failover.LeaseExpirations + certified.LeaseExpirations},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s = %d, the Results sum to %d", c.name, c.got, c.want)
+		}
 	}
-	if got := dm.RejectedStale.Value(); got != res.RejectedStale {
-		t.Errorf("lla_dist_rejected_stale_total = %d, AsyncResult.RejectedStale = %d", got, res.RejectedStale)
-	}
-	if dm.LeaseExpirations.Value() == 0 {
-		t.Error("no lease expirations counted despite degradation")
+	if int64(expiries) != dm.LeaseExpirations.Value() {
+		t.Errorf("%d lease_expiry events, %d counted", expiries, dm.LeaseExpirations.Value())
 	}
 }

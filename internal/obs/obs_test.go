@@ -199,8 +199,8 @@ func TestConcurrentEmitAndRecord(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				j.Emit(Event{Kind: EventDegradedEnter, Resource: fmt.Sprintf("r%d", g)})
-				m.Emit(Event{Kind: EventDegradedExit})
+				j.Emit(Event{Kind: EventLeaseExpiry, Task: fmt.Sprintf("task%d", g)})
+				m.Emit(Event{Kind: EventEpochBump})
 			}
 		}(g)
 	}

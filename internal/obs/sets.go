@@ -169,21 +169,17 @@ func NewPlaceMetrics(r *Registry) *PlaceMetrics {
 }
 
 // DistMetrics is the distributed runtime's standard metric set — the live
-// counterpart of the dist Result/AsyncResult counters.
+// counterpart of the dist Result counters.
 type DistMetrics struct {
 	// Rounds counts fully reported synchronous rounds (coordinator view).
 	Rounds *Counter
-	// Retransmits counts reliability-layer re-sends (sender timeouts,
-	// receiver-side stale recovery, async idle heartbeats).
+	// Retransmits counts reliability-layer re-sends (sender timeouts and
+	// receiver-side stale recovery).
 	Retransmits *Counter
 	// RejectedStale counts deliveries rejected as duplicates or
-	// reordered-stale (round gating or per-sender sequence dedup).
+	// reordered-stale by round gating.
 	RejectedStale *Counter
-	// DegradedRounds counts async controller steps computed while a used
-	// resource's price lease had expired.
-	DegradedRounds *Counter
-	// LeaseExpirations counts lease expirations (coordinator report leases
-	// and async per-resource price leases).
+	// LeaseExpirations counts the coordinator's report leases expiring.
 	LeaseExpirations *Counter
 	// RoundSeconds is the distribution of coordinator-observed gaps
 	// between completed rounds.
@@ -196,8 +192,7 @@ func NewDistMetrics(r *Registry) *DistMetrics {
 		Rounds:           r.Counter("lla_dist_rounds_total", "Fully reported synchronous rounds."),
 		Retransmits:      r.Counter("lla_dist_retransmits_total", "Messages re-sent by the reliability layer."),
 		RejectedStale:    r.Counter("lla_dist_rejected_stale_total", "Deliveries rejected as duplicate or stale."),
-		DegradedRounds:   r.Counter("lla_dist_degraded_rounds_total", "Async compute steps taken on frozen (stale) prices."),
-		LeaseExpirations: r.Counter("lla_dist_lease_expirations_total", "Report/price leases that expired."),
+		LeaseExpirations: r.Counter("lla_dist_lease_expirations_total", "Report leases that expired."),
 		RoundSeconds: r.Histogram("lla_dist_round_seconds", "Gap between completed rounds at the coordinator.",
 			[]float64{0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5}),
 	}

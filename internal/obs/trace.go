@@ -19,13 +19,6 @@ const (
 	// expires: the task's controller stayed silent past
 	// FaultPolicy.LeaseAfter.
 	EventLeaseExpiry = "lease_expiry"
-	// EventDegradedEnter fires when an async controller marks a used
-	// resource's price lease expired and starts clamping allocations
-	// deadline-safe on its frozen price.
-	EventDegradedEnter = "degraded_enter"
-	// EventDegradedExit fires when a fresh price ends a resource's
-	// degradation.
-	EventDegradedExit = "degraded_exit"
 	// EventAdmission fires per admission decision: Task names the candidate,
 	// Detail names the deciding gate, Value is 1 (admitted) or 0 (rejected).
 	EventAdmission = "admission"

@@ -34,14 +34,13 @@ import "lla/internal/byteio"
 
 // PriceUpdate is sent by a resource node to every controller with a subtask
 // on the resource: the resource price and the congestion flag that drives
-// the adaptive path-step heuristic. Seq is a per-sender monotonic sequence
-// number used by the asynchronous protocol to reject duplicated and
-// reordered-stale deliveries; the round-synchronized protocol leaves it zero
-// (round gating already makes folds idempotent there). Excess is the
-// capacity excess Σshare − B the price was stepped from, when positive: the
-// resource's part of the round's KKT certificate. Delta marks a delta-encoded
-// broadcast: Mu and Excess are not on the wire and the receiver keeps the
-// values it folded for the previous round.
+// the adaptive path-step heuristic. Seq is a per-sender sequence number that
+// no sender sets: round gating makes folds idempotent, and the field stays
+// only so that frames carrying it still decode (a zero Seq is not on the
+// wire). Excess is the capacity excess Σshare − B the price was stepped from,
+// when positive: the resource's part of the round's KKT certificate. Delta
+// marks a delta-encoded broadcast: Mu and Excess are not on the wire and the
+// receiver keeps the values it folded for the previous round.
 type PriceUpdate struct {
 	Round     int
 	Seq       int64
@@ -56,8 +55,8 @@ type PriceUpdate struct {
 // ShareReport is sent by a controller to a resource node: the newly
 // allocated latencies of the controller's subtasks hosted on that resource,
 // LatMs[j] for the subtask named Subs[j], with Subs in strictly ascending
-// order (the order they cross the wire in). Seq works like PriceUpdate.Seq;
-// Delta marks a coalesced report whose latencies are unchanged from the
+// order (the order they cross the wire in). Seq is unset, as PriceUpdate.Seq
+// is; Delta marks a coalesced report whose latencies are unchanged from the
 // previous round (Subs and LatMs are not on the wire).
 type ShareReport struct {
 	Round int

@@ -178,11 +178,9 @@ func NewClosedLoop(w *Workload, engineCfg Config, simCfg SimConfig, cfg ClosedLo
 var NewCorrector = errcorr.New
 
 // NewDistributed assembles a distributed deployment on the given network:
-// LLA as message-passing resource and controller nodes, round-synchronized
-// (Run, RunUntilKKT, RunWithFailover) or, with RunAsync, without round
-// synchronization — nodes compute on whatever prices/latencies have arrived
-// and publish immediately (prefer fixed moderate steps under long message
-// delays).
+// LLA as message-passing resource and controller nodes in synchronized
+// rounds (Run, RunUntilKKT, RunWithFailover); a loss-free run is the engine's
+// iteration bit for bit.
 func NewDistributed(w *Workload, cfg Config, net transport.Network) (*dist.Runtime, error) {
 	return dist.New(w, cfg, net)
 }
