@@ -89,15 +89,9 @@ func New(w *workload.Workload, engineCfg core.Config, simCfg sim.Config, cfg Con
 // between epochs).
 func (l *Loop) Engine() *core.Engine { return l.engine }
 
-// World exposes the simulated system.
-func (l *Loop) World() *sim.Sim { return l.world }
-
 // SetCorrection enables or disables online error correction at runtime (the
 // Figure 8 experiment enables it mid-run).
 func (l *Loop) SetCorrection(on bool) { l.correcting = on }
-
-// Correcting reports whether correction is active.
-func (l *Loop) Correcting() bool { return l.correcting }
 
 // RunEpochs executes n epochs: optimize → enact (policy-gated) → simulate →
 // observe → correct. observe may be nil.

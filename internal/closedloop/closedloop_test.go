@@ -45,7 +45,7 @@ func TestLoopReproducesErrorCorrectionShift(t *testing.T) {
 	}
 
 	l.SetCorrection(true)
-	if !l.Correcting() {
+	if !l.correcting {
 		t.Fatal("correction should be on")
 	}
 	if err := l.RunEpochs(12, func(e Epoch) { last = e }); err != nil {
@@ -103,7 +103,7 @@ func TestLoopEpochObservations(t *testing.T) {
 			t.Errorf("ErrMs covers %d tasks, want 4", len(e.ErrMs))
 		}
 	}
-	if l.Engine() == nil || l.World() == nil {
+	if l.Engine() == nil || l.world == nil {
 		t.Error("accessors returned nil")
 	}
 }

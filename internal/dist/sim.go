@@ -30,7 +30,7 @@ const (
 // jitter draws from the same seeded stream, so a run is a pure function of
 // its ChaosConfig, and costs only its compute.
 //
-// Crash, Restart, Partition and Heal (promoted from Faults) act at once; At
+// Crash, Restart and Partition (promoted from Faults) act at once; At
 // schedules them, or anything else, in virtual time. A Sim runs once.
 type Sim struct {
 	*transport.Faults

@@ -708,7 +708,7 @@ func roundTripPayload[T any](c *wire.Codec, from, to, kind string, entries []T) 
 	if err != nil {
 		return nil, err
 	}
-	out, err := c.Read(bufio.NewReader(bytes.NewReader(frame)))
+	out, err := c.Read(bufio.NewReaderSize(bytes.NewReader(frame), len(frame)))
 	if err != nil {
 		return nil, err
 	}

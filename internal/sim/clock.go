@@ -84,6 +84,3 @@ func (c *Clock) Step() bool {
 	e.fn()
 	return true
 }
-
-// Pending reports the number of queued events.
-func (c *Clock) Pending() int { return c.queue.Len() }

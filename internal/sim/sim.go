@@ -288,24 +288,6 @@ func (s *Sim) setShareIdx(ti, si int, share float64) {
 	s.armServer(ri)
 }
 
-// SetShare enacts a share assignment for the named subtask.
-func (s *Sim) SetShare(taskName, subtaskName string, share float64) error {
-	if share < 0 {
-		return fmt.Errorf("sim: negative share %v", share)
-	}
-	for ti, t := range s.w.Tasks {
-		if t.Name != taskName {
-			continue
-		}
-		if si := t.SubtaskIndexByName(subtaskName); si >= 0 {
-			s.setShareIdx(ti, si, share)
-			return nil
-		}
-		return fmt.Errorf("sim: task %s has no subtask %q", taskName, subtaskName)
-	}
-	return fmt.Errorf("sim: unknown task %q", taskName)
-}
-
 // SetShares enacts a full assignment indexed like the workload.
 func (s *Sim) SetShares(shares [][]float64) error {
 	if len(shares) != len(s.w.Tasks) {
@@ -374,11 +356,6 @@ func (s *Sim) Utilization(resourceID string) (float64, bool) {
 		return 0, false
 	}
 	return srv.taskWorkMs / elapsed, true
-}
-
-// Counts returns (released, completed) job sets for task ti.
-func (s *Sim) Counts(ti int) (released, completed int) {
-	return s.releasedSets[ti], s.completedSets[ti]
 }
 
 // Backlog returns the queue length of subtask (ti, si) on its resource.

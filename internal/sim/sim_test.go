@@ -39,8 +39,8 @@ func TestClockOrdering(t *testing.T) {
 	if c.NowMs() != 10 {
 		t.Errorf("NowMs = %v, want 10", c.NowMs())
 	}
-	if c.Pending() != 0 {
-		t.Errorf("Pending = %d, want 0", c.Pending())
+	if n := c.queue.Len(); n != 0 {
+		t.Errorf("%d events pending, want 0", n)
 	}
 }
 
@@ -115,7 +115,7 @@ func TestSimWorkConservingIsolatedLatency(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := s.SetShare("t", "s", 0.3); err != nil {
+		if err := s.SetShares([][]float64{{0.3}}); err != nil {
 			t.Fatal(err)
 		}
 		s.RunFor(1000)
@@ -137,7 +137,7 @@ func TestSimBackgroundReservationThrottles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.SetShare("t", "s", 0.5); err != nil {
+	if err := s.SetShares([][]float64{{0.5}}); err != nil {
 		t.Fatal(err)
 	}
 	s.RunFor(2000)
@@ -182,7 +182,7 @@ func TestSimChainPrecedence(t *testing.T) {
 	if got := s.TaskLatency(0).Quantile(0.5); math.Abs(got-8) > 0.05 {
 		t.Errorf("chain latency = %v, want 8 (3+5, isolated)", got)
 	}
-	rel, comp := s.Counts(0)
+	rel, comp := s.releasedSets[0], s.completedSets[0]
 	if rel < 99 || comp < rel-1 {
 		t.Errorf("released=%d completed=%d, want stable pipeline", rel, comp)
 	}
@@ -231,16 +231,18 @@ func TestSimPrototypeModelOverPredicts(t *testing.T) {
 	}
 	// Enact the model-based optimum: fast 0.2857, slow 0.1643.
 	fast, slow := 10.0/35, 0.45-10.0/35
+	shares := make([][]float64, len(w.Tasks))
 	for ti, tk := range w.Tasks {
 		v := fast
 		if ti >= 2 {
 			v = slow
 		}
-		for _, st := range tk.Subtasks {
-			if err := s.SetShare(tk.Name, st.Name, v); err != nil {
-				t.Fatal(err)
-			}
+		for range tk.Subtasks {
+			shares[ti] = append(shares[ti], v)
 		}
+	}
+	if err := s.SetShares(shares); err != nil {
+		t.Fatal(err)
 	}
 	s.RunFor(2000)
 	s.ResetStats()
@@ -255,7 +257,7 @@ func TestSimPrototypeModelOverPredicts(t *testing.T) {
 		t.Errorf("fast p95 = %.1f below WCET %v — impossible", measured, workload.FastExecMs)
 	}
 	// The pipeline keeps up: completions track releases.
-	rel, comp := s.Counts(0)
+	rel, comp := s.releasedSets[0], s.completedSets[0]
 	if comp < rel-10 {
 		t.Errorf("fast task falling behind: released=%d completed=%d", rel, comp)
 	}
@@ -286,7 +288,7 @@ func TestSimOverloadGrowsBacklog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.SetShare("t", "s", 0.05); err != nil {
+	if err := s.SetShares([][]float64{{0.05}}); err != nil {
 		t.Fatal(err)
 	}
 	s.RunFor(5000)
@@ -313,15 +315,6 @@ func TestSimSetSharesValidation(t *testing.T) {
 		t.Error("wrong subtask count should fail")
 	}
 	if err := s.SetShares([][]float64{{-1}}); err == nil {
-		t.Error("negative share should fail")
-	}
-	if err := s.SetShare("zz", "s", 0.1); err == nil {
-		t.Error("unknown task should fail")
-	}
-	if err := s.SetShare("t", "zz", 0.1); err == nil {
-		t.Error("unknown subtask should fail")
-	}
-	if err := s.SetShare("t", "s", -0.1); err == nil {
 		t.Error("negative share should fail")
 	}
 }
@@ -392,8 +385,7 @@ func TestSimSchedulerDisciplinesAgreeOnThroughput(t *testing.T) {
 			t.Fatal(err)
 		}
 		s.RunFor(20000)
-		_, comp := s.Counts(0)
-		counts = append(counts, comp)
+		counts = append(counts, s.completedSets[0])
 	}
 	for i := 1; i < len(counts); i++ {
 		if d := math.Abs(float64(counts[i]-counts[0])) / float64(counts[0]); d > 0.05 {

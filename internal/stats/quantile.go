@@ -96,18 +96,6 @@ func (r *Reservoir) Quantile(q float64) float64 {
 	return Quantile(r.samples, q)
 }
 
-// Mean returns the mean of the retained samples.
-func (r *Reservoir) Mean() float64 {
-	if len(r.samples) == 0 {
-		return math.NaN()
-	}
-	sum := 0.0
-	for _, v := range r.samples {
-		sum += v
-	}
-	return sum / float64(len(r.samples))
-}
-
 // Reset discards all samples but keeps the capacity and RNG state.
 func (r *Reservoir) Reset() {
 	r.seen = 0

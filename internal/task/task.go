@@ -313,16 +313,6 @@ func (t *Task) CriticalPathMs(latMs []float64) (float64, int, error) {
 	return best, bestIdx, nil
 }
 
-// SubtaskIndexByName returns the index of the named subtask, or -1.
-func (t *Task) SubtaskIndexByName(name string) int {
-	for i, s := range t.Subtasks {
-		if s.Name == name {
-			return i
-		}
-	}
-	return -1
-}
-
 // Clone returns a deep copy of the task (graph, subtasks and trigger). The
 // succ and pred rows are carved out of one array, each clipped to its length,
 // so growing a row (AddEdge) reallocates it instead of writing into its

@@ -358,16 +358,6 @@ func TestPathsAreClipped(t *testing.T) {
 	}
 }
 
-func TestSubtaskIndexByName(t *testing.T) {
-	tk := diamond(t)
-	if i := tk.SubtaskIndexByName("c"); i != 2 {
-		t.Errorf("index of c = %d, want 2", i)
-	}
-	if i := tk.SubtaskIndexByName("nope"); i != -1 {
-		t.Errorf("index of missing = %d, want -1", i)
-	}
-}
-
 func TestBuilderErrors(t *testing.T) {
 	if _, err := NewBuilder("x", 10).Subtask("a", "r", 1).Subtask("a", "r", 1).Build(); err == nil {
 		t.Error("duplicate subtask should fail build")

@@ -87,7 +87,8 @@ func (f *Faults) Restart(addr string) {
 
 // Partition splits the listed addresses into isolated groups: messages
 // between different groups are blackholed. Addresses not listed in any group
-// keep full connectivity. A new call replaces the previous partition.
+// keep full connectivity. A new call replaces the previous partition, and a
+// call with no groups removes it.
 func (f *Faults) Partition(groups ...[]string) {
 	m := make(map[string]int)
 	for gi, g := range groups {
@@ -98,13 +99,6 @@ func (f *Faults) Partition(groups ...[]string) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.group = m
-}
-
-// Heal removes any partition.
-func (f *Faults) Heal() {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.group = nil
 }
 
 // Blocked reports whether traffic from -> to is currently blackholed (a

@@ -128,9 +128,9 @@ func TestChaosPartitionAndHeal(t *testing.T) {
 	if f.Blocked("x", "b") || f.Blocked("a", "x") {
 		t.Fatal("an unlisted node was cut off")
 	}
-	f.Heal()
+	f.Partition()
 	if f.Blocked("a", "b") {
-		t.Fatal("the partition outlived Heal")
+		t.Fatal("the partition outlived an empty Partition")
 	}
 	if st := f.Stats(); st.Blackholed != 2 {
 		t.Errorf("stats: %+v, want 2 blackholed", st)

@@ -92,7 +92,8 @@ func (n *Inproc) deliver(msg Message) error {
 		if err != nil {
 			return fmt.Errorf("transport: inproc codec encode: %w", err)
 		}
-		if msg, err = n.codec.Read(bufio.NewReader(bytes.NewReader(frame))); err != nil {
+		// A reader sized to the frame: the default one allocates 4 KiB.
+		if msg, err = n.codec.Read(bufio.NewReaderSize(bytes.NewReader(frame), len(frame))); err != nil {
 			return fmt.Errorf("transport: inproc codec decode: %w", err)
 		}
 	}

@@ -11,24 +11,35 @@ import (
 	"lla/internal/wire"
 )
 
-// TCP is a Network whose endpoints listen on TCP sockets and exchange the
-// binary frames of PROTOCOL.md, and nothing else: every connection opens
+// TCP is a Network whose endpoints exchange the binary frames of
+// PROTOCOL.md over TCP sockets, and nothing else: every connection opens
 // with the codec's hello/ack, and one whose peer disagrees on version or
 // dictionary is refused, not downgraded. Endpoint addresses are logical
 // names mapped to host:port pairs through a static registry (in a real
 // deployment this would be service discovery; a static table keeps the
 // reproduction self-contained).
 //
-// Sending is write-behind over one connection per destination, shared by
-// every endpoint of the network: Send queues the encoded frame, and a writer
-// goroutine, alive while the queue is non-empty, puts all that was queued
-// since its last write on the socket in one Write. Frames from one sender to
-// one destination keep their Send order; senders interleave only at frame
-// boundaries.
+// The endpoints registered at one host:port share one listener, and every
+// "host:0" entry shares the one port the kernel assigns it. The listener's
+// readers route each inbound frame to the open endpoint its To names, and
+// drop it if there is none or that endpoint's inbox is full, so an endpoint
+// that stops reading cannot stall its neighbours.
+//
+// Sending is write-behind over one connection per destination host:port,
+// shared by every endpoint of the network: Send queues the encoded frame,
+// and a writer goroutine, alive while the queue is non-empty, puts all that
+// was queued since its last write on the socket in one Write. Frames from
+// one sender to one destination keep their Send order; senders interleave
+// only at frame boundaries.
 type TCP struct {
+	// mu guards the registry, the listeners and their maps; a reader routes
+	// each frame under it.
 	mu sync.Mutex
 	// registry maps logical address -> host:port.
 	registry map[string]string
+	// listeners maps a host:port, as registered and as bound, to the
+	// listener serving it.
+	listeners map[string]*listener
 	// dialTimeout bounds a single connection attempt, and the wait for an
 	// inbound connection's hello.
 	dialTimeout time.Duration
@@ -40,9 +51,8 @@ type TCP struct {
 	// codec frames every message and checks every connection's handshake:
 	// the dictionary-less wire codec unless SetCodec installed another.
 	codec Codec
-	// pool serves the live open endpoints; the last one's Close ends it.
+	// pool serves the open endpoints; the last one's Close ends it.
 	pool *pool
-	live int
 }
 
 var _ Network = (*TCP)(nil)
@@ -58,13 +68,15 @@ const (
 
 // NewTCP returns a TCP network with the given logical-name registry.
 // Entries may also be added later with Register (e.g. after kernel-assigned
-// ports are known).
+// ports are known). Endpoints whose entries name the same host:port share
+// one listener; all "127.0.0.1:0" entries share one kernel-assigned port.
 func NewTCP(registry map[string]string) *TCP {
 	r := make(map[string]string, len(registry))
 	for k, v := range registry {
 		r[k] = v
 	}
-	return &TCP{registry: r, dialTimeout: 5 * time.Second, RetryWindow: 10 * time.Second, codec: wire.NewCodec(nil)}
+	return &TCP{registry: r, listeners: make(map[string]*listener), dialTimeout: 5 * time.Second,
+		RetryWindow: 10 * time.Second, codec: wire.NewCodec(nil)}
 }
 
 // SetCodec replaces the frame codec, typically with one holding the
@@ -90,32 +102,116 @@ func (t *TCP) lookup(addr string) (string, error) {
 	return hp, nil
 }
 
-// Endpoint implements Network: it binds a listener on the registered
-// host:port (a ":0" port is rebound into the registry after binding).
+// Endpoint implements Network: it opens the endpoint on the listener of its
+// registered host:port, binding that first if no open endpoint shares it (a
+// ":0" port is rebound into the registry after binding).
 func (t *TCP) Endpoint(addr string) (Endpoint, error) {
-	hp, err := t.lookup(addr)
-	if err != nil {
-		return nil, err
-	}
-	ln, err := net.Listen("tcp", hp)
-	if err != nil {
-		return nil, fmt.Errorf("transport: listening for %q on %s: %w", addr, hp, err)
-	}
 	t.mu.Lock()
-	t.registry[addr] = ln.Addr().String()
-	if t.live++; t.pool == nil {
+	defer t.mu.Unlock()
+	hp, ok := t.registry[addr]
+	if !ok {
+		return nil, fmt.Errorf("transport: address %q not in registry", addr)
+	}
+	l := t.listeners[hp]
+	if l == nil {
+		ln, err := net.Listen("tcp", hp)
+		if err != nil {
+			return nil, fmt.Errorf("transport: listening for %q on %s: %w", addr, hp, err)
+		}
+		l = &listener{ln: ln, keys: []string{hp, ln.Addr().String()},
+			eps: make(map[string]*tcpEndpoint), inbound: make(map[net.Conn]struct{})}
+		for _, k := range l.keys {
+			t.listeners[k] = l
+		}
+		l.wg.Add(1)
+		go t.accept(l)
+	} else if l.eps[addr] != nil {
+		return nil, fmt.Errorf("transport: endpoint %q already open", addr)
+	}
+	t.registry[addr] = l.ln.Addr().String()
+	if t.pool == nil {
 		t.pool = &pool{conns: make(map[string]*outConn), done: make(chan struct{})}
 	}
-	ep := &tcpEndpoint{net: t, pool: t.pool, addr: addr, ln: ln, in: make(chan Message, 1024),
-		inbound: make(map[net.Conn]struct{}), done: make(chan struct{})}
-	t.mu.Unlock()
-	ep.wg.Add(1)
-	go ep.acceptLoop()
+	ep := &tcpEndpoint{net: t, pool: t.pool, l: l, addr: addr, in: make(chan Message, 1024), done: make(chan struct{})}
+	l.eps[addr] = ep
 	return ep, nil
 }
 
+// listener is one bound socket, the open endpoints registered at it and
+// its accepted connections, which the last Close closes. The network's mu
+// guards its maps.
+type listener struct {
+	ln      net.Listener
+	keys    []string // its entries in TCP.listeners
+	eps     map[string]*tcpEndpoint
+	inbound map[net.Conn]struct{}
+	wg      sync.WaitGroup
+}
+
+// accept accepts inbound connections and spawns a reader per connection
+// until the listener closes.
+func (t *TCP) accept(l *listener) {
+	defer l.wg.Done()
+	for {
+		conn, err := l.ln.Accept()
+		if err != nil {
+			return // listener closed
+		}
+		t.mu.Lock()
+		open := len(l.eps) > 0
+		if open {
+			l.inbound[conn] = struct{}{}
+			l.wg.Add(1)
+		}
+		t.mu.Unlock()
+		if !open {
+			conn.Close()
+			return
+		}
+		go t.read(l, conn)
+	}
+}
+
+// read serves one inbound connection: the handshake first — a peer that
+// does not open with a hello this codec agrees with, within dialTimeout,
+// gets the refusing ack and the connection is dropped before it can deliver
+// anything — then frames, each pushed into the inbox of the endpoint its To
+// names, until the stream ends or fails to decode. A frame for no open
+// endpoint, or for a full inbox, is dropped: the protocol retransmits, as
+// it does when Inproc refuses one.
+func (t *TCP) read(l *listener, conn net.Conn) {
+	defer l.wg.Done()
+	defer func() {
+		conn.Close()
+		t.mu.Lock()
+		delete(l.inbound, conn)
+		t.mu.Unlock()
+	}()
+	br := bufio.NewReader(conn)
+	conn.SetReadDeadline(time.Now().Add(t.dialTimeout))
+	ack, refused := t.codec.Accept(br)
+	conn.SetReadDeadline(time.Time{})
+	if _, err := conn.Write(ack); err != nil || refused != nil {
+		return
+	}
+	for {
+		msg, err := t.codec.Read(br)
+		if err != nil {
+			return
+		}
+		t.mu.Lock()
+		if e := l.eps[msg.To]; e != nil {
+			select {
+			case e.in <- msg:
+			default:
+			}
+		}
+		t.mu.Unlock()
+	}
+}
+
 // pool is the outbound side of a network's endpoints open at the same time:
-// one connection per destination.
+// one connection per destination host:port.
 type pool struct {
 	mu                sync.Mutex
 	conns             map[string]*outConn
@@ -171,89 +267,31 @@ func (p *pool) watch(c *outConn, nc net.Conn) {
 	}()
 }
 
-// tcpEndpoint is one listener; it sends through its network's pool.
+// tcpEndpoint is one address on a listener; it sends through its network's
+// pool.
 type tcpEndpoint struct {
 	net  *TCP
 	pool *pool
+	l    *listener
 	addr string
-	ln   net.Listener
 	in   chan Message
 	done chan struct{}
-	wg   sync.WaitGroup
-
-	mu sync.Mutex
-	// inbound holds accepted connections so Close can unblock their readers.
-	inbound map[net.Conn]struct{}
-	closed  bool
 }
 
 // Addr implements Endpoint.
 func (e *tcpEndpoint) Addr() string { return e.addr }
 
-// acceptLoop accepts inbound connections and spawns a reader per connection.
-func (e *tcpEndpoint) acceptLoop() {
-	defer e.wg.Done()
-	for {
-		conn, err := e.ln.Accept()
-		if err != nil {
-			return // listener closed
-		}
-		e.mu.Lock()
-		if e.closed {
-			e.mu.Unlock()
-			conn.Close()
-			return
-		}
-		e.inbound[conn] = struct{}{}
-		e.mu.Unlock()
-		e.wg.Add(1)
-		go e.readLoop(conn)
-	}
-}
-
-// readLoop serves one inbound connection: the handshake first — a peer that
-// does not open with a hello this codec agrees with, within dialTimeout, gets
-// the refusing ack and the connection is dropped before it can deliver
-// anything — then frames into the inbox until the stream ends or fails to
-// decode.
-func (e *tcpEndpoint) readLoop(conn net.Conn) {
-	defer e.wg.Done()
-	defer func() {
-		conn.Close()
-		e.mu.Lock()
-		delete(e.inbound, conn)
-		e.mu.Unlock()
-	}()
-	br := bufio.NewReader(conn)
-	cod := e.net.codec
-	conn.SetReadDeadline(time.Now().Add(e.net.dialTimeout))
-	ack, refused := cod.Accept(br)
-	conn.SetReadDeadline(time.Time{})
-	if _, err := conn.Write(ack); err != nil || refused != nil {
-		return
-	}
-	for {
-		msg, err := cod.Read(br)
-		if err != nil {
-			return
-		}
-		select {
-		case e.in <- msg:
-		case <-e.done:
-			return
-		}
-	}
-}
-
 // Send implements Endpoint. It encodes the frame and queues it on the
-// network's connection to the destination, dialing that first (and running
-// the handshake) if there is none: a nil error means queued, not written.
+// network's connection to the destination's host:port, dialing that first
+// (and running the handshake) if there is none: a nil error means queued,
+// not written.
 // It fails on an unknown destination, an unencodable payload, a closed
 // endpoint, a dial that does not succeed within RetryWindow, a refused
 // handshake (at once, wrapping wire.ErrRefused) and a full queue. Write
 // failures are the writer's (writeLoop).
 func (e *tcpEndpoint) Send(to, kind string, payload any) error {
-	if _, err := e.net.lookup(to); err != nil {
+	hp, err := e.net.lookup(to)
+	if err != nil {
 		return err // unknown destination: retrying cannot help
 	}
 	msg, err := wire.NewMessage(e.addr, to, kind, payload)
@@ -266,10 +304,10 @@ func (e *tcpEndpoint) Send(to, kind string, payload any) error {
 	}
 	p := e.pool
 	p.mu.Lock()
-	c := p.conns[to]
+	c := p.conns[hp]
 	if c == nil {
 		c = &outConn{}
-		p.conns[to] = c
+		p.conns[hp] = c
 	}
 	p.mu.Unlock()
 	// c.mu is held across a dial, so concurrent first Sends share one
@@ -281,7 +319,7 @@ func (e *tcpEndpoint) Send(to, kind string, payload any) error {
 		return fmt.Errorf("transport: endpoint %q closed", e.addr)
 	}
 	if c.nc == nil {
-		nc, err := e.net.dial(e.addr, to, retryWindow(e.net.RetryWindow), e.done)
+		nc, err := e.net.dial(e.addr, hp, retryWindow(e.net.RetryWindow), e.done)
 		if err != nil {
 			return fmt.Errorf("transport: connecting %q to %q: %w", e.addr, to, err)
 		}
@@ -294,7 +332,7 @@ func (e *tcpEndpoint) Send(to, kind string, payload any) error {
 	if !c.busy {
 		c.busy = true
 		p.writers.Add(1)
-		go e.net.writeLoop(p, to, c)
+		go e.net.writeLoop(p, hp, c)
 	}
 	return nil
 }
@@ -304,7 +342,7 @@ func (e *tcpEndpoint) Send(to, kind string, payload any) error {
 // and writes the batch again, so its leading frames may arrive twice. If
 // that fails too, or the pool is closing, the writer gives up: it drops the
 // connection and what was queued, and the next Send dials afresh.
-func (t *TCP) writeLoop(p *pool, to string, c *outConn) {
+func (t *TCP) writeLoop(p *pool, hp string, c *outConn) {
 	defer p.writers.Done()
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -316,7 +354,7 @@ func (t *TCP) writeLoop(p *pool, to string, c *outConn) {
 		for open := retryWindow(t.RetryWindow); err != nil && !Stopped(p.done); {
 			nc.Close()
 			var redialed net.Conn
-			if redialed, err = t.dial(nc.LocalAddr().String(), to, open, p.done); err == nil {
+			if redialed, err = t.dial(nc.LocalAddr().String(), hp, open, p.done); err == nil {
 				nc = redialed
 				c.mu.Lock()
 				if Stopped(p.done) { // past the pool's write deadlines: never install
@@ -341,18 +379,14 @@ func (t *TCP) writeLoop(p *pool, to string, c *outConn) {
 	c.busy = false
 }
 
-// dial connects to the destination and runs the handshake, backing off
-// between attempts (capped exponential, jittered per from>to) while open
+// dial connects to host:port hp and runs the handshake, backing off
+// between attempts (capped exponential, jittered per from>hp) while open
 // holds and stop has not fired: the peer may not have bound its listener
 // yet, or may be restarting. A refused handshake is final and returned at
 // once.
-func (t *TCP) dial(from, to string, open func() bool, stop <-chan struct{}) (net.Conn, error) {
-	jitter := NewJitter(from + ">" + to)
+func (t *TCP) dial(from, hp string, open func() bool, stop <-chan struct{}) (net.Conn, error) {
+	jitter := NewJitter(from + ">" + hp)
 	for attempt := 0; ; attempt++ {
-		hp, err := t.lookup(to)
-		if err != nil {
-			return nil, err
-		}
 		nc, err := net.DialTimeout("tcp", hp, t.dialTimeout)
 		if err == nil { // the handshake: the hello, then the ack within dialTimeout
 			nc.SetReadDeadline(time.Now().Add(t.dialTimeout))
@@ -379,32 +413,38 @@ func (t *TCP) dial(from, to string, open func() bool, stop <-chan struct{}) (net
 // Recv implements Endpoint.
 func (e *tcpEndpoint) Recv() <-chan Message { return e.in }
 
-// Close implements Endpoint. The network's last open endpoint also ends the
-// pool: queued frames get flushGrace to reach the socket, then the pooled
-// connections close and Close waits for their goroutines.
+// Close implements Endpoint. It unroutes the endpoint; the listener's last
+// endpoint also closes the listener and its inbound connections, and the
+// network's last open endpoint ends the pool: queued frames get flushGrace
+// to reach the socket, then the pooled connections close and Close waits
+// for their goroutines.
 func (e *tcpEndpoint) Close() error {
-	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
+	t, l := e.net, e.l
+	t.mu.Lock()
+	if l.eps[e.addr] != e {
+		t.mu.Unlock()
+		return nil // closed already
+	}
+	delete(l.eps, e.addr)
+	close(e.in)
+	close(e.done)
+	if len(l.eps) > 0 {
+		t.mu.Unlock()
 		return nil
 	}
-	e.closed = true
-	for c := range e.inbound {
+	for _, k := range l.keys {
+		delete(t.listeners, k)
+	}
+	for c := range l.inbound {
 		c.Close()
 	}
-	e.mu.Unlock()
-
-	close(e.done)
-	err := e.ln.Close()
-	e.wg.Wait()
-	close(e.in)
-	t := e.net
-	t.mu.Lock()
-	if t.live--; t.live == 0 {
+	last := len(t.listeners) == 0
+	if last {
 		t.pool = nil
 	}
-	last := t.pool == nil
 	t.mu.Unlock()
+	err := l.ln.Close()
+	l.wg.Wait()
 	if last {
 		e.pool.close()
 	}

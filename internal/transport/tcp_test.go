@@ -40,9 +40,10 @@ func waitGoroutines(t *testing.T, base int) {
 
 // Eight endpoints of one network share its one connection to a ninth
 // endpoint: every frame arrives, each sender's in Send order, over a single
-// handshake.
+// handshake. The burst fills the receiver's inbox exactly, so none may be
+// dropped.
 func TestTCPSharedConnectionKeepsSenderOrder(t *testing.T) {
-	const senders, frames = 8, 500
+	const senders, frames = 8, 128
 	reg := obs.NewRegistry()
 	sinkNet := NewTCP(map[string]string{"sink": "127.0.0.1:0"})
 	sinkNet.SetCodec(observedCodec(reg))
@@ -89,17 +90,29 @@ func TestTCPSharedConnectionKeepsSenderOrder(t *testing.T) {
 	}
 }
 
-// A receiver that never drains its inbox cannot hang its senders: once its
-// inbox, the kernel's buffers and the 1 MiB send queue are full, Send fails
-// fast naming the destination, and both ends still close promptly.
+// A peer that stops reading its socket cannot hang its senders: once the
+// kernel's buffers and the 1 MiB send queue are full, Send fails fast
+// naming the destination, and the sender still closes promptly. (An
+// endpoint of this package never stops reading: its listener drops what a
+// full inbox cannot take.)
 func TestTCPStalledReceiverNeverBlocksSender(t *testing.T) {
 	base := runtime.NumGoroutine()
-	n := NewTCP(map[string]string{"a": "127.0.0.1:0", "b": "127.0.0.1:0"})
-	a, err := n.Endpoint("a")
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := n.Endpoint("b")
+	defer ln.Close()
+	stalled := make(chan net.Conn, 1)
+	go func() { // "b": acknowledges the hello, then never reads again
+		conn, err := ln.Accept()
+		if err == nil {
+			ack, _ := wire.NewCodec(nil).Accept(conn)
+			conn.Write(ack)
+		}
+		stalled <- conn
+	}()
+	n := NewTCP(map[string]string{"a": "127.0.0.1:0", "b": ln.Addr().String()})
+	a, err := n.Endpoint("a")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,14 +132,154 @@ func TestTCPStalledReceiverNeverBlocksSender(t *testing.T) {
 	if full == nil || !strings.Contains(full.Error(), `"b"`) {
 		t.Fatalf("Send to a stalled receiver = %v, want a full-queue error naming it", full)
 	}
-	for _, ep := range []Endpoint{a, b} {
-		start := time.Now()
-		ep.Close()
-		if d := time.Since(start); d > time.Second {
-			t.Fatalf("closing %s took %v", ep.Addr(), d)
+	start := time.Now()
+	a.Close()
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("closing a took %v", d)
+	}
+	if conn := <-stalled; conn != nil {
+		conn.Close()
+	}
+	ln.Close()
+	waitGoroutines(t, base)
+}
+
+// openAll opens the named endpoints of n, closing them when the test ends.
+func openAll(t *testing.T, n *TCP, addrs ...string) map[string]Endpoint {
+	t.Helper()
+	eps := make(map[string]Endpoint, len(addrs))
+	for _, addr := range addrs {
+		ep, err := n.Endpoint(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { ep.Close() })
+		eps[addr] = ep
+	}
+	return eps
+}
+
+// The endpoints of one network share one kernel-assigned port and one
+// outbound connection, to that port: every endpoint sends to every other,
+// the listener routes each frame by its To, and each receiver gets each
+// sender's frames in Send order.
+func TestTCPSharedListenerRoutesByTo(t *testing.T) {
+	const peers, frames = 8, 100 // 700 frames a receiver: its inbox holds them all
+	reg := obs.NewRegistry()
+	registry := make(map[string]string)
+	var addrs []string
+	for i := range peers {
+		addrs = append(addrs, fmt.Sprintf("p%d", i))
+		registry[addrs[i]] = "127.0.0.1:0"
+	}
+	n := NewTCP(registry)
+	n.SetCodec(observedCodec(reg))
+	eps := openAll(t, n, addrs...)
+	hp, _ := n.lookup("p0")
+	for _, addr := range addrs {
+		if got, _ := n.lookup(addr); got != hp {
+			t.Fatalf("%s is bound to %s, p0 to %s: want one shared port", addr, got, hp)
 		}
 	}
-	waitGoroutines(t, base)
+	var wg sync.WaitGroup
+	for _, from := range addrs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := range frames {
+				for _, to := range addrs {
+					if to == from {
+						continue
+					}
+					if err := eps[from].Send(to, wire.KindReport, ping(k)); err != nil {
+						t.Errorf("%s -> %s: %v", from, to, err)
+						return
+					}
+				}
+			}
+		}()
+	}
+	for _, to := range addrs {
+		next := make(map[string]int)
+		for got := 0; got < (peers-1)*frames; got++ {
+			m := recvOne(t, eps[to])
+			if m.To != to {
+				t.Fatalf("%s received a frame for %s", to, m.To)
+			}
+			if k := pingN(t, m); k != next[m.From] {
+				t.Fatalf("%s -> %s: frame %d arrived, want %d", m.From, to, k, next[m.From])
+			}
+			next[m.From]++
+		}
+	}
+	wg.Wait()
+	if got := countNegotiations(reg, "binary"); got != 2 {
+		t.Fatalf("%d handshake ends counted, want 2: one connection, dialed and accepted", got)
+	}
+}
+
+// A frame to a co-located address that is closed, or was never opened, is
+// dropped without an error, and the listener goes on serving the others;
+// the address opened again receives again.
+func TestTCPClosedNeighbourIsUnrouted(t *testing.T) {
+	n := NewTCP(map[string]string{"a": "127.0.0.1:0", "b": "127.0.0.1:0", "c": "127.0.0.1:0"})
+	eps := openAll(t, n, "a", "b", "c")
+	hp, _ := n.lookup("a")
+	n.Register("ghost", hp)
+	eps["b"].Close()
+	for k, to := range []string{"b", "ghost", "c"} {
+		if err := eps["a"].Send(to, wire.KindReport, ping(k)); err != nil {
+			t.Fatalf("send to %s: %v", to, err)
+		}
+	}
+	if m := recvOne(t, eps["c"]); m.To != "c" || pingN(t, m) != 2 {
+		t.Fatalf("c received %+v, want ping 2", m)
+	}
+	if _, ok := <-eps["b"].Recv(); ok {
+		t.Fatal("the closed endpoint received a frame")
+	}
+	b := openAll(t, n, "b")["b"]
+	if err := eps["a"].Send("b", wire.KindReport, ping(3)); err != nil {
+		t.Fatal(err)
+	}
+	if m := recvOne(t, b); pingN(t, m) != 3 {
+		t.Fatalf("reopened b received %+v, want ping 3", m)
+	}
+	if len(eps["c"].Recv()) != 0 {
+		t.Fatal("a dropped frame reached c")
+	}
+}
+
+// An endpoint that stops reading does not stall the endpoints that share its
+// listener and connection: once its inbox is full its frames are dropped,
+// and every frame to its neighbour, sent between them, arrives in order.
+func TestTCPStalledEndpointDoesNotStallNeighbours(t *testing.T) {
+	const frames, every = 3000, 6 // to the stalled inbox, which holds 1024; every 6th to c too
+	n := NewTCP(map[string]string{"a": "127.0.0.1:0", "stalled": "127.0.0.1:0", "c": "127.0.0.1:0"})
+	eps := openAll(t, n, "a", "stalled", "c")
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for k := range frames {
+			err := eps["a"].Send("stalled", wire.KindReport, ping(k))
+			if err == nil && k%every == 0 {
+				err = eps["a"].Send("c", wire.KindReport, ping(k))
+			}
+			if err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for k := 0; k < frames; k += every {
+		if got := pingN(t, recvOne(t, eps["c"])); got != k {
+			t.Fatalf("c: frame %d arrived, want %d", got, k)
+		}
+	}
+	<-done
+	if got := len(eps["stalled"].Recv()); got != cap(eps["stalled"].Recv()) {
+		t.Fatalf("stalled inbox holds %d frames, want it full (%d)", got, cap(eps["stalled"].Recv()))
+	}
 }
 
 // A client that connects and says nothing is refused after dialTimeout, and
@@ -160,23 +313,26 @@ func TestTCPSilentClientIsRefused(t *testing.T) {
 	}
 }
 
-// The peer of an established connection restarts on the same port: frames
-// sent after the sender has seen it hang up — while it is down and once it
-// is back — all arrive, the first batch perhaps twice, as the writer
-// re-dials within RetryWindow and writes its batch again. (A frame written
-// before the hang-up is seen is lost in the peer's reset, as on any TCP
-// connection.)
+// The peer process of an established connection restarts on the same port:
+// frames sent after the sender has seen it hang up — while it is down and
+// once it is back — all arrive, the first batch perhaps twice, as the
+// writer re-dials within RetryWindow and writes its batch again. (A frame
+// written before the hang-up is seen is lost in the peer's reset, as on any
+// TCP connection.)
 func TestTCPWriterRedialsAfterPeerRestart(t *testing.T) {
-	n := NewTCP(map[string]string{"a": "127.0.0.1:0", "b": "127.0.0.1:0"})
+	n := NewTCP(map[string]string{"a": "127.0.0.1:0"})
 	a, err := n.Endpoint("a")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	b, err := n.Endpoint("b")
+	peer := NewTCP(map[string]string{"b": "127.0.0.1:0"})
+	b, err := peer.Endpoint("b")
 	if err != nil {
 		t.Fatal(err)
 	}
+	hp, _ := peer.lookup("b")
+	n.Register("b", hp)
 	if err := a.Send("b", wire.KindReport, ping(0)); err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +340,7 @@ func TestTCPWriterRedialsAfterPeerRestart(t *testing.T) {
 	b.Close()
 	hungUp := func() bool {
 		n.pool.mu.Lock()
-		c := n.pool.conns["b"]
+		c := n.pool.conns[hp]
 		n.pool.mu.Unlock()
 		c.mu.Lock()
 		defer c.mu.Unlock()
@@ -203,7 +359,7 @@ func TestTCPWriterRedialsAfterPeerRestart(t *testing.T) {
 		}
 	}
 	time.Sleep(40 * time.Millisecond)
-	if b, err = n.Endpoint("b"); err != nil {
+	if b, err = peer.Endpoint("b"); err != nil {
 		t.Fatal(err)
 	}
 	defer b.Close()

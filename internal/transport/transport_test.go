@@ -380,27 +380,30 @@ func TestEncodeUnserializablePayload(t *testing.T) {
 	}
 }
 
-// Wall-clock smoke of the TCP re-send path: the destination is not
-// listening when Send starts, so the first attempts are refused and Send
-// backs off (25 ms, then doubling, jittered) until the peer comes up.
+// Wall-clock smoke of the TCP re-send path: the destination's process is
+// not listening when Send starts, so the first attempts are refused and
+// Send backs off (25 ms, then doubling, jittered) until the peer comes up.
 func TestTCPSendBacksOffUntilPeerListens(t *testing.T) {
-	net := NewTCP(map[string]string{"a": "127.0.0.1:0", "b": "127.0.0.1:0"})
+	net := NewTCP(map[string]string{"a": "127.0.0.1:0"})
 	net.RetryWindow = 2 * time.Second
 	a, err := net.Endpoint("a")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	b, err := net.Endpoint("b") // binds a port into the registry, then leaves it
+	peer := NewTCP(map[string]string{"b": "127.0.0.1:0"})
+	b, err := peer.Endpoint("b") // binds a port into the registry, then leaves it
 	if err != nil {
 		t.Fatal(err)
 	}
+	hp, _ := peer.lookup("b")
+	net.Register("b", hp)
 	b.Close()
 
 	up := make(chan Endpoint, 1)
 	go func() {
 		time.Sleep(40 * time.Millisecond)
-		b, err := net.Endpoint("b")
+		b, err := peer.Endpoint("b")
 		if err != nil {
 			t.Error(err)
 		}

@@ -195,8 +195,10 @@ func NewInprocNetwork(cfg InprocConfig) transport.Network {
 type InprocConfig = transport.InprocConfig
 
 // NewTCPNetwork returns a TCP network with a logical-name registry. It
-// speaks the binary wire protocol (PROTOCOL.md); Send queues each frame on
-// one connection per destination, shared by the network's endpoints.
+// speaks the binary wire protocol (PROTOCOL.md). Endpoints registered at
+// one host:port share one listener, and all "127.0.0.1:0" entries share one
+// kernel-assigned port; Send queues each frame on one connection per
+// destination host:port, shared by the network's endpoints.
 func NewTCPNetwork(registry map[string]string) *transport.TCP {
 	return transport.NewTCP(registry)
 }
