@@ -115,7 +115,7 @@ func run(ctx context.Context, args []string) error {
 	}
 	defer obsDone()
 
-	w, err := loadWorkload(*workloadArg)
+	w, err := workload.Load(*workloadArg)
 	if err != nil {
 		return err
 	}
@@ -193,25 +193,6 @@ func nodeCodec(w *workload.Workload, o *obs.Observer) transport.Codec {
 		reg = o.Metrics
 	}
 	return dist.WireCodec(w, reg)
-}
-
-// loadWorkload resolves built-in names or reads a JSON file.
-func loadWorkload(arg string) (*workload.Workload, error) {
-	switch arg {
-	case "base":
-		return workload.Base(), nil
-	case "prototype":
-		return workload.Prototype(), nil
-	}
-	raw, err := os.ReadFile(arg)
-	if err != nil {
-		return nil, err
-	}
-	var w workload.Workload
-	if err := json.Unmarshal(raw, &w); err != nil {
-		return nil, fmt.Errorf("parsing workload %s: %w", arg, err)
-	}
-	return &w, nil
 }
 
 // buildObserver assembles the process's observability from the -debug-addr

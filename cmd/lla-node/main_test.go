@@ -12,6 +12,7 @@ import (
 
 	"lla/internal/core"
 	rec "lla/internal/recover"
+	"lla/internal/workload"
 )
 
 func TestRunBadInputs(t *testing.T) {
@@ -214,7 +215,7 @@ func TestRegistryFileErrors(t *testing.T) {
 
 func TestLoadWorkloadJSONFile(t *testing.T) {
 	// A valid workload file loads.
-	w, err := loadWorkload("base")
+	w, err := workload.Load("base")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +227,7 @@ func TestLoadWorkloadJSONFile(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	back, err := loadWorkload(path)
+	back, err := workload.Load(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +239,7 @@ func TestLoadWorkloadJSONFile(t *testing.T) {
 	if err := os.WriteFile(badPath, []byte("{"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := loadWorkload(badPath); err == nil {
+	if _, err := workload.Load(badPath); err == nil {
 		t.Fatal("corrupt workload should fail")
 	}
 }

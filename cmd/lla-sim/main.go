@@ -110,33 +110,23 @@ func run(args []string, stdout io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	experiment := f.experiment
-	quick := f.quick
-	seed := f.seed
-	workers := f.workers
-	solver := f.solver
-	csvDir := f.csvDir
-	tracePath := f.tracePath
-	debugAddr := f.debugAddr
-	sampleEvery := f.sampleEvery
-
 	var o *obs.Observer
-	if *tracePath != "" || *debugAddr != "" {
+	if *f.tracePath != "" || *f.debugAddr != "" {
 		// One JSONL encoder feeds both byte sinks — the trace file and the
 		// debug server's /stream — so -trace-every paces both.
 		o = &obs.Observer{Metrics: obs.NewRegistry()}
 		var sinks []io.Writer
-		if *tracePath != "" {
-			f, err := os.OpenFile(*tracePath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+		if *f.tracePath != "" {
+			file, err := os.OpenFile(*f.tracePath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 			if err != nil {
 				return err
 			}
-			defer f.Close()
-			sinks = append(sinks, f)
+			defer file.Close()
+			sinks = append(sinks, file)
 		}
-		if *debugAddr != "" {
+		if *f.debugAddr != "" {
 			st := obs.NewStream(o.Metrics)
-			srv, addr, err := obs.Serve(*debugAddr, o.Metrics, st)
+			srv, addr, err := obs.Serve(*f.debugAddr, o.Metrics, st)
 			if err != nil {
 				return err
 			}
@@ -145,7 +135,7 @@ func run(args []string, stdout io.Writer) error {
 			fmt.Fprintf(os.Stderr, "debug endpoint on http://%s/metrics (also /stream, /state, /debug/vars, /debug/pprof)\n", addr)
 		}
 		j := obs.NewJSONL(io.MultiWriter(sinks...))
-		j.Every = *sampleEvery
+		j.Every = *f.sampleEvery
 		o.Recorder, o.Trace = j, j
 		defer func() {
 			if err := j.Err(); err != nil {
@@ -160,19 +150,19 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	var selected []string
-	if *experiment == "all" {
+	if *f.experiment == "all" {
 		selected = experimentIDs()
-	} else if _, ok := runners[*experiment]; ok {
-		selected = []string{*experiment}
+	} else if _, ok := runners[*f.experiment]; ok {
+		selected = []string{*f.experiment}
 	} else {
-		return fmt.Errorf("unknown experiment %q (see -h for the list)", *experiment)
+		return fmt.Errorf("unknown experiment %q (see -h for the list)", *f.experiment)
 	}
 
-	sol, err := price.ParseSolver(*solver)
+	sol, err := price.ParseSolver(*f.solver)
 	if err != nil {
 		return err
 	}
-	opts := eval.Options{Quick: *quick, Seed: *seed, Workers: *workers, Observer: o, Solver: sol,
+	opts := eval.Options{Quick: *f.quick, Seed: *f.seed, Workers: *f.workers, Observer: o, Solver: sol,
 		CheckpointDir: *f.checkpointDir, CheckpointEvery: *f.checkpointEvery,
 		Shards: *f.shards, ShardWorkers: *f.shardWorkers}
 	for _, name := range selected {
@@ -181,8 +171,8 @@ func run(args []string, stdout io.Writer) error {
 			return fmt.Errorf("%s: %w", name, err)
 		}
 		fmt.Fprintln(stdout, res.Render())
-		if *csvDir != "" {
-			if err := writeCSVs(*csvDir, res); err != nil {
+		if *f.csvDir != "" {
+			if err := writeCSVs(*f.csvDir, res); err != nil {
 				return err
 			}
 		}

@@ -59,12 +59,8 @@ func run(args []string) error {
 		return nil
 
 	case *validate != "":
-		raw, err := os.ReadFile(*validate)
+		w, err := workload.Load(*validate)
 		if err != nil {
-			return err
-		}
-		var w workload.Workload
-		if err := json.Unmarshal(raw, &w); err != nil {
 			return err
 		}
 		fmt.Printf("%s: valid (%d tasks, %d subtasks, %d resources)\n",
@@ -72,7 +68,7 @@ func run(args []string) error {
 		return nil
 
 	case *describe != "":
-		w, err := load(*describe)
+		w, err := workload.Load(*describe)
 		if err != nil {
 			return err
 		}
@@ -82,25 +78,6 @@ func run(args []string) error {
 	default:
 		return fmt.Errorf("one of -generate, -validate or -describe is required")
 	}
-}
-
-// load resolves built-in names or reads a JSON file.
-func load(arg string) (*workload.Workload, error) {
-	switch arg {
-	case "base":
-		return workload.Base(), nil
-	case "prototype":
-		return workload.Prototype(), nil
-	}
-	raw, err := os.ReadFile(arg)
-	if err != nil {
-		return nil, err
-	}
-	var w workload.Workload
-	if err := json.Unmarshal(raw, &w); err != nil {
-		return nil, err
-	}
-	return &w, nil
 }
 
 // describeWorkload prints a structural summary.

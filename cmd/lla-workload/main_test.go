@@ -90,7 +90,7 @@ func TestGenerateBadParams(t *testing.T) {
 }
 
 func TestLoadUnknown(t *testing.T) {
-	if _, err := load("/nonexistent/path.json"); err == nil {
+	if _, err := workload.Load("/nonexistent/path.json"); err == nil {
 		t.Fatal("unknown path should fail")
 	}
 }

@@ -32,27 +32,7 @@ type Assignment struct {
 // through s. Every path p then satisfies Σ_{s∈p} C/L_s <= C because
 // L_s >= |p| for all s in p.
 func EvenSlice(w *workload.Workload) (*Assignment, error) {
-	a := &Assignment{Name: "even-slice"}
-	for _, t := range w.Tasks {
-		paths, err := t.Paths()
-		if err != nil {
-			return nil, fmt.Errorf("baseline: %w", err)
-		}
-		longest := make([]int, len(t.Subtasks))
-		for _, p := range paths {
-			for _, s := range p {
-				if len(p) > longest[s] {
-					longest[s] = len(p)
-				}
-			}
-		}
-		lats := make([]float64, len(t.Subtasks))
-		for si := range t.Subtasks {
-			lats[si] = t.CriticalMs / float64(longest[si])
-		}
-		a.LatMs = append(a.LatMs, lats)
-	}
-	return a, nil
+	return slice(w, "even-slice", func(task.Subtask) float64 { return 1 })
 }
 
 // ProportionalSlice distributes each task's critical time along every path
@@ -60,7 +40,13 @@ func EvenSlice(w *workload.Workload) (*Assignment, error) {
 // maximum summed WCET among paths through s. Every path p satisfies
 // Σ_{s∈p} C*c_s/W_s <= C because W_s >= W_p for s in p.
 func ProportionalSlice(w *workload.Workload) (*Assignment, error) {
-	a := &Assignment{Name: "wcet-proportional"}
+	return slice(w, "wcet-proportional", func(s task.Subtask) float64 { return s.ExecMs })
+}
+
+// slice gives subtask s of each task C_i * cost(s) / W_s, where W_s is the
+// largest summed cost of a path through s.
+func slice(w *workload.Workload, name string, cost func(task.Subtask) float64) (*Assignment, error) {
+	a := &Assignment{Name: name}
 	for _, t := range w.Tasks {
 		paths, err := t.Paths()
 		if err != nil {
@@ -70,7 +56,7 @@ func ProportionalSlice(w *workload.Workload) (*Assignment, error) {
 		for _, p := range paths {
 			sum := 0.0
 			for _, s := range p {
-				sum += t.Subtasks[s].ExecMs
+				sum += cost(t.Subtasks[s])
 			}
 			for _, s := range p {
 				if sum > maxW[s] {
@@ -80,7 +66,7 @@ func ProportionalSlice(w *workload.Workload) (*Assignment, error) {
 		}
 		lats := make([]float64, len(t.Subtasks))
 		for si, s := range t.Subtasks {
-			lats[si] = t.CriticalMs * s.ExecMs / maxW[si]
+			lats[si] = t.CriticalMs * cost(s) / maxW[si]
 		}
 		a.LatMs = append(a.LatMs, lats)
 	}

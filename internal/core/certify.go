@@ -65,8 +65,10 @@ type certSlot struct {
 //
 // A task is graded from its cached complete grade (taskGrade) and re-graded
 // only when a write that can move the grade has cleared its bit since: an
-// executed solve, a bitwise move of an observed price, a refresh of one of
-// its resources, or any wholesale write (invalidateSparse, ReadCheckpoint).
+// executed solve that moved a latency or path price (or a step size), a
+// bitwise move of an observed price, a refresh of one of its resources, or
+// any wholesale write (invalidateSparse, ReadCheckpoint). A grade reads
+// nothing else.
 // Near the fixed point almost nothing moves, so a passing check re-grades
 // only the tasks that did.
 //

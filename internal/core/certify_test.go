@@ -630,3 +630,57 @@ func TestDualBound(t *testing.T) {
 		}
 	}
 }
+
+// TestNoOpSolveKeepsGrade: an executed solve that moves no latency, path
+// price or step size keeps its task's grade. At a bitwise fixed point every
+// controller is forced to solve again; the Step executes every solve, moves
+// nothing and drops no grade, and the next Certify, re-grading nothing, still
+// reports the dense rule's verdict and maxima bit for bit, as Probe does.
+func TestNoOpSolveKeepsGrade(t *testing.T) {
+	cfg := workload.DefaultClusteredConfig(1)
+	cfg.TasksPerCluster, cfg.ReplicateFactor, cfg.ResourcesPerCluster = 50, 3, 200
+	cfg.MinSubtasks, cfg.MaxSubtasks, cfg.SlackFactor, cfg.CrossFraction = 3, 7, 400, 0.05
+	w, err := workload.Clustered(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 4} {
+		e, err := NewEngine(w, Config{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer e.Close()
+		if _, ok := e.RunUntilKKT(3000, 1e-9, 3, 1e-6); !ok {
+			t.Fatalf("workers %d: cold start did not certify", workers)
+		}
+		for e.ResetSparseStats(); ; e.ResetSparseStats() { // on to a bitwise fixed point
+			if e.Step(); e.SparseStats().ExecutedSolves == 0 {
+				break
+			}
+			if e.Iteration() > 5000 {
+				t.Fatalf("workers %d: no bitwise fixed point by iteration %d", workers, e.Iteration())
+			}
+		}
+		inf := math.Inf(1)
+		e.Certify(inf, inf) // grades every task
+		clear(e.ctlStable)
+		price := slices.Clone(e.price)
+		e.Step()
+		if st := e.SparseStats(); st.ExecutedSolves != uint64(len(e.p.Tasks)) || !slices.Equal(e.price, price) {
+			t.Fatalf("workers %d: forced Step executed %d of %d solves, prices moved %v", workers, st.ExecutedSolves, len(e.p.Tasks), !slices.Equal(e.price, price))
+		}
+		if i := slices.Index(e.graded, false); i >= 0 {
+			t.Fatalf("workers %d: a no-op solve dropped task %d's grade", workers, i)
+		}
+		want := denseCertificate(e)
+		if got, _ := e.Certify(inf, inf); got != want {
+			t.Fatalf("workers %d: Certify %+v, dense %+v", workers, got, want)
+		}
+		if p := e.Probe(); p.MaxResourceViolation != want.MaxResourceViolation || p.MaxPathViolationFrac != want.MaxPathViolationFrac {
+			t.Fatalf("workers %d: Probe %+v, dense %+v", workers, p, want)
+		}
+		if _, ok := e.Certify(1e-9, 1e-6); ok != (want.KKTMax < 1e-9 && want.MaxResourceViolation < 1e-6 && want.MaxPathViolationFrac < 1e-6) {
+			t.Fatalf("workers %d: verdict %v against dense %+v", workers, ok, want)
+		}
+	}
+}

@@ -456,8 +456,9 @@ func (e *Engine) SolverFallbacks() uint64 { return e.dyn.Fallbacks() }
 // executed solve changed nothing (latencies, path prices and step sizes all
 // came out bitwise-unchanged) and no price or congestion flag it observes
 // has moved since (unsettle) — re-running the solve would reproduce its
-// state and its shares scratch row verbatim. An executed solve drops the
-// task's grade (certify.go). Shards only touch their own tasks' flags, so
+// state and its shares scratch row verbatim. An executed solve that moves a
+// latency, path price or step size drops the task's grade (certify.go); one
+// that moves nothing keeps it. Shards only touch their own tasks' flags, so
 // the parallel dispatch stays race-free, and the skip decision depends only
 // on state frozen during the phase, so it is identical under every worker
 // count.
@@ -474,9 +475,9 @@ func (e *Engine) runShard(w int) {
 		}
 		e.controllerInto(&c, ti)
 		priceChanged, latChanged := c.Solve(e.mu, e.congested)
-		e.graded[ti] = false
 		e.latChanged[ti] = latChanged
 		e.ctlStable[ti] = !priceChanged && !latChanged
+		e.graded[ti] = e.graded[ti] && e.ctlStable[ti]
 	}
 	e.shardSkipped[w] = skipped
 }
@@ -486,13 +487,7 @@ func resolveShards(workers, numTasks int) int {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > numTasks {
-		workers = numTasks
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	return workers
+	return max(min(workers, numTasks), 1)
 }
 
 // Workers returns the effective shard count of the parallel controller

@@ -73,15 +73,10 @@ type soakState struct {
 	ctrl *admit.Controller
 }
 
-// soakAdmitConfig is the gated admission policy with a trial budget small
-// enough to keep a 10^5-event replay tractable.
-func soakAdmitConfig() admit.Config {
-	return admit.Config{TrialIters: 600}
-}
-
-// newSoakController attaches a gated admission controller to eng.
+// newSoakController attaches a gated admission controller to eng, with a
+// trial budget small enough to keep a 10^5-event replay tractable.
 func newSoakController(eng *core.Engine, o *obs.Observer) *admit.Controller {
-	ctrl := admit.New(eng, soakAdmitConfig())
+	ctrl := admit.New(eng, admit.Config{TrialIters: 600})
 	ctrl.UsePlacer(admit.NewPlacer())
 	if o != nil {
 		ctrl.Observe(o)

@@ -41,12 +41,7 @@ func (s *Series) Last() float64 {
 // YRange returns the min and max y over the window [from, to) of indices,
 // clamped to the series bounds. It returns NaNs for an empty window.
 func (s *Series) YRange(from, to int) (lo, hi float64) {
-	if from < 0 {
-		from = 0
-	}
-	if to > len(s.Y) {
-		to = len(s.Y)
-	}
+	from, to = max(from, 0), min(to, len(s.Y))
 	if from >= to {
 		return math.NaN(), math.NaN()
 	}
@@ -70,10 +65,7 @@ func (s *Series) TailAmplitude(frac float64) float64 {
 	if n == 0 || frac <= 0 {
 		return math.NaN()
 	}
-	from := n - int(float64(n)*frac)
-	if from >= n {
-		from = n - 1
-	}
+	from := min(n-int(float64(n)*frac), n-1)
 	lo, hi := s.YRange(from, n)
 	mean := 0.0
 	for _, v := range s.Y[from:] {

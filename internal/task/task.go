@@ -237,10 +237,9 @@ func (t *Task) Paths() ([][]int, error) {
 	for w.Reset(t); w.Next(); count++ {
 		entries += len(w.Path())
 	}
-	ints, paths := make([]int, 0, entries), make([][]int, 0, count)
+	ints, paths := make([]int, entries), make([][]int, 0, count)
 	for w.Reset(t); w.Next(); {
-		ints = append(ints, w.Path()...)
-		paths = append(paths, ints[len(ints)-len(w.Path()):len(ints):len(ints)])
+		paths = append(paths, carve(&ints, w.Path()))
 	}
 	return paths, nil
 }
@@ -313,28 +312,59 @@ func (t *Task) CriticalPathMs(latMs []float64) (float64, int, error) {
 	return best, bestIdx, nil
 }
 
-// Clone returns a deep copy of the task (graph, subtasks and trigger). The
-// succ and pred rows are carved out of one array, each clipped to its length,
-// so growing a row (AddEdge) reallocates it instead of writing into its
-// neighbour.
-func (t *Task) Clone() *Task {
-	c := New(t.Name, t.CriticalMs)
-	c.Trigger = t.Trigger
-	c.Subtasks = append([]Subtask(nil), t.Subtasks...)
-	n, edges := len(t.succ), 0
-	for _, s := range t.succ {
-		edges += len(s)
-	}
-	rows, ints := make([][]int, 2*n), make([]int, 2*edges)
-	c.succ, c.pred = rows[:n:n], rows[n:]
-	for j, side := range [2][][]int{t.succ, t.pred} {
-		for i, src := range side {
-			if k := copy(ints, src); k > 0 { // an empty row stays nil
-				rows[j*n+i], ints = ints[:k:k], ints[k:]
+// Clone returns a deep copy of the task (graph, subtasks and trigger) made by
+// CloneN: its slices share backing arrays, so an append reallocates.
+func (t *Task) Clone() *Task { return CloneN([]*Task{t}, 1)[0] }
+
+// cloneChunk is how many copies CloneN carves from one set of arrays: a copy
+// that outlives the rest of its batch keeps its chunk alive, not the batch.
+const cloneChunk = 256
+
+// CloneN returns k deep copies of the tasks in src, copy c of src[i] at index
+// c*len(src)+i. Every cloneChunk copies carve their tasks, subtasks, graph
+// rows and edges from one shared array each, every window clipped to its
+// length: AddSubtask, AddEdge or an append to Subtasks on one copy
+// reallocates that copy's slice and never writes into a neighbour's.
+func CloneN(src []*Task, k int) []*Task {
+	out := make([]*Task, k*len(src))
+	for lo := 0; lo < len(out); lo += cloneChunk {
+		chunk, nsub, nrow, nedge := out[lo:min(lo+cloneChunk, len(out))], 0, 0, 0
+		for j := range chunk {
+			t := src[(lo+j)%len(src)]
+			nsub, nrow = nsub+len(t.Subtasks), nrow+len(t.succ)+len(t.pred)
+			for _, row := range t.succ { // pred holds the same edges
+				nedge += 2 * len(row)
 			}
 		}
+		tasks, subs, rows, ints := make([]Task, len(chunk)), make([]Subtask, nsub), make([][]int, nrow), make([]int, nedge)
+		for j := range chunk {
+			t, c := src[(lo+j)%len(src)], &tasks[j]
+			*c = Task{Name: t.Name, CriticalMs: t.CriticalMs, Trigger: t.Trigger}
+			if len(t.Subtasks) > 0 { // no subtasks stay nil
+				c.Subtasks = carve(&subs, t.Subtasks)
+			}
+			c.succ, c.pred = carve(&rows, t.succ), carve(&rows, t.pred)
+			for _, side := range [2][][]int{c.succ, c.pred} {
+				for r, row := range side {
+					if side[r] = nil; len(row) > 0 { // an empty row stays nil
+						side[r] = carve(&ints, row)
+					}
+				}
+			}
+			chunk[j] = c
+		}
 	}
-	return c
+	return out
+}
+
+// carve copies src into the head of *buf, advances *buf past it and returns
+// the copy clipped to its length.
+func carve[T any](buf *[]T, src []T) []T {
+	n := len(src)
+	s := (*buf)[:n:n]
+	copy(s, src)
+	*buf = (*buf)[n:]
+	return s
 }
 
 // Edges returns all precedence edges as (from, to) pairs in deterministic

@@ -341,6 +341,51 @@ func TestCloneRowsAreClipped(t *testing.T) {
 	}
 }
 
+// TestCloneNIsolatesCopies: CloneN's copies share backing arrays, so each
+// growth or rename of one copy must leave every chunk neighbour and the
+// source as they were, and come out as the same edit of a task of its own.
+func TestCloneNIsolatesCopies(t *testing.T) {
+	other := diamond(t)
+	other.Name, other.Subtasks[2].ExecMs = "other", 7
+	src := []*Task{diamond(t), other}
+	edits := []struct {
+		name string
+		edit func(c *Task)
+	}{
+		{"AddSubtask", func(c *Task) { c.MustEdge(3, c.AddSubtask(Subtask{Name: "e", Resource: "r4", ExecMs: 1})) }},
+		{"AddEdge", func(c *Task) { c.MustEdge(1, 2) }},
+		{"append to Subtasks", func(c *Task) { c.Subtasks = append(c.Subtasks, Subtask{Name: "e", Resource: "r4", ExecMs: 1}) }},
+		{"rename", func(c *Task) { c.Name, c.Subtasks[0].Name = "renamed", "renamed-a" }},
+	}
+	const k = 3
+	want := CloneN(src, 1) // the source as it was
+	for _, ed := range edits {
+		for j := 0; j < k*len(src); j++ {
+			got := CloneN(src, k)
+			own := CloneN(src[j%len(src):j%len(src)+1], 1)[0]
+			ed.edit(got[j])
+			ed.edit(own)
+			if !reflect.DeepEqual(got[j], own) {
+				t.Fatalf("%s on copy %d: got %+v, want %+v", ed.name, j, got[j], own)
+			}
+			for i, c := range got {
+				if i != j && !reflect.DeepEqual(c, src[i%len(src)]) {
+					t.Fatalf("%s on copy %d changed copy %d: %+v", ed.name, j, i, c)
+				}
+			}
+			if !reflect.DeepEqual(src, want) {
+				t.Fatalf("%s on copy %d changed the source", ed.name, j)
+			}
+		}
+	}
+	// Past one chunk, copy c of src[i] still sits at c*len(src)+i.
+	for i, c := range CloneN(src, cloneChunk) {
+		if !reflect.DeepEqual(c, src[i%len(src)]) {
+			t.Fatalf("copy %d differs from its source", i)
+		}
+	}
+}
+
 // TestPathsAreClipped: the paths share one backing array too, in the
 // depth-first order of the recursive enumeration.
 func TestPathsAreClipped(t *testing.T) {

@@ -1,9 +1,10 @@
 package workload
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"lla/internal/task"
 	"lla/internal/utility"
@@ -131,12 +132,16 @@ func GenerateChurn(cfg ChurnConfig) ([]ChurnEvent, error) {
 		}
 	}
 
+	// An event's key orders instances by arrival, and an instance's arrival
+	// before its departure at the same instant.
+	type keyed struct {
+		ChurnEvent
+		key int
+	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	var events []ChurnEvent
-	seq := make([]int, 0, 64) // arrival sequence per event index, for tie-breaks
+	var trace []keyed
 	clock := 0.0
-	n := 0
-	for {
+	for n := 0; ; n++ {
 		clock += rng.ExpFloat64() * cfg.MeanInterarrivalMs
 		if clock >= cfg.HorizonMs {
 			break
@@ -144,31 +149,15 @@ func GenerateChurn(cfg ChurnConfig) ([]ChurnEvent, error) {
 		ti := rng.Intn(len(cfg.Templates))
 		life := rng.ExpFloat64() * cfg.MeanLifetimeMs
 		name := fmt.Sprintf("%s-a%d", cfg.Templates[ti].Name, n)
-		events = append(events, ChurnEvent{TimeMs: clock, Arrival: true, Name: name, Template: ti})
-		seq = append(seq, n)
+		trace = append(trace, keyed{ChurnEvent{TimeMs: clock, Arrival: true, Name: name, Template: ti}, 2 * n})
 		if dep := clock + life; dep < cfg.HorizonMs {
-			events = append(events, ChurnEvent{TimeMs: dep, Arrival: false, Name: name, Template: ti})
-			seq = append(seq, n)
+			trace = append(trace, keyed{ChurnEvent{TimeMs: dep, Arrival: false, Name: name, Template: ti}, 2*n + 1})
 		}
-		n++
 	}
-	order := make([]int, len(events))
-	for i := range order {
-		order[i] = i
+	slices.SortFunc(trace, func(a, b keyed) int { return cmp.Or(cmp.Compare(a.TimeMs, b.TimeMs), a.key-b.key) })
+	events := make([]ChurnEvent, len(trace))
+	for i, e := range trace {
+		events[i] = e.ChurnEvent
 	}
-	sort.SliceStable(order, func(a, b int) bool {
-		ea, eb := events[order[a]], events[order[b]]
-		if ea.TimeMs != eb.TimeMs {
-			return ea.TimeMs < eb.TimeMs
-		}
-		if seq[order[a]] != seq[order[b]] {
-			return seq[order[a]] < seq[order[b]]
-		}
-		return ea.Arrival && !eb.Arrival // same instance at the same instant: arrive first
-	})
-	sorted := make([]ChurnEvent, len(events))
-	for i, oi := range order {
-		sorted[i] = events[oi]
-	}
-	return sorted, nil
+	return events, nil
 }

@@ -2,7 +2,6 @@ package workload
 
 import (
 	"fmt"
-	"maps"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -101,7 +100,7 @@ func Clustered(cfg ClusteredConfig) (*Workload, error) {
 		return nil, fmt.Errorf("workload: CrossFraction must be in [0,1], got %v", cfg.CrossFraction)
 	}
 
-	parts, errs := make([]*Workload, cfg.Clusters), make([]error, cfg.Clusters)
+	parts, curves, errs := make([]*Workload, cfg.Clusters), make([][]utility.Curve, cfg.Clusters), make([]error, cfg.Clusters)
 	pool := par.New(runtime.GOMAXPROCS(0) - 1)
 	defer pool.Close()
 	pool.Run(cfg.Clusters, func(c int) {
@@ -121,7 +120,7 @@ func Clustered(cfg ClusteredConfig) (*Workload, error) {
 			MixedCurves:  cfg.MixedCurves,
 		})
 		if err == nil {
-			cw, err = replicate(cw, cfg.ReplicateFactor, 1, fmt.Sprintf("c%d-", c))
+			cw, curves[c], err = replicate(cw, cfg.ReplicateFactor, 1, fmt.Sprintf("c%d-", c))
 		}
 		parts[c], errs[c] = cw, err
 	})
@@ -141,8 +140,8 @@ func Clustered(cfg ClusteredConfig) (*Workload, error) {
 	for c, p := range parts {
 		out.Resources = append(out.Resources, p.Resources...)
 		out.Tasks = append(out.Tasks, p.Tasks...)
-		maps.Copy(out.Curves, p.Curves)
-		parts[c] = nil // merged: let the part's map go
+		putCurves(out.Curves, p.Tasks, curves[c])
+		parts[c] = nil // merged: let the part go
 	}
 
 	// Cross-cluster rewiring: a seeded fraction of tasks move one non-root

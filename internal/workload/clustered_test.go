@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
@@ -254,6 +256,50 @@ func TestClusteredGolden(t *testing.T) {
 		}
 		if _, err := Clustered(bad); err == nil || err.Error() != badErr {
 			t.Errorf("GOMAXPROCS %d: every cluster failing gave %v, want %q", procs, err, badErr)
+		}
+	}
+}
+
+// TestGeneratorDigests pins the generators' JSON output, byte for byte, on
+// the benchmark's shapes (the DAG one at the default slack). The digests were
+// recorded before Replicate carved clones from shared arrays; an equal digest
+// proves the output unchanged.
+func TestGeneratorDigests(t *testing.T) {
+	chain := func(replicate int) ClusteredConfig {
+		cfg := DefaultClusteredConfig(1)
+		cfg.Clusters, cfg.TasksPerCluster, cfg.ReplicateFactor, cfg.ResourcesPerCluster = 16, 125, replicate, 500
+		cfg.MinSubtasks, cfg.MaxSubtasks, cfg.ChainOnly = 5, 5, true
+		cfg.SlackFactor, cfg.CrossFraction = 400, 0.002
+		return cfg
+	}
+	dag := func(mixed bool) ClusteredConfig {
+		cfg := DefaultClusteredConfig(1)
+		cfg.Clusters, cfg.TasksPerCluster, cfg.ReplicateFactor, cfg.ResourcesPerCluster = 8, 100, 2, 400
+		cfg.MinSubtasks, cfg.MaxSubtasks = 3, 7
+		cfg.CrossFraction, cfg.MixedCurves = 0.05, mixed
+		return cfg
+	}
+	for _, tc := range []struct {
+		name string
+		gen  func() (*Workload, error)
+		want string
+	}{
+		{"fleet-1m-cold shape, replicate 1", func() (*Workload, error) { return Clustered(chain(1)) }, "ee1a7315066e9dd49371d12a212d6686f86cdfac9eb9b9dfee8cd6a486823ec6"},
+		{"fleet-1m-cold shape, replicate 3", func() (*Workload, error) { return Clustered(chain(3)) }, "3b013e9d37892cfc97b800f456e77ab0c37438932fbf1c3fcce0cd79075ab825"},
+		{"engine-online shape, linear", func() (*Workload, error) { return Clustered(dag(false)) }, "ccc7c1d9ffe74ee214f7068a2c5153febc31d2cc79b655372ce3dca8dfc5d1af"},
+		{"engine-online shape, mixed curves", func() (*Workload, error) { return Clustered(dag(true)) }, "d51505517f2407cf61f1ea172cfa7d67fe26f7665c5214b6f7716ba56a8ae7df"},
+		{"Replicate(Base(), 3, 2)", func() (*Workload, error) { return Replicate(Base(), 3, 2) }, "e6cada27cccc4fadd96381be483206d851a7929cf6111fff30d09d6ea9946951"},
+	} {
+		w, err := tc.gen()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		b, err := json.Marshal(w)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if sum := sha256.Sum256(b); hex.EncodeToString(sum[:]) != tc.want {
+			t.Errorf("%s: JSON SHA-256 %x, want %s", tc.name, sum, tc.want)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package workload
 import (
 	"encoding/json"
 	"fmt"
+	"os"
 
 	"lla/internal/share"
 	"lla/internal/task"
@@ -141,6 +142,26 @@ func (w *Workload) UnmarshalJSON(data []byte) error {
 		w.Curves[tj.Name] = curve
 	}
 	return w.Validate()
+}
+
+// Load resolves the built-in names "base" and "prototype", or reads a JSON
+// workload file.
+func Load(arg string) (*Workload, error) {
+	switch arg {
+	case "base":
+		return Base(), nil
+	case "prototype":
+		return Prototype(), nil
+	}
+	raw, err := os.ReadFile(arg)
+	if err != nil {
+		return nil, err
+	}
+	var w Workload
+	if err := json.Unmarshal(raw, &w); err != nil {
+		return nil, fmt.Errorf("parsing workload %s: %w", arg, err)
+	}
+	return &w, nil
 }
 
 func parseKind(s string) (share.Kind, error) {

@@ -3,7 +3,11 @@ package workload
 import (
 	"fmt"
 	"math"
+	"slices"
+	"strconv"
+	"strings"
 
+	"lla/internal/task"
 	"lla/internal/utility"
 )
 
@@ -19,49 +23,89 @@ import (
 //
 // Linear curves are rebuilt against the scaled critical time, so that
 // f_i(lat) = k*C_i' - lat keeps its shape; other curves are reused as-is.
+// Every copy of a task shares one curve value. The copies are made by
+// task.CloneN: they share backing arrays, so an append to one reallocates it.
 func Replicate(w *Workload, factor int, critScale float64) (*Workload, error) {
-	return replicate(w, factor, critScale, "")
+	out, curves, err := replicate(w, factor, critScale, "")
+	if err == nil {
+		out.Curves = make(map[string]utility.Curve, len(out.Tasks))
+		putCurves(out.Curves, out.Tasks, curves)
+	}
+	return out, err
 }
 
-// replicate is Replicate that also puts prefix in front of every task,
-// subtask and resource name, building each name once.
-func replicate(w *Workload, factor int, critScale float64, prefix string) (*Workload, error) {
+// replicate is Replicate that leaves the Curves map to its caller: it returns
+// each source task's curve, which all its copies share (putCurves). It also
+// puts prefix in front of every task, subtask and resource name, slicing each
+// copy's names from one string.
+func replicate(w *Workload, factor int, critScale float64, prefix string) (*Workload, []utility.Curve, error) {
 	if factor < 1 {
-		return nil, fmt.Errorf("workload: replication factor must be >= 1, got %d", factor)
+		return nil, nil, fmt.Errorf("workload: replication factor must be >= 1, got %d", factor)
 	}
 	if !(critScale > 0) || math.IsInf(critScale, 1) {
-		return nil, fmt.Errorf("workload: critical-time scale must be positive and finite, got %v", critScale)
+		return nil, nil, fmt.Errorf("workload: critical-time scale must be positive and finite, got %v", critScale)
 	}
-	out := &Workload{
-		Name:      fmt.Sprintf("%s-x%d", w.Name, factor),
-		Resources: append(w.Resources[:0:0], w.Resources...),
-		Curves:    make(map[string]utility.Curve, len(w.Tasks)*factor),
+	n := len(w.Tasks)
+	out := &Workload{Name: fmt.Sprintf("%s-x%d", w.Name, factor), Tasks: task.CloneN(w.Tasks, factor), Resources: slices.Clone(w.Resources)}
+	curves := make([]utility.Curve, n)
+	for i, t := range w.Tasks {
+		curves[i] = w.Curves[t.Name]
+		if lin, ok := curves[i].(utility.Linear); ok {
+			curves[i] = utility.Linear{K: lin.K, CMs: t.CriticalMs * critScale}
+		}
 	}
+	names := make([]*string, 0, len(out.Resources)+n+2*w.TotalSubtasks())
 	for i := range out.Resources {
-		out.Resources[i].ID = prefix + out.Resources[i].ID
+		names = append(names, &out.Resources[i].ID)
 	}
 	for k := 0; k < factor; k++ {
-		// Copy 0 takes the prefix. Copy k > 0 clones copy 0, sharing its
-		// resource names and adding the suffix to the others.
-		pre, suf, src := prefix, "", w.Tasks
+		suf := ""
 		if k > 0 {
-			pre, suf, src = "", fmt.Sprintf("-copy%d", k), out.Tasks[:len(w.Tasks)]
+			suf = "-copy" + strconv.Itoa(k)
 		}
-		for i, t := range src {
-			c := t.Clone()
-			c.Name = pre + t.Name + suf
+		for i, c := range out.Tasks[k*n : (k+1)*n] {
+			c.CriticalMs *= critScale
+			names = append(names, &c.Name)
 			for si := range c.Subtasks {
 				s := &c.Subtasks[si]
-				s.Name, s.Resource = pre+s.Name+suf, pre+s.Resource
+				if names = append(names, &s.Name); k == 0 {
+					names = append(names, &s.Resource)
+				} else { // copy 0's resource names
+					s.Resource = out.Tasks[i].Subtasks[si].Resource
+				}
 			}
-			c.CriticalMs = w.Tasks[i].CriticalMs * critScale
-			curve := w.Curves[w.Tasks[i].Name]
-			if lin, ok := curve.(utility.Linear); ok {
-				curve = utility.Linear{K: lin.K, CMs: c.CriticalMs}
-			}
-			out.Tasks = append(out.Tasks, c)
-			out.Curves[c.Name] = curve
 		}
+		affix(names, prefix, suf)
+		names = names[:0]
 	}
-	return out, nil
+	return out, curves, nil
+}
+
+// affix rewrites every name *p in names to pre+*p+suf, slicing all of them
+// from one string.
+func affix(names []*string, pre, suf string) {
+	size := len(names) * (len(pre) + len(suf))
+	for _, p := range names {
+		size += len(*p)
+	}
+	var b strings.Builder
+	b.Grow(size)
+	for _, p := range names {
+		b.WriteString(pre)
+		b.WriteString(*p)
+		b.WriteString(suf)
+	}
+	all := b.String()
+	for _, p := range names {
+		n := len(pre) + len(*p) + len(suf)
+		*p, all = all[:n], all[n:]
+	}
+}
+
+// putCurves maps the name of tasks[j] to curves[j%len(curves)]: the copies
+// replicate makes, in copy order, share their source task's curve.
+func putCurves(m map[string]utility.Curve, tasks []*task.Task, curves []utility.Curve) {
+	for j, t := range tasks {
+		m[t.Name] = curves[j%len(curves)]
+	}
 }

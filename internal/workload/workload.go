@@ -6,6 +6,9 @@
 package workload
 
 import (
+	"maps"
+	"slices"
+
 	"lla/internal/share"
 	"lla/internal/task"
 	"lla/internal/utility"
@@ -44,21 +47,16 @@ func (w *Workload) TaskByName(name string) *task.Task {
 	return nil
 }
 
-// Clone returns a deep copy of the workload. Curves are shared (they are
-// immutable values).
+// Clone returns a deep copy of the workload, its tasks made by task.CloneN:
+// they share backing arrays, so an append to one reallocates it. Curves are
+// shared (they are immutable values); the map is the copy's own.
 func (w *Workload) Clone() *Workload {
-	c := &Workload{
+	return &Workload{
 		Name:      w.Name,
-		Resources: append([]share.Resource(nil), w.Resources...),
-		Curves:    make(map[string]utility.Curve, len(w.Curves)),
+		Tasks:     task.CloneN(w.Tasks, 1),
+		Resources: slices.Clone(w.Resources),
+		Curves:    maps.Clone(w.Curves),
 	}
-	for _, t := range w.Tasks {
-		c.Tasks = append(c.Tasks, t.Clone())
-	}
-	for k, v := range w.Curves {
-		c.Curves[k] = v
-	}
-	return c
 }
 
 // TotalSubtasks counts subtasks across all tasks.

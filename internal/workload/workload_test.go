@@ -2,6 +2,7 @@ package workload
 
 import (
 	"encoding/json"
+	"maps"
 	"math"
 	"reflect"
 	"testing"
@@ -334,17 +335,78 @@ func TestValidateCatchesProblems(t *testing.T) {
 	}
 }
 
+// TestCloneIsDeep: a clone's tasks share backing arrays with one another,
+// never with the original, so growing, rewiring or renaming a cloned task, or
+// editing the clone's resources or curves, leaves the original byte for byte
+// as it was.
 func TestCloneIsDeep(t *testing.T) {
 	w := Base()
+	before, err := json.Marshal(w)
+	if err != nil {
+		t.Fatal(err)
+	}
 	c := w.Clone()
+	extra := task.Subtask{Name: "extra", Resource: w.Resources[0].ID, ExecMs: 1}
 	c.Tasks[0].CriticalMs = 999
+	c.Tasks[0].MustEdge(0, c.Tasks[0].AddSubtask(extra))
+	c.Tasks[1].Subtasks = append(c.Tasks[1].Subtasks, extra)
+	c.Tasks[2].Name, c.Tasks[2].Subtasks[0].Name = "renamed", "renamed-0"
 	c.Resources[0].Availability = 0.5
 	c.Curves["task1"] = utility.NegLatency{}
-	if w.Tasks[0].CriticalMs == 999 || w.Resources[0].Availability == 0.5 {
-		t.Error("Clone shares storage with original")
+	delete(c.Curves, "task2")
+	if after, _ := json.Marshal(w); string(after) != string(before) {
+		t.Errorf("editing the clone changed the original:\n got %s\nwant %s", after, before)
 	}
-	if _, isNeg := w.Curves["task1"].(utility.NegLatency); isNeg {
-		t.Error("Clone shares curve map")
+}
+
+// allocSource is one fleet-1m-cold cluster before replication: 125 chains of
+// five subtasks over 500 resources.
+func allocSource(t *testing.T) *Workload {
+	t.Helper()
+	cfg := DefaultRandomConfig(1)
+	cfg.NumTasks, cfg.NumResources, cfg.MinSubtasks, cfg.MaxSubtasks, cfg.ChainOnly = 125, 500, 5, 5, true
+	w, err := Random(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w
+}
+
+// TestReplicateAllocBudget pins Replicate's heap objects per replicated task
+// (10.95 while every copy was a task, a subtask slice, two row blocks, a
+// string per name and a curve of its own): the copies are carved by the
+// chunk, each copy's names from one string, and copies share their source
+// task's curve.
+func TestReplicateAllocBudget(t *testing.T) {
+	const factor, ceiling = 100, 0.25
+	w := allocSource(t)
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := Replicate(w, factor, 1); err != nil {
+			t.Fatal(err)
+		}
+	})
+	perTask := allocs / float64(factor*len(w.Tasks))
+	t.Logf("Replicate: %.0f objects, %.3f per task (ceiling %.2f)", allocs, perTask, ceiling)
+	if perTask > ceiling {
+		t.Fatalf("Replicate allocates %.3f objects per task, ceiling %.2f", perTask, ceiling)
+	}
+}
+
+// TestWorkloadCloneAllocBudget pins Workload.Clone beyond its Curves map to
+// a few objects per chunk of tasks (4.0 per task while each task was cloned
+// on its own).
+func TestWorkloadCloneAllocBudget(t *testing.T) {
+	const ceiling = 0.05
+	w, err := Replicate(allocSource(t), 100, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	curves := testing.AllocsPerRun(3, func() { _ = maps.Clone(w.Curves) })
+	allocs := testing.AllocsPerRun(3, func() { _ = w.Clone() })
+	perTask := (allocs - curves) / float64(len(w.Tasks))
+	t.Logf("Clone: %.0f objects, %.0f of them the Curves map, %.4f per task beyond it (ceiling %.2f)", allocs, curves, perTask, ceiling)
+	if perTask > ceiling {
+		t.Fatalf("Clone allocates %.4f objects per task beyond its Curves map, ceiling %.2f", perTask, ceiling)
 	}
 }
 
