@@ -5,8 +5,9 @@
 // (Section 5.4); this package turns those remarks into a subsystem that can
 // say no fast: arriving tasks pass a static necessary-condition screen, a
 // price screen against the live dual variables mu (congestion cost vs.
-// utility gain), and finally a bounded trial optimization on a scratch
-// engine warm-started from the live one.
+// utility gain), and finally a bounded trial optimization on a successor
+// engine warm-started from the live one, which becomes the live engine when
+// the offer is accepted.
 // Rejected tasks are quarantined with capped exponential backoff, counted
 // in controller events rather than wall-clock time so decision traces are
 // deterministic and replayable.
@@ -14,6 +15,7 @@ package admit
 
 import (
 	"fmt"
+	"slices"
 
 	"lla/internal/core"
 	"lla/internal/obs"
@@ -25,8 +27,10 @@ import (
 // Config tunes the admission controller. The zero value uses the defaults
 // noted per field.
 type Config struct {
-	// TrialIters bounds the scratch trial optimization and each live
-	// re-convergence. Default 1500.
+	// TrialIters bounds the optimization of every successor engine: an
+	// offer's trial, which becomes the live engine on accept, and the
+	// warm-started run a departure, a rebalance or an admit-all offer
+	// adopts. Default 1500.
 	TrialIters int
 	// AdmitAll skips every gate and enacts each offer directly — the
 	// admit-everything baseline the churn experiment compares against.
@@ -76,10 +80,11 @@ type Decision struct {
 	Stage string
 	// Reason explains the decision.
 	Reason string
-	// TrialIters is the scratch-engine iteration count of the trial gate.
+	// TrialIters is the iteration count of the trial gate's successor.
 	TrialIters int
-	// ReconvergeIters counts live-engine iterations spent re-converging
-	// after an enacted change (admission, departure, rebalance).
+	// ReconvergeIters counts the iterations of the successor an enacted
+	// change (admission, departure, rebalance) adopted. For a gated admit
+	// it is the trial's count: the trial is what the live engine became.
 	ReconvergeIters int
 	// Utility is the live aggregate utility after the decision.
 	Utility float64
@@ -105,8 +110,6 @@ type Controller struct {
 	event      int
 	log        []Decision
 	quarantine map[string]*quarEntry
-
-	snap core.Snapshot // reusable scratch for live-price reads
 }
 
 // New builds a controller over a running engine. The engine should be
@@ -127,7 +130,11 @@ func (c *Controller) Engine() *core.Engine { return c.eng }
 func (c *Controller) UsePlacer(p *Placer) { c.placer = p }
 
 // Observe attaches observability: admission counters/gauges on the metrics
-// registry, an "admission" trace event per decision. nil detaches.
+// registry, an "admission" trace event per decision. nil detaches. The
+// engine's own observer (core.Engine.Observe) sees the live engine's steps
+// only: a successor's steps ran before it was adopted, and their count is
+// reported by the decision's event (its iteration) and by
+// lla_admit_reconverge_iterations.
 func (c *Controller) Observe(o *obs.Observer) {
 	c.obsv, c.m = o, nil
 	if o != nil && o.Metrics != nil {
@@ -141,17 +148,6 @@ func (c *Controller) Observe(o *obs.Observer) {
 
 // Log returns a copy of the decision log.
 func (c *Controller) Log() []Decision { return append([]Decision(nil), c.log...) }
-
-// liveMu snapshots the engine's price vector as a resource-ID map.
-func (c *Controller) liveMu() map[string]float64 {
-	c.eng.SnapshotInto(&c.snap)
-	p := c.eng.Problem()
-	mu := make(map[string]float64, len(p.Resources))
-	for ri := range p.Resources {
-		mu[p.Resources[ri].ID] = c.snap.Mu[ri]
-	}
-	return mu
-}
 
 // finish records the decision in the log, mirrors it onto the metrics and
 // trace, and returns it.
@@ -222,18 +218,38 @@ func (c *Controller) strike(name string) *quarEntry {
 	return q
 }
 
-// reconverge drives the live engine after an enacted change and returns the
-// iterations spent.
-func (c *Controller) reconverge() int {
-	snap, _ := c.eng.RunUntilKKT(c.cfg.TrialIters, core.StopKKTTol, core.StopWindow, core.StopTol)
-	return snap.Iteration
+// successor builds the engine for workload w, warm-starts it from the live
+// one and runs it to the stopping rule within TrialIters, without disturbing
+// the live engine. The caller adopts it (core.Engine.Adopt) or closes it.
+func (c *Controller) successor(w *workload.Workload) (*core.Engine, core.Snapshot, bool, error) {
+	next, err := core.NewEngine(w, c.eng.Config())
+	if err != nil {
+		return nil, core.Snapshot{}, false, err
+	}
+	next.CarryFrom(c.eng)
+	snap, ok := next.RunUntilKKT(c.cfg.TrialIters, core.StopKKTTol, core.StopWindow, core.StopTol)
+	return next, snap, ok, nil
 }
 
-// Offer screens an arriving task and, if every gate passes, enacts it on
-// the live engine (warm-started ReplaceWorkload plus re-convergence). The
-// returned Decision says which gate decided and why; err is reserved for
-// mechanical failures (duplicate names, engine errors), not rejections.
+// enact adopts w's successor whatever its verdict — departures, rebalances
+// and admit-all offers pass no gate — and returns the iterations it ran.
+func (c *Controller) enact(w *workload.Workload) (int, error) {
+	next, _, _, err := c.successor(w)
+	if err != nil {
+		return 0, err
+	}
+	c.eng.Adopt(next)
+	return c.eng.Iteration(), nil
+}
+
+// Offer screens an arriving task and, if every gate passes, makes the
+// trial's engine the live one. The returned Decision says which gate
+// decided and why; err is reserved for mechanical failures (a nil task,
+// duplicate names, engine errors), not rejections.
 func (c *Controller) Offer(t *task.Task, curve utility.Curve) (Decision, error) {
+	if t == nil {
+		return Decision{}, fmt.Errorf("admit: offer without a task")
+	}
 	c.event++
 	d := Decision{Event: c.event, Task: t.Name, Kind: KindArrival}
 
@@ -243,82 +259,81 @@ func (c *Controller) Offer(t *task.Task, curve utility.Curve) (Decision, error) 
 		return c.finish(d), nil
 	}
 
-	resident := c.eng.CurrentWorkload()
-	if resident.TaskByName(t.Name) != nil {
+	trial := c.eng.CurrentWorkload()
+	if trial.TaskByName(t.Name) != nil {
 		return d, fmt.Errorf("admit: task %q is already resident", t.Name)
 	}
-	trial := resident.Clone()
 	trial.Tasks = append(trial.Tasks, t.Clone())
 	trial.Curves[t.Name] = curve
 
-	if !c.cfg.AdmitAll {
-		if rejected, why, err := c.screen(trial, t, curve, &d); err != nil {
+	if c.cfg.AdmitAll {
+		iters, err := c.enact(trial)
+		if err != nil {
+			return d, fmt.Errorf("admit: enacting %q: %w", t.Name, err)
+		}
+		d.ReconvergeIters, d.Reason = iters, "admit-everything policy"
+	} else {
+		next, err := c.screen(trial, t, curve, &d)
+		if err != nil {
 			return d, err
-		} else if rejected {
-			d.Stage, d.Reason = why.Stage, why.Reason
+		}
+		if next == nil {
 			c.strike(t.Name)
 			return c.finish(d), nil
 		}
+		c.eng.Adopt(next)
+		d.ReconvergeIters, d.Reason = d.TrialIters, "passed static, price and trial gates"
 	}
-
-	if err := c.eng.ReplaceWorkload(trial); err != nil {
-		return d, fmt.Errorf("admit: enacting %q: %w", t.Name, err)
-	}
-	d.ReconvergeIters = c.reconverge()
-	d.Admitted = true
-	d.Stage = StageAdmit
-	if c.cfg.AdmitAll {
-		d.Reason = "admit-everything policy"
-	} else {
-		d.Reason = "passed static, price and trial gates"
-	}
+	d.Admitted, d.Stage = true, StageAdmit
 	delete(c.quarantine, t.Name)
 	return c.finish(d), nil
 }
 
-// screen runs the static, price and trial gates. It returns rejected=true
-// with the stage/reason in why, or an error for malformed inputs.
-func (c *Controller) screen(trial *workload.Workload, t *task.Task, curve utility.Curve, d *Decision) (bool, Decision, error) {
+// screen runs the static, price and trial gates. It returns the trial's
+// certified engine when all three pass; nil with the rejecting stage and
+// reason written to d when one fires; an error for malformed inputs only.
+func (c *Controller) screen(trial *workload.Workload, t *task.Task, curve utility.Curve, d *Decision) (*core.Engine, error) {
 	// Gate 1: static necessary conditions (path and resource floors).
 	rep, err := workload.Analyze(trial)
 	if err != nil {
 		// An unanalyzable trial workload means the candidate itself is
 		// malformed relative to the running system (bad resource reference,
 		// duplicate placement); reject rather than fail the control loop.
-		return true, Decision{Stage: StageStatic, Reason: err.Error()}, nil
+		d.Stage, d.Reason = StageStatic, err.Error()
+		return nil, nil
 	}
 	if !rep.Feasible() {
-		return true, Decision{Stage: StageStatic, Reason: rep.String()}, nil
+		d.Stage, d.Reason = StageStatic, rep.String()
+		return nil, nil
 	}
 
 	// Gate 2: price the candidate against the live mu vector.
-	mode := c.eng.Config().WeightMode
-	reason, err := priceScreen(trial, t, curve, mode, c.liveMu())
+	reason, err := priceScreen(trial, t, curve, c.eng.Config().WeightMode, c.eng.MuAt)
 	if err != nil {
-		return false, Decision{}, fmt.Errorf("admit: pricing %q: %w", t.Name, err)
+		return nil, fmt.Errorf("admit: pricing %q: %w", t.Name, err)
 	}
 	if reason != "" {
-		return true, Decision{Stage: StagePrice, Reason: reason}, nil
+		d.Stage, d.Reason = StagePrice, reason
+		return nil, nil
 	}
 
-	// Gate 3: bounded trial optimization on a scratch engine over the trial
-	// workload, warm-started from the live one — the paper's sufficient
-	// schedulability test (Section 5.4), run without disturbing the live
-	// engine.
-	scratch, err := core.NewEngine(trial, c.eng.Config())
+	// Gate 3: bounded trial optimization of the trial workload, warm-started
+	// from the live engine — the paper's sufficient schedulability test
+	// (Section 5.4).
+	next, snap, ok, err := c.successor(trial)
 	if err != nil {
-		return true, Decision{Stage: StageTrial, Reason: err.Error()}, nil
+		d.Stage, d.Reason = StageTrial, err.Error()
+		return nil, nil
 	}
-	defer scratch.Close()
-	scratch.CarryFrom(c.eng)
-	snap, ok := scratch.RunUntilKKT(c.cfg.TrialIters, core.StopKKTTol, core.StopWindow, core.StopTol)
 	d.TrialIters = snap.Iteration
 	if !ok {
-		return true, Decision{Stage: StageTrial, Reason: fmt.Sprintf(
+		next.Close()
+		d.Stage, d.Reason = StageTrial, fmt.Sprintf(
 			"trial did not certify in %d iterations (resViol %.4f, pathViol %.4f)",
-			snap.Iteration, snap.MaxResourceViolation, snap.MaxPathViolationFrac)}, nil
+			snap.Iteration, snap.MaxResourceViolation, snap.MaxPathViolationFrac)
+		return nil, nil
 	}
-	return false, Decision{}, nil
+	return next, nil
 }
 
 // Remove retires a resident task (a departure) and re-converges the
@@ -330,13 +345,7 @@ func (c *Controller) Remove(name string) (Decision, error) {
 	d := Decision{Event: c.event, Task: name, Kind: KindDeparture, Stage: StageLeave}
 
 	w := c.eng.CurrentWorkload()
-	idx := -1
-	for i, t := range w.Tasks {
-		if t.Name == name {
-			idx = i
-			break
-		}
-	}
+	idx := slices.IndexFunc(w.Tasks, func(t *task.Task) bool { return t.Name == name })
 	if idx < 0 {
 		d.Reason = "not resident"
 		return c.finish(d), nil
@@ -344,14 +353,13 @@ func (c *Controller) Remove(name string) (Decision, error) {
 	if len(w.Tasks) == 1 {
 		return d, fmt.Errorf("admit: cannot remove %q: it is the last resident task", name)
 	}
-	w.Tasks = append(w.Tasks[:idx], w.Tasks[idx+1:]...)
+	w.Tasks = slices.Delete(w.Tasks, idx, idx+1)
 	delete(w.Curves, name)
-	if err := c.eng.ReplaceWorkload(w); err != nil {
+	iters, err := c.enact(w)
+	if err != nil {
 		return d, fmt.Errorf("admit: removing %q: %w", name, err)
 	}
-	d.ReconvergeIters = c.reconverge()
-	d.Admitted = true
-	d.Reason = "departed"
+	d.ReconvergeIters, d.Admitted, d.Reason = iters, true, "departed"
 	if c.placer != nil {
 		c.placer.forget(name)
 	}

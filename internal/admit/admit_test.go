@@ -1,8 +1,10 @@
 package admit
 
 import (
+	"math"
 	"reflect"
 	"regexp"
+	"strings"
 	"testing"
 
 	"lla/internal/core"
@@ -165,6 +167,42 @@ func TestAdmitAllSkipsGates(t *testing.T) {
 	}
 	if eng.Problem().Workload().TaskByName("impossible") == nil {
 		t.Fatal("admit-all did not enact the task")
+	}
+}
+
+// TestOfferRefusesMalformedInputs: a missing task is an error on both offer
+// paths, never a panic; a missing curve or one with a non-finite value is a
+// static rejection under the gates and an error under admit-all. Nothing
+// reaches the live engine.
+func TestOfferRefusesMalformedInputs(t *testing.T) {
+	tk, curve := chainCandidate(t, "bad", 300, []float64{5, 4}, []string{"r0", "r1"})
+	nanCurve := utility.Linear{K: math.NaN(), CMs: 300}
+	for _, tc := range []struct {
+		name   string
+		offer  func(*Controller) (Decision, error)
+		reason string // a gated rejection's; "" when the gated offer errs too
+	}{
+		{"nil task", func(c *Controller) (Decision, error) { return c.Offer(nil, curve) }, ""},
+		{"nil placed task", func(c *Controller) (Decision, error) { return c.OfferPlaced(Candidate{Curve: curve}) }, ""},
+		{"nil curve", func(c *Controller) (Decision, error) { return c.Offer(tk, nil) }, "no utility curve"},
+		{"NaN curve value", func(c *Controller) (Decision, error) { return c.Offer(tk, nanCurve) }, "not finite"},
+	} {
+		for _, all := range []bool{false, true} {
+			eng := testCluster(t, 1)
+			ctrl := New(eng, Config{AdmitAll: all})
+			ctrl.UsePlacer(NewPlacer())
+			d, err := tc.offer(ctrl)
+			if tc.reason == "" || all {
+				if err == nil {
+					t.Errorf("%s (admit-all %v): no error, decision %+v", tc.name, all, d)
+				}
+			} else if err != nil || d.Admitted || d.Stage != StageStatic || !strings.Contains(d.Reason, tc.reason) {
+				t.Errorf("%s: %+v, %v; want a static rejection naming %q", tc.name, d, err, tc.reason)
+			}
+			if n := len(eng.Problem().Tasks); n != 1 {
+				t.Errorf("%s (admit-all %v): %d resident tasks, want 1", tc.name, all, n)
+			}
+		}
 	}
 }
 

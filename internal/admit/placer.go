@@ -2,12 +2,10 @@ package admit
 
 import (
 	"fmt"
-	"math"
+	"slices"
 	"strings"
 
-	"lla/internal/core"
 	"lla/internal/obs"
-	"lla/internal/share"
 	"lla/internal/task"
 	"lla/internal/utility"
 	"lla/internal/workload"
@@ -68,11 +66,12 @@ func (p *Placer) Observe(o *obs.Observer) {
 
 // Bind returns a copy of the candidate's task with every subtask bound to
 // its cheapest feasible candidate resource: argmin over the candidate set
-// of mu_r × predicted share (the newcomer demand model of EstimateDemand).
-// Subtasks bind greedily in order, never reusing a resource already chosen
-// for the same task (the paper's distinct-resources assumption). Ties keep
-// the earliest candidate, so bindings are deterministic.
-func (p *Placer) Bind(w *workload.Workload, cand Candidate, mode task.WeightMode, mu map[string]float64) (*task.Task, error) {
+// of mu_r × predicted share (the admission demand pricer), with mu(ri) the
+// price of w.Resources[ri]. Subtasks bind greedily in order, never reusing
+// a resource already chosen for the same task (the paper's
+// distinct-resources assumption). Ties keep the earliest candidate, so
+// bindings are deterministic.
+func (p *Placer) Bind(w *workload.Workload, cand Candidate, mode task.WeightMode, mu func(ri int) float64) (*task.Task, error) {
 	weights, err := cand.Task.Weights(mode)
 	if err != nil {
 		return nil, err
@@ -88,12 +87,11 @@ func (p *Placer) Bind(w *workload.Workload, cand Candidate, mode task.WeightMode
 			if used[rid] {
 				continue
 			}
-			r, ok := w.ResourceByID(rid)
-			if !ok {
+			ri := resourceIndex(w, rid)
+			if ri < 0 {
 				return nil, fmt.Errorf("admit: candidate %s subtask %s: unknown resource %q", cand.Task.Name, s.Name, rid)
 			}
-			sh := predictShare(s.ExecMs, s.MinShare, bound.CriticalMs, weights[si], slope, r, effMu(mu[rid]))
-			cost := mu[rid] * sh
+			_, cost := subtaskCost(s, bound.CriticalMs, weights[si], slope, w.Resources[ri], mu(ri))
 			if bestID == "" || cost < bestCost {
 				bestID, bestCost = rid, cost
 			}
@@ -122,43 +120,15 @@ func (p *Placer) options(w *workload.Workload, cand Candidate, si int) []string 
 	return ids
 }
 
-// bindingCost prices a task's current binding: Σ mu_r × predicted share.
-func (p *Placer) bindingCost(w *workload.Workload, t *task.Task, curve utility.Curve, mode task.WeightMode, mu map[string]float64) (float64, error) {
-	weights, err := t.Weights(mode)
-	if err != nil {
-		return 0, err
-	}
-	slope := curve.Slope(t.CriticalMs)
-	cost := 0.0
-	for si, s := range t.Subtasks {
-		r, ok := w.ResourceByID(s.Resource)
-		if !ok {
-			return 0, fmt.Errorf("admit: task %s subtask %s: unknown resource %q", t.Name, s.Name, s.Resource)
-		}
-		sh := predictShare(s.ExecMs, s.MinShare, t.CriticalMs, weights[si], slope, r, effMu(mu[s.Resource]))
-		cost += mu[s.Resource] * sh
-	}
-	return cost, nil
-}
-
-// noteSkew observes the live prices once and reports whether the sustained
-// skew trigger is armed.
-func (p *Placer) noteSkew(mu map[string]float64) bool {
-	minMu, maxMu, first := 0.0, 0.0, true
-	for _, v := range mu {
-		if first {
-			minMu, maxMu, first = v, v, false
-			continue
-		}
-		if v < minMu {
-			minMu = v
-		}
-		if v > maxMu {
-			maxMu = v
-		}
-	}
+// noteSkew observes the live prices mu(0..n-1) once and reports whether the
+// sustained skew trigger is armed.
+func (p *Placer) noteSkew(n int, mu func(ri int) float64) bool {
 	skewed := false
-	if !first {
+	if n > 0 {
+		minMu, maxMu := mu(0), mu(0)
+		for ri := 1; ri < n; ri++ {
+			minMu, maxMu = min(minMu, mu(ri)), max(maxMu, mu(ri))
+		}
 		if minMu < 1e-12 {
 			skewed = maxMu > 1e-12
 		} else {
@@ -201,9 +171,10 @@ func (c *Controller) OfferPlaced(cand Candidate) (Decision, error) {
 	if c.placer == nil {
 		return Decision{}, fmt.Errorf("admit: OfferPlaced requires UsePlacer")
 	}
-	w := c.eng.CurrentWorkload()
-	mode := c.eng.Config().WeightMode
-	bound, err := c.placer.Bind(w, cand, mode, c.liveMu())
+	if cand.Task == nil {
+		return Decision{}, fmt.Errorf("admit: placed offer without a task")
+	}
+	bound, err := c.placer.Bind(c.eng.CurrentWorkload(), cand, c.eng.Config().WeightMode, c.eng.MuAt)
 	if err != nil {
 		c.event++
 		d := Decision{Event: c.event, Task: cand.Task.Name, Kind: KindArrival,
@@ -226,37 +197,36 @@ func (c *Controller) MaybeRebalance() (Decision, bool, error) {
 	if c.placer == nil {
 		return Decision{}, false, nil
 	}
-	mu := c.liveMu()
-	if !c.placer.noteSkew(mu) {
+	mu := c.eng.MuAt
+	if !c.placer.noteSkew(len(c.eng.Problem().Resources), mu) {
 		return Decision{}, false, nil
 	}
 	w := c.eng.CurrentWorkload()
 	mode := c.eng.Config().WeightMode
 
-	bestGain := 0.0
-	bestName := ""
-	var bestBound *task.Task
-	var bestCand Candidate
+	bestGain, bestName := 0.0, ""
+	var best Candidate // bestName's rebound candidate
 	for _, name := range c.placer.order {
 		pc := c.placer.placed[name]
 		cur := w.TaskByName(name)
 		if cur == nil {
 			continue
 		}
-		curCost, err := c.placer.bindingCost(w, cur, pc.Curve, mode, mu)
+		curCost, _, err := taskCost(w, cur, pc.Curve, mode, mu)
 		if err != nil || curCost <= 0 {
 			continue
 		}
-		rb, err := c.placer.Bind(w, Candidate{Task: pc.Task, Candidates: pc.Candidates, Curve: pc.Curve}, mode, mu)
+		rb, err := c.placer.Bind(w, pc, mode, mu)
 		if err != nil {
 			continue
 		}
-		rbCost, err := c.placer.bindingCost(w, rb, pc.Curve, mode, mu)
+		rbCost, _, err := taskCost(w, rb, pc.Curve, mode, mu)
 		if err != nil {
 			continue
 		}
 		if gain := (curCost - rbCost) / curCost; gain > bestGain {
-			bestGain, bestName, bestBound, bestCand = gain, name, rb, pc
+			bestGain, bestName = gain, name
+			best = Candidate{Task: rb, Candidates: pc.Candidates, Curve: pc.Curve}
 		}
 	}
 	// Scan done: reset the streak either way so the trigger re-arms over a
@@ -268,19 +238,14 @@ func (c *Controller) MaybeRebalance() (Decision, bool, error) {
 
 	c.event++
 	d := Decision{Event: c.event, Task: bestName, Kind: KindRebalance, Stage: StagePlace}
-	for i, t := range w.Tasks {
-		if t.Name == bestName {
-			w.Tasks[i] = bestBound
-			break
-		}
-	}
-	if err := c.eng.ReplaceWorkload(w); err != nil {
+	w.Tasks[slices.IndexFunc(w.Tasks, func(t *task.Task) bool { return t.Name == bestName })] = best.Task
+	iters, err := c.enact(w)
+	if err != nil {
 		return d, false, fmt.Errorf("admit: rebalancing %q: %w", bestName, err)
 	}
-	d.ReconvergeIters = c.reconverge()
-	d.Admitted = true
-	d.Reason = fmt.Sprintf("rebound to [%s], binding cost down %.0f%%", bindingString(bestBound), bestGain*100)
-	c.placer.place(bestName, Candidate{Task: bestBound, Candidates: bestCand.Candidates, Curve: bestCand.Curve})
+	d.ReconvergeIters, d.Admitted = iters, true
+	d.Reason = fmt.Sprintf("rebound to [%s], binding cost down %.0f%%", bindingString(best.Task), bestGain*100)
+	c.placer.place(bestName, best)
 	if c.placer.m != nil {
 		c.placer.m.Rebalances.Inc()
 	}
@@ -294,16 +259,4 @@ func bindingString(t *task.Task) string {
 		ids[i] = s.Resource
 	}
 	return strings.Join(ids, " ")
-}
-
-// effMu floors a live price at core.InitialMu for demand prediction, so
-// uncongested resources price a newcomer as a fresh engine would.
-func effMu(mu float64) float64 {
-	return math.Max(mu, core.InitialMu)
-}
-
-// predictShare is predictLatShare's share-only view.
-func predictShare(execMs, minShare, criticalMs, weight, slope float64, r share.Resource, muEff float64) float64 {
-	_, sh := predictLatShare(execMs, minShare, criticalMs, weight, slope, r, muEff)
-	return sh
 }

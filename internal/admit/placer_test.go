@@ -21,6 +21,12 @@ func placerWorkload() *workload.Workload {
 	}
 }
 
+// prices serves mu as the price function Bind reads, indexed like
+// placerWorkload's resources.
+func prices(mu ...float64) func(ri int) float64 {
+	return func(ri int) float64 { return mu[ri] }
+}
+
 func placedCandidate(t *testing.T, name string, stages int, candidates [][]string) Candidate {
 	t.Helper()
 	b := task.NewBuilder(name, 100).Trigger(task.Periodic(100))
@@ -40,7 +46,7 @@ func placedCandidate(t *testing.T, name string, stages int, candidates [][]strin
 func TestBindChoosesCheapest(t *testing.T) {
 	w := placerWorkload()
 	p := NewPlacer()
-	mu := map[string]float64{"r0": 5, "r1": 0.5, "r2": 2}
+	mu := prices(5, 0.5, 2)
 
 	bound, err := p.Bind(w, placedCandidate(t, "solo", 1, nil), task.WeightSum, mu)
 	if err != nil {
@@ -63,7 +69,7 @@ func TestBindChoosesCheapest(t *testing.T) {
 func TestBindDistinctResources(t *testing.T) {
 	w := placerWorkload()
 	p := NewPlacer()
-	mu := map[string]float64{"r0": 5, "r1": 0.5, "r2": 2}
+	mu := prices(5, 0.5, 2)
 
 	bound, err := p.Bind(w, placedCandidate(t, "pair", 2, nil), task.WeightSum, mu)
 	if err != nil {
@@ -84,7 +90,7 @@ func TestBindDistinctResources(t *testing.T) {
 func TestBindDeterministicTies(t *testing.T) {
 	w := placerWorkload()
 	p := NewPlacer()
-	mu := map[string]float64{"r0": 1, "r1": 1, "r2": 1} // all tied
+	mu := prices(1, 1, 1) // all tied
 	for i := 0; i < 10; i++ {
 		bound, err := p.Bind(w, placedCandidate(t, "tied", 2, nil), task.WeightSum, mu)
 		if err != nil {

@@ -2,13 +2,14 @@ package core
 
 import "math"
 
-// State carry-over between engines: the warm-start primitive behind
-// ReplaceWorkload and the fleet's incremental repartitioning
-// (fleet.ReplaceWorkload). A freshly built engine adopts as much of one or
-// more donor engines' optimization state as still applies — resource prices
-// by ID, surviving tasks' latencies and path prices by name — so
-// re-convergence after churn starts from the already-discovered congestion
-// landscape instead of the paper's cold initial point.
+// State carry-over between engines: the warm-start primitive behind a
+// workload swap (Engine.Adopt, admission's trial) and the fleet's
+// incremental repartitioning (fleet.ReplaceWorkload). A freshly built engine
+// adopts as much of one or more donor engines' optimization state as still
+// applies — resource prices by ID, surviving tasks' latencies and path
+// prices by name — so re-convergence after churn starts from the
+// already-discovered congestion landscape instead of the paper's cold
+// initial point.
 
 // CarryFrom warm-starts the engine from the donors' live state:
 //

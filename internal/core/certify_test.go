@@ -381,7 +381,7 @@ func TestCertifyAfterOutOfBandWrites(t *testing.T) {
 		}},
 		{"ReplaceWorkload", true, func(t *testing.T, e *Engine, _ Config) (*Engine, Certificate) {
 			before := cached(e)
-			if err := e.ReplaceWorkload(certifyWorkload(t, 2, "quadratic")); err != nil {
+			if err := replaceWorkload(e, certifyWorkload(t, 2, "quadratic")); err != nil {
 				t.Fatal(err)
 			}
 			return e, before

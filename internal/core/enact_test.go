@@ -96,6 +96,18 @@ func TestEnactorQuietAfterConvergence(t *testing.T) {
 	}
 }
 
+// replaceWorkload swaps e's workload for w, warm-started from e's state:
+// the successor is built, carried from e and adopted without running.
+func replaceWorkload(e *Engine, w *workload.Workload) error {
+	next, err := NewEngine(w, e.cfg)
+	if err != nil {
+		return err
+	}
+	next.CarryFrom(e)
+	e.Adopt(next)
+	return nil
+}
+
 func TestReplaceWorkloadCarriesPrices(t *testing.T) {
 	e, err := NewEngine(workload.Base(), Config{})
 	if err != nil {
@@ -108,7 +120,7 @@ func TestReplaceWorkloadCarriesPrices(t *testing.T) {
 	muBefore := append([]float64(nil), snapBefore.Mu...)
 
 	// Same workload: everything carries over; immediately converged.
-	if err := e.ReplaceWorkload(workload.Base()); err != nil {
+	if err := replaceWorkload(e, workload.Base()); err != nil {
 		t.Fatal(err)
 	}
 	snap := e.Snapshot()
@@ -141,7 +153,7 @@ func TestReplaceWorkloadWithNewTask(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.ReplaceWorkload(w6); err != nil {
+	if err := replaceWorkload(e, w6); err != nil {
 		t.Fatal(err)
 	}
 	warm := e.Iteration()
@@ -177,7 +189,7 @@ func TestReplaceWorkloadRejectsInvalid(t *testing.T) {
 	}
 	bad := workload.Base()
 	bad.Tasks = nil
-	if err := e.ReplaceWorkload(bad); err == nil {
+	if err := replaceWorkload(e, bad); err == nil {
 		t.Fatal("invalid workload should fail")
 	}
 	// The engine is still usable after a failed replace.
@@ -198,7 +210,7 @@ func TestReplaceWorkloadStructureChangeStartsFresh(t *testing.T) {
 	// fresh but the engine still converges.
 	w := workload.Base()
 	w.Tasks[0].Subtasks[0].Name = "renamed"
-	if err := e.ReplaceWorkload(w); err != nil {
+	if err := replaceWorkload(e, w); err != nil {
 		t.Fatal(err)
 	}
 	snap, ok := e.RunUntilKKT(5000, 1e-9, 3, 1e-6)

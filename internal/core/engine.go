@@ -121,8 +121,8 @@ type Engine struct {
 	nshards int
 	// pool holds the parked shard workers and shard is the bound runShard
 	// they call; both nil until the first parallel Step and whenever
-	// nshards == 1. They are bound together: ReplaceWorkload overwrites the
-	// engine with one that has never stepped, so neither can go stale.
+	// nshards == 1. They are bound together, and Adopt rebinds shard when
+	// it takes over a successor's pool, so neither can go stale.
 	pool  *par.Pool
 	shard func(int)
 
@@ -164,8 +164,8 @@ type Engine struct {
 	// certCursor is Certify's witness cursor: the resource (< len(price)) or
 	// task (offset by len(price)) that failed the last check, which the next
 	// check re-tests first. cert is the pooled scan's scratch, nil until the
-	// first pooled Certify (so, like shard, never stale after
-	// ReplaceWorkload). Scratch only — neither changes a verdict.
+	// first pooled Certify and again after Adopt, which drops the
+	// successor's. Scratch only — neither changes a verdict.
 	certCursor int
 	cert       *certScan
 	// grade caches each task's complete grade and graded marks the slots
@@ -286,8 +286,8 @@ func Curvature(inner, mu float64) float64 {
 
 // refreshResourceState re-evaluates every share from the current latencies
 // and recomputes the cached share sums and congestion flags. Its callers
-// install state wholesale (construction, CarryFrom and with it
-// ReplaceWorkload), so it also drops every cached fixed point; a change
+// install state wholesale (construction and CarryFrom), so it also drops
+// every cached fixed point; a change
 // confined to one resource goes through refreshResource.
 func (e *Engine) refreshResourceState() {
 	for ti := range e.p.Tasks {

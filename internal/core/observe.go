@@ -35,7 +35,10 @@ type obsHandles struct {
 // iteration stays allocation-free — see the alloc regression tests); with an
 // Observer attached, every Step publishes an IterationSample to the
 // Recorder and refreshes the registered gauges, and the engine emits trace
-// events on convergence and runtime workload changes.
+// events on convergence and runtime workload changes. Adopt re-attaches the
+// observer to the engine it swaps in; the steps that engine ran before the
+// swap (an admitted trial's) were not observed — admission reports their
+// count in its own event and histogram.
 //
 // Like the Set* mutators, Observe must be called from the goroutine driving
 // Step. The channels themselves may be read concurrently: the provided

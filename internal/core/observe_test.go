@@ -166,6 +166,35 @@ func TestWithDefaultsFillsWorkers(t *testing.T) {
 	}
 }
 
+// TestAdoptKeepsObserver: a workload swap keeps the engine observed. The
+// adopted engine was built unobserved; its first certificate after the swap
+// must still reach the trace, and its steps the recorder.
+func TestAdoptKeepsObserver(t *testing.T) {
+	e, err := NewEngine(workload.Base(), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	mem, ring := &obs.Memory{}, obs.NewRing(16)
+	e.Observe(&obs.Observer{Recorder: ring, Metrics: obs.NewRegistry(), Trace: mem})
+	grown, err := workload.Replicate(workload.Base(), 2, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := replaceWorkload(e, grown); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := e.RunUntilKKT(20000, 1e-9, 3, 1e-6); !ok {
+		t.Fatal("engine did not converge")
+	}
+	if conv := mem.ByKind(obs.EventConverged); len(conv) != 1 || conv[0].Iteration != e.Iteration() {
+		t.Fatalf("converged events after the swap: %+v, want one at iteration %d", conv, e.Iteration())
+	}
+	if ring.Len() == 0 {
+		t.Fatal("no iteration samples recorded after the swap")
+	}
+}
+
 // Engine trace events: convergence emits exactly one converged event, and
 // runtime mutators stamp workload_change events with the mutated entity.
 func TestEngineTraceEvents(t *testing.T) {

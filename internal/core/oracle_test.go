@@ -483,7 +483,7 @@ func TestMutatorsWriteThroughOneStore(t *testing.T) {
 			w.Tasks[ti].Subtasks[si].ExecMs *= 1.5
 			w.Tasks[ti].CriticalMs *= 0.9
 			w.Tasks[ti].Subtasks[si].MinShare = 0.15
-			if err := e.ReplaceWorkload(w); err != nil {
+			if err := replaceWorkload(e, w); err != nil {
 				t.Fatal(err)
 			}
 		}, 0},

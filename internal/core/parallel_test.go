@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"runtime"
 	"testing"
 
@@ -248,10 +249,10 @@ func TestReplaceWorkloadSwapsPool(t *testing.T) {
 		serial.Step()
 		par.Step()
 	}
-	if err := serial.ReplaceWorkload(grown); err != nil {
+	if err := replaceWorkload(serial, grown); err != nil {
 		t.Fatal(err)
 	}
-	if err := par.ReplaceWorkload(grown); err != nil {
+	if err := replaceWorkload(par, grown); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 200; i++ {
@@ -269,6 +270,42 @@ func TestReplaceWorkloadSwapsPool(t *testing.T) {
 	if n := runtime.NumGoroutine(); n > before+2 {
 		t.Errorf("goroutines leaked: %d running, started with %d", n, before)
 	}
+}
+
+// TestAdoptRebindsSteppedPool: a successor that already stepped on its own
+// worker pool — admission's trial — keeps stepping bitwise like a serial
+// twin once adopted, so its pool and certificate scratch act on the engine
+// that took it over, and a deferred Close of the successor leaves that pool
+// alone.
+func TestAdoptRebindsSteppedPool(t *testing.T) {
+	serial, par := engines(t, workload.Base, 4)
+	grown, err := workload.Replicate(workload.Base(), 4, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range []*Engine{serial, par} {
+		e.Run(50, nil)
+		next, err := NewEngine(grown, e.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		next.CarryFrom(e)
+		next.Run(50, nil)
+		next.Certify(math.Inf(1), math.Inf(1)) // scans every range: builds the pooled scratch
+		e.Adopt(next)
+		next.Close()
+	}
+	if par.pool == nil {
+		t.Fatal("the adopted successor's pool was not carried over")
+	}
+	for i := 0; i < 200; i++ {
+		serial.Step()
+		par.Step()
+		serial.Certify(1e-9, 1e-6)
+		par.Certify(1e-9, 1e-6)
+	}
+	requireBitwiseEqual(t, 300, serial, par)
+	requireEnginesBitwiseEqual(t, "adopted", serial, par)
 }
 
 // TestWorkerResolution pins the Config.Workers contract: 0 means

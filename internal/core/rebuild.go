@@ -25,24 +25,31 @@ func (e *Engine) CurrentWorkload() *workload.Workload {
 	return w
 }
 
-// ReplaceWorkload swaps the engine's workload for a new one — tasks may
-// join, leave or change structure — while warm-starting the optimizer from
-// the current state via CarryFrom: resource prices carry over by resource
-// ID, and the latencies and path prices of tasks that survive (same name,
-// same subtask names, same path count) carry over as well. The paper's
-// system runs continuously as applications come and go (Section 1);
-// warm-started prices re-converge far faster than a cold restart because
-// the congestion landscape of unchanged resources is already priced.
-func (e *Engine) ReplaceWorkload(w *workload.Workload) error {
-	next, err := NewEngine(w, e.cfg)
-	if err != nil {
-		return err
-	}
-	next.CarryFrom(e)
-	// Retire the old worker pool before the overwrite: next has never
-	// stepped, so its pool field is nil and the replacement engine respawns
-	// workers lazily on its first parallel Step.
+// Adopt makes e the engine next: the swap behind a workload change on a
+// live engine — tasks join, leave or change structure. The caller builds
+// next over the new workload, warm-starts it with next.CarryFrom(e) and may
+// run it first: admission runs its trial on next and, on accept, adopts
+// the certified result instead of replaying the optimization on e. e's
+// worker pool retires, next's carries over rebound to e, and e's observer
+// is re-attached to next's problem, so steps after the swap are observed;
+// the ones next ran before it were not. next is left empty: closing it
+// afterwards is a no-op, and nothing else may use it.
+// The paper's system runs continuously as applications come and go
+// (Section 1); warm-started prices re-converge far faster than a cold
+// restart because the congestion landscape of unchanged resources is
+// already priced.
+func (e *Engine) Adopt(next *Engine) {
 	e.Close()
+	o := e.obsv
 	*e = *next
-	return nil
+	*next = Engine{}
+	// The pool's bound runShard and the certificate scratch's range function
+	// were bound to next: rebind the one, rebuild the other on first use.
+	if e.pool != nil {
+		e.shard = e.runShard
+	}
+	e.cert = nil
+	if o != nil {
+		e.Observe(o.o)
+	}
 }

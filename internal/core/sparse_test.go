@@ -297,10 +297,10 @@ func TestSparseMutationsInvalidate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := dense.ReplaceWorkload(grown); err != nil {
+		if err := replaceWorkload(dense, grown); err != nil {
 			t.Fatal(err)
 		}
-		if err := sparse.ReplaceWorkload(grown); err != nil {
+		if err := replaceWorkload(sparse, grown); err != nil {
 			t.Fatal(err)
 		}
 		for i := 0; i < 200; i++ {

@@ -15,8 +15,8 @@
 //     format (and via expvar on the debug server). NewEngineMetrics and
 //     NewDistMetrics register the standard LLA metric sets.
 //   - Sink: structured trace events (certified convergence, workload change,
-//     lease expiry, degradation enter/exit) with JSONL and in-memory
-//     implementations.
+//     lease expiry, admission and rebalance decisions, checkpoints, fleet
+//     rounds) with JSONL and in-memory implementations.
 //
 // The package deliberately depends only on the standard library so every
 // layer (internal/core, internal/dist, internal/eval, the CLIs) can attach

@@ -130,8 +130,9 @@ type AdmitMetrics struct {
 	Departures *Counter
 	// Resident is the number of tasks currently in the live workload.
 	Resident *Gauge
-	// ReconvergeIters is the distribution of live-engine iterations needed
-	// to re-converge after an enacted change.
+	// ReconvergeIters is the distribution of the iterations each enacted
+	// change's successor engine ran before it became the live one (for a
+	// gated admit, the trial's).
 	ReconvergeIters *Histogram
 }
 
@@ -146,7 +147,7 @@ func NewAdmitMetrics(r *Registry) *AdmitMetrics {
 		RejectedQuarantine: r.Counter("lla_admit_rejected_total", "Offers rejected, by gate.", "stage", "quarantine"),
 		Departures:         r.Counter("lla_admit_departures_total", "Resident tasks removed."),
 		Resident:           r.Gauge("lla_admit_resident_tasks", "Tasks currently resident in the live workload."),
-		ReconvergeIters: r.Histogram("lla_admit_reconverge_iterations", "Live-engine iterations to re-converge after an enacted change.",
+		ReconvergeIters: r.Histogram("lla_admit_reconverge_iterations", "Iterations of the successor engine an enacted change adopted.",
 			[]float64{10, 25, 50, 100, 250, 500, 1000, 2500}),
 	}
 }

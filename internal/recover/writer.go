@@ -12,7 +12,7 @@ import (
 // ckptExt and ckptPrefix name checkpoint files: ckpt-<generation>.llackpt,
 // zero-padded so lexical order is save order. The generation is the Writer's
 // own monotone counter, not the engine iteration: workload churn resets the
-// engine's iteration counter (ReplaceWorkload), so iteration-keyed names
+// engine's iteration counter (Engine.Adopt), so iteration-keyed names
 // would sort a newer checkpoint behind an older one and Latest would resume
 // from stale state.
 const (

@@ -181,8 +181,9 @@ func ConstSlope(c Curve) (slope float64, ok bool) {
 // concave over (0, maxX]: used by workload validation and property tests to
 // reject curves that would break LLA's convergence assumptions. A nil or
 // zero-value *PiecewiseLinear is refused before it is sampled, and a
-// non-finite slope (a zero-value ExpPenalty's NaN, a zero Tau's −Inf) is
-// refused where it is sampled; the shape tests are in accepting form.
+// non-finite slope (a zero-value ExpPenalty's NaN, a zero Tau's −Inf) or
+// value (a Linear with a NaN K) is refused where it is sampled; the shape
+// tests are in accepting form.
 func ValidateCurve(c Curve, maxX float64) error {
 	if p, ok := c.(*PiecewiseLinear); ok && (p == nil || len(p.xs) < 2) {
 		return fmt.Errorf("utility: piecewise-linear curve not built by NewPiecewiseLinear")
@@ -197,6 +198,9 @@ func ValidateCurve(c Curve, maxX float64) error {
 		s := c.Slope(x)
 		if math.IsNaN(s) || math.IsInf(s, 0) {
 			return fmt.Errorf("utility: slope %v at x=%v is not finite", s, x)
+		}
+		if v := c.Value(x); math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("utility: value %v at x=%v is not finite", v, x)
 		}
 		if !(s <= 1e-9) {
 			return fmt.Errorf("utility: slope %v > 0 at x=%v (curve must be non-increasing)", s, x)

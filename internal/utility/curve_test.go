@@ -173,11 +173,13 @@ func TestValidateCurveConstSlope(t *testing.T) {
 }
 
 // TestValidateCurveRejectsNonFiniteSlopes: a zero-value ExpPenalty has a
-// NaN slope (−0/0·e^(x/0)) and a zero Tau a −Inf one. Neither is a curve a
-// task can be solved against, and the comparison-based shape tests alone
-// let both through.
+// NaN slope (−0/0·e^(x/0)) and a zero Tau a −Inf one; a Linear with a NaN K
+// has a finite slope but a NaN value, which makes the engine's utility and
+// dual bound NaN. None is a curve a task can be solved against, and the
+// comparison-based shape tests alone let all of them through.
 func TestValidateCurveRejectsNonFiniteSlopes(t *testing.T) {
-	for _, c := range []Curve{ExpPenalty{}, ExpPenalty{A: 1, B: 1, Tau: 0}, Quadratic{A: 1, B: math.Inf(1)}} {
+	for _, c := range []Curve{ExpPenalty{}, ExpPenalty{A: 1, B: 1, Tau: 0}, Quadratic{A: 1, B: math.Inf(1)},
+		Linear{K: math.NaN(), CMs: 20}, Quadratic{A: math.Inf(-1), B: 1}} {
 		err := ValidateCurve(c, 20)
 		if err == nil || !strings.Contains(err.Error(), "not finite") {
 			t.Errorf("%#v: ValidateCurve %v, want a non-finite slope refused", c, err)

@@ -207,8 +207,8 @@ func NewTCPNetwork(registry map[string]string) *transport.TCP {
 // placement"). An AdmissionController sits above a live engine and screens
 // arriving tasks through three gates — static necessary conditions, a price
 // screen against the live dual variables, and a bounded warm-started trial
-// optimization on a scratch engine — then enacts admitted tasks via
-// warm-started workload replacement. A placer (NewPlacer) binds candidate
+// optimization on a successor engine — then enacts an admitted task by
+// making its certified trial the live engine. A placer (NewPlacer) binds candidate
 // subtasks to the cheapest feasible resources at the live prices and can
 // re-place resident tasks under sustained price skew.
 type (
