@@ -239,9 +239,9 @@ func buildObserver(debugAddr, tracePath string) (*obs.Observer, func(), error) {
 }
 
 // runFleet hosts the hierarchical sharded fleet (SHARDING.md) in one
-// process: the workload is partitioned across shard engines, boundary
-// resource prices iterate at the aggregator, and every PRICE_AGG/BOUNDARY
-// exchange round-trips through the wire codec.
+// process: the workload is partitioned across shard engines and boundary
+// resource prices iterate at the aggregator. Nothing crosses a connection:
+// shards report demand and take pins in memory.
 func runFleet(w *workload.Workload, cfg core.Config, shards, shardWorkers, rounds int, o *obs.Observer) error {
 	f, err := fleet.New(w, fleet.Config{
 		Shards:       shards,
@@ -249,7 +249,6 @@ func runFleet(w *workload.Workload, cfg core.Config, shards, shardWorkers, round
 		ShardWorkers: shardWorkers,
 		Engine:       cfg,
 		MaxRounds:    rounds,
-		WireVerify:   true,
 		Observer:     o,
 	})
 	if err != nil {

@@ -21,6 +21,7 @@ func TestRunBadInputs(t *testing.T) {
 		{"-workload", "/nonexistent.json", "-demo"},
 		{"-workload", "base", "-role", "warp", "-registry", "/tmp/x"},
 		{"-workload", "base"}, // no registry, no demo
+		{"-workload", "base", "-fleet", "-shards", "2", "-rounds", "-1"},
 	}
 	for _, args := range cases {
 		if err := run(context.Background(), args); err == nil {

@@ -250,6 +250,12 @@ func (c *Controller) Offer(t *task.Task, curve utility.Curve) (Decision, error) 
 	if t == nil {
 		return Decision{}, fmt.Errorf("admit: offer without a task")
 	}
+	return c.offer(t, curve, nil)
+}
+
+// offer is Offer on trial, a copy of the resident workload that the caller
+// owns and offer extends with t (nil: offer takes the copy itself).
+func (c *Controller) offer(t *task.Task, curve utility.Curve, trial *workload.Workload) (Decision, error) {
 	c.event++
 	d := Decision{Event: c.event, Task: t.Name, Kind: KindArrival}
 
@@ -259,7 +265,9 @@ func (c *Controller) Offer(t *task.Task, curve utility.Curve) (Decision, error) 
 		return c.finish(d), nil
 	}
 
-	trial := c.eng.CurrentWorkload()
+	if trial == nil {
+		trial = c.eng.CurrentWorkload()
+	}
 	if trial.TaskByName(t.Name) != nil {
 		return d, fmt.Errorf("admit: task %q is already resident", t.Name)
 	}

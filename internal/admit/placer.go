@@ -174,7 +174,10 @@ func (c *Controller) OfferPlaced(cand Candidate) (Decision, error) {
 	if cand.Task == nil {
 		return Decision{}, fmt.Errorf("admit: placed offer without a task")
 	}
-	bound, err := c.placer.Bind(c.eng.CurrentWorkload(), cand, c.eng.Config().WeightMode, c.eng.MuAt)
+	// One copy of the resident workload serves both: Bind reads only its
+	// resources, and the offer extends it into the trial.
+	trial := c.eng.CurrentWorkload()
+	bound, err := c.placer.Bind(trial, cand, c.eng.Config().WeightMode, c.eng.MuAt)
 	if err != nil {
 		c.event++
 		d := Decision{Event: c.event, Task: cand.Task.Name, Kind: KindArrival,
@@ -182,7 +185,7 @@ func (c *Controller) OfferPlaced(cand Candidate) (Decision, error) {
 		c.strike(cand.Task.Name)
 		return c.finish(d), nil
 	}
-	d, err := c.Offer(bound, cand.Curve)
+	d, err := c.offer(bound, cand.Curve, trial)
 	if err == nil && d.Admitted {
 		c.placer.place(cand.Task.Name, Candidate{Task: bound, Candidates: cand.Candidates, Curve: cand.Curve})
 	}

@@ -68,7 +68,6 @@ func Fleet(opts Options) (*Result, error) {
 			Seed:         opts.Seed,
 			ShardWorkers: workers,
 			Engine:       opts.engineConfig(),
-			WireVerify:   true,
 			RecordHashes: true,
 			Observer:     fobs,
 		})
@@ -175,7 +174,7 @@ func Fleet(opts Options) (*Result, error) {
 	coldRef, err := func() (fleet.Result, error) {
 		f, err := fleet.New(w2, fleet.Config{
 			Shards: shards, Seed: opts.Seed, ShardWorkers: opts.ShardWorkers,
-			Engine: opts.engineConfig(), WireVerify: true,
+			Engine: opts.engineConfig(),
 		})
 		if err != nil {
 			return fleet.Result{}, err

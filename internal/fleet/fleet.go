@@ -1,8 +1,6 @@
 package fleet
 
 import (
-	"bufio"
-	"bytes"
 	"fmt"
 	"math"
 	"runtime"
@@ -12,7 +10,6 @@ import (
 	"lla/internal/obs"
 	"lla/internal/par"
 	"lla/internal/price"
-	"lla/internal/wire"
 	"lla/internal/workload"
 )
 
@@ -40,8 +37,9 @@ type Config struct {
 	// invariant.
 	Engine core.Config
 
-	// LocalIters caps one shard sweep (0 = 400). Otherwise a sweep stops
-	// after window consecutive Steps certify at kktTol and tol.
+	// LocalIters caps one shard sweep (0 = 400, negative is an error).
+	// Otherwise a sweep stops after window consecutive Steps certify at
+	// kktTol and tol.
 	LocalIters int
 	// LocalFreeze makes sweeps run to the bitwise frozen fixed point (every
 	// Step a no-op) instead of the KKT window — the mode the bitwise
@@ -50,14 +48,9 @@ type Config struct {
 	// refuses the combination rather than let every sweep burn LocalIters.
 	LocalFreeze bool
 
-	// MaxRounds caps aggregator rounds (0 = 300).
+	// MaxRounds caps aggregator rounds (0 = 300, negative is an error).
 	MaxRounds int
 
-	// WireVerify routes every PRICE_AGG broadcast and BOUNDARY demand
-	// report through an encode/decode round trip of the binary wire codec,
-	// consuming the decoded values — the in-process stand-in for the
-	// distributed deployment's frame path.
-	WireVerify bool
 	// RecordHashes captures every shard's FNV-1a state hash after each
 	// round into Result.ShardHashes, and the per-round boundary residual
 	// into Result.BoundaryResiduals (the determinism certificate).
@@ -191,9 +184,8 @@ type Fleet struct {
 	hashLog  [][]uint64
 	residLog []float64
 
-	codec *wire.Codec
-	obsv  *obs.Observer
-	fm    *obs.FleetMetrics
+	obsv *obs.Observer
+	fm   *obs.FleetMetrics
 }
 
 // New validates and partitions the workload, builds one engine per shard —
@@ -280,6 +272,12 @@ func (f *Fleet) run(n int, fn func(int)) {
 
 // build is New on a workload that has already been checked.
 func build(ck *workload.Checked, cfg Config) (*Fleet, error) {
+	if cfg.MaxRounds < 0 {
+		return nil, fmt.Errorf("fleet: negative MaxRounds %d", cfg.MaxRounds)
+	}
+	if cfg.LocalIters < 0 {
+		return nil, fmt.Errorf("fleet: negative LocalIters %d", cfg.LocalIters)
+	}
 	cfg = cfg.withDefaults()
 	if s := cfg.Engine.WithDefaults().PriceSolver; cfg.LocalFreeze && s != price.SolverGradient {
 		return nil, fmt.Errorf("fleet: LocalFreeze needs the gradient price solver, shards run %s", s)
@@ -311,8 +309,9 @@ func build(ck *workload.Checked, cfg Config) (*Fleet, error) {
 
 	// The boundary vector takes diagonal-Newton steps whatever solver the
 	// shard engines run: an aggregator round costs a sweep of the fleet, and
-	// the curvature is in every BOUNDARY report already. The safeguard is the
-	// engines' reference gradient step, built from their step policy.
+	// the curvature is in every shard's boundary report already. The
+	// safeguard is the engines' reference gradient step, built from their
+	// step policy.
 	bcfg := cfg.Engine.WithDefaults()
 	bcfg.PriceSolver = price.SolverNewton
 	f.bdyn = bcfg.NewDynamics()
@@ -321,12 +320,6 @@ func build(ck *workload.Checked, cfg Config) (*Fleet, error) {
 		return nil, err
 	}
 
-	if cfg.WireVerify {
-		f.codec = wire.NewCodec(nil)
-		if f.obsv != nil {
-			f.codec.Observe(f.obsv.Metrics)
-		}
-	}
 	if f.obsv != nil && f.obsv.Metrics != nil {
 		f.fm = obs.NewFleetMetrics(f.obsv.Metrics)
 		f.fm.BoundaryResources.Set(float64(len(f.bid)))
@@ -383,11 +376,7 @@ func (f *Fleet) bindBoundary(w *workload.Workload, boundary []int, warm *Fleet) 
 				return fmt.Errorf("fleet: pinning %s on shard %d: %w", id, s.id, err)
 			}
 		}
-		// The reusable report/pin buffers, their fixed fields stamped.
-		s.bd, s.bp = make([]wire.BoundaryDemand, len(s.slot)), make([]wire.BoundaryPrice, len(s.slot))
-		for j, b := range s.slot {
-			s.bd[j].Shard, s.bd[j].Resource, s.bp[j].Resource = s.id, f.bid[b], f.bid[b]
-		}
+		s.demand, s.curv = make([]float64, len(s.slot)), make([]float64, len(s.slot))
 		s.refreshBoundary()
 	}
 	f.bdyn.Reset(nb)
@@ -469,8 +458,8 @@ func (f *Fleet) Run() (Result, error) {
 
 // Round executes one aggregator round against the current boundary iterate
 // and reports whether the fleet is now certified-stable (the same condition
-// that ends Run). Steady-state rounds — every shard skipped, WireVerify off,
-// RecordHashes off, no Observer — allocate nothing.
+// that ends Run). Steady-state rounds — every shard skipped, RecordHashes
+// off, no Observer — allocate nothing.
 func (f *Fleet) Round() (bool, error) {
 	info, err := f.round()
 	return info.converged, err
@@ -518,9 +507,7 @@ func (f *Fleet) round() (roundInfo, error) {
 		ri.iters += s.iters
 	}
 
-	if err := f.aggregate(n); err != nil {
-		return ri, err
-	}
+	f.aggregate()
 	ri.kktMax, ri.boundary = f.residuals()
 	if f.cfg.RecordHashes {
 		hashes := make([]uint64, len(f.shards))
@@ -545,7 +532,7 @@ func (f *Fleet) round() (roundInfo, error) {
 	f.stats.Skipped += ri.skipped
 
 	if !ri.converged {
-		if err := f.updateBoundary(n); err != nil {
+		if err := f.updateBoundary(); err != nil {
 			return ri, err
 		}
 	}
@@ -564,46 +551,16 @@ func (f *Fleet) sweepShard(s *shardRuntime) {
 // aggregate sums each boundary resource's demand (and curvature) over the
 // shards touching it — in ascending shard order, the serial reduction order
 // a single engine's compiled Subs list induces on a cluster-ordered
-// partition. Skipped shards contribute their cached report. With WireVerify
-// the per-shard reports round-trip through BOUNDARY frames first and the
-// decoded values are the ones summed.
-func (f *Fleet) aggregate(round int) error {
-	for b := range f.bdemand {
-		f.bdemand[b], f.bcurv[b] = 0, 0
-	}
+// partition. Skipped shards contribute their cached report.
+func (f *Fleet) aggregate() {
+	clear(f.bdemand)
+	clear(f.bcurv)
 	for _, s := range f.shards {
-		if len(s.localRi) == 0 {
-			continue
-		}
-		for j := range s.bd {
-			s.bd[j].Round = round
-		}
-		entries := s.bd
-		if f.codec != nil {
-			decoded, err := roundTripPayload[wire.BoundaryDemand](f.codec,
-				fmt.Sprintf("shard/%d", s.id), "coordinator", wire.KindBoundary, entries)
-			if err != nil {
-				return fmt.Errorf("fleet: BOUNDARY round trip (shard %d): %w", s.id, err)
-			}
-			entries = decoded
-		}
-		if len(entries) != len(s.slot) {
-			return fmt.Errorf("fleet: shard %d reported %d boundary entries, want %d", s.id, len(entries), len(s.slot))
-		}
-		for j := range entries {
-			e := &entries[j]
-			b := s.slot[j]
-			if e.Resource != f.bid[b] {
-				return fmt.Errorf("fleet: shard %d entry %d names %q, want %q", s.id, j, e.Resource, f.bid[b])
-			}
-			f.bdemand[b] += e.Demand
-			f.bcurv[b] += e.Curvature
-		}
-		if f.fm != nil && !s.skip {
-			f.fm.Broadcasts.Inc()
+		for j, b := range s.slot {
+			f.bdemand[b] += s.demand[j]
+			f.bcurv[b] += s.curv[j]
 		}
 	}
-	return nil
 }
 
 // residuals returns the worst shard-local KKT residual and the worst
@@ -629,9 +586,8 @@ func (f *Fleet) residuals() (kktMax, boundary float64) {
 // updateBoundary advances the boundary price vector one dynamics step and
 // pins the new prices (with the globally computed congestion flags) into
 // every shard. Pinning an unchanged price does not advance a shard's pin
-// epoch, so shards whose boundary did not move stay skippable. With
-// WireVerify each shard's pins arrive through a PRICE_AGG frame round trip.
-func (f *Fleet) updateBoundary(round int) error {
+// epoch, so shards whose boundary did not move stay skippable.
+func (f *Fleet) updateBoundary() error {
 	if len(f.bmu) == 0 {
 		return nil
 	}
@@ -659,26 +615,8 @@ func (f *Fleet) updateBoundary(round int) error {
 			continue
 		}
 		for j, b := range s.slot {
-			s.bp[j].Round = round
-			s.bp[j].Mu = f.bmu[b]
-			s.bp[j].Congested = f.bcong[b]
-		}
-		entries := s.bp
-		if f.codec != nil {
-			decoded, err := roundTripPayload[wire.BoundaryPrice](f.codec,
-				"coordinator", fmt.Sprintf("shard/%d", s.id), wire.KindPriceAgg, entries)
-			if err != nil {
-				return fmt.Errorf("fleet: PRICE_AGG round trip (shard %d): %w", s.id, err)
-			}
-			entries = decoded
-		}
-		for j := range entries {
-			e := &entries[j]
-			if e.Resource != f.bid[s.slot[j]] {
-				return fmt.Errorf("fleet: PRICE_AGG entry %d names %q, want %q", j, e.Resource, f.bid[s.slot[j]])
-			}
-			if err := s.eng.PinPrice(s.localRi[j], e.Mu, e.Congested); err != nil {
-				return fmt.Errorf("fleet: re-pinning %s on shard %d: %w", e.Resource, s.id, err)
+			if err := s.eng.PinPrice(s.localRi[j], f.bmu[b], f.bcong[b]); err != nil {
+				return fmt.Errorf("fleet: re-pinning %s on shard %d: %w", f.bid[b], s.id, err)
 			}
 		}
 		if f.fm != nil {
@@ -698,23 +636,4 @@ func (f *Fleet) publish(round int, ri *roundInfo) {
 	}
 	f.obsv.Emit(obs.Event{Kind: obs.EventFleetRound, Round: round, Iteration: ri.iters,
 		Value: ri.boundary, Swept: ri.swept, Skipped: ri.skipped, Workers: f.workers})
-}
-
-// roundTripPayload encodes one message as a binary frame, decodes it back,
-// and returns the decoded payload entries — failing on any divergence the
-// codec detects (CRC, framing, or field-level validation).
-func roundTripPayload[T any](c *wire.Codec, from, to, kind string, entries []T) ([]T, error) {
-	frame, err := c.Encode(wire.Message{From: from, To: to, Kind: kind, Payload: entries})
-	if err != nil {
-		return nil, err
-	}
-	out, err := c.Read(bufio.NewReaderSize(bytes.NewReader(frame), len(frame)))
-	if err != nil {
-		return nil, err
-	}
-	decoded, ok := out.Payload.([]T)
-	if !ok || out.Kind != kind {
-		return nil, fmt.Errorf("wire round trip changed %q %T -> %q %T", kind, entries, out.Kind, out.Payload)
-	}
-	return decoded, nil
 }

@@ -159,10 +159,9 @@ func TestFleetCoupledMatchesSingleWithinTol(t *testing.T) {
 // identical config and seed reproduce identical per-shard state hashes at
 // every aggregator round.
 func TestFleetDeterministicHashes(t *testing.T) {
-	run := func(wireVerify bool) Result {
+	run := func() Result {
 		w := clusteredWorkload(t, 31, 0.25)
-		f, err := New(w, Config{Shards: 4, Seed: 5, Engine: core.Config{Workers: 1},
-			RecordHashes: true, WireVerify: wireVerify})
+		f, err := New(w, Config{Shards: 4, Seed: 5, Engine: core.Config{Workers: 1}, RecordHashes: true})
 		if err != nil {
 			t.Fatalf("New: %v", err)
 		}
@@ -173,7 +172,7 @@ func TestFleetDeterministicHashes(t *testing.T) {
 		}
 		return res
 	}
-	a, b := run(false), run(false)
+	a, b := run(), run()
 	if a.Rounds != b.Rounds || a.Converged != b.Converged {
 		t.Fatalf("runs diverged: %d/%v rounds vs %d/%v", a.Rounds, a.Converged, b.Rounds, b.Converged)
 	}
@@ -184,17 +183,12 @@ func TestFleetDeterministicHashes(t *testing.T) {
 		t.Fatalf("recorded %d hash rounds, want %d", len(a.ShardHashes), a.Rounds)
 	}
 
-	// The binary wire path must be invisible: floats and flags round-trip
-	// bit-exactly, so a WireVerify run reproduces the same trajectory.
-	c := run(true)
-	if !reflect.DeepEqual(a.ShardHashes, c.ShardHashes) {
-		t.Fatal("WireVerify changed the trajectory — codec round trip is not value-preserving")
-	}
 }
 
-// TestFleetObservability checks the lla_fleet_* metric set and the trace
-// events: one fleet_round per executed round, one fleet_converged on
-// certification, and the converged gauge set.
+// TestFleetObservability checks the lla_fleet_* metric set — the broadcast
+// counter counts pins sent, not reports received — and the trace events:
+// one fleet_round per executed round, one fleet_converged on certification,
+// and the converged gauge set.
 func TestFleetObservability(t *testing.T) {
 	w := clusteredWorkload(t, 31, 0.25)
 	reg := obs.NewRegistry()
@@ -237,6 +231,19 @@ func TestFleetObservability(t *testing.T) {
 	}
 	if got := fm.BoundaryResources.Value(); got != float64(res.BoundaryCount) {
 		t.Errorf("lla_fleet_boundary_resources %v, want %d", got, res.BoundaryCount)
+	}
+	// One pin per shard on the boundary for each round that ends in an
+	// update — every round but the certifying one — and none for the demand
+	// reports the shards send back.
+	onBoundary := 0
+	for _, s := range f.shards {
+		if len(s.slot) > 0 {
+			onBoundary++
+		}
+	}
+	if got, want := fm.Broadcasts.Value(), int64((res.Rounds-1)*onBoundary); got != want || want == 0 {
+		t.Errorf("lla_fleet_broadcasts_total %d, want %d pins: %d updates × %d shards on the boundary",
+			got, want, res.Rounds-1, onBoundary)
 	}
 }
 
@@ -365,4 +372,24 @@ func TestFleetRefusesFreezeWithoutGradient(t *testing.T) {
 		t.Fatalf("gradient LocalFreeze refused: %v", err)
 	}
 	f.Close()
+}
+
+// TestFleetRefusesNegativeCaps: a negative round or sweep cap is an error
+// from New, not a run that stops at once (MaxRounds) or sweeps nothing and
+// diverges (LocalIters) without one.
+func TestFleetRefusesNegativeCaps(t *testing.T) {
+	w := clusteredWorkload(t, 17, 0)
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"MaxRounds", Config{Shards: 4, MaxRounds: -1}},
+		{"LocalIters", Config{Shards: 4, LocalIters: -1}},
+		{"both", Config{Shards: 4, MaxRounds: -3, LocalIters: -2}},
+	} {
+		if f, err := New(w, tc.cfg); err == nil {
+			f.Close()
+			t.Errorf("%s: %+v accepted, want an error", tc.name, tc.cfg)
+		}
+	}
 }

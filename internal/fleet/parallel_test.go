@@ -207,10 +207,10 @@ func TestFleetSkipsShardsAtRest(t *testing.T) {
 				for _, s := range f.shards {
 					for j, lri := range s.localRi {
 						demand, curv := s.eng.ShareSumAt(lri), s.eng.CurvatureAt(lri)
-						if math.Float64bits(s.bd[j].Demand) != math.Float64bits(demand) ||
-							math.Float64bits(s.bd[j].Curvature) != math.Float64bits(curv) {
+						if math.Float64bits(s.demand[j]) != math.Float64bits(demand) ||
+							math.Float64bits(s.curv[j]) != math.Float64bits(curv) {
 							t.Fatalf("round %d shard %d: cached report of %s is (%v, %v), the engine says (%v, %v)",
-								i, s.id, s.bd[j].Resource, s.bd[j].Demand, s.bd[j].Curvature, demand, curv)
+								i, s.id, f.bid[s.slot[j]], s.demand[j], s.curv[j], demand, curv)
 						}
 					}
 					if want, _ := s.eng.Certify(math.Inf(1), math.Inf(1)); s.cert != want {
@@ -305,9 +305,8 @@ func TestFleetCappedSweepIsNotAtRest(t *testing.T) {
 }
 
 // TestFleetSkippedRoundZeroAllocs: a steady-state round — every shard
-// skipped, no wire verify, no hash recording, no observer — must allocate
-// nothing: cached demand reports and persistent boundary buffers carry the
-// whole round.
+// skipped, no hash recording, no observer — must allocate nothing: cached
+// demand reports and persistent boundary buffers carry the whole round.
 func TestFleetSkippedRoundZeroAllocs(t *testing.T) {
 	for _, tc := range restConfigs {
 		t.Run(tc.name, func(t *testing.T) {

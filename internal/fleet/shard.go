@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"lla/internal/core"
-	"lla/internal/wire"
 )
 
 // shardRuntime wraps one shard's engine: the sub-workload's tasks with their
@@ -41,14 +40,11 @@ type shardRuntime struct {
 	utility   float64
 	utilityOK bool
 
-	// bd and bp are the shard's reusable boundary report/pin buffers
-	// (demand+curvature out, price+congestion in). Resource and Shard
-	// fields are fixed at (re)build; per-round refreshes touch only the
-	// varying fields, so a steady-state round allocates nothing. On a
-	// skipped round bd is reused as-is: the shard's state is bitwise
-	// unchanged, so the cached demand and curvature are bit-exact.
-	bd []wire.BoundaryDemand
-	bp []wire.BoundaryPrice
+	// demand[j] and curv[j] are the shard's boundary report on slot[j]: its
+	// share demand and demand-response curvature after its last sweep. On a
+	// skipped round they stand as they are: the shard's state is bitwise
+	// unchanged, so the cached values are bit-exact.
+	demand, curv []float64
 }
 
 // refreshBoundary refreshes the shard's boundary report — demand and its
@@ -57,8 +53,8 @@ type shardRuntime struct {
 // so concurrent shard sweeps stay race-free.
 func (s *shardRuntime) refreshBoundary() {
 	for j, lri := range s.localRi {
-		s.bd[j].Demand = s.eng.ShareSumAt(lri)
-		s.bd[j].Curvature = s.eng.CurvatureAt(lri)
+		s.demand[j] = s.eng.ShareSumAt(lri)
+		s.curv[j] = s.eng.CurvatureAt(lri)
 	}
 }
 

@@ -146,18 +146,6 @@ func (c *Codec) encodeBody(e *byteio.Enc, m Message, dict bool) (ft, flags byte)
 		c.taskRef(e, p.Task, dict)
 		e.Svarint(int64(p.Round))
 		e.Uvarint(p.Epoch)
-	case BoundaryPrice:
-		ft = FramePriceAgg
-		c.encPriceAgg(e, []BoundaryPrice{p}, dict)
-	case []BoundaryPrice:
-		ft, flags = FramePriceAgg, flagBatch
-		c.encPriceAgg(e, p, dict)
-	case BoundaryDemand:
-		ft = FrameBoundary
-		c.encBoundary(e, []BoundaryDemand{p}, dict)
-	case []BoundaryDemand:
-		ft, flags = FrameBoundary, flagBatch
-		c.encBoundary(e, p, dict)
 	case json.RawMessage:
 		ft = FrameRaw
 		e.Str(m.Kind, maxStrLen)
@@ -284,7 +272,7 @@ func (c *Codec) decodeBody(ft, flags byte, body []byte) (Message, error) {
 	}
 	batch := flags&flagBatch != 0
 	d := &byteio.Dec{Buf: body}
-	if batch && ft != FramePrice && ft != FrameLatency && ft != FramePriceAgg && ft != FrameBoundary {
+	if batch && ft != FramePrice && ft != FrameLatency {
 		d.Fail("batch flag on a single-entry frame")
 	}
 	var m Message
@@ -295,10 +283,6 @@ func (c *Codec) decodeBody(ft, flags byte, body []byte) (Message, error) {
 		m.Payload = decEntries(d, batch, func() PriceUpdate { return c.decPrice(d, dict) })
 	case FrameLatency:
 		m.Payload = decEntries(d, batch, func() ShareReport { return c.decLatency(d, dict) })
-	case FramePriceAgg:
-		m.Payload = decEntries(d, batch, func() BoundaryPrice { return c.decPriceAgg(d, dict) })
-	case FrameBoundary:
-		m.Payload = decEntries(d, batch, func() BoundaryDemand { return c.decBoundary(d, dict) })
 	case FrameReport:
 		var v UtilityReport
 		v.Task, _ = c.readTaskRef(d, dict)

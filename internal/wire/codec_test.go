@@ -41,21 +41,18 @@ func msg(t testing.TB, from, to, kind string, payload any) Message {
 }
 
 // corpus returns one message per frame type (all names in testDict), plus
-// delta/seq/congested variants.
+// delta/congested variants.
 func corpus(t testing.TB) []Message {
 	return []Message{
 		msg(t, "res/cpu0", "ctl/alpha", "price", PriceUpdate{Round: 3, Resource: "cpu0", Mu: 1.25, Congested: true}),
-		msg(t, "res/net1", "ctl/beta", "price", PriceUpdate{Round: 17, Seq: 42, Epoch: 2, Resource: "net1", Delta: true}),
+		msg(t, "res/net1", "ctl/beta", "price", PriceUpdate{Round: 17, Epoch: 2, Resource: "net1", Delta: true}),
 		msg(t, "ctl/alpha", "res/cpu0", "latency", ShareReport{Round: 3, Task: "alpha", Subs: []string{"a1", "a2"}, LatMs: []float64{4.5, 6.25}}),
-		msg(t, "ctl/beta", "res/disk2", "latency", ShareReport{Round: 9, Seq: -7, Epoch: 1, Task: "beta", Delta: true}),
+		msg(t, "ctl/beta", "res/disk2", "latency", ShareReport{Round: 9, Epoch: 1, Task: "beta", Delta: true}),
 		msg(t, "ctl/alpha", "coordinator", "report", UtilityReport{Round: 5, Epoch: 3, Task: "alpha", Utility: -12.75}),
 		msg(t, "coordinator", "res/cpu0", "stop", Stop{AfterRound: 8, Epoch: 3}),
 		msg(t, "res/disk2", "ctl/beta", "fin", Fin{Resource: "disk2"}),
 		msg(t, "coordinator", "ctl/alpha", "rejoin", Rejoin{Epoch: 4}),
 		msg(t, "ctl/alpha", "coordinator", "rejoinAck", RejoinAck{Epoch: 4, Task: "alpha", Round: -1}),
-		msg(t, "coordinator", "shard/0", "priceAgg", BoundaryPrice{Round: 6, Resource: "cpu0", Mu: 2.125, Congested: true}),
-		msg(t, "shard/1", "coordinator", "boundary", BoundaryDemand{Round: 6, Shard: 1, Resource: "net1", Demand: 0.875, Curvature: 0.25}),
-		msg(t, "shard/2", "coordinator", "boundary", BoundaryDemand{Round: 7, Shard: 2, Resource: "disk2", Demand: 1.5}),
 		msg(t, "admit-client-1", "coordinator", "admitQuery", map[string]any{"task": "gamma", "budget": 3.5}),
 	}
 }
@@ -109,7 +106,7 @@ func TestRoundTripBatched(t *testing.T) {
 	batchPrice := msg(t, "res/cpu0", "ctl/alpha", "price", []PriceUpdate{
 		{Round: 1, Resource: "cpu0", Mu: 0.5},
 		{Round: 1, Resource: "net1", Delta: true},
-		{Round: 1, Resource: "disk2", Mu: 2.5, Congested: true, Seq: 9},
+		{Round: 1, Resource: "disk2", Mu: 2.5, Congested: true},
 	})
 	assertSame(t, batchPrice, roundTrip(t, c, batchPrice))
 
@@ -124,18 +121,6 @@ func TestRoundTripBatched(t *testing.T) {
 		{Round: 4, Task: "beta", Delta: true},
 	})
 	assertSame(t, batchLat, roundTrip(t, c, batchLat))
-
-	batchAgg := msg(t, "coordinator", "shard/0", "priceAgg", []BoundaryPrice{
-		{Round: 2, Resource: "cpu0", Mu: 1.5, Congested: true},
-		{Round: 2, Resource: "net1", Mu: 0},
-	})
-	assertSame(t, batchAgg, roundTrip(t, c, batchAgg))
-
-	batchBdy := msg(t, "shard/3", "coordinator", "boundary", []BoundaryDemand{
-		{Round: 2, Shard: 3, Resource: "cpu0", Demand: 0.5, Curvature: 0.125},
-		{Round: 2, Shard: 3, Resource: "disk2", Demand: 1},
-	})
-	assertSame(t, batchBdy, roundTrip(t, c, batchBdy))
 }
 
 // TestBatchedPriceFrameTenTimesSmaller pins the size the protocol was
@@ -207,7 +192,6 @@ func TestExtremeIntegerFieldsRoundTrip(t *testing.T) {
 	c := NewCodec(nil)
 	m := msg(t, "res/"+strings.Repeat("r", 300), "ctl/alpha", "price", PriceUpdate{
 		Round:    math.MaxInt64,
-		Seq:      math.MinInt64,
 		Epoch:    math.MaxUint64,
 		Resource: strings.Repeat("r", 300),
 		Mu:       math.MaxFloat64,

@@ -34,16 +34,13 @@ import "lla/internal/byteio"
 
 // PriceUpdate is sent by a resource node to every controller with a subtask
 // on the resource: the resource price and the congestion flag that drives
-// the adaptive path-step heuristic. Seq is a per-sender sequence number that
-// no sender sets: round gating makes folds idempotent, and the field stays
-// only so that frames carrying it still decode (a zero Seq is not on the
-// wire). Excess is the capacity excess Σshare − B the price was stepped from,
-// when positive: the resource's part of the round's KKT certificate. Delta
-// marks a delta-encoded broadcast: Mu and Excess are not on the wire and the
-// receiver keeps the values it folded for the previous round.
+// the adaptive path-step heuristic. Excess is the capacity excess Σshare − B
+// the price was stepped from, when positive: the resource's part of the
+// round's KKT certificate. Delta marks a delta-encoded broadcast: Mu and
+// Excess are not on the wire and the receiver keeps the values it folded for
+// the previous round.
 type PriceUpdate struct {
 	Round     int
-	Seq       int64
 	Epoch     uint64
 	Resource  string
 	Mu        float64
@@ -55,12 +52,11 @@ type PriceUpdate struct {
 // ShareReport is sent by a controller to a resource node: the newly
 // allocated latencies of the controller's subtasks hosted on that resource,
 // LatMs[j] for the subtask named Subs[j], with Subs in strictly ascending
-// order (the order they cross the wire in). Seq is unset, as PriceUpdate.Seq
-// is; Delta marks a coalesced report whose latencies are unchanged from the
-// previous round (Subs and LatMs are not on the wire).
+// order (the order they cross the wire in). Delta marks a coalesced report
+// whose latencies are unchanged from the previous round (Subs and LatMs are
+// not on the wire).
 type ShareReport struct {
 	Round int
-	Seq   int64
 	Epoch uint64
 	Task  string
 	Subs  []string
@@ -117,27 +113,6 @@ type RejoinAck struct {
 	Round int
 }
 
-// BoundaryPrice is one entry of the fleet aggregator's boundary-price
-// broadcast (SHARDING.md): the externally owned price and congestion flag a
-// shard must pin on a cross-shard resource for the next local sweep.
-type BoundaryPrice struct {
-	Round     int
-	Resource  string
-	Mu        float64
-	Congested bool
-}
-
-// BoundaryDemand is one entry of a shard's boundary report: the shard's
-// local share demand (and optionally demand-response curvature, for the
-// diagonal-Newton aggregator) on a cross-shard resource after a local sweep.
-type BoundaryDemand struct {
-	Round     int
-	Shard     int
-	Resource  string
-	Demand    float64
-	Curvature float64
-}
-
 // Message kinds with a dedicated frame type; any other kind rides a RAW
 // frame.
 const (
@@ -148,38 +123,20 @@ const (
 	KindFin       = "fin"
 	KindRejoin    = "rejoin"
 	KindRejoinAck = "rejoinAck"
-	KindPriceAgg  = "priceAgg"
-	KindBoundary  = "boundary"
 )
 
-// Per-entry flag bits of PRICE frames.
+// Per-entry flag bits of PRICE frames; 0x04 and 0x10 are reserved (reject
+// vectors pin both).
 const (
 	priceFlagCongested = 0x01
 	priceFlagDelta     = 0x02
-	priceFlagSeq       = 0x04
 	priceFlagMu        = 0x08
-	priceFlagExcess    = 0x20 // 0x10 stays reserved (a reject vector pins it)
-	priceFlagsKnown    = priceFlagCongested | priceFlagDelta | priceFlagSeq | priceFlagMu | priceFlagExcess
+	priceFlagExcess    = 0x20
+	priceFlagsKnown    = priceFlagCongested | priceFlagDelta | priceFlagMu | priceFlagExcess
 )
 
-// Per-entry flag bits of LATENCY frames.
-const (
-	latFlagDelta  = 0x01
-	latFlagSeq    = 0x02
-	latFlagsKnown = latFlagDelta | latFlagSeq
-)
-
-// Per-entry flag bits of PRICE_AGG frames.
-const (
-	aggFlagCongested = 0x01
-	aggFlagsKnown    = aggFlagCongested
-)
-
-// Per-entry flag bits of BOUNDARY frames.
-const (
-	bdyFlagCurvature = 0x01
-	bdyFlagsKnown    = bdyFlagCurvature
-)
+// The one per-entry flag bit of LATENCY frames; 0x02 is reserved.
+const latFlagDelta = 0x01
 
 // Address tags. Endpoint addresses follow the dist naming scheme
 // ("coordinator", "res/<id>", "ctl/<task>"); the tag compresses the common
@@ -204,16 +161,13 @@ var frameKinds = [...]string{
 	FrameFin:       KindFin,
 	FrameRejoin:    KindRejoin,
 	FrameRejoinAck: KindRejoinAck,
-	FramePriceAgg:  KindPriceAgg,
-	FrameBoundary:  KindBoundary,
 }
 
 // modelled reports whether a payload's Go type has a frame type of its own.
 func modelled(payload any) bool {
 	switch payload.(type) {
 	case PriceUpdate, []PriceUpdate, ShareReport, []ShareReport,
-		UtilityReport, Stop, Fin, Rejoin, RejoinAck,
-		BoundaryPrice, []BoundaryPrice, BoundaryDemand, []BoundaryDemand:
+		UtilityReport, Stop, Fin, Rejoin, RejoinAck:
 		return true
 	}
 	return false
@@ -335,9 +289,6 @@ func (c *Codec) encPrice(e *byteio.Enc, batch []PriceUpdate, dict bool) {
 		if p.Delta {
 			fl |= priceFlagDelta
 		}
-		if p.Seq != 0 {
-			fl |= priceFlagSeq
-		}
 		if !p.Delta {
 			fl |= priceFlagMu
 			if p.Excess > 0 {
@@ -345,9 +296,6 @@ func (c *Codec) encPrice(e *byteio.Enc, batch []PriceUpdate, dict bool) {
 			}
 		}
 		e.U8(fl)
-		if fl&priceFlagSeq != 0 {
-			e.Svarint(p.Seq)
-		}
 		if fl&priceFlagMu != 0 {
 			e.F64(p.Mu)
 		}
@@ -370,13 +318,7 @@ func (c *Codec) encLatency(e *byteio.Enc, batch []ShareReport, dict bool) {
 		if s.Delta {
 			fl |= latFlagDelta
 		}
-		if s.Seq != 0 {
-			fl |= latFlagSeq
-		}
 		e.U8(fl)
-		if fl&latFlagSeq != 0 {
-			e.Svarint(s.Seq)
-		}
 		if s.Delta {
 			continue
 		}
@@ -391,44 +333,6 @@ func (c *Codec) encLatency(e *byteio.Enc, batch []ShareReport, dict bool) {
 			}
 			c.subRef(e, ti, k, dict)
 			e.F64(s.LatMs[j])
-		}
-	}
-}
-
-// encPriceAgg appends a PRICE_AGG body (entry count + entries).
-func (c *Codec) encPriceAgg(e *byteio.Enc, batch []BoundaryPrice, dict bool) {
-	e.Uvarint(uint64(len(batch)))
-	for i := range batch {
-		p := &batch[i]
-		c.resRef(e, p.Resource, dict)
-		e.Svarint(int64(p.Round))
-		var fl byte
-		if p.Congested {
-			fl |= aggFlagCongested
-		}
-		e.U8(fl)
-		e.F64(p.Mu)
-	}
-}
-
-// encBoundary appends a BOUNDARY body (entry count + entries). The curvature
-// rides behind a presence flag so gradient-aggregator reports (curvature
-// always zero) stay 8 bytes smaller per entry.
-func (c *Codec) encBoundary(e *byteio.Enc, batch []BoundaryDemand, dict bool) {
-	e.Uvarint(uint64(len(batch)))
-	for i := range batch {
-		b := &batch[i]
-		c.resRef(e, b.Resource, dict)
-		e.Svarint(int64(b.Round))
-		e.Uvarint(uint64(b.Shard))
-		var fl byte
-		if b.Curvature != 0 {
-			fl |= bdyFlagCurvature
-		}
-		e.U8(fl)
-		e.F64(b.Demand)
-		if fl&bdyFlagCurvature != 0 {
-			e.F64(b.Curvature)
 		}
 	}
 }
@@ -524,9 +428,6 @@ func (c *Codec) decPrice(d *byteio.Dec, dict bool) (p PriceUpdate) {
 		// other combination is not something the encoder emits.
 		d.Fail("price entry flags 0x%02x: mu presence inconsistent with delta", fl)
 	}
-	if fl&priceFlagSeq != 0 {
-		p.Seq = d.Svarint()
-	}
 	if fl&priceFlagMu != 0 {
 		p.Mu = d.F64()
 	}
@@ -539,40 +440,6 @@ func (c *Codec) decPrice(d *byteio.Dec, dict bool) (p PriceUpdate) {
 	return p
 }
 
-// decPriceAgg reads one PRICE_AGG entry.
-func (c *Codec) decPriceAgg(d *byteio.Dec, dict bool) (p BoundaryPrice) {
-	p.Resource = c.readResRef(d, dict)
-	p.Round = int(d.Svarint())
-	fl := d.U8()
-	if fl&^byte(aggFlagsKnown) != 0 {
-		d.Fail("reserved price-agg entry flag bits 0x%02x", fl)
-	}
-	p.Congested = fl&aggFlagCongested != 0
-	p.Mu = d.F64()
-	return p
-}
-
-// decBoundary reads one BOUNDARY entry.
-func (c *Codec) decBoundary(d *byteio.Dec, dict bool) (b BoundaryDemand) {
-	b.Resource = c.readResRef(d, dict)
-	b.Round = int(d.Svarint())
-	b.Shard = int(d.Uvarint())
-	fl := d.U8()
-	if fl&^byte(bdyFlagsKnown) != 0 {
-		d.Fail("reserved boundary entry flag bits 0x%02x", fl)
-	}
-	b.Demand = d.F64()
-	if fl&bdyFlagCurvature != 0 {
-		b.Curvature = d.F64()
-		if b.Curvature == 0 {
-			// Zero curvature is encoded by omitting the field; a present
-			// zero would be a second encoding of the same entry.
-			d.Fail("explicit zero curvature in boundary entry")
-		}
-	}
-	return b
-}
-
 // decLatency reads one LATENCY entry. Subtasks must arrive strictly
 // ascending, which also rules out a duplicate.
 func (c *Codec) decLatency(d *byteio.Dec, dict bool) (s ShareReport) {
@@ -581,13 +448,10 @@ func (c *Codec) decLatency(d *byteio.Dec, dict bool) (s ShareReport) {
 	s.Round = int(d.Svarint())
 	s.Epoch = d.Uvarint()
 	fl := d.U8()
-	if fl&^latFlagsKnown != 0 {
+	if fl&^latFlagDelta != 0 {
 		d.Fail("reserved latency entry flag bits 0x%02x", fl)
 	}
 	s.Delta = fl&latFlagDelta != 0
-	if fl&latFlagSeq != 0 {
-		s.Seq = d.Svarint()
-	}
 	if s.Delta {
 		return s
 	}

@@ -19,18 +19,16 @@ func goldenCases() map[string]Message {
 		"price":                {From: "res/cpu0", To: "ctl/alpha", Kind: "price", Payload: PriceUpdate{Round: 3, Resource: "cpu0", Mu: 1.25}},
 		"price_congested":      {From: "res/cpu0", To: "ctl/alpha", Kind: "price", Payload: PriceUpdate{Round: 3, Resource: "cpu0", Mu: 1.25, Congested: true}},
 		"price_delta":          {From: "res/net1", To: "ctl/beta", Kind: "price", Payload: PriceUpdate{Round: 17, Epoch: 2, Resource: "net1", Delta: true}},
-		"price_seq":            {From: "res/net1", To: "ctl/beta", Kind: "price", Payload: PriceUpdate{Round: 5, Seq: 42, Resource: "net1", Mu: 0.75}},
 		"price_negative_round": {From: "res/disk2", To: "ctl/beta", Kind: "price", Payload: PriceUpdate{Round: -1, Resource: "disk2", Mu: 2}},
 		"price_batch": {From: "res/cpu0", To: "ctl/alpha", Kind: "price", Payload: []PriceUpdate{
 			{Round: 1, Resource: "cpu0", Mu: 0.5},
 			{Round: 1, Resource: "net1", Delta: true},
-			{Round: 1, Resource: "disk2", Mu: 2.5, Congested: true, Seq: 9},
+			{Round: 1, Resource: "disk2", Mu: 2.5, Congested: true},
 		}},
 		"price_batch_one":   {From: "res/cpu0", To: "ctl/alpha", Kind: "price", Payload: []PriceUpdate{{Round: 2, Resource: "cpu0", Mu: 1}}},
 		"price_batch_empty": {From: "res/cpu0", To: "ctl/alpha", Kind: "price", Payload: []PriceUpdate{}},
 		"latency":           {From: "ctl/alpha", To: "res/cpu0", Kind: "latency", Payload: ShareReport{Round: 3, Task: "alpha", Subs: alpha, LatMs: []float64{4.5, 6.25}}},
 		"latency_delta":     {From: "ctl/beta", To: "res/disk2", Kind: "latency", Payload: ShareReport{Round: 9, Epoch: 1, Task: "beta", Delta: true}},
-		"latency_seq":       {From: "ctl/beta", To: "res/disk2", Kind: "latency", Payload: ShareReport{Round: 0, Seq: -7, Task: "beta", Subs: []string{"b1"}, LatMs: []float64{10}}},
 		"latency_no_pairs":  {From: "ctl/alpha", To: "res/cpu0", Kind: "latency", Payload: ShareReport{Round: 2, Task: "alpha"}},
 		"latency_batch": {From: "ctl/alpha", To: "res/cpu0", Kind: "latency", Payload: []ShareReport{
 			{Round: 4, Task: "alpha", Subs: alpha, LatMs: []float64{1, 2}},
@@ -42,19 +40,8 @@ func goldenCases() map[string]Message {
 		"fin":          {From: "res/disk2", To: "ctl/beta", Kind: "fin", Payload: Fin{Resource: "disk2"}},
 		"rejoin":       {From: "coordinator", To: "ctl/alpha", Kind: "rejoin", Payload: Rejoin{Epoch: 4}},
 		"rejoin_ack":   {From: "ctl/alpha", To: "coordinator", Kind: "rejoinAck", Payload: RejoinAck{Epoch: 4, Task: "alpha", Round: -1}},
-		"price_agg":    {From: "coordinator", To: "shard/0", Kind: "priceAgg", Payload: BoundaryPrice{Round: 6, Resource: "cpu0", Mu: 2.125, Congested: true}},
-		"price_agg_batch": {From: "coordinator", To: "shard/0", Kind: "priceAgg", Payload: []BoundaryPrice{
-			{Round: 2, Resource: "cpu0", Mu: 1.5, Congested: true},
-			{Round: 2, Resource: "net1", Mu: 0},
-		}},
-		"boundary":           {From: "shard/1", To: "coordinator", Kind: "boundary", Payload: BoundaryDemand{Round: 6, Shard: 1, Resource: "net1", Demand: 0.875}},
-		"boundary_curvature": {From: "shard/1", To: "coordinator", Kind: "boundary", Payload: BoundaryDemand{Round: 6, Shard: 1, Resource: "net1", Demand: 0.875, Curvature: 0.25}},
-		"boundary_batch": {From: "shard/3", To: "coordinator", Kind: "boundary", Payload: []BoundaryDemand{
-			{Round: 2, Shard: 3, Resource: "cpu0", Demand: 0.5, Curvature: 0.125},
-			{Round: 2, Shard: 3, Resource: "disk2", Demand: 1},
-		}},
-		"raw":        {From: "admit-client-1", To: "coordinator", Kind: "admitQuery", Payload: json.RawMessage(`{"budget":3.5,"task":"gamma"}`)},
-		"raw_scalar": {From: "a", To: "b", Kind: "ping", Payload: json.RawMessage(`7`)},
+		"raw":          {From: "admit-client-1", To: "coordinator", Kind: "admitQuery", Payload: json.RawMessage(`{"budget":3.5,"task":"gamma"}`)},
+		"raw_scalar":   {From: "a", To: "b", Kind: "ping", Payload: json.RawMessage(`7`)},
 		// dict/ only: a name outside the dictionary re-encodes the whole
 		// frame with inline strings.
 		"dict_miss": {From: "res/rogue", To: "ctl/alpha", Kind: "price", Payload: PriceUpdate{Round: 1, Resource: "rogue", Mu: 2}},
@@ -136,6 +123,39 @@ func TestRejectVectors(t *testing.T) {
 		for mode, c := range map[string]*Codec{"dict": NewCodec(testDict(t)), "str": NewCodec(nil)} {
 			if m, err := c.Read(bufio.NewReader(bytes.NewReader(v.frame))); err == nil {
 				t.Errorf("%s (%s codec) decoded: %+v", v.name, mode, m)
+			}
+		}
+	}
+}
+
+// TestRetiredEncodingsRefused: the encodings this version no longer has —
+// the PRICE and LATENCY sequence numbers and the fleet's PRICE_AGG and
+// BOUNDARY frames — were good frames of an earlier encoder at the same
+// version byte. Their vectors live on in reject_frames.txt, and a decoder of
+// this version refuses every one in both modes.
+func TestRetiredEncodingsRefused(t *testing.T) {
+	if Version != 2 {
+		t.Fatalf("Version = %d: the retired encodings were version 2 frames", Version)
+	}
+	frames := make(map[string][]byte)
+	for _, v := range readVectors(t, "reject_frames.txt") {
+		frames[v.name] = v.frame
+	}
+	// An unknown type is a single-entry one, so a batched frame of it fails
+	// on its BATCH flag before the type is looked up.
+	const reserved, unknown, batch = "reserved", "unknown frame type", "batch flag"
+	for name, why := range map[string]string{
+		"price_seq": reserved, "latency_seq": reserved, "price_batch_seq": reserved,
+		"price_agg": unknown, "price_agg_batch": batch,
+		"boundary": unknown, "boundary_curvature": unknown, "boundary_batch": batch,
+	} {
+		for mode, c := range map[string]*Codec{"dict": NewCodec(testDict(t)), "str": NewCodec(nil)} {
+			frame, ok := frames[name+"_"+mode]
+			if !ok {
+				t.Fatalf("reject_frames.txt lacks %s_%s", name, mode)
+			}
+			if m, err := c.Read(bufio.NewReader(bytes.NewReader(frame))); err == nil || !strings.Contains(err.Error(), why) {
+				t.Errorf("%s_%s: decoded %+v, err %v; want an error naming %q", name, mode, m, err, why)
 			}
 		}
 	}

@@ -46,8 +46,6 @@ const (
 	FrameFin       = 0x05 // resource fin handshake (Fin)
 	FrameRejoin    = 0x06 // coordinator rejoin announcement (Rejoin)
 	FrameRejoinAck = 0x07 // controller rejoin answer (RejoinAck)
-	FramePriceAgg  = 0x08 // fleet boundary-price broadcast (BoundaryPrice)
-	FrameBoundary  = 0x09 // shard boundary-demand report (BoundaryDemand)
 	FrameRaw       = 0x0F // escape hatch: any kind, verbatim JSON payload
 )
 
