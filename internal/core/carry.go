@@ -1,6 +1,9 @@
 package core
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // State carry-over between engines: the warm-start primitive behind a
 // workload swap (Engine.Adopt, admission's trial) and the fleet's
@@ -58,19 +61,8 @@ func (d *Engine) carryInto(e *Engine, muDone, taskDone []bool) {
 			continue
 		}
 		oldTask, newTask := &d.p.Tasks[oi], &e.p.Tasks[ti]
-		if len(oldTask.SubtaskNames) != len(newTask.SubtaskNames) ||
-			d.p.NumPaths(oi) != e.p.NumPaths(ti) {
+		if !slices.Equal(oldTask.SubtaskNames, newTask.SubtaskNames) || d.p.NumPaths(oi) != e.p.NumPaths(ti) {
 			continue // structure changed: start this task fresh
-		}
-		same := true
-		for si := range newTask.SubtaskNames {
-			if oldTask.SubtaskNames[si] != newTask.SubtaskNames[si] {
-				same = false
-				break
-			}
-		}
-		if !same {
-			continue
 		}
 		from, to := d.Controller(oi), e.Controller(ti)
 		copy(to.Lambda, from.Lambda)

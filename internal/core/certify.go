@@ -85,11 +85,10 @@ type certSlot struct {
 // Step, Certify must be called from the goroutine driving the engine; the
 // ranges write only their own tasks' grade slots.
 func (e *Engine) Certify(kktTol, tol float64) (Certificate, bool) {
-	var c Certificate
-	if !e.certifyAt(e.certCursor, kktTol, tol, &c) {
+	c, witness := e.certSpan(e.certCursor, e.certCursor+1, kktTol, tol, nil, Certificate{})
+	if witness >= 0 {
 		return c, false
 	}
-	witness := -1
 	if e.nshards == 1 {
 		var r Certificate
 		r, witness = e.certRange(0, kktTol, tol, nil)
@@ -138,87 +137,81 @@ func (e *Engine) certRange(k int, kktTol, tol float64, stop *atomic.Bool) (c Cer
 	nr, nt, ns := len(e.price), len(e.p.Tasks), e.nshards
 	rlo, rhi := k*nr/ns, (k+1)*nr/ns
 	tlo, thi := nr+k*nt/ns, nr+(k+1)*nt/ns
-	m := rhi - rlo + thi - tlo
-	j, n := 0, m // position in the range, items left to scan
+	spans := [...][2]int{{rlo, rhi}, {tlo, thi}, {}} // in scan order
 	if cur := e.certCursor; cur >= rlo && cur < rhi {
-		j, n = cur-rlo+1, m-1
+		spans = [...][2]int{{cur + 1, rhi}, {tlo, thi}, {rlo, cur}}
 	} else if cur >= tlo && cur < thi {
-		j, n = rhi-rlo+cur-tlo+1, m-1
+		spans = [...][2]int{{cur + 1, thi}, {rlo, rhi}, {tlo, cur}}
 	}
-	for ; n > 0; n-- {
-		if j == m {
-			j = 0
+	for _, sp := range spans {
+		if c, witness = e.certSpan(sp[0], sp[1], kktTol, tol, stop, c); witness != -1 {
+			break
 		}
-		i := rlo + j
-		if i >= rhi {
-			i += tlo - rhi
-		}
-		if stop != nil && stop.Load() {
-			return c, -1
-		}
-		if !e.certifyAt(i, kktTol, tol, &c) {
-			if stop != nil {
-				stop.Store(true)
-			}
-			return c, i
-		}
-		j++
 	}
-	return c, -1
+	if witness >= 0 && stop != nil {
+		stop.Store(true)
+	}
+	return c, max(witness, -1)
 }
 
-// certifyAt folds item i of Certify's index space — resource i, or task
-// i−nr past the resources — into c and reports whether it stays inside the
-// tolerances. A task's grade is folded with CertifyTask's tests; being
-// clamped at 0, it can name a different witness than CertifyTask only at a
-// tolerance <= 0, which no verdict passes.
-func (e *Engine) certifyAt(i int, kktTol, tol float64, c *Certificate) bool {
+// certSpan folds items [lo, hi) of Certify's index space into c and returns
+// it with the first witness, -1 if there is none, or -2 once stop is raised.
+// A task's grade is folded with CertifyTask's tests; being clamped at 0, it
+// can name a different witness than CertifyTask only at a tolerance <= 0,
+// which no verdict passes.
+func (e *Engine) certSpan(lo, hi int, kktTol, tol float64, stop *atomic.Bool, c Certificate) (Certificate, int) {
 	nr := len(e.price)
-	if i < nr {
-		return e.certifyResource(i, tol, c)
+	for i := lo; i < hi; i++ {
+		if stop != nil && stop.Load() {
+			return c, -2
+		}
+		if i < nr {
+			if e.PinnedAt(i) { // its price is not the engine's to certify
+				continue
+			}
+			over := e.shareSums[i] - e.p.Resources[i].Availability
+			if over > c.MaxResourceViolation {
+				c.MaxResourceViolation = over
+			}
+			if over >= tol { // not over < tol: a NaN is no witness, as it is no maximum
+				return c, i
+			}
+			continue
+		}
+		if !e.graded[i-nr] {
+			e.regrade(i - nr)
+		}
+		g := &e.grade[i-nr]
+		if g.kkt > c.KKTMax {
+			c.KKTMax = g.kkt
+		}
+		if g.kkt >= kktTol {
+			return c, i
+		}
+		if g.path > c.MaxPathViolationFrac {
+			c.MaxPathViolationFrac = g.path
+		}
+		if g.path >= tol {
+			return c, i
+		}
 	}
-	g := e.gradeOf(i - nr)
-	if g.kkt > c.KKTMax {
-		c.KKTMax = g.kkt
-	}
-	if g.kkt >= kktTol {
-		return false
-	}
-	if g.path > c.MaxPathViolationFrac {
-		c.MaxPathViolationFrac = g.path
-	}
-	return !(g.path >= tol)
+	return c, -1
 }
 
 // taskGrade is a task's complete grade: its worst Equation 7 residual and
 // its critical-path violation fraction, each folded from 0 like a
 // Certificate's maxima, hence never NaN, and the critical path the fraction
-// was taken of, which Snapshot and Probe read back (Engine.scan).
-type taskGrade struct{ kkt, path, cp float64 }
+// was taken of, which Snapshot and Probe read back (Engine.scan). u is the
+// task's utility at the graded latencies, NaN until scan first reads it.
+type taskGrade struct{ kkt, path, cp, u float64 }
 
-// gradeOf returns task ti's grade, re-grading it — CertifyTask at infinite
-// tolerances — only when its bit is clear.
-func (e *Engine) gradeOf(ti int) taskGrade {
-	if !e.graded[ti] {
-		p, inf := e.p, math.Inf(1)
-		var c Certificate
-		_, cp := p.CertifyTask(ti, e.taskLat(ti), e.lambda[p.pathOff[ti]:p.pathOff[ti+1]], e.price, inf, inf, &c)
-		e.grade[ti], e.graded[ti] = taskGrade{c.KKTMax, c.MaxPathViolationFrac, cp}, true
-	}
-	return e.grade[ti]
-}
-
-// certifyResource folds resource ri into c and reports whether it stays
-// inside tol.
-func (e *Engine) certifyResource(ri int, tol float64, c *Certificate) bool {
-	if e.PinnedAt(ri) {
-		return true
-	}
-	over := e.shareSums[ri] - e.p.Resources[ri].Availability
-	if over > c.MaxResourceViolation {
-		c.MaxResourceViolation = over
-	}
-	return !(over >= tol) // not over < tol: a NaN is no witness, as it is no maximum
+// regrade grades task ti — CertifyTask at infinite tolerances — and sets
+// its bit.
+func (e *Engine) regrade(ti int) {
+	p, inf := e.p, math.Inf(1)
+	var c Certificate
+	_, cp := p.CertifyTask(ti, e.taskLat(ti), e.lambda[p.pathOff[ti]:p.pathOff[ti+1]], e.price, inf, inf, &c)
+	e.grade[ti], e.graded[ti] = taskGrade{c.KKTMax, c.MaxPathViolationFrac, cp, math.NaN()}, true
 }
 
 // CertifyTask folds into c task ti's Equation 7 residuals over its interior

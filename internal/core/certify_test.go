@@ -321,9 +321,11 @@ func TestCertifyAfterOutOfBandWrites(t *testing.T) {
 		tol    = 1e-4
 	)
 	inf := math.Inf(1)
-	// cached fills every grade slot and returns the point's dense certificate.
+	// cached fills every grade slot and its utility and returns the point's
+	// dense certificate.
 	cached := func(e *Engine) Certificate {
 		e.Certify(inf, inf)
+		e.Probe()
 		return denseCertificate(e)
 	}
 	type write func(t *testing.T, e *Engine, cfg Config) (graded *Engine, before Certificate)
@@ -433,6 +435,17 @@ func TestCertifyAfterOutOfBandWrites(t *testing.T) {
 					}
 					g.RunUntilKKT(500, StopKKTTol, StopWindow, StopTol)
 					requireSnapshotFromScratch(t, name+" after RunUntilKKT", g)
+					g.Certify(inf, inf)
+					requireSnapshotFromScratch(t, name+" graded, its utilities filled and read back", g)
+					for ti, ok := range g.graded {
+						if !ok || math.IsNaN(g.grade[ti].u) {
+							t.Fatalf("%s: task %d has no cached utility after a full Certify and a Snapshot", name, ti)
+						}
+					}
+					for ti := range g.grade {
+						g.grade[ti].u = math.NaN()
+					}
+					requireSnapshotFromScratch(t, name+" with the utilities cleared", g)
 					clear(g.graded)
 					requireSnapshotFromScratch(t, name+" with the grades cleared", g)
 					if slices.Contains(g.graded, true) {

@@ -56,9 +56,9 @@ func (e *Engine) AppendCheckpoint(w *byteio.Enc) {
 	}
 	putF64s(w, e.price)
 	putF64s(w, e.shareSums)
-	putBools(w, e.congested)
-	putBools(w, e.ctlStable)
-	putBools(w, e.priceStable)
+	putBools(w, e.congested, true)
+	putBools(w, e.ctlStable, true)
+	putBools(w, e.priceStable, !e.restep) // under restep every price steps next
 	s := &e.sstats
 	for _, v := range [...]uint64{s.Iterations, s.SkippedSolves, s.ExecutedSolves, s.CleanResources, s.RepricedResources} {
 		w.U64(v)
@@ -176,11 +176,11 @@ func putF64s(w *byteio.Enc, v []float64) {
 	}
 }
 
-// putBools writes a u32 length and one byte per flag.
-func putBools(w *byteio.Enc, v []bool) {
+// putBools writes a u32 length and one byte per flag, each and-ed with keep.
+func putBools(w *byteio.Enc, v []bool, keep bool) {
 	w.U32(uint32(len(v)))
 	for _, x := range v {
-		if x {
+		if x && keep {
 			w.U8(1)
 		} else {
 			w.U8(0)

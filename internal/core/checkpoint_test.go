@@ -49,7 +49,7 @@ func v3Section(t testing.TB, e *Engine) []byte {
 	w := byteio.Enc{B: append([]byte(nil), sec[:at]...)}
 	putF64s(&w, fpMu)
 	for _, flags := range [][]bool{fpCong, e.ctlStable, e.ctlStable, e.latChanged, e.priceStable, e.priceStable} {
-		putBools(&w, flags)
+		putBools(&w, flags, true)
 	}
 	return append(w.B, sec[at+4+nt+4+nr:]...)
 }

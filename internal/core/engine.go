@@ -137,6 +137,9 @@ type Engine struct {
 	priceStable  []bool
 	shardSkipped []uint64
 	sstats       SparseStats
+	// restep makes the next resource phase step every coordinate: a local
+	// refresh dropped the dynamics' history, not a stable resource's demand.
+	restep bool
 
 	// dynDelta is the last round's largest |Δμ| (the residual-trajectory
 	// gauge).
@@ -310,8 +313,9 @@ func (e *Engine) refreshResourceState() {
 // incident to ri only (unsettle). Everything else it keeps is what the global
 // refresh would recompute bit for bit: every other share is its latency's
 // under unchanged bounds, and every other resource's reduction is over those
-// shares. The congestion flags, every price fixed point and the dynamics'
-// history are O(resources) and stay global. Of the congestion flags only
+// shares. The congestion flags and the dynamics' history are O(resources) and
+// stay global: the history drops, so the next resource phase steps every
+// price (restep), a stable one from its cached demand. Of the flags only
 // ri's and the stale ones can differ from what the global refresh re-derives
 // from the cached sums; those are re-derived, and a flag that flips
 // unsettles its observers — so no skipped coordinate straddles the reset and
@@ -330,7 +334,7 @@ func (e *Engine) refreshResource(ri int) {
 	}
 	e.stale = e.stale[:0]
 	e.unsettle(ri)
-	clear(e.priceStable)
+	e.restep = true
 	e.dyn.Invalidate()
 }
 
@@ -389,7 +393,8 @@ func (e *Engine) Step() {
 // A pinned price (pin.go) is externally owned: the reduction refreshes its
 // demand, the price stays, the congestion flag is the supplied one — a no-op
 // update, hence a bitwise fixed point, so a pinned resource goes clean as
-// soon as its contributors freeze.
+// soon as its contributors freeze. After a localized refresh (restep) a clean
+// resource is stepped all the same, from its cached sums.
 func (e *Engine) resourcePhase() {
 	for ti, moved := range e.latChanged {
 		if moved {
@@ -398,9 +403,9 @@ func (e *Engine) resourcePhase() {
 			}
 		}
 	}
-	n := 0 // a stale resource reduced below re-derives its flag
+	n := 0 // a stale resource stepped below re-derives its flag
 	for _, ri := range e.stale {
-		if e.priceStable[ri] {
+		if e.priceStable[ri] && !e.restep {
 			e.stale[n], n = ri, n+1
 		}
 	}
@@ -408,12 +413,14 @@ func (e *Engine) resourcePhase() {
 	var clean uint64
 	maxd := 0.0
 	for ri, mu := range e.price {
-		if e.priceStable[ri] {
+		sum, inner := e.shareSums[ri], e.inner[ri]
+		if !e.priceStable[ri] {
+			sum, inner = e.demand(ri)
+			e.shareSums[ri], e.inner[ri] = sum, inner
+		} else if !e.restep {
 			clean++
 			continue
 		}
-		sum, inner := e.demand(ri)
-		e.shareSums[ri], e.inner[ri] = sum, inner
 		moved, was := false, e.congested[ri]
 		if e.pinned != nil && e.pinned[ri] {
 			e.congested[ri] = e.pinnedCong[ri]
@@ -428,7 +435,7 @@ func (e *Engine) resourcePhase() {
 		}
 		e.priceStable[ri] = !moved
 	}
-	e.dynDelta = maxd
+	e.dynDelta, e.restep = maxd, false
 	var skipped uint64
 	for _, n := range e.shardSkipped {
 		skipped += n
@@ -591,16 +598,9 @@ func (e *Engine) SetErrorMs(taskName, subtaskName string, errMs float64) error {
 	if math.IsNaN(errMs) || math.IsInf(errMs, 0) {
 		return fmt.Errorf("core: error correction %v is not finite", errMs)
 	}
-	ti, si, err := e.findSubtask(taskName, subtaskName)
-	if err != nil {
-		return err
-	}
-	e.p.Tasks[ti].ErrMs[si] = errMs
-	e.p.refreshBounds(ti, si)
-	e.refreshResource(int(e.p.Tasks[ti].Res[si]))
-	e.emit(obs.Event{Kind: obs.EventWorkloadChange, Iteration: e.iter,
-		Task: taskName, Subtask: subtaskName, Detail: "err_ms", Value: errMs})
-	return nil
+	return e.setSubtask(taskName, subtaskName, "err_ms", errMs, func(ti, si int) {
+		e.p.Tasks[ti].ErrMs[si] = errMs
+	})
 }
 
 // SetMinShare changes a subtask's minimum-share floor at runtime (workload
@@ -609,15 +609,23 @@ func (e *Engine) SetMinShare(taskName, subtaskName string, minShare float64) err
 	if !(minShare >= 0 && minShare <= 1) {
 		return fmt.Errorf("core: min share %v outside [0,1]", minShare)
 	}
+	return e.setSubtask(taskName, subtaskName, "min_share", minShare, func(ti, si int) {
+		e.p.src.Tasks[ti].Subtasks[si].MinShare = minShare
+	})
+}
+
+// setSubtask makes the change set on the named subtask, refreshes the
+// subtask's bounds and its resource, and reports the change as detail.
+func (e *Engine) setSubtask(taskName, subtaskName, detail string, v float64, set func(ti, si int)) error {
 	ti, si, err := e.findSubtask(taskName, subtaskName)
 	if err != nil {
 		return err
 	}
-	e.p.src.Tasks[ti].Subtasks[si].MinShare = minShare
+	set(ti, si)
 	e.p.refreshBounds(ti, si)
 	e.refreshResource(int(e.p.Tasks[ti].Res[si]))
 	e.emit(obs.Event{Kind: obs.EventWorkloadChange, Iteration: e.iter,
-		Task: taskName, Subtask: subtaskName, Detail: "min_share", Value: minShare})
+		Task: taskName, Subtask: subtaskName, Detail: detail, Value: v})
 	return nil
 }
 

@@ -212,8 +212,20 @@ func TestSnapshotAllocBudget(t *testing.T) {
 	}
 	defer e.Close()
 	e.Run(3, nil)
-	subtasks := e.p.NumSubtasks()
-	budget := float64(8 + 2*((subtasks+rowChunk-1)/rowChunk))
+	// Each chunk holds the tasks that fit in rowChunk floats, so it is over
+	// half full: fewer than 2·subtasks/rowChunk + 1 of them per row set.
+	subtasks, chunks, off := e.p.NumSubtasks(), 0, e.p.subOff
+	for ti, lo := 0, int32(0); ti < len(e.p.Tasks); ti++ {
+		if ti == 0 || off[ti+1]-lo > rowChunk {
+			chunks, lo = chunks+1, off[ti]
+		}
+	}
+	if chunks >= 2*subtasks/rowChunk+1 {
+		t.Fatalf("%d subtasks need %d chunks of at most %d floats", subtasks, chunks, rowChunk)
+	}
+	// The resource vectors, one block of the three per-task ones, two row
+	// sets and each set's chunks.
+	budget := float64(2 + 1 + 2 + 2*chunks)
 	if allocs := testing.AllocsPerRun(10, func() { _ = e.Snapshot() }); allocs > budget {
 		t.Errorf("Snapshot of %d tasks, %d subtasks allocates %v objects, want <= %v",
 			len(e.p.Tasks), subtasks, allocs, budget)

@@ -345,14 +345,14 @@ func (p *Problem) Interior(g int32, latMs float64) bool {
 // refreshBounds computes a subtask's latency bounds, at compile time and
 // after a change to its share function (error correction), its minimum
 // share or its resource's availability.
+// Each bound is share.WCETLag.LatencyFor with the share numerator read from
+// cost, which holds the same sum.
 func (p *Problem) refreshBounds(ti, si int) {
 	g := p.subOff[ti] + int32(si)
-	sf := p.Share(ti, si)
-	p.latMin[g] = sf.LatencyFor(p.Resources[p.res[g]].Availability)
+	p.latMin[g] = p.cost[g]/p.Resources[p.res[g]].Availability + p.errMs[g]
 	maxLat := p.consts[ti].criticalMs
-	minShare := p.src.Tasks[ti].Subtasks[si].MinShare
-	if minShare > 0 {
-		if cap := sf.LatencyFor(minShare); cap < maxLat {
+	if minShare := p.src.Tasks[ti].Subtasks[si].MinShare; minShare > 0 {
+		if cap := p.cost[g]/minShare + p.errMs[g]; cap < maxLat {
 			maxLat = cap
 		}
 	}

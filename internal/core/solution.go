@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 )
 
@@ -39,14 +40,13 @@ type Snapshot struct {
 	MaxPathViolationFrac float64
 }
 
-// rowChunk is the most floats (32 KB) a backing chunk of Snapshot rows
+// rowChunk is the most floats (32 KB) a backing chunk of fresh Snapshot rows
 // holds: fewer allocations than a row per task, no large object to scan.
 const rowChunk = 4096
 
-// Snapshot assembles the current state into freshly allocated slices, two
-// row chunks per rowChunk subtasks and a fixed few besides.
-func (e *Engine) Snapshot() Snapshot {
-	var s Snapshot
+// Snapshot assembles the current state into freshly allocated slices: two
+// row chunks per rowChunk subtasks or fewer, and five objects besides.
+func (e *Engine) Snapshot() (s Snapshot) {
 	e.SnapshotInto(&s)
 	return s
 }
@@ -58,16 +58,16 @@ func (e *Engine) Snapshot() Snapshot {
 // per-iteration garbage; the refilled snapshot aliases its previous
 // buffers, so copy anything that must outlive the next call.
 func (e *Engine) SnapshotInto(s *Snapshot) {
-	nt, nr := len(e.p.Tasks), len(e.price)
-	s.ShareSums = resizeFloats(s.ShareSums, nr)
-	copy(s.ShareSums, e.shareSums)
-	s.Mu = resizeFloats(s.Mu, nr)
-	copy(s.Mu, e.price)
-	s.TaskUtility = resizeFloats(s.TaskUtility, nt)
-	s.LatMs = shapeRows(s.LatMs, e.p.subOff)
-	s.Shares = shapeRows(s.Shares, e.p.subOff)
-	s.CriticalPathMs = resizeFloats(s.CriticalPathMs, nt)
-	s.CriticalTimeMs = resizeFloats(s.CriticalTimeMs, nt)
+	nt := len(e.p.Tasks)
+	s.ShareSums = append(s.ShareSums[:0], e.shareSums...)
+	s.Mu = append(s.Mu[:0], e.price...)
+	s.LatMs = fillRows(s.LatMs, e.lat, e.p.subOff, false)
+	s.Shares = fillRows(s.Shares, e.shares, e.p.subOff, true)
+	if min(cap(s.TaskUtility), cap(s.CriticalPathMs), cap(s.CriticalTimeMs)) < nt {
+		v := make([]float64, 3*nt) // one object for the three per-task vectors
+		s.TaskUtility, s.CriticalPathMs, s.CriticalTimeMs = v[:nt:nt], v[nt:2*nt:2*nt], v[2*nt:]
+	}
+	s.TaskUtility, s.CriticalPathMs, s.CriticalTimeMs = s.TaskUtility[:nt], s.CriticalPathMs[:nt], s.CriticalTimeMs[:nt]
 	pr := e.scan(s)
 	s.Iteration, s.Utility = pr.Iteration, pr.Utility
 	s.MaxResourceViolation, s.MaxPathViolationFrac = pr.MaxResourceViolation, pr.MaxPathViolationFrac
@@ -92,10 +92,9 @@ type Probe struct {
 func (e *Engine) Probe() Probe { return e.scan(nil) }
 
 // scan computes the convergence scalars and, when s is non-nil, fills s's
-// sized per-task vectors and rows. It reads what the engine has already
-// computed: each share from the share cache (which negates bound-active
-// ones) and each critical path from the task's grade while that is cached —
-// criticalPath at these very latencies (gradeOf). It never grades.
+// sized per-task vectors. While a task's grade is cached it reads the
+// critical path from it — criticalPath at these very latencies (regrade) —
+// and the utility, evaluated there on the first read. It never grades.
 func (e *Engine) scan(s *Snapshot) Probe {
 	p, pr := e.p, Probe{Iteration: e.iter}
 	for ri, sum := range e.shareSums {
@@ -104,12 +103,13 @@ func (e *Engine) scan(s *Snapshot) Probe {
 		}
 	}
 	for ti := range p.Tasks {
-		lo, hi := p.subOff[ti], p.subOff[ti+1]
-		lat := e.lat[lo:hi]
-		u := p.Tasks[ti].Curve.Value(p.aggregate(ti, lat))
-		cp := e.grade[ti].cp
+		g := &e.grade[ti]
+		if !e.graded[ti] || math.IsNaN(g.u) { // an ungraded slot's u is never read back
+			g.u = p.Tasks[ti].Curve.Value(p.aggregate(ti, e.taskLat(ti)))
+		}
+		u, cp := g.u, g.cp
 		if !e.graded[ti] {
-			cp, _ = p.criticalPath(ti, lat)
+			cp, _ = p.criticalPath(ti, e.taskLat(ti))
 		}
 		crit := p.consts[ti].criticalMs
 		pr.Utility += u
@@ -117,47 +117,50 @@ func (e *Engine) scan(s *Snapshot) Probe {
 			pr.MaxPathViolationFrac = frac
 		}
 		if s != nil {
-			copy(s.LatMs[ti], lat)
-			for si, sh := range e.shares[lo:hi] {
-				s.Shares[ti][si] = math.Abs(sh)
-			}
 			s.TaskUtility[ti], s.CriticalPathMs[ti], s.CriticalTimeMs[ti] = u, cp, crit
 		}
 	}
 	return pr
 }
 
-// resizeFloats returns a slice of length n, reusing s's backing array when
-// it is large enough.
-func resizeFloats(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n)
-	}
-	return s[:n]
-}
-
-// shapeRows returns rows as they are when row ti already has length
-// off[ti+1]−off[ti], and otherwise rows of those lengths carved,
-// capacity-capped, from chunks of at most rowChunk floats (or one task's).
-func shapeRows(rows [][]float64, off []int32) [][]float64 {
+// fillRows returns rows holding src's task windows off[ti]:off[ti+1], as
+// magnitudes when abs is set: rows refilled when shaped like the windows, else
+// capacity-capped rows carved from chunks cloned from src, each of the tasks
+// that fit in rowChunk floats (or of one task).
+func fillRows(rows [][]float64, src []float64, off []int32, abs bool) [][]float64 {
 	nt := len(off) - 1
 	shaped := len(rows) == nt
 	for ti := 0; shaped && ti < nt; ti++ {
 		shaped = len(rows[ti]) == int(off[ti+1]-off[ti])
 	}
 	if shaped {
+		for ti, row := range rows {
+			copy(row, src[off[ti]:off[ti+1]])
+			absIf(abs, row)
+		}
 		return rows
 	}
 	rows = make([][]float64, nt)
-	var buf []float64
-	for ti := range rows {
-		n := int(off[ti+1] - off[ti])
-		if len(buf) < n {
-			buf = make([]float64, max(n, min(rowChunk, int(off[nt]-off[ti]))))
+	for ti := 0; ti < nt; {
+		end := ti + 1
+		for end < nt && off[end+1]-off[ti] <= rowChunk {
+			end++
 		}
-		rows[ti], buf = buf[:n:n], buf[n:]
+		chunk := slices.Clone(src[off[ti]:off[end]])
+		absIf(abs, chunk)
+		for ; ti < end; ti++ {
+			n := off[ti+1] - off[ti]
+			rows[ti], chunk = chunk[:n:n], chunk[n:]
+		}
 	}
 	return rows
+}
+
+// absIf replaces each value of v by its magnitude when abs is set.
+func absIf(abs bool, v []float64) {
+	for i := 0; abs && i < len(v); i++ {
+		v[i] = math.Abs(v[i])
+	}
 }
 
 // Feasible reports whether no constraint is violated beyond tol.

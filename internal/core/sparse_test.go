@@ -313,6 +313,113 @@ func TestSparseMutationsInvalidate(t *testing.T) {
 	}
 }
 
+// TestMutatorsRestepFromCachedDemand: a mutator drops the price dynamics'
+// history but keeps every resource's fixed-point flag and cached demand, so
+// the next Step steps a stable resource from its cache instead of reducing
+// it again. Through availability, minimum-share and error-term changes
+// between Steps, under both solvers and worker counts, the engine stays
+// bitwise with denseStep and with a twin that re-reduces every resource after
+// each change: the same snapshots, SparseStats and SolverFallbacks, and the
+// same checkpoint bytes right after the change. A restore of that checkpoint
+// then runs bitwise with the engine that wrote it.
+func TestMutatorsRestepFromCachedDemand(t *testing.T) {
+	mk := func() *workload.Workload {
+		cfg := workload.DefaultClusteredConfig(5)
+		cfg.SlackFactor = 40
+		w, err := workload.Clustered(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return w
+	}
+	// Round r changes, by r%3, a seeded resource's availability, a seeded
+	// subtask's minimum share or its error term.
+	mutate := func(e *Engine, round int) {
+		rng := rand.New(rand.NewSource(int64(round)))
+		r, task := e.p.Resources[rng.Intn(len(e.p.Resources))], e.p.Tasks[rng.Intn(len(e.p.Tasks))]
+		sub, v := task.SubtaskNames[rng.Intn(len(task.SubtaskNames))], rng.Float64()
+		var err error
+		switch round % 3 {
+		case 0:
+			err = e.SetAvailability(r.ID, 0.5+0.5*v)
+		case 1:
+			err = e.SetMinShare(task.Name, sub, 0.02*v)
+		case 2:
+			err = e.SetErrorMs(task.Name, sub, 0.5*v)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, solver := range price.Solvers() {
+		for _, workers := range []int{1, 3} {
+			at := fmt.Sprintf("%s workers=%d", solver, workers)
+			dense, sparse := newSparsePair(t, mk, workers, solver)
+			full, err := NewEngine(mk(), Config{Workers: workers, PriceSolver: solver})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(full.Close)
+			var ds, ss, fs Snapshot
+			kept := 0 // stable resources a change left to be stepped from their cache
+			for round := 0; round < 9; round++ {
+				for i := 0; i < 60; i++ {
+					denseStep(dense)
+					sparse.Step()
+					full.Step()
+				}
+				stable := slices.Clone(sparse.priceStable)
+				for _, e := range []*Engine{dense, sparse, full} {
+					mutate(e, round)
+				}
+				clear(full.priceStable) // the full reprice: every resource reduces again
+				if !sparse.restep || !slices.Equal(sparse.priceStable, stable) {
+					t.Fatalf("%s round %d: the change moved the fixed-point flags or set no restep", at, round)
+				}
+				for _, ok := range stable {
+					if ok {
+						kept++
+					}
+				}
+				sec := checkpointSection(t, sparse)
+				if !slices.Equal(sec, checkpointSection(t, full)) {
+					t.Fatalf("%s round %d: the checkpoint differs from the full reprice's", at, round)
+				}
+				restored, err := NewEngine(sparse.CurrentWorkload(), Config{Workers: workers, PriceSolver: solver})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := readSection(restored, sec); err != nil {
+					t.Fatal(err)
+				}
+				for i := 0; i < 30; i++ {
+					denseStep(dense)
+					sparse.Step()
+					full.Step()
+					restored.Step()
+					if sparse.restep {
+						t.Fatalf("%s round %d: a Step left restep set; every later Step would step every resource", at, round)
+					}
+					dense.SnapshotInto(&ds)
+					sparse.SnapshotInto(&ss)
+					full.SnapshotInto(&fs)
+					requireSnapshotsBitwiseEqual(t, round*90+i, &ds, &ss)
+					requireSnapshotsBitwiseEqual(t, round*90+i, &fs, &ss)
+					requireEnginesBitwiseEqual(t, fmt.Sprintf("%s round %d step %d: restored", at, round, i), sparse, restored)
+					if sparse.SparseStats() != full.SparseStats() || sparse.SolverFallbacks() != full.SolverFallbacks() {
+						t.Fatalf("%s round %d step %d: stats %+v fallbacks %d, full reprice %+v fallbacks %d", at, round, i,
+							sparse.SparseStats(), sparse.SolverFallbacks(), full.SparseStats(), full.SolverFallbacks())
+					}
+				}
+				restored.Close()
+			}
+			if kept == 0 {
+				t.Fatalf("%s: no change found a stable resource; the test steps nothing from a cache", at)
+			}
+		}
+	}
+}
+
 // TestLocalRefreshMatchesGlobal holds SetAvailability's localized refresh to
 // the global one it replaced on a clustered DAG. A twin engine takes each of
 // 20 seeded capacity events through setAvailabilityGlobal; after the first

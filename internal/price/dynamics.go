@@ -251,7 +251,10 @@ func (d *Dynamics) StepAt(j int, mu, sum, avail, curv float64, cong bool) (float
 		next, moved := d.gradient(j, mu, sum, avail, cong)
 		return next, moved || guard
 	}
-	next := mu * math.Pow(sum/avail, math.Ldexp(1, -int(h))/p)
+	next := mu // at capacity the step is Pow(1, y) == 1: no move to compute
+	if sum != avail {
+		next *= math.Pow(sum/avail, math.Ldexp(1, -int(h))/p)
+	}
 	if next > mu*newtonTrustFactor {
 		next = mu * newtonTrustFactor
 	} else if next < mu/newtonTrustFactor {

@@ -299,3 +299,41 @@ func TestNewtonRoundingBand(t *testing.T) {
 		})
 	}
 }
+
+// TestNewtonAtCapacityMatchesPowPath: a demand exactly at capacity steps by
+// Pow(1, y) == 1, which StepAt does not compute. Its price and moved flag
+// must be the Pow path's bit for bit — the same trust-region and MaxPrice
+// clamps included, so a price above MaxPrice is still clamped down.
+func TestNewtonAtCapacityMatchesPowPath(t *testing.T) {
+	const avail = 0.75
+	for _, tc := range []struct {
+		name           string
+		mu, curv       float64
+		sign, halvings uint8
+		guard          bool // the safeguard state moves
+	}{
+		{"fixed point", 2, 1, 1, 0, false},
+		{"first step", 2, 1, 0, 0, false},
+		{"halvings decaying", 2, 1, 2, 5, true},
+		{"tiny price", 1e-300, 1e300, 1, 0, false},
+		{"at MaxPrice", MaxPrice, 1, 2, 0, false},
+		{"above MaxPrice", 10 * MaxPrice, 1, 2, 0, false},
+		{"above MaxPrice, damped", 10 * MaxPrice, 1, 1, 7, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d := newDyn(SolverNewton, 1)
+			d.sign[0], d.halvings[0] = tc.sign, tc.halvings
+			h := max(int(tc.halvings)-1, 0)
+			want := tc.mu * math.Pow(avail/avail, math.Ldexp(1, -h)/(tc.mu*tc.curv/avail))
+			want = math.Min(math.Max(want, tc.mu/newtonTrustFactor), tc.mu*newtonTrustFactor)
+			want = math.Min(want, MaxPrice)
+			next, moved := d.StepAt(0, tc.mu, avail, avail, tc.curv, false)
+			if math.Float64bits(next) != math.Float64bits(want) || moved != (tc.guard || want != tc.mu) {
+				t.Errorf("StepAt = %v (moved %v), Pow path %v (moved %v)", next, moved, want, tc.guard || want != tc.mu)
+			}
+			if d.Fallbacks() != 0 || int(d.halvings[0]) != h || d.sign[0] != tc.sign {
+				t.Errorf("fallbacks %d, safeguard sign %d halvings %d, want 0, %d, %d", d.Fallbacks(), d.sign[0], d.halvings[0], tc.sign, h)
+			}
+		})
+	}
+}

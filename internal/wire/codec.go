@@ -272,7 +272,9 @@ func (c *Codec) decodeBody(ft, flags byte, body []byte) (Message, error) {
 	}
 	batch := flags&flagBatch != 0
 	d := &byteio.Dec{Buf: body}
-	if batch && ft != FramePrice && ft != FrameLatency {
+	if ft != FrameRaw && (int(ft) >= len(frameKinds) || frameKinds[ft] == "") {
+		d.Fail("unknown frame type 0x%02x", ft) // named before its flags are judged
+	} else if batch && ft != FramePrice && ft != FrameLatency {
 		d.Fail("batch flag on a single-entry frame")
 	}
 	var m Message
@@ -308,8 +310,6 @@ func (c *Codec) decodeBody(ft, flags byte, body []byte) (Message, error) {
 	case FrameRaw:
 		m.Kind = d.Str(maxStrLen)
 		m.Payload = json.RawMessage(d.Bytes(maxBodyBytes))
-	default:
-		d.Fail("unknown frame type 0x%02x", ft)
 	}
 	if err := d.Done(); err != nil {
 		return Message{}, fmt.Errorf("wire: %w", err)

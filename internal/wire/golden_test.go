@@ -141,13 +141,13 @@ func TestRetiredEncodingsRefused(t *testing.T) {
 	for _, v := range readVectors(t, "reject_frames.txt") {
 		frames[v.name] = v.frame
 	}
-	// An unknown type is a single-entry one, so a batched frame of it fails
-	// on its BATCH flag before the type is looked up.
-	const reserved, unknown, batch = "reserved", "unknown frame type", "batch flag"
+	// An unknown type is named as such, batched or not: its flags are
+	// judged only once the type is known.
+	const reserved, unknown = "reserved", "unknown frame type"
 	for name, why := range map[string]string{
 		"price_seq": reserved, "latency_seq": reserved, "price_batch_seq": reserved,
-		"price_agg": unknown, "price_agg_batch": batch,
-		"boundary": unknown, "boundary_curvature": unknown, "boundary_batch": batch,
+		"price_agg": unknown, "price_agg_batch": unknown,
+		"boundary": unknown, "boundary_curvature": unknown, "boundary_batch": unknown,
 	} {
 		for mode, c := range map[string]*Codec{"dict": NewCodec(testDict(t)), "str": NewCodec(nil)} {
 			frame, ok := frames[name+"_"+mode]

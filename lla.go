@@ -105,10 +105,10 @@ const (
 type Config = core.Config
 
 // Snapshot is the optimizer's observable state after an iteration, read from
-// the engine's caches in O(subtasks/4096) allocations (its rows share
-// capacity-capped chunks). Engines also offer SnapshotInto (refill a reusable
-// snapshot without allocating) and Probe (just the convergence scalars) for
-// per-iteration polling.
+// the engine's caches (graded utilities and critical paths, the share cache)
+// in O(subtasks/4096) allocations: rows are cloned by capacity-capped chunk.
+// Engines also offer SnapshotInto (refill a reusable snapshot without
+// allocating) and Probe (just the convergence scalars) for per-iteration polling.
 type Snapshot = core.Snapshot
 
 // Workload is a complete problem instance: tasks, resources and utility
