@@ -13,8 +13,8 @@ import (
 )
 
 // TestConfigSurface holds every policy config type's exported fields to an
-// explicit list: 24 settable values across core.Config (4), core.StepPolicy
-// (2), fleet.Config (9), fleet.PartitionConfig (2), admit.Config (2),
+// explicit list: 23 settable values across core.Config (4), core.StepPolicy
+// (2), fleet.Config (8), fleet.PartitionConfig (2), admit.Config (2),
 // closedloop.Config (1) and sim.Config (4). admit.PlacerConfig and
 // errcorr.Config have no entry because they do not exist; their values are
 // constants. A value with one setting in use is a constant, so a knob added
@@ -27,7 +27,7 @@ func TestConfigSurface(t *testing.T) {
 		{core.Config{}, []string{"WeightMode", "Step", "Workers", "PriceSolver"}},
 		{core.StepPolicy{}, []string{"Adaptive", "Gamma"}},
 		{fleet.Config{}, []string{"Shards", "Seed", "ShardWorkers", "Engine", "LocalIters",
-			"LocalFreeze", "MaxRounds", "RecordHashes", "Observer"}},
+			"MaxRounds", "RecordHashes", "Observer"}},
 		{fleet.PartitionConfig{}, []string{"Shards", "Seed"}},
 		{admit.Config{}, []string{"TrialIters", "AdmitAll"}},
 		{closedloop.Config{}, []string{"EpochMs"}},

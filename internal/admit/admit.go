@@ -139,7 +139,7 @@ func (c *Controller) Observe(o *obs.Observer) {
 	c.obsv, c.m = o, nil
 	if o != nil && o.Metrics != nil {
 		c.m = obs.NewAdmitMetrics(o.Metrics)
-		c.m.Resident.Set(float64(len(c.eng.Problem().Tasks)))
+		c.m.Resident.Set(float64(c.eng.Problem().NumTasks()))
 	}
 	if c.placer != nil {
 		c.placer.Observe(o)
@@ -180,7 +180,7 @@ func (c *Controller) finish(d Decision) Decision {
 		if d.Admitted && d.Kind != KindRebalance {
 			c.m.ReconvergeIters.Observe(float64(d.ReconvergeIters))
 		}
-		c.m.Resident.Set(float64(len(c.eng.Problem().Tasks)))
+		c.m.Resident.Set(float64(c.eng.Problem().NumTasks()))
 	}
 	if c.obsv != nil {
 		v := 0.0

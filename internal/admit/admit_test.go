@@ -199,7 +199,7 @@ func TestOfferRefusesMalformedInputs(t *testing.T) {
 			} else if err != nil || d.Admitted || d.Stage != StageStatic || !strings.Contains(d.Reason, tc.reason) {
 				t.Errorf("%s: %+v, %v; want a static rejection naming %q", tc.name, d, err, tc.reason)
 			}
-			if n := len(eng.Problem().Tasks); n != 1 {
+			if n := eng.Problem().NumTasks(); n != 1 {
 				t.Errorf("%s (admit-all %v): %d resident tasks, want 1", tc.name, all, n)
 			}
 		}
@@ -313,7 +313,7 @@ func TestCountersMatchDecisionLog(t *testing.T) {
 	check("rejected{trial}", m.RejectedTrial, rejected[StageTrial])
 	check("rejected{quarantine}", m.RejectedQuarantine, rejected[StageQuarantine])
 	check("departures", m.Departures, depart)
-	if got, want := m.Resident.Value(), float64(len(eng.Problem().Tasks)); got != want {
+	if got, want := m.Resident.Value(), float64(eng.Problem().NumTasks()); got != want {
 		t.Errorf("resident gauge = %v, want %v", got, want)
 	}
 	if considered == 0 || admitted == 0 || rejected[StageQuarantine] == 0 {

@@ -144,7 +144,7 @@ func (l *Loop) RunEpochs(n int, observe func(Epoch)) error {
 func (l *Loop) correct(snap core.Snapshot) error {
 	prob := l.engine.Problem()
 	for ti, tk := range l.w.Tasks {
-		for si := range tk.Subtasks {
+		for si, sub := range tk.Subtasks {
 			base := prob.Share(ti, si)
 			base.ErrMs = 0
 			predicted := base.LatencyFor(snap.Shares[ti][si])
@@ -152,8 +152,8 @@ func (l *Loop) correct(snap core.Snapshot) error {
 			if !c.Observe(l.world.SubtaskLatency(ti, si), predicted) {
 				continue
 			}
-			if err := l.engine.SetErrorMs(tk.Name, prob.Tasks[ti].SubtaskNames[si], c.ErrMs()); err != nil {
-				return fmt.Errorf("closedloop: correcting %s/%s: %w", tk.Name, prob.Tasks[ti].SubtaskNames[si], err)
+			if err := l.engine.SetErrorMs(tk.Name, sub.Name, c.ErrMs()); err != nil {
+				return fmt.Errorf("closedloop: correcting %s/%s: %w", tk.Name, sub.Name, err)
 			}
 		}
 	}

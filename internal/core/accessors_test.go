@@ -36,3 +36,11 @@ func (p *Problem) PathsThrough(ti, si int) []int32 {
 func (e *Engine) KKTResidualsInto(dst []float64) []float64 {
 	return e.kktScan(kktFold{all: dst[:0], collect: true}).all
 }
+
+// row returns task ti's window of the per-subtask array a.
+func (p *Problem) row(ti int, a []float64) []float64 { return a[p.subOff[ti]:p.subOff[ti+1]] }
+
+// taskName and subtaskName read names from the source workload.
+func (p *Problem) taskName(ti int) string { return p.Workload().Tasks[ti].Name }
+
+func (p *Problem) subtaskName(ti, si int) string { return p.Workload().Tasks[ti].Subtasks[si].Name }

@@ -3,6 +3,8 @@ package core
 import (
 	"math"
 	"slices"
+
+	"lla/internal/task"
 )
 
 // State carry-over between engines: the warm-start primitive behind a
@@ -32,7 +34,7 @@ import (
 // they are session state owned by whoever pinned them (see pin.go).
 func (e *Engine) CarryFrom(donors ...*Engine) {
 	muDone := make([]bool, len(e.p.Resources))
-	taskDone := make([]bool, len(e.p.Tasks))
+	taskDone := make([]bool, e.p.NumTasks())
 	for _, d := range donors {
 		d.carryInto(e, muDone, taskDone)
 	}
@@ -52,27 +54,31 @@ func (d *Engine) carryInto(e *Engine, muDone, taskDone []bool) {
 		}
 	}
 
-	for ti := range e.p.Tasks {
+	p, tasks, donorTasks := e.p, e.p.src.Tasks, d.p.src.Tasks
+	for ti, t := range tasks {
 		if taskDone[ti] {
 			continue
 		}
-		oi, ok := d.p.taskIdx[e.p.Tasks[ti].Name]
+		oi, ok := d.p.taskIdx[t.Name]
 		if !ok {
 			continue
 		}
-		oldTask, newTask := &d.p.Tasks[oi], &e.p.Tasks[ti]
-		if !slices.Equal(oldTask.SubtaskNames, newTask.SubtaskNames) || d.p.NumPaths(oi) != e.p.NumPaths(ti) {
+		if !slices.EqualFunc(donorTasks[oi].Subtasks, t.Subtasks, sameName) || d.p.NumPaths(oi) != p.NumPaths(ti) {
 			continue // structure changed: start this task fresh
 		}
 		from, to := d.Controller(oi), e.Controller(ti)
 		copy(to.Lambda, from.Lambda)
 		// Re-clamp carried latencies into the (possibly changed) bounds.
 		for si, lat := range from.LatMs {
-			to.LatMs[si] = clamp(lat, newTask.LatMinMs[si], newTask.LatMaxMs[si])
+			g := p.subOff[ti] + int32(si)
+			to.LatMs[si] = clamp(lat, p.latMin[g], p.latMax[g])
 		}
 		taskDone[ti] = true
 	}
 }
+
+// sameName reports whether two subtasks have one name.
+func sameName(a, b task.Subtask) bool { return a.Name == b.Name }
 
 // PriceRoots returns, per resource r, the root sum Σ_s √(c_s·w_s·|f_i'(L_i)|)
 // over its subtasks at the engine's current latencies, in compiled order:
@@ -84,10 +90,10 @@ func (d *Engine) carryInto(e *Engine, muDone, taskDone []bool) {
 func (e *Engine) PriceRoots() []float64 {
 	p := e.p
 	roots := make([]float64, len(p.Resources))
-	for ti := range p.Tasks {
+	for ti, curve := range p.curves {
 		slope := p.consts[ti].slope
 		if !p.consts[ti].constSlope {
-			slope = p.Tasks[ti].Curve.Slope(p.aggregate(ti, e.taskLat(ti)))
+			slope = curve.Slope(p.aggregate(ti, e.taskLat(ti)))
 		}
 		for g := p.subOff[ti]; g < p.subOff[ti+1]; g++ {
 			roots[p.res[g]] += math.Sqrt(p.cost[g] * p.weight[g] * math.Abs(slope))

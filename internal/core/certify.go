@@ -134,7 +134,7 @@ func (e *Engine) certScratch() *certScan {
 // scan. It stops at its first witness, raising stop, or once another range
 // has raised it; stop is nil when the range runs alone.
 func (e *Engine) certRange(k int, kktTol, tol float64, stop *atomic.Bool) (c Certificate, witness int) {
-	nr, nt, ns := len(e.price), len(e.p.Tasks), e.nshards
+	nr, nt, ns := len(e.price), e.p.NumTasks(), e.nshards
 	rlo, rhi := k*nr/ns, (k+1)*nr/ns
 	tlo, thi := nr+k*nt/ns, nr+(k+1)*nt/ns
 	spans := [...][2]int{{rlo, rhi}, {tlo, thi}, {}} // in scan order
@@ -262,11 +262,11 @@ func (e *Engine) DualBound() float64 {
 	for ri, r := range p.Resources {
 		d += e.price[ri] * r.Availability
 	}
-	for ti := range p.Tasks {
+	for ti := range p.NumTasks() {
 		row = max(row, int(p.subOff[ti+1]-p.subOff[ti]))
 	}
 	star := make([]float64, row)
-	for ti := range p.Tasks {
+	for ti := range p.NumTasks() {
 		d += p.dualTerm(ti, e.taskLat(ti), e.lambda[p.pathOff[ti]:p.pathOff[ti+1]], e.price, star)
 	}
 	return d
@@ -275,7 +275,7 @@ func (e *Engine) DualBound() float64 {
 // dualTerm is task ti's term of DualBound at latencies lat, path prices
 // lambda and resource prices mu, solving ℓ* into the scratch row star.
 func (p *Problem) dualTerm(ti int, lat, lambda, mu, star []float64) float64 {
-	k, curve := p.consts[ti], p.Tasks[ti].Curve
+	k, curve := p.consts[ti], p.curves[ti]
 	a, slope := p.aggregate(ti, lat), k.slope
 	if !k.constSlope {
 		slope = curve.Slope(a)

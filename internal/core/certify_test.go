@@ -25,7 +25,7 @@ func denseCertificate(e *Engine) Certificate {
 			c.MaxResourceViolation = over
 		}
 	}
-	for ti := range e.p.Tasks {
+	for ti := range e.p.NumTasks() {
 		// Not Probe's: Probe reads the critical paths of the grades under test.
 		cp, _ := e.p.criticalPath(ti, e.taskLat(ti))
 		crit := e.p.consts[ti].criticalMs
@@ -154,7 +154,7 @@ func plantWitness(e *Engine, i int) (undo func()) {
 		ti := i - nr
 		g := e.p.subOff[ti]
 		old := e.lat[g]
-		e.lat[g] += 2 * e.p.Tasks[ti].CriticalMs
+		e.lat[g] += 2 * e.p.consts[ti].criticalMs
 		e.graded[ti] = false
 		return func() { e.lat[g], e.graded[ti] = old, false }
 	}
@@ -170,7 +170,7 @@ func plantWitness(e *Engine, i int) (undo func()) {
 // must land on it.
 func requirePlantedWitnessesFound(t *testing.T, at string, e *Engine, kktTol, tol float64, clean bool) {
 	t.Helper()
-	nr, nt, ns := len(e.price), len(e.p.Tasks), e.nshards
+	nr, nt, ns := len(e.price), e.p.NumTasks(), e.nshards
 	for k := 0; k < ns; k++ {
 		var plants []int
 		for ri := k * nr / ns; ri < (k+1)*nr/ns; ri++ {
@@ -227,7 +227,7 @@ func TestCertifyStandingWitnessStaysSerial(t *testing.T) {
 	defer e.Close()
 	e.Run(50, nil)
 	e.Close()
-	nr, nt := len(e.price), len(e.p.Tasks)
+	nr, nt := len(e.price), e.p.NumTasks()
 	for _, i := range []int{0, nr - 1, nr, nr + nt - 1} {
 		undo := plantWitness(e, i)
 		e.certCursor = i
@@ -286,7 +286,7 @@ func TestRunUntilKKTCertifiesDensePoint(t *testing.T) {
 // Equation 7 residual, as (task, subtask).
 func worstInterior(e *Engine) (wt, ws int) {
 	p, worst := e.p, -1.0
-	for ti := range p.Tasks {
+	for ti := range p.NumTasks() {
 		f := kktFold{collect: true}
 		p.taskKKT(ti, e.taskLat(ti), e.lambda[p.pathOff[ti]:p.pathOff[ti+1]], e.price, math.NaN(), &f)
 		for si, g := 0, p.subOff[ti]; g < p.subOff[ti+1]; si, g = si+1, g+1 {
@@ -334,7 +334,7 @@ func TestCertifyAfterOutOfBandWrites(t *testing.T) {
 			before := cached(e)
 			ti, si := worstInterior(e)
 			g := e.p.subOff[ti] + int32(si)
-			if err := apply(e, e.p.Tasks[ti].Name, e.p.Tasks[ti].SubtaskNames[si], int(e.p.res[g]), g); err != nil {
+			if err := apply(e, e.p.taskName(ti), e.p.subtaskName(ti, si), int(e.p.res[g]), g); err != nil {
 				t.Fatal(err)
 			}
 			return e, before
@@ -467,13 +467,13 @@ func TestCertifyAfterOutOfBandWrites(t *testing.T) {
 func requireSnapshotFromScratch(t *testing.T, at string, e *Engine) {
 	t.Helper()
 	p, want := e.p, Probe{Iteration: e.iter}
-	utils, cps := make([]float64, len(p.Tasks)), make([]float64, len(p.Tasks))
-	for ti := range p.Tasks {
+	utils, cps := make([]float64, p.NumTasks()), make([]float64, p.NumTasks())
+	for ti := range p.NumTasks() {
 		lat := e.taskLat(ti)
-		utils[ti] = p.Tasks[ti].Curve.Value(p.aggregate(ti, lat))
+		utils[ti] = p.curves[ti].Value(p.aggregate(ti, lat))
 		cps[ti], _ = p.criticalPath(ti, lat)
 		want.Utility += utils[ti]
-		crit := p.Tasks[ti].CriticalMs
+		crit := p.consts[ti].criticalMs
 		if frac := (cps[ti] - crit) / crit; frac > want.MaxPathViolationFrac {
 			want.MaxPathViolationFrac = frac
 		}
@@ -491,7 +491,7 @@ func requireSnapshotFromScratch(t *testing.T, at string, e *Engine) {
 				t.Fatalf("%s: %s %s[%d] = %x, recomputed %x", at, how, what, i, got, want)
 			}
 		}
-		for ti := range p.Tasks {
+		for ti := range p.NumTasks() {
 			for si, l := range e.taskLat(ti) {
 				g := p.subOff[ti] + int32(si)
 				same("LatMs", int(g), s.LatMs[ti][si], l)
@@ -521,15 +521,15 @@ func requireSnapshotFromScratch(t *testing.T, at string, e *Engine) {
 // task as DualBound's terms are.
 func lagrangian(e *Engine) float64 {
 	p, l := e.p, 0.0
-	for ti := range p.Tasks {
+	for ti := range p.NumTasks() {
 		lat := e.taskLat(ti)
-		l += p.Tasks[ti].Curve.Value(p.aggregate(ti, lat))
+		l += p.curves[ti].Value(p.aggregate(ti, lat))
 		for pi, lp := range e.lambda[p.pathOff[ti]:p.pathOff[ti+1]] {
 			sum := 0.0
 			for _, s := range p.Path(ti, pi) {
 				sum += lat[s]
 			}
-			l -= lp * (sum - p.Tasks[ti].CriticalMs)
+			l -= lp * (sum - p.consts[ti].criticalMs)
 		}
 	}
 	for ri, r := range p.Resources {
@@ -679,8 +679,8 @@ func TestNoOpSolveKeepsGrade(t *testing.T) {
 		clear(e.ctlStable)
 		price := slices.Clone(e.price)
 		e.Step()
-		if st := e.SparseStats(); st.ExecutedSolves != uint64(len(e.p.Tasks)) || !slices.Equal(e.price, price) {
-			t.Fatalf("workers %d: forced Step executed %d of %d solves, prices moved %v", workers, st.ExecutedSolves, len(e.p.Tasks), !slices.Equal(e.price, price))
+		if st := e.SparseStats(); st.ExecutedSolves != uint64(e.p.NumTasks()) || !slices.Equal(e.price, price) {
+			t.Fatalf("workers %d: forced Step executed %d of %d solves, prices moved %v", workers, st.ExecutedSolves, e.p.NumTasks(), !slices.Equal(e.price, price))
 		}
 		if i := slices.Index(e.graded, false); i >= 0 {
 			t.Fatalf("workers %d: a no-op solve dropped task %d's grade", workers, i)

@@ -46,13 +46,13 @@ const CheckpointVersion = 4
 func (e *Engine) AppendCheckpoint(w *byteio.Enc) {
 	p := e.p
 	w.U64(uint64(e.iter))
-	w.U32(uint32(len(p.Tasks)))
-	for ti := range p.Tasks {
+	w.U32(uint32(p.NumTasks()))
+	for ti := range p.NumTasks() {
 		c := e.Controller(ti)
 		putF64s(w, c.LatMs)
 		putF64s(w, c.Lambda)
 		putF64s(w, c.gamma)
-		putF64s(w, p.Tasks[ti].ErrMs)
+		putF64s(w, p.errMs[p.subOff[ti]:p.subOff[ti+1]])
 	}
 	putF64s(w, e.price)
 	putF64s(w, e.shareSums)
@@ -83,15 +83,15 @@ func (e *Engine) ReadCheckpoint(d *byteio.Dec, version int) {
 	p := e.p
 	clear(e.graded) // the grades are scratch, and the restore moves them all
 	e.iter = int(d.U64())
-	if n := d.U32(); d.Err == nil && int(n) != len(p.Tasks) {
-		d.Fail("checkpoint has %d tasks, engine has %d", n, len(p.Tasks))
+	if n := d.U32(); d.Err == nil && int(n) != p.NumTasks() {
+		d.Fail("checkpoint has %d tasks, engine has %d", n, p.NumTasks())
 	}
-	for ti := 0; ti < len(p.Tasks) && d.Err == nil; ti++ {
+	for ti := 0; ti < p.NumTasks() && d.Err == nil; ti++ {
 		c := e.Controller(ti)
 		readF64s(d, c.LatMs, "LatMs", -big, big)
 		readF64s(d, c.Lambda, "Lambda", 0, big)
 		readF64s(d, c.gamma, "PathGamma", math.SmallestNonzeroFloat64, big)
-		readF64s(d, p.Tasks[ti].ErrMs, "ErrMs", -big, big)
+		readF64s(d, p.errMs[p.subOff[ti]:p.subOff[ti+1]], "ErrMs", -big, big)
 		for pi, gamma := range c.gamma {
 			if !e.cfg.Step.Adaptive && gamma != e.cfg.Step.Gamma && d.Err == nil {
 				d.Fail("task %d path %d: fixed step %v cannot restore gamma %v", ti, pi, e.cfg.Step.Gamma, gamma)
@@ -125,12 +125,12 @@ func (e *Engine) ReadCheckpoint(d *byteio.Dec, version int) {
 	if d.Err != nil {
 		return
 	}
-	for ti := range p.Tasks {
+	for ti := range p.NumTasks() {
 		c := e.Controller(ti)
 		// The restored error terms move the latency bounds; the restored
 		// latencies are not re-clamped against them.
-		for si := range c.LatMs {
-			p.refreshBounds(ti, si)
+		for g := p.subOff[ti]; g < p.subOff[ti+1]; g++ {
+			p.refreshBounds(ti, g)
 		}
 		// The shares must be those of the restored latencies: a restored
 		// clean resource reuses them verbatim in the next serial reduction.
@@ -148,7 +148,7 @@ func (e *Engine) ReadCheckpoint(d *byteio.Dec, version int) {
 // resource if its sum was cached and its step a fixed point. The latChanged
 // flags land unused: every Step rewrites them before reading them.
 func (e *Engine) readFingerprints(d *byteio.Dec) {
-	inc, nt, nr := &e.inc, len(e.p.Tasks), len(e.price)
+	inc, nt, nr := &e.inc, e.p.NumTasks(), len(e.price)
 	fpMu, fpCong := make([]float64, len(inc.taskRes)), make([]bool, len(inc.taskRes))
 	solved, sumValid := make([]bool, nt), make([]bool, nr)
 	readF64s(d, fpMu, "FpMu", 0, price.MaxPrice)

@@ -41,7 +41,7 @@ func readVersion(e *Engine, b []byte, version int) error {
 // stable — and the six flag vectors version 3 held.
 func v3Section(t testing.TB, e *Engine) []byte {
 	sec := checkpointSection(t, e)
-	at, nt, nr := sectionOffsets(e, CheckpointVersion)["Flags"], len(e.p.Tasks), len(e.price)
+	at, nt, nr := sectionOffsets(e, CheckpointVersion)["Flags"], e.p.NumTasks(), len(e.price)
 	fpMu, fpCong := make([]float64, len(e.inc.taskRes)), make([]bool, len(e.inc.taskRes))
 	for j, ri := range e.inc.taskRes {
 		fpMu[j], fpCong[j] = e.price[ri], e.congested[ri]
@@ -156,7 +156,7 @@ func TestReadVersion3FoldsFingerprints(t *testing.T) {
 	ref := mk()
 	defer ref.Close()
 	ref.Run(600, nil) // past the certificate and the freeze (TestSparseSkipsAtSteadyState)
-	nt, nr, ntr := len(ref.p.Tasks), len(ref.price), len(ref.inc.taskRes)
+	nt, nr, ntr := ref.p.NumTasks(), len(ref.price), len(ref.inc.taskRes)
 	var stable []int
 	for ti, s := range ref.ctlStable {
 		if s {
@@ -214,8 +214,8 @@ func TestRestoreCarriesErrorMs(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		ref.Step()
 	}
-	name := ref.Problem().Tasks[0].Name
-	sub := ref.Problem().Tasks[0].SubtaskNames[0]
+	name := ref.p.taskName(0)
+	sub := ref.p.subtaskName(0, 0)
 	if err := ref.SetErrorMs(name, sub, 0.4); err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +232,7 @@ func TestRestoreCarriesErrorMs(t *testing.T) {
 	if err := readSection(restored, st); err != nil {
 		t.Fatal(err)
 	}
-	if got := restored.Problem().Tasks[0].ErrMs[0]; got != 0.4 {
+	if got := restored.p.errMs[0]; got != 0.4 {
 		t.Fatalf("restored ErrMs = %v, want 0.4", got)
 	}
 	var rs, cs Snapshot
@@ -316,7 +316,7 @@ func TestRestoreRejectsNonFiniteState(t *testing.T) {
 	// The offsets must land on the values they name.
 	for field, want := range map[string]float64{
 		"Mu": ref.price[0], "FpMu": ref.price[ref.inc.taskRes[0]], "ShareSums": ref.shareSums[0], "DynDelta": ref.dynDelta,
-		"LatMs/0": ref.Controller(0).LatMs[0], "ErrMs/1": ref.p.Tasks[1].ErrMs[0],
+		"LatMs/0": ref.Controller(0).LatMs[0], "ErrMs/1": ref.p.errMs[ref.p.subOff[1]],
 		"Lambda/0": ref.Controller(0).Lambda[0], "PathGamma/0": ref.Controller(0).gamma[0], "DynGammas": ref.dyn.Gamma(0),
 	} {
 		off := at[versionOf(field)][field]
@@ -369,14 +369,14 @@ func sectionOffsets(e *Engine, version int) map[string]int {
 	off := 8 + 4 // iteration, task count
 	f64s := func(name string, n int) { at[name] = off + 4; off += 4 + 8*n }
 	bools := func(n int) { off += 4 + n }
-	for ti := range e.p.Tasks {
+	for ti := range e.p.NumTasks() {
 		c := e.Controller(ti)
 		f64s(fmt.Sprint("LatMs/", ti), len(c.LatMs))
 		f64s(fmt.Sprint("Lambda/", ti), len(c.Lambda))
 		f64s(fmt.Sprint("PathGamma/", ti), len(c.gamma))
 		f64s(fmt.Sprint("ErrMs/", ti), len(c.LatMs))
 	}
-	nr, nt := len(e.price), len(e.p.Tasks)
+	nr, nt := len(e.price), e.p.NumTasks()
 	f64s("Mu", nr)
 	f64s("ShareSums", nr)
 	bools(nr)

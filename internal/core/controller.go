@@ -45,7 +45,7 @@ type Controller struct {
 // resource starts with an equal fraction of its availability). step must
 // have been through Config.WithDefaults.
 func NewController(p *Problem, ti int, step StepPolicy) *Controller {
-	n, np := len(p.Tasks[ti].Res), p.NumPaths(ti)
+	n, np := int(p.subOff[ti+1]-p.subOff[ti]), p.NumPaths(ti)
 	state := make([]float64, 2*n+2*np)
 	c := &Controller{p: p, ti: ti, step: step,
 		LatMs: state[:n:n], shares: state[n : 2*n : 2*n],
@@ -159,7 +159,7 @@ func (c *Controller) Solve(mu []float64, congested []bool) (priceChanged, latCha
 	agg, slope := 0.0, k.slope
 	if !k.constSlope {
 		agg = p.aggregate(ti, lat)
-		slope = p.Tasks[ti].Curve.Slope(agg)
+		slope = p.curves[ti].Slope(agg)
 	}
 
 	gp := p.pathOff[ti]
@@ -221,7 +221,7 @@ func (c *Controller) Solve(mu []float64, congested []bool) (priceChanged, latCha
 	// shrinks as |f'| grows, so g is non-increasing: the root is unique,
 	// between agg and next = g(agg), and bisection to exhaustion finds it.
 	copy(shares, lat)
-	curve := p.Tasks[ti].Curve
+	curve := p.curves[ti]
 	if next := p.latenciesAt(ti, lat, lambda, mu, slope); math.Abs(next-agg) >= 1e-9*(1+math.Abs(agg)) && curve.Slope(next) != slope {
 		a, b := min(agg, next), max(agg, next)
 		for m := a + (b-a)/2; a < m && m < b; m = a + (b-a)/2 {
@@ -247,5 +247,5 @@ func (c *Controller) Solve(mu []float64, congested []bool) (priceChanged, latCha
 
 // Utility returns the task's utility at the current latencies.
 func (c *Controller) Utility() float64 {
-	return c.p.Tasks[c.ti].Curve.Value(c.p.aggregate(c.ti, c.LatMs))
+	return c.p.curves[c.ti].Value(c.p.aggregate(c.ti, c.LatMs))
 }

@@ -85,7 +85,7 @@ func TestControllerZeroPriceTakesMinLatency(t *testing.T) {
 	p := newTestProblem(t, utility.Linear{K: 2, CMs: 100})
 	c := NewController(p, 0, fixedPolicy)
 	c.Solve([]float64{0, 0}, nil)
-	if c.LatMs[0] != p.Tasks[0].LatMinMs[0] || c.LatMs[1] != p.Tasks[0].LatMinMs[1] {
+	if c.LatMs[0] != p.latMin[0] || c.LatMs[1] != p.latMin[1] {
 		t.Errorf("free resources should give minimum latencies, got %v", c.LatMs)
 	}
 }
@@ -94,9 +94,9 @@ func TestControllerHugePriceClampsAtMax(t *testing.T) {
 	p := newTestProblem(t, utility.Linear{K: 2, CMs: 100})
 	c := NewController(p, 0, fixedPolicy)
 	c.Solve([]float64{1e12, 1e12}, nil)
-	if c.LatMs[0] != p.Tasks[0].LatMaxMs[0] || c.LatMs[1] != p.Tasks[0].LatMaxMs[1] {
+	if c.LatMs[0] != p.latMax[0] || c.LatMs[1] != p.latMax[1] {
 		t.Errorf("expensive resources should clamp at max latencies, got %v (max %v)",
-			c.LatMs, p.Tasks[0].LatMaxMs)
+			c.LatMs, p.row(0, p.latMax))
 	}
 }
 
@@ -107,15 +107,15 @@ func TestControllerNonlinearInnerLoopConverges(t *testing.T) {
 	// The fixed point satisfies the stationarity condition:
 	// w·f'(L) = mu·share'(lat) for interior latencies.
 	agg := 0.0
-	for si, w := range p.Tasks[0].Weights {
+	for si, w := range p.row(0, p.weight) {
 		agg += w * c.LatMs[si]
 	}
 	for si := range c.LatMs {
 		lat := c.LatMs[si]
-		if lat <= p.Tasks[0].LatMinMs[si]+1e-9 || lat >= p.Tasks[0].LatMaxMs[si]-1e-9 {
+		if lat <= p.latMin[si]+1e-9 || lat >= p.latMax[si]-1e-9 {
 			continue
 		}
-		lhs := p.Tasks[0].Weights[si] * p.Tasks[0].Curve.Slope(agg)
+		lhs := p.weight[si] * p.curves[0].Slope(agg)
 		rhs := 20 * p.Share(0, si).Deriv(lat)
 		if math.Abs(lhs-rhs) > 1e-6*math.Abs(lhs) {
 			t.Errorf("subtask %d: stationarity residual %v vs %v", si, lhs, rhs)

@@ -20,7 +20,7 @@ func denseStep(e *Engine) { denseStepObserved(e, nil) }
 // itself, and may look at the controller before and after.
 func denseStepObserved(e *Engine, solve func(ti int, c *Controller)) {
 	copy(e.mu, e.price)
-	for ti := range e.p.Tasks {
+	for ti := range e.p.NumTasks() {
 		if c := e.Controller(ti); solve != nil {
 			solve(ti, &c)
 		} else {

@@ -107,7 +107,7 @@ func (a *agent) update(mu, avail, sum float64, congested bool) float64 {
 // held to.
 func agentStep(e *Engine, agents []agent) {
 	copy(e.mu, e.price)
-	for ti := range e.p.Tasks {
+	for ti := range e.p.NumTasks() {
 		c := e.Controller(ti)
 		c.Solve(e.mu, e.congested)
 	}

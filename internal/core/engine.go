@@ -211,13 +211,13 @@ func NewEngineChecked(ck *workload.Checked, cfg Config) (*Engine, error) {
 		mu:        make([]float64, nr),
 		price:     make([]float64, nr),
 		dyn:       cfg.NewDynamics(),
-		nshards:   resolveShards(cfg.Workers, len(p.Tasks)),
+		nshards:   resolveShards(cfg.Workers, p.NumTasks()),
 	}
 	nsub, npaths := p.NumSubtasks(), len(p.wMin)
 	state := make([]float64, 2*nsub+2*npaths)
 	e.lat, e.shares = state[:nsub:nsub], state[nsub:2*nsub:2*nsub]
 	e.lambda, e.gamma = state[2*nsub:2*nsub+npaths:2*nsub+npaths], state[2*nsub+npaths:]
-	for ti := range p.Tasks {
+	for ti := range p.NumTasks() {
 		c := e.Controller(ti)
 		c.reset()
 	}
@@ -293,7 +293,7 @@ func Curvature(inner, mu float64) float64 {
 // every cached fixed point; a change
 // confined to one resource goes through refreshResource.
 func (e *Engine) refreshResourceState() {
-	for ti := range e.p.Tasks {
+	for ti := range e.p.NumTasks() {
 		lo, hi := e.p.subOff[ti], e.p.subOff[ti+1]
 		e.p.sharesInto(e.shares[lo:hi], ti, e.lat[lo:hi])
 	}
@@ -442,7 +442,7 @@ func (e *Engine) resourcePhase() {
 	}
 	e.sstats.Iterations++
 	e.sstats.SkippedSolves += skipped
-	e.sstats.ExecutedSolves += uint64(len(e.p.Tasks)) - skipped
+	e.sstats.ExecutedSolves += uint64(e.p.NumTasks()) - skipped
 	e.sstats.CleanResources += clean
 	e.sstats.RepricedResources += uint64(len(e.price)) - clean
 }
@@ -470,7 +470,7 @@ func (e *Engine) SolverFallbacks() uint64 { return e.dyn.Fallbacks() }
 // on state frozen during the phase, so it is identical under every worker
 // count.
 func (e *Engine) runShard(w int) {
-	nt := len(e.p.Tasks)
+	nt := e.p.NumTasks()
 	lo, hi := w*nt/e.nshards, (w+1)*nt/e.nshards
 	var skipped uint64
 	var c Controller
@@ -583,8 +583,11 @@ func (e *Engine) SetAvailability(resourceID string, availability float64) error 
 		return fmt.Errorf("core: unknown resource %q", resourceID)
 	}
 	e.p.Resources[ri].Availability = availability
-	for _, g := range e.p.Resources[ri].Subs {
-		e.p.refreshBounds(e.p.SubtaskAt(g))
+	// A task has at most one subtask on ri and both lists ascend, so the k-th
+	// contributing task owns the k-th subtask.
+	tasks := e.inc.resTask[e.inc.resTaskOff[ri]:e.inc.resTaskOff[ri+1]]
+	for k, g := range e.p.Resources[ri].Subs {
+		e.p.refreshBounds(int(tasks[k]), g)
 	}
 	e.refreshResource(ri)
 	e.emit(obs.Event{Kind: obs.EventWorkloadChange, Iteration: e.iter,
@@ -599,7 +602,7 @@ func (e *Engine) SetErrorMs(taskName, subtaskName string, errMs float64) error {
 		return fmt.Errorf("core: error correction %v is not finite", errMs)
 	}
 	return e.setSubtask(taskName, subtaskName, "err_ms", errMs, func(ti, si int) {
-		e.p.Tasks[ti].ErrMs[si] = errMs
+		e.p.errMs[e.p.subOff[ti]+int32(si)] = errMs
 	})
 }
 
@@ -622,8 +625,9 @@ func (e *Engine) setSubtask(taskName, subtaskName, detail string, v float64, set
 		return err
 	}
 	set(ti, si)
-	e.p.refreshBounds(ti, si)
-	e.refreshResource(int(e.p.Tasks[ti].Res[si]))
+	g := e.p.subOff[ti] + int32(si)
+	e.p.refreshBounds(ti, g)
+	e.refreshResource(int(e.p.res[g]))
 	e.emit(obs.Event{Kind: obs.EventWorkloadChange, Iteration: e.iter,
 		Task: taskName, Subtask: subtaskName, Detail: detail, Value: v})
 	return nil
@@ -645,8 +649,8 @@ func (e *Engine) findSubtask(taskName, subtaskName string) (int, int, error) {
 	if !ok {
 		return 0, 0, fmt.Errorf("core: unknown task %q", taskName)
 	}
-	for si, n := range e.p.Tasks[ti].SubtaskNames {
-		if n == subtaskName {
+	for si, s := range e.p.src.Tasks[ti].Subtasks {
+		if s.Name == subtaskName {
 			return ti, si, nil
 		}
 	}

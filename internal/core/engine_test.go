@@ -413,25 +413,25 @@ func TestCompileIndexes(t *testing.T) {
 		t.Error("Workload() nil")
 	}
 	// The CSR paths are the tasks' own, and PathsThrough is their transpose.
-	for ti, pt := range p.Tasks {
-		paths, _ := p.Workload().Tasks[ti].Paths()
+	for ti, tk := range p.Workload().Tasks {
+		paths, _ := tk.Paths()
 		if p.NumPaths(ti) != len(paths) {
-			t.Fatalf("task %s: %d compiled paths, task has %d", pt.Name, p.NumPaths(ti), len(paths))
+			t.Fatalf("task %s: %d compiled paths, task has %d", tk.Name, p.NumPaths(ti), len(paths))
 		}
 		through := 0
 		for pi, want := range paths {
 			got := p.Path(ti, pi)
 			if len(got) != len(want) {
-				t.Fatalf("task %s path %d: %v, want %v", pt.Name, pi, got, want)
+				t.Fatalf("task %s path %d: %v, want %v", tk.Name, pi, got, want)
 			}
 			for i, s := range want {
 				if int(got[i]) != s {
-					t.Fatalf("task %s path %d: %v, want %v", pt.Name, pi, got, want)
+					t.Fatalf("task %s path %d: %v, want %v", tk.Name, pi, got, want)
 				}
 			}
 			through += len(want)
 		}
-		for si := range pt.Res {
+		for si := range tk.Subtasks {
 			pis := p.PathsThrough(ti, si)
 			through -= len(pis)
 			for _, pi := range pis {
@@ -442,17 +442,18 @@ func TestCompileIndexes(t *testing.T) {
 					}
 				}
 				if !found {
-					t.Errorf("task %s: PathsThrough(%d) lists path %d which misses the subtask", pt.Name, si, pi)
+					t.Errorf("task %s: PathsThrough(%d) lists path %d which misses the subtask", tk.Name, si, pi)
 				}
 			}
 		}
 		if through != 0 {
-			t.Errorf("task %s: PathsThrough is off by %d entries", pt.Name, through)
+			t.Errorf("task %s: PathsThrough is off by %d entries", tk.Name, through)
 		}
 		// Bounds sane.
-		for si := range pt.LatMinMs {
-			if pt.LatMinMs[si] <= 0 || pt.LatMaxMs[si] < pt.LatMinMs[si] {
-				t.Errorf("task %s subtask %d: bad bounds [%v,%v]", pt.Name, si, pt.LatMinMs[si], pt.LatMaxMs[si])
+		latMin, latMax := p.row(ti, p.latMin), p.row(ti, p.latMax)
+		for si := range latMin {
+			if latMin[si] <= 0 || latMax[si] < latMin[si] {
+				t.Errorf("task %s subtask %d: bad bounds [%v,%v]", tk.Name, si, latMin[si], latMax[si])
 			}
 		}
 	}
@@ -466,12 +467,12 @@ func TestEngineLatenciesRespectBounds(t *testing.T) {
 	}
 	for i := 0; i < 200; i++ {
 		e.Step()
-		for ti := range e.p.Tasks {
-			pt := &e.p.Tasks[ti]
+		for ti := range e.p.NumTasks() {
+			latMin, latMax := e.p.row(ti, e.p.latMin), e.p.row(ti, e.p.latMax)
 			for si, lat := range e.Controller(ti).LatMs {
-				if lat < pt.LatMinMs[si]-1e-9 || lat > pt.LatMaxMs[si]+1e-9 {
+				if lat < latMin[si]-1e-9 || lat > latMax[si]+1e-9 {
 					t.Fatalf("iter %d: task %d subtask %d latency %v outside [%v,%v]",
-						i, ti, si, lat, pt.LatMinMs[si], pt.LatMaxMs[si])
+						i, ti, si, lat, latMin[si], latMax[si])
 				}
 			}
 		}

@@ -163,7 +163,7 @@ func (f kktFold) mean() float64 {
 // kktScan folds every task into f.
 func (e *Engine) kktScan(f kktFold) kktFold {
 	p := e.p
-	for ti := range p.Tasks {
+	for ti := range p.NumTasks() {
 		p.taskKKT(ti, e.taskLat(ti), e.lambda[p.pathOff[ti]:p.pathOff[ti+1]], e.price, math.NaN(), &f)
 	}
 	return f
@@ -181,7 +181,7 @@ func (p *Problem) taskKKT(ti int, lat, lambda, mu []float64, stop float64, f *kk
 	toff, through := p.throughOff[lo:hi+1], p.through
 	slope := p.consts[ti].slope
 	if !p.consts[ti].constSlope {
-		slope = p.Tasks[ti].Curve.Slope(p.aggregate(ti, lat))
+		slope = p.curves[ti].Slope(p.aggregate(ti, lat))
 	}
 	// The fold runs in locals: through f every residual would wait on the
 	// previous one's store.

@@ -53,7 +53,7 @@ type refHits struct {
 // them, so mutators applied to the engine reach the reference too.
 func newRefTask(t *testing.T, e *Engine, ti int, hits *refHits) *refTask {
 	t.Helper()
-	w, cfg := e.p.src, e.cfg
+	w, cfg := e.p.Workload(), e.cfg
 	tk := w.Tasks[ti]
 	weights, err := tk.Weights(cfg.WeightMode)
 	if err != nil {
@@ -99,12 +99,12 @@ func (r *refTask) cacheShares() {
 }
 
 func (r *refTask) sync(e *Engine, ti int) {
-	pt := &e.p.Tasks[ti]
-	for si := range r.share {
-		r.share[si].ErrMs = pt.ErrMs[si]
+	p := e.p
+	for si, errMs := range p.row(ti, p.errMs) {
+		r.share[si].ErrMs = errMs
 	}
-	copy(r.latMin, pt.LatMinMs)
-	copy(r.latMax, pt.LatMaxMs)
+	copy(r.latMin, p.row(ti, p.latMin))
+	copy(r.latMax, p.row(ti, p.latMax))
 }
 
 func (r *refTask) aggregate() float64 {
@@ -277,16 +277,18 @@ func referenceCertificate(e *Engine) Certificate {
 		}
 		c.MaxResourceViolation = math.Max(c.MaxResourceViolation, demand-e.p.Resources[ri].Availability)
 	}
-	for ti, tk := range e.p.src.Tasks {
-		pt, ctl := &e.p.Tasks[ti], e.Controller(ti)
+	p := e.p
+	for ti, tk := range p.Workload().Tasks {
+		ctl := e.Controller(ti)
+		weights, latMin, latMax := p.row(ti, p.weight), p.row(ti, p.latMin), p.row(ti, p.latMax)
 		agg := 0.0
-		for si, w := range pt.Weights {
+		for si, w := range weights {
 			agg += w * ctl.LatMs[si]
 		}
-		slope := pt.Curve.Slope(agg)
+		slope := p.curves[ti].Slope(agg)
 		paths, _ := tk.Paths()
 		for si, lat := range ctl.LatMs {
-			if lat <= pt.LatMinMs[si]*(1+1e-6) || lat >= pt.LatMaxMs[si]*(1-1e-6) {
+			if lat <= latMin[si]*(1+1e-6) || lat >= latMax[si]*(1-1e-6) {
 				continue
 			}
 			lambdaSum := 0.0
@@ -297,8 +299,8 @@ func referenceCertificate(e *Engine) Certificate {
 					}
 				}
 			}
-			resid := pt.Weights[si]*slope - lambdaSum - e.MuAt(int(pt.Res[si]))*e.p.Share(ti, si).Deriv(lat)
-			scale := math.Max(1, math.Abs(lambdaSum)+math.Abs(pt.Weights[si]*slope))
+			resid := weights[si]*slope - lambdaSum - e.MuAt(int(p.res[p.subOff[ti]+int32(si)]))*p.Share(ti, si).Deriv(lat)
+			scale := math.Max(1, math.Abs(lambdaSum)+math.Abs(weights[si]*slope))
 			c.KKTMax = math.Max(c.KKTMax, math.Abs(resid)/scale)
 		}
 		for _, path := range paths {
@@ -384,14 +386,13 @@ func TestSolveMatchesReference(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					for ti := range e.p.Tasks {
+					for ti := range e.p.NumTasks() {
 						if got := e.p.consts[ti].constSlope; got != constSlope[family] {
 							t.Fatalf("%s: task %d constSlope = %v", name, ti, got)
 						}
 					}
 					setErr := func(ti, si int, errMs float64) {
-						pt := &e.p.Tasks[ti]
-						if err := e.SetErrorMs(pt.Name, pt.SubtaskNames[si], errMs); err != nil {
+						if err := e.SetErrorMs(e.p.taskName(ti), e.p.subtaskName(ti, si), errMs); err != nil {
 							t.Fatal(err)
 						}
 					}
@@ -403,7 +404,7 @@ func TestSolveMatchesReference(t *testing.T) {
 					if err := e.PinPrice(1, 1e9, true); err != nil {
 						t.Fatal(err)
 					}
-					refs := make([]*refTask, len(e.p.Tasks))
+					refs := make([]*refTask, e.p.NumTasks())
 					for ti := range refs {
 						refs[ti] = newRefTask(t, e, ti, &hits)
 					}
@@ -446,9 +447,9 @@ func TestSolveMatchesReference(t *testing.T) {
 
 // TestMutatorsWriteThroughOneStore: there is one copy of each error term and
 // each bound. After every mutator the value expected from the workload is
-// what the flat arrays, the ProblemTask views (the same memory), the kernel
-// (against the reference, which reads the views), Certify, Snapshot().Shares,
-// ShareByName and a checkpoint round-trip all see.
+// what the flat arrays, the kernel (against the reference, which reads the
+// same arrays), Certify, Snapshot().Shares, ShareByName and a checkpoint
+// round-trip all see.
 func TestMutatorsWriteThroughOneStore(t *testing.T) {
 	const ti, si = 1, 1
 	for _, tc := range []struct {
@@ -458,25 +459,25 @@ func TestMutatorsWriteThroughOneStore(t *testing.T) {
 		errMs float64
 	}{
 		{"SetAvailability", func(t *testing.T, e *Engine) {
-			ri := e.p.Tasks[ti].Res[si]
+			ri := e.p.res[e.p.subOff[ti]+si]
 			if err := e.SetAvailability(e.p.Resources[ri].ID, 0.7); err != nil {
 				t.Fatal(err)
 			}
 		}, 0},
 		{"SetErrorMs", func(t *testing.T, e *Engine) {
-			if err := e.SetErrorMs(e.p.Tasks[ti].Name, e.p.Tasks[ti].SubtaskNames[si], 0.4); err != nil {
+			if err := e.SetErrorMs(e.p.taskName(ti), e.p.subtaskName(ti, si), 0.4); err != nil {
 				t.Fatal(err)
 			}
 		}, 0.4},
 		{"SetMinShare", func(t *testing.T, e *Engine) {
-			if err := e.SetMinShare(e.p.Tasks[ti].Name, e.p.Tasks[ti].SubtaskNames[si], 0.2); err != nil {
+			if err := e.SetMinShare(e.p.taskName(ti), e.p.subtaskName(ti, si), 0.2); err != nil {
 				t.Fatal(err)
 			}
 		}, 0},
 		{"ReplaceWorkload", func(t *testing.T, e *Engine) {
 			// An error term set before the replacement must not survive it:
 			// the new problem is compiled from the new workload alone.
-			if err := e.SetErrorMs(e.p.Tasks[ti].Name, e.p.Tasks[ti].SubtaskNames[si], 0.4); err != nil {
+			if err := e.SetErrorMs(e.p.taskName(ti), e.p.subtaskName(ti, si), 0.4); err != nil {
 				t.Fatal(err)
 			}
 			w := e.CurrentWorkload()
@@ -502,7 +503,7 @@ func TestMutatorsWriteThroughOneStore(t *testing.T) {
 			// What the workload (with the availability the engine holds) says
 			// the subtask's model and bounds are.
 			w := e.CurrentWorkload()
-			sub, pt := w.Tasks[ti].Subtasks[si], &e.p.Tasks[ti]
+			sub := w.Tasks[ti].Subtasks[si]
 			res := w.Resources[e.ResourceIndex(sub.Resource)]
 			model := share.WCETLag{ExecMs: sub.ExecMs, LagMs: res.LagMs, ErrMs: tc.errMs}
 			latMin := model.LatencyFor(res.Availability)
@@ -513,20 +514,16 @@ func TestMutatorsWriteThroughOneStore(t *testing.T) {
 			latMax = math.Max(latMax, latMin)
 			g := e.p.subOff[ti] + si
 			for _, v := range []struct {
-				what       string
-				flat, view *float64
-				want       float64
+				what      string
+				got, want float64
 			}{
-				{"error term", &e.p.errMs[g], &pt.ErrMs[si], tc.errMs},
-				{"cost", &e.p.cost[g], &pt.CostMs[si], sub.ExecMs + res.LagMs},
-				{"lower bound", &e.p.latMin[g], &pt.LatMinMs[si], latMin},
-				{"upper bound", &e.p.latMax[g], &pt.LatMaxMs[si], latMax},
+				{"error term", e.p.errMs[g], tc.errMs},
+				{"cost", e.p.cost[g], sub.ExecMs + res.LagMs},
+				{"lower bound", e.p.latMin[g], latMin},
+				{"upper bound", e.p.latMax[g], latMax},
 			} {
-				if v.flat != v.view {
-					t.Errorf("%s: the task view is not the flat array's memory", v.what)
-				}
-				if math.Float64bits(*v.view) != math.Float64bits(v.want) {
-					t.Errorf("%s = %v, workload says %v", v.what, *v.view, v.want)
+				if math.Float64bits(v.got) != math.Float64bits(v.want) {
+					t.Errorf("%s = %v, workload says %v", v.what, v.got, v.want)
 				}
 			}
 			if got := e.p.Share(ti, si); got != model {
@@ -535,7 +532,7 @@ func TestMutatorsWriteThroughOneStore(t *testing.T) {
 
 			// The kernel and the certificate, one iteration on.
 			var hits refHits
-			refs := make([]*refTask, len(e.p.Tasks))
+			refs := make([]*refTask, e.p.NumTasks())
 			for i := range refs {
 				refs[i] = newRefTask(t, e, i, &hits)
 				copy(refs[i].lambda, e.Controller(i).Lambda)
@@ -557,7 +554,7 @@ func TestMutatorsWriteThroughOneStore(t *testing.T) {
 			if got, want := e.Snapshot().Shares[ti][si], model.Share(lat); got != want {
 				t.Errorf("Snapshot().Shares = %v, want %v", got, want)
 			}
-			if got, err := e.ShareByName(pt.Name, pt.SubtaskNames[si]); err != nil || got != model.Share(lat) {
+			if got, err := e.ShareByName(e.p.taskName(ti), sub.Name); err != nil || got != model.Share(lat) {
 				t.Errorf("ShareByName = %v, %v; want %v", got, err, model.Share(lat))
 			}
 
@@ -572,10 +569,10 @@ func TestMutatorsWriteThroughOneStore(t *testing.T) {
 			if err := readSection(restored, st); err != nil {
 				t.Fatal(err)
 			}
-			rt := &restored.p.Tasks[ti]
-			if rt.ErrMs[si] != pt.ErrMs[si] || rt.LatMinMs[si] != pt.LatMinMs[si] || rt.LatMaxMs[si] != pt.LatMaxMs[si] {
+			rp := restored.p
+			if rp.errMs[g] != e.p.errMs[g] || rp.latMin[g] != e.p.latMin[g] || rp.latMax[g] != e.p.latMax[g] {
 				t.Errorf("restored engine sees (%v, [%v, %v]), original (%v, [%v, %v])",
-					rt.ErrMs[si], rt.LatMinMs[si], rt.LatMaxMs[si], pt.ErrMs[si], pt.LatMinMs[si], pt.LatMaxMs[si])
+					rp.errMs[g], rp.latMin[g], rp.latMax[g], e.p.errMs[g], e.p.latMin[g], e.p.latMax[g])
 			}
 			denseStep(e)
 			denseStep(restored)

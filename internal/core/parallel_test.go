@@ -27,7 +27,7 @@ func engines(t *testing.T, mk func() *workload.Workload, workers int) (*Engine, 
 // requireBitwiseEqual compares the full optimizer state of two engines.
 func requireBitwiseEqual(t *testing.T, iter int, serial, par *Engine) {
 	t.Helper()
-	for ti := range serial.p.Tasks {
+	for ti := range serial.p.NumTasks() {
 		sc, pc := serial.Controller(ti), par.Controller(ti)
 		for si := range sc.LatMs {
 			if sc.LatMs[si] != pc.LatMs[si] {
@@ -215,7 +215,7 @@ func TestSnapshotAllocBudget(t *testing.T) {
 	// Each chunk holds the tasks that fit in rowChunk floats, so it is over
 	// half full: fewer than 2·subtasks/rowChunk + 1 of them per row set.
 	subtasks, chunks, off := e.p.NumSubtasks(), 0, e.p.subOff
-	for ti, lo := 0, int32(0); ti < len(e.p.Tasks); ti++ {
+	for ti, lo := 0, int32(0); ti < e.p.NumTasks(); ti++ {
 		if ti == 0 || off[ti+1]-lo > rowChunk {
 			chunks, lo = chunks+1, off[ti]
 		}
@@ -228,7 +228,7 @@ func TestSnapshotAllocBudget(t *testing.T) {
 	budget := float64(2 + 1 + 2 + 2*chunks)
 	if allocs := testing.AllocsPerRun(10, func() { _ = e.Snapshot() }); allocs > budget {
 		t.Errorf("Snapshot of %d tasks, %d subtasks allocates %v objects, want <= %v",
-			len(e.p.Tasks), subtasks, allocs, budget)
+			e.p.NumTasks(), subtasks, allocs, budget)
 	}
 }
 

@@ -22,12 +22,9 @@ import (
 // Problem is a compiled workload laid out for the iteration kernels
 // (DESIGN.md §6): every name lookup, path enumeration and weight derivation
 // is done once, and what the kernels read per subtask and per path sits in
-// flat arrays, tasks back to back. ProblemTask and ProblemResource expose
-// the same memory as per-task and per-resource views; nothing is stored
-// twice.
+// flat arrays, tasks back to back, read by index. Names, execution times and
+// minimum shares stay in the source workload (Workload).
 type Problem struct {
-	// Tasks holds one compiled task per workload task, same order.
-	Tasks []ProblemTask
 	// Resources holds the compiled resources.
 	Resources []ProblemResource
 
@@ -37,14 +34,16 @@ type Problem struct {
 	resIdx, taskIdx map[string]int
 
 	// Per-subtask arrays. Task ti owns entries [subOff[ti], subOff[ti+1]);
-	// such an entry's position is the subtask's global index.
+	// such an entry's position is the subtask's global index. subOff, res
+	// and curves alias the workload.Checked the problem was compiled from.
 	subOff []int32
-	weight []float64 // utility weight w_s
-	latMin []float64 // latency at which the subtask takes its whole resource
-	latMax []float64 // critical time, tightened by a minimum share
-	cost   []float64 // share numerator c_s + l_r
-	errMs  []float64 // additive model-error correction (Section 6.3)
-	res    []int32   // index into Resources
+	res    []int32         // index into Resources
+	curves []utility.Curve // per task
+	weight []float64       // utility weight w_s
+	latMin []float64       // latency at which the subtask takes its whole resource
+	latMax []float64       // critical time, tightened by a minimum share
+	cost   []float64       // share numerator c_s + l_r
+	errMs  []float64       // additive model-error correction (Section 6.3)
 
 	// Paths in CSR form. Task ti owns paths [pathOff[ti], pathOff[ti+1]);
 	// path gp visits the task-local subtasks
@@ -68,35 +67,6 @@ type Problem struct {
 type taskConsts struct {
 	criticalMs, slope float64
 	constSlope        bool
-}
-
-// ProblemTask is the compiled per-task view. Its slices alias the problem's
-// flat arrays: entry si is subtask si, and a write through one of them is a
-// write to the store the kernels read.
-type ProblemTask struct {
-	// Name is the task name.
-	Name string
-	// CriticalMs is the task's critical time.
-	CriticalMs float64
-	// Curve maps aggregate weighted latency to utility.
-	Curve utility.Curve
-	// Weights are the per-subtask utility weights w_s for the configured
-	// weight mode.
-	Weights []float64
-	// Res[s] is the index into Problem.Resources of subtask s's resource.
-	Res []int32
-	// CostMs[s] is the share numerator c_s + l_r and ErrMs[s] the additive
-	// error term: the share at latency lat is
-	// CostMs[s] / share.Budget(lat, ErrMs[s]) — Problem.Share's model.
-	CostMs, ErrMs []float64
-	// LatMinMs[s] is the lowest admissible latency: the latency at which
-	// the subtask would consume the resource's full availability.
-	LatMinMs []float64
-	// LatMaxMs[s] is the highest admissible latency: the critical time,
-	// tightened by the subtask's rate-derived minimum share when present.
-	LatMaxMs []float64
-	// SubtaskNames holds the subtask names for reporting.
-	SubtaskNames []string
 }
 
 // ProblemResource is the compiled per-resource view used by its price agent.
@@ -139,22 +109,21 @@ func Compile(w *workload.Workload, weightMode task.WeightMode) (*Problem, error)
 }
 
 // compile builds the problem of a checked workload, taking each subtask's
-// resource and each task's curve from the proof. It counts first, then fills
-// a few flat arrays: set-up allocates per problem, not per task.
+// resource and each task's curve from the proof, whose arrays it aliases. It
+// counts first, then fills a few flat arrays: set-up allocates per problem,
+// not per task.
 func compile(ck *workload.Checked, weightMode task.WeightMode) (*Problem, error) {
 	w := ck.Workload()
 	nt, nsub := len(w.Tasks), ck.NumSubtasks()
 	p := &Problem{
-		Tasks:     make([]ProblemTask, nt),
 		Resources: make([]ProblemResource, len(w.Resources)),
 		src:       w,
 		resIdx:    make(map[string]int, len(w.Resources)),
 		taskIdx:   w.TaskIndex(),
-		subOff:    make([]int32, nt+1),
 		pathOff:   make([]int32, nt+1),
-		res:       make([]int32, nsub),
 		consts:    make([]taskConsts, nt),
 	}
+	p.subOff, p.res, p.curves = ck.Layout()
 	for i, r := range w.Resources {
 		p.resIdx[r.ID] = i
 		p.Resources[i] = ProblemResource{ID: r.ID, Availability: r.Availability, LagMs: r.LagMs}
@@ -162,17 +131,15 @@ func compile(ck *workload.Checked, weightMode task.WeightMode) (*Problem, error)
 
 	// Count: total the paths, the path entries and each resource's Subs.
 	subCount := make([]int32, len(w.Resources))
-	npaths, nthrough, off := 0, 0, 0
+	npaths, nthrough := 0, 0
 	var walk task.PathWalk // the checked tasks are acyclic with one root
-	for ti, t := range w.Tasks {
+	for _, t := range w.Tasks {
 		for walk.Reset(t); walk.Next(); npaths++ {
 			nthrough += len(walk.Path())
 		}
-		row := ck.TaskResources(ti)
-		for _, ri := range row {
-			subCount[ri]++
-		}
-		off += copy(p.res[off:], row)
+	}
+	for _, ri := range p.res {
+		subCount[ri]++
 	}
 	if max(nsub, nthrough) > math.MaxInt32 {
 		return nil, fmt.Errorf("core: %d subtasks on %d path entries exceed the int32 index range", nsub, nthrough)
@@ -187,24 +154,16 @@ func compile(ck *workload.Checked, weightMode task.WeightMode) (*Problem, error)
 	floats := make([]float64, 5*nsub+npaths)
 	p.weight, p.latMin, p.latMax = floats[:nsub:nsub], floats[nsub:2*nsub:2*nsub], floats[2*nsub:3*nsub:3*nsub]
 	p.cost, p.errMs, p.wMin = floats[3*nsub:4*nsub:4*nsub], floats[4*nsub:5*nsub:5*nsub], floats[5*nsub:]
-	names := make([]string, nsub)
 	ints := make([]int32, npaths+1+nthrough+nsub+1+nthrough)
 	p.pathSubOff, ints = ints[:npaths+1:npaths+1], ints[npaths+1:]
 	p.pathSub, ints = ints[:0:nthrough], ints[nthrough:]
 	p.throughOff, p.through = ints[:nsub+1:nsub+1], ints[nsub+1:]
 	var cursor []int32 // per-subtask fill positions of the task being transposed
 	for ti, t := range w.Tasks {
-		lo, n := int(p.subOff[ti]), len(t.Subtasks)
-		hi := lo + n
-		curve := ck.Curve(ti)
-		pt := &p.Tasks[ti]
-		*pt = ProblemTask{
-			Name: t.Name, CriticalMs: t.CriticalMs, Curve: curve,
-			Weights: p.weight[lo:hi:hi], Res: p.res[lo:hi:hi], CostMs: p.cost[lo:hi:hi], ErrMs: p.errMs[lo:hi:hi],
-			LatMinMs: p.latMin[lo:hi:hi], LatMaxMs: p.latMax[lo:hi:hi], SubtaskNames: names[lo:hi:hi],
-		}
+		lo, hi := int(p.subOff[ti]), int(p.subOff[ti+1])
+		weights := p.weight[lo:hi]
 		p.consts[ti].criticalMs = t.CriticalMs
-		p.consts[ti].slope, p.consts[ti].constSlope = utility.ConstSlope(curve)
+		p.consts[ti].slope, p.consts[ti].constSlope = utility.ConstSlope(p.curves[ti])
 		// Walk the paths into pathSub, counting per subtask the paths through
 		// it one slot up in throughOff. Those counts are the path weights.
 		plo, toff := int(p.pathOff[ti]), p.throughOff[lo+1:hi+1]
@@ -216,12 +175,12 @@ func compile(ck *workload.Checked, weightMode task.WeightMode) (*Problem, error)
 			}
 			p.pathSubOff[gp+1] = int32(len(p.pathSub))
 		}
-		p.subOff[ti+1], p.pathOff[ti+1] = int32(hi), int32(gp)
+		p.pathOff[ti+1] = int32(gp)
 		for g := lo; g < hi; g++ { // the counts into weights, then offsets
 			p.weight[g] = float64(p.throughOff[g+1])
 			p.throughOff[g+1] += p.throughOff[g]
 		}
-		if err := weightMode.FromPathCounts(pt.Weights, gp-plo); err != nil {
+		if err := weightMode.FromPathCounts(weights, gp-plo); err != nil {
 			return nil, fmt.Errorf("core: task %s: %w", t.Name, err)
 		}
 		// Transpose, taking each path's smallest weight on the way.
@@ -231,15 +190,14 @@ func compile(ck *workload.Checked, weightMode task.WeightMode) (*Problem, error)
 			for _, s := range p.pathSub[p.pathSubOff[g]:p.pathSubOff[g+1]] {
 				p.through[cursor[s]] = int32(g - plo)
 				cursor[s]++
-				p.wMin[g] = min(p.wMin[g], pt.Weights[s])
+				p.wMin[g] = min(p.wMin[g], weights[s])
 			}
 		}
 		for si, s := range t.Subtasks {
 			g := lo + si
 			ri := p.res[g]
 			p.cost[g] = s.ExecMs + p.Resources[ri].LagMs
-			names[g] = s.Name
-			p.refreshBounds(ti, si)
+			p.refreshBounds(ti, int32(g))
 			p.Resources[ri].Subs = append(p.Resources[ri].Subs, int32(g))
 		}
 	}
@@ -249,13 +207,16 @@ func compile(ck *workload.Checked, weightMode task.WeightMode) (*Problem, error)
 // Workload returns the workload this problem was compiled from.
 func (p *Problem) Workload() *workload.Workload { return p.src }
 
+// NumTasks counts the tasks.
+func (p *Problem) NumTasks() int { return len(p.curves) }
+
 // NumSubtasks counts subtasks across all tasks.
 func (p *Problem) NumSubtasks() int { return len(p.res) }
 
 // SubtaskAt maps a global subtask index (an entry of ProblemResource.Subs)
 // to its task and its index within the task.
 func (p *Problem) SubtaskAt(g int32) (ti, si int) {
-	ti = sort.Search(len(p.Tasks), func(i int) bool { return p.subOff[i+1] > g })
+	ti = sort.Search(p.NumTasks(), func(i int) bool { return p.subOff[i+1] > g })
 	return ti, int(g - p.subOff[ti])
 }
 
@@ -342,16 +303,15 @@ func (p *Problem) Interior(g int32, latMs float64) bool {
 	return interior(latMs, p.latMin[g], p.latMax[g])
 }
 
-// refreshBounds computes a subtask's latency bounds, at compile time and
-// after a change to its share function (error correction), its minimum
-// share or its resource's availability.
+// refreshBounds computes the latency bounds of subtask g of task ti, at
+// compile time and after a change to its share function (error correction),
+// its minimum share or its resource's availability.
 // Each bound is share.WCETLag.LatencyFor with the share numerator read from
 // cost, which holds the same sum.
-func (p *Problem) refreshBounds(ti, si int) {
-	g := p.subOff[ti] + int32(si)
+func (p *Problem) refreshBounds(ti int, g int32) {
 	p.latMin[g] = p.cost[g]/p.Resources[p.res[g]].Availability + p.errMs[g]
 	maxLat := p.consts[ti].criticalMs
-	if minShare := p.src.Tasks[ti].Subtasks[si].MinShare; minShare > 0 {
+	if minShare := p.src.Tasks[ti].Subtasks[g-p.subOff[ti]].MinShare; minShare > 0 {
 		if cap := p.cost[g]/minShare + p.errMs[g]; cap < maxLat {
 			maxLat = cap
 		}

@@ -31,7 +31,7 @@ func TestCurrentWorkloadBakesRuntimeState(t *testing.T) {
 	if e.Problem().Resources[0].Availability != 0.55 {
 		t.Fatal("mutating the copy changed the engine's problem")
 	}
-	if e.Problem().Tasks[0].CriticalMs == 1 {
+	if e.Problem().Workload().Tasks[0].CriticalMs == 1 || e.p.consts[0].criticalMs == 1 {
 		t.Fatal("mutating a copied task changed the engine's problem")
 	}
 }

@@ -58,7 +58,7 @@ func (e *Engine) Snapshot() (s Snapshot) {
 // per-iteration garbage; the refilled snapshot aliases its previous
 // buffers, so copy anything that must outlive the next call.
 func (e *Engine) SnapshotInto(s *Snapshot) {
-	nt := len(e.p.Tasks)
+	nt := e.p.NumTasks()
 	s.ShareSums = append(s.ShareSums[:0], e.shareSums...)
 	s.Mu = append(s.Mu[:0], e.price...)
 	s.LatMs = fillRows(s.LatMs, e.lat, e.p.subOff, false)
@@ -102,10 +102,10 @@ func (e *Engine) scan(s *Snapshot) Probe {
 			pr.MaxResourceViolation = over
 		}
 	}
-	for ti := range p.Tasks {
+	for ti, curve := range p.curves {
 		g := &e.grade[ti]
 		if !e.graded[ti] || math.IsNaN(g.u) { // an ungraded slot's u is never read back
-			g.u = p.Tasks[ti].Curve.Value(p.aggregate(ti, e.taskLat(ti)))
+			g.u = curve.Value(p.aggregate(ti, e.taskLat(ti)))
 		}
 		u, cp := g.u, g.cp
 		if !e.graded[ti] {

@@ -53,7 +53,7 @@ func (inc *Incidence) TaskResources(ti int) []int32 {
 // task-to-resource direction is the problem's own per-subtask resource array
 // and only the transpose is built.
 func NewIncidence(p *Problem) Incidence {
-	nt, nr := len(p.Tasks), len(p.Resources)
+	nt, nr := p.NumTasks(), len(p.Resources)
 	inc := Incidence{taskResOff: p.subOff, taskRes: p.res, resTaskOff: make([]int32, nr+1)}
 	for _, ri := range p.res {
 		inc.resTaskOff[ri+1]++
@@ -129,11 +129,12 @@ func (e *Engine) invalidateSparse() {
 // compiled problem.
 func (e *Engine) initSparse() {
 	e.inc = NewIncidence(e.p)
-	e.ctlStable = make([]bool, len(e.p.Tasks))
-	e.latChanged = make([]bool, len(e.p.Tasks))
+	nt := e.p.NumTasks()
+	e.ctlStable = make([]bool, nt)
+	e.latChanged = make([]bool, nt)
 	e.priceStable = make([]bool, len(e.p.Resources))
 	e.shardSkipped = make([]uint64, e.nshards)
-	e.grade = make([]taskGrade, len(e.p.Tasks))
-	e.graded = make([]bool, len(e.p.Tasks))
+	e.grade = make([]taskGrade, nt)
+	e.graded = make([]bool, nt)
 	e.invalidateSparse()
 }

@@ -143,7 +143,7 @@ func TestSparseSkipsAtSteadyState(t *testing.T) {
 	const probe = 100
 	e.Run(probe, nil)
 	st := e.SparseStats()
-	nt, nr := uint64(len(e.p.Tasks)), uint64(len(e.price))
+	nt, nr := uint64(e.p.NumTasks()), uint64(len(e.price))
 	if st.SkippedSolves != probe*nt {
 		t.Errorf("frozen engine skipped %d/%d controller solves", st.SkippedSolves, probe*nt)
 	}
@@ -158,7 +158,8 @@ func TestSparseSkipsAtSteadyState(t *testing.T) {
 func setAvailabilityGlobal(e *Engine, ri int, availability float64) {
 	e.p.Resources[ri].Availability = availability
 	for _, g := range e.p.Resources[ri].Subs {
-		e.p.refreshBounds(e.p.SubtaskAt(g))
+		ti, _ := e.p.SubtaskAt(g)
+		e.p.refreshBounds(ti, g)
 	}
 	e.refreshResourceState()
 }
@@ -169,12 +170,12 @@ func setAvailabilityGlobal(e *Engine, ri int, availability float64) {
 // solve not a fixed point, or an observed price or flag moved since. Call it
 // before the event.
 func solvesAfterEvent(e *Engine, ri int) uint64 {
-	incident := make([]bool, len(e.p.Tasks))
+	incident := make([]bool, e.p.NumTasks())
 	for _, ti := range e.inc.resTask[e.inc.resTaskOff[ri]:e.inc.resTaskOff[ri+1]] {
 		incident[ti] = true
 	}
 	var n uint64
-	for ti := range e.p.Tasks {
+	for ti := range e.p.NumTasks() {
 		if incident[ti] || !e.ctlStable[ti] {
 			n++
 		}
@@ -226,7 +227,7 @@ func TestSparseMutationsInvalidate(t *testing.T) {
 		}
 		n := subtask[round%3]
 		ti, si, _ := e.findSubtask(n[0], n[1])
-		return int(e.p.Tasks[ti].Res[si])
+		return int(e.p.res[e.p.subOff[ti]+int32(si)])
 	}
 	mutate := func(e *Engine, round int) {
 		var err error
@@ -249,12 +250,13 @@ func TestSparseMutationsInvalidate(t *testing.T) {
 		}
 		n := subtask[round%3]
 		ti, si, _ := e.findSubtask(n[0], n[1])
+		g := e.p.subOff[ti] + int32(si)
 		if round%3 == 1 {
-			e.p.src.Tasks[ti].Subtasks[si].MinShare = 0.02 + 0.01*float64(round%3)
+			e.p.Workload().Tasks[ti].Subtasks[si].MinShare = 0.02 + 0.01*float64(round%3)
 		} else {
-			e.p.Tasks[ti].ErrMs[si] = 0.1 * float64(round%5)
+			e.p.errMs[g] = 0.1 * float64(round%5)
 		}
-		e.p.refreshBounds(ti, si)
+		e.p.refreshBounds(ti, g)
 		e.refreshResourceState()
 	}
 	for _, workers := range []int{1, 3} {
@@ -336,8 +338,8 @@ func TestMutatorsRestepFromCachedDemand(t *testing.T) {
 	// subtask's minimum share or its error term.
 	mutate := func(e *Engine, round int) {
 		rng := rand.New(rand.NewSource(int64(round)))
-		r, task := e.p.Resources[rng.Intn(len(e.p.Resources))], e.p.Tasks[rng.Intn(len(e.p.Tasks))]
-		sub, v := task.SubtaskNames[rng.Intn(len(task.SubtaskNames))], rng.Float64()
+		r, task := e.p.Resources[rng.Intn(len(e.p.Resources))], e.p.Workload().Tasks[rng.Intn(e.p.NumTasks())]
+		sub, v := task.Subtasks[rng.Intn(len(task.Subtasks))].Name, rng.Float64()
 		var err error
 		switch round % 3 {
 		case 0:
@@ -479,7 +481,7 @@ func TestLocalRefreshMatchesGlobal(t *testing.T) {
 				if !lifted && got != want {
 					t.Fatalf("%s event %d: the first Step executed %d solves, want %d", name, ev, got, want)
 				}
-				skipped += uint64(len(local.p.Tasks)) - got
+				skipped += uint64(local.p.NumTasks()) - got
 				requireEnginesBitwiseEqual(t, fmt.Sprintf("%s event %d, first Step", name, ev), local, global)
 				both(converge)
 				requireEnginesBitwiseEqual(t, fmt.Sprintf("%s event %d", name, ev), local, global)
@@ -636,8 +638,7 @@ func TestMutatorsRefreshTouchedResource(t *testing.T) {
 			defer e.Close()
 			e.Run(50, nil)
 			p := e.Problem()
-			pt := &p.Tasks[0]
-			if err := tc.mutate(e, pt.Name, pt.SubtaskNames[0], p.Resources[pt.Res[0]].ID); err != nil {
+			if err := tc.mutate(e, p.taskName(0), p.subtaskName(0, 0), p.Resources[p.res[0]].ID); err != nil {
 				t.Fatal(err)
 			}
 			s := e.Snapshot()
@@ -709,7 +710,7 @@ func TestIncidenceIndex(t *testing.T) {
 	defer e.Close()
 	inc := e.inc
 	p := e.Problem()
-	for ti := range p.Tasks {
+	for ti := range p.NumTasks() {
 		row := inc.taskRes[inc.taskResOff[ti]:inc.taskResOff[ti+1]]
 		seen := map[int32]bool{}
 		for _, ri := range row {
@@ -730,7 +731,7 @@ func TestIncidenceIndex(t *testing.T) {
 			}
 		}
 		// Every compiled subtask's resource must appear in the row.
-		for _, ri := range p.Tasks[ti].Res {
+		for _, ri := range p.res[p.subOff[ti]:p.subOff[ti+1]] {
 			if !seen[int32(ri)] {
 				t.Fatalf("task %d row missing resource %d", ti, ri)
 			}

@@ -3,7 +3,6 @@ package dist
 import (
 	"math"
 	"slices"
-	"sort"
 	"time"
 
 	"lla/internal/core"
@@ -20,26 +19,15 @@ type shareGroup struct {
 	si   []int    // their indices in the task, in subs order
 }
 
-// shareGroups splits a task's subtasks by resource, resources in order of
-// first use. Built once per controller; latencies fills in a round's values.
-func shareGroups(p *core.Problem, pt *core.ProblemTask) []shareGroup {
-	var groups []shareGroup
-	pos := make(map[int32]int)
-	for si, ri := range pt.Res {
-		k, ok := pos[ri]
-		if !ok {
-			k = len(groups)
-			pos[ri] = k
-			groups = append(groups, shareGroup{ri: int(ri), id: p.Resources[ri].ID})
-		}
-		groups[k].si = append(groups[k].si, si)
-	}
-	for k := range groups {
-		g := &groups[k]
-		sort.Slice(g.si, func(a, b int) bool { return pt.SubtaskNames[g.si[a]] < pt.SubtaskNames[g.si[b]] })
-		for _, si := range g.si {
-			g.subs = append(g.subs, pt.SubtaskNames[si])
-		}
+// shareGroups splits task ti's subtasks, on the resources res, by resource,
+// resources in order of first use. A checked task has at most one subtask per
+// resource, so each group is one subtask, in subtask order. Built once per
+// controller; latencies fills in a round's values.
+func shareGroups(p *core.Problem, ti int, res []int32) []shareGroup {
+	subs := p.Workload().Tasks[ti].Subtasks
+	groups := make([]shareGroup, len(subs))
+	for si, s := range subs {
+		groups[si] = shareGroup{ri: int(res[si]), id: p.Resources[res[si]].ID, subs: []string{s.Name}, si: []int{si}}
 	}
 	return groups
 }
@@ -108,15 +96,16 @@ type controllerNode struct {
 	quiet     int
 }
 
-// newControllerNode builds the machine of task ti.
-func newControllerNode(p *core.Problem, ti int, cfg core.Config, a addresses) *controllerNode {
+// newControllerNode builds the machine of task ti, whose subtasks run on the
+// resources res.
+func newControllerNode(p *core.Problem, ti int, res []int32, cfg core.Config, a addresses) *controllerNode {
 	n := &controllerNode{
 		peer:      peer{node: node{addr: a.ctl[ti]}, kind: wire.KindLatency},
 		ctl:       core.NewController(p, ti, cfg.Step),
 		p:         p,
 		ti:        ti,
-		name:      p.Tasks[ti].Name,
-		groups:    shareGroups(p, &p.Tasks[ti]),
+		name:      p.Workload().Tasks[ti].Name,
+		groups:    shareGroups(p, ti, res),
 		groupOf:   make(map[string]int),
 		reports:   true,
 		mu:        make([]float64, len(p.Resources)),

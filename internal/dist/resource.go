@@ -58,12 +58,12 @@ func newResourceNode(p *core.Problem, ri int, cfg core.Config, a addresses) *res
 	}
 	for _, sub := range p.Resources[ri].Subs {
 		ti, si := p.SubtaskAt(sub)
-		tn := p.Tasks[ti].Name
-		if _, seen := n.ctlIdx[tn]; !seen {
-			n.ctlIdx[tn] = len(n.peers)
+		t := p.Workload().Tasks[ti]
+		if _, seen := n.ctlIdx[t.Name]; !seen {
+			n.ctlIdx[t.Name] = len(n.peers)
 			n.peers = append(n.peers, a.ctl[ti])
 		}
-		n.subIdx[subKey{tn, p.Tasks[ti].SubtaskNames[si]}] = sub
+		n.subIdx[subKey{t.Name, t.Subtasks[si].Name}] = sub
 	}
 	n.dyn.Reset(1)
 	return n

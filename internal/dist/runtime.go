@@ -17,6 +17,7 @@ import (
 	"lla/internal/obs"
 	"lla/internal/price"
 	rec "lla/internal/recover"
+	"lla/internal/task"
 	"lla/internal/transport"
 	"lla/internal/workload"
 )
@@ -72,7 +73,7 @@ func New(w *workload.Workload, cfg core.Config, net transport.Network) (*Runtime
 		return nil, err
 	}
 	r := &Runtime{p: p, cfg: cfg, fp: DefaultFaultPolicy(), stop: make(chan struct{})}
-	n, a := len(p.Tasks)+len(p.Resources), addressesOf(p)
+	n, a := p.NumTasks()+len(p.Resources), addressesOf(p)
 	r.nodes, r.peers = make([]machine, 0, n), make([]*peer, 0, n)
 	add := func(m machine, n *peer) {
 		r.nodes, r.peers = append(r.nodes, m), append(r.peers, n)
@@ -86,8 +87,9 @@ func New(w *workload.Workload, cfg core.Config, net transport.Network) (*Runtime
 	if net != nil {
 		r.coordEp, err = net.Endpoint(coordinatorAddr)
 	}
-	for ti := range p.Tasks {
-		n := newControllerNode(p, ti, cfg, a)
+	inc := core.NewIncidence(p)
+	for ti := range p.NumTasks() {
+		n := newControllerNode(p, ti, inc.TaskResources(ti), cfg, a)
 		r.ctlNodes = append(r.ctlNodes, n)
 		add(n, &n.peer)
 	}
@@ -108,9 +110,9 @@ func New(w *workload.Workload, cfg core.Config, net transport.Network) (*Runtime
 type addresses struct{ ctl, res []string }
 
 func addressesOf(p *core.Problem) addresses {
-	a := addresses{make([]string, len(p.Tasks)), make([]string, len(p.Resources))}
-	for ti := range p.Tasks {
-		a.ctl[ti] = controllerAddr(p.Tasks[ti].Name)
+	a := addresses{make([]string, p.NumTasks()), make([]string, len(p.Resources))}
+	for ti, t := range p.Workload().Tasks {
+		a.ctl[ti] = controllerAddr(t.Name)
 	}
 	for ri := range p.Resources {
 		a.res[ri] = resourceAddr(p.Resources[ri].ID)
@@ -411,18 +413,20 @@ func RunController(ctx context.Context, w *workload.Workload, cfg core.Config, n
 	if err != nil {
 		return nil, 0, err
 	}
-	ti := slices.IndexFunc(p.Tasks, func(t core.ProblemTask) bool { return t.Name == taskName })
+	tasks := p.Workload().Tasks
+	ti := slices.IndexFunc(tasks, func(t *task.Task) bool { return t.Name == taskName })
 	if ti < 0 {
 		return nil, 0, fmt.Errorf("dist: unknown task %q", taskName)
 	}
-	n := newControllerNode(p, ti, cfg, addressesOf(p))
+	inc := core.NewIncidence(p)
+	n := newControllerNode(p, ti, inc.TaskResources(ti), cfg, addressesOf(p))
 	n.reports, n.m = false, metricsFor(o)
 	if err := runStandalone(ctx, net, n, &n.peer, rounds, o); err != nil {
 		return nil, 0, err
 	}
 	out := make(map[string]float64, len(n.ctl.LatMs))
 	for si, lat := range n.ctl.LatMs {
-		out[p.Tasks[ti].SubtaskNames[si]] = lat
+		out[tasks[ti].Subtasks[si].Name] = lat
 	}
 	return out, n.ctl.Utility(), nil
 }

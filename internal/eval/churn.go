@@ -145,7 +145,7 @@ func replayChurn(opts Options, trace []workload.ChurnEvent, cfg admit.Config, la
 		}
 	}
 	run.finalUtil = eng.Probe().Utility
-	run.resident = len(eng.Problem().Tasks)
+	run.resident = eng.Problem().NumTasks()
 	return run, nil
 }
 

@@ -281,7 +281,7 @@ func addFreeEdge(t *testing.T, b *task.Task) {
 // is refused before any state is touched — the fleet stays certified, every
 // shard keeps its state, and the next valid ReplaceWorkload goes through.
 func TestFleetReplaceWorkloadRejectsInvalid(t *testing.T) {
-	cfg := Config{Shards: 4, Seed: 1, Engine: core.Config{PriceSolver: price.SolverGradient}, LocalFreeze: true, LocalIters: 5000}
+	cfg := Config{Shards: 4, Seed: 1, Engine: core.Config{PriceSolver: price.SolverGradient}, localFreeze: true, LocalIters: 5000}
 	w := clusteredWorkload(t, 17, 0.25)
 	f, err := New(w, cfg)
 	if err != nil {

@@ -41,12 +41,12 @@ type Config struct {
 	// Otherwise a sweep stops after window consecutive Steps certify at
 	// kktTol and tol.
 	LocalIters int
-	// LocalFreeze makes sweeps run to the bitwise frozen fixed point (every
+	// localFreeze makes sweeps run to the bitwise frozen fixed point (every
 	// Step a no-op) instead of the KKT window — the mode the bitwise
-	// single-engine equivalence tests use. It requires Engine.PriceSolver to
+	// single-engine equivalence tests set. It requires Engine.PriceSolver to
 	// be the gradient, the one solver whose shards provably freeze: New
 	// refuses the combination rather than let every sweep burn LocalIters.
-	LocalFreeze bool
+	localFreeze bool
 
 	// MaxRounds caps aggregator rounds (0 = 300, negative is an error).
 	MaxRounds int
@@ -279,8 +279,8 @@ func build(ck *workload.Checked, cfg Config) (*Fleet, error) {
 		return nil, fmt.Errorf("fleet: negative LocalIters %d", cfg.LocalIters)
 	}
 	cfg = cfg.withDefaults()
-	if s := cfg.Engine.WithDefaults().PriceSolver; cfg.LocalFreeze && s != price.SolverGradient {
-		return nil, fmt.Errorf("fleet: LocalFreeze needs the gradient price solver, shards run %s", s)
+	if s := cfg.Engine.WithDefaults().PriceSolver; cfg.localFreeze && s != price.SolverGradient {
+		return nil, fmt.Errorf("fleet: a frozen sweep needs the gradient price solver, shards run %s", s)
 	}
 	part, err := NewPartition(ck, PartitionConfig{Shards: cfg.Shards, Seed: cfg.Seed})
 	if err != nil {
@@ -543,7 +543,7 @@ func (f *Fleet) round() (roundInfo, error) {
 // to run concurrently across distinct shards: it touches only the shard's
 // own engine and buffers.
 func (f *Fleet) sweepShard(s *shardRuntime) {
-	s.sweep(f.cfg.LocalIters, f.cfg.LocalFreeze, kktTol, window, tol)
+	s.sweep(f.cfg.LocalIters, f.cfg.localFreeze, kktTol, window, tol)
 	s.sweptEpoch = s.eng.PinEpoch()
 	s.refreshBoundary()
 }

@@ -49,7 +49,7 @@ func TestFleetOverlapFreeBitwiseMatchesSingle(t *testing.T) {
 	w := clusteredWorkload(t, 17, 0)
 	ecfg := core.Config{Workers: 1, PriceSolver: price.SolverGradient}
 
-	f, err := New(w, Config{Shards: 4, Seed: 1, Engine: ecfg, LocalFreeze: true, LocalIters: 5000})
+	f, err := New(w, Config{Shards: 4, Seed: 1, Engine: ecfg, localFreeze: true, LocalIters: 5000})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -90,22 +90,18 @@ func TestFleetOverlapFreeBitwiseMatchesSingle(t *testing.T) {
 		}
 	}
 	// Latencies, by task name.
-	singleTask := make(map[string]int, len(sp.Tasks))
-	for ti := range sp.Tasks {
-		singleTask[sp.Tasks[ti].Name] = ti
-	}
+	singleTask := sp.Workload().TaskIndex()
 	for s := 0; s < f.Shards(); s++ {
 		eng := f.Engine(s)
-		p := eng.Problem()
-		for ti := range p.Tasks {
-			sti, ok := singleTask[p.Tasks[ti].Name]
+		for ti, tk := range eng.Problem().Workload().Tasks {
+			sti, ok := singleTask[tk.Name]
 			if !ok {
-				t.Fatalf("task %s missing from single engine", p.Tasks[ti].Name)
+				t.Fatalf("task %s missing from single engine", tk.Name)
 			}
 			got := eng.Controller(ti).LatMs
 			want := single.Controller(sti).LatMs
 			if !reflect.DeepEqual(got, want) {
-				t.Errorf("task %s latencies %v, single engine %v", p.Tasks[ti].Name, got, want)
+				t.Errorf("task %s latencies %v, single engine %v", tk.Name, got, want)
 			}
 		}
 	}
@@ -291,7 +287,7 @@ func TestSweepCertificateMatchesDenseScans(t *testing.T) {
 	}{
 		{"window", Config{}},
 		{"cap", Config{LocalIters: 3}},
-		{"freeze", Config{Engine: core.Config{PriceSolver: price.SolverGradient}, LocalFreeze: true, LocalIters: 5000}},
+		{"freeze", Config{Engine: core.Config{PriceSolver: price.SolverGradient}, localFreeze: true, LocalIters: 5000}},
 		// Swept by hand below with a window no sweep can reach.
 		{"long-window", Config{}},
 	} {
@@ -362,14 +358,14 @@ func TestSweepCertificateMatchesDenseScans(t *testing.T) {
 func TestFleetRefusesFreezeWithoutGradient(t *testing.T) {
 	w := clusteredWorkload(t, 17, 0)
 	for _, s := range []price.Solver{"", price.SolverNewton} {
-		if f, err := New(w, Config{Shards: 2, Engine: core.Config{PriceSolver: s}, LocalFreeze: true}); err == nil {
+		if f, err := New(w, Config{Shards: 2, Engine: core.Config{PriceSolver: s}, localFreeze: true}); err == nil {
 			f.Close()
-			t.Errorf("solver %q: LocalFreeze accepted, want an error", s)
+			t.Errorf("solver %q: localFreeze accepted, want an error", s)
 		}
 	}
-	f, err := New(w, Config{Shards: 2, Engine: core.Config{PriceSolver: price.SolverGradient}, LocalFreeze: true})
+	f, err := New(w, Config{Shards: 2, Engine: core.Config{PriceSolver: price.SolverGradient}, localFreeze: true})
 	if err != nil {
-		t.Fatalf("gradient LocalFreeze refused: %v", err)
+		t.Fatalf("gradient localFreeze refused: %v", err)
 	}
 	f.Close()
 }

@@ -107,13 +107,13 @@ func TestFleetBuildErrorNamesLowestShard(t *testing.T) {
 }
 
 // restConfigs are the two rules a sweep can come to rest under: the default
-// KKT window, and the bitwise frozen fixed point of LocalFreeze.
+// KKT window, and the bitwise frozen fixed point of localFreeze.
 var restConfigs = []struct {
 	name string
 	cfg  Config
 }{
 	{"window", Config{}},
-	{"freeze", Config{Engine: core.Config{PriceSolver: price.SolverGradient}, LocalFreeze: true, LocalIters: 5000}},
+	{"freeze", Config{Engine: core.Config{PriceSolver: price.SolverGradient}, localFreeze: true, LocalIters: 5000}},
 }
 
 // certifiedFleet builds cfg's 4-shard fleet over w and runs it to certification.

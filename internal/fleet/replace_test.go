@@ -34,7 +34,7 @@ func replaceUtility(t *testing.T, w *workload.Workload, cfg Config) float64 {
 // the affected shards, keeps every untouched shard's engine (same pointer,
 // still skippable), and re-converges to the cold fleet's utility.
 func TestFleetReplaceWorkloadIncremental(t *testing.T) {
-	cfg := Config{Shards: 4, Seed: 1, Engine: core.Config{PriceSolver: price.SolverGradient}, LocalFreeze: true, LocalIters: 5000}
+	cfg := Config{Shards: 4, Seed: 1, Engine: core.Config{PriceSolver: price.SolverGradient}, localFreeze: true, LocalIters: 5000}
 	w := clusteredWorkload(t, 17, 0.25)
 	f, err := New(w, cfg)
 	if err != nil {
@@ -136,7 +136,7 @@ func requireProbedUtility(t *testing.T, at string, f *Fleet, res Result) {
 // the incremental path — the newcomer lands on the shard already touching
 // its resources, the leaver's shard rebuilds, and the fleet re-converges.
 func TestFleetReplaceWorkloadChurn(t *testing.T) {
-	cfg := Config{Shards: 4, Seed: 1, Engine: core.Config{PriceSolver: price.SolverGradient}, LocalFreeze: true, LocalIters: 5000}
+	cfg := Config{Shards: 4, Seed: 1, Engine: core.Config{PriceSolver: price.SolverGradient}, localFreeze: true, LocalIters: 5000}
 	w := clusteredWorkload(t, 23, 0.25)
 	f, err := New(w, cfg)
 	if err != nil {
@@ -198,7 +198,7 @@ func TestFleetReplaceWorkloadChurn(t *testing.T) {
 // invalidates the partition shape; ReplaceWorkload falls back to a full
 // (still warm-started) rebuild and the fleet stays usable.
 func TestFleetReplaceWorkloadFullFallback(t *testing.T) {
-	cfg := Config{Shards: 4, Seed: 1, Engine: core.Config{PriceSolver: price.SolverGradient}, LocalFreeze: true, LocalIters: 5000}
+	cfg := Config{Shards: 4, Seed: 1, Engine: core.Config{PriceSolver: price.SolverGradient}, localFreeze: true, LocalIters: 5000}
 	w := clusteredWorkload(t, 17, 0.25)
 	f, err := New(w, cfg)
 	if err != nil {

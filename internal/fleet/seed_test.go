@@ -104,10 +104,10 @@ func TestSeededShardCertifiesInFirstWindow(t *testing.T) {
 				t.Errorf("shard %d resource %s: price moved from the seed %v to %v", s.id, p.Resources[ri].ID, mu, got)
 			}
 		}
-		for ti := range p.Tasks { // the instance's premise
+		for ti, tk := range p.Workload().Tasks { // the instance's premise
 			for _, l := range s.eng.Controller(ti).Lambda {
 				if l != 0 {
-					t.Fatalf("shard %d task %s: a path price rose to %v; the instance has no slack", s.id, p.Tasks[ti].Name, l)
+					t.Fatalf("shard %d task %s: a path price rose to %v; the instance has no slack", s.id, tk.Name, l)
 				}
 			}
 		}

@@ -134,7 +134,7 @@ func (s *shardRuntime) stateHash() uint64 {
 	for ri := range p.Resources {
 		mix(math.Float64bits(s.eng.MuAt(ri)))
 	}
-	for ti := range p.Tasks {
+	for ti := range p.NumTasks() {
 		for _, l := range s.eng.Controller(ti).LatMs {
 			mix(math.Float64bits(l))
 		}

@@ -195,7 +195,7 @@ func TestDecodeHostileLengthAllocs(t *testing.T) {
 	tasks.U64(3)            // iteration
 	tasks.U32(0xFFFF_FF00)  // hostile task count
 	vector.U64(3)
-	vector.U32(uint32(len(eng.Problem().Tasks)))
+	vector.U32(uint32(eng.Problem().NumTasks()))
 	vector.U32(0xFFFF_FF00) // hostile latency count
 	quarantine.U8(1)        // admission state present
 	quarantine.U64(5)       // event

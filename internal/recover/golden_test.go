@@ -287,8 +287,9 @@ func v3Engine(eng *core.Engine, sec []byte) []byte {
 	ctl, pri := d.Take(int(d.U32())), d.Take(int(d.U32()))
 	var fpMu []float64
 	var fpCong []byte
-	for _, tk := range eng.Problem().Tasks {
-		for _, ri := range tk.Res {
+	inc := core.NewIncidence(eng.Problem())
+	for ti := range inc.NumTasks() {
+		for _, ri := range inc.TaskResources(ti) {
 			fpMu = append(fpMu, eng.MuAt(int(ri)))
 			cong := byte(0)
 			if eng.CongestedAt(int(ri)) {

@@ -169,8 +169,8 @@ func TestRestoreRefusesNonFiniteState(t *testing.T) {
 	// admission tag with the fallback count and the halvings and signs.
 	p := eng.Problem()
 	mu := 8 + 4
-	for ti := range p.Tasks {
-		mu += 2*(4+8*len(p.Tasks[ti].SubtaskNames)) + 2*(4+8*p.NumPaths(ti))
+	for ti, tk := range p.Workload().Tasks {
+		mu += 2*(4+8*len(tk.Subtasks)) + 2*(4+8*p.NumPaths(ti))
 	}
 	nr := len(p.Resources)
 	gammas := len(cp.sections) - 1 - 2*(4+nr) - 8 - 8*nr

@@ -217,7 +217,7 @@ func (s *Sim) releaseJobSet(ti int) {
 		remaining: make([]int, len(t.Subtasks)),
 	}
 	for si := range t.Subtasks {
-		js.remaining[si] = len(t.Predecessors(si))
+		js.remaining[si] = t.InDegree(si)
 		if len(t.Successors(si)) == 0 {
 			js.leavesLeft++
 		}

@@ -45,10 +45,10 @@ type Task struct {
 	// release instances (job sets) of this task.
 	Trigger Trigger
 
-	// succ[i] lists the successor subtask indices of subtask i.
-	succ [][]int
-	// pred[i] lists the predecessor subtask indices of subtask i.
-	pred [][]int
+	// The precedence graph, one row per subtask: subtask i's successors are
+	// succ[succEnd[i-1]:succEnd[i]] (from 0 for i = 0), in edge order, and
+	// indeg[i] counts its predecessors.
+	succEnd, succ, indeg []int
 }
 
 // New returns a task with the given name and critical time and no subtasks.
@@ -59,8 +59,8 @@ func New(name string, criticalMs float64) *Task {
 // AddSubtask appends a subtask and returns its index.
 func (t *Task) AddSubtask(s Subtask) int {
 	t.Subtasks = append(t.Subtasks, s)
-	t.succ = append(t.succ, nil)
-	t.pred = append(t.pred, nil)
+	t.succEnd = append(t.succEnd, len(t.succ))
+	t.indeg = append(t.indeg, 0)
 	return len(t.Subtasks) - 1
 }
 
@@ -74,13 +74,16 @@ func (t *Task) AddEdge(from, to int) error {
 	if from == to {
 		return fmt.Errorf("task %s: self edge on subtask %d", t.Name, from)
 	}
-	for _, s := range t.succ[from] {
+	for _, s := range t.Successors(from) {
 		if s == to {
 			return fmt.Errorf("task %s: duplicate edge (%d,%d)", t.Name, from, to)
 		}
 	}
-	t.succ[from] = append(t.succ[from], to)
-	t.pred[to] = append(t.pred[to], from)
+	t.succ = slices.Insert(t.succ, t.succEnd[from], to)
+	for i := from; i < n; i++ {
+		t.succEnd[i]++
+	}
+	t.indeg[to]++
 	return nil
 }
 
@@ -94,18 +97,23 @@ func (t *Task) MustEdge(from, to int) {
 
 // Successors returns the successor indices of subtask i. The returned slice
 // must not be modified.
-func (t *Task) Successors(i int) []int { return t.succ[i] }
+func (t *Task) Successors(i int) []int {
+	lo := 0
+	if i > 0 {
+		lo = t.succEnd[i-1]
+	}
+	return t.succ[lo:t.succEnd[i]:t.succEnd[i]]
+}
 
-// Predecessors returns the predecessor indices of subtask i. The returned
-// slice must not be modified.
-func (t *Task) Predecessors(i int) []int { return t.pred[i] }
+// InDegree returns the number of predecessors of subtask i.
+func (t *Task) InDegree(i int) int { return t.indeg[i] }
 
 // Root returns the index of the unique root subtask (no predecessors), or an
 // error if there is not exactly one.
 func (t *Task) Root() (int, error) {
 	root := -1
 	for i := range t.Subtasks {
-		if len(t.pred[i]) == 0 {
+		if t.indeg[i] == 0 {
 			if root >= 0 {
 				return -1, fmt.Errorf("task %s: multiple roots (%d and %d)", t.Name, root, i)
 			}
@@ -124,7 +132,9 @@ func (t *Task) Root() (int, error) {
 // Built reports whether t has a precedence-graph slot per subtask, as New and
 // AddSubtask keep it. A Task literal with subtasks has none: it fails
 // validation and never reaches the graph's methods.
-func (t *Task) Built() bool { return len(t.succ) == len(t.Subtasks) && len(t.pred) == len(t.Subtasks) }
+func (t *Task) Built() bool {
+	return len(t.succEnd) == len(t.Subtasks) && len(t.indeg) == len(t.Subtasks)
+}
 
 // topo runs Kahn's algorithm in buf (len >= 2n): the first half holds the
 // in-degrees, the second the FIFO queue, whose push order is the topological
@@ -133,12 +143,12 @@ func (t *Task) topo(buf []int) []int {
 	n := len(t.Subtasks)
 	indeg, order := buf[:n], buf[n:n:2*n]
 	for i := range indeg {
-		if indeg[i] = len(t.pred[i]); indeg[i] == 0 {
+		if indeg[i] = t.indeg[i]; indeg[i] == 0 {
 			order = append(order, i)
 		}
 	}
 	for head := 0; head < len(order); head++ {
-		for _, s := range t.succ[order[head]] {
+		for _, s := range t.Successors(order[head]) {
 			if indeg[s]--; indeg[s] == 0 {
 				order = append(order, s)
 			}
@@ -249,7 +259,7 @@ func (t *Task) Paths() ([][]int, error) {
 // nothing once it has grown to the largest task. The zero value is ready to
 // use. The task must be acyclic with one root (Validate) and must not change.
 type PathWalk struct {
-	succ [][]int
+	t *Task
 	// path is the walk's stack; next[k] counts the successors of path[k]
 	// entered so far (1 on a leaf once its path has been returned).
 	path, next []int
@@ -257,11 +267,11 @@ type PathWalk struct {
 
 // Reset starts a walk over t's paths.
 func (w *PathWalk) Reset(t *Task) {
-	if n := len(t.succ); cap(w.path) < n {
+	if n := len(t.Subtasks); cap(w.path) < n {
 		w.path, w.next = make([]int, 0, n), make([]int, 0, n)
 	}
-	w.succ, w.path, w.next = t.succ, w.path[:0], w.next[:0]
-	if root := slices.IndexFunc(t.pred, func(p []int) bool { return len(p) == 0 }); root >= 0 {
+	w.t, w.path, w.next = t, w.path[:0], w.next[:0]
+	if root := slices.Index(t.indeg, 0); root >= 0 {
 		w.path, w.next = append(w.path, root), append(w.next, 0)
 	}
 }
@@ -270,7 +280,7 @@ func (w *PathWalk) Reset(t *Task) {
 func (w *PathWalk) Next() bool {
 	for len(w.path) > 0 {
 		k := len(w.path) - 1
-		switch succ := w.succ[w.path[k]]; {
+		switch succ := w.t.Successors(w.path[k]); {
 		case len(succ) == 0 && w.next[k] == 0:
 			w.next[k] = 1
 			return true
@@ -321,35 +331,28 @@ func (t *Task) Clone() *Task { return CloneN([]*Task{t}, 1)[0] }
 const cloneChunk = 256
 
 // CloneN returns k deep copies of the tasks in src, copy c of src[i] at index
-// c*len(src)+i. Every cloneChunk copies carve their tasks, subtasks, graph
-// rows and edges from one shared array each, every window clipped to its
-// length: AddSubtask, AddEdge or an append to Subtasks on one copy
-// reallocates that copy's slice and never writes into a neighbour's.
+// c*len(src)+i. Every cloneChunk copies carve their tasks, subtasks and graph
+// arrays from one shared array each, every window clipped to its length:
+// AddSubtask, AddEdge or an append to Subtasks on one copy reallocates that
+// copy's slice and never writes into a neighbour's.
 func CloneN(src []*Task, k int) []*Task {
 	out := make([]*Task, k*len(src))
 	for lo := 0; lo < len(out); lo += cloneChunk {
-		chunk, nsub, nrow, nedge := out[lo:min(lo+cloneChunk, len(out))], 0, 0, 0
+		chunk, nsub, nint := out[lo:min(lo+cloneChunk, len(out))], 0, 0
 		for j := range chunk {
 			t := src[(lo+j)%len(src)]
-			nsub, nrow = nsub+len(t.Subtasks), nrow+len(t.succ)+len(t.pred)
-			for _, row := range t.succ { // pred holds the same edges
-				nedge += 2 * len(row)
-			}
+			nsub, nint = nsub+len(t.Subtasks), nint+len(t.succEnd)+len(t.succ)+len(t.indeg)
 		}
-		tasks, subs, rows, ints := make([]Task, len(chunk)), make([]Subtask, nsub), make([][]int, nrow), make([]int, nedge)
+		tasks, subs, ints := make([]Task, len(chunk)), make([]Subtask, nsub), make([]int, nint)
 		for j := range chunk {
 			t, c := src[(lo+j)%len(src)], &tasks[j]
 			*c = Task{Name: t.Name, CriticalMs: t.CriticalMs, Trigger: t.Trigger}
 			if len(t.Subtasks) > 0 { // no subtasks stay nil
 				c.Subtasks = carve(&subs, t.Subtasks)
 			}
-			c.succ, c.pred = carve(&rows, t.succ), carve(&rows, t.pred)
-			for _, side := range [2][][]int{c.succ, c.pred} {
-				for r, row := range side {
-					if side[r] = nil; len(row) > 0 { // an empty row stays nil
-						side[r] = carve(&ints, row)
-					}
-				}
+			c.succEnd, c.indeg = carve(&ints, t.succEnd), carve(&ints, t.indeg)
+			if len(t.succ) > 0 { // no edges stay nil
+				c.succ = carve(&ints, t.succ)
 			}
 			chunk[j] = c
 		}
@@ -371,8 +374,8 @@ func carve[T any](buf *[]T, src []T) []T {
 // order.
 func (t *Task) Edges() [][2]int {
 	var edges [][2]int
-	for from, succs := range t.succ {
-		for _, to := range succs {
+	for from := range t.succEnd {
+		for _, to := range t.Successors(from) {
 			edges = append(edges, [2]int{from, to})
 		}
 	}

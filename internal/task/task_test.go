@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -197,7 +198,7 @@ func TestValidateCatchesBadFields(t *testing.T) {
 		mut  func(*Task)
 		want string
 	}{
-		{"no subtasks", func(tk *Task) { tk.Subtasks = nil; tk.succ = nil; tk.pred = nil }, "no subtasks"},
+		{"no subtasks", func(tk *Task) { tk.Subtasks, tk.succEnd, tk.succ, tk.indeg = nil, nil, nil, nil }, "no subtasks"},
 		{"bad critical", func(tk *Task) { tk.CriticalMs = 0 }, "critical time"},
 		{"bad wcet", func(tk *Task) { tk.Subtasks[0].ExecMs = -1 }, "WCET"},
 		{"no resource", func(tk *Task) { tk.Subtasks[0].Resource = "" }, "no resource"},
@@ -307,34 +308,38 @@ func TestCloneIsDeep(t *testing.T) {
 	}
 }
 
-// TestCloneRowsAreClipped: a clone's succ and pred rows share one backing
-// array, so each must be clipped to its length — growing one (AddEdge,
-// AddSubtask) has to reallocate it, never write into the row behind it.
+// TestCloneRowsAreClipped: a clone's graph arrays — every subtask's row of
+// successors back to back — share one backing array with its chunk, so each
+// must be clipped to its length: growing one (AddEdge, AddSubtask) has to
+// reallocate it, never write into the array behind it.
 func TestCloneRowsAreClipped(t *testing.T) {
 	tk := diamond(t) // a->b, a->c, b->d, c->d
 	c := tk.Clone()
-	if !reflect.DeepEqual(c.succ, tk.succ) || !reflect.DeepEqual(c.pred, tk.pred) || !reflect.DeepEqual(c.Subtasks, tk.Subtasks) {
-		t.Fatalf("clone differs from its original: succ %v pred %v, want %v %v", c.succ, c.pred, tk.succ, tk.pred)
+	if !reflect.DeepEqual(c, tk) {
+		t.Fatalf("clone differs from its original: %+v, want %+v", c, tk)
 	}
-	for i := range c.succ {
-		for _, row := range [][]int{c.succ[i], c.pred[i]} {
-			if cap(row) != len(row) {
-				t.Fatalf("subtask %d: row %v has capacity %d beyond its length", i, row, cap(row))
-			}
+	for _, a := range [][]int{c.succEnd, c.succ, c.indeg} {
+		if cap(a) != len(a) {
+			t.Fatalf("graph array %v has capacity %d beyond its length", a, cap(a))
 		}
 	}
-	if cap(c.succ) != len(c.succ) {
-		t.Fatalf("succ has capacity %d beyond its %d rows: AddSubtask would overwrite pred", cap(c.succ), len(c.succ))
-	}
-	// The same growth on the clone and on a task built row by row: every row
-	// of the clone, grown or not, must come out as on that one.
+	// The same growth on the clone and on a task built edge by edge: the
+	// clone must come out as that one.
 	want := diamond(t)
 	for _, tk := range []*Task{want, c} {
 		tk.MustEdge(1, 2)
 		tk.MustEdge(0, tk.AddSubtask(Subtask{Name: "e", Resource: "r", ExecMs: 1}))
 	}
-	if !reflect.DeepEqual(c.succ, want.succ) || !reflect.DeepEqual(c.pred, want.pred) {
-		t.Fatalf("growing a clone's rows corrupted a neighbour:\n got succ %v pred %v\nwant succ %v pred %v", c.succ, c.pred, want.succ, want.pred)
+	if !reflect.DeepEqual(c.succEnd, want.succEnd) || !reflect.DeepEqual(c.succ, want.succ) || !reflect.DeepEqual(c.indeg, want.indeg) {
+		t.Fatalf("growing a clone's graph:\n got %v %v %v\nwant %v %v %v", c.succEnd, c.succ, c.indeg, want.succEnd, want.succ, want.indeg)
+	}
+	for i, row := range [][]int{{1, 2, 4}, {3, 2}, {3}, nil, nil} {
+		if got := c.Successors(i); !slices.Equal(got, row) || cap(got) != len(got) {
+			t.Errorf("grown clone: subtask %d successors %v (cap %d), want %v", i, got, cap(got), row)
+		}
+		if got, want := c.InDegree(i), []int{0, 1, 2, 2, 1}[i]; got != want {
+			t.Errorf("grown clone: subtask %d in-degree %d, want %d", i, got, want)
+		}
 	}
 	if len(tk.Successors(1)) != 1 || len(tk.Subtasks) != 4 {
 		t.Fatal("growing the clone changed the original")

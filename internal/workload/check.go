@@ -45,8 +45,12 @@ func (c *Checked) NumSubtasks() int { return len(c.res) }
 // The slice aliases the proof; callers must not mutate it.
 func (c *Checked) TaskResources(ti int) []int32 { return c.res[c.subOff[ti]:c.subOff[ti+1]] }
 
-// Curve returns task ti's utility curve.
-func (c *Checked) Curve(ti int) utility.Curve { return c.curves[ti] }
+// Layout returns the proof's flat arrays: task ti's subtasks run on the
+// resources res[subOff[ti]:subOff[ti+1]] and curves[ti] is its curve. The
+// slices alias the proof; callers must not mutate them.
+func (c *Checked) Layout() (subOff, res []int32, curves []utility.Curve) {
+	return c.subOff, c.res, c.curves
+}
 
 // Validate checks the workload for structural consistency: valid tasks and
 // resources, unique names, every referenced resource defined, a curve for

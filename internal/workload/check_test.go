@@ -32,8 +32,8 @@ func TestCheckResolvesEverySubtask(t *testing.T) {
 				t.Fatalf("task %d subtask %d resolved to %s, want %s", ti, si, w.Resources[row[si]].ID, s.Resource)
 			}
 		}
-		if !reflect.DeepEqual(ck.Curve(ti), w.Curves[tk.Name]) {
-			t.Fatalf("task %d: curve %v, want %v", ti, ck.Curve(ti), w.Curves[tk.Name])
+		if !reflect.DeepEqual(ck.curves[ti], w.Curves[tk.Name]) {
+			t.Fatalf("task %d: curve %v, want %v", ti, ck.curves[ti], w.Curves[tk.Name])
 		}
 	}
 }
