@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"sync"
 	"time"
 
@@ -27,14 +28,14 @@ import (
 //
 // Sending is write-behind over one connection per destination host:port,
 // shared by every endpoint of the network: Send queues the encoded frame,
-// and a writer goroutine, alive while the queue is non-empty, puts all that
-// was queued since its last write on the socket in one Write. Frames from
-// one sender to one destination keep their Send order; senders interleave
-// only at frame boundaries.
+// and a writer goroutine, alive while the queue is non-empty, lets runnable
+// senders queue too, then puts all that was queued on the socket in one
+// Write. Frames from one sender to one destination keep their Send order;
+// senders interleave only at frame boundaries.
 type TCP struct {
-	// mu guards the registry, the listeners and their maps; a reader routes
-	// each frame under it.
-	mu sync.Mutex
+	// mu guards the registry, the listeners and their maps; lookups and a
+	// reader's routing of each frame take it for reading.
+	mu sync.RWMutex
 	// registry maps logical address -> host:port.
 	registry map[string]string
 	// listeners maps a host:port, as registered and as bound, to the
@@ -93,8 +94,8 @@ func (t *TCP) Register(addr, hostport string) {
 
 // lookup resolves a logical address.
 func (t *TCP) lookup(addr string) (string, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
+	t.mu.RLock()
+	defer t.mu.RUnlock()
 	hp, ok := t.registry[addr]
 	if !ok {
 		return "", fmt.Errorf("transport: address %q not in registry", addr)
@@ -199,14 +200,14 @@ func (t *TCP) read(l *listener, conn net.Conn) {
 		if err != nil {
 			return
 		}
-		t.mu.Lock()
+		t.mu.RLock()
 		if e := l.eps[msg.To]; e != nil {
 			select {
 			case e.in <- msg:
 			default:
 			}
 		}
-		t.mu.Unlock()
+		t.mu.RUnlock()
 	}
 }
 
@@ -338,7 +339,8 @@ func (e *tcpEndpoint) Send(to, kind string, payload any) error {
 }
 
 // writeLoop drains a connection's queue, one Write per batch, until it is
-// empty. A failed write closes the connection, re-dials within RetryWindow
+// empty, yielding once before each so runnable senders join it (group
+// commit). A failed write closes the connection, re-dials within RetryWindow
 // and writes the batch again, so its leading frames may arrive twice. If
 // that fails too, or the pool is closing, the writer gives up: it drops the
 // connection and what was queued, and the next Send dials afresh.
@@ -347,6 +349,9 @@ func (t *TCP) writeLoop(p *pool, hp string, c *outConn) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for len(c.queue) > 0 {
+		c.mu.Unlock()
+		runtime.Gosched()
+		c.mu.Lock()
 		batch, nc := c.queue, c.nc
 		c.queue = c.spare[:0]
 		c.mu.Unlock()

@@ -2,13 +2,13 @@ package wire
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
-	"slices"
 
 	"lla/internal/byteio"
 	"lla/internal/obs"
@@ -164,9 +164,9 @@ func (c *Codec) encodeBody(e *byteio.Enc, m Message, dict bool) (ft, flags byte)
 }
 
 // Read consumes exactly one binary frame from r and returns the message it
-// carries. The body buffer grows only as bytes actually arrive, so a corrupt
-// length field on a truncated stream cannot force a large up-front
-// allocation.
+// carries. A frame that fits in r's buffer is decoded there; a larger one's
+// buffer grows only as bytes actually arrive, so a corrupt length field on a
+// truncated stream cannot force a large up-front allocation.
 func (c *Codec) Read(r *bufio.Reader) (Message, error) {
 	msg, n, err := c.readFrame(r)
 	if err != nil {
@@ -182,8 +182,7 @@ func (c *Codec) Read(r *bufio.Reader) (Message, error) {
 
 func (c *Codec) readFrame(r *bufio.Reader) (Message, int, error) {
 	// The header and the length behind it are peeked, so that the whole
-	// frame then arrives in one buffer: the CRC runs over it in one piece
-	// and a small frame costs one allocation.
+	// frame then sits in one buffer and the CRC runs over it in one piece.
 	hdr, err := r.Peek(4)
 	if err != nil {
 		if len(hdr) > 0 && err == io.EOF {
@@ -208,7 +207,17 @@ func (c *Codec) readFrame(r *bufio.Reader) (Message, int, error) {
 	if bodyLen > maxBodyBytes {
 		return Message{}, 0, fmt.Errorf("wire: frame body of %d bytes exceeds limit", bodyLen)
 	}
-	frame, err := readN(r, 4+n+int(bodyLen)+4)
+	size := 4 + n + int(bodyLen) + 4
+	var frame []byte
+	if size <= r.Size() { // decoded in place, then consumed
+		frame, err = r.Peek(size)
+		defer r.Discard(len(frame))
+	} else { // grown only as bytes arrive
+		frame, err = io.ReadAll(io.LimitReader(r, int64(size)))
+	}
+	if len(frame) < size && (err == nil || err == io.EOF) {
+		err = io.ErrUnexpectedEOF // the header arrived, the rest did not
+	}
 	if err != nil {
 		return Message{}, 0, fmt.Errorf("wire: truncated frame: %w", err)
 	}
@@ -221,24 +230,6 @@ func (c *Codec) readFrame(r *bufio.Reader) (Message, int, error) {
 		return Message{}, 0, err
 	}
 	return msg, len(frame), nil
-}
-
-// readN reads n bytes in chunks of at most 64 KiB, so what it allocates is
-// bounded by what has arrived; the typical small frame is one exact
-// allocation.
-func readN(r io.Reader, n int) ([]byte, error) {
-	const chunk = 64 << 10
-	buf := make([]byte, 0, min(n, chunk))
-	for len(buf) < n {
-		k := min(n-len(buf), chunk)
-		buf = slices.Grow(buf, k)
-		got, err := io.ReadFull(r, buf[len(buf):len(buf)+k])
-		buf = buf[:len(buf)+got]
-		if err != nil {
-			return nil, err
-		}
-	}
-	return buf, nil
 }
 
 // peekUvarint decodes the varint at offset off of r's unread bytes without
@@ -309,7 +300,7 @@ func (c *Codec) decodeBody(ft, flags byte, body []byte) (Message, error) {
 		m.Payload = v
 	case FrameRaw:
 		m.Kind = d.Str(maxStrLen)
-		m.Payload = json.RawMessage(d.Bytes(maxBodyBytes))
+		m.Payload = json.RawMessage(bytes.Clone(d.Bytes(maxBodyBytes))) // not the reader's buffer
 	}
 	if err := d.Done(); err != nil {
 		return Message{}, fmt.Errorf("wire: %w", err)

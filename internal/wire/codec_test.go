@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"hash/crc32"
+	"io"
 	"math"
 	"reflect"
 	"strings"
@@ -461,5 +462,91 @@ func TestDeltaBytesSavedMatchesFrames(t *testing.T) {
 	report := ShareReport{Round: 9, Task: "alpha", Subs: []string{"a1", "a2", "stage-three"}, LatMs: []float64{1, 2, 3}}
 	if got, want := DeltaBytesSaved(report), size(msg(t, "ctl/alpha", "res/cpu0", "latency", report))-size(msg(t, "ctl/alpha", "res/cpu0", "latency", ShareReport{Round: 9, Task: "alpha", Delta: true})); got != want {
 		t.Errorf("share marker: DeltaBytesSaved = %d, frames differ by %d", got, want)
+	}
+}
+
+// inPlaceStream encodes a mix of PRICE, LATENCY and RAW frames, small ones
+// and ones larger than a 64-byte reader, so that a small reader decodes
+// some in its buffer, some across a refill and some through a separate
+// read.
+func inPlaceStream(t *testing.T, c *Codec) []byte {
+	t.Helper()
+	var batch []PriceUpdate
+	for i := range 12 {
+		batch = append(batch, PriceUpdate{Round: i, Resource: []string{"cpu0", "net1", "disk2"}[i%3], Mu: float64(i) + 0.5})
+	}
+	big := strings.Repeat("x", 200)
+	msgs := []Message{
+		msg(t, "res/cpu0", "ctl/alpha", "price", PriceUpdate{Round: 3, Resource: "cpu0", Mu: 1.25}),
+		msg(t, "ctl/alpha", "res/cpu0", "latency", ShareReport{Round: 3, Task: "alpha", Subs: []string{"a1", "a2"}, LatMs: []float64{4.5, 6.25}}),
+		msg(t, "a", "b", "ping", 7),
+		msg(t, "res/cpu0", "ctl/alpha", "price", batch),
+		msg(t, "admit-client-1", "coordinator", "admitQuery", map[string]any{"task": big}),
+		msg(t, "ctl/beta", "res/disk2", "latency", ShareReport{Round: 9, Epoch: 1, Task: "beta", Delta: true}),
+		msg(t, "admit-client-1", "coordinator", "admitQuery", map[string]any{"task": "gamma", "budget": 3.5}),
+	}
+	var stream []byte
+	for range 5 {
+		for _, m := range msgs {
+			frame, err := c.Encode(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stream = append(stream, frame...)
+		}
+	}
+	return stream
+}
+
+// TestReadInPlaceThroughSmallReader: through a 64-byte reader, where frames
+// straddle refills and some exceed the buffer, every frame decodes to what
+// a default-sized reader returns for it.
+func TestReadInPlaceThroughSmallReader(t *testing.T) {
+	c := NewCodec(testDict(t))
+	stream := inPlaceStream(t, c)
+	small := bufio.NewReaderSize(bytes.NewReader(stream), 64)
+	ref := bufio.NewReader(bytes.NewReader(stream))
+	var n int
+	for ; ; n++ {
+		want, werr := c.Read(ref)
+		got, gerr := c.Read(small)
+		if werr != nil || gerr != nil {
+			if werr != io.EOF || gerr != io.EOF {
+				t.Fatalf("frame %d: small reader err %v, default reader err %v", n, gerr, werr)
+			}
+			break
+		}
+		assertSame(t, want, got)
+	}
+	if n != 35 {
+		t.Fatalf("read %d frames, want 35", n)
+	}
+}
+
+// TestRawPayloadOutlivesNextRead: a RAW frame's payload is its own copy,
+// not a view of the reader's buffer, which the next read refills.
+func TestRawPayloadOutlivesNextRead(t *testing.T) {
+	c := NewCodec(testDict(t))
+	r := bufio.NewReaderSize(bytes.NewReader(inPlaceStream(t, c)), 64)
+	var raws []json.RawMessage
+	var copies [][]byte
+	for {
+		m, err := c.Read(r)
+		if err == io.EOF {
+			break
+		} else if err != nil {
+			t.Fatal(err)
+		}
+		if raw, ok := m.Payload.(json.RawMessage); ok {
+			raws, copies = append(raws, raw), append(copies, bytes.Clone(raw))
+		}
+	}
+	if len(raws) != 15 {
+		t.Fatalf("%d RAW frames, want 15", len(raws))
+	}
+	for i := range raws {
+		if !bytes.Equal(raws[i], copies[i]) {
+			t.Fatalf("RAW payload %d changed after later reads: %q, was %q", i, raws[i], copies[i])
+		}
 	}
 }

@@ -85,6 +85,7 @@ const minChunk = 2048
 // with, per task, prev — its index in the predecessor, matched by name, or -1
 // if it joined — and dirty: it joined, differs from its predecessor in a way
 // a compiled problem can see, or uses a resource whose definition changed.
+// Both are nil when the predecessor has no tasks: every task joined.
 // taskAt maps the predecessor's task names to their indices (nil: built
 // here); it is consulted only for a task that is not at its old position.
 //
@@ -148,7 +149,9 @@ func (c *Checked) Recheck(next *Workload, taskAt map[string]int) (ck *Checked, p
 		}
 	}
 	ck.res = make([]int32, ck.subOff[nt])
-	prev, dirty = make([]int, nt), make([]bool, nt)
+	if len(old.Tasks) > 0 {
+		prev, dirty = make([]int, nt), make([]bool, nt)
+	}
 
 	// recheck runs everything whose verdict is task ti's alone — its match to
 	// a predecessor, the diff, and unless it inherits its row: structure and
@@ -192,9 +195,9 @@ func (c *Checked) Recheck(next *Workload, taskAt map[string]int) (ck *Checked, p
 				return fmt.Errorf("task %s: %w", t.Name, err)
 			}
 		}
-		ck.curves[ti], prev[ti], dirty[ti] = curve, oi, changed
-		for _, ri := range row {
-			dirty[ti] = dirty[ti] || resChanged[ri]
+		ck.curves[ti] = curve
+		if prev != nil {
+			prev[ti], dirty[ti] = oi, changed || slices.ContainsFunc(row, func(ri int32) bool { return resChanged[ri] })
 		}
 		return nil
 	}
@@ -221,15 +224,15 @@ func (c *Checked) Recheck(next *Workload, taskAt map[string]int) (ck *Checked, p
 	// claim the same predecessor or both have none.
 	claimed := make([]bool, len(old.Tasks))
 	joined := make(map[string]struct{}, max(nt-len(old.Tasks), 0))
-	for ti, oi := range prev[:stop] {
-		dup := oi >= 0 && claimed[oi]
-		if oi >= 0 {
-			claimed[oi] = true
-		} else if _, dup = joined[next.Tasks[ti].Name]; !dup {
-			joined[next.Tasks[ti].Name] = struct{}{}
+	for ti := range stop {
+		name, dup := next.Tasks[ti].Name, false
+		if prev != nil && prev[ti] >= 0 {
+			dup, claimed[prev[ti]] = claimed[prev[ti]], true
+		} else if _, dup = joined[name]; !dup {
+			joined[name] = struct{}{}
 		}
 		if dup {
-			return fail("duplicate task %q", next.Tasks[ti].Name)
+			return fail("duplicate task %q", name)
 		}
 	}
 	if stopErr != nil {
