@@ -22,6 +22,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -330,11 +331,16 @@ func runDemo(ctx context.Context, w *workload.Workload, cfg core.Config, rounds 
 // engine replays the deployment's (bitwise-identical) trajectory up to the
 // emitted-round count, saving a generation every ckptEvery rounds and a final
 // one. No coordinator crash is scheduled, so every generation carries the
-// epoch of the directory's newest checkpoint (0 for an empty directory).
+// epoch of the directory's newest checkpoint (0 for a directory without
+// one). A directory whose checkpoints are all unreadable is an error: the
+// epoch fence must not go backwards.
 func checkpointDemo(w *workload.Workload, cfg core.Config, dir string, every int, res *dist.Result) error {
 	var epoch uint64
-	if cp, _, err := rec.Latest(dir); err == nil {
+	switch cp, _, err := rec.Latest(dir); {
+	case err == nil:
 		epoch = cp.Epoch
+	case !errors.Is(err, os.ErrNotExist):
+		return err
 	}
 	wr, err := rec.NewWriter(dir)
 	if err != nil {

@@ -138,6 +138,34 @@ func TestDemoCheckpoints(t *testing.T) {
 	}
 }
 
+// TestDemoRefusesRetiredCheckpointDir: a checkpoint directory whose only
+// generation is of a retired version fails the demo with the version named,
+// instead of restarting the epoch fence at 0.
+func TestDemoRefusesRetiredCheckpointDir(t *testing.T) {
+	if testing.Short() {
+		t.Skip("demo spins up a full TCP deployment")
+	}
+	b, err := os.ReadFile(filepath.Join("..", "..", "internal", "recover", "testdata", "ckpt_v3_newton.bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "ckpt-000000000001.llackpt"), b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	old := os.Stdout
+	devnull, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	os.Stdout = devnull
+	defer func() { os.Stdout = old; devnull.Close() }()
+	err = run(context.Background(), []string{"-workload", "prototype", "-demo", "-rounds", "40", "-checkpoint-dir", dir})
+	if err == nil || !strings.Contains(err.Error(), "version 3") {
+		t.Fatalf("demo over a directory of retired checkpoints = %v, want an error naming version 3", err)
+	}
+}
+
 func TestPrintRegistry(t *testing.T) {
 	old := os.Stdout
 	r, w, err := os.Pipe()

@@ -120,29 +120,62 @@ func TestProtocolCoversFrameTypes(t *testing.T) {
 	}
 }
 
-// maxChangeEntry is the most bytes one CHANGES.md entry may hold: what
-// changed, the tests removed or re-recorded, and the headline number.
-// Tables and per-run prose belong in git history and the benchmark reports.
-const maxChangeEntry = 1200
+// CHANGES.md caps. maxChangeEntry is the most bytes one entry may hold:
+// what changed, the tests removed or re-recorded, and the headline number.
+// maxChangeGroup caps everything one PR adds, its FOUND and MENDED lines
+// included, and maxOldEntry an entry of a PR before oldChangeLabel, whose
+// detail lives in git history. Tables and per-run prose belong in git
+// history and the benchmark reports.
+const (
+	maxChangeEntry = 1200
+	maxChangeGroup = 2400
+	maxOldEntry    = 400
+	oldChangeLabel = 50
+)
+
+// changeLabel is the PR or ISSUE number an entry opens with.
+var changeLabel = regexp.MustCompile(`^- (?:PR|ISSUE) (\d+)\b`)
 
 // TestChangesEntriesAreShort fails on any CHANGES.md entry — a top-level
-// "- " item with its continuation lines — longer than maxChangeEntry bytes.
+// "- " item, FOUND or MENDED line with its continuation lines — longer than
+// its cap, and on any PR's group of entries, the FOUND and MENDED lines
+// below its items joining it, longer than maxChangeGroup.
 func TestChangesEntriesAreShort(t *testing.T) {
 	raw, err := os.ReadFile("CHANGES.md")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var entries []string
+	type entry struct {
+		text  string
+		label int // -1 before the first label
+	}
+	var entries []entry
+	label := -1
 	for _, line := range strings.Split(string(raw), "\n") {
-		if strings.HasPrefix(line, "- ") || len(entries) == 0 {
-			entries = append(entries, line)
+		if m := changeLabel.FindStringSubmatch(line); m != nil {
+			label, _ = strconv.Atoi(m[1])
+		}
+		if strings.HasPrefix(line, "- ") || strings.HasPrefix(line, "FOUND") || strings.HasPrefix(line, "MENDED") || len(entries) == 0 {
+			entries = append(entries, entry{line, label})
 		} else {
-			entries[len(entries)-1] += "\n" + line
+			entries[len(entries)-1].text += "\n" + line
 		}
 	}
+	groups := map[int]int{}
 	for _, e := range entries {
-		if n := len(strings.TrimSpace(e)); n > maxChangeEntry {
-			t.Errorf("CHANGES.md entry of %d bytes (cap %d): %.80s…", n, maxChangeEntry, e)
+		n := len(strings.TrimSpace(e.text))
+		limit := maxChangeEntry
+		if e.label < oldChangeLabel {
+			limit = maxOldEntry
+		}
+		if n > limit {
+			t.Errorf("CHANGES.md entry of %d bytes (cap %d): %.80s…", n, limit, e.text)
+		}
+		groups[e.label] += n
+	}
+	for label, n := range groups {
+		if n > maxChangeGroup {
+			t.Errorf("CHANGES.md PR %d holds %d bytes (cap %d)", label, n, maxChangeGroup)
 		}
 	}
 }

@@ -31,13 +31,6 @@ func (e *Enc) Fail(format string, args ...any) {
 	}
 }
 
-// SetErr latches err unless an error is already latched.
-func (e *Enc) SetErr(err error) {
-	if e.Err == nil {
-		e.Err = err
-	}
-}
-
 func (e *Enc) U8(v byte)        { e.B = append(e.B, v) }
 func (e *Enc) U32(v uint32)     { e.B = binary.LittleEndian.AppendUint32(e.B, v) }
 func (e *Enc) U64(v uint64)     { e.B = binary.LittleEndian.AppendUint64(e.B, v) }

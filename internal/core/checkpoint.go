@@ -29,15 +29,9 @@ import (
 // fixed-point flags; the five sparse counters; the last largest price move;
 // and the price dynamics' own part (price.Dynamics.AppendState). Every slice
 // is u32-length-prefixed and every bool one byte.
-//
-// Version 3 held, in place of the two fixed-point vectors, each
-// controller's input fingerprint (the prices and flags its last stable solve
-// saw, incidence layout) and six flag vectors (readFingerprints). Version 2
-// differs from 3 only inside the dynamics' part. Version 1 also held the
-// gradient agents' step sizes between the prices and the demand sums.
 
-// CheckpointVersion is the section layout AppendCheckpoint writes.
-// ReadCheckpoint reads it and the older versions 1 to 3.
+// CheckpointVersion is the section layout AppendCheckpoint writes and
+// ReadCheckpoint reads, the only one there is.
 const CheckpointVersion = 4
 
 // AppendCheckpoint writes the engine's checkpoint section to w. Call it
@@ -67,10 +61,10 @@ func (e *Engine) AppendCheckpoint(w *byteio.Enc) {
 	e.dyn.AppendState(w)
 }
 
-// ReadCheckpoint reads a checkpoint section of layout version 1..4 into this
-// engine, which must be freshly built over the workload and config the
-// section was written under (the recover package rebuilds it from the
-// checkpoint's workload). Workers may differ freely: it is bitwise-neutral.
+// ReadCheckpoint reads a checkpoint section into this engine, which must be
+// freshly built over the workload and config the section was written under
+// (the recover package rebuilds it from the checkpoint's workload). Workers
+// may differ freely: it is bitwise-neutral.
 //
 // Every length must match the engine's shape and every value must be one a
 // run produces: finite, a resource price in [0, price.MaxPrice], a path
@@ -78,7 +72,7 @@ func (e *Engine) AppendCheckpoint(w *byteio.Enc) {
 // resumed out-of-range value would poison every later price. The first
 // violation is latched on d; the engine is then unusable and must be
 // discarded.
-func (e *Engine) ReadCheckpoint(d *byteio.Dec, version int) {
+func (e *Engine) ReadCheckpoint(d *byteio.Dec) {
 	const big = math.MaxFloat64
 	p := e.p
 	clear(e.graded) // the grades are scratch, and the restore moves them all
@@ -99,9 +93,6 @@ func (e *Engine) ReadCheckpoint(d *byteio.Dec, version int) {
 		}
 	}
 	readF64s(d, e.price, "Mu", 0, price.MaxPrice)
-	if version == 1 {
-		e.dyn.ReadGammas(d)
-	}
 	readF64s(d, e.shareSums, "ShareSums", -big, big)
 	readBools(d, e.congested, "Congested")
 	e.stale = e.stale[:0]
@@ -110,18 +101,14 @@ func (e *Engine) ReadCheckpoint(d *byteio.Dec, version int) {
 			e.stale = append(e.stale, int32(ri))
 		}
 	}
-	if version < 4 {
-		e.readFingerprints(d)
-	} else {
-		readBools(d, e.ctlStable, "fixed-point flags")
-		readBools(d, e.priceStable, "fixed-point flags")
-	}
+	readBools(d, e.ctlStable, "fixed-point flags")
+	readBools(d, e.priceStable, "fixed-point flags")
 	s := &e.sstats
 	for _, v := range [...]*uint64{&s.Iterations, &s.SkippedSolves, &s.ExecutedSolves, &s.CleanResources, &s.RepricedResources} {
 		*v = d.U64()
 	}
 	e.dynDelta = d.F64()
-	e.dyn.ReadState(d, version)
+	e.dyn.ReadState(d)
 	if d.Err != nil {
 		return
 	}
@@ -138,33 +125,6 @@ func (e *Engine) ReadCheckpoint(d *byteio.Dec, version int) {
 	}
 	for ri := range e.inner {
 		_, e.inner[ri] = e.demand(ri)
-	}
-}
-
-// readFingerprints reads the active set as versions 1 to 3 held it into the
-// two fixed-point vectors: a controller stays stable if it had solved, its
-// last solve was a fixed point and its fingerprint matches the restored
-// prices and flags — what the next Step's skip test compared — and a
-// resource if its sum was cached and its step a fixed point. The latChanged
-// flags land unused: every Step rewrites them before reading them.
-func (e *Engine) readFingerprints(d *byteio.Dec) {
-	inc, nt, nr := &e.inc, e.p.NumTasks(), len(e.price)
-	fpMu, fpCong := make([]float64, len(inc.taskRes)), make([]bool, len(inc.taskRes))
-	solved, sumValid := make([]bool, nt), make([]bool, nr)
-	readF64s(d, fpMu, "FpMu", 0, price.MaxPrice)
-	for _, flags := range [][]bool{fpCong, solved, e.ctlStable, e.latChanged, e.priceStable, sumValid} {
-		readBools(d, flags, "fixed-point flags")
-	}
-	for ti := range e.ctlStable {
-		stable := solved[ti] && e.ctlStable[ti]
-		for j := inc.taskResOff[ti]; stable && j < inc.taskResOff[ti+1]; j++ {
-			ri := inc.taskRes[j]
-			stable = e.price[ri] == fpMu[j] && e.congested[ri] == fpCong[j]
-		}
-		e.ctlStable[ti] = stable
-	}
-	for ri, valid := range sumValid {
-		e.priceStable[ri] = e.priceStable[ri] && valid
 	}
 }
 

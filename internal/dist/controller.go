@@ -181,7 +181,7 @@ func (n *controllerNode) speak() {
 		msg := wire.ShareReport{Round: n.round, Epoch: n.epoch, Task: n.name, Subs: g.subs, LatMs: lats}
 		n.lastLat[k] = msg
 		if !changed && n.round%deltaKeyframeInterval != 0 {
-			n.suppressed(1, wire.DeltaBytesSaved(msg))
+			n.suppressed(1, wire.DeltaBytesSaved(msg, g.si))
 			msg = wire.ShareReport{Round: n.round, Epoch: n.epoch, Task: n.name, Delta: true}
 		}
 		n.tell(k, msg)

@@ -2,7 +2,9 @@ package dist
 
 import (
 	"math"
+	"strings"
 	"testing"
+	"time"
 
 	"lla/internal/core"
 	"lla/internal/transport"
@@ -86,16 +88,20 @@ func TestDistConvergenceStop(t *testing.T) {
 	}
 }
 
+// loopbackTCP is a TCP network with every address of w on a loopback port.
+func loopbackTCP(w *workload.Workload) *transport.TCP {
+	registry := make(map[string]string)
+	for _, addr := range Addresses(w) {
+		registry[addr] = "127.0.0.1:0"
+	}
+	return transport.NewTCP(registry)
+}
+
 func TestDistOverTCP(t *testing.T) {
 	w := workload.Base()
-	registry := map[string]string{coordinatorAddr: "127.0.0.1:0"}
-	for _, tk := range w.Tasks {
-		registry[controllerAddr(tk.Name)] = "127.0.0.1:0"
-	}
-	for _, r := range w.Resources {
-		registry[resourceAddr(r.ID)] = "127.0.0.1:0"
-	}
-	rt, err := New(w, core.Config{}, transport.NewTCP(registry))
+	net := loopbackTCP(w)
+	net.SetCodec(WireCodec(w, nil))
+	rt, err := New(w, core.Config{}, net)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,6 +117,31 @@ func TestDistOverTCP(t *testing.T) {
 	want := e.Snapshot()
 	if d := math.Abs(res.Utility - want.Utility); d > 1e-6 {
 		t.Errorf("TCP utility %v, engine %v", res.Utility, want.Utility)
+	}
+}
+
+// TestDistOverTCPWithoutDictionaryFails: over a TCP network whose codec
+// lacks the workload's dictionary, the first price fails to encode, and the
+// run ends with that error instead of waiting on the failed node forever.
+func TestDistOverTCPWithoutDictionaryFails(t *testing.T) {
+	w := workload.Base()
+	rt, err := New(w, core.Config{}, loopbackTCP(w))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	done := make(chan error, 1)
+	go func() {
+		_, err := rt.Run(20)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err == nil || !strings.Contains(err.Error(), "not in the dictionary") {
+			t.Fatalf("Run = %v, want an error naming the missing dictionary entry", err)
+		}
+	case <-time.After(20 * time.Second):
+		t.Fatal("Run still waiting 20 s after a node failed")
 	}
 }
 

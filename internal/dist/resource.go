@@ -136,7 +136,7 @@ func (n *resourceNode) speak() {
 	if prev.Resource != "" && n.round%deltaKeyframeInterval != 0 && out.Mu == prev.Mu && out.Excess == prev.Excess && out.Congested == prev.Congested {
 		out = wire.PriceUpdate{Round: n.round, Epoch: n.epoch, Resource: out.Resource, Delta: true}
 		fanout := int64(len(n.peers))
-		n.suppressed(fanout, fanout*wire.DeltaBytesSaved(n.last))
+		n.suppressed(fanout, fanout*wire.DeltaBytesSaved(n.last, nil))
 	}
 	for k := range n.peers {
 		n.tell(k, out)

@@ -336,6 +336,7 @@ func (r *Runtime) drive(c *coordinator, rounds int) error {
 			defer wg.Done()
 			if err := drive(m, ep, stop, r.obsv); err != nil {
 				errs <- err
+				r.Shutdown() // the others would wait on this machine forever
 			}
 		}()
 	}

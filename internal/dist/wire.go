@@ -8,9 +8,9 @@ import (
 
 // WireCodec returns the binary frame codec preloaded with the workload's
 // name dictionary (compiled resource/task/subtask order, the same order
-// every node derives from the same workload), so price and latency frames
-// carry varint indexes instead of entity names. reg may be nil; pass the
-// run's registry to publish lla_wire_* metrics.
+// every node derives from the same workload), so frames carry varint
+// indexes instead of entity names. reg may be nil; pass the run's registry
+// to publish lla_wire_* metrics.
 //
 // The returned codec plugs into transport.TCP.SetCodec (genuine
 // deployments) or transport.Inproc.SetCodec (in-process runs exercising
@@ -32,8 +32,9 @@ func WireCodec(w *workload.Workload, reg *obs.Registry) *wire.Codec {
 	}
 	d, err := wire.NewDict(resources, tasks, subs)
 	if err != nil {
-		// Duplicate names cannot come out of a compiled workload; if they
-		// somehow do, string-mode frames stay correct, just larger.
+		// Duplicate names fail the workload's own check, which New runs
+		// before any frame is sent; until then the empty dictionary
+		// refuses, by name, every frame that would need one.
 		d = nil
 	}
 	c := wire.NewCodec(d)

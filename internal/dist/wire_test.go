@@ -12,8 +12,8 @@ import (
 )
 
 // TestWireCodecCoversWorkloadDict: the codec built from a workload indexes
-// every resource and subtask so production traffic never falls back to
-// string-mode addressing.
+// every resource, task and subtask, so no frame of a run names an id the
+// dictionary lacks.
 func TestWireCodecCoversWorkloadDict(t *testing.T) {
 	w := workload.Base()
 	reg := obs.NewRegistry()
@@ -135,10 +135,12 @@ func TestDistBinaryWireChaosMatchesEngine(t *testing.T) {
 // a schema change reintroduces RAW fallback for control traffic, this
 // catches it by name.
 func TestDistWireMessagesNeverRideRaw(t *testing.T) {
-	codec := wire.NewCodec(nil)
+	w := workload.Base()
+	codec := WireCodec(w, nil)
+	res, task := w.Resources[0].ID, w.Tasks[0].Name
 	for kind, payload := range map[string]any{
-		wire.KindPrice: wire.PriceUpdate{Mu: 1}, wire.KindLatency: wire.ShareReport{}, wire.KindReport: wire.UtilityReport{},
-		wire.KindStop: wire.Stop{}, wire.KindFin: wire.Fin{}, wire.KindRejoin: wire.Rejoin{}, wire.KindRejoinAck: wire.RejoinAck{},
+		wire.KindPrice: wire.PriceUpdate{Resource: res, Mu: 1}, wire.KindLatency: wire.ShareReport{Task: task}, wire.KindReport: wire.UtilityReport{Task: task},
+		wire.KindStop: wire.Stop{}, wire.KindFin: wire.Fin{Resource: res}, wire.KindRejoin: wire.Rejoin{}, wire.KindRejoinAck: wire.RejoinAck{Task: task},
 	} {
 		frame, err := codec.Encode(wire.Message{From: coordinatorAddr, To: coordinatorAddr, Kind: kind, Payload: payload})
 		if err != nil || frame[2] == wire.FrameRaw {

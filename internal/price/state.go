@@ -13,11 +13,6 @@ import (
 // the engine's checkpoint section: the solver name, each coordinate's step
 // size, the fallback count, and Newton's halvings and signs (empty under the
 // gradient). Strings and slices are u32-length-prefixed.
-//
-// Version 2 followed that with the mixing window only the removed Anderson
-// solver filled. Version 1 had no safeguard and opened the part with a tag:
-// 0 for the gradient agents, whose step sizes (read by ReadGammas ahead of
-// the tag) were the whole state, 1 for a Dynamics part as above.
 
 // AppendState writes the dynamics' part of a checkpoint section.
 func (d *Dynamics) AppendState(w *byteio.Enc) {
@@ -35,53 +30,15 @@ func (d *Dynamics) AppendState(w *byteio.Enc) {
 	}
 }
 
-// ReadState reads the part AppendState writes, in checkpoint layout version
-// 1..3, into a freshly Reset Dynamics of the same solver and coordinate
-// count. A solver or shape mismatch is latched on r — a restore must be
-// exact or refused, never approximate — and so is anything ReadGammas
-// refuses. A version-1 Newton part starts the safeguard cleared.
-func (d *Dynamics) ReadState(r *byteio.Dec, version int) {
-	if version == 1 {
-		switch tag := r.U8(); {
-		case tag == 0 && !d.newton:
-			return
-		case tag == 0:
-			r.Fail("checkpoint holds gradient solver state, engine runs %s", d.Solver())
-		case tag != 1:
-			r.Fail("bad version-1 solver-state tag %d", tag)
-		}
-	}
+// ReadState reads the part AppendState writes into a freshly Reset
+// Dynamics of the same solver and coordinate count. A solver or shape
+// mismatch is latched on r — a restore must be exact or refused, never
+// approximate — and so is a step size that is not positive and finite, or
+// under a fixed step policy not the policy's own step.
+func (d *Dynamics) ReadState(r *byteio.Dec) {
 	if s := r.Take(int(r.U32())); r.Err == nil && string(s) != string(d.Solver()) {
 		r.Fail("checkpoint holds %s solver state, engine runs %s", s, d.Solver())
 	}
-	d.ReadGammas(r)
-	d.fallbacks = r.U64()
-	if version > 1 {
-		for _, b := range [][]uint8{d.halvings, d.sign} {
-			if n := r.U32(); r.Err == nil && int(n) != len(b) {
-				r.Fail("checkpoint Newton safeguard sized %d, engine has %d coordinates", n, len(b))
-			}
-			copy(b, r.Take(len(b)))
-		}
-	}
-	if version < 3 {
-		// The mixing window: a size, then five length-prefixed slices (fill
-		// counts, iterates, residuals, accept flags, residual magnitudes),
-		// all empty for every solver but Anderson.
-		empty := r.U64() == 0
-		for i := 0; i < 5; i++ {
-			empty = r.U32() == 0 && empty
-		}
-		if !empty && r.Err == nil {
-			r.Fail("checkpoint holds anderson solver history; the anderson solver was removed")
-		}
-	}
-}
-
-// ReadGammas reads a u32-length-prefixed vector of step sizes into the
-// coordinates. The length must match, and every step size must be positive
-// and finite — and under a fixed step policy, the policy's own step.
-func (d *Dynamics) ReadGammas(r *byteio.Dec) {
 	if n := r.U32(); r.Err == nil && int(n) != len(d.gamma) {
 		r.Fail("checkpoint has %d step sizes, solver has %d coordinates", n, len(d.gamma))
 	}
@@ -95,5 +52,12 @@ func (d *Dynamics) ReadGammas(r *byteio.Dec) {
 		default:
 			d.gamma[j] = g
 		}
+	}
+	d.fallbacks = r.U64()
+	for _, b := range [][]uint8{d.halvings, d.sign} {
+		if n := r.U32(); r.Err == nil && int(n) != len(b) {
+			r.Fail("checkpoint Newton safeguard sized %d, engine has %d coordinates", n, len(b))
+		}
+		copy(b, r.Take(len(b)))
 	}
 }

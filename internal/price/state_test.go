@@ -15,11 +15,11 @@ func stateOf(d *Dynamics) []byte {
 	return w.B
 }
 
-// readState reads a current-version checkpoint part into d, which must
+// readState reads a checkpoint part into d, which must
 // consume it exactly.
 func readState(d *Dynamics, b []byte) error {
 	r := byteio.Dec{Buf: b}
-	d.ReadState(&r, 3)
+	d.ReadState(&r)
 	return r.Done()
 }
 

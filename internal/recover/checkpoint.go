@@ -31,8 +31,8 @@ import (
 // is a header (epoch, seed, converged flag, solver name), the workload as
 // JSON with its SHA-256, the engine section, written and read by core.Engine
 // (AppendCheckpoint, ReadCheckpoint), and the admission section. The version
-// is the engine section's layout version (core.CheckpointVersion); versions
-// 1 to 3 differ from 4 only inside the engine section, and still restore.
+// is the engine section's layout version (core.CheckpointVersion), and
+// Decode refuses any other.
 //
 // Decode checks the envelope, the header and the workload; a checkpoint that
 // passes holds its two sections as bytes. Restore reads them into the engine
@@ -59,10 +59,9 @@ type Checkpoint struct {
 	// rebuilds the engine from it.
 	Workload *workload.Workload
 
-	// version is the layout of sections: the engine section followed by
-	// the admission section, as encoded. err is a failure to write them
-	// (a non-finite engine value), reported by Encode.
-	version  uint16
+	// sections are the engine section followed by the admission section,
+	// as encoded. err is a failure to write them (a non-finite engine
+	// value), reported by Encode.
 	sections []byte
 	err      error
 }
@@ -100,7 +99,6 @@ func Capture(eng *core.Engine, opts CaptureOptions) *Checkpoint {
 		Converged: opts.Converged,
 		Solver:    eng.Config().PriceSolver,
 		Workload:  eng.CurrentWorkload(),
-		version:   ckptVersion,
 		sections:  w.B,
 		err:       w.Err,
 	}
@@ -120,7 +118,7 @@ func Restore(cp *Checkpoint, cfg core.Config) (*core.Engine, *admit.State, error
 		return nil, nil, fmt.Errorf("recover: rebuilding engine from checkpoint workload: %w", err)
 	}
 	d := byteio.Dec{Buf: cp.sections}
-	eng.ReadCheckpoint(&d, int(cp.version))
+	eng.ReadCheckpoint(&d)
 	st := readAdmit(&d)
 	if err := d.Done(); err != nil {
 		eng.Close()
@@ -191,15 +189,15 @@ func (cp *Checkpoint) Encode() ([]byte, error) {
 
 	out, pay := w.B, w.B[hdr:]
 	copy(out, ckptMagic)
-	binary.LittleEndian.PutUint16(out[len(ckptMagic):], cp.version)
+	binary.LittleEndian.PutUint16(out[len(ckptMagic):], ckptVersion)
 	binary.LittleEndian.PutUint32(out[len(ckptMagic)+2:], uint32(len(pay)))
 	return binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(pay)), nil
 }
 
 // Decode parses and validates an encoded checkpoint's envelope, header and
 // workload. Any corruption there — truncation, bit flips (caught by the CRC
-// or the workload hash), an unsupported version, trailing garbage — is an
-// error. The sections are read, and checked, by Restore.
+// or the workload hash), a version other than ckptVersion, trailing
+// garbage — is an error. The sections are read, and checked, by Restore.
 func Decode(b []byte) (*Checkpoint, error) {
 	n := len(ckptMagic)
 	if len(b) < n+2+4 {
@@ -208,9 +206,8 @@ func Decode(b []byte) (*Checkpoint, error) {
 	if string(b[:n]) != ckptMagic {
 		return nil, fmt.Errorf("recover: bad checkpoint magic")
 	}
-	version := binary.LittleEndian.Uint16(b[n:])
-	if version < 1 || version > ckptVersion {
-		return nil, fmt.Errorf("recover: unsupported checkpoint version %d (have 1..%d)", version, ckptVersion)
+	if version := binary.LittleEndian.Uint16(b[n:]); version != ckptVersion {
+		return nil, fmt.Errorf("recover: checkpoint version %d refused: only version %d is read", version, ckptVersion)
 	}
 	plen := int64(binary.LittleEndian.Uint32(b[n+2:]))
 	body := b[n+2+4:]
@@ -221,14 +218,14 @@ func Decode(b []byte) (*Checkpoint, error) {
 	if got, want := crc32.ChecksumIEEE(pay), binary.LittleEndian.Uint32(body[plen:]); got != want {
 		return nil, fmt.Errorf("recover: checkpoint checksum mismatch (corrupt)")
 	}
-	return decodePayload(pay, version)
+	return decodePayload(pay)
 }
 
-// decodePayload parses the checksummed payload of the given version up to
-// its sections, which it keeps as bytes.
-func decodePayload(pay []byte, version uint16) (*Checkpoint, error) {
+// decodePayload parses the checksummed payload up to its sections, which it
+// keeps as bytes.
+func decodePayload(pay []byte) (*Checkpoint, error) {
 	d := byteio.Dec{Buf: pay}
-	cp := &Checkpoint{version: version}
+	cp := &Checkpoint{}
 	cp.Epoch = d.U64()
 	cp.Seed = int64(d.U64())
 	cp.Converged = d.U8() != 0

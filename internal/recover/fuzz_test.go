@@ -41,6 +41,20 @@ func seedOptions(ctrl *admit.Controller) CaptureOptions {
 	return CaptureOptions{Epoch: 2, Seed: 11, Admit: ctrl}
 }
 
+// retiredVectors are the testdata vectors of retired versions, which Decode
+// refuses.
+var retiredVectors = []string{"ckpt_v1_gradient.bin", "ckpt_v1_newton.bin", "ckpt_v2_newton.bin", "ckpt_v3_newton.bin", "ckpt_v2_anderson.bin"}
+
+// readVector reads a testdata vector.
+func readVector(tb testing.TB, name string) []byte {
+	tb.Helper()
+	b, err := os.ReadFile("testdata/" + name)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return b
+}
+
 // fuzzSeedCheckpoint encodes the seed run's checkpoint for the fuzz corpus.
 func fuzzSeedCheckpoint(f *testing.F) []byte {
 	f.Helper()
@@ -54,8 +68,9 @@ func fuzzSeedCheckpoint(f *testing.F) []byte {
 
 // FuzzDecodeCheckpoint hardens the checkpoint codec against arbitrary bytes,
 // seeded with the same hostile shapes as the transport readFrame corpus:
-// truncations, bit flips, version skew, hostile length prefixes, and
-// trailing garbage must all error — never panic, never load silently.
+// truncations, bit flips, version skew, hostile length prefixes, trailing
+// garbage and the retired versions' vectors must all error — never panic,
+// never load silently.
 func FuzzDecodeCheckpoint(f *testing.F) {
 	valid := fuzzSeedCheckpoint(f)
 	f.Add(valid)
@@ -81,6 +96,9 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 	f.Add(hostile)
 	// Trailing garbage after a valid checkpoint.
 	f.Add(append(append([]byte(nil), valid...), 0xde, 0xad))
+	for _, name := range retiredVectors {
+		f.Add(readVector(f, name))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		cp, err := Decode(data)
@@ -101,7 +119,7 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 
 // FuzzDecodePayload drives the payload's sections — the engine section and
 // the admission section behind a valid header and workload — through
-// Restore, in every layout version, into engines of both solvers: arbitrary
+// Restore into engines of both solvers: arbitrary
 // section bytes reach the engine's and the dynamics' readers without having
 // to forge a CRC or a workload hash first. Nothing may panic or hang, and a
 // restored engine must re-encode to a checkpoint that restores again.
@@ -121,14 +139,13 @@ func FuzzDecodePayload(f *testing.F) {
 		eng.Close()
 		f.Add(tmpl[solver].sections)
 	}
-	// The older vectors' sections (version 1 gradient and Newton, version 2
-	// Newton on workload.Base(), version 3 the seed run).
-	for _, name := range []string{"ckpt_v1_gradient.bin", "ckpt_v1_newton.bin", "ckpt_v2_newton.bin", "ckpt_v3_newton.bin"} {
-		b, err := os.ReadFile("testdata/" + name)
-		if err != nil {
-			f.Fatal(err)
-		}
-		cp, err := Decode(b)
+	// The retired vectors' sections (version 1 gradient and Newton, version
+	// 2 Newton on workload.Base(), version 3 the seed run; not the Anderson
+	// one, whose header names a removed solver), which Decode refuses for
+	// their version: read from the payload behind the envelope.
+	for _, name := range retiredVectors[:4] {
+		b := readVector(f, name)
+		cp, err := decodePayload(b[len(ckptMagic)+2+4 : len(b)-4])
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -147,33 +164,31 @@ func FuzzDecodePayload(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, base := range tmpl {
-			for v := uint16(1); v <= ckptVersion; v++ {
-				cp := *base
-				cp.version, cp.sections = v, data
-				eng, st, err := Restore(&cp, core.Config{Workers: 1})
-				if err != nil {
-					continue // malformed sections must fail cleanly
-				}
-				var ctrl *admit.Controller
-				if st != nil {
-					ctrl = admit.New(eng, admit.Config{})
-					ctrl.RestoreState(*st)
-				}
-				b, err := Capture(eng, CaptureOptions{Admit: ctrl}).Encode()
-				eng.Close()
-				if err != nil {
-					t.Fatalf("restored version-%d sections do not re-encode: %v", v, err)
-				}
-				again, err := Decode(b)
-				if err != nil {
-					t.Fatalf("re-encoded checkpoint does not decode: %v", err)
-				}
-				eng, _, err = Restore(again, core.Config{Workers: 1})
-				if err != nil {
-					t.Fatalf("re-encoded checkpoint does not restore: %v", err)
-				}
-				eng.Close()
+			cp := *base
+			cp.sections = data
+			eng, st, err := Restore(&cp, core.Config{Workers: 1})
+			if err != nil {
+				continue // malformed sections must fail cleanly
 			}
+			var ctrl *admit.Controller
+			if st != nil {
+				ctrl = admit.New(eng, admit.Config{})
+				ctrl.RestoreState(*st)
+			}
+			b, err := Capture(eng, CaptureOptions{Admit: ctrl}).Encode()
+			eng.Close()
+			if err != nil {
+				t.Fatalf("restored sections do not re-encode: %v", err)
+			}
+			again, err := Decode(b)
+			if err != nil {
+				t.Fatalf("re-encoded checkpoint does not decode: %v", err)
+			}
+			eng, _, err = Restore(again, core.Config{Workers: 1})
+			if err != nil {
+				t.Fatalf("re-encoded checkpoint does not restore: %v", err)
+			}
+			eng.Close()
 		}
 	})
 }
@@ -201,15 +216,15 @@ func TestDecodeHostileLengthAllocs(t *testing.T) {
 	quarantine.U64(5)       // event
 	quarantine.U32(0xFFFF_FF00)
 	for name, read := range map[string]func() error{
-		"solver name": func() error { _, err := decodePayload(header.B, ckptVersion); return err },
+		"solver name": func() error { _, err := decodePayload(header.B); return err },
 		"task count": func() error {
 			d := byteio.Dec{Buf: tasks.B}
-			eng.ReadCheckpoint(&d, ckptVersion)
+			eng.ReadCheckpoint(&d)
 			return d.Err
 		},
 		"latency count": func() error {
 			d := byteio.Dec{Buf: vector.B}
-			eng.ReadCheckpoint(&d, ckptVersion)
+			eng.ReadCheckpoint(&d)
 			return d.Err
 		},
 		"quarantine count": func() error {

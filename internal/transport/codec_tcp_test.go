@@ -41,8 +41,18 @@ func recvMsg(t *testing.T, ch <-chan transport.Message) transport.Message {
 	return transport.Message{}
 }
 
-// exchange sends a price a->b and a share report b->a and asserts both
-// arrive intact, as the values sent.
+// exchangeDict names what exchange sends.
+func exchangeDict(t *testing.T) *wire.Dict {
+	t.Helper()
+	d, err := wire.NewDict([]string{"cpu0"}, []string{"alpha"}, [][]string{{"a1"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+// exchange sends a price a->b and a share report b->a, through a codec
+// holding exchangeDict, and asserts both arrive intact, as the values sent.
 func exchange(t *testing.T, a, b transport.Endpoint) {
 	t.Helper()
 	want := wire.PriceUpdate{Round: 7, Resource: "cpu0", Mu: 1.5}
@@ -77,7 +87,7 @@ func observed(d *wire.Dict, reg *obs.Registry) *wire.Codec {
 func TestTCPBinaryCodecEndToEnd(t *testing.T) {
 	reg := obs.NewRegistry()
 	n := transport.NewTCP(map[string]string{"a": "127.0.0.1:0", "b": "127.0.0.1:0"})
-	n.SetCodec(observed(nil, reg))
+	n.SetCodec(observed(exchangeDict(t), reg))
 	a, err := n.Endpoint("a")
 	if err != nil {
 		t.Fatal(err)
@@ -263,7 +273,7 @@ func TestTCPRefusals(t *testing.T) {
 func TestInprocCodecRoundTrip(t *testing.T) {
 	reg := obs.NewRegistry()
 	n := transport.NewInproc(transport.InprocConfig{})
-	n.SetCodec(observed(nil, reg))
+	n.SetCodec(observed(exchangeDict(t), reg))
 	a, err := n.Endpoint("a")
 	if err != nil {
 		t.Fatal(err)

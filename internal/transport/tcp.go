@@ -50,7 +50,7 @@ type TCP struct {
 	// between attempts. Zero tries once.
 	RetryWindow time.Duration
 	// codec frames every message and checks every connection's handshake:
-	// the dictionary-less wire codec unless SetCodec installed another.
+	// the empty-dictionary wire codec unless SetCodec installed another.
 	codec Codec
 	// pool serves the open endpoints; the last one's Close ends it.
 	pool *pool
@@ -71,6 +71,8 @@ const (
 // Entries may also be added later with Register (e.g. after kernel-assigned
 // ports are known). Endpoints whose entries name the same host:port share
 // one listener; all "127.0.0.1:0" entries share one kernel-assigned port.
+// Its codec holds the empty dictionary, so a frame naming a resource, task
+// or subtask fails to encode until SetCodec installs the deployment's.
 func NewTCP(registry map[string]string) *TCP {
 	r := make(map[string]string, len(registry))
 	for k, v := range registry {

@@ -19,7 +19,7 @@ func countNegotiations(reg *obs.Registry, outcome string) int64 {
 	return reg.Counter("lla_wire_negotiations_total", "Codec negotiations, by outcome.", "outcome", outcome).Value()
 }
 
-// observedCodec is the dictionary-less codec counting into reg.
+// observedCodec is the empty-dictionary codec counting into reg.
 func observedCodec(reg *obs.Registry) *wire.Codec {
 	c := wire.NewCodec(nil)
 	c.Observe(reg)
@@ -69,7 +69,7 @@ func TestTCPSharedConnectionKeepsSenderOrder(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for k := range frames {
-				if err := ep.Send("sink", wire.KindReport, ping(k)); err != nil {
+				if err := ep.Send("sink", pingKind, ping(k)); err != nil {
 					t.Errorf("%s: %v", ep.Addr(), err)
 					return
 				}
@@ -116,15 +116,11 @@ func TestTCPStalledReceiverNeverBlocksSender(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	subs := make([]string, 1000)
-	for i := range subs {
-		subs[i] = fmt.Sprintf("s%04d", i) // ascending, as a LATENCY frame requires
-	}
-	big := wire.ShareReport{Round: 1, Task: "t", Subs: subs, LatMs: make([]float64, len(subs))}
+	big := strings.Repeat("x", 14000) // a RAW frame about the size of a 1000-pair share report
 	var full error
 	for i := 0; i < 100000 && full == nil; i++ {
 		start := time.Now()
-		full = a.Send("b", wire.KindLatency, big)
+		full = a.Send("b", "bulk", big)
 		if d := time.Since(start); d > time.Second {
 			t.Fatalf("Send %d took %v", i, d)
 		}
@@ -191,7 +187,7 @@ func TestTCPSharedListenerRoutesByTo(t *testing.T) {
 					if to == from {
 						continue
 					}
-					if err := eps[from].Send(to, wire.KindReport, ping(k)); err != nil {
+					if err := eps[from].Send(to, pingKind, ping(k)); err != nil {
 						t.Errorf("%s -> %s: %v", from, to, err)
 						return
 					}
@@ -228,7 +224,7 @@ func TestTCPClosedNeighbourIsUnrouted(t *testing.T) {
 	n.Register("ghost", hp)
 	eps["b"].Close()
 	for k, to := range []string{"b", "ghost", "c"} {
-		if err := eps["a"].Send(to, wire.KindReport, ping(k)); err != nil {
+		if err := eps["a"].Send(to, pingKind, ping(k)); err != nil {
 			t.Fatalf("send to %s: %v", to, err)
 		}
 	}
@@ -239,7 +235,7 @@ func TestTCPClosedNeighbourIsUnrouted(t *testing.T) {
 		t.Fatal("the closed endpoint received a frame")
 	}
 	b := openAll(t, n, "b")["b"]
-	if err := eps["a"].Send("b", wire.KindReport, ping(3)); err != nil {
+	if err := eps["a"].Send("b", pingKind, ping(3)); err != nil {
 		t.Fatal(err)
 	}
 	if m := recvOne(t, b); pingN(t, m) != 3 {
@@ -261,9 +257,9 @@ func TestTCPStalledEndpointDoesNotStallNeighbours(t *testing.T) {
 	go func() {
 		defer close(done)
 		for k := range frames {
-			err := eps["a"].Send("stalled", wire.KindReport, ping(k))
+			err := eps["a"].Send("stalled", pingKind, ping(k))
 			if err == nil && k%every == 0 {
-				err = eps["a"].Send("c", wire.KindReport, ping(k))
+				err = eps["a"].Send("c", pingKind, ping(k))
 			}
 			if err != nil {
 				t.Error(err)
@@ -333,7 +329,7 @@ func TestTCPWriterRedialsAfterPeerRestart(t *testing.T) {
 	}
 	hp, _ := peer.lookup("b")
 	n.Register("b", hp)
-	if err := a.Send("b", wire.KindReport, ping(0)); err != nil {
+	if err := a.Send("b", pingKind, ping(0)); err != nil {
 		t.Fatal(err)
 	}
 	recvOne(t, b)
@@ -354,7 +350,7 @@ func TestTCPWriterRedialsAfterPeerRestart(t *testing.T) {
 
 	const down, total = 50, 100
 	for k := 1; k <= down; k++ {
-		if err := a.Send("b", wire.KindReport, ping(k)); err != nil {
+		if err := a.Send("b", pingKind, ping(k)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -364,7 +360,7 @@ func TestTCPWriterRedialsAfterPeerRestart(t *testing.T) {
 	}
 	defer b.Close()
 	for k := down + 1; k <= total; k++ {
-		if err := a.Send("b", wire.KindReport, ping(k)); err != nil {
+		if err := a.Send("b", pingKind, ping(k)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -9,18 +9,21 @@ import (
 	"lla/internal/wire"
 )
 
-// ping is a framed test payload carrying the number n; it travels as kind
-// wire.KindReport, which every network, TCP's codec included, accepts.
-func ping(n int) wire.UtilityReport { return wire.UtilityReport{Task: "t", Round: n} }
+// ping is a framed test payload carrying the number n. It travels as kind
+// pingKind, a frame that names no resource, task or subtask, so every
+// network accepts it, TCP's empty-dictionary codec included.
+func ping(n int) wire.Stop { return wire.Stop{AfterRound: n} }
+
+const pingKind = wire.KindStop
 
 // pingN reads back the number a ping carries.
 func pingN(t *testing.T, m Message) int {
 	t.Helper()
-	p, ok := m.Payload.(wire.UtilityReport)
+	p, ok := m.Payload.(wire.Stop)
 	if !ok {
 		t.Fatalf("payload = %#v, want a ping", m.Payload)
 	}
-	return p.Round
+	return p.AfterRound
 }
 
 func recvOne(t *testing.T, ep Endpoint) Message {
@@ -49,11 +52,11 @@ func testRoundTrip(t *testing.T, n Network) {
 	}
 	defer b.Close()
 
-	if err := a.Send("b", wire.KindReport, ping(7)); err != nil {
+	if err := a.Send("b", pingKind, ping(7)); err != nil {
 		t.Fatal(err)
 	}
 	m := recvOne(t, b)
-	if m.From != "a" || m.To != "b" || m.Kind != wire.KindReport {
+	if m.From != "a" || m.To != "b" || m.Kind != pingKind {
 		t.Fatalf("envelope = %+v", m)
 	}
 	if n := pingN(t, m); n != 7 {
@@ -61,11 +64,11 @@ func testRoundTrip(t *testing.T, n Network) {
 	}
 
 	// Reply path.
-	if err := b.Send("a", wire.KindStop, wire.Stop{AfterRound: 8}); err != nil {
+	if err := b.Send("a", wire.KindRejoin, wire.Rejoin{Epoch: 8}); err != nil {
 		t.Fatal(err)
 	}
 	m = recvOne(t, a)
-	if m.Kind != wire.KindStop || m.Payload != any(wire.Stop{AfterRound: 8}) {
+	if m.Kind != wire.KindRejoin || m.Payload != any(wire.Rejoin{Epoch: 8}) {
 		t.Fatalf("reply = %+v", m)
 	}
 }
@@ -88,7 +91,7 @@ func TestInprocOrderingPerPair(t *testing.T) {
 	defer a.Close()
 	defer b.Close()
 	for i := 0; i < 100; i++ {
-		if err := a.Send("b", wire.KindReport, ping(i)); err != nil {
+		if err := a.Send("b", pingKind, ping(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -116,7 +119,7 @@ func TestInprocUnknownDestination(t *testing.T) {
 	n := NewInproc(InprocConfig{})
 	a, _ := n.Endpoint("a")
 	defer a.Close()
-	if err := a.Send("ghost", wire.KindReport, ping(0)); err == nil {
+	if err := a.Send("ghost", pingKind, ping(0)); err == nil {
 		t.Fatal("send to unknown endpoint should fail")
 	}
 }
@@ -131,7 +134,7 @@ func TestInprocClosedAddressFailsFast(t *testing.T) {
 	b, _ := n.Endpoint("b")
 	b.Close()
 	start := time.Now()
-	if err := a.Send("b", wire.KindReport, ping(0)); err == nil {
+	if err := a.Send("b", pingKind, ping(0)); err == nil {
 		t.Fatal("send to a closed endpoint should fail")
 	}
 	if d := time.Since(start); d > time.Second {
@@ -143,7 +146,7 @@ func TestInprocClosedAddressFailsFast(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer b2.Close()
-	if err := a.Send("b", wire.KindReport, ping(7)); err != nil {
+	if err := a.Send("b", pingKind, ping(7)); err != nil {
 		t.Fatalf("send to a re-registered address: %v", err)
 	}
 	if n := pingN(t, recvOne(t, b2)); n != 7 {
@@ -158,7 +161,7 @@ func TestInprocClosedAddressFailsFast(t *testing.T) {
 		late <- c
 	}()
 	start = time.Now()
-	if err := a.Send("c", wire.KindReport, ping(0)); err != nil {
+	if err := a.Send("c", pingKind, ping(0)); err != nil {
 		t.Fatalf("send to a late endpoint: %v", err)
 	}
 	if d := time.Since(start); d < 20*time.Millisecond {
@@ -172,7 +175,7 @@ func TestInprocClosedAddressFailsFast(t *testing.T) {
 	s, _ := short.Endpoint("s")
 	defer s.Close()
 	start = time.Now()
-	if err := s.Send("ghost", wire.KindReport, ping(0)); err == nil {
+	if err := s.Send("ghost", pingKind, ping(0)); err == nil {
 		t.Fatal("send to a never-registered endpoint should fail once the wait is over")
 	}
 	if d := time.Since(start); d < 40*time.Millisecond {
@@ -189,7 +192,7 @@ func sendPlanned(t *testing.T, f *Faults, ep Endpoint, to string, payload any) {
 	copies, delay := f.Plan()
 	time.Sleep(delay)
 	for i := 0; i < copies; i++ {
-		if err := ep.Send(to, wire.KindReport, payload); err != nil {
+		if err := ep.Send(to, pingKind, payload); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -239,7 +242,7 @@ func TestInprocSendAfterClose(t *testing.T) {
 	n := NewInproc(InprocConfig{})
 	a, _ := n.Endpoint("a")
 	a.Close()
-	if err := a.Send("a", wire.KindReport, ping(0)); err == nil {
+	if err := a.Send("a", pingKind, ping(0)); err == nil {
 		t.Fatal("send after close should fail")
 	}
 	if err := a.Close(); err != nil {
@@ -254,7 +257,7 @@ func TestTCPUnknownDestination(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	if err := a.Send("ghost", wire.KindReport, ping(0)); err == nil {
+	if err := a.Send("ghost", pingKind, ping(0)); err == nil {
 		t.Fatal("send to unregistered name should fail")
 	}
 }
@@ -281,7 +284,7 @@ func TestTCPManyMessagesBothDirections(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < total; i++ {
-			if err := a.Send("b", wire.KindReport, ping(i)); err != nil {
+			if err := a.Send("b", pingKind, ping(i)); err != nil {
 				t.Errorf("a->b: %v", err)
 				return
 			}
@@ -290,7 +293,7 @@ func TestTCPManyMessagesBothDirections(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < total; i++ {
-			if err := b.Send("a", wire.KindReport, ping(i)); err != nil {
+			if err := b.Send("a", pingKind, ping(i)); err != nil {
 				t.Errorf("b->a: %v", err)
 				return
 			}
@@ -330,7 +333,7 @@ func TestTCPSendAfterClose(t *testing.T) {
 	b, _ := n.Endpoint("b")
 	defer b.Close()
 	a.Close()
-	if err := a.Send("b", wire.KindReport, ping(0)); err == nil {
+	if err := a.Send("b", pingKind, ping(0)); err == nil {
 		t.Fatal("send after close should fail")
 	}
 	if err := a.Close(); err != nil {
@@ -346,10 +349,10 @@ func TestInprocFullInboxIsAnError(t *testing.T) {
 	b, _ := n.Endpoint("b")
 	defer a.Close()
 	defer b.Close()
-	if err := a.Send("b", wire.KindReport, ping(1)); err != nil {
+	if err := a.Send("b", pingKind, ping(1)); err != nil {
 		t.Fatal(err)
 	}
-	err := a.Send("b", wire.KindReport, ping(2))
+	err := a.Send("b", pingKind, ping(2))
 	if err == nil || !strings.Contains(err.Error(), `"b"`) {
 		t.Fatalf("send to a full inbox = %v, want an error naming the address", err)
 	}
@@ -357,7 +360,7 @@ func TestInprocFullInboxIsAnError(t *testing.T) {
 		t.Fatalf("queued message = ping %d, want 1", n)
 	}
 	// Room again: the endpoint is not poisoned.
-	if err := a.Send("b", wire.KindReport, ping(3)); err != nil {
+	if err := a.Send("b", pingKind, ping(3)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -410,7 +413,7 @@ func TestTCPSendBacksOffUntilPeerListens(t *testing.T) {
 		up <- b
 	}()
 	start := time.Now()
-	if err := a.Send("b", wire.KindReport, ping(1)); err != nil {
+	if err := a.Send("b", pingKind, ping(1)); err != nil {
 		t.Fatalf("send across the peer's restart: %v", err)
 	}
 	if d := time.Since(start); d < 40*time.Millisecond || d > 300*time.Millisecond {
@@ -423,7 +426,7 @@ func TestTCPSendBacksOffUntilPeerListens(t *testing.T) {
 	defer b.Close()
 	select {
 	case m := <-b.Recv():
-		if m.From != "a" || m.Kind != wire.KindReport {
+		if m.From != "a" || m.Kind != pingKind {
 			t.Errorf("got %+v", m)
 		}
 	case <-time.After(2 * time.Second):

@@ -53,9 +53,13 @@ type Codec struct {
 	m *obs.WireMetrics
 }
 
-// NewCodec returns a codec using the given dictionary (nil for inline
-// string ids). Call Observe to attach metrics.
+// NewCodec returns a codec using the given dictionary; nil means the empty
+// one, under which only a frame naming no resource, task or subtask
+// encodes. Call Observe to attach metrics.
 func NewCodec(d *Dict) *Codec {
+	if d == nil {
+		d = emptyDict
+	}
 	return &Codec{dict: d, minVersion: MinVersion, maxVersion: Version, m: &obs.WireMetrics{}}
 }
 
@@ -69,20 +73,15 @@ func (c *Codec) Observe(reg *obs.Registry) {
 // Encode renders one message as a binary frame, choosing the frame type
 // from the payload's Go type; a json.RawMessage rides a RAW frame under the
 // message's kind. It fails on a payload that is neither, a kind that is not
-// the frame type's, and oversize or non-finite fields.
+// the frame type's, a payload id outside the dictionary, and oversize or
+// non-finite fields.
 func (c *Codec) Encode(m Message) ([]byte, error) {
 	// The body is encoded into the buffer that becomes the frame, behind
 	// room for the longest header; the header is then written flush against
 	// it. A typical control frame (tens of bytes) is this one allocation.
 	const maxHeader = 4 + binary.MaxVarintLen32
 	e := byteio.Enc{B: make([]byte, maxHeader, 128)}
-	ft, flags := c.encodeBody(&e, m, c.dict != nil)
-	if errors.Is(e.Err, errDictMiss) {
-		// A name outside the dictionary (e.g. an ad-hoc client address):
-		// re-encode the whole frame with inline strings.
-		e = byteio.Enc{B: e.B[:maxHeader]}
-		ft, flags = c.encodeBody(&e, m, false)
-	}
+	ft, flags := c.encodeBody(&e, m)
 	if e.Err != nil {
 		return nil, fmt.Errorf("wire: %w", e.Err)
 	}
@@ -106,25 +105,25 @@ func (c *Codec) Encode(m Message) ([]byte, error) {
 
 // encodeBody renders the frame body into e and returns the frame type and
 // flags; failures latch on e.
-func (c *Codec) encodeBody(e *byteio.Enc, m Message, dict bool) (ft, flags byte) {
-	c.addr(e, m.From, dict)
-	c.addr(e, m.To, dict)
+func (c *Codec) encodeBody(e *byteio.Enc, m Message) (ft, flags byte) {
+	c.addr(e, m.From)
+	c.addr(e, m.To)
 	switch p := m.Payload.(type) {
 	case PriceUpdate:
 		ft = FramePrice
-		c.encPrice(e, []PriceUpdate{p}, dict)
+		c.encPrice(e, []PriceUpdate{p})
 	case []PriceUpdate:
 		ft, flags = FramePrice, flagBatch
-		c.encPrice(e, p, dict)
+		c.encPrice(e, p)
 	case ShareReport:
 		ft = FrameLatency
-		c.encLatency(e, []ShareReport{p}, dict)
+		c.encLatency(e, []ShareReport{p})
 	case []ShareReport:
 		ft, flags = FrameLatency, flagBatch
-		c.encLatency(e, p, dict)
+		c.encLatency(e, p)
 	case UtilityReport:
 		ft = FrameReport
-		c.taskRef(e, p.Task, dict)
+		c.taskRef(e, p.Task)
 		e.Svarint(int64(p.Round))
 		e.Uvarint(p.Epoch)
 		e.F64(p.Utility)
@@ -137,13 +136,13 @@ func (c *Codec) encodeBody(e *byteio.Enc, m Message, dict bool) (ft, flags byte)
 		e.Uvarint(p.Epoch)
 	case Fin:
 		ft = FrameFin
-		c.resRef(e, p.Resource, dict)
+		c.resRef(e, p.Resource)
 	case Rejoin:
 		ft = FrameRejoin
 		e.Uvarint(p.Epoch)
 	case RejoinAck:
 		ft = FrameRejoinAck
-		c.taskRef(e, p.Task, dict)
+		c.taskRef(e, p.Task)
 		e.Svarint(int64(p.Round))
 		e.Uvarint(p.Epoch)
 	case json.RawMessage:
@@ -157,10 +156,7 @@ func (c *Codec) encodeBody(e *byteio.Enc, m Message, dict bool) (ft, flags byte)
 	if ft != FrameRaw && m.Kind != frameKinds[ft] {
 		e.Fail("kind %q on a %s payload", m.Kind, frameKinds[ft])
 	}
-	if dict {
-		flags |= flagDict
-	}
-	return ft, flags
+	return ft, flags | flagDict
 }
 
 // Read consumes exactly one binary frame from r and returns the message it
@@ -257,28 +253,27 @@ func peekUvarint(r *bufio.Reader, off int) (v uint64, n int, err error) {
 
 // decodeBody reconstructs a Message from a verified frame body.
 func (c *Codec) decodeBody(ft, flags byte, body []byte) (Message, error) {
-	dict := flags&flagDict != 0
-	if dict && c.dict == nil {
-		return Message{}, errors.New("wire: dictionary-encoded frame but codec has no dictionary")
-	}
 	batch := flags&flagBatch != 0
 	d := &byteio.Dec{Buf: body}
-	if ft != FrameRaw && (int(ft) >= len(frameKinds) || frameKinds[ft] == "") {
+	switch {
+	case ft != FrameRaw && (int(ft) >= len(frameKinds) || frameKinds[ft] == ""):
 		d.Fail("unknown frame type 0x%02x", ft) // named before its flags are judged
-	} else if batch && ft != FramePrice && ft != FrameLatency {
+	case batch && ft != FramePrice && ft != FrameLatency:
 		d.Fail("batch flag on a single-entry frame")
+	case flags&flagDict == 0:
+		d.Fail("frame without the DICT flag: inline string ids are retired")
 	}
 	var m Message
-	m.From = c.readAddr(d, dict)
-	m.To = c.readAddr(d, dict)
+	m.From = c.readAddr(d)
+	m.To = c.readAddr(d)
 	switch ft {
 	case FramePrice:
-		m.Payload = decEntries(d, batch, func() PriceUpdate { return c.decPrice(d, dict) })
+		m.Payload = decEntries(d, batch, func() PriceUpdate { return c.decPrice(d) })
 	case FrameLatency:
-		m.Payload = decEntries(d, batch, func() ShareReport { return c.decLatency(d, dict) })
+		m.Payload = decEntries(d, batch, func() ShareReport { return c.decLatency(d) })
 	case FrameReport:
 		var v UtilityReport
-		v.Task, _ = c.readTaskRef(d, dict)
+		v.Task, _ = c.readTaskRef(d)
 		v.Round = int(d.Svarint())
 		v.Epoch = d.Uvarint()
 		v.Utility = d.F64()
@@ -289,12 +284,12 @@ func (c *Codec) decodeBody(ft, flags byte, body []byte) (Message, error) {
 	case FrameStop:
 		m.Payload = Stop{AfterRound: int(d.Svarint()), Epoch: d.Uvarint()}
 	case FrameFin:
-		m.Payload = Fin{Resource: c.readResRef(d, dict)}
+		m.Payload = Fin{Resource: c.readResRef(d)}
 	case FrameRejoin:
 		m.Payload = Rejoin{Epoch: d.Uvarint()}
 	case FrameRejoinAck:
 		var v RejoinAck
-		v.Task, _ = c.readTaskRef(d, dict)
+		v.Task, _ = c.readTaskRef(d)
 		v.Round = int(d.Svarint())
 		v.Epoch = d.Uvarint()
 		m.Payload = v

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"hash/crc32"
 	"io"
 	"math"
@@ -86,17 +87,22 @@ func assertSame(t testing.TB, want, got Message) {
 	}
 }
 
+// TestRoundTripAllKinds round-trips every frame type, once between the
+// dictionary's endpoints and once between endpoints it does not hold, whose
+// addresses ride as literals.
 func TestRoundTripAllKinds(t *testing.T) {
+	c := NewCodec(testDict(t))
 	for _, mode := range []struct {
 		name string
-		c    *Codec
+		addr func(string) string
 	}{
-		{"dict", NewCodec(testDict(t))},
-		{"strings", NewCodec(nil)},
+		{"dict", func(a string) string { return a }},
+		{"literal", func(a string) string { return a + "-standby" }},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
 			for _, m := range corpus(t) {
-				assertSame(t, m, roundTrip(t, mode.c, m))
+				m.From, m.To = mode.addr(m.From), mode.addr(m.To)
+				assertSame(t, m, roundTrip(t, c, m))
 			}
 		})
 	}
@@ -190,11 +196,11 @@ func TestCorruptFramesError(t *testing.T) {
 }
 
 func TestExtremeIntegerFieldsRoundTrip(t *testing.T) {
-	c := NewCodec(nil)
+	c := NewCodec(testDict(t))
 	m := msg(t, "res/"+strings.Repeat("r", 300), "ctl/alpha", "price", PriceUpdate{
 		Round:    math.MaxInt64,
 		Epoch:    math.MaxUint64,
-		Resource: strings.Repeat("r", 300),
+		Resource: "disk2",
 		Mu:       math.MaxFloat64,
 	})
 	assertSame(t, m, roundTrip(t, c, m))
@@ -204,10 +210,10 @@ func TestExtremeIntegerFieldsRoundTrip(t *testing.T) {
 }
 
 func TestOversizeStringRejected(t *testing.T) {
-	c := NewCodec(nil)
+	c := NewCodec(testDict(t))
 	long := strings.Repeat("x", maxStrLen+1)
-	if _, err := c.Encode(msg(t, "res/"+long, "ctl/alpha", "fin", Fin{Resource: long})); err == nil {
-		t.Fatal("oversize id encoded successfully")
+	if _, err := c.Encode(msg(t, "res/"+long, "ctl/alpha", "fin", Fin{Resource: "cpu0"})); err == nil {
+		t.Fatal("oversize literal address encoded successfully")
 	}
 }
 
@@ -239,9 +245,9 @@ func TestDictIndexOutOfRangeRejected(t *testing.T) {
 			t.Fatalf("%s frame naming a task decoded against a dictionary without tasks", m.Kind)
 		}
 	}
-	// A dictless codec must reject dictionary-encoded frames outright.
+	// The empty dictionary refuses every index.
 	if _, err := NewCodec(nil).Read(bufio.NewReader(bytes.NewReader(frame))); err == nil {
-		t.Fatal("dictless codec decoded a dictionary-encoded frame")
+		t.Fatal("the empty dictionary decoded a frame naming a resource")
 	}
 }
 
@@ -259,7 +265,7 @@ func TestNonFiniteFloatsRejected(t *testing.T) {
 
 	// Craft a frame whose mu bits are NaN: encode mu=1.5 (a bit pattern
 	// that appears exactly once) and overwrite it.
-	c := NewCodec(nil)
+	c := NewCodec(testDict(t))
 	frame, err := c.Encode(msg(t, "res/cpu0", "ctl/alpha", "price", PriceUpdate{Round: 1, Resource: "cpu0", Mu: 1.5}))
 	if err != nil {
 		t.Fatal(err)
@@ -278,7 +284,7 @@ func TestNonFiniteFloatsRejected(t *testing.T) {
 }
 
 func TestReservedFlagBitsRejected(t *testing.T) {
-	c := NewCodec(nil)
+	c := NewCodec(testDict(t))
 	frame, err := c.Encode(corpus(t)[0])
 	if err != nil {
 		t.Fatal(err)
@@ -291,7 +297,7 @@ func TestReservedFlagBitsRejected(t *testing.T) {
 }
 
 func TestUnknownFrameTypeRejected(t *testing.T) {
-	c := NewCodec(nil)
+	c := NewCodec(testDict(t))
 	frame, err := c.Encode(corpus(t)[0])
 	if err != nil {
 		t.Fatal(err)
@@ -350,24 +356,33 @@ func TestEncodeRejectsMismatchedMessages(t *testing.T) {
 	}
 }
 
-// TestDictMissFallsBackToStrings: ids outside the negotiated dictionary
-// re-encode the frame in string mode instead of failing.
-func TestDictMissFallsBackToStrings(t *testing.T) {
+// TestOutOfDictionaryIDs: an endpoint address the dictionary lacks rides as
+// a literal and round-trips; a payload id it lacks fails the encode with an
+// error naming the id, and an empty dictionary holds no id at all.
+func TestOutOfDictionaryIDs(t *testing.T) {
 	c := NewCodec(testDict(t))
-	for _, m := range []Message{
-		msg(t, "res/rogue", "ctl/alpha", "price", PriceUpdate{Round: 1, Resource: "rogue", Mu: 2}),
-		// An unknown task leaves no task index to resolve its subtasks in.
-		msg(t, "ctl/gamma", "res/cpu0", "latency", ShareReport{Round: 1, Task: "gamma", Subs: []string{"g1"}, LatMs: []float64{3}}),
-		msg(t, "ctl/alpha", "res/cpu0", "latency", ShareReport{Round: 1, Task: "alpha", Subs: []string{"a9"}, LatMs: []float64{3}}),
+	literal := msg(t, "res/rogue", "ctl/gamma", "stop", Stop{AfterRound: 1})
+	frame, err := c.Encode(literal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if frame[3]&flagDict == 0 {
+		t.Fatal("DICT clear on a frame with literal addresses")
+	}
+	assertSame(t, literal, roundTrip(t, c, literal))
+	for id, m := range map[string]Message{
+		`resource "rogue"`: msg(t, "res/cpu0", "ctl/alpha", "price", PriceUpdate{Round: 1, Resource: "rogue", Mu: 2}),
+		`task "gamma"`:     msg(t, "ctl/alpha", "res/cpu0", "latency", ShareReport{Round: 1, Task: "gamma", Subs: []string{"g1"}, LatMs: []float64{3}}),
+		`subtask "a9"`:     msg(t, "ctl/alpha", "res/cpu0", "latency", ShareReport{Round: 1, Task: "alpha", Subs: []string{"a9"}, LatMs: []float64{3}}),
+		`task "delta"`:     msg(t, "ctl/alpha", "coordinator", "report", UtilityReport{Round: 1, Task: "delta"}),
+		`resource "tape3"`: msg(t, "res/cpu0", "ctl/alpha", "fin", Fin{Resource: "tape3"}),
 	} {
-		frame, err := c.Encode(m)
-		if err != nil {
-			t.Fatal(err)
+		if frame, err := c.Encode(m); err == nil || !strings.Contains(err.Error(), id) {
+			t.Errorf("%s: encoded % x, err %v; want an error naming %s", m.Kind, frame, err, id)
 		}
-		if frame[3]&flagDict != 0 {
-			t.Fatal("dict flag set on a frame with an out-of-dictionary id")
-		}
-		assertSame(t, m, roundTrip(t, c, m))
+	}
+	if _, err := NewCodec(nil).Encode(corpus(t)[0]); err == nil || !strings.Contains(err.Error(), `resource "cpu0"`) {
+		t.Errorf("the empty dictionary encoded a price, err %v", err)
 	}
 }
 
@@ -444,9 +459,18 @@ func TestStreamedFrames(t *testing.T) {
 
 // TestDeltaBytesSavedMatchesFrames: the figure dist reports for a delta
 // marker is the difference between two real frames — the full message and
-// its marker, names inline.
+// its marker — as the dictionary codec ships them, a subtask index past 127
+// taking two bytes.
 func TestDeltaBytesSavedMatchesFrames(t *testing.T) {
-	c := NewCodec(nil)
+	subs := []string{"a1", "a2"}
+	for i := len(subs); i < 200; i++ {
+		subs = append(subs, fmt.Sprintf("stage-%03d", i))
+	}
+	d, err := NewDict([]string{"cpu0"}, []string{"alpha"}, [][]string{subs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewCodec(d)
 	size := func(m Message) int64 {
 		frame, err := c.Encode(m)
 		if err != nil {
@@ -456,11 +480,11 @@ func TestDeltaBytesSavedMatchesFrames(t *testing.T) {
 	}
 	price := PriceUpdate{Round: 9, Epoch: 1, Resource: "cpu0", Mu: 1.25, Congested: true}
 	marker := PriceUpdate{Round: 9, Epoch: 1, Resource: "cpu0", Congested: true, Delta: true}
-	if got, want := DeltaBytesSaved(price), size(msg(t, "res/cpu0", "ctl/alpha", "price", price))-size(msg(t, "res/cpu0", "ctl/alpha", "price", marker)); got != want {
+	if got, want := DeltaBytesSaved(price, nil), size(msg(t, "res/cpu0", "ctl/alpha", "price", price))-size(msg(t, "res/cpu0", "ctl/alpha", "price", marker)); got != want {
 		t.Errorf("price marker: DeltaBytesSaved = %d, frames differ by %d", got, want)
 	}
-	report := ShareReport{Round: 9, Task: "alpha", Subs: []string{"a1", "a2", "stage-three"}, LatMs: []float64{1, 2, 3}}
-	if got, want := DeltaBytesSaved(report), size(msg(t, "ctl/alpha", "res/cpu0", "latency", report))-size(msg(t, "ctl/alpha", "res/cpu0", "latency", ShareReport{Round: 9, Task: "alpha", Delta: true})); got != want {
+	report := ShareReport{Round: 9, Task: "alpha", Subs: []string{"a1", "a2", "stage-150"}, LatMs: []float64{1, 2, 3}}
+	if got, want := DeltaBytesSaved(report, []int{0, 1, 150}), size(msg(t, "ctl/alpha", "res/cpu0", "latency", report))-size(msg(t, "ctl/alpha", "res/cpu0", "latency", ShareReport{Round: 9, Task: "alpha", Delta: true})); got != want {
 		t.Errorf("share marker: DeltaBytesSaved = %d, frames differ by %d", got, want)
 	}
 }

@@ -5,11 +5,11 @@ import (
 	"hash/fnv"
 )
 
-// Dict is the shared name dictionary that lets frames refer to resources,
-// tasks and subtasks by small varint indexes instead of inline strings.
-// Both peers derive it deterministically from the same compiled workload
-// (compiled resource/task order), and the negotiation handshake compares a
-// 64-bit hash of the contents: peers whose dictionaries disagree refuse the
+// Dict is the shared name dictionary through which frames refer to
+// resources, tasks and subtasks, by small varint indexes. Both peers derive
+// it deterministically from the same compiled workload (compiled
+// resource/task order), and the negotiation handshake compares a 64-bit
+// hash of the contents: peers whose dictionaries disagree refuse the
 // connection rather than risk misnaming an entity (PROTOCOL.md §5).
 //
 // A Dict is immutable after construction and safe for concurrent use.
@@ -30,7 +30,7 @@ type Dict struct {
 
 // NewDict builds a dictionary from the compiled resource ids, task names,
 // and per-task subtask names (subs[i] lists task i's subtasks; subs may be
-// nil when no latency frames will be dict-encoded). Duplicate names within
+// nil when no latency frame will name a subtask). Duplicate names within
 // a namespace are rejected: an ambiguous index could silently misroute a
 // price.
 func NewDict(resources, tasks []string, subs [][]string) (*Dict, error) {
@@ -75,15 +75,12 @@ func NewDict(resources, tasks []string, subs [][]string) (*Dict, error) {
 	return d, nil
 }
 
+// emptyDict is the dictionary of a codec built without one. It names
+// nothing and hashes to 0.
+var emptyDict = &Dict{}
+
 // Hash returns the dictionary content hash exchanged during negotiation.
-// A nil dictionary hashes to 0, so two dictless peers agree on string-mode
-// frames.
-func (d *Dict) Hash() uint64 {
-	if d == nil {
-		return 0
-	}
-	return d.hash
-}
+func (d *Dict) Hash() uint64 { return d.hash }
 
 // computeHash folds every name, with namespace markers and terminators so
 // that ["ab"] and ["a","b"] hash differently, through FNV-1a.

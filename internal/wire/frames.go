@@ -140,8 +140,8 @@ const latFlagDelta = 0x01
 
 // Address tags. Endpoint addresses follow the dist naming scheme
 // ("coordinator", "res/<id>", "ctl/<task>"); the tag compresses the common
-// prefixes and lets the id ride the dictionary. Any other address is a
-// literal string.
+// prefixes and lets the id ride the dictionary. Any other address, and one
+// whose id the dictionary lacks, is a literal string.
 const (
 	addrCoordinator = 0x00
 	addrResource    = 0x01
@@ -176,12 +176,11 @@ func modelled(payload any) bool {
 // DeltaBytesSaved is the number of frame bytes a delta marker keeps off the
 // wire relative to the full entry it stands for (PROTOCOL.md §4.1, §4.2): a
 // price's 8-byte mu and excess (when it has one); a share report's pair
-// count and, per pair, the subtask reference and the 8-byte latency.
-// References are sized as inline strings, what a dictionary-less connection
-// ships; against a dictionary each name is its index varint instead. The
-// byte the envelope's own length varint may shed as the body shrinks past
-// 127 is not counted.
-func DeltaBytesSaved(full any) int64 {
+// count and, per pair, the subtask's index varint and the 8-byte latency.
+// subIdx are the share report's subtask indexes in its task's dictionary
+// list, in Subs order (nil for a price). The byte the envelope's own length
+// varint may shed as the body shrinks past 127 is not counted.
+func DeltaBytesSaved(full any, subIdx []int) int64 {
 	switch v := full.(type) {
 	case PriceUpdate:
 		if v.Excess > 0 {
@@ -189,9 +188,9 @@ func DeltaBytesSaved(full any) int64 {
 		}
 		return 8
 	case ShareReport:
-		n := uvarintLen(uint64(len(v.Subs)))
-		for _, s := range v.Subs {
-			n += uvarintLen(uint64(len(s))) + len(s) + 8
+		n := uvarintLen(uint64(len(subIdx)))
+		for _, j := range subIdx {
+			n += uvarintLen(uint64(j)) + 8
 		}
 		return int64(n)
 	}
@@ -209,77 +208,72 @@ func uvarintLen(v uint64) int {
 
 // Encode side ------------------------------------------------------------
 
-// resRef appends a resource id, as a dictionary index in dict mode.
-func (c *Codec) resRef(e *byteio.Enc, id string, dict bool) {
-	if dict {
-		i, ok := c.dict.resIdx[id]
-		if !ok {
-			e.SetErr(errDictMiss)
-			return
-		}
+// resRef appends a resource id's dictionary index.
+func (c *Codec) resRef(e *byteio.Enc, id string) {
+	if i, ok := c.dict.resIdx[id]; ok {
 		e.Uvarint(uint64(i))
-		return
+	} else {
+		e.Fail("resource %q is not in the dictionary", id)
 	}
-	e.Str(id, maxStrLen)
 }
 
-// taskRef appends a task name and returns its dictionary index (-1 in
-// string mode) for subtask resolution.
-func (c *Codec) taskRef(e *byteio.Enc, name string, dict bool) int {
-	if dict {
-		i, ok := c.dict.taskIdx[name]
-		if !ok {
-			e.SetErr(errDictMiss)
-			return -1
-		}
-		e.Uvarint(uint64(i))
-		return i
+// taskRef appends a task name's dictionary index and returns it for
+// subtask resolution (-1 once the encoder has failed).
+func (c *Codec) taskRef(e *byteio.Enc, name string) int {
+	i, ok := c.dict.taskIdx[name]
+	if !ok {
+		e.Fail("task %q is not in the dictionary", name)
+		return -1
 	}
-	e.Str(name, maxStrLen)
-	return -1
+	e.Uvarint(uint64(i))
+	return i
 }
 
-// subRef appends a subtask name, as an index into task ti's subtask list in
-// dict mode.
-func (c *Codec) subRef(e *byteio.Enc, ti int, name string, dict bool) {
-	if dict {
-		if ti < 0 {
-			return // the task missed the dictionary: errDictMiss is latched
-		}
-		j, ok := c.dict.subIdx[ti][name]
-		if !ok {
-			e.SetErr(errDictMiss)
-			return
-		}
+// subRef appends a subtask name's index in task ti's subtask list.
+func (c *Codec) subRef(e *byteio.Enc, ti int, name string) {
+	if ti < 0 {
+		return // the task reference failed
+	}
+	if j, ok := c.dict.subIdx[ti][name]; ok {
 		e.Uvarint(uint64(j))
-		return
+	} else {
+		e.Fail("subtask %q of task %q is not in the dictionary", name, c.dict.tasks[ti])
 	}
-	e.Str(name, maxStrLen)
 }
 
-// addr appends an endpoint address.
-func (c *Codec) addr(e *byteio.Enc, a string, dict bool) {
-	switch {
-	case a == coordinatorName:
+// addr appends an endpoint address: tagged, with the id as a dictionary
+// index when the dictionary holds it, else as a literal.
+func (c *Codec) addr(e *byteio.Enc, a string) {
+	if a == coordinatorName {
 		e.U8(addrCoordinator)
-	case len(a) > 4 && a[:4] == "res/":
-		e.U8(addrResource)
-		c.resRef(e, a[4:], dict)
-	case len(a) > 4 && a[:4] == "ctl/":
-		e.U8(addrController)
-		c.taskRef(e, a[4:], dict)
-	default:
-		e.U8(addrLiteral)
-		e.Str(a, maxStrLen)
+		return
 	}
+	if len(a) > 4 {
+		switch a[:4] {
+		case "res/":
+			if i, ok := c.dict.resIdx[a[4:]]; ok {
+				e.U8(addrResource)
+				e.Uvarint(uint64(i))
+				return
+			}
+		case "ctl/":
+			if i, ok := c.dict.taskIdx[a[4:]]; ok {
+				e.U8(addrController)
+				e.Uvarint(uint64(i))
+				return
+			}
+		}
+	}
+	e.U8(addrLiteral)
+	e.Str(a, maxStrLen)
 }
 
 // encPrice appends a PRICE body (entry count + entries).
-func (c *Codec) encPrice(e *byteio.Enc, batch []PriceUpdate, dict bool) {
+func (c *Codec) encPrice(e *byteio.Enc, batch []PriceUpdate) {
 	e.Uvarint(uint64(len(batch)))
 	for i := range batch {
 		p := &batch[i]
-		c.resRef(e, p.Resource, dict)
+		c.resRef(e, p.Resource)
 		e.Svarint(int64(p.Round))
 		e.Uvarint(p.Epoch)
 		var fl byte
@@ -307,11 +301,11 @@ func (c *Codec) encPrice(e *byteio.Enc, batch []PriceUpdate, dict bool) {
 
 // encLatency appends a LATENCY body. Pairs go out in the order given, which
 // must be the strictly ascending subtask order the decoder insists on.
-func (c *Codec) encLatency(e *byteio.Enc, batch []ShareReport, dict bool) {
+func (c *Codec) encLatency(e *byteio.Enc, batch []ShareReport) {
 	e.Uvarint(uint64(len(batch)))
 	for i := range batch {
 		s := &batch[i]
-		ti := c.taskRef(e, s.Task, dict)
+		ti := c.taskRef(e, s.Task)
 		e.Svarint(int64(s.Round))
 		e.Uvarint(s.Epoch)
 		var fl byte
@@ -331,7 +325,7 @@ func (c *Codec) encLatency(e *byteio.Enc, batch []ShareReport, dict bool) {
 			if j > 0 && k <= s.Subs[j-1] {
 				e.Fail("subtask %q after %q: share report subtasks must ascend", k, s.Subs[j-1])
 			}
-			c.subRef(e, ti, k, dict)
+			c.subRef(e, ti, k)
 			e.F64(s.LatMs[j])
 		}
 	}
@@ -340,52 +334,36 @@ func (c *Codec) encLatency(e *byteio.Enc, batch []ShareReport, dict bool) {
 // Decode side ------------------------------------------------------------
 
 // readResRef reads a resource id.
-func (c *Codec) readResRef(d *byteio.Dec, dict bool) string {
-	if dict {
-		id, _ := pick(d, c.dict.resources, "resource")
-		return id
-	}
-	return d.Str(maxStrLen)
+func (c *Codec) readResRef(d *byteio.Dec) string {
+	id, _ := pick(d, c.dict.resources, "resource")
+	return id
 }
 
-// readTaskRef reads a task name, returning the dictionary index (-1 in
-// string mode).
-func (c *Codec) readTaskRef(d *byteio.Dec, dict bool) (string, int) {
-	if dict {
-		return pick(d, c.dict.tasks, "task")
-	}
-	return d.Str(maxStrLen), -1
+// readTaskRef reads a task name and its dictionary index.
+func (c *Codec) readTaskRef(d *byteio.Dec) (string, int) {
+	return pick(d, c.dict.tasks, "task")
 }
 
 // readSubRef reads a subtask name of task ti.
-func (c *Codec) readSubRef(d *byteio.Dec, ti int, dict bool) string {
-	if dict {
-		if d.Err != nil {
-			return "" // ti is not an index once the task reference failed
-		}
-		name, _ := pick(d, c.dict.subs[ti], "subtask")
-		return name
+func (c *Codec) readSubRef(d *byteio.Dec, ti int) string {
+	if d.Err != nil {
+		return "" // ti is not an index once the task reference failed
 	}
-	return d.Str(maxStrLen)
+	name, _ := pick(d, c.dict.subs[ti], "subtask")
+	return name
 }
 
 // readAddr reads an endpoint address.
-func (c *Codec) readAddr(d *byteio.Dec, dict bool) string {
+func (c *Codec) readAddr(d *byteio.Dec) string {
 	switch tag := d.U8(); tag {
 	case addrCoordinator:
 		return coordinatorName
 	case addrResource:
-		if dict {
-			a, _ := pick(d, c.dict.resAddrs, "resource")
-			return a
-		}
-		return "res/" + d.Str(maxStrLen)
+		a, _ := pick(d, c.dict.resAddrs, "resource")
+		return a
 	case addrController:
-		if dict {
-			a, _ := pick(d, c.dict.ctlAddrs, "task")
-			return a
-		}
-		return "ctl/" + d.Str(maxStrLen)
+		a, _ := pick(d, c.dict.ctlAddrs, "task")
+		return a
 	case addrLiteral:
 		return d.Str(maxStrLen)
 	default:
@@ -413,8 +391,8 @@ func decEntries[T any](d *byteio.Dec, batch bool, entry func() T) any {
 }
 
 // decPrice reads one PRICE entry.
-func (c *Codec) decPrice(d *byteio.Dec, dict bool) (p PriceUpdate) {
-	p.Resource = c.readResRef(d, dict)
+func (c *Codec) decPrice(d *byteio.Dec) (p PriceUpdate) {
+	p.Resource = c.readResRef(d)
 	p.Round = int(d.Svarint())
 	p.Epoch = d.Uvarint()
 	fl := d.U8()
@@ -442,9 +420,9 @@ func (c *Codec) decPrice(d *byteio.Dec, dict bool) (p PriceUpdate) {
 
 // decLatency reads one LATENCY entry. Subtasks must arrive strictly
 // ascending, which also rules out a duplicate.
-func (c *Codec) decLatency(d *byteio.Dec, dict bool) (s ShareReport) {
+func (c *Codec) decLatency(d *byteio.Dec) (s ShareReport) {
 	var ti int
-	s.Task, ti = c.readTaskRef(d, dict)
+	s.Task, ti = c.readTaskRef(d)
 	s.Round = int(d.Svarint())
 	s.Epoch = d.Uvarint()
 	fl := d.U8()
@@ -459,7 +437,7 @@ func (c *Codec) decLatency(d *byteio.Dec, dict bool) (s ShareReport) {
 		s.Subs = make([]string, 0, min(n, 4096))
 		s.LatMs = make([]float64, 0, min(n, 4096))
 		for j := 0; j < n && d.Err == nil; j++ {
-			k := c.readSubRef(d, ti, dict)
+			k := c.readSubRef(d, ti)
 			if j > 0 && k <= s.Subs[j-1] {
 				d.Fail("subtask %q after %q in latency entry: duplicate or out of order", k, s.Subs[j-1])
 			}

@@ -8,7 +8,7 @@ import (
 
 // FuzzDecodeFrame drives the defensive decoder with arbitrary bytes. The
 // seed corpus is every committed golden and reject vector (every frame
-// type, both id modes, each malformed and over-limit class) plus a hello
+// type, each retired encoding, each malformed and over-limit class) plus a hello
 // blob; the fuzzer mutates from there. Decoding must never panic, and any
 // input that does decode must re-encode and decode again to the identical
 // message (canonical-form stability).

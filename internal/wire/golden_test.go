@@ -11,8 +11,8 @@ import (
 )
 
 // goldenCases are the messages behind testdata/golden_frames.txt, by vector
-// name; each is encoded with testDict ("dict/<name>") and without a
-// dictionary ("str/<name>").
+// name; each is encoded with testDict ("dict/<name>"). Their string-dialect
+// frames are the reject vectors "<name>_str".
 func goldenCases() map[string]Message {
 	alpha := []string{"a1", "a2"}
 	return map[string]Message{
@@ -42,9 +42,6 @@ func goldenCases() map[string]Message {
 		"rejoin_ack":   {From: "ctl/alpha", To: "coordinator", Kind: "rejoinAck", Payload: RejoinAck{Epoch: 4, Task: "alpha", Round: -1}},
 		"raw":          {From: "admit-client-1", To: "coordinator", Kind: "admitQuery", Payload: json.RawMessage(`{"budget":3.5,"task":"gamma"}`)},
 		"raw_scalar":   {From: "a", To: "b", Kind: "ping", Payload: json.RawMessage(`7`)},
-		// dict/ only: a name outside the dictionary re-encodes the whole
-		// frame with inline strings.
-		"dict_miss": {From: "res/rogue", To: "ctl/alpha", Kind: "price", Payload: PriceUpdate{Round: 1, Resource: "rogue", Mu: 2}},
 	}
 }
 
@@ -81,14 +78,14 @@ func readVectors(t testing.TB, file string) []vector {
 // frame, and the decoder returns exactly the typed message — bit for bit,
 // since re-encoding what it returned gives the frame back.
 func TestGoldenFrames(t *testing.T) {
-	codecs := map[string]*Codec{"dict": NewCodec(testDict(t)), "str": NewCodec(nil)}
+	c := NewCodec(testDict(t))
 	cases := goldenCases()
 	seen := 0
 	for _, v := range readVectors(t, "golden_frames.txt") {
-		mode, name, _ := strings.Cut(v.name, "/")
-		c, m := codecs[mode], cases[name]
-		if c == nil || m.Payload == nil {
-			t.Fatalf("vector %s has no codec or case", v.name)
+		name, ok := strings.CutPrefix(v.name, "dict/")
+		m := cases[name]
+		if !ok || m.Payload == nil {
+			t.Fatalf("vector %s has no case", v.name)
 		}
 		seen++
 		frame, err := c.Encode(m)
@@ -107,20 +104,20 @@ func TestGoldenFrames(t *testing.T) {
 			t.Errorf("%s: re-encoding the decoded message: %x, %v", v.name, again, err)
 		}
 	}
-	if want := 2*(len(cases)-1) + 1; seen != want {
-		t.Errorf("golden_frames.txt holds %d vectors, want %d: every case in both modes, dict_miss once", seen, want)
+	if seen != len(cases) {
+		t.Errorf("golden_frames.txt holds %d vectors, want one per case, %d", seen, len(cases))
 	}
 }
 
 // TestRejectVectors: every committed malformed or over-limit frame is
-// refused by both codec modes.
+// refused, with the test dictionary and with the empty one.
 func TestRejectVectors(t *testing.T) {
 	vectors := readVectors(t, "reject_frames.txt")
 	if len(vectors) < 40 {
 		t.Fatalf("reject_frames.txt holds %d vectors", len(vectors))
 	}
 	for _, v := range vectors {
-		for mode, c := range map[string]*Codec{"dict": NewCodec(testDict(t)), "str": NewCodec(nil)} {
+		for mode, c := range map[string]*Codec{"dict": NewCodec(testDict(t)), "empty": NewCodec(nil)} {
 			if m, err := c.Read(bufio.NewReader(bytes.NewReader(v.frame))); err == nil {
 				t.Errorf("%s (%s codec) decoded: %+v", v.name, mode, m)
 			}
@@ -129,10 +126,10 @@ func TestRejectVectors(t *testing.T) {
 }
 
 // TestRetiredEncodingsRefused: the encodings this version no longer has —
-// the PRICE and LATENCY sequence numbers and the fleet's PRICE_AGG and
-// BOUNDARY frames — were good frames of an earlier encoder at the same
-// version byte. Their vectors live on in reject_frames.txt, and a decoder of
-// this version refuses every one in both modes.
+// inline string ids, the PRICE and LATENCY sequence numbers and the fleet's
+// PRICE_AGG and BOUNDARY frames — were good frames of an earlier encoder at
+// the same version byte. Their vectors live on in reject_frames.txt, and a
+// decoder of this version refuses each with the error that names why.
 func TestRetiredEncodingsRefused(t *testing.T) {
 	if Version != 2 {
 		t.Fatalf("Version = %d: the retired encodings were version 2 frames", Version)
@@ -141,22 +138,28 @@ func TestRetiredEncodingsRefused(t *testing.T) {
 	for _, v := range readVectors(t, "reject_frames.txt") {
 		frames[v.name] = v.frame
 	}
-	// An unknown type is named as such, batched or not: its flags are
-	// judged only once the type is known.
-	const reserved, unknown = "reserved", "unknown frame type"
-	for name, why := range map[string]string{
-		"price_seq": reserved, "latency_seq": reserved, "price_batch_seq": reserved,
-		"price_agg": unknown, "price_agg_batch": unknown,
-		"boundary": unknown, "boundary_curvature": unknown, "boundary_batch": unknown,
-	} {
-		for mode, c := range map[string]*Codec{"dict": NewCodec(testDict(t)), "str": NewCodec(nil)} {
-			frame, ok := frames[name+"_"+mode]
-			if !ok {
-				t.Fatalf("reject_frames.txt lacks %s_%s", name, mode)
-			}
-			if m, err := c.Read(bufio.NewReader(bytes.NewReader(frame))); err == nil || !strings.Contains(err.Error(), why) {
-				t.Errorf("%s_%s: decoded %+v, err %v; want an error naming %q", name, mode, m, err, why)
-			}
+	// An unknown type is named as such, batched or not and with or without
+	// DICT: its flags are judged only once the type is known.
+	const reserved, unknown, noDict = "reserved", "unknown frame type", "without the DICT flag"
+	why := map[string]string{
+		"price_seq_dict": reserved, "latency_seq_dict": reserved, "price_batch_seq_dict": reserved,
+		"price_seq_str": noDict, "latency_seq_str": noDict, "price_batch_seq_str": noDict,
+		"dict_miss_str": noDict,
+	}
+	for _, name := range []string{"price_agg", "price_agg_batch", "boundary", "boundary_curvature", "boundary_batch"} {
+		why[name+"_dict"], why[name+"_str"] = unknown, unknown
+	}
+	for name := range goldenCases() {
+		why[name+"_str"] = noDict
+	}
+	c := NewCodec(testDict(t))
+	for name, want := range why {
+		frame, ok := frames[name]
+		if !ok {
+			t.Fatalf("reject_frames.txt lacks %s", name)
+		}
+		if m, err := c.Read(bufio.NewReader(bytes.NewReader(frame))); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: decoded %+v, err %v; want an error naming %q", name, m, err, want)
 		}
 	}
 }

@@ -24,7 +24,7 @@ func TestHandshakeAgreesBinary(t *testing.T) {
 
 func TestHandshakeDictlessPairAgreesBinary(t *testing.T) {
 	if _, serr, cerr := shake(NewCodec(nil), NewCodec(nil)); serr != nil || cerr != nil {
-		t.Fatalf("dictless pair: server %v, client %v", serr, cerr)
+		t.Fatalf("empty-dictionary pair: server %v, client %v", serr, cerr)
 	}
 }
 

@@ -19,11 +19,7 @@
 // interpretation, and rejection of reserved flag bits.
 package wire
 
-import (
-	"errors"
-
-	"lla/internal/byteio"
-)
+import "lla/internal/byteio"
 
 // Protocol version bounds. Version is the only frame version this
 // implementation emits and accepts; MinVersion..Version is the range
@@ -53,8 +49,8 @@ const (
 // frames that set them (evolution rule: a new optional behavior needs a new
 // version, not a quietly ignored bit).
 const (
-	// flagDict marks ids encoded as indexes into the negotiated dictionary
-	// instead of inline strings.
+	// flagDict marks ids encoded as indexes into the negotiated dictionary.
+	// Every frame sets it: it is the only id encoding there is.
 	flagDict = 0x01
 	// flagBatch marks a payload that is a slice of entries rather than one
 	// entry, so a one-element slice and a bare entry round-trip as what
@@ -69,15 +65,11 @@ const (
 const (
 	// maxBodyBytes bounds a frame body.
 	maxBodyBytes = 16 << 20
-	// maxStrLen bounds any inline identifier (addresses, ids, kinds).
+	// maxStrLen bounds an inline string: a literal address or a RAW kind.
 	maxStrLen = 1 << 16
 	// maxBatch bounds the entry count of a batched frame.
 	maxBatch = 1 << 20
 )
-
-// errDictMiss is latched by the encoder when dictionary mode is requested
-// but an id is not in the dictionary; the caller retries in string mode.
-var errDictMiss = errors.New("id not in dictionary")
 
 // pick reads a dictionary index and returns the name it selects with the
 // index; "" and 0 once the cursor has failed or the index is out of range.

@@ -180,8 +180,12 @@ var NewCorrector = errcorr.New
 // NewDistributed assembles a distributed deployment on the given network:
 // LLA as message-passing resource and controller nodes in synchronized
 // rounds (Run, RunUntilKKT, RunWithFailover); a loss-free run is the engine's
-// iteration bit for bit.
+// iteration bit for bit. On a TCP network it first installs the codec of
+// w's name dictionary (dist.WireCodec), which every frame refers through.
 func NewDistributed(w *Workload, cfg Config, net transport.Network) (*dist.Runtime, error) {
+	if tcp, ok := net.(*transport.TCP); ok {
+		tcp.SetCodec(dist.WireCodec(w, nil))
+	}
 	return dist.New(w, cfg, net)
 }
 
@@ -195,7 +199,9 @@ func NewInprocNetwork(cfg InprocConfig) transport.Network {
 type InprocConfig = transport.InprocConfig
 
 // NewTCPNetwork returns a TCP network with a logical-name registry. It
-// speaks the binary wire protocol (PROTOCOL.md). Endpoints registered at
+// speaks the binary wire protocol (PROTOCOL.md) through the empty
+// dictionary until a codec is set; NewDistributed sets the workload's.
+// Endpoints registered at
 // one host:port share one listener, and all "127.0.0.1:0" entries share one
 // kernel-assigned port; Send queues each frame on one connection per
 // destination host:port, shared by the network's endpoints.
