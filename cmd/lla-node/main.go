@@ -22,7 +22,6 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -335,11 +334,8 @@ func runDemo(ctx context.Context, w *workload.Workload, cfg core.Config, rounds 
 // one). A directory whose checkpoints are all unreadable is an error: the
 // epoch fence must not go backwards.
 func checkpointDemo(w *workload.Workload, cfg core.Config, dir string, every int, res *dist.Result) error {
-	var epoch uint64
-	switch cp, _, err := rec.Latest(dir); {
-	case err == nil:
-		epoch = cp.Epoch
-	case !errors.Is(err, os.ErrNotExist):
+	epoch, err := rec.LatestEpoch(dir)
+	if err != nil {
 		return err
 	}
 	wr, err := rec.NewWriter(dir)

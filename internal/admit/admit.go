@@ -218,26 +218,23 @@ func (c *Controller) strike(name string) *quarEntry {
 	return q
 }
 
-// successor builds the engine for workload w, warm-starts it from the live
-// one and runs it to the stopping rule within TrialIters, without disturbing
-// the live engine. The caller adopts it (core.Engine.Adopt) or closes it.
-func (c *Controller) successor(w *workload.Workload) (*core.Engine, core.Snapshot, bool, error) {
-	next, err := core.NewEngine(w, c.eng.Config())
-	if err != nil {
-		return nil, core.Snapshot{}, false, err
-	}
+// run warm-starts next, a successor of the live engine, from it and runs it
+// to the stopping rule within TrialIters, without disturbing the live engine.
+// The caller adopts next (core.Engine.Adopt) or closes it.
+func (c *Controller) run(next *core.Engine) (core.Snapshot, bool) {
 	next.CarryFrom(c.eng)
-	snap, ok := next.RunUntilKKT(c.cfg.TrialIters, core.StopKKTTol, core.StopWindow, core.StopTol)
-	return next, snap, ok, nil
+	return next.RunUntilKKT(c.cfg.TrialIters, core.StopKKTTol, core.StopWindow, core.StopTol)
 }
 
-// enact adopts w's successor whatever its verdict — departures, rebalances
-// and admit-all offers pass no gate — and returns the iterations it ran.
+// enact runs w's successor and adopts it whatever its verdict — departures,
+// rebalances and admit-all offers pass no gate — and returns the iterations
+// it ran.
 func (c *Controller) enact(w *workload.Workload) (int, error) {
-	next, _, _, err := c.successor(w)
+	next, err := core.NewEngine(w, c.eng.Config())
 	if err != nil {
 		return 0, err
 	}
+	c.run(next)
 	c.eng.Adopt(next)
 	return c.eng.Iteration(), nil
 }
@@ -297,49 +294,55 @@ func (c *Controller) offer(t *task.Task, curve utility.Curve, trial *workload.Wo
 	return c.finish(d), nil
 }
 
-// screen runs the static, price and trial gates. It returns the trial's
-// certified engine when all three pass; nil with the rejecting stage and
-// reason written to d when one fires; an error for malformed inputs only.
+// screen runs the static, price and trial gates on one trial engine, built
+// from the validated trial workload before the first gate. It returns the
+// trial's certified engine when all three pass; nil with the rejecting stage
+// and reason written to d when one fires; an error for malformed inputs only.
 func (c *Controller) screen(trial *workload.Workload, t *task.Task, curve utility.Curve, d *Decision) (*core.Engine, error) {
-	// Gate 1: static necessary conditions (path and resource floors).
-	rep, err := workload.Analyze(trial)
+	ck, err := trial.Check()
 	if err != nil {
-		// An unanalyzable trial workload means the candidate itself is
-		// malformed relative to the running system (bad resource reference,
-		// duplicate placement); reject rather than fail the control loop.
+		// An invalid trial workload means the candidate itself is malformed
+		// relative to the running system (bad resource reference, duplicate
+		// placement); reject rather than fail the control loop.
 		d.Stage, d.Reason = StageStatic, err.Error()
 		return nil, nil
 	}
-	if !rep.Feasible() {
-		d.Stage, d.Reason = StageStatic, rep.String()
+	next, err := core.NewEngineChecked(ck, c.eng.Config())
+	if err != nil {
+		d.Stage, d.Reason = StageTrial, err.Error()
 		return nil, nil
+	}
+	reject := func(stage, reason string) (*core.Engine, error) {
+		next.Close()
+		d.Stage, d.Reason = stage, reason
+		return nil, nil
+	}
+
+	// Gate 1: static necessary conditions (path and resource floors) on the
+	// trial's compiled latency boxes.
+	if rep := next.Problem().Schedulability(); !rep.Feasible() {
+		return reject(StageStatic, rep.String())
 	}
 
 	// Gate 2: price the candidate against the live mu vector.
 	reason, err := priceScreen(trial, t, curve, c.eng.Config().WeightMode, c.eng.MuAt)
 	if err != nil {
+		next.Close()
 		return nil, fmt.Errorf("admit: pricing %q: %w", t.Name, err)
 	}
 	if reason != "" {
-		d.Stage, d.Reason = StagePrice, reason
-		return nil, nil
+		return reject(StagePrice, reason)
 	}
 
 	// Gate 3: bounded trial optimization of the trial workload, warm-started
 	// from the live engine — the paper's sufficient schedulability test
 	// (Section 5.4).
-	next, snap, ok, err := c.successor(trial)
-	if err != nil {
-		d.Stage, d.Reason = StageTrial, err.Error()
-		return nil, nil
-	}
+	snap, ok := c.run(next)
 	d.TrialIters = snap.Iteration
 	if !ok {
-		next.Close()
-		d.Stage, d.Reason = StageTrial, fmt.Sprintf(
+		return reject(StageTrial, fmt.Sprintf(
 			"trial did not certify in %d iterations (resViol %.4f, pathViol %.4f)",
-			snap.Iteration, snap.MaxResourceViolation, snap.MaxPathViolationFrac)
-		return nil, nil
+			snap.Iteration, snap.MaxResourceViolation, snap.MaxPathViolationFrac))
 	}
 	return next, nil
 }

@@ -32,16 +32,7 @@ import (
 // whole availability.
 func subtaskCost(s *task.Subtask, criticalMs, weight, slope float64, r share.Resource, mu float64) (lat, cost float64) {
 	fn := share.WCETLag{ExecMs: s.ExecMs, LagMs: r.LagMs}
-	latMin := fn.LatencyFor(r.Availability)
-	latMax := criticalMs
-	if s.MinShare > 0 {
-		if cap := fn.LatencyFor(s.MinShare); cap < latMax {
-			latMax = cap
-		}
-	}
-	if latMax < latMin {
-		latMax = latMin
-	}
+	latMin, latMax := core.Box(s.ExecMs+r.LagMs, 0, r.Availability, s.MinShare, criticalMs)
 	denom := -weight * slope
 	if denom <= 1e-12 {
 		lat = latMax // flat curve: latency is free, take the cheapest

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"sync/atomic"
 )
 
@@ -257,6 +259,29 @@ func (p *Problem) CertifyTask(ti int, lat, lambda, mu []float64, kktTol, tol flo
 // shard's own problem's at the aggregator's boundary prices. DualBound reads
 // the state and allocates one scratch row; it is off the iteration's path.
 func (e *Engine) DualBound() float64 {
+	return e.dual(false)
+}
+
+// Ray returns the infeasibility ray at the engine's prices: minus DualBound's
+// sum with every curve zeroed, over the largest μ or λ — the rate at which
+// the dual function falls along the prices. A feasible allocation leaves
+// every priced constraint slack, so a positive ray proves the instance
+// infeasible. It is 0 while every price is 0; like DualBound it is off the
+// iteration's path.
+func (e *Engine) Ray() float64 {
+	scale := 0.0
+	for _, v := range slices.Concat(e.price, e.lambda) {
+		scale = max(scale, v)
+	}
+	if scale == 0 {
+		return 0
+	}
+	return -e.dual(true) / scale
+}
+
+// dual is Σ_r μ_r·B_r plus every task's dualTerm at the engine's prices,
+// with each curve's tangent at the engine's aggregate, or zeroed for the ray.
+func (e *Engine) dual(ray bool) float64 {
 	p := e.p
 	d, row := 0.0, 0
 	for ri, r := range p.Resources {
@@ -267,32 +292,105 @@ func (e *Engine) DualBound() float64 {
 	}
 	star := make([]float64, row)
 	for ti := range p.NumTasks() {
-		d += p.dualTerm(ti, e.taskLat(ti), e.lambda[p.pathOff[ti]:p.pathOff[ti+1]], e.price, star)
+		v, slope, a := 0.0, 0.0, 0.0
+		if !ray {
+			k, curve := p.consts[ti], p.curves[ti]
+			a, slope = p.aggregate(ti, e.taskLat(ti)), k.slope
+			if !k.constSlope {
+				slope = curve.Slope(a)
+			}
+			v = curve.Value(a)
+		}
+		d += p.dualTerm(ti, v, slope, a, e.lambda[p.pathOff[ti]:p.pathOff[ti+1]], e.price, star)
 	}
 	return d
 }
 
-// dualTerm is task ti's term of DualBound at latencies lat, path prices
-// lambda and resource prices mu, solving ℓ* into the scratch row star.
-func (p *Problem) dualTerm(ti int, lat, lambda, mu, star []float64) float64 {
-	k, curve := p.consts[ti], p.curves[ti]
-	a, slope := p.aggregate(ti, lat), k.slope
-	if !k.constSlope {
-		slope = curve.Slope(a)
-	}
-	star = star[:len(lat)]
-	v := curve.Value(a) + slope*(p.latenciesAt(ti, star, lambda, mu, slope)-a)
+// dualTerm is the per-task kernel of DualBound and Ray: the maximum over
+// task ti's latency box of
+//
+//	v + slope·(Σ w·ℓ − a) − Σ_s μ_r(s)·share_s(ℓ) − Σ_p λ_p·(Σ_{s∈p} ℓ_s − C)
+//
+// at path prices lambda and resource prices mu, attained at the latencies
+// Equation 7 solves at the slope, which it writes into the scratch row star.
+func (p *Problem) dualTerm(ti int, v, slope, a float64, lambda, mu, star []float64) float64 {
+	star = star[:p.subOff[ti+1]-p.subOff[ti]]
+	v += slope * (p.latenciesAt(ti, star, lambda, mu, slope) - a)
 	lo := p.subOff[ti]
 	for si, l := range star {
 		g := lo + int32(si)
 		v -= mu[p.res[g]] * p.ShareAt(g, l)
 	}
+	crit := p.consts[ti].criticalMs
 	for pi, l := range lambda {
 		sum := 0.0
 		for _, s := range p.Path(ti, pi) {
 			sum += star[s]
 		}
-		v -= l * (sum - k.criticalMs)
+		v -= l * (sum - crit)
 	}
 	return v
+}
+
+// SchedulabilityReport is the static test of a compiled problem
+// (Problem.Schedulability). Passing it does not guarantee schedulability
+// (only running LLA does, per the paper's Section 5.4), but failing it
+// proves the workload infeasible without running the optimizer.
+type SchedulabilityReport struct {
+	// ResourceFloor[resourceID] is the least share demand the latency boxes
+	// allow on a used resource.
+	ResourceFloor map[string]float64
+	// ResourceViolations lists resources whose floor exceeds availability.
+	ResourceViolations []string
+	// PathViolations lists "task/path" identifiers whose latency with every
+	// subtask at its resource's full availability exceeds the critical time.
+	PathViolations []string
+}
+
+// Feasible reports whether no necessary condition is violated.
+func (r *SchedulabilityReport) Feasible() bool {
+	return len(r.ResourceViolations) == 0 && len(r.PathViolations) == 0
+}
+
+// String summarizes the report.
+func (r *SchedulabilityReport) String() string {
+	if r.Feasible() {
+		return "workload passes the static necessary conditions (run LLA for a sufficient test)"
+	}
+	return fmt.Sprintf("workload provably unschedulable: %d resource floor violation(s) %v, %d path violation(s) %v",
+		len(r.ResourceViolations), r.ResourceViolations, len(r.PathViolations), r.PathViolations)
+}
+
+// Schedulability runs the static necessary conditions, the ray at unit
+// prices, in one pass over the compiled latency boxes [latMin, latMax]:
+// at λ = e_p it is Σ_{s∈p} latMin_s − C, positive for a path violation; at
+// μ = e_r it is Σ_{s on r} floor_s − B_r, a resource violation past 1e-9.
+// A floor is max(MinShare, share at latMax): a box the compiler clamped up
+// to latMin reads share B_r, under a MinShare above B_r. The conditions
+// ignore that a subtask cannot take its minimum on one constraint while
+// leaving slack for every other, so only running LLA is sufficient.
+func (p *Problem) Schedulability() *SchedulabilityReport {
+	rep := &SchedulabilityReport{ResourceFloor: make(map[string]float64, len(p.Resources))}
+	for ti, t := range p.src.Tasks {
+		lo := p.subOff[ti]
+		for si, s := range t.Subtasks {
+			g := lo + int32(si)
+			rep.ResourceFloor[p.Resources[p.res[g]].ID] += max(s.MinShare, p.ShareAt(g, p.latMax[g]))
+		}
+		for pi := range p.NumPaths(ti) {
+			sum := 0.0
+			for _, s := range p.Path(ti, pi) {
+				sum += p.latMin[lo+s]
+			}
+			if sum > t.CriticalMs {
+				rep.PathViolations = append(rep.PathViolations, fmt.Sprintf("%s/path%d", t.Name, pi))
+			}
+		}
+	}
+	for _, r := range p.Resources {
+		if rep.ResourceFloor[r.ID] > r.Availability+1e-9 {
+			rep.ResourceViolations = append(rep.ResourceViolations, r.ID)
+		}
+	}
+	return rep
 }

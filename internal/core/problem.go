@@ -303,26 +303,27 @@ func (p *Problem) Interior(g int32, latMs float64) bool {
 	return interior(latMs, p.latMin[g], p.latMax[g])
 }
 
-// refreshBounds computes the latency bounds of subtask g of task ti, at
+// refreshBounds computes the latency box of subtask g of task ti (Box), at
 // compile time and after a change to its share function (error correction),
 // its minimum share or its resource's availability.
-// Each bound is share.WCETLag.LatencyFor with the share numerator read from
-// cost, which holds the same sum.
 func (p *Problem) refreshBounds(ti int, g int32) {
-	p.latMin[g] = p.cost[g]/p.Resources[p.res[g]].Availability + p.errMs[g]
-	maxLat := p.consts[ti].criticalMs
-	if minShare := p.src.Tasks[ti].Subtasks[g-p.subOff[ti]].MinShare; minShare > 0 {
-		if cap := p.cost[g]/minShare + p.errMs[g]; cap < maxLat {
-			maxLat = cap
-		}
+	minShare := p.src.Tasks[ti].Subtasks[g-p.subOff[ti]].MinShare
+	p.latMin[g], p.latMax[g] = Box(p.cost[g], p.errMs[g], p.Resources[p.res[g]].Availability, minShare, p.consts[ti].criticalMs)
+}
+
+// Box is the latency box [lo, hi] of a subtask with share numerator cost
+// (c + l), error term errMs and minimum share minShare (0 for none) on a
+// resource of availability b, in a task of critical time criticalMs: lo is
+// share.WCETLag.LatencyFor(b), hi the critical time tightened to
+// LatencyFor(minShare). A degenerate box (hi below lo: availability too low
+// for the deadline) is clamped up to [lo, lo]; the violation surfaces in
+// the snapshot instead.
+func Box(cost, errMs, b, minShare, criticalMs float64) (lo, hi float64) {
+	lo, hi = cost/b+errMs, criticalMs
+	if minShare > 0 {
+		hi = min(hi, cost/minShare+errMs)
 	}
-	if maxLat < p.latMin[g] {
-		// Degenerate bounds (e.g. availability too low for the deadline):
-		// keep a consistent interval; the constraint violation will surface
-		// in the snapshot instead.
-		maxLat = p.latMin[g]
-	}
-	p.latMax[g] = maxLat
+	return lo, max(hi, lo)
 }
 
 // clamp bounds v to [lo, hi].

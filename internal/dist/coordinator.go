@@ -33,9 +33,9 @@ type FailoverPlan struct {
 	// Crashes is the schedule, executed in order.
 	Crashes []Crash
 	// CheckpointDir, when set, seeds the initial epoch from the newest
-	// checkpoint (recover.Latest) and re-reads it at every restart — the
-	// "restarted coordinator loads the latest checkpoint" path. Missing or
-	// unreadable directories fall back to the in-memory epoch.
+	// checkpoint (recover.LatestEpoch: a directory of undecodable ones fails
+	// the run) and re-reads it at every restart, where an unreadable
+	// directory keeps the in-memory epoch.
 	CheckpointDir string
 	// OnRestart, when non-nil, runs after each epoch bump (from the
 	// coordinator's step) so the harness can persist a checkpoint carrying
@@ -274,10 +274,8 @@ func (c *coordinator) certify(k int, u float64, cert core.Certificate) {
 // restart brings a fresh generation up: reload the checkpointed epoch, bump
 // it, reconnect, and start the rejoin handshake.
 func (c *coordinator) restart(now time.Duration) {
-	if c.plan.CheckpointDir != "" {
-		if cp, _, err := rec.Latest(c.plan.CheckpointDir); err == nil && cp.Epoch > c.epoch {
-			c.epoch = cp.Epoch
-		}
+	if epoch, err := rec.LatestEpoch(c.plan.CheckpointDir); err == nil && epoch > c.epoch {
+		c.epoch = epoch
 	}
 	c.epoch++
 	c.res.Epoch = c.epoch

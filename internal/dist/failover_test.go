@@ -1,6 +1,9 @@
 package dist
 
 import (
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -170,6 +173,23 @@ func TestFailoverEpochLoadedFromCheckpoint(t *testing.T) {
 	assertMatchesEngine(t, res, rounds)
 	if res.Epoch != 6 {
 		t.Errorf("epoch = %d, want 6 (checkpointed 5 + one bump)", res.Epoch)
+	}
+}
+
+// A checkpoint directory whose only generation is of a retired version fails
+// the run with the version named, instead of seeding the epoch fence at 0.
+func TestFailoverRefusesRetiredCheckpointDir(t *testing.T) {
+	b, err := os.ReadFile(filepath.Join("..", "recover", "testdata", "ckpt_v3_newton.bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "ckpt-000000000001.llackpt"), b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rt := simRuntime(t, workload.Base(), transport.ChaosConfig{Seed: 31})
+	if _, err := rt.RunWithFailover(80, FailoverPlan{CheckpointDir: dir}); err == nil || !strings.Contains(err.Error(), "version 3") {
+		t.Fatalf("run over a directory of retired checkpoints: %v; want an error naming version 3", err)
 	}
 }
 

@@ -261,10 +261,14 @@ func (r *Runtime) run(maxRounds int, untilKKT bool, plan FailoverPlan) (*Result,
 	if r.ran {
 		return nil, fmt.Errorf("dist: the runtime has already run")
 	}
+	epoch, err := rec.LatestEpoch(plan.CheckpointDir) // 0 without a directory
+	if err != nil {
+		return nil, fmt.Errorf("dist: seeding the epoch: %w", err)
+	}
 	r.ran = true
-	res := &Result{}
+	res := &Result{Epoch: epoch}
 	c := &coordinator{
-		node:     node{addr: coordinatorAddr, fp: r.fp, nodeCounters: nodeCounters{m: metricsFor(r.obsv)}},
+		node:     node{addr: coordinatorAddr, epoch: epoch, fp: r.fp, nodeCounters: nodeCounters{m: metricsFor(r.obsv)}},
 		rt:       r,
 		untilKKT: untilKKT,
 		plan:     plan,
@@ -274,12 +278,6 @@ func (r *Runtime) run(maxRounds int, untilKKT bool, plan FailoverPlan) (*Result,
 	for ti, n := range r.ctlNodes {
 		c.taskIdx[n.name] = ti
 	}
-	if plan.CheckpointDir != "" {
-		if cp, _, err := rec.Latest(plan.CheckpointDir); err == nil {
-			c.epoch = cp.Epoch
-		}
-	}
-	res.Epoch = c.epoch
 	if err := r.drive(c, maxRounds); err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package recover
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -174,4 +175,18 @@ func Latest(dir string) (*Checkpoint, string, error) {
 		return cp, path, nil
 	}
 	return nil, "", fmt.Errorf("recover: every checkpoint in %s is unreadable (last: %w)", dir, lastErr)
+}
+
+// LatestEpoch returns the epoch of dir's newest decodable checkpoint, 0 when
+// dir (or "") holds none. A directory whose checkpoints all fail to decode
+// is an error: an epoch fence seeded at 0 there could go backwards.
+func LatestEpoch(dir string) (uint64, error) {
+	switch cp, _, err := Latest(dir); {
+	case err == nil:
+		return cp.Epoch, nil
+	case errors.Is(err, os.ErrNotExist):
+		return 0, nil
+	default:
+		return 0, err
+	}
 }
