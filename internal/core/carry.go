@@ -39,6 +39,7 @@ func (e *Engine) CarryFrom(donors ...*Engine) {
 		d.carryInto(e, muDone, taskDone)
 	}
 	e.refreshResourceState() // invalidates the dynamics' history too
+	e.mu = e.mu[:0]          // no demand was solved at the carried prices
 }
 
 // carryInto copies d's prices and task state into e where IDs/names match
@@ -59,7 +60,7 @@ func (d *Engine) carryInto(e *Engine, muDone, taskDone []bool) {
 		if taskDone[ti] {
 			continue
 		}
-		oi, ok := d.p.taskIdx[t.Name]
+		oi, ok := d.p.TaskIndex(t.Name)
 		if !ok {
 			continue
 		}

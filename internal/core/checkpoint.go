@@ -15,12 +15,12 @@ import (
 // run's, under every Workers count and every price solver.
 //
 // What is deliberately NOT written, because Step reconstructs it from the
-// written state before reading it: the per-Step price snapshot e.mu (copied
-// from the live prices at the top of every Step), and the per-subtask shares
-// — each always equals the share at the current latency (Solve rewrites one
-// whenever its latency moves), so ReadCheckpoint recomputes them from the
-// restored latencies bit-for-bit, and with them each resource's
-// interior-share sum (the curvature numerator).
+// written state before reading it: the per-Step price snapshot e.mu (so a
+// restored engine prices no capacity change before its first Step; see
+// priceEvent), and the per-subtask shares — each always equals the share at
+// the current latency (Solve rewrites one whenever its latency moves), so
+// ReadCheckpoint recomputes them from the restored latencies bit-for-bit,
+// and with them each resource's interior-share sum (the curvature numerator).
 //
 // The section, in order: the iteration count; the task count and, per task
 // in compiled order, its latencies, path prices, path step sizes and
@@ -76,6 +76,7 @@ func (e *Engine) ReadCheckpoint(d *byteio.Dec) {
 	const big = math.MaxFloat64
 	p := e.p
 	clear(e.graded) // the grades are scratch, and the restore moves them all
+	e.mu = e.mu[:0] // not written (see above)
 	e.iter = int(d.U64())
 	if n := d.U32(); d.Err == nil && int(n) != p.NumTasks() {
 		d.Fail("checkpoint has %d tasks, engine has %d", n, p.NumTasks())

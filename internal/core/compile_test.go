@@ -132,10 +132,11 @@ func TestCompileMatchesTaskModel(t *testing.T) {
 
 // compileBytesBudget is the ceiling on the bytes one Compile allocates, its
 // check included, on the fleet-1m-cold benchmark's shape at a tenth of its
-// scale (10.41 MB measured, +5 %). With a per-task view struct, a copied
-// subtask-name array and copies of the proof's arrays it took 16.84 MB, and
-// 10.59 MB while a fresh check built the prev and dirty vectors of a diff.
-const compileBytesBudget = 10_930_000
+// scale (9.53 MB measured, +5 %). With a per-task view struct, a copied
+// subtask-name array and copies of the proof's arrays it took 16.84 MB,
+// 10.59 MB while a fresh check built the prev and dirty vectors of a diff,
+// and 10.41 MB while every problem indexed its task names up front.
+const compileBytesBudget = 10_010_000
 
 // TestCompileBytesBudget pins what Compile allocates: the check's proof, whose
 // arrays the problem aliases, and the problem's flat arrays and maps — no

@@ -123,6 +123,49 @@ func (p *Problem) latenciesAt(ti int, lat, lambda, mu []float64, slope float64) 
 	return agg
 }
 
+// stepPaths takes Solve's path-price step (Equation 9) from the current
+// latencies at utility slope slope and reports whether it moved a path price
+// or step size. With commit false it writes nothing and reports whether the
+// step would move anything (Engine.runShard's replay test).
+func (c *Controller) stepPaths(congested []bool, slope float64, commit bool) (moved bool) {
+	p, ti, step := c.p, c.ti, c.step
+	lat, lambda, gammas := c.LatMs, c.Lambda, c.gamma
+	k, res := p.consts[ti], p.res[p.subOff[ti]:p.subOff[ti+1]]
+	gp := p.pathOff[ti]
+	pathSubOff, pathSub, wMin := p.pathSubOff, p.pathSub, p.wMin
+	for pi, l := range lambda {
+		sum := 0.0
+		pathCongested := false
+		for _, s := range pathSub[pathSubOff[gp]:pathSubOff[gp+1]] {
+			sum += lat[s]
+			if congested != nil && congested[res[s]] {
+				pathCongested = true
+			}
+		}
+		if sum > k.criticalMs*(1+CongestionMargin) {
+			pathCongested = true
+		}
+		ramped := gammas[pi]
+		if step.Adaptive {
+			ramped = price.Ramp(ramped, step.Gamma, pathCongested)
+		}
+		gamma, scale := ramped, l+wMin[gp]*math.Abs(slope)
+		if step.Adaptive && gamma < scale/2 {
+			gamma = scale / 2
+		}
+		if cap := max(step.Gamma, 2*scale); gamma > cap {
+			gamma = cap
+		}
+		next := price.UpdatePath(l, gamma, sum, k.criticalMs)
+		moved = moved || ramped != gammas[pi] || next != l
+		if commit {
+			gammas[pi], lambda[pi] = ramped, next
+		}
+		gp++
+	}
+	return moved
+}
+
 // Solve is the controller half of one LLA iteration, in one pass over the
 // task's slice of the problem arrays (DESIGN.md §6). Given the resource
 // prices mu and the congestion flags congested (both indexed like
@@ -151,8 +194,8 @@ func (p *Problem) latenciesAt(ti int, lat, lambda, mu []float64, slope float64) 
 func (c *Controller) Solve(mu []float64, congested []bool) (priceChanged, latChanged bool) {
 	// Hoisted into locals: the stores below would otherwise force slice
 	// headers and constants to be re-read from c and p on every iteration.
-	p, ti, step := c.p, c.ti, c.step
-	lat, lambda, gammas, shares := c.LatMs, c.Lambda, c.gamma, c.shares
+	p, ti := c.p, c.ti
+	lat, lambda, shares := c.LatMs, c.Lambda, c.shares
 	lo, hi := p.subOff[ti], p.subOff[ti+1]
 	k := p.consts[ti]
 	res := p.res[lo:hi]
@@ -161,42 +204,7 @@ func (c *Controller) Solve(mu []float64, congested []bool) (priceChanged, latCha
 		agg = p.aggregate(ti, lat)
 		slope = p.curves[ti].Slope(agg)
 	}
-
-	gp := p.pathOff[ti]
-	pathSubOff, pathSub, wMin := p.pathSubOff, p.pathSub, p.wMin
-	for pi, l := range lambda {
-		sum := 0.0
-		pathCongested := false
-		for _, s := range pathSub[pathSubOff[gp]:pathSubOff[gp+1]] {
-			sum += lat[s]
-			if congested != nil && congested[res[s]] {
-				pathCongested = true
-			}
-		}
-		if sum > k.criticalMs*(1+CongestionMargin) {
-			pathCongested = true
-		}
-		gamma := gammas[pi]
-		if step.Adaptive {
-			gamma = price.Ramp(gamma, step.Gamma, pathCongested)
-		}
-		if gamma != gammas[pi] {
-			gammas[pi] = gamma
-			priceChanged = true
-		}
-		scale := l + wMin[gp]*math.Abs(slope)
-		if step.Adaptive && gamma < scale/2 {
-			gamma = scale / 2
-		}
-		if cap := max(step.Gamma, 2*scale); gamma > cap {
-			gamma = cap
-		}
-		if next := price.UpdatePath(l, gamma, sum, k.criticalMs); next != l {
-			lambda[pi] = next
-			priceChanged = true
-		}
-		gp++
-	}
+	priceChanged = c.stepPaths(congested, slope, true)
 
 	weight, cost, errMs := p.weight[lo:hi], p.cost[lo:hi], p.errMs[lo:hi]
 	latMin, latMax := p.latMin[lo:hi], p.latMax[lo:hi]

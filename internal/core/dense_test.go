@@ -19,7 +19,7 @@ func denseStep(e *Engine) { denseStepObserved(e, nil) }
 // solve when it is non-nil; solve must call c.Solve(e.mu, e.congested)
 // itself, and may look at the controller before and after.
 func denseStepObserved(e *Engine, solve func(ti int, c *Controller)) {
-	copy(e.mu, e.price)
+	e.mu = append(e.mu[:0], e.price...)
 	for ti := range e.p.NumTasks() {
 		if c := e.Controller(ti); solve != nil {
 			solve(ti, &c)

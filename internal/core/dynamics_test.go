@@ -106,7 +106,7 @@ func (a *agent) update(mu, avail, sum float64, congested bool) float64 {
 // Dynamics, no skipping. It is the oracle the engine's gradient Dynamics is
 // held to.
 func agentStep(e *Engine, agents []agent) {
-	copy(e.mu, e.price)
+	e.mu = append(e.mu[:0], e.price...)
 	for ti := range e.p.NumTasks() {
 		c := e.Controller(ti)
 		c.Solve(e.mu, e.congested)

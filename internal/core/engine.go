@@ -114,7 +114,8 @@ type Engine struct {
 	// previous-iteration view. Each shard leaves its tasks' shares in
 	// shares, and the serial reduction sums them per resource in compiled
 	// subtask order so the result is bitwise-independent of the worker
-	// count.
+	// count. Between Steps it is the price the cached demand was solved at
+	// (priceEvent), empty before the first Step and after a state install.
 	mu []float64
 	// nshards is the resolved shard count (Config.Workers clamped to the
 	// task count, at least 1).
@@ -208,7 +209,7 @@ func NewEngineChecked(ck *workload.Checked, cfg Config) (*Engine, error) {
 		shareSums: make([]float64, nr),
 		inner:     make([]float64, nr),
 		congested: make([]bool, nr),
-		mu:        make([]float64, nr),
+		mu:        make([]float64, 0, nr),
 		price:     make([]float64, nr),
 		dyn:       cfg.NewDynamics(),
 		nshards:   resolveShards(cfg.Workers, p.NumTasks()),
@@ -362,7 +363,7 @@ func (e *Engine) congestion(ri int) bool {
 // arithmetic — and therefore the whole trajectory — bitwise-identical for
 // every worker count. Steady-state Steps perform no heap allocation.
 func (e *Engine) Step() {
-	copy(e.mu, e.price)
+	e.mu = append(e.mu[:0], e.price...)
 	if e.nshards > 1 {
 		pool := e.workerPool()
 		pool.Run(e.nshards, e.shard)
@@ -459,16 +460,15 @@ func (e *Engine) SolverFallbacks() uint64 { return e.dyn.Fallbacks() }
 // range against the frozen e.mu/e.congested snapshot, leaving the resulting
 // share values in e.shares for the serial reduction.
 //
-// A controller's solve is skipped while ctlStable holds: its previous
-// executed solve changed nothing (latencies, path prices and step sizes all
-// came out bitwise-unchanged) and no price or congestion flag it observes
-// has moved since (unsettle) — re-running the solve would reproduce its
-// state and its shares scratch row verbatim. An executed solve that moves a
-// latency, path price or step size drops the task's grade (certify.go); one
-// that moves nothing keeps it. Shards only touch their own tasks' flags, so
-// the parallel dispatch stays race-free, and the skip decision depends only
-// on state frozen during the phase, so it is identical under every worker
-// count.
+// A controller's solve is skipped while ctlStable holds: replaying its last
+// executed solve would reproduce its state and shares row verbatim — the
+// solve moved nothing, or moved only a constant-slope task's latencies, to
+// where the path step they give is a no-op (DESIGN.md §11) — and no price or
+// congestion flag it observes has moved since (unsettle). An executed solve
+// that moves anything drops the task's grade (certify.go); one that moves
+// nothing keeps it. Shards only touch their own tasks' flags, so the parallel
+// dispatch stays race-free, and the skip decision depends only on state
+// frozen during the phase, so it is identical under every worker count.
 func (e *Engine) runShard(w int) {
 	nt := e.p.NumTasks()
 	lo, hi := w*nt/e.nshards, (w+1)*nt/e.nshards
@@ -482,9 +482,10 @@ func (e *Engine) runShard(w int) {
 		}
 		e.controllerInto(&c, ti)
 		priceChanged, latChanged := c.Solve(e.mu, e.congested)
+		k, stable := &e.p.consts[ti], !priceChanged && !latChanged
 		e.latChanged[ti] = latChanged
-		e.ctlStable[ti] = !priceChanged && !latChanged
-		e.graded[ti] = e.graded[ti] && e.ctlStable[ti]
+		e.ctlStable[ti] = stable || latChanged && k.constSlope && !c.stepPaths(e.congested, k.slope, false)
+		e.graded[ti] = e.graded[ti] && stable
 	}
 	e.shardSkipped[w] = skipped
 }
@@ -569,8 +570,8 @@ func (e *Engine) RunUntilKKT(maxIters int, kktTol float64, window int, tol float
 // SetAvailability changes a resource's availability B_r at runtime (resource
 // variation, e.g. partial failure or reservation change) and refreshes the
 // latency bounds of every subtask on it. The optimizer adapts over the
-// following iterations; prices are left untouched so adaptation is
-// incremental, as in the paper's continuously-running deployment.
+// following iterations from the prices it has, as in the paper's continuously
+// running deployment; under Newton the resource is repriced at once (priceEvent).
 // Like SetErrorMs and SetMinShare it must be called from the goroutine
 // driving Step: shard workers only run inside a Step, so changes applied
 // between Steps are published to them by the next dispatch.
@@ -590,9 +591,20 @@ func (e *Engine) SetAvailability(resourceID string, availability float64) error 
 		e.p.refreshBounds(int(tasks[k]), g)
 	}
 	e.refreshResource(ri)
+	e.priceEvent(ri)
 	e.emit(obs.Event{Kind: obs.EventWorkloadChange, Iteration: e.iter,
 		Resource: resourceID, Detail: "availability", Value: availability})
 	return nil
+}
+
+// priceEvent prices a change of resource ri's capacity at once (DESIGN.md
+// §12): it retakes the last Newton step, from the price e.mu the cached demand
+// was solved at, against the new capacity, advancing no dynamics state. The
+// gradient, a pinned price and one not yet solved at wait for the next Step.
+func (e *Engine) priceEvent(ri int) {
+	if mu := e.mu; e.dyn.Solver() == price.SolverNewton && len(mu) > 0 && !e.PinnedAt(ri) {
+		e.price[ri] = e.dyn.Reprice(ri, mu[ri], e.shareSums[ri], e.p.Resources[ri].Availability, Curvature(e.inner[ri], mu[ri]), e.congested[ri])
+	}
 }
 
 // SetErrorMs installs the additive model-error correction for one subtask
@@ -645,7 +657,7 @@ func (e *Engine) workerPool() *par.Pool {
 
 // findSubtask resolves names to compiled indices.
 func (e *Engine) findSubtask(taskName, subtaskName string) (int, int, error) {
-	ti, ok := e.p.taskIdx[taskName]
+	ti, ok := e.p.TaskIndex(taskName)
 	if !ok {
 		return 0, 0, fmt.Errorf("core: unknown task %q", taskName)
 	}

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 
 	"lla/internal/share"
 	"lla/internal/task"
@@ -29,9 +30,10 @@ type Problem struct {
 	Resources []ProblemResource
 
 	src *workload.Workload
-	// resIdx and taskIdx resolve a resource ID and a task name to their
-	// compiled indices.
+	// resIdx resolves a resource ID to its compiled index; taskIdx, built on
+	// first use (TaskIndex), a task name.
 	resIdx, taskIdx map[string]int
+	taskOnce        sync.Once
 
 	// Per-subtask arrays. Task ti owns entries [subOff[ti], subOff[ti+1]);
 	// such an entry's position is the subtask's global index. subOff, res
@@ -119,7 +121,6 @@ func compile(ck *workload.Checked, weightMode task.WeightMode) (*Problem, error)
 		Resources: make([]ProblemResource, len(w.Resources)),
 		src:       w,
 		resIdx:    make(map[string]int, len(w.Resources)),
-		taskIdx:   w.TaskIndex(),
 		pathOff:   make([]int32, nt+1),
 		consts:    make([]taskConsts, nt),
 	}
@@ -206,6 +207,15 @@ func compile(ck *workload.Checked, weightMode task.WeightMode) (*Problem, error)
 
 // Workload returns the workload this problem was compiled from.
 func (p *Problem) Workload() *workload.Workload { return p.src }
+
+// TaskIndex returns the compiled index of the named task, or false. Names are
+// indexed on the first call, once: shards warm-starting on the fleet's pool
+// may ask one donor at once.
+func (p *Problem) TaskIndex(name string) (int, bool) {
+	p.taskOnce.Do(func() { p.taskIdx = p.src.TaskIndex() })
+	ti, ok := p.taskIdx[name]
+	return ti, ok
+}
 
 // NumTasks counts the tasks.
 func (p *Problem) NumTasks() int { return len(p.curves) }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"strings"
 )
 
 // Snapshot captures the optimizer's observable state after an iteration: the
@@ -170,8 +169,6 @@ func (s Snapshot) Feasible(tol float64) bool {
 
 // String renders a compact human-readable summary.
 func (s Snapshot) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "iter=%d utility=%.3f maxResViol=%.4f maxPathViol=%.4f",
+	return fmt.Sprintf("iter=%d utility=%.3f maxResViol=%.4f maxPathViol=%.4f",
 		s.Iteration, s.Utility, s.MaxResourceViolation, s.MaxPathViolationFrac)
-	return b.String()
 }

@@ -154,7 +154,8 @@ func TestSparseSkipsAtSteadyState(t *testing.T) {
 
 // setAvailabilityGlobal is SetAvailability through the global refresh every
 // mutator took before refreshResource: the new bounds, then every share,
-// every resource's reduction and the whole active set.
+// every resource's reduction and the whole active set, then the same event
+// step on the resource's price.
 func setAvailabilityGlobal(e *Engine, ri int, availability float64) {
 	e.p.Resources[ri].Availability = availability
 	for _, g := range e.p.Resources[ri].Subs {
@@ -162,6 +163,7 @@ func setAvailabilityGlobal(e *Engine, ri int, availability float64) {
 		e.p.refreshBounds(ti, g)
 	}
 	e.refreshResourceState()
+	e.priceEvent(ri)
 }
 
 // solvesAfterEvent counts the controller solves the first Step after an

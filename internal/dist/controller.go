@@ -9,49 +9,6 @@ import (
 	"lla/internal/wire"
 )
 
-// shareGroup is the part of a task's allocation one resource hears about:
-// the subtasks the task runs there, by ascending name — the order a
-// wire.ShareReport lists them in.
-type shareGroup struct {
-	ri   int      // resource index
-	id   string   // resource ID
-	subs []string // subtask names, ascending
-	si   []int    // their indices in the task, in subs order
-}
-
-// shareGroups splits task ti's subtasks, on the resources res, by resource,
-// resources in order of first use. A checked task has at most one subtask per
-// resource, so each group is one subtask, in subtask order. Built once per
-// controller; latencies fills in a round's values.
-func shareGroups(p *core.Problem, ti int, res []int32) []shareGroup {
-	subs := p.Workload().Tasks[ti].Subtasks
-	groups := make([]shareGroup, len(subs))
-	for si, s := range subs {
-		groups[si] = shareGroup{ri: int(res[si]), id: p.Resources[res[si]].ID, subs: []string{s.Name}, si: []int{si}}
-	}
-	return groups
-}
-
-// latencies returns the group's slice of a task's latencies: prev itself when
-// every value is unchanged from it (changed=false), a fresh slice otherwise —
-// a sent payload is never written again.
-func (g *shareGroup) latencies(latMs, prev []float64) (out []float64, changed bool) {
-	for j, si := range g.si {
-		if prev == nil || prev[j] != latMs[si] {
-			changed = true
-			break
-		}
-	}
-	if !changed {
-		return prev, false
-	}
-	out = make([]float64, len(g.si))
-	for j, si := range g.si {
-		out[j] = latMs[si]
-	}
-	return out, true
-}
-
 // controllerNode is the machine of one task's controller (Section 4.2): the
 // peer protocol in the controller role. Each round it waits for the prices of
 // every resource its subtasks use — its peers, in order of first use, a
@@ -64,21 +21,25 @@ type controllerNode struct {
 	p    *core.Problem
 	ti   int
 	name string
-	// groups holds one entry per distinct resource the task uses, parallel to
-	// peers; groupOf resolves a price message's resource ID to its entry.
-	groups  []shareGroup
-	groupOf map[string]int
+	// A checked task runs at most one subtask per resource, so peers[k] hosts
+	// subtask k alone, on resource res[k]: its reports list names[k:k+1], and
+	// idx[k:k+1] sizes a coalesced one (wire.DeltaBytesSaved). peerOf resolves
+	// a price message's resource ID to its k.
+	res    []int32
+	names  []string
+	idx    []int
+	peerOf map[string]int
 	// reports controls whether per-round utility reports go to the
 	// coordinator; standalone deployments have none.
 	reports bool
 	// mu and congested are the price vector Solve reads, by resource index
 	// (one per resource of the problem, each used one starting at
-	// core.InitialMu); excess[k] is the capacity excess groups[k]'s latest
+	// core.InitialMu); excess[k] is the capacity excess peers[k]'s latest
 	// price carried.
 	mu        []float64
 	congested []bool
 	excess    []float64
-	// lastLat[k] caches the latest full latency message for groups[k], for
+	// lastLat[k] caches the latest full latency message for peers[k], for
 	// retransmission, stale recovery and as the delta codec's reference; its
 	// LatMs is nil until the first allocation.
 	lastLat []wire.ShareReport
@@ -105,18 +66,19 @@ func newControllerNode(p *core.Problem, ti int, res []int32, cfg core.Config, a 
 		p:         p,
 		ti:        ti,
 		name:      p.Workload().Tasks[ti].Name,
-		groups:    shareGroups(p, ti, res),
-		groupOf:   make(map[string]int),
+		res:       res,
+		peerOf:    make(map[string]int),
 		reports:   true,
 		mu:        make([]float64, len(p.Resources)),
 		congested: make([]bool, len(p.Resources)),
 	}
-	n.lastLat = make([]wire.ShareReport, len(n.groups))
-	n.excess = make([]float64, len(n.groups))
-	n.peers = make([]string, len(n.groups))
-	for k, g := range n.groups {
-		n.peers[k], n.groupOf[g.id] = a.res[g.ri], k
-		n.mu[g.ri] = core.InitialMu
+	n.lastLat = make([]wire.ShareReport, len(res))
+	n.excess = make([]float64, len(res))
+	n.peers = make([]string, len(res))
+	for k, ri := range res {
+		n.names, n.idx = append(n.names, p.Workload().Tasks[ti].Subtasks[k].Name), append(n.idx, k)
+		n.peers[k], n.peerOf[p.Resources[ri].ID] = a.res[ri], k
+		n.mu[ri] = core.InitialMu
 	}
 	return n
 }
@@ -131,7 +93,7 @@ func (n *controllerNode) step(now time.Duration, ev event) *effects {
 func (n *controllerNode) read(payload any) (k, round int, ok bool) {
 	pm, isPrice := payload.(wire.PriceUpdate)
 	if isPrice {
-		k, ok = n.groupOf[pm.Resource]
+		k, ok = n.peerOf[pm.Resource]
 	}
 	return k, pm.Round, ok
 }
@@ -141,7 +103,7 @@ func (n *controllerNode) read(payload any) (k, round int, ok bool) {
 // r−1 fold happened), so only full payloads write.
 func (n *controllerNode) fold(k int, payload any) {
 	if pm := payload.(wire.PriceUpdate); !pm.Delta {
-		ri := n.groups[k].ri
+		ri := n.res[k]
 		n.mu[ri], n.congested[ri], n.excess[k] = pm.Mu, pm.Congested, pm.Excess
 	}
 }
@@ -171,24 +133,27 @@ func (n *controllerNode) report() {
 }
 
 // speak distributes the freshly allocated latencies, one message per
-// resource. A resource whose latencies are bitwise unchanged from the
-// previous round gets a coalesced marker (wire/frames.go) instead, except on
-// keyframe rounds.
+// resource. A resource whose latency is bitwise unchanged from the previous
+// round gets a coalesced marker (wire/frames.go) instead, except on keyframe
+// rounds. A sent payload is never written again.
 func (n *controllerNode) speak() {
-	for k := range n.groups {
-		g := &n.groups[k]
-		lats, changed := g.latencies(n.ctl.LatMs, n.lastLat[k].LatMs)
-		msg := wire.ShareReport{Round: n.round, Epoch: n.epoch, Task: n.name, Subs: g.subs, LatMs: lats}
+	for k, lat := range n.ctl.LatMs {
+		lats := n.lastLat[k].LatMs
+		changed := lats == nil || lats[0] != lat
+		if changed {
+			lats = []float64{lat}
+		}
+		msg := wire.ShareReport{Round: n.round, Epoch: n.epoch, Task: n.name, Subs: n.names[k : k+1], LatMs: lats}
 		n.lastLat[k] = msg
 		if !changed && n.round%deltaKeyframeInterval != 0 {
-			n.suppressed(1, wire.DeltaBytesSaved(msg, g.si))
+			n.suppressed(1, wire.DeltaBytesSaved(msg, n.idx[k:k+1]))
 			msg = wire.ShareReport{Round: n.round, Epoch: n.epoch, Task: n.name, Delta: true}
 		}
 		n.tell(k, msg)
 	}
 }
 
-// again re-sends the cached latencies of groups[k], whose resource is stalled
+// again re-sends the cached latencies of peers[k], whose resource is stalled
 // on them. Before the first allocation there is nothing to re-send.
 func (n *controllerNode) again(k int) bool {
 	if n.lastLat[k].LatMs == nil {
@@ -227,7 +192,7 @@ func (n *controllerNode) close(now time.Duration) {
 		return
 	}
 	n.lingering = true
-	n.finned, n.unfinned = make([]bool, len(n.groups)), len(n.groups)
+	n.finned, n.unfinned = make([]bool, len(n.res)), len(n.res)
 	n.retransmitAt = now + max(n.fp.RetransmitMax, n.fp.RetransmitAfter)
 }
 
@@ -246,7 +211,7 @@ func (n *controllerNode) linger(now time.Duration, ev event) *effects {
 	case evMessage:
 		switch pm := ev.msg.Payload.(type) {
 		case wire.Fin:
-			if k, ok := n.groupOf[pm.Resource]; ok && !n.finned[k] {
+			if k, ok := n.peerOf[pm.Resource]; ok && !n.finned[k] {
 				n.finned[k] = true
 				n.unfinned--
 			}
@@ -259,7 +224,7 @@ func (n *controllerNode) linger(now time.Duration, ev event) *effects {
 			}
 		case wire.PriceUpdate:
 			n.quiet = 0
-			if k, ok := n.groupOf[pm.Resource]; ok && pm.Round >= n.limit {
+			if k, ok := n.peerOf[pm.Resource]; ok && pm.Round >= n.limit {
 				// The resource opened a round past a stop it missed: pass it on.
 				n.send(n.peers[k], wire.KindStop, wire.Stop{AfterRound: n.limit, Epoch: n.epoch}, false)
 			} else if ok {

@@ -9,9 +9,6 @@ import (
 	"lla/internal/wire"
 )
 
-// subKey names one subtask of one task, as a ShareReport does.
-type subKey struct{ task, sub string }
-
 // resourceNode is the machine of one resource's price agent (Section 4.3):
 // the peer protocol in the resource role. Each round it gathers the fresh
 // latencies of every subtask on the resource, moves the price mu by the
@@ -25,12 +22,12 @@ type resourceNode struct {
 	r   *core.ProblemResource
 	mu  float64
 	dyn *price.Dynamics
-	// ctlIdx resolves a task name to its controller's entry in peers.
+	// ctlIdx resolves a task name to its controller's entry in peers. A task
+	// runs one subtask here, so peers[k] is the controller of the k-th entry
+	// of the resource's Subs, whose name is names[k] and latest latency lat[k].
 	ctlIdx map[string]int
-	// subIdx maps a subtask hosted here to its global index (an entry of the
-	// resource's Subs); lat holds the latest latency of each.
-	subIdx map[subKey]int32
-	lat    map[int32]float64
+	names  []string
+	lat    []float64
 	// rm carries the per-resource gauges; nil unless observed.
 	rm *obs.ResourceMetrics
 
@@ -53,17 +50,13 @@ func newResourceNode(p *core.Problem, ri int, cfg core.Config, a addresses) *res
 		mu:     core.InitialMu,
 		dyn:    cfg.NewDynamics(),
 		ctlIdx: make(map[string]int),
-		subIdx: make(map[subKey]int32),
-		lat:    make(map[int32]float64),
+		lat:    make([]float64, len(p.Resources[ri].Subs)),
 	}
-	for _, sub := range p.Resources[ri].Subs {
+	for k, sub := range p.Resources[ri].Subs {
 		ti, si := p.SubtaskAt(sub)
 		t := p.Workload().Tasks[ti]
-		if _, seen := n.ctlIdx[t.Name]; !seen {
-			n.ctlIdx[t.Name] = len(n.peers)
-			n.peers = append(n.peers, a.ctl[ti])
-		}
-		n.subIdx[subKey{t.Name, t.Subtasks[si].Name}] = sub
+		n.ctlIdx[t.Name], n.names = k, append(n.names, t.Subtasks[si].Name)
+		n.peers = append(n.peers, a.ctl[ti])
 	}
 	n.dyn.Reset(1)
 	return n
@@ -90,15 +83,14 @@ func (n *resourceNode) read(payload any) (k, round int, ok bool) {
 
 // fold writes a report's latencies; a delta marker carries none — the values
 // of the previous round stand.
-func (n *resourceNode) fold(_ int, payload any) {
+func (n *resourceNode) fold(k int, payload any) {
 	lm := payload.(wire.ShareReport)
 	for j, sn := range lm.Subs {
-		sub, hosted := n.subIdx[subKey{lm.Task, sn}]
-		if !hosted {
+		if sn != n.names[k] {
 			n.failf("unknown subtask %s/%s", lm.Task, sn)
 			return
 		}
-		n.lat[sub] = lm.LatMs[j]
+		n.lat[k] = lm.LatMs[j]
 	}
 }
 
@@ -107,8 +99,8 @@ func (n *resourceNode) fold(_ int, payload any) {
 // does — its order, inputs and arithmetic, hence its bits.
 func (n *resourceNode) compute() {
 	r, sum, inner := n.r, 0.0, 0.0
-	for _, sub := range r.Subs {
-		lat := n.lat[sub]
+	for k, sub := range r.Subs {
+		lat := n.lat[k]
 		s := n.p.ShareAt(sub, lat)
 		sum += s
 		if n.p.Interior(sub, lat) {

@@ -266,6 +266,15 @@ func (d *Dynamics) StepAt(j int, mu, sum, avail, curv float64, cong bool) (float
 	return next, guard || next != mu
 }
 
+// Reprice is Newton's StepAt advancing no state (step size, safeguard,
+// fallback count): pricing a change twice leaves what pricing it once does.
+func (d *Dynamics) Reprice(j int, mu, sum, avail, curv float64, cong bool) float64 {
+	g, h, s, f := d.gamma[j], d.halvings[j], d.sign[j], d.fallbacks
+	next, _ := d.StepAt(j, mu, sum, avail, curv, cong)
+	d.gamma[j], d.halvings[j], d.sign[j], d.fallbacks = g, h, s, f
+	return next
+}
+
 // gradient is coordinate j's reference step: ramp the step size on the
 // congestion state, clamp it to the local stability bound
 // (gamma ≤ max(base, 2·mu/B), floored at mu/2 in adaptive mode) and apply

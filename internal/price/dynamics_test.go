@@ -1,8 +1,11 @@
 package price
 
 import (
+	"bytes"
 	"math"
 	"testing"
+
+	"lla/internal/byteio"
 )
 
 // newDyn builds the named solver under the engine's default step policy
@@ -335,5 +338,38 @@ func TestNewtonAtCapacityMatchesPowPath(t *testing.T) {
 				t.Errorf("fallbacks %d, safeguard sign %d halvings %d, want 0, %d, %d", d.Fallbacks(), d.sign[0], d.halvings[0], tc.sign, h)
 			}
 		})
+	}
+}
+
+// TestRepriceAdvancesNoState: Reprice returns the price StepAt would, on the
+// Newton step and on its gradient fallback, and leaves the coordinate's step
+// size, safeguard and fallback count as it found them.
+func TestRepriceAdvancesNoState(t *testing.T) {
+	for _, tc := range []struct {
+		name          string
+		mu, sum, curv float64
+		fallback      bool
+	}{
+		{"newton", 1, 2, 1, false},
+		{"fallback", 1, 2, 0, true}, // no interior response, congested: the ramped gradient step
+	} {
+		d, ref := newDyn(SolverNewton, 1), newDyn(SolverNewton, 1)
+		for _, x := range []*Dynamics{d, ref} {
+			x.StepAt(0, 1, 0.5, 1, 0.25, false) // history: a step below capacity
+		}
+		var before, after byteio.Enc
+		d.AppendState(&before)
+		got := d.Reprice(0, tc.mu, tc.sum, 1, tc.curv, true)
+		d.AppendState(&after)
+		want, _ := ref.StepAt(0, tc.mu, tc.sum, 1, tc.curv, true)
+		if got != want {
+			t.Errorf("%s: Reprice = %v, StepAt = %v", tc.name, got, want)
+		}
+		if !bytes.Equal(before.B, after.B) {
+			t.Errorf("%s: Reprice advanced the coordinate's state", tc.name)
+		}
+		if fell := ref.Fallbacks() > 0; fell != tc.fallback {
+			t.Errorf("%s: StepAt fell back %v, want %v", tc.name, fell, tc.fallback)
+		}
 	}
 }

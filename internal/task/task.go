@@ -260,35 +260,36 @@ func (t *Task) Paths() ([][]int, error) {
 // use. The task must be acyclic with one root (Validate) and must not change.
 type PathWalk struct {
 	t *Task
-	// path is the walk's stack; next[k] counts the successors of path[k]
-	// entered so far (1 on a leaf once its path has been returned).
+	// path[:depth] is the walk's stack; next[k] counts the successors of
+	// path[k] entered so far (1 on a leaf once its path has been returned).
+	// A walk moves depth, not slice headers, whose stores fire GC barriers.
 	path, next []int
+	depth      int
 }
 
 // Reset starts a walk over t's paths.
 func (w *PathWalk) Reset(t *Task) {
-	if n := len(t.Subtasks); cap(w.path) < n {
-		w.path, w.next = make([]int, 0, n), make([]int, 0, n)
+	if n := len(t.Subtasks); len(w.path) < n {
+		w.path, w.next = make([]int, n), make([]int, n)
 	}
-	w.t, w.path, w.next = t, w.path[:0], w.next[:0]
+	w.t, w.depth = t, 0
 	if root := slices.Index(t.indeg, 0); root >= 0 {
-		w.path, w.next = append(w.path, root), append(w.next, 0)
+		w.path[0], w.next[0], w.depth = root, 0, 1
 	}
 }
 
 // Next moves to the walk's next path and reports whether there is one.
 func (w *PathWalk) Next() bool {
-	for len(w.path) > 0 {
-		k := len(w.path) - 1
+	for w.depth > 0 {
+		k := w.depth - 1
 		switch succ := w.t.Successors(w.path[k]); {
 		case len(succ) == 0 && w.next[k] == 0:
 			w.next[k] = 1
 			return true
 		case w.next[k] < len(succ):
-			w.path, w.next = append(w.path, succ[w.next[k]]), append(w.next, 0)
-			w.next[k]++
+			w.path[k+1], w.next[k+1], w.next[k], w.depth = succ[w.next[k]], 0, w.next[k]+1, k+2
 		default:
-			w.path, w.next = w.path[:k], w.next[:k]
+			w.depth = k
 		}
 	}
 	return false
@@ -296,7 +297,7 @@ func (w *PathWalk) Next() bool {
 
 // Path returns the current path's subtask indices. It is valid until the next
 // call to Next or Reset, and must not be modified.
-func (w *PathWalk) Path() []int { return w.path }
+func (w *PathWalk) Path() []int { return w.path[:w.depth] }
 
 // CriticalPathMs returns the maximum over paths of the summed latencies, and
 // the index (into Paths()) of a maximizing path. The latencies slice is

@@ -203,7 +203,7 @@ func (c *Checked) Recheck(next *Workload, taskAt map[string]int) (ck *Checked, p
 	}
 
 	// Chunk k covers tasks [k*nt/chunks, (k+1)*nt/chunks) and stops at its
-	// first failure, failAt[k], with errs[k].
+	// first failure, failAt[k], with errs[k], stored once (a shared cache line).
 	chunks := max(min(runtime.GOMAXPROCS(0), nt/minChunk), 1)
 	failAt, errs := make([]int, chunks), make([]error, chunks)
 	pool := par.New(chunks - 1)
@@ -211,9 +211,11 @@ func (c *Checked) Recheck(next *Workload, taskAt map[string]int) (ck *Checked, p
 	pool.Run(chunks, func(k int) {
 		var tv task.Validator
 		lastTask, lastSub := make([]int32, len(next.Resources)), make([]int32, len(next.Resources))
-		for ti := k * nt / chunks; ti < (k+1)*nt/chunks && errs[k] == nil; ti++ {
-			failAt[k], errs[k] = ti, recheck(&tv, lastTask, lastSub, ti)
+		ti, err := k*nt/chunks, error(nil)
+		for ; ti < (k+1)*nt/chunks && err == nil; ti++ {
+			err = recheck(&tv, lastTask, lastSub, ti)
 		}
+		failAt[k], errs[k] = ti-1, err
 	})
 	stop, stopErr := nt, error(nil)
 	if k := slices.IndexFunc(errs, func(err error) bool { return err != nil }); k >= 0 {
@@ -225,14 +227,14 @@ func (c *Checked) Recheck(next *Workload, taskAt map[string]int) (ck *Checked, p
 	claimed := make([]bool, len(old.Tasks))
 	joined := make(map[string]struct{}, max(nt-len(old.Tasks), 0))
 	for ti := range stop {
-		name, dup := next.Tasks[ti].Name, false
+		dup := false
 		if prev != nil && prev[ti] >= 0 {
 			dup, claimed[prev[ti]] = claimed[prev[ti]], true
-		} else if _, dup = joined[name]; !dup {
-			joined[name] = struct{}{}
+		} else if _, dup = joined[next.Tasks[ti].Name]; !dup {
+			joined[next.Tasks[ti].Name] = struct{}{}
 		}
 		if dup {
-			return fail("duplicate task %q", name)
+			return fail("duplicate task %q", next.Tasks[ti].Name)
 		}
 	}
 	if stopErr != nil {
