@@ -598,12 +598,21 @@ func (e *Engine) SetAvailability(resourceID string, availability float64) error 
 }
 
 // priceEvent prices a change of resource ri's capacity at once (DESIGN.md
-// §12): it retakes the last Newton step, from the price e.mu the cached demand
-// was solved at, against the new capacity, advancing no dynamics state. The
-// gradient, a pinned price and one not yet solved at wait for the next Step.
+// §12): it retakes the last Newton step from e.mu, the price the cached demand
+// was solved at, against the new capacity and the demand the next solve sees,
+// where a subtask the new box floor reached responds from the floor (the share
+// cache flags it bound-active). It advances no dynamics state. The gradient,
+// a pinned price and one not yet solved at wait for the next Step.
 func (e *Engine) priceEvent(ri int) {
 	if mu := e.mu; e.dyn.Solver() == price.SolverNewton && len(mu) > 0 && !e.PinnedAt(ri) {
-		e.price[ri] = e.dyn.Reprice(ri, mu[ri], e.shareSums[ri], e.p.Resources[ri].Availability, Curvature(e.inner[ri], mu[ri]), e.congested[ri])
+		sum, inner := e.shareSums[ri], e.inner[ri]
+		for _, g := range e.p.Resources[ri].Subs {
+			if lo := e.p.latMin[g]; e.lat[g] <= lo*(1+1e-6) {
+				s := e.p.ShareAt(g, max(e.lat[g], lo))
+				sum, inner = sum-math.Abs(e.shares[g])+s, inner-max(e.shares[g], 0)+s
+			}
+		}
+		e.price[ri] = e.dyn.Reprice(ri, mu[ri], sum, e.p.Resources[ri].Availability, Curvature(inner, mu[ri]), e.congested[ri])
 	}
 }
 

@@ -11,13 +11,13 @@ import (
 )
 
 // eventWorkload is a small clustered DAG whose resources each carry about a
-// dozen subtasks, as engine-online's do. At half the replication a halving
-// can lift a subtask's box floor above its latency, which the event step
-// then misprices, and some events take one iteration more.
-func eventWorkload(t *testing.T) *workload.Workload {
+// dozen subtasks at replicate 4, as engine-online's do. At replicate 2 some
+// resources carry two, and a halving lifts their box floors to their
+// latencies (TestCapacityEventLiftsToFloor).
+func eventWorkload(t *testing.T, replicate int) *workload.Workload {
 	t.Helper()
 	cfg := workload.DefaultClusteredConfig(5)
-	cfg.ReplicateFactor, cfg.SlackFactor = 4, 40
+	cfg.ReplicateFactor, cfg.SlackFactor = replicate, 40
 	w, err := workload.Clustered(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -48,7 +48,7 @@ func setAvailabilityUnpriced(e *Engine, ri int, availability float64) {
 // engine — nor a pinned one.
 func TestCapacityEventPricedAtOnce(t *testing.T) {
 	const events, perEvent = 12, 3
-	stepped, err := NewEngine(eventWorkload(t), Config{Workers: 1})
+	stepped, err := NewEngine(eventWorkload(t, 4), Config{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,11 +56,11 @@ func TestCapacityEventPricedAtOnce(t *testing.T) {
 	if err := stepped.PinPrice(1, 7, false); err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := NewEngine(eventWorkload(t), Config{Workers: 1})
+	fresh, err := NewEngine(eventWorkload(t, 4), Config{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	restored, err := NewEngine(eventWorkload(t), Config{Workers: 1})
+	restored, err := NewEngine(eventWorkload(t, 4), Config{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestCapacityEventPricedAtOnce(t *testing.T) {
 		for _, workers := range []int{1, 3} {
 			name := fmt.Sprintf("%s/workers=%d", solver, workers)
 			mk := func() *Engine {
-				e, err := NewEngine(eventWorkload(t), Config{Workers: workers, PriceSolver: solver})
+				e, err := NewEngine(eventWorkload(t, 4), Config{Workers: workers, PriceSolver: solver})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -163,6 +163,59 @@ func TestCapacityEventPricedAtOnce(t *testing.T) {
 	}
 }
 
+// TestCapacityEventLiftsToFloor: a halving that lifts a subtask's box floor
+// to its cached latency flags it bound-active, yet the next solve prices it
+// at the floor, where it still responds. The event step takes it so, and
+// every event of a seeded halve-and-restore stream certifies within the
+// certificate's window. Priced on the flagged demand, a resource whose
+// subtasks were all lifted has no curvature and takes a gradient step, and
+// such an event an iteration more.
+func TestCapacityEventLiftsToFloor(t *testing.T) {
+	const events, perEvent = 30, 3
+	for _, seed := range []int64{1, 2, 3} {
+		e, err := NewEngine(eventWorkload(t, 2), Config{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := e.RunUntilKKT(400, StopKKTTol, StopWindow, StopTol); !ok {
+			t.Fatalf("seed %d: no certificate before the events", seed)
+		}
+		rng := rand.New(rand.NewSource(seed))
+		var halved []int
+		lifted := 0
+		for ev := range events {
+			picks := make([]int, perEvent)
+			for i := range picks {
+				picks[i] = rng.Intn(len(e.price))
+			}
+			for _, ri := range halved {
+				if err := e.SetAvailability(e.p.Resources[ri].ID, 1); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, ri := range picks {
+				if err := e.SetAvailability(e.p.Resources[ri].ID, 0.5); err != nil {
+					t.Fatal(err)
+				}
+				for _, g := range e.p.Resources[ri].Subs {
+					if e.lat[g] <= e.p.latMin[g]*(1+1e-6) {
+						lifted++
+					}
+				}
+			}
+			halved = picks
+			before := e.Iteration()
+			if _, ok := e.RunUntilKKT(400, StopKKTTol, StopWindow, StopTol); !ok || e.Iteration()-before != StopWindow {
+				t.Fatalf("seed %d event %d: certified=%v in %d iterations, want %d", seed, ev, ok, e.Iteration()-before, StopWindow)
+			}
+		}
+		if lifted == 0 {
+			t.Errorf("seed %d: no halving lifted a box floor to a latency; the test shows nothing", seed)
+		}
+		e.Close()
+	}
+}
+
 // stepReplayingSettled is Step, serially, with every solve the settled rule
 // marks replayed at once against the prices and flags it read, on a copy of
 // the controller: the replay must report no move and leave every bit where
@@ -228,7 +281,7 @@ func TestSettledSolveReplaysAsNoOp(t *testing.T) {
 	for seed := range int64(60) {
 		cases = append(cases, instance{fmt.Sprintf("linear seed %d", seed), random(seed, false, 0), true})
 	}
-	cases = append(cases, instance{"clustered DAG", eventWorkload(t), true})
+	cases = append(cases, instance{"clustered DAG", eventWorkload(t, 4), true})
 	for seed := range int64(5) {
 		cases = append(cases, instance{fmt.Sprintf("mixed seed %d slack 10", seed), random(seed, true, 10), false})
 	}

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -188,9 +189,11 @@ type sliceCurve struct{ ks []float64 }
 func (c sliceCurve) Value(x float64) float64 { return -c.ks[0] * x }
 func (c sliceCurve) Slope(float64) float64   { return -c.ks[0] }
 
-// TestTaskChangedMatchesReflectOracle: the direct comparison returns the
-// reflective one's verdict for every kind of single mutation and for
-// unchanged pairs.
+// TestTaskChangedMatchesReflectOracle: the bulk comparison returns the
+// reflective one's verdict for every kind of single-field edit — each subtask
+// field, one edge added, removed or retargeted, the critical time, the
+// trigger, the curve — and for unchanged pairs. A false "changed" only costs
+// a rebuild; a missed change is a bug.
 func TestTaskChangedMatchesReflectOracle(t *testing.T) {
 	w := oracleWorkload(t, false, 0.15)
 	pw := func(ys ...float64) utility.Curve {
@@ -232,6 +235,54 @@ func TestTaskChangedMatchesReflectOracle(t *testing.T) {
 				t.Fatalf("%s on task %d: taskChanged=%v, reflect oracle=%v, want %v", m.name, ti, got, oracle, m.want)
 			}
 		}
+	}
+
+	// Edits no task method makes in place: one edge removed, one retargeted,
+	// and a row's first edge moved to the end of the row before, which keeps
+	// every successor entry and moves only a row end. Each task is rebuilt
+	// through New, AddSubtask and AddEdge, which unedited must compare
+	// unchanged.
+	rebuild := func(a *task.Task, edges [][2]int) *task.Task {
+		b := task.New(a.Name, a.CriticalMs)
+		b.Trigger = a.Trigger
+		for _, st := range a.Subtasks {
+			b.AddSubtask(st)
+		}
+		for _, e := range edges {
+			b.MustEdge(e[0], e[1])
+		}
+		return b
+	}
+	removed, retargeted, rowMoves := 0, 0, 0
+	for ti, a := range w.Tasks {
+		edges := a.Edges()
+		edits := map[string][][2]int{"unedited": edges}
+		if len(edges) > 0 {
+			edits["edge removed"] = edges[:len(edges)-1]
+			removed++
+		}
+		for k, e := range edges {
+			for to := range a.Subtasks {
+				if moved := [2]int{e[0], to}; to != e[0] && !slices.Contains(edges, moved) && edits["edge retargeted"] == nil {
+					edits["edge retargeted"] = slices.Concat(edges[:k], [][2]int{moved}, edges[k+1:])
+					retargeted++
+				}
+			}
+			if moved := [2]int{edges[max(k-1, 0)][0], e[1]}; moved[0] < e[0] && moved[0] != e[1] && !slices.Contains(edges, moved) {
+				edits["edge moved to the row before"] = slices.Concat(edges[:k], [][2]int{moved}, edges[k+1:])
+				rowMoves++
+			}
+		}
+		for name, edited := range edits {
+			b := rebuild(a, edited)
+			got, oracle := workload.TaskChanged(a, b, lin, lin), taskChangedReflect(a, b, lin, lin)
+			if got != oracle || got != (name != "unedited") {
+				t.Fatalf("%s on task %d: taskChanged=%v, reflect oracle=%v", name, ti, got, oracle)
+			}
+		}
+	}
+	if removed == 0 || retargeted == 0 || rowMoves == 0 {
+		t.Fatalf("edges removed %d, retargeted %d, moved a row %d: a graph edit was not exercised", removed, retargeted, rowMoves)
 	}
 
 	// Curves compared by what they hold: pointer types through the pointer,
@@ -449,30 +500,36 @@ func TestFleetBuildAllocBudget(t *testing.T) {
 // bookkeeping, a few dozen slices and maps, not objects per task.
 const replaceAllocsPerEvent = 170
 
-// TestFleetReplaceAllocBudget pins what a one-shard churn event allocates:
-// the delta, not the workload.
-func TestFleetReplaceAllocBudget(t *testing.T) {
-	w := allocWorkload(t)
+// oneShardEvents returns a certified fleet over allocWorkload and n
+// successive workloads for it, each tightening one more task of shard 3.
+func oneShardEvents(t *testing.T, n int) (*Fleet, []*workload.Workload) {
+	t.Helper()
 	cfg := Config{Shards: 8, Seed: 1, ShardWorkers: 1, Engine: core.Config{Workers: 1}}
-	f, err := New(w, cfg)
+	f, err := New(allocWorkload(t), cfg)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	defer f.Close()
 	if res, err := f.Run(); err != nil || !res.Converged {
 		t.Fatalf("initial run: converged=%v err=%v", res.Converged, err)
 	}
-	// Pre-build the successive workloads (untimed by AllocsPerRun's count):
-	// each tightens one more task of the same shard.
 	shard := f.Partition().ShardTasks[3]
-	const runs = 4
-	next := make([]*workload.Workload, runs+1)
-	cur := w
+	next := make([]*workload.Workload, n)
+	cur := f.ck.Workload()
 	for i := range next {
 		cur = cur.Clone()
 		cur.Tasks[shard[i]].CriticalMs *= 0.9
 		next[i] = cur
 	}
+	return f, next
+}
+
+// TestFleetReplaceAllocBudget pins what a one-shard churn event allocates:
+// the delta, not the workload.
+func TestFleetReplaceAllocBudget(t *testing.T) {
+	// The successive workloads are built before AllocsPerRun counts.
+	const runs = 4
+	f, next := oneShardEvents(t, runs+1)
+	defer f.Close()
 	i := 0
 	var st ReplaceStats
 	var repErr error
@@ -489,5 +546,35 @@ func TestFleetReplaceAllocBudget(t *testing.T) {
 	t.Logf("ReplaceWorkload: %.0f objects per one-shard event (ceiling %d)", allocs, replaceAllocsPerEvent)
 	if allocs > replaceAllocsPerEvent {
 		t.Fatalf("one-shard ReplaceWorkload allocates %.0f objects, ceiling %d", allocs, replaceAllocsPerEvent)
+	}
+}
+
+// replaceBytesPerEvent is the ceiling on the bytes one ReplaceWorkload
+// allocates when the delta dirties one of allocWorkload's eight shards
+// (650 410 measured, +5 %): the proof's arrays, the diff's vectors and the
+// rebuilt shard.
+const replaceBytesPerEvent = 683_000
+
+// TestFleetReplaceBytesBudget pins the bytes a one-shard churn event
+// allocates, beside TestFleetReplaceAllocBudget's objects. The first event,
+// which indexes the task names, is not counted.
+func TestFleetReplaceBytesBudget(t *testing.T) {
+	const runs = 4
+	f, next := oneShardEvents(t, runs+1)
+	defer f.Close()
+	var before, after runtime.MemStats
+	for i, w := range next {
+		if i == 1 {
+			runtime.ReadMemStats(&before)
+		}
+		if st, err := f.ReplaceWorkload(w); err != nil || st.Full || st.Rebuilt != 1 {
+			t.Fatalf("event %d: %+v, err %v; want one shard rebuilt", i, st, err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perOp := float64(after.TotalAlloc-before.TotalAlloc) / runs
+	t.Logf("ReplaceWorkload: %.0f B per one-shard event (ceiling %d)", perOp, replaceBytesPerEvent)
+	if perOp > replaceBytesPerEvent {
+		t.Fatalf("one-shard ReplaceWorkload allocates %.0f B, ceiling %d", perOp, replaceBytesPerEvent)
 	}
 }

@@ -59,6 +59,9 @@ type Partition struct {
 	// CutCost is Σ_r max(0, shards touching r − 1): the number of
 	// shard-resource attachments the aggregator must reconcile.
 	CutCost int
+	// inc is the assignment's incidence, which a churn event moves by its
+	// delta instead of recounting (ReplaceWorkload).
+	inc *shardIncidence
 }
 
 // NewPartition computes a seeded, balanced, small-cut partition of the tasks
@@ -70,7 +73,7 @@ type Partition struct {
 // instead — the result never cuts more than round-robin. Every shard always
 // holds at least one task (refinement never drains a shard).
 func NewPartition(inc Incidence, cfg PartitionConfig) (*Partition, error) {
-	n, nr := inc.NumTasks(), inc.NumResources()
+	n := inc.NumTasks()
 	if cfg.Shards < 1 {
 		return nil, fmt.Errorf("fleet: Shards must be >= 1, got %d", cfg.Shards)
 	}
@@ -82,30 +85,14 @@ func NewPartition(inc Incidence, cfg PartitionConfig) (*Partition, error) {
 
 	// Contiguous-block initial assignment: task i -> shard i*k/n. Block
 	// sizes differ by at most one, so the balance cap holds from the start.
-	assign := make([]int, n)
-	count := make([]int, k)
+	assign, count := make([]int, n), make([]int, k)
 	for i := range assign {
-		s := i * k / n
-		assign[i] = s
-		count[s]++
+		assign[i] = i * k / n
+		count[assign[i]]++
 	}
 
-	// cnt[r*k+s] counts shard s's tasks touching resource r; mask holds the
-	// same as a per-resource shard bitset so candidate shards and cut costs
-	// come from O(degree) scans, not O(k) ones.
-	words := (k + 63) / 64
-	cnt := make([]int32, nr*k)
-	mask := make([]uint64, nr*words)
-	for i := 0; i < n; i++ {
-		s := assign[i]
-		for _, r32 := range inc.TaskResources(i) {
-			r := int(r32)
-			if cnt[r*k+s] == 0 {
-				mask[r*words+s/64] |= 1 << (s % 64)
-			}
-			cnt[r*k+s]++
-		}
-	}
+	si := newShardIncidence(inc, assign, k)
+	cnt, mask, words := si.cnt, si.mask, si.words
 
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	order := rng.Perm(n)
@@ -156,17 +143,8 @@ func NewPartition(inc Incidence, cfg PartitionConfig) (*Partition, error) {
 			count[s0]--
 			count[best]++
 			assign[i] = best
-			for _, r32 := range res {
-				r := int(r32)
-				cnt[r*k+s0]--
-				if cnt[r*k+s0] == 0 {
-					mask[r*words+s0/64] &^= 1 << (s0 % 64)
-				}
-				if cnt[r*k+best] == 0 {
-					mask[r*words+best/64] |= 1 << (best % 64)
-				}
-				cnt[r*k+best]++
-			}
+			si.tally(res, s0, -1)
+			si.tally(res, best, 1)
 			moved++
 		}
 		if moved == 0 {
@@ -176,24 +154,18 @@ func NewPartition(inc Incidence, cfg PartitionConfig) (*Partition, error) {
 
 	// Guarantee: never worse than naive round-robin. Round-robin is also
 	// perfectly balanced, so swapping it in cannot violate the balance cap.
-	greedyCut, _ := cutOf(inc, assign, k)
 	rr := make([]int, n)
 	for i := range rr {
 		rr[i] = i % k
 	}
-	rrCut, _ := cutOf(inc, rr, k)
-	if rrCut < greedyCut {
-		assign = rr
+	greedyCut, _ := si.cut()
+	rrInc := newShardIncidence(inc, rr, k)
+	if rrCut, _ := rrInc.cut(); rrCut < greedyCut {
+		assign, si = rr, rrInc
 	}
 
-	cut, boundary := cutOf(inc, assign, k)
-	p := &Partition{
-		Shards:     k,
-		TaskShard:  assign,
-		ShardTasks: make([][]int, k),
-		Boundary:   boundary,
-		CutCost:    cut,
-	}
+	cut, boundary := si.cut()
+	p := &Partition{Shards: k, TaskShard: assign, ShardTasks: make([][]int, k), Boundary: boundary, CutCost: cut, inc: si}
 	for i, s := range assign {
 		p.ShardTasks[s] = append(p.ShardTasks[s], i)
 	}
@@ -205,19 +177,46 @@ func balanceCap(n, k int) int {
 	return max(1, int(math.Ceil(float64(n)/float64(k)*(1+balanceSlack))))
 }
 
-// cutOf computes the cut cost and boundary resource list of an assignment,
-// from a per-resource bitset of the shards touching it.
-func cutOf(inc Incidence, assign []int, k int) (cut int, boundary []int) {
+// shardIncidence is an assignment's incidence: cnt[r*k+s] counts shard s's
+// tasks touching resource r, and mask holds the same as a per-resource shard
+// bitset, so that candidate shards and cut costs come from O(degree) and
+// O(words) scans, not O(k) ones.
+type shardIncidence struct {
+	k, words int
+	cnt      []int32
+	mask     []uint64
+}
+
+// newShardIncidence counts assign's tasks over k shards; a task on shard -1
+// is not counted.
+func newShardIncidence(inc Incidence, assign []int, k int) *shardIncidence {
 	words := (k + 63) / 64
-	mask := make([]uint64, inc.NumResources()*words)
+	si := &shardIncidence{k: k, words: words, cnt: make([]int32, inc.NumResources()*k), mask: make([]uint64, inc.NumResources()*words)}
 	for ti, s := range assign {
-		for _, r32 := range inc.TaskResources(ti) {
-			mask[int(r32)*words+s/64] |= 1 << (s % 64)
+		if s >= 0 {
+			si.tally(inc.TaskResources(ti), s, 1)
 		}
 	}
-	for r := 0; r*words < len(mask); r++ {
+	return si
+}
+
+// tally adds d to shard s's count on each resource of row.
+func (si *shardIncidence) tally(row []int32, s int, d int32) {
+	for _, r := range row {
+		w := &si.mask[int(r)*si.words+s/64]
+		if si.cnt[int(r)*si.k+s] += d; si.cnt[int(r)*si.k+s] > 0 {
+			*w |= 1 << (s % 64)
+		} else {
+			*w &^= 1 << (s % 64)
+		}
+	}
+}
+
+// cut returns the cut cost and the boundary resources, ascending.
+func (si *shardIncidence) cut() (cut int, boundary []int) {
+	for r := 0; r*si.words < len(si.mask); r++ {
 		distinct := 0
-		for _, m := range mask[r*words : (r+1)*words] {
+		for _, m := range si.mask[r*si.words : (r+1)*si.words] {
 			distinct += bits.OnesCount64(m)
 		}
 		if distinct > 1 {

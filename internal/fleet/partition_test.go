@@ -29,7 +29,7 @@ func roundRobinCut(inc *core.Incidence, k int) int {
 	for i := range assign {
 		assign[i] = i % k
 	}
-	cut, _ := cutOf(inc, assign, k)
+	cut, _ := newShardIncidence(inc, assign, k).cut()
 	return cut
 }
 

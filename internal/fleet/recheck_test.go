@@ -190,6 +190,9 @@ func TestRecheckMatchesValidateOracle(t *testing.T) {
 				if !reflect.DeepEqual(f.ck, want) {
 					t.Fatalf("chain=%v trial %d %q: the fleet's proof after the commit differs from a from-scratch Check's", chain, trial, applied)
 				}
+				if !reflect.DeepEqual(f.part.inc, newShardIncidence(f.ck, f.part.TaskShard, f.part.Shards)) {
+					t.Fatalf("chain=%v trial %d %q: the partition's incidence, moved by the delta, differs from a recount", chain, trial, applied)
+				}
 				for name, ti := range f.taskAt {
 					if ti >= len(next.Tasks) || next.Tasks[ti].Name != name {
 						t.Fatalf("chain=%v trial %d %q: name index maps %q to %d", chain, trial, applied, name, ti)

@@ -6,6 +6,7 @@ import (
 
 	"lla/internal/core"
 	"lla/internal/obs"
+	"lla/internal/share"
 	"lla/internal/workload"
 )
 
@@ -50,42 +51,54 @@ func (f *Fleet) ReplaceWorkload(w *workload.Workload) (ReplaceStats, error) {
 	if err != nil {
 		return ReplaceStats{}, fmt.Errorf("fleet: %w", err)
 	}
-	old := f.ck.Workload()
-	K := f.part.Shards
-	n2 := len(w.Tasks)
+	old, K, n2 := f.ck.Workload(), f.part.Shards, len(w.Tasks)
 
 	// Survivors keep their shard; new tasks go, in ascending task order, to
 	// the shard already touching the most of their resources (ties to the
 	// lowest index) under the partitioner's balance cap — the same greedy
-	// signal NewPartition's refinement uses, applied incrementally.
-	assign := make([]int, n2)
-	count := make([]int, K)
-	var fresh []int
+	// signal NewPartition's refinement uses, applied incrementally to the
+	// partition's incidence, moved by the delta: the old rows of changed
+	// survivors and of the tasks that left out, the new rows in (all of them
+	// when the resource table moved, which re-indexes every row). A shard is
+	// dirty — needs a rebuilt engine — iff a task left or joined it, one of
+	// its tasks changed, or a resource its tasks use changed: anything else
+	// about its sub-problem is bit-identical to its engine's.
+	si, sameRes := f.part.inc, slices.EqualFunc(old.Resources, w.Resources, func(a, b share.Resource) bool { return a.ID == b.ID })
+	if !sameRes {
+		si = newShardIncidence(ck2, nil, K)
+	}
+	assign, count, alive, dirty := make([]int, n2), make([]int, K), make([]bool, len(old.Tasks)), make([]bool, K)
+	var fresh, gone []int
 	for ti, oi := range prev {
-		if oi >= 0 {
-			assign[ti] = f.part.TaskShard[oi]
-			count[assign[ti]]++
-		} else {
+		if oi < 0 {
 			assign[ti] = -1
 			fresh = append(fresh, ti)
+			continue
+		}
+		s := f.part.TaskShard[oi]
+		assign[ti], alive[oi] = s, true
+		count[s]++
+		if taskDirty[ti] {
+			dirty[s] = true
+			if sameRes {
+				si.tally(f.ck.TaskResources(oi), s, -1)
+			}
+		}
+		if !sameRes || taskDirty[ti] {
+			si.tally(ck2.TaskResources(ti), s, 1)
 		}
 	}
-	added := len(fresh)
-	removed := len(old.Tasks) - (n2 - added)
+	for oi, ok := range alive {
+		if !ok {
+			gone, dirty[f.part.TaskShard[oi]] = append(gone, oi), true
+			if sameRes {
+				si.tally(f.ck.TaskResources(oi), f.part.TaskShard[oi], -1)
+			}
+		}
+	}
+	added, removed := len(fresh), len(gone)
 	if n2 < K {
 		return f.replaceFull(ck2, prev, added, removed)
-	}
-	var cnt []int32 // tasks per (resource, shard): only a placement reads it
-	if len(fresh) > 0 {
-		cnt = make([]int32, ck2.NumResources()*K)
-		for ti, s := range assign {
-			if s < 0 {
-				continue
-			}
-			for _, r32 := range ck2.TaskResources(ti) {
-				cnt[int(r32)*K+s]++
-			}
-		}
 	}
 	capacity := balanceCap(n2, K)
 	// Placed tasks number fewer than n2 <= K*capacity, so some shard is always
@@ -98,7 +111,7 @@ func (f *Fleet) ReplaceWorkload(w *workload.Workload) (ReplaceStats, error) {
 			}
 			score := 0
 			for _, r32 := range ck2.TaskResources(ti) {
-				if cnt[int(r32)*K+s] > 0 {
+				if si.cnt[int(r32)*K+s] > 0 {
 					score++
 				}
 			}
@@ -106,16 +119,12 @@ func (f *Fleet) ReplaceWorkload(w *workload.Workload) (ReplaceStats, error) {
 				best, bestScore = s, score
 			}
 		}
-		assign[ti] = best
+		assign[ti], dirty[best] = best, true
 		count[best]++
-		for _, r32 := range ck2.TaskResources(ti) {
-			cnt[int(r32)*K+best]++
-		}
+		si.tally(ck2.TaskResources(ti), best, 1)
 	}
-	for s := 0; s < K; s++ {
-		if count[s] == 0 {
-			return f.replaceFull(ck2, prev, added, removed)
-		}
+	if slices.Contains(count, 0) {
+		return f.replaceFull(ck2, prev, added, removed)
 	}
 
 	shardTasks2 := make([][]int, K)
@@ -124,18 +133,6 @@ func (f *Fleet) ReplaceWorkload(w *workload.Workload) (ReplaceStats, error) {
 	}
 	for ti, s := range assign {
 		shardTasks2[s] = append(shardTasks2[s], ti)
-	}
-
-	// A shard is dirty — needs a rebuilt engine — iff its task-name set
-	// changed, a surviving task's definition changed, or a resource its
-	// tasks use changed. Everything else about a clean shard's sub-problem
-	// is bit-identical, so its engine state remains valid as-is. Survivors
-	// never change shard, so the name set changed iff a task left (the
-	// counts differ) or a new one arrived.
-	dirty := make([]bool, K)
-	for s := range dirty {
-		dirty[s] = len(shardTasks2[s]) != len(f.part.ShardTasks[s]) ||
-			slices.ContainsFunc(shardTasks2[s], func(ti int) bool { return taskDirty[ti] })
 	}
 
 	// Build the dirty shards' replacement engines on the fleet's pool,
@@ -159,39 +156,25 @@ func (f *Fleet) ReplaceWorkload(w *workload.Workload) (ReplaceStats, error) {
 			sr.atRest, sr.sweptEpoch, sr.iters, sr.utilityOK = false, 0, 0, false
 		}
 	}
-	cut2, bRes2 := cutOf(ck2, assign, K)
+	cut2, bRes2 := si.cut()
 	if err := f.bindBoundary(w, bRes2, f); err != nil {
 		return ReplaceStats{}, err
 	}
 
 	// Commit the name index: drop the tasks that left, move the rest.
-	if removed > 0 {
-		alive := make([]bool, len(old.Tasks))
-		for _, oi := range prev {
-			if oi >= 0 {
-				alive[oi] = true
-			}
-		}
-		for oi, t := range old.Tasks {
-			if !alive[oi] {
-				delete(f.taskAt, t.Name)
-			}
-		}
+	for _, oi := range gone {
+		delete(f.taskAt, old.Tasks[oi].Name)
 	}
 	for ti, oi := range prev {
 		if oi != ti {
 			f.taskAt[w.Tasks[ti].Name] = ti
 		}
 	}
-	f.part = &Partition{Shards: K, TaskShard: assign, ShardTasks: shardTasks2, Boundary: bRes2, CutCost: cut2}
+	f.part = &Partition{Shards: K, TaskShard: assign, ShardTasks: shardTasks2, Boundary: bRes2, CutCost: cut2, inc: si}
 	f.ck = ck2
 	f.stable = 0
 
-	st := ReplaceStats{
-		Rebuilt: rebuilt, Reused: K - rebuilt,
-		Added: added, Removed: removed,
-		BoundaryCount: len(bRes2), CutCost: cut2,
-	}
+	st := ReplaceStats{Rebuilt: rebuilt, Reused: K - rebuilt, Added: added, Removed: removed, BoundaryCount: len(bRes2), CutCost: cut2}
 	f.publishRebuild(st, "incremental")
 	return st, nil
 }

@@ -108,6 +108,12 @@ func (t *Task) Successors(i int) []int {
 // InDegree returns the number of predecessors of subtask i.
 func (t *Task) InDegree(i int) int { return t.indeg[i] }
 
+// SameGraph reports whether u has t's precedence graph, edge for edge in the
+// same order, comparing the rows as whole arrays (the in-degrees follow).
+func (t *Task) SameGraph(u *Task) bool {
+	return slices.Equal(t.succEnd, u.succEnd) && slices.Equal(t.succ, u.succ)
+}
+
 // Root returns the index of the unique root subtask (no predecessors), or an
 // error if there is not exactly one.
 func (t *Task) Root() (int, error) {
@@ -127,13 +133,6 @@ func (t *Task) Root() (int, error) {
 		return -1, fmt.Errorf("task %s: no root (cycle through every subtask)", t.Name)
 	}
 	return root, nil
-}
-
-// Built reports whether t has a precedence-graph slot per subtask, as New and
-// AddSubtask keep it. A Task literal with subtasks has none: it fails
-// validation and never reaches the graph's methods.
-func (t *Task) Built() bool {
-	return len(t.succEnd) == len(t.Subtasks) && len(t.indeg) == len(t.Subtasks)
 }
 
 // topo runs Kahn's algorithm in buf (len >= 2n): the first half holds the
@@ -184,7 +183,7 @@ func (v *Validator) Validate(t *Task) error {
 	if !(t.CriticalMs > 0 && t.CriticalMs <= math.MaxFloat64) {
 		return fmt.Errorf("task %s: critical time must be positive and finite, got %v", t.Name, t.CriticalMs)
 	}
-	if !t.Built() {
+	if len(t.succEnd) != n || len(t.indeg) != n { // a Task literal: no graph slots
 		return fmt.Errorf("task %s: subtasks not added through AddSubtask or Builder", t.Name)
 	}
 	if cap(v.ints) < 2*n {

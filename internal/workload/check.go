@@ -81,13 +81,13 @@ func (w *Workload) TaskIndex() map[string]int {
 const minChunk = 2048
 
 // Recheck validates next, the successor of the workload c proves, in one
-// pass that pays for the difference between the two. It returns next's proof
-// with, per task, prev — its index in the predecessor, matched by name, or -1
-// if it joined — and dirty: it joined, differs from its predecessor in a way
-// a compiled problem can see, or uses a resource whose definition changed.
-// Both are nil when the predecessor has no tasks: every task joined.
-// taskAt maps the predecessor's task names to their indices (nil: built
-// here); it is consulted only for a task that is not at its old position.
+// pass that reads each task, its curve and its predecessor once. It returns
+// next's proof with, per task, prev — its index in the predecessor, matched
+// by name, or -1 if it joined — and dirty: it joined, differs from its
+// predecessor in a way a compiled problem can see, or uses a changed
+// resource. Both are nil when the predecessor has no tasks. taskAt maps the
+// predecessor's task names to their indices (nil: built here); it is
+// consulted only for a task that is not at its old position.
 //
 // A task that is field for field its predecessor, curve included, inherits
 // its verdict and its resolved row: the per-task checks are a pure function
@@ -100,8 +100,9 @@ const minChunk = 2048
 // modified.
 //
 // Resources are checked serially, then each task's own checks and diff in at
-// most GOMAXPROCS contiguous chunks of at least minChunk tasks, then name
-// uniqueness serially in task order, up to the first task that failed.
+// most GOMAXPROCS contiguous chunks of at least minChunk tasks (SHARDING.md
+// §3b), then name uniqueness serially in task order, up to the first task
+// that failed.
 func (c *Checked) Recheck(next *Workload, taskAt map[string]int) (ck *Checked, prev []int, dirty []bool, err error) {
 	old := c.w
 	fail := func(format string, args ...any) (*Checked, []int, []bool, error) {
@@ -142,26 +143,19 @@ func (c *Checked) Recheck(next *Workload, taskAt map[string]int) (ck *Checked, p
 	}
 	nt := len(next.Tasks)
 	ck = &Checked{w: next, resIdx: resIdx, subOff: make([]int32, nt+1), curves: make([]utility.Curve, nt)}
-	for ti, t := range next.Tasks {
-		ck.subOff[ti+1] = ck.subOff[ti]
-		if t != nil { // refused by its chunk
-			ck.subOff[ti+1] += int32(len(t.Subtasks))
-		}
-	}
-	ck.res = make([]int32, ck.subOff[nt])
 	if len(old.Tasks) > 0 {
 		prev, dirty = make([]int, nt), make([]bool, nt)
 	}
+	resMoved := slices.Contains(resChanged, true)
 
-	// recheck runs everything whose verdict is task ti's alone — its match to
-	// a predecessor, the diff, and unless it inherits its row: structure and
-	// fields, resources against the ID table, curve — and writes ti's row,
-	// curve, prev and dirty. Per resource, lastTask is the last task the
-	// chunk saw on it (1-based) and lastSub that task's subtask.
-	recheck := func(tv *task.Validator, lastTask, lastSub []int32, ti int) error {
+	// recheck runs all that is task ti's alone — its match, its diff, and
+	// unless it inherits its row its checks — and writes its row at res[off:],
+	// prev and dirty, returning the row's length. Per resource, lastTask is the
+	// last task the chunk saw on it (1-based) and lastSub that task's subtask.
+	recheck := func(tv *task.Validator, lastTask, lastSub []int32, ti int, off int32) (int32, error) {
 		t := next.Tasks[ti]
 		if t == nil {
-			return fmt.Errorf("task %d is nil", ti)
+			return 0, fmt.Errorf("task %d is nil", ti)
 		}
 		oi := -1
 		if ti < len(old.Tasks) && old.Tasks[ti].Name == t.Name {
@@ -169,51 +163,67 @@ func (c *Checked) Recheck(next *Workload, taskAt map[string]int) (ck *Checked, p
 		} else if at, ok := taskAt[t.Name]; ok {
 			oi = at
 		}
-		curve := next.Curves[t.Name]
+		curve := ck.curves[ti]
 		changed := oi < 0 || TaskChanged(old.Tasks[oi], t, c.curves[oi], curve)
-		row := ck.res[ck.subOff[ti]:ck.subOff[ti+1]]
+		row := ck.res[off : off+int32(len(t.Subtasks))]
 		if !changed && sameIDs {
 			copy(row, c.TaskResources(oi))
 		} else {
 			if err := tv.Validate(t); err != nil {
-				return err
+				return 0, err
 			}
 			for si, s := range t.Subtasks {
 				ri, ok := resIdx[s.Resource]
 				if !ok {
-					return fmt.Errorf("task %s subtask %s references unknown resource %q", t.Name, s.Name, s.Resource)
+					return 0, fmt.Errorf("task %s subtask %s references unknown resource %q", t.Name, s.Name, s.Resource)
 				}
 				if lastTask[ri] == int32(ti+1) {
-					return fmt.Errorf("task %s has subtasks %s and %s on the same resource %q", t.Name, t.Subtasks[lastSub[ri]].Name, s.Name, s.Resource)
+					return 0, fmt.Errorf("task %s has subtasks %s and %s on the same resource %q", t.Name, t.Subtasks[lastSub[ri]].Name, s.Name, s.Resource)
 				}
 				lastTask[ri], lastSub[ri], row[si] = int32(ti+1), int32(si), ri
 			}
 			if curve == nil {
-				return fmt.Errorf("task %s has no utility curve", t.Name)
+				return 0, fmt.Errorf("task %s has no utility curve", t.Name)
 			}
 			if err := utility.ValidateCurve(curve, t.CriticalMs); err != nil {
-				return fmt.Errorf("task %s: %w", t.Name, err)
+				return 0, fmt.Errorf("task %s: %w", t.Name, err)
 			}
 		}
-		ck.curves[ti] = curve
 		if prev != nil {
-			prev[ti], dirty[ti] = oi, changed || slices.ContainsFunc(row, func(ri int32) bool { return resChanged[ri] })
+			prev[ti], dirty[ti] = oi, changed || resMoved && slices.ContainsFunc(row, func(ri int32) bool { return resChanged[ri] })
 		}
-		return nil
+		return int32(len(row)), nil
 	}
 
-	// Chunk k covers tasks [k*nt/chunks, (k+1)*nt/chunks) and stops at its
-	// first failure, failAt[k], with errs[k], stored once (a shared cache line).
+	// Chunk k covers tasks [k*nt/chunks, (k+1)*nt/chunks). It first looks up
+	// their curves, in a loop of its own where the map's cache misses overlap,
+	// and counts their subtasks, which fixes its rows' offset base[k]; then it
+	// rechecks them up to its first failure, failAt[k], errs[k] (stored once).
 	chunks := max(min(runtime.GOMAXPROCS(0), nt/minChunk), 1)
-	failAt, errs := make([]int, chunks), make([]error, chunks)
+	base, failAt, errs := make([]int32, chunks+1), make([]int, chunks), make([]error, chunks)
 	pool := par.New(chunks - 1)
 	defer pool.Close()
 	pool.Run(chunks, func(k int) {
+		lo, n := k*nt/chunks, int32(0)
+		for ti, t := range next.Tasks[lo : (k+1)*nt/chunks] {
+			if t != nil { // else refused by recheck
+				ck.curves[lo+ti], n = next.Curves[t.Name], n+int32(len(t.Subtasks))
+			}
+		}
+		base[k+1] = n
+	})
+	for k := range chunks {
+		base[k+1] += base[k]
+	}
+	ck.res = make([]int32, base[chunks])
+	pool.Run(chunks, func(k int) {
 		var tv task.Validator
 		lastTask, lastSub := make([]int32, len(next.Resources)), make([]int32, len(next.Resources))
-		ti, err := k*nt/chunks, error(nil)
-		for ; ti < (k+1)*nt/chunks && err == nil; ti++ {
-			err = recheck(&tv, lastTask, lastSub, ti)
+		ti, off, err := k*nt/chunks, base[k], error(nil)
+		for n := int32(0); ti < (k+1)*nt/chunks && err == nil; ti++ {
+			n, err = recheck(&tv, lastTask, lastSub, ti, off)
+			off += n
+			ck.subOff[ti+1] = off
 		}
 		failAt[k], errs[k] = ti-1, err
 	})
@@ -247,16 +257,11 @@ func (c *Checked) Recheck(next *Workload, taskAt map[string]int) (ck *Checked, p
 // way validation or a compiled problem can see. Curves are compared as
 // interface values — dynamic type and fields — except pointer-typed ones
 // (such as *utility.PiecewiseLinear), which are compared by what they point
-// to. ca must not be nil; a nil cb differs from it, and so does a b that is
-// not Built.
+// to. ca must not be nil; a nil cb differs from it, and so does a b whose
+// subtasks were not added through AddSubtask.
 func TaskChanged(a, b *task.Task, ca, cb utility.Curve) bool {
-	if a.CriticalMs != b.CriticalMs || a.Trigger != b.Trigger || len(a.Subtasks) != len(b.Subtasks) || !b.Built() {
+	if a.CriticalMs != b.CriticalMs || a.Trigger != b.Trigger || !slices.Equal(a.Subtasks, b.Subtasks) || !a.SameGraph(b) {
 		return true
-	}
-	for i := range a.Subtasks {
-		if a.Subtasks[i] != b.Subtasks[i] || !slices.Equal(a.Successors(i), b.Successors(i)) {
-			return true
-		}
 	}
 	// A value type that == cannot compare would panic below.
 	if t := reflect.TypeOf(ca); t.Kind() == reflect.Pointer || !t.Comparable() {
