@@ -572,31 +572,33 @@ func TestDualBound(t *testing.T) {
 		name string
 		w    *workload.Workload
 		// iterates: the 400-iterate sweep runs; certifies: the run reaches
-		// its certificate, so U* exists.
-		iterates, certifies bool
+		// its certificate, so U* exists; newtonOnly: it does under Newton.
+		iterates, certifies, newtonOnly bool
 	}
 	cases := []dualCase{
-		{"base", workload.Base(), true, true},
-		{"prototype", workload.Prototype(), true, true},
-		{"base x1 crit x4", replicate(1, 4), false, true},
-		{"base x2 crit x8", replicate(2, 8), false, true},
+		{"base", workload.Base(), true, true, false},
+		{"prototype", workload.Prototype(), true, true, false},
+		{"base x1 crit x4", replicate(1, 4), false, true, false},
+		{"base x2 crit x8", replicate(2, 8), false, true, false},
 	}
 	for _, seed := range []int64{1, 2, 3, 6, 16} {
-		cases = append(cases, dualCase{fmt.Sprintf("linear seed %d", seed), random(seed, false, 0), false, true})
+		cases = append(cases, dualCase{fmt.Sprintf("linear seed %d", seed), random(seed, false, 0), false, true, false})
 	}
 	for seed := int64(0); seed < 5; seed++ {
-		cases = append(cases, dualCase{fmt.Sprintf("mixed seed %d slack 10", seed), random(seed, true, 10), true, true})
+		cases = append(cases, dualCase{fmt.Sprintf("mixed seed %d slack 10", seed), random(seed, true, 10), true, true, false})
 	}
 	for _, seed := range []int64{1, 6, 16} {
-		cases = append(cases, dualCase{fmt.Sprintf("mixed seed %d", seed), random(seed, true, 0), false, true})
+		cases = append(cases, dualCase{fmt.Sprintf("mixed seed %d", seed), random(seed, true, 0), false, true, false})
 	}
-	// Mixed seeds 5, 9 and 19 never certify: their iterates alternate between
-	// two points, each a few percent over capacity, so there is no U* and
-	// the gap at the last iterate measures that violation, not the bound.
-	// Their gaps are logged; the bound is still held against the Lagrangian,
-	// which it bounds at any prices.
-	for _, seed := range []int64{5, 9, 19} {
-		cases = append(cases, dualCase{fmt.Sprintf("mixed seed %d", seed), random(seed, true, 0), seed != 19, false})
+	// Mixed seeds 5, 9, 19, 34, 45 and 55 certify only under Newton, whose
+	// path prices meet their critical times at every iterate. Under the
+	// gradient their iterates alternate between two points, each a few
+	// percent over capacity, so there is no U* and the gap at the last
+	// iterate measures that violation, not the bound. Those gaps are logged;
+	// the bound is still held against the Lagrangian, which it bounds at any
+	// prices.
+	for _, seed := range []int64{5, 9, 19, 34, 45, 55} {
+		cases = append(cases, dualCase{fmt.Sprintf("mixed seed %d", seed), random(seed, true, 0), seed != 19, false, true})
 	}
 	for _, tc := range cases {
 		for _, solver := range []price.Solver{price.SolverGradient, price.SolverNewton} {
@@ -609,9 +611,9 @@ func TestDualBound(t *testing.T) {
 			bound := e.DualBound()
 			gap := (bound - snap.Utility) / max(1, math.Abs(snap.Utility))
 			e.Close()
-			switch {
-			case ok != tc.certifies:
-				t.Errorf("%s: certified %v, want %v", name, ok, tc.certifies)
+			switch want := tc.certifies || tc.newtonOnly && solver == price.SolverNewton; {
+			case ok != want:
+				t.Errorf("%s: certified %v, want %v", name, ok, want)
 				continue
 			case !ok:
 				t.Logf("%s: not certified after %d iterations: gap %.3g", name, snap.Iteration, gap)

@@ -36,18 +36,19 @@ type Controller struct {
 	// step sizes the path-price steps: its Gamma is also the floor of the
 	// stability clamp, and in adaptive mode the effective step is floored at
 	// half the local price scale, mirroring price.Dynamics' gradient step on
-	// resource prices.
-	step StepPolicy
+	// resource prices. newton selects newtonPath's step where it holds.
+	step   StepPolicy
+	newton bool
 }
 
 // NewController builds the controller for task ti with latencies initialized
 // to a fair share split of each subtask's resource (every subtask on a
-// resource starts with an equal fraction of its availability). step must
+// resource starts with an equal fraction of its availability). cfg must
 // have been through Config.WithDefaults.
-func NewController(p *Problem, ti int, step StepPolicy) *Controller {
+func NewController(p *Problem, ti int, cfg Config) *Controller {
 	n, np := int(p.subOff[ti+1]-p.subOff[ti]), p.NumPaths(ti)
 	state := make([]float64, 2*n+2*np)
-	c := &Controller{p: p, ti: ti, step: step,
+	c := &Controller{p: p, ti: ti, step: cfg.Step, newton: cfg.PriceSolver == price.SolverNewton,
 		LatMs: state[:n:n], shares: state[n : 2*n : 2*n],
 		Lambda: state[2*n : 2*n+np : 2*n+np], gamma: state[2*n+np:]}
 	c.reset()
@@ -123,13 +124,14 @@ func (p *Problem) latenciesAt(ti int, lat, lambda, mu []float64, slope float64) 
 	return agg
 }
 
-// stepPaths takes Solve's path-price step (Equation 9) from the current
-// latencies at utility slope slope and reports whether it moved a path price
-// or step size. With commit false it writes nothing and reports whether the
-// step would move anything (Engine.runShard's replay test).
-func (c *Controller) stepPaths(congested []bool, slope float64, commit bool) (moved bool) {
+// stepPaths takes Solve's path-price step from the latencies lat at utility
+// slope slope and reports whether it moved a path price or step size. Under
+// Newton it leaves a path newtonPath holds for to newtonPaths, reporting in
+// newton one that has or would take a price; with commit false (runShard's
+// replay test) it writes nothing and counts that step as a move.
+func (c *Controller) stepPaths(lat []float64, congested []bool, slope float64, commit bool) (moved, newton bool) {
 	p, ti, step := c.p, c.ti, c.step
-	lat, lambda, gammas := c.LatMs, c.Lambda, c.gamma
+	lambda, gammas := c.Lambda, c.gamma
 	k, res := p.consts[ti], p.res[p.subOff[ti]:p.subOff[ti+1]]
 	gp := p.pathOff[ti]
 	pathSubOff, pathSub, wMin := p.pathSubOff, p.pathSub, p.wMin
@@ -149,21 +151,90 @@ func (c *Controller) stepPaths(congested []bool, slope float64, commit bool) (mo
 		if step.Adaptive {
 			ramped = price.Ramp(ramped, step.Gamma, pathCongested)
 		}
-		gamma, scale := ramped, l+wMin[gp]*math.Abs(slope)
-		if step.Adaptive && gamma < scale/2 {
-			gamma = scale / 2
+		next, ok := l, false
+		if c.newton {
+			next, ok = c.newtonPath(lat, gp, l, sum, slope)
+			newton = newton || ok && (l > 0 || next > 0)
+			if ok && commit {
+				next = l
+			}
 		}
-		if cap := max(step.Gamma, 2*scale); gamma > cap {
-			gamma = cap
+		if !ok {
+			gamma, scale := ramped, l+wMin[gp]*math.Abs(slope)
+			if step.Adaptive && gamma < scale/2 {
+				gamma = scale / 2
+			}
+			if cap := max(step.Gamma, 2*scale); gamma > cap {
+				gamma = cap
+			}
+			next = price.UpdatePath(l, gamma, sum, k.criticalMs)
 		}
-		next := price.UpdatePath(l, gamma, sum, k.criticalMs)
 		moved = moved || ramped != gammas[pi] || next != l
 		if commit {
 			gammas[pi], lambda[pi] = ramped, next
 		}
 		gp++
 	}
+	return moved, newton
+}
+
+// newtonPaths takes newtonPath's step at the resource prices mu, solving the
+// latencies into lat: path by path, each path that moves re-solving them
+// before the next reads them (so paths sharing subtasks do not each close
+// the same gap), for up to 4 passes until one moves no price. It reports
+// whether a price moved.
+func (c *Controller) newtonPaths(lat, mu []float64, slope float64) (moved bool) {
+	p := c.p
+	p.latenciesAt(c.ti, lat, c.Lambda, mu, slope)
+	for pass, again := 0, true; again && pass < 4; pass++ {
+		again = false
+		for pi := range c.Lambda {
+			gp := p.pathOff[c.ti] + int32(pi)
+			sum := 0.0
+			for _, s := range p.pathSub[p.pathSubOff[gp]:p.pathSubOff[gp+1]] {
+				sum += lat[s]
+			}
+			if next, ok := c.newtonPath(lat, gp, c.Lambda[pi], sum, slope); ok && next != c.Lambda[pi] {
+				c.Lambda[pi], again = next, true
+				p.latenciesAt(c.ti, lat, c.Lambda, mu, slope)
+			}
+		}
+		moved = moved || again
+	}
 	return moved
+}
+
+// newtonPath is path gp's Newton step from the latencies lat, its price l
+// and latency sum: price.Dynamics' power-law step, on the price scale x =
+// λ + w_min·|f'|. Its interior subtasks less their error terms (free)
+// respond as lat − e = sqrt(μ·k/denom), so −∂free/∂λ = Σ free_s/(2·denom_s),
+// and x moves to where free meets C less the rest (fixed). ok is false —
+// Equation 9 — with no interior subtask, no price scale or fixed ≥ C. A
+// zero price with slack, or a sum within the rounding band, stays.
+func (c *Controller) newtonPath(lat []float64, gp int32, l, sum, slope float64) (next float64, ok bool) {
+	p, lo := c.p, c.p.subOff[c.ti]
+	crit := p.consts[c.ti].criticalMs
+	if l == 0 && sum <= crit || price.InBand(sum, crit) {
+		return l, true
+	}
+	toff := p.throughOff[lo:]
+	fixed, free, resp := 0.0, 0.0, 0.0
+	for _, s := range p.pathSub[p.pathSubOff[gp]:p.pathSubOff[gp+1]] {
+		g := lo + s
+		if !interior(lat[s], p.latMin[g], p.latMax[g]) {
+			fixed += lat[s]
+			continue
+		}
+		f := lat[s] - p.errMs[g]
+		fixed, free = fixed+p.errMs[g], free+f
+		resp += f / (pathPriceSum(c.Lambda, p.through, toff, int(s)) - p.weight[g]*slope)
+	}
+	floor := p.wMin[gp] * math.Abs(slope)
+	x := l + floor
+	if crit <= fixed || resp <= 0 || x <= 0 {
+		return l, false
+	}
+	return clamp(price.PowerStep(x, free, crit-fixed, 2*free/(x*resp))-floor, 0, price.MaxPrice), true
 }
 
 // Solve is the controller half of one LLA iteration, in one pass over the
@@ -171,13 +242,14 @@ func (c *Controller) stepPaths(congested []bool, slope float64, commit bool) (mo
 // prices mu and the congestion flags congested (both indexed like
 // Problem.Resources; congested may be nil), it
 //
-//   - steps every path price by gradient projection (Equation 9) from the
-//     latencies it entered with. Per Section 5.2 the path's step size ramps
-//     while the path is over its critical time or crosses a congested
+//   - steps every path price from the latencies it entered with, by
+//     gradient projection (Equation 9). Per Section 5.2 the path's step size
+//     ramps while the path is over its critical time or crosses a congested
 //     resource. The path latency responds to lambda as
 //     d(Σlat)/dλ ≈ −Σlat/(2(λ + w·|f'|)), so contraction requires
 //     gamma < 4(λ_p + w_min·|f'|): the effective step is clamped at twice
-//     that price scale, floored at the base step;
+//     that price scale, floored at the base step. Under Newton a path takes
+//     newtonPath's step where it holds instead, at mu (newtonPaths);
 //   - solves the stationarity condition (Equation 7)
 //     ∂U/∂lat_s − Σ_{p∋s} λ_p − μ_r·∂share/∂lat_s = 0 for every subtask:
 //     with share = (c+l)/(lat−e), lat_s = e + sqrt(μ_r (c+l)/(Λ_s − w_s·f'(L)))
@@ -204,7 +276,10 @@ func (c *Controller) Solve(mu []float64, congested []bool) (priceChanged, latCha
 		agg = p.aggregate(ti, lat)
 		slope = p.curves[ti].Slope(agg)
 	}
-	priceChanged = c.stepPaths(congested, slope, true)
+	priceChanged, rewrite := c.stepPaths(lat, congested, slope, true)
+	if rewrite { // Newton's path steps solve in the share cache
+		priceChanged = c.newtonPaths(shares, mu, slope) || priceChanged
+	}
 
 	weight, cost, errMs := p.weight[lo:hi], p.cost[lo:hi], p.errMs[lo:hi]
 	latMin, latMax := p.latMin[lo:hi], p.latMax[lo:hi]
@@ -213,10 +288,10 @@ func (c *Controller) Solve(mu []float64, congested []bool) (priceChanged, latCha
 	if k.constSlope {
 		for si := range lat {
 			v := stationary(mu[res[si]], pathPriceSum(lambda, through, toff, si)-weight[si]*slope, cost[si], errMs[si], latMin[si], latMax[si])
-			if v != lat[si] {
+			if v != lat[si] || rewrite {
+				latChanged = latChanged || v != lat[si]
 				lat[si] = v
 				shares[si] = flagged(cost[si]/share.Budget(v, errMs[si]), v, latMin[si], latMax[si])
-				latChanged = true
 			}
 		}
 		return priceChanged, latChanged

@@ -35,12 +35,16 @@ func newTestProblem(t *testing.T, curve utility.Curve) *Problem {
 	return p
 }
 
-// fixedPolicy is a constant step size 1.
-var fixedPolicy = StepPolicy{Gamma: 1}
+// fixedPolicy is a constant step size 1, and fixedGradient the controllers'
+// config stepping every path price by it (Equation 9).
+var (
+	fixedPolicy   = StepPolicy{Gamma: 1}
+	fixedGradient = Config{Step: fixedPolicy, PriceSolver: price.SolverGradient}
+)
 
 func TestControllerInitialLatenciesAreFairSplit(t *testing.T) {
 	p := newTestProblem(t, utility.Linear{K: 2, CMs: 100})
-	c := NewController(p, 0, fixedPolicy)
+	c := NewController(p, 0, fixedGradient)
 	// Each subtask is alone on its resource: fair share = full availability
 	// -> latency = (c+l)/1.
 	if math.Abs(c.LatMs[0]-4) > 1e-12 || math.Abs(c.LatMs[1]-3) > 1e-12 {
@@ -50,7 +54,7 @@ func TestControllerInitialLatenciesAreFairSplit(t *testing.T) {
 
 func TestControllerClosedFormAllocation(t *testing.T) {
 	p := newTestProblem(t, utility.Linear{K: 2, CMs: 100})
-	c := NewController(p, 0, fixedPolicy)
+	c := NewController(p, 0, fixedGradient)
 	// With mu = [16, 9], lambda = 0, w = 1, |f'| = 1:
 	// lat_a = sqrt(16*4/1) = 8; lat_b = sqrt(9*3/1) ≈ 5.196.
 	c.Solve([]float64{16, 9}, nil)
@@ -64,7 +68,7 @@ func TestControllerClosedFormAllocation(t *testing.T) {
 
 func TestControllerPathPriceRaisesUnderViolation(t *testing.T) {
 	p := newTestProblem(t, utility.Linear{K: 2, CMs: 100})
-	c := NewController(p, 0, fixedPolicy)
+	c := NewController(p, 0, fixedGradient)
 	// Force the path over its critical time.
 	c.LatMs[0], c.LatMs[1] = 80, 40 // sum 120 > C=100
 	c.Solve([]float64{1, 1}, nil)
@@ -81,9 +85,30 @@ func TestControllerPathPriceRaisesUnderViolation(t *testing.T) {
 	}
 }
 
+// TestControllerNewtonPathMeetsCriticalTime: under Newton a violated path's
+// price moves, within the Solve, to where the path meets its critical time at
+// the resource prices given — on a chain of interior subtasks one exact
+// power-law step — and another Solve at those prices moves nothing.
+func TestControllerNewtonPathMeetsCriticalTime(t *testing.T) {
+	p := newTestProblem(t, utility.Linear{K: 2, CMs: 100})
+	c := NewController(p, 0, Config{Step: fixedPolicy, PriceSolver: price.SolverNewton})
+	mu := []float64{1000, 1000}
+	c.Solve(mu, nil) // slack at the fair split, so no price yet; the path then sums ≈118 ms
+	if sum := c.LatMs[0] + c.LatMs[1]; c.Lambda[0] != 0 || sum <= 100 {
+		t.Fatalf("first solve: lambda %v, path %v ms; want 0 and over 100", c.Lambda[0], sum)
+	}
+	c.Solve(mu, nil)
+	if sum := c.LatMs[0] + c.LatMs[1]; c.Lambda[0] <= 0 || math.Abs(sum-100) > 1e-12*100 {
+		t.Fatalf("second solve: lambda %v, path %v ms; want positive and 100", c.Lambda[0], sum)
+	}
+	if priceMoved, latMoved := c.Solve(mu, nil); priceMoved || latMoved {
+		t.Errorf("third solve moved (prices %v, latencies %v), want a fixed point", priceMoved, latMoved)
+	}
+}
+
 func TestControllerZeroPriceTakesMinLatency(t *testing.T) {
 	p := newTestProblem(t, utility.Linear{K: 2, CMs: 100})
-	c := NewController(p, 0, fixedPolicy)
+	c := NewController(p, 0, fixedGradient)
 	c.Solve([]float64{0, 0}, nil)
 	if c.LatMs[0] != p.latMin[0] || c.LatMs[1] != p.latMin[1] {
 		t.Errorf("free resources should give minimum latencies, got %v", c.LatMs)
@@ -92,7 +117,7 @@ func TestControllerZeroPriceTakesMinLatency(t *testing.T) {
 
 func TestControllerHugePriceClampsAtMax(t *testing.T) {
 	p := newTestProblem(t, utility.Linear{K: 2, CMs: 100})
-	c := NewController(p, 0, fixedPolicy)
+	c := NewController(p, 0, fixedGradient)
 	c.Solve([]float64{1e12, 1e12}, nil)
 	if c.LatMs[0] != p.latMax[0] || c.LatMs[1] != p.latMax[1] {
 		t.Errorf("expensive resources should clamp at max latencies, got %v (max %v)",
@@ -102,7 +127,7 @@ func TestControllerHugePriceClampsAtMax(t *testing.T) {
 
 func TestControllerNonlinearInnerLoopConverges(t *testing.T) {
 	p := newTestProblem(t, utility.Quadratic{A: 1000, B: 0.1})
-	c := NewController(p, 0, fixedPolicy)
+	c := NewController(p, 0, fixedGradient)
 	c.Solve([]float64{20, 20}, nil)
 	// The fixed point satisfies the stationarity condition:
 	// w·f'(L) = mu·share'(lat) for interior latencies.
@@ -125,7 +150,7 @@ func TestControllerNonlinearInnerLoopConverges(t *testing.T) {
 
 func TestControllerSharesAndCriticalPath(t *testing.T) {
 	p := newTestProblem(t, utility.Linear{K: 2, CMs: 100})
-	c := NewController(p, 0, fixedPolicy)
+	c := NewController(p, 0, fixedGradient)
 	c.LatMs[0], c.LatMs[1] = 8, 6
 	shares := []float64{p.ShareAt(0, c.LatMs[0]), p.ShareAt(1, c.LatMs[1])}
 	if math.Abs(shares[0]-0.5) > 1e-12 || math.Abs(shares[1]-0.5) > 1e-12 {
@@ -148,7 +173,7 @@ func TestResourcePriceDynamics(t *testing.T) {
 	if !r.Congested(1.05) {
 		t.Error("5% overload should be congested")
 	}
-	grad := Config{Step: fixedPolicy, PriceSolver: price.SolverGradient}.WithDefaults().NewDynamics()
+	grad := fixedGradient.WithDefaults().NewDynamics()
 	grad.Reset(1)
 	mu, _ := grad.StepAt(0, 1, 1.5, r.Availability, 0, r.Congested(1.5)) // overload: price rises
 	if mu <= 1 {
@@ -178,20 +203,18 @@ func TestEngineDemand(t *testing.T) {
 // 1e-9. Seeds 1, 6 and 16 at the default slack hold tasks whose latencies
 // and aggregate a slope-aggregate fixed-point iteration cycles between
 // (seed 6's ExpPenalty task: slopes −0.0555 and −279.6) instead of solving.
-// Seeds 5, 9 and 19 at the default slack still do not certify: their
-// controllers are exact (KKT below 1e-9) but the prices never settle, a
-// resource stays 0.5–2.4 % over capacity. They are recorded, not dropped: a
-// change that makes them certify must move them up.
+// Seeds 5, 9, 19, 34, 45 and 55 at the default slack cycled while path
+// prices took the gradient step under Newton: the controllers were exact
+// but the prices never settled, a resource stayed 0.5–2.4 % over capacity.
+// Under the gradient solver they still do (TestDualBound logs them).
 func TestEngineMixedCurveRandomWorkloads(t *testing.T) {
 	const kktTol, tol = 1e-9, 1e-6
 	for _, tc := range []struct {
-		seed      int64
-		slack     float64 // 0: the generator's default
-		certifies bool
+		seed  int64
+		slack float64 // 0: the generator's default
 	}{
-		{0, 10, true}, {1, 10, true}, {2, 10, true}, {3, 10, true}, {4, 10, true},
-		{1, 0, true}, {6, 0, true}, {16, 0, true},
-		{5, 0, false}, {9, 0, false}, {19, 0, false},
+		{0, 10}, {1, 10}, {2, 10}, {3, 10}, {4, 10},
+		{1, 0}, {6, 0}, {16, 0}, {5, 0}, {9, 0}, {19, 0}, {34, 0}, {45, 0}, {55, 0},
 	} {
 		cfg := workload.DefaultRandomConfig(tc.seed)
 		cfg.MixedCurves = true
@@ -209,14 +232,8 @@ func TestEngineMixedCurveRandomWorkloads(t *testing.T) {
 		snap, ok := e.RunUntilKKT(4000, kktTol, 3, tol)
 		c, _ := e.Certify(math.Inf(1), math.Inf(1))
 		e.Close()
-		if ok != tc.certifies {
-			t.Errorf("seed %d slack %v: certified %v, want %v: %+v", tc.seed, tc.slack, ok, tc.certifies, c)
-			continue
-		}
 		if !ok {
-			if c.KKTMax >= kktTol {
-				t.Errorf("seed %d slack %v: controllers not stationary: %+v", tc.seed, tc.slack, c)
-			}
+			t.Errorf("seed %d slack %v: not certified: %+v", tc.seed, tc.slack, c)
 			continue
 		}
 		if !snap.Feasible(tol) {
@@ -305,7 +322,7 @@ func TestAllocateLatenciesInnerRounds(t *testing.T) {
 	} {
 		calls := 0
 		p := newTestProblem(t, slopeCounter{tc.curve, &calls})
-		c := NewController(p, 0, fixedPolicy)
+		c := NewController(p, 0, fixedGradient)
 		before := append([]float64(nil), c.LatMs...)
 		calls = 0 // Compile samples the curve to validate it
 		if _, moved := c.Solve([]float64{20, 20}, nil); !moved {

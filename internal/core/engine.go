@@ -43,13 +43,13 @@ type Config struct {
 	// are reduced serially in a fixed subtask order, so every worker count
 	// produces bitwise-identical results.
 	Workers int
-	// PriceSolver selects the resource-price dynamics (DESIGN.md §12):
+	// PriceSolver selects the price dynamics (DESIGN.md §12):
 	// price.SolverNewton (the default) takes diagonal-Newton steps on the
-	// curvature the demand reduction already yields; price.SolverGradient is
-	// the paper's gradient projection with the Section 5.2 doubling
-	// heuristic. Every solver reaches the same fixed point; only the resource
-	// half of the dual update is pluggable — path prices always take the
-	// paper's gradient steps.
+	// curvature the demand reduction already yields, and each controller
+	// steps its path prices to their critical times at the current resource
+	// prices (Controller.newtonPath); price.SolverGradient is the paper's
+	// gradient projection with the Section 5.2 doubling heuristic, for path
+	// prices too. Every solver reaches the same fixed point.
 	PriceSolver price.Solver
 }
 
@@ -247,7 +247,7 @@ func (e *Engine) Controller(ti int) Controller {
 func (e *Engine) controllerInto(c *Controller, ti int) {
 	p := e.p
 	lo, hi, plo, phi := p.subOff[ti], p.subOff[ti+1], p.pathOff[ti], p.pathOff[ti+1]
-	c.p, c.ti, c.step = p, ti, e.cfg.Step
+	c.p, c.ti, c.step, c.newton = p, ti, e.cfg.Step, e.cfg.PriceSolver == price.SolverNewton
 	c.LatMs, c.shares = e.lat[lo:hi:hi], e.shares[lo:hi:hi]
 	c.Lambda, c.gamma = e.lambda[plo:phi:phi], e.gamma[plo:phi:phi]
 }
@@ -482,9 +482,12 @@ func (e *Engine) runShard(w int) {
 		}
 		e.controllerInto(&c, ti)
 		priceChanged, latChanged := c.Solve(e.mu, e.congested)
-		k, stable := &e.p.consts[ti], !priceChanged && !latChanged
-		e.latChanged[ti] = latChanged
-		e.ctlStable[ti] = stable || latChanged && k.constSlope && !c.stepPaths(e.congested, k.slope, false)
+		stable := !priceChanged && !latChanged
+		e.latChanged[ti], e.ctlStable[ti] = latChanged, stable
+		if latChanged && e.p.consts[ti].constSlope {
+			moves, _ := c.stepPaths(c.LatMs, e.congested, e.p.consts[ti].slope, false)
+			e.ctlStable[ti] = !moves
+		}
 		e.graded[ti] = e.graded[ti] && stable
 	}
 	e.shardSkipped[w] = skipped

@@ -236,7 +236,7 @@ func stepReplayingSettled(t *testing.T, at string, e *Engine) (marked int) {
 			t.Fatalf("%s: task %d has a curved utility and was marked settled", at, ti)
 		}
 		c := e.Controller(ti)
-		r := NewController(e.p, ti, e.cfg.Step)
+		r := NewController(e.p, ti, e.cfg)
 		copy(r.LatMs, c.LatMs)
 		copy(r.Lambda, c.Lambda)
 		copy(r.gamma, c.gamma)

@@ -37,6 +37,8 @@ type refTask struct {
 
 	baseGamma   float64
 	priceScaled bool
+	// newton steps path prices by newtonStep where its model holds.
+	newton bool
 	// noOnePass drops the one-pass exit: every solve bisects.
 	noOnePass bool
 
@@ -46,6 +48,9 @@ type refTask struct {
 // refHits counts the branches the oracle suite must have been through.
 type refHits struct {
 	free, released, clampLo, clampHi, interior, congestedPath, multiRound int
+	// newtonStep counts path prices Newton moved, newtonFallback the paths
+	// that took Equation 9 under Newton.
+	newtonStep, newtonFallback int
 }
 
 // newRefTask mirrors controller c of engine e from the workload. Bounds and
@@ -70,7 +75,7 @@ func newRefTask(t *testing.T, e *Engine, ti int, hits *refHits) *refTask {
 		latMin: make([]float64, n), latMax: make([]float64, n),
 		lat: append([]float64(nil), e.Controller(ti).LatMs...), lambda: make([]float64, len(paths)),
 		shares:    make([]float64, n),
-		baseGamma: cfg.Step.Gamma, priceScaled: cfg.Step.Adaptive, hits: hits,
+		baseGamma: cfg.Step.Gamma, priceScaled: cfg.Step.Adaptive, newton: cfg.PriceSolver == price.SolverNewton, hits: hits,
 	}
 	for pi, path := range paths {
 		r.pathGamma = append(r.pathGamma, cfg.Step.Gamma)
@@ -115,10 +120,57 @@ func (r *refTask) aggregate() float64 {
 	return sum
 }
 
-// updatePathPrices is the path-price half of price computation (Equation 9).
-func (r *refTask) updatePathPrices(congestedRes []bool) bool {
+// pathSum is path pi's latency sum at lat, and wMin the least weight on it.
+func (r *refTask) pathSum(pi int, lat []float64) (sum, wMin float64) {
+	wMin = math.Inf(1)
+	for _, s := range r.paths[pi] {
+		sum += lat[s]
+		wMin = math.Min(wMin, r.weights[s])
+	}
+	return sum, wMin
+}
+
+// newtonStep is path pi's Newton step from the latencies lat at slope: the
+// price scale x = λ + w_min·|f'| moves to where the interior subtasks'
+// latencies less their error terms, responding as a power of x with the
+// exponent their closed-form response gives, meet the critical time less
+// the rest of the path. ok is false where that model does not hold
+// (Equation 9 then).
+func (r *refTask) newtonStep(pi int, lat []float64, slope float64) (next float64, ok bool) {
+	l := r.lambda[pi]
+	sum, wMin := r.pathSum(pi, lat)
+	if l == 0 && sum <= r.criticalMs || price.InBand(sum, r.criticalMs) {
+		return l, true
+	}
+	fixed, free, resp := 0.0, 0.0, 0.0
+	for _, s := range r.paths[pi] {
+		if lat[s] <= r.latMin[s]*(1+1e-6) || lat[s] >= r.latMax[s]*(1-1e-6) {
+			fixed += lat[s]
+			continue
+		}
+		lambdaSum := 0.0
+		for _, q := range r.through[s] {
+			lambdaSum += r.lambda[q]
+		}
+		e := r.share[s].ErrMs
+		fixed, free = fixed+e, free+(lat[s]-e)
+		resp += (lat[s] - e) / (lambdaSum - r.weights[s]*slope)
+	}
+	x := l + wMin*math.Abs(slope)
+	if r.criticalMs <= fixed || resp <= 0 || x <= 0 {
+		return l, false
+	}
+	return clamp(price.PowerStep(x, free, r.criticalMs-fixed, 2*free/(x*resp))-wMin*math.Abs(slope), 0, price.MaxPrice), true
+}
+
+// updatePathPrices is the path-price half of price computation: Equation 9,
+// or under Newton, where its model holds at the entry latencies, newtonStep
+// at mu: at most four passes over the paths from the latencies solved there,
+// each path that moves re-solving its subtasks before the next path steps,
+// until a pass moves nothing. The entry latencies are restored after.
+func (r *refTask) updatePathPrices(mu []float64, congestedRes []bool) bool {
 	slope := r.curve.Slope(r.aggregate())
-	changed := false
+	changed, pending := false, false
 	for pi, path := range r.paths {
 		sum := 0.0
 		pathCongested := false
@@ -153,11 +205,37 @@ func (r *refTask) updatePathPrices(congestedRes []bool) bool {
 		if cap := math.Max(r.baseGamma, 2*scale); gamma > cap {
 			gamma = cap
 		}
-		if next := price.UpdatePath(r.lambda[pi], gamma, sum, r.criticalMs); next != r.lambda[pi] {
-			r.lambda[pi] = next
-			changed = true
+		ok := false
+		if r.newton {
+			var next float64
+			next, ok = r.newtonStep(pi, r.lat, slope)
+			pending = pending || ok && (r.lambda[pi] > 0 || next > 0)
+			if !ok {
+				r.hits.newtonFallback++
+			}
+		}
+		if next := price.UpdatePath(r.lambda[pi], gamma, sum, r.criticalMs); !ok && next != r.lambda[pi] {
+			r.lambda[pi], changed = next, true
 		}
 	}
+	if !pending {
+		return changed
+	}
+	entry := append([]float64(nil), r.lat...)
+	r.solveAt(mu, slope)
+	for n, moved := 0, true; moved && n < 4; n++ {
+		moved = false
+		for pi, path := range r.paths {
+			if next, ok := r.newtonStep(pi, r.lat, slope); ok && next != r.lambda[pi] {
+				r.lambda[pi], moved, changed = next, true, true
+				r.hits.newtonStep++
+				for _, s := range path {
+					r.lat[s] = r.solveSub(s, mu, slope)
+				}
+			}
+		}
+	}
+	copy(r.lat, entry)
 	return changed
 }
 
@@ -165,35 +243,40 @@ func (r *refTask) updatePathPrices(congestedRes []bool) bool {
 // slope: it writes every latency and returns their aggregate.
 func (r *refTask) solveAt(mu []float64, slope float64) float64 {
 	for si := range r.lat {
-		lambdaSum := 0.0
-		for _, pi := range r.through[si] {
-			lambdaSum += r.lambda[pi]
-		}
-		denom := lambdaSum - r.weights[si]*slope
-		muR := mu[r.res[si]]
-		var lat float64
-		switch {
-		case muR <= 0:
-			lat = r.latMin[si]
-			r.hits.free++
-		case denom <= 1e-12:
-			lat = r.latMax[si]
-			r.hits.released++
-		default:
-			sf := r.share[si]
-			lat = sf.ErrMs + safeSqrt(muR*(sf.ExecMs+sf.LagMs)/denom)
-			switch {
-			case lat < r.latMin[si]:
-				r.hits.clampLo++
-			case lat > r.latMax[si]:
-				r.hits.clampHi++
-			default:
-				r.hits.interior++
-			}
-		}
-		r.lat[si] = clamp(lat, r.latMin[si], r.latMax[si])
+		r.lat[si] = r.solveSub(si, mu, slope)
 	}
 	return r.aggregate()
+}
+
+// solveSub is subtask si's latency from Equation 7 at slope.
+func (r *refTask) solveSub(si int, mu []float64, slope float64) float64 {
+	lambdaSum := 0.0
+	for _, pi := range r.through[si] {
+		lambdaSum += r.lambda[pi]
+	}
+	denom := lambdaSum - r.weights[si]*slope
+	muR := mu[r.res[si]]
+	var lat float64
+	switch {
+	case muR <= 0:
+		lat = r.latMin[si]
+		r.hits.free++
+	case denom <= 1e-12:
+		lat = r.latMax[si]
+		r.hits.released++
+	default:
+		sf := r.share[si]
+		lat = sf.ErrMs + safeSqrt(muR*(sf.ExecMs+sf.LagMs)/denom)
+		switch {
+		case lat < r.latMin[si]:
+			r.hits.clampLo++
+		case lat > r.latMax[si]:
+			r.hits.clampHi++
+		default:
+			r.hits.interior++
+		}
+	}
+	return clamp(lat, r.latMin[si], r.latMax[si])
 }
 
 // aggregateOf is Σ w_s·lat_s over the given latencies.
@@ -255,7 +338,7 @@ func changed(lat, prev []float64) bool {
 // referenceSolve is the controller half of an iteration as three passes:
 // path prices from the entry latencies, the latency solve, then every share.
 func referenceSolve(r *refTask, mu []float64, congested []bool) (priceChanged, latChanged bool) {
-	priceChanged = r.updatePathPrices(congested)
+	priceChanged = r.updatePathPrices(mu, congested)
 	latChanged = r.allocateLatencies(mu)
 	r.cacheShares()
 	return priceChanged, latChanged
@@ -351,22 +434,34 @@ func requireBitsEqual(t *testing.T, what string, got, want []float64) {
 	}
 }
 
+// oracleConfigs are the serial engine configurations the oracle suite runs:
+// both step policies under both solvers.
+func oracleConfigs() (cfgs []Config) {
+	for _, solver := range price.Solvers() {
+		for _, step := range []StepPolicy{{Gamma: 0.5}, {Adaptive: true, Gamma: 1}} {
+			cfgs = append(cfgs, Config{Workers: 1, Step: step, PriceSolver: solver})
+		}
+	}
+	return cfgs
+}
+
 // TestSolveMatchesReference compares Controller.Solve with referenceSolve
 // bit for bit — every latency, path price, path step size, share and both
 // change flags, at every solve of every iteration — and Certify's complete
 // maxima with referenceCertificate, on seeded chain and DAG workloads under
-// every curve family and both step policies, with error terms installed,
-// one price pinned at 0 (the free-resource branch), one pinned congested at a
-// price that clamps at the upper bound, and an availability cut mid-run.
+// every curve family, both step policies and both solvers, with error terms
+// installed, one price pinned at 0 (the free-resource branch), one pinned
+// congested at a price that clamps at the upper bound, and an availability
+// cut mid-run.
 func TestSolveMatchesReference(t *testing.T) {
 	const steps = 60
 	var hits refHits
 	constSlope := map[string]bool{"linear": true, "neg-latency": true}
 	for _, family := range []string{"linear", "neg-latency", "quadratic", "exp-penalty", "piecewise-linear"} {
 		for _, chain := range []bool{true, false} {
-			for _, step := range []StepPolicy{{Gamma: 0.5}, {Adaptive: true, Gamma: 1}} {
+			for _, cfg := range oracleConfigs() {
 				for seed := int64(0); seed < 3; seed++ {
-					name := fmt.Sprintf("%s/chain=%v/adaptive=%v/seed=%d", family, chain, step.Adaptive, seed)
+					name := fmt.Sprintf("%s/chain=%v/adaptive=%v/%s/seed=%d", family, chain, cfg.Step.Adaptive, cfg.PriceSolver, seed)
 					wcfg := workload.DefaultRandomConfig(seed)
 					wcfg.SlackFactor, wcfg.ChainOnly = 10, chain
 					w, err := workload.Random(wcfg)
@@ -382,7 +477,7 @@ func TestSolveMatchesReference(t *testing.T) {
 					if multiPath == chain {
 						t.Fatalf("%s: multi-path tasks = %v", name, multiPath)
 					}
-					e, err := NewEngine(w, Config{Workers: 1, Step: step})
+					e, err := NewEngine(w, cfg)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -440,7 +535,8 @@ func TestSolveMatchesReference(t *testing.T) {
 		}
 	}
 	if hits.free == 0 || hits.released == 0 || hits.clampLo == 0 || hits.clampHi == 0 ||
-		hits.interior == 0 || hits.congestedPath == 0 || hits.multiRound == 0 {
+		hits.interior == 0 || hits.congestedPath == 0 || hits.multiRound == 0 ||
+		hits.newtonStep == 0 || hits.newtonFallback == 0 {
 		t.Errorf("the suite missed a branch of the solve: %+v", hits)
 	}
 }

@@ -62,7 +62,7 @@ type controllerNode struct {
 func newControllerNode(p *core.Problem, ti int, res []int32, cfg core.Config, a addresses) *controllerNode {
 	n := &controllerNode{
 		peer:      peer{node: node{addr: a.ctl[ti]}, kind: wire.KindLatency},
-		ctl:       core.NewController(p, ti, cfg.Step),
+		ctl:       core.NewController(p, ti, cfg),
 		p:         p,
 		ti:        ti,
 		name:      p.Workload().Tasks[ti].Name,

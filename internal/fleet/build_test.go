@@ -496,9 +496,9 @@ func TestFleetBuildAllocBudget(t *testing.T) {
 
 // replaceAllocsPerEvent is the ceiling on heap objects one ReplaceWorkload
 // allocates when the delta dirties one of allocWorkload's eight shards
-// (139 measured): the rebuilt shard's arrays plus whole-workload
+// (133 measured): the rebuilt shard's arrays plus whole-workload
 // bookkeeping, a few dozen slices and maps, not objects per task.
-const replaceAllocsPerEvent = 170
+const replaceAllocsPerEvent = 162
 
 // oneShardEvents returns a certified fleet over allocWorkload and n
 // successive workloads for it, each tightening one more task of shard 3.
@@ -551,9 +551,9 @@ func TestFleetReplaceAllocBudget(t *testing.T) {
 
 // replaceBytesPerEvent is the ceiling on the bytes one ReplaceWorkload
 // allocates when the delta dirties one of allocWorkload's eight shards
-// (650 410 measured, +5 %): the proof's arrays, the diff's vectors and the
+// (621 784 measured, +5 %): the proof's arrays, the diff's vectors and the
 // rebuilt shard.
-const replaceBytesPerEvent = 683_000
+const replaceBytesPerEvent = 653_000
 
 // TestFleetReplaceBytesBudget pins the bytes a one-shard churn event
 // allocates, beside TestFleetReplaceAllocBudget's objects. The first event,

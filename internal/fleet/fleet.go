@@ -160,17 +160,18 @@ type Fleet struct {
 	// part.Boundary): resource ID, capacity, the aggregator's price
 	// iterate, the aggregated demand and curvature of the last round, the
 	// externally owned congestion flags, and the last update's relative
-	// per-coordinate movement. bprev is the update step's scratch copy of
-	// the previous iterate, persistent so steady-state rounds allocate
-	// nothing.
-	bid     []string
-	bavail  []float64
-	bmu     []float64
-	bdemand []float64
-	bcurv   []float64
-	bcong   []bool
-	bmove   []float64
-	bprev   []float64
+	// per-coordinate movement. bprev is the iterate the last update stepped
+	// from (zero before one since the last bind) and bpdemand the demand it
+	// read there, persistent so steady-state rounds allocate nothing.
+	bid      []string
+	bavail   []float64
+	bmu      []float64
+	bdemand  []float64
+	bcurv    []float64
+	bcong    []bool
+	bmove    []float64
+	bprev    []float64
+	bpdemand []float64
 
 	// bdyn is diagonal Newton over the shard-summed demand and curvature (a
 	// field so an in-package test can install the gradient oracle).
@@ -344,7 +345,7 @@ func (f *Fleet) bindBoundary(w *workload.Workload, boundary []int, warm *Fleet) 
 	}
 	oldBid, nb := f.bid, len(boundary)
 	f.bid, f.bcong = make([]string, nb), make([]bool, nb)
-	for _, v := range []*[]float64{&f.bavail, &f.bmu, &f.bdemand, &f.bcurv, &f.bmove, &f.bprev} {
+	for _, v := range []*[]float64{&f.bavail, &f.bmu, &f.bdemand, &f.bcurv, &f.bmove, &f.bprev, &f.bpdemand} {
 		*v = make([]float64, nb)
 	}
 	onBoundary := make(map[string]bool, nb)
@@ -587,14 +588,26 @@ func (f *Fleet) residuals() (kktMax, boundary float64) {
 // pins the new prices (with the globally computed congestion flags) into
 // every shard. Pinning an unchanged price does not advance a shard's pin
 // epoch, so shards whose boundary did not move stay skippable.
+//
+// Once the fleet has measured a coordinate's demand at two prices since the
+// last bind (before, the zero bprev makes the secant NaN), its step reads the
+// elasticity measured between them, −Δln demand/Δln μ, in place of the
+// shards' summed curvature, which leaves out how path and interior prices
+// answer the boundary price; only a move beyond boundaryTol that lowered
+// demand counts.
 func (f *Fleet) updateBoundary() error {
 	if len(f.bmu) == 0 {
 		return nil
 	}
-	for b := range f.bcong {
+	for b, mu := range f.bmu {
 		f.bcong[b] = f.bdemand[b] > f.bavail[b]*(1+core.CongestionMargin)
+		dlog := math.Log(mu / f.bprev[b])
+		if e := math.Log(f.bpdemand[b]/f.bdemand[b]) / dlog; math.Abs(dlog) > boundaryTol && e > 0 && !math.IsInf(e, 1) {
+			f.bcurv[b] = e * f.bdemand[b] / mu
+		}
 	}
 	copy(f.bprev, f.bmu)
+	copy(f.bpdemand, f.bdemand)
 	fallbacks := f.bdyn.Fallbacks()
 	f.bdyn.Step(price.StepInput{
 		Mu:        f.bmu,

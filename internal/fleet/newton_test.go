@@ -245,3 +245,65 @@ func TestFleetNewtonSafeguardCoordinates(t *testing.T) {
 	t.Logf("rounds newton/oracle: cold %d/%d, zeroed price %d/%d, capacity halved+restored %d/%d",
 		cold.Rounds, coldOracle.Rounds, lifted.Rounds, liftedOracle.Rounds, n, g)
 }
+
+// TestFleetPathBindingSecant certifies a cold fleet whose chains bind their
+// critical times — fleet-1m-cold's shape (ReplicateFactor 100 at SlackFactor
+// 400) on a fifth of its subtasks — twice: with updateBoundary's measured
+// elasticity, and with the summed shard curvature every round (the history
+// cleared before each update). Path prices meet their critical times inside
+// each Solve, so round 1's slowest shard sweeps in at most 10 local
+// iterations either way; the measured step, which reads the path prices'
+// response the shard curvature leaves out, must save at least one round.
+// Both end states pass the dense certificate and agree in utility.
+func TestFleetPathBindingSecant(t *testing.T) {
+	cfg := workload.DefaultClusteredConfig(3)
+	cfg.Clusters, cfg.TasksPerCluster, cfg.ReplicateFactor, cfg.ResourcesPerCluster = 16, 24, 100, 96
+	cfg.MinSubtasks, cfg.MaxSubtasks, cfg.ChainOnly = 5, 5, true
+	cfg.SlackFactor, cfg.CrossFraction = 400, 0.002
+	w, err := workload.Clustered(cfg)
+	if err != nil {
+		t.Fatalf("Clustered: %v", err)
+	}
+	run := func(secant bool) (rounds, slowest int, utility float64) {
+		f, err := New(w, Config{Shards: 16, Seed: 1})
+		if err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		defer f.Close()
+		for converged := false; !converged; rounds++ {
+			if rounds == 100 {
+				t.Fatalf("secant=%v: not certified in %d rounds", secant, rounds)
+			}
+			if !secant {
+				clear(f.bprev)
+			}
+			info, err := f.round()
+			if err != nil {
+				t.Fatalf("secant=%v: round %d: %v", secant, rounds, err)
+			}
+			for _, s := range f.shards {
+				if rounds == 0 {
+					slowest = max(slowest, s.iters)
+				}
+			}
+			converged = info.converged
+		}
+		denseCertify(t, fmt.Sprintf("secant=%v", secant), f)
+		for _, s := range f.shards {
+			utility += s.probeUtility()
+		}
+		return rounds, slowest, utility
+	}
+	rounds, slowest, u := run(true)
+	curvRounds, curvSlowest, curvU := run(false)
+	t.Logf("rounds %d (curvature step %d), round 1's slowest shard %d local iterations", rounds, curvRounds, slowest)
+	if slowest > 10 || curvSlowest > 10 {
+		t.Errorf("round 1's slowest shard took %d local iterations (%d under the curvature step), want <= 10", slowest, curvSlowest)
+	}
+	if rounds >= curvRounds {
+		t.Errorf("the secant certified in %d rounds, the curvature step in %d: want at least one fewer", rounds, curvRounds)
+	}
+	if d := relDiff(u, curvU); d > 1e-6 {
+		t.Errorf("utility %v with the secant, %v without (rel diff %v)", u, curvU, d)
+	}
+}

@@ -178,6 +178,10 @@ func TestRecheckMatchesValidateOracle(t *testing.T) {
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("chain=%v trial %d %q: Recheck's proof differs from a from-scratch Check's", chain, trial, applied)
 			}
+			sameIDs := slices.EqualFunc(old.Resources, next.Resources, func(a, b share.Resource) bool { return a.ID == b.ID })
+			if got.SharesIDs(f.ck) != sameIDs {
+				t.Fatalf("chain=%v trial %d %q: SharesIDs %v, resource IDs positionally equal %v", chain, trial, applied, !sameIDs, sameIDs)
+			}
 			prev, dirty := dirtyOracle(old, next)
 			if !slices.Equal(gotPrev, prev) || !slices.Equal(gotDirty, dirty) {
 				t.Fatalf("chain=%v trial %d %q: diff differs from the oracle's\n got prev %v dirty %v\nwant prev %v dirty %v",
@@ -192,6 +196,15 @@ func TestRecheckMatchesValidateOracle(t *testing.T) {
 				}
 				if !reflect.DeepEqual(f.part.inc, newShardIncidence(f.ck, f.part.TaskShard, f.part.Shards)) {
 					t.Fatalf("chain=%v trial %d %q: the partition's incidence, moved by the delta, differs from a recount", chain, trial, applied)
+				}
+				lists := make([][]int, f.part.Shards)
+				for ti, s := range f.part.TaskShard {
+					lists[s] = append(lists[s], ti)
+				}
+				for s, list := range lists {
+					if !slices.Equal(f.part.ShardTasks[s], list) {
+						t.Fatalf("chain=%v trial %d %q: shard %d lists tasks %v, its placement %v", chain, trial, applied, s, f.part.ShardTasks[s], list)
+					}
 				}
 				for name, ti := range f.taskAt {
 					if ti >= len(next.Tasks) || next.Tasks[ti].Name != name {

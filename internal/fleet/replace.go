@@ -6,7 +6,6 @@ import (
 
 	"lla/internal/core"
 	"lla/internal/obs"
-	"lla/internal/share"
 	"lla/internal/workload"
 )
 
@@ -62,8 +61,9 @@ func (f *Fleet) ReplaceWorkload(w *workload.Workload) (ReplaceStats, error) {
 	// when the resource table moved, which re-indexes every row). A shard is
 	// dirty — needs a rebuilt engine — iff a task left or joined it, one of
 	// its tasks changed, or a resource its tasks use changed: anything else
-	// about its sub-problem is bit-identical to its engine's.
-	si, sameRes := f.part.inc, slices.EqualFunc(old.Resources, w.Resources, func(a, b share.Resource) bool { return a.ID == b.ID })
+	// about its sub-problem is bit-identical to its engine's. Where no task
+	// index moved, a clean shard keeps its task list.
+	si, sameRes, moved := f.part.inc, ck2.SharesIDs(f.ck), false
 	if !sameRes {
 		si = newShardIncidence(ck2, nil, K)
 	}
@@ -76,7 +76,7 @@ func (f *Fleet) ReplaceWorkload(w *workload.Workload) (ReplaceStats, error) {
 			continue
 		}
 		s := f.part.TaskShard[oi]
-		assign[ti], alive[oi] = s, true
+		assign[ti], alive[oi], moved = s, true, moved || oi != ti
 		count[s]++
 		if taskDirty[ti] {
 			dirty[s] = true
@@ -129,10 +129,14 @@ func (f *Fleet) ReplaceWorkload(w *workload.Workload) (ReplaceStats, error) {
 
 	shardTasks2 := make([][]int, K)
 	for s := range shardTasks2 {
-		shardTasks2[s] = make([]int, 0, count[s])
+		if shardTasks2[s] = f.part.ShardTasks[s]; moved || dirty[s] {
+			shardTasks2[s] = make([]int, 0, count[s])
+		}
 	}
 	for ti, s := range assign {
-		shardTasks2[s] = append(shardTasks2[s], ti)
+		if moved || dirty[s] {
+			shardTasks2[s] = append(shardTasks2[s], ti)
+		}
 	}
 
 	// Build the dirty shards' replacement engines on the fleet's pool,

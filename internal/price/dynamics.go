@@ -222,7 +222,7 @@ func (d *Dynamics) StepAt(j int, mu, sum, avail, curv float64, cong bool) (float
 	if !d.newton {
 		return d.gradient(j, mu, sum, avail, cong)
 	}
-	if math.Abs(sum-avail) <= roundingBand*avail {
+	if InBand(sum, avail) {
 		sum = avail // the reduction's rounding, not an excess
 	}
 	h, s := d.halvings[j], uint8(0)
@@ -251,19 +251,23 @@ func (d *Dynamics) StepAt(j int, mu, sum, avail, curv float64, cong bool) (float
 		next, moved := d.gradient(j, mu, sum, avail, cong)
 		return next, moved || guard
 	}
-	next := mu // at capacity the step is Pow(1, y) == 1: no move to compute
-	if sum != avail {
-		next *= math.Pow(sum/avail, math.Ldexp(1, -int(h))/p)
-	}
-	if next > mu*newtonTrustFactor {
-		next = mu * newtonTrustFactor
-	} else if next < mu/newtonTrustFactor {
-		next = mu / newtonTrustFactor
-	}
-	if next > MaxPrice {
-		next = MaxPrice
-	}
+	next := min(PowerStep(mu, sum, avail, math.Ldexp(1, -int(h))/p), MaxPrice)
 	return next, guard || next != mu
+}
+
+// InBand reports whether have is want within the rounding band, the excess
+// Newton treats as zero.
+func InBand(have, want float64) bool { return math.Abs(have-want) <= roundingBand*want }
+
+// PowerStep is Newton's step on a price scale x whose quantity have responds
+// as have·(x'/x)^(−1/y): the x' at which it meets want, x·(have/want)^y,
+// within the trust region [x/newtonTrustFactor, x·newtonTrustFactor].
+func PowerStep(x, have, want, y float64) float64 {
+	next := x // at want the step is Pow(1, y) == 1: no move to compute
+	if have != want {
+		next *= math.Pow(have/want, y)
+	}
+	return min(max(next, x/newtonTrustFactor), x*newtonTrustFactor)
 }
 
 // Reprice is Newton's StepAt advancing no state (step size, safeguard,

@@ -29,6 +29,13 @@ type Checked struct {
 	resIdx map[string]int32
 }
 
+// SharesIDs reports whether c shares prev's resource ID table, as Recheck
+// makes it do exactly when c's resource IDs are, position by position,
+// prev's: then a resolved row indexes the same resources in both.
+func (c *Checked) SharesIDs(prev *Checked) bool {
+	return c.resIdx != nil && reflect.ValueOf(c.resIdx).UnsafePointer() == reflect.ValueOf(prev.resIdx).UnsafePointer()
+}
+
 // Workload returns the workload the proof is of.
 func (c *Checked) Workload() *Workload { return c.w }
 

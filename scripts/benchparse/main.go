@@ -13,6 +13,7 @@ package main
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -67,22 +68,16 @@ func main() {
 	}
 	fmt.Fprintf(os.Stderr, "benchparse: %d benchmarks -> %s\n", len(recs), *out)
 
+	var errs []error
 	if *check {
-		for _, gate := range []func([]record) error{checkConvergedStep, checkAcceleratedRounds,
-			checkRecoveryWarmFaster, checkFleetConverge, checkFleetParallel} {
-			if err := gate(recs); err != nil {
-				fmt.Fprintln(os.Stderr, "benchparse: CHECK FAILED:", err)
-				os.Exit(1)
-			}
-		}
+		errs = append(errs, checkGates(gates, recs))
 	}
 	if *prev != "" {
-		for _, gate := range []func(string, []record) error{checkNoGatedLoss, checkPrevBounds} {
-			if err := gate(*prev, recs); err != nil {
-				fmt.Fprintln(os.Stderr, "benchparse: CHECK FAILED:", err)
-				os.Exit(1)
-			}
-		}
+		errs = append(errs, checkNoGatedLoss(*prev, recs), checkPrevBounds(*prev, recs))
+	}
+	if err := errors.Join(errs...); err != nil {
+		fmt.Fprintln(os.Stderr, "benchparse: CHECK FAILED:", err)
+		os.Exit(1)
 	}
 }
 
@@ -156,221 +151,112 @@ func parseBenchLine(s string) (record, bool) {
 	return r, true
 }
 
-// checkConvergedStep enforces the active-set gate on the frozen fixed point
-// (BenchmarkEngineStepConverged): at least 99 % of controller solves skipped
-// and no allocation. Its ns/op is bounded against the previous report by
-// prevBounds. The benchmark must be present: it is in every bench.sh run.
-func checkConvergedStep(recs []record) error {
-	for _, r := range recs {
-		if trimCPUSuffix(r.Name) != "BenchmarkEngineStepConverged" {
-			continue
-		}
-		skipped, okS := r.Metrics["skipped_pct"]
-		allocs, okA := r.Metrics["allocs/op"]
-		if !okS || !okA {
-			return fmt.Errorf("%s did not report skipped_pct and allocs/op", r.Name)
-		}
-		if !(skipped >= 99) {
-			return fmt.Errorf("converged step skipped %.1f%% of controller solves, want >= 99%%", skipped)
-		}
-		if allocs != 0 {
-			return fmt.Errorf("converged step allocates %.0f objects per Step, want 0", allocs)
-		}
-		fmt.Fprintf(os.Stderr, "benchparse: check passed: converged step skips %.1f%% of solves, 0 allocs/op, %.1f ns/op\n",
-			skipped, r.Metrics["ns/op"])
-		return nil
-	}
-	return fmt.Errorf("BenchmarkEngineStepConverged missing from input")
+// gate is one -check regression gate: bench's metric must stand in relation
+// op (>=, <=, < or ==) to k, or to k times refMetric of the ref benchmark
+// (which may be bench itself). A bench ending in "/" is a family:
+// the gate holds for each member but ref, and members without ref are an
+// error. Otherwise an absent bench skips the gate (narrower runs stay usable)
+// unless need is set, or ref is present: one of a pair without the other is
+// an error. A present record without the metric fails. minCPUs skips the
+// gate, saying so, when the record's cpus metric is below it (the table
+// requires that metric of the one record it gates so).
+type gate struct {
+	bench, metric, op string
+	k                 float64
+	ref, refMetric    string
+	need              bool
+	minCPUs           float64
 }
 
-// checkAcceleratedRounds enforces the price-dynamics regression gate: every
-// accelerated solver's rounds-to-converge (BenchmarkRoundsToConverge/<solver>)
-// must not exceed the reference gradient's. Absent rounds benchmarks skip the
-// gate (narrower runs stay usable); a sweep that has accelerated records but
-// no gradient baseline is an error.
-func checkAcceleratedRounds(recs []record) error {
-	const prefix = "BenchmarkRoundsToConverge/"
-	gradient := -1.0
-	accel := make(map[string]float64)
+// gates are the -check gates: the frozen fixed point skips at least 99 % of
+// its controller solves at 0 allocs/op (its ns/op is bounded by prevBounds);
+// no accelerated price solver needs more rounds than the gradient; a warm
+// restart from a checkpoint re-converges in fewer rounds than a cold one; the
+// million-subtask fleet certifies, and the parallel run (16 concurrent shard
+// sweeps) in exactly its rounds — parallel sweeps leave no scheduling
+// fingerprint — and on at least 4 CPUs in half its wall-clock; on the
+// clustered workload the fleet's boundary rounds stay within twice the
+// single engine's KKT rounds (SHARDING.md).
+var gates = []gate{
+	{bench: "BenchmarkEngineStepConverged", metric: "skipped_pct", op: ">=", k: 99, need: true},
+	{bench: "BenchmarkEngineStepConverged", metric: "allocs/op", op: "==", need: true},
+	{bench: "BenchmarkRoundsToConverge/", metric: "rounds", op: "<=", k: 1, ref: "BenchmarkRoundsToConverge/gradient", refMetric: "rounds"},
+	{bench: "BenchmarkRecoveryRounds/warm", metric: "rounds", op: "<", k: 1, ref: "BenchmarkRecoveryRounds/cold", refMetric: "rounds"},
+	{bench: "BenchmarkFleetConverge/1m", metric: "converged", op: "==", k: 1},
+	{bench: "BenchmarkFleetConverge/clustered", metric: "single_rounds", op: ">=", k: 1},
+	{bench: "BenchmarkFleetConverge/clustered", metric: "rounds", op: "<=", k: 2, ref: "BenchmarkFleetConverge/clustered", refMetric: "single_rounds"},
+	{bench: "BenchmarkFleetConverge/1m-parallel", metric: "converged", op: "==", k: 1},
+	{bench: "BenchmarkFleetConverge/1m-parallel", metric: "rounds", op: "==", k: 1, ref: "BenchmarkFleetConverge/1m", refMetric: "rounds"},
+	{bench: "BenchmarkFleetConverge/1m-parallel", metric: "cpus", op: ">=", k: 1},
+	{bench: "BenchmarkFleetConverge/1m-parallel", metric: "ns/op", op: "<=", k: 0.5, ref: "BenchmarkFleetConverge/1m", refMetric: "ns/op", minCPUs: 4},
+}
+
+// checkGates enforces gs on recs and returns the first breach.
+func checkGates(gs []gate, recs []record) error {
+	byName := make(map[string]record, len(recs))
 	for _, r := range recs {
-		if !strings.HasPrefix(r.Name, prefix) {
-			continue
-		}
-		name := trimCPUSuffix(strings.TrimPrefix(r.Name, prefix))
-		rounds, ok := r.Metrics["rounds"]
+		byName[trimCPUSuffix(r.Name)] = r
+	}
+	metric := func(r record, m string) (float64, error) {
+		v, ok := r.Metrics[m]
 		if !ok {
-			return fmt.Errorf("%s reported no rounds metric", r.Name)
+			return 0, fmt.Errorf("%s reported no %s metric", r.Name, m)
 		}
-		if name == "gradient" {
-			gradient = rounds
-		} else {
-			accel[name] = rounds
+		return v, nil
+	}
+	for _, g := range gs {
+		_, haveRef := byName[g.ref]
+		var names []string
+		if strings.HasSuffix(g.bench, "/") {
+			for name := range byName {
+				if strings.HasPrefix(name, g.bench) && name != g.ref {
+					names = append(names, name)
+				}
+			}
+			sort.Strings(names)
+		} else if _, ok := byName[g.bench]; ok {
+			names = []string{g.bench}
+		} else if g.need || haveRef {
+			return fmt.Errorf("%s missing from input", g.bench)
 		}
-	}
-	if gradient < 0 && len(accel) == 0 {
-		return nil
-	}
-	if gradient < 0 {
-		return fmt.Errorf("rounds benchmarks present but the gradient baseline is missing")
-	}
-	names := make([]string, 0, len(accel))
-	for name := range accel {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		if accel[name] > gradient {
-			return fmt.Errorf("accelerated solver %s needs %.0f rounds to converge, more than gradient's %.0f",
-				name, accel[name], gradient)
-		}
-	}
-	fmt.Fprintf(os.Stderr, "benchparse: check passed: accelerated rounds <= gradient (%.0f)\n", gradient)
-	return nil
-}
-
-// checkRecoveryWarmFaster enforces the crash-recovery regression gate: a
-// warm restart from a checkpoint (BenchmarkRecoveryRounds/warm) must
-// re-converge in strictly fewer rounds than a cold restart from scratch
-// (.../cold). Absent recovery benchmarks skip the gate (narrower runs stay
-// usable); a run with one side but not the other is an error.
-func checkRecoveryWarmFaster(recs []record) error {
-	const prefix = "BenchmarkRecoveryRounds/"
-	warm, cold := -1.0, -1.0
-	for _, r := range recs {
-		if !strings.HasPrefix(r.Name, prefix) {
-			continue
-		}
-		rounds, ok := r.Metrics["rounds"]
-		if !ok {
-			return fmt.Errorf("%s reported no rounds metric", r.Name)
-		}
-		switch trimCPUSuffix(strings.TrimPrefix(r.Name, prefix)) {
-		case "warm":
-			warm = rounds
-		case "cold":
-			cold = rounds
-		}
-	}
-	if warm < 0 && cold < 0 {
-		return nil
-	}
-	if warm < 0 || cold < 0 {
-		return fmt.Errorf("recovery benchmarks incomplete: warm=%v cold=%v (need both)", warm >= 0, cold >= 0)
-	}
-	if warm >= cold {
-		return fmt.Errorf("warm recovery (%.0f rounds) is not below cold re-convergence (%.0f rounds)", warm, cold)
-	}
-	fmt.Fprintf(os.Stderr, "benchparse: check passed: warm recovery %.0f rounds < cold %.0f\n", warm, cold)
-	return nil
-}
-
-// checkFleetConverge enforces the sharded-fleet gates (SHARDING.md): the
-// million-subtask run (BenchmarkFleetConverge/1m) must certify convergence
-// (converged == 1), and on the clustered workload the aggregator's boundary
-// rounds (.../clustered rounds) must not exceed twice the single engine's
-// KKT rounds (single_rounds) — the hierarchy may pay coordination overhead,
-// but never more than 2x in price iterations. Absent fleet benchmarks skip
-// the gate (narrower runs stay usable); a record missing its metrics is an
-// error.
-func checkFleetConverge(recs []record) error {
-	for _, r := range recs {
-		switch trimCPUSuffix(r.Name) {
-		case "BenchmarkFleetConverge/1m":
-			conv, ok := r.Metrics["converged"]
+		for _, name := range names {
+			r := byName[name]
+			v, err := metric(r, g.metric)
+			if err != nil {
+				return err
+			}
+			bound, of := g.k, ""
+			if g.refMetric != "" {
+				ref, ok := byName[g.ref]
+				if !ok {
+					return fmt.Errorf("%s missing from input", g.ref)
+				}
+				rv, err := metric(ref, g.refMetric)
+				if err != nil {
+					return err
+				}
+				bound, of = g.k*rv, fmt.Sprintf(" (%g x %s %s)", g.k, trimCPUSuffix(ref.Name), g.refMetric)
+			}
+			if cpus := r.Metrics["cpus"]; cpus < g.minCPUs {
+				fmt.Fprintf(os.Stderr, "benchparse: check SKIPPED: %s %s %s%s needs >= %g CPUs, run had %g\n", name, g.metric, g.op, of, g.minCPUs, cpus)
+				continue
+			}
+			ok := v <= bound
+			switch g.op {
+			case ">=":
+				ok = v >= bound
+			case "<":
+				ok = v < bound
+			case "==":
+				ok = v == bound
+			}
 			if !ok {
-				return fmt.Errorf("%s reported no converged metric", r.Name)
+				return fmt.Errorf("%s %s %g, want %s %g%s", name, g.metric, v, g.op, bound, of)
 			}
-			if conv != 1 {
-				return fmt.Errorf("the million-subtask fleet run did not certify convergence (converged=%.0f)", conv)
-			}
-			fmt.Fprintf(os.Stderr, "benchparse: check passed: 1M-subtask fleet certified in %.0f rounds\n",
-				r.Metrics["rounds"])
-		case "BenchmarkFleetConverge/clustered":
-			rounds, okR := r.Metrics["rounds"]
-			single, okS := r.Metrics["single_rounds"]
-			if !okR || !okS {
-				return fmt.Errorf("%s did not report rounds and single_rounds", r.Name)
-			}
-			if single <= 0 {
-				return fmt.Errorf("%s reported a degenerate single-engine baseline (%.0f rounds)", r.Name, single)
-			}
-			if rounds > 2*single {
-				return fmt.Errorf("fleet boundary rounds (%.0f) exceed 2x the single engine's KKT rounds (%.0f)",
-					rounds, single)
-			}
-			fmt.Fprintf(os.Stderr, "benchparse: check passed: fleet rounds %.0f <= 2x single-engine %.0f\n",
-				rounds, single)
+			fmt.Fprintf(os.Stderr, "benchparse: check passed: %s %s %g %s %g%s\n", name, g.metric, v, g.op, bound, of)
 		}
 	}
 	return nil
-}
-
-// checkFleetParallel enforces the parallel-rounds gate (SHARDING.md):
-// BenchmarkFleetConverge/1m-parallel (16 concurrent shard sweeps) must
-// certify in exactly the serial run's round count — parallel sweeps leave
-// no scheduling fingerprint — and, when the run had at least 4 CPUs, finish
-// in at most half the serial wall-clock. Below 4 CPUs the wall-clock half
-// of the gate is SKIPPED with an explicit message (a 1-CPU runner cannot
-// speed up by running sweeps concurrently); it never silently passes. A
-// report carrying one of the pair but not the other is an error.
-func checkFleetParallel(recs []record) error {
-	var serial, parallel *record
-	for i := range recs {
-		switch trimCPUSuffix(recs[i].Name) {
-		case "BenchmarkFleetConverge/1m":
-			serial = &recs[i]
-		case "BenchmarkFleetConverge/1m-parallel":
-			parallel = &recs[i]
-		}
-	}
-	if serial == nil && parallel == nil {
-		return nil
-	}
-	if serial == nil || parallel == nil {
-		return fmt.Errorf("fleet parallel benchmarks incomplete: 1m present=%v, 1m-parallel present=%v (need both)",
-			serial != nil, parallel != nil)
-	}
-	if conv := parallel.Metrics["converged"]; conv != 1 {
-		return fmt.Errorf("the parallel million-subtask fleet run did not certify convergence (converged=%.0f)", conv)
-	}
-	sr, pr := serial.Metrics["rounds"], parallel.Metrics["rounds"]
-	if sr != pr {
-		return fmt.Errorf("parallel fleet certified in %.0f rounds but serial in %.0f — parallel sweeps changed the trajectory", pr, sr)
-	}
-	cpus, ok := parallel.Metrics["cpus"]
-	if !ok {
-		return fmt.Errorf("%s reported no cpus metric", parallel.Name)
-	}
-	if cpus < 4 {
-		fmt.Fprintf(os.Stderr,
-			"benchparse: check SKIPPED: fleet parallel wall-clock gate needs >= 4 CPUs, run had %.0f (round-count equality still enforced: %.0f rounds)\n",
-			cpus, pr)
-		return nil
-	}
-	sn, pn := serial.Metrics["ns/op"], parallel.Metrics["ns/op"]
-	if pn > 0.5*sn {
-		return fmt.Errorf("parallel 1m fleet (%.0f ns/op) is not <= 0.5x the serial run (%.0f ns/op) on %.0f CPUs",
-			pn, sn, cpus)
-	}
-	fmt.Fprintf(os.Stderr, "benchparse: check passed: parallel 1m fleet %.2fx faster than serial, same %.0f rounds\n",
-		sn/pn, pr)
-	return nil
-}
-
-// gated lists the benchmarks the -check gates consume: a name ending in "/"
-// is a family (every sub-benchmark), any other is one benchmark. A report
-// that silently drops one of these (a renamed benchmark, a narrowed bench
-// regex) would turn its gate into a no-op — checkNoGatedLoss makes that loud
-// instead.
-var gated = []string{
-	"BenchmarkEngineStepConverged",
-	"BenchmarkEngineSnapshot",
-	"BenchmarkRoundsToConverge/",
-	"BenchmarkRecoveryRounds/",
-	"BenchmarkWireCodec",
-	"BenchmarkFleetConverge/",
-	"BenchmarkFleetBuild",
-	"BenchmarkFleetReplace",
 }
 
 // prevBounds is the table of regression gates against the -prev report: the
@@ -398,11 +284,19 @@ var prevBounds = []struct {
 	{"BenchmarkFleetConverge/1m", "rounds", 0},
 }
 
-// isGated reports whether a (GOMAXPROCS-suffix-stripped) benchmark name is a
-// gated benchmark or belongs to a gated family.
+// isGated reports whether a (GOMAXPROCS-suffix-stripped) benchmark name is
+// one a gate or a prevBounds row reads, or a member of a gated family. A
+// report that silently drops one (a renamed benchmark, a narrowed bench
+// regex) would turn its gate into a no-op — checkNoGatedLoss makes that loud
+// instead.
 func isGated(name string) bool {
-	for _, g := range gated {
-		if name == g || strings.HasSuffix(g, "/") && strings.HasPrefix(name, g) {
+	for _, g := range gates {
+		if name == g.bench || name == g.ref || strings.HasSuffix(g.bench, "/") && strings.HasPrefix(name, g.bench) {
+			return true
+		}
+	}
+	for _, b := range prevBounds {
+		if name == b.bench {
 			return true
 		}
 	}

@@ -96,12 +96,28 @@ type gateCase struct {
 	wantErr string // "" = accept
 }
 
-// runGateCases checks a gate against its table: accepted rows must pass,
+// gatesOn returns the gates on the named benchmarks, in table order.
+func gatesOn(benches ...string) []gate {
+	var gs []gate
+	for _, g := range gates {
+		for _, b := range benches {
+			if g.bench == b {
+				gs = append(gs, g)
+			}
+		}
+	}
+	return gs
+}
+
+// runGateCases checks gates against their table: accepted rows must pass,
 // rejected rows must fail with an error containing wantErr.
-func runGateCases(t *testing.T, gate func([]record) error, cases []gateCase) {
+func runGateCases(t *testing.T, gs []gate, cases []gateCase) {
 	t.Helper()
+	if len(gs) == 0 {
+		t.Fatal("no gates selected")
+	}
 	for _, tc := range cases {
-		err := gate(tc.recs)
+		err := checkGates(gs, tc.recs)
 		switch {
 		case tc.wantErr == "" && err != nil:
 			t.Errorf("%s: rejected: %v", tc.name, err)
@@ -114,7 +130,7 @@ func runGateCases(t *testing.T, gate func([]record) error, cases []gateCase) {
 }
 
 func TestCheckConvergedStep(t *testing.T) {
-	runGateCases(t, checkConvergedStep, []gateCase{
+	runGateCases(t, gatesOn("BenchmarkEngineStepConverged"), []gateCase{
 		{
 			name: "frozen fixed point: everything skipped, nothing allocated",
 			recs: []record{rec("BenchmarkEngineStepConverged-2", "skipped_pct", 100.0, "allocs/op", 0.0, "ns/op", 780.0)},
@@ -126,22 +142,22 @@ func TestCheckConvergedStep(t *testing.T) {
 		{
 			name:    "skipping disengaged",
 			recs:    []record{rec("BenchmarkEngineStepConverged-2", "skipped_pct", 98.9, "allocs/op", 0.0)},
-			wantErr: "skipped 98.9%",
+			wantErr: "skipped_pct 98.9, want >= 99",
 		},
 		{
 			name:    "NaN skip rate (no solves counted)",
 			recs:    []record{rec("BenchmarkEngineStepConverged-2", "skipped_pct", math.NaN(), "allocs/op", 0.0)},
-			wantErr: "want >= 99%",
+			wantErr: "want >= 99",
 		},
 		{
 			name:    "the step allocates",
 			recs:    []record{rec("BenchmarkEngineStepConverged-2", "skipped_pct", 100.0, "allocs/op", 1.0)},
-			wantErr: "allocates 1 objects",
+			wantErr: "allocs/op 1, want == 0",
 		},
 		{
 			name:    "run without -benchmem columns",
 			recs:    []record{rec("BenchmarkEngineStepConverged-2", "skipped_pct", 100.0)},
-			wantErr: "did not report skipped_pct and allocs/op",
+			wantErr: "reported no allocs/op metric",
 		},
 		{
 			name:    "benchmark missing",
@@ -157,7 +173,7 @@ func TestCheckConvergedStep(t *testing.T) {
 }
 
 func TestCheckAcceleratedRounds(t *testing.T) {
-	runGateCases(t, checkAcceleratedRounds, []gateCase{
+	runGateCases(t, gatesOn("BenchmarkRoundsToConverge/"), []gateCase{
 		{name: "no rounds benchmarks: gate skipped", recs: []record{rec("BenchmarkEngineStep-2")}},
 		{
 			name: "every accelerated solver at or below gradient",
@@ -175,12 +191,12 @@ func TestCheckAcceleratedRounds(t *testing.T) {
 				rec("BenchmarkRoundsToConverge/newton-2", "rounds", 6.0),
 				rec("BenchmarkRoundsToConverge/anderson-2", "rounds", 61.0),
 			},
-			wantErr: "anderson needs 61 rounds to converge, more than gradient's 60",
+			wantErr: "anderson rounds 61, want <= 60 (1 x BenchmarkRoundsToConverge/gradient rounds)",
 		},
 		{
 			name:    "accelerated records without the baseline",
 			recs:    []record{rec("BenchmarkRoundsToConverge/newton-2", "rounds", 6.0)},
-			wantErr: "gradient baseline is missing",
+			wantErr: "gradient missing",
 		},
 		{
 			name: "a record without a rounds metric",
@@ -194,7 +210,7 @@ func TestCheckAcceleratedRounds(t *testing.T) {
 }
 
 func TestCheckRecoveryWarmFaster(t *testing.T) {
-	runGateCases(t, checkRecoveryWarmFaster, []gateCase{
+	runGateCases(t, gatesOn("BenchmarkRecoveryRounds/warm"), []gateCase{
 		{name: "no recovery benchmarks: gate skipped", recs: []record{rec("BenchmarkEngineStep-2")}},
 		{
 			name: "warm below cold",
@@ -209,17 +225,17 @@ func TestCheckRecoveryWarmFaster(t *testing.T) {
 				rec("BenchmarkRecoveryRounds/warm", "rounds", 60.0),
 				rec("BenchmarkRecoveryRounds/cold", "rounds", 60.0),
 			},
-			wantErr: "warm recovery (60 rounds) is not below cold re-convergence (60 rounds)",
+			wantErr: "warm rounds 60, want < 60 (1 x BenchmarkRecoveryRounds/cold rounds)",
 		},
 		{
 			name:    "only the warm side ran",
 			recs:    []record{rec("BenchmarkRecoveryRounds/warm-2", "rounds", 3.0)},
-			wantErr: "incomplete: warm=true cold=false",
+			wantErr: "BenchmarkRecoveryRounds/cold missing",
 		},
 		{
 			name:    "only the cold side ran",
 			recs:    []record{rec("BenchmarkRecoveryRounds/cold-2", "rounds", 60.0)},
-			wantErr: "incomplete: warm=false cold=true",
+			wantErr: "BenchmarkRecoveryRounds/warm missing",
 		},
 		{
 			name: "a side without a rounds metric",
@@ -233,7 +249,7 @@ func TestCheckRecoveryWarmFaster(t *testing.T) {
 }
 
 func TestCheckFleetConverge(t *testing.T) {
-	runGateCases(t, checkFleetConverge, []gateCase{
+	runGateCases(t, gatesOn("BenchmarkFleetConverge/1m", "BenchmarkFleetConverge/clustered"), []gateCase{
 		{name: "no fleet benchmarks: gate skipped", recs: []record{rec("BenchmarkEngineStep-2")}},
 		{
 			name: "1m certified, clustered within 2x",
@@ -249,7 +265,7 @@ func TestCheckFleetConverge(t *testing.T) {
 		{
 			name:    "1m did not certify",
 			recs:    []record{rec("BenchmarkFleetConverge/1m-2", "converged", 0.0, "rounds", 300.0)},
-			wantErr: "did not certify",
+			wantErr: "converged 0, want == 1",
 		},
 		{
 			name:    "1m without a converged metric",
@@ -259,21 +275,50 @@ func TestCheckFleetConverge(t *testing.T) {
 		{
 			name:    "clustered beyond 2x",
 			recs:    []record{rec("BenchmarkFleetConverge/clustered-2", "rounds", 81.0, "single_rounds", 40.0)},
-			wantErr: "exceed 2x",
+			wantErr: "rounds 81, want <= 80 (2 x BenchmarkFleetConverge/clustered single_rounds)",
 		},
 		{
 			name:    "clustered missing its baseline",
 			recs:    []record{rec("BenchmarkFleetConverge/clustered-2", "rounds", 35.0)},
-			wantErr: "did not report rounds and single_rounds",
+			wantErr: "reported no single_rounds metric",
 		},
 		{
 			name:    "clustered with a degenerate baseline",
 			recs:    []record{rec("BenchmarkFleetConverge/clustered-2", "rounds", 0.0, "single_rounds", 0.0)},
-			wantErr: "degenerate",
+			wantErr: "single_rounds 0, want >= 1",
 		},
 		{
 			name: "the parallel row is not the serial gate's business",
 			recs: []record{rec("BenchmarkFleetConverge/1m-parallel-2", "converged", 0.0)},
+		},
+	})
+}
+
+func TestCheckFleetParallel(t *testing.T) {
+	serial := rec("BenchmarkFleetConverge/1m-2", "converged", 1.0, "rounds", 5.0)
+	serial.Metrics["ns/op"] = 100
+	parallel := func(cpus, rounds, ns float64) record {
+		r := rec("BenchmarkFleetConverge/1m-parallel-2", "converged", 1.0, "rounds", rounds, "cpus", cpus)
+		r.Metrics["ns/op"] = ns
+		return r
+	}
+	runGateCases(t, gatesOn("BenchmarkFleetConverge/1m-parallel"), []gateCase{
+		{name: "no fleet benchmarks: gate skipped", recs: []record{rec("BenchmarkEngineStep-2")}},
+		{name: "2 CPUs: same rounds, wall-clock gate skipped", recs: []record{serial, parallel(2, 5, 100)}},
+		{name: "4 CPUs: half the wall-clock", recs: []record{serial, parallel(4, 5, 50)}},
+		{name: "4 CPUs: not half", recs: []record{serial, parallel(4, 5, 51)}, wantErr: "ns/op 51, want <= 50"},
+		{name: "other rounds", recs: []record{serial, parallel(2, 6, 100)}, wantErr: "rounds 6, want == 5"},
+		{
+			name:    "parallel did not certify",
+			recs:    []record{serial, rec("BenchmarkFleetConverge/1m-parallel-2", "converged", 0.0)},
+			wantErr: "converged 0, want == 1",
+		},
+		{name: "serial alone", recs: []record{serial}, wantErr: "1m-parallel missing"},
+		{name: "parallel alone", recs: []record{parallel(2, 5, 100)}, wantErr: "BenchmarkFleetConverge/1m missing"},
+		{
+			name:    "no cpus metric",
+			recs:    []record{serial, rec("BenchmarkFleetConverge/1m-parallel-2", "converged", 1.0, "rounds", 5.0)},
+			wantErr: "reported no cpus metric",
 		},
 	})
 }
